@@ -17,7 +17,7 @@
 //!   transaction layer over a PBFT-style engine (`3f + 1` replicas, two
 //!   voting rounds, roughly five message delays per ordered request).
 //!
-//! ## Fidelity note (also recorded in DESIGN.md)
+//! ## Fidelity note (also recorded in `docs/ARCHITECTURE.md`, crate map)
 //!
 //! The baselines reproduce the *performance structure* the paper measures —
 //! message patterns, ordering latency, batching, quorum sizes, OCC

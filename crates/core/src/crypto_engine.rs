@@ -9,14 +9,13 @@
 //! without changing simulated results.
 
 use crate::config::{BasilConfig, CryptoMode};
-use basil_common::{Duration, NodeId, SimTime};
+use basil_common::{Duration, FastHashMap, NodeId, SimTime};
 use basil_crypto::batch::BatchVerifyOutcome;
 use basil_crypto::merkle::MerkleProof;
 use basil_crypto::sig::Signature;
 use basil_crypto::{
     BatchProof, CostModel, Digest, KeyPair, KeyRegistry, MerkleFrontier, SignatureCache,
 };
-use std::collections::HashMap;
 
 /// A canonical signable encoding, producible lazily.
 ///
@@ -95,7 +94,7 @@ pub struct SigEngine {
     /// Per-signer timestamp of the most recent *uncached* root signature
     /// verification; a subsequent uncached root from the same signer within
     /// the window joins its ed25519 batch-verification group.
-    verify_groups: HashMap<NodeId, SimTime>,
+    verify_groups: FastHashMap<NodeId, SimTime>,
     /// How many verifications were charged at the grouped (amortized) rate.
     grouped_verifies: u64,
 }
@@ -114,7 +113,7 @@ impl SigEngine {
             frontier: MerkleFrontier::new(),
             now: SimTime::ZERO,
             verify_group_window: cfg.verify_group_window,
-            verify_groups: HashMap::new(),
+            verify_groups: FastHashMap::default(),
             grouped_verifies: 0,
         }
     }
@@ -390,14 +389,7 @@ fn dummy_proof(signer: NodeId, counter: u64, batch_size: usize) -> BatchProof {
             signer,
             tag: Digest::ZERO,
         },
-        // A single-leaf inclusion proof is structurally empty (the leaf is
-        // the root); building it directly skips the per-signature SHA-256
-        // a MerkleTree construction would spend hashing a constant.
-        inclusion: MerkleProof {
-            leaf_index: 0,
-            leaf_count: 1,
-            siblings: Vec::new(),
-        },
+        inclusion: MerkleProof::single_leaf(),
         batch_size,
     }
 }

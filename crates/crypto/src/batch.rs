@@ -9,7 +9,7 @@
 //! hash-only check.
 
 use crate::digest::Digest;
-use crate::merkle::{MerkleFrontier, MerkleProof, MerkleTree};
+use crate::merkle::{leaf_hash, MerkleFrontier, MerkleProof};
 use crate::sig::{KeyPair, KeyRegistry, Signature};
 use basil_common::{BoundedFifoMap, NodeId};
 
@@ -31,12 +31,12 @@ impl BatchProof {
     /// clients (which have nothing to batch) and unbatched replicas sign
     /// messages, so the whole protocol uses one proof type.
     pub fn sign_single(keypair: &KeyPair, payload: &[u8]) -> BatchProof {
-        let tree = MerkleTree::build(&[payload]);
-        let root = tree.root();
+        // The root of a one-leaf tree is the leaf hash; no tree is built.
+        let root = leaf_hash(payload);
         BatchProof {
             root,
             root_signature: keypair.sign(root.as_bytes()),
-            inclusion: tree.prove(0),
+            inclusion: MerkleProof::single_leaf(),
             batch_size: 1,
         }
     }

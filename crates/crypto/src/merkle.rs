@@ -7,23 +7,64 @@
 //! and proof machinery — the one-shot [`MerkleTree`] and the incremental
 //! [`MerkleFrontier`] used on the reply-batching hot path; [`crate::batch`]
 //! wires them to signing.
+//!
+//! ## Hashing
+//!
+//! A **leaf** is `SHA-256(0x00 ‖ payload)`: payloads vary in length, so they
+//! get the full hash with its length padding.
+//!
+//! An **interior node** is one application of the SHA-256 compression
+//! function: the 64-byte block `left ‖ right` absorbed into `NODE_IV`, the
+//! chaining value SHA-256 reaches after the constant block `NODE_TAG`. In
+//! other words, the state of `SHA-256(NODE_TAG ‖ left ‖ right)` before its
+//! final padding block. SHA-256's padding (Merkle–Damgård strengthening)
+//! exists to keep inputs of *different lengths* from colliding; every
+//! interior input is exactly 64 bytes, so there is nothing for it to
+//! separate, and what remains — two different `left ‖ right` blocks giving
+//! one output under a fixed chaining value — is a collision of the
+//! compression function itself, the assumption SHA-256's own security proof
+//! starts from. This halves the cost of an interior node against
+//! `SHA-256(0x01 ‖ left ‖ right)` (65 bytes: two compressions and a
+//! finalisation).
+//!
+//! Leaf and interior domains stay separate: every leaf input starts with
+//! `0x00` and `NODE_TAG` starts with `0x01`, so no leaf computation passes
+//! through `NODE_IV`, and a leaf digest equal to a node digest would again be
+//! a compression-function collision (between different chaining values).
+//! That is what stops a two-leaf root from being presented as the one-leaf
+//! root of the payload `left ‖ right`.
 
 use crate::digest::Digest;
-use crate::sha256::Sha256;
+use crate::sha256::{self, Sha256};
 
-/// Domain-separation prefixes so a leaf hash can never be confused with an
-/// interior-node hash (second-preimage hardening).
+/// Domain-separation prefix of leaf hashes.
 const LEAF_PREFIX: &[u8] = &[0x00];
-const NODE_PREFIX: &[u8] = &[0x01];
+
+/// The constant block whose absorption defines the interior-node domain: a
+/// label, zero-filled. Its first byte differs from [`LEAF_PREFIX`].
+const NODE_TAG: [u8; 64] = {
+    let label = b"\x01basil-crypto/merkle/interior-node/v1";
+    let mut block = [0u8; 64];
+    block.split_at_mut(label.len()).0.copy_from_slice(label);
+    block
+};
+
+/// SHA-256 chaining value after [`NODE_TAG`]; interior nodes start from it.
+const NODE_IV: [u32; 8] = sha256::chaining_value_after(&NODE_TAG);
 
 /// Hashes a leaf payload.
 pub fn leaf_hash(data: &[u8]) -> Digest {
     Sha256::digest_parts(&[LEAF_PREFIX, data])
 }
 
-/// Hashes two child digests into a parent digest.
+/// Hashes two child digests into a parent digest: one compression of
+/// `left ‖ right` under the interior-node chaining value (see the module
+/// docs).
 pub fn node_hash(left: &Digest, right: &Digest) -> Digest {
-    Sha256::digest_parts(&[NODE_PREFIX, left.as_bytes(), right.as_bytes()])
+    let mut block = [0u8; 64];
+    block[..32].copy_from_slice(left.as_bytes());
+    block[32..].copy_from_slice(right.as_bytes());
+    sha256::compress_fixed(&NODE_IV, &block)
 }
 
 /// A Merkle tree over a batch of leaf payloads.
@@ -278,6 +319,16 @@ impl SealedFrontier<'_> {
 }
 
 impl MerkleProof {
+    /// The proof of the only leaf of a one-leaf batch: no siblings, the leaf
+    /// hash is the root.
+    pub const fn single_leaf() -> Self {
+        MerkleProof {
+            leaf_index: 0,
+            leaf_count: 1,
+            siblings: Vec::new(),
+        }
+    }
+
     /// Recomputes the root implied by this proof for the given leaf payload.
     pub fn compute_root(&self, leaf_payload: &[u8]) -> Digest {
         self.compute_root_from_hash(leaf_hash(leaf_payload))
@@ -382,16 +433,73 @@ mod tests {
         assert_ne!(a.root(), b.root());
     }
 
+    /// A leaf whose payload is two concatenated digests must not hash to the
+    /// interior node over those digests, or a two-leaf batch could be passed
+    /// off as the one-leaf batch of that payload (and vice versa).
     #[test]
     fn leaf_and_node_domains_are_separated() {
-        // A leaf whose payload happens to equal two concatenated digests must
-        // not hash to the same value as the interior node over those digests.
         let l = leaf_hash(b"x");
         let r = leaf_hash(b"y");
-        let mut concat = Vec::new();
-        concat.extend_from_slice(l.as_bytes());
-        concat.extend_from_slice(r.as_bytes());
+        let concat = [*l.as_bytes(), *r.as_bytes()].concat();
         assert_ne!(leaf_hash(&concat), node_hash(&l, &r));
+        // Nor is the interior node plain or prefix-less SHA-256 of its input.
+        assert_ne!(Sha256::digest(&concat), node_hash(&l, &r));
+
+        let two_leaf_root = MerkleTree::build(&[b"x".as_slice(), b"y"]).root();
+        assert_eq!(two_leaf_root, node_hash(&l, &r));
+        assert!(!MerkleProof::single_leaf().verify(&concat, &two_leaf_root));
+    }
+
+    /// Pins the interior-node construction (value from an independent
+    /// implementation of the compression function): one compression of
+    /// `left ‖ right` under the chaining value after `NODE_TAG`, one
+    /// compression in all.
+    #[test]
+    fn node_hash_known_answer_and_cost() {
+        let (l, r) = (leaf_hash(b"x"), leaf_hash(b"y"));
+        assert_eq!(
+            node_hash(&l, &r).to_hex(),
+            "1ef4145c0a3d91b5d9d0aea7eac99f68b39ad7ca4011cb5851b8d685e0e2babe"
+        );
+        assert_ne!(node_hash(&l, &r), node_hash(&r, &l));
+        assert_eq!(sha256::count_compressions(|| node_hash(&l, &r)), 1);
+        assert_ne!(NODE_TAG[0], LEAF_PREFIX[0]);
+    }
+
+    /// Flipping any single bit of any sibling, or claiming any other leaf
+    /// position, breaks the proof.
+    #[test]
+    fn any_sibling_bit_flip_or_index_change_fails() {
+        for n in [2usize, 3, 5, 8, 13, 16] {
+            let leaves = payloads(n);
+            let tree = MerkleTree::build(&leaves);
+            let root = tree.root();
+            for (i, leaf) in leaves.iter().enumerate() {
+                let proof = tree.prove(i);
+                for level in 0..proof.siblings.len() {
+                    for bit in 0..256 {
+                        let mut forged = proof.clone();
+                        let Some(sibling) = &mut forged.siblings[level] else {
+                            break;
+                        };
+                        sibling.0[bit / 8] ^= 1 << (bit % 8);
+                        assert!(
+                            !forged.verify(leaf, &root),
+                            "n={n} leaf={i} level={level} bit={bit}"
+                        );
+                    }
+                }
+                // In a full tree every level has a sibling, so every index
+                // bit selects an orientation.
+                if n.is_power_of_two() {
+                    for other in (0..n).filter(|&other| other != i) {
+                        let mut moved = proof.clone();
+                        moved.leaf_index = other;
+                        assert!(!moved.verify(leaf, &root), "n={n} leaf={i} as {other}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -404,7 +512,8 @@ mod tests {
 
     /// The tentpole pin: for every batch size 1..=257 (crossing every
     /// power-of-two boundary up to 256), the incremental frontier yields the
-    /// same root and bit-identical inclusion proofs as the one-shot build.
+    /// same root and bit-identical inclusion proofs as the one-shot build,
+    /// and every one of those proofs verifies.
     #[test]
     fn frontier_matches_build_for_sizes_1_through_257() {
         let mut frontier = MerkleFrontier::new();
@@ -419,12 +528,10 @@ mod tests {
             let sealed = frontier.seal();
             assert_eq!(sealed.root(), tree.root(), "root mismatch at n={n}");
             assert_eq!(sealed.leaf_count(), n);
-            for i in 0..n {
-                assert_eq!(
-                    sealed.prove(i),
-                    tree.prove(i),
-                    "proof mismatch at leaf {i} of {n}"
-                );
+            for (i, leaf) in leaves.iter().enumerate() {
+                let proof = sealed.prove(i);
+                assert_eq!(proof, tree.prove(i), "proof mismatch at leaf {i} of {n}");
+                assert!(proof.verify(leaf, &tree.root()), "leaf {i} of {n}");
             }
         }
     }

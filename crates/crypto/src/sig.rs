@@ -1,21 +1,30 @@
 //! Per-node signatures and the verification key registry.
 //!
-//! ## Substitution note (documented in DESIGN.md §1)
+//! ## Substitution note (see `docs/ARCHITECTURE.md`, "Real-crypto hot path")
 //!
-//! The paper's prototype uses ed25519 digital signatures. In this
-//! reproduction every participant runs inside one simulated process, so
-//! asymmetric cryptography would not add trust: the adversary either is the
-//! process (and can read any private key) or is modelled by our Byzantine
-//! behaviour hooks (which only sign through their own [`KeyPair`]). We
-//! therefore use HMAC-SHA-256 tags under per-node keys that are derived
-//! deterministically from a deployment master seed, and verify them through a
-//! [`KeyRegistry`]. What the evaluation actually measures — the CPU time spent
-//! signing and verifying — is charged by the simulator according to
-//! [`crate::cost::CostModel`], using published ed25519 latencies.
+//! The paper's prototype uses ed25519 digital signatures. This reproduction
+//! uses HMAC-SHA-256 tags under per-node keys that are derived
+//! deterministically from a deployment master seed, and verifies them through
+//! a [`KeyRegistry`] holding the same seed. That is a *shared-secret* scheme:
+//! every holder of the registry can compute every node's tag. In the
+//! simulator all participants live in one process, where asymmetric keys
+//! would add no trust (the adversary either is the process or is modelled by
+//! Byzantine behaviour hooks that only sign through their own [`KeyPair`]).
+//! The `basil-net` deployment runs each node as its own OS process over TCP
+//! and derives the same registry in each from the `--seed` flag, so there the
+//! tags authenticate messages between cooperating processes and put the real
+//! hashing cost on the hot path, but they are not unforgeable against a
+//! participant that misuses the shared seed. Under `CryptoMode::Simulated`
+//! the simulator does not compute tags at all and charges the CPU time of
+//! signing and verifying from [`crate::cost::CostModel`] (published ed25519
+//! latencies); under `CryptoMode::Real`, and always in `basil-net`, the tags
+//! are computed and checked, through a per-key [`HmacKey`] so that a root
+//! signature costs two SHA-256 compressions.
 
 use crate::digest::Digest;
-use crate::hmac::hmac_sha256_parts;
+use crate::hmac::HmacKey;
 use basil_common::{FastHashMap, NodeId};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -38,7 +47,7 @@ impl fmt::Debug for Signature {
 #[derive(Clone)]
 pub struct KeyPair {
     node: NodeId,
-    secret: [u8; 32],
+    key: HmacKey,
 }
 
 impl KeyPair {
@@ -51,7 +60,7 @@ impl KeyPair {
     pub fn sign_parts(&self, parts: &[&[u8]]) -> Signature {
         Signature {
             signer: self.node,
-            tag: hmac_sha256_parts(&self.secret, parts),
+            tag: self.key.mac_parts(parts),
         }
     }
 
@@ -79,13 +88,15 @@ pub struct KeyRegistry {
 }
 
 struct RegistryInner {
-    master_seed: [u8; 32],
-    /// Verification keys derived once at deployment build time. Plain
-    /// immutable map after construction, so lookups are lock-free and the
-    /// registry stays `Sync` for the parallel runtime. Nodes not listed
-    /// here fall back to on-the-fly derivation (two extra SHA-256 passes
-    /// per verification — the cost the precomputation removes).
-    precomputed: FastHashMap<NodeId, [u8; 32]>,
+    /// The master seed as a prepared HMAC key; node secrets are tags under it.
+    master: HmacKey,
+    /// Verification keys derived and prepared once at deployment build time.
+    /// Plain immutable map after construction, so lookups are lock-free and
+    /// the registry stays `Sync` for the parallel runtime. Nodes not listed
+    /// here fall back to on-the-fly derivation (an HMAC under the master key
+    /// plus the two pad compressions of [`HmacKey::new`] per verification —
+    /// the cost the precomputation removes).
+    precomputed: FastHashMap<NodeId, HmacKey>,
 }
 
 impl KeyRegistry {
@@ -103,17 +114,16 @@ impl KeyRegistry {
     pub fn from_seed_with_nodes(seed: u64, nodes: impl IntoIterator<Item = NodeId>) -> Self {
         let mut master_seed = [0u8; 32];
         master_seed[..8].copy_from_slice(&seed.to_be_bytes());
-        let mut inner = RegistryInner {
-            master_seed,
-            precomputed: FastHashMap::default(),
-        };
-        let secrets: FastHashMap<NodeId, [u8; 32]> = nodes
+        let master = HmacKey::new(&master_seed);
+        let precomputed = nodes
             .into_iter()
-            .map(|n| (n, inner.derive_secret(n)))
+            .map(|n| (n, derive_key(&master, n)))
             .collect();
-        inner.precomputed = secrets;
         KeyRegistry {
-            inner: Arc::new(inner),
+            inner: Arc::new(RegistryInner {
+                master,
+                precomputed,
+            }),
         }
     }
 
@@ -126,7 +136,7 @@ impl KeyRegistry {
     pub fn keypair(&self, node: NodeId) -> KeyPair {
         KeyPair {
             node,
-            secret: self.node_secret(node),
+            key: self.node_key(node).into_owned(),
         }
     }
 
@@ -137,7 +147,7 @@ impl KeyRegistry {
 
     /// Verifies a signature over the concatenation of several message parts.
     pub fn verify_parts(&self, parts: &[&[u8]], sig: &Signature) -> bool {
-        let expected = hmac_sha256_parts(&self.node_secret(sig.signer), parts);
+        let expected = self.node_key(sig.signer).mac_parts(parts);
         // Constant-time comparison is unnecessary in a simulation, but cheap.
         let mut diff = 0u8;
         for (a, b) in expected.as_bytes().iter().zip(sig.tag.as_bytes()) {
@@ -146,20 +156,20 @@ impl KeyRegistry {
         diff == 0
     }
 
-    fn node_secret(&self, node: NodeId) -> [u8; 32] {
-        if let Some(secret) = self.inner.precomputed.get(&node) {
-            return *secret;
+    /// The node's prepared key: precomputed if the node was listed at
+    /// construction, derived on the spot otherwise.
+    fn node_key(&self, node: NodeId) -> Cow<'_, HmacKey> {
+        match self.inner.precomputed.get(&node) {
+            Some(key) => Cow::Borrowed(key),
+            None => Cow::Owned(derive_key(&self.inner.master, node)),
         }
-        self.inner.derive_secret(node)
     }
 }
 
-impl RegistryInner {
-    fn derive_secret(&self, node: NodeId) -> [u8; 32] {
-        let encoding = encode_node(node);
-        let tag = hmac_sha256_parts(&self.master_seed, &[&encoding]);
-        *tag.as_bytes()
-    }
+/// A node's key: its 32-byte secret is the master key's tag over the node's
+/// encoding.
+fn derive_key(master: &HmacKey, node: NodeId) -> HmacKey {
+    HmacKey::new(master.mac(&encode_node(node)).as_bytes())
 }
 
 impl fmt::Debug for KeyRegistry {
