@@ -25,7 +25,7 @@ use basil_common::{
 };
 use basil_core::byzantine::FaultProfile;
 use basil_core::ReplicaBehavior;
-use basil_simnet::{Actor, NetworkConfig, NodeProps, ParallelSimulation, Simulation};
+use basil_simnet::{Actor, NetworkConfig, NodeProps, Simulation};
 use basil_store::mvtso::Decision;
 use basil_store::{audit_serializability, AuditError, Transaction};
 use std::collections::HashMap;
@@ -39,8 +39,8 @@ use std::collections::HashMap;
 /// [`ProtocolCluster`] and is shared.
 pub trait ClusterProtocol {
     /// The wire message type exchanged by this protocol's actors. `Send` is
-    /// part of the contract: the parallel runtime carries in-flight
-    /// messages across worker threads.
+    /// part of the contract: the TCP runtime hands decoded messages from
+    /// its reader threads to the actor's thread.
     type Msg: Clone + Send + 'static;
     /// The client actor type (downcast target for stats collection).
     type Client: Actor<Self::Msg>;
@@ -131,97 +131,11 @@ pub trait ClusterProtocol {
     fn set_behavior(replica: &mut Self::Replica, behavior: ReplicaBehavior);
 }
 
-/// How a cluster's event loop executes.
-///
-/// Both modes produce **bit-for-bit identical** simulated results — same
-/// event trace, same jitter draws, same commit/abort decisions — for any
-/// worker count; only host wall-clock time differs. `Serial` is the
-/// single-threaded oracle; `Parallel` shards actor execution across worker
-/// threads in lookahead-bounded epochs (see `basil_simnet::parallel`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+/// Named by `benchmark/src/sim.rs`; the next `benchmark` PR removes it.
+#[derive(Clone, Copy, Debug)]
 pub enum RuntimeMode {
-    /// The single-threaded discrete-event loop (the determinism oracle).
-    #[default]
+    /// The single-threaded discrete-event loop — the only runtime.
     Serial,
-    /// Thread-sharded epoch execution with the given number of workers.
-    Parallel(usize),
-}
-
-impl RuntimeMode {
-    /// Number of worker threads this mode runs with (1 for serial).
-    pub fn workers(&self) -> usize {
-        match self {
-            RuntimeMode::Serial => 1,
-            RuntimeMode::Parallel(n) => (*n).max(1),
-        }
-    }
-
-    /// Short display label (`serial`, `parallel:4`).
-    pub fn label(&self) -> String {
-        match self {
-            RuntimeMode::Serial => "serial".to_string(),
-            RuntimeMode::Parallel(n) => format!("parallel:{n}"),
-        }
-    }
-}
-
-/// The cluster's event-loop driver: the serial engine or the thread-sharded
-/// parallel runtime wrapped around it. Inspection always goes through the
-/// inner [`Simulation`] (valid between runs); only `run_for` differs.
-enum SimDriver<M> {
-    Serial(Simulation<M>),
-    Parallel(ParallelSimulation<M>),
-}
-
-impl<M: Clone + Send + 'static> SimDriver<M> {
-    fn new(
-        sim: Simulation<M>,
-        mode: RuntimeMode,
-        lookahead: Option<Duration>,
-        inline_threshold: Option<usize>,
-    ) -> Self {
-        match mode {
-            RuntimeMode::Serial => SimDriver::Serial(sim),
-            RuntimeMode::Parallel(n) => {
-                let mut par = ParallelSimulation::from_serial(sim, n);
-                if let Some(l) = lookahead {
-                    par = par.with_lookahead(l);
-                }
-                if let Some(t) = inline_threshold {
-                    par = par.with_inline_threshold(t);
-                }
-                SimDriver::Parallel(par)
-            }
-        }
-    }
-
-    fn mode(&self) -> RuntimeMode {
-        match self {
-            SimDriver::Serial(_) => RuntimeMode::Serial,
-            SimDriver::Parallel(p) => RuntimeMode::Parallel(p.workers()),
-        }
-    }
-
-    fn sim(&self) -> &Simulation<M> {
-        match self {
-            SimDriver::Serial(s) => s,
-            SimDriver::Parallel(p) => p.inner(),
-        }
-    }
-
-    fn sim_mut(&mut self) -> &mut Simulation<M> {
-        match self {
-            SimDriver::Serial(s) => s,
-            SimDriver::Parallel(p) => p.inner_mut(),
-        }
-    }
-
-    fn run_for(&mut self, d: Duration) {
-        match self {
-            SimDriver::Serial(s) => s.run_for(d),
-            SimDriver::Parallel(p) => p.run_for(d),
-        }
-    }
 }
 
 /// Build-time node-property overrides for one replica: clock skew and/or a
@@ -284,18 +198,6 @@ pub struct ClusterConfig<P> {
     pub replica_cores: u32,
     /// CPU cores per client process.
     pub client_cores: u32,
-    /// How the event loop executes (serial oracle or thread-sharded
-    /// parallel). Simulated results are identical either way.
-    pub runtime: RuntimeMode,
-    /// Override for the parallel runtime's epoch lookahead (`None` derives
-    /// it from the network's minimum delivery delay). Ignored in serial
-    /// mode.
-    pub parallel_lookahead: Option<Duration>,
-    /// Override for the epoch size below which the parallel driver executes
-    /// inline instead of fanning out to the workers (`None` uses the
-    /// runtime default; `Some(0)` forces every epoch through the workers —
-    /// what the determinism golden tests do). Ignored in serial mode.
-    pub parallel_inline_threshold: Option<usize>,
 }
 
 impl<P> ClusterConfig<P> {
@@ -314,9 +216,6 @@ impl<P> ClusterConfig<P> {
             initial_data: Vec::new(),
             replica_cores: 8,
             client_cores: 8,
-            runtime: RuntimeMode::Serial,
-            parallel_lookahead: None,
-            parallel_inline_threshold: None,
         }
     }
 
@@ -345,29 +244,14 @@ impl<P> ClusterConfig<P> {
         self
     }
 
-    /// Selects the event-loop runtime (serial by default).
-    pub fn with_runtime(mut self, runtime: RuntimeMode) -> Self {
-        self.runtime = runtime;
+    /// Named by `benchmark/src/sim.rs`; the next `benchmark` PR removes it.
+    pub fn with_runtime(self, _runtime: RuntimeMode) -> Self {
         self
     }
 
     /// Adds a node-property override (clock skew / cores) for one replica.
     pub fn with_replica_props(mut self, rid: ReplicaId, props: ReplicaPropsOverride) -> Self {
         self.replica_props.push((rid, props));
-        self
-    }
-
-    /// Tunes the parallel runtime: an explicit epoch lookahead and/or the
-    /// inline-execution threshold. No effect in serial mode; results are
-    /// identical for every setting — these only trade synchronization
-    /// overhead against epoch density.
-    pub fn with_parallel_tuning(
-        mut self,
-        lookahead: Option<Duration>,
-        inline_threshold: Option<usize>,
-    ) -> Self {
-        self.parallel_lookahead = lookahead;
-        self.parallel_inline_threshold = inline_threshold;
         self
     }
 }
@@ -379,7 +263,7 @@ impl<P> ClusterConfig<P> {
 /// throughput/latency measurements over a window, inject replica faults
 /// and partitions, and audit the committed history for serializability.
 pub struct ProtocolCluster<P: ClusterProtocol> {
-    sim: SimDriver<P::Msg>,
+    sim: Simulation<P::Msg>,
     config: ClusterConfig<P>,
     clients: Vec<ClientId>,
     replicas: Vec<ReplicaId>,
@@ -459,12 +343,6 @@ impl<P: ClusterProtocol> ProtocolCluster<P> {
             clients.push(cid);
         }
 
-        let sim = SimDriver::new(
-            sim,
-            config.runtime,
-            config.parallel_lookahead,
-            config.parallel_inline_threshold,
-        );
         ProtocolCluster {
             sim,
             config,
@@ -473,19 +351,14 @@ impl<P: ClusterProtocol> ProtocolCluster<P> {
         }
     }
 
-    /// Advances the simulation by `d` (on the configured runtime).
+    /// Advances the simulation by `d`.
     pub fn run_for(&mut self, d: Duration) {
         self.sim.run_for(d);
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.sim.sim().now()
-    }
-
-    /// The event-loop runtime this cluster executes on.
-    pub fn runtime_mode(&self) -> RuntimeMode {
-        self.sim.mode()
+        self.sim.now()
     }
 
     /// Runs a warmup period, then a measurement window, and reports
@@ -496,19 +369,18 @@ impl<P: ClusterProtocol> ProtocolCluster<P> {
         let start = self.snapshot();
         self.run_for(window);
         let end = self.snapshot();
-        RunReport::between(&start, &end, window).with_runtime(self.runtime_mode())
+        RunReport::between(&start, &end, window)
     }
 
     /// Direct access to the underlying simulator (fault injection,
-    /// partitions, metrics). Regardless of the runtime mode this is the
-    /// serial engine's state, valid between runs.
+    /// partitions, metrics).
     pub fn sim_mut(&mut self) -> &mut Simulation<P::Msg> {
-        self.sim.sim_mut()
+        &mut self.sim
     }
 
     /// The simulator's metrics and actors.
     pub fn sim(&self) -> &Simulation<P::Msg> {
-        self.sim.sim()
+        &self.sim
     }
 
     /// Identifiers of all clients.
@@ -533,7 +405,6 @@ impl<P: ClusterProtocol> ProtocolCluster<P> {
             .iter()
             .filter_map(|cid| {
                 self.sim
-                    .sim()
                     .actor::<P::Client>(NodeId::Client(*cid))
                     .map(|c| (*cid, P::client_stats(c).clone()))
             })
@@ -542,24 +413,20 @@ impl<P: ClusterProtocol> ProtocolCluster<P> {
 
     /// Changes a replica's behaviour mid-run (fault injection).
     pub fn set_replica_behavior(&mut self, rid: ReplicaId, behavior: ReplicaBehavior) {
-        if let Some(replica) = self
-            .sim
-            .sim_mut()
-            .actor_mut::<P::Replica>(NodeId::Replica(rid))
-        {
+        if let Some(replica) = self.sim.actor_mut::<P::Replica>(NodeId::Replica(rid)) {
             P::set_behavior(replica, behavior);
         }
     }
 
     /// Crashes a replica (all messages to it are dropped).
     pub fn crash_replica(&mut self, rid: ReplicaId) {
-        self.sim.sim_mut().crash(NodeId::Replica(rid));
+        self.sim.crash(NodeId::Replica(rid));
     }
 
     /// *Warm*-restarts a crashed replica: deliveries resume and the actor
     /// keeps its full pre-crash memory (a pause, not a real crash).
     pub fn restart_replica_warm(&mut self, rid: ReplicaId) {
-        self.sim.sim_mut().restart(NodeId::Replica(rid));
+        self.sim.restart(NodeId::Replica(rid));
     }
 
     /// *Amnesia*-restarts a crashed replica: the actor is rebuilt through
@@ -578,15 +445,15 @@ impl<P: ClusterProtocol> ProtocolCluster<P> {
             .filter(|(k, _)| self.config.protocol.shard_for_key(k) == rid.shard)
             .cloned()
             .collect();
-        let fresh = match self.sim.sim_mut().actor_mut::<P::Replica>(id) {
+        let fresh = match self.sim.actor_mut::<P::Replica>(id) {
             Some(old) => self.config.protocol.recover_replica(rid, shard_data, old),
             None => None,
         };
         match fresh {
             Some(replica) => {
-                drop(self.sim.sim_mut().restart_amnesia(id, Box::new(replica)));
+                drop(self.sim.restart_amnesia(id, Box::new(replica)));
             }
-            None => self.sim.sim_mut().restart(id),
+            None => self.sim.restart(id),
         }
     }
 
@@ -595,7 +462,7 @@ impl<P: ClusterProtocol> ProtocolCluster<P> {
     pub fn snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::default();
         for cid in &self.clients {
-            if let Some(client) = self.sim.sim().actor::<P::Client>(NodeId::Client(*cid)) {
+            if let Some(client) = self.sim.actor::<P::Client>(NodeId::Client(*cid)) {
                 P::accumulate(
                     P::client_stats(client),
                     self.is_byzantine_client(*cid),
@@ -611,7 +478,7 @@ impl<P: ClusterProtocol> ProtocolCluster<P> {
     fn committed_dedup(&self) -> Vec<&Transaction> {
         let mut seen: HashMap<TxId, &Transaction> = HashMap::new();
         for rid in &self.replicas {
-            if let Some(replica) = self.sim.sim().actor::<P::Replica>(NodeId::Replica(*rid)) {
+            if let Some(replica) = self.sim.actor::<P::Replica>(NodeId::Replica(*rid)) {
                 for tx in P::committed_transactions(replica) {
                     seen.entry(tx.id()).or_insert(tx);
                 }
@@ -629,8 +496,7 @@ impl<P: ClusterProtocol> ProtocolCluster<P> {
     /// SHA-256 hex digest over the sorted committed transaction ids: pins
     /// the exact set of transactions that committed (and therefore every
     /// decision), independent of replica iteration order. The golden
-    /// determinism tests compare this digest across runtimes and against
-    /// captured values.
+    /// determinism tests compare this digest against captured values.
     pub fn committed_history_digest(&self) -> String {
         let mut ids: Vec<[u8; 32]> = self
             .committed_dedup()
@@ -659,7 +525,7 @@ impl<P: ClusterProtocol> ProtocolCluster<P> {
         let committed = self.committed_dedup();
         let mut aborted: Vec<TxId> = Vec::new();
         for rid in &self.replicas {
-            let Some(replica) = self.sim.sim().actor::<P::Replica>(NodeId::Replica(*rid)) else {
+            let Some(replica) = self.sim.actor::<P::Replica>(NodeId::Replica(*rid)) else {
                 continue;
             };
             for tx in &committed {
@@ -682,7 +548,6 @@ impl<P: ClusterProtocol> ProtocolCluster<P> {
         let shard = self.config.protocol.shard_for_key(key);
         let rid = ReplicaId::new(shard, 0);
         self.sim
-            .sim()
             .actor::<P::Replica>(NodeId::Replica(rid))
             .and_then(|r| P::latest_value(r, key))
     }

@@ -64,7 +64,6 @@ pub use basil_simnet::{NetworkConfig, Partition, Simulation};
 pub use basil_store::{audit_serializability, AuditError, StoreStats, Transaction};
 pub use cluster::{
     audit_history, ClusterAuditError, ClusterProtocol, ProtocolCluster, ReplicaPropsOverride,
-    RuntimeMode,
 };
 pub use harness::{BasilCluster, BasilProtocol, ClusterConfig};
 pub use report::{LatencySlo, RunReport, SloOutcome};

@@ -8,7 +8,6 @@
 //! warmup exclusion costs O(buckets) instead of the multiset diff over all
 //! samples the harness used to perform.
 
-use crate::cluster::RuntimeMode;
 use basil_common::{Duration, LatencyHistogram};
 use std::collections::HashMap;
 
@@ -92,9 +91,6 @@ pub struct RunReport {
     pub faulty_fraction: f64,
     /// Committed count per workload label.
     pub per_label: HashMap<&'static str, u64>,
-    /// The event-loop runtime the measurement ran on. Simulated results
-    /// are runtime-independent; this records how the wall-clock was spent.
-    pub runtime: RuntimeMode,
 }
 
 impl RunReport {
@@ -157,14 +153,7 @@ impl RunReport {
                 byz as f64 / processed as f64
             },
             per_label,
-            runtime: RuntimeMode::Serial,
         }
-    }
-
-    /// Tags the report with the runtime it was measured on.
-    pub fn with_runtime(mut self, runtime: RuntimeMode) -> Self {
-        self.runtime = runtime;
-        self
     }
 
     /// Checks the window's latency percentiles against a service-level

@@ -9,18 +9,11 @@
 //! `store_contention/gc_sweep` covers the allocation-free prefix-drain GC.
 //! CI runs the Zipfian case once per push via
 //! `cargo bench --bench store_bench -- --test zipf`.
-//!
-//! `mvtso_prepare_commit_seam` runs the identical workload through the
-//! `TxStore` trait seam (the acceptance bound is ≤5% overhead vs the
-//! direct calls), and the `store_concurrent` group drives the sharded
-//! `ConcurrentMvtsoStore` across 1/2/4/8 threads on uniform, Zipf-hot and
-//! mixed commit/abort batches — the t1 rows are the serial-overhead
-//! reference; multicore hosts show the scaling curve.
 
 use basil::workloads::zipf::ZipfSampler;
 use basil_common::{ClientId, Duration, Key, SimTime, Timestamp, Value};
 use basil_store::occ::OccStore;
-use basil_store::{ConcurrentMvtsoStore, MvtsoStore, Transaction, TransactionBuilder, TxStore};
+use basil_store::{MvtsoStore, Transaction, TransactionBuilder};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -48,25 +41,6 @@ fn bench_mvtso(c: &mut Criterion) {
                     store.commit(&t);
                 }
             },
-            criterion::BatchSize::SmallInput,
-        )
-    });
-
-    // The same loop through the `TxStore` seam `BasilReplica` is generic
-    // over: with `S = MvtsoStore` every call is statically dispatched, so
-    // this must track `mvtso_prepare_commit` within noise (the ≤5% seam
-    // bound the concurrent-store PR promises).
-    c.bench_function("mvtso_prepare_commit_seam", |b| {
-        fn run_seam<S: TxStore>(store: &mut S) {
-            for i in 0..64u64 {
-                let t = tx(i);
-                store.prepare(&t, SimTime::from_secs(1), Duration::from_millis(100));
-                store.commit(&t);
-            }
-        }
-        b.iter_batched(
-            MvtsoStore::new,
-            |mut store| run_seam(&mut store),
             criterion::BatchSize::SmallInput,
         )
     });
@@ -279,78 +253,6 @@ fn bench_contention(c: &mut Criterion) {
     group.finish();
 }
 
-/// Runs `txs` against a fresh [`ConcurrentMvtsoStore`], partitioned
-/// round-robin over `threads` OS threads (inline when `threads == 1`, so
-/// the single-thread row has no spawn overhead and reads as the serial
-/// reference). `abort_every != 0` force-aborts every that-many-th
-/// transaction even when it voted commit, driving the stop-the-world abort
-/// path alongside commits.
-fn run_concurrent(txs: &[Arc<Transaction>], threads: usize, abort_every: usize) {
-    fn step(store: &ConcurrentMvtsoStore, j: usize, t: &Arc<Transaction>, abort_every: usize) {
-        let outcome = store.prepare(t, CLOCK, DELTA);
-        let forced_abort = abort_every != 0 && j.is_multiple_of(abort_every);
-        match outcome {
-            basil_store::CheckOutcome::Decided(v) if v.is_commit() && !forced_abort => {
-                store.commit(t);
-            }
-            _ => {
-                store.abort(t.id());
-            }
-        }
-    }
-    let store = ConcurrentMvtsoStore::new(16);
-    if threads <= 1 {
-        for (j, t) in txs.iter().enumerate() {
-            step(&store, j, t, abort_every);
-        }
-    } else {
-        std::thread::scope(|s| {
-            for tid in 0..threads {
-                let store = &store;
-                s.spawn(move || {
-                    for (j, t) in txs.iter().enumerate().skip(tid).step_by(threads) {
-                        step(store, j, t, abort_every);
-                    }
-                });
-            }
-        });
-    }
-}
-
-fn bench_concurrent(c: &mut Criterion) {
-    let mut group = c.benchmark_group("store_concurrent");
-
-    // Same batch shapes as `store_contention`, replayed against the sharded
-    // concurrent store at 1/2/4/8 threads. The `_t1` rows are the serial
-    // reference (no spawns); the sweep shows how the per-shard locks and
-    // lock-free watermark screens scale — and, on a single-core box, what
-    // the synchronization itself costs.
-    let mut uniform_rng = SmallRng::seed_from_u64(7);
-    let uniform = ContentionBatch::generate(512, 0, move |_| {
-        use rand::Rng;
-        uniform_rng.gen_range(0..65_536u64)
-    });
-    let zipf = ZipfSampler::new(1_024, 0.9);
-    let mut zipf_rng = SmallRng::seed_from_u64(11);
-    let hot = ContentionBatch::generate(512, 0, move |_| zipf.sample(&mut zipf_rng));
-
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_function(&format!("prepare_uniform_t{threads}"), |b| {
-            b.iter(|| run_concurrent(&uniform.txs, threads, 0))
-        });
-        group.bench_function(&format!("prepare_zipf_hot_t{threads}"), |b| {
-            b.iter(|| run_concurrent(&hot.txs, threads, 0))
-        });
-        // Mixed decisions: one in four prepared transactions is aborted
-        // (the stop-the-world path) while the rest commit.
-        group.bench_function(&format!("mixed_commit_t{threads}"), |b| {
-            b.iter(|| run_concurrent(&uniform.txs, threads, 4))
-        });
-    }
-
-    group.finish();
-}
-
 fn bench_occ(c: &mut Criterion) {
     c.bench_function("occ_prepare_commit", |b| {
         b.iter_batched(
@@ -396,6 +298,6 @@ fn bench_txid(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_mvtso, bench_contention, bench_concurrent, bench_occ, bench_txid
+    targets = bench_mvtso, bench_contention, bench_occ, bench_txid
 }
 criterion_main!(benches);

@@ -11,11 +11,9 @@
 //! The offered load scales with the deployment: `clients_per_shard`
 //! closed-loop clients per shard (default 24, the paper's saturating load
 //! per shard), so larger deployments are measured at saturation rather
-//! than at a fixed, increasingly idle client count. `BASIL_WORKERS=N`
-//! runs the sweep on the thread-sharded parallel runtime — simulated
-//! results are identical (see `tests/parallel_determinism.rs`); only wall
-//! time changes. `BASIL_FIG5C_SHARDS` overrides the f = 1 sweep width and
-//! `BASIL_FIG5C_F2_SHARDS` the shard count of the f = 2 row (0 skips it).
+//! than at a fixed, increasingly idle client count. `BASIL_FIG5C_SHARDS`
+//! overrides the f = 1 sweep width and `BASIL_FIG5C_F2_SHARDS` the shard
+//! count of the f = 2 row (0 skips it).
 
 use basil_bench::{basil_default, basil_with_f, print_table, run_basil, RunParams, Workload};
 
@@ -59,11 +57,8 @@ fn main() {
             format!("{:.1}x", no_proofs.throughput_tps / noproofs_at[0].max(1.0)),
         ]);
         eprintln!(
-            "[fig5c] {shards} shard(s) f=1, {} clients ({}): Basil {:.0} tx/s, NoProofs {:.0} tx/s",
-            p.clients,
-            p.runtime.label(),
-            with_sigs.throughput_tps,
-            no_proofs.throughput_tps
+            "[fig5c] {shards} shard(s) f=1, {} clients: Basil {:.0} tx/s, NoProofs {:.0} tx/s",
+            p.clients, with_sigs.throughput_tps, no_proofs.throughput_tps
         );
     }
     // The f = 2 row: n = 11 replicas per shard, commit quorum 7. Compared
@@ -84,9 +79,8 @@ fn main() {
             format!("{:.1}x", no_proofs.throughput_tps / noproofs_at[0].max(1.0)),
         ]);
         eprintln!(
-            "[fig5c] {f2_shards} shard(s) f=2 (n=11), {} clients ({}): Basil {:.0} tx/s, NoProofs {:.0} tx/s",
+            "[fig5c] {f2_shards} shard(s) f=2 (n=11), {} clients: Basil {:.0} tx/s, NoProofs {:.0} tx/s",
             p.clients,
-            p.runtime.label(),
             with_sigs.throughput_tps,
             no_proofs.throughput_tps
         );

@@ -10,6 +10,7 @@
 //! so the figure, the regression corpus, and the fuzzer all agree on what
 //! "run Basil with Byzantine clients" means.
 
+use basil::cluster::RuntimeMode;
 use basil_bench::{print_table, RunParams};
 use basil_core::byzantine::ClientStrategy;
 use basil_scenario::runner::run_basil_spec;
@@ -81,7 +82,7 @@ fn main() {
                     expect: None,
                 };
                 spec.validate().expect("figure cell spec is well-formed");
-                let outcome = run_basil_spec(&spec, p.runtime);
+                let outcome = run_basil_spec(&spec, RuntimeMode::Serial);
                 let per_client = outcome.report.throughput_per_correct_client;
                 if baseline.is_none() {
                     baseline = Some(per_client.max(1e-9));

@@ -88,7 +88,8 @@ impl TxProfile {
 /// for the next transaction as soon as the previous one finishes.
 ///
 /// `Send` is required because client actors (which own their generator) are
-/// executed on worker threads by the parallel cluster runtime.
+/// built on one thread and run on another by the TCP runtime and the
+/// benchmark's client threads.
 pub trait TxGenerator: Send {
     /// Produces the next transaction to run, or `None` when the client should
     /// stop issuing new transactions.

@@ -23,7 +23,7 @@ use basil_common::{
     Value,
 };
 use basil_simnet::{Actor, Context};
-use basil_store::{CheckOutcome, MvtsoStore, Transaction, TxStore, Vote, Wal, WalRecord};
+use basil_store::{CheckOutcome, MvtsoStore, Transaction, Vote, Wal, WalRecord};
 use std::any::Any;
 use std::sync::Arc;
 
@@ -134,16 +134,11 @@ struct RecoveryState {
 }
 
 /// The Basil replica actor.
-///
-/// Generic over the [`TxStore`] seam: the default serial [`MvtsoStore`]
-/// keeps the simulator bit-for-bit deterministic, while the real-IO runtime
-/// instantiates `BasilReplica<SharedStore>` so an executor pool can run
-/// prepares against the same store concurrently.
-pub struct BasilReplica<S: TxStore = MvtsoStore> {
+pub struct BasilReplica {
     id: ReplicaId,
     cfg: BasilConfig,
     engine: SigEngine,
-    store: S,
+    store: MvtsoStore,
     behavior: ReplicaBehavior,
     /// Per-transaction protocol records, boxed for the same reason as the
     /// store's key records: pointer-sized hash-table entries keep probes
@@ -177,7 +172,7 @@ impl TxRecord {
     }
 }
 
-impl<S: TxStore> BasilReplica<S> {
+impl BasilReplica {
     /// Creates a replica for shard `id.shard` preloaded with `initial_data`.
     pub fn new(
         id: ReplicaId,
@@ -192,7 +187,7 @@ impl<S: TxStore> BasilReplica<S> {
             id,
             cfg,
             engine,
-            store: S::with_initial_data(initial_data),
+            store: MvtsoStore::with_initial_data(initial_data),
             behavior,
             records: FastHashMap::default(),
             certs: FastHashMap::default(),
@@ -356,7 +351,7 @@ impl<S: TxStore> BasilReplica<S> {
 
     /// Read access to the underlying store (used by the harness for the
     /// serializability audit and by examples to inspect final state).
-    pub fn store(&self) -> &S {
+    pub fn store(&self) -> &MvtsoStore {
         &self.store
     }
 
@@ -858,7 +853,7 @@ impl<S: TxStore> BasilReplica<S> {
     /// has applied, each with the transaction body when still held (commits
     /// need it to re-install writes). Certificates are self-validating, so no
     /// signature is needed on the reply; entries are sent in transaction-id
-    /// order to keep the message plane deterministic across runtimes.
+    /// order to keep the message plane deterministic.
     fn handle_catch_up_request(
         &mut self,
         ctx: &mut Context<BasilMsg>,
@@ -1177,7 +1172,7 @@ impl<S: TxStore> BasilReplica<S> {
     }
 }
 
-impl<S: TxStore> BasilReplica<S> {
+impl BasilReplica {
     /// The message dispatch proper, shared by live delivery and the replay
     /// of traffic buffered during catch-up.
     fn dispatch(&mut self, ctx: &mut Context<BasilMsg>, from: NodeId, msg: BasilMsg) {
@@ -1215,7 +1210,7 @@ impl<S: TxStore> BasilReplica<S> {
     }
 }
 
-impl<S: TxStore> Actor<BasilMsg> for BasilReplica<S> {
+impl Actor<BasilMsg> for BasilReplica {
     fn on_start(&mut self, ctx: &mut Context<BasilMsg>) {
         if let Some(interval) = self.cfg.gc_interval {
             ctx.schedule_self(interval, BasilMsg::ReplicaTimer(ReplicaTimer::GcSweep));
@@ -1298,7 +1293,7 @@ mod tests {
     }
 
     fn replica(index: u32) -> BasilReplica {
-        BasilReplica::<MvtsoStore>::new(
+        BasilReplica::new(
             ReplicaId::new(ShardId(0), index),
             cfg(),
             registry(),
@@ -1550,7 +1545,7 @@ mod tests {
             basil_common::Duration::from_millis(5),
             basil_common::Duration::from_millis(1),
         );
-        let mut r = BasilReplica::<MvtsoStore>::new(
+        let mut r = BasilReplica::new(
             ReplicaId::new(ShardId(0), 0),
             gc_cfg,
             registry(),
@@ -1640,7 +1635,7 @@ mod tests {
 
     #[test]
     fn forged_batch_flush_is_ignored() {
-        let mut r = BasilReplica::<MvtsoStore>::new(
+        let mut r = BasilReplica::new(
             ReplicaId::new(ShardId(0), 0),
             cfg().with_batch_size(4),
             registry(),
@@ -1677,7 +1672,7 @@ mod tests {
             basil_common::Duration::from_millis(5),
             basil_common::Duration::from_millis(1),
         );
-        let mut r = BasilReplica::<MvtsoStore>::new(
+        let mut r = BasilReplica::new(
             ReplicaId::new(ShardId(0), 0),
             gc_cfg,
             registry(),
@@ -1938,7 +1933,7 @@ mod tests {
     fn batching_delays_replies_until_full() {
         let mut cfg2 = cfg();
         cfg2.system.batch_size = 3;
-        let mut r = BasilReplica::<MvtsoStore>::new(
+        let mut r = BasilReplica::new(
             ReplicaId::new(ShardId(0), 0),
             cfg2,
             registry(),
@@ -1981,7 +1976,7 @@ mod tests {
     fn batch_flush_timer_flushes_partial_batch() {
         let mut cfg2 = cfg();
         cfg2.system.batch_size = 8;
-        let mut r = BasilReplica::<MvtsoStore>::new(
+        let mut r = BasilReplica::new(
             ReplicaId::new(ShardId(0), 0),
             cfg2,
             registry(),
@@ -2128,7 +2123,7 @@ mod tests {
     #[test]
     fn catch_up_buffer_bound_sheds_overflow() {
         let id = ReplicaId::new(ShardId(0), 0);
-        let mut r = BasilReplica::<MvtsoStore>::recover(
+        let mut r = BasilReplica::recover(
             id,
             cfg().with_catch_up_buffer_bound(2),
             registry(),
@@ -2193,14 +2188,14 @@ mod tests {
                 .map(|k| (Key::new(k), Value::from_u64(0)))
                 .collect();
             let id = ReplicaId::new(ShardId(0), 0);
-            let mut oracle = BasilReplica::<MvtsoStore>::new(
+            let mut oracle = BasilReplica::new(
                 id,
                 cfg(),
                 registry(),
                 ReplicaBehavior::Correct,
                 initial.clone(),
             );
-            let mut subject = BasilReplica::<MvtsoStore>::new(
+            let mut subject = BasilReplica::new(
                 id,
                 cfg(),
                 registry(),
@@ -2237,7 +2232,7 @@ mod tests {
                     // the catch-up phase (no peers answer in this unit
                     // harness — the deadline fires instead).
                     let wal = subject.take_wal_bytes();
-                    subject = BasilReplica::<MvtsoStore>::recover(
+                    subject = BasilReplica::recover(
                         id,
                         cfg(),
                         registry(),

@@ -92,7 +92,7 @@ struct RegistryInner {
     master: HmacKey,
     /// Verification keys derived and prepared once at deployment build time.
     /// Plain immutable map after construction, so lookups are lock-free and
-    /// the registry stays `Sync` for the parallel runtime. Nodes not listed
+    /// the registry stays `Sync`. Nodes not listed
     /// here fall back to on-the-fly derivation (an HMAC under the master key
     /// plus the two pad compressions of [`HmacKey::new`] per verification —
     /// the cost the precomputation removes).

@@ -20,9 +20,17 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: basil-node --role replica|client --who N --clients N --seed N \
          --base-port N --epoch-nanos N --duration-ms N [--wal PATH] --results PATH \
-         [--keys N] [--reads N] [--writes N] [--executors N]"
+         [--keys N] [--reads N] [--writes N]"
     );
     std::process::exit(2);
+}
+
+/// Parses a numeric flag value. A typo must not fall back to a default: a
+/// node started with a different `--seed` derives a different key registry
+/// and every cross-process signature check then fails without a diagnostic.
+fn number<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
+    raw.parse()
+        .unwrap_or_else(|_| usage(&format!("{flag}: invalid value {raw:?}")))
 }
 
 fn main() {
@@ -39,29 +47,26 @@ fn main() {
     let mut keys: u64 = 1_000;
     let mut reads: usize = 2;
     let mut writes: usize = 2;
-    // 1 = inline (the default): the serial store, no pool. 0 = auto-size
-    // from the host's cores; N >= 2 = a pool of N executor threads.
-    let mut executors: usize = 1;
 
     while let Some(flag) = args.next() {
-        let mut value = |flag: &str| -> String {
+        let flag = flag.as_str();
+        let mut value = || -> String {
             args.next()
                 .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
         };
-        match flag.as_str() {
-            "--role" => role = Some(value("--role")),
-            "--who" => who = value("--who").parse().ok(),
-            "--clients" => clients = value("--clients").parse().ok(),
-            "--seed" => seed = value("--seed").parse().unwrap_or(42),
-            "--base-port" => base_port = value("--base-port").parse().ok(),
-            "--epoch-nanos" => epoch_nanos = value("--epoch-nanos").parse().ok(),
-            "--duration-ms" => duration_ms = value("--duration-ms").parse().unwrap_or(2_000),
-            "--wal" => wal = Some(PathBuf::from(value("--wal"))),
-            "--results" => results = Some(PathBuf::from(value("--results"))),
-            "--keys" => keys = value("--keys").parse().unwrap_or(1_000),
-            "--reads" => reads = value("--reads").parse().unwrap_or(2),
-            "--writes" => writes = value("--writes").parse().unwrap_or(2),
-            "--executors" => executors = value("--executors").parse().unwrap_or(1),
+        match flag {
+            "--role" => role = Some(value()),
+            "--who" => who = Some(number(flag, &value())),
+            "--clients" => clients = Some(number(flag, &value())),
+            "--seed" => seed = number(flag, &value()),
+            "--base-port" => base_port = Some(number(flag, &value())),
+            "--epoch-nanos" => epoch_nanos = Some(number(flag, &value())),
+            "--duration-ms" => duration_ms = number(flag, &value()),
+            "--wal" => wal = Some(PathBuf::from(value())),
+            "--results" => results = Some(PathBuf::from(value())),
+            "--keys" => keys = number(flag, &value()),
+            "--reads" => reads = number(flag, &value()),
+            "--writes" => writes = number(flag, &value()),
             other => usage(&format!("unknown flag {other}")),
         }
     }
@@ -84,7 +89,6 @@ fn main() {
         keys,
         reads,
         writes,
-        executors,
     };
     if let Err(e) = run_node(&cfg) {
         eprintln!("basil-node: {e}");

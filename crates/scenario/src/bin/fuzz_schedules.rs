@@ -1,11 +1,11 @@
 //! Schedule-fuzzing driver.
 //!
 //! Generates seed-derived fault schedules, runs each against a Basil
-//! deployment on the serial runtime (periodically cross-checking the
-//! parallel runtime for bit-for-bit agreement), checks the
-//! serializability + decision-agreement audit and the
-//! liveness-under-budget property, and delta-debugs any failure down to a
-//! minimal spec written to the failure directory.
+//! deployment (periodically replaying one and cross-checking the two runs
+//! for bit-for-bit agreement), checks the serializability +
+//! decision-agreement audit and the liveness-under-budget property, and
+//! delta-debugs any failure down to a minimal spec written to the failure
+//! directory.
 //!
 //! Every `--baseline-every`-th schedule is additionally replayed (with
 //! Byzantine clients stripped) against one of the baseline systems,

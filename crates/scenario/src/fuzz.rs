@@ -2,11 +2,12 @@
 //!
 //! Every schedule is a [`ScenarioSpec`] generated *valid by construction*
 //! from a single `u64` seed (so a failure report is just a seed plus the
-//! shrunk spec). Each schedule runs on the serial runtime and is checked
-//! against the safety audit and — when the spec qualifies — the
-//! liveness-under-budget check; every `cross_check_every`-th schedule
-//! additionally replays on `Parallel(2)` and must be bit-for-bit
-//! identical. Failures are minimized with [`crate::shrink::shrink_spec`]
+//! shrunk spec). Each schedule is checked against the safety audit and —
+//! when the spec qualifies — the liveness-under-budget check; every
+//! `cross_check_every`-th schedule is additionally replayed and the second
+//! run must be bit-for-bit identical to the first (the oracle that catches
+//! a handler leaking nondeterminism, e.g. by iterating a randomly seeded
+//! hash map). Failures are minimized with [`crate::shrink::shrink_spec`]
 //! using an oracle that reproduces the *same failure class*, and reported
 //! with their canonical RON encoding for the corpus.
 
@@ -26,8 +27,8 @@ pub struct FuzzOptions {
     pub count: u64,
     /// Base seed: schedule `i` uses seed `seed_base + i`.
     pub seed_base: u64,
-    /// Run the serial-vs-parallel cross-check on every `n`-th schedule
-    /// (0 disables cross-checking).
+    /// Run the replay cross-check on every `n`-th schedule (0 disables
+    /// cross-checking).
     pub cross_check_every: u64,
     /// Replay every `n`-th schedule (with Byzantine clients stripped)
     /// against a baseline system, cycling through the baseline kinds, and
@@ -95,7 +96,7 @@ impl FuzzFailure {
 pub struct FuzzSummary {
     /// Schedules generated and executed.
     pub schedules_run: u64,
-    /// Of those, how many also ran the parallel cross-check.
+    /// Of those, how many also ran the replay cross-check.
     pub cross_checked: u64,
     /// Of those, how many also replayed against a baseline system.
     pub baseline_checked: u64,
@@ -256,19 +257,19 @@ pub fn generate_spec(seed: u64) -> ScenarioSpec {
     spec
 }
 
-/// Runs one schedule on the serial runtime and classifies the result.
+/// Runs one schedule and classifies the result.
 pub fn check_spec(spec: &ScenarioSpec) -> (ScenarioOutcome, Option<FailureKind>) {
     let outcome = run_basil_spec(spec, RuntimeMode::Serial);
     let verdict = outcome.check(spec);
     (outcome, verdict)
 }
 
-/// Replays `spec` on `Parallel(2)` and compares against the serial
-/// outcome. Any disagreement is a [`FailureKind::Divergence`].
-pub fn cross_check(spec: &ScenarioSpec, serial: &ScenarioOutcome) -> Option<FailureKind> {
-    let parallel = run_basil_spec(spec, RuntimeMode::Parallel(2));
-    serial
-        .diverges_from(&parallel)
+/// Replays `spec` and compares against the first run's outcome. Any
+/// disagreement is a [`FailureKind::Divergence`].
+pub fn cross_check(spec: &ScenarioSpec, first: &ScenarioOutcome) -> Option<FailureKind> {
+    let replay = run_basil_spec(spec, RuntimeMode::Serial);
+    first
+        .diverges_from(&replay)
         .then_some(FailureKind::Divergence)
 }
 
@@ -293,11 +294,11 @@ pub fn baseline_variant(spec: &ScenarioSpec) -> ScenarioSpec {
 }
 
 /// Runs `spec` (which must have no Byzantine clients) against a baseline
-/// system on the serial runtime and reports a safety-audit failure, if
-/// any. Baselines deploy fewer replicas and make no liveness promise under
-/// Basil-sized fault schedules, so only the audit applies.
+/// system and reports a safety-audit failure, if any. Baselines deploy
+/// fewer replicas and make no liveness promise under Basil-sized fault
+/// schedules, so only the audit applies.
 pub fn check_baseline_spec(spec: &ScenarioSpec, kind: SystemKind) -> Option<FailureKind> {
-    let outcome = run_baseline_spec(spec, kind, RuntimeMode::Serial);
+    let outcome = run_baseline_spec(spec, kind);
     outcome
         .audit_failure
         .is_some()
@@ -313,8 +314,8 @@ fn reproduces(candidate: &ScenarioSpec, kind: FailureKind) -> bool {
             verdict == Some(kind)
         }
         FailureKind::Divergence => {
-            let serial = run_basil_spec(candidate, RuntimeMode::Serial);
-            cross_check(candidate, &serial).is_some()
+            let first = run_basil_spec(candidate, RuntimeMode::Serial);
+            cross_check(candidate, &first).is_some()
         }
     }
 }
@@ -337,10 +338,10 @@ pub fn fuzz(opts: &FuzzOptions, mut progress: impl FnMut(u64, usize)) -> FuzzSum
         }
         let seed = opts.seed_base.wrapping_add(i);
         let spec = generate_spec(seed);
-        let (serial, mut verdict) = check_spec(&spec);
+        let (first, mut verdict) = check_spec(&spec);
         if verdict.is_none() && opts.cross_check_every != 0 && i % opts.cross_check_every == 0 {
             summary.cross_checked += 1;
-            verdict = cross_check(&spec, &serial);
+            verdict = cross_check(&spec, &first);
         }
         summary.schedules_run += 1;
         if let Some(kind) = verdict {

@@ -13,8 +13,8 @@
 //!   `tests/corpus/`.
 //! * [`runner`] — compiles a spec onto the simulator seam (link faults,
 //!   crashes, partitions, behaviour switches, node-property overrides) and
-//!   executes it on Basil or a baseline, serial or parallel, bit-for-bit
-//!   identically.
+//!   executes it on Basil or a baseline; a replay is bit-for-bit
+//!   identical.
 //! * [`mod@fuzz`] — seed-driven schedule generation plus the
 //!   safety/liveness/divergence checks.
 //! * [`shrink`] — greedy delta debugging: a failing spec is reduced to a
@@ -24,11 +24,11 @@
 //! use basil::cluster::RuntimeMode;
 //! use basil_scenario::{fuzz, runner};
 //!
-//! // Replay one generated schedule on both runtimes.
+//! // Run one generated schedule, then replay it.
 //! let spec = fuzz::generate_spec(0xBA51);
-//! let serial = runner::run_basil_spec(&spec, RuntimeMode::Serial);
-//! let parallel = runner::run_basil_spec(&spec, RuntimeMode::Parallel(2));
-//! assert!(!serial.diverges_from(&parallel));
+//! let run = runner::run_basil_spec(&spec, RuntimeMode::Serial);
+//! let replay = runner::run_basil_spec(&spec, RuntimeMode::Serial);
+//! assert!(!run.diverges_from(&replay));
 //! ```
 
 #![deny(missing_docs)]

@@ -1,7 +1,7 @@
 //! Delta-debugging shrinker for failing scenarios.
 //!
 //! Given a spec that fails some oracle (an audit violation, a liveness
-//! stall, a runtime divergence), [`shrink_spec`] searches for a smaller
+//! stall, a replay divergence), [`shrink_spec`] searches for a smaller
 //! spec that *still* fails, so the committed corpus entry — and the human
 //! reading it — sees only the faults that matter. The search is greedy
 //! delta debugging in three passes, run to a fixpoint:

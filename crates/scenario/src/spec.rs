@@ -6,8 +6,7 @@
 //! [`FaultEvent`]s. The runner (`crate::runner`) compiles a spec onto the
 //! simulator seam — `basil_simnet`'s crash/partition/link-fault hooks and
 //! `basil_core`'s behaviour knobs — so one spec drives Basil and the
-//! baselines, on the serial and the parallel runtime, bit-for-bit
-//! identically.
+//! baselines, and replays bit-for-bit identically.
 //!
 //! ## Fault taxonomy and budgets
 //!
@@ -322,7 +321,7 @@ pub enum WorkloadSpec {
 }
 
 /// Pinned expected outcome of a corpus scenario: the regression test
-/// replays the spec on both runtimes and compares against these.
+/// replays the spec and compares against these.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Expectation {
     /// Committed transactions across correct clients.

@@ -12,11 +12,11 @@ use std::any::Any;
 /// `Context`, feed messages, inspect the recorded outputs), and reusable by
 /// both the discrete-event simulator and the threaded runtime.
 ///
-/// `Send` is part of the contract: the parallel runtime
-/// (`basil_simnet::parallel`) moves each actor's slot to a fixed worker
-/// thread for the duration of an epoch, so an actor may own no
-/// thread-affine state (`Rc`, un-`Send` interior mutability). An actor is
-/// only ever *executed* by one thread at a time — `Sync` is not required.
+/// `Send` is part of the contract: the TCP runtime (`basil-net`) and the
+/// benchmark's client threads build an actor on one thread and run it on
+/// another, so an actor may own no thread-affine state (`Rc`, un-`Send`
+/// interior mutability). An actor is only ever *executed* by one thread at
+/// a time — `Sync` is not required.
 pub trait Actor<M>: Any + Send {
     /// Called once when the simulation starts, before any message delivery.
     fn on_start(&mut self, _ctx: &mut Context<M>) {}

@@ -14,16 +14,9 @@
 //!   the concurrency-control check of **Algorithm 1**, and dependency
 //!   tracking with deferred votes ("wait for all pending dependencies").
 //! * [`varray`] — the flattened, timestamp-sorted version arrays backing the
-//!   per-key records of both stores (append-mostly `Vec`s with binary-search
+//!   store's per-key records (append-mostly `Vec`s with binary-search
 //!   range queries; the watermark/generation fast path of
 //!   [`mvtso::MvtsoStore::prepare`] is built on their `O(1)` tails).
-//! * [`concurrent`] — the sharded, internally synchronized variant of the
-//!   same engine for multicore replicas: per-shard locks, lock-free atomic
-//!   watermark screening, and a global vote-publication table, equivalent
-//!   to [`mvtso::MvtsoStore`] under any interleaving (property-tested
-//!   against a serial replay of the observed linearization).
-//! * [`txstore`] — the [`txstore::TxStore`] seam `BasilReplica` is generic
-//!   over, implemented by both engines.
 //! * [`occ`] — a classic backward-validation OCC check used by the baseline
 //!   systems (TxHotstuff / TxBFT-SMaRt / TAPIR-style) in the evaluation.
 //! * [`audit`] — a serialization-graph auditor used by tests to verify that
@@ -36,20 +29,16 @@
 #![forbid(unsafe_code)]
 
 pub mod audit;
-pub mod concurrent;
 pub mod mvtso;
 pub mod occ;
 #[cfg(test)]
 mod reference;
 pub mod tx;
-pub mod txstore;
 pub mod varray;
 pub mod wal;
 
 pub use audit::{audit_serializability, AuditError};
-pub use concurrent::{ConcurrentMvtsoStore, SharedStore};
 pub use mvtso::{CheckOutcome, MvtsoStore, ReadResult, StoreStats, Vote};
 pub use tx::{Dependency, ReadOp, Transaction, TransactionBuilder, WriteOp};
-pub use txstore::TxStore;
 pub use varray::{ReaderSummary, VersionArray};
 pub use wal::{Wal, WalRecord};

@@ -855,13 +855,6 @@ impl MvtsoStore {
         self.stats
     }
 
-    /// The GC abort floor (highest watermark any sweep has used). Prepares
-    /// timestamped at or below it are refused; the concurrent-store
-    /// equivalence harness compares floors after replay.
-    pub fn gc_floor(&self) -> Timestamp {
-        self.gc_watermark
-    }
-
     /// The generation stamp of a key's record: how many times its
     /// concurrency-control state has mutated (tests and diagnostics).
     pub fn key_generation(&self, key: &Key) -> Option<u64> {

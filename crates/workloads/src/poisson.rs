@@ -5,8 +5,7 @@
 //! rate, independently of how fast the system completes them. This module
 //! wraps any closed-loop [`TxGenerator`] with seeded exponential
 //! inter-arrival times; the driving client schedules arrivals on the
-//! simulated clock, so runs are bit-deterministic under both the serial and
-//! the parallel cluster runtimes.
+//! simulated clock, so runs are bit-deterministic.
 
 use basil_common::{Duration, TxGenerator, TxProfile};
 use rand::rngs::SmallRng;

@@ -45,8 +45,8 @@ fn arc_refactor_preserves_simulated_results() {
     let cluster = run_scenario();
     let snap = cluster.snapshot();
     // The canonical digest helper (SHA-256 over sorted committed ids) —
-    // shared with the parallel-runtime golden tests so the definition
-    // cannot drift between them.
+    // shared with the scenario runner's outcomes so the definition cannot
+    // drift between them.
     let digest = cluster.committed_history_digest();
     eprintln!(
         "capture: committed={} aborted={} fast={} slow={} digest={digest}",

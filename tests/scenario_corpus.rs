@@ -1,11 +1,10 @@
 //! Seed-corpus regression test: every committed scenario under
-//! `tests/corpus/*.ron` is replayed on each `cargo test`, on the serial
-//! runtime *and* on `Parallel(2)`, and must reproduce its pinned outcome
-//! exactly — commit/abort counts, Byzantine commits, and the digest of the
-//! committed transaction set. The corpus holds minimized specs worth
-//! keeping forever: once a fuzz failure is fixed, its shrunk spec lands
-//! here so the schedule that found the bug is re-run for the rest of the
-//! repository's life.
+//! `tests/corpus/*.ron` is replayed on each `cargo test` and must reproduce
+//! its pinned outcome exactly — commit/abort counts, Byzantine commits, and
+//! the digest of the committed transaction set. The corpus holds minimized
+//! specs worth keeping forever: once a fuzz failure is fixed, its shrunk
+//! spec lands here so the schedule that found the bug is re-run for the rest
+//! of the repository's life.
 //!
 //! Re-pinning after an intentional behaviour change:
 //!
@@ -37,6 +36,7 @@ fn corpus_files() -> Vec<PathBuf> {
     files
 }
 
+// Named for the two runtimes it used to replay on; one is left.
 #[test]
 fn corpus_replays_match_pinned_outcomes_on_both_runtimes() {
     let pin = std::env::var("BASIL_CORPUS_PIN").is_ok();
@@ -47,52 +47,47 @@ fn corpus_replays_match_pinned_outcomes_on_both_runtimes() {
         spec.validate()
             .unwrap_or_else(|e| panic!("{name}: invalid spec: {e}"));
 
-        let serial = run_basil_spec(&spec, RuntimeMode::Serial);
-        let parallel = run_basil_spec(&spec, RuntimeMode::Parallel(2));
-        assert!(
-            !serial.diverges_from(&parallel),
-            "{name}: serial and parallel runs disagree:\n{serial:#?}\nvs\n{parallel:#?}"
-        );
+        let out = run_basil_spec(&spec, RuntimeMode::Serial);
         if pin {
             println!(
                 "{name}: check={:?} tail_committed={} dropped={} corrupted={} replayed={}\n    \
                  expect: Some((\n        committed: {},\n        \
                  aborted_attempts: {},\n        byz_committed: {},\n        \
                  digest: \"{}\",\n    )),",
-                serial.check(&spec),
-                serial.tail_committed,
-                serial.messages_dropped,
-                serial.messages_corrupted,
-                serial.messages_replayed,
-                serial.committed,
-                serial.aborted_attempts,
-                serial.byz_committed,
-                serial.digest
+                out.check(&spec),
+                out.tail_committed,
+                out.messages_dropped,
+                out.messages_corrupted,
+                out.messages_replayed,
+                out.committed,
+                out.aborted_attempts,
+                out.byz_committed,
+                out.digest
             );
             continue;
         }
 
         assert_eq!(
-            serial.check(&spec),
+            out.check(&spec),
             None,
             "{name}: scenario checks failed: {:?}",
-            serial.audit_failure
+            out.audit_failure
         );
 
         let expect = spec
             .expect
             .as_ref()
             .unwrap_or_else(|| panic!("{name}: corpus entries must pin an expect block"));
-        assert_eq!(serial.committed, expect.committed, "{name}: committed");
+        assert_eq!(out.committed, expect.committed, "{name}: committed");
         assert_eq!(
-            serial.aborted_attempts, expect.aborted_attempts,
+            out.aborted_attempts, expect.aborted_attempts,
             "{name}: aborted_attempts"
         );
         assert_eq!(
-            serial.byz_committed, expect.byz_committed,
+            out.byz_committed, expect.byz_committed,
             "{name}: byz_committed"
         );
-        assert_eq!(serial.digest, expect.digest, "{name}: committed-set digest");
+        assert_eq!(out.digest, expect.digest, "{name}: committed-set digest");
     }
 }
 
