@@ -210,7 +210,7 @@ fn bench_cert_quorum_validation(c: &mut Criterion) {
                     vote: ProtoVote::Commit,
                 };
                 let mut engine = SigEngine::new(NodeId::Replica(rid), registry.clone(), &cfg);
-                let (proof, _) = engine.sign(&body.signed_bytes());
+                let (proof, _) = engine.sign(&body);
                 SignedSt1Reply {
                     body,
                     proof,

@@ -28,7 +28,7 @@ fn signed_votes(
                 vote: ProtoVote::Commit,
             };
             let mut engine = SigEngine::new(NodeId::Replica(rid), registry.clone(), cfg);
-            let (proof, _) = engine.sign(&body.signed_bytes());
+            let (proof, _) = engine.sign(&body);
             SignedSt1Reply {
                 body,
                 proof,
@@ -225,8 +225,9 @@ fn bench_cluster_high_clients(c: &mut Criterion) {
 /// message construction alone. Before the Arc refactor each `St1`/`Writeback`
 /// clone deep-copied the transaction (read/write sets, keys, values) or the
 /// certificate (signed vote sets); now each is a reference-count bump.
-/// `signed_bytes` additionally hits the memoized transaction encoding.
+/// The signed `ST1` bytes additionally hit the memoized transaction encoding.
 fn bench_message_plane(c: &mut Criterion) {
+    use basil_core::crypto_engine::SignedPayload;
     use basil_core::messages::{St1, Writeback};
     use basil_store::TransactionBuilder;
     use std::sync::Arc;
@@ -257,7 +258,7 @@ fn bench_message_plane(c: &mut Criterion) {
         })
     });
     c.bench_function("message_plane/st1_signed_bytes_memoized", |b| {
-        b.iter(|| st1.signed_bytes().len())
+        b.iter(|| st1.to_bytes().len())
     });
 
     let registry = KeyRegistry::from_seed(1);

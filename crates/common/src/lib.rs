@@ -2,7 +2,8 @@
 //!
 //! Shared foundation types for the Basil BFT transactional key-value store
 //! reproduction: participant identifiers, multiversion timestamps, shard and
-//! quorum configuration, simulated time, and error types.
+//! quorum configuration, simulated time, error types, and [`codec`], the one
+//! bounds-checked byte reader and writer under every binary format.
 //!
 //! Every other crate in the workspace builds on these definitions, so this
 //! crate deliberately has no dependency on the protocol, the storage engine,
@@ -17,6 +18,7 @@
 #![forbid(unsafe_code)]
 
 pub mod bounded;
+pub mod codec;
 pub mod config;
 pub mod error;
 pub mod fasthash;

@@ -522,7 +522,7 @@ mod tests {
             vote,
         };
         let mut engine = engine_for(NodeId::Replica(replica));
-        let (proof, _) = engine.sign(&body.signed_bytes());
+        let (proof, _) = engine.sign(&body);
         SignedSt1Reply {
             body,
             proof,
@@ -545,7 +545,7 @@ mod tests {
             view_current: view,
         };
         let mut engine = engine_for(NodeId::Replica(replica));
-        let (proof, _) = engine.sign(&body.signed_bytes());
+        let (proof, _) = engine.sign(&body);
         SignedSt2Reply { body, proof }
     }
 

@@ -1921,7 +1921,7 @@ mod tests {
                     vote: ProtoVote::Commit,
                 };
                 let mut engine = SigEngine::new(NodeId::Replica(rid), registry(), &cfg());
-                let (proof, _) = engine.sign(&body.signed_bytes());
+                let (proof, _) = engine.sign(&body);
                 SignedSt1Reply {
                     body,
                     proof,

@@ -9,6 +9,7 @@
 //! without changing simulated results.
 
 use crate::config::{BasilConfig, CryptoMode};
+use basil_common::codec::{Len, Sink};
 use basil_common::{Duration, FastHashMap, NodeId, SimTime};
 use basil_crypto::batch::BatchVerifyOutcome;
 use basil_crypto::merkle::MerkleProof;
@@ -21,51 +22,51 @@ use basil_crypto::{
 ///
 /// The engine charges CPU costs from the payload *length* and only hashes
 /// the payload bytes when the deployment runs real cryptography
-/// ([`CryptoMode::Real`]). Message bodies implement this with an exact
-/// `encoded_len` (unit-tested against `signed_bytes().len()`), so the
-/// simulated-crypto hot path — every figure experiment — never materializes
-/// an encoding at all. Costs are computed from the same lengths either
-/// way, so simulated results are bit-identical.
+/// ([`CryptoMode::Real`]). A message body writes its encoding once, to any
+/// [`Sink`]: [`SignedPayload::to_bytes`] collects it and
+/// [`SignedPayload::encoded_len`] counts it through [`Len`], so the charged
+/// size cannot disagree with the signed bytes and the simulated-crypto hot
+/// path — every figure experiment — never materializes an encoding at all.
 pub trait SignedPayload {
+    /// Writes the canonical encoding the signature covers.
+    fn write_signed(&self, out: &mut impl Sink);
+
     /// Exact length of [`SignedPayload::to_bytes`]'s result.
-    fn encoded_len(&self) -> usize;
+    fn encoded_len(&self) -> usize {
+        let mut len = Len(0);
+        self.write_signed(&mut len);
+        len.0
+    }
+
     /// Materializes the canonical encoding.
-    fn to_bytes(&self) -> Vec<u8>;
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.write_signed(&mut out);
+        out
+    }
 }
 
 impl SignedPayload for [u8] {
-    fn encoded_len(&self) -> usize {
-        self.len()
-    }
-    fn to_bytes(&self) -> Vec<u8> {
-        self.to_vec()
+    fn write_signed(&self, out: &mut impl Sink) {
+        out.put_bytes(self);
     }
 }
 
 impl SignedPayload for Vec<u8> {
-    fn encoded_len(&self) -> usize {
-        self.len()
-    }
-    fn to_bytes(&self) -> Vec<u8> {
-        self.clone()
+    fn write_signed(&self, out: &mut impl Sink) {
+        out.put_bytes(self);
     }
 }
 
 impl<const N: usize> SignedPayload for [u8; N] {
-    fn encoded_len(&self) -> usize {
-        N
-    }
-    fn to_bytes(&self) -> Vec<u8> {
-        self.to_vec()
+    fn write_signed(&self, out: &mut impl Sink) {
+        out.put_bytes(self);
     }
 }
 
 impl<P: SignedPayload + ?Sized> SignedPayload for &P {
-    fn encoded_len(&self) -> usize {
-        (**self).encoded_len()
-    }
-    fn to_bytes(&self) -> Vec<u8> {
-        (**self).to_bytes()
+    fn write_signed(&self, out: &mut impl Sink) {
+        (**self).write_signed(out);
     }
 }
 

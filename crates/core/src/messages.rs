@@ -14,6 +14,7 @@
 
 use crate::certs::DecisionCert;
 use crate::crypto_engine::SignedPayload;
+use basil_common::codec::Sink;
 use basil_common::{Key, ReplicaId, Timestamp, TxId, Value};
 use basil_crypto::BatchProof;
 use basil_store::Transaction;
@@ -38,11 +39,19 @@ impl ProtoVote {
         matches!(self, ProtoVote::Commit)
     }
 
-    fn tag(&self) -> u8 {
+    /// The byte this vote is encoded as, in signed bodies and on the wire.
+    pub fn tag(&self) -> u8 {
         match self {
             ProtoVote::Commit => 1,
             ProtoVote::Abort => 2,
         }
+    }
+
+    /// The vote encoded as `tag`, if there is one.
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        [ProtoVote::Commit, ProtoVote::Abort]
+            .into_iter()
+            .find(|v| v.tag() == tag)
     }
 }
 
@@ -61,11 +70,20 @@ impl ProtoDecision {
         matches!(self, ProtoDecision::Commit)
     }
 
-    fn tag(&self) -> u8 {
+    /// The byte this decision is encoded as, in signed bodies and on the
+    /// wire.
+    pub fn tag(&self) -> u8 {
         match self {
             ProtoDecision::Commit => 1,
             ProtoDecision::Abort => 2,
         }
+    }
+
+    /// The decision encoded as `tag`, if there is one.
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        [ProtoDecision::Commit, ProtoDecision::Abort]
+            .into_iter()
+            .find(|d| d.tag() == tag)
     }
 }
 
@@ -88,24 +106,12 @@ pub struct ReadRequest {
 }
 
 impl SignedPayload for ReadRequest {
-    fn encoded_len(&self) -> usize {
-        4 + 8 + 8 + 8 + self.key.len()
-    }
-    fn to_bytes(&self) -> Vec<u8> {
-        self.signed_bytes()
-    }
-}
-
-impl ReadRequest {
     /// Canonical bytes covered by the client's signature.
-    pub fn signed_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.key.len());
-        out.extend_from_slice(b"READ");
-        out.extend_from_slice(&self.req_id.to_be_bytes());
-        out.extend_from_slice(&self.ts.time.to_be_bytes());
-        out.extend_from_slice(&self.ts.client.0.to_be_bytes());
-        out.extend_from_slice(self.key.as_bytes());
-        out
+    fn write_signed(&self, out: &mut impl Sink) {
+        out.put_bytes(b"READ");
+        out.put_u64(self.req_id);
+        out.put_ts(self.ts);
+        out.put_bytes(self.key.as_bytes());
     }
 }
 
@@ -151,47 +157,17 @@ pub struct ReadReplyBody {
 }
 
 impl SignedPayload for ReadReplyBody {
-    fn encoded_len(&self) -> usize {
-        let committed = match &self.committed {
-            Some(c) => 1 + 8 + 8 + 32 + c.value.len(),
-            None => 1,
-        };
-        let prepared = match &self.prepared {
-            Some(_) => 1 + 32,
-            None => 1,
-        };
-        5 + 8 + self.key.len() + committed + prepared
-    }
-    fn to_bytes(&self) -> Vec<u8> {
-        self.signed_bytes()
-    }
-}
-
-impl ReadReplyBody {
     /// Canonical bytes covered by the replica's (batched) signature.
-    pub fn signed_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        out.extend_from_slice(b"READR");
-        out.extend_from_slice(&self.req_id.to_be_bytes());
-        out.extend_from_slice(self.key.as_bytes());
-        match &self.committed {
-            Some(c) => {
-                out.push(1);
-                out.extend_from_slice(&c.version.time.to_be_bytes());
-                out.extend_from_slice(&c.version.client.0.to_be_bytes());
-                out.extend_from_slice(c.txid.as_bytes());
-                out.extend_from_slice(c.value.as_bytes());
-            }
-            None => out.push(0),
-        }
-        match &self.prepared {
-            Some(p) => {
-                out.push(1);
-                out.extend_from_slice(p.tx.id().as_bytes());
-            }
-            None => out.push(0),
-        }
-        out
+    fn write_signed(&self, out: &mut impl Sink) {
+        out.put_bytes(b"READR");
+        out.put_u64(self.req_id);
+        out.put_bytes(self.key.as_bytes());
+        out.put_opt(self.committed.as_ref(), |out, c| {
+            out.put_ts(c.version);
+            out.put_txid(&c.txid);
+            out.put_bytes(c.value.as_bytes());
+        });
+        out.put_opt(self.prepared.as_ref(), |out, p| out.put_txid(&p.tx.id()));
     }
 }
 
@@ -225,24 +201,12 @@ pub struct St1 {
 }
 
 impl SignedPayload for St1 {
-    fn encoded_len(&self) -> usize {
-        self.tx.encoded().len() + 3
-    }
-    fn to_bytes(&self) -> Vec<u8> {
-        self.signed_bytes()
-    }
-}
-
-impl St1 {
     /// Canonical bytes covered by the client's signature. The transaction
     /// part is the memoized canonical encoding, so only the first call per
     /// transaction serializes; the rest are copies.
-    pub fn signed_bytes(&self) -> Vec<u8> {
-        let encoded = self.tx.encoded();
-        let mut out = Vec::with_capacity(encoded.len() + 3);
-        out.extend_from_slice(encoded);
-        out.extend_from_slice(b"ST1");
-        out
+    fn write_signed(&self, out: &mut impl Sink) {
+        out.put_bytes(self.tx.encoded());
+        out.put_bytes(b"ST1");
     }
 }
 
@@ -258,24 +222,12 @@ pub struct St1ReplyBody {
 }
 
 impl SignedPayload for St1ReplyBody {
-    fn encoded_len(&self) -> usize {
-        4 + 32 + 4 + 4 + 1
-    }
-    fn to_bytes(&self) -> Vec<u8> {
-        self.signed_bytes()
-    }
-}
-
-impl St1ReplyBody {
     /// Canonical bytes covered by the replica's (batched) signature.
-    pub fn signed_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(40);
-        out.extend_from_slice(b"ST1R");
-        out.extend_from_slice(self.txid.as_bytes());
-        out.extend_from_slice(&self.replica.shard.0.to_be_bytes());
-        out.extend_from_slice(&self.replica.index.to_be_bytes());
-        out.push(self.vote.tag());
-        out
+    fn write_signed(&self, out: &mut impl Sink) {
+        out.put_bytes(b"ST1R");
+        out.put_txid(&self.txid);
+        out.put_replica(self.replica);
+        out.put_u8(self.vote.tag());
     }
 }
 
@@ -309,23 +261,12 @@ pub struct St2 {
 }
 
 impl SignedPayload for St2 {
-    fn encoded_len(&self) -> usize {
-        3 + 32 + 1 + 8
-    }
-    fn to_bytes(&self) -> Vec<u8> {
-        self.signed_bytes()
-    }
-}
-
-impl St2 {
     /// Canonical bytes covered by the client's signature.
-    pub fn signed_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(48);
-        out.extend_from_slice(b"ST2");
-        out.extend_from_slice(self.txid.as_bytes());
-        out.push(self.decision.tag());
-        out.extend_from_slice(&self.view.to_be_bytes());
-        out
+    fn write_signed(&self, out: &mut impl Sink) {
+        out.put_bytes(b"ST2");
+        out.put_txid(&self.txid);
+        out.put_u8(self.decision.tag());
+        out.put_u64(self.view);
     }
 }
 
@@ -345,26 +286,14 @@ pub struct St2ReplyBody {
 }
 
 impl SignedPayload for St2ReplyBody {
-    fn encoded_len(&self) -> usize {
-        4 + 32 + 4 + 4 + 1 + 8 + 8
-    }
-    fn to_bytes(&self) -> Vec<u8> {
-        self.signed_bytes()
-    }
-}
-
-impl St2ReplyBody {
     /// Canonical bytes covered by the replica's signature.
-    pub fn signed_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(56);
-        out.extend_from_slice(b"ST2R");
-        out.extend_from_slice(self.txid.as_bytes());
-        out.extend_from_slice(&self.replica.shard.0.to_be_bytes());
-        out.extend_from_slice(&self.replica.index.to_be_bytes());
-        out.push(self.decision.tag());
-        out.extend_from_slice(&self.view_decision.to_be_bytes());
-        out.extend_from_slice(&self.view_current.to_be_bytes());
-        out
+    fn write_signed(&self, out: &mut impl Sink) {
+        out.put_bytes(b"ST2R");
+        out.put_txid(&self.txid);
+        out.put_replica(self.replica);
+        out.put_u8(self.decision.tag());
+        out.put_u64(self.view_decision);
+        out.put_u64(self.view_current);
     }
 }
 
@@ -413,22 +342,11 @@ pub struct InvokeFb {
 }
 
 impl SignedPayload for InvokeFb {
-    fn encoded_len(&self) -> usize {
-        3 + 32 + 4
-    }
-    fn to_bytes(&self) -> Vec<u8> {
-        self.signed_bytes()
-    }
-}
-
-impl InvokeFb {
     /// Canonical bytes covered by the client's signature.
-    pub fn signed_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(40);
-        out.extend_from_slice(b"IFB");
-        out.extend_from_slice(self.txid.as_bytes());
-        out.extend_from_slice(&(self.views.len() as u32).to_be_bytes());
-        out
+    fn write_signed(&self, out: &mut impl Sink) {
+        out.put_bytes(b"IFB");
+        out.put_txid(&self.txid);
+        out.put_count(self.views.len());
     }
 }
 
@@ -447,28 +365,13 @@ pub struct ElectFbBody {
 }
 
 impl SignedPayload for ElectFbBody {
-    fn encoded_len(&self) -> usize {
-        7 + 32 + 4 + 4 + 1 + 8
-    }
-    fn to_bytes(&self) -> Vec<u8> {
-        self.signed_bytes()
-    }
-}
-
-impl ElectFbBody {
     /// Canonical bytes covered by the replica's signature.
-    pub fn signed_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(48);
-        out.extend_from_slice(b"ELECTFB");
-        out.extend_from_slice(self.txid.as_bytes());
-        out.extend_from_slice(&self.replica.shard.0.to_be_bytes());
-        out.extend_from_slice(&self.replica.index.to_be_bytes());
-        match self.decision {
-            Some(d) => out.push(d.tag()),
-            None => out.push(0),
-        }
-        out.extend_from_slice(&self.view.to_be_bytes());
-        out
+    fn write_signed(&self, out: &mut impl Sink) {
+        out.put_bytes(b"ELECTFB");
+        out.put_txid(&self.txid);
+        out.put_replica(self.replica);
+        out.put_u8(self.decision.map_or(0, |d| d.tag()));
+        out.put_u64(self.view);
     }
 }
 
@@ -498,23 +401,12 @@ pub struct DecFb {
 }
 
 impl SignedPayload for DecFb {
-    fn encoded_len(&self) -> usize {
-        5 + 32 + 1 + 8
-    }
-    fn to_bytes(&self) -> Vec<u8> {
-        self.signed_bytes()
-    }
-}
-
-impl DecFb {
     /// Canonical bytes covered by the leader's signature.
-    pub fn signed_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(48);
-        out.extend_from_slice(b"DECFB");
-        out.extend_from_slice(self.txid.as_bytes());
-        out.push(self.decision.tag());
-        out.extend_from_slice(&self.view.to_be_bytes());
-        out
+    fn write_signed(&self, out: &mut impl Sink) {
+        out.put_bytes(b"DECFB");
+        out.put_txid(&self.txid);
+        out.put_u8(self.decision.tag());
+        out.put_u64(self.view);
     }
 }
 
@@ -677,19 +569,19 @@ mod tests {
             replica: rep(0),
             vote: ProtoVote::Abort,
         };
-        assert_ne!(a.signed_bytes(), b.signed_bytes());
+        assert_ne!(a.to_bytes(), b.to_bytes());
         let c = St1ReplyBody {
             txid: TxId::from_bytes([2; 32]),
             replica: rep(0),
             vote: ProtoVote::Commit,
         };
-        assert_ne!(a.signed_bytes(), c.signed_bytes());
+        assert_ne!(a.to_bytes(), c.to_bytes());
         let d = St1ReplyBody {
             txid: TxId::from_bytes([1; 32]),
             replica: rep(1),
             vote: ProtoVote::Commit,
         };
-        assert_ne!(a.signed_bytes(), d.signed_bytes());
+        assert_ne!(a.to_bytes(), d.to_bytes());
     }
 
     #[test]
@@ -703,10 +595,10 @@ mod tests {
         };
         let mut other = base.clone();
         other.view_current = 1;
-        assert_ne!(base.signed_bytes(), other.signed_bytes());
+        assert_ne!(base.to_bytes(), other.to_bytes());
         let mut flipped = base.clone();
         flipped.decision = ProtoDecision::Abort;
-        assert_ne!(base.signed_bytes(), flipped.signed_bytes());
+        assert_ne!(base.to_bytes(), flipped.to_bytes());
     }
 
     #[test]
@@ -719,7 +611,7 @@ mod tests {
         };
         let mut req2 = req.clone();
         req2.ts = ts(101, 1);
-        assert_ne!(req.signed_bytes(), req2.signed_bytes());
+        assert_ne!(req.to_bytes(), req2.to_bytes());
 
         let reply = ReadReplyBody {
             req_id: 9,
@@ -734,7 +626,7 @@ mod tests {
         };
         let mut reply2 = reply.clone();
         reply2.committed.as_mut().expect("present").value = Value::from_u64(6);
-        assert_ne!(reply.signed_bytes(), reply2.signed_bytes());
+        assert_ne!(reply.to_bytes(), reply2.to_bytes());
     }
 
     #[test]
@@ -745,128 +637,179 @@ mod tests {
             decision: d,
             view: 3,
         };
-        let none = body(None).signed_bytes();
-        let commit = body(Some(ProtoDecision::Commit)).signed_bytes();
-        let abort = body(Some(ProtoDecision::Abort)).signed_bytes();
+        let none = body(None).to_bytes();
+        let commit = body(Some(ProtoDecision::Commit)).to_bytes();
+        let abort = body(Some(ProtoDecision::Abort)).to_bytes();
         assert_ne!(none, commit);
         assert_ne!(commit, abort);
     }
 
-    /// `encoded_len` feeds the cost model in simulated-crypto runs, so it
-    /// must equal the materialized encoding's length *exactly* — a drift
-    /// would silently change simulated results.
-    #[test]
-    fn encoded_len_matches_signed_bytes_exactly() {
-        fn check<P: SignedPayload>(p: &P, what: &str) {
-            assert_eq!(
-                p.encoded_len(),
-                p.signed_like_len(),
-                "{what}: encoded_len drifted from signed_bytes"
-            );
-        }
-        trait SignedLike: SignedPayload {
-            fn signed_like_len(&self) -> usize {
-                self.to_bytes().len()
-            }
-        }
-        impl<T: SignedPayload> SignedLike for T {}
+    /// Field values for one instance of each signed body.
+    struct BodyFields {
+        req_id: u64,
+        key: Key,
+        ts: Timestamp,
+        /// The committed half of the read reply, when present.
+        value: Option<Value>,
+        /// Whether the read reply has a prepared half and the `ElectFB` a
+        /// logged decision.
+        prepared: bool,
+        tx: Arc<Transaction>,
+        replica: ReplicaId,
+        commit: bool,
+        views: [View; 2],
+        invoke_views: usize,
+    }
 
-        let read = ReadRequest {
+    /// `(encoded_len(), to_bytes())` of the nine signed bodies, in
+    /// declaration order.
+    fn nine_bodies(f: &BodyFields) -> Vec<(usize, Vec<u8>)> {
+        fn both(p: &impl SignedPayload) -> (usize, Vec<u8>) {
+            (p.encoded_len(), p.to_bytes())
+        }
+        let (txid, replica) = (f.tx.id(), f.replica);
+        let (vote, decision) = if f.commit {
+            (ProtoVote::Commit, ProtoDecision::Commit)
+        } else {
+            (ProtoVote::Abort, ProtoDecision::Abort)
+        };
+        let st2_reply = St2ReplyBody {
+            txid,
+            replica,
+            decision,
+            view_decision: f.views[0],
+            view_current: f.views[1],
+        };
+        vec![
+            both(&ReadRequest {
+                req_id: f.req_id,
+                key: f.key.clone(),
+                ts: f.ts,
+                auth: None,
+            }),
+            both(&ReadReplyBody {
+                req_id: f.req_id,
+                key: f.key.clone(),
+                committed: f.value.clone().map(|value| CommittedRead {
+                    version: f.ts,
+                    value,
+                    txid,
+                    cert: None,
+                }),
+                prepared: f.prepared.then(|| PreparedRead {
+                    tx: Arc::clone(&f.tx),
+                }),
+            }),
+            both(&St1 {
+                tx: Arc::clone(&f.tx),
+                auth: None,
+                recovery: false,
+            }),
+            both(&St1ReplyBody {
+                txid,
+                replica,
+                vote,
+            }),
+            both(&St2 {
+                txid,
+                decision,
+                shard_votes: Vec::new(),
+                view: f.views[0],
+                auth: None,
+            }),
+            both(&st2_reply),
+            both(&InvokeFb {
+                txid,
+                views: vec![
+                    SignedSt2Reply {
+                        body: st2_reply.clone(),
+                        proof: None,
+                    };
+                    f.invoke_views
+                ],
+                auth: None,
+            }),
+            both(&ElectFbBody {
+                txid,
+                replica,
+                decision: f.prepared.then_some(decision),
+                view: f.views[1],
+            }),
+            both(&DecFb {
+                txid,
+                decision,
+                view: f.views[0],
+                elect_proof: Vec::new(),
+                auth: None,
+            }),
+        ]
+    }
+
+    /// Every signature in a run covers these bytes. The digest was captured
+    /// at the commit before `write_signed` replaced the nine hand-written
+    /// `signed_bytes` bodies.
+    #[test]
+    fn signed_bodies_are_byte_identical_to_the_hand_written_encoders() {
+        let mut b = TransactionBuilder::new(ts(10, 1));
+        b.record_write(Key::new("k"), Value::from_u64(1));
+        b.record_dependent_read(Key::new("r"), ts(3, 2), TxId::from_bytes([4; 32]));
+        let bodies = nine_bodies(&BodyFields {
             req_id: 9,
             key: Key::new("some-longer-key-17"),
             ts: ts(100, 1),
-            auth: None,
-        };
-        check(&read, "ReadRequest");
+            value: Some(Value::from_u64(5)),
+            prepared: true,
+            tx: b.build_shared(),
+            replica: ReplicaId::new(ShardId(2), 3),
+            commit: false,
+            views: [1, 7],
+            invoke_views: 2,
+        });
+        let all: Vec<u8> = bodies.into_iter().flat_map(|(_, bytes)| bytes).collect();
+        assert_eq!(
+            basil_crypto::Sha256::digest(&all).to_hex(),
+            "c40fba657cfd6d61ae605c4fda492ce278097daa2cf549c6ec449d1df77e10ed"
+        );
+    }
 
-        let mut b = TransactionBuilder::new(ts(10, 1));
-        b.record_write(Key::new("k"), Value::from_u64(1));
-        b.record_read(Key::new("r"), ts(3, 2));
-        let tx = b.build_shared();
-        for (committed, prepared) in [
-            (None, None),
-            (
-                Some(CommittedRead {
-                    version: ts(50, 2),
-                    value: Value::from_u64(5),
-                    txid: TxId::from_bytes([4; 32]),
-                    cert: None,
-                }),
-                Some(PreparedRead {
-                    tx: std::sync::Arc::clone(&tx),
-                }),
-            ),
-        ] {
-            let reply = ReadReplyBody {
-                req_id: 9,
-                key: Key::new("x"),
-                committed,
-                prepared,
+    /// `encoded_len` feeds the cost model in simulated-crypto runs, so it
+    /// must equal the materialized encoding's length *exactly* — a drift
+    /// would silently change simulated results. Both now come from one
+    /// `write_signed`, which makes this the regression test for the
+    /// byte-counting `Len` sink.
+    #[test]
+    fn encoded_len_equals_the_materialized_length_for_generated_bodies() {
+        let mut rng = basil_common::SmallPrng::new(0x5EED);
+        let mut below = |bound: u64| rng.next_below(bound);
+        for case in 0..200 {
+            let text = |len: u64| "k".repeat(len as usize);
+            let mut b = TransactionBuilder::new(ts(below(1 << 40), below(8)));
+            for i in 0..below(4) {
+                b.record_read(Key::new(format!("r{i}{}", text(below(20)))), ts(i, 1));
+            }
+            for i in 0..below(4) {
+                let value = Value::new(vec![7; below(64) as usize]);
+                b.record_write(Key::new(format!("w{i}{}", text(below(20)))), value);
+            }
+            for i in 0..below(3) {
+                b.record_dependent_read(Key::new(format!("d{i}")), ts(i, 2), TxId([i as u8; 32]));
+            }
+            let fields = BodyFields {
+                req_id: below(u64::MAX),
+                key: Key::new(text(below(40))),
+                ts: ts(below(u64::MAX), below(u64::MAX)),
+                value: (below(2) == 1).then(|| Value::new(vec![1; below(100) as usize])),
+                prepared: below(2) == 1,
+                tx: b.build_shared(),
+                replica: ReplicaId::new(ShardId(below(4) as u32), below(6) as u32),
+                commit: below(2) == 1,
+                views: [below(u64::MAX), below(u64::MAX)],
+                invoke_views: below(5) as usize,
             };
-            check(&reply, "ReadReplyBody");
+            for (i, (len, bytes)) in nine_bodies(&fields).into_iter().enumerate() {
+                assert_eq!(len, bytes.len(), "case {case}, body {i}");
+            }
         }
-
-        let st1 = St1 {
-            tx: std::sync::Arc::clone(&tx),
-            auth: None,
-            recovery: false,
-        };
-        check(&st1, "St1");
-        check(
-            &St1ReplyBody {
-                txid: tx.id(),
-                replica: rep(1),
-                vote: ProtoVote::Commit,
-            },
-            "St1ReplyBody",
-        );
-        check(
-            &St2 {
-                txid: tx.id(),
-                decision: ProtoDecision::Abort,
-                shard_votes: Vec::new(),
-                view: 3,
-                auth: None,
-            },
-            "St2",
-        );
-        check(
-            &St2ReplyBody {
-                txid: tx.id(),
-                replica: rep(2),
-                decision: ProtoDecision::Commit,
-                view_decision: 1,
-                view_current: 2,
-            },
-            "St2ReplyBody",
-        );
-        check(
-            &InvokeFb {
-                txid: tx.id(),
-                views: Vec::new(),
-                auth: None,
-            },
-            "InvokeFb",
-        );
-        check(
-            &ElectFbBody {
-                txid: tx.id(),
-                replica: rep(3),
-                decision: Some(ProtoDecision::Abort),
-                view: 7,
-            },
-            "ElectFbBody",
-        );
-        check(
-            &DecFb {
-                txid: tx.id(),
-                decision: ProtoDecision::Commit,
-                view: 7,
-                elect_proof: Vec::new(),
-                auth: None,
-            },
-            "DecFb",
-        );
     }
 
     #[test]
@@ -885,6 +828,6 @@ mod tests {
             auth: None,
             recovery: false,
         };
-        assert_ne!(st1.signed_bytes(), st1_other.signed_bytes());
+        assert_ne!(st1.to_bytes(), st1_other.to_bytes());
     }
 }

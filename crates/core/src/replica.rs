@@ -105,18 +105,11 @@ enum PendingReply {
 }
 
 impl crate::crypto_engine::SignedPayload for PendingReply {
-    fn encoded_len(&self) -> usize {
+    fn write_signed(&self, out: &mut impl basil_common::codec::Sink) {
         match self {
-            PendingReply::Read(b) => b.encoded_len(),
-            PendingReply::St1(b, _) => b.encoded_len(),
-            PendingReply::St2(b) => b.encoded_len(),
-        }
-    }
-    fn to_bytes(&self) -> Vec<u8> {
-        match self {
-            PendingReply::Read(b) => b.signed_bytes(),
-            PendingReply::St1(b, _) => b.signed_bytes(),
-            PendingReply::St2(b) => b.signed_bytes(),
+            PendingReply::Read(b) => b.write_signed(out),
+            PendingReply::St1(b, _) => b.write_signed(out),
+            PendingReply::St2(b) => b.write_signed(out),
         }
     }
 }
@@ -1330,7 +1323,7 @@ mod tests {
             auth: None,
             recovery,
         };
-        let (proof, _) = engine.sign(&st1.signed_bytes());
+        let (proof, _) = engine.sign(&st1);
         St1 { auth: proof, ..st1 }
     }
 
@@ -1342,7 +1335,7 @@ mod tests {
             ts: Timestamp::from_nanos(ts_nanos, ClientId(9)),
             auth: None,
         };
-        let (proof, _) = engine.sign(&req.signed_bytes());
+        let (proof, _) = engine.sign(&req);
         ReadRequest { auth: proof, ..req }
     }
 
@@ -1478,7 +1471,7 @@ mod tests {
                     vote: ProtoVote::Commit,
                 };
                 let mut engine = SigEngine::new(NodeId::Replica(rid), registry(), &cfg());
-                let (proof, _) = engine.sign(&body.signed_bytes());
+                let (proof, _) = engine.sign(&body);
                 SignedSt1Reply {
                     body,
                     proof,
@@ -1708,7 +1701,7 @@ mod tests {
                     vote: ProtoVote::Commit,
                 };
                 let mut engine = SigEngine::new(NodeId::Replica(rid), registry(), &cfg());
-                let (proof, _) = engine.sign(&body.signed_bytes());
+                let (proof, _) = engine.sign(&body);
                 SignedSt1Reply {
                     body,
                     proof,
@@ -1817,7 +1810,7 @@ mod tests {
                     vote: ProtoVote::Commit,
                 };
                 let mut engine = SigEngine::new(NodeId::Replica(rid), registry(), &cfg());
-                let (proof, _) = engine.sign(&body.signed_bytes());
+                let (proof, _) = engine.sign(&body);
                 SignedSt1Reply {
                     body,
                     proof,
@@ -1843,7 +1836,7 @@ mod tests {
             view: 0,
             auth: None,
         };
-        let (proof, _) = engine.sign(&st2.signed_bytes());
+        let (proof, _) = engine.sign(&st2);
         St2 { auth: proof, ..st2 }
     }
 
@@ -1904,7 +1897,7 @@ mod tests {
                     vote: ProtoVote::Abort,
                 };
                 let mut engine = SigEngine::new(NodeId::Replica(rid), registry(), &cfg());
-                let (proof, _) = engine.sign(&body.signed_bytes());
+                let (proof, _) = engine.sign(&body);
                 SignedSt1Reply {
                     body,
                     proof,
@@ -2046,7 +2039,7 @@ mod tests {
                 views: vec![],
                 auth: None,
             };
-            let (proof, _) = engine.sign(&ifb.signed_bytes());
+            let (proof, _) = engine.sign(&ifb);
             InvokeFb { auth: proof, ..ifb }
         };
 

@@ -8,7 +8,10 @@
 //!
 //! * [`sha256`] — a from-scratch SHA-256 implementation (FIPS 180-4), tested
 //!   against the NIST vectors. Used for transaction identifiers, Merkle
-//!   leaves, frame and WAL checksums, and message digests.
+//!   leaves, the frame check, and message digests.
+//! * [`frame`] — the one `[len][check][payload]` frame that carries WAL
+//!   records, wire messages and results-file records, and its check
+//!   function.
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104), the MAC underlying the signature
 //!   scheme below, with a prepared-key form ([`hmac::HmacKey`]) that absorbs
 //!   the two pad blocks once per key.
@@ -65,6 +68,7 @@
 pub mod batch;
 pub mod cost;
 pub mod digest;
+pub mod frame;
 pub mod hmac;
 pub mod merkle;
 pub mod sha256;

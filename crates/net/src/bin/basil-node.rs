@@ -10,7 +10,9 @@
 //!   --wal /tmp/replica-0.wal --results /tmp/replica-0.results
 //! ```
 //!
-//! Exits 0 after writing the results file; exits 2 on a usage error.
+//! Exits 0 after writing the results file, 2 on a usage error, and 1 on an
+//! IO error — in particular a WAL file it cannot read or write, which the
+//! message names.
 
 use basil_net::node::{run_node, NodeConfig, Role};
 use std::path::PathBuf;

@@ -6,10 +6,10 @@
 //! localhost TCP. Nothing in the protocol crates changes — this crate
 //! supplies the world around the seam:
 //!
-//! * [`wire`] — a length-prefixed, checksummed frame codec for every
-//!   [`basil_core::BasilMsg`], reusing the memoized canonical transaction
-//!   encoding. Decoding is total: malformed input is a typed error (a peer
-//!   fault), never a panic.
+//! * [`wire`] — every [`basil_core::BasilMsg`] as one checksummed frame
+//!   (the frame and the byte codec are the shared ones the WAL uses),
+//!   reusing the memoized canonical transaction encoding. Decoding is
+//!   total: malformed input is a typed error (a peer fault), never a panic.
 //! * [`conn`] — the TCP connection manager: per-peer bounded outbound
 //!   queues (full queue ⇒ shed + count, never block), connect/read
 //!   timeouts, and deterministic-jitter exponential backoff reconnects. A
@@ -18,7 +18,7 @@
 //! * [`runtime`] — the single-node event loop: wall-clock time against a
 //!   deployment-wide epoch, a real timer heap, loopback self-sends, and a
 //!   post-event persistence hook that appends `take_wal_bytes()` to a real
-//!   WAL file with write-ahead ordering.
+//!   WAL file with write-ahead ordering, and whose failure stops the node.
 //! * [`node`] — process assembly for the `basil-node` binary: address
 //!   book, key derivation identical to the simulator harness, WAL-file
 //!   recovery through `BasilReplica::recover`, and the results file the

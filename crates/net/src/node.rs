@@ -7,25 +7,26 @@
 //! simulator runs — same constructors, same configuration type — and wires
 //! them to real sockets ([`crate::conn`]), real time ([`crate::runtime`]),
 //! and a real WAL file. Key material is derived from the deployment seed
-//! with the identical node enumeration the simulator harness uses
-//! (replicas `0..n` of each shard, then clients `0..num_clients`), so
-//! signatures verify across processes exactly as they do across simulated
-//! actors.
+//! exactly as the simulator harness derives it, so signatures verify across
+//! processes as they do across simulated actors. The results file is a
+//! sequence of `basil_crypto::frame` frames read back through
+//! `basil_common::codec`, like the WAL and the wire.
 
 use crate::conn::{ConnManager, ConnOptions};
 use crate::runtime::{Clock, NodeRuntime};
+use basil_common::codec::{Reader, Sink};
 use basil_common::{ClientId, Duration, Key, NodeId, ReplicaId, ShardId, SimTime, TxId, Value};
 use basil_core::byzantine::FaultProfile;
 use basil_core::{BasilClient, BasilConfig, BasilReplica, ReplicaBehavior};
-use basil_crypto::KeyRegistry;
+use basil_crypto::{frame, KeyRegistry};
 use basil_simnet::Actor;
 use basil_store::mvtso::Decision;
 use basil_store::Transaction;
 use basil_workloads::YcsbGenerator;
 use std::collections::HashMap;
-use std::io::{Read as IoRead, Write as IoWrite};
+use std::io::{ErrorKind, Write as IoWrite};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Which actor this process runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -109,11 +110,12 @@ pub fn address_book(base_port: u16, num_clients: u32) -> HashMap<NodeId, SocketA
     book
 }
 
-/// Derives the deployment's key registry — the same enumeration as the
-/// simulator harness (`BasilProtocol::prepare_build`): replicas `0..n`,
-/// then clients `0..num_clients`. Any divergence here makes every
-/// cross-process signature check fail, so it is pinned by a unit test
-/// against the simulator's own registry.
+/// Derives the deployment's key registry. The seed alone fixes every key —
+/// it is what all processes, and the simulator harness
+/// (`BasilProtocol::prepare_build`), must agree on. The node list, the same
+/// enumeration the harness uses (replicas `0..n`, then clients
+/// `0..num_clients`), only precomputes those nodes' prepared keys; a node
+/// missing from it still verifies, at the cost of a key derivation per use.
 pub fn derive_registry(seed: u64, num_clients: u32) -> KeyRegistry {
     let n = deployment_config().system.shard.n();
     let replicas = (0..n).map(|i| NodeId::Replica(ReplicaId::new(SHARD, i)));
@@ -122,7 +124,7 @@ pub fn derive_registry(seed: u64, num_clients: u32) -> KeyRegistry {
 }
 
 /// What a node process writes on clean exit, harvested by the supervisor.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum NodeResults {
     /// A replica's view of the history.
     Replica(ReplicaResults),
@@ -131,7 +133,7 @@ pub enum NodeResults {
 }
 
 /// A replica's collected history and counters.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ReplicaResults {
     /// Every committed transaction in the replica's store.
     pub committed: Vec<Transaction>,
@@ -146,7 +148,7 @@ pub struct ReplicaResults {
 }
 
 /// A client's counters.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ClientResults {
     /// Committed transactions.
     pub committed: u64,
@@ -163,18 +165,18 @@ pub fn run_node(cfg: &NodeConfig) -> std::io::Result<()> {
         Role::Replica { index } => NodeId::Replica(ReplicaId::new(SHARD, index)),
         Role::Client { id } => NodeId::Client(ClientId(id)),
     };
-    let book = address_book(cfg.base_port, cfg.num_clients);
-    let listen = book[&self_id];
-    let (conn, inbound) = ConnManager::start(listen, book, ConnOptions::default(), cfg.seed)?;
     let clock = Clock::new(cfg.epoch_unix_nanos);
     let deadline = SimTime(cfg.duration_ms.saturating_mul(1_000_000));
 
+    // The actor is built, and with it the WAL read, before the listener is
+    // bound: a replica that cannot read its log has no business accepting
+    // traffic.
     let actor: Box<dyn Actor<basil_core::BasilMsg>> = match cfg.role {
         Role::Replica { index } => {
             let rid = ReplicaId::new(SHARD, index);
             let genesis: Vec<(Key, Value)> = Vec::new();
             let wal_image = match &cfg.wal_path {
-                Some(path) => std::fs::read(path).unwrap_or_default(),
+                Some(path) => read_wal(path)?,
                 None => Vec::new(),
             };
             let mut replica = if wal_image.is_empty() {
@@ -193,7 +195,7 @@ pub fn run_node(cfg: &NodeConfig) -> std::io::Result<()> {
                 // Rewrite the file with the clean prefix recovery kept (a
                 // torn tail from the crash is truncated, exactly like the
                 // simulator's recovery path), then keep appending to it.
-                std::fs::write(path, replica.take_wal_bytes())?;
+                std::fs::write(path, replica.take_wal_bytes()).map_err(|e| wal_error(path, e))?;
             }
             Box::new(replica)
         }
@@ -215,29 +217,48 @@ pub fn run_node(cfg: &NodeConfig) -> std::io::Result<()> {
         }
     };
 
+    let book = address_book(cfg.base_port, cfg.num_clients);
+    let listen = book[&self_id];
+    let (conn, inbound) = ConnManager::start(listen, book, ConnOptions::default(), cfg.seed)?;
     let mut runtime = NodeRuntime::new(self_id, actor, clock, conn.clone(), inbound);
     if let Some(path) = cfg.wal_path.clone() {
         let mut file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
-            .open(&path)?;
+            .open(&path)
+            .map_err(|e| wal_error(&path, e))?;
         runtime.set_post_event(Box::new(move |actor| {
-            let bytes = take_replica_wal(actor);
-            if !bytes.is_empty() {
-                // write(2) into the page cache survives SIGKILL (only
-                // power loss defeats it), which is the crash model the
-                // supervisor exercises — no fsync per event needed.
-                let _ = file.write_all(&bytes);
-                let _ = file.flush();
-            }
+            // write(2) into the page cache survives SIGKILL (only power
+            // loss defeats it), which is the crash model the supervisor
+            // exercises — no fsync per event needed. An empty drain writes
+            // nothing.
+            file.write_all(&take_replica_wal(actor))
+                .and_then(|()| file.flush())
+                .map_err(|e| wal_error(&path, e))
         }));
     }
 
-    let actor = runtime.run_until(deadline);
+    let outcome = runtime.try_run_until(deadline);
     conn.shutdown();
 
-    let results = harvest(cfg.role, actor);
+    let results = harvest(cfg.role, outcome?);
     write_results(&cfg.results_path, &results)
+}
+
+/// An IO error on the WAL file, naming the file.
+fn wal_error(path: &Path, e: std::io::Error) -> std::io::Error {
+    std::io::Error::new(e.kind(), format!("WAL {}: {e}", path.display()))
+}
+
+/// Reads the WAL image a previous run of this replica left behind. Only a
+/// file that does not exist means a fresh start; any other failure is
+/// returned, because starting empty over a log that exists would make the
+/// replica forget votes it has cast.
+fn read_wal(path: &Path) -> std::io::Result<Vec<u8>> {
+    match std::fs::read(path) {
+        Err(e) if e.kind() == ErrorKind::NotFound => Ok(Vec::new()),
+        other => other.map_err(|e| wal_error(path, e)),
+    }
 }
 
 /// Drains pending WAL bytes from a replica actor; empty for clients.
@@ -287,7 +308,7 @@ fn harvest(role: Role, mut actor: Box<dyn Actor<basil_core::BasilMsg>>) -> NodeR
 }
 
 // ---------------------------------------------------------------------------
-// Results file codec (tagged length-prefixed records; local file, trusted)
+// Results file codec: one frame per record, `[record tag][fields]`
 // ---------------------------------------------------------------------------
 
 const REC_COMMITTED: u8 = b'C';
@@ -298,103 +319,214 @@ const REC_CLIENT_STATS: u8 = b'L';
 /// Writes `results` to `path` (atomically: temp file + rename, so the
 /// supervisor never reads a half-written record set).
 pub fn write_results(path: &PathBuf, results: &NodeResults) -> std::io::Result<()> {
-    let mut out: Vec<u8> = Vec::new();
-    let rec = |tag: u8, body: &[u8], out: &mut Vec<u8>| {
-        out.push(tag);
-        out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        out.extend_from_slice(body);
-    };
-    match results {
-        NodeResults::Replica(r) => {
-            for tx in &r.committed {
-                rec(REC_COMMITTED, tx.encoded(), &mut out);
-            }
-            for (txid, commit) in &r.decisions {
-                let mut body = txid.as_bytes().to_vec();
-                body.push(*commit as u8);
-                rec(REC_DECISION, &body, &mut out);
-            }
-            let mut body = Vec::with_capacity(24);
-            body.extend_from_slice(&r.wal_appends.to_be_bytes());
-            body.extend_from_slice(&r.catch_up_applied.to_be_bytes());
-            body.extend_from_slice(&r.catch_up_shed.to_be_bytes());
-            rec(REC_REPLICA_STATS, &body, &mut out);
-        }
-        NodeResults::Client(c) => {
-            let mut body = Vec::with_capacity(16);
-            body.extend_from_slice(&c.committed.to_be_bytes());
-            body.extend_from_slice(&c.aborted_attempts.to_be_bytes());
-            rec(REC_CLIENT_STATS, &body, &mut out);
-        }
-    }
     let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&out)?;
-        f.flush()?;
-    }
+    std::fs::write(&tmp, encode_results(results))?;
     std::fs::rename(&tmp, path)
 }
 
-/// Reads a results file written by [`write_results`].
+/// Reads a results file written by [`write_results`]. Anything else — a
+/// damaged, truncated or extended file — is `InvalidData`.
 pub fn read_results(path: &PathBuf) -> std::io::Result<NodeResults> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    let bad = |what: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, what.to_string());
-    let mut replica = ReplicaResults::default();
-    let mut client: Option<ClientResults> = None;
-    let mut saw_replica = false;
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        if bytes.len() - pos < 5 {
-            return Err(bad("truncated record header"));
-        }
-        let tag = bytes[pos];
-        let len = u32::from_be_bytes(bytes[pos + 1..pos + 5].try_into().unwrap()) as usize;
-        pos += 5;
-        if bytes.len() - pos < len {
-            return Err(bad("truncated record body"));
-        }
-        let body = &bytes[pos..pos + len];
-        pos += len;
-        match tag {
-            REC_COMMITTED => {
-                let tx = Transaction::decode(body).ok_or_else(|| bad("bad transaction"))?;
-                replica.committed.push(tx);
-                saw_replica = true;
-            }
-            REC_DECISION => {
-                if body.len() != 33 {
-                    return Err(bad("bad decision record"));
-                }
-                let txid = TxId::from_bytes(body[..32].try_into().unwrap());
-                replica.decisions.push((txid, body[32] == 1));
-                saw_replica = true;
-            }
-            REC_REPLICA_STATS => {
-                if body.len() != 24 {
-                    return Err(bad("bad replica stats record"));
-                }
-                replica.wal_appends = u64::from_be_bytes(body[..8].try_into().unwrap());
-                replica.catch_up_applied = u64::from_be_bytes(body[8..16].try_into().unwrap());
-                replica.catch_up_shed = u64::from_be_bytes(body[16..24].try_into().unwrap());
-                saw_replica = true;
-            }
-            REC_CLIENT_STATS => {
-                if body.len() != 16 {
-                    return Err(bad("bad client stats record"));
-                }
-                client = Some(ClientResults {
-                    committed: u64::from_be_bytes(body[..8].try_into().unwrap()),
-                    aborted_attempts: u64::from_be_bytes(body[8..16].try_into().unwrap()),
+    decode_results(&std::fs::read(path)?)
+}
+
+/// A replica's file is its committed transactions, its decisions, then one
+/// stats record; a client's is one stats record.
+fn encode_results(results: &NodeResults) -> Vec<u8> {
+    let mut out = Vec::new();
+    match results {
+        NodeResults::Replica(r) => {
+            for tx in &r.committed {
+                frame::seal(&mut out, |out| {
+                    out.put_u8(REC_COMMITTED);
+                    out.put_bytes(tx.encoded());
                 });
             }
-            _ => return Err(bad("unknown record tag")),
+            for (txid, commit) in &r.decisions {
+                frame::seal(&mut out, |out| {
+                    out.put_u8(REC_DECISION);
+                    out.put_txid(txid);
+                    out.put_bool(*commit);
+                });
+            }
+            frame::seal(&mut out, |out| {
+                out.put_u8(REC_REPLICA_STATS);
+                out.put_u64(r.wal_appends);
+                out.put_u64(r.catch_up_applied);
+                out.put_u64(r.catch_up_shed);
+            });
+        }
+        NodeResults::Client(c) => frame::seal(&mut out, |out| {
+            out.put_u8(REC_CLIENT_STATS);
+            out.put_u64(c.committed);
+            out.put_u64(c.aborted_attempts);
+        }),
+    }
+    out
+}
+
+fn decode_results(mut bytes: &[u8]) -> std::io::Result<NodeResults> {
+    let bad = |what: &str| std::io::Error::new(ErrorKind::InvalidData, what.to_string());
+    let mut replica = ReplicaResults::default();
+    // The stats record is the last one, so a file cut at a record boundary
+    // is incomplete, not a shorter history.
+    loop {
+        let (record, frame_len) = frame::split(bytes, usize::MAX)
+            .map_err(|_| bad("corrupt record"))?
+            .ok_or_else(|| bad("file ends before its stats record"))?;
+        bytes = &bytes[frame_len..];
+        let mut r = Reader::new(record);
+        let results = match r.u8()? {
+            REC_COMMITTED => {
+                replica.committed.push(Transaction::read(&mut r)?);
+                None
+            }
+            REC_DECISION => {
+                replica.decisions.push((r.txid()?, r.bool()?));
+                None
+            }
+            REC_REPLICA_STATS => {
+                replica.wal_appends = r.u64()?;
+                replica.catch_up_applied = r.u64()?;
+                replica.catch_up_shed = r.u64()?;
+                Some(NodeResults::Replica(std::mem::take(&mut replica)))
+            }
+            REC_CLIENT_STATS if replica == ReplicaResults::default() => {
+                Some(NodeResults::Client(ClientResults {
+                    committed: r.u64()?,
+                    aborted_attempts: r.u64()?,
+                }))
+            }
+            _ => return Err(bad("unexpected record tag")),
+        };
+        r.finish()?;
+        match results {
+            Some(results) if bytes.is_empty() => return Ok(results),
+            Some(_) => return Err(bad("records after the stats record")),
+            None => {}
         }
     }
-    match (saw_replica, client) {
-        (false, Some(c)) => Ok(NodeResults::Client(c)),
-        (true, None) => Ok(NodeResults::Replica(replica)),
-        _ => Err(bad("mixed or empty results file")),
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use basil_common::Timestamp;
+    use basil_store::TransactionBuilder;
+
+    fn replica_results() -> NodeResults {
+        let committed: Vec<Transaction> = (1..=3u64)
+            .map(|i| {
+                let mut b = TransactionBuilder::new(Timestamp::from_nanos(100 * i, ClientId(i)));
+                b.record_read(
+                    Key::new(format!("r{i}")),
+                    Timestamp::from_nanos(i, ClientId(9)),
+                );
+                b.record_write(Key::new(format!("w{i}")), Value::from_u64(i));
+                b.build()
+            })
+            .collect();
+        let mut decisions: Vec<(TxId, bool)> = committed.iter().map(|tx| (tx.id(), true)).collect();
+        decisions.push((TxId::from_bytes([7; 32]), false));
+        NodeResults::Replica(ReplicaResults {
+            committed,
+            decisions,
+            wal_appends: 11,
+            catch_up_applied: 2,
+            catch_up_shed: 1,
+        })
+    }
+
+    fn client_results() -> NodeResults {
+        NodeResults::Client(ClientResults {
+            committed: 40,
+            aborted_attempts: 3,
+        })
+    }
+
+    fn is_invalid_data(result: std::io::Result<NodeResults>) -> bool {
+        matches!(result, Err(e) if e.kind() == ErrorKind::InvalidData)
+    }
+
+    #[test]
+    fn results_round_trip_through_the_file() {
+        let path = std::env::temp_dir().join(format!("basil-results-{}", std::process::id()));
+        for results in [replica_results(), client_results()] {
+            assert_eq!(decode_results(&encode_results(&results)).unwrap(), results);
+            write_results(&path, &results).unwrap();
+            assert_eq!(read_results(&path).unwrap(), results);
+        }
+        std::fs::remove_file(&path).unwrap();
+        let empty_replica = NodeResults::Replica(ReplicaResults::default());
+        assert_eq!(
+            decode_results(&encode_results(&empty_replica)).unwrap(),
+            empty_replica
+        );
+    }
+
+    /// A damaged file is `InvalidData`: never a panic, never a different
+    /// history read back as if it were the one written.
+    #[test]
+    fn damaged_results_are_invalid_data() {
+        for results in [replica_results(), client_results()] {
+            let image = encode_results(&results);
+            for at in 0..image.len() {
+                let mut flipped = image.clone();
+                flipped[at] ^= 0x41;
+                assert!(is_invalid_data(decode_results(&flipped)), "flip at {at}");
+                assert!(is_invalid_data(decode_results(&image[..at])), "cut at {at}");
+            }
+            let mut extended = image.clone();
+            extended.extend_from_slice(&encode_results(&client_results()));
+            assert!(is_invalid_data(decode_results(&extended)), "extra record");
+        }
+    }
+
+    /// A decision byte other than 0 or 1 is rejected even under a valid
+    /// check, and a client's stats cannot follow a replica's records.
+    #[test]
+    fn results_records_are_strict() {
+        let mut lenient = Vec::new();
+        frame::seal(&mut lenient, |out| {
+            out.put_u8(REC_DECISION);
+            out.put_txid(&TxId::from_bytes([1; 32]));
+            out.put_u8(2);
+        });
+        assert!(is_invalid_data(decode_results(&lenient)));
+
+        let mut mixed = Vec::new();
+        frame::seal(&mut mixed, |out| {
+            out.put_u8(REC_DECISION);
+            out.put_txid(&TxId::from_bytes([1; 32]));
+            out.put_bool(true);
+        });
+        mixed.extend_from_slice(&encode_results(&client_results()));
+        assert!(is_invalid_data(decode_results(&mixed)));
+    }
+
+    /// Processes agree on keys because they agree on the seed: the registry
+    /// the simulator harness builds is this seed plus a precompute list.
+    #[test]
+    fn derived_registry_is_the_seed_registry_with_every_node_precomputed() {
+        let (seed, clients) = (42, 3);
+        let derived = derive_registry(seed, clients);
+        let n = deployment_config().system.shard.n();
+        assert_eq!(derived.precomputed_nodes(), (n + clients) as usize);
+
+        let plain = KeyRegistry::from_seed(seed);
+        for node in [
+            NodeId::Replica(ReplicaId::new(SHARD, n - 1)),
+            NodeId::Client(ClientId(u64::from(clients) - 1)),
+        ] {
+            let sig = derived.keypair(node).sign(b"vote");
+            assert!(plain.verify(b"vote", &sig), "{node:?}: derived -> plain");
+            let sig = plain.keypair(node).sign(b"vote");
+            assert!(derived.verify(b"vote", &sig), "{node:?}: plain -> derived");
+            let other = KeyRegistry::from_seed(seed + 1).keypair(node).sign(b"vote");
+            assert!(
+                !derived.verify(b"vote", &other),
+                "{node:?}: the seed matters"
+            );
+        }
     }
 }

@@ -21,7 +21,9 @@
 //! After every handler the runtime runs a caller-provided *persistence
 //! hook*; the replica role uses it to drain `take_wal_bytes()` to the WAL
 //! file before any subsequent handler can observe the state the records
-//! describe (write-ahead discipline across a real crash).
+//! describe (write-ahead discipline across a real crash). The hook is
+//! fallible: a replica that cannot write its log must not keep voting, so
+//! the first failure discards the handler's outputs and ends the run.
 
 use crate::conn::ConnManager;
 use crate::wire::encode_msg;
@@ -94,9 +96,10 @@ impl Ord for TimerEntry {
     }
 }
 
-/// Runs after every handler with the actor and a flag saying whether the
-/// handler ran (used for WAL persistence; see module docs).
-pub type PostEventHook = Box<dyn FnMut(&mut dyn Actor<BasilMsg>)>;
+/// Runs after every handler with the actor, before the handler's outputs
+/// take effect (used for WAL persistence; see module docs). An error stops
+/// the runtime.
+pub type PostEventHook = Box<dyn FnMut(&mut dyn Actor<BasilMsg>) -> std::io::Result<()>>;
 
 /// The event loop for one node process.
 pub struct NodeRuntime {
@@ -139,28 +142,40 @@ impl NodeRuntime {
         self.post_event = Some(hook);
     }
 
+    /// [`NodeRuntime::try_run_until`] for a runtime without a persistence
+    /// hook, which has nothing that can fail.
+    ///
+    /// # Panics
+    /// If a persistence hook was installed and failed.
+    pub fn run_until(self, deadline: SimTime) -> Box<dyn Actor<BasilMsg>> {
+        self.try_run_until(deadline)
+            .expect("persistence hook failed; a caller that installs one uses try_run_until")
+    }
+
     /// Drives the actor until deployment time reaches `deadline`, then
-    /// returns it for harvesting (stats, store contents, WAL bytes).
+    /// returns it for harvesting (stats, store contents, WAL bytes). The
+    /// persistence hook's first error ends the run early and is returned;
+    /// nothing the failed handler produced leaves the node.
     ///
     /// The loop: fire due timers, then wait on the socket channel until the
     /// next timer is due (bounded by a short idle tick so the deadline is
     /// always observed promptly).
-    pub fn run_until(mut self, deadline: SimTime) -> Box<dyn Actor<BasilMsg>> {
+    pub fn try_run_until(mut self, deadline: SimTime) -> std::io::Result<Box<dyn Actor<BasilMsg>>> {
         // on_start, like the simulator, runs before any delivery. A replica
         // built through `BasilReplica::recover` broadcasts its real
         // CatchUpRequest traffic here.
         let mut ctx = Context::at(self.self_id, self.clock.now());
         self.actor.on_start(&mut ctx);
-        self.apply(ctx);
-        self.drain_loopback();
+        self.apply(ctx)?;
+        self.drain_loopback()?;
 
         loop {
             let now = self.clock.now();
             if now >= deadline {
-                return self.actor;
+                return Ok(self.actor);
             }
-            self.fire_due_timers(now);
-            self.drain_loopback();
+            self.fire_due_timers(now)?;
+            self.drain_loopback()?;
 
             let wait = self.next_wait(deadline);
             match self.inbound.recv_timeout(wait) {
@@ -174,11 +189,11 @@ impl NodeRuntime {
                         burst.push(pair);
                     }
                     for (from, msg) in burst {
-                        self.dispatch(from, msg);
+                        self.dispatch(from, msg)?;
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return self.actor,
+                Err(RecvTimeoutError::Disconnected) => return Ok(self.actor),
             }
         }
     }
@@ -196,40 +211,43 @@ impl NodeRuntime {
     }
 
     /// Fires every timer due at or before `now`.
-    fn fire_due_timers(&mut self, now: SimTime) {
+    fn fire_due_timers(&mut self, now: SimTime) -> std::io::Result<()> {
         while self.timers.peek().is_some_and(|t| t.due <= now) {
             let entry = self.timers.pop().expect("peeked");
             let mut ctx = Context::at(self.self_id, self.clock.now());
             self.actor.on_timer(&mut ctx, entry.msg);
-            self.apply(ctx);
+            self.apply(ctx)?;
         }
+        Ok(())
     }
 
     /// Delivers one inbound (or loopback) message.
-    fn dispatch(&mut self, from: NodeId, msg: BasilMsg) {
+    fn dispatch(&mut self, from: NodeId, msg: BasilMsg) -> std::io::Result<()> {
         let mut ctx = Context::at(self.self_id, self.clock.now());
         self.actor.on_message(&mut ctx, from, msg);
-        self.apply(ctx);
-        self.drain_loopback();
+        self.apply(ctx)?;
+        self.drain_loopback()
     }
 
     /// Self-sends deliver in order, immediately after the handler that
     /// produced them (and any they produce in turn).
-    fn drain_loopback(&mut self) {
+    fn drain_loopback(&mut self) -> std::io::Result<()> {
         while let Some((from, msg)) = self.loopback.pop_front() {
             let mut ctx = Context::at(self.self_id, self.clock.now());
             self.actor.on_message(&mut ctx, from, msg);
-            self.apply(ctx);
+            self.apply(ctx)?;
         }
+        Ok(())
     }
 
-    /// Applies a finished handler's outputs and runs the persistence hook.
-    fn apply(&mut self, ctx: Context<BasilMsg>) {
+    /// Runs the persistence hook, then applies a finished handler's
+    /// outputs — none of them if the hook failed.
+    fn apply(&mut self, ctx: Context<BasilMsg>) -> std::io::Result<()> {
         let (outputs, _charged) = ctx.finish();
         // Persist (WAL) *before* acting on the outputs: a record must be
         // durable before any message built on it can leave the node.
         if let Some(hook) = self.post_event.as_mut() {
-            hook(self.actor.as_mut());
+            hook(self.actor.as_mut())?;
         }
         for output in outputs {
             match output {
@@ -255,5 +273,85 @@ impl NodeRuntime {
                 }
             }
         }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::conn::ConnOptions;
+    use basil_common::{ReplicaId, ShardId};
+    use basil_core::messages::CatchUpRequest;
+    use std::collections::HashMap;
+    use std::net::{SocketAddr, TcpListener};
+
+    /// Sends one message to `peer` when started, then idles.
+    struct Announcer {
+        me: ReplicaId,
+        peer: NodeId,
+    }
+
+    impl Actor<BasilMsg> for Announcer {
+        fn on_start(&mut self, ctx: &mut Context<BasilMsg>) {
+            let msg = BasilMsg::CatchUpRequest(CatchUpRequest { from: self.me });
+            ctx.send(self.peer, msg);
+        }
+        fn on_message(&mut self, _: &mut Context<BasilMsg>, _: NodeId, _: BasilMsg) {}
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    fn free_addr() -> SocketAddr {
+        let probe = TcpListener::bind("127.0.0.1:0").expect("an ephemeral port");
+        probe.local_addr().expect("bound")
+    }
+
+    /// Runs an [`Announcer`] under `hook` next to a listening peer; returns
+    /// how the run ended and whether the peer received the announcement.
+    fn announce(hook: PostEventHook) -> (std::io::Result<()>, bool) {
+        let me = ReplicaId::new(ShardId(0), 0);
+        let peer = NodeId::Replica(ReplicaId::new(ShardId(0), 1));
+        let peer_addr = free_addr();
+        let opts = ConnOptions::default;
+        let (peer_conn, peer_inbound) =
+            ConnManager::start(peer_addr, HashMap::new(), opts(), 1).expect("peer listens");
+        let book = HashMap::from([(peer, peer_addr)]);
+        let (conn, inbound) = ConnManager::start(free_addr(), book, opts(), 2).expect("listens");
+        let mut runtime = NodeRuntime::new(
+            NodeId::Replica(me),
+            Box::new(Announcer { me, peer }),
+            Clock::new(Clock::unix_now_nanos()),
+            Arc::clone(&conn),
+            inbound,
+        );
+        runtime.set_post_event(hook);
+        let outcome = runtime.try_run_until(SimTime::from_millis(300)).map(drop);
+        let delivered = peer_inbound
+            .recv_timeout(Duration::from_millis(500))
+            .is_ok();
+        conn.shutdown();
+        peer_conn.shutdown();
+        (outcome, delivered)
+    }
+
+    #[test]
+    fn failed_persistence_hook_stops_the_node_before_anything_leaves_it() {
+        let (outcome, delivered) = announce(Box::new(|_| Ok(())));
+        assert!(outcome.is_ok());
+        assert!(delivered, "control: under a working hook the peer hears us");
+
+        let mut calls = 0;
+        let (outcome, delivered) = announce(Box::new(move |_| {
+            calls += 1;
+            assert_eq!(calls, 1, "no handler runs after the first failure");
+            Err(std::io::Error::other("disk full"))
+        }));
+        assert_eq!(outcome.expect_err("the run fails").to_string(), "disk full");
+        assert!(!delivered, "the failed handler's send never left the node");
     }
 }

@@ -1,38 +1,36 @@
-//! The wire codec: every [`BasilMsg`] as a length-prefixed, checksummed
-//! frame.
+//! The wire codec: every [`BasilMsg`] as one checksummed frame.
 //!
-//! Frame layout mirrors the WAL (`basil_store::wal`):
-//!
-//! ```text
-//! [u32 be payload_len][4-byte SHA-256(payload) prefix][payload]
-//! ```
-//!
-//! and the payload is `[msg tag][sender NodeId][message body]`. Transaction
-//! bodies reuse the memoized canonical encoding ([`Transaction::encoded`]),
-//! so encoding an `ST1` fan-out serializes the transaction once; decoding
-//! goes through [`Transaction::decode`], the same parser the signature path
-//! trusts.
+//! A message travels as a `basil_crypto::frame` frame whose payload is
+//! `[msg tag][sender NodeId][message body]`, written and parsed with the
+//! shared primitives of `basil_common::codec`; this module holds only what
+//! is specific to messages. Transaction bodies reuse the memoized canonical
+//! encoding ([`Transaction::encoded`]), so encoding an `ST1` fan-out
+//! serializes the transaction once; decoding goes through
+//! [`Transaction::decode`], the same parser WAL replay trusts.
 //!
 //! Decoding is total: every failure — truncated frame, oversized length,
 //! checksum mismatch, unknown tag, counts pointing past the buffer, invalid
-//! UTF-8 in a key, certificate nesting beyond [`MAX_CERT_DEPTH`] — returns a
-//! typed [`WireError`], never a panic. A malformed frame is evidence of a
-//! faulty peer, and the connection manager treats it as such (drop the
-//! connection, count it); it must never be able to take the process down.
+//! UTF-8 in a key, bytes after the message, certificate nesting beyond
+//! [`MAX_CERT_DEPTH`] — returns a typed [`WireError`], never a panic. A
+//! malformed frame is evidence of a faulty peer, and the connection manager
+//! treats it as such (drop the connection, count it); it must never be able
+//! to take the process down.
 
-use basil_common::{ClientId, Key, NodeId, ReplicaId, ShardId, Timestamp, TxId, Value};
+use basil_common::codec::{DecodeError, Reader, Sink};
+use basil_common::{NodeId, ShardId};
 use basil_core::certs::{AbortCert, CommitCert, DecisionCert, ShardVotes, VoteCert};
 use basil_core::messages::{
     BasilMsg, CatchUpReply, CatchUpRequest, CommittedRead, DecFb, ElectFbBody, InvokeFb,
     PreparedRead, ProtoDecision, ProtoVote, ReadReply, ReadReplyBody, ReadRequest, SignedElectFb,
     SignedSt1Reply, SignedSt2Reply, St1, St1ReplyBody, St2, St2ReplyBody, Writeback,
 };
-use basil_crypto::{BatchProof, Digest, MerkleProof, Sha256, Signature};
+use basil_crypto::frame::{self, FrameError};
+use basil_crypto::{BatchProof, Digest, MerkleProof, Signature};
 use basil_store::Transaction;
 use std::sync::Arc;
 
-/// Frame header: 4-byte big-endian payload length + 4-byte checksum prefix.
-pub const FRAME_HEADER: usize = 8;
+/// Frame header: 4-byte big-endian payload length + 4-byte check.
+pub const FRAME_HEADER: usize = frame::HEADER;
 
 /// Hard ceiling on a single frame's payload. Anything larger is rejected
 /// before allocation — a peer cannot make us reserve gigabytes by sending
@@ -62,7 +60,8 @@ pub enum WireError {
         /// The offending byte.
         tag: u8,
     },
-    /// A length or count field points past the end of the buffer.
+    /// A count field points past the end of the payload, or bytes follow
+    /// the message.
     BadLength,
     /// A key was not valid UTF-8.
     BadKey,
@@ -81,7 +80,7 @@ impl std::fmt::Display for WireError {
             WireError::Oversized { len } => write!(f, "oversized frame ({len} bytes)"),
             WireError::ChecksumMismatch => write!(f, "frame checksum mismatch"),
             WireError::BadTag { tag } => write!(f, "unknown tag byte {tag}"),
-            WireError::BadLength => write!(f, "length field exceeds buffer"),
+            WireError::BadLength => write!(f, "count exceeds the payload, or bytes follow it"),
             WireError::BadKey => write!(f, "key is not valid UTF-8"),
             WireError::BadTransaction => write!(f, "embedded transaction failed to decode"),
             WireError::CertTooDeep => write!(f, "certificate nesting too deep"),
@@ -91,6 +90,26 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => WireError::Truncated,
+            DecodeError::BadTag { tag } => WireError::BadTag { tag },
+            DecodeError::BadLength => WireError::BadLength,
+            DecodeError::BadKey => WireError::BadKey,
+        }
+    }
+}
+
+impl From<FrameError> for WireError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Oversized { len } => WireError::Oversized { len },
+            FrameError::ChecksumMismatch => WireError::ChecksumMismatch,
+        }
+    }
+}
 
 // Message tag bytes. Timers are deliberately absent: they never leave a node.
 const TAG_READ: u8 = 1;
@@ -107,6 +126,10 @@ const TAG_DEC_FB: u8 = 11;
 const TAG_CATCH_UP_REQUEST: u8 = 12;
 const TAG_CATCH_UP_REPLY: u8 = 13;
 
+// Certificate kind bytes.
+const CERT_COMMIT: u8 = 1;
+const CERT_ABORT: u8 = 2;
+
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
@@ -116,82 +139,86 @@ const TAG_CATCH_UP_REPLY: u8 = 13;
 /// Fails only for the node-local timer variants, which must never reach the
 /// network layer.
 pub fn encode_msg(from: NodeId, msg: &BasilMsg) -> Result<Vec<u8>, WireError> {
-    let mut payload = Vec::with_capacity(128);
-    payload.push(0); // message tag, patched below
-    put_node(&mut payload, from);
-    let tag = match msg {
+    let mut out = Vec::with_capacity(FRAME_HEADER + 128);
+    frame::seal(&mut out, |out| put_msg(out, from, msg))?;
+    Ok(out)
+}
+
+fn put_msg(out: &mut Vec<u8>, from: NodeId, msg: &BasilMsg) -> Result<(), WireError> {
+    let tag_at = out.len();
+    out.put_u8(0); // message tag, patched below
+    out.put_node(from);
+    out[tag_at] = match msg {
         BasilMsg::Read(m) => {
-            payload.extend_from_slice(&m.req_id.to_be_bytes());
-            put_key(&mut payload, &m.key);
-            put_ts(&mut payload, m.ts);
-            put_opt(&mut payload, m.auth.as_ref(), put_batch_proof);
+            out.put_u64(m.req_id);
+            out.put_key(&m.key);
+            out.put_ts(m.ts);
+            out.put_opt(m.auth.as_ref(), put_batch_proof);
             TAG_READ
         }
         BasilMsg::ReadReply(m) => {
-            put_read_reply(&mut payload, m);
+            put_read_reply(out, m);
             TAG_READ_REPLY
         }
         BasilMsg::St1(m) => {
-            put_tx(&mut payload, &m.tx);
-            put_opt(&mut payload, m.auth.as_ref(), put_batch_proof);
-            payload.push(m.recovery as u8);
+            put_tx(out, &m.tx);
+            out.put_opt(m.auth.as_ref(), put_batch_proof);
+            out.put_bool(m.recovery);
             TAG_ST1
         }
         BasilMsg::St1Reply(m) => {
-            put_st1_reply(&mut payload, m);
+            put_st1_reply(out, m);
             TAG_ST1_REPLY
         }
         BasilMsg::St2(m) => {
-            payload.extend_from_slice(m.txid.as_bytes());
-            put_decision(&mut payload, m.decision);
-            put_vec(&mut payload, &m.shard_votes, put_shard_votes);
-            payload.extend_from_slice(&m.view.to_be_bytes());
-            put_opt(&mut payload, m.auth.as_ref(), put_batch_proof);
+            out.put_txid(&m.txid);
+            out.put_u8(m.decision.tag());
+            out.put_seq(&m.shard_votes, put_shard_votes);
+            out.put_u64(m.view);
+            out.put_opt(m.auth.as_ref(), put_batch_proof);
             TAG_ST2
         }
         BasilMsg::St2Reply(m) => {
-            put_st2_reply(&mut payload, m);
+            put_st2_reply(out, m);
             TAG_ST2_REPLY
         }
         BasilMsg::Writeback(m) => {
-            put_cert(&mut payload, &m.cert);
-            put_opt(&mut payload, m.tx.as_deref(), |out, tx| {
-                put_tx_ref(out, tx);
-            });
+            put_cert(out, &m.cert);
+            out.put_opt(m.tx.as_deref(), put_tx);
             TAG_WRITEBACK
         }
         BasilMsg::RtsRelease { key, ts } => {
-            put_key(&mut payload, key);
-            put_ts(&mut payload, *ts);
+            out.put_key(key);
+            out.put_ts(*ts);
             TAG_RTS_RELEASE
         }
         BasilMsg::InvokeFb(m) => {
-            payload.extend_from_slice(m.txid.as_bytes());
-            put_vec(&mut payload, &m.views, put_st2_reply);
-            put_opt(&mut payload, m.auth.as_ref(), put_batch_proof);
+            out.put_txid(&m.txid);
+            out.put_seq(&m.views, put_st2_reply);
+            out.put_opt(m.auth.as_ref(), put_batch_proof);
             TAG_INVOKE_FB
         }
         BasilMsg::ElectFb(m) => {
-            put_elect_fb(&mut payload, m);
+            put_elect_fb(out, m);
             TAG_ELECT_FB
         }
         BasilMsg::DecFb(m) => {
-            payload.extend_from_slice(m.txid.as_bytes());
-            put_decision(&mut payload, m.decision);
-            payload.extend_from_slice(&m.view.to_be_bytes());
-            put_vec(&mut payload, &m.elect_proof, put_elect_fb);
-            put_opt(&mut payload, m.auth.as_ref(), put_batch_proof);
+            out.put_txid(&m.txid);
+            out.put_u8(m.decision.tag());
+            out.put_u64(m.view);
+            out.put_seq(&m.elect_proof, put_elect_fb);
+            out.put_opt(m.auth.as_ref(), put_batch_proof);
             TAG_DEC_FB
         }
         BasilMsg::CatchUpRequest(m) => {
-            put_replica(&mut payload, m.from);
+            out.put_replica(m.from);
             TAG_CATCH_UP_REQUEST
         }
         BasilMsg::CatchUpReply(m) => {
-            put_replica(&mut payload, m.from);
-            put_vec(&mut payload, &m.entries, |out, (cert, tx)| {
+            out.put_replica(m.from);
+            out.put_seq(&m.entries, |out, (cert, tx)| {
                 put_cert(out, cert);
-                put_opt(out, tx.as_deref(), put_tx_ref);
+                out.put_opt(tx.as_deref(), put_tx);
             });
             TAG_CATCH_UP_REPLY
         }
@@ -199,192 +226,96 @@ pub fn encode_msg(from: NodeId, msg: &BasilMsg) -> Result<Vec<u8>, WireError> {
             return Err(WireError::NotWireMessage)
         }
     };
-    payload[0] = tag;
-    Ok(frame(&payload))
+    Ok(())
 }
 
-/// Wraps a payload in the `[len][checksum][payload]` frame.
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut hasher = Sha256::new();
-    hasher.update(payload);
-    let digest = hasher.finalize();
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&digest.as_bytes()[..4]);
-    out.extend_from_slice(payload);
-    out
+fn put_digest(out: &mut impl Sink, d: &Digest) {
+    out.put_bytes(d.as_bytes());
 }
 
-fn put_node(out: &mut Vec<u8>, node: NodeId) {
-    match node {
-        NodeId::Client(c) => {
-            out.push(1);
-            out.extend_from_slice(&c.0.to_be_bytes());
-        }
-        NodeId::Replica(r) => {
-            out.push(2);
-            out.extend_from_slice(&r.shard.0.to_be_bytes());
-            out.extend_from_slice(&r.index.to_be_bytes());
-        }
-    }
-}
-
-fn put_replica(out: &mut Vec<u8>, r: ReplicaId) {
-    out.extend_from_slice(&r.shard.0.to_be_bytes());
-    out.extend_from_slice(&r.index.to_be_bytes());
-}
-
-fn put_ts(out: &mut Vec<u8>, ts: Timestamp) {
-    out.extend_from_slice(&ts.time.to_be_bytes());
-    out.extend_from_slice(&ts.client.0.to_be_bytes());
-}
-
-fn put_key(out: &mut Vec<u8>, key: &Key) {
-    out.extend_from_slice(&(key.len() as u32).to_be_bytes());
-    out.extend_from_slice(key.as_bytes());
-}
-
-fn put_value(out: &mut Vec<u8>, value: &Value) {
-    out.extend_from_slice(&(value.len() as u32).to_be_bytes());
-    out.extend_from_slice(value.as_bytes());
-}
-
-fn put_opt<T>(out: &mut Vec<u8>, v: Option<&T>, put: impl FnOnce(&mut Vec<u8>, &T)) {
-    match v {
-        Some(v) => {
-            out.push(1);
-            put(out, v);
-        }
-        None => out.push(0),
-    }
-}
-
-fn put_vec<T>(out: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
-    out.extend_from_slice(&(items.len() as u32).to_be_bytes());
-    for item in items {
-        put(out, item);
-    }
-}
-
-fn put_vote(out: &mut Vec<u8>, vote: &ProtoVote) {
-    // ProtoVote::tag() is private to basil-core; the wire mapping is this
-    // crate's own contract (and happens to agree: 1 = Commit, 2 = Abort).
-    out.push(match vote {
-        ProtoVote::Commit => 1,
-        ProtoVote::Abort => 2,
+fn put_batch_proof(out: &mut impl Sink, p: &BatchProof) {
+    put_digest(out, &p.root);
+    out.put_node(p.root_signature.signer);
+    put_digest(out, &p.root_signature.tag);
+    out.put_count(p.inclusion.leaf_index);
+    out.put_count(p.inclusion.leaf_count);
+    out.put_seq(&p.inclusion.siblings, |out, sib| {
+        out.put_opt(sib.as_ref(), put_digest)
     });
+    out.put_count(p.batch_size);
 }
 
-fn put_decision(out: &mut Vec<u8>, d: ProtoDecision) {
-    out.push(match d {
-        ProtoDecision::Commit => 1,
-        ProtoDecision::Abort => 2,
+fn put_tx(out: &mut impl Sink, tx: &Transaction) {
+    out.put_len_prefixed(tx.encoded());
+}
+
+fn put_read_reply(out: &mut impl Sink, m: &ReadReply) {
+    out.put_u64(m.body.req_id);
+    out.put_key(&m.body.key);
+    out.put_opt(m.body.committed.as_ref(), |out, c| {
+        out.put_ts(c.version);
+        out.put_value(&c.value);
+        out.put_txid(&c.txid);
+        out.put_opt(c.cert.as_deref(), put_cert);
     });
+    out.put_opt(m.body.prepared.as_ref(), |out, p| put_tx(out, &p.tx));
+    out.put_opt(m.proof.as_ref(), put_batch_proof);
 }
 
-fn put_signature(out: &mut Vec<u8>, sig: &Signature) {
-    put_node(out, sig.signer);
-    out.extend_from_slice(sig.tag.as_bytes());
+fn put_st1_reply(out: &mut impl Sink, m: &SignedSt1Reply) {
+    out.put_txid(&m.body.txid);
+    out.put_replica(m.body.replica);
+    out.put_u8(m.body.vote.tag());
+    out.put_opt(m.proof.as_ref(), put_batch_proof);
+    out.put_opt(m.conflict.as_deref(), put_cert);
 }
 
-fn put_merkle_proof(out: &mut Vec<u8>, p: &MerkleProof) {
-    out.extend_from_slice(&(p.leaf_index as u32).to_be_bytes());
-    out.extend_from_slice(&(p.leaf_count as u32).to_be_bytes());
-    put_vec(out, &p.siblings, |out, sib| {
-        put_opt(out, sib.as_ref(), |out, d| {
-            out.extend_from_slice(d.as_bytes())
-        });
-    });
+fn put_st2_reply(out: &mut impl Sink, m: &SignedSt2Reply) {
+    out.put_txid(&m.body.txid);
+    out.put_replica(m.body.replica);
+    out.put_u8(m.body.decision.tag());
+    out.put_u64(m.body.view_decision);
+    out.put_u64(m.body.view_current);
+    out.put_opt(m.proof.as_ref(), put_batch_proof);
 }
 
-fn put_batch_proof(out: &mut Vec<u8>, p: &BatchProof) {
-    out.extend_from_slice(p.root.as_bytes());
-    put_signature(out, &p.root_signature);
-    put_merkle_proof(out, &p.inclusion);
-    out.extend_from_slice(&(p.batch_size as u32).to_be_bytes());
+fn put_elect_fb(out: &mut impl Sink, m: &SignedElectFb) {
+    out.put_txid(&m.body.txid);
+    out.put_replica(m.body.replica);
+    out.put_opt(m.body.decision.as_ref(), |out, d| out.put_u8(d.tag()));
+    out.put_u64(m.body.view);
+    out.put_opt(m.proof.as_ref(), put_batch_proof);
 }
 
-fn put_tx(out: &mut Vec<u8>, tx: &Arc<Transaction>) {
-    put_tx_ref(out, tx);
+fn put_shard_votes(out: &mut impl Sink, sv: &ShardVotes) {
+    out.put_txid(&sv.txid);
+    out.put_u32(sv.shard.0);
+    out.put_u8(sv.decision.tag());
+    out.put_seq(&sv.votes, put_st1_reply);
+    out.put_opt(sv.conflict.as_deref(), put_cert);
 }
 
-fn put_tx_ref(out: &mut Vec<u8>, tx: &Transaction) {
-    let encoded = tx.encoded();
-    out.extend_from_slice(&(encoded.len() as u32).to_be_bytes());
-    out.extend_from_slice(encoded);
+fn put_vote_cert(out: &mut impl Sink, vc: &VoteCert) {
+    out.put_txid(&vc.txid);
+    out.put_u32(vc.shard.0);
+    out.put_u8(vc.decision.tag());
+    out.put_u64(vc.view);
+    out.put_seq(&vc.replies, put_st2_reply);
 }
 
-fn put_read_reply(out: &mut Vec<u8>, m: &ReadReply) {
-    out.extend_from_slice(&m.body.req_id.to_be_bytes());
-    put_key(out, &m.body.key);
-    put_opt(out, m.body.committed.as_ref(), |out, c| {
-        put_ts(out, c.version);
-        put_value(out, &c.value);
-        out.extend_from_slice(c.txid.as_bytes());
-        put_opt(out, c.cert.as_ref(), |out, cert| put_cert(out, cert));
-    });
-    put_opt(out, m.body.prepared.as_ref(), |out, p| {
-        put_tx(out, &p.tx);
-    });
-    put_opt(out, m.proof.as_ref(), put_batch_proof);
-}
-
-fn put_st1_reply(out: &mut Vec<u8>, m: &SignedSt1Reply) {
-    out.extend_from_slice(m.body.txid.as_bytes());
-    put_replica(out, m.body.replica);
-    put_vote(out, &m.body.vote);
-    put_opt(out, m.proof.as_ref(), put_batch_proof);
-    put_opt(out, m.conflict.as_ref(), |out, cert| put_cert(out, cert));
-}
-
-fn put_st2_reply(out: &mut Vec<u8>, m: &SignedSt2Reply) {
-    out.extend_from_slice(m.body.txid.as_bytes());
-    put_replica(out, m.body.replica);
-    put_decision(out, m.body.decision);
-    out.extend_from_slice(&m.body.view_decision.to_be_bytes());
-    out.extend_from_slice(&m.body.view_current.to_be_bytes());
-    put_opt(out, m.proof.as_ref(), put_batch_proof);
-}
-
-fn put_elect_fb(out: &mut Vec<u8>, m: &SignedElectFb) {
-    out.extend_from_slice(m.body.txid.as_bytes());
-    put_replica(out, m.body.replica);
-    put_opt(out, m.body.decision.as_ref(), |out, d| {
-        put_decision(out, *d)
-    });
-    out.extend_from_slice(&m.body.view.to_be_bytes());
-    put_opt(out, m.proof.as_ref(), put_batch_proof);
-}
-
-fn put_shard_votes(out: &mut Vec<u8>, sv: &ShardVotes) {
-    out.extend_from_slice(sv.txid.as_bytes());
-    out.extend_from_slice(&sv.shard.0.to_be_bytes());
-    put_decision(out, sv.decision);
-    put_vec(out, &sv.votes, put_st1_reply);
-    put_opt(out, sv.conflict.as_ref(), |out, cert| put_cert(out, cert));
-}
-
-fn put_vote_cert(out: &mut Vec<u8>, vc: &VoteCert) {
-    out.extend_from_slice(vc.txid.as_bytes());
-    out.extend_from_slice(&vc.shard.0.to_be_bytes());
-    put_decision(out, vc.decision);
-    out.extend_from_slice(&vc.view.to_be_bytes());
-    put_vec(out, &vc.replies, put_st2_reply);
-}
-
-fn put_cert(out: &mut Vec<u8>, cert: &DecisionCert) {
+fn put_cert(out: &mut impl Sink, cert: &DecisionCert) {
     match cert {
         DecisionCert::Commit(c) => {
-            out.push(1);
-            out.extend_from_slice(c.txid.as_bytes());
-            put_vec(out, &c.fast_votes, put_shard_votes);
-            put_opt(out, c.slow.as_ref(), put_vote_cert);
+            out.put_u8(CERT_COMMIT);
+            out.put_txid(&c.txid);
+            out.put_seq(&c.fast_votes, put_shard_votes);
+            out.put_opt(c.slow.as_ref(), put_vote_cert);
         }
         DecisionCert::Abort(a) => {
-            out.push(2);
-            out.extend_from_slice(a.txid.as_bytes());
-            put_opt(out, a.fast_votes.as_ref(), put_shard_votes);
-            put_opt(out, a.slow.as_ref(), put_vote_cert);
+            out.put_u8(CERT_ABORT);
+            out.put_txid(&a.txid);
+            out.put_opt(a.fast_votes.as_ref(), put_shard_votes);
+            out.put_opt(a.slow.as_ref(), put_vote_cert);
         }
     }
 }
@@ -393,300 +324,118 @@ fn put_cert(out: &mut Vec<u8>, cert: &DecisionCert) {
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// A bounds-checked cursor over a frame payload. Every `take_*` either
-/// yields a value or a [`WireError`]; nothing indexes the buffer directly.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn take_digest(r: &mut Reader<'_>) -> Result<Digest, WireError> {
+    Ok(Digest(r.array()?))
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
+fn take_vote(r: &mut Reader<'_>) -> Result<ProtoVote, WireError> {
+    let tag = r.u8()?;
+    ProtoVote::from_tag(tag).ok_or(WireError::BadTag { tag })
+}
 
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
+fn take_decision(r: &mut Reader<'_>) -> Result<ProtoDecision, WireError> {
+    let tag = r.u8()?;
+    ProtoDecision::from_tag(tag).ok_or(WireError::BadTag { tag })
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated);
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
+fn take_batch_proof(r: &mut Reader<'_>) -> Result<BatchProof, WireError> {
+    Ok(BatchProof {
+        root: take_digest(r)?,
+        root_signature: Signature {
+            signer: r.node()?,
+            tag: take_digest(r)?,
+        },
+        inclusion: MerkleProof {
+            leaf_index: r.u32()? as usize,
+            leaf_count: r.u32()? as usize,
+            siblings: r.seq(1, |r| r.opt(take_digest))?,
+        },
+        batch_size: r.u32()? as usize,
+    })
+}
 
-    fn take_u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
+fn take_tx(r: &mut Reader<'_>) -> Result<Arc<Transaction>, WireError> {
+    Transaction::decode(r.len_prefixed()?)
+        .map(Arc::new)
+        .map_err(|_| WireError::BadTransaction)
+}
 
-    fn take_u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
-    }
+// The first argument of every `seq` below is a lower bound on one item's
+// encoding, which is what keeps a forged count from sizing an allocation.
 
-    fn take_u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
-    }
+fn take_st1_reply(r: &mut Reader<'_>, depth: usize) -> Result<SignedSt1Reply, WireError> {
+    Ok(SignedSt1Reply {
+        body: St1ReplyBody {
+            txid: r.txid()?,
+            replica: r.replica()?,
+            vote: take_vote(r)?,
+        },
+        proof: r.opt(take_batch_proof)?,
+        conflict: r.opt(|r| take_cert(r, depth + 1))?.map(Arc::new),
+    })
+}
 
-    /// A count field that prefixes `count` items of at least `min_item`
-    /// bytes each; rejected up front when it cannot fit in the remaining
-    /// buffer, so a forged count cannot drive a huge allocation.
-    fn take_count(&mut self, min_item: usize) -> Result<usize, WireError> {
-        let count = self.take_u32()? as usize;
-        if count.saturating_mul(min_item.max(1)) > self.remaining() {
-            return Err(WireError::BadLength);
-        }
-        Ok(count)
-    }
+fn take_st2_reply(r: &mut Reader<'_>) -> Result<SignedSt2Reply, WireError> {
+    Ok(SignedSt2Reply {
+        body: St2ReplyBody {
+            txid: r.txid()?,
+            replica: r.replica()?,
+            decision: take_decision(r)?,
+            view_decision: r.u64()?,
+            view_current: r.u64()?,
+        },
+        proof: r.opt(take_batch_proof)?,
+    })
+}
 
-    fn take_node(&mut self) -> Result<NodeId, WireError> {
-        match self.take_u8()? {
-            1 => Ok(NodeId::Client(ClientId(self.take_u64()?))),
-            2 => {
-                let shard = ShardId(self.take_u32()?);
-                let index = self.take_u32()?;
-                Ok(NodeId::Replica(ReplicaId::new(shard, index)))
-            }
-            tag => Err(WireError::BadTag { tag }),
-        }
-    }
+fn take_elect_fb(r: &mut Reader<'_>) -> Result<SignedElectFb, WireError> {
+    Ok(SignedElectFb {
+        body: ElectFbBody {
+            txid: r.txid()?,
+            replica: r.replica()?,
+            decision: r.opt(take_decision)?,
+            view: r.u64()?,
+        },
+        proof: r.opt(take_batch_proof)?,
+    })
+}
 
-    fn take_replica(&mut self) -> Result<ReplicaId, WireError> {
-        let shard = ShardId(self.take_u32()?);
-        let index = self.take_u32()?;
-        Ok(ReplicaId::new(shard, index))
-    }
+fn take_shard_votes(r: &mut Reader<'_>, depth: usize) -> Result<ShardVotes, WireError> {
+    Ok(ShardVotes {
+        txid: r.txid()?,
+        shard: ShardId(r.u32()?),
+        decision: take_decision(r)?,
+        votes: r.seq(41, |r| take_st1_reply(r, depth))?,
+        conflict: r.opt(|r| take_cert(r, depth + 1))?.map(Arc::new),
+    })
+}
 
-    fn take_ts(&mut self) -> Result<Timestamp, WireError> {
-        let time = self.take_u64()?;
-        let client = self.take_u64()?;
-        Ok(Timestamp::from_nanos(time, ClientId(client)))
-    }
+fn take_vote_cert(r: &mut Reader<'_>) -> Result<VoteCert, WireError> {
+    Ok(VoteCert {
+        txid: r.txid()?,
+        shard: ShardId(r.u32()?),
+        decision: take_decision(r)?,
+        view: r.u64()?,
+        replies: r.seq(58, take_st2_reply)?,
+    })
+}
 
-    fn take_txid(&mut self) -> Result<TxId, WireError> {
-        let bytes: [u8; 32] = self.take(32)?.try_into().unwrap();
-        Ok(TxId::from_bytes(bytes))
+fn take_cert(r: &mut Reader<'_>, depth: usize) -> Result<DecisionCert, WireError> {
+    if depth > MAX_CERT_DEPTH {
+        return Err(WireError::CertTooDeep);
     }
-
-    fn take_digest(&mut self) -> Result<Digest, WireError> {
-        let bytes: [u8; 32] = self.take(32)?.try_into().unwrap();
-        Ok(Digest(bytes))
-    }
-
-    fn take_key(&mut self) -> Result<Key, WireError> {
-        let len = self.take_u32()? as usize;
-        if len > self.remaining() {
-            return Err(WireError::BadLength);
-        }
-        let bytes = self.take(len)?;
-        let s = std::str::from_utf8(bytes).map_err(|_| WireError::BadKey)?;
-        Ok(Key::new(s))
-    }
-
-    fn take_value(&mut self) -> Result<Value, WireError> {
-        let len = self.take_u32()? as usize;
-        if len > self.remaining() {
-            return Err(WireError::BadLength);
-        }
-        Ok(Value::new(self.take(len)?))
-    }
-
-    fn take_opt<T>(
-        &mut self,
-        take: impl FnOnce(&mut Self) -> Result<T, WireError>,
-    ) -> Result<Option<T>, WireError> {
-        match self.take_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(take(self)?)),
-            tag => Err(WireError::BadTag { tag }),
-        }
-    }
-
-    fn take_vote(&mut self) -> Result<ProtoVote, WireError> {
-        match self.take_u8()? {
-            1 => Ok(ProtoVote::Commit),
-            2 => Ok(ProtoVote::Abort),
-            tag => Err(WireError::BadTag { tag }),
-        }
-    }
-
-    fn take_decision(&mut self) -> Result<ProtoDecision, WireError> {
-        match self.take_u8()? {
-            1 => Ok(ProtoDecision::Commit),
-            2 => Ok(ProtoDecision::Abort),
-            tag => Err(WireError::BadTag { tag }),
-        }
-    }
-
-    fn take_signature(&mut self) -> Result<Signature, WireError> {
-        let signer = self.take_node()?;
-        let tag = self.take_digest()?;
-        Ok(Signature { signer, tag })
-    }
-
-    fn take_merkle_proof(&mut self) -> Result<MerkleProof, WireError> {
-        let leaf_index = self.take_u32()? as usize;
-        let leaf_count = self.take_u32()? as usize;
-        let n = self.take_count(1)?;
-        let mut siblings = Vec::with_capacity(n);
-        for _ in 0..n {
-            siblings.push(self.take_opt(|r| r.take_digest())?);
-        }
-        Ok(MerkleProof {
-            leaf_index,
-            leaf_count,
-            siblings,
-        })
-    }
-
-    fn take_batch_proof(&mut self) -> Result<BatchProof, WireError> {
-        let root = self.take_digest()?;
-        let root_signature = self.take_signature()?;
-        let inclusion = self.take_merkle_proof()?;
-        let batch_size = self.take_u32()? as usize;
-        Ok(BatchProof {
-            root,
-            root_signature,
-            inclusion,
-            batch_size,
-        })
-    }
-
-    fn take_tx(&mut self) -> Result<Arc<Transaction>, WireError> {
-        let len = self.take_u32()? as usize;
-        if len > self.remaining() {
-            return Err(WireError::BadLength);
-        }
-        let bytes = self.take(len)?;
-        Transaction::decode(bytes)
-            .map(Arc::new)
-            .ok_or(WireError::BadTransaction)
-    }
-
-    fn take_st1_reply(&mut self, depth: usize) -> Result<SignedSt1Reply, WireError> {
-        let txid = self.take_txid()?;
-        let replica = self.take_replica()?;
-        let vote = self.take_vote()?;
-        let proof = self.take_opt(|r| r.take_batch_proof())?;
-        let conflict = self.take_opt(|r| r.take_cert(depth + 1))?.map(Arc::new);
-        Ok(SignedSt1Reply {
-            body: St1ReplyBody {
-                txid,
-                replica,
-                vote,
-            },
-            proof,
-            conflict,
-        })
-    }
-
-    fn take_st2_reply(&mut self) -> Result<SignedSt2Reply, WireError> {
-        let txid = self.take_txid()?;
-        let replica = self.take_replica()?;
-        let decision = self.take_decision()?;
-        let view_decision = self.take_u64()?;
-        let view_current = self.take_u64()?;
-        let proof = self.take_opt(|r| r.take_batch_proof())?;
-        Ok(SignedSt2Reply {
-            body: St2ReplyBody {
-                txid,
-                replica,
-                decision,
-                view_decision,
-                view_current,
-            },
-            proof,
-        })
-    }
-
-    fn take_elect_fb(&mut self) -> Result<SignedElectFb, WireError> {
-        let txid = self.take_txid()?;
-        let replica = self.take_replica()?;
-        let decision = self.take_opt(|r| r.take_decision())?;
-        let view = self.take_u64()?;
-        let proof = self.take_opt(|r| r.take_batch_proof())?;
-        Ok(SignedElectFb {
-            body: ElectFbBody {
-                txid,
-                replica,
-                decision,
-                view,
-            },
-            proof,
-        })
-    }
-
-    fn take_shard_votes(&mut self, depth: usize) -> Result<ShardVotes, WireError> {
-        let txid = self.take_txid()?;
-        let shard = ShardId(self.take_u32()?);
-        let decision = self.take_decision()?;
-        let n = self.take_count(41)?;
-        let mut votes = Vec::with_capacity(n);
-        for _ in 0..n {
-            votes.push(self.take_st1_reply(depth)?);
-        }
-        let conflict = self.take_opt(|r| r.take_cert(depth + 1))?.map(Arc::new);
-        Ok(ShardVotes {
-            txid,
-            shard,
-            decision,
-            votes,
-            conflict,
-        })
-    }
-
-    fn take_vote_cert(&mut self) -> Result<VoteCert, WireError> {
-        let txid = self.take_txid()?;
-        let shard = ShardId(self.take_u32()?);
-        let decision = self.take_decision()?;
-        let view = self.take_u64()?;
-        let n = self.take_count(58)?;
-        let mut replies = Vec::with_capacity(n);
-        for _ in 0..n {
-            replies.push(self.take_st2_reply()?);
-        }
-        Ok(VoteCert {
-            txid,
-            shard,
-            decision,
-            view,
-            replies,
-        })
-    }
-
-    fn take_cert(&mut self, depth: usize) -> Result<DecisionCert, WireError> {
-        if depth > MAX_CERT_DEPTH {
-            return Err(WireError::CertTooDeep);
-        }
-        match self.take_u8()? {
-            1 => {
-                let txid = self.take_txid()?;
-                let n = self.take_count(42)?;
-                let mut fast_votes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    fast_votes.push(self.take_shard_votes(depth)?);
-                }
-                let slow = self.take_opt(|r| r.take_vote_cert())?;
-                Ok(DecisionCert::Commit(CommitCert {
-                    txid,
-                    fast_votes,
-                    slow,
-                }))
-            }
-            2 => {
-                let txid = self.take_txid()?;
-                let fast_votes = self.take_opt(|r| r.take_shard_votes(depth))?;
-                let slow = self.take_opt(|r| r.take_vote_cert())?;
-                Ok(DecisionCert::Abort(AbortCert {
-                    txid,
-                    fast_votes,
-                    slow,
-                }))
-            }
-            tag => Err(WireError::BadTag { tag }),
-        }
+    match r.u8()? {
+        CERT_COMMIT => Ok(DecisionCert::Commit(CommitCert {
+            txid: r.txid()?,
+            fast_votes: r.seq(42, |r| take_shard_votes(r, depth))?,
+            slow: r.opt(take_vote_cert)?,
+        })),
+        CERT_ABORT => Ok(DecisionCert::Abort(AbortCert {
+            txid: r.txid()?,
+            fast_votes: r.opt(|r| take_shard_votes(r, depth))?,
+            slow: r.opt(take_vote_cert)?,
+        })),
+        tag => Err(WireError::BadTag { tag }),
     }
 }
 
@@ -697,155 +446,84 @@ impl<'a> Reader<'a> {
 /// the total frame size to drain. Oversized and corrupt frames are errors —
 /// the caller drops the connection.
 pub fn split_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>, WireError> {
-    if buf.len() < FRAME_HEADER {
-        return Ok(None);
-    }
-    let len = u32::from_be_bytes(buf[..4].try_into().unwrap()) as usize;
-    if len > MAX_FRAME {
-        return Err(WireError::Oversized { len });
-    }
-    if buf.len() < FRAME_HEADER + len {
-        return Ok(None);
-    }
-    let payload = &buf[FRAME_HEADER..FRAME_HEADER + len];
-    let mut hasher = Sha256::new();
-    hasher.update(payload);
-    if hasher.finalize().as_bytes()[..4] != buf[4..8] {
-        return Err(WireError::ChecksumMismatch);
-    }
-    Ok(Some((payload, FRAME_HEADER + len)))
+    Ok(frame::split(buf, MAX_FRAME)?)
 }
 
 /// Decodes a checksum-verified frame payload into the sender and message.
+/// The message must fill the payload: bytes after it are an error.
 pub fn decode_frame_payload(payload: &[u8]) -> Result<(NodeId, BasilMsg), WireError> {
-    let mut r = Reader::new(payload);
-    let tag = r.take_u8()?;
-    let from = r.take_node()?;
+    let mut reader = Reader::new(payload);
+    let r = &mut reader;
+    let tag = r.u8()?;
+    let from = r.node()?;
     let msg = match tag {
-        TAG_READ => {
-            let req_id = r.take_u64()?;
-            let key = r.take_key()?;
-            let ts = r.take_ts()?;
-            let auth = r.take_opt(|r| r.take_batch_proof())?;
-            BasilMsg::Read(ReadRequest {
-                req_id,
-                key,
-                ts,
-                auth,
-            })
-        }
-        TAG_READ_REPLY => {
-            let req_id = r.take_u64()?;
-            let key = r.take_key()?;
-            let committed = r.take_opt(|r| {
-                let version = r.take_ts()?;
-                let value = r.take_value()?;
-                let txid = r.take_txid()?;
-                let cert = r.take_opt(|r| r.take_cert(0))?.map(Arc::new);
-                Ok(CommittedRead {
-                    version,
-                    value,
-                    txid,
-                    cert,
-                })
-            })?;
-            let prepared = r.take_opt(|r| Ok(PreparedRead { tx: r.take_tx()? }))?;
-            let proof = r.take_opt(|r| r.take_batch_proof())?;
-            BasilMsg::ReadReply(ReadReply {
-                body: ReadReplyBody {
-                    req_id,
-                    key,
-                    committed,
-                    prepared,
-                },
-                proof,
-            })
-        }
-        TAG_ST1 => {
-            let tx = r.take_tx()?;
-            let auth = r.take_opt(|r| r.take_batch_proof())?;
-            let recovery = match r.take_u8()? {
-                0 => false,
-                1 => true,
-                tag => return Err(WireError::BadTag { tag }),
-            };
-            BasilMsg::St1(St1 { tx, auth, recovery })
-        }
-        TAG_ST1_REPLY => BasilMsg::St1Reply(r.take_st1_reply(0)?),
-        TAG_ST2 => {
-            let txid = r.take_txid()?;
-            let decision = r.take_decision()?;
-            let n = r.take_count(42)?;
-            let mut shard_votes = Vec::with_capacity(n);
-            for _ in 0..n {
-                shard_votes.push(r.take_shard_votes(0)?);
-            }
-            let view = r.take_u64()?;
-            let auth = r.take_opt(|r| r.take_batch_proof())?;
-            BasilMsg::St2(St2 {
-                txid,
-                decision,
-                shard_votes,
-                view,
-                auth,
-            })
-        }
-        TAG_ST2_REPLY => BasilMsg::St2Reply(r.take_st2_reply()?),
-        TAG_WRITEBACK => {
-            let cert = Arc::new(r.take_cert(0)?);
-            let tx = r.take_opt(|r| r.take_tx())?;
-            BasilMsg::Writeback(Writeback { cert, tx })
-        }
-        TAG_RTS_RELEASE => {
-            let key = r.take_key()?;
-            let ts = r.take_ts()?;
-            BasilMsg::RtsRelease { key, ts }
-        }
-        TAG_INVOKE_FB => {
-            let txid = r.take_txid()?;
-            let n = r.take_count(58)?;
-            let mut views = Vec::with_capacity(n);
-            for _ in 0..n {
-                views.push(r.take_st2_reply()?);
-            }
-            let auth = r.take_opt(|r| r.take_batch_proof())?;
-            BasilMsg::InvokeFb(InvokeFb { txid, views, auth })
-        }
-        TAG_ELECT_FB => BasilMsg::ElectFb(r.take_elect_fb()?),
-        TAG_DEC_FB => {
-            let txid = r.take_txid()?;
-            let decision = r.take_decision()?;
-            let view = r.take_u64()?;
-            let n = r.take_count(50)?;
-            let mut elect_proof = Vec::with_capacity(n);
-            for _ in 0..n {
-                elect_proof.push(r.take_elect_fb()?);
-            }
-            let auth = r.take_opt(|r| r.take_batch_proof())?;
-            BasilMsg::DecFb(DecFb {
-                txid,
-                decision,
-                view,
-                elect_proof,
-                auth,
-            })
-        }
-        TAG_CATCH_UP_REQUEST => BasilMsg::CatchUpRequest(CatchUpRequest {
-            from: r.take_replica()?,
+        TAG_READ => BasilMsg::Read(ReadRequest {
+            req_id: r.u64()?,
+            key: r.key()?,
+            ts: r.ts()?,
+            auth: r.opt(take_batch_proof)?,
         }),
-        TAG_CATCH_UP_REPLY => {
-            let from = r.take_replica()?;
-            let n = r.take_count(2)?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let cert = Arc::new(r.take_cert(0)?);
-                let tx = r.take_opt(|r| r.take_tx())?;
-                entries.push((cert, tx));
-            }
-            BasilMsg::CatchUpReply(CatchUpReply { from, entries })
-        }
+        TAG_READ_REPLY => BasilMsg::ReadReply(ReadReply {
+            body: ReadReplyBody {
+                req_id: r.u64()?,
+                key: r.key()?,
+                committed: r.opt(|r| {
+                    Ok::<_, WireError>(CommittedRead {
+                        version: r.ts()?,
+                        value: r.value()?,
+                        txid: r.txid()?,
+                        cert: r.opt(|r| take_cert(r, 0))?.map(Arc::new),
+                    })
+                })?,
+                prepared: r.opt(|r| take_tx(r).map(|tx| PreparedRead { tx }))?,
+            },
+            proof: r.opt(take_batch_proof)?,
+        }),
+        TAG_ST1 => BasilMsg::St1(St1 {
+            tx: take_tx(r)?,
+            auth: r.opt(take_batch_proof)?,
+            recovery: r.bool()?,
+        }),
+        TAG_ST1_REPLY => BasilMsg::St1Reply(take_st1_reply(r, 0)?),
+        TAG_ST2 => BasilMsg::St2(St2 {
+            txid: r.txid()?,
+            decision: take_decision(r)?,
+            shard_votes: r.seq(42, |r| take_shard_votes(r, 0))?,
+            view: r.u64()?,
+            auth: r.opt(take_batch_proof)?,
+        }),
+        TAG_ST2_REPLY => BasilMsg::St2Reply(take_st2_reply(r)?),
+        TAG_WRITEBACK => BasilMsg::Writeback(Writeback {
+            cert: Arc::new(take_cert(r, 0)?),
+            tx: r.opt(take_tx)?,
+        }),
+        TAG_RTS_RELEASE => BasilMsg::RtsRelease {
+            key: r.key()?,
+            ts: r.ts()?,
+        },
+        TAG_INVOKE_FB => BasilMsg::InvokeFb(InvokeFb {
+            txid: r.txid()?,
+            views: r.seq(58, take_st2_reply)?,
+            auth: r.opt(take_batch_proof)?,
+        }),
+        TAG_ELECT_FB => BasilMsg::ElectFb(take_elect_fb(r)?),
+        TAG_DEC_FB => BasilMsg::DecFb(DecFb {
+            txid: r.txid()?,
+            decision: take_decision(r)?,
+            view: r.u64()?,
+            elect_proof: r.seq(50, take_elect_fb)?,
+            auth: r.opt(take_batch_proof)?,
+        }),
+        TAG_CATCH_UP_REQUEST => BasilMsg::CatchUpRequest(CatchUpRequest { from: r.replica()? }),
+        TAG_CATCH_UP_REPLY => BasilMsg::CatchUpReply(CatchUpReply {
+            from: r.replica()?,
+            entries: r.seq(2, |r| {
+                Ok::<_, WireError>((Arc::new(take_cert(r, 0)?), r.opt(take_tx)?))
+            })?,
+        }),
         tag => return Err(WireError::BadTag { tag }),
     };
+    reader.finish()?;
     Ok((from, msg))
 }
 
@@ -858,6 +536,8 @@ pub fn decode_frame_payload(payload: &[u8]) -> Result<(NodeId, BasilMsg), WireEr
 #[derive(Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
+    /// Bytes at the front of `buf` that `next_msg` has already decoded.
+    consumed: usize,
 }
 
 impl FrameReader {
@@ -866,26 +546,30 @@ impl FrameReader {
         FrameReader::default()
     }
 
-    /// Appends freshly read bytes.
+    /// Appends freshly read bytes. Decoded frames are dropped from the
+    /// buffer here, once per read, rather than once per frame.
     pub fn extend(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.consumed);
+        self.consumed = 0;
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Decodes and drains the next complete frame, if one is buffered.
+    /// Decodes the next complete frame, if one is buffered.
     ///
     /// `Ok(None)` means "need more bytes"; an error means the stream is
     /// corrupt and the connection must be dropped.
     pub fn next_msg(&mut self) -> Result<Option<(NodeId, BasilMsg)>, WireError> {
-        let (decoded, consumed) = match split_frame(&self.buf)? {
-            None => return Ok(None),
-            Some((payload, consumed)) => (decode_frame_payload(payload)?, consumed),
+        let Some((payload, frame_len)) = split_frame(&self.buf[self.consumed..])? else {
+            return Ok(None);
         };
-        self.buf.drain(..consumed);
+        let decoded = decode_frame_payload(payload)?;
+        self.consumed += frame_len;
         Ok(Some(decoded))
     }
 
-    /// Bytes currently buffered (for backpressure accounting in tests).
+    /// Bytes buffered and not yet consumed (for backpressure accounting in
+    /// tests).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.consumed
     }
 }

@@ -1,5 +1,6 @@
 //! `basil-node` command-line handling: a bad flag or value is a usage error
-//! (exit 2, the flag named on stderr), never a silent default.
+//! (exit 2, the flag named on stderr), never a silent default, and a WAL
+//! that cannot be read is a fatal one (exit 1, the file named).
 
 use std::process::Command;
 
@@ -41,4 +42,21 @@ fn usage_errors_exit_2_and_name_the_flag() {
         assert_eq!(out.status.code(), Some(2), "{extra:?}: {stderr}");
         assert!(stderr.contains(expected), "{extra:?}: {stderr}");
     }
+}
+
+/// A WAL that exists but cannot be read is fatal (exit 1, the path named on
+/// stderr), not a fresh start: the replica would forget the votes it cast.
+/// The log is read before the listener is bound, so no port is needed.
+#[test]
+fn unreadable_wal_exits_1_and_names_the_path() {
+    let dir = std::env::temp_dir();
+    let out = Command::new(env!("CARGO_BIN_EXE_basil-node"))
+        .args(VALID)
+        .args(["--role", "replica", "--results", "/dev/null", "--wal"])
+        .arg(&dir)
+        .output()
+        .expect("basil-node runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(&*dir.to_string_lossy()), "{stderr}");
 }

@@ -8,6 +8,7 @@
 //! SHA-256 hash over all of this metadata, so a Byzantine client can neither
 //! spoof the set of involved shards nor equivocate the contents (Section 4.2).
 
+use basil_common::codec::{DecodeError, Reader, Sink};
 use basil_common::{Key, ShardId, SystemConfig, Timestamp, TxId, Value};
 use basil_crypto::Sha256;
 use std::collections::BTreeSet;
@@ -127,7 +128,7 @@ impl Transaction {
         *self.cached_id.get_or_init(|| {
             let digest = match self.cached_encoding.get() {
                 Some(encoded) => Sha256::digest(encoded),
-                None => Sha256::digest(&self.compute_encoding()),
+                None => Sha256::digest(&self.encode_uncached()),
             };
             TxId::from_bytes(*digest.as_bytes())
         })
@@ -164,11 +165,11 @@ impl Transaction {
     /// The memoized canonical byte encoding used for hashing and signing.
     ///
     /// The first call serializes the metadata; every later call borrows the
-    /// cached bytes. `St1::signed_bytes` is recomputed once per recipient
-    /// and once per verifying replica, so memoizing here turns ~12 encodings
-    /// per prepare fan-out into one encoding plus cheap copies.
+    /// cached bytes. The signed bytes of an `ST1` are rebuilt once per
+    /// recipient and once per verifying replica, so memoizing here turns ~12
+    /// encodings per prepare fan-out into one encoding plus cheap copies.
     pub fn encoded(&self) -> &[u8] {
-        self.cached_encoding.get_or_init(|| self.compute_encoding())
+        self.cached_encoding.get_or_init(|| self.encode_uncached())
     }
 
     /// Canonical byte encoding used for hashing and for signing (owned copy;
@@ -177,79 +178,64 @@ impl Transaction {
         self.encoded().to_vec()
     }
 
-    fn compute_encoding(&self) -> Vec<u8> {
+    fn encode_uncached(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + 32 * (self.read_set.len() + self.write_set.len()));
-        out.extend_from_slice(&self.timestamp.time.to_be_bytes());
-        out.extend_from_slice(&self.timestamp.client.0.to_be_bytes());
-        out.extend_from_slice(&(self.read_set.len() as u32).to_be_bytes());
-        for r in &self.read_set {
-            encode_key(&mut out, &r.key);
-            encode_ts(&mut out, &r.version);
-        }
-        out.extend_from_slice(&(self.write_set.len() as u32).to_be_bytes());
-        for w in &self.write_set {
-            encode_key(&mut out, &w.key);
-            out.extend_from_slice(&(w.value.len() as u32).to_be_bytes());
-            out.extend_from_slice(w.value.as_bytes());
-        }
-        out.extend_from_slice(&(self.deps.len() as u32).to_be_bytes());
-        for d in &self.deps {
-            out.extend_from_slice(d.txid.as_bytes());
-            encode_key(&mut out, &d.key);
-            encode_ts(&mut out, &d.version);
-        }
+        out.put_ts(self.timestamp);
+        out.put_seq(&self.read_set, |out, r| {
+            out.put_key(&r.key);
+            out.put_ts(r.version);
+        });
+        out.put_seq(&self.write_set, |out, w| {
+            out.put_key(&w.key);
+            out.put_value(&w.value);
+        });
+        out.put_seq(&self.deps, |out, d| {
+            out.put_txid(&d.txid);
+            out.put_key(&d.key);
+            out.put_ts(d.version);
+        });
         out
     }
 
-    /// Decodes a transaction from its canonical encoding (the inverse of
-    /// [`Transaction::encoded`]). Returns `None` on truncated or malformed
-    /// input, including trailing bytes. The decoded transaction re-derives
-    /// `max_read_version` from the read set and re-serializes to the exact
-    /// input bytes, so [`Transaction::id`] is preserved — which is what lets
-    /// WAL replay and catch-up trust a shipped body after checking its hash.
-    pub fn decode(bytes: &[u8]) -> Option<Transaction> {
-        let mut pos = 0usize;
-        let timestamp = take_ts(bytes, &mut pos)?;
-        let reads = take_u32(bytes, &mut pos)? as usize;
-        let mut read_set = Vec::with_capacity(reads.min(1024));
-        for _ in 0..reads {
-            let key = take_key(bytes, &mut pos)?;
-            let version = take_ts(bytes, &mut pos)?;
-            read_set.push(ReadOp { key, version });
-        }
-        let writes = take_u32(bytes, &mut pos)? as usize;
-        let mut write_set = Vec::with_capacity(writes.min(1024));
-        for _ in 0..writes {
-            let key = take_key(bytes, &mut pos)?;
-            let len = take_u32(bytes, &mut pos)? as usize;
-            let value = Value::new(take(bytes, &mut pos, len)?);
-            write_set.push(WriteOp { key, value });
-        }
-        let dep_count = take_u32(bytes, &mut pos)? as usize;
-        let mut deps = Vec::with_capacity(dep_count.min(1024));
-        for _ in 0..dep_count {
-            let txid = TxId::from_bytes(take(bytes, &mut pos, 32)?.try_into().ok()?);
-            let key = take_key(bytes, &mut pos)?;
-            let version = take_ts(bytes, &mut pos)?;
-            deps.push(Dependency { txid, key, version });
-        }
-        if pos != bytes.len() {
-            return None; // trailing garbage: not the canonical encoding
-        }
-        let max_read_version = read_set
-            .iter()
-            .map(|r| r.version)
-            .max()
-            .unwrap_or(Timestamp::ZERO);
-        Some(Transaction {
-            timestamp,
-            read_set,
-            write_set,
-            deps,
-            max_read_version,
-            cached_id: std::sync::OnceLock::new(),
-            cached_encoding: std::sync::OnceLock::new(),
-        })
+    /// Reads one canonically encoded transaction off the front of `r` (the
+    /// inverse of [`Transaction::encoded`]). The decoded transaction
+    /// re-derives `max_read_version` from the read set and re-serializes to
+    /// the exact input bytes, so [`Transaction::id`] is preserved — which is
+    /// what lets WAL replay and catch-up trust a shipped body after checking
+    /// its hash.
+    pub fn read(r: &mut Reader<'_>) -> Result<Transaction, DecodeError> {
+        let mut b = TransactionBuilder::new(r.ts()?);
+        // The second argument is the smallest encoding of one entry, which
+        // bounds what a forged count can make the reader allocate.
+        b.read_set = r.seq::<_, DecodeError>(4 + 16, |r| {
+            Ok(ReadOp {
+                key: r.key()?,
+                version: r.ts()?,
+            })
+        })?;
+        b.write_set = r.seq::<_, DecodeError>(4 + 4, |r| {
+            Ok(WriteOp {
+                key: r.key()?,
+                value: r.value()?,
+            })
+        })?;
+        b.deps = r.seq::<_, DecodeError>(32 + 4 + 16, |r| {
+            Ok(Dependency {
+                txid: r.txid()?,
+                key: r.key()?,
+                version: r.ts()?,
+            })
+        })?;
+        Ok(b.build())
+    }
+
+    /// Decodes `bytes` as exactly one canonically encoded transaction:
+    /// [`Transaction::read`], then nothing may follow.
+    pub fn decode(bytes: &[u8]) -> Result<Transaction, DecodeError> {
+        let mut r = Reader::new(bytes);
+        let tx = Transaction::read(&mut r)?;
+        r.finish()?;
+        Ok(tx)
     }
 
     /// Whether the transaction writes `key`.
@@ -295,46 +281,6 @@ impl Transaction {
     pub fn is_empty(&self) -> bool {
         self.read_set.is_empty() && self.write_set.is_empty()
     }
-}
-
-fn encode_key(out: &mut Vec<u8>, key: &Key) {
-    out.extend_from_slice(&(key.len() as u32).to_be_bytes());
-    out.extend_from_slice(key.as_bytes());
-}
-
-fn encode_ts(out: &mut Vec<u8>, ts: &Timestamp) {
-    out.extend_from_slice(&ts.time.to_be_bytes());
-    out.extend_from_slice(&ts.client.0.to_be_bytes());
-}
-
-fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Option<&'a [u8]> {
-    let end = pos.checked_add(n)?;
-    if end > buf.len() {
-        return None;
-    }
-    let slice = &buf[*pos..end];
-    *pos = end;
-    Some(slice)
-}
-
-fn take_u32(buf: &[u8], pos: &mut usize) -> Option<u32> {
-    Some(u32::from_be_bytes(take(buf, pos, 4)?.try_into().ok()?))
-}
-
-fn take_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    Some(u64::from_be_bytes(take(buf, pos, 8)?.try_into().ok()?))
-}
-
-fn take_ts(buf: &[u8], pos: &mut usize) -> Option<Timestamp> {
-    let time = take_u64(buf, pos)?;
-    let client = take_u64(buf, pos)?;
-    Some(Timestamp::from_nanos(time, basil_common::ClientId(client)))
-}
-
-fn take_key(buf: &[u8], pos: &mut usize) -> Option<Key> {
-    let len = take_u32(buf, pos)? as usize;
-    let bytes = take(buf, pos, len)?;
-    Some(Key::new(std::str::from_utf8(bytes).ok()?))
 }
 
 /// Incrementally assembles a [`Transaction`] during the execution phase.
@@ -619,14 +565,35 @@ mod tests {
         let encoded = sample_tx().encode();
         for cut in 0..encoded.len() {
             assert!(
-                Transaction::decode(&encoded[..cut]).is_none(),
+                Transaction::decode(&encoded[..cut]).is_err(),
                 "truncation at {cut} must not decode"
             );
         }
         let mut padded = encoded.clone();
         padded.push(0);
-        assert!(Transaction::decode(&padded).is_none(), "trailing byte");
-        assert!(Transaction::decode(&encoded).is_some());
+        assert!(Transaction::decode(&padded).is_err(), "trailing byte");
+        assert!(Transaction::decode(&encoded).is_ok());
+    }
+
+    /// Transaction ids, signatures over `ST1` and WAL files all depend on
+    /// these bytes. The digests were captured at the commit before the
+    /// shared codec replaced the hand-written encoders (the WAL one lives
+    /// here because this module is the store's user of the hash).
+    #[test]
+    fn encodings_are_byte_identical_to_the_hand_written_encoders() {
+        let hex = |bytes: &[u8]| Sha256::digest(bytes).to_hex();
+        assert_eq!(
+            hex(sample_tx().encoded()),
+            "d72acb4cb55d8ca868f57bcbf1b866c4187e9d642bc65e62cd1ce33c4ecddf8b"
+        );
+        let mut wal = crate::Wal::new(basil_common::Duration::ZERO);
+        for record in crate::wal::tests::sample_records() {
+            wal.append(&record);
+        }
+        assert_eq!(
+            hex(wal.bytes()),
+            "8126f52a367be065a047f3086baa4b9f0dc24746ed9d709b1b9dfb0be0b6c15a"
+        );
     }
 
     #[test]

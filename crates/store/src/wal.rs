@@ -7,11 +7,11 @@
 //! transaction records it had before the crash. The log lives in memory
 //! because the whole system is simulated, but the seam is shaped like a disk:
 //!
-//! * Records are framed as `[u32-be payload length][4-byte checksum][payload]`
-//!   where the checksum is the first four bytes of the SHA-256 digest of the
-//!   payload. A crash can tear the tail of the log mid-frame; recovery
-//!   truncates at the first frame whose length or checksum does not hold and
-//!   never panics, exactly like a production WAL discarding a torn tail.
+//! * Every record is one `basil_crypto::frame` frame, written and parsed
+//!   through `basil_common::codec`. A crash can tear the tail of the log
+//!   mid-frame; recovery truncates at the first frame whose length or check
+//!   does not hold and never panics, exactly like a production WAL
+//!   discarding a torn tail.
 //! * Every append returns a configurable *fsync cost* for the caller to
 //!   charge on the simulator clock, modelling the latency of a synchronous
 //!   disk barrier. The default cost is zero so that fault-free golden runs
@@ -24,12 +24,10 @@
 //! replay can re-install writes without consulting any peer.
 
 use crate::tx::Transaction;
-use basil_common::{ClientId, Duration, Timestamp, TxId};
-use basil_crypto::Sha256;
+use basil_common::codec::{DecodeError, Reader, Sink};
+use basil_common::{Duration, Timestamp, TxId};
+use basil_crypto::frame;
 use std::sync::Arc;
-
-/// Number of framing bytes preceding every payload (length + checksum).
-const FRAME_HEADER: usize = 8;
 
 const TAG_PREPARE: u8 = 0x01;
 const TAG_DECISION: u8 = 0x02;
@@ -81,120 +79,55 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    fn encode_payload(&self) -> Vec<u8> {
+    fn write(&self, out: &mut impl Sink) {
         match self {
             WalRecord::Prepare { commit, tx } => {
-                let encoded = tx.encoded();
-                let mut out = Vec::with_capacity(2 + encoded.len());
-                out.push(TAG_PREPARE);
-                out.push(u8::from(*commit));
-                out.extend_from_slice(encoded);
-                out
+                out.put_u8(TAG_PREPARE);
+                out.put_bool(*commit);
+                out.put_bytes(tx.encoded());
             }
             WalRecord::Decision { txid, commit, view } => {
-                let mut out = Vec::with_capacity(1 + 32 + 1 + 8);
-                out.push(TAG_DECISION);
-                out.extend_from_slice(txid.as_bytes());
-                out.push(u8::from(*commit));
-                out.extend_from_slice(&view.to_be_bytes());
-                out
+                out.put_u8(TAG_DECISION);
+                out.put_txid(txid);
+                out.put_bool(*commit);
+                out.put_u64(*view);
             }
             WalRecord::Applied { txid, commit, tx } => {
-                let encoded = tx.as_ref().map(|t| t.encoded());
-                let mut out = Vec::with_capacity(35 + encoded.map_or(0, <[u8]>::len));
-                out.push(TAG_APPLIED);
-                out.extend_from_slice(txid.as_bytes());
-                out.push(u8::from(*commit));
-                match encoded {
-                    Some(bytes) => {
-                        out.push(1);
-                        out.extend_from_slice(bytes);
-                    }
-                    None => out.push(0),
-                }
-                out
+                out.put_u8(TAG_APPLIED);
+                out.put_txid(txid);
+                out.put_bool(*commit);
+                out.put_opt(tx.as_deref(), |out, tx| out.put_bytes(tx.encoded()));
             }
             WalRecord::GcWatermark { watermark } => {
-                let mut out = Vec::with_capacity(1 + 16);
-                out.push(TAG_GC_WATERMARK);
-                out.extend_from_slice(&watermark.time.to_be_bytes());
-                out.extend_from_slice(&watermark.client.0.to_be_bytes());
-                out
+                out.put_u8(TAG_GC_WATERMARK);
+                out.put_ts(*watermark);
             }
         }
     }
 
-    fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
-        let (&tag, body) = payload.split_first()?;
-        match tag {
-            TAG_PREPARE => {
-                let (&commit, tx_bytes) = body.split_first()?;
-                if commit > 1 {
-                    return None;
-                }
-                let tx = Transaction::decode(tx_bytes)?;
-                Some(WalRecord::Prepare {
-                    commit: commit == 1,
-                    tx: Arc::new(tx),
-                })
-            }
-            TAG_DECISION => {
-                if body.len() != 32 + 1 + 8 {
-                    return None;
-                }
-                let txid = TxId::from_bytes(body[..32].try_into().ok()?);
-                let commit = body[32];
-                if commit > 1 {
-                    return None;
-                }
-                let view = u64::from_be_bytes(body[33..41].try_into().ok()?);
-                Some(WalRecord::Decision {
-                    txid,
-                    commit: commit == 1,
-                    view,
-                })
-            }
-            TAG_APPLIED => {
-                if body.len() < 34 {
-                    return None;
-                }
-                let txid = TxId::from_bytes(body[..32].try_into().ok()?);
-                let commit = body[32];
-                let has_tx = body[33];
-                if commit > 1 || has_tx > 1 {
-                    return None;
-                }
-                let tx = if has_tx == 1 {
-                    Some(Arc::new(Transaction::decode(&body[34..])?))
-                } else if body.len() == 34 {
-                    None
-                } else {
-                    return None;
-                };
-                Some(WalRecord::Applied {
-                    txid,
-                    commit: commit == 1,
-                    tx,
-                })
-            }
-            TAG_GC_WATERMARK => {
-                if body.len() != 16 {
-                    return None;
-                }
-                let time = u64::from_be_bytes(body[..8].try_into().ok()?);
-                let client = u64::from_be_bytes(body[8..16].try_into().ok()?);
-                Some(WalRecord::GcWatermark {
-                    watermark: Timestamp::from_nanos(time, ClientId(client)),
-                })
-            }
-            _ => None,
-        }
+    fn read(payload: &[u8]) -> Result<WalRecord, DecodeError> {
+        let mut r = Reader::new(payload);
+        let record = match r.u8()? {
+            TAG_PREPARE => WalRecord::Prepare {
+                commit: r.bool()?,
+                tx: Arc::new(Transaction::read(&mut r)?),
+            },
+            TAG_DECISION => WalRecord::Decision {
+                txid: r.txid()?,
+                commit: r.bool()?,
+                view: r.u64()?,
+            },
+            TAG_APPLIED => WalRecord::Applied {
+                txid: r.txid()?,
+                commit: r.bool()?,
+                tx: r.opt(|r| Transaction::read(r).map(Arc::new))?,
+            },
+            TAG_GC_WATERMARK => WalRecord::GcWatermark { watermark: r.ts()? },
+            tag => return Err(DecodeError::BadTag { tag }),
+        };
+        r.finish()?;
+        Ok(record)
     }
-}
-
-fn checksum(payload: &[u8]) -> [u8; 4] {
-    let digest = Sha256::digest(payload);
-    digest.as_bytes()[..4].try_into().expect("4-byte prefix")
 }
 
 /// An append-only, checksum-framed record log behind a simulated
@@ -225,11 +158,7 @@ impl Wal {
 
     /// Appends a record and returns the fsync cost the caller must charge.
     pub fn append(&mut self, record: &WalRecord) -> Duration {
-        let payload = record.encode_payload();
-        self.buf
-            .extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        self.buf.extend_from_slice(&checksum(&payload));
-        self.buf.extend_from_slice(&payload);
+        frame::seal(&mut self.buf, |out| record.write(out));
         self.appends += 1;
         self.fsync_cost
     }
@@ -266,23 +195,14 @@ impl Wal {
     pub fn recover(bytes: Vec<u8>, fsync_cost: Duration) -> (Wal, Vec<WalRecord>) {
         let mut records = Vec::new();
         let mut pos = 0usize;
-        while bytes.len() - pos >= FRAME_HEADER {
-            let len = u32::from_be_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            let Some(end) = (pos + FRAME_HEADER).checked_add(len) else {
-                break;
-            };
-            if end > bytes.len() {
-                break; // torn tail: the final append didn't finish
-            }
-            let payload = &bytes[pos + FRAME_HEADER..end];
-            if checksum(payload) != bytes[pos + 4..pos + 8] {
-                break; // bit rot or a torn rewrite: stop trusting the log here
-            }
-            let Some(record) = WalRecord::decode_payload(payload) else {
+        // A frame that is incomplete (torn tail), fails its check (bit rot,
+        // a torn rewrite) or holds no record ends the trusted prefix.
+        while let Ok(Some((payload, consumed))) = frame::split(&bytes[pos..], usize::MAX) {
+            let Ok(record) = WalRecord::read(payload) else {
                 break;
             };
             records.push(record);
-            pos = end;
+            pos += consumed;
         }
         let mut buf = bytes;
         buf.truncate(pos);
@@ -298,10 +218,10 @@ impl Wal {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::tx::TransactionBuilder;
-    use basil_common::{Key, Value};
+    use basil_common::{ClientId, Key, Value};
 
     fn ts(t: u64, c: u64) -> Timestamp {
         Timestamp::from_nanos(t, ClientId(c))
@@ -315,7 +235,7 @@ mod tests {
         b.build_shared()
     }
 
-    fn sample_records() -> Vec<WalRecord> {
+    pub(crate) fn sample_records() -> Vec<WalRecord> {
         let tx = sample_tx(1);
         vec![
             WalRecord::Prepare {
