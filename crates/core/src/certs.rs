@@ -9,9 +9,11 @@
 //! evidence and travel in writeback messages, read replies (committed
 //! versions), and conflict-abort votes.
 
-use crate::crypto_engine::SigEngine;
-use crate::messages::{ProtoDecision, SignedSt1Reply, SignedSt2Reply, View};
-use basil_common::{Duration, NodeId, ShardConfig, ShardId, TxId};
+use crate::crypto_engine::{SigEngine, SignedPayload};
+use crate::messages::{ProtoDecision, ProtoVote, SignedSt1Reply, SignedSt2Reply, View};
+use crate::views::logging_shard;
+use basil_common::{Duration, NodeId, ReplicaId, ShardConfig, ShardId, TxId};
+use basil_crypto::BatchProof;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -20,40 +22,26 @@ use std::sync::Arc;
 /// `f = 12`; larger indices (only reachable with hand-built configs) spill
 /// into a heap set.
 #[derive(Default)]
-pub(crate) struct ReplicaIndexSet {
+struct ReplicaIndexSet {
     mask: u64,
     spill: Option<HashSet<u32>>,
-    count: u32,
 }
 
 impl ReplicaIndexSet {
-    /// Inserts `index`; returns `false` if it was already present.
-    pub(crate) fn insert(&mut self, index: u32) -> bool {
+    fn insert(&mut self, index: u32) {
         if index < 64 {
-            let bit = 1u64 << index;
-            if self.mask & bit != 0 {
-                return false;
-            }
-            self.mask |= bit;
+            self.mask |= 1u64 << index;
         } else {
-            if !self.spill.get_or_insert_with(HashSet::new).insert(index) {
-                return false;
-            }
+            self.spill.get_or_insert_with(HashSet::new).insert(index);
         }
-        self.count += 1;
-        true
     }
 
-    pub(crate) fn contains(&self, index: u32) -> bool {
+    fn contains(&self, index: u32) -> bool {
         if index < 64 {
             self.mask & (1u64 << index) != 0
         } else {
             self.spill.as_ref().is_some_and(|s| s.contains(&index))
         }
-    }
-
-    pub(crate) fn len(&self) -> u32 {
-        self.count
     }
 }
 
@@ -159,81 +147,66 @@ impl Validation {
     }
 }
 
-/// Counts the distinct replicas of `shard` among `votes` whose vote matches
-/// `want`, verifying each signature, and returns `(count, all_signatures_ok,
-/// cost)`.
-fn count_valid_st1_votes(
-    txid: TxId,
+/// The one quorum counter: how many distinct replicas of `shard` stand behind
+/// `items`. `part` picks the items that count toward this quorum (`None`
+/// skips one) and names, for each, the replica it claims to come from, the
+/// signed body and the proof. An item counts when it is the first from its
+/// replica and [`SigEngine::verify_from`] binds the signature to that replica;
+/// `counted` sees each such item. A repeated replica is skipped *before* its
+/// signature is looked at, so padding a certificate buys no verification work.
+/// Returns the count and the cost of the checks made.
+pub(crate) fn count_distinct_signed<'a, T, B: SignedPayload + 'a>(
+    items: &'a [T],
     shard: ShardId,
-    want: &crate::messages::ProtoVote,
-    votes: &[SignedSt1Reply],
     engine: &mut SigEngine,
+    part: impl Fn(&'a T) -> Option<(ReplicaId, &'a B, Option<&'a BatchProof>)>,
+    mut counted: impl FnMut(&'a T),
 ) -> (u32, Duration) {
     let mut seen = ReplicaIndexSet::default();
-    let mut cost = Duration::ZERO;
-    for v in votes {
-        if v.body.txid != txid || v.body.replica.shard != shard || &v.body.vote != want {
+    let (mut count, mut cost) = (0, Duration::ZERO);
+    for item in items {
+        let Some((replica, body, proof)) = part(item) else {
+            continue;
+        };
+        if replica.shard != shard || seen.contains(replica.index) {
             continue;
         }
-        if seen.contains(v.body.replica.index) {
-            continue;
+        let (ok, c) = engine.verify_from(body, proof, NodeId::Replica(replica));
+        cost += c;
+        if ok {
+            seen.insert(replica.index);
+            count += 1;
+            counted(item);
         }
-        if engine.enabled() {
-            // The claimed replica identity must match the signer.
-            let signer_ok = v
-                .proof
-                .as_ref()
-                .map(|p| p.signer() == NodeId::Replica(v.body.replica))
-                .unwrap_or(false);
-            let (ok, c) = engine.verify(&v.body, v.proof.as_ref());
-            cost += c;
-            if !ok || !signer_ok {
-                continue;
-            }
-        }
-        seen.insert(v.body.replica.index);
     }
-    (seen.len(), cost)
+    (count, cost)
 }
 
-/// Counts the distinct replicas of `shard` among `replies` whose decision and
-/// decision view match, verifying signatures.
-fn count_valid_st2_replies(
-    txid: TxId,
-    shard: ShardId,
-    decision: ProtoDecision,
-    view: View,
-    replies: &[SignedSt2Reply],
+/// Whether at least `quorum` distinct replicas of the shard cast a correctly
+/// signed `want` vote for the transaction in `sv`.
+fn vote_quorum(
+    sv: &ShardVotes,
+    want: ProtoVote,
+    quorum: u32,
     engine: &mut SigEngine,
-) -> (u32, Duration) {
-    let mut seen = ReplicaIndexSet::default();
-    let mut cost = Duration::ZERO;
-    for r in replies {
-        if r.body.txid != txid
-            || r.body.replica.shard != shard
-            || r.body.decision != decision
-            || r.body.view_decision != view
-        {
-            continue;
-        }
-        if seen.contains(r.body.replica.index) {
-            continue;
-        }
-        if engine.enabled() {
-            let signer_ok = r
-                .proof
-                .as_ref()
-                .map(|p| p.signer() == NodeId::Replica(r.body.replica))
-                .unwrap_or(false);
-            let (ok, c) = engine.verify(&r.body, r.proof.as_ref());
-            cost += c;
-            if !ok || !signer_ok {
-                continue;
-            }
-        }
-        seen.insert(r.body.replica.index);
+) -> Validation {
+    let (count, cost) = count_distinct_signed(
+        &sv.votes,
+        sv.shard,
+        engine,
+        |v| {
+            (v.body.txid == sv.txid && v.body.vote == want).then_some((
+                v.body.replica,
+                &v.body,
+                v.proof.as_ref(),
+            ))
+        },
+        |_| {},
+    );
+    Validation {
+        valid: count >= quorum,
+        cost,
     }
-    (seen.len(), cost)
 }
 
 /// Validates a slow-path logging certificate: `n - f` matching, correctly
@@ -244,13 +217,16 @@ pub fn validate_vote_cert(
     cfg: &ShardConfig,
     engine: &mut SigEngine,
 ) -> Validation {
-    let (count, cost) = count_valid_st2_replies(
-        cert.txid,
-        cert.shard,
-        cert.decision,
-        cert.view,
+    let (count, cost) = count_distinct_signed(
         &cert.replies,
+        cert.shard,
         engine,
+        |r| {
+            let b = &r.body;
+            (b.txid == cert.txid && b.decision == cert.decision && b.view_decision == cert.view)
+                .then_some((b.replica, b, r.proof.as_ref()))
+        },
+        |_| {},
     );
     Validation {
         valid: count >= cfg.st2_quorum(),
@@ -268,56 +244,25 @@ pub fn validate_fast_shard_votes(
     cfg: &ShardConfig,
     engine: &mut SigEngine,
 ) -> Validation {
-    let mut total_cost = Duration::ZERO;
-    match sv.decision {
-        ProtoDecision::Commit => {
-            let (count, cost) = count_valid_st1_votes(
-                sv.txid,
-                sv.shard,
-                &crate::messages::ProtoVote::Commit,
-                &sv.votes,
-                engine,
-            );
-            total_cost += cost;
-            Validation {
-                valid: count >= cfg.fast_commit_quorum(),
-                cost: total_cost,
-            }
+    match (sv.decision, &sv.conflict) {
+        (ProtoDecision::Commit, _) => {
+            vote_quorum(sv, ProtoVote::Commit, cfg.fast_commit_quorum(), engine)
         }
-        ProtoDecision::Abort => {
-            if let Some(conflict) = &sv.conflict {
-                // Conflict-abort: the conflicting transaction's commit
-                // certificate must itself be valid and must be for a
-                // *different* transaction.
-                if conflict.txid() == sv.txid || !conflict.decision().is_commit() {
-                    return Validation::invalid(total_cost);
-                }
-                let v = validate_decision_cert(conflict, cfg, engine);
-                total_cost += v.cost;
-                let (count, cost) = count_valid_st1_votes(
-                    sv.txid,
-                    sv.shard,
-                    &crate::messages::ProtoVote::Abort,
-                    &sv.votes,
-                    engine,
-                );
-                total_cost += cost;
-                return Validation {
-                    valid: v.valid && count >= 1,
-                    cost: total_cost,
-                };
+        (ProtoDecision::Abort, None) => {
+            vote_quorum(sv, ProtoVote::Abort, cfg.fast_abort_quorum(), engine)
+        }
+        (ProtoDecision::Abort, Some(conflict)) => {
+            // Conflict-abort: the conflicting transaction's commit
+            // certificate must itself be valid and must be for a
+            // *different* transaction.
+            if conflict.txid() == sv.txid || !conflict.decision().is_commit() {
+                return Validation::invalid(Duration::ZERO);
             }
-            let (count, cost) = count_valid_st1_votes(
-                sv.txid,
-                sv.shard,
-                &crate::messages::ProtoVote::Abort,
-                &sv.votes,
-                engine,
-            );
-            total_cost += cost;
+            let cert = validate_decision_cert(conflict, cfg, engine);
+            let vote = vote_quorum(sv, ProtoVote::Abort, 1, engine);
             Validation {
-                valid: count >= cfg.fast_abort_quorum(),
-                cost: total_cost,
+                valid: cert.valid && vote.valid,
+                cost: cert.cost + vote.cost,
             }
         }
     }
@@ -334,35 +279,9 @@ pub fn validate_tally_for_decision(
     engine: &mut SigEngine,
 ) -> Validation {
     match decision {
-        ProtoDecision::Commit => {
-            let (count, cost) = count_valid_st1_votes(
-                sv.txid,
-                sv.shard,
-                &crate::messages::ProtoVote::Commit,
-                &sv.votes,
-                engine,
-            );
-            Validation {
-                valid: count >= cfg.commit_quorum(),
-                cost,
-            }
-        }
-        ProtoDecision::Abort => {
-            if sv.conflict.is_some() {
-                return validate_fast_shard_votes(sv, cfg, engine);
-            }
-            let (count, cost) = count_valid_st1_votes(
-                sv.txid,
-                sv.shard,
-                &crate::messages::ProtoVote::Abort,
-                &sv.votes,
-                engine,
-            );
-            Validation {
-                valid: count >= cfg.abort_quorum(),
-                cost,
-            }
-        }
+        ProtoDecision::Commit => vote_quorum(sv, ProtoVote::Commit, cfg.commit_quorum(), engine),
+        ProtoDecision::Abort if sv.conflict.is_some() => validate_fast_shard_votes(sv, cfg, engine),
+        ProtoDecision::Abort => vote_quorum(sv, ProtoVote::Abort, cfg.abort_quorum(), engine),
     }
 }
 
@@ -421,17 +340,18 @@ pub fn validate_commit_cert(
     cfg: &ShardConfig,
     engine: &mut SigEngine,
 ) -> Validation {
-    let mut cost = Duration::ZERO;
     if let Some(slow) = &cert.slow {
-        if slow.txid != cert.txid || !slow.decision.is_commit() {
-            return Validation::invalid(cost);
+        // Only S_log logs decisions: with f = 1, four commit and two abort
+        // votes justify both, so acknowledgements gathered on any other shard
+        // could certify the opposite of what S_log holds.
+        let stray =
+            expected_shards.is_some_and(|s| logging_shard(cert.txid, s) != Some(slow.shard));
+        if slow.txid != cert.txid || !slow.decision.is_commit() || stray {
+            return Validation::invalid(Duration::ZERO);
         }
-        let v = validate_vote_cert(slow, cfg, engine);
-        return Validation {
-            valid: v.valid,
-            cost: cost + v.cost,
-        };
+        return validate_vote_cert(slow, cfg, engine);
     }
+    let mut cost = Duration::ZERO;
     // Fast path: every involved shard must have a unanimous vote set.
     let mut supported: HashSet<ShardId> = HashSet::new();
     for sv in &cert.fast_votes {
@@ -490,8 +410,8 @@ pub fn validate_decision_cert(
 mod tests {
     use super::*;
     use crate::config::BasilConfig;
-    use crate::messages::{ProtoVote, St1ReplyBody, St2ReplyBody};
-    use basil_common::{ClientId, ReplicaId};
+    use crate::messages::{St1ReplyBody, St2ReplyBody};
+    use basil_common::ClientId;
     use basil_crypto::KeyRegistry;
 
     fn cfg() -> BasilConfig {
@@ -536,7 +456,17 @@ mod tests {
         id: TxId,
         view: View,
     ) -> SignedSt2Reply {
-        let replica = ReplicaId::new(ShardId(0), replica_index);
+        signed_st2_on(ShardId(0), replica_index, decision, id, view)
+    }
+
+    fn signed_st2_on(
+        shard: ShardId,
+        replica_index: u32,
+        decision: ProtoDecision,
+        id: TxId,
+        view: View,
+    ) -> SignedSt2Reply {
+        let replica = ReplicaId::new(shard, replica_index);
         let body = St2ReplyBody {
             txid: id,
             replica,
@@ -594,6 +524,60 @@ mod tests {
         ));
         let sv = shard_votes(ProtoDecision::Commit, votes);
         assert!(!validate_fast_shard_votes(&sv, &shard_cfg, &mut engine).valid);
+    }
+
+    /// A repeated replica is skipped before its signature is looked at: a
+    /// certificate padded with copies costs its validator nothing extra.
+    #[test]
+    fn padding_a_certificate_buys_no_verification_work() {
+        let shard_cfg = cfg().system.shard;
+        let plain = shard_votes(ProtoDecision::Commit, commit_votes(6));
+        let mut votes = commit_votes(6);
+        votes.extend(std::iter::repeat_n(
+            signed_vote(0, ProtoVote::Commit, txid()),
+            50,
+        ));
+        let padded = shard_votes(ProtoDecision::Commit, votes);
+        // Fresh engines: both validations start from a cold signature cache.
+        let a = validate_fast_shard_votes(&plain, &shard_cfg, &mut client_engine());
+        let b = validate_fast_shard_votes(&padded, &shard_cfg, &mut client_engine());
+        assert!(a.valid && b.valid);
+        assert!(a.cost > Duration::ZERO);
+        assert_eq!(a.cost, b.cost);
+    }
+
+    /// With f = 1, four commit and two abort votes justify both decisions,
+    /// so `n - f` acknowledgements gathered on a shard that is not S_log
+    /// prove nothing about what S_log holds.
+    #[test]
+    fn slow_commit_cert_must_come_from_the_logging_shard() {
+        let shard_cfg = cfg().system.shard;
+        let mut engine = client_engine();
+        let involved = [ShardId(0), ShardId(1)];
+        let slog = logging_shard(txid(), &involved).expect("two shards");
+        let acks_of = |shard: ShardId| CommitCert {
+            txid: txid(),
+            fast_votes: vec![],
+            slow: Some(VoteCert {
+                txid: txid(),
+                shard,
+                decision: ProtoDecision::Commit,
+                view: 0,
+                replies: (0..5)
+                    .map(|i| signed_st2_on(shard, i, ProtoDecision::Commit, txid(), 0))
+                    .collect(),
+            }),
+        };
+        let other = involved[usize::from(slog == ShardId(0))];
+        assert!(
+            validate_commit_cert(&acks_of(slog), Some(&involved), &shard_cfg, &mut engine).valid
+        );
+        assert!(
+            !validate_commit_cert(&acks_of(other), Some(&involved), &shard_cfg, &mut engine).valid
+        );
+        // Without the transaction the involved shards, hence S_log, are
+        // unknown; the acknowledgements are all there is to check.
+        assert!(validate_commit_cert(&acks_of(other), None, &shard_cfg, &mut engine).valid);
     }
 
     #[test]

@@ -20,20 +20,20 @@ use crate::certs::{
     validate_decision_cert, AbortCert, CommitCert, DecisionCert, ShardVotes, VoteCert,
 };
 use crate::config::BasilConfig;
-use crate::crypto_engine::SigEngine;
+use crate::crypto_engine::{SigEngine, SignedPayload};
 use crate::messages::{
     BasilMsg, ClientTimer, InvokeFb, ProtoDecision, ProtoVote, ReadReply, ReadRequest,
     SignedSt1Reply, SignedSt2Reply, St1, St2, Writeback,
 };
-use crate::quorum::{
-    combine_outcomes, PrepareOutcome, ShardOutcome, ShardTally, St2Outcome, St2Tally,
-};
+use crate::quorum::{combine_outcomes, ShardOutcome, ShardTally, St2Outcome, St2Tally};
+use crate::views::logging_shard;
 use basil_common::prng::SmallPrng;
 use basil_common::FastHashMap;
 use basil_common::{
-    ClientId, Duration, Key, LatencyHistogram, NodeId, Op, ReplicaId, ShardId, SimTime, Timestamp,
-    TxGenerator, TxId, TxProfile, Value,
+    ClientId, Duration, Key, LatencyHistogram, NodeId, Op, ReplicaId, ShardId, SimTime,
+    SystemConfig, Timestamp, TxGenerator, TxId, TxProfile, Value,
 };
+use basil_crypto::BatchProof;
 use basil_simnet::{Actor, Context};
 use basil_store::{Transaction, TransactionBuilder};
 use std::any::Any;
@@ -126,34 +126,174 @@ struct Executing {
     pending_read: Option<PendingRead>,
 }
 
-/// Prepare-phase (ST1) state.
-#[derive(Debug)]
-struct Preparing {
-    tx: Arc<Transaction>,
-    txid: TxId,
-    involved: Vec<ShardId>,
-    tallies: FastHashMap<ShardId, ShardTally>,
-    outcomes: FastHashMap<ShardId, ShardOutcome>,
+/// Which per-transaction timer guards a commit: the stage the commit is in,
+/// and the key of that timer's backoff counter. Counted separately so, e.g.,
+/// prepare retries do not inflate the first ST2 retry of the same
+/// transaction.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum RetryKind {
+    Prepare,
+    St2,
+    Fallback,
 }
 
-/// Decision-logging (ST2) state.
+impl RetryKind {
+    /// The timer's base period and the message that fires it.
+    fn timer(self, txid: TxId, cfg: &BasilConfig) -> (Duration, ClientTimer) {
+        match self {
+            RetryKind::Prepare => (cfg.prepare_timeout, ClientTimer::PrepareTimeout { txid }),
+            RetryKind::St2 => (cfg.st2_timeout, ClientTimer::St2Timeout { txid }),
+            RetryKind::Fallback => (cfg.fallback_timeout, ClientTimer::FallbackTimeout { txid }),
+        }
+    }
+}
+
+/// What the evidence gathered so far lets a [`Commit`] do next.
 #[derive(Debug)]
-struct Logging {
+enum Step {
+    /// Nothing yet.
+    Wait,
+    /// The votes combined to a slow-path decision, now held in
+    /// [`Commit::proposal`]: log it on S_log.
+    Log,
+    /// S_log holds no quorum for any one decision and cannot reach one:
+    /// elect a fallback leader with these signed views.
+    Elect(Vec<SignedSt2Reply>),
+    /// The transaction is decided and this certificate proves it.
+    Decided(DecisionCert),
+}
+
+/// The prepare phase of one transaction — ST1 vote aggregation, ST2 decision
+/// logging when some shard took the slow path, the fallback election when the
+/// log diverged — up to the certificate that decides it.
+///
+/// The client holds one for its own in-flight transaction and one for every
+/// stalled dependency it is finishing (Section 5: a recovery is the same
+/// prepare, run again by whoever is interested), and drives both through the
+/// same handlers. `recovery` selects only the `St1.recovery` flag, the timer
+/// that guards the commit ([`Commit::stage`]) and whom a timeout re-asks
+/// ([`Commit::retransmit_targets`]).
+#[derive(Debug)]
+struct Commit {
     tx: Arc<Transaction>,
     txid: TxId,
-    decision: ProtoDecision,
-    shard_votes: Vec<ShardVotes>,
-    slog: ShardId,
     involved: Vec<ShardId>,
-    tally: St2Tally,
+    slog: ShardId,
+    recovery: bool,
+    /// Whether unanimous votes decide without logging (`false`: NoFP).
+    fast_path: bool,
+    tallies: FastHashMap<ShardId, ShardTally>,
+    outcomes: FastHashMap<ShardId, ShardOutcome>,
+    /// The decision proposed to S_log in view 0 with the tallies justifying
+    /// it, once it was sent. Sent once; only the timeout re-sends it.
+    proposal: Option<(ProtoDecision, Vec<ShardVotes>)>,
+    st2_tally: St2Tally,
+    /// Whether this client already asked S_log to elect a fallback leader.
+    invoked_election: bool,
+}
+
+impl Commit {
+    /// `None` for a transaction that touches nothing (it involves no shard).
+    fn new(tx: Arc<Transaction>, recovery: bool, system: &SystemConfig) -> Option<Self> {
+        // Prime the encoding memo before the id: this transaction is about
+        // to be signed, and `id()` alone deliberately serializes transiently
+        // without caching (see `Transaction::id`).
+        tx.encoded();
+        let txid = tx.id();
+        let involved = tx.involved_shards(system);
+        let slog = logging_shard(txid, &involved)?;
+        Some(Commit {
+            tallies: involved
+                .iter()
+                .map(|s| (*s, ShardTally::new(txid, *s, system.shard)))
+                .collect(),
+            outcomes: FastHashMap::default(),
+            proposal: None,
+            st2_tally: St2Tally::new(txid, slog, system.shard),
+            invoked_election: false,
+            fast_path: system.fast_path,
+            tx,
+            txid,
+            involved,
+            slog,
+            recovery,
+        })
+    }
+
+    /// Looks at what S_log acknowledged first and at the ST1R votes second.
+    /// `complete` marks that no further votes are expected (the timer fired).
+    fn step(&mut self, complete: bool) -> Step {
+        match self.st2_tally.classify() {
+            Some(St2Outcome::Certified(vote_cert)) => {
+                return Step::Decided(slow_cert(self.txid, vote_cert));
+            }
+            Some(St2Outcome::Divergent { replies }) if !self.invoked_election => {
+                self.invoked_election = true;
+                return Step::Elect(replies);
+            }
+            _ => {}
+        }
+        if self.proposal.is_some() {
+            return Step::Wait;
+        }
+        for (shard, tally) in &self.tallies {
+            if !self.outcomes.contains_key(shard) {
+                if let Some(outcome) = tally.classify(complete) {
+                    self.outcomes.insert(*shard, outcome);
+                }
+            }
+        }
+        match combine_outcomes(&self.outcomes, &self.involved) {
+            None => Step::Wait,
+            Some(o) if o.fast && self.fast_path => {
+                Step::Decided(fast_cert(self.txid, o.decision, o.shard_votes))
+            }
+            Some(o) => {
+                self.proposal = Some((o.decision, o.shard_votes));
+                Step::Log
+            }
+        }
+    }
+
+    /// The stage the commit is in, i.e. which timer guards it: the client's
+    /// own transaction has one per stage, a recovery one for its whole life.
+    fn stage(&self) -> RetryKind {
+        match (self.recovery, &self.proposal) {
+            (true, _) => RetryKind::Fallback,
+            (false, None) => RetryKind::Prepare,
+            (false, Some(_)) => RetryKind::St2,
+        }
+    }
+
+    /// Whom a timeout re-sends the transaction to. Its own client re-asks
+    /// only the replicas still owing the current stage's reply (a vote, or
+    /// S_log's acknowledgement — a replica that never acknowledged may have
+    /// missed the ST1 itself and be buffering the ST2), so the message stream
+    /// is untouched whenever nothing was lost. A recoverer re-asks everyone:
+    /// the transaction may have been decided meanwhile by its owner or by
+    /// another recoverer, and the answer to a recovery prepare — the
+    /// certificate, or the logged decision — is how it finds out.
+    fn retransmit_targets(&self, n: u32) -> Vec<NodeId> {
+        fn replicas(shard: ShardId, indices: impl IntoIterator<Item = u32>) -> Vec<NodeId> {
+            let node = |i| NodeId::Replica(ReplicaId::new(shard, i));
+            indices.into_iter().map(node).collect()
+        }
+        let involved = self.involved.iter();
+        match (self.recovery, &self.proposal) {
+            (true, _) => involved.flat_map(|s| replicas(*s, 0..n)).collect(),
+            (false, None) => involved
+                .flat_map(|s| replicas(*s, self.tallies[s].missing()))
+                .collect(),
+            (false, Some(_)) => replicas(self.slog, self.st2_tally.missing()),
+        }
+    }
 }
 
 /// Phase of the client's own current transaction.
 #[derive(Debug)]
 enum Phase {
     Executing(Executing),
-    Preparing(Preparing),
-    Logging(Logging),
+    Committing(Commit),
     /// Waiting out the retry backoff after an abort.
     WaitingRetry,
 }
@@ -168,18 +308,14 @@ struct InFlight {
     phase: Phase,
 }
 
-/// Recovery state for a stalled dependency the client is trying to finish.
-#[derive(Debug)]
-struct Recovery {
-    tx: Arc<Transaction>,
-    involved: Vec<ShardId>,
-    slog: ShardId,
-    tallies: FastHashMap<ShardId, ShardTally>,
-    outcomes: FastHashMap<ShardId, ShardOutcome>,
-    st2_tally: St2Tally,
-    /// Whether we have already escalated to a leader election.
-    invoked_election: bool,
-    resolved: bool,
+/// The execution-phase state of the own transaction, if it is executing.
+/// (A function of the field, not a method: callers keep using the client's
+/// other fields while they hold it.)
+fn executing(current: &mut Option<InFlight>) -> Option<&mut Executing> {
+    match current.as_mut().map(|c| &mut c.phase) {
+        Some(Phase::Executing(exec)) => Some(exec),
+        _ => None,
+    }
 }
 
 /// A bounded FIFO cache of decision certificates this client has already
@@ -227,16 +363,6 @@ impl ValidatedCertCache {
     }
 }
 
-/// Which per-transaction retry timer a backoff attempt counter belongs to.
-/// Counted separately so, e.g., prepare retries do not inflate the first
-/// ST2 retry of the same transaction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum RetryKind {
-    Prepare,
-    St2,
-    Fallback,
-}
-
 /// The Basil client actor.
 pub struct BasilClient {
     id: ClientId,
@@ -248,10 +374,12 @@ pub struct BasilClient {
     next_req_id: u64,
     last_ts: u64,
     current: Option<InFlight>,
-    recoveries: FastHashMap<TxId, Recovery>,
-    /// Dependency transactions learned from prepared reads, shared with the
-    /// read replies that delivered them, kept so the client can finish them
-    /// if they stall.
+    /// Stalled dependencies this client is finishing, dropped as they
+    /// resolve.
+    recoveries: FastHashMap<TxId, Commit>,
+    /// Dependency transactions learned from prepared reads of the current
+    /// attempt, shared with the read replies that delivered them, kept so
+    /// the client can finish them if they stall.
     dep_txs: FastHashMap<TxId, Arc<Transaction>>,
     /// Certificates already verified by this client (read path), consulted
     /// before re-verifying a `Writeback`-forwarded certificate.
@@ -349,31 +477,37 @@ impl BasilClient {
         Timestamp::from_nanos(t, self.id)
     }
 
-    fn logging_shard(txid: TxId, involved: &[ShardId]) -> ShardId {
-        involved[(txid.as_u64() % involved.len() as u64) as usize]
-    }
-
-    fn verify_replica_reply<P: crate::crypto_engine::SignedPayload + ?Sized>(
-        &mut self,
-        ctx: &mut Context<BasilMsg>,
-        bytes: &P,
-        proof: Option<&basil_crypto::BatchProof>,
-        claimed: ReplicaId,
-    ) -> bool {
-        if !self.engine.enabled() {
-            return true;
-        }
-        let signer_ok = proof
-            .map(|p| p.signer() == NodeId::Replica(claimed))
-            .unwrap_or(false);
-        let (ok, cost) = self.engine.verify(bytes, proof);
-        ctx.charge(cost);
-        ok && signer_ok
-    }
-
     fn send_signed(&mut self, ctx: &mut Context<BasilMsg>, to: NodeId, msg: BasilMsg) {
         ctx.charge(self.engine.message_cost());
         ctx.send(to, msg);
+    }
+
+    /// Signs a read of `key` and sends it to `targets`, guarded by the read
+    /// timer.
+    fn send_read(
+        &mut self,
+        ctx: &mut Context<BasilMsg>,
+        req_id: u64,
+        key: Key,
+        ts: Timestamp,
+        targets: Vec<NodeId>,
+    ) {
+        let mut req = ReadRequest {
+            req_id,
+            key,
+            ts,
+            auth: None,
+        };
+        let (auth, cost) = self.engine.sign_request(&req);
+        ctx.charge(cost);
+        req.auth = auth;
+        for replica in targets {
+            self.send_signed(ctx, replica, BasilMsg::Read(req.clone()));
+        }
+        ctx.schedule_self(
+            self.cfg.read_timeout,
+            BasilMsg::ClientTimer(ClientTimer::ReadTimeout { req_id }),
+        );
     }
 
     // ------------------------------------------------------------------
@@ -462,6 +596,8 @@ impl BasilClient {
             op_index: 0,
             pending_read: None,
         });
+        // Only this attempt's dependencies are ever looked up.
+        self.dep_txs.clear();
         self.advance_execution(ctx);
     }
 
@@ -471,17 +607,14 @@ impl BasilClient {
 
     fn advance_execution(&mut self, ctx: &mut Context<BasilMsg>) {
         loop {
-            let Some(current) = self.current.as_mut() else {
-                return;
-            };
-            let Phase::Executing(exec) = &mut current.phase else {
+            let Some(exec) = executing(&mut self.current) else {
                 return;
             };
             if exec.pending_read.is_some() {
                 return; // waiting on a read
             }
             if exec.op_index >= exec.ops.len() {
-                self.send_st1(ctx);
+                self.begin_commit(ctx);
                 return;
             }
             let op = exec.ops[exec.op_index].clone();
@@ -521,86 +654,54 @@ impl BasilClient {
         let n = self.cfg.system.shard.n();
         let start = self.prng.next_below(n as u64) as u32;
 
-        let ts = {
-            let Some(current) = self.current.as_mut() else {
-                return;
-            };
-            let Phase::Executing(exec) = &mut current.phase else {
-                return;
-            };
-            exec.pending_read = Some(PendingRead {
-                req_id,
-                key: key.clone(),
-                rmw_delta,
-                replies: Vec::new(),
-                wait_for,
-            });
-            exec.builder.timestamp()
+        let Some(exec) = executing(&mut self.current) else {
+            return;
         };
+        exec.pending_read = Some(PendingRead {
+            req_id,
+            key: key.clone(),
+            rmw_delta,
+            replies: Vec::new(),
+            wait_for,
+        });
+        let ts = exec.builder.timestamp();
 
         self.stats.reads_issued += 1;
-        let req = ReadRequest {
-            req_id,
-            key,
-            ts,
-            auth: None,
-        };
-        let (auth, cost) = self.engine.sign_request(&req);
-        ctx.charge(cost);
-        let req = ReadRequest { auth, ..req };
-        for i in 0..fanout {
-            let replica = NodeId::Replica(ReplicaId::new(shard, (start + i) % n));
-            self.send_signed(ctx, replica, BasilMsg::Read(req.clone()));
-        }
-        ctx.schedule_self(
-            self.cfg.read_timeout,
-            BasilMsg::ClientTimer(ClientTimer::ReadTimeout { req_id }),
-        );
+        let targets = (0..fanout)
+            .map(|i| NodeId::Replica(ReplicaId::new(shard, (start + i) % n)))
+            .collect();
+        self.send_read(ctx, req_id, key, ts, targets);
     }
 
     fn handle_read_reply(&mut self, ctx: &mut Context<BasilMsg>, reply: ReadReply) {
-        let claimed = reply.body.committed.as_ref().map(|_| ()).map(|_| ());
-        let _ = claimed;
-        // Identify the replying replica from the signature (or trust the
-        // sender when signatures are off — the simulator delivers `from`
-        // faithfully, but we only have the proof here).
-        let Some(current) = self.current.as_mut() else {
-            return;
-        };
-        let Phase::Executing(exec) = &mut current.phase else {
-            return;
-        };
-        let Some(pending) = exec.pending_read.as_mut() else {
+        let Some(pending) = executing(&mut self.current).and_then(|e| e.pending_read.as_mut())
+        else {
             return;
         };
         if pending.req_id != reply.body.req_id {
             return;
         }
-        let replica = match reply.proof.as_ref().map(|p| p.signer()) {
-            Some(NodeId::Replica(r)) => r,
-            // Signatures disabled: fall back to a synthetic index based on
-            // how many replies we have (each replica answers once).
-            _ => ReplicaId::new(
-                self.cfg.system.shard_for_key(&pending.key),
-                pending.replies.len() as u32,
-            ),
-        };
-        // Verify the reply signature before accepting it.
-        if self.engine.enabled() {
+        let shard = self.cfg.system.shard_for_key(&pending.key);
+        let replica = if self.engine.enabled() {
+            // A read reply names no sender: whoever signed it is who vouches
+            // for the version, and only a replica of the key's shard may —
+            // a client's key, or another shard's, verifies just as well.
+            let Some(NodeId::Replica(r)) = reply.proof.as_ref().map(|p| p.signer()) else {
+                return;
+            };
+            if r.shard != shard || r.index >= self.cfg.system.shard.n() {
+                return;
+            }
             let (ok, cost) = self.engine.verify(&reply.body, reply.proof.as_ref());
             ctx.charge(cost);
             if !ok {
                 return;
             }
-        }
-        let Some(current) = self.current.as_mut() else {
-            return;
-        };
-        let Phase::Executing(exec) = &mut current.phase else {
-            return;
-        };
-        let Some(pending) = exec.pending_read.as_mut() else {
-            return;
+            r
+        } else {
+            // Signatures disabled: replies carry no identity, and each
+            // replica answers once, so number them in arrival order.
+            ReplicaId::new(shard, pending.replies.len() as u32)
         };
         match pending.replies.iter_mut().find(|(r, _)| *r == replica) {
             Some((_, existing)) => *existing = reply,
@@ -613,20 +714,10 @@ impl BasilClient {
     }
 
     fn conclude_read(&mut self, ctx: &mut Context<BasilMsg>) {
-        // Collect what we need, then release the borrow before verification
-        // of certificates (which needs &mut self.engine).
-        let (key, rmw_delta, replies) = {
-            let Some(current) = self.current.as_mut() else {
-                return;
-            };
-            let Phase::Executing(exec) = &mut current.phase else {
-                return;
-            };
-            let Some(pending) = exec.pending_read.take() else {
-                return;
-            };
-            (pending.key, pending.rmw_delta, pending.replies)
+        let Some(pending) = executing(&mut self.current).and_then(|e| e.pending_read.take()) else {
+            return;
         };
+        let (key, rmw_delta, replies) = (pending.key, pending.rmw_delta, pending.replies);
 
         // Committed candidate: the highest committed version backed by a
         // valid certificate (or the genesis version).
@@ -703,290 +794,310 @@ impl BasilClient {
             _ => false,
         };
 
-        let (version, value) = if use_prepared {
+        let Some(exec) = executing(&mut self.current) else {
+            return;
+        };
+        let value = if use_prepared {
             let (version, value, dep_txid, dep_tx) = best_prepared.expect("checked above");
             self.dep_txs.insert(dep_txid, dep_tx);
             self.stats.dependent_reads += 1;
-            let Some(current) = self.current.as_mut() else {
-                return;
-            };
-            let Phase::Executing(exec) = &mut current.phase else {
-                return;
-            };
             exec.builder
                 .record_dependent_read(key.clone(), version, dep_txid);
-            (version, value)
+            value
         } else {
             let (version, value) = best_committed.unwrap_or((Timestamp::ZERO, Value::empty()));
-            let Some(current) = self.current.as_mut() else {
-                return;
-            };
-            let Phase::Executing(exec) = &mut current.phase else {
-                return;
-            };
             exec.builder.record_read(key.clone(), version);
-            (version, value)
+            value
         };
-        let _ = version;
-
         // Apply a read-modify-write delta if requested.
         if let Some(delta) = rmw_delta {
-            let new = apply_delta(&value, delta);
-            let Some(current) = self.current.as_mut() else {
-                return;
-            };
-            let Phase::Executing(exec) = &mut current.phase else {
-                return;
-            };
-            exec.builder.record_write(key, new);
+            exec.builder.record_write(key, apply_delta(&value, delta));
         }
-
-        if let Some(current) = self.current.as_mut() {
-            if let Phase::Executing(exec) = &mut current.phase {
-                exec.op_index += 1;
-            }
-        }
+        exec.op_index += 1;
         self.advance_execution(ctx);
     }
 
     fn handle_read_timeout(&mut self, ctx: &mut Context<BasilMsg>, req_id: u64) {
-        let resend = {
-            let Some(current) = self.current.as_ref() else {
-                return;
-            };
-            let Phase::Executing(exec) = &current.phase else {
-                return;
-            };
-            match &exec.pending_read {
-                Some(p) if p.req_id == req_id => Some((p.key.clone(), p.replies.len() as u32)),
-                _ => None,
-            }
+        let Some(exec) = executing(&mut self.current) else {
+            return;
         };
-        let Some((key, have)) = resend else {
+        let Some(pending) = exec.pending_read.as_ref().filter(|p| p.req_id == req_id) else {
             return;
         };
         // If we already have enough replies, conclude; otherwise widen the
         // read to every replica of the shard and keep waiting.
         let wait_for = self.cfg.system.read_quorum.wait_for(&self.cfg.system.shard);
-        if have >= wait_for {
+        if pending.replies.len() as u32 >= wait_for {
             self.conclude_read(ctx);
             return;
         }
-        let ts = {
-            let Some(current) = self.current.as_ref() else {
-                return;
-            };
-            let Phase::Executing(exec) = &current.phase else {
-                return;
-            };
-            exec.builder.timestamp()
-        };
-        let shard = self.cfg.system.shard_for_key(&key);
-        let req = ReadRequest {
-            req_id,
-            key,
-            ts,
-            auth: None,
-        };
-        let (auth, cost) = self.engine.sign_request(&req);
-        ctx.charge(cost);
-        let req = ReadRequest { auth, ..req };
-        for replica in self.replicas_of(shard) {
-            self.send_signed(ctx, replica, BasilMsg::Read(req.clone()));
-        }
-        ctx.schedule_self(
-            self.cfg.read_timeout,
-            BasilMsg::ClientTimer(ClientTimer::ReadTimeout { req_id }),
-        );
+        let (key, ts) = (pending.key.clone(), exec.builder.timestamp());
+        let targets = self.replicas_of(self.cfg.system.shard_for_key(&key));
+        self.send_read(ctx, req_id, key, ts, targets);
     }
 
     // ------------------------------------------------------------------
-    // Prepare phase
+    // Prepare phase: the commit driver
     // ------------------------------------------------------------------
 
-    fn send_st1(&mut self, ctx: &mut Context<BasilMsg>) {
-        let (tx, faulty, strategy) = {
-            let Some(current) = self.current.as_mut() else {
-                return;
-            };
-            let Phase::Executing(exec) = &mut current.phase else {
-                return;
-            };
-            let builder =
-                std::mem::replace(&mut exec.builder, TransactionBuilder::new(Timestamp::ZERO));
-            (
-                builder.build_shared(),
-                current.faulty,
-                self.cfg.client_strategy,
-            )
+    /// The commit of `txid` this client is driving, its own or a recovery.
+    fn commit_mut(&mut self, txid: TxId) -> Option<&mut Commit> {
+        let own = match self.current.as_mut().map(|c| &mut c.phase) {
+            Some(Phase::Committing(commit)) if commit.txid == txid => Some(commit),
+            _ => None,
         };
+        self.recoveries.get_mut(&txid).or(own)
+    }
 
-        // Transactions that touch nothing commit trivially.
-        if tx.is_empty() {
-            self.record_commit(ctx, None);
-            self.finish_and_continue(ctx);
+    /// Signs an ST1 for `tx` and sends it to `targets` (nothing is signed
+    /// for nobody).
+    fn send_st1(
+        &mut self,
+        ctx: &mut Context<BasilMsg>,
+        tx: &Arc<Transaction>,
+        recovery: bool,
+        targets: Vec<NodeId>,
+    ) {
+        if targets.is_empty() {
             return;
         }
-
-        // Prime the encoding memo before the id: this transaction is about
-        // to be signed, and `id()` alone deliberately serializes transiently
-        // without caching (see `Transaction::id`).
-        tx.encoded();
-        let txid = tx.id();
-        let involved = tx.involved_shards(&self.cfg.system);
-        let st1 = St1 {
-            tx: Arc::clone(&tx),
+        let mut st1 = St1 {
+            tx: Arc::clone(tx),
             auth: None,
-            recovery: false,
+            recovery,
         };
         let (auth, cost) = self.engine.sign_request(&st1);
         ctx.charge(cost);
-        let st1 = St1 { auth, ..st1 };
-        for replica in self.all_replicas_of(&involved) {
+        st1.auth = auth;
+        for replica in targets {
             self.send_signed(ctx, replica, BasilMsg::St1(st1.clone()));
         }
+    }
+
+    /// Signs the proposal of `txid`'s commit and sends it to all of S_log.
+    fn send_st2(&mut self, ctx: &mut Context<BasilMsg>, txid: TxId) {
+        let Some(commit) = self.commit_mut(txid) else {
+            return;
+        };
+        let Some((decision, shard_votes)) = commit.proposal.clone() else {
+            return;
+        };
+        let slog = commit.slog;
+        let mut st2 = St2 {
+            txid,
+            decision,
+            shard_votes,
+            view: 0,
+            auth: None,
+        };
+        let (auth, cost) = self.engine.sign_request(&st2);
+        ctx.charge(cost);
+        st2.auth = auth;
+        for replica in self.replicas_of(slog) {
+            self.send_signed(ctx, replica, BasilMsg::St2(st2.clone()));
+        }
+    }
+
+    /// Sends the decision certificate to every replica of every involved
+    /// shard.
+    fn send_writeback(
+        &mut self,
+        ctx: &mut Context<BasilMsg>,
+        cert: Arc<DecisionCert>,
+        tx: Arc<Transaction>,
+        involved: &[ShardId],
+    ) {
+        let wb = Writeback { cert, tx: Some(tx) };
+        for replica in self.all_replicas_of(involved) {
+            self.send_signed(ctx, replica, BasilMsg::Writeback(wb.clone()));
+        }
+    }
+
+    /// Arms the timer guarding stage `kind` of `txid`'s commit: for its base
+    /// period the first time, backed off when `rearm`ed.
+    fn arm_timer(&mut self, ctx: &mut Context<BasilMsg>, kind: RetryKind, txid: TxId, rearm: bool) {
+        let (period, timer) = kind.timer(txid, &self.cfg);
+        let delay = if rearm {
+            self.retry_delay(kind, txid, period)
+        } else {
+            period
+        };
+        ctx.schedule_self(delay, BasilMsg::ClientTimer(timer));
+    }
+
+    /// Execution finished: freeze the own transaction and start its commit.
+    fn begin_commit(&mut self, ctx: &mut Context<BasilMsg>) {
+        let Some(exec) = executing(&mut self.current) else {
+            return;
+        };
+        let builder =
+            std::mem::replace(&mut exec.builder, TransactionBuilder::new(Timestamp::ZERO));
+        // Transactions that touch nothing commit trivially.
+        let Some(commit) = Commit::new(builder.build_shared(), false, &self.cfg.system) else {
+            self.record_commit(ctx);
+            self.finish_and_continue(ctx);
+            return;
+        };
+        let everyone = self.all_replicas_of(&commit.involved);
+        self.send_st1(ctx, &commit.tx, false, everyone);
 
         // stall-early Byzantine clients never look at the votes.
-        if faulty && strategy == ClientStrategy::StallEarly {
-            self.current = None;
-            self.start_next_transaction(ctx);
+        let Some(current) = self.current.as_mut() else {
+            return;
+        };
+        if current.faulty && self.cfg.client_strategy == ClientStrategy::StallEarly {
+            self.finish_and_continue(ctx);
             return;
         }
+        let txid = commit.txid;
+        current.phase = Phase::Committing(commit);
+        self.arm_timer(ctx, RetryKind::Prepare, txid, false);
+    }
 
-        let tallies = involved
-            .iter()
-            .map(|s| (*s, ShardTally::new(txid, *s, self.cfg.system.shard)))
-            .collect();
-        if let Some(current) = self.current.as_mut() {
-            current.phase = Phase::Preparing(Preparing {
-                tx,
-                txid,
-                involved,
-                tallies,
-                outcomes: FastHashMap::default(),
-            });
+    /// Starts finishing the stalled dependency `dep` (Section 5): the same
+    /// prepare its own client ran, flagged as a recovery.
+    fn start_recovery(&mut self, ctx: &mut Context<BasilMsg>, dep: TxId) {
+        if self.recoveries.contains_key(&dep) {
+            return; // already recovering
         }
-        ctx.schedule_self(
-            self.cfg.prepare_timeout,
-            BasilMsg::ClientTimer(ClientTimer::PrepareTimeout { txid }),
-        );
+        let Some(tx) = self.dep_txs.get(&dep).cloned() else {
+            return; // nothing known about this dependency
+        };
+        let Some(commit) = Commit::new(tx, true, &self.cfg.system) else {
+            return;
+        };
+        self.stats.fallback_invocations += 1;
+        let everyone = self.all_replicas_of(&commit.involved);
+        self.send_st1(ctx, &commit.tx, true, everyone);
+        self.recoveries.insert(dep, commit);
+        self.arm_timer(ctx, RetryKind::Fallback, dep, false);
+    }
+
+    /// Whether `replica` signed `body`, charging the check.
+    fn verified<P: SignedPayload>(
+        &mut self,
+        ctx: &mut Context<BasilMsg>,
+        body: &P,
+        proof: Option<&BatchProof>,
+        replica: ReplicaId,
+    ) -> bool {
+        let (ok, cost) = self
+            .engine
+            .verify_from(body, proof, NodeId::Replica(replica));
+        ctx.charge(cost);
+        ok
     }
 
     fn handle_st1_reply(&mut self, ctx: &mut Context<BasilMsg>, vote: SignedSt1Reply) {
-        if !self.verify_replica_reply(ctx, &vote.body, vote.proof.as_ref(), vote.body.replica) {
+        if !self.verified(ctx, &vote.body, vote.proof.as_ref(), vote.body.replica) {
             return;
         }
         let txid = vote.body.txid;
-        // Dependency recovery votes.
-        if self.recoveries.contains_key(&txid) {
-            if let Some(rec) = self.recoveries.get_mut(&txid) {
-                if let Some(tally) = rec.tallies.get_mut(&vote.body.replica.shard) {
-                    tally.add(vote);
-                }
-            }
-            self.advance_recovery(ctx, txid, false);
+        let Some(commit) = self.commit_mut(txid) else {
             return;
+        };
+        if let Some(tally) = commit.tallies.get_mut(&vote.body.replica.shard) {
+            tally.add(vote);
         }
-        // Own transaction votes.
-        let matches = matches!(
-            self.current.as_ref().map(|c| &c.phase),
-            Some(Phase::Preparing(p)) if p.txid == txid
-        );
-        if !matches {
-            return;
-        }
-        if let Some(current) = self.current.as_mut() {
-            if let Phase::Preparing(prep) = &mut current.phase {
-                if let Some(tally) = prep.tallies.get_mut(&vote.body.replica.shard) {
-                    tally.add(vote);
-                }
-            }
-        }
-        self.try_classify(ctx, false);
+        self.advance(ctx, txid, false);
     }
 
-    /// Attempts to classify every shard and combine the outcomes into a 2PC
-    /// decision. `complete` marks that no further replies are expected
-    /// (prepare timer fired).
-    fn try_classify(&mut self, ctx: &mut Context<BasilMsg>, complete: bool) {
-        let outcome = {
-            let Some(current) = self.current.as_mut() else {
-                return;
-            };
-            let Phase::Preparing(prep) = &mut current.phase else {
-                return;
-            };
-            let n = self.cfg.system.shard.n();
-            for (shard, tally) in prep.tallies.iter() {
-                if prep.outcomes.contains_key(shard) {
-                    continue;
-                }
-                let shard_complete = complete || tally.total() >= n;
-                if let Some(o) = tally.classify(shard_complete) {
-                    prep.outcomes.insert(*shard, o);
-                }
-            }
-            combine_outcomes(&prep.outcomes, &prep.involved)
-        };
-        let Some(outcome) = outcome else {
+    fn handle_st2_reply(&mut self, ctx: &mut Context<BasilMsg>, reply: SignedSt2Reply) {
+        if !self.verified(ctx, &reply.body, reply.proof.as_ref(), reply.body.replica) {
+            return;
+        }
+        let txid = reply.body.txid;
+        let Some(commit) = self.commit_mut(txid) else {
             return;
         };
+        commit.st2_tally.add(reply);
+        self.advance(ctx, txid, false);
+    }
 
+    /// Takes the next step of `txid`'s commit on the evidence in hand.
+    fn advance(&mut self, ctx: &mut Context<BasilMsg>, txid: TxId, complete: bool) {
+        let Some(commit) = self.commit_mut(txid) else {
+            return;
+        };
+        let (own, slog) = (!commit.recovery, commit.slog);
+        let step = commit.step(complete);
+        // Whether the votes just combined to a decision (S_log certifying
+        // one, possibly somebody else's proposal, is not that).
+        let voted = match &step {
+            Step::Log => true,
+            Step::Decided(DecisionCert::Commit(c)) => c.slow.is_none(),
+            Step::Decided(DecisionCert::Abort(a)) => a.slow.is_none(),
+            _ => false,
+        };
         // Byzantine equivocation happens at the moment the votes are in.
-        let (faulty, strategy) = match self.current.as_ref() {
-            Some(c) => (c.faulty, self.cfg.client_strategy),
-            None => return,
-        };
-        if faulty && strategy.equivocates() && self.try_equivocate(ctx, strategy) {
+        if own && voted && self.try_equivocate(ctx) {
             return;
         }
-
-        self.conclude_prepare(ctx, outcome);
+        match step {
+            Step::Wait => {}
+            Step::Log => {
+                self.send_st2(ctx, txid);
+                if own {
+                    // The own transaction's logging stage has its own timer;
+                    // a recovery's one timer runs on.
+                    self.stats.slow_path_decisions += 1;
+                    self.arm_timer(ctx, RetryKind::St2, txid, false);
+                }
+            }
+            Step::Elect(views) => {
+                self.stats.fallback_elections += 1;
+                let mut ifb = InvokeFb {
+                    txid,
+                    views,
+                    auth: None,
+                };
+                let (auth, cost) = self.engine.sign_request(&ifb);
+                ctx.charge(cost);
+                ifb.auth = auth;
+                for replica in self.replicas_of(slog) {
+                    self.send_signed(ctx, replica, BasilMsg::InvokeFb(ifb.clone()));
+                }
+            }
+            Step::Decided(cert) => {
+                if own && voted {
+                    self.stats.fast_path_decisions += 1;
+                }
+                self.finish_commit(ctx, txid, Arc::new(cert));
+            }
+        }
     }
 
-    /// Attempts the ST2 equivocation attack; returns true if performed.
-    fn try_equivocate(&mut self, ctx: &mut Context<BasilMsg>, strategy: ClientStrategy) -> bool {
-        let (txid, involved, commit_votes, abort_votes, can_real) = {
-            let Some(current) = self.current.as_ref() else {
-                return false;
-            };
-            let Phase::Preparing(prep) = &current.phase else {
-                return false;
-            };
-            // Use the first involved shard's tally as the equivocation
-            // target (stable across runs; map-iteration order would pick a
-            // different shard per process).
-            let Some(tally) = prep.involved.first().and_then(|s| prep.tallies.get(s)) else {
-                return false;
-            };
-            (
-                prep.txid,
-                prep.involved.clone(),
-                tally.votes_matching(ProtoVote::Commit),
-                tally.votes_matching(ProtoVote::Abort),
-                tally.can_equivocate(),
-            )
+    /// Attempts the ST2 equivocation attack on the own transaction; returns
+    /// true if performed.
+    fn try_equivocate(&mut self, ctx: &mut Context<BasilMsg>) -> bool {
+        let strategy = self.cfg.client_strategy;
+        let Some(current) = self.current.as_ref() else {
+            return false;
         };
-        let forced = strategy == ClientStrategy::EquivForced;
-        if !forced && !can_real {
+        let Phase::Committing(commit) = &current.phase else {
+            return false;
+        };
+        if !(current.faulty && strategy.equivocates()) {
             return false;
         }
-        let slog = Self::logging_shard(txid, &involved);
-        let shard = involved[0];
-        let commit_tally = ShardVotes {
+        // Use the first involved shard's tally as the equivocation target
+        // (stable across runs; map-iteration order would pick a different
+        // shard per process).
+        let shard = commit.involved[0];
+        let tally = &commit.tallies[&shard];
+        if strategy != ClientStrategy::EquivForced && !tally.can_equivocate() {
+            return false;
+        }
+        let (txid, slog) = (commit.txid, commit.slog);
+        let tally_for = |decision, vote| ShardVotes {
             txid,
             shard,
-            decision: ProtoDecision::Commit,
-            votes: commit_votes,
+            decision,
+            votes: tally.votes_matching(vote),
             conflict: None,
         };
-        let abort_tally = ShardVotes {
-            txid,
-            shard,
-            decision: ProtoDecision::Abort,
-            votes: abort_votes,
-            conflict: None,
-        };
+        let commit_tally = tally_for(ProtoDecision::Commit, ProtoVote::Commit);
+        let abort_tally = tally_for(ProtoDecision::Abort, ProtoVote::Abort);
         let replicas = self.replicas_of(slog);
         let half = replicas.len() / 2;
         for (i, replica) in replicas.into_iter().enumerate() {
@@ -995,7 +1106,7 @@ impl BasilClient {
             } else {
                 (ProtoDecision::Abort, abort_tally.clone())
             };
-            let st2 = St2 {
+            let mut st2 = St2 {
                 txid,
                 decision,
                 shard_votes: vec![tally],
@@ -1004,70 +1115,13 @@ impl BasilClient {
             };
             let (auth, cost) = self.engine.sign_request(&st2);
             ctx.charge(cost);
-            self.send_signed(ctx, replica, BasilMsg::St2(St2 { auth, ..st2 }));
+            st2.auth = auth;
+            self.send_signed(ctx, replica, BasilMsg::St2(st2));
         }
         self.stats.equivocations += 1;
         // Stall: abandon the transaction without writeback.
-        self.current = None;
-        self.start_next_transaction(ctx);
+        self.finish_and_continue(ctx);
         true
-    }
-
-    fn conclude_prepare(&mut self, ctx: &mut Context<BasilMsg>, outcome: PrepareOutcome) {
-        let (tx, txid, involved) = {
-            let Some(current) = self.current.as_ref() else {
-                return;
-            };
-            let Phase::Preparing(prep) = &current.phase else {
-                return;
-            };
-            (prep.tx.clone(), prep.txid, prep.involved.clone())
-        };
-
-        if outcome.fast || !self.cfg.system.fast_path {
-            // Even with the fast path disabled the evidence may be durable;
-            // the NoFP ablation always logs, so only treat it as final when
-            // the configuration allows the fast path.
-        }
-
-        if outcome.fast && self.cfg.system.fast_path {
-            self.stats.fast_path_decisions += 1;
-            let cert = Arc::new(build_fast_cert(txid, outcome.decision, outcome.shard_votes));
-            self.complete_own_transaction(ctx, tx, txid, involved, outcome.decision, cert);
-            return;
-        }
-
-        // Slow path: log the decision on S_log.
-        self.stats.slow_path_decisions += 1;
-        let slog = Self::logging_shard(txid, &involved);
-        let st2 = St2 {
-            txid,
-            decision: outcome.decision,
-            shard_votes: outcome.shard_votes.clone(),
-            view: 0,
-            auth: None,
-        };
-        let (auth, cost) = self.engine.sign_request(&st2);
-        ctx.charge(cost);
-        let st2 = St2 { auth, ..st2 };
-        for replica in self.replicas_of(slog) {
-            self.send_signed(ctx, replica, BasilMsg::St2(st2.clone()));
-        }
-        if let Some(current) = self.current.as_mut() {
-            current.phase = Phase::Logging(Logging {
-                tx,
-                txid,
-                decision: outcome.decision,
-                shard_votes: outcome.shard_votes,
-                slog,
-                involved,
-                tally: St2Tally::new(txid, slog, self.cfg.system.shard),
-            });
-        }
-        ctx.schedule_self(
-            self.cfg.st2_timeout,
-            BasilMsg::ClientTimer(ClientTimer::St2Timeout { txid }),
-        );
     }
 
     /// Delay before the next re-arm of a retry timer: the first re-arm keeps
@@ -1097,210 +1151,56 @@ impl BasilClient {
         Duration::from_nanos(capped.saturating_add(jitter))
     }
 
-    /// Forgets a timer's retry history once the retried condition resolved.
-    fn clear_retry(&mut self, kind: RetryKind, txid: TxId) {
-        self.retry_attempts.remove(&(kind, txid));
-    }
-
-    fn handle_prepare_timeout(&mut self, ctx: &mut Context<BasilMsg>, txid: TxId) {
-        let deps: Option<Vec<TxId>> = match self.current.as_ref().map(|c| &c.phase) {
-            Some(Phase::Preparing(prep)) if prep.txid == txid => {
-                Some(prep.tx.deps().iter().map(|d| d.txid).collect())
-            }
-            _ => None,
-        };
-        let Some(deps) = deps else {
-            self.clear_retry(RetryKind::Prepare, txid);
+    /// The timer guarding stage `kind` of `txid`'s commit fired.
+    fn handle_commit_timeout(&mut self, ctx: &mut Context<BasilMsg>, kind: RetryKind, txid: TxId) {
+        let stage_on = |c: &&mut Commit| c.stage() == kind;
+        // First, try to decide with what we have.
+        let proposed = self
+            .commit_mut(txid)
+            .filter(stage_on)
+            .map(|c| c.proposal.is_some());
+        if proposed.is_some() {
+            self.advance(ctx, txid, true);
+        }
+        let n = self.cfg.system.shard.n();
+        let Some(commit) = self.commit_mut(txid).filter(stage_on) else {
+            // The stage is over, and with it this timer's retry history.
+            self.retry_attempts.remove(&(kind, txid));
             return;
         };
-        // First, try to classify with what we have.
-        self.try_classify(ctx, true);
-        // If still preparing, the transaction is likely blocked on stalled
-        // dependencies: try to finish them ourselves (Section 5).
-        let still_preparing = matches!(
-            self.current.as_ref().map(|c| &c.phase),
-            Some(Phase::Preparing(p)) if p.txid == txid
-        );
-        if still_preparing {
-            self.retransmit_st1(ctx, txid);
-            for dep in deps {
-                self.start_recovery(ctx, dep);
-            }
-            let delay = self.retry_delay(RetryKind::Prepare, txid, self.cfg.prepare_timeout);
-            ctx.schedule_self(
-                delay,
-                BasilMsg::ClientTimer(ClientTimer::PrepareTimeout { txid }),
-            );
-        } else {
-            self.clear_retry(RetryKind::Prepare, txid);
+        // Still undecided: a request or its reply may have been lost.
+        // Replicas answer re-deliveries idempotently, so re-sending is safe
+        // on every timeout (a proposal first made just now is not re-sent).
+        let (tx, recovery) = (Arc::clone(&commit.tx), commit.recovery);
+        let targets = commit.retransmit_targets(n);
+        self.send_st1(ctx, &tx, recovery, targets);
+        if proposed == Some(true) {
+            self.send_st2(ctx, txid);
         }
-    }
-
-    /// Re-sends the ST1 to the replicas that have not voted yet: either the
-    /// original request or their vote may have been lost in transit.
-    /// Replicas answer re-deliveries idempotently with the stored vote, so
-    /// this is safe to repeat on every prepare timeout; replicas that
-    /// already voted are not contacted again, which keeps the message
-    /// stream untouched whenever nothing was actually lost.
-    fn retransmit_st1(&mut self, ctx: &mut Context<BasilMsg>, txid: TxId) {
-        let (tx, targets) = {
-            let Some(current) = self.current.as_ref() else {
-                return;
-            };
-            let Phase::Preparing(prep) = &current.phase else {
-                return;
-            };
-            if prep.txid != txid {
-                return;
-            }
-            let mut targets: Vec<NodeId> = Vec::new();
-            for shard in &prep.involved {
-                if let Some(tally) = prep.tallies.get(shard) {
-                    for i in tally.missing() {
-                        targets.push(NodeId::Replica(ReplicaId::new(*shard, i)));
-                    }
-                }
-            }
-            (Arc::clone(&prep.tx), targets)
-        };
-        if targets.is_empty() {
-            return;
-        }
-        let st1 = St1 {
-            tx,
-            auth: None,
-            recovery: false,
-        };
-        let (auth, cost) = self.engine.sign_request(&st1);
-        ctx.charge(cost);
-        let st1 = St1 { auth, ..st1 };
-        for replica in targets {
-            self.send_signed(ctx, replica, BasilMsg::St1(st1.clone()));
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // ST2 handling
-    // ------------------------------------------------------------------
-
-    fn handle_st2_reply(&mut self, ctx: &mut Context<BasilMsg>, reply: SignedSt2Reply) {
-        if !self.verify_replica_reply(ctx, &reply.body, reply.proof.as_ref(), reply.body.replica) {
-            return;
-        }
-        let txid = reply.body.txid;
-        if self.recoveries.contains_key(&txid) {
-            if let Some(rec) = self.recoveries.get_mut(&txid) {
-                rec.st2_tally.add(reply);
-            }
-            self.advance_recovery(ctx, txid, false);
-            return;
-        }
-        let matches = matches!(
-            self.current.as_ref().map(|c| &c.phase),
-            Some(Phase::Logging(l)) if l.txid == txid
-        );
-        if !matches {
-            return;
-        }
-        let outcome = {
-            let Some(current) = self.current.as_mut() else {
-                return;
-            };
-            let Phase::Logging(log) = &mut current.phase else {
-                return;
-            };
-            log.tally.add(reply);
-            log.tally.classify()
-        };
-        match outcome {
-            Some(St2Outcome::Certified(vote_cert)) => {
-                let (tx, involved, decision) = {
-                    let Some(current) = self.current.as_ref() else {
-                        return;
-                    };
-                    let Phase::Logging(log) = &current.phase else {
-                        return;
-                    };
-                    (log.tx.clone(), log.involved.clone(), log.decision)
-                };
-                // The certified decision is what the replicas logged; a
-                // correct client logged its own decision so they agree.
-                let cert = Arc::new(build_slow_cert(txid, vote_cert));
-                self.complete_own_transaction(ctx, tx, txid, involved, decision, cert);
-            }
-            Some(St2Outcome::Divergent { .. }) | None => {}
-        }
-    }
-
-    fn handle_st2_timeout(&mut self, ctx: &mut Context<BasilMsg>, txid: TxId) {
-        let resend = {
-            match self.current.as_ref().map(|c| &c.phase) {
-                Some(Phase::Logging(l)) if l.txid == txid => Some((
-                    l.decision,
-                    l.shard_votes.clone(),
-                    l.slog,
-                    Arc::clone(&l.tx),
-                    l.tally.missing(),
-                )),
-                _ => None,
-            }
-        };
-        let Some((decision, shard_votes, slog, tx, missing)) = resend else {
-            self.clear_retry(RetryKind::St2, txid);
-            return;
-        };
-        // A logging replica that never acknowledged may have missed the ST1
-        // itself — in which case it is buffering our ST2 until the
-        // transaction body arrives — so the body is re-sent alongside the
-        // decision. Replicas that already acknowledged are left alone.
-        if !missing.is_empty() {
-            let st1 = St1 {
-                tx,
-                auth: None,
-                recovery: false,
-            };
-            let (auth, cost) = self.engine.sign_request(&st1);
-            ctx.charge(cost);
-            let st1 = St1 { auth, ..st1 };
-            for i in missing {
-                self.send_signed(
-                    ctx,
-                    NodeId::Replica(ReplicaId::new(slog, i)),
-                    BasilMsg::St1(st1.clone()),
-                );
+        if kind == RetryKind::Prepare {
+            // The own transaction's missing votes are likely deferred on
+            // stalled dependencies: finish those ourselves (Section 5).
+            for dep in tx.deps() {
+                self.start_recovery(ctx, dep.txid);
             }
         }
-        let st2 = St2 {
-            txid,
-            decision,
-            shard_votes,
-            view: 0,
-            auth: None,
-        };
-        let (auth, cost) = self.engine.sign_request(&st2);
-        ctx.charge(cost);
-        let st2 = St2 { auth, ..st2 };
-        for replica in self.replicas_of(slog) {
-            self.send_signed(ctx, replica, BasilMsg::St2(st2.clone()));
-        }
-        let delay = self.retry_delay(RetryKind::St2, txid, self.cfg.st2_timeout);
-        ctx.schedule_self(
-            delay,
-            BasilMsg::ClientTimer(ClientTimer::St2Timeout { txid }),
-        );
+        self.arm_timer(ctx, kind, txid, true);
     }
 
     // ------------------------------------------------------------------
     // Completion
     // ------------------------------------------------------------------
 
-    fn record_commit(&mut self, ctx: &mut Context<BasilMsg>, label: Option<&'static str>) {
+    fn record_commit(&mut self, ctx: &mut Context<BasilMsg>) {
         self.stats.committed += 1;
         if let Some(current) = self.current.as_ref() {
             let latency = ctx.now() - current.first_started;
             self.stats.latency.record(latency.as_nanos());
-            let label = label.unwrap_or(current.profile.label);
-            *self.stats.per_label.entry(label).or_insert(0) += 1;
+            *self
+                .stats
+                .per_label
+                .entry(current.profile.label)
+                .or_insert(0) += 1;
         }
     }
 
@@ -1309,25 +1209,39 @@ impl BasilClient {
         self.start_next_transaction(ctx);
     }
 
-    fn complete_own_transaction(
-        &mut self,
-        ctx: &mut Context<BasilMsg>,
-        tx: Arc<Transaction>,
-        txid: TxId,
-        involved: Vec<ShardId>,
-        decision: ProtoDecision,
-        cert: Arc<DecisionCert>,
-    ) {
-        let (faulty, strategy, label) = match self.current.as_ref() {
-            Some(c) => (c.faulty, self.cfg.client_strategy, c.profile.label),
-            None => return,
+    /// Takes `txid`'s commit out of wherever this client holds it: a
+    /// recovery is dropped, the own transaction is left waiting for whatever
+    /// its completion does next.
+    fn take_commit(&mut self, txid: TxId) -> Option<Commit> {
+        self.commit_mut(txid)?;
+        self.recoveries.remove(&txid).or_else(|| {
+            let current = self.current.as_mut()?;
+            match std::mem::replace(&mut current.phase, Phase::WaitingRetry) {
+                Phase::Committing(commit) => Some(commit),
+                _ => None,
+            }
+        })
+    }
+
+    /// `cert` decides `txid`. If this client is driving its commit, a
+    /// recovery ends by telling every replica; the own transaction ends for
+    /// the application too, with the decision the certificate carries —
+    /// which, when a recovering client logged first, need not be the one
+    /// this client proposed.
+    fn finish_commit(&mut self, ctx: &mut Context<BasilMsg>, txid: TxId, cert: Arc<DecisionCert>) {
+        let Some(commit) = self.take_commit(txid) else {
+            return;
         };
-        let _ = txid;
+        if commit.recovery {
+            self.send_writeback(ctx, cert, commit.tx, &commit.involved);
+            return;
+        }
+        let faulty = self.current.as_ref().is_some_and(|c| c.faulty);
 
         // The client's latency ends here: the decision is durable.
-        let committed = decision.is_commit();
+        let committed = cert.decision().is_commit();
         if committed {
-            self.record_commit(ctx, Some(label));
+            self.record_commit(ctx);
         } else {
             self.stats.aborted_attempts += 1;
         }
@@ -1336,14 +1250,11 @@ impl BasilClient {
         // withholds the writeback.
         let withhold_writeback = faulty
             && matches!(
-                strategy,
+                self.cfg.client_strategy,
                 ClientStrategy::StallLate | ClientStrategy::EquivReal | ClientStrategy::EquivForced
             );
         if !withhold_writeback {
-            let wb = Writeback { cert, tx: Some(tx) };
-            for replica in self.all_replicas_of(&involved) {
-                self.send_signed(ctx, replica, BasilMsg::Writeback(wb.clone()));
-            }
+            self.send_writeback(ctx, cert, commit.tx, &commit.involved);
         }
 
         if committed || faulty {
@@ -1356,15 +1267,13 @@ impl BasilClient {
             self.backoff = Duration::from_nanos(
                 (self.backoff.as_nanos() * 2).min(self.cfg.max_backoff.as_nanos()),
             );
-            if let Some(current) = self.current.as_mut() {
-                current.phase = Phase::WaitingRetry;
-            }
             ctx.schedule_self(delay, BasilMsg::ClientTimer(ClientTimer::RetryBackoff));
         }
     }
 
-    /// A writeback (decision certificate) arriving at the client: either the
-    /// resolution of a recovery, or someone else finished our transaction.
+    /// A writeback (decision certificate) arriving at the client: a replica
+    /// answering a recovery prepare with the outcome, or someone else having
+    /// finished our own transaction.
     fn handle_incoming_cert(&mut self, ctx: &mut Context<BasilMsg>, wb: Writeback) {
         let txid = wb.cert.txid();
         if self.engine.enabled() {
@@ -1382,264 +1291,7 @@ impl BasilClient {
                 self.validated_certs.insert(txid, Arc::clone(&wb.cert));
             }
         }
-        // Recovery resolution: broadcast the certificate so every replica
-        // learns the outcome, then mark the recovery finished.
-        if let Some(rec) = self.recoveries.get_mut(&txid) {
-            if !rec.resolved {
-                rec.resolved = true;
-                let involved = rec.involved.clone();
-                let tx = rec.tx.clone();
-                let wb_out = Writeback {
-                    cert: Arc::clone(&wb.cert),
-                    tx: Some(tx),
-                };
-                for replica in self.all_replicas_of(&involved) {
-                    self.send_signed(ctx, replica, BasilMsg::Writeback(wb_out.clone()));
-                }
-            }
-            return;
-        }
-        // Someone completed our own in-flight transaction (e.g. another
-        // client recovering it): adopt the decision.
-        let own = match self.current.as_ref().map(|c| &c.phase) {
-            Some(Phase::Preparing(p)) if p.txid == txid => Some((p.tx.clone(), p.involved.clone())),
-            Some(Phase::Logging(l)) if l.txid == txid => Some((l.tx.clone(), l.involved.clone())),
-            _ => None,
-        };
-        if let Some((tx, involved)) = own {
-            let decision = wb.cert.decision();
-            self.complete_own_transaction(ctx, tx, txid, involved, decision, wb.cert);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Dependency recovery (fallback, Section 5)
-    // ------------------------------------------------------------------
-
-    fn start_recovery(&mut self, ctx: &mut Context<BasilMsg>, dep: TxId) {
-        if self
-            .recoveries
-            .get(&dep)
-            .map(|r| !r.resolved)
-            .unwrap_or(false)
-        {
-            return; // already recovering
-        }
-        let Some(tx) = self.dep_txs.get(&dep).cloned() else {
-            return; // nothing known about this dependency
-        };
-        let involved = tx.involved_shards(&self.cfg.system);
-        if involved.is_empty() {
-            return;
-        }
-        let slog = Self::logging_shard(dep, &involved);
-        self.stats.fallback_invocations += 1;
-        let tallies = involved
-            .iter()
-            .map(|s| (*s, ShardTally::new(dep, *s, self.cfg.system.shard)))
-            .collect();
-        self.recoveries.insert(
-            dep,
-            Recovery {
-                tx: tx.clone(),
-                involved: involved.clone(),
-                slog,
-                tallies,
-                outcomes: FastHashMap::default(),
-                st2_tally: St2Tally::new(dep, slog, self.cfg.system.shard),
-                invoked_election: false,
-                resolved: false,
-            },
-        );
-        // RP: a recovery prepare to every replica of every involved shard.
-        let st1 = St1 {
-            tx,
-            auth: None,
-            recovery: true,
-        };
-        let (auth, cost) = self.engine.sign_request(&st1);
-        ctx.charge(cost);
-        let st1 = St1 { auth, ..st1 };
-        for replica in self.all_replicas_of(&involved) {
-            self.send_signed(ctx, replica, BasilMsg::St1(st1.clone()));
-        }
-        ctx.schedule_self(
-            self.cfg.fallback_timeout,
-            BasilMsg::ClientTimer(ClientTimer::FallbackTimeout { txid: dep }),
-        );
-    }
-
-    /// Drives a recovery forward based on the evidence gathered so far.
-    fn advance_recovery(&mut self, ctx: &mut Context<BasilMsg>, txid: TxId, complete: bool) {
-        let action = {
-            let Some(rec) = self.recoveries.get_mut(&txid) else {
-                return;
-            };
-            if rec.resolved {
-                return;
-            }
-            // 1. A durable logging-shard quorum finishes the recovery.
-            match rec.st2_tally.classify() {
-                Some(St2Outcome::Certified(vote_cert)) => {
-                    Some(RecoveryAction::Certified(vote_cert))
-                }
-                Some(St2Outcome::Divergent { replies }) if !rec.invoked_election => {
-                    rec.invoked_election = true;
-                    Some(RecoveryAction::Diverged(replies))
-                }
-                _ => {
-                    // 2. Otherwise aggregate ST1 votes like a normal prepare.
-                    let n = self.cfg.system.shard.n();
-                    for (shard, tally) in rec.tallies.iter() {
-                        if rec.outcomes.contains_key(shard) {
-                            continue;
-                        }
-                        let shard_complete = complete || tally.total() >= n;
-                        if let Some(o) = tally.classify(shard_complete) {
-                            rec.outcomes.insert(*shard, o);
-                        }
-                    }
-                    combine_outcomes(&rec.outcomes, &rec.involved).map(RecoveryAction::Voted)
-                }
-            }
-        };
-        let Some(action) = action else {
-            return;
-        };
-        match action {
-            RecoveryAction::Certified(vote_cert) => {
-                let Some(rec) = self.recoveries.get_mut(&txid) else {
-                    return;
-                };
-                rec.resolved = true;
-                let decision = vote_cert.decision;
-                let cert = Arc::new(match decision {
-                    ProtoDecision::Commit => DecisionCert::Commit(CommitCert {
-                        txid,
-                        fast_votes: vec![],
-                        slow: Some(vote_cert),
-                    }),
-                    ProtoDecision::Abort => DecisionCert::Abort(AbortCert {
-                        txid,
-                        fast_votes: None,
-                        slow: Some(vote_cert),
-                    }),
-                });
-                let tx = rec.tx.clone();
-                let involved = rec.involved.clone();
-                let wb = Writeback { cert, tx: Some(tx) };
-                for replica in self.all_replicas_of(&involved) {
-                    self.send_signed(ctx, replica, BasilMsg::Writeback(wb.clone()));
-                }
-            }
-            RecoveryAction::Diverged(replies) => {
-                // Divergent case: elect a fallback leader on the logging
-                // shard.
-                self.stats.fallback_elections += 1;
-                let slog = match self.recoveries.get(&txid) {
-                    Some(r) => r.slog,
-                    None => return,
-                };
-                let ifb = InvokeFb {
-                    txid,
-                    views: replies,
-                    auth: None,
-                };
-                let (auth, cost) = self.engine.sign_request(&ifb);
-                ctx.charge(cost);
-                let ifb = InvokeFb { auth, ..ifb };
-                for replica in self.replicas_of(slog) {
-                    self.send_signed(ctx, replica, BasilMsg::InvokeFb(ifb.clone()));
-                }
-                ctx.schedule_self(
-                    self.cfg.fallback_timeout,
-                    BasilMsg::ClientTimer(ClientTimer::FallbackTimeout { txid }),
-                );
-            }
-            RecoveryAction::Voted(outcome) => {
-                // We gathered enough ST1 votes to decide the stalled
-                // transaction ourselves; finish it exactly as its original
-                // client would have.
-                let Some(rec) = self.recoveries.get_mut(&txid) else {
-                    return;
-                };
-                let tx = rec.tx.clone();
-                let involved = rec.involved.clone();
-                let slog = rec.slog;
-                if outcome.fast {
-                    rec.resolved = true;
-                    let cert =
-                        Arc::new(build_fast_cert(txid, outcome.decision, outcome.shard_votes));
-                    let wb = Writeback { cert, tx: Some(tx) };
-                    for replica in self.all_replicas_of(&involved) {
-                        self.send_signed(ctx, replica, BasilMsg::Writeback(wb.clone()));
-                    }
-                } else {
-                    // Log the reconciled decision on S_log (view 0).
-                    let st2 = St2 {
-                        txid,
-                        decision: outcome.decision,
-                        shard_votes: outcome.shard_votes,
-                        view: 0,
-                        auth: None,
-                    };
-                    let (auth, cost) = self.engine.sign_request(&st2);
-                    ctx.charge(cost);
-                    let st2 = St2 { auth, ..st2 };
-                    for replica in self.replicas_of(slog) {
-                        self.send_signed(ctx, replica, BasilMsg::St2(st2.clone()));
-                    }
-                    ctx.schedule_self(
-                        self.cfg.fallback_timeout,
-                        BasilMsg::ClientTimer(ClientTimer::FallbackTimeout { txid }),
-                    );
-                }
-            }
-        }
-    }
-
-    fn handle_fallback_timeout(&mut self, ctx: &mut Context<BasilMsg>, txid: TxId) {
-        let unresolved = self
-            .recoveries
-            .get(&txid)
-            .map(|r| !r.resolved)
-            .unwrap_or(false);
-        if !unresolved {
-            self.clear_retry(RetryKind::Fallback, txid);
-            return;
-        }
-        self.advance_recovery(ctx, txid, true);
-        let still_unresolved = self
-            .recoveries
-            .get(&txid)
-            .map(|r| !r.resolved)
-            .unwrap_or(false);
-        if still_unresolved {
-            // Re-send the recovery prepare in case messages were lost, and
-            // keep the timer alive.
-            if let Some(rec) = self.recoveries.get(&txid) {
-                let tx = rec.tx.clone();
-                let involved = rec.involved.clone();
-                let st1 = St1 {
-                    tx,
-                    auth: None,
-                    recovery: true,
-                };
-                let (auth, cost) = self.engine.sign_request(&st1);
-                ctx.charge(cost);
-                let st1 = St1 { auth, ..st1 };
-                for replica in self.all_replicas_of(&involved) {
-                    self.send_signed(ctx, replica, BasilMsg::St1(st1.clone()));
-                }
-            }
-            let delay = self.retry_delay(RetryKind::Fallback, txid, self.cfg.fallback_timeout);
-            ctx.schedule_self(
-                delay,
-                BasilMsg::ClientTimer(ClientTimer::FallbackTimeout { txid }),
-            );
-        } else {
-            self.clear_retry(RetryKind::Fallback, txid);
-        }
+        self.finish_commit(ctx, txid, wb.cert);
     }
 
     fn handle_retry_backoff(&mut self, ctx: &mut Context<BasilMsg>) {
@@ -1653,13 +1305,6 @@ impl BasilClient {
     }
 }
 
-/// What a recovery step decided to do next.
-enum RecoveryAction {
-    Certified(VoteCert),
-    Diverged(Vec<SignedSt2Reply>),
-    Voted(PrepareOutcome),
-}
-
 fn apply_delta(value: &Value, delta: i64) -> Value {
     let current = value.as_u64().unwrap_or(0);
     let new = if delta >= 0 {
@@ -1670,11 +1315,7 @@ fn apply_delta(value: &Value, delta: i64) -> Value {
     Value::from_u64(new)
 }
 
-fn build_fast_cert(
-    txid: TxId,
-    decision: ProtoDecision,
-    shard_votes: Vec<ShardVotes>,
-) -> DecisionCert {
+fn fast_cert(txid: TxId, decision: ProtoDecision, shard_votes: Vec<ShardVotes>) -> DecisionCert {
     match decision {
         ProtoDecision::Commit => DecisionCert::Commit(CommitCert {
             txid,
@@ -1689,7 +1330,7 @@ fn build_fast_cert(
     }
 }
 
-fn build_slow_cert(txid: TxId, vote_cert: VoteCert) -> DecisionCert {
+fn slow_cert(txid: TxId, vote_cert: VoteCert) -> DecisionCert {
     match vote_cert.decision {
         ProtoDecision::Commit => DecisionCert::Commit(CommitCert {
             txid,
@@ -1725,9 +1366,15 @@ impl Actor<BasilMsg> for BasilClient {
             BasilMsg::Writeback(wb) => self.handle_incoming_cert(ctx, wb),
             BasilMsg::ClientTimer(timer) => match timer {
                 ClientTimer::ReadTimeout { req_id } => self.handle_read_timeout(ctx, req_id),
-                ClientTimer::PrepareTimeout { txid } => self.handle_prepare_timeout(ctx, txid),
-                ClientTimer::St2Timeout { txid } => self.handle_st2_timeout(ctx, txid),
-                ClientTimer::FallbackTimeout { txid } => self.handle_fallback_timeout(ctx, txid),
+                ClientTimer::PrepareTimeout { txid } => {
+                    self.handle_commit_timeout(ctx, RetryKind::Prepare, txid)
+                }
+                ClientTimer::St2Timeout { txid } => {
+                    self.handle_commit_timeout(ctx, RetryKind::St2, txid)
+                }
+                ClientTimer::FallbackTimeout { txid } => {
+                    self.handle_commit_timeout(ctx, RetryKind::Fallback, txid)
+                }
                 ClientTimer::RetryBackoff => self.handle_retry_backoff(ctx),
                 ClientTimer::OpenLoopArrival => self.handle_open_loop_arrival(ctx),
             },
@@ -1768,9 +1415,13 @@ mod tests {
     }
 
     fn client_with(profiles: Vec<TxProfile>) -> BasilClient {
+        client_under(cfg(), profiles)
+    }
+
+    fn client_under(cfg: BasilConfig, profiles: Vec<TxProfile>) -> BasilClient {
         BasilClient::new(
             ClientId(1),
-            cfg(),
+            cfg,
             registry(),
             Box::new(ScriptedGenerator::new(profiles)),
             FaultProfile::honest(),
@@ -1811,7 +1462,7 @@ mod tests {
         assert_eq!(st1s.len(), 6);
         assert!(matches!(
             client.current.as_ref().map(|c| &c.phase),
-            Some(Phase::Preparing(_))
+            Some(Phase::Committing(c)) if c.stage() == RetryKind::Prepare
         ));
     }
 
@@ -1897,16 +1548,6 @@ mod tests {
             st1.tx.written_value(&Key::new("x")),
             Some(&Value::from_u64(7))
         );
-    }
-
-    #[test]
-    fn logging_shard_is_deterministic_and_among_involved() {
-        let involved = vec![ShardId(0), ShardId(1), ShardId(2)];
-        let txid = TxId::from_bytes([7; 32]);
-        let a = BasilClient::logging_shard(txid, &involved);
-        let b = BasilClient::logging_shard(txid, &involved);
-        assert_eq!(a, b);
-        assert!(involved.contains(&a));
     }
 
     /// A fast-path commit certificate for `tx` signed by all six replicas of
@@ -2034,5 +1675,503 @@ mod tests {
         stats.aborted_attempts = 2;
         assert!((stats.mean_latency_ms() - 3.0).abs() < 1e-9);
         assert!((stats.commit_rate() - 0.5).abs() < 1e-9);
+    }
+
+    // ------------------------------------------------------------------
+    // The commit driver
+    // ------------------------------------------------------------------
+
+    use crate::messages::{PreparedRead, ReadReplyBody, St1ReplyBody, St2ReplyBody};
+
+    /// Signatures off: the driver's decisions do not depend on them, and
+    /// hand-built replies need no keys.
+    fn unsigned_cfg() -> BasilConfig {
+        cfg().without_proofs()
+    }
+
+    fn write_profile() -> TxProfile {
+        TxProfile::new("w", vec![Op::Write(Key::new("x"), Value::from_u64(1))])
+    }
+
+    fn write_tx(nanos: u64) -> Arc<Transaction> {
+        let mut b = TransactionBuilder::new(Timestamp::from_nanos(nanos, ClientId(7)));
+        b.record_write(Key::new("x"), Value::from_u64(1));
+        b.build_shared()
+    }
+
+    fn commit_of(tx: &Arc<Transaction>, recovery: bool, cfg: &BasilConfig) -> Commit {
+        Commit::new(Arc::clone(tx), recovery, &cfg.system).expect("writes a key")
+    }
+
+    fn vote(txid: TxId, i: u32, vote: ProtoVote) -> SignedSt1Reply {
+        SignedSt1Reply {
+            body: St1ReplyBody {
+                txid,
+                replica: ReplicaId::new(ShardId(0), i),
+                vote,
+            },
+            proof: None,
+            conflict: None,
+        }
+    }
+
+    fn ack(txid: TxId, i: u32, decision: ProtoDecision, view: u64) -> SignedSt2Reply {
+        SignedSt2Reply {
+            body: St2ReplyBody {
+                txid,
+                replica: ReplicaId::new(ShardId(0), i),
+                decision,
+                view_decision: view,
+                view_current: view,
+            },
+            proof: None,
+        }
+    }
+
+    fn add_votes(commit: &mut Commit, votes: impl IntoIterator<Item = SignedSt1Reply>) {
+        for v in votes {
+            commit.tallies.get_mut(&ShardId(0)).expect("shard 0").add(v);
+        }
+    }
+
+    /// `commits` commit votes from replicas `0..commits`, abort votes from the
+    /// next `aborts`.
+    fn votes(txid: TxId, commits: u32, aborts: u32) -> Vec<SignedSt1Reply> {
+        (0..commits)
+            .map(|i| vote(txid, i, ProtoVote::Commit))
+            .chain((commits..commits + aborts).map(|i| vote(txid, i, ProtoVote::Abort)))
+            .collect()
+    }
+
+    fn count(msgs: &[(NodeId, BasilMsg)], pick: impl Fn(&BasilMsg) -> bool) -> usize {
+        msgs.iter().filter(|(_, m)| pick(m)).count()
+    }
+
+    /// Starts a client on one write-only transaction; returns it with the
+    /// id of that transaction.
+    fn owner(cfg: BasilConfig) -> (BasilClient, TxId) {
+        let mut client = client_under(cfg, vec![write_profile()]);
+        client.on_start(&mut ctx_at(1));
+        let txid = match &client.current.as_ref().expect("in flight").phase {
+            Phase::Committing(c) => c.txid,
+            other => panic!("unexpected phase {other:?}"),
+        };
+        (client, txid)
+    }
+
+    /// Starts a client on recovering `tx` as a stalled dependency.
+    fn recoverer(cfg: BasilConfig, tx: &Arc<Transaction>) -> BasilClient {
+        let mut client = client_under(cfg, vec![]);
+        client.dep_txs.insert(tx.id(), Arc::clone(tx));
+        client.start_recovery(&mut ctx_at(1), tx.id());
+        assert_eq!(client.stats().fallback_invocations, 1);
+        client
+    }
+
+    fn deliver(client: &mut BasilClient, msg: BasilMsg) -> Vec<(NodeId, BasilMsg)> {
+        let mut ctx = ctx_at(2);
+        client.on_message(
+            &mut ctx,
+            NodeId::Replica(ReplicaId::new(ShardId(0), 0)),
+            msg,
+        );
+        sent_messages(&ctx)
+    }
+
+    fn deliver_all(
+        client: &mut BasilClient,
+        msgs: impl IntoIterator<Item = BasilMsg>,
+    ) -> Vec<(NodeId, BasilMsg)> {
+        msgs.into_iter().flat_map(|m| deliver(client, m)).collect()
+    }
+
+    #[test]
+    fn commit_step_unanimous_votes_decide_fast() {
+        let tx = write_tx(1_000);
+        let mut commit = commit_of(&tx, false, &cfg());
+        add_votes(&mut commit, votes(tx.id(), 5, 0));
+        assert!(matches!(commit.step(false), Step::Wait));
+        add_votes(&mut commit, [vote(tx.id(), 5, ProtoVote::Commit)]);
+        match commit.step(false) {
+            Step::Decided(DecisionCert::Commit(cert)) => {
+                assert!(cert.slow.is_none());
+                assert_eq!(cert.fast_votes[0].votes.len(), 6);
+            }
+            other => panic!("expected a fast commit, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn commit_step_slow_commit_waits_for_complete_and_is_proposed_once() {
+        let tx = write_tx(1_000);
+        let mut commit = commit_of(&tx, true, &cfg());
+        add_votes(&mut commit, votes(tx.id(), 4, 0));
+        assert!(
+            matches!(commit.step(false), Step::Wait),
+            "a unanimous fast path might still materialize"
+        );
+        assert!(matches!(commit.step(true), Step::Log));
+        let (decision, tallies) = commit.proposal.clone().expect("proposed");
+        assert_eq!(decision, ProtoDecision::Commit);
+        assert_eq!(tallies[0].votes.len(), 4);
+        // Further evidence short of a quorum on S_log changes nothing: the
+        // proposal is out, and only the timeout re-sends it.
+        add_votes(&mut commit, [vote(tx.id(), 4, ProtoVote::Commit)]);
+        commit
+            .st2_tally
+            .add(ack(tx.id(), 0, ProtoDecision::Commit, 0));
+        assert!(matches!(commit.step(false), Step::Wait));
+        assert!(matches!(commit.step(true), Step::Wait));
+        // n - f matching acknowledgements decide.
+        for i in 1..5 {
+            commit
+                .st2_tally
+                .add(ack(tx.id(), i, ProtoDecision::Commit, 0));
+        }
+        match commit.step(false) {
+            Step::Decided(DecisionCert::Commit(cert)) => {
+                assert_eq!(cert.slow.expect("slow path").replies.len(), 5)
+            }
+            other => panic!("expected a slow commit, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn commit_step_conflict_cert_aborts_fast() {
+        let tx = write_tx(1_000);
+        let mut commit = commit_of(&tx, false, &cfg());
+        let mut conflicted = vote(tx.id(), 3, ProtoVote::Abort);
+        conflicted.conflict = Some(valid_commit_cert(&write_tx(2_000), 6));
+        add_votes(
+            &mut commit,
+            [vote(tx.id(), 0, ProtoVote::Commit), conflicted],
+        );
+        match commit.step(false) {
+            Step::Decided(DecisionCert::Abort(cert)) => {
+                let evidence = cert.fast_votes.expect("fast path");
+                assert_eq!(evidence.votes.len(), 1);
+                assert!(evidence.conflict.is_some());
+            }
+            other => panic!("expected a fast abort, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn commit_step_split_log_elects_once() {
+        let tx = write_tx(1_000);
+        // The owner's commit: a split log is the owner's problem too.
+        let mut commit = commit_of(&tx, false, &cfg());
+        add_votes(&mut commit, votes(tx.id(), 4, 2));
+        assert!(matches!(commit.step(false), Step::Log), "all six voted");
+        for i in 0..6 {
+            let decision = if i < 3 {
+                ProtoDecision::Commit
+            } else {
+                ProtoDecision::Abort
+            };
+            commit.st2_tally.add(ack(tx.id(), i, decision, 0));
+        }
+        match commit.step(false) {
+            Step::Elect(views) => assert_eq!(views.len(), 6),
+            other => panic!("expected an election, got {other:?}"),
+        }
+        assert!(matches!(commit.step(false), Step::Wait));
+        assert!(matches!(commit.step(true), Step::Wait));
+        // The election's outcome arrives as ST2R of view 1 and decides.
+        for i in 0..5 {
+            commit
+                .st2_tally
+                .add(ack(tx.id(), i, ProtoDecision::Abort, 1));
+        }
+        assert!(matches!(
+            commit.step(false),
+            Step::Decided(DecisionCert::Abort(_))
+        ));
+    }
+
+    #[test]
+    fn commit_step_without_the_fast_path_always_logs() {
+        let tx = write_tx(1_000);
+        let nofp = cfg().without_fast_path();
+        for recovery in [false, true] {
+            let mut commit = commit_of(&tx, recovery, &nofp);
+            add_votes(&mut commit, votes(tx.id(), 6, 0));
+            assert!(
+                matches!(commit.step(false), Step::Log),
+                "recovery = {recovery}"
+            );
+        }
+    }
+
+    /// Drift 1a: replicas' logged decision is sticky, so when a recovering
+    /// client logged Abort first (two abort votes justify it) the owner's
+    /// Commit proposal is acknowledged with Abort. The certificate decides —
+    /// not what the owner proposed.
+    #[test]
+    fn commit_owner_reports_the_certified_decision_not_its_proposal() {
+        let (mut client, txid) = owner(unsigned_cfg());
+        let sent = deliver_all(
+            &mut client,
+            votes(txid, 4, 2).into_iter().map(BasilMsg::St1Reply),
+        );
+        assert_eq!(
+            count(
+                &sent,
+                |m| matches!(m, BasilMsg::St2(s) if s.decision.is_commit())
+            ),
+            6
+        );
+        assert_eq!(client.stats().slow_path_decisions, 1);
+
+        let mut ctx = ctx_at(3);
+        for i in 0..5 {
+            client.handle_st2_reply(&mut ctx, ack(txid, i, ProtoDecision::Abort, 0));
+        }
+        assert_eq!(client.stats().committed, 0, "the transaction aborted");
+        assert_eq!(client.stats().aborted_attempts, 1);
+        let sent = sent_messages(&ctx);
+        assert_eq!(
+            count(
+                &sent,
+                |m| matches!(m, BasilMsg::Writeback(wb) if !wb.cert.decision().is_commit())
+            ),
+            6
+        );
+        assert!(
+            matches!(
+                client.current.as_ref().map(|c| &c.phase),
+                Some(Phase::WaitingRetry)
+            ),
+            "an aborted attempt is retried"
+        );
+    }
+
+    /// Drift 1b: a recovery sends its proposal once; replies that do not
+    /// decide re-send nothing and arm nothing; the timeout re-sends.
+    #[test]
+    fn commit_recovery_proposes_once_and_the_timeout_resends() {
+        let tx = write_tx(1_000);
+        let mut client = recoverer(unsigned_cfg(), &tx);
+        let sent = deliver_all(
+            &mut client,
+            votes(tx.id(), 4, 2).into_iter().map(BasilMsg::St1Reply),
+        );
+        assert_eq!(count(&sent, |m| matches!(m, BasilMsg::St2(_))), 6);
+
+        let mut ctx = ctx_at(3);
+        client.handle_st2_reply(&mut ctx, ack(tx.id(), 0, ProtoDecision::Commit, 0));
+        client.handle_st1_reply(&mut ctx, vote(tx.id(), 0, ProtoVote::Commit));
+        assert!(ctx.outputs().is_empty(), "got {:?}", ctx.outputs());
+
+        let mut ctx = ctx_at(30);
+        client.handle_commit_timeout(&mut ctx, RetryKind::Fallback, tx.id());
+        let sent = sent_messages(&ctx);
+        assert_eq!(count(&sent, |m| matches!(m, BasilMsg::St2(_))), 6);
+        assert_eq!(
+            count(&sent, |m| matches!(m, BasilMsg::St1(s) if s.recovery)),
+            6,
+            "a recoverer re-asks every replica, the ones that voted included"
+        );
+        let timers = ctx.outputs().len() - sent.len();
+        assert_eq!(timers, 1, "one timer chain per recovery");
+    }
+
+    /// Drift 1c: the owner of a transaction whose log split invokes the
+    /// fallback like any other interested client, once.
+    #[test]
+    fn commit_owner_invokes_the_fallback_on_a_split_log() {
+        let (mut client, txid) = owner(unsigned_cfg());
+        deliver_all(
+            &mut client,
+            votes(txid, 4, 2).into_iter().map(BasilMsg::St1Reply),
+        );
+        // Three commits and two aborts: whatever the sixth replica says, no
+        // decision reaches n - f = 5.
+        let acks = (0..5).map(|i| {
+            let decision = if i < 3 {
+                ProtoDecision::Commit
+            } else {
+                ProtoDecision::Abort
+            };
+            BasilMsg::St2Reply(ack(txid, i, decision, 0))
+        });
+        let sent = deliver_all(&mut client, acks);
+        assert_eq!(
+            count(
+                &sent,
+                |m| matches!(m, BasilMsg::InvokeFb(f) if f.views.len() == 5)
+            ),
+            6
+        );
+        assert_eq!(client.stats().fallback_elections, 1);
+        let sent = deliver(
+            &mut client,
+            BasilMsg::St2Reply(ack(txid, 5, ProtoDecision::Abort, 0)),
+        );
+        assert!(sent.is_empty());
+    }
+
+    /// A recovering client may log a decision while the owner is still
+    /// gathering votes: S_log's certificate ends the owner's commit too, and
+    /// is not mistaken for a fast-path decision.
+    #[test]
+    fn commit_owner_accepts_a_decision_logged_while_it_was_voting() {
+        let (mut client, txid) = owner(unsigned_cfg());
+        let acks = (0..5).map(|i| BasilMsg::St2Reply(ack(txid, i, ProtoDecision::Commit, 0)));
+        let sent = deliver_all(&mut client, acks);
+        assert_eq!(count(&sent, |m| matches!(m, BasilMsg::Writeback(_))), 6);
+        assert_eq!(client.stats().committed, 1);
+        assert_eq!(client.stats().fast_path_decisions, 0);
+        assert_eq!(client.stats().slow_path_decisions, 0);
+    }
+
+    /// The same replies draw the same messages from a transaction's owner
+    /// and from a client recovering it, apart from the `St1.recovery` flag:
+    /// prepare, slow-path proposal, writeback.
+    #[test]
+    fn commit_owner_and_recoverer_emit_the_same_messages() {
+        let (mut own, txid) = owner(unsigned_cfg());
+        let tx = match &own.current.as_ref().expect("in flight").phase {
+            Phase::Committing(c) => Arc::clone(&c.tx),
+            other => panic!("unexpected phase {other:?}"),
+        };
+        let mut ctx = ctx_at(1);
+        let mut rec = client_under(unsigned_cfg(), vec![]);
+        rec.dep_txs.insert(txid, Arc::clone(&tx));
+        rec.start_recovery(&mut ctx, txid);
+        let started = sent_messages(&ctx);
+        assert_eq!(
+            count(&started, |m| matches!(m, BasilMsg::St1(s) if s.recovery)),
+            6
+        );
+
+        let replies: Vec<BasilMsg> = votes(txid, 4, 2)
+            .into_iter()
+            .map(BasilMsg::St1Reply)
+            .chain((0..5).map(|i| BasilMsg::St2Reply(ack(txid, i, ProtoDecision::Commit, 0))))
+            .collect();
+        let from_owner = deliver_all(&mut own, replies.clone());
+        let from_recoverer = deliver_all(&mut rec, replies);
+        assert_eq!(count(&from_owner, |m| matches!(m, BasilMsg::St2(_))), 6);
+        assert_eq!(
+            count(&from_owner, |m| matches!(m, BasilMsg::Writeback(_))),
+            6
+        );
+        assert_eq!(format!("{from_owner:?}"), format!("{from_recoverer:?}"));
+        assert_eq!(own.stats().committed, 1);
+        assert!(rec.recoveries.is_empty(), "a resolved recovery is dropped");
+    }
+
+    // ------------------------------------------------------------------
+    // Read replies, bounded state
+    // ------------------------------------------------------------------
+
+    /// A read reply vouches for a version only if a replica of the key's
+    /// shard signed it: anyone with a key can produce a valid signature.
+    #[test]
+    fn read_reply_counts_only_replicas_of_the_keys_shard() {
+        let profile = TxProfile::new("r", vec![Op::Read(Key::new("x"))]);
+        let mut client = client_with(vec![profile]);
+        client.on_start(&mut ctx_at(1));
+        let forged_tx = write_tx(500);
+        let reply_from = |signer: NodeId| {
+            let body = ReadReplyBody {
+                req_id: 1,
+                key: Key::new("x"),
+                committed: None,
+                prepared: Some(PreparedRead {
+                    tx: Arc::clone(&forged_tx),
+                }),
+            };
+            let (proof, _) = SigEngine::new(signer, registry(), &cfg()).sign(&body);
+            ReadReply { body, proof }
+        };
+        // f + 1 = 2 vouchers would make the prepared version readable.
+        let impostors = [
+            NodeId::Client(ClientId(8)),
+            NodeId::Client(ClientId(9)),
+            NodeId::Replica(ReplicaId::new(ShardId(1), 0)),
+            NodeId::Replica(ReplicaId::new(ShardId(1), 1)),
+            NodeId::Replica(ReplicaId::new(ShardId(0), 6)),
+            NodeId::Replica(ReplicaId::new(ShardId(0), 7)),
+        ];
+        for signer in impostors {
+            client.handle_read_reply(&mut ctx_at(2), reply_from(signer));
+        }
+        let pending = executing(&mut client.current)
+            .and_then(|e| e.pending_read.as_ref())
+            .expect("the read is still waiting");
+        assert!(pending.replies.is_empty());
+        assert_eq!(client.stats().dependent_reads, 0);
+
+        // Two replicas of shard 0 do vouch for it.
+        for i in 0..2 {
+            let replica = NodeId::Replica(ReplicaId::new(ShardId(0), i));
+            client.handle_read_reply(&mut ctx_at(3), reply_from(replica));
+        }
+        assert_eq!(client.stats().dependent_reads, 1);
+    }
+
+    /// A thousand transactions, each depending on a stalled write that the
+    /// client recovers: neither the recoveries nor the remembered dependency
+    /// bodies accumulate.
+    #[test]
+    fn recoveries_and_dependencies_do_not_accumulate() {
+        const N: u64 = 1_000;
+        let profile = TxProfile::new(
+            "dependent",
+            vec![
+                Op::Read(Key::new("hot")),
+                Op::Write(Key::new("out"), Value::from_u64(5)),
+            ],
+        );
+        let mut client = client_under(unsigned_cfg(), vec![profile; N as usize]);
+        client.on_start(&mut ctx_at(1));
+        for i in 0..N {
+            // Two replicas vouch for a prepared write of `hot` by a
+            // transaction that then stalls.
+            let mut b = TransactionBuilder::new(Timestamp::from_nanos(i + 1, ClientId(7)));
+            b.record_write(Key::new("hot"), Value::from_u64(i));
+            let dep = b.build_shared();
+            let mut ctx = ctx_at(2);
+            for _ in 0..2 {
+                let body = ReadReplyBody {
+                    req_id: i + 1,
+                    key: Key::new("hot"),
+                    committed: None,
+                    prepared: Some(PreparedRead {
+                        tx: Arc::clone(&dep),
+                    }),
+                };
+                client.handle_read_reply(&mut ctx, ReadReply { body, proof: None });
+            }
+            let txid = sent_messages(&ctx)
+                .iter()
+                .find_map(|(_, m)| match m {
+                    BasilMsg::St1(st1) => Some(st1.tx.id()),
+                    _ => None,
+                })
+                .expect("the read concluded and the prepare went out");
+            // No votes arrive (they wait on the dependency): the prepare
+            // timeout starts the recovery, and a certificate resolves it.
+            client.handle_commit_timeout(&mut ctx_at(20), RetryKind::Prepare, txid);
+            assert!(client.recoveries.contains_key(&dep.id()));
+            let cert = Arc::new(fast_cert(dep.id(), ProtoDecision::Commit, vec![]));
+            deliver(
+                &mut client,
+                BasilMsg::Writeback(Writeback { cert, tx: None }),
+            );
+            // The released votes commit the dependent transaction.
+            deliver_all(
+                &mut client,
+                votes(txid, 6, 0).into_iter().map(BasilMsg::St1Reply),
+            );
+            assert_eq!(client.stats().committed, i + 1);
+        }
+        assert!(client.is_stopped());
+        assert_eq!(client.stats().fallback_invocations, N);
+        assert_eq!(client.stats().dependent_reads, N);
+        assert!(client.recoveries.is_empty());
+        assert!(client.dep_txs.len() <= 1, "got {}", client.dep_txs.len());
     }
 }

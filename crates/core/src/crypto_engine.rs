@@ -314,6 +314,22 @@ impl SigEngine {
         }
     }
 
+    /// [`SigEngine::verify`], and the proof must be `signer`'s: a replica's
+    /// vote names the replica casting it, and a signature that verifies under
+    /// somebody else's key says nothing about that claim. The verification is
+    /// made — and its cost returned — whether or not the signer matches, so
+    /// a mislabelled message costs its sender's victim what a forged one does.
+    pub fn verify_from<P: SignedPayload + ?Sized>(
+        &mut self,
+        payload: &P,
+        proof: Option<&BatchProof>,
+        signer: NodeId,
+    ) -> (bool, Duration) {
+        let (ok, cost) = self.verify(payload, proof);
+        let bound = !self.enabled || proof.is_some_and(|p| p.signer() == signer);
+        (ok && bound, cost)
+    }
+
     /// Computes the cost of one batched-reply verification: a hash-only check
     /// on a signature-cache hit, the grouped (ed25519 batch-verification)
     /// rate when another uncached root from the same signer was verified
@@ -442,6 +458,30 @@ mod tests {
         assert!(verify_cost > Duration::ZERO);
         let (bad, _) = verifier.verify(b"other", proof.as_ref());
         assert!(!bad);
+    }
+
+    #[test]
+    fn verify_from_binds_the_signature_to_the_claimed_signer() {
+        for mode in [CryptoMode::Real, CryptoMode::Simulated] {
+            // Fresh verifiers, so both checks meet the same (cold) cache.
+            let (mut signer, mut honest) = engine(mode, true);
+            let (_, mut lied_to) = engine(mode, true);
+            let (proof, _) = signer.sign(b"vote");
+            let (ok, cost) = honest.verify_from(b"vote", proof.as_ref(), replica(0));
+            assert!(ok, "{mode:?}");
+            // Replica 0's signature under a body that claims replica 1.
+            let (ok, same_cost) = lied_to.verify_from(b"vote", proof.as_ref(), replica(1));
+            assert!(!ok, "{mode:?}");
+            assert_eq!(cost, same_cost, "the check is made and charged either way");
+            assert!(cost > Duration::ZERO);
+            assert!(!honest.verify_from(b"vote", None, replica(0)).0);
+        }
+        // Signatures off: nothing to bind, nothing charged.
+        let (_, mut verifier) = engine(CryptoMode::Real, false);
+        assert_eq!(
+            verifier.verify_from(b"vote", None, replica(1)),
+            (true, Duration::ZERO)
+        );
     }
 
     #[test]

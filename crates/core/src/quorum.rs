@@ -133,9 +133,9 @@ impl ShardTally {
     /// Tries to classify the shard's vote.
     ///
     /// `complete` indicates that the client does not expect further replies
-    /// (all `n` arrived, or its prepare timer fired after at least `n - f`):
-    /// only then are the slow paths taken, because earlier a unanimous fast
-    /// path might still materialize.
+    /// (its prepare timer fired); all `n` having voted says the same. Only
+    /// then are the slow paths taken, because earlier a unanimous fast path
+    /// might still materialize.
     pub fn classify(&self, complete: bool) -> Option<ShardOutcome> {
         let commits = self.commits();
         let aborts = self.aborts();
@@ -154,7 +154,7 @@ impl ShardTally {
         if aborts >= self.cfg.fast_abort_quorum() {
             return Some(self.outcome(ShardPath::FastAbort, ProtoDecision::Abort, None));
         }
-        if !complete {
+        if !complete && self.total() < self.cfg.n() {
             return None;
         }
         if commits >= self.cfg.commit_quorum() {

@@ -8,7 +8,7 @@
 //! tree per Section 4.4.
 
 use crate::byzantine::ReplicaBehavior;
-use crate::certs::{validate_st2_justification, DecisionCert, ReplicaIndexSet};
+use crate::certs::{count_distinct_signed, validate_st2_justification, DecisionCert};
 use crate::config::BasilConfig;
 use crate::crypto_engine::SigEngine;
 use crate::messages::{
@@ -17,7 +17,7 @@ use crate::messages::{
     SignedElectFb, SignedSt1Reply, SignedSt2Reply, St1, St1ReplyBody, St2, St2ReplyBody, View,
     Writeback,
 };
-use crate::views::{fallback_leader_index, next_view};
+use crate::views::{fallback_leader_index, logging_shard, next_view};
 use basil_common::{
     ClientId, FastHashMap, FastHashSet, Key, NodeId, ReplicaId, ShardId, SimTime, Timestamp, TxId,
     Value,
@@ -701,6 +701,14 @@ impl BasilReplica {
             .get(&txid)
             .and_then(|r| r.tx.as_ref())
             .map(|tx| tx.involved_shards(&self.cfg.system));
+        // Only S_log logs decisions (see `validate_commit_cert`): an ST2 for
+        // a transaction known to log elsewhere is not acknowledged here.
+        if expected_shards
+            .as_deref()
+            .is_some_and(|s| logging_shard(txid, s) != Some(self.id.shard))
+        {
+            return;
+        }
         if !self.cfg.relax_st2_validation {
             let validation = validate_st2_justification(
                 txid,
@@ -963,34 +971,16 @@ impl BasilReplica {
         self.stats.fallback_invocations += 1;
         let txid = ifb.txid;
 
-        // Validate and extract the reported current views.
+        // The current views reported by distinct, correctly signed replicas
+        // of this shard.
         let mut reported: Vec<View> = Vec::new();
-        let mut seen = ReplicaIndexSet::default();
-        let mut verify_cost = basil_common::Duration::ZERO;
-        for view_reply in &ifb.views {
-            if view_reply.body.txid != txid || view_reply.body.replica.shard != self.id.shard {
-                continue;
-            }
-            if seen.contains(view_reply.body.replica.index) {
-                continue;
-            }
-            if self.engine.enabled() {
-                let signer_ok = view_reply
-                    .proof
-                    .as_ref()
-                    .map(|p| p.signer() == NodeId::Replica(view_reply.body.replica))
-                    .unwrap_or(false);
-                let (ok, c) = self
-                    .engine
-                    .verify(&view_reply.body, view_reply.proof.as_ref());
-                verify_cost += c;
-                if !ok || !signer_ok {
-                    continue;
-                }
-            }
-            seen.insert(view_reply.body.replica.index);
-            reported.push(view_reply.body.view_current);
-        }
+        let (_, verify_cost) = count_distinct_signed(
+            &ifb.views,
+            self.id.shard,
+            &mut self.engine,
+            |v| (v.body.txid == txid).then_some((v.body.replica, &v.body, v.proof.as_ref())),
+            |v| reported.push(v.body.view_current),
+        );
         ctx.charge(verify_cost);
 
         // Optimization from Appendix B.5: moving from view 0 to view 1 needs
@@ -1035,17 +1025,14 @@ impl BasilReplica {
         if self.elections_done.contains(&(txid, view)) {
             return;
         }
-        if self.engine.enabled() {
-            let signer_ok = efb
-                .proof
-                .as_ref()
-                .map(|p| p.signer() == NodeId::Replica(efb.body.replica))
-                .unwrap_or(false);
-            let (ok, cost) = self.engine.verify(&efb.body, efb.proof.as_ref());
-            ctx.charge(cost);
-            if !ok || !signer_ok {
-                return;
-            }
+        let (ok, cost) = self.engine.verify_from(
+            &efb.body,
+            efb.proof.as_ref(),
+            NodeId::Replica(efb.body.replica),
+        );
+        ctx.charge(cost);
+        if !ok {
+            return;
         }
         let entry = self.elections.entry((txid, view)).or_default();
         entry.insert(efb.body.replica.index, efb);
@@ -1092,45 +1079,32 @@ impl BasilReplica {
     fn handle_dec_fb(&mut self, ctx: &mut Context<BasilMsg>, dfb: DecFb) {
         let txid = dfb.txid;
         let view = dfb.view;
-        // Validate the leader's identity and signature.
+        // The view's leader must have signed the decision, and it must carry
+        // the election: 4f+1 distinct, correctly signed ElectFB messages of
+        // this shard for this view.
         let leader_index = fallback_leader_index(view, txid, self.cfg.system.shard.n());
-        if self.engine.enabled() {
-            let signer_ok = dfb
-                .auth
-                .as_ref()
-                .map(|p| p.signer() == NodeId::Replica(ReplicaId::new(self.id.shard, leader_index)))
-                .unwrap_or(false);
-            let (ok, cost) = self.engine.verify(&dfb, dfb.auth.as_ref());
-            ctx.charge(cost);
-            if !ok || !signer_ok {
-                return;
-            }
-            // Validate the election proof: 4f+1 distinct, correctly signed
-            // ElectFB messages for this view.
-            let mut seen = ReplicaIndexSet::default();
-            let mut cost_total = basil_common::Duration::ZERO;
-            for e in &dfb.elect_proof {
-                if e.body.txid != txid || e.body.view != view {
-                    continue;
-                }
-                if seen.contains(e.body.replica.index) {
-                    continue;
-                }
-                let signer_ok = e
-                    .proof
-                    .as_ref()
-                    .map(|p| p.signer() == NodeId::Replica(e.body.replica))
-                    .unwrap_or(false);
-                let (ok, c) = self.engine.verify(&e.body, e.proof.as_ref());
-                cost_total += c;
-                if ok && signer_ok {
-                    seen.insert(e.body.replica.index);
-                }
-            }
-            ctx.charge(cost_total);
-            if seen.len() < self.cfg.system.shard.elect_quorum() {
-                return;
-            }
+        let leader = NodeId::Replica(ReplicaId::new(self.id.shard, leader_index));
+        let (ok, cost) = self.engine.verify_from(&dfb, dfb.auth.as_ref(), leader);
+        ctx.charge(cost);
+        if !ok {
+            return;
+        }
+        let (electors, cost) = count_distinct_signed(
+            &dfb.elect_proof,
+            self.id.shard,
+            &mut self.engine,
+            |e| {
+                (e.body.txid == txid && e.body.view == view).then_some((
+                    e.body.replica,
+                    &e.body,
+                    e.proof.as_ref(),
+                ))
+            },
+            |_| {},
+        );
+        ctx.charge(cost);
+        if electors < self.cfg.system.shard.elect_quorum() {
+            return;
         }
         let replica_id = self.id;
         let interested: Vec<NodeId> = {
@@ -1801,9 +1775,14 @@ mod tests {
     }
 
     fn shard_votes_commit_tally(tx: &Transaction, count: u32) -> Vec<ShardVotes> {
+        vec![commit_tally_of(tx, ShardId(0), count)]
+    }
+
+    /// Commit votes for `tx` signed by replicas `0..count` of `shard`.
+    fn commit_tally_of(tx: &Transaction, shard: ShardId, count: u32) -> ShardVotes {
         let votes: Vec<SignedSt1Reply> = (0..count)
             .map(|i| {
-                let rid = ReplicaId::new(ShardId(0), i);
+                let rid = ReplicaId::new(shard, i);
                 let body = St1ReplyBody {
                     txid: tx.id(),
                     replica: rid,
@@ -1818,13 +1797,13 @@ mod tests {
                 }
             })
             .collect();
-        vec![ShardVotes {
+        ShardVotes {
             txid: tx.id(),
-            shard: ShardId(0),
+            shard,
             decision: ProtoDecision::Commit,
             votes,
             conflict: None,
-        }]
+        }
     }
 
     fn signed_st2(tx: &Transaction, decision: ProtoDecision, tally: Vec<ShardVotes>) -> St2 {
@@ -1858,6 +1837,55 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(r.stats().st2_logged, 1);
+    }
+
+    /// S_log is not a client-side convention: a replica of an involved
+    /// shard that is not the transaction's logging shard does not log,
+    /// acknowledge or persist an ST2, however well justified.
+    #[test]
+    fn st2_is_logged_only_on_the_logging_shard() {
+        let mut two_shards = cfg();
+        two_shards.system.num_shards = 2;
+        let key_on = |shard: u32| {
+            (0..)
+                .map(|i| format!("k{i}"))
+                .find(|k| two_shards.system.shard_for_key(&Key::new(k)) == ShardId(shard))
+                .expect("some key hashes to each shard")
+        };
+        let mut b = TransactionBuilder::new(Timestamp::from_nanos(1_000_000, ClientId(9)));
+        b.record_write(Key::new(key_on(0)), Value::from_u64(1));
+        b.record_write(Key::new(key_on(1)), Value::from_u64(2));
+        let tx = b.build_shared();
+        let involved = tx.involved_shards(&two_shards.system);
+        assert_eq!(involved, [ShardId(0), ShardId(1)]);
+        let slog = logging_shard(tx.id(), &involved).expect("two shards");
+
+        // A commit quorum from each shard: the justification is complete.
+        let tallies = involved
+            .iter()
+            .map(|shard| commit_tally_of(&tx, *shard, 4))
+            .collect();
+        let st2 = signed_st2(&tx, ProtoDecision::Commit, tallies);
+
+        for shard in involved {
+            let id = ReplicaId::new(shard, 0);
+            let mut r = BasilReplica::new(
+                id,
+                two_shards.clone(),
+                registry(),
+                ReplicaBehavior::Correct,
+                [],
+            );
+            let mut ctx = ctx_at(NodeId::Replica(id), 1);
+            r.handle_st1(&mut ctx, client_node(), signed_st1(&tx, false));
+            let wal_before = r.stats().wal_appends;
+            let mut ctx = ctx_at(NodeId::Replica(id), 2);
+            r.handle_st2(&mut ctx, client_node(), st2.clone());
+            let logs = u64::from(shard == slog);
+            assert_eq!(r.stats().st2_logged, logs, "shard {shard:?}");
+            assert_eq!(r.stats().wal_appends - wal_before, logs);
+            assert_eq!(sent_to(&ctx, client_node()).len() as u64, logs);
+        }
     }
 
     #[test]

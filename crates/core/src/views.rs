@@ -15,7 +15,7 @@
 //! every `v' <= v`.
 
 use crate::messages::View;
-use basil_common::{ShardConfig, TxId};
+use basil_common::{ShardConfig, ShardId, TxId};
 
 /// Applies rules R1/R2 with vote subsumption and returns the new current
 /// view for a replica whose current view is `current`.
@@ -52,6 +52,17 @@ pub fn next_view(current: View, reported: &[View], cfg: &ShardConfig) -> View {
 /// transaction id as in Section 5, step 2).
 pub fn fallback_leader_index(view: View, txid: TxId, n: u32) -> u32 {
     ((view + txid.as_u64()) % n as u64) as u32
+}
+
+/// The logging shard `S_log` of transaction `txid`: the one involved shard
+/// whose replicas log its ST2 decision and run its fallback elections
+/// (Section 4.2, stage ST2). Everyone derives it from the transaction alone —
+/// the client that proposes, the replica that is asked to log, the validator
+/// of a slow-path certificate — so a decision acknowledged anywhere else
+/// proves nothing. `None` only for a transaction that involves no shard.
+pub fn logging_shard(txid: TxId, involved: &[ShardId]) -> Option<ShardId> {
+    let n = involved.len() as u64;
+    (n > 0).then(|| involved[(txid.as_u64() % n) as usize])
 }
 
 #[cfg(test)]
@@ -123,5 +134,16 @@ mod tests {
         for v in 0..20 {
             assert!(fallback_leader_index(v, t2, n) < n);
         }
+    }
+
+    #[test]
+    fn logging_shard_is_deterministic_and_among_involved() {
+        let involved = vec![ShardId(0), ShardId(1), ShardId(2)];
+        let txid = TxId::from_bytes([7; 32]);
+        let a = logging_shard(txid, &involved).expect("shards are involved");
+        let b = logging_shard(txid, &involved).expect("shards are involved");
+        assert_eq!(a, b);
+        assert!(involved.contains(&a));
+        assert_eq!(logging_shard(txid, &[]), None);
     }
 }

@@ -3,6 +3,15 @@
 //! dependency on the stalled transaction and uses Basil's per-transaction
 //! fallback (Section 5) to finish it and commit its own transaction.
 //!
+//! **That is what it is meant to show, not what it runs today** (ROADMAP open
+//! item 0, "Byzantine clients have never been Byzantine"): the client's
+//! Byzantine hooks read `BasilConfig::client_strategy`, which nothing here
+//! sets, and never the `FaultProfile`'s strategy, so client 1 follows the
+//! protocol, the run prints `fallback invocations  : 0` and the closing banner
+//! overstates it. `tests/fallback_recovery.rs` (`really_byzantine_config`)
+//! shows the two knobs that turn the behaviour on; the example is left as it
+//! is until the wiring is fixed.
+//!
 //! Run with: `cargo run --example byzantine_recovery`
 
 use basil::harness::{BasilCluster, ClusterConfig};

@@ -1,6 +1,16 @@
 //! Byzantine-client and fallback-protocol integration tests (Section 5 and
 //! Section 6.4): stalled transactions are finished by other clients, and
 //! correct clients keep making progress under every attack strategy.
+//!
+//! **What runs today** (ROADMAP open item 0, "Byzantine clients have never
+//! been Byzantine"): the client's Byzantine hooks read
+//! `BasilConfig::client_strategy`, which `byz_config` leaves at `Correct`, and
+//! never the `FaultProfile`'s strategy — so the "Byzantine" clients of the
+//! `byz_config` tests follow the protocol (they only skip the retry of an
+//! aborted attempt), start no recovery and equivocate never. Those tests are
+//! kept as they are until the wiring is fixed; the two tests at the bottom set
+//! both knobs (`really_byzantine_config`) and are the ones that run the
+//! fallback.
 
 use basil::harness::{BasilCluster, ClusterConfig};
 use basil::workloads::ycsb::YcsbGenerator;
@@ -9,7 +19,7 @@ use basil::{
     SystemConfig, TxProfile, Value,
 };
 use basil_core::byzantine::{ClientStrategy, FaultProfile};
-use basil_core::BasilClient;
+use basil_core::{BasilClient, BasilReplica};
 
 fn contended_generator(client: u64, keys: u64) -> YcsbGenerator {
     YcsbGenerator::rw_zipf(client, keys, 2, 2, 0.9)
@@ -34,8 +44,11 @@ fn byz_config(strategy: ClientStrategy, num_clients: u32, num_byz: u32) -> Clust
         .with_seed(11)
 }
 
-/// A transaction left prepared-but-undecided by a stalling Byzantine client is
-/// finished by a correct client that depends on it.
+/// Meant to show: a transaction left prepared-but-undecided by a stalling
+/// Byzantine client is finished by a correct client that depends on it.
+/// Today (module docs) client 1 does not stall — it commits its write and
+/// writes it back — so this checks that a correct client commits its three
+/// transactions next to an honest writer of the hot key; no recovery starts.
 #[test]
 fn stalled_dependency_is_recovered_by_interested_client() {
     // One Byzantine client that stalls after ST1 on a single hot key, and one
@@ -81,8 +94,11 @@ fn stalled_dependency_is_recovered_by_interested_client() {
     cluster.audit().expect("serializable");
 }
 
-/// Throughput of correct clients survives a population of stall-early
-/// Byzantine clients on a contended workload.
+/// Meant to show: throughput of correct clients survives a population of
+/// stall-early Byzantine clients on a contended workload. Today (module docs)
+/// the two clients do not stall, so this is six protocol-following clients,
+/// two of which do not retry aborts. With stalling really on this
+/// configuration wedges every correct client (ROADMAP open item 0).
 #[test]
 fn correct_clients_progress_with_stall_early_byzantine_clients() {
     let config = byz_config(ClientStrategy::StallEarly, 6, 2);
@@ -98,7 +114,9 @@ fn correct_clients_progress_with_stall_early_byzantine_clients() {
     cluster.audit().expect("serializable");
 }
 
-/// Same with stall-late clients (they decide but never write back).
+/// Same with stall-late clients (meant to decide but never write back; today
+/// they write back like anyone else). Really on, see
+/// `really_stall_late_clients_are_recovered_by_correct_clients`.
 #[test]
 fn correct_clients_progress_with_stall_late_byzantine_clients() {
     let config = byz_config(ClientStrategy::StallLate, 6, 2);
@@ -114,9 +132,12 @@ fn correct_clients_progress_with_stall_late_byzantine_clients() {
     cluster.audit().expect("serializable");
 }
 
-/// Forced equivocation: Byzantine clients log conflicting ST2 decisions. The
-/// divergent-case fallback (leader election) reconciles them, correct clients
-/// keep committing, and no transaction ends up both committed and aborted.
+/// Meant to show: forced equivocation — Byzantine clients log conflicting ST2
+/// decisions, the divergent-case fallback (leader election) reconciles them,
+/// correct clients keep committing, and no transaction ends up both committed
+/// and aborted. Today (module docs) nobody equivocates and no election runs:
+/// all this exercises is `relax_st2_validation` under honest traffic. Really
+/// on, this configuration fails the audit (ROADMAP open item 0).
 #[test]
 fn forced_equivocation_is_reconciled_by_fallback() {
     let config = byz_config(ClientStrategy::EquivForced, 6, 2);
@@ -134,9 +155,10 @@ fn forced_equivocation_is_reconciled_by_fallback() {
         .expect("no divergent decisions despite equivocation");
 }
 
-/// Realistic equivocation (only when the votes allow it) almost never
-/// succeeds on an uncontended workload — matching the paper's observation
-/// that equiv-real has no effect without contention.
+/// Meant to show: realistic equivocation (only when the votes allow it)
+/// almost never succeeds on an uncontended workload — matching the paper's
+/// observation that equiv-real has no effect without contention. Today
+/// (module docs) the count is zero because nobody tries.
 #[test]
 fn realistic_equivocation_is_rare_without_contention() {
     let config = byz_config(ClientStrategy::EquivReal, 4, 2);
@@ -202,9 +224,11 @@ fn vote_withholding_replica_cannot_block_progress() {
     cluster.audit().expect("serializable");
 }
 
-/// The per-transaction fallback counters are actually exercised when
-/// dependencies stall (sanity check that the recovery path, not a timeout
-/// retry, is what finishes the work).
+/// Meant to show: the per-transaction fallback counters are exercised when
+/// dependencies stall (the recovery path, not a timeout retry, finishes the
+/// work). Today (module docs) nothing stalls: the writer finishes on its own,
+/// `fallback_invocations` is 0 and the first assertion holds through its
+/// `dependent_reads == 0` escape.
 #[test]
 fn fallback_invocations_are_recorded_for_stalled_dependencies() {
     let config = byz_config(ClientStrategy::StallEarly, 2, 1)
@@ -239,4 +263,87 @@ fn fallback_invocations_are_recorded_for_stalled_dependencies() {
         "if a dependency was acquired on the stalled write, recovery must have been invoked"
     );
     assert_eq!(honest_client.stats().committed, 2);
+}
+
+/// Byzantine behaviour *really* on, through the only path that is wired today
+/// (ROADMAP open item 0): the client consults `BasilConfig::client_strategy`,
+/// never its `FaultProfile`'s strategy, so both are set. Honest clients sample
+/// `faulty = false` and never look at the strategy.
+fn really_byzantine_config(strategy: ClientStrategy) -> ClusterConfig {
+    let mut basil = BasilConfig::bench(SystemConfig::single_shard_f1());
+    basil.client_strategy = strategy;
+    ClusterConfig::basil_default(6)
+        .with_basil(basil)
+        .with_byzantine_clients(2, FaultProfile::always(strategy))
+        .with_seed(11)
+}
+
+/// What one run of [`really_byzantine_config`] did: 6 clients (2 Byzantine),
+/// Zipf 0.9 over 100 keys, 200 ms warm-up + 800 ms window, audited.
+#[derive(Debug, PartialEq)]
+struct FallbackRun {
+    correct_commits: u64,
+    digest: String,
+    invocations: u64,
+    elections: u64,
+    /// Elections requested by correct clients only (ids 0..4; the Byzantine
+    /// clients are the last two and recover their own dependencies too).
+    correct_elections: u64,
+    equivocations: u64,
+    adopted: u64,
+}
+
+fn run_really_byzantine(strategy: ClientStrategy) -> FallbackRun {
+    let mut cluster = BasilCluster::build(really_byzantine_config(strategy), |client| {
+        Box::new(contended_generator(client.0, 100))
+    });
+    let report = cluster.run_measured(Duration::from_millis(200), Duration::from_millis(800));
+    cluster.audit().expect("serializable");
+    let stats = cluster.client_stats();
+    let run = FallbackRun {
+        correct_commits: report.committed,
+        digest: cluster.committed_history_digest(),
+        invocations: stats.iter().map(|(_, s)| s.fallback_invocations).sum(),
+        elections: stats.iter().map(|(_, s)| s.fallback_elections).sum(),
+        correct_elections: stats
+            .iter()
+            .filter(|(cid, _)| !cluster.is_byzantine_client(*cid))
+            .map(|(_, s)| s.fallback_elections)
+            .sum(),
+        equivocations: stats.iter().map(|(_, s)| s.equivocations).sum(),
+        adopted: cluster
+            .replica_ids()
+            .iter()
+            .filter_map(|rid| cluster.sim().actor::<BasilReplica>(NodeId::Replica(*rid)))
+            .map(|r| r.stats().fallback_decisions_adopted)
+            .sum(),
+    };
+    // The characterisation line CHANGES.md quotes (`-- --nocapture`).
+    println!("{strategy}: {run:?}");
+    run
+}
+
+/// Stall-late clients that really stall: their decided-but-never-written-back
+/// transactions are finished by the correct clients that depend on them.
+#[test]
+fn really_stall_late_clients_are_recovered_by_correct_clients() {
+    let run = run_really_byzantine(ClientStrategy::StallLate);
+    assert!(run.correct_commits > 30, "got {}", run.correct_commits);
+    assert!(run.invocations > 0, "recoveries must have started");
+}
+
+/// Equivocation that really happens: the first end-to-end pass through
+/// InvokeFB -> ElectFB -> DecFB. Properties, not digests — and the run must
+/// replay exactly.
+#[test]
+fn real_equivocation_is_reconciled_by_an_election() {
+    let run = run_really_byzantine(ClientStrategy::EquivReal);
+    assert!(run.correct_commits > 30, "got {}", run.correct_commits);
+    assert!(run.equivocations > 0, "Byzantine clients must equivocate");
+    assert!(
+        run.correct_elections > 0,
+        "a correct client must invoke the fallback"
+    );
+    assert!(run.adopted > 0, "replicas must adopt a fallback decision");
+    assert_eq!(run, run_really_byzantine(ClientStrategy::EquivReal));
 }
