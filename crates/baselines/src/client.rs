@@ -10,69 +10,19 @@
 //! on aborts.
 
 use crate::messages::{BaselineClientTimer, BaselineMsg, ShardRequest};
+use crate::occ::OccVote;
 use crate::profile::BaselineConfig;
 use basil_common::{
-    ClientId, Duration, Key, LatencyHistogram, NodeId, Op, ReplicaId, ShardId, SimTime, Timestamp,
-    TxGenerator, TxId, TxProfile, Value,
+    ClientId, Duration, Key, NodeId, ReplicaId, ShardId, Timestamp, TxGenerator, TxId, Value,
 };
 use basil_simnet::{Actor, Context};
-use basil_store::occ::OccVote;
+use basil_store::session::{Session, SessionStats, Step};
 use basil_store::{Transaction, TransactionBuilder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-
-/// Statistics collected by a baseline client.
-#[derive(Clone, Debug, Default)]
-pub struct BaselineClientStats {
-    /// Committed transactions.
-    pub committed: u64,
-    /// Aborted (retried) attempts.
-    pub aborted_attempts: u64,
-    /// Streaming histogram of commit latencies in nanoseconds (first
-    /// attempt to completion); updated in O(1) per commit.
-    pub latency: LatencyHistogram,
-    /// Committed per workload label.
-    pub per_label: HashMap<&'static str, u64>,
-    /// Read operations issued.
-    pub reads_issued: u64,
-}
-
-impl BaselineClientStats {
-    /// Mean commit latency in milliseconds (exact: the histogram carries
-    /// the exact sum of samples).
-    pub fn mean_latency_ms(&self) -> f64 {
-        self.latency.mean_ms()
-    }
-
-    /// committed / (committed + aborted attempts).
-    pub fn commit_rate(&self) -> f64 {
-        let total = self.committed + self.aborted_attempts;
-        if total == 0 {
-            return 1.0;
-        }
-        self.committed as f64 / total as f64
-    }
-}
-
-#[derive(Debug)]
-struct PendingRead {
-    req_id: u64,
-    key: Key,
-    rmw_delta: Option<i64>,
-    replies: Vec<(Timestamp, Value)>,
-    wait_for: u32,
-}
-
-#[derive(Debug)]
-struct Executing {
-    builder: TransactionBuilder,
-    ops: Vec<Op>,
-    op_index: usize,
-    pending_read: Option<PendingRead>,
-}
 
 #[derive(Debug)]
 struct Preparing {
@@ -92,33 +42,23 @@ struct Deciding {
     acks: HashMap<ShardId, HashSet<u32>>,
 }
 
+/// Where the 2PC of the session's transaction stands.
 #[derive(Debug)]
 enum Phase {
-    Executing(Executing),
     Preparing(Preparing),
     Deciding(Deciding),
-    WaitingRetry,
 }
 
-#[derive(Debug)]
-struct InFlight {
-    profile: TxProfile,
-    first_started: SimTime,
-    phase: Phase,
-}
-
-/// A baseline system client.
+/// A baseline system client: the read quorums and the 2PC of the baseline
+/// systems under the shared transaction [`Session`].
 pub struct BaselineClient {
-    id: ClientId,
     cfg: BaselineConfig,
-    generator: Box<dyn TxGenerator>,
+    session: Session,
     rng: SmallRng,
-    next_req_id: u64,
-    last_ts: u64,
-    current: Option<InFlight>,
-    backoff: Duration,
-    stats: BaselineClientStats,
-    stopped: bool,
+    /// Replies to the session's read in flight, one per replica.
+    read_replies: Vec<(ReplicaId, Timestamp, Value)>,
+    phase: Option<Phase>,
+    stats: SessionStats,
 }
 
 impl BaselineClient {
@@ -129,38 +69,19 @@ impl BaselineClient {
         generator: Box<dyn TxGenerator>,
         seed: u64,
     ) -> Self {
-        let backoff = cfg.retry_backoff;
         BaselineClient {
-            id,
+            session: Session::new(id, generator, cfg.retry_backoff, cfg.max_backoff),
             cfg,
-            generator,
             rng: SmallRng::seed_from_u64(seed ^ id.0.rotate_left(17)),
-            next_req_id: 0,
-            last_ts: 0,
-            current: None,
-            backoff,
-            stats: BaselineClientStats::default(),
-            stopped: false,
+            read_replies: Vec::new(),
+            phase: None,
+            stats: SessionStats::default(),
         }
     }
 
     /// Statistics collected so far.
-    pub fn stats(&self) -> &BaselineClientStats {
+    pub fn stats(&self) -> &SessionStats {
         &self.stats
-    }
-
-    /// The client's identity.
-    pub fn id(&self) -> ClientId {
-        self.id
-    }
-
-    fn fresh_timestamp(&mut self, ctx: &Context<BaselineMsg>) -> Timestamp {
-        let mut t = ctx.local_clock().as_nanos();
-        if t <= self.last_ts {
-            t = self.last_ts + 1;
-        }
-        self.last_ts = t;
-        Timestamp::from_nanos(t, self.id)
     }
 
     fn replicas_of(&self, shard: ShardId) -> Vec<NodeId> {
@@ -169,147 +90,83 @@ impl BaselineClient {
             .collect()
     }
 
-    fn leader_of(&self, shard: ShardId) -> NodeId {
-        NodeId::Replica(ReplicaId::new(shard, 0))
-    }
-
-    /// Where `Prepare`/`Decide` requests go: the leader for ordered systems,
-    /// every replica for TAPIR.
+    /// Where `Prepare`/`Decide` requests go: the leader (replica 0) for
+    /// ordered systems, every replica for TAPIR.
     fn submit_targets(&self, shard: ShardId) -> Vec<NodeId> {
         if self.cfg.kind.is_ordered() {
-            vec![self.leader_of(shard)]
+            vec![NodeId::Replica(ReplicaId::new(shard, 0))]
         } else {
             self.replicas_of(shard)
         }
     }
 
-    fn involved_shards(&self, tx: &Transaction) -> Vec<ShardId> {
-        let mut shards: Vec<ShardId> = tx
-            .read_set()
-            .iter()
-            .map(|r| self.cfg.shard_for_key(&r.key))
-            .chain(
-                tx.write_set()
-                    .iter()
-                    .map(|w| self.cfg.shard_for_key(&w.key)),
-            )
-            .collect();
-        shards.sort();
-        shards.dedup();
-        shards
+    /// Sends `request` to its targets in every involved shard. The first
+    /// submission is signed; a retransmission re-sends the signed request.
+    fn submit(
+        &self,
+        ctx: &mut Context<BaselineMsg>,
+        involved: &[ShardId],
+        request: ShardRequest,
+        first: bool,
+    ) {
+        for shard in involved {
+            for target in self.submit_targets(*shard) {
+                if first && self.cfg.kind.uses_signatures() {
+                    ctx.charge(self.cfg.cost.sign_cost());
+                }
+                ctx.charge(self.cfg.cost.message_cost());
+                let request = request.clone();
+                ctx.send(target, BaselineMsg::Submit { request });
+            }
+        }
     }
 
     // ------------------------------------------------------------------
-    // Closed loop
+    // Closed loop and execution
     // ------------------------------------------------------------------
 
     fn start_next_transaction(&mut self, ctx: &mut Context<BaselineMsg>) {
-        if self.stopped {
-            return;
-        }
-        let Some(profile) = self.generator.next_tx() else {
-            self.stopped = true;
-            self.current = None;
-            return;
-        };
-        self.current = Some(InFlight {
-            profile,
-            first_started: ctx.now(),
-            phase: Phase::WaitingRetry,
-        });
-        self.backoff = self.cfg.retry_backoff;
-        self.begin_attempt(ctx);
-    }
-
-    fn begin_attempt(&mut self, ctx: &mut Context<BaselineMsg>) {
-        let ts = self.fresh_timestamp(ctx);
-        let Some(current) = self.current.as_mut() else {
-            return;
-        };
-        let ops = current.profile.ops.clone();
-        current.phase = Phase::Executing(Executing {
-            builder: TransactionBuilder::new(ts),
-            ops,
-            op_index: 0,
-            pending_read: None,
-        });
-        self.advance_execution(ctx);
-    }
-
-    fn advance_execution(&mut self, ctx: &mut Context<BaselineMsg>) {
-        loop {
-            let Some(current) = self.current.as_mut() else {
-                return;
-            };
-            let Phase::Executing(exec) = &mut current.phase else {
-                return;
-            };
-            if exec.pending_read.is_some() {
-                return;
-            }
-            if exec.op_index >= exec.ops.len() {
-                self.send_prepares(ctx);
-                return;
-            }
-            match exec.ops[exec.op_index].clone() {
-                Op::Write(key, value) => {
-                    exec.builder.record_write(key, value);
-                    exec.op_index += 1;
-                }
-                op @ (Op::Read(_) | Op::RmwAdd { .. }) => {
-                    let key = op.key().clone();
-                    let rmw_delta = match op {
-                        Op::RmwAdd { delta, .. } => Some(delta),
-                        _ => None,
-                    };
-                    if let Some(buffered) = exec.builder.buffered_value(&key).cloned() {
-                        if let Some(delta) = rmw_delta {
-                            exec.builder
-                                .record_write(key, apply_delta(&buffered, delta));
-                        }
-                        exec.op_index += 1;
-                        continue;
-                    }
-                    self.issue_read(ctx, key, rmw_delta);
-                    return;
-                }
-            }
+        let (now, clock) = (ctx.now(), ctx.local_clock());
+        if self.session.start(now, clock, &mut self.stats).is_some() {
+            self.execute(ctx);
         }
     }
 
-    fn issue_read(&mut self, ctx: &mut Context<BaselineMsg>, key: Key, rmw_delta: Option<i64>) {
-        self.next_req_id += 1;
-        let req_id = self.next_req_id;
+    /// Runs the session up to its next remote read or to the 2PC.
+    fn execute(&mut self, ctx: &mut Context<BaselineMsg>) {
+        match self.session.advance_execution(&mut self.stats) {
+            None => {}
+            Some(Step::Read { req_id, key }) => self.issue_read(ctx, req_id, key),
+            Some(Step::Ready(builder)) => self.send_prepares(ctx, builder),
+        }
+    }
+
+    fn issue_read(&mut self, ctx: &mut Context<BaselineMsg>, req_id: u64, key: Key) {
         let shard = self.cfg.shard_for_key(&key);
-        let wait_for = self.cfg.reply_quorum();
         // TAPIR reads from one (random) replica; the BFT baselines need f+1
         // matching replies, so they contact f+1 replicas.
         let targets: Vec<NodeId> = if self.cfg.kind.uses_signatures() {
             self.replicas_of(shard)
                 .into_iter()
-                .take(wait_for as usize)
+                .take(self.cfg.reply_quorum() as usize)
                 .collect()
         } else {
             let all = self.replicas_of(shard);
             let pick = self.rng.gen_range(0..all.len());
             vec![all[pick]]
         };
-        {
-            let Some(current) = self.current.as_mut() else {
-                return;
-            };
-            let Phase::Executing(exec) = &mut current.phase else {
-                return;
-            };
-            exec.pending_read = Some(PendingRead {
-                req_id,
-                key: key.clone(),
-                rmw_delta,
-                replies: Vec::new(),
-                wait_for,
-            });
-        }
-        self.stats.reads_issued += 1;
+        self.read_replies.clear();
+        self.send_read(ctx, req_id, key, targets);
+    }
+
+    /// Sends read `req_id` to `targets`, guarded by the read timer.
+    fn send_read(
+        &mut self,
+        ctx: &mut Context<BaselineMsg>,
+        req_id: u64,
+        key: Key,
+        targets: Vec<NodeId>,
+    ) {
         for target in targets {
             ctx.charge(self.cfg.cost.message_cost());
             ctx.send(
@@ -329,6 +186,7 @@ impl BaselineClient {
     fn handle_read_reply(
         &mut self,
         ctx: &mut Context<BaselineMsg>,
+        from: NodeId,
         req_id: u64,
         version: Timestamp,
         value: Value,
@@ -336,100 +194,56 @@ impl BaselineClient {
         if self.cfg.kind.uses_signatures() {
             ctx.charge(self.cfg.cost.verify_cost());
         }
-        let ready = {
-            let Some(current) = self.current.as_mut() else {
-                return;
-            };
-            let Phase::Executing(exec) = &mut current.phase else {
-                return;
-            };
-            let Some(pending) = exec.pending_read.as_mut() else {
-                return;
-            };
-            if pending.req_id != req_id {
-                return;
-            }
-            pending.replies.push((version, value));
-            pending.replies.len() as u32 >= pending.wait_for
+        let Some(replica) = from.as_replica() else {
+            return;
         };
-        if !ready {
+        if !matches!(self.session.pending_read(), Some((id, ..)) if id == req_id) {
             return;
         }
-        let (key, rmw_delta, replies) = {
-            let Some(current) = self.current.as_mut() else {
-                return;
-            };
-            let Phase::Executing(exec) = &mut current.phase else {
-                return;
-            };
-            let pending = exec.pending_read.take().expect("checked above");
-            (pending.key, pending.rmw_delta, pending.replies)
-        };
+        // Each replica counts once toward the quorum: a replica asked twice
+        // (the read timeout widens to the whole shard, the replicas already
+        // asked included) answers twice, and its later reply replaces the
+        // earlier one.
+        match self.read_replies.iter_mut().find(|(r, ..)| *r == replica) {
+            Some(existing) => *existing = (replica, version, value),
+            None => self.read_replies.push((replica, version, value)),
+        }
+        if (self.read_replies.len() as u32) < self.cfg.reply_quorum() {
+            return;
+        }
         // Use the freshest version among the replies.
-        let (version, value) = replies
-            .into_iter()
-            .max_by_key(|(v, _)| *v)
-            .unwrap_or((Timestamp::ZERO, Value::empty()));
-        let Some(current) = self.current.as_mut() else {
-            return;
-        };
-        let Phase::Executing(exec) = &mut current.phase else {
-            return;
-        };
-        exec.builder.record_read(key.clone(), version);
-        if let Some(delta) = rmw_delta {
-            exec.builder.record_write(key, apply_delta(&value, delta));
-        }
-        exec.op_index += 1;
-        self.advance_execution(ctx);
+        let (_, version, value) = self
+            .read_replies
+            .drain(..)
+            .max_by_key(|(_, v, _)| *v)
+            .expect("a quorum of at least one reply");
+        self.session.read_returned(req_id, version, value, None);
+        self.execute(ctx);
     }
 
     // ------------------------------------------------------------------
     // 2PC
     // ------------------------------------------------------------------
 
-    fn send_prepares(&mut self, ctx: &mut Context<BaselineMsg>) {
-        let tx = {
-            let Some(current) = self.current.as_mut() else {
-                return;
-            };
-            let Phase::Executing(exec) = &mut current.phase else {
-                return;
-            };
-            std::mem::replace(&mut exec.builder, TransactionBuilder::new(Timestamp::ZERO))
-                .build_shared()
-        };
+    fn send_prepares(&mut self, ctx: &mut Context<BaselineMsg>, builder: TransactionBuilder) {
+        let tx = builder.build_shared();
         if tx.is_empty() {
             self.finish(ctx, true);
             return;
         }
         let txid = tx.id();
-        let involved = self.involved_shards(&tx);
-        for shard in &involved {
-            for target in self.submit_targets(*shard) {
-                if self.cfg.kind.uses_signatures() {
-                    ctx.charge(self.cfg.cost.sign_cost());
-                }
-                ctx.charge(self.cfg.cost.message_cost());
-                ctx.send(
-                    target,
-                    BaselineMsg::Submit {
-                        request: ShardRequest::Prepare {
-                            tx: Arc::clone(&tx),
-                        },
-                    },
-                );
-            }
-        }
-        if let Some(current) = self.current.as_mut() {
-            current.phase = Phase::Preparing(Preparing {
-                tx,
-                txid,
-                involved,
-                votes: HashMap::new(),
-                decided: HashMap::new(),
-            });
-        }
+        let involved = tx.involved_shards(self.cfg.num_shards);
+        let request = ShardRequest::Prepare {
+            tx: Arc::clone(&tx),
+        };
+        self.submit(ctx, &involved, request, true);
+        self.phase = Some(Phase::Preparing(Preparing {
+            tx,
+            txid,
+            involved,
+            votes: HashMap::new(),
+            decided: HashMap::new(),
+        }));
         ctx.schedule_self(
             self.cfg.request_timeout,
             BaselineMsg::ClientTimer(BaselineClientTimer::PrepareTimeout { txid }),
@@ -457,49 +271,37 @@ impl BaselineClient {
         } else {
             (self.cfg.n(), 1)
         };
-        let outcome = {
-            let Some(current) = self.current.as_mut() else {
-                return;
-            };
-            let Phase::Preparing(prep) = &mut current.phase else {
-                return;
-            };
-            if prep.txid != txid {
-                return;
-            }
-            let Some(replica) = from.as_replica() else {
-                return;
-            };
-            prep.votes
-                .entry(replica.shard)
-                .or_default()
-                .insert(replica.index, vote);
-            // A shard is decided once enough matching votes are in.
-            for (shard, votes) in prep.votes.iter() {
-                if prep.decided.contains_key(shard) {
-                    continue;
-                }
-                let commits = votes.values().filter(|v| v.is_commit()).count() as u32;
-                let aborts = votes.len() as u32 - commits;
-                if commits >= commit_quorum {
-                    prep.decided.insert(*shard, true);
-                } else if aborts >= abort_quorum {
-                    prep.decided.insert(*shard, false);
-                }
-            }
-            if prep.involved.iter().all(|s| prep.decided.contains_key(s)) {
-                Some((
-                    prep.involved.clone(),
-                    prep.involved.iter().all(|s| prep.decided[s]),
-                ))
-            } else {
-                None
-            }
-        };
-        let Some((involved, commit)) = outcome else {
+        let Some(Phase::Preparing(prep)) = &mut self.phase else {
             return;
         };
-        self.send_decides(ctx, txid, involved, commit);
+        if prep.txid != txid {
+            return;
+        }
+        let Some(replica) = from.as_replica() else {
+            return;
+        };
+        prep.votes
+            .entry(replica.shard)
+            .or_default()
+            .insert(replica.index, vote);
+        // A shard is decided once enough matching votes are in.
+        for (shard, votes) in prep.votes.iter() {
+            if prep.decided.contains_key(shard) {
+                continue;
+            }
+            let commits = votes.values().filter(|v| v.is_commit()).count() as u32;
+            let aborts = votes.len() as u32 - commits;
+            if commits >= commit_quorum {
+                prep.decided.insert(*shard, true);
+            } else if aborts >= abort_quorum {
+                prep.decided.insert(*shard, false);
+            }
+        }
+        if prep.involved.iter().all(|s| prep.decided.contains_key(s)) {
+            let commit = prep.involved.iter().all(|s| prep.decided[s]);
+            let involved = std::mem::take(&mut prep.involved);
+            self.send_decides(ctx, txid, involved, commit);
+        }
     }
 
     fn send_decides(
@@ -509,31 +311,16 @@ impl BaselineClient {
         involved: Vec<ShardId>,
         commit: bool,
     ) {
-        for shard in &involved {
-            for target in self.submit_targets(*shard) {
-                if self.cfg.kind.uses_signatures() {
-                    ctx.charge(self.cfg.cost.sign_cost());
-                }
-                ctx.charge(self.cfg.cost.message_cost());
-                ctx.send(
-                    target,
-                    BaselineMsg::Submit {
-                        request: ShardRequest::Decide { txid, commit },
-                    },
-                );
-            }
-        }
+        self.submit(ctx, &involved, ShardRequest::Decide { txid, commit }, true);
         if self.cfg.kind.is_ordered() {
             // The ordered systems must wait for the decision to be ordered
             // and acknowledged.
-            if let Some(current) = self.current.as_mut() {
-                current.phase = Phase::Deciding(Deciding {
-                    txid,
-                    involved,
-                    commit,
-                    acks: HashMap::new(),
-                });
-            }
+            self.phase = Some(Phase::Deciding(Deciding {
+                txid,
+                involved,
+                commit,
+                acks: HashMap::new(),
+            }));
             ctx.schedule_self(
                 self.cfg.request_timeout,
                 BaselineMsg::ClientTimer(BaselineClientTimer::DecideTimeout { txid }),
@@ -547,65 +334,37 @@ impl BaselineClient {
 
     fn handle_decide_ack(&mut self, ctx: &mut Context<BaselineMsg>, from: NodeId, txid: TxId) {
         let quorum = self.cfg.reply_quorum();
-        let done = {
-            let Some(current) = self.current.as_mut() else {
-                return;
-            };
-            let Phase::Deciding(dec) = &mut current.phase else {
-                return;
-            };
-            if dec.txid != txid {
-                return;
-            }
-            let Some(replica) = from.as_replica() else {
-                return;
-            };
-            dec.acks
-                .entry(replica.shard)
-                .or_default()
-                .insert(replica.index);
-            dec.involved
-                .iter()
-                .all(|s| {
-                    dec.acks
-                        .get(s)
-                        .map(|a| a.len() as u32 >= quorum)
-                        .unwrap_or(false)
-                })
-                .then_some(dec.commit)
+        let Some(Phase::Deciding(dec)) = &mut self.phase else {
+            return;
         };
-        if let Some(commit) = done {
+        if dec.txid != txid {
+            return;
+        }
+        let Some(replica) = from.as_replica() else {
+            return;
+        };
+        dec.acks
+            .entry(replica.shard)
+            .or_default()
+            .insert(replica.index);
+        let acked = |s| dec.acks.get(s).is_some_and(|a| a.len() as u32 >= quorum);
+        if dec.involved.iter().all(acked) {
+            let commit = dec.commit;
             self.finish(ctx, commit);
         }
     }
 
+    /// The 2PC of the session's transaction ended.
     fn finish(&mut self, ctx: &mut Context<BaselineMsg>, committed: bool) {
-        let Some(current) = self.current.as_ref() else {
-            return;
-        };
+        self.phase = None;
         if committed {
-            self.stats.committed += 1;
-            let latency = ctx.now() - current.first_started;
-            self.stats.latency.record(latency.as_nanos());
-            *self
-                .stats
-                .per_label
-                .entry(current.profile.label)
-                .or_insert(0) += 1;
-            self.current = None;
+            self.session.committed(ctx.now(), &mut self.stats);
             self.start_next_transaction(ctx);
         } else {
-            self.stats.aborted_attempts += 1;
-            let jitter = self.rng.gen_range(0..self.backoff.as_nanos().max(1));
-            let delay = self.backoff + Duration::from_nanos(jitter);
-            self.backoff = Duration::from_nanos(
-                (self.backoff.as_nanos() * 2).min(self.cfg.max_backoff.as_nanos()),
-            );
-            if let Some(current) = self.current.as_mut() {
-                current.phase = Phase::WaitingRetry;
-            }
+            let backoff = self.session.aborted(&mut self.stats);
+            let jitter = self.rng.gen_range(0..backoff.as_nanos().max(1));
             ctx.schedule_self(
-                delay,
+                backoff + Duration::from_nanos(jitter),
                 BaselineMsg::ClientTimer(BaselineClientTimer::RetryBackoff),
             );
         }
@@ -618,117 +377,56 @@ impl BaselineClient {
     fn handle_timer(&mut self, ctx: &mut Context<BaselineMsg>, timer: BaselineClientTimer) {
         match timer {
             BaselineClientTimer::ReadTimeout { req_id } => {
-                let pending = {
-                    let Some(current) = self.current.as_ref() else {
-                        return;
-                    };
-                    let Phase::Executing(exec) = &current.phase else {
-                        return;
-                    };
-                    match &exec.pending_read {
-                        Some(p) if p.req_id == req_id => Some(p.key.clone()),
-                        _ => None,
-                    }
-                };
-                if let Some(key) = pending {
+                let pending = self.session.pending_read();
+                if let Some((_, key, _)) = pending.filter(|(id, ..)| *id == req_id) {
                     // Widen to every replica of the shard and keep waiting.
-                    let shard = self.cfg.shard_for_key(&key);
-                    for target in self.replicas_of(shard) {
-                        ctx.charge(self.cfg.cost.message_cost());
-                        ctx.send(
-                            target,
-                            BaselineMsg::Read {
-                                req_id,
-                                key: key.clone(),
-                            },
-                        );
-                    }
-                    ctx.schedule_self(
-                        self.cfg.request_timeout,
-                        BaselineMsg::ClientTimer(BaselineClientTimer::ReadTimeout { req_id }),
-                    );
+                    let key = key.clone();
+                    let targets = self.replicas_of(self.cfg.shard_for_key(&key));
+                    self.send_read(ctx, req_id, key, targets);
                 }
             }
-            BaselineClientTimer::PrepareTimeout { txid } => {
-                let resend = {
-                    match self.current.as_ref().map(|c| &c.phase) {
-                        Some(Phase::Preparing(p)) if p.txid == txid => {
-                            Some((p.tx.clone(), p.involved.clone()))
-                        }
-                        _ => None,
-                    }
-                };
-                if let Some((tx, involved)) = resend {
-                    for shard in &involved {
-                        for target in self.submit_targets(*shard) {
-                            ctx.charge(self.cfg.cost.message_cost());
-                            ctx.send(
-                                target,
-                                BaselineMsg::Submit {
-                                    request: ShardRequest::Prepare {
-                                        tx: Arc::clone(&tx),
-                                    },
-                                },
-                            );
-                        }
-                    }
-                    ctx.schedule_self(
-                        self.cfg.request_timeout,
-                        BaselineMsg::ClientTimer(BaselineClientTimer::PrepareTimeout { txid }),
-                    );
+            // A request or its answer may have been lost: replicas handle
+            // re-deliveries idempotently, so re-submit and keep waiting.
+            BaselineClientTimer::PrepareTimeout { txid } => match &self.phase {
+                Some(Phase::Preparing(p)) if p.txid == txid => {
+                    let request = ShardRequest::Prepare {
+                        tx: Arc::clone(&p.tx),
+                    };
+                    self.submit(ctx, &p.involved, request, false);
+                    ctx.schedule_self(self.cfg.request_timeout, BaselineMsg::ClientTimer(timer));
                 }
-            }
-            BaselineClientTimer::DecideTimeout { txid } => {
-                let resend = {
-                    match self.current.as_ref().map(|c| &c.phase) {
-                        Some(Phase::Deciding(d)) if d.txid == txid => {
-                            Some((d.involved.clone(), d.commit))
-                        }
-                        _ => None,
-                    }
-                };
-                if let Some((involved, commit)) = resend {
-                    for shard in &involved {
-                        for target in self.submit_targets(*shard) {
-                            ctx.charge(self.cfg.cost.message_cost());
-                            ctx.send(
-                                target,
-                                BaselineMsg::Submit {
-                                    request: ShardRequest::Decide { txid, commit },
-                                },
-                            );
-                        }
-                    }
-                    ctx.schedule_self(
-                        self.cfg.request_timeout,
-                        BaselineMsg::ClientTimer(BaselineClientTimer::DecideTimeout { txid }),
-                    );
+                _ => {}
+            },
+            BaselineClientTimer::DecideTimeout { txid } => match &self.phase {
+                Some(Phase::Deciding(d)) if d.txid == txid => {
+                    let request = ShardRequest::Decide {
+                        txid,
+                        commit: d.commit,
+                    };
+                    self.submit(ctx, &d.involved, request, false);
+                    ctx.schedule_self(self.cfg.request_timeout, BaselineMsg::ClientTimer(timer));
                 }
-            }
+                _ => {}
+            },
             BaselineClientTimer::RetryBackoff => {
-                if matches!(
-                    self.current.as_ref().map(|c| &c.phase),
-                    Some(Phase::WaitingRetry)
-                ) {
-                    self.begin_attempt(ctx);
+                if self.session.retry(ctx.local_clock()) {
+                    self.execute(ctx);
                 }
             }
         }
     }
 }
 
-fn apply_delta(value: &Value, delta: i64) -> Value {
-    let current = value.as_u64().unwrap_or(0);
-    let new = if delta >= 0 {
-        current.saturating_add(delta as u64)
-    } else {
-        current.saturating_sub(delta.unsigned_abs())
-    };
-    Value::from_u64(new)
-}
-
 impl Actor<BaselineMsg> for BaselineClient {
     fn on_start(&mut self, ctx: &mut Context<BaselineMsg>) {
+        // The baselines are measured closed-loop only. Driving a paced
+        // generator as fast as replies return would measure something other
+        // than the offered rate, silently.
+        assert!(
+            self.session.next_arrival_delay().is_none(),
+            "the baseline clients are closed-loop; a paced (open-loop) \
+             generator is not supported"
+        );
         self.start_next_transaction(ctx);
     }
 
@@ -740,7 +438,7 @@ impl Actor<BaselineMsg> for BaselineClient {
                 version,
                 value,
                 ..
-            } => self.handle_read_reply(ctx, req_id, version, value),
+            } => self.handle_read_reply(ctx, from, req_id, version, value),
             BaselineMsg::PrepareResult { txid, vote } => {
                 self.handle_prepare_result(ctx, from, txid, vote)
             }
@@ -769,7 +467,7 @@ impl Actor<BaselineMsg> for BaselineClient {
 mod tests {
     use super::*;
     use crate::profile::SystemKind;
-    use basil_common::ScriptedGenerator;
+    use basil_common::{Op, ScriptedGenerator, SimTime, TxProfile};
 
     fn ctx() -> Context<BaselineMsg> {
         Context::new(
@@ -860,6 +558,83 @@ mod tests {
             .filter(|(_, m)| matches!(m, BaselineMsg::Read { .. }))
             .count();
         assert_eq!(reads, 2);
+    }
+
+    /// Delivers a reply to read `req_id` of key `x` from replica `index`;
+    /// returns whether the read concluded (the 2PC prepare went out).
+    fn read_reply_concludes(c: &mut BaselineClient, req_id: u64, index: u32) -> bool {
+        let mut cx = ctx();
+        c.on_message(
+            &mut cx,
+            NodeId::Replica(ReplicaId::new(ShardId(0), index)),
+            BaselineMsg::ReadReply {
+                req_id,
+                key: Key::new("x"),
+                version: Timestamp::ZERO,
+                value: Value::from_u64(1),
+            },
+        );
+        sent(&cx)
+            .iter()
+            .any(|(_, m)| matches!(m, BaselineMsg::Submit { .. }))
+    }
+
+    /// The read timeout re-asks every replica, the `f + 1` already asked
+    /// included, so a slow replica answers twice: it still vouches once.
+    #[test]
+    fn bft_read_quorum_counts_each_replica_once() {
+        for kind in [SystemKind::TxHotstuff, SystemKind::TxBftSmart] {
+            let profile = TxProfile::new("r", vec![Op::Read(Key::new("x"))]);
+            let mut c = client(kind, vec![profile]);
+            c.on_start(&mut ctx());
+            let mut cx = ctx();
+            c.on_message(
+                &mut cx,
+                NodeId::Client(ClientId(1)),
+                BaselineMsg::ClientTimer(BaselineClientTimer::ReadTimeout { req_id: 1 }),
+            );
+            let reasked = sent(&cx)
+                .iter()
+                .filter(|(_, m)| matches!(m, BaselineMsg::Read { req_id: 1, .. }))
+                .count();
+            assert_eq!(reasked, 4, "{kind:?}: the whole shard is re-asked");
+            assert!(!read_reply_concludes(&mut c, 1, 0), "{kind:?}");
+            assert!(
+                !read_reply_concludes(&mut c, 1, 0),
+                "{kind:?}: replica 0 alone completed an f + 1 quorum"
+            );
+            assert!(read_reply_concludes(&mut c, 1, 1), "{kind:?}");
+            assert_eq!(c.stats().reads_issued, 1);
+        }
+    }
+
+    #[test]
+    fn tapir_read_concludes_on_the_first_reply() {
+        let profile = TxProfile::new("r", vec![Op::Read(Key::new("x"))]);
+        let mut c = client(SystemKind::Tapir, vec![profile]);
+        c.on_start(&mut ctx());
+        assert!(read_reply_concludes(&mut c, 1, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "closed-loop")]
+    fn paced_generator_is_rejected_at_start() {
+        struct Paced;
+        impl TxGenerator for Paced {
+            fn next_tx(&mut self) -> Option<TxProfile> {
+                None
+            }
+            fn next_arrival_delay(&mut self) -> Option<Duration> {
+                Some(Duration::from_millis(1))
+            }
+        }
+        let mut c = BaselineClient::new(
+            ClientId(1),
+            BaselineConfig::new(SystemKind::Tapir),
+            Box::new(Paced),
+            9,
+        );
+        c.on_start(&mut ctx());
     }
 
     #[test]

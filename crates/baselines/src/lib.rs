@@ -31,10 +31,11 @@
 
 pub mod client;
 pub mod messages;
+pub mod occ;
 pub mod profile;
 pub mod replica;
 
-pub use client::{BaselineClient, BaselineClientStats};
+pub use client::BaselineClient;
 pub use messages::BaselineMsg;
 pub use profile::{BaselineConfig, SystemKind};
 pub use replica::BaselineReplica;

@@ -1,7 +1,7 @@
 //! Messages exchanged by the baseline systems.
 
+use crate::occ::OccVote;
 use basil_common::{Key, Timestamp, TxId, Value};
-use basil_store::occ::OccVote;
 use basil_store::Transaction;
 use std::sync::Arc;
 

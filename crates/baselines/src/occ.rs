@@ -10,11 +10,10 @@
 //! between a shard's prepare and the coordinator's final decision, and
 //! commit/abort application.
 
-use crate::mvtso::Decision;
-use crate::tx::Transaction;
-use crate::varray::VersionArray;
 use basil_common::error::AbortReason;
 use basil_common::{FastHashMap, Key, Timestamp, TxId, Value};
+use basil_store::mvtso::Decision;
+use basil_store::{Transaction, VersionArray};
 use std::sync::Arc;
 
 /// Result of an OCC prepare.
@@ -251,8 +250,8 @@ impl OccStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tx::TransactionBuilder;
     use basil_common::ClientId;
+    use basil_store::TransactionBuilder;
 
     fn ts(t: u64, c: u64) -> Timestamp {
         Timestamp::from_nanos(t, ClientId(c))

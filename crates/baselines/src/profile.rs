@@ -140,28 +140,13 @@ impl BaselineConfig {
     /// Maps a key to its shard (same placement function as Basil so the
     /// workloads shard identically across systems).
     pub fn shard_for_key(&self, key: &Key) -> ShardId {
-        ShardId((mix64(fnv1a(key.as_bytes())) % self.num_shards as u64) as u32)
+        basil_common::config::shard_for_key(key, self.num_shards)
     }
 
     /// All shards in the deployment.
     pub fn shards(&self) -> impl Iterator<Item = ShardId> {
         (0..self.num_shards).map(ShardId)
     }
-}
-
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

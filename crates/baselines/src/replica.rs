@@ -9,10 +9,10 @@
 //! gives TAPIR its single-round-trip common case.
 
 use crate::messages::{BaselineMsg, ShardRequest};
+use crate::occ::OccStore;
 use crate::profile::BaselineConfig;
 use basil_common::{Duration, Key, NodeId, ReplicaId, Value};
 use basil_simnet::{Actor, Context};
-use basil_store::occ::OccStore;
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
 

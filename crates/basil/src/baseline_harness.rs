@@ -9,14 +9,12 @@
 
 use crate::cluster::{self, ClusterProtocol, ProtocolCluster};
 use crate::report::Snapshot;
-use basil_baselines::{
-    BaselineClient, BaselineClientStats, BaselineConfig, BaselineMsg, BaselineReplica,
-};
+use basil_baselines::{BaselineClient, BaselineConfig, BaselineMsg, BaselineReplica};
 use basil_common::{ClientId, Key, ReplicaId, ShardId, TxGenerator, TxId, Value};
 use basil_core::byzantine::FaultProfile;
 use basil_core::ReplicaBehavior;
 use basil_store::mvtso::Decision;
-use basil_store::Transaction;
+use basil_store::{SessionStats, Transaction};
 
 /// The [`ClusterProtocol`] adapter for the baseline systems.
 ///
@@ -40,7 +38,7 @@ impl ClusterProtocol for BaselineProtocol {
     type Msg = BaselineMsg;
     type Client = BaselineClient;
     type Replica = BaselineReplica;
-    type Stats = BaselineClientStats;
+    type Stats = SessionStats;
 
     fn shards(&self) -> Vec<ShardId> {
         self.baseline.shards().collect()
@@ -83,18 +81,12 @@ impl ClusterProtocol for BaselineProtocol {
         BaselineClient::new(cid, self.baseline.clone(), generator, seed)
     }
 
-    fn client_stats(client: &BaselineClient) -> &BaselineClientStats {
+    fn client_stats(client: &BaselineClient) -> &SessionStats {
         client.stats()
     }
 
-    fn accumulate(stats: &BaselineClientStats, _byzantine: bool, snap: &mut Snapshot) {
-        snap.correct_clients += 1;
-        snap.committed += stats.committed;
-        snap.aborted_attempts += stats.aborted_attempts;
-        for (label, count) in &stats.per_label {
-            *snap.per_label.entry(label).or_insert(0) += count;
-        }
-        snap.latency.merge(&stats.latency);
+    fn accumulate(stats: &SessionStats, _byzantine: bool, snap: &mut Snapshot) {
+        snap.add_session(stats);
     }
 
     fn latest_value(replica: &BaselineReplica, key: &Key) -> Option<Value> {

@@ -152,19 +152,12 @@ impl ClusterProtocol for BasilProtocol {
             snap.faulty_issued += stats.faulty_issued;
             return;
         }
-        snap.correct_clients += 1;
-        snap.committed += stats.committed;
-        snap.aborted_attempts += stats.aborted_attempts;
+        snap.add_session(stats);
         snap.fast_path += stats.fast_path_decisions;
         snap.slow_path += stats.slow_path_decisions;
         snap.fallbacks += stats.fallback_invocations;
         snap.faulty_issued += stats.faulty_issued;
-        snap.offered += stats.offered;
         snap.shed += stats.shed;
-        for (label, count) in &stats.per_label {
-            *snap.per_label.entry(label).or_insert(0) += count;
-        }
-        snap.latency.merge(&stats.latency);
     }
 
     fn latest_value(replica: &BasilReplica, key: &Key) -> Option<Value> {
@@ -193,8 +186,8 @@ pub type BasilCluster = ProtocolCluster<BasilProtocol>;
 
 impl BasilCluster {
     /// Store-level counters summed over every replica: how often the MVTSO
-    /// prepare answered a per-key conflict check from the generation-stamped
-    /// watermarks (fast path) versus falling through to the ordered scan.
+    /// prepare answered a per-key conflict check from the watermarks (fast
+    /// path) versus falling through to the ordered scan.
     pub fn store_stats(&self) -> StoreStats {
         let mut total = StoreStats::default();
         for rid in self.replica_ids() {

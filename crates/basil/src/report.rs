@@ -9,6 +9,7 @@
 //! samples the harness used to perform.
 
 use basil_common::{Duration, LatencyHistogram};
+use basil_store::SessionStats;
 use std::collections::HashMap;
 
 /// A snapshot of aggregate client counters at one point in simulated time.
@@ -44,6 +45,19 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    /// Folds in one correct client's session counters — the part of a
+    /// client's statistics every protocol shares.
+    pub fn add_session(&mut self, stats: &SessionStats) {
+        self.correct_clients += 1;
+        self.committed += stats.committed;
+        self.aborted_attempts += stats.aborted_attempts;
+        self.offered += stats.offered;
+        for (label, count) in &stats.per_label {
+            *self.per_label.entry(label).or_insert(0) += count;
+        }
+        self.latency.merge(&stats.latency);
+    }
+
     /// Number of latency samples recorded so far.
     pub fn latency_samples(&self) -> usize {
         self.latency.count() as usize

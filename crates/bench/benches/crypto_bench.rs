@@ -10,7 +10,9 @@ use basil_core::crypto_engine::SigEngine;
 use basil_core::messages::{ProtoDecision, ProtoVote, SignedSt1Reply, St1ReplyBody};
 use basil_crypto::hmac::{hmac_sha256, HmacKey};
 use basil_crypto::merkle::{leaf_hash, node_hash};
-use basil_crypto::{BatchProof, BatchSigner, KeyRegistry, MerkleTree, Sha256, SignatureCache};
+use basil_crypto::{
+    sign_frontier, BatchProof, KeyRegistry, MerkleFrontier, MerkleTree, Sha256, SignatureCache,
+};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn bench_sha256(c: &mut Criterion) {
@@ -82,15 +84,15 @@ fn bench_signatures(c: &mut Criterion) {
     // The common case on a client: a reply out of a batch of 16 whose root
     // signature is already cached — one leaf hash and four interior nodes.
     let payloads: Vec<Vec<u8>> = (0..16).map(|i| format!("reply {i}").into_bytes()).collect();
-    let mut signer = BatchSigner::new(registry.keypair(node), 16);
-    let batch = payloads
-        .iter()
-        .find_map(|payload| signer.push(node, payload))
-        .expect("the sixteenth push flushes");
+    let mut frontier = MerkleFrontier::new();
+    for payload in &payloads {
+        frontier.append(payload);
+    }
+    let batch: Vec<BatchProof> = sign_frontier(&keypair, &mut frontier).collect();
     c.bench_function("proof_verify_batch16_cached", |b| {
         let mut cache = SignatureCache::new();
-        assert!(batch[0].1.verify(&payloads[0], &registry, &mut cache).valid);
-        b.iter(|| batch[7].1.verify(&payloads[7], &registry, &mut cache))
+        assert!(batch[0].verify(&payloads[0], &registry, &mut cache).valid);
+        b.iter(|| batch[7].verify(&payloads[7], &registry, &mut cache))
     });
     // ROADMAP: batching > 16 was untested; sweep through 64 so the
     // amortization curve of Figure 6b has micro-benchmark backing.
@@ -100,10 +102,11 @@ fn bench_signatures(c: &mut Criterion) {
             .collect();
         c.bench_function(&format!("batch_sign_{batch}"), |b| {
             b.iter(|| {
-                let mut signer = BatchSigner::new(registry.keypair(node), batch);
-                for (i, payload) in payloads.iter().enumerate() {
-                    signer.push(NodeId::Client(ClientId(i as u64)), payload);
+                let mut frontier = MerkleFrontier::new();
+                for payload in &payloads {
+                    frontier.append(payload);
                 }
+                sign_frontier(&registry.keypair(node), &mut frontier).collect::<Vec<_>>()
             })
         });
     }

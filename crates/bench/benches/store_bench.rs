@@ -3,16 +3,16 @@
 //!
 //! The `store_contention` group measures the flattened version-array layout
 //! where it matters: a wide uniform keyspace (every check resolved by the
-//! generation-stamped watermarks — the scan-free fast path), a Zipfian
-//! hot-key workload (deep per-key arrays, still append-ordered), and a
-//! stale-read Zipfian variant that forces the ordered slow-path scans.
+//! watermarks — the scan-free fast path), a Zipfian hot-key workload (deep
+//! per-key arrays, still append-ordered), and a stale-read Zipfian variant
+//! that forces the ordered slow-path scans.
 //! `store_contention/gc_sweep` covers the allocation-free prefix-drain GC.
 //! CI runs the Zipfian case once per push via
 //! `cargo bench --bench store_bench -- --test zipf`.
 
+use basil::baselines::occ::OccStore;
 use basil::workloads::zipf::ZipfSampler;
 use basil_common::{ClientId, Duration, Key, SimTime, Timestamp, Value};
-use basil_store::occ::OccStore;
 use basil_store::{MvtsoStore, Transaction, TransactionBuilder};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;

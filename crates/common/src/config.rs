@@ -188,16 +188,23 @@ impl SystemConfig {
         self.num_shards * self.shard.n()
     }
 
-    /// Maps a key to the shard responsible for it, using a stable hash of the
-    /// key bytes (FNV-1a). Every participant must agree on this mapping.
+    /// Maps a key to the shard responsible for it ([`shard_for_key`]).
     pub fn shard_for_key(&self, key: &Key) -> ShardId {
-        ShardId((mix64(fnv1a(key.as_bytes())) % self.num_shards as u64) as u32)
+        shard_for_key(key, self.num_shards)
     }
 
     /// All shard identifiers in the deployment.
     pub fn shards(&self) -> impl Iterator<Item = ShardId> {
         (0..self.num_shards).map(ShardId)
     }
+}
+
+/// The shard of `num_shards` responsible for `key`, from a stable hash of the
+/// key bytes (FNV-1a). Every participant — and every system under comparison,
+/// so that a workload shards identically across them — must agree on this
+/// mapping.
+pub fn shard_for_key(key: &Key, num_shards: u32) -> ShardId {
+    ShardId((mix64(fnv1a(key.as_bytes())) % num_shards as u64) as u32)
 }
 
 /// SplitMix64 finalizer; diffuses the weak low bits of FNV for short keys so

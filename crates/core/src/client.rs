@@ -30,23 +30,24 @@ use crate::views::logging_shard;
 use basil_common::prng::SmallPrng;
 use basil_common::FastHashMap;
 use basil_common::{
-    ClientId, Duration, Key, LatencyHistogram, NodeId, Op, ReplicaId, ShardId, SimTime,
-    SystemConfig, Timestamp, TxGenerator, TxId, TxProfile, Value,
+    ClientId, Duration, Key, NodeId, ReplicaId, ShardId, SimTime, SystemConfig, Timestamp,
+    TxGenerator, TxId, Value,
 };
 use basil_crypto::BatchProof;
 use basil_simnet::{Actor, Context};
+use basil_store::session::{Session, SessionStats, Step as SessionStep};
 use basil_store::{Transaction, TransactionBuilder};
 use std::any::Any;
-use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-/// Statistics collected by one client, aggregated by the harness.
+/// Statistics collected by one client, aggregated by the harness: the
+/// session's protocol-independent counters (`committed`, `aborted_attempts`,
+/// `latency`, `per_label`, `reads_issued`, `offered` — reached through
+/// `Deref`, so they read as fields of this struct) plus Basil's own.
 #[derive(Clone, Debug, Default)]
 pub struct ClientStats {
-    /// Transactions that committed (correct transactions only).
-    pub committed: u64,
-    /// Attempts that ended in an abort and were retried.
-    pub aborted_attempts: u64,
+    session: SessionStats,
     /// Transactions issued under a Byzantine strategy.
     pub faulty_issued: u64,
     /// Transactions decided on the single-round-trip fast path.
@@ -59,14 +60,6 @@ pub struct ClientStats {
     pub fallback_elections: u64,
     /// Successful equivocations performed (Byzantine clients only).
     pub equivocations: u64,
-    /// Streaming histogram of commit latencies (first attempt start to
-    /// durable decision) in nanoseconds. Updated in O(1) per commit; the
-    /// harness merges and diffs these instead of cloning sample vectors.
-    pub latency: LatencyHistogram,
-    /// Committed transactions per workload label.
-    pub per_label: HashMap<&'static str, u64>,
-    /// Remote read operations issued.
-    pub reads_issued: u64,
     /// Reads that adopted a prepared (uncommitted) version, acquiring a
     /// dependency.
     pub dependent_reads: u64,
@@ -77,53 +70,23 @@ pub struct ClientStats {
     /// Writeback-forwarded certificates that had to be verified because the
     /// cache had no matching entry.
     pub cert_cache_misses: u64,
-    /// Transactions the workload offered. Under closed-loop driving this
-    /// equals the number of transactions started; under open-loop (Poisson)
-    /// driving it counts every arrival, including shed ones.
-    pub offered: u64,
     /// Open-loop arrivals dropped because the admission queue was already at
     /// `BasilConfig::admission_bound` (load shedding past saturation).
     pub shed: u64,
 }
 
-impl ClientStats {
-    /// Mean commit latency in milliseconds (exact: the histogram carries
-    /// the exact sum of samples).
-    pub fn mean_latency_ms(&self) -> f64 {
-        self.latency.mean_ms()
-    }
+impl Deref for ClientStats {
+    type Target = SessionStats;
 
-    /// Commit rate: committed / (committed + aborted attempts).
-    pub fn commit_rate(&self) -> f64 {
-        let total = self.committed + self.aborted_attempts;
-        if total == 0 {
-            return 1.0;
-        }
-        self.committed as f64 / total as f64
+    fn deref(&self) -> &SessionStats {
+        &self.session
     }
 }
 
-/// A read in flight during the execution phase.
-#[derive(Debug)]
-struct PendingRead {
-    req_id: u64,
-    key: Key,
-    /// Delta to apply if this read is part of a read-modify-write op.
-    rmw_delta: Option<i64>,
-    /// Replies gathered so far, deduplicated by replica, in arrival order
-    /// (a small `Vec` — the read quorum waits for `f + 1` ≈ 2 replies, so
-    /// a hash map per read was pure allocation overhead).
-    replies: Vec<(ReplicaId, ReadReply)>,
-    wait_for: u32,
-}
-
-/// Execution-phase state.
-#[derive(Debug)]
-struct Executing {
-    builder: TransactionBuilder,
-    ops: Vec<Op>,
-    op_index: usize,
-    pending_read: Option<PendingRead>,
+impl DerefMut for ClientStats {
+    fn deref_mut(&mut self) -> &mut SessionStats {
+        &mut self.session
+    }
 }
 
 /// Which per-transaction timer guards a commit: the stage the commit is in,
@@ -200,7 +163,7 @@ impl Commit {
         // without caching (see `Transaction::id`).
         tx.encoded();
         let txid = tx.id();
-        let involved = tx.involved_shards(system);
+        let involved = tx.involved_shards(system.num_shards);
         let slog = logging_shard(txid, &involved)?;
         Some(Commit {
             tallies: involved
@@ -289,35 +252,6 @@ impl Commit {
     }
 }
 
-/// Phase of the client's own current transaction.
-#[derive(Debug)]
-enum Phase {
-    Executing(Executing),
-    Committing(Commit),
-    /// Waiting out the retry backoff after an abort.
-    WaitingRetry,
-}
-
-/// The client's own in-flight transaction.
-#[derive(Debug)]
-struct InFlight {
-    profile: TxProfile,
-    first_started: SimTime,
-    attempt: u32,
-    faulty: bool,
-    phase: Phase,
-}
-
-/// The execution-phase state of the own transaction, if it is executing.
-/// (A function of the field, not a method: callers keep using the client's
-/// other fields while they hold it.)
-fn executing(current: &mut Option<InFlight>) -> Option<&mut Executing> {
-    match current.as_mut().map(|c| &mut c.phase) {
-        Some(Phase::Executing(exec)) => Some(exec),
-        _ => None,
-    }
-}
-
 /// A bounded FIFO cache of decision certificates this client has already
 /// verified, keyed by transaction id.
 ///
@@ -365,15 +299,22 @@ impl ValidatedCertCache {
 
 /// The Basil client actor.
 pub struct BasilClient {
-    id: ClientId,
     cfg: BasilConfig,
     engine: SigEngine,
-    generator: Box<dyn TxGenerator>,
+    /// The own transaction up to the point it is ready to commit, and its
+    /// retries and accounting.
+    session: Session,
     fault: FaultProfile,
     prng: SmallPrng,
-    next_req_id: u64,
-    last_ts: u64,
-    current: Option<InFlight>,
+    /// Whether the session's transaction is issued under the Byzantine
+    /// strategy.
+    faulty: bool,
+    /// Replies to the session's read in flight, deduplicated by replica, in
+    /// arrival order (a small `Vec` — the read quorum waits for `f + 1` ≈ 2
+    /// replies, so a hash map per read was pure allocation overhead).
+    read_replies: Vec<(ReplicaId, ReadReply)>,
+    /// The commit of the session's transaction, once it is ready.
+    own: Option<Commit>,
     /// Stalled dependencies this client is finishing, dropped as they
     /// resolve.
     recoveries: FastHashMap<TxId, Commit>,
@@ -384,7 +325,6 @@ pub struct BasilClient {
     /// Certificates already verified by this client (read path), consulted
     /// before re-verifying a `Writeback`-forwarded certificate.
     validated_certs: ValidatedCertCache,
-    backoff: Duration,
     /// Dedicated PRNG for retry-timer jitter, seeded independently of
     /// `prng` so that timers backing off on lossy schedules never perturb
     /// the fault-free random stream (replica sampling, abort backoff) that
@@ -394,10 +334,6 @@ pub struct BasilClient {
     /// exponential backoff; cleared when the retried condition resolves.
     retry_attempts: FastHashMap<(RetryKind, TxId), u32>,
     stats: ClientStats,
-    stopped: bool,
-    /// Whether the generator paces arrivals (open loop). Decided once at
-    /// startup from the first `next_arrival_delay` answer.
-    open_loop: bool,
     /// Arrival timestamps of admitted-but-not-yet-started transactions
     /// (open loop only), bounded by `cfg.admission_bound`. Latency is
     /// measured from the arrival, so queueing delay shows up in the knee.
@@ -415,33 +351,28 @@ impl BasilClient {
         seed: u64,
     ) -> Self {
         let engine = SigEngine::new(NodeId::Client(id), registry, &cfg);
-        let backoff = cfg.retry_backoff;
         BasilClient {
-            id,
+            session: Session::new(id, generator, cfg.retry_backoff, cfg.max_backoff),
             cfg,
             engine,
-            generator,
             fault,
             prng: SmallPrng::new(seed ^ id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            next_req_id: 0,
-            last_ts: 0,
-            current: None,
+            faulty: false,
+            read_replies: Vec::new(),
+            own: None,
             recoveries: FastHashMap::default(),
             dep_txs: FastHashMap::default(),
             validated_certs: ValidatedCertCache::new(),
-            backoff,
             retry_prng: SmallPrng::new(seed ^ id.0.wrapping_mul(0xD1B5_4A32_D192_ED03)),
             retry_attempts: FastHashMap::default(),
             stats: ClientStats::default(),
-            stopped: false,
-            open_loop: false,
             arrivals: std::collections::VecDeque::new(),
         }
     }
 
     /// The client's identity.
     pub fn id(&self) -> ClientId {
-        self.id
+        self.session.id()
     }
 
     /// Statistics collected so far.
@@ -451,7 +382,7 @@ impl BasilClient {
 
     /// Whether the client has exhausted its generator.
     pub fn is_stopped(&self) -> bool {
-        self.stopped
+        self.session.is_stopped()
     }
 
     // ------------------------------------------------------------------
@@ -466,15 +397,6 @@ impl BasilClient {
 
     fn all_replicas_of(&self, shards: &[ShardId]) -> Vec<NodeId> {
         shards.iter().flat_map(|s| self.replicas_of(*s)).collect()
-    }
-
-    fn fresh_timestamp(&mut self, ctx: &Context<BasilMsg>) -> Timestamp {
-        let mut t = ctx.local_clock().as_nanos();
-        if t <= self.last_ts {
-            t = self.last_ts + 1;
-        }
-        self.last_ts = t;
-        Timestamp::from_nanos(t, self.id)
     }
 
     fn send_signed(&mut self, ctx: &mut Context<BasilMsg>, to: NodeId, msg: BasilMsg) {
@@ -519,62 +441,44 @@ impl BasilClient {
     /// Open loop: pull the oldest queued arrival, or go idle until the next
     /// arrival timer fires.
     fn start_next_transaction(&mut self, ctx: &mut Context<BasilMsg>) {
-        if self.open_loop {
-            match self.arrivals.pop_front() {
-                Some(arrived) => self.start_transaction(ctx, arrived),
-                None => self.current = None,
-            }
-        } else {
+        if !self.session.is_paced() {
             let now = ctx.now();
             self.start_transaction(ctx, now);
+        } else if let Some(arrived) = self.arrivals.pop_front() {
+            self.start_transaction(ctx, arrived);
         }
     }
 
-    /// Pulls the next profile from the generator and begins executing it.
+    /// Starts the session's next transaction and begins executing it.
     /// `arrived` anchors the latency measurement: for closed-loop clients it
     /// is the current time, for open-loop clients the (possibly earlier)
     /// Poisson arrival instant, so queueing delay counts toward latency.
     fn start_transaction(&mut self, ctx: &mut Context<BasilMsg>, arrived: SimTime) {
-        if self.stopped {
-            return;
-        }
-        let Some(profile) = self.generator.next_tx() else {
-            self.stopped = true;
-            self.current = None;
+        let clock = ctx.local_clock();
+        let Some(profile) = self.session.start(arrived, clock, &mut self.stats) else {
             return;
         };
-        if !self.open_loop {
-            self.stats.offered += 1;
-        }
-        let faulty = profile.faulty || self.fault.sample_faulty(&mut self.prng);
-        if faulty {
+        self.faulty = profile.faulty || self.fault.sample_faulty(&mut self.prng);
+        if self.faulty {
             self.stats.faulty_issued += 1;
         }
-        self.current = Some(InFlight {
-            profile,
-            first_started: arrived,
-            attempt: 0,
-            faulty,
-            phase: Phase::WaitingRetry, // replaced immediately by begin_attempt
-        });
-        self.backoff = self.cfg.retry_backoff;
         self.begin_attempt(ctx);
     }
 
     /// An open-loop arrival timer fired: admit the transaction (start it if
     /// the client is idle, queue it if there is room) or shed it.
     fn handle_open_loop_arrival(&mut self, ctx: &mut Context<BasilMsg>) {
-        if self.stopped {
+        if self.session.is_stopped() {
             return;
         }
         // Keep the arrival process ticking independently of completions —
         // that independence is what makes the load open-loop.
-        if let Some(delay) = self.generator.next_arrival_delay() {
+        if let Some(delay) = self.session.next_arrival_delay() {
             ctx.schedule_self(delay, BasilMsg::ClientTimer(ClientTimer::OpenLoopArrival));
         }
         self.stats.offered += 1;
         let now = ctx.now();
-        if self.current.is_none() {
+        if self.session.is_idle() {
             self.start_transaction(ctx, now);
         } else if self.arrivals.len() < self.cfg.admission_bound {
             self.arrivals.push_back(now);
@@ -583,90 +487,36 @@ impl BasilClient {
         }
     }
 
+    /// The session began an attempt (a new transaction, or the retry of an
+    /// aborted one): execute it.
     fn begin_attempt(&mut self, ctx: &mut Context<BasilMsg>) {
-        let ts = self.fresh_timestamp(ctx);
-        let Some(current) = self.current.as_mut() else {
-            return;
-        };
-        current.attempt += 1;
-        let ops = current.profile.ops.clone();
-        current.phase = Phase::Executing(Executing {
-            builder: TransactionBuilder::new(ts),
-            ops,
-            op_index: 0,
-            pending_read: None,
-        });
         // Only this attempt's dependencies are ever looked up.
         self.dep_txs.clear();
-        self.advance_execution(ctx);
+        self.execute(ctx);
     }
 
     // ------------------------------------------------------------------
     // Execution phase
     // ------------------------------------------------------------------
 
-    fn advance_execution(&mut self, ctx: &mut Context<BasilMsg>) {
-        loop {
-            let Some(exec) = executing(&mut self.current) else {
-                return;
-            };
-            if exec.pending_read.is_some() {
-                return; // waiting on a read
-            }
-            if exec.op_index >= exec.ops.len() {
-                self.begin_commit(ctx);
-                return;
-            }
-            let op = exec.ops[exec.op_index].clone();
-            match op {
-                Op::Write(key, value) => {
-                    exec.builder.record_write(key, value);
-                    exec.op_index += 1;
-                }
-                Op::Read(key) | Op::RmwAdd { key, .. } => {
-                    let rmw_delta = match exec.ops[exec.op_index] {
-                        Op::RmwAdd { delta, .. } => Some(delta),
-                        _ => None,
-                    };
-                    // Read-your-writes: a buffered write satisfies the read
-                    // locally.
-                    if let Some(buffered) = exec.builder.buffered_value(&key).cloned() {
-                        if let Some(delta) = rmw_delta {
-                            let new = apply_delta(&buffered, delta);
-                            exec.builder.record_write(key, new);
-                        }
-                        exec.op_index += 1;
-                        continue;
-                    }
-                    self.issue_read(ctx, key, rmw_delta);
-                    return;
-                }
-            }
+    /// Runs the session up to its next remote read or to the commit.
+    fn execute(&mut self, ctx: &mut Context<BasilMsg>) {
+        match self.session.advance_execution(&mut self.stats) {
+            None => {}
+            Some(SessionStep::Read { req_id, key }) => self.issue_read(ctx, req_id, key),
+            Some(SessionStep::Ready(builder)) => self.begin_commit(ctx, builder),
         }
     }
 
-    fn issue_read(&mut self, ctx: &mut Context<BasilMsg>, key: Key, rmw_delta: Option<i64>) {
-        self.next_req_id += 1;
-        let req_id = self.next_req_id;
-        let shard = self.cfg.system.shard_for_key(&key);
-        let fanout = self.cfg.system.read_quorum.fanout(&self.cfg.system.shard);
-        let wait_for = self.cfg.system.read_quorum.wait_for(&self.cfg.system.shard);
-        let n = self.cfg.system.shard.n();
-        let start = self.prng.next_below(n as u64) as u32;
-
-        let Some(exec) = executing(&mut self.current) else {
+    fn issue_read(&mut self, ctx: &mut Context<BasilMsg>, req_id: u64, key: Key) {
+        let Some((.., ts)) = self.session.pending_read() else {
             return;
         };
-        exec.pending_read = Some(PendingRead {
-            req_id,
-            key: key.clone(),
-            rmw_delta,
-            replies: Vec::new(),
-            wait_for,
-        });
-        let ts = exec.builder.timestamp();
-
-        self.stats.reads_issued += 1;
+        let shard = self.cfg.system.shard_for_key(&key);
+        let fanout = self.cfg.system.read_quorum.fanout(&self.cfg.system.shard);
+        let n = self.cfg.system.shard.n();
+        let start = self.prng.next_below(n as u64) as u32;
+        self.read_replies.clear();
         let targets = (0..fanout)
             .map(|i| NodeId::Replica(ReplicaId::new(shard, (start + i) % n)))
             .collect();
@@ -674,14 +524,13 @@ impl BasilClient {
     }
 
     fn handle_read_reply(&mut self, ctx: &mut Context<BasilMsg>, reply: ReadReply) {
-        let Some(pending) = executing(&mut self.current).and_then(|e| e.pending_read.as_mut())
-        else {
+        let Some((req_id, key, _)) = self.session.pending_read() else {
             return;
         };
-        if pending.req_id != reply.body.req_id {
+        if req_id != reply.body.req_id {
             return;
         }
-        let shard = self.cfg.system.shard_for_key(&pending.key);
+        let shard = self.cfg.system.shard_for_key(key);
         let replica = if self.engine.enabled() {
             // A read reply names no sender: whoever signed it is who vouches
             // for the version, and only a replica of the key's shard may —
@@ -701,23 +550,25 @@ impl BasilClient {
         } else {
             // Signatures disabled: replies carry no identity, and each
             // replica answers once, so number them in arrival order.
-            ReplicaId::new(shard, pending.replies.len() as u32)
+            ReplicaId::new(shard, self.read_replies.len() as u32)
         };
-        match pending.replies.iter_mut().find(|(r, _)| *r == replica) {
+        match self.read_replies.iter_mut().find(|(r, _)| *r == replica) {
             Some((_, existing)) => *existing = reply,
-            None => pending.replies.push((replica, reply)),
+            None => self.read_replies.push((replica, reply)),
         }
-        if (pending.replies.len() as u32) < pending.wait_for {
+        let wait_for = self.cfg.system.read_quorum.wait_for(&self.cfg.system.shard);
+        if (self.read_replies.len() as u32) < wait_for {
             return;
         }
         self.conclude_read(ctx);
     }
 
     fn conclude_read(&mut self, ctx: &mut Context<BasilMsg>) {
-        let Some(pending) = executing(&mut self.current).and_then(|e| e.pending_read.take()) else {
+        let Some((req_id, key, _)) = self.session.pending_read() else {
             return;
         };
-        let (key, rmw_delta, replies) = (pending.key, pending.rmw_delta, pending.replies);
+        let key = key.clone();
+        let replies = std::mem::take(&mut self.read_replies);
 
         // Committed candidate: the highest committed version backed by a
         // valid certificate (or the genesis version).
@@ -794,44 +645,35 @@ impl BasilClient {
             _ => false,
         };
 
-        let Some(exec) = executing(&mut self.current) else {
-            return;
-        };
-        let value = if use_prepared {
+        let (version, value, dependency) = if use_prepared {
             let (version, value, dep_txid, dep_tx) = best_prepared.expect("checked above");
             self.dep_txs.insert(dep_txid, dep_tx);
             self.stats.dependent_reads += 1;
-            exec.builder
-                .record_dependent_read(key.clone(), version, dep_txid);
-            value
+            (version, value, Some(dep_txid))
         } else {
             let (version, value) = best_committed.unwrap_or((Timestamp::ZERO, Value::empty()));
-            exec.builder.record_read(key.clone(), version);
-            value
+            (version, value, None)
         };
-        // Apply a read-modify-write delta if requested.
-        if let Some(delta) = rmw_delta {
-            exec.builder.record_write(key, apply_delta(&value, delta));
-        }
-        exec.op_index += 1;
-        self.advance_execution(ctx);
+        self.session
+            .read_returned(req_id, version, value, dependency);
+        self.execute(ctx);
     }
 
     fn handle_read_timeout(&mut self, ctx: &mut Context<BasilMsg>, req_id: u64) {
-        let Some(exec) = executing(&mut self.current) else {
+        let Some((pending, key, ts)) = self.session.pending_read() else {
             return;
         };
-        let Some(pending) = exec.pending_read.as_ref().filter(|p| p.req_id == req_id) else {
+        if pending != req_id {
             return;
-        };
+        }
         // If we already have enough replies, conclude; otherwise widen the
         // read to every replica of the shard and keep waiting.
         let wait_for = self.cfg.system.read_quorum.wait_for(&self.cfg.system.shard);
-        if pending.replies.len() as u32 >= wait_for {
+        if self.read_replies.len() as u32 >= wait_for {
             self.conclude_read(ctx);
             return;
         }
-        let (key, ts) = (pending.key.clone(), exec.builder.timestamp());
+        let key = key.clone();
         let targets = self.replicas_of(self.cfg.system.shard_for_key(&key));
         self.send_read(ctx, req_id, key, ts, targets);
     }
@@ -842,10 +684,7 @@ impl BasilClient {
 
     /// The commit of `txid` this client is driving, its own or a recovery.
     fn commit_mut(&mut self, txid: TxId) -> Option<&mut Commit> {
-        let own = match self.current.as_mut().map(|c| &mut c.phase) {
-            Some(Phase::Committing(commit)) if commit.txid == txid => Some(commit),
-            _ => None,
-        };
+        let own = self.own.as_mut().filter(|c| c.txid == txid);
         self.recoveries.get_mut(&txid).or(own)
     }
 
@@ -926,15 +765,10 @@ impl BasilClient {
     }
 
     /// Execution finished: freeze the own transaction and start its commit.
-    fn begin_commit(&mut self, ctx: &mut Context<BasilMsg>) {
-        let Some(exec) = executing(&mut self.current) else {
-            return;
-        };
-        let builder =
-            std::mem::replace(&mut exec.builder, TransactionBuilder::new(Timestamp::ZERO));
+    fn begin_commit(&mut self, ctx: &mut Context<BasilMsg>, builder: TransactionBuilder) {
         // Transactions that touch nothing commit trivially.
         let Some(commit) = Commit::new(builder.build_shared(), false, &self.cfg.system) else {
-            self.record_commit(ctx);
+            self.session.committed(ctx.now(), &mut self.stats);
             self.finish_and_continue(ctx);
             return;
         };
@@ -942,15 +776,12 @@ impl BasilClient {
         self.send_st1(ctx, &commit.tx, false, everyone);
 
         // stall-early Byzantine clients never look at the votes.
-        let Some(current) = self.current.as_mut() else {
-            return;
-        };
-        if current.faulty && self.cfg.client_strategy == ClientStrategy::StallEarly {
+        if self.faulty && self.cfg.client_strategy == ClientStrategy::StallEarly {
             self.finish_and_continue(ctx);
             return;
         }
         let txid = commit.txid;
-        current.phase = Phase::Committing(commit);
+        self.own = Some(commit);
         self.arm_timer(ctx, RetryKind::Prepare, txid, false);
     }
 
@@ -1071,13 +902,10 @@ impl BasilClient {
     /// true if performed.
     fn try_equivocate(&mut self, ctx: &mut Context<BasilMsg>) -> bool {
         let strategy = self.cfg.client_strategy;
-        let Some(current) = self.current.as_ref() else {
+        let Some(commit) = &self.own else {
             return false;
         };
-        let Phase::Committing(commit) = &current.phase else {
-            return false;
-        };
-        if !(current.faulty && strategy.equivocates()) {
+        if !(self.faulty && strategy.equivocates()) {
             return false;
         }
         // Use the first involved shard's tally as the equivocation target
@@ -1191,36 +1019,18 @@ impl BasilClient {
     // Completion
     // ------------------------------------------------------------------
 
-    fn record_commit(&mut self, ctx: &mut Context<BasilMsg>) {
-        self.stats.committed += 1;
-        if let Some(current) = self.current.as_ref() {
-            let latency = ctx.now() - current.first_started;
-            self.stats.latency.record(latency.as_nanos());
-            *self
-                .stats
-                .per_label
-                .entry(current.profile.label)
-                .or_insert(0) += 1;
-        }
-    }
-
+    /// Drops whatever is left of the session's transaction (nothing, after
+    /// a commit) and starts the next one.
     fn finish_and_continue(&mut self, ctx: &mut Context<BasilMsg>) {
-        self.current = None;
+        self.own = None;
+        self.session.abandon();
         self.start_next_transaction(ctx);
     }
 
-    /// Takes `txid`'s commit out of wherever this client holds it: a
-    /// recovery is dropped, the own transaction is left waiting for whatever
-    /// its completion does next.
+    /// Takes `txid`'s commit out of wherever this client holds it.
     fn take_commit(&mut self, txid: TxId) -> Option<Commit> {
         self.commit_mut(txid)?;
-        self.recoveries.remove(&txid).or_else(|| {
-            let current = self.current.as_mut()?;
-            match std::mem::replace(&mut current.phase, Phase::WaitingRetry) {
-                Phase::Committing(commit) => Some(commit),
-                _ => None,
-            }
-        })
+        self.recoveries.remove(&txid).or_else(|| self.own.take())
     }
 
     /// `cert` decides `txid`. If this client is driving its commit, a
@@ -1236,19 +1046,17 @@ impl BasilClient {
             self.send_writeback(ctx, cert, commit.tx, &commit.involved);
             return;
         }
-        let faulty = self.current.as_ref().is_some_and(|c| c.faulty);
-
         // The client's latency ends here: the decision is durable.
-        let committed = cert.decision().is_commit();
-        if committed {
-            self.record_commit(ctx);
+        let backoff = if cert.decision().is_commit() {
+            self.session.committed(ctx.now(), &mut self.stats);
+            None
         } else {
-            self.stats.aborted_attempts += 1;
-        }
+            Some(self.session.aborted(&mut self.stats))
+        };
 
         // stall-late (and equiv-real when equivocation was impossible)
         // withholds the writeback.
-        let withhold_writeback = faulty
+        let withhold_writeback = self.faulty
             && matches!(
                 self.cfg.client_strategy,
                 ClientStrategy::StallLate | ClientStrategy::EquivReal | ClientStrategy::EquivForced
@@ -1257,17 +1065,15 @@ impl BasilClient {
             self.send_writeback(ctx, cert, commit.tx, &commit.involved);
         }
 
-        if committed || faulty {
-            self.finish_and_continue(ctx);
-        } else {
+        match backoff.filter(|_| !self.faulty) {
+            None => self.finish_and_continue(ctx),
             // Honest aborted transactions are retried with exponential
-            // backoff.
-            let jitter_ns = self.prng.next_below(self.backoff.as_nanos().max(1));
-            let delay = self.backoff + Duration::from_nanos(jitter_ns);
-            self.backoff = Duration::from_nanos(
-                (self.backoff.as_nanos() * 2).min(self.cfg.max_backoff.as_nanos()),
-            );
-            ctx.schedule_self(delay, BasilMsg::ClientTimer(ClientTimer::RetryBackoff));
+            // backoff, jittered by up to as much again.
+            Some(backoff) => {
+                let jitter_ns = self.prng.next_below(backoff.as_nanos().max(1));
+                let delay = backoff + Duration::from_nanos(jitter_ns);
+                ctx.schedule_self(delay, BasilMsg::ClientTimer(ClientTimer::RetryBackoff));
+            }
         }
     }
 
@@ -1293,26 +1099,6 @@ impl BasilClient {
         }
         self.finish_commit(ctx, txid, wb.cert);
     }
-
-    fn handle_retry_backoff(&mut self, ctx: &mut Context<BasilMsg>) {
-        let waiting = matches!(
-            self.current.as_ref().map(|c| &c.phase),
-            Some(Phase::WaitingRetry)
-        );
-        if waiting {
-            self.begin_attempt(ctx);
-        }
-    }
-}
-
-fn apply_delta(value: &Value, delta: i64) -> Value {
-    let current = value.as_u64().unwrap_or(0);
-    let new = if delta >= 0 {
-        current.saturating_add(delta as u64)
-    } else {
-        current.saturating_sub(delta.unsigned_abs())
-    };
-    Value::from_u64(new)
 }
 
 fn fast_cert(txid: TxId, decision: ProtoDecision, shard_votes: Vec<ShardVotes>) -> DecisionCert {
@@ -1347,9 +1133,8 @@ fn slow_cert(txid: TxId, vote_cert: VoteCert) -> DecisionCert {
 
 impl Actor<BasilMsg> for BasilClient {
     fn on_start(&mut self, ctx: &mut Context<BasilMsg>) {
-        match self.generator.next_arrival_delay() {
+        match self.session.next_arrival_delay() {
             Some(delay) => {
-                self.open_loop = true;
                 ctx.schedule_self(delay, BasilMsg::ClientTimer(ClientTimer::OpenLoopArrival));
             }
             None => self.start_next_transaction(ctx),
@@ -1375,7 +1160,11 @@ impl Actor<BasilMsg> for BasilClient {
                 ClientTimer::FallbackTimeout { txid } => {
                     self.handle_commit_timeout(ctx, RetryKind::Fallback, txid)
                 }
-                ClientTimer::RetryBackoff => self.handle_retry_backoff(ctx),
+                ClientTimer::RetryBackoff => {
+                    if self.session.retry(ctx.local_clock()) {
+                        self.begin_attempt(ctx);
+                    }
+                }
                 ClientTimer::OpenLoopArrival => self.handle_open_loop_arrival(ctx),
             },
             // Messages meant for replicas are ignored if misrouted.
@@ -1404,7 +1193,8 @@ impl Actor<BasilMsg> for BasilClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use basil_common::ScriptedGenerator;
+    use basil_common::{Op, ScriptedGenerator, TxProfile};
+    use basil_store::session::apply_delta;
 
     fn cfg() -> BasilConfig {
         BasilConfig::test_single_shard()
@@ -1461,8 +1251,8 @@ mod tests {
             .collect();
         assert_eq!(st1s.len(), 6);
         assert!(matches!(
-            client.current.as_ref().map(|c| &c.phase),
-            Some(Phase::Committing(c)) if c.stage() == RetryKind::Prepare
+            &client.own,
+            Some(c) if c.stage() == RetryKind::Prepare
         ));
     }
 
@@ -1504,9 +1294,9 @@ mod tests {
     fn timestamps_are_strictly_monotonic() {
         let mut client = client_with(vec![]);
         let ctx = ctx_at(5);
-        let a = client.fresh_timestamp(&ctx);
-        let b = client.fresh_timestamp(&ctx);
-        let c = client.fresh_timestamp(&ctx);
+        let a = client.session.fresh_timestamp(ctx.local_clock());
+        let b = client.session.fresh_timestamp(ctx.local_clock());
+        let c = client.session.fresh_timestamp(ctx.local_clock());
         assert!(a < b && b < c);
         assert_eq!(a.client, ClientId(1));
     }
@@ -1752,10 +1542,7 @@ mod tests {
     fn owner(cfg: BasilConfig) -> (BasilClient, TxId) {
         let mut client = client_under(cfg, vec![write_profile()]);
         client.on_start(&mut ctx_at(1));
-        let txid = match &client.current.as_ref().expect("in flight").phase {
-            Phase::Committing(c) => c.txid,
-            other => panic!("unexpected phase {other:?}"),
-        };
+        let txid = client.own.as_ref().expect("committing").txid;
         (client, txid)
     }
 
@@ -1938,10 +1725,7 @@ mod tests {
             6
         );
         assert!(
-            matches!(
-                client.current.as_ref().map(|c| &c.phase),
-                Some(Phase::WaitingRetry)
-            ),
+            client.own.is_none() && client.session.retry(SimTime::from_millis(9)),
             "an aborted attempt is retried"
         );
     }
@@ -2031,10 +1815,7 @@ mod tests {
     #[test]
     fn commit_owner_and_recoverer_emit_the_same_messages() {
         let (mut own, txid) = owner(unsigned_cfg());
-        let tx = match &own.current.as_ref().expect("in flight").phase {
-            Phase::Committing(c) => Arc::clone(&c.tx),
-            other => panic!("unexpected phase {other:?}"),
-        };
+        let tx = Arc::clone(&own.own.as_ref().expect("committing").tx);
         let mut ctx = ctx_at(1);
         let mut rec = client_under(unsigned_cfg(), vec![]);
         rec.dep_txs.insert(txid, Arc::clone(&tx));
@@ -2098,10 +1879,11 @@ mod tests {
         for signer in impostors {
             client.handle_read_reply(&mut ctx_at(2), reply_from(signer));
         }
-        let pending = executing(&mut client.current)
-            .and_then(|e| e.pending_read.as_ref())
-            .expect("the read is still waiting");
-        assert!(pending.replies.is_empty());
+        assert!(
+            client.session.pending_read().is_some(),
+            "the read is still waiting"
+        );
+        assert!(client.read_replies.is_empty());
         assert_eq!(client.stats().dependent_reads, 0);
 
         // Two replicas of shard 0 do vouch for it.

@@ -15,7 +15,8 @@ use basil_crypto::batch::BatchVerifyOutcome;
 use basil_crypto::merkle::MerkleProof;
 use basil_crypto::sig::Signature;
 use basil_crypto::{
-    BatchProof, CostModel, Digest, KeyPair, KeyRegistry, MerkleFrontier, SignatureCache,
+    sign_frontier, BatchProof, CostModel, Digest, KeyPair, KeyRegistry, MerkleFrontier,
+    SignatureCache,
 };
 
 /// A canonical signable encoding, producible lazily.
@@ -243,18 +244,8 @@ impl SigEngine {
                 for payload in payloads {
                     self.frontier.append(&payload.to_bytes());
                 }
-                let sealed = self.frontier.seal();
-                let root = sealed.root();
-                let root_signature = self.keypair.sign(root.as_bytes());
-                let proofs = (0..payloads.len())
-                    .map(|i| {
-                        Some(BatchProof {
-                            root,
-                            root_signature,
-                            inclusion: sealed.prove(i),
-                            batch_size: payloads.len(),
-                        })
-                    })
+                let proofs = sign_frontier(&self.keypair, &mut self.frontier)
+                    .map(Some)
                     .collect();
                 (proofs, cost)
             }

@@ -700,7 +700,7 @@ impl BasilReplica {
             .records
             .get(&txid)
             .and_then(|r| r.tx.as_ref())
-            .map(|tx| tx.involved_shards(&self.cfg.system));
+            .map(|tx| tx.involved_shards(self.cfg.system.num_shards));
         // Only S_log logs decisions (see `validate_commit_cert`): an ST2 for
         // a transaction known to log elsewhere is not acknowledged here.
         if expected_shards
@@ -770,7 +770,7 @@ impl BasilReplica {
             .get(&txid)
             .and_then(|r| r.tx.as_ref())
             .or(wb.tx.as_ref())
-            .map(|tx| tx.involved_shards(&self.cfg.system));
+            .map(|tx| tx.involved_shards(self.cfg.system.num_shards));
         let validation = match wb.cert.as_ref() {
             DecisionCert::Commit(c) => crate::certs::validate_commit_cert(
                 c,
@@ -1856,7 +1856,7 @@ mod tests {
         b.record_write(Key::new(key_on(0)), Value::from_u64(1));
         b.record_write(Key::new(key_on(1)), Value::from_u64(2));
         let tx = b.build_shared();
-        let involved = tx.involved_shards(&two_shards.system);
+        let involved = tx.involved_shards(two_shards.system.num_shards);
         assert_eq!(involved, [ShardId(0), ShardId(1)]);
         let slog = logging_shard(tx.id(), &involved).expect("two shards");
 

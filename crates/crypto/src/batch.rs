@@ -97,104 +97,25 @@ impl BatchVerifyOutcome {
     }
 }
 
-/// A replica-side accumulator that turns pending replies into signed batches.
-///
-/// Payloads are hashed into an incremental [`MerkleFrontier`] the moment they
-/// are queued, so the signer never stores reply bytes and the flush path no
-/// longer rebuilds the whole tree: it seals the frontier (an `O(log b)`
-/// right-edge walk), signs the root once, and extracts each recipient's
-/// inclusion proof.
-#[derive(Debug)]
-pub struct BatchSigner {
-    keypair: KeyPair,
-    batch_size: usize,
-    frontier: MerkleFrontier,
-    recipients: Vec<NodeId>,
-    /// Statistics: total replies signed and total signatures produced.
-    replies_signed: u64,
-    signatures_produced: u64,
-}
-
-impl BatchSigner {
-    /// Creates a signer that flushes automatically once `batch_size` replies
-    /// accumulate. A `batch_size` of 1 disables batching (every reply gets
-    /// its own signature).
-    pub fn new(keypair: KeyPair, batch_size: usize) -> Self {
-        BatchSigner {
-            keypair,
-            batch_size: batch_size.max(1),
-            frontier: MerkleFrontier::new(),
-            recipients: Vec::new(),
-            replies_signed: 0,
-            signatures_produced: 0,
-        }
-    }
-
-    /// Queues a reply for `recipient`, folding its hash into the batch
-    /// frontier immediately. Returns the signed batch if this addition
-    /// filled the batch, `None` otherwise.
-    pub fn push(&mut self, recipient: NodeId, payload: &[u8]) -> Option<Vec<(NodeId, BatchProof)>> {
-        self.frontier.append(payload);
-        self.recipients.push(recipient);
-        if self.recipients.len() >= self.batch_size {
-            Some(self.flush())
-        } else {
-            None
-        }
-    }
-
-    /// Number of replies currently waiting for a batch to fill.
-    pub fn pending_len(&self) -> usize {
-        self.recipients.len()
-    }
-
-    /// Configured batch size.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
-    /// Signs whatever is pending (used on batch timeout). Returns an empty
-    /// vector if nothing is pending.
-    pub fn flush(&mut self) -> Vec<(NodeId, BatchProof)> {
-        if self.recipients.is_empty() {
-            return Vec::new();
-        }
-        let sealed = self.frontier.seal();
-        let root = sealed.root();
-        let root_signature = self.keypair.sign(root.as_bytes());
-        self.signatures_produced += 1;
-        self.replies_signed += self.recipients.len() as u64;
-        let batch_len = self.recipients.len();
-        let out = self
-            .recipients
-            .drain(..)
-            .enumerate()
-            .map(|(i, recipient)| {
-                (
-                    recipient,
-                    BatchProof {
-                        root,
-                        root_signature,
-                        inclusion: sealed.prove(i),
-                        batch_size: batch_len,
-                    },
-                )
-            })
-            .collect();
-        self.frontier.reset();
-        out
-    }
-
-    /// Number of replies signed so far.
-    pub fn replies_signed(&self) -> u64 {
-        self.replies_signed
-    }
-
-    /// Number of root signatures produced so far. The ratio
-    /// `replies_signed / signatures_produced` is the achieved amortization.
-    pub fn signatures_produced(&self) -> u64 {
-        self.signatures_produced
-    }
+/// Signs the batch of replies appended to `frontier`: seals it (an
+/// `O(log b)` right-edge walk — every append already folded its leaf in),
+/// signs the root once, and yields each reply's proof in append order. The
+/// caller resets the frontier before the next batch. Panics on an empty
+/// frontier.
+pub fn sign_frontier<'a>(
+    keypair: &KeyPair,
+    frontier: &'a mut MerkleFrontier,
+) -> impl Iterator<Item = BatchProof> + 'a {
+    let sealed = frontier.seal();
+    let root = sealed.root();
+    let root_signature = keypair.sign(root.as_bytes());
+    let batch_size = sealed.leaf_count();
+    (0..batch_size).map(move |i| BatchProof {
+        root,
+        root_signature,
+        inclusion: sealed.prove(i),
+        batch_size,
+    })
 }
 
 /// A verifier-side cache mapping Merkle roots to already-verified signatures.
@@ -318,71 +239,70 @@ impl SignatureCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use basil_common::{ClientId, ReplicaId, ShardId};
+    use basil_common::{ReplicaId, ShardId};
 
     fn replica_node() -> NodeId {
         NodeId::Replica(ReplicaId::new(ShardId(0), 0))
     }
 
-    fn client(n: u64) -> NodeId {
-        NodeId::Client(ClientId(n))
+    /// One signed batch over `payloads` under `keypair`.
+    fn sign_batch(keypair: &KeyPair, payloads: &[&[u8]]) -> Vec<BatchProof> {
+        let mut frontier = MerkleFrontier::new();
+        for payload in payloads {
+            frontier.append(payload);
+        }
+        sign_frontier(keypair, &mut frontier).collect()
     }
 
-    fn setup(batch: usize) -> (BatchSigner, KeyRegistry) {
+    fn setup() -> (KeyPair, KeyRegistry) {
         let reg = KeyRegistry::from_seed(99);
-        let signer = BatchSigner::new(reg.keypair(replica_node()), batch);
-        (signer, reg)
+        (reg.keypair(replica_node()), reg)
     }
 
     #[test]
     fn batch_of_one_signs_immediately() {
-        let (mut signer, reg) = setup(1);
-        let out = signer.push(client(1), b"reply");
-        let out = out.expect("batch of one flushes immediately");
+        let (keypair, reg) = setup();
+        let out = sign_batch(&keypair, &[b"reply"]);
         assert_eq!(out.len(), 1);
+        assert_eq!(out[0].batch_size, 1);
         let mut cache = SignatureCache::new();
-        let outcome = out[0].1.verify(b"reply", &reg, &mut cache);
+        let outcome = out[0].verify(b"reply", &reg, &mut cache);
         assert!(outcome.valid);
         assert!(outcome.signature_checked);
-        assert_eq!(signer.signatures_produced(), 1);
-        assert_eq!(signer.replies_signed(), 1);
+        // A one-leaf batch is exactly what `sign_single` produces.
+        let single = BatchProof::sign_single(&keypair, b"reply");
+        assert_eq!(out[0].root, single.root);
+        assert_eq!(out[0].root_signature, single.root_signature);
+        assert_eq!(out[0].inclusion, single.inclusion);
     }
 
     #[test]
     fn batch_flushes_when_full_and_all_replies_verify() {
-        let (mut signer, reg) = setup(4);
-        assert!(signer.push(client(1), b"r1").is_none());
-        assert!(signer.push(client(2), b"r2").is_none());
-        assert!(signer.push(client(3), b"r3").is_none());
-        let out = signer.push(client(4), b"r4").expect("4th fills batch");
+        let (keypair, reg) = setup();
+        let payloads: [&[u8]; 4] = [b"r1", b"r2", b"r3", b"r4"];
+        let out = sign_batch(&keypair, &payloads);
         assert_eq!(out.len(), 4);
-        assert_eq!(signer.signatures_produced(), 1);
-        assert_eq!(signer.replies_signed(), 4);
-
         let mut cache = SignatureCache::new();
-        for (i, (recipient, proof)) in out.iter().enumerate() {
-            assert_eq!(*recipient, client(i as u64 + 1));
-            let payload = format!("r{}", i + 1);
-            let outcome = proof.verify(payload.as_bytes(), &reg, &mut cache);
-            assert!(outcome.valid, "reply {i} failed");
+        for (i, (proof, payload)) in out.iter().zip(payloads).enumerate() {
+            assert_eq!(proof.batch_size, 4);
+            assert_eq!(proof.root_signature, out[0].root_signature, "one signature");
+            assert!(proof.verify(payload, &reg, &mut cache).valid, "reply {i}");
         }
     }
 
     #[test]
     fn signature_cache_skips_repeat_verification() {
-        let (mut signer, reg) = setup(3);
-        signer.push(client(1), b"a");
-        signer.push(client(2), b"b");
-        let out = signer.push(client(3), b"c").expect("flush");
+        let (keypair, reg) = setup();
+        let out = sign_batch(&keypair, &[b"a", b"b", b"c"]);
         let mut cache = SignatureCache::new();
-        let first = out[0].1.verify(b"a", &reg, &mut cache);
+        let first = out[0].verify(b"a", &reg, &mut cache);
         assert!(first.valid && first.signature_checked);
-        let second = out[1].1.verify(b"b", &reg, &mut cache);
+        let second = out[1].verify(b"b", &reg, &mut cache);
         assert!(
             second.valid && !second.signature_checked,
             "should hit cache"
         );
-        let third = out[2].1.verify(b"c", &reg, &mut cache);
+        let third = out[2].verify(b"c", &reg, &mut cache);
         assert!(third.valid && !third.signature_checked);
         assert_eq!(cache.hits(), 2);
         assert_eq!(cache.len(), 1);
@@ -390,11 +310,10 @@ mod tests {
 
     #[test]
     fn tampered_reply_is_rejected_before_signature_check() {
-        let (mut signer, reg) = setup(2);
-        signer.push(client(1), b"honest");
-        let out = signer.push(client(2), b"other").expect("flush");
+        let (keypair, reg) = setup();
+        let out = sign_batch(&keypair, &[b"honest", b"other"]);
         let mut cache = SignatureCache::new();
-        let outcome = out[0].1.verify(b"forged", &reg, &mut cache);
+        let outcome = out[0].verify(b"forged", &reg, &mut cache);
         assert!(!outcome.valid);
         assert!(!outcome.signature_checked, "root mismatch short-circuits");
     }
@@ -403,29 +322,35 @@ mod tests {
     fn signature_from_wrong_replica_is_rejected() {
         let reg = KeyRegistry::from_seed(99);
         let other_key = reg.keypair(NodeId::Replica(ReplicaId::new(ShardId(0), 5)));
-        let mut signer = BatchSigner::new(other_key, 1);
-        let out = signer.push(client(1), b"reply").expect("flush");
+        let out = sign_batch(&other_key, &[b"reply"]);
         // Forge the claimed signer: verification must fail because the tag
         // was produced under replica 5's key.
-        let mut proof = out[0].1.clone();
+        let mut proof = out[0].clone();
         proof.root_signature.signer = replica_node();
         let mut cache = SignatureCache::new();
         assert!(!proof.verify(b"reply", &reg, &mut cache).valid);
     }
 
+    /// A batch cut short (the replica's batch timer) is a smaller batch: the
+    /// frontier is sealed at whatever it holds, and is reusable after a
+    /// reset.
     #[test]
     fn manual_flush_on_timeout_signs_partial_batch() {
-        let (mut signer, reg) = setup(16);
-        signer.push(client(1), b"x");
-        signer.push(client(2), b"y");
-        assert_eq!(signer.pending_len(), 2);
-        let out = signer.flush();
+        let (keypair, reg) = setup();
+        let mut frontier = MerkleFrontier::new();
+        frontier.append(b"x");
+        frontier.append(b"y");
+        let out: Vec<BatchProof> = sign_frontier(&keypair, &mut frontier).collect();
         assert_eq!(out.len(), 2);
-        assert_eq!(signer.pending_len(), 0);
         let mut cache = SignatureCache::new();
-        assert!(out[0].1.verify(b"x", &reg, &mut cache).valid);
-        assert!(out[1].1.verify(b"y", &reg, &mut cache).valid);
-        assert!(signer.flush().is_empty(), "nothing left to flush");
+        assert!(out[0].verify(b"x", &reg, &mut cache).valid);
+        assert!(out[1].verify(b"y", &reg, &mut cache).valid);
+        frontier.reset();
+        assert!(frontier.is_empty(), "nothing left to sign");
+        frontier.append(b"z");
+        let next: Vec<BatchProof> = sign_frontier(&keypair, &mut frontier).collect();
+        assert_eq!(next.len(), 1);
+        assert!(next[0].verify(b"z", &reg, &mut cache).valid);
     }
 
     #[test]
@@ -502,13 +427,20 @@ mod tests {
 
     #[test]
     fn amortization_ratio_matches_batch_size() {
-        let (mut signer, _reg) = setup(8);
+        let (keypair, _reg) = setup();
+        let mut frontier = MerkleFrontier::new();
+        let mut proofs = Vec::new();
         for round in 0..4 {
+            frontier.reset();
             for i in 0..8 {
-                signer.push(client(i), format!("p{round}-{i}").as_bytes());
+                frontier.append(format!("p{round}-{i}").as_bytes());
             }
+            proofs.extend(sign_frontier(&keypair, &mut frontier));
         }
-        assert_eq!(signer.replies_signed(), 32);
-        assert_eq!(signer.signatures_produced(), 4);
+        assert_eq!(proofs.len(), 32, "replies signed");
+        assert!(proofs.iter().all(|p| p.batch_size == 8));
+        let mut roots: Vec<Digest> = proofs.iter().map(|p| p.root).collect();
+        roots.dedup();
+        assert_eq!(roots.len(), 4, "signatures produced");
     }
 }

@@ -74,7 +74,7 @@ pub mod merkle;
 pub mod sha256;
 pub mod sig;
 
-pub use batch::{BatchProof, BatchSigner, SignatureCache};
+pub use batch::{sign_frontier, BatchProof, SignatureCache};
 pub use cost::CostModel;
 pub use digest::Digest;
 pub use merkle::{MerkleFrontier, MerkleProof, MerkleTree, SealedFrontier};

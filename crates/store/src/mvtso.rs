@@ -11,15 +11,14 @@
 //! * the reads performed by prepared and committed transactions.
 //!
 //! All four indexes are timestamp-sorted [`VersionArray`]s (flat `Vec`s,
-//! append-mostly) rather than per-key `BTreeMap`s, and every record carries a
-//! **generation stamp** plus two watermarks — the largest write timestamp and
-//! the largest read timestamp currently present. The watermarks let
-//! [`MvtsoStore::prepare`] answer the common no-conflict case with two integer
-//! comparisons per key and no scan at all; the generation stamp counts record
-//! mutations and pins the watermarks' freshness (every mutation bumps it, and
-//! any removal that could lower a watermark recomputes the watermark from the
-//! array tails in `O(1)`). [`MvtsoStore::stats`] reports the fast-path hit
-//! rate. See `docs/ARCHITECTURE.md` ("Store layout & conflict windows").
+//! append-mostly) rather than per-key `BTreeMap`s, and every record carries
+//! two watermarks — the largest write timestamp and the largest read
+//! timestamp currently present. The watermarks let [`MvtsoStore::prepare`]
+//! answer the common no-conflict case with two integer comparisons per key
+//! and no scan at all; they are kept exact (any removal that could lower a
+//! watermark recomputes it from the array tails in `O(1)`).
+//! [`MvtsoStore::stats`] reports the fast-path hit rate. See
+//! `docs/ARCHITECTURE.md` ("Store layout & conflict windows").
 //!
 //! [`MvtsoStore::prepare`] implements Algorithm 1 of the paper. Step 7 of the
 //! algorithm ("wait for all pending dependencies") is realised without
@@ -167,9 +166,6 @@ struct KeyRecord {
     prepared_reads: VersionArray<Timestamp>,
     /// Read timestamps left by execution-phase reads (set semantics).
     rts: VersionArray<()>,
-    /// Mutation counter: bumped on every insert/remove touching this record.
-    /// The watermarks below are exact as of this generation.
-    generation: u64,
     /// Largest committed-or-prepared write timestamp present.
     max_write: Timestamp,
     /// Largest read timestamp present across committed reads, prepared
@@ -185,7 +181,6 @@ struct KeyRecord {
 impl KeyRecord {
     /// Records a write at `ts` into the watermarks.
     fn note_write(&mut self, ts: Timestamp) {
-        self.generation += 1;
         if ts > self.max_write {
             self.max_write = ts;
         }
@@ -193,7 +188,6 @@ impl KeyRecord {
 
     /// Records a read at `ts` into the watermarks.
     fn note_read(&mut self, ts: Timestamp) {
-        self.generation += 1;
         if ts > self.max_read {
             self.max_read = ts;
         }
@@ -431,7 +425,6 @@ impl MvtsoStore {
         let mut unused = None;
         if let Some((idx, rec)) = self.key_rec_mut(key) {
             if rec.rts.remove(ts).is_some() {
-                rec.generation += 1;
                 if ts == rec.max_read {
                     rec.refresh_read_watermark();
                 }
@@ -665,21 +658,15 @@ impl MvtsoStore {
         let ts = tx.timestamp();
         for write in tx.write_set() {
             if let Some((_, rec)) = self.key_rec_mut(&write.key) {
-                if rec.prepared.remove(ts).is_some() {
-                    rec.generation += 1;
-                    if ts == rec.max_write {
-                        rec.refresh_write_watermark();
-                    }
+                if rec.prepared.remove(ts).is_some() && ts == rec.max_write {
+                    rec.refresh_write_watermark();
                 }
             }
         }
         for read in tx.read_set() {
             if let Some((_, rec)) = self.key_rec_mut(&read.key) {
-                if rec.prepared_reads.remove(ts).is_some() {
-                    rec.generation += 1;
-                    if ts == rec.max_read {
-                        rec.refresh_read_watermark();
-                    }
+                if rec.prepared_reads.remove(ts).is_some() && ts == rec.max_read {
+                    rec.refresh_read_watermark();
                 }
             }
         }
@@ -718,11 +705,8 @@ impl MvtsoStore {
         for write in tx.write_set() {
             let idx = self.intern_key(&write.key);
             let rec = &mut self.key_records[idx as usize];
-            if rec.prepared.remove(ts).is_some() {
-                rec.generation += 1;
-                if ts == rec.max_write {
-                    rec.refresh_write_watermark();
-                }
+            if rec.prepared.remove(ts).is_some() && ts == rec.max_write {
+                rec.refresh_write_watermark();
             }
             rec.committed.insert(ts, (txid, write.value.clone()));
             rec.note_write(ts);
@@ -730,11 +714,8 @@ impl MvtsoStore {
         for read in tx.read_set() {
             let idx = self.intern_key(&read.key);
             let rec = &mut self.key_records[idx as usize];
-            if rec.prepared_reads.remove(ts).is_some() {
-                rec.generation += 1;
-                if ts == rec.max_read {
-                    rec.refresh_read_watermark();
-                }
+            if rec.prepared_reads.remove(ts).is_some() && ts == rec.max_read {
+                rec.refresh_read_watermark();
             }
             rec.committed_reads.insert(ts, read.version);
             rec.cover_read(read.version, ts);
@@ -855,12 +836,6 @@ impl MvtsoStore {
         self.stats
     }
 
-    /// The generation stamp of a key's record: how many times its
-    /// concurrency-control state has mutated (tests and diagnostics).
-    pub fn key_generation(&self, key: &Key) -> Option<u64> {
-        self.key_rec(key).map(|rec| rec.generation)
-    }
-
     /// The `(max_write, max_read)` watermarks of a key's record (tests and
     /// diagnostics).
     pub fn key_watermarks(&self, key: &Key) -> Option<(Timestamp, Timestamp)> {
@@ -887,7 +862,6 @@ impl MvtsoStore {
             dropped += rec.committed_reads.drop_below(watermark);
             dropped += rec.rts.drop_below(watermark);
             if dropped > 0 {
-                rec.generation += 1;
                 // Prefix drains cannot raise the tails, but they can empty
                 // an array entirely; recompute both watermarks exactly, and
                 // re-derive the reader summary from the surviving entries
@@ -1375,7 +1349,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Flattened-layout specifics: watermarks, generations, fast path
+    // Flattened-layout specifics: watermarks, fast path
     // ------------------------------------------------------------------
 
     #[test]
@@ -1426,19 +1400,6 @@ mod tests {
         let late = blind_write(300, 4, "y", 1);
         expect_abort(store.prepare(&late, CLOCK, DELTA), AbortReason::Conflict);
         assert_eq!(store.stats().slow_path_checks, before + 1);
-    }
-
-    #[test]
-    fn generation_stamp_counts_record_mutations() {
-        let mut store = store_with_xy();
-        let g0 = store.key_generation(&k("x")).expect("genesis record");
-        store.read(&k("x"), ts(10, 1));
-        let g1 = store.key_generation(&k("x")).unwrap();
-        assert!(g1 > g0, "RTS registration bumps the generation");
-        store.remove_rts(&k("x"), ts(10, 1));
-        let g2 = store.key_generation(&k("x")).unwrap();
-        assert!(g2 > g1, "RTS removal bumps the generation");
-        assert_eq!(store.key_generation(&k("never-touched")), None);
     }
 
     #[test]
@@ -1502,10 +1463,10 @@ mod tests {
         let mut store = store_with_xy();
         // A read of a never-written key holds a record only for its RTS.
         store.read(&k("ghost"), ts(100, 1));
-        assert!(store.key_generation(&k("ghost")).is_some());
+        assert!(store.key_watermarks(&k("ghost")).is_some());
         store.remove_rts(&k("ghost"), ts(100, 1));
         assert_eq!(
-            store.key_generation(&k("ghost")),
+            store.key_watermarks(&k("ghost")),
             None,
             "record released with its last RTS"
         );
@@ -1513,15 +1474,15 @@ mod tests {
         // GC drops records drained to nothing but keeps live ones.
         store.read(&k("phantom"), ts(100, 2));
         store.gc_before(ts(200, 0));
-        assert_eq!(store.key_generation(&k("phantom")), None);
+        assert_eq!(store.key_watermarks(&k("phantom")), None);
         assert!(
-            store.key_generation(&k("x")).is_some(),
+            store.key_watermarks(&k("x")).is_some(),
             "keys with retained versions keep their record"
         );
     }
 
     #[test]
-    fn gc_refreshes_watermarks_and_generation() {
+    fn gc_refreshes_watermarks() {
         let mut store = store_with_xy();
         for i in 1..=5u64 {
             let t = blind_write(i * 100, 1, "x", i);
@@ -1529,9 +1490,8 @@ mod tests {
             store.commit(&t);
         }
         store.read(&k("x"), ts(120, 7));
-        let gen_before = store.key_generation(&k("x")).unwrap();
+        assert_eq!(store.key_watermarks(&k("x")).unwrap().1, ts(120, 7));
         store.gc_before(ts(450, 0));
-        assert!(store.key_generation(&k("x")).unwrap() > gen_before);
         // The RTS at 120 was collected; the newest write (500) is retained.
         let (max_write, max_read) = store.key_watermarks(&k("x")).unwrap();
         assert_eq!(max_write, ts(500, 1));

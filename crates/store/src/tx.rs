@@ -9,7 +9,8 @@
 //! spoof the set of involved shards nor equivocate the contents (Section 4.2).
 
 use basil_common::codec::{DecodeError, Reader, Sink};
-use basil_common::{Key, ShardId, SystemConfig, Timestamp, TxId, Value};
+use basil_common::config::shard_for_key;
+use basil_common::{Key, ShardId, Timestamp, TxId, Value};
 use basil_crypto::Sha256;
 use std::collections::BTreeSet;
 
@@ -264,16 +265,15 @@ impl Transaction {
             .map(|r| r.version)
     }
 
-    /// The shards touched by this transaction under `cfg`'s key placement,
-    /// in ascending order.
-    pub fn involved_shards(&self, cfg: &SystemConfig) -> Vec<ShardId> {
-        let mut shards: BTreeSet<ShardId> = BTreeSet::new();
-        for r in &self.read_set {
-            shards.insert(cfg.shard_for_key(&r.key));
-        }
-        for w in &self.write_set {
-            shards.insert(cfg.shard_for_key(&w.key));
-        }
+    /// The shards touched by this transaction when keys are placed over
+    /// `num_shards` shards, in ascending order.
+    pub fn involved_shards(&self, num_shards: u32) -> Vec<ShardId> {
+        let reads = self.read_set.iter().map(|r| &r.key);
+        let writes = self.write_set.iter().map(|w| &w.key);
+        let shards: BTreeSet<ShardId> = reads
+            .chain(writes)
+            .map(|key| shard_for_key(key, num_shards))
+            .collect();
         shards.into_iter().collect()
     }
 
@@ -357,21 +357,6 @@ impl TransactionBuilder {
             .iter()
             .find(|w| &w.key == key)
             .map(|w| &w.value)
-    }
-
-    /// Whether the builder has already recorded a read of `key`.
-    pub fn has_read(&self, key: &Key) -> bool {
-        self.read_set.iter().any(|r| &r.key == key)
-    }
-
-    /// Number of reads recorded so far.
-    pub fn read_count(&self) -> usize {
-        self.read_set.len()
-    }
-
-    /// Number of distinct keys written so far.
-    pub fn write_count(&self) -> usize {
-        self.write_set.len()
     }
 
     /// Freezes the metadata into an immutable [`Transaction`].
@@ -519,7 +504,7 @@ mod tests {
 
     #[test]
     fn involved_shards_covers_reads_and_writes() {
-        let cfg = SystemConfig::sharded(3);
+        let cfg = basil_common::SystemConfig::sharded(3);
         let mut b = TransactionBuilder::new(ts(10, 1));
         // Touch enough keys that more than one shard is involved.
         for i in 0..20 {
@@ -527,7 +512,7 @@ mod tests {
             b.record_read(Key::new(format!("r{i}")), Timestamp::ZERO);
         }
         let t = b.build();
-        let shards = t.involved_shards(&cfg);
+        let shards = t.involved_shards(cfg.num_shards);
         assert!(
             shards.len() >= 2,
             "expected multiple shards, got {shards:?}"

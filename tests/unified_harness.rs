@@ -4,9 +4,23 @@
 //! and serializable histories from the shared machinery.
 
 use basil::baseline_harness::{BaselineCluster, BaselineClusterConfig};
-use basil::baselines::{BaselineConfig, SystemKind};
+use basil::baselines::messages::ShardRequest;
+use basil::baselines::occ::OccVote;
+use basil::baselines::{BaselineClient, BaselineConfig, BaselineMsg, SystemKind};
 use basil::harness::{BasilCluster, ClusterConfig};
-use basil::{Duration, Key, Op, ScriptedGenerator, TxProfile, Value};
+use basil::{
+    BasilClient, BasilConfig, ClientId, Duration, Key, KeyRegistry, NodeId, Op, ReplicaId,
+    ScriptedGenerator, ShardId, SimTime, Timestamp, Transaction, TxProfile, Value,
+};
+use basil_core::byzantine::FaultProfile;
+use basil_core::certs::{CommitCert, DecisionCert};
+use basil_core::messages::{
+    BasilMsg, CommittedRead, ProtoVote, ReadReply, ReadReplyBody, SignedSt1Reply, St1ReplyBody,
+};
+use basil_simnet::actor::Output;
+use basil_simnet::{Actor, Context};
+use std::collections::{HashSet, VecDeque};
+use std::sync::Arc;
 
 /// The shared scripted workload: every client runs the same short mix of
 /// blind writes, reads, and read-modify-writes over a small keyspace.
@@ -79,6 +93,18 @@ fn same_workload_through_both_adapters_is_serializable() {
         .audit()
         .expect("baseline history must be serializable");
 
+    // Closed loop: what a client offers is what it starts. Every scripted
+    // transaction was started once (aborts are retried, not re-offered) and
+    // all of them finished, through either adapter.
+    let scripted = 3 * scripted_profiles(0).len() as u64;
+    for (name, snap) in [
+        ("Basil", basil_cluster.snapshot()),
+        ("TAPIR", baseline_cluster.snapshot()),
+    ] {
+        assert_eq!(snap.offered, scripted, "{name}: offered == started");
+        assert_eq!(snap.committed, scripted, "{name}: all finished");
+    }
+
     // The shared engine exposes the same inspection surface for both: the
     // committed counters key `c0..c3` must reflect applied increments.
     for cluster_value in [
@@ -115,4 +141,203 @@ fn shared_measurement_window_reports_for_both_adapters() {
         baseline_cluster.run_measured(Duration::from_millis(100), Duration::from_millis(300));
     assert!(baseline_report.committed > 0);
     assert!(baseline_report.throughput_tps > 0.0);
+    // A baseline report carries its offered load like a Basil one: in a
+    // closed loop, starts and commits inside a window differ by at most the
+    // transactions in flight at its two ends.
+    let window_s = Duration::from_millis(300).as_secs_f64();
+    for report in [&basil_report, &baseline_report] {
+        let offered = (report.offered_tps * window_s).round() as u64;
+        assert!(
+            offered > 0 && offered.abs_diff(report.committed) <= 2,
+            "offered {offered} vs committed {}",
+            report.committed
+        );
+    }
+}
+
+// ----------------------------------------------------------------------
+// One session under both clients
+// ----------------------------------------------------------------------
+
+/// What every read of the cross-protocol script returns: the key's version
+/// and value, the same whichever protocol asks.
+fn read_answer(key: &Key) -> (Timestamp, Value) {
+    let n = key.as_bytes().iter().map(|b| u64::from(*b)).sum::<u64>();
+    (
+        Timestamp::from_nanos(100 + n, ClientId(9)),
+        Value::from_u64(n),
+    )
+}
+
+/// Profiles reaching every arm of the execution cursor: remote reads, blind
+/// writes, read-your-writes, read-modify-write over a fetched and over a
+/// buffered value, saturation at zero.
+fn cursor_profiles() -> Vec<TxProfile> {
+    let k = |s: &str| Key::new(s);
+    let rmw = |s: &str, delta| Op::RmwAdd { key: k(s), delta };
+    vec![
+        TxProfile::new(
+            "mixed",
+            vec![
+                Op::Read(k("a")),
+                Op::Write(k("b"), Value::from_u64(5)),
+                rmw("b", 3),
+                rmw("c", -7),
+                Op::Read(k("b")),
+            ],
+        ),
+        TxProfile::new("write-only", vec![Op::Write(k("d"), Value::from_u64(1))]),
+        TxProfile::new(
+            "saturating",
+            vec![rmw("e", -1_000_000), rmw("e", 2), Op::Read(k("a"))],
+        ),
+    ]
+}
+
+/// Runs `client` by hand: `react` looks at each message it sends and says
+/// what the cluster would answer. Returns when the client falls silent.
+fn drive<M: Clone, C: Actor<M>>(
+    client: &mut C,
+    mut react: impl FnMut(&M, &mut VecDeque<(NodeId, M)>),
+) {
+    let me = NodeId::Client(ClientId(1));
+    let mut inbox: VecDeque<(NodeId, M)> = VecDeque::new();
+    let mut ctx = Context::new(me, SimTime::from_millis(1), SimTime::from_millis(1));
+    client.on_start(&mut ctx);
+    loop {
+        for output in ctx.outputs() {
+            if let Output::Send { msg, .. } = output {
+                react(msg, &mut inbox);
+            }
+        }
+        let Some((from, msg)) = inbox.pop_front() else {
+            return;
+        };
+        ctx = Context::new(me, SimTime::from_millis(2), SimTime::from_millis(2));
+        client.on_message(&mut ctx, from, msg);
+    }
+}
+
+fn replica(index: u32) -> NodeId {
+    NodeId::Replica(ReplicaId::new(ShardId(0), index))
+}
+
+/// The same scripted profiles and the same read answers through a Basil
+/// client (signatures off) and a TAPIR-style client produce transactions with
+/// identical read and write sets: execution is the session's, not the
+/// protocol's.
+#[test]
+fn basil_and_tapir_clients_execute_a_script_identically() {
+    let mut basil_txs: Vec<Arc<Transaction>> = Vec::new();
+    let mut answered = HashSet::new();
+    let mut basil = BasilClient::new(
+        ClientId(1),
+        BasilConfig::test_single_shard().without_proofs(),
+        KeyRegistry::from_seed(1),
+        Box::new(ScriptedGenerator::new(cursor_profiles())),
+        FaultProfile::honest(),
+        7,
+    );
+    drive(&mut basil, |msg: &BasilMsg, inbox| match msg {
+        // The read goes to a quorum under one request id: answer it once,
+        // with as many (unsigned, identical) replies as the client waits for.
+        BasilMsg::Read(req) if answered.insert(req.req_id) => {
+            let (version, value) = read_answer(&req.key);
+            let txid = basil::TxId::from_bytes([9; 32]);
+            let body = ReadReplyBody {
+                req_id: req.req_id,
+                key: req.key.clone(),
+                committed: Some(CommittedRead {
+                    version,
+                    value,
+                    txid,
+                    cert: Some(Arc::new(DecisionCert::Commit(CommitCert {
+                        txid,
+                        fast_votes: vec![],
+                        slow: None,
+                    }))),
+                }),
+                prepared: None,
+            };
+            for i in 0..2 {
+                let reply = ReadReply {
+                    body: body.clone(),
+                    proof: None,
+                };
+                inbox.push_back((replica(i), BasilMsg::ReadReply(reply)));
+            }
+        }
+        BasilMsg::St1(st1) if basil_txs.iter().all(|tx| tx.id() != st1.tx.id()) => {
+            basil_txs.push(Arc::clone(&st1.tx));
+            for i in 0..6 {
+                let vote = SignedSt1Reply {
+                    body: St1ReplyBody {
+                        txid: st1.tx.id(),
+                        replica: ReplicaId::new(ShardId(0), i),
+                        vote: ProtoVote::Commit,
+                    },
+                    proof: None,
+                    conflict: None,
+                };
+                inbox.push_back((replica(i), BasilMsg::St1Reply(vote)));
+            }
+        }
+        _ => {}
+    });
+
+    let mut tapir_txs: Vec<Arc<Transaction>> = Vec::new();
+    let mut tapir = BaselineClient::new(
+        ClientId(1),
+        BaselineConfig::new(SystemKind::Tapir),
+        Box::new(ScriptedGenerator::new(cursor_profiles())),
+        7,
+    );
+    drive(&mut tapir, |msg: &BaselineMsg, inbox| match msg {
+        BaselineMsg::Read { req_id, key } => {
+            let (version, value) = read_answer(key);
+            let reply = BaselineMsg::ReadReply {
+                req_id: *req_id,
+                key: key.clone(),
+                version,
+                value,
+            };
+            inbox.push_back((replica(0), reply));
+        }
+        BaselineMsg::Submit {
+            request: ShardRequest::Prepare { tx },
+        } if tapir_txs.iter().all(|seen| seen.id() != tx.id()) => {
+            tapir_txs.push(Arc::clone(tx));
+            for i in 0..3 {
+                let vote = BaselineMsg::PrepareResult {
+                    txid: tx.id(),
+                    vote: OccVote::Commit,
+                };
+                inbox.push_back((replica(i), vote));
+            }
+        }
+        _ => {}
+    });
+
+    assert_eq!(basil.stats().committed, 3);
+    assert_eq!(tapir.stats().committed, 3);
+    assert_eq!(basil.stats().reads_issued, tapir.stats().reads_issued);
+    assert_eq!(basil_txs.len(), 3);
+    assert_eq!(tapir_txs.len(), 3);
+    for (b, t) in basil_txs.iter().zip(&tapir_txs) {
+        assert_eq!(b.read_set(), t.read_set());
+        assert_eq!(b.write_set(), t.write_set());
+        assert!(b.deps().is_empty() && t.deps().is_empty());
+    }
+    // Spot-check the arithmetic once, so "identical" is not "identically
+    // wrong": b = 5 + 3 over the buffer, c = 99 - 7 over the fetched value,
+    // e = 0 + 2 after saturating at zero.
+    let written = |tx: &Transaction, key: &str| tx.written_value(&Key::new(key)).cloned();
+    assert_eq!(written(&basil_txs[0], "b"), Some(Value::from_u64(8)));
+    assert_eq!(written(&basil_txs[0], "c"), Some(Value::from_u64(92)));
+    assert_eq!(written(&basil_txs[2], "e"), Some(Value::from_u64(2)));
+    assert_eq!(
+        basil_txs[0].read_set().len(),
+        2,
+        "a and c; b came from the buffer"
+    );
 }
