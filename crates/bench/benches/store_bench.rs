@@ -7,8 +7,11 @@
 //! per-key arrays, still append-ordered), and a stale-read Zipfian variant
 //! that forces the ordered slow-path scans.
 //! `store_contention/gc_sweep` covers the allocation-free prefix-drain GC.
-//! CI runs the Zipfian case once per push via
-//! `cargo bench --bench store_bench -- --test zipf`.
+//! `store_cold_keys/prepare_commit` is the opposite of all of them: no key
+//! is ever seen twice, so what it times is resolving a key and creating its
+//! record, not checking it.
+//! CI runs the Zipfian and cold-key cases once per push via
+//! `cargo bench --bench store_bench -- --test 'zipf|cold'`.
 
 use basil::baselines::occ::OccStore;
 use basil::workloads::zipf::ZipfSampler;
@@ -253,6 +256,23 @@ fn bench_contention(c: &mut Criterion) {
     group.finish();
 }
 
+/// Every key is first touched by the transaction that prepares it, as on a
+/// uniform key space far larger than the run (the paper's RW-U): each of the
+/// four keys of each transaction is hashed, interned into the key table
+/// (which grows from empty) and given a fresh record whose arrays take their
+/// first entries, and the commit has to find those records again. The
+/// `store_contention` cases draw from 1,024 keys (65,536 in one of them), so
+/// they time the checks and bypass exactly this.
+fn bench_cold_keys(c: &mut Criterion) {
+    let mut group = c.benchmark_group("store_cold_keys");
+    let cold = ContentionBatch::generate(512, 0, |nth_key| nth_key);
+    let sample = cold.run();
+    assert_eq!(sample.committed_count(), 512);
+    assert_eq!(sample.stats().slow_path_checks, 0);
+    group.bench_function("prepare_commit", |b| b.iter(|| cold.run()));
+    group.finish();
+}
+
 fn bench_occ(c: &mut Criterion) {
     c.bench_function("occ_prepare_commit", |b| {
         b.iter_batched(
@@ -298,6 +318,6 @@ fn bench_txid(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_mvtso, bench_contention, bench_occ, bench_txid
+    targets = bench_mvtso, bench_contention, bench_cold_keys, bench_occ, bench_txid
 }
 criterion_main!(benches);

@@ -199,30 +199,12 @@ impl SystemConfig {
     }
 }
 
-/// The shard of `num_shards` responsible for `key`, from a stable hash of the
-/// key bytes (FNV-1a). Every participant — and every system under comparison,
-/// so that a workload shards identically across them — must agree on this
-/// mapping.
+/// The shard of `num_shards` responsible for `key`: the stable hash the key
+/// carries (see [`Key`]) modulo the shard count. Every participant — and
+/// every system under comparison, so that a workload shards identically
+/// across them — must agree on this mapping.
 pub fn shard_for_key(key: &Key, num_shards: u32) -> ShardId {
-    ShardId((mix64(fnv1a(key.as_bytes())) % num_shards as u64) as u32)
-}
-
-/// SplitMix64 finalizer; diffuses the weak low bits of FNV for short keys so
-/// the modulo placement is close to uniform.
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// FNV-1a 64-bit hash; used only for key placement, not for integrity.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    ShardId((key.hash64() % num_shards as u64) as u32)
 }
 
 #[cfg(test)]
@@ -305,6 +287,86 @@ mod tests {
         }
         for c in counts {
             assert!(c > 500, "distribution too skewed: {counts:?}");
+        }
+    }
+
+    /// Placement is part of the deployment contract (and of every pinned
+    /// history): the hash a key now carries must put it where the FNV walk
+    /// per call put it. Captured at the commit before keys carried a hash;
+    /// digit `n - 1` of each row is the shard under `n` shards.
+    #[test]
+    fn key_placement_is_pinned() {
+        const PLACED: [(&str, &str); 64] = [
+            ("key0", "01112101"),
+            ("acct:7919:checking", "00120412"),
+            ("warehouse:2", "01211515"),
+            ("k314187", "00220242"),
+            ("key4", "01014325"),
+            ("acct:39595:checking", "01111145"),
+            ("warehouse:6", "01210531"),
+            ("k733103", "00121406"),
+            ("key8", "00104414"),
+            ("acct:71271:checking", "01013305"),
+            ("warehouse:10", "00120466"),
+            ("k1152019", "01230563"),
+            ("key12", "00023006"),
+            ("acct:102947:checking", "00123426"),
+            ("warehouse:14", "01130147"),
+            ("k1570935", "00223216"),
+            ("key16", "01012325"),
+            ("acct:134623:checking", "01013361"),
+            ("warehouse:18", "00221256"),
+            ("k1989851", "01231523"),
+            ("key20", "00024012"),
+            ("acct:166299:checking", "01031357"),
+            ("warehouse:22", "00122432"),
+            ("k2408767", "00202254"),
+            ("key24", "00000004"),
+            ("acct:197975:checking", "01210505"),
+            ("warehouse:26", "00004050"),
+            ("k2827683", "00104414"),
+            ("key28", "01233533"),
+            ("acct:229651:checking", "01034337"),
+            ("warehouse:30", "00003024"),
+            ("k3246599", "01014335"),
+            ("key32", "00104424"),
+            ("acct:261327:checking", "01233553"),
+            ("warehouse:34", "01033357"),
+            ("k3665515", "01011315"),
+            ("key36", "00224256"),
+            ("acct:293003:checking", "01214551"),
+            ("warehouse:38", "01214521"),
+            ("k4084431", "01131133"),
+            ("key40", "01114111"),
+            ("acct:324679:checking", "01233507"),
+            ("warehouse:42", "01031303"),
+            ("k4503347", "00123406"),
+            ("key44", "00224236"),
+            ("acct:356355:checking", "01113115"),
+            ("warehouse:46", "01232513"),
+            ("k4922263", "00024042"),
+            ("key48", "00004050"),
+            ("acct:388031:checking", "01211565"),
+            ("warehouse:50", "00221212"),
+            ("k5341179", "01034317"),
+            ("key52", "00222226"),
+            ("acct:419707:checking", "00124422"),
+            ("warehouse:54", "00024066"),
+            ("k5760095", "01034307"),
+            ("key56", "01030367"),
+            ("acct:451383:checking", "00120466"),
+            ("warehouse:58", "00002000"),
+            ("k6179011", "00104424"),
+            ("key60", "00122402"),
+            ("acct:483059:checking", "01034367"),
+            ("warehouse:62", "00100450"),
+            ("k6597927", "01214531"),
+        ];
+        for (key, shards) in PLACED {
+            let placed: String = (1..=8)
+                .map(|n| shard_for_key(&Key::new(key), n).0.to_string())
+                .collect();
+            assert_eq!(placed, shards, "key {key:?}");
         }
     }
 

@@ -762,12 +762,11 @@ impl BasilReplica {
 
     fn handle_writeback(&mut self, ctx: &mut Context<BasilMsg>, wb: Writeback) {
         let txid = wb.cert.txid();
-        if self.records.get(&txid).and_then(|r| r.decided).is_some() {
+        let known = self.records.get(&txid);
+        if known.and_then(|r| r.decided).is_some() {
             return; // already applied
         }
-        let expected_shards: Option<Vec<ShardId>> = self
-            .records
-            .get(&txid)
+        let expected_shards: Option<Vec<ShardId>> = known
             .and_then(|r| r.tx.as_ref())
             .or(wb.tx.as_ref())
             .map(|tx| tx.involved_shards(self.cfg.system.num_shards));
@@ -787,37 +786,34 @@ impl BasilReplica {
             return;
         }
 
-        {
-            let record = self.record(txid);
-            if record.tx.is_none() {
-                record.tx = wb.tx;
-            }
+        // The record is resolved once, now that the certificate is known to
+        // be valid, and everything below works through it (records, store
+        // and stats are disjoint fields).
+        let record = self.records.entry(txid).or_default();
+        if record.tx.is_none() {
+            record.tx = wb.tx;
         }
         let decision = wb.cert.decision();
-        let released = match decision {
+        let (released, logged_tx) = match decision {
             ProtoDecision::Commit => {
-                // Borrow the body straight out of the record (records and
-                // store are disjoint fields) instead of cloning it.
-                let Some(tx) = self.records.get(&txid).and_then(|r| r.tx.as_ref()) else {
+                let Some(tx) = record.tx.as_ref() else {
                     // Cannot apply writes without the transaction body; wait
                     // for a writeback that carries it.
                     return;
                 };
                 self.stats.commits_applied += 1;
-                self.store.commit(tx)
+                // Commits re-ship the body in the log so amnesia replay can
+                // re-install the writes without any peer's help.
+                (self.store.commit(tx), Some(Arc::clone(tx)))
             }
             ProtoDecision::Abort => {
                 self.stats.aborts_applied += 1;
-                self.store.abort(txid)
+                (self.store.abort(txid), None)
             }
         };
+        record.decided = Some(decision);
+        let interested = std::mem::take(&mut record.interested);
         self.certs.insert(txid, Arc::clone(&wb.cert));
-        // Commits re-ship the body in the log so amnesia replay can
-        // re-install the writes without any peer's help.
-        let logged_tx = match decision {
-            ProtoDecision::Commit => self.records.get(&txid).and_then(|r| r.tx.clone()),
-            ProtoDecision::Abort => None,
-        };
         self.wal_append(
             ctx,
             &WalRecord::Applied {
@@ -826,11 +822,6 @@ impl BasilReplica {
                 tx: logged_tx,
             },
         );
-        let interested: Vec<NodeId> = {
-            let record = self.record(txid);
-            record.decided = Some(decision);
-            std::mem::take(&mut record.interested)
-        };
         // Forward the outcome to clients waiting on this transaction (a
         // reference-count bump per recipient, not a certificate copy).
         for client in interested {

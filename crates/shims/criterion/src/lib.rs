@@ -15,9 +15,11 @@
 //! comparable numbers offline.
 //!
 //! Like real criterion, the generated `main` understands a subset of the
-//! CLI: positional arguments are substring filters on benchmark labels, and
-//! `--test` runs each selected benchmark exactly once without timing (the
-//! mode CI smoke steps use: `cargo bench --bench foo -- --test zipf`).
+//! CLI: positional arguments are substring filters on benchmark labels
+//! (`a|b` selects either, the one piece of criterion's regex filters CI
+//! uses), and `--test` runs each selected benchmark exactly once without
+//! timing (the mode CI smoke steps use:
+//! `cargo bench --bench foo -- --test 'zipf|cold'`).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -31,8 +33,9 @@ use std::time::{Duration, Instant};
 pub struct CliOptions {
     /// Run each benchmark once, untimed (criterion's `--test` smoke mode).
     pub test_mode: bool,
-    /// Substring filters; a benchmark runs when any filter matches its
-    /// label (all run when empty).
+    /// Substring filters, each possibly several alternatives joined by `|`;
+    /// a benchmark runs when any filter matches its label (all run when
+    /// empty).
     pub filters: Vec<String>,
 }
 
@@ -194,8 +197,15 @@ fn cli_options() -> &'static CliOptions {
 }
 
 fn label_selected(label: &str) -> bool {
-    let filters = &cli_options().filters;
-    filters.is_empty() || filters.iter().any(|f| label.contains(f.as_str()))
+    filters_select(&cli_options().filters, label)
+}
+
+fn filters_select(filters: &[String], label: &str) -> bool {
+    filters.is_empty()
+        || filters
+            .iter()
+            .flat_map(|f| f.split('|'))
+            .any(|alternative| label.contains(alternative))
 }
 
 /// How batched inputs are sized (accepted for API compatibility; the shim
@@ -541,18 +551,13 @@ mod tests {
         // The global options default to "run everything" when main never
         // parsed arguments (e.g. under `cargo test`).
         assert!(label_selected("anything/at-all"));
-        let opts = CliOptions {
-            test_mode: false,
-            filters: vec!["zipf".into()],
-        };
-        assert!(opts
-            .filters
-            .iter()
-            .any(|f| "store/prepare_zipf_hot".contains(f.as_str())));
-        assert!(!opts
-            .filters
-            .iter()
-            .any(|f| "store/gc_sweep".contains(f.as_str())));
+        let zipf = ["zipf".to_string()];
+        assert!(filters_select(&zipf, "store/prepare_zipf_hot"));
+        assert!(!filters_select(&zipf, "store/gc_sweep"));
+        let either = ["zipf|cold".to_string()];
+        assert!(filters_select(&either, "store/prepare_zipf_hot"));
+        assert!(filters_select(&either, "store_cold_keys/prepare_commit"));
+        assert!(!filters_select(&either, "store/gc_sweep"));
     }
 
     #[test]

@@ -10,13 +10,14 @@
 //! * the read timestamps (**RTS**) left behind by execution-phase reads, and
 //! * the reads performed by prepared and committed transactions.
 //!
-//! All four indexes are timestamp-sorted [`VersionArray`]s (flat `Vec`s,
-//! append-mostly) rather than per-key `BTreeMap`s, and every record carries
-//! two watermarks — the largest write timestamp and the largest read
-//! timestamp currently present. The watermarks let [`MvtsoStore::prepare`]
-//! answer the common no-conflict case with two integer comparisons per key
-//! and no scan at all; they are kept exact (any removal that could lower a
-//! watermark recomputes it from the array tails in `O(1)`).
+//! All four indexes are timestamp-sorted [`VersionArray`]s (flat runs, the
+//! first entry inline, append-mostly) rather than per-key `BTreeMap`s, and
+//! every record carries two watermarks — the largest write timestamp and the
+//! largest read timestamp currently present. The watermarks let
+//! [`MvtsoStore::prepare`] answer the common no-conflict case with two
+//! integer comparisons per key and no scan at all; they are kept exact (any
+//! removal that could lower a watermark recomputes it from the array tails
+//! in `O(1)`).
 //! [`MvtsoStore::stats`] reports the fast-path hit rate. See
 //! `docs/ARCHITECTURE.md` ("Store layout & conflict windows").
 //!
@@ -176,6 +177,11 @@ struct KeyRecord {
     /// reader can be invalidated by a write at that timestamp, skipping the
     /// ordered scans of check (5); rebuilt after GC drains a prefix.
     reader_summary: ReaderSummary,
+    /// How many slot references prepared transactions hold on this record
+    /// (one per read-set and per write-set entry; see [`Prepared`]). A pinned
+    /// record is never [`KeyRecord::is_unused`], so its arena slot cannot be
+    /// recycled under the transaction that saved it.
+    pins: u32,
 }
 
 impl KeyRecord {
@@ -205,10 +211,17 @@ impl KeyRecord {
             .unwrap_or(Timestamp::ZERO);
     }
 
-    /// True when every index is empty: the record carries no state a fresh
-    /// `KeyRecord::default()` would not, so it can be dropped from the map.
+    /// True when every index is empty and no prepared transaction holds the
+    /// slot: the record carries no state a fresh `KeyRecord::default()` would
+    /// not, so it can be dropped from the map.
+    ///
+    /// A prepared transaction normally shows up in `prepared` or
+    /// `prepared_reads`, but two transactions prepared at one timestamp (an
+    /// equivocating client) share a single array entry, and withdrawing one
+    /// removes it for both — hence the explicit `pins` count.
     fn is_unused(&self) -> bool {
-        self.committed.is_empty()
+        self.pins == 0
+            && self.committed.is_empty()
             && self.prepared.is_empty()
             && self.committed_reads.is_empty()
             && self.prepared_reads.is_empty()
@@ -248,6 +261,24 @@ impl KeyRecord {
     }
 }
 
+/// A prepared (visible, uncommitted) transaction together with the arena
+/// slots [`MvtsoStore::prepare`] resolved for its keys, so that the decision
+/// indexes `key_records` directly instead of looking every key up again.
+///
+/// **Slot-pinning invariant.** Every slot listed here was counted into its
+/// record's `pins` when the entry was created and is counted out exactly
+/// once, by whichever of commit, abort or withdrawal consumes the entry. A
+/// record with `pins > 0` is not `is_unused`, and `is_unused` is the only
+/// condition under which `release_key` is called (from `remove_rts` and
+/// `gc_before`), so between prepare and decision a saved slot always names
+/// the record of the same key.
+#[derive(Debug)]
+struct Prepared {
+    tx: Arc<Transaction>,
+    /// One slot per read-set entry, then one per write-set entry, in order.
+    slots: Box<[u32]>,
+}
+
 /// The multiversioned store of a single replica.
 ///
 /// Per-key state lives in one `Key -> KeyRecord` map; per-transaction state
@@ -265,27 +296,28 @@ pub struct MvtsoStore {
     /// (measured ~1 µs per map operation on the 96-client bench's ~50k-key
     /// working set); with 4-byte values the table stays small and hot, the
     /// records are reached by direct indexing, and — because an index,
-    /// unlike a map entry reference, can be *saved* — the prepare pipeline
-    /// resolves each key once and reuses the slot for both the conflict
-    /// check and the prepared-index insert.
+    /// unlike a map entry reference, can be *saved* — a transaction's keys
+    /// are resolved once, by its prepare, and the slots serve the conflict
+    /// check, the prepared-index insert and the later commit or abort (see
+    /// [`Prepared`]). A [`Key`] carries its hash, so a probe or a rehash of
+    /// this table never touches the key's string.
     key_index: FastHashMap<Key, u32>,
     /// The record arena (`key_index` values point here).
     key_records: Vec<KeyRecord>,
     /// Recycled arena slots (records released by GC or RTS removal).
     free_records: Vec<u32>,
-    /// Scratch: per-prepare resolved arena slots for the read/write sets
-    /// (`u32::MAX` = key unknown at check time). Reused across calls to
-    /// avoid an allocation per prepare; never observable state.
-    scratch_reads: Vec<u32>,
-    /// Scratch for the write set (see `scratch_reads`).
-    scratch_writes: Vec<u32>,
+    /// Scratch: the arena slots the running prepare has resolved, read set
+    /// first, then write set (`NO_SLOT` = key unknown at check time). Reused
+    /// across calls so that a prepare that votes abort allocates nothing;
+    /// never observable state.
+    scratch_slots: Vec<u32>,
     /// Metadata of committed transactions (needed for the read-write checks
     /// and for the serializability audit). `Arc`-shared so the prepared
     /// entry is promoted on commit without copying, and so audits can
     /// borrow instead of cloning the whole history.
     committed_txs: FastHashMap<TxId, Arc<Transaction>>,
-    /// Metadata of prepared (visible, uncommitted) transactions.
-    prepared_txs: FastHashMap<TxId, Arc<Transaction>>,
+    /// Prepared (visible, uncommitted) transactions and their key slots.
+    prepared_txs: FastHashMap<TxId, Prepared>,
     /// Final decisions known to this replica.
     decisions: FastHashMap<TxId, Decision>,
     /// Aborted transactions (subset view of `decisions`, kept for fast checks).
@@ -406,11 +438,15 @@ impl MvtsoStore {
                 txid: *txid,
             });
         let prepared = rec.prepared.latest_before(ts).and_then(|(version, txid)| {
-            self.prepared_txs.get(txid).map(|tx| PreparedVersion {
+            self.prepared_txs.get(txid).map(|p| PreparedVersion {
                 version: *version,
-                value: tx.written_value(key).cloned().unwrap_or_else(Value::empty),
+                value: p
+                    .tx
+                    .written_value(key)
+                    .cloned()
+                    .unwrap_or_else(Value::empty),
                 txid: *txid,
-                deps: tx.deps().to_vec(),
+                deps: p.tx.deps().to_vec(),
             })
         });
         ReadResult {
@@ -516,6 +552,7 @@ impl MvtsoStore {
             let known = self
                 .prepared_txs
                 .get(&dep.txid)
+                .map(|p| &p.tx)
                 .or_else(|| self.committed_txs.get(&dep.txid));
             if let Some(dep_tx) = known {
                 let produced = dep_tx.writes(&dep.key) && dep_tx.timestamp() == dep.version;
@@ -543,11 +580,12 @@ impl MvtsoStore {
         // no write W to `key` with version_read < ts_W < ts_T may exist.
         // Fast path: the version read is the key's newest write overall.
         // Each key's arena slot is resolved once here and reused by the
-        // prepared-index inserts below (one map lookup per key per prepare).
-        self.scratch_reads.clear();
+        // prepared-index inserts below and by the decision later (one map
+        // lookup per key per transaction).
+        self.scratch_slots.clear();
         for read in tx.read_set() {
             let slot = self.key_index.get(&read.key).copied();
-            self.scratch_reads.push(slot.unwrap_or(NO_SLOT));
+            self.scratch_slots.push(slot.unwrap_or(NO_SLOT));
             match slot.map(|i| &self.key_records[i as usize]) {
                 Some(rec) if rec.max_write > read.version => {
                     self.stats.slow_path_checks += 1;
@@ -566,10 +604,9 @@ impl MvtsoStore {
         // version older than ts_T for a key T writes.
         // (6) Writes must not invalidate ongoing reads (RTS check).
         // Fast path for both: the write lands above the key's newest read.
-        self.scratch_writes.clear();
         for write in tx.write_set() {
             let slot = self.key_index.get(&write.key).copied();
-            self.scratch_writes.push(slot.unwrap_or(NO_SLOT));
+            self.scratch_slots.push(slot.unwrap_or(NO_SLOT));
             match slot.map(|i| &self.key_records[i as usize]) {
                 Some(rec) if rec.max_read > ts => {
                     self.stats.slow_path_checks += 1;
@@ -598,29 +635,34 @@ impl MvtsoStore {
 
         // (7) Prepared.add(T): make the transaction visible to future reads,
         // reusing the slots resolved by the checks (keys unseen there are
-        // interned now).
-        let mut write_slots = std::mem::take(&mut self.scratch_writes);
-        for (write, slot) in tx.write_set().iter().zip(write_slots.iter_mut()) {
+        // interned now), and keep the slots, pinned, with the entry.
+        let mut slots = std::mem::take(&mut self.scratch_slots);
+        let (read_slots, write_slots) = slots.split_at_mut(tx.read_set().len());
+        for (write, slot) in tx.write_set().iter().zip(write_slots) {
             if *slot == NO_SLOT {
                 *slot = self.intern_key(&write.key);
             }
             let rec = &mut self.key_records[*slot as usize];
+            rec.pins += 1;
             rec.prepared.insert(ts, txid);
             rec.note_write(ts);
         }
-        self.scratch_writes = write_slots;
-        let mut read_slots = std::mem::take(&mut self.scratch_reads);
-        for (read, slot) in tx.read_set().iter().zip(read_slots.iter_mut()) {
+        for (read, slot) in tx.read_set().iter().zip(read_slots) {
             if *slot == NO_SLOT {
                 *slot = self.intern_key(&read.key);
             }
             let rec = &mut self.key_records[*slot as usize];
+            rec.pins += 1;
             rec.prepared_reads.insert(ts, read.version);
             rec.cover_read(read.version, ts);
             rec.note_read(ts);
         }
-        self.scratch_reads = read_slots;
-        self.prepared_txs.insert(txid, Arc::clone(tx));
+        let prepared = Prepared {
+            tx: Arc::clone(tx),
+            slots: slots.as_slice().into(),
+        };
+        self.scratch_slots = slots;
+        self.prepared_txs.insert(txid, prepared);
 
         // (8) Wait for all pending dependencies.
         let mut missing: FastHashSet<TxId> = FastHashSet::default();
@@ -648,29 +690,31 @@ impl MvtsoStore {
         CheckOutcome::Pending { waiting_on }
     }
 
-    /// Removes a prepared transaction from the visibility indexes,
-    /// returning its shared metadata so a commit can promote it without
-    /// copying. Watermarks are recomputed (`O(1)` from the array tails)
+    /// Removes a prepared transaction from the visibility indexes, through
+    /// the slots its prepare saved, and unpins them; returns the entry so a
+    /// commit can promote the metadata without copying and reuse the slots
+    /// at once. Watermarks are recomputed (`O(1)` from the array tails)
     /// whenever the removed entry was the watermark, so the fast path stays
     /// exact rather than decaying conservatively.
-    fn unindex_prepared(&mut self, txid: &TxId) -> Option<Arc<Transaction>> {
-        let tx = self.prepared_txs.remove(txid)?;
-        let ts = tx.timestamp();
-        for write in tx.write_set() {
-            if let Some((_, rec)) = self.key_rec_mut(&write.key) {
-                if rec.prepared.remove(ts).is_some() && ts == rec.max_write {
-                    rec.refresh_write_watermark();
-                }
+    fn unindex_prepared(&mut self, txid: &TxId) -> Option<Prepared> {
+        let prepared = self.prepared_txs.remove(txid)?;
+        let ts = prepared.tx.timestamp();
+        let (read_slots, write_slots) = prepared.slots.split_at(prepared.tx.read_set().len());
+        for slot in write_slots {
+            let rec = &mut self.key_records[*slot as usize];
+            rec.pins -= 1;
+            if rec.prepared.remove(ts).is_some() && ts == rec.max_write {
+                rec.refresh_write_watermark();
             }
         }
-        for read in tx.read_set() {
-            if let Some((_, rec)) = self.key_rec_mut(&read.key) {
-                if rec.prepared_reads.remove(ts).is_some() && ts == rec.max_read {
-                    rec.refresh_read_watermark();
-                }
+        for slot in read_slots {
+            let rec = &mut self.key_records[*slot as usize];
+            rec.pins -= 1;
+            if rec.prepared_reads.remove(ts).is_some() && ts == rec.max_read {
+                rec.refresh_read_watermark();
             }
         }
-        Some(tx)
+        Some(prepared)
     }
 
     // ------------------------------------------------------------------
@@ -688,35 +732,31 @@ impl MvtsoStore {
         }
         // Promote the prepared entry when there is one: the transaction id
         // is a content hash, so the prepared metadata under this id is the
-        // same transaction and no copy is needed. A commit that skipped the
-        // prepare (writeback to a replica that missed ST1) shares the Arc
-        // the writeback carries. The prepared-entry removal and the
-        // committed-version insert are fused into one key-record pass —
-        // the per-key end state is identical to removing first and
-        // inserting second, at half the map lookups.
-        let shared = self
-            .prepared_txs
-            .remove(&txid)
-            .unwrap_or_else(|| Arc::clone(tx));
+        // same transaction and no copy is needed, and its slots are still
+        // the records of this transaction's keys (nothing runs between the
+        // unpinning and their use below). A commit that skipped the prepare
+        // (writeback to a replica that missed ST1) shares the Arc the
+        // writeback carries and interns its keys here.
+        let Prepared { tx: shared, slots } = self.unindex_prepared(&txid).unwrap_or_else(|| {
+            let reads = tx.read_set().iter().map(|r| &r.key);
+            let writes = tx.write_set().iter().map(|w| &w.key);
+            Prepared {
+                tx: Arc::clone(tx),
+                slots: reads.chain(writes).map(|k| self.intern_key(k)).collect(),
+            }
+        });
         self.pending.remove(&txid);
         self.decisions.insert(txid, Decision::Commit);
 
         let ts = tx.timestamp();
-        for write in tx.write_set() {
-            let idx = self.intern_key(&write.key);
-            let rec = &mut self.key_records[idx as usize];
-            if rec.prepared.remove(ts).is_some() && ts == rec.max_write {
-                rec.refresh_write_watermark();
-            }
+        let (read_slots, write_slots) = slots.split_at(tx.read_set().len());
+        for (write, slot) in tx.write_set().iter().zip(write_slots) {
+            let rec = &mut self.key_records[*slot as usize];
             rec.committed.insert(ts, (txid, write.value.clone()));
             rec.note_write(ts);
         }
-        for read in tx.read_set() {
-            let idx = self.intern_key(&read.key);
-            let rec = &mut self.key_records[idx as usize];
-            if rec.prepared_reads.remove(ts).is_some() && ts == rec.max_read {
-                rec.refresh_read_watermark();
-            }
+        for (read, slot) in tx.read_set().iter().zip(read_slots) {
+            let rec = &mut self.key_records[*slot as usize];
             rec.committed_reads.insert(ts, read.version);
             rec.cover_read(read.version, ts);
             rec.note_read(ts);
@@ -785,14 +825,14 @@ impl MvtsoStore {
 
     /// The prepared transaction's metadata, if present.
     pub fn prepared_tx(&self, txid: &TxId) -> Option<&Transaction> {
-        self.prepared_txs.get(txid).map(|tx| tx.as_ref())
+        self.prepared_txs.get(txid).map(|p| p.tx.as_ref())
     }
 
     /// The prepared transaction's shared metadata, if present (a reference
     /// count bump, not a copy — used to embed the transaction in read
     /// replies).
     pub fn prepared_tx_shared(&self, txid: &TxId) -> Option<Arc<Transaction>> {
-        self.prepared_txs.get(txid).cloned()
+        self.prepared_txs.get(txid).map(|p| Arc::clone(&p.tx))
     }
 
     /// The committed transaction's metadata, if present.
@@ -1305,6 +1345,90 @@ mod tests {
         store.commit(&t);
         assert_eq!(store.latest_committed(&k("x")).expect("x").1, v(77));
         assert_eq!(store.committed_count(), 1);
+
+        // With no prepare there are no saved slots: the commit interns its
+        // keys itself, cold ones included, and leaves both its write and its
+        // read where later checks find them.
+        let mut b = TransactionBuilder::new(ts(300, 2));
+        b.record_read(k("cold-r"), Timestamp::ZERO);
+        b.record_write(k("cold-w"), v(5));
+        let t2 = b.build_shared();
+        store.commit(&t2);
+        assert_eq!(
+            store.latest_committed(&k("cold-w")),
+            Some((ts(300, 2), v(5)))
+        );
+        assert_eq!(
+            store.key_watermarks(&k("cold-r")),
+            Some((Timestamp::ZERO, ts(300, 2)))
+        );
+        let under_the_read = blind_write(200, 3, "cold-r", 1);
+        expect_abort(
+            store.prepare(&under_the_read, CLOCK, DELTA),
+            AbortReason::Conflict,
+        );
+    }
+
+    // ------------------------------------------------------------------
+    // Saved slots: a prepared transaction pins the records of its keys
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn prepared_slot_survives_release_of_the_keys_other_state() {
+        let mut store = MvtsoStore::new();
+        // "cold" exists only for an RTS when T prepares a write on it; the
+        // RTS then goes away, and so does everything GC can take.
+        store.read(&k("cold"), ts(50, 1));
+        let t = blind_write(100, 2, "cold", 7);
+        expect_commit(store.prepare(&t, CLOCK, DELTA));
+        store.remove_rts(&k("cold"), ts(50, 1));
+        store.gc_before(ts(60, 0));
+        assert!(
+            store.key_watermarks(&k("cold")).is_some(),
+            "the prepared write holds the record"
+        );
+        // Records that do get released are recycled for other keys ...
+        store.read(&k("ghost"), ts(70, 3));
+        store.remove_rts(&k("ghost"), ts(70, 3));
+        store.read(&k("usurper"), ts(400, 3));
+        // ... and the commit, which looks no key up, still lands on "cold".
+        store.commit(&t);
+        assert_eq!(store.latest_committed(&k("cold")), Some((ts(100, 2), v(7))));
+        assert_eq!(store.latest_committed(&k("usurper")), None);
+
+        // The same for a prepared read that is then withdrawn.
+        let mut b = TransactionBuilder::new(ts(500, 4));
+        b.record_read(k("cold-r"), Timestamp::ZERO);
+        let reader = b.build_shared();
+        expect_commit(store.prepare(&reader, CLOCK, DELTA));
+        store.gc_before(ts(450, 0));
+        store.abort(reader.id());
+        assert_eq!(
+            store.key_watermarks(&k("cold-r")),
+            Some((Timestamp::ZERO, Timestamp::ZERO)),
+            "unpinned and empty: the next sweep may take it"
+        );
+        store.gc_before(ts(460, 0));
+        assert_eq!(store.key_watermarks(&k("cold-r")), None);
+    }
+
+    #[test]
+    fn equivocated_timestamp_does_not_unpin_the_other_transaction() {
+        let mut store = MvtsoStore::new();
+        // One client, one timestamp, two transactions: they share the single
+        // prepared entry of "cold", and withdrawing one removes it for both.
+        let t1 = blind_write(100, 1, "cold", 1);
+        let t2 = blind_write(100, 1, "cold", 2);
+        expect_commit(store.prepare(&t1, CLOCK, DELTA));
+        expect_commit(store.prepare(&t2, CLOCK, DELTA));
+        store.abort(t1.id());
+        // Every array of the record is now empty, yet T2 still holds its
+        // slot: the sweep must not recycle it for the next new key.
+        store.gc_before(ts(10, 0));
+        store.read(&k("usurper"), ts(400, 3));
+        store.commit(&t2);
+        assert_eq!(store.latest_committed(&k("cold")), Some((ts(100, 1), v(2))));
+        assert_eq!(store.latest_committed(&k("usurper")), None);
     }
 
     #[test]

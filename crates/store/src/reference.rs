@@ -9,7 +9,10 @@
 //! no-conflict. This module checks both halves empirically: every operation
 //! is applied to both stores and every observable — check outcomes, released
 //! deferred votes, read results, final decisions, latest committed values —
-//! must match exactly, including across GC sweeps.
+//! must match exactly, including across GC sweeps. Half of the keys start
+//! without a genesis version, so RTS removals and GC sweeps between a prepare
+//! and its decision really release key records and recycle their arena slots
+//! under the slots prepared transactions hold.
 
 use crate::mvtso::{CheckOutcome, CommittedVersion, Decision, PreparedVersion, ReadResult, Vote};
 use crate::tx::Transaction;
@@ -210,6 +213,12 @@ impl ReferenceStore {
     }
 
     fn has_write_in_range(&self, key: &Key, lower: Timestamp, upper: Timestamp) -> bool {
+        // A read of a version at the reader's own timestamp (an equivocating
+        // client's twin) leaves an empty window, which `BTreeMap::range`
+        // refuses to take.
+        if lower == upper {
+            return false;
+        }
         let in_committed = self
             .committed_versions
             .get(key)
@@ -393,7 +402,10 @@ mod equivalence {
 
     const DELTA: Duration = Duration::from_millis(100);
     const CLOCK: SimTime = SimTime::from_secs(4);
-    const KEYS: [&str; 4] = ["a", "b", "c", "d"];
+    /// The first [`PRELOADED`] keys carry a genesis version, which GC always
+    /// retains; the records of the others drain to nothing and are released.
+    const KEYS: [&str; 8] = ["a", "b", "c", "d", "e", "f", "g", "h"];
+    const PRELOADED: usize = 4;
 
     fn key(i: u64) -> Key {
         Key::new(KEYS[(i as usize) % KEYS.len()])
@@ -420,21 +432,27 @@ mod equivalence {
     /// Interprets a raw op against both stores and asserts every observable
     /// matches. Returns `Err` (via prop_assert) on divergence.
     fn run_history(ops: Vec<RawOp>) -> Result<(), TestCaseError> {
-        let initial: Vec<(Key, Value)> = KEYS
+        let initial: Vec<(Key, Value)> = KEYS[..PRELOADED]
             .iter()
             .map(|k| (Key::new(*k), Value::from_u64(0)))
             .collect();
         let mut flat = MvtsoStore::with_initial_data(initial.clone());
         let mut reference = ReferenceStore::with_initial_data(initial);
         let mut issued: Vec<Arc<Transaction>> = Vec::new();
+        let mut registered: Vec<(Key, Timestamp)> = Vec::new();
 
         for (kind, a, b, c, d, e) in ops {
-            match kind % 8 {
+            match kind % 9 {
                 // Prepare a fresh transaction: 0-2 reads, 0-2 writes, with
                 // read versions drawn from {what is visible, ZERO, arbitrary}
                 // and occasionally a declared dependency on an issued tx.
+                // One in eight equivocates: it reuses the timestamp of an
+                // issued transaction, whose per-key entries it then shares.
                 0..=3 => {
-                    let t = ts(a, b);
+                    let t = match issued.get((b as usize) % (issued.len() + 1)) {
+                        Some(earlier) if a % 8 == 0 => earlier.timestamp(),
+                        _ => ts(a, b),
+                    };
                     let mut builder = TransactionBuilder::new(t);
                     let reads = (c % 3) as usize;
                     let writes = (d % 3) as usize;
@@ -512,17 +530,30 @@ mod equivalence {
                     let want = reference.abort(txid);
                     prop_assert_eq!(got, want);
                 }
-                // Execution-phase read (registers an RTS) and RTS removal.
+                // Execution-phase read (registers an RTS), sometimes
+                // withdrawn at once.
                 6 => {
                     let k = key(a);
                     let t = ts(b, c);
                     let got = flat.read(&k, t);
                     let want = reference.read(&k, t);
                     prop_assert_eq!(got, want);
-                    if d % 2 == 0 {
+                    if d % 4 == 0 {
                         flat.remove_rts(&k, t);
                         reference.remove_rts(&k, t);
+                    } else {
+                        registered.push((k, t));
                     }
+                }
+                // Withdraw an RTS registered earlier: whatever was prepared
+                // on the key in between may now hold the record alone.
+                7 => {
+                    if registered.is_empty() {
+                        continue;
+                    }
+                    let (k, t) = registered.swap_remove((a as usize) % registered.len());
+                    flat.remove_rts(&k, t);
+                    reference.remove_rts(&k, t);
                 }
                 // GC sweep at an arbitrary watermark.
                 _ => {
@@ -550,7 +581,7 @@ mod equivalence {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(1_200))]
+        #![proptest_config(ProptestConfig::with_cases(4_000))]
 
         /// Random interleavings of prepare/commit/abort/read/GC make
         /// bit-identical decisions on the flattened store and the

@@ -12,7 +12,6 @@ use basil_common::codec::{DecodeError, Reader, Sink};
 use basil_common::config::shard_for_key;
 use basil_common::{Key, ShardId, Timestamp, TxId, Value};
 use basil_crypto::Sha256;
-use std::collections::BTreeSet;
 
 /// One read performed by a transaction: the key and the timestamp of the
 /// version that was read.
@@ -268,13 +267,22 @@ impl Transaction {
     /// The shards touched by this transaction when keys are placed over
     /// `num_shards` shards, in ascending order.
     pub fn involved_shards(&self, num_shards: u32) -> Vec<ShardId> {
+        if num_shards == 1 {
+            return if self.is_empty() {
+                Vec::new()
+            } else {
+                vec![ShardId(0)]
+            };
+        }
         let reads = self.read_set.iter().map(|r| &r.key);
         let writes = self.write_set.iter().map(|w| &w.key);
-        let shards: BTreeSet<ShardId> = reads
+        let mut shards: Vec<ShardId> = reads
             .chain(writes)
             .map(|key| shard_for_key(key, num_shards))
             .collect();
-        shards.into_iter().collect()
+        shards.sort_unstable();
+        shards.dedup();
+        shards
     }
 
     /// True when the transaction touches no keys at all.
@@ -521,6 +529,11 @@ mod tests {
         for s in &shards {
             assert!(s.0 < 3);
         }
+        // One shard needs no placement at all; no keys, no shards.
+        assert_eq!(t.involved_shards(1), vec![ShardId(0)]);
+        let empty = TransactionBuilder::new(ts(1, 1)).build();
+        assert_eq!(empty.involved_shards(1), Vec::new());
+        assert_eq!(empty.involved_shards(3), Vec::new());
     }
 
     #[test]

@@ -6,27 +6,125 @@
 //! `BTreeMap` per key per index, which answers those queries in `O(log n)`
 //! but with pointer-chasing node traversals and one allocation per entry.
 //!
-//! [`VersionArray`] stores the same ordered mapping as a single flat `Vec`
-//! of `(Timestamp, V)` pairs sorted by timestamp. Workload timestamps are
+//! [`VersionArray`] stores the same ordered mapping as one contiguous run of
+//! `(Timestamp, V)` pairs sorted by timestamp. Workload timestamps are
 //! issued by loosely synchronized client clocks, so inserts arrive in
-//! almost-sorted order: the common case is a bounds check plus a `push`,
-//! and the rare out-of-order insert is a binary search plus `Vec::insert`.
+//! almost-sorted order: the common case is a bounds check plus an append,
+//! and the rare out-of-order insert is a binary search plus a shift.
 //! Range queries become `partition_point` binary searches over contiguous
 //! memory, and the max element — the watermark the scan-free prepare fast
 //! path compares against — is just the last slot.
+//!
+//! The run holds its **first entry inline** and moves to a heap `Vec` only
+//! when a second arrives (the private `InlineOne`, which derefs to a slice
+//! so every query above is the same code over either form). On a large
+//! uniform key space almost every key is cold — one committed version, one
+//! prepared write that is gone again at commit, one RTS — so a key record's
+//! five arrays allocate nothing until the key is actually contended.
 //!
 //! Semantics match the `BTreeMap` it replaces: timestamps are unique keys
 //! and inserting an existing timestamp replaces the value.
 
 use basil_common::Timestamp;
+use std::ops::{Deref, DerefMut};
 
-/// An ordered `Timestamp -> V` map stored as a flat sorted `Vec`.
+/// A sorted run that stores zero or one item inline and spills to a `Vec`
+/// at the second. Once spilled it stays spilled, so a key whose array
+/// hovers around one or two entries does not allocate and free per
+/// transaction; the owner starts over from `Empty` when it resets the record.
+#[derive(Clone, Debug)]
+enum InlineOne<T> {
+    Empty,
+    One(T),
+    Many(Vec<T>),
+}
+
+impl<T> Deref for InlineOne<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match self {
+            InlineOne::Empty => &[],
+            InlineOne::One(item) => std::slice::from_ref(item),
+            InlineOne::Many(items) => items,
+        }
+    }
+}
+
+impl<T> DerefMut for InlineOne<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match self {
+            InlineOne::Empty => &mut [],
+            InlineOne::One(item) => std::slice::from_mut(item),
+            InlineOne::Many(items) => items,
+        }
+    }
+}
+
+impl<T: PartialEq> PartialEq for InlineOne<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl<T: Eq> Eq for InlineOne<T> {}
+
+impl<T> InlineOne<T> {
+    /// `Vec::insert`: `idx == len` appends.
+    fn insert(&mut self, idx: usize, item: T) {
+        if let InlineOne::Many(items) = self {
+            return items.insert(idx, item);
+        }
+        *self = match std::mem::replace(self, InlineOne::Empty) {
+            InlineOne::One(first) => {
+                // What `Vec`'s own first growth would reserve.
+                let mut items = Vec::with_capacity(4);
+                items.push(first);
+                items.insert(idx, item);
+                InlineOne::Many(items)
+            }
+            _ => {
+                assert!(
+                    idx == 0,
+                    "insertion index {idx} out of bounds of an empty run"
+                );
+                InlineOne::One(item)
+            }
+        };
+    }
+
+    /// `Vec::remove`.
+    fn remove(&mut self, idx: usize) -> T {
+        if let InlineOne::Many(items) = self {
+            return items.remove(idx);
+        }
+        match std::mem::replace(self, InlineOne::Empty) {
+            InlineOne::One(item) if idx == 0 => item,
+            _ => panic!("removal index {idx} out of bounds of an inline run"),
+        }
+    }
+
+    /// Drops the first `n` items, shifting the rest down in place.
+    fn drop_front(&mut self, n: usize) {
+        match self {
+            InlineOne::Many(items) => drop(items.drain(..n)),
+            _ if n > 0 => {
+                assert!(n <= self.len(), "cannot drop {n} items of an inline run");
+                *self = InlineOne::Empty;
+            }
+            _ => {}
+        }
+    }
+}
+
+/// An ordered `Timestamp -> V` map stored as a flat sorted run, the first
+/// entry inline.
 ///
 /// Optimized for append-mostly insertion and read-heavy range queries; see
 /// the module docs for the rationale.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VersionArray<V> {
-    entries: Vec<(Timestamp, V)>,
+    entries: InlineOne<(Timestamp, V)>,
 }
 
 impl<V> Default for VersionArray<V> {
@@ -36,10 +134,10 @@ impl<V> Default for VersionArray<V> {
 }
 
 impl<V> VersionArray<V> {
-    /// Creates an empty array.
+    /// Creates an empty array (allocates nothing).
     pub fn new() -> Self {
         VersionArray {
-            entries: Vec::new(),
+            entries: InlineOne::Empty,
         }
     }
 
@@ -79,22 +177,13 @@ impl<V> VersionArray<V> {
     /// when `ts` is newer than everything present — the common case under
     /// timestamp-ordered workloads.
     pub fn insert(&mut self, ts: Timestamp, value: V) {
-        match self.entries.last() {
-            Some((last, _)) if *last < ts => self.entries.push((ts, value)),
-            None => self.entries.push((ts, value)),
-            _ => {
-                let idx = self.lower_bound(ts);
-                if self
-                    .entries
-                    .get(idx)
-                    .map(|(t, _)| *t == ts)
-                    .unwrap_or(false)
-                {
-                    self.entries[idx].1 = value;
-                } else {
-                    self.entries.insert(idx, (ts, value));
-                }
-            }
+        let idx = match self.entries.last() {
+            Some((last, _)) if *last >= ts => self.lower_bound(ts),
+            _ => self.entries.len(),
+        };
+        match self.entries.get_mut(idx) {
+            Some((t, slot)) if *t == ts => *slot = value,
+            _ => self.entries.insert(idx, (ts, value)),
         }
     }
 
@@ -170,9 +259,7 @@ impl<V> VersionArray<V> {
     /// allocates nothing; it returns how many entries were dropped.
     pub fn drop_below(&mut self, keep_from: Timestamp) -> usize {
         let idx = self.lower_bound(keep_from);
-        if idx > 0 {
-            self.entries.drain(..idx);
-        }
+        self.entries.drop_front(idx);
         idx
     }
 
@@ -181,9 +268,7 @@ impl<V> VersionArray<V> {
     /// retained-history arrays whose consumers only need a recent window.
     pub fn keep_newest(&mut self, n: usize) -> usize {
         let dropped = self.entries.len().saturating_sub(n);
-        if dropped > 0 {
-            self.entries.drain(..dropped);
-        }
+        self.entries.drop_front(dropped);
         dropped
     }
 }
@@ -360,6 +445,118 @@ mod tests {
         assert_eq!(a.drop_below(ts(100)), 2);
         assert!(a.is_empty());
         assert_eq!(a.max_ts(), None);
+    }
+
+    #[test]
+    fn first_entry_is_inline_and_a_spilled_array_stays_spilled() {
+        let mut a = filled(&[10]);
+        assert!(matches!(a.entries, InlineOne::One(_)));
+        assert_eq!(a.remove(ts(10)), Some(10));
+        assert!(matches!(a.entries, InlineOne::Empty));
+        a.insert(ts(20), 20);
+        a.insert(ts(10), 10);
+        assert!(matches!(a.entries, InlineOne::Many(_)));
+        assert_eq!(a.drop_below(ts(20)), 1);
+        assert!(matches!(a.entries, InlineOne::Many(_)), "capacity is kept");
+        assert_eq!(a, filled(&[20]), "equality is by content, not by form");
+        assert_eq!(a.keep_newest(0), 1);
+        assert_eq!(a, VersionArray::new());
+    }
+
+    mod against_btreemap {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        /// Every query, against the model.
+        fn check(a: &VersionArray<u64>, model: &BTreeMap<Timestamp, u64>) {
+            let want: Vec<(Timestamp, u64)> = model.iter().map(|(t, v)| (*t, *v)).collect();
+            assert_eq!(a.iter().copied().collect::<Vec<_>>(), want);
+            assert_eq!(a.len(), model.len());
+            assert_eq!(a.is_empty(), model.is_empty());
+            assert_eq!(a.max_ts(), model.keys().next_back().copied());
+            assert_eq!(a.last().copied(), want.last().copied());
+            for t in 0..=7 {
+                let t = ts(t);
+                assert_eq!(a.get(t), model.get(&t));
+                assert_eq!(
+                    a.latest_before(t).copied(),
+                    model.range(..t).next_back().map(|(t, v)| (*t, *v))
+                );
+                assert_eq!(
+                    a.latest_at_or_below(t).copied(),
+                    model.range(..=t).next_back().map(|(t, v)| (*t, *v))
+                );
+                assert_eq!(
+                    a.iter_above(t).copied().collect::<Vec<_>>(),
+                    want.iter()
+                        .copied()
+                        .filter(|(u, _)| *u > t)
+                        .collect::<Vec<_>>()
+                );
+                for upper in 0..=7 {
+                    let upper = ts(upper);
+                    assert_eq!(
+                        a.any_in_open_range(t, upper),
+                        model.keys().any(|u| *u > t && *u < upper)
+                    );
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Insert, remove, `drop_below` and `keep_newest` over six
+            /// timestamps, so the array keeps crossing the empty / inline /
+            /// spilled boundaries in both directions, answer every query as
+            /// the `BTreeMap` does — from a fresh (inline) array and from one
+            /// that had already spilled.
+            #[test]
+            fn every_operation_matches(
+                ops in proptest::collection::vec((0u8..7, 0u64..6, 0u64..1_000), 1..40)
+            ) {
+                let mut fresh = VersionArray::new();
+                let mut spilled = filled(&[1, 2]);
+                spilled.keep_newest(0);
+                let mut model = BTreeMap::new();
+                for (kind, t, v) in ops {
+                    match kind {
+                        // Inserts and removals are equally likely, so the
+                        // length hovers around the 0/1/2 boundaries.
+                        0..=2 => {
+                            fresh.insert(ts(t), v);
+                            spilled.insert(ts(t), v);
+                            model.insert(ts(t), v);
+                        }
+                        3..=4 => {
+                            let want = model.remove(&ts(t));
+                            prop_assert_eq!(fresh.remove(ts(t)), want);
+                            prop_assert_eq!(spilled.remove(ts(t)), want);
+                        }
+                        5 => {
+                            let kept = model.split_off(&ts(t));
+                            let want = model.len();
+                            model = kept;
+                            prop_assert_eq!(fresh.drop_below(ts(t)), want);
+                            prop_assert_eq!(spilled.drop_below(ts(t)), want);
+                        }
+                        _ => {
+                            let n = (v % 3) as usize;
+                            let want = model.len().saturating_sub(n);
+                            for _ in 0..want {
+                                model.pop_first();
+                            }
+                            prop_assert_eq!(fresh.keep_newest(n), want);
+                            prop_assert_eq!(spilled.keep_newest(n), want);
+                        }
+                    }
+                    check(&fresh, &model);
+                    check(&spilled, &model);
+                    prop_assert_eq!(&fresh, &spilled);
+                }
+            }
+        }
     }
 
     const B: u64 = 1 << READER_BUCKET_SHIFT; // one summary bucket, in ns
