@@ -13,7 +13,7 @@
 use basil_common::error::AbortReason;
 use basil_common::{FastHashMap, Key, Timestamp, TxId, Value};
 use basil_store::mvtso::Decision;
-use basil_store::{Transaction, VersionArray};
+use basil_store::Transaction;
 use std::sync::Arc;
 
 /// Result of an OCC prepare.
@@ -40,19 +40,11 @@ struct Entry {
     ///
     /// This is *application order*, not timestamp order: the shard's
     /// consensus log decides which write is current, and a later-applied
-    /// write with a smaller timestamp replaces an earlier one. The installed
-    /// pair is therefore kept separately from `history`.
+    /// write with a smaller timestamp replaces an earlier one.
     version: Timestamp,
     value: Value,
     /// Transaction currently holding the prepare lock on this key, if any.
     locked_by: Option<TxId>,
-    /// Recently committed versions of this key, timestamp-sorted in the
-    /// shared flat-array layout ([`VersionArray`]); backs
-    /// [`OccStore::versioned_read`] snapshot reads. Bounded to the
-    /// [`OccStore::HISTORY_WINDOW`] newest versions so long runs do not
-    /// accrue unbounded per-key state; values are `Arc`-backed, so the
-    /// window shares allocations with the installed pair.
-    history: VersionArray<Value>,
 }
 
 impl Entry {
@@ -61,7 +53,6 @@ impl Entry {
             version: Timestamp::ZERO,
             value: Value::empty(),
             locked_by: None,
-            history: VersionArray::new(),
         }
     }
 }
@@ -84,11 +75,6 @@ pub struct OccStore {
 }
 
 impl OccStore {
-    /// How many committed versions per key [`OccStore::versioned_read`] can
-    /// see: snapshot reads only need a recent window, and the bound keeps a
-    /// long-running shard's per-key state flat.
-    pub const HISTORY_WINDOW: usize = 64;
-
     /// Creates an empty store.
     pub fn new() -> Self {
         Self::default()
@@ -100,8 +86,7 @@ impl OccStore {
         let mut s = Self::new();
         for (key, value) in data {
             let mut entry = Entry::fresh();
-            entry.value = value.clone();
-            entry.history.insert(Timestamp::ZERO, value);
+            entry.value = value;
             s.data.insert(key, entry);
         }
         s
@@ -171,8 +156,6 @@ impl OccStore {
             entry.version = tx.timestamp();
             entry.value = write.value.clone();
             entry.locked_by = None;
-            entry.history.insert(tx.timestamp(), write.value.clone());
-            entry.history.keep_newest(Self::HISTORY_WINDOW);
         }
         self.committed += 1;
         self.decisions.insert(*txid, Decision::Commit);
@@ -213,24 +196,6 @@ impl OccStore {
     /// The committed value of a key (test/inspection helper).
     pub fn committed_value(&self, key: &Key) -> Option<Value> {
         self.data.get(key).map(|e| e.value.clone())
-    }
-
-    /// Snapshot read: the newest committed version of `key` with timestamp
-    /// strictly below `ts` (TAPIR-style versioned reads; mirrors the MVTSO
-    /// visibility rule). Unlike [`OccStore::read`], which serves the
-    /// *installed* (most recently applied) version, this consults the full
-    /// timestamp-sorted history.
-    pub fn versioned_read(&self, key: &Key, ts: Timestamp) -> Option<(Timestamp, Value)> {
-        self.data.get(key).and_then(|e| {
-            e.history
-                .latest_before(ts)
-                .map(|(version, value)| (*version, value.clone()))
-        })
-    }
-
-    /// Number of committed versions retained for `key`.
-    pub fn version_count(&self, key: &Key) -> usize {
-        self.data.get(key).map(|e| e.history.len()).unwrap_or(0)
     }
 
     /// Iterates over the transactions committed through this store, in
@@ -351,53 +316,6 @@ mod tests {
         assert!(s.prepare(&t).is_commit());
         s.commit(&t.id());
         assert_eq!(s.committed_value(&k("fresh")), Some(Value::from_u64(1)));
-    }
-
-    #[test]
-    fn versioned_reads_consult_the_history_not_the_installed_pair() {
-        let mut s = store();
-        let t1 = rmw(100, "x", Timestamp::ZERO, 5);
-        assert!(s.prepare(&t1).is_commit());
-        s.commit(&t1.id());
-        let t2 = rmw(200, "x", ts(100, 100), 7);
-        assert!(s.prepare(&t2).is_commit());
-        s.commit(&t2.id());
-
-        // Snapshot visibility is strictly-below, like the MVTSO store.
-        assert_eq!(
-            s.versioned_read(&k("x"), ts(150, 0)),
-            Some((ts(100, 100), Value::from_u64(5)))
-        );
-        assert_eq!(
-            s.versioned_read(&k("x"), ts(100, 100)),
-            Some((Timestamp::ZERO, Value::from_u64(0)))
-        );
-        assert_eq!(
-            s.versioned_read(&k("x"), Timestamp::from_nanos(u64::MAX, ClientId(0))),
-            Some((ts(200, 200), Value::from_u64(7)))
-        );
-        assert_eq!(s.versioned_read(&k("missing"), ts(100, 0)), None);
-        assert_eq!(s.version_count(&k("x")), 3);
-        assert_eq!(s.version_count(&k("missing")), 0);
-
-        // The installed pair still follows application order.
-        assert_eq!(s.read(&k("x")), (ts(200, 200), Value::from_u64(7)));
-    }
-
-    #[test]
-    fn history_window_is_bounded() {
-        let mut s = OccStore::new();
-        for i in 0..(OccStore::HISTORY_WINDOW as u64 + 40) {
-            let mut b = TransactionBuilder::new(ts(100 + i, i));
-            b.record_write(k("hot"), Value::from_u64(i));
-            let t = b.build_shared();
-            assert!(s.prepare(&t).is_commit());
-            s.commit(&t.id());
-        }
-        assert_eq!(s.version_count(&k("hot")), OccStore::HISTORY_WINDOW);
-        // The newest versions are still snapshot-readable.
-        let last = ts(100 + OccStore::HISTORY_WINDOW as u64 + 39, 0);
-        assert!(s.versioned_read(&k("hot"), last).is_some());
     }
 
     #[test]

@@ -150,24 +150,6 @@ pub struct ReplicaPropsOverride {
     pub cores: Option<u32>,
 }
 
-impl ReplicaPropsOverride {
-    /// An override that only skews the replica's clock.
-    pub fn skewed_ns(skew: i64) -> Self {
-        ReplicaPropsOverride {
-            clock_skew_ns: Some(skew),
-            cores: None,
-        }
-    }
-
-    /// An override that only changes the replica's core count.
-    pub fn with_cores(cores: u32) -> Self {
-        ReplicaPropsOverride {
-            clock_skew_ns: None,
-            cores: Some(cores),
-        }
-    }
-}
-
 /// Configuration of a simulated deployment, generic over the protocol
 /// adapter `P` supplying the protocol-specific configuration.
 #[derive(Clone, Debug)]
@@ -235,12 +217,6 @@ impl<P> ClusterConfig<P> {
     /// Sets the simulation seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the network model.
-    pub fn with_network(mut self, network: NetworkConfig) -> Self {
-        self.network = network;
         self
     }
 

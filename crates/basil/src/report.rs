@@ -57,11 +57,6 @@ impl Snapshot {
         }
         self.latency.merge(&stats.latency);
     }
-
-    /// Number of latency samples recorded so far.
-    pub fn latency_samples(&self) -> usize {
-        self.latency.count() as usize
-    }
 }
 
 /// Throughput/latency report over a measurement window.

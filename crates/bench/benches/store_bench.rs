@@ -290,24 +290,6 @@ fn bench_occ(c: &mut Criterion) {
             criterion::BatchSize::SmallInput,
         )
     });
-
-    // The bounded per-key history (OccStore::HISTORY_WINDOW newest versions)
-    // behind TAPIR-style snapshot reads: a mid-history versioned read over a
-    // hot key whose window is full.
-    c.bench_function("occ_versioned_read", |b| {
-        let mut store = OccStore::new();
-        for i in 0..256u64 {
-            let mut builder =
-                TransactionBuilder::new(Timestamp::from_nanos(1_000 + i, ClientId(1)));
-            builder.record_write(Key::new("hot"), Value::from_u64(i));
-            let t = builder.build_shared();
-            store.prepare(&t);
-            store.commit(&t.id());
-        }
-        let key = Key::new("hot");
-        let mid = Timestamp::from_nanos(1_000 + 256 - 16, ClientId(0));
-        b.iter(|| store.versioned_read(&key, mid))
-    });
 }
 
 fn bench_txid(c: &mut Criterion) {

@@ -69,11 +69,6 @@ fn main() {
     ];
 
     let basil = basil_default(1);
-    // The open-loop plane runs with client-side grouped root verification:
-    // the verifier window mirrors the replica reply-flush window.
-    let basil = basil
-        .clone()
-        .with_verify_grouping(basil.system.batch_timeout);
 
     let mut curves: Vec<(&str, Vec<KneePoint>)> = Vec::new();
     for (name, workload) in workloads {

@@ -11,7 +11,7 @@
 //! (a configurable number of closed-loop clients) rather than sweeping to an
 //! exact peak; the *relative* ordering between systems and configurations —
 //! which is what the paper's claims are about — is insensitive to the exact
-//! client count, and `sweep_peak` is available where a sweep is wanted.
+//! client count.
 //!
 //! ## Figure binaries
 //!
@@ -48,7 +48,6 @@ use basil::workloads::smallbank::SmallbankGenerator;
 use basil::workloads::tpcc::TpccGenerator;
 use basil::workloads::ycsb::YcsbGenerator;
 use basil::{BasilConfig, ClientId, Duration, RunReport, SystemConfig, TxGenerator};
-use basil_core::byzantine::FaultProfile;
 
 /// The workloads used across the evaluation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -171,20 +170,8 @@ impl RunParams {
 
 /// Runs Basil with the given protocol configuration on a workload.
 pub fn run_basil(basil: BasilConfig, workload: Workload, params: &RunParams) -> RunReport {
-    run_basil_with_faults(basil, workload, params, 0, FaultProfile::honest())
-}
-
-/// Runs Basil with some Byzantine clients (Figure 7).
-pub fn run_basil_with_faults(
-    basil: BasilConfig,
-    workload: Workload,
-    params: &RunParams,
-    byzantine_clients: u32,
-    fault: FaultProfile,
-) -> RunReport {
     let config = ClusterConfig::basil_default(params.clients)
         .with_basil(basil)
-        .with_byzantine_clients(byzantine_clients, fault)
         .with_seed(params.seed);
     let seed = params.seed;
     let mut cluster = BasilCluster::build(config, |client| workload.generator(client, seed));
@@ -264,26 +251,6 @@ pub fn basil_tpcc() -> BasilConfig {
     BasilConfig::bench(SystemConfig::single_shard_f1()).with_batch_size(4)
 }
 
-/// Sweeps the client count and returns the report with the highest
-/// throughput (a coarse peak-throughput search).
-pub fn sweep_peak(
-    client_counts: &[u32],
-    mut run: impl FnMut(u32) -> RunReport,
-) -> (u32, RunReport) {
-    let mut best: Option<(u32, RunReport)> = None;
-    for &clients in client_counts {
-        let report = run(clients);
-        let better = best
-            .as_ref()
-            .map(|(_, b)| report.throughput_tps > b.throughput_tps)
-            .unwrap_or(true);
-        if better {
-            best = Some((clients, report));
-        }
-    }
-    best.expect("at least one client count")
-}
-
 /// Prints an aligned table row by row.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");
@@ -353,30 +320,6 @@ mod tests {
             &RunParams::quick(),
         );
         assert!(report.committed > 0);
-    }
-
-    #[test]
-    fn sweep_returns_the_best_point() {
-        let (clients, best) = sweep_peak(&[1, 2, 3], |c| RunReport {
-            window: Duration::from_secs(1),
-            committed: c as u64 * 10,
-            aborted_attempts: 0,
-            throughput_tps: c as f64 * 10.0,
-            offered_tps: c as f64 * 10.0,
-            shed: 0,
-            shed_fraction: 0.0,
-            throughput_per_correct_client: 0.0,
-            mean_latency_ms: 1.0,
-            p50_latency_ms: 1.0,
-            p99_latency_ms: 1.0,
-            commit_rate: 1.0,
-            fast_path_fraction: 1.0,
-            fallbacks: 0,
-            faulty_fraction: 0.0,
-            per_label: Default::default(),
-        });
-        assert_eq!(clients, 3);
-        assert_eq!(best.committed, 30);
     }
 
     #[test]

@@ -1,33 +1,6 @@
-//! Error types shared across the workspace.
+//! Why a transaction aborted, shared across the workspace.
 
-use crate::ids::TxId;
 use std::fmt;
-
-/// Convenient result alias used throughout the workspace.
-pub type Result<T> = std::result::Result<T, BasilError>;
-
-/// Errors surfaced by the store, the protocol, or the harness.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BasilError {
-    /// A transaction aborted; carries the reason reported to the application.
-    Aborted {
-        /// The transaction that aborted.
-        txid: TxId,
-        /// Human-readable abort reason.
-        reason: AbortReason,
-    },
-    /// A message, certificate, or signature failed validation.
-    InvalidMessage(String),
-    /// A quorum could not be assembled (e.g. too many unresponsive replicas).
-    QuorumUnavailable(String),
-    /// The caller used the API out of order (e.g. committing a transaction
-    /// that was never begun).
-    InvalidState(String),
-    /// A configuration value is out of range or inconsistent.
-    InvalidConfig(String),
-    /// An operation timed out.
-    Timeout(String),
-}
 
 /// Why a transaction aborted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -68,45 +41,16 @@ impl fmt::Display for AbortReason {
     }
 }
 
-impl fmt::Display for BasilError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BasilError::Aborted { txid, reason } => {
-                write!(f, "transaction {txid} aborted: {reason}")
-            }
-            BasilError::InvalidMessage(m) => write!(f, "invalid message: {m}"),
-            BasilError::QuorumUnavailable(m) => write!(f, "quorum unavailable: {m}"),
-            BasilError::InvalidState(m) => write!(f, "invalid state: {m}"),
-            BasilError::InvalidConfig(m) => write!(f, "invalid configuration: {m}"),
-            BasilError::Timeout(m) => write!(f, "timed out: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for BasilError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn display_is_informative() {
-        let e = BasilError::Aborted {
-            txid: TxId::default(),
-            reason: AbortReason::Conflict,
-        };
-        let s = e.to_string();
-        assert!(s.contains("aborted"));
-        assert!(s.contains("conflict"));
-        assert!(BasilError::Timeout("prepare".into())
+        assert!(AbortReason::Conflict.to_string().contains("conflict"));
+        assert!(AbortReason::TimestampOutOfBounds
             .to_string()
-            .contains("prepare"));
-    }
-
-    #[test]
-    fn error_is_std_error() {
-        fn assert_err<E: std::error::Error>() {}
-        assert_err::<BasilError>();
+            .contains("timestamp"));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Shared foundation types for the Basil BFT transactional key-value store
 //! reproduction: participant identifiers, multiversion timestamps, shard and
-//! quorum configuration, simulated time, error types, and [`codec`], the one
+//! quorum configuration, simulated time, abort reasons, and [`codec`], the one
 //! bounds-checked byte reader and writer under every binary format.
 //!
 //! Every other crate in the workspace builds on these definitions, so this
@@ -32,7 +32,6 @@ pub mod timestamp;
 
 pub use bounded::BoundedFifoMap;
 pub use config::{ReadQuorum, ShardConfig, SystemConfig};
-pub use error::{BasilError, Result};
 pub use fasthash::{FastHashMap, FastHashSet, FxBuildHasher, FxHasher};
 pub use hist::LatencyHistogram;
 pub use ids::{ClientId, NodeId, ReplicaId, ShardId, TxId};

@@ -115,11 +115,6 @@ impl Duration {
         self.0 / 1_000_000
     }
 
-    /// Fractional milliseconds in this duration.
-    pub fn as_millis_f64(&self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Fractional seconds in this duration.
     pub fn as_secs_f64(&self) -> f64 {
         self.0 as f64 / 1e9

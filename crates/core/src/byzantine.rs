@@ -44,8 +44,10 @@ impl ClientStrategy {
         matches!(self, ClientStrategy::Correct)
     }
 
-    /// All strategies, in a stable order (used by sweeps and the scenario
-    /// fuzzer to enumerate the space).
+    /// All strategies, in a stable order: the names [`std::str::FromStr`]
+    /// parses. The scenario fuzzer does not enumerate them; it draws from
+    /// `StallEarly`, `StallLate` and `EquivReal` only (`EquivForced` needs
+    /// the relaxed ST2 hook).
     pub const ALL: [ClientStrategy; 5] = [
         ClientStrategy::Correct,
         ClientStrategy::StallEarly,
@@ -107,8 +109,10 @@ impl ReplicaBehavior {
         matches!(self, ReplicaBehavior::Correct)
     }
 
-    /// All behaviours, in a stable order (used by sweeps and the scenario
-    /// fuzzer to enumerate the space).
+    /// All behaviours, in a stable order: the names [`std::str::FromStr`]
+    /// parses. The scenario fuzzer does not enumerate them; it draws from
+    /// `WithholdVotes`, `AlwaysVoteAbort` and `IgnoreReads` only (never
+    /// `Silent`).
     pub const ALL: [ReplicaBehavior; 5] = [
         ReplicaBehavior::Correct,
         ReplicaBehavior::WithholdVotes,

@@ -1143,7 +1143,6 @@ impl Actor<BasilMsg> for BasilClient {
 
     fn on_message(&mut self, ctx: &mut Context<BasilMsg>, _from: NodeId, msg: BasilMsg) {
         ctx.charge(self.engine.message_cost());
-        self.engine.set_now(ctx.now());
         match msg {
             BasilMsg::ReadReply(reply) => self.handle_read_reply(ctx, reply),
             BasilMsg::St1Reply(vote) => self.handle_st1_reply(ctx, vote),

@@ -64,15 +64,6 @@ pub struct BasilConfig {
     /// exceed `system.delta` plus the maximum client retry backoff so that
     /// fault-free timestamps never land below the watermark.
     pub gc_horizon: Duration,
-    /// Window over which a verifier groups uncached batch roots from the
-    /// same signer and co-verifies them in one amortized ed25519 batch
-    /// verification (the client-side complement of replica reply batching).
-    /// `Duration::ZERO` (the default) disables grouping so existing golden
-    /// scenarios keep their pinned timing; the open-loop throughput sweeps
-    /// opt in via [`BasilConfig::with_verify_grouping`], typically with the
-    /// replica's flush timeout so the two windows describe the same burst
-    /// of replies.
-    pub verify_group_window: Duration,
     /// Open-loop admission bound: how many Poisson arrivals a client queues
     /// while a transaction is in flight before it starts shedding load
     /// instead of queueing unboundedly. Only consulted when the workload
@@ -103,7 +94,6 @@ impl BasilConfig {
     pub fn test_single_shard() -> Self {
         BasilConfig {
             system: SystemConfig::single_shard_f1(),
-            verify_group_window: Duration::ZERO,
             cost: CostModel::ed25519_default(),
             crypto_mode: CryptoMode::Real,
             read_timeout: Duration::from_millis(5),
@@ -191,15 +181,6 @@ impl BasilConfig {
         self
     }
 
-    /// Returns a copy with client-side grouped root verification enabled
-    /// over the given window (`Duration::ZERO` disables it again). Passing
-    /// `system.batch_timeout` aligns the verifier's grouping window with the
-    /// replica's reply-flush window.
-    pub fn with_verify_grouping(mut self, window: Duration) -> Self {
-        self.verify_group_window = window;
-        self
-    }
-
     /// Whether signatures are generated/validated at all.
     pub fn signatures_enabled(&self) -> bool {
         self.system.signatures
@@ -266,14 +247,9 @@ mod tests {
     #[test]
     fn throughput_plane_knobs() {
         let cfg = BasilConfig::test_single_shard();
-        // Grouping is opt-in: default configurations keep the pinned timing
-        // of the golden determinism scenarios.
-        assert_eq!(cfg.verify_group_window, Duration::ZERO);
         assert_eq!(cfg.admission_bound, 32);
         let tuned = cfg.clone().with_admission_bound(4);
         assert_eq!(tuned.admission_bound, 4);
         assert_eq!(cfg.clone().with_admission_bound(0).admission_bound, 1);
-        let grouped = cfg.clone().with_verify_grouping(cfg.system.batch_timeout);
-        assert_eq!(grouped.verify_group_window, cfg.system.batch_timeout);
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::config::{BasilConfig, CryptoMode};
 use basil_common::codec::{Len, Sink};
-use basil_common::{Duration, FastHashMap, NodeId, SimTime};
+use basil_common::{Duration, NodeId};
 use basil_crypto::batch::BatchVerifyOutcome;
 use basil_crypto::merkle::MerkleProof;
 use basil_crypto::sig::Signature;
@@ -87,18 +87,6 @@ pub struct SigEngine {
     /// calls, so real-crypto batch signing pays no per-flush tree rebuild
     /// and no steady-state allocation.
     frontier: MerkleFrontier,
-    /// Current simulated time, advanced by the owning actor via
-    /// [`SigEngine::set_now`]; anchors the grouped-verification window.
-    now: SimTime,
-    /// Width of the same-signer root co-verification window
-    /// (`Duration::ZERO` disables grouping).
-    verify_group_window: Duration,
-    /// Per-signer timestamp of the most recent *uncached* root signature
-    /// verification; a subsequent uncached root from the same signer within
-    /// the window joins its ed25519 batch-verification group.
-    verify_groups: FastHashMap<NodeId, SimTime>,
-    /// How many verifications were charged at the grouped (amortized) rate.
-    grouped_verifies: u64,
 }
 
 impl SigEngine {
@@ -113,48 +101,12 @@ impl SigEngine {
             enabled: cfg.signatures_enabled(),
             dummy_counter: 0,
             frontier: MerkleFrontier::new(),
-            now: SimTime::ZERO,
-            verify_group_window: cfg.verify_group_window,
-            verify_groups: FastHashMap::default(),
-            grouped_verifies: 0,
         }
     }
 
     /// Whether signatures are produced at all (`false` in `NoProofs` runs).
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Advances the engine's notion of simulated time. Actors call this when
-    /// they start processing a message so that verification grouping windows
-    /// track the simulation clock.
-    pub fn set_now(&mut self, now: SimTime) {
-        self.now = now;
-    }
-
-    /// Number of verifications charged at the grouped (ed25519
-    /// batch-verification) rate rather than as standalone checks.
-    pub fn grouped_verifies(&self) -> u64 {
-        self.grouped_verifies
-    }
-
-    /// Whether an uncached root signature from `signer` joins an open
-    /// co-verification group (another uncached root from the same signer was
-    /// verified within the window). Always records the event as the newest
-    /// group anchor.
-    fn join_verify_group(&mut self, signer: NodeId) -> bool {
-        if self.verify_group_window == Duration::ZERO {
-            return false;
-        }
-        let now = self.now;
-        let grouped = match self.verify_groups.insert(signer, now) {
-            Some(last) => now.since(last) <= self.verify_group_window,
-            None => false,
-        };
-        if grouped {
-            self.grouped_verifies += 1;
-        }
-        grouped
     }
 
     /// Signs a single payload. Returns `None` (at zero cost) when signatures
@@ -281,28 +233,27 @@ impl SigEngine {
         let Some(proof) = proof else {
             return (false, Duration::ZERO);
         };
-        match self.mode {
+        // A signature-cache hit costs a hash-only check; a miss, a
+        // standalone verification.
+        let (valid, cached) = match self.mode {
             CryptoMode::Real => {
                 let before_hits = self.cache.hits();
                 let outcome: BatchVerifyOutcome =
                     proof.verify(&payload.to_bytes(), &self.registry, &mut self.cache);
                 let cached = self.cache.hits() > before_hits;
-                let cost = self.verify_charge(
-                    proof,
-                    payload.encoded_len().max(1),
-                    cached && outcome.valid,
-                    outcome.valid,
-                );
-                (outcome.valid, cost)
+                (outcome.valid, cached && outcome.valid)
             }
-            CryptoMode::Simulated => {
-                // Structural acceptance; model the cache by root identity
-                // (one fused lookup: hit check + miss insert).
-                let cached = self.cache.check_insert(proof.root, proof.root_signature);
-                let cost = self.verify_charge(proof, payload.encoded_len().max(1), cached, true);
-                (true, cost)
-            }
-        }
+            // Structural acceptance; model the cache by root identity (one
+            // fused lookup: hit check + miss insert).
+            CryptoMode::Simulated => (
+                true,
+                self.cache.check_insert(proof.root, proof.root_signature),
+            ),
+        };
+        let cost =
+            self.cost
+                .batch_verify_cost(proof.batch_size, payload.encoded_len().max(1), cached);
+        (valid, cost)
     }
 
     /// [`SigEngine::verify`], and the proof must be `signer`'s: a replica's
@@ -319,31 +270,6 @@ impl SigEngine {
         let (ok, cost) = self.verify(payload, proof);
         let bound = !self.enabled || proof.is_some_and(|p| p.signer() == signer);
         (ok && bound, cost)
-    }
-
-    /// Computes the cost of one batched-reply verification: a hash-only check
-    /// on a signature-cache hit, the grouped (ed25519 batch-verification)
-    /// rate when another uncached root from the same signer was verified
-    /// within the flush window, and a standalone verification otherwise.
-    fn verify_charge(
-        &mut self,
-        proof: &BatchProof,
-        reply_bytes: usize,
-        cached: bool,
-        valid: bool,
-    ) -> Duration {
-        if cached {
-            return self
-                .cost
-                .batch_verify_cost(proof.batch_size, reply_bytes, true);
-        }
-        if valid && self.join_verify_group(proof.signer()) {
-            self.cost
-                .grouped_batch_verify_cost(proof.batch_size, reply_bytes)
-        } else {
-            self.cost
-                .batch_verify_cost(proof.batch_size, reply_bytes, false)
-        }
     }
 
     /// Verifies a set of signed payloads (certificate validation); returns
@@ -419,19 +345,6 @@ mod tests {
         if !signatures {
             cfg.cost = CostModel::no_proofs();
         }
-        let registry = KeyRegistry::from_seed(7);
-        (
-            SigEngine::new(replica(0), registry.clone(), &cfg),
-            SigEngine::new(NodeId::Client(ClientId(1)), registry, &cfg),
-        )
-    }
-
-    /// Engines with grouped root verification opted in (it is off by
-    /// default so golden scenarios keep their pinned timing).
-    fn grouped_engine(mode: CryptoMode) -> (SigEngine, SigEngine) {
-        let mut cfg = BasilConfig::test_single_shard();
-        cfg.crypto_mode = mode;
-        cfg.verify_group_window = cfg.system.batch_timeout;
         let registry = KeyRegistry::from_seed(7);
         (
             SigEngine::new(replica(0), registry.clone(), &cfg),
@@ -524,72 +437,6 @@ mod tests {
         let (ok, second_cost) = verifier.verify(&payloads[1], proofs[1].as_ref());
         assert!(ok);
         assert!(second_cost < first_cost);
-    }
-
-    #[test]
-    fn same_signer_roots_within_window_verify_at_the_grouped_rate() {
-        let (mut signer, mut verifier) = grouped_engine(CryptoMode::Real);
-        let (p1, _) = signer.sign(b"batch root a");
-        let (p2, _) = signer.sign(b"batch root b");
-        let (p3, _) = signer.sign(b"batch root c");
-
-        verifier.set_now(SimTime::from_micros(100));
-        let (ok, first) = verifier.verify(b"batch root a", p1.as_ref());
-        assert!(ok);
-        assert_eq!(verifier.grouped_verifies(), 0, "first root anchors a group");
-
-        // Second distinct root from the same replica, inside the window:
-        // co-verified at the amortized rate.
-        verifier.set_now(SimTime::from_micros(300));
-        let (ok, second) = verifier.verify(b"batch root b", p2.as_ref());
-        assert!(ok);
-        assert!(second < first, "grouped {second:?} vs standalone {first:?}");
-        assert_eq!(verifier.grouped_verifies(), 1);
-
-        // Past the window the group is closed: full price again.
-        verifier.set_now(SimTime::from_micros(5_000));
-        let (ok, third) = verifier.verify(b"batch root c", p3.as_ref());
-        assert!(ok);
-        assert_eq!(third, first);
-        assert_eq!(verifier.grouped_verifies(), 1);
-    }
-
-    #[test]
-    fn different_signers_never_share_a_verification_group() {
-        let mut cfg = BasilConfig::test_single_shard();
-        cfg.crypto_mode = CryptoMode::Simulated;
-        cfg.verify_group_window = cfg.system.batch_timeout;
-        let registry = KeyRegistry::from_seed(7);
-        let mut a = SigEngine::new(replica(0), registry.clone(), &cfg);
-        let mut b = SigEngine::new(replica(1), registry.clone(), &cfg);
-        let mut verifier = SigEngine::new(NodeId::Client(ClientId(1)), registry, &cfg);
-        let (pa, _) = a.sign(b"x");
-        let (pb, _) = b.sign(b"y");
-        verifier.set_now(SimTime::from_micros(10));
-        let (_, first) = verifier.verify(b"x", pa.as_ref());
-        verifier.set_now(SimTime::from_micros(20));
-        let (_, second) = verifier.verify(b"y", pb.as_ref());
-        assert_eq!(first, second, "cross-signer roots stay standalone");
-        assert_eq!(verifier.grouped_verifies(), 0);
-    }
-
-    #[test]
-    fn verify_grouping_is_off_by_default() {
-        // Default configurations leave the window at zero; every uncached
-        // root pays the standalone verification price.
-        let mut cfg = BasilConfig::test_single_shard();
-        cfg.crypto_mode = CryptoMode::Real;
-        let registry = KeyRegistry::from_seed(7);
-        let mut signer = SigEngine::new(replica(0), registry.clone(), &cfg);
-        let mut verifier = SigEngine::new(NodeId::Client(ClientId(1)), registry, &cfg);
-        let (p1, _) = signer.sign(b"a");
-        let (p2, _) = signer.sign(b"b");
-        verifier.set_now(SimTime::from_micros(10));
-        let (_, first) = verifier.verify(b"a", p1.as_ref());
-        verifier.set_now(SimTime::from_micros(11));
-        let (_, second) = verifier.verify(b"b", p2.as_ref());
-        assert_eq!(first, second);
-        assert_eq!(verifier.grouped_verifies(), 0);
     }
 
     #[test]

@@ -1201,7 +1201,6 @@ impl Actor<BasilMsg> for BasilReplica {
         }
         // Per-message deserialization overhead.
         ctx.charge(self.engine.message_cost());
-        self.engine.set_now(ctx.now());
         if let Some(rec) = self.recovering.as_mut() {
             if Self::buffered_during_recovery(&msg) {
                 // The replay buffer is bounded like the client admission

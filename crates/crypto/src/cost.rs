@@ -143,19 +143,6 @@ impl CostModel {
         }
     }
 
-    /// Client-side cost of validating a batched reply whose root signature
-    /// is co-verified with other roots from the same signer collected within
-    /// one flush window. The Merkle path is still recomputed per reply, but
-    /// ed25519 batch verification amortizes the shared scalar multiplication
-    /// across the group, cutting the per-signature term to roughly half a
-    /// standalone verification.
-    pub fn grouped_batch_verify_cost(&self, batch_size: usize, reply_bytes: usize) -> Duration {
-        if !self.enabled {
-            return Duration::ZERO;
-        }
-        self.reply_path_cost(batch_size, reply_bytes) + self.verify / 2
-    }
-
     /// Per-message serialization overhead (always charged, even in NoProofs
     /// mode, because it is not a cryptographic cost).
     pub fn message_cost(&self) -> Duration {
@@ -243,24 +230,6 @@ mod tests {
         let warm = c.batch_verify_cost(16, 128, true);
         assert!(warm < cold);
         assert!(cold - warm >= c.verify - Duration::from_nanos(1));
-    }
-
-    #[test]
-    fn grouped_verification_sits_between_cached_and_cold() {
-        let c = CostModel::ed25519_default();
-        let cold = c.batch_verify_cost(16, 128, false);
-        let grouped = c.grouped_batch_verify_cost(16, 128);
-        let warm = c.batch_verify_cost(16, 128, true);
-        assert!(grouped < cold, "batch co-verification must beat standalone");
-        assert!(
-            grouped > warm,
-            "co-verification still pays a signature share"
-        );
-        assert_eq!(c.grouped_batch_verify_cost(16, 128), grouped);
-        assert_eq!(
-            CostModel::no_proofs().grouped_batch_verify_cost(16, 128),
-            Duration::ZERO
-        );
     }
 
     #[test]

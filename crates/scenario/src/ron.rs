@@ -13,7 +13,9 @@ use crate::spec::{
     Expectation, FaultBudget, FaultEvent, RecoveryMode, ScenarioSpec, Selector, SpecError,
     WorkloadSpec,
 };
+use basil_common::Duration;
 use basil_core::{ClientStrategy, ReplicaBehavior};
+use basil_simnet::LinkFaultKind;
 
 /// A parsed RON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -348,15 +350,6 @@ fn decode_selector(v: &Val, field: &str) -> Result<Selector, SpecError> {
     }
 }
 
-fn decode_link_args(v: &Val) -> Result<(Selector, Selector, u64, u64), SpecError> {
-    Ok((
-        decode_selector(v.field("from")?, "from")?,
-        decode_selector(v.field("to")?, "to")?,
-        v.field("at_ms")?.as_u64("at_ms")?,
-        v.field("until_ms")?.as_u64("until_ms")?,
-    ))
-}
-
 fn decode_recovery(v: &Val) -> Result<RecoveryMode, SpecError> {
     match v {
         Val::Unit(n) if n == "Warm" => Ok(RecoveryMode::Warm),
@@ -366,69 +359,28 @@ fn decode_recovery(v: &Val) -> Result<RecoveryMode, SpecError> {
 }
 
 fn decode_fault(v: &Val) -> Result<FaultEvent, SpecError> {
-    match v.call_name()? {
+    let name = v.call_name()?;
+    if let Some(kind) = decode_link_kind(name, v)? {
+        return Ok(FaultEvent::Link {
+            kind,
+            from: decode_selector(v.field("from")?, "from")?,
+            to: decode_selector(v.field("to")?, "to")?,
+            at_ms: v.field("at_ms")?.as_u64("at_ms")?,
+            until_ms: v.field("until_ms")?.as_u64("until_ms")?,
+        });
+    }
+    match name {
         "Crash" => Ok(FaultEvent::Crash {
             replica: v.field("replica")?.as_u32("replica")?,
             at_ms: v.field("at_ms")?.as_u64("at_ms")?,
             restart_ms: v.field("restart_ms")?.as_opt_u64("restart_ms")?,
-            // Absent in corpus entries written before the durability layer:
-            // those crashes were warm restarts by construction.
-            recovery: v
-                .opt_field("recovery")
-                .map(decode_recovery)
-                .transpose()?
-                .unwrap_or_default(),
-        }),
-        "ProcessKill" => Ok(FaultEvent::ProcessKill {
-            replica: v.field("replica")?.as_u32("replica")?,
-            at_ms: v.field("at_ms")?.as_u64("at_ms")?,
-            restart_ms: v.field("restart_ms")?.as_opt_u64("restart_ms")?,
+            recovery: decode_recovery(v.field("recovery")?)?,
         }),
         "PartitionReplica" => Ok(FaultEvent::PartitionReplica {
             replica: v.field("replica")?.as_u32("replica")?,
             at_ms: v.field("at_ms")?.as_u64("at_ms")?,
             heal_ms: v.field("heal_ms")?.as_u64("heal_ms")?,
         }),
-        "DropLink" => {
-            let (from, to, at_ms, until_ms) = decode_link_args(v)?;
-            Ok(FaultEvent::DropLink {
-                from,
-                to,
-                at_ms,
-                until_ms,
-                probability: v.field("probability")?.as_f64("probability")?,
-            })
-        }
-        "DelayLink" => {
-            let (from, to, at_ms, until_ms) = decode_link_args(v)?;
-            Ok(FaultEvent::DelayLink {
-                from,
-                to,
-                at_ms,
-                until_ms,
-                extra_us: v.field("extra_us")?.as_u64("extra_us")?,
-            })
-        }
-        "ReplayLink" => {
-            let (from, to, at_ms, until_ms) = decode_link_args(v)?;
-            Ok(FaultEvent::ReplayLink {
-                from,
-                to,
-                at_ms,
-                until_ms,
-                probability: v.field("probability")?.as_f64("probability")?,
-            })
-        }
-        "CorruptLink" => {
-            let (from, to, at_ms, until_ms) = decode_link_args(v)?;
-            Ok(FaultEvent::CorruptLink {
-                from,
-                to,
-                at_ms,
-                until_ms,
-                probability: v.field("probability")?.as_f64("probability")?,
-            })
-        }
         "ClockSkew" => Ok(FaultEvent::ClockSkew {
             replica: v.field("replica")?.as_u32("replica")?,
             skew_us: v.field("skew_us")?.as_i64("skew_us")?,
@@ -535,6 +487,53 @@ pub fn decode(src: &str) -> Result<ScenarioSpec, SpecError> {
     })
 }
 
+// ---------------------------------------------------------- link faults --
+//
+// A `FaultEvent::Link` is spelled by its kind, `DropLink`, `DelayLink`,
+// `ReplayLink` or `CorruptLink`, with the arguments `from`, `to`, `at_ms`,
+// `until_ms` and then `extra_us` for a delay or `probability` for the rest.
+
+/// The kind a link-fault name spells, or `None` if `name` is not one.
+fn decode_link_kind(name: &str, v: &Val) -> Result<Option<LinkFaultKind>, SpecError> {
+    let probability = || v.field("probability")?.as_f64("probability");
+    Ok(Some(match name {
+        "DropLink" => LinkFaultKind::Drop {
+            probability: probability()?,
+        },
+        "DelayLink" => LinkFaultKind::Delay {
+            // Saturating: `validate` refuses a delay anywhere near this long.
+            extra: Duration::from_nanos(
+                v.field("extra_us")?
+                    .as_u64("extra_us")?
+                    .saturating_mul(1_000),
+            ),
+        },
+        "ReplayLink" => LinkFaultKind::Replay {
+            probability: probability()?,
+        },
+        "CorruptLink" => LinkFaultKind::Corrupt {
+            probability: probability()?,
+        },
+        _ => return Ok(None),
+    }))
+}
+
+/// The name and the kind-specific argument [`decode_link_kind`] reads back.
+fn fmt_link_kind(kind: LinkFaultKind) -> (&'static str, String) {
+    match kind {
+        LinkFaultKind::Drop { probability } => {
+            ("DropLink", format!("probability: {probability:?}"))
+        }
+        LinkFaultKind::Delay { extra } => ("DelayLink", format!("extra_us: {}", extra.as_micros())),
+        LinkFaultKind::Replay { probability } => {
+            ("ReplayLink", format!("probability: {probability:?}"))
+        }
+        LinkFaultKind::Corrupt { probability } => {
+            ("CorruptLink", format!("probability: {probability:?}"))
+        }
+    }
+}
+
 // -------------------------------------------------------------- encoder --
 
 fn fmt_sel(s: Selector) -> String {
@@ -564,63 +563,25 @@ fn fmt_fault(ev: &FaultEvent) -> String {
             "Crash(replica: {replica}, at_ms: {at_ms}, restart_ms: {}, recovery: {recovery})",
             fmt_opt(*restart_ms)
         ),
-        FaultEvent::ProcessKill {
-            replica,
-            at_ms,
-            restart_ms,
-        } => format!(
-            "ProcessKill(replica: {replica}, at_ms: {at_ms}, restart_ms: {})",
-            fmt_opt(*restart_ms)
-        ),
         FaultEvent::PartitionReplica {
             replica,
             at_ms,
             heal_ms,
         } => format!("PartitionReplica(replica: {replica}, at_ms: {at_ms}, heal_ms: {heal_ms})"),
-        FaultEvent::DropLink {
+        FaultEvent::Link {
+            kind,
             from,
             to,
             at_ms,
             until_ms,
-            probability,
-        } => format!(
-            "DropLink(from: {}, to: {}, at_ms: {at_ms}, until_ms: {until_ms}, probability: {probability:?})",
-            fmt_sel(*from),
-            fmt_sel(*to)
-        ),
-        FaultEvent::DelayLink {
-            from,
-            to,
-            at_ms,
-            until_ms,
-            extra_us,
-        } => format!(
-            "DelayLink(from: {}, to: {}, at_ms: {at_ms}, until_ms: {until_ms}, extra_us: {extra_us})",
-            fmt_sel(*from),
-            fmt_sel(*to)
-        ),
-        FaultEvent::ReplayLink {
-            from,
-            to,
-            at_ms,
-            until_ms,
-            probability,
-        } => format!(
-            "ReplayLink(from: {}, to: {}, at_ms: {at_ms}, until_ms: {until_ms}, probability: {probability:?})",
-            fmt_sel(*from),
-            fmt_sel(*to)
-        ),
-        FaultEvent::CorruptLink {
-            from,
-            to,
-            at_ms,
-            until_ms,
-            probability,
-        } => format!(
-            "CorruptLink(from: {}, to: {}, at_ms: {at_ms}, until_ms: {until_ms}, probability: {probability:?})",
-            fmt_sel(*from),
-            fmt_sel(*to)
-        ),
+        } => {
+            let (name, arg) = fmt_link_kind(*kind);
+            format!(
+                "{name}(from: {}, to: {}, at_ms: {at_ms}, until_ms: {until_ms}, {arg})",
+                fmt_sel(*from),
+                fmt_sel(*to)
+            )
+        }
         FaultEvent::ClockSkew { replica, skew_us } => {
             format!("ClockSkew(replica: {replica}, skew_us: {skew_us})")
         }
@@ -745,33 +706,35 @@ mod tests {
                     at_ms: 130,
                     heal_ms: 170,
                 },
-                FaultEvent::DropLink {
+                FaultEvent::Link {
+                    kind: LinkFaultKind::Drop { probability: 0.25 },
                     from: Selector::Clients,
                     to: Selector::Replica(4),
                     at_ms: 50,
                     until_ms: 100,
-                    probability: 0.25,
                 },
-                FaultEvent::DelayLink {
+                FaultEvent::Link {
+                    kind: LinkFaultKind::Delay {
+                        extra: Duration::from_micros(300),
+                    },
                     from: Selector::Any,
                     to: Selector::Replicas,
                     at_ms: 50,
                     until_ms: 110,
-                    extra_us: 300,
                 },
-                FaultEvent::ReplayLink {
+                FaultEvent::Link {
+                    kind: LinkFaultKind::Replay { probability: 0.1 },
                     from: Selector::Replicas,
                     to: Selector::Clients,
                     at_ms: 60,
                     until_ms: 90,
-                    probability: 0.1,
                 },
-                FaultEvent::CorruptLink {
+                FaultEvent::Link {
+                    kind: LinkFaultKind::Corrupt { probability: 0.05 },
                     from: Selector::Replica(2),
                     to: Selector::Any,
                     at_ms: 70,
                     until_ms: 120,
-                    probability: 0.05,
                 },
                 FaultEvent::ClockSkew {
                     replica: 1,
@@ -830,15 +793,10 @@ mod tests {
     }
 
     #[test]
-    fn missing_recovery_field_defaults_to_warm() {
-        // Corpus entries written before the durability layer lack the
-        // `recovery` field; they decode as warm restarts.
+    fn missing_recovery_field_is_rejected() {
+        // A crash names what the replica remembers: there is no default.
         let text = encode(&sample()).replace(", recovery: Amnesia", "");
-        let back = decode(&text).expect("decodes without recovery");
-        match &back.faults[0] {
-            FaultEvent::Crash { recovery, .. } => assert_eq!(*recovery, RecoveryMode::Warm),
-            other => panic!("expected a crash, got {other:?}"),
-        }
+        assert!(decode(&text).is_err());
         assert!(decode(&encode(&sample()).replace("Amnesia", "Hot")).is_err());
     }
 

@@ -21,7 +21,7 @@ use basil::{
 };
 use basil_baselines::{BaselineConfig, SystemKind};
 use basil_core::byzantine::FaultProfile;
-use basil_simnet::{LinkFault, LinkFaultKind, NodeMatcher};
+use basil_simnet::{LinkFault, NodeMatcher};
 use basil_store::mvtso::Decision;
 use std::collections::HashMap;
 
@@ -138,22 +138,6 @@ fn matcher(sel: Selector) -> NodeMatcher {
     }
 }
 
-fn link_fault(
-    kind: LinkFaultKind,
-    from: Selector,
-    to: Selector,
-    at_ms: u64,
-    until_ms: u64,
-) -> LinkFault {
-    LinkFault::new(
-        kind,
-        matcher(from),
-        matcher(to),
-        SimTime::from_millis(at_ms),
-        SimTime::from_millis(until_ms),
-    )
-}
-
 /// Executes `spec`'s fault timeline against an already-built cluster and
 /// collects the outcome. Generic over the protocol: the same spec drives
 /// Basil and the baselines. Build-time faults (clock skew, slow replicas)
@@ -166,64 +150,22 @@ pub fn drive<P: ClusterProtocol>(
     // Link faults: installed up-front with absolute windows; the simulator
     // applies them only inside [at, until).
     for ev in &spec.faults {
-        let fault = match *ev {
-            FaultEvent::DropLink {
-                from,
-                to,
-                at_ms,
-                until_ms,
-                probability,
-            } => link_fault(
-                LinkFaultKind::Drop { probability },
-                from,
-                to,
-                at_ms,
-                until_ms,
-            ),
-            FaultEvent::DelayLink {
-                from,
-                to,
-                at_ms,
-                until_ms,
-                extra_us,
-            } => link_fault(
-                LinkFaultKind::Delay {
-                    extra: Duration::from_micros(extra_us),
-                },
-                from,
-                to,
-                at_ms,
-                until_ms,
-            ),
-            FaultEvent::ReplayLink {
-                from,
-                to,
-                at_ms,
-                until_ms,
-                probability,
-            } => link_fault(
-                LinkFaultKind::Replay { probability },
-                from,
-                to,
-                at_ms,
-                until_ms,
-            ),
-            FaultEvent::CorruptLink {
-                from,
-                to,
-                at_ms,
-                until_ms,
-                probability,
-            } => link_fault(
-                LinkFaultKind::Corrupt { probability },
-                from,
-                to,
-                at_ms,
-                until_ms,
-            ),
-            _ => continue,
-        };
-        cluster.sim_mut().add_link_fault(fault);
+        if let FaultEvent::Link {
+            kind,
+            from,
+            to,
+            at_ms,
+            until_ms,
+        } = *ev
+        {
+            cluster.sim_mut().add_link_fault(LinkFault::new(
+                kind,
+                matcher(from),
+                matcher(to),
+                SimTime::from_millis(at_ms),
+                SimTime::from_millis(until_ms),
+            ));
+        }
     }
 
     // Timed actions, sorted by (time, insertion order) so every run walks
@@ -248,25 +190,6 @@ pub fn drive<P: ClusterProtocol>(
                 push(&mut timeline, at_ms, Action::Crash(replica));
                 if let Some(r) = restart_ms {
                     push(&mut timeline, r, Action::Restart(replica, recovery));
-                }
-            }
-            FaultEvent::ProcessKill {
-                replica,
-                at_ms,
-                restart_ms,
-            } => {
-                // The simulator has no OS processes to SIGKILL; the closest
-                // model is a crash-stop that loses all volatile state and
-                // recovers from the WAL plus peer catch-up — exactly the
-                // amnesia restart. The real-IO supervisor executes the same
-                // event as an actual `kill -9` + process relaunch.
-                push(&mut timeline, at_ms, Action::Crash(replica));
-                if let Some(r) = restart_ms {
-                    push(
-                        &mut timeline,
-                        r,
-                        Action::Restart(replica, RecoveryMode::Amnesia),
-                    );
                 }
             }
             FaultEvent::PartitionReplica {

@@ -4,7 +4,7 @@
 //! stall, a replay divergence), [`shrink_spec`] searches for a smaller
 //! spec that *still* fails, so the committed corpus entry — and the human
 //! reading it — sees only the faults that matter. The search is greedy
-//! delta debugging in three passes, run to a fixpoint:
+//! delta debugging in four passes, run to a fixpoint:
 //!
 //! 1. **Event removal** — drop one fault event at a time; keep the removal
 //!    if the spec still fails. At the fixpoint the spec is *1-minimal*:
@@ -45,23 +45,9 @@ fn narrowed(ev: &FaultEvent) -> Option<FaultEvent> {
             at_ms,
             restart_ms: Some(r),
             ..
-        }
-        | FaultEvent::ProcessKill {
-            at_ms,
-            restart_ms: Some(r),
-            ..
         } => *r = halve(*at_ms, *r)?,
         FaultEvent::PartitionReplica { at_ms, heal_ms, .. } => *heal_ms = halve(*at_ms, *heal_ms)?,
-        FaultEvent::DropLink {
-            at_ms, until_ms, ..
-        }
-        | FaultEvent::DelayLink {
-            at_ms, until_ms, ..
-        }
-        | FaultEvent::ReplayLink {
-            at_ms, until_ms, ..
-        }
-        | FaultEvent::CorruptLink {
+        FaultEvent::Link {
             at_ms, until_ms, ..
         } => *until_ms = halve(*at_ms, *until_ms)?,
         FaultEvent::Misbehave {
@@ -77,33 +63,15 @@ fn narrowed(ev: &FaultEvent) -> Option<FaultEvent> {
 /// Weakens `ev` one notch toward its mildest form. Returns `None` when it
 /// is already as mild as it gets.
 fn simplified(ev: &FaultEvent) -> Option<FaultEvent> {
-    match ev {
-        // A process kill is the harshest crash; the next-milder rung is the
-        // in-simulator amnesia crash (which the Crash arm below can weaken
-        // further to a warm restart).
-        FaultEvent::ProcessKill {
-            replica,
-            at_ms,
-            restart_ms,
-        } => Some(FaultEvent::Crash {
-            replica: *replica,
-            at_ms: *at_ms,
-            restart_ms: *restart_ms,
-            recovery: RecoveryMode::Amnesia,
-        }),
+    let mut out = ev.clone();
+    match &mut out {
         FaultEvent::Crash {
-            recovery: RecoveryMode::Amnesia,
+            recovery: recovery @ RecoveryMode::Amnesia,
             ..
-        } => {
-            let mut out = ev.clone();
-            let FaultEvent::Crash { recovery, .. } = &mut out else {
-                unreachable!()
-            };
-            *recovery = RecoveryMode::Warm;
-            Some(out)
-        }
-        _ => None,
+        } => *recovery = RecoveryMode::Warm,
+        _ => return None,
     }
+    Some(out)
 }
 
 /// Shrinks `spec` against `still_fails` and returns the smallest
@@ -203,6 +171,8 @@ pub fn shrink_spec(
 mod tests {
     use super::*;
     use crate::spec::{base_spec, FaultEvent, RecoveryMode, Selector};
+    use basil_common::Duration;
+    use basil_simnet::LinkFaultKind;
 
     /// A planted synthetic bug: the "failure" fires iff the spec both
     /// crashes replica 2 and has any partition event. Cheap to evaluate,
@@ -228,12 +198,12 @@ mod tests {
         spec.budget.deceit = 1;
         spec.f = 3; // room for several benign targets within the budget
         spec.faults = vec![
-            FaultEvent::DropLink {
+            FaultEvent::Link {
+                kind: LinkFaultKind::Drop { probability: 0.1 },
                 from: Selector::Any,
                 to: Selector::Any,
                 at_ms: 40,
                 until_ms: 120,
-                probability: 0.1,
             },
             FaultEvent::Crash {
                 replica: 2,
@@ -241,12 +211,14 @@ mod tests {
                 restart_ms: Some(90),
                 recovery: RecoveryMode::Amnesia,
             },
-            FaultEvent::DelayLink {
+            FaultEvent::Link {
+                kind: LinkFaultKind::Delay {
+                    extra: Duration::from_micros(200),
+                },
                 from: Selector::Clients,
                 to: Selector::Replicas,
                 at_ms: 30,
                 until_ms: 130,
-                extra_us: 200,
             },
             FaultEvent::PartitionReplica {
                 replica: 7,

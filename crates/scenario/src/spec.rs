@@ -15,27 +15,34 @@
 //! separate `crash` and `deceit` allowances, enforced at validation time:
 //!
 //! * **benign** — the targets of [`FaultEvent::Crash`],
-//!   [`FaultEvent::ProcessKill`],
 //!   [`FaultEvent::PartitionReplica`], [`FaultEvent::SlowReplica`],
-//!   [`FaultEvent::ClockSkew`], and of *targeted* omission link faults
-//!   (drop/delay/replay aimed at one replica). These replicas follow the
-//!   protocol but may be late or unreachable.
-//! * **deceitful** — the targets of [`FaultEvent::Misbehave`] and of
-//!   targeted [`FaultEvent::CorruptLink`] faults. These replicas (or their
-//!   links) actively deviate.
+//!   [`FaultEvent::ClockSkew`], and the replica ends of a
+//!   [`FaultEvent::Link`] that drops, delays or replays. These replicas
+//!   follow the protocol but may be late or unreachable.
+//! * **deceitful** — the targets of [`FaultEvent::Misbehave`] and the
+//!   replica ends of a [`FaultEvent::Link`] that corrupts. These replicas
+//!   (or their links) actively deviate.
 //!
-//! Broad-matcher link faults (e.g. `Drop(from: Any, to: Any)`) model a
-//! lossy *network* rather than a faulty replica; they consume no replica
-//! budget but do disable the liveness check unless their windows close
-//! before the quiet tail.
+//! Only a link end that names one replica (`Replica(i)`) is charged; a
+//! broad end (e.g. `DropLink(from: Any, to: Any, ..)`) models a lossy
+//! *network* rather than a faulty replica, consumes no replica budget, and
+//! disables the liveness check unless its window closes before the quiet
+//! tail.
 //!
 //! Safety requires `deceit ≤ f` (Basil's n = 5f+1 tolerates at most `f`
 //! Byzantine replicas); liveness additionally requires
 //! `crash + deceit ≤ f`, which is why [`ScenarioSpec::liveness_checkable`]
 //! is a property of the spec, not a separate assertion mode.
 
+use basil_common::Duration;
 use basil_core::{ClientStrategy, ReplicaBehavior};
+use basil_simnet::LinkFaultKind;
 use std::collections::BTreeSet;
+
+/// The longest run a spec may ask for, and the longest extra delay a link
+/// fault may add: a quarter of what `SimTime`'s u64 nanoseconds hold, so
+/// every window end, and a delay added on top of it, stays representable.
+const MAX_DURATION_MS: u64 = u64::MAX / 4 / 1_000_000;
 
 /// Distinct allowances for benign (crashing/slow) and deceitful (lying)
 /// replicas, after Basilic's benign-vs-deceitful fault split.
@@ -99,6 +106,9 @@ impl std::fmt::Display for RecoveryMode {
 #[derive(Clone, Debug, PartialEq)]
 pub enum FaultEvent {
     /// Crash-stop `replica` at `at_ms`; restart it at `restart_ms` if set.
+    /// An `Amnesia` crash is a process kill: the simulator replaces the
+    /// replica with one rebuilt from its write-ahead log, which then
+    /// catches up from its peers.
     Crash {
         /// Target replica index (shard 0).
         replica: u32,
@@ -109,20 +119,6 @@ pub enum FaultEvent {
         /// What the replica remembers when it restarts.
         recovery: RecoveryMode,
     },
-    /// `kill -9` the replica's OS process at `at_ms`; start a replacement
-    /// process at `restart_ms` if set. The real-IO supervisor delivers an
-    /// actual `SIGKILL` and relaunches the `basil-node` binary over the
-    /// surviving WAL file; the simulator models the same fault as a
-    /// crash-stop with [`RecoveryMode::Amnesia`] recovery (volatile state
-    /// lost, rebuilt from the WAL plus peer catch-up).
-    ProcessKill {
-        /// Target replica index (shard 0).
-        replica: u32,
-        /// SIGKILL delivery time.
-        at_ms: u64,
-        /// Process relaunch time (`None` = stays down).
-        restart_ms: Option<u64>,
-    },
     /// Isolate `replica` from everyone else during `[at_ms, heal_ms)`.
     PartitionReplica {
         /// Target replica index.
@@ -132,8 +128,13 @@ pub enum FaultEvent {
         /// Heal time.
         heal_ms: u64,
     },
-    /// Drop matching messages with `probability` during the window.
-    DropLink {
+    /// Apply `kind` (drop, delay, replay or corrupt) to the messages sent
+    /// from a `from` node to a `to` node during `[at_ms, until_ms)`.
+    /// Corruption is a detected garble on Basil's authenticated channels:
+    /// the receiver discards the message.
+    Link {
+        /// What happens to a matching message.
+        kind: LinkFaultKind,
         /// Sender selector.
         from: Selector,
         /// Receiver selector.
@@ -142,48 +143,6 @@ pub enum FaultEvent {
         at_ms: u64,
         /// Window end (exclusive).
         until_ms: u64,
-        /// Per-message drop probability in `[0, 1]`.
-        probability: f64,
-    },
-    /// Add `extra_us` of one-way delay to matching messages.
-    DelayLink {
-        /// Sender selector.
-        from: Selector,
-        /// Receiver selector.
-        to: Selector,
-        /// Window start.
-        at_ms: u64,
-        /// Window end (exclusive).
-        until_ms: u64,
-        /// Extra delay in microseconds.
-        extra_us: u64,
-    },
-    /// Deliver matching messages twice with `probability`.
-    ReplayLink {
-        /// Sender selector.
-        from: Selector,
-        /// Receiver selector.
-        to: Selector,
-        /// Window start.
-        at_ms: u64,
-        /// Window end (exclusive).
-        until_ms: u64,
-        /// Per-message replay probability in `[0, 1]`.
-        probability: f64,
-    },
-    /// Corrupt matching messages with `probability` (detected garble on
-    /// Basil's authenticated channels: the receiver discards them).
-    CorruptLink {
-        /// Sender selector.
-        from: Selector,
-        /// Receiver selector.
-        to: Selector,
-        /// Window start.
-        at_ms: u64,
-        /// Window end (exclusive).
-        until_ms: u64,
-        /// Per-message corruption probability in `[0, 1]`.
-        probability: f64,
     },
     /// Run `replica` with a skewed clock for the whole run (build-time).
     ClockSkew {
@@ -218,12 +177,8 @@ impl FaultEvent {
     pub fn start_ms(&self) -> u64 {
         match self {
             FaultEvent::Crash { at_ms, .. }
-            | FaultEvent::ProcessKill { at_ms, .. }
             | FaultEvent::PartitionReplica { at_ms, .. }
-            | FaultEvent::DropLink { at_ms, .. }
-            | FaultEvent::DelayLink { at_ms, .. }
-            | FaultEvent::ReplayLink { at_ms, .. }
-            | FaultEvent::CorruptLink { at_ms, .. }
+            | FaultEvent::Link { at_ms, .. }
             | FaultEvent::Misbehave { at_ms, .. } => *at_ms,
             FaultEvent::ClockSkew { .. } | FaultEvent::SlowReplica { .. } => 0,
         }
@@ -234,14 +189,9 @@ impl FaultEvent {
     /// property like skew / slowness).
     pub fn end_ms(&self) -> Option<u64> {
         match self {
-            FaultEvent::Crash { restart_ms, .. } | FaultEvent::ProcessKill { restart_ms, .. } => {
-                *restart_ms
-            }
+            FaultEvent::Crash { restart_ms, .. } => *restart_ms,
             FaultEvent::PartitionReplica { heal_ms, .. } => Some(*heal_ms),
-            FaultEvent::DropLink { until_ms, .. }
-            | FaultEvent::DelayLink { until_ms, .. }
-            | FaultEvent::ReplayLink { until_ms, .. }
-            | FaultEvent::CorruptLink { until_ms, .. } => Some(*until_ms),
+            FaultEvent::Link { until_ms, .. } => Some(*until_ms),
             FaultEvent::Misbehave { revert_ms, .. } => *revert_ms,
             FaultEvent::ClockSkew { .. } | FaultEvent::SlowReplica { .. } => None,
         }
@@ -251,16 +201,10 @@ impl FaultEvent {
     fn benign_targets(&self) -> Vec<u32> {
         match self {
             FaultEvent::Crash { replica, .. }
-            | FaultEvent::ProcessKill { replica, .. }
             | FaultEvent::PartitionReplica { replica, .. }
             | FaultEvent::ClockSkew { replica, .. }
             | FaultEvent::SlowReplica { replica, .. } => vec![*replica],
-            FaultEvent::DropLink { from, to, .. }
-            | FaultEvent::DelayLink { from, to, .. }
-            | FaultEvent::ReplayLink { from, to, .. } => [from, to]
-                .into_iter()
-                .filter_map(Selector::targeted_replica)
-                .collect(),
+            FaultEvent::Link { kind, from, to, .. } if !is_deceit(kind) => link_ends(*from, *to),
             _ => Vec::new(),
         }
     }
@@ -269,10 +213,7 @@ impl FaultEvent {
     fn deceit_targets(&self) -> Vec<u32> {
         match self {
             FaultEvent::Misbehave { replica, .. } => vec![*replica],
-            FaultEvent::CorruptLink { from, to, .. } => [from, to]
-                .into_iter()
-                .filter_map(Selector::targeted_replica)
-                .collect(),
+            FaultEvent::Link { kind, from, to, .. } if is_deceit(kind) => link_ends(*from, *to),
             _ => Vec::new(),
         }
     }
@@ -282,15 +223,26 @@ impl FaultEvent {
     /// liveness while its window is open).
     pub fn is_broad_network_fault(&self) -> bool {
         match self {
-            FaultEvent::DropLink { from, to, .. }
-            | FaultEvent::DelayLink { from, to, .. }
-            | FaultEvent::ReplayLink { from, to, .. }
-            | FaultEvent::CorruptLink { from, to, .. } => {
+            FaultEvent::Link { from, to, .. } => {
                 from.targeted_replica().is_none() || to.targeted_replica().is_none()
             }
             _ => false,
         }
     }
+}
+
+/// The replicas a link fault's ends name one by one.
+fn link_ends(from: Selector, to: Selector) -> Vec<u32> {
+    [from, to]
+        .iter()
+        .filter_map(Selector::targeted_replica)
+        .collect()
+}
+
+/// A corrupting link lies on the wire; dropping, delaying and replaying
+/// only make it late or silent.
+fn is_deceit(kind: &LinkFaultKind) -> bool {
+    matches!(kind, LinkFaultKind::Corrupt { .. })
 }
 
 /// The workload driven by every client (the YCSB-T variants the fault
@@ -450,7 +402,17 @@ impl ScenarioSpec {
         if self.byz_strategy == ClientStrategy::EquivForced && !self.relax_st2 {
             return err("equiv-forced requires relax_st2 (the ST2 experiment hook)".into());
         }
-        if self.warmup_ms + self.tail_ms >= self.duration_ms {
+        if self.duration_ms > MAX_DURATION_MS {
+            return err(format!(
+                "duration {} ms exceeds {MAX_DURATION_MS} ms",
+                self.duration_ms
+            ));
+        }
+        if self
+            .warmup_ms
+            .checked_add(self.tail_ms)
+            .is_none_or(|busy| busy >= self.duration_ms)
+        {
             return err(format!(
                 "warmup {} + tail {} must leave room inside duration {}",
                 self.warmup_ms, self.tail_ms, self.duration_ms
@@ -505,12 +467,22 @@ impl ScenarioSpec {
                 }
             }
             match ev {
-                FaultEvent::DropLink { probability, .. }
-                | FaultEvent::ReplayLink { probability, .. }
-                | FaultEvent::CorruptLink { probability, .. }
-                    if !(0.0..=1.0).contains(probability) =>
-                {
+                FaultEvent::Link {
+                    kind:
+                        LinkFaultKind::Drop { probability }
+                        | LinkFaultKind::Replay { probability }
+                        | LinkFaultKind::Corrupt { probability },
+                    ..
+                } if !(0.0..=1.0).contains(probability) => {
                     return Err(ctx(format!("probability {probability} outside [0, 1]")));
+                }
+                FaultEvent::Link {
+                    kind: LinkFaultKind::Delay { extra },
+                    ..
+                } if *extra > Duration::from_millis(MAX_DURATION_MS) => {
+                    return Err(ctx(format!(
+                        "extra delay {extra:?} exceeds {MAX_DURATION_MS} ms"
+                    )));
                 }
                 // The timestamp window delta is 50 ms; skew beyond it would
                 // reject every transaction of the replica, which is a crash
@@ -603,12 +575,12 @@ mod tests {
                     restart_ms: Some(90),
                     recovery: RecoveryMode::Warm,
                 },
-                FaultEvent::DropLink {
+                FaultEvent::Link {
+                    kind: LinkFaultKind::Drop { probability: 0.5 },
                     from: Selector::Clients,
                     to: Selector::Replica(4),
                     at_ms: 40,
                     until_ms: 120,
-                    probability: 0.5,
                 },
             ],
             expect: None,
@@ -642,12 +614,12 @@ mod tests {
             at_ms: 50,
             revert_ms: Some(100),
         });
-        spec.faults.push(FaultEvent::CorruptLink {
+        spec.faults.push(FaultEvent::Link {
+            kind: LinkFaultKind::Corrupt { probability: 0.5 },
             from: Selector::Replica(2),
             to: Selector::Any,
             at_ms: 50,
             until_ms: 100,
-            probability: 0.5,
         });
         let e = spec.validate().unwrap_err();
         assert!(e.0.contains("deceitful"), "{e}");
@@ -670,12 +642,12 @@ mod tests {
         assert!(spec.validate().is_err());
 
         let mut spec = base_spec();
-        spec.faults[1] = FaultEvent::DropLink {
+        spec.faults[1] = FaultEvent::Link {
+            kind: LinkFaultKind::Drop { probability: 0.5 },
             from: Selector::Any,
             to: Selector::Any,
             at_ms: 120,
             until_ms: 100,
-            probability: 0.5,
         };
         assert!(spec.validate().is_err());
 
@@ -699,12 +671,12 @@ mod tests {
 
         // Window reaching into the tail: not checkable.
         let mut spec = base_spec();
-        spec.faults[1] = FaultEvent::DropLink {
+        spec.faults[1] = FaultEvent::Link {
+            kind: LinkFaultKind::Drop { probability: 0.5 },
             from: Selector::Clients,
             to: Selector::Replica(4),
             at_ms: 40,
             until_ms: 190, // tail starts at 140
-            probability: 0.5,
         };
         assert!(!spec.liveness_checkable());
 
@@ -729,46 +701,14 @@ mod tests {
     }
 
     #[test]
-    fn process_kill_is_a_benign_windowed_fault() {
-        let mut spec = base_spec();
-        spec.faults = vec![FaultEvent::ProcessKill {
-            replica: 3,
-            at_ms: 50,
-            restart_ms: Some(100),
-        }];
-        spec.validate().expect("valid");
-        assert_eq!(spec.benign_replicas(), BTreeSet::from([3]));
-        assert!(spec.deceit_replicas().is_empty());
-        assert!(spec.liveness_checkable(), "restart closes before the tail");
-
-        // An unrestarted kill leaves the replica down for good: liveness
-        // stops being checkable, exactly like an unhealed crash.
-        spec.faults = vec![FaultEvent::ProcessKill {
-            replica: 3,
-            at_ms: 50,
-            restart_ms: None,
-        }];
-        spec.validate().expect("still valid");
-        assert!(!spec.liveness_checkable());
-
-        // Range checking applies to the kill target too.
-        spec.faults = vec![FaultEvent::ProcessKill {
-            replica: 6,
-            at_ms: 50,
-            restart_ms: None,
-        }];
-        assert!(spec.validate().is_err());
-    }
-
-    #[test]
     fn broad_network_faults_consume_no_budget() {
         let mut spec = base_spec();
-        spec.faults = vec![FaultEvent::DropLink {
+        spec.faults = vec![FaultEvent::Link {
+            kind: LinkFaultKind::Drop { probability: 0.2 },
             from: Selector::Any,
             to: Selector::Any,
             at_ms: 40,
             until_ms: 100,
-            probability: 0.2,
         }];
         spec.validate().expect("valid");
         assert!(spec.benign_replicas().is_empty());

@@ -66,4 +66,4 @@ pub mod sim;
 pub use actor::{Actor, Context};
 pub use metrics::{Metrics, NodeMetrics};
 pub use network::{LinkFault, LinkFaultKind, NetworkConfig, NodeMatcher, Partition};
-pub use sim::{Corruptor, NodeProps, Simulation};
+pub use sim::{NodeProps, Simulation};

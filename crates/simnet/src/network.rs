@@ -111,11 +111,6 @@ impl Partition {
         }
         self.isolated.contains(&a) != self.isolated.contains(&b)
     }
-
-    /// Whether the partition is currently active.
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
 }
 
 /// Selects the nodes on one side of a targeted link fault.
@@ -169,12 +164,10 @@ pub enum LinkFaultKind {
         /// Per-message replay probability in `[0, 1]`.
         probability: f64,
     },
-    /// Corrupt the message in flight with the given probability. If the
-    /// simulation has a typed corruptor installed
-    /// ([`crate::Simulation::set_corruptor`]) the payload is mutated and
-    /// delivered; otherwise the corruption is treated as *detected garble* —
-    /// Basil's channels are authenticated (HMAC), so an undecodable message
-    /// is discarded by the receiver, i.e. a drop counted separately.
+    /// Corrupt the message in flight with the given probability. The
+    /// corruption is a *detected garble*: Basil's channels are authenticated
+    /// (HMAC), so the receiver discards the message — a drop, counted
+    /// separately as `messages_corrupted`.
     Corrupt {
         /// Per-message corruption probability in `[0, 1]`.
         probability: f64,

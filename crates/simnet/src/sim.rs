@@ -41,14 +41,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
-
-/// A typed in-flight message corruptor: mutates a payload that a
-/// [`LinkFaultKind::Corrupt`] fault selected, using the salt for variety.
-/// Installed per simulation via [`Simulation::set_corruptor`]; without one,
-/// corruption models *detected* garbling on an authenticated channel and the
-/// message is discarded instead.
-pub type Corruptor<M> = Arc<dyn Fn(&mut M, u64) + Send + Sync>;
 
 /// Static properties of a simulated node.
 #[derive(Clone, Copy, Debug)]
@@ -189,8 +181,6 @@ struct EventQueue<M> {
     overflow: BinaryHeap<Reverse<Event<M>>>,
     /// Bucket currently being drained through `current`.
     cursor: u64,
-    /// Total events queued.
-    len: usize,
 }
 
 impl<M> EventQueue<M> {
@@ -201,17 +191,11 @@ impl<M> EventQueue<M> {
             wheel_len: 0,
             overflow: BinaryHeap::new(),
             cursor: 0,
-            len: 0,
         }
-    }
-
-    fn len(&self) -> usize {
-        self.len
     }
 
     fn push(&mut self, ev: Event<M>) {
         let b = bucket_of(ev.at);
-        self.len += 1;
         if b <= self.cursor {
             self.current.push(Reverse(ev));
         } else if b - self.cursor < WHEEL_SLOTS as u64 {
@@ -279,9 +263,7 @@ impl<M> EventQueue<M> {
     /// Removes and returns the earliest queued event.
     fn pop(&mut self) -> Option<Event<M>> {
         self.prime();
-        let Reverse(ev) = self.current.pop()?;
-        self.len -= 1;
-        Some(ev)
+        self.current.pop().map(|Reverse(ev)| ev)
     }
 }
 
@@ -302,7 +284,6 @@ pub struct Simulation<M> {
     /// Targeted, time-windowed link faults (see [`LinkFault`]); consulted in
     /// `apply_outputs` only.
     link_faults: Vec<LinkFault>,
-    corruptor: Option<Corruptor<M>>,
     rng: SmallRng,
     /// Registered node ids in sorted order, maintained on `add_node` so
     /// `node_ids` is allocation-free and startup order is deterministic.
@@ -325,7 +306,6 @@ impl<M: Clone + 'static> Simulation<M> {
             network,
             partitions: Vec::new(),
             link_faults: Vec::new(),
-            corruptor: None,
             rng: SmallRng::seed_from_u64(seed),
             node_order: Vec::new(),
             global: Metrics::default(),
@@ -404,11 +384,6 @@ impl<M: Clone + 'static> Simulation<M> {
     /// simulation while iterating.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.node_order.iter().copied()
-    }
-
-    /// Number of registered nodes.
-    pub fn node_count(&self) -> usize {
-        self.slots.len()
     }
 
     /// Immutable access to a registered actor, downcast to its concrete type.
@@ -502,18 +477,6 @@ impl<M: Clone + 'static> Simulation<M> {
         self.link_faults.len() - 1
     }
 
-    /// Removes every installed link fault.
-    pub fn clear_link_faults(&mut self) {
-        self.link_faults.clear();
-    }
-
-    /// Installs the typed corruptor applied by [`LinkFaultKind::Corrupt`]
-    /// faults. Without one, corrupted messages are discarded (detected
-    /// garble on an authenticated channel) rather than mutated.
-    pub fn set_corruptor(&mut self, corruptor: Corruptor<M>) {
-        self.corruptor = Some(corruptor);
-    }
-
     /// Injects a message from the outside world (e.g. the benchmark harness)
     /// to be delivered to `to` at time `at`.
     ///
@@ -599,11 +562,6 @@ impl<M: Clone + 'static> Simulation<M> {
         }
     }
 
-    /// Number of events waiting in the queue.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Delivers one event: core queueing, the handler itself, the per-slot
     /// and global accounting, then the handler's outputs.
     fn dispatch(&mut self, ev: Event<M>) {
@@ -661,7 +619,7 @@ impl<M: Clone + 'static> Simulation<M> {
     ) {
         for out in outputs {
             match out {
-                Output::Send { to, mut msg } => {
+                Output::Send { to, msg } => {
                     self.global.messages_sent += 1;
                     if self.partitions.iter().any(|p| p.blocks(from, to)) {
                         self.global.messages_dropped += 1;
@@ -696,22 +654,13 @@ impl<M: Clone + 'static> Simulation<M> {
                                         replay = true;
                                     }
                                 }
+                                // Detected garble on an authenticated
+                                // channel: the receiver discards it.
                                 LinkFaultKind::Corrupt { probability } => {
                                     if self.rng.gen::<f64>() < probability {
                                         self.global.messages_corrupted += 1;
-                                        match &self.corruptor {
-                                            Some(c) => {
-                                                let salt = self.rng.gen::<u64>();
-                                                c(&mut msg, salt);
-                                            }
-                                            // Detected garble on an
-                                            // authenticated channel: the
-                                            // receiver discards it.
-                                            None => {
-                                                fault_dropped = true;
-                                                break;
-                                            }
-                                        }
+                                        fault_dropped = true;
+                                        break;
                                     }
                                 }
                             }
@@ -1224,33 +1173,6 @@ mod tests {
         let m = sim.metrics();
         assert_eq!(m.messages_corrupted, 5);
         assert_eq!(m.messages_dropped, 5);
-    }
-
-    #[test]
-    fn corrupt_with_corruptor_mutates_payload() {
-        let mut sim = build_ping_pong(1, NetworkConfig::lan(), 3, 1, Duration::ZERO);
-        sim.set_corruptor(std::sync::Arc::new(|msg: &mut Msg, _salt| {
-            if let Msg::Ping(i) = msg {
-                *i += 100;
-            }
-        }));
-        sim.add_link_fault(LinkFault::new(
-            LinkFaultKind::Corrupt { probability: 1.0 },
-            NodeMatcher::Node(client(1)),
-            NodeMatcher::Node(client(2)),
-            SimTime::ZERO,
-            SimTime::from_secs(1),
-        ));
-        sim.run_until(SimTime::from_millis(10));
-        let mut pongs = sim
-            .actor::<Pinger>(client(1))
-            .expect("pinger")
-            .pongs_received
-            .clone();
-        pongs.sort_unstable();
-        assert_eq!(pongs, vec![100, 101, 102]);
-        assert_eq!(sim.metrics().messages_corrupted, 3);
-        assert_eq!(sim.metrics().messages_dropped, 0);
     }
 
     /// Events queued across many buckets and in the same bucket pop in

@@ -823,21 +823,11 @@ impl MvtsoStore {
         self.prepared_txs.contains_key(txid)
     }
 
-    /// The prepared transaction's metadata, if present.
-    pub fn prepared_tx(&self, txid: &TxId) -> Option<&Transaction> {
-        self.prepared_txs.get(txid).map(|p| p.tx.as_ref())
-    }
-
     /// The prepared transaction's shared metadata, if present (a reference
     /// count bump, not a copy — used to embed the transaction in read
     /// replies).
     pub fn prepared_tx_shared(&self, txid: &TxId) -> Option<Arc<Transaction>> {
         self.prepared_txs.get(txid).map(|p| Arc::clone(&p.tx))
-    }
-
-    /// The committed transaction's metadata, if present.
-    pub fn committed_tx(&self, txid: &TxId) -> Option<&Transaction> {
-        self.committed_txs.get(txid).map(|tx| tx.as_ref())
     }
 
     /// Whether the transaction's vote is currently withheld waiting on

@@ -262,15 +262,6 @@ impl<V> VersionArray<V> {
         self.entries.drop_front(idx);
         idx
     }
-
-    /// Keeps only the `n` newest entries, draining the older prefix in
-    /// place; returns how many entries were dropped. Used to bound
-    /// retained-history arrays whose consumers only need a recent window.
-    pub fn keep_newest(&mut self, n: usize) -> usize {
-        let dropped = self.entries.len().saturating_sub(n);
-        self.entries.drop_front(dropped);
-        dropped
-    }
 }
 
 /// Width of one [`ReaderSummary`] time bucket as a power-of-two shift of
@@ -425,17 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn keep_newest_bounds_the_array() {
-        let mut a = filled(&[10, 20, 30, 40]);
-        assert_eq!(a.keep_newest(10), 0, "already within bound");
-        assert_eq!(a.keep_newest(2), 2);
-        let left: Vec<u64> = a.iter().map(|(_, v)| *v).collect();
-        assert_eq!(left, vec![30, 40]);
-        assert_eq!(a.keep_newest(0), 2);
-        assert!(a.is_empty());
-    }
-
-    #[test]
     fn drop_below_retains_suffix_in_place() {
         let mut a = filled(&[10, 20, 30, 40]);
         assert_eq!(a.drop_below(ts(30)), 2);
@@ -459,7 +439,7 @@ mod tests {
         assert_eq!(a.drop_below(ts(20)), 1);
         assert!(matches!(a.entries, InlineOne::Many(_)), "capacity is kept");
         assert_eq!(a, filled(&[20]), "equality is by content, not by form");
-        assert_eq!(a.keep_newest(0), 1);
+        assert_eq!(a.drop_below(ts(30)), 1);
         assert_eq!(a, VersionArray::new());
     }
 
@@ -507,18 +487,18 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(512))]
 
-            /// Insert, remove, `drop_below` and `keep_newest` over six
+            /// Insert, remove and `drop_below` over six
             /// timestamps, so the array keeps crossing the empty / inline /
             /// spilled boundaries in both directions, answer every query as
             /// the `BTreeMap` does — from a fresh (inline) array and from one
             /// that had already spilled.
             #[test]
             fn every_operation_matches(
-                ops in proptest::collection::vec((0u8..7, 0u64..6, 0u64..1_000), 1..40)
+                ops in proptest::collection::vec((0u8..6, 0u64..6, 0u64..1_000), 1..40)
             ) {
                 let mut fresh = VersionArray::new();
                 let mut spilled = filled(&[1, 2]);
-                spilled.keep_newest(0);
+                spilled.drop_below(ts(3));
                 let mut model = BTreeMap::new();
                 for (kind, t, v) in ops {
                     match kind {
@@ -534,21 +514,12 @@ mod tests {
                             prop_assert_eq!(fresh.remove(ts(t)), want);
                             prop_assert_eq!(spilled.remove(ts(t)), want);
                         }
-                        5 => {
+                        _ => {
                             let kept = model.split_off(&ts(t));
                             let want = model.len();
                             model = kept;
                             prop_assert_eq!(fresh.drop_below(ts(t)), want);
                             prop_assert_eq!(spilled.drop_below(ts(t)), want);
-                        }
-                        _ => {
-                            let n = (v % 3) as usize;
-                            let want = model.len().saturating_sub(n);
-                            for _ in 0..want {
-                                model.pop_first();
-                            }
-                            prop_assert_eq!(fresh.keep_newest(n), want);
-                            prop_assert_eq!(spilled.keep_newest(n), want);
                         }
                     }
                     check(&fresh, &model);

@@ -19,9 +19,6 @@ fn run_scenario() -> BasilCluster {
     let basil = BasilConfig::bench(SystemConfig::sharded(2))
         .with_batch_size(16)
         .with_admission_bound(8);
-    let basil = basil
-        .clone()
-        .with_verify_grouping(basil.system.batch_timeout);
     let config = ClusterConfig::basil_default(8)
         .with_basil(basil)
         .with_seed(11);

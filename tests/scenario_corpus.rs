@@ -91,16 +91,64 @@ fn corpus_replays_match_pinned_outcomes_on_both_runtimes() {
     }
 }
 
-/// The corpus stays canonical: decoding an entry and re-encoding it must
-/// reproduce the file's spec exactly (comments aside), so hand edits can't
-/// drift from what the codec writes.
+/// The corpus stays canonical: each file, its `//` comment lines aside, is
+/// byte for byte what the codec writes for the spec it decodes to, so hand
+/// edits can't drift from the encoder.
 #[test]
 fn corpus_entries_round_trip_through_the_codec() {
     for path in corpus_files() {
         let name = path.file_name().unwrap().to_string_lossy().to_string();
         let text = std::fs::read_to_string(&path).expect("readable");
         let spec = ron::decode(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let re = ron::decode(&ron::encode(&spec)).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(re, spec, "{name}: encode/decode round-trip");
+        let body: String = text
+            .lines()
+            .filter(|line| !line.starts_with("//"))
+            .map(|line| format!("{line}\n"))
+            .collect();
+        assert_eq!(
+            ron::encode(&spec),
+            body,
+            "{name}: not the canonical encoding"
+        );
+    }
+}
+
+/// A time field at `u64::MAX` is refused as an error, not a panic: not in
+/// `validate`'s arithmetic, and not later, where the runner turns every
+/// window into simulated time.
+#[test]
+fn corpus_entries_with_a_u64_max_time_field_are_errors() {
+    for path in corpus_files() {
+        let name = path.file_name().unwrap().to_string_lossy().to_string();
+        let text = std::fs::read_to_string(&path).expect("readable");
+        let mut tried = 0;
+        for line in text.lines().filter(|line| !line.starts_with("//")) {
+            // Every `*_ms` and `*_us` field, bare (`at_ms: 50`) or optional
+            // (`restart_ms: Some(90)`).
+            for (at, _) in line.match_indices(':') {
+                let field = line[..at]
+                    .rsplit(|c: char| !(c.is_alphanumeric() || c == '_'))
+                    .next()
+                    .unwrap_or_default();
+                if !(field.ends_with("_ms") || field.ends_with("_us")) {
+                    continue;
+                }
+                let value = line[at + 1..].trim_start();
+                let value = value.strip_prefix("Some(").unwrap_or(value);
+                let digits = value
+                    .find(|c: char| !(c.is_ascii_digit() || c == '-'))
+                    .unwrap_or(value.len());
+                if digits == 0 {
+                    continue; // `None`
+                }
+                let start = line.len() - value.len();
+                let maxed_line = format!("{}{}{}", &line[..start], u64::MAX, &value[digits..]);
+                let maxed = text.replacen(line, &maxed_line, 1);
+                let verdict = ron::decode(&maxed).and_then(|spec| spec.validate());
+                assert!(verdict.is_err(), "{name}: {field} = u64::MAX was accepted");
+                tried += 1;
+            }
+        }
+        assert!(tried >= 4, "{name}: only {tried} time fields found");
     }
 }
