@@ -21,6 +21,7 @@ use basil_store::{Transaction, TransactionBuilder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -28,7 +29,7 @@ use std::sync::Arc;
 struct Preparing {
     tx: Arc<Transaction>,
     txid: TxId,
-    involved: Vec<ShardId>,
+    involved: Cow<'static, [ShardId]>,
     /// Per shard: votes by replica index.
     votes: HashMap<ShardId, HashMap<u32, OccVote>>,
     decided: HashMap<ShardId, bool>,
@@ -37,7 +38,7 @@ struct Preparing {
 #[derive(Debug)]
 struct Deciding {
     txid: TxId,
-    involved: Vec<ShardId>,
+    involved: Cow<'static, [ShardId]>,
     commit: bool,
     acks: HashMap<ShardId, HashSet<u32>>,
 }
@@ -308,7 +309,7 @@ impl BaselineClient {
         &mut self,
         ctx: &mut Context<BaselineMsg>,
         txid: TxId,
-        involved: Vec<ShardId>,
+        involved: Cow<'static, [ShardId]>,
         commit: bool,
     ) {
         self.submit(ctx, &involved, ShardRequest::Decide { txid, commit }, true);

@@ -98,16 +98,20 @@ fn bench_cert_validation(c: &mut Criterion) {
 /// Raw event-scheduler churn: many concurrent ping-pong pairs on a jittery
 /// LAN, no protocol logic, so the measured cost is queue push/pop plus actor
 /// dispatch. This is the micro-benchmark behind the ROADMAP item on the
-/// simulator's event queue dominating at high client counts.
+/// simulator's event queue dominating at high client counts. The `_fat` row
+/// carries a 240-byte message (`BasilMsg`'s size when it was added), so it
+/// also measures what moving a message through the queue costs.
 mod sched {
     use super::*;
     use basil_simnet::{Actor, Context, NetworkConfig, NodeProps, Simulation};
     use std::any::Any;
 
+    /// A ping or pong carrying `PAD` payload bytes: `Msg<0>` is 8 bytes,
+    /// `Msg<232>` 240.
     #[derive(Clone, Debug)]
-    pub enum Msg {
-        Ping(u32),
-        Pong(u32),
+    pub enum Msg<const PAD: usize> {
+        Ping(u32, [u8; PAD]),
+        Pong(u32, [u8; PAD]),
     }
 
     pub struct Pinger {
@@ -116,17 +120,17 @@ mod sched {
         pub window: u32,
     }
 
-    impl Actor<Msg> for Pinger {
-        fn on_start(&mut self, ctx: &mut Context<Msg>) {
+    impl<const PAD: usize> Actor<Msg<PAD>> for Pinger {
+        fn on_start(&mut self, ctx: &mut Context<Msg<PAD>>) {
             for i in 0..self.window {
-                ctx.send(self.peer, Msg::Ping(i));
+                ctx.send(self.peer, Msg::Ping(i, [0; PAD]));
             }
         }
-        fn on_message(&mut self, ctx: &mut Context<Msg>, _from: NodeId, msg: Msg) {
-            if let Msg::Pong(i) = msg {
+        fn on_message(&mut self, ctx: &mut Context<Msg<PAD>>, _from: NodeId, msg: Msg<PAD>) {
+            if let Msg::Pong(i, body) = msg {
                 if self.remaining > 0 {
                     self.remaining -= 1;
-                    ctx.send(self.peer, Msg::Ping(i));
+                    ctx.send(self.peer, Msg::Ping(i, body));
                 }
             }
         }
@@ -140,10 +144,10 @@ mod sched {
 
     pub struct Echoer;
 
-    impl Actor<Msg> for Echoer {
-        fn on_message(&mut self, ctx: &mut Context<Msg>, from: NodeId, msg: Msg) {
-            if let Msg::Ping(i) = msg {
-                ctx.send(from, Msg::Pong(i));
+    impl<const PAD: usize> Actor<Msg<PAD>> for Echoer {
+        fn on_message(&mut self, ctx: &mut Context<Msg<PAD>>, from: NodeId, msg: Msg<PAD>) {
+            if let Msg::Ping(i, body) = msg {
+                ctx.send(from, Msg::Pong(i, body));
             }
         }
         fn as_any(&self) -> &dyn Any {
@@ -154,10 +158,10 @@ mod sched {
         }
     }
 
-    /// Builds `pairs` pinger/echoer pairs and runs them to completion,
-    /// returning the number of events processed.
-    pub fn run(pairs: u64, round_trips: u32) -> u64 {
-        let mut sim: Simulation<Msg> = Simulation::new(7, NetworkConfig::lan());
+    /// Builds `pairs` pinger/echoer pairs exchanging `Msg<PAD>` and runs them
+    /// to completion, returning the number of events processed.
+    pub fn run<const PAD: usize>(pairs: u64, round_trips: u32) -> u64 {
+        let mut sim: Simulation<Msg<PAD>> = Simulation::new(7, NetworkConfig::lan());
         for p in 0..pairs {
             let pinger = NodeId::Client(ClientId(2 * p));
             let echoer = NodeId::Client(ClientId(2 * p + 1));
@@ -182,9 +186,13 @@ fn bench_scheduler(c: &mut Criterion) {
     group.sample_size(10);
     for pairs in [16u64, 256] {
         group.bench_function(&format!("ping_pong_{pairs}pairs"), |b| {
-            b.iter(|| sched::run(pairs, 200))
+            b.iter(|| sched::run::<0>(pairs, 200))
         });
     }
+    assert_eq!(std::mem::size_of::<sched::Msg<232>>(), 240);
+    group.bench_function("ping_pong_256pairs_fat", |b| {
+        b.iter(|| sched::run::<232>(256, 200))
+    });
     group.finish();
 }
 

@@ -14,25 +14,25 @@ use crate::messages::{ProtoDecision, ProtoVote, SignedSt1Reply, SignedSt2Reply, 
 use crate::views::logging_shard;
 use basil_common::{Duration, NodeId, ReplicaId, ShardConfig, ShardId, TxId};
 use basil_crypto::BatchProof;
-use std::collections::HashSet;
 use std::sync::Arc;
 
-/// Allocation-free set of replica indices for quorum counting. Shards have
-/// `n = 5f + 1` replicas, so a 64-bit mask covers every deployment up to
-/// `f = 12`; larger indices (only reachable with hand-built configs) spill
-/// into a heap set.
+/// Allocation-free set of small indices: the replica indices a quorum
+/// counted, or the shards a certificate covers. Shards have `n = 5f + 1`
+/// replicas, so a 64-bit mask covers every deployment up to `f = 12` (and up
+/// to 64 shards); larger indices (only reachable with hand-built configs)
+/// spill into a short list.
 #[derive(Default)]
-struct ReplicaIndexSet {
+struct IndexSet {
     mask: u64,
-    spill: Option<HashSet<u32>>,
+    spill: Vec<u32>,
 }
 
-impl ReplicaIndexSet {
+impl IndexSet {
     fn insert(&mut self, index: u32) {
         if index < 64 {
             self.mask |= 1u64 << index;
-        } else {
-            self.spill.get_or_insert_with(HashSet::new).insert(index);
+        } else if !self.spill.contains(&index) {
+            self.spill.push(index);
         }
     }
 
@@ -40,8 +40,12 @@ impl ReplicaIndexSet {
         if index < 64 {
             self.mask & (1u64 << index) != 0
         } else {
-            self.spill.as_ref().is_some_and(|s| s.contains(&index))
+            self.spill.contains(&index)
         }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.mask == 0 && self.spill.is_empty()
     }
 }
 
@@ -162,7 +166,7 @@ pub(crate) fn count_distinct_signed<'a, T, B: SignedPayload + 'a>(
     part: impl Fn(&'a T) -> Option<(ReplicaId, &'a B, Option<&'a BatchProof>)>,
     mut counted: impl FnMut(&'a T),
 ) -> (u32, Duration) {
-    let mut seen = ReplicaIndexSet::default();
+    let mut seen = IndexSet::default();
     let (mut count, mut cost) = (0, Duration::ZERO);
     for item in items {
         let Some((replica, body, proof)) = part(item) else {
@@ -300,7 +304,7 @@ pub fn validate_st2_justification(
     let mut cost = Duration::ZERO;
     match decision {
         ProtoDecision::Commit => {
-            let mut supported: HashSet<ShardId> = HashSet::new();
+            let mut supported = IndexSet::default();
             for sv in shard_votes {
                 if sv.txid != txid || !sv.decision.is_commit() {
                     continue;
@@ -308,11 +312,11 @@ pub fn validate_st2_justification(
                 let v = validate_tally_for_decision(sv, ProtoDecision::Commit, cfg, engine);
                 cost += v.cost;
                 if v.valid {
-                    supported.insert(sv.shard);
+                    supported.insert(sv.shard.0);
                 }
             }
             let valid = match expected_shards {
-                Some(shards) => shards.iter().all(|s| supported.contains(s)),
+                Some(shards) => shards.iter().all(|s| supported.contains(s.0)),
                 None => !supported.is_empty(),
             };
             Validation { valid, cost }
@@ -353,7 +357,7 @@ pub fn validate_commit_cert(
     }
     let mut cost = Duration::ZERO;
     // Fast path: every involved shard must have a unanimous vote set.
-    let mut supported: HashSet<ShardId> = HashSet::new();
+    let mut supported = IndexSet::default();
     for sv in &cert.fast_votes {
         if sv.txid != cert.txid || !sv.decision.is_commit() {
             continue;
@@ -361,11 +365,11 @@ pub fn validate_commit_cert(
         let v = validate_fast_shard_votes(sv, cfg, engine);
         cost += v.cost;
         if v.valid {
-            supported.insert(sv.shard);
+            supported.insert(sv.shard.0);
         }
     }
     let valid = match expected_shards {
-        Some(shards) => !shards.is_empty() && shards.iter().all(|s| supported.contains(s)),
+        Some(shards) => !shards.is_empty() && shards.iter().all(|s| supported.contains(s.0)),
         None => !supported.is_empty(),
     };
     Validation { valid, cost }
@@ -499,6 +503,19 @@ mod tests {
             votes,
             conflict: None,
         }
+    }
+
+    #[test]
+    fn index_set_spills_past_the_mask_without_duplicates() {
+        let mut set = IndexSet::default();
+        assert!(set.is_empty());
+        for i in [3, 63, 64, 200, 200] {
+            set.insert(i);
+        }
+        assert!(!set.is_empty());
+        assert!([3, 63, 64, 200].iter().all(|&i| set.contains(i)));
+        assert!(!set.contains(4) && !set.contains(65));
+        assert_eq!(set.spill, [64, 200]);
     }
 
     #[test]

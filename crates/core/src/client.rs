@@ -38,6 +38,7 @@ use basil_simnet::{Actor, Context};
 use basil_store::session::{Session, SessionStats, Step as SessionStep};
 use basil_store::{Transaction, TransactionBuilder};
 use std::any::Any;
+use std::borrow::Cow;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
@@ -140,7 +141,7 @@ enum Step {
 struct Commit {
     tx: Arc<Transaction>,
     txid: TxId,
-    involved: Vec<ShardId>,
+    involved: Cow<'static, [ShardId]>,
     slog: ShardId,
     recovery: bool,
     /// Whether unanimous votes decide without logging (`false`: NoFP).

@@ -87,6 +87,10 @@ pub struct SigEngine {
     /// calls, so real-crypto batch signing pays no per-flush tree rebuild
     /// and no steady-state allocation.
     frontier: MerkleFrontier,
+    /// Scratch for one payload's signed encoding under real crypto.
+    encoding: Vec<u8>,
+    /// The proofs [`SigEngine::sign_batch`] hands out; empty between calls.
+    proofs: Vec<Option<BatchProof>>,
 }
 
 impl SigEngine {
@@ -101,6 +105,8 @@ impl SigEngine {
             enabled: cfg.signatures_enabled(),
             dummy_counter: 0,
             frontier: MerkleFrontier::new(),
+            encoding: Vec::new(),
+            proofs: Vec::new(),
         }
     }
 
@@ -172,50 +178,47 @@ impl SigEngine {
     }
 
     /// Signs a batch of payloads (replica reply batching). Returns one proof
-    /// per payload plus the total CPU cost of building and signing the
-    /// batch. Payloads are only materialized under real crypto.
+    /// per payload, in payload order, plus the total CPU cost of building
+    /// and signing the batch. Payloads are only materialized under real
+    /// crypto. The proofs are drained from a buffer the engine reuses across
+    /// batches, like its Merkle frontier and encoding scratch.
     pub fn sign_batch<P: SignedPayload>(
         &mut self,
         payloads: &[P],
-    ) -> (Vec<Option<BatchProof>>, Duration) {
-        if payloads.is_empty() {
-            return (Vec::new(), Duration::ZERO);
-        }
+    ) -> (std::vec::Drain<'_, Option<BatchProof>>, Duration) {
+        let n = payloads.len();
+        let mut cost = Duration::ZERO;
         if !self.enabled {
-            return (vec![None; payloads.len()], Duration::ZERO);
-        }
-        let avg_len = payloads.iter().map(P::encoded_len).sum::<usize>() / payloads.len();
-        let cost = self.cost.batch_sign_cost(payloads.len(), avg_len.max(1));
-        match self.mode {
-            CryptoMode::Real => {
-                // Incremental frontier instead of a full tree rebuild: each
-                // payload's leaf is folded in as it is encoded, and sealing
-                // only materializes the O(log b) right edge. The scratch
-                // frontier's allocations are recycled across batches.
-                self.frontier.reset();
-                for payload in payloads {
-                    self.frontier.append(&payload.to_bytes());
+            self.proofs.resize(n, None);
+        } else if let Some(avg_len) = payloads
+            .iter()
+            .map(P::encoded_len)
+            .sum::<usize>()
+            .checked_div(n)
+        {
+            cost = self.cost.batch_sign_cost(n, avg_len.max(1));
+            match self.mode {
+                CryptoMode::Real => {
+                    // Incremental frontier instead of a full tree rebuild:
+                    // each payload's leaf is folded in as it is encoded, and
+                    // sealing only materializes the O(log b) right edge.
+                    self.frontier.reset();
+                    for payload in payloads {
+                        self.encoding.clear();
+                        payload.write_signed(&mut self.encoding);
+                        self.frontier.append(&self.encoding);
+                    }
+                    let proofs = sign_frontier(&self.keypair, &mut self.frontier).map(Some);
+                    self.proofs.extend(proofs);
                 }
-                let proofs = sign_frontier(&self.keypair, &mut self.frontier)
-                    .map(Some)
-                    .collect();
-                (proofs, cost)
-            }
-            CryptoMode::Simulated => {
-                self.dummy_counter += 1;
-                (
-                    vec![
-                        Some(dummy_proof(
-                            self.keypair.node(),
-                            self.dummy_counter,
-                            payloads.len()
-                        ));
-                        payloads.len()
-                    ],
-                    cost,
-                )
+                CryptoMode::Simulated => {
+                    self.dummy_counter += 1;
+                    let proof = dummy_proof(self.keypair.node(), self.dummy_counter, n);
+                    self.proofs.extend(std::iter::repeat_n(Some(proof), n));
+                }
             }
         }
+        (self.proofs.drain(..), cost)
     }
 
     /// Verifies a signed payload. When `proof` is `None` the message is
@@ -422,6 +425,7 @@ mod tests {
         let (mut signer, mut verifier) = engine(CryptoMode::Real, true);
         let payloads: Vec<Vec<u8>> = (0..16).map(|i| format!("reply {i}").into_bytes()).collect();
         let (proofs, batch_cost) = signer.sign_batch(&payloads);
+        let proofs: Vec<_> = proofs.collect();
         assert_eq!(proofs.len(), 16);
         let (single, single_cost) = signer.sign(b"reply 0");
         assert!(single.is_some());
@@ -446,15 +450,20 @@ mod tests {
         let payloads: Vec<Vec<u8>> = (0..13).map(|i| format!("reply {i}").into_bytes()).collect();
         let (proofs, _) = signer.sign_batch(&payloads);
         let tree = MerkleTree::build(&payloads);
-        for (i, proof) in proofs.iter().enumerate() {
-            let proof = proof.as_ref().expect("signed");
+        assert_eq!(proofs.len(), 13);
+        for (i, proof) in proofs.enumerate() {
+            let proof = proof.expect("signed");
             assert_eq!(proof.root, tree.root());
             assert_eq!(proof.inclusion, tree.prove(i));
         }
-        // The scratch frontier resets cleanly between batches.
-        let (proofs2, _) = signer.sign_batch(&payloads[..5]);
+        // The scratch frontier and proof buffer reset cleanly between
+        // batches, also after a batch whose proofs were not all taken.
+        let (mut proofs2, _) = signer.sign_batch(&payloads[..5]);
         let tree2 = MerkleTree::build(&payloads[..5]);
-        assert_eq!(proofs2[0].as_ref().expect("signed").root, tree2.root());
+        assert_eq!(proofs2.next().flatten().expect("signed").root, tree2.root());
+        drop(proofs2);
+        let (proofs3, _) = signer.sign_batch(&payloads[..3]);
+        assert_eq!(proofs3.len(), 3);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 use crate::certs::{ShardVotes, VoteCert};
 use crate::messages::{ProtoDecision, ProtoVote, SignedSt1Reply, SignedSt2Reply, View};
 use basil_common::{FastHashMap, ShardConfig, ShardId, TxId};
-use std::collections::HashMap;
 
 /// How a shard's stage-1 votes were classified.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -332,13 +331,16 @@ impl St2Tally {
 
     /// Tries to conclude stage ST2.
     pub fn classify(&self) -> Option<St2Outcome> {
-        // Group by (decision, view_decision).
-        let mut groups: HashMap<(ProtoDecision, View), Vec<&SignedSt2Reply>> = HashMap::new();
+        // Group by (decision, view_decision): a shard's handful of replies
+        // form a handful of groups, so a list scan beats hashing. At most
+        // one group can reach `n - f` of `n` replies.
+        let mut groups: Vec<((ProtoDecision, View), Vec<&SignedSt2Reply>)> = Vec::new();
         for r in self.replies.values() {
-            groups
-                .entry((r.body.decision, r.body.view_decision))
-                .or_default()
-                .push(r);
+            let group = (r.body.decision, r.body.view_decision);
+            match groups.iter_mut().find(|(g, _)| *g == group) {
+                Some((_, members)) => members.push(r),
+                None => groups.push((group, vec![r])),
+            }
         }
         let quorum = self.cfg.st2_quorum();
         for ((decision, view), members) in &groups {
@@ -354,7 +356,7 @@ impl St2Tally {
         }
         // Divergence: even if every missing replica joined the largest group,
         // no quorum could form.
-        let largest = groups.values().map(Vec::len).max().unwrap_or(0) as u32;
+        let largest = groups.iter().map(|(_, m)| m.len()).max().unwrap_or(0) as u32;
         let outstanding = self.cfg.n() - self.total();
         if largest + outstanding < quorum {
             return Some(St2Outcome::Divergent {

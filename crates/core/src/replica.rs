@@ -19,8 +19,7 @@ use crate::messages::{
 };
 use crate::views::{fallback_leader_index, logging_shard, next_view};
 use basil_common::{
-    ClientId, FastHashMap, FastHashSet, Key, NodeId, ReplicaId, ShardId, SimTime, Timestamp, TxId,
-    Value,
+    ClientId, FastHashMap, FastHashSet, Key, NodeId, ReplicaId, SimTime, Timestamp, TxId, Value,
 };
 use basil_simnet::{Actor, Context};
 use basil_store::{CheckOutcome, MvtsoStore, Transaction, Vote, Wal, WalRecord};
@@ -104,9 +103,11 @@ enum PendingReply {
     St2(St2ReplyBody),
 }
 
-impl crate::crypto_engine::SignedPayload for PendingReply {
+/// A queued reply signs as its body (its destination is not signed), so the
+/// batch is signed straight from `out_batch`.
+impl crate::crypto_engine::SignedPayload for (NodeId, PendingReply) {
     fn write_signed(&self, out: &mut impl basil_common::codec::Sink) {
-        match self {
+        match &self.1 {
             PendingReply::Read(b) => b.write_signed(out),
             PendingReply::St1(b, _) => b.write_signed(out),
             PendingReply::St2(b) => b.write_signed(out),
@@ -387,13 +388,13 @@ impl BasilReplica {
         if self.out_batch.is_empty() {
             return;
         }
-        let batch: Vec<(NodeId, PendingReply)> = std::mem::take(&mut self.out_batch);
+        let per_reply = self.engine.message_cost();
         // Lazy payloads: under simulated crypto only the lengths are read.
-        let payloads: Vec<&PendingReply> = batch.iter().map(|(_, r)| r).collect();
-        let (proofs, cost) = self.engine.sign_batch(&payloads);
+        // The batch is drained in place, so it keeps its capacity.
+        let (proofs, cost) = self.engine.sign_batch(&self.out_batch);
         ctx.charge(cost);
         self.stats.batches_signed += 1;
-        for ((to, reply), proof) in batch.into_iter().zip(proofs) {
+        for ((to, reply), proof) in self.out_batch.drain(..).zip(proofs) {
             let msg = match reply {
                 PendingReply::Read(body) => BasilMsg::ReadReply(ReadReply { body, proof }),
                 PendingReply::St1(body, conflict) => BasilMsg::St1Reply(SignedSt1Reply {
@@ -403,7 +404,7 @@ impl BasilReplica {
                 }),
                 PendingReply::St2(body) => BasilMsg::St2Reply(SignedSt2Reply { body, proof }),
             };
-            ctx.charge(self.engine.message_cost());
+            ctx.charge(per_reply);
             ctx.send(to, msg);
         }
     }
@@ -696,7 +697,7 @@ impl BasilReplica {
 
     fn apply_st2(&mut self, ctx: &mut Context<BasilMsg>, from: NodeId, st2: St2) {
         let txid = st2.txid;
-        let expected_shards: Option<Vec<ShardId>> = self
+        let expected_shards = self
             .records
             .get(&txid)
             .and_then(|r| r.tx.as_ref())
@@ -766,7 +767,7 @@ impl BasilReplica {
         if known.and_then(|r| r.decided).is_some() {
             return; // already applied
         }
-        let expected_shards: Option<Vec<ShardId>> = known
+        let expected_shards = known
             .and_then(|r| r.tx.as_ref())
             .or(wb.tx.as_ref())
             .map(|tx| tx.involved_shards(self.cfg.system.num_shards));
@@ -1234,7 +1235,7 @@ mod tests {
     use super::*;
     use crate::certs::ShardVotes;
     use crate::config::CryptoMode;
-    use basil_common::{ClientId, SimTime, Timestamp};
+    use basil_common::{ClientId, ShardId, SimTime, Timestamp};
     use basil_crypto::KeyRegistry;
     use basil_store::TransactionBuilder;
     use std::collections::HashSet;
@@ -1847,7 +1848,7 @@ mod tests {
         b.record_write(Key::new(key_on(1)), Value::from_u64(2));
         let tx = b.build_shared();
         let involved = tx.involved_shards(two_shards.system.num_shards);
-        assert_eq!(involved, [ShardId(0), ShardId(1)]);
+        assert_eq!(*involved, [ShardId(0), ShardId(1)]);
         let slog = logging_shard(tx.id(), &involved).expect("two shards");
 
         // A commit quorum from each shard: the justification is complete.
@@ -1857,7 +1858,7 @@ mod tests {
             .collect();
         let st2 = signed_st2(&tx, ProtoDecision::Commit, tallies);
 
-        for shard in involved {
+        for &shard in involved.iter() {
             let id = ReplicaId::new(shard, 0);
             let mut r = BasilReplica::new(
                 id,
@@ -2004,6 +2005,79 @@ mod tests {
             BasilMsg::ReplicaTimer(ReplicaTimer::BatchFlush),
         );
         assert_eq!(sent_to(&timer_ctx, client_node()).len(), 1);
+    }
+
+    /// A `BatchFlush` that falls due while the replica is warm-crashed fires
+    /// at the restart, so the replica does not keep believing a flush is
+    /// armed: a single request after the restart is answered within
+    /// `batch_timeout`, not once a full batch has piled up.
+    #[test]
+    fn batch_flush_pending_across_a_warm_crash_still_fires() {
+        use basil_common::Duration;
+        use basil_simnet::sim::NodeProps;
+        use basil_simnet::{NetworkConfig, Simulation};
+
+        struct Reader {
+            replies: Vec<(u64, SimTime)>,
+        }
+        impl Actor<BasilMsg> for Reader {
+            fn on_message(&mut self, ctx: &mut Context<BasilMsg>, _from: NodeId, msg: BasilMsg) {
+                if let BasilMsg::ReadReply(reply) = msg {
+                    self.replies.push((reply.body.req_id, ctx.now()));
+                }
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+
+        let mut batched = cfg();
+        batched.system.batch_size = 8;
+        let timeout = batched.system.batch_timeout;
+        let replica = BasilReplica::new(
+            ReplicaId::new(ShardId(0), 0),
+            batched,
+            registry(),
+            ReplicaBehavior::Correct,
+            [(Key::new("x"), Value::from_u64(0))],
+        );
+        let rid = NodeId::Replica(replica.id());
+        let mut sim = Simulation::new(1, NetworkConfig::instant());
+        sim.add_node(rid, NodeProps::replica(), Box::new(replica));
+        sim.add_node(
+            client_node(),
+            NodeProps::client(),
+            Box::new(Reader { replies: vec![] }),
+        );
+        // The first read arms the flush timer; the replica crashes before
+        // it is due and stays down past it.
+        let read = |id, at: SimTime| BasilMsg::Read(signed_read(id, "x", at.as_nanos()));
+        let first = SimTime::from_millis(1);
+        sim.inject(rid, client_node(), read(1, first), first);
+        sim.run_until(first + Duration::from_micros(100));
+        sim.crash(rid);
+        sim.run_until(SimTime::from_millis(3));
+        sim.restart(rid);
+
+        let second = SimTime::from_millis(4);
+        sim.inject(rid, client_node(), read(2, second), second);
+        sim.run_until(second + timeout * 4);
+        let reader: &Reader = sim.actor(client_node()).expect("reader");
+        let answered = reader
+            .replies
+            .iter()
+            .find(|(id, _)| *id == 2)
+            .map(|(_, at)| *at - second)
+            .expect("the read after the restart is answered");
+        // The flush delay plus the two handlers' CPU.
+        assert!(
+            answered < timeout + Duration::from_micros(100),
+            "answered after {answered:?}"
+        );
+        assert!(reader.replies.iter().any(|(id, _)| *id == 1));
     }
 
     #[test]

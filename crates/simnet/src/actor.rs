@@ -76,12 +76,25 @@ impl<M> Context<M> {
     /// Creates a context for one handler invocation. Used by the simulator
     /// and by unit tests that drive actors directly.
     pub fn new(self_id: NodeId, now: SimTime, local_clock: SimTime) -> Self {
+        Context::reusing(self_id, now, local_clock, Vec::new())
+    }
+
+    /// A context that records into `outputs`, an empty buffer whose capacity
+    /// the simulator hands from one handler to the next; [`Context::finish`]
+    /// gives it back.
+    pub(crate) fn reusing(
+        self_id: NodeId,
+        now: SimTime,
+        local_clock: SimTime,
+        outputs: Vec<Output<M>>,
+    ) -> Self {
+        debug_assert!(outputs.is_empty(), "a handler starts with no outputs");
         Context {
             self_id,
             now,
             local_clock,
             charged: Duration::ZERO,
-            outputs: Vec::new(),
+            outputs,
         }
     }
 
@@ -146,6 +159,8 @@ impl<M> Context<M> {
     }
 
     /// Consumes the context, returning the recorded outputs and CPU charge.
+    /// (The simulator drains the outputs and reuses the buffer for the next
+    /// handler.)
     pub fn finish(self) -> (Vec<Output<M>>, Duration) {
         (self.outputs, self.charged)
     }

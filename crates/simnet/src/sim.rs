@@ -6,21 +6,42 @@
 //! destination actor, run its handler, enqueue its outputs. The original
 //! implementation kept one global `BinaryHeap` of events and looked actors
 //! up in a `HashMap<NodeId, _>` per delivery; both dominate profiles at
-//! high client counts. This version is index-addressed:
+//! high client counts. This version is index-addressed, and a message is
+//! written once and read once on its way through it:
 //!
 //! * **Dense actor slots** — `add_node` assigns each node a slot in a
 //!   `Vec`; destination `NodeId`s are resolved to slot indices once, when a
-//!   message is *sent*, so a delivery is a bounds-checked array access.
-//!   Per-node metrics live in the slot, so the per-delivery accounting
-//!   touches no hash map either.
-//! * **Bucketed calendar queue** — events are filed by time bucket
-//!   (2¹⁶ ns ≈ 66 µs wide). Events in the bucket currently being drained
+//!   message is *sent* (one `FastHashMap` probe), so a delivery is a
+//!   bounds-checked array access. Per-node metrics live in the slot, so the
+//!   per-delivery accounting touches no hash map either.
+//! * **Keys over a slab** — the queue orders 24-byte `Copy` keys
+//!   `(at, seq, idx)`. The payload (destination slot, sender, message,
+//!   timer flag) is written once into a free-listed slab at push and taken
+//!   out once at pop; heap sifts and bucket spills move keys only.
+//! * **Bucketed calendar queue** — keys are filed by time bucket
+//!   (2¹⁶ ns ≈ 66 µs wide). Keys in the bucket currently being drained
 //!   sit in a small [`BinaryHeap`]; near-future buckets are plain `Vec`s in
-//!   a 1024-slot ring (one push = one `Vec::push`); events beyond the
-//!   ring's ~67 ms horizon overflow into a fallback heap and are promoted
-//!   when the cursor reaches their bucket. Heap discipline is thus paid
-//!   only within one bucket (a handful of events) instead of across the
-//!   whole queue.
+//!   a 1024-slot ring (one push = one `Vec::push`), drained in place so
+//!   each keeps its capacity; keys beyond the ring's ~67 ms horizon
+//!   overflow into a fallback heap and are promoted when the cursor reaches
+//!   their bucket. Heap discipline is thus paid only within one bucket (a
+//!   handful of events) instead of across the whole queue.
+//! * **One output buffer** — every handler's [`Context`] records into the
+//!   same `Vec`, handed in and given back by [`Context::finish`];
+//!   `apply_outputs` drains it. A message's path is: `Context::send` →
+//!   output buffer → slab → the receiving handler. Once the slab, the
+//!   buckets, the heaps and the buffer have grown to the run's peak, the
+//!   event plane allocates nothing (`tests/steady_state_alloc.rs`).
+//!
+//! ## Crashes and timers
+//!
+//! A message to a crashed node is dropped. A timer is the node's own and is
+//! not: one that falls due while its node is crashed is parked in the slot
+//! and re-queued, in order, at [`Simulation::restart`] — a warm restart
+//! resumes as if the node had merely been paused. Each slot counts its
+//! incarnations; [`Simulation::restart_amnesia`] starts a new one, and a
+//! timer armed by an older incarnation (queued or parked) is discarded, so a
+//! replacement actor never sees its predecessor's timers.
 //!
 //! ## Determinism contract
 //!
@@ -36,11 +57,11 @@
 use crate::actor::{Actor, Context, Output};
 use crate::metrics::{Metrics, NodeMetrics};
 use crate::network::{LinkFault, LinkFaultKind, NetworkConfig, Partition};
-use basil_common::{Duration, NodeId, SimTime};
+use basil_common::{Duration, FastHashMap, NodeId, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Static properties of a simulated node.
 #[derive(Clone, Copy, Debug)]
@@ -98,6 +119,11 @@ struct NodeSlot<M> {
     props: NodeProps,
     core_free: Vec<SimTime>,
     crashed: bool,
+    /// Bumped by every amnesia restart; a timer carries the value it was
+    /// armed under and is discarded once the two differ.
+    incarnation: u32,
+    /// Timers that fell due while the node was crashed, in due order.
+    parked: Vec<M>,
     metrics: NodeMetrics,
 }
 
@@ -123,32 +149,47 @@ impl<M: 'static> NodeSlot<M> {
 /// scheduler did for unknown `NodeId`s.
 const UNKNOWN_SLOT: u32 = u32::MAX;
 
-#[derive(Debug)]
-struct Event<M> {
-    at: SimTime,
-    seq: u64,
+/// What an event delivers: written into the queue's slab once at push and
+/// taken out once at pop.
+struct Payload<M> {
     /// Destination, pre-resolved to a dense slot index at enqueue time.
     to_slot: u32,
     from: NodeId,
-    msg: M,
+    /// For a timer, the incarnation of `to_slot` that armed it.
+    incarnation: u32,
     is_timer: bool,
+    msg: M,
 }
 
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+impl<M> Payload<M> {
+    fn message(to_slot: u32, from: NodeId, msg: M) -> Self {
+        Payload {
+            to_slot,
+            from,
+            incarnation: 0,
+            is_timer: false,
+            msg,
+        }
+    }
+
+    fn timer(slot: u32, owner: NodeId, incarnation: u32, msg: M) -> Self {
+        Payload {
+            to_slot: slot,
+            from: owner,
+            incarnation,
+            is_timer: true,
+            msg,
+        }
     }
 }
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
+
+/// An event's place in the queue. `seq` is unique, so the derived order is
+/// `(at, seq)` order; `idx` names the payload's slab entry.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
+    at: SimTime,
+    seq: u64,
+    idx: u32,
 }
 
 /// Width of one calendar bucket: 2^16 ns ≈ 66 µs, on the order of one LAN
@@ -164,26 +205,31 @@ const fn bucket_of(at: SimTime) -> u64 {
 }
 
 /// The calendar event queue: a drain heap for the current bucket, a ring of
-/// unsorted near-future buckets, and an overflow heap for the far future.
+/// unsorted near-future buckets, and an overflow heap for the far future,
+/// all of [`Key`]s, over a slab of payloads `T`.
 ///
 /// Pops are in strict `(at, seq)` order — see the module docs for why this
 /// is bit-for-bit identical to one global min-heap.
-struct EventQueue<M> {
-    /// Events of buckets `<= cursor` (plus anything scheduled in the past,
+struct EventQueue<T> {
+    /// Keys of buckets `<= cursor` (plus anything scheduled in the past,
     /// e.g. an `inject` behind the clock), ordered by `(at, seq)`.
-    current: BinaryHeap<Reverse<Event<M>>>,
-    /// Ring of future buckets; slot `b & (WHEEL_SLOTS-1)` holds the events
+    current: BinaryHeap<Reverse<Key>>,
+    /// Ring of future buckets; slot `b & (WHEEL_SLOTS-1)` holds the keys
     /// of exactly one bucket `b` in `(cursor, cursor + WHEEL_SLOTS)`.
-    wheel: Vec<Vec<Event<M>>>,
-    /// Number of events currently filed in the ring.
+    wheel: Vec<Vec<Key>>,
+    /// Number of keys currently filed in the ring.
     wheel_len: usize,
-    /// Events more than the ring span into the future.
-    overflow: BinaryHeap<Reverse<Event<M>>>,
+    /// Keys more than the ring span into the future.
+    overflow: BinaryHeap<Reverse<Key>>,
     /// Bucket currently being drained through `current`.
     cursor: u64,
+    /// Payloads by `Key::idx`; `None` is a free entry.
+    slab: Vec<Option<T>>,
+    /// Indices of the free slab entries.
+    free: Vec<u32>,
 }
 
-impl<M> EventQueue<M> {
+impl<T> EventQueue<T> {
     fn new() -> Self {
         EventQueue {
             current: BinaryHeap::new(),
@@ -191,26 +237,39 @@ impl<M> EventQueue<M> {
             wheel_len: 0,
             overflow: BinaryHeap::new(),
             cursor: 0,
+            slab: Vec::new(),
+            free: Vec::new(),
         }
     }
 
-    fn push(&mut self, ev: Event<M>) {
-        let b = bucket_of(ev.at);
+    fn push(&mut self, at: SimTime, seq: u64, payload: T) {
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                self.slab[idx as usize] = Some(payload);
+                idx
+            }
+            None => {
+                self.slab.push(Some(payload));
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 queued events")
+            }
+        };
+        let key = Key { at, seq, idx };
+        let b = bucket_of(at);
         if b <= self.cursor {
-            self.current.push(Reverse(ev));
+            self.current.push(Reverse(key));
         } else if b - self.cursor < WHEEL_SLOTS as u64 {
-            self.wheel[(b as usize) & (WHEEL_SLOTS - 1)].push(ev);
+            self.wheel[(b as usize) & (WHEEL_SLOTS - 1)].push(key);
             self.wheel_len += 1;
         } else {
-            self.overflow.push(Reverse(ev));
+            self.overflow.push(Reverse(key));
         }
     }
 
     /// Moves the cursor to the next non-empty bucket and spills that
-    /// bucket's events into the drain heap. No-op when nothing is queued
+    /// bucket's keys into the drain heap. No-op when nothing is queued
     /// beyond the cursor.
     fn advance(&mut self) {
-        let next_overflow = self.overflow.peek().map(|Reverse(e)| bucket_of(e.at));
+        let next_overflow = self.overflow.peek().map(|Reverse(k)| bucket_of(k.at));
         // The ring scan visits buckets in increasing order: a non-empty
         // slot at distance d from the cursor can only hold bucket
         // `cursor + d` (two buckets of one slot are WHEEL_SLOTS apart and
@@ -233,17 +292,16 @@ impl<M> EventQueue<M> {
         };
         self.cursor = target;
         if next_wheel == Some(target) {
-            let slot = (target as usize) & (WHEEL_SLOTS - 1);
-            let events = std::mem::take(&mut self.wheel[slot]);
-            self.wheel_len -= events.len();
-            self.current.extend(events.into_iter().map(Reverse));
+            let bucket = &mut self.wheel[(target as usize) & (WHEEL_SLOTS - 1)];
+            self.wheel_len -= bucket.len();
+            self.current.extend(bucket.drain(..).map(Reverse));
         }
-        while let Some(Reverse(e)) = self.overflow.peek() {
-            if bucket_of(e.at) > self.cursor {
+        while let Some(Reverse(k)) = self.overflow.peek() {
+            if bucket_of(k.at) > self.cursor {
                 break;
             }
-            let Reverse(e) = self.overflow.pop().expect("peeked event exists");
-            self.current.push(Reverse(e));
+            let key = self.overflow.pop().expect("peeked key exists");
+            self.current.push(key);
         }
     }
 
@@ -257,13 +315,18 @@ impl<M> EventQueue<M> {
     /// Timestamp of the earliest queued event.
     fn peek_at(&mut self) -> Option<SimTime> {
         self.prime();
-        self.current.peek().map(|Reverse(e)| e.at)
+        self.current.peek().map(|Reverse(k)| k.at)
     }
 
-    /// Removes and returns the earliest queued event.
-    fn pop(&mut self) -> Option<Event<M>> {
+    /// Removes the earliest queued event, returning its time and payload.
+    fn pop(&mut self) -> Option<(SimTime, T)> {
         self.prime();
-        self.current.pop().map(|Reverse(ev)| ev)
+        let Reverse(key) = self.current.pop()?;
+        let payload = self.slab[key.idx as usize]
+            .take()
+            .expect("a queued key owns its slab entry");
+        self.free.push(key.idx);
+        Some((key.at, payload))
     }
 }
 
@@ -275,8 +338,11 @@ impl<M> EventQueue<M> {
 /// docs for the scheduler design and the determinism contract.
 pub struct Simulation<M> {
     slots: Vec<NodeSlot<M>>,
-    index: HashMap<NodeId, u32>,
-    queue: EventQueue<M>,
+    index: FastHashMap<NodeId, u32>,
+    queue: EventQueue<Payload<M>>,
+    /// The output buffer every handler's `Context` records into; empty
+    /// between handlers, its capacity kept.
+    outputs: Vec<Output<M>>,
     now: SimTime,
     seq: u64,
     network: NetworkConfig,
@@ -299,8 +365,9 @@ impl<M: Clone + 'static> Simulation<M> {
     pub fn new(seed: u64, network: NetworkConfig) -> Self {
         Simulation {
             slots: Vec::new(),
-            index: HashMap::new(),
+            index: FastHashMap::default(),
             queue: EventQueue::new(),
+            outputs: Vec::new(),
             now: SimTime::ZERO,
             seq: 0,
             network,
@@ -339,6 +406,8 @@ impl<M: Clone + 'static> Simulation<M> {
             props,
             core_free: vec![SimTime::ZERO; cores],
             crashed: false,
+            incarnation: 0,
+            parked: Vec::new(),
             metrics: NodeMetrics::default(),
         });
     }
@@ -398,7 +467,8 @@ impl<M: Clone + 'static> Simulation<M> {
             .and_then(|s| s.actor.as_any_mut().downcast_mut::<A>())
     }
 
-    /// Marks a node as crashed: all subsequent deliveries to it are dropped.
+    /// Marks a node as crashed: all subsequent message deliveries to it are
+    /// dropped, and its timers that fall due are parked until it restarts.
     pub fn crash(&mut self, id: NodeId) {
         if let Some(s) = self.slot_mut(id) {
             s.crashed = true;
@@ -406,12 +476,20 @@ impl<M: Clone + 'static> Simulation<M> {
     }
 
     /// *Warm*-restarts a crashed node: deliveries resume and the actor wakes
-    /// with its full pre-crash memory, as if it had merely been paused. This
-    /// models a long GC stall or scheduling hiccup; a real process crash
-    /// loses memory — model that with [`Simulation::restart_amnesia`].
+    /// with its full pre-crash memory, as if it had merely been paused —
+    /// timers that fell due meanwhile fire now, in their original order.
+    /// This models a long GC stall or scheduling hiccup; a real process
+    /// crash loses memory — model that with [`Simulation::restart_amnesia`].
     pub fn restart(&mut self, id: NodeId) {
-        if let Some(s) = self.slot_mut(id) {
-            s.crashed = false;
+        let Some(i) = self.slot_of(id) else { return };
+        let slot = &mut self.slots[i];
+        slot.crashed = false;
+        let incarnation = slot.incarnation;
+        let now = self.now;
+        for msg in std::mem::take(&mut slot.parked) {
+            let seq = self.next_seq();
+            let payload = Payload::timer(i as u32, id, incarnation, msg);
+            self.queue.push(now, seq, payload);
         }
     }
 
@@ -420,6 +498,10 @@ impl<M: Clone + 'static> Simulation<M> {
     /// salvaged from the old one — and deliveries resume. Returns the old
     /// boxed actor (so the caller can drop or inspect it), or `None` if `id`
     /// is not registered.
+    ///
+    /// The replacement is a new incarnation: every timer the old actor
+    /// armed, whether parked during the crash or still queued, is discarded
+    /// (counted in `messages_dropped`).
     ///
     /// If the simulation has already started, the replacement's
     /// [`Actor::on_start`] runs at the current simulation time with the same
@@ -437,11 +519,15 @@ impl<M: Clone + 'static> Simulation<M> {
         let slot = &mut self.slots[i];
         let old = std::mem::replace(&mut slot.actor, actor);
         slot.crashed = false;
+        slot.incarnation = slot.incarnation.wrapping_add(1);
+        self.global.messages_dropped += slot.parked.len() as u64;
+        slot.parked.clear();
         if started {
             let core = slot.earliest_core();
             let start = slot.core_free[core].max(now);
             let local = slot.local_clock(start);
-            let mut ctx = Context::new(id, start, local);
+            let outputs = std::mem::take(&mut self.outputs);
+            let mut ctx = Context::reusing(id, start, local, outputs);
             slot.actor.on_start(&mut ctx);
             let (outputs, charged) = ctx.finish();
             let completion = start + charged;
@@ -487,14 +573,8 @@ impl<M: Clone + 'static> Simulation<M> {
     pub fn inject(&mut self, to: NodeId, from: NodeId, msg: M, at: SimTime) {
         let seq = self.next_seq();
         let to_slot = self.index.get(&to).copied().unwrap_or(UNKNOWN_SLOT);
-        self.queue.push(Event {
-            at,
-            seq,
-            to_slot,
-            from,
-            msg,
-            is_timer: false,
-        });
+        self.queue
+            .push(at, seq, Payload::message(to_slot, from, msg));
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -512,7 +592,8 @@ impl<M: Clone + 'static> Simulation<M> {
             let i = self.slot_of(id).expect("listed node exists");
             let slot = &mut self.slots[i];
             let local = slot.local_clock(SimTime::ZERO);
-            let mut ctx = Context::new(id, SimTime::ZERO, local);
+            let outputs = std::mem::take(&mut self.outputs);
+            let mut ctx = Context::reusing(id, SimTime::ZERO, local, outputs);
             slot.actor.on_start(&mut ctx);
             let (outputs, charged) = ctx.finish();
             let completion = SimTime::ZERO + charged;
@@ -536,9 +617,9 @@ impl<M: Clone + 'static> Simulation<M> {
             if at > deadline {
                 break;
             }
-            let ev = self.queue.pop().expect("peeked event exists");
-            self.now = ev.at;
-            self.dispatch(ev);
+            let (at, ev) = self.queue.pop().expect("peeked event exists");
+            self.now = at;
+            self.dispatch(at, ev);
         }
         self.now = deadline.max(self.now);
     }
@@ -553,34 +634,45 @@ impl<M: Clone + 'static> Simulation<M> {
     pub fn step(&mut self) -> bool {
         self.ensure_started();
         match self.queue.pop() {
-            Some(ev) => {
-                self.now = ev.at;
-                self.dispatch(ev);
+            Some((at, ev)) => {
+                self.now = at;
+                self.dispatch(at, ev);
                 true
             }
             None => false,
         }
     }
 
-    /// Delivers one event: core queueing, the handler itself, the per-slot
-    /// and global accounting, then the handler's outputs.
-    fn dispatch(&mut self, ev: Event<M>) {
+    /// Delivers one event due at `at`: core queueing, the handler itself,
+    /// the per-slot and global accounting, then the handler's outputs.
+    fn dispatch(&mut self, at: SimTime, ev: Payload<M>) {
         self.global.events_processed += 1;
-        self.global.last_event_at = ev.at;
-        let slot = match self.slots.get_mut(ev.to_slot as usize) {
-            Some(slot) if !slot.crashed => slot,
-            // Crashed destination, or a node unknown at send time: drop.
-            _ => {
-                self.global.messages_dropped += 1;
-                return;
-            }
+        self.global.last_event_at = at;
+        let Some(slot) = self.slots.get_mut(ev.to_slot as usize) else {
+            // A node unknown at send time: drop.
+            self.global.messages_dropped += 1;
+            return;
         };
+        if ev.is_timer && ev.incarnation != slot.incarnation {
+            // Armed by an actor an amnesia restart replaced.
+            self.global.messages_dropped += 1;
+            return;
+        }
+        if slot.crashed {
+            if ev.is_timer {
+                slot.parked.push(ev.msg);
+            } else {
+                self.global.messages_dropped += 1;
+            }
+            return;
+        }
         let core = slot.earliest_core();
-        let start = slot.core_free[core].max(ev.at);
-        let wait = start - ev.at;
+        let start = slot.core_free[core].max(at);
+        let wait = start - at;
         let local = slot.local_clock(start);
 
-        let mut ctx = Context::new(slot.id, start, local);
+        let outputs = std::mem::take(&mut self.outputs);
+        let mut ctx = Context::reusing(slot.id, start, local, outputs);
         if ev.is_timer {
             slot.actor.on_timer(&mut ctx, ev.msg);
         } else {
@@ -609,15 +701,17 @@ impl<M: Clone + 'static> Simulation<M> {
 
     /// Applies a handler's recorded outputs: network sampling (partitions,
     /// loss, latency jitter) and queue insertion, in output order. This is
-    /// the *only* place randomness is consumed.
+    /// the *only* place randomness is consumed. The drained buffer becomes
+    /// the next handler's.
     fn apply_outputs(
         &mut self,
         from_slot: u32,
         from: NodeId,
         completion: SimTime,
-        outputs: Vec<Output<M>>,
+        mut outputs: Vec<Output<M>>,
     ) {
-        for out in outputs {
+        let incarnation = self.slots[from_slot as usize].incarnation;
+        for out in outputs.drain(..) {
             match out {
                 Output::Send { to, msg } => {
                     self.global.messages_sent += 1;
@@ -680,44 +774,24 @@ impl<M: Clone + 'static> Simulation<M> {
                     let latency =
                         self.network.sample_latency(from, to, &mut self.rng) + extra_delay;
                     let seq = self.next_seq();
-                    let at = completion + latency;
-                    self.queue.push(Event {
-                        at,
-                        seq,
-                        to_slot,
-                        from,
-                        msg,
-                        is_timer: false,
-                    });
+                    let payload = Payload::message(to_slot, from, msg);
+                    self.queue.push(completion + latency, seq, payload);
                     if let Some(msg) = dup {
                         let latency =
                             self.network.sample_latency(from, to, &mut self.rng) + extra_delay;
                         let seq = self.next_seq();
-                        let at = completion + latency;
-                        self.queue.push(Event {
-                            at,
-                            seq,
-                            to_slot,
-                            from,
-                            msg,
-                            is_timer: false,
-                        });
+                        let payload = Payload::message(to_slot, from, msg);
+                        self.queue.push(completion + latency, seq, payload);
                     }
                 }
                 Output::Timer { delay, msg } => {
                     let seq = self.next_seq();
-                    let at = completion + delay;
-                    self.queue.push(Event {
-                        at,
-                        seq,
-                        to_slot: from_slot,
-                        from,
-                        msg,
-                        is_timer: true,
-                    });
+                    let payload = Payload::timer(from_slot, from, incarnation, msg);
+                    self.queue.push(completion + delay, seq, payload);
                 }
             }
         }
+        self.outputs = outputs;
     }
 }
 
@@ -1224,5 +1298,162 @@ mod tests {
         // (sequence) order.
         expected.sort_by_key(|(at, _)| *at);
         assert_eq!(rec.seen, expected);
+    }
+
+    /// The slab queue pops exactly what one global min-heap of
+    /// `(at, seq, payload)` pops, over random push/pop interleavings that
+    /// hit same-bucket ties, pushes behind the cursor, ring wrap-around and
+    /// the overflow heap; a full drain returns every slab entry to the free
+    /// list, and the slab never outgrows the peak number of queued events.
+    #[test]
+    fn slab_queue_pops_like_a_global_min_heap() {
+        const BUCKET: u64 = 1 << BUCKET_BITS;
+        const RING: u64 = WHEEL_SLOTS as u64 * BUCKET;
+        let mut rng = SmallRng::seed_from_u64(0x5eed);
+        let (mut ties, mut behind, mut wrapped, mut overflowed) = (0, 0, 0, 0);
+        for _case in 0..200 {
+            let mut queue: EventQueue<u64> = EventQueue::new();
+            let mut reference: BinaryHeap<Reverse<(SimTime, u64, u64)>> = BinaryHeap::new();
+            let (mut seq, mut now, mut peak) = (0u64, 0u64, 0usize);
+            let ops = rng.gen_range(1..400);
+            for _ in 0..ops {
+                if rng.gen_bool(0.55) {
+                    let at = match rng.gen_range(0..6) {
+                        // A tie with the current time, in the drain bucket.
+                        0 => now,
+                        // Behind the clock (an `inject` in the past).
+                        1 => {
+                            behind += 1;
+                            now.saturating_sub(rng.gen_range(0..3 * BUCKET))
+                        }
+                        // Within a few buckets: same-bucket ties.
+                        2 => now + rng.gen_range(0..4u64) * (BUCKET / 4),
+                        // Anywhere in the ring; far slots wrap around.
+                        3 | 4 => now + rng.gen_range(0..RING),
+                        // Beyond the ring: the overflow heap.
+                        _ => {
+                            overflowed += 1;
+                            now + RING + rng.gen_range(0..4 * RING)
+                        }
+                    };
+                    seq += 1;
+                    let payload = rng.gen::<u64>();
+                    queue.push(SimTime::from_nanos(at), seq, payload);
+                    reference.push(Reverse((SimTime::from_nanos(at), seq, payload)));
+                    peak = peak.max(reference.len());
+                } else {
+                    let want = reference.pop().map(|Reverse((at, _, p))| (at, p));
+                    let got = queue.pop();
+                    assert_eq!(got, want);
+                    if let Some((at, _)) = got {
+                        if reference.peek().is_some_and(|Reverse(r)| r.0 == at) {
+                            ties += 1;
+                        }
+                        // The cursor laps the ring once the clock has moved
+                        // a ring span.
+                        if at.as_nanos() / RING > now / RING {
+                            wrapped += 1;
+                        }
+                        now = now.max(at.as_nanos());
+                    }
+                }
+                assert!(queue.slab.len() <= peak, "slab beyond the queued peak");
+            }
+            while let Some(Reverse((at, _, p))) = reference.pop() {
+                assert_eq!(queue.pop(), Some((at, p)));
+            }
+            assert_eq!(queue.pop(), None);
+            assert_eq!(queue.free.len(), queue.slab.len(), "every entry freed");
+            assert!(queue.slab.iter().all(Option::is_none));
+        }
+        assert!(ties > 0 && behind > 0 && wrapped > 0 && overflowed > 0);
+    }
+
+    /// Ticks every millisecond, counting the ticks it saw.
+    struct Ticker {
+        ticks: Vec<SimTime>,
+    }
+
+    impl Actor<Msg> for Ticker {
+        fn on_start(&mut self, ctx: &mut Context<Msg>) {
+            ctx.schedule_self(Duration::from_millis(1), Msg::Tick);
+        }
+        fn on_message(&mut self, ctx: &mut Context<Msg>, _from: NodeId, msg: Msg) {
+            if msg == Msg::Tick {
+                self.ticks.push(ctx.now());
+                ctx.schedule_self(Duration::from_millis(1), Msg::Tick);
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// A warm restart is a pause: the tick that fell due during the crash
+    /// fires at the restart, and the chain it re-arms keeps going.
+    #[test]
+    fn periodic_timer_chain_survives_crash_and_warm_restart() {
+        let mut sim: Simulation<Msg> = Simulation::new(1, NetworkConfig::instant());
+        sim.add_node(
+            client(1),
+            NodeProps::default(),
+            Box::new(Ticker { ticks: vec![] }),
+        );
+        sim.run_until(SimTime::from_micros(2_500));
+        sim.crash(client(1));
+        sim.run_until(SimTime::from_micros(5_500));
+        sim.restart(client(1));
+        sim.run_until(SimTime::from_micros(9_000));
+        let t: &Ticker = sim.actor(client(1)).expect("ticker");
+        let ms = |us: u64| SimTime::from_micros(us);
+        assert_eq!(
+            t.ticks,
+            vec![
+                ms(1_000),
+                ms(2_000),
+                ms(5_500),
+                ms(6_500),
+                ms(7_500),
+                ms(8_500)
+            ]
+        );
+        assert_eq!(sim.metrics().messages_dropped, 0);
+    }
+
+    /// An amnesia restart's replacement never sees a timer its predecessor
+    /// armed — neither one parked during the crash nor one still queued.
+    #[test]
+    fn replacement_actor_never_sees_its_predecessors_timers() {
+        struct Arms;
+        impl Actor<Msg> for Arms {
+            fn on_start(&mut self, ctx: &mut Context<Msg>) {
+                ctx.schedule_self(Duration::from_millis(2), Msg::Tick);
+                ctx.schedule_self(Duration::from_millis(10), Msg::Tick);
+            }
+            fn on_message(&mut self, _ctx: &mut Context<Msg>, _from: NodeId, _msg: Msg) {}
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let mut sim: Simulation<Msg> = Simulation::new(1, NetworkConfig::instant());
+        sim.add_node(client(1), NodeProps::default(), Box::new(Arms));
+        sim.run_until(SimTime::from_millis(1));
+        sim.crash(client(1));
+        // The 2 ms timer falls due while crashed and is parked.
+        sim.run_until(SimTime::from_millis(3));
+        sim.restart_amnesia(client(1), Box::new(Ticker { ticks: vec![] }));
+        sim.run_until(SimTime::from_micros(12_500));
+        let t: &Ticker = sim.actor(client(1)).expect("replacement");
+        // Only its own chain, armed at 3 ms: no tick at 3 ms (the parked
+        // timer) and none at 10 ms (the queued one).
+        let own: Vec<SimTime> = (4..=12).map(SimTime::from_millis).collect();
+        assert_eq!(t.ticks, own);
+        assert_eq!(sim.metrics().messages_dropped, 2);
     }
 }

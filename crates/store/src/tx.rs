@@ -12,6 +12,7 @@ use basil_common::codec::{DecodeError, Reader, Sink};
 use basil_common::config::shard_for_key;
 use basil_common::{Key, ShardId, Timestamp, TxId, Value};
 use basil_crypto::Sha256;
+use std::borrow::Cow;
 
 /// One read performed by a transaction: the key and the timestamp of the
 /// version that was read.
@@ -265,14 +266,11 @@ impl Transaction {
     }
 
     /// The shards touched by this transaction when keys are placed over
-    /// `num_shards` shards, in ascending order.
-    pub fn involved_shards(&self, num_shards: u32) -> Vec<ShardId> {
+    /// `num_shards` shards, in ascending order. Borrowed, and so free of any
+    /// allocation, in a single-shard deployment.
+    pub fn involved_shards(&self, num_shards: u32) -> Cow<'static, [ShardId]> {
         if num_shards == 1 {
-            return if self.is_empty() {
-                Vec::new()
-            } else {
-                vec![ShardId(0)]
-            };
+            return Cow::Borrowed(if self.is_empty() { &[] } else { &[ShardId(0)] });
         }
         let reads = self.read_set.iter().map(|r| &r.key);
         let writes = self.write_set.iter().map(|w| &w.key);
@@ -282,7 +280,7 @@ impl Transaction {
             .collect();
         shards.sort_unstable();
         shards.dedup();
-        shards
+        Cow::Owned(shards)
     }
 
     /// True when the transaction touches no keys at all.
@@ -526,11 +524,13 @@ mod tests {
             "expected multiple shards, got {shards:?}"
         );
         assert!(shards.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
-        for s in &shards {
+        for s in shards.iter() {
             assert!(s.0 < 3);
         }
-        // One shard needs no placement at all; no keys, no shards.
+        // One shard needs no placement at all (and no allocation); no keys,
+        // no shards.
         assert_eq!(t.involved_shards(1), vec![ShardId(0)]);
+        assert!(matches!(t.involved_shards(1), Cow::Borrowed(_)));
         let empty = TransactionBuilder::new(ts(1, 1)).build();
         assert_eq!(empty.involved_shards(1), Vec::new());
         assert_eq!(empty.involved_shards(3), Vec::new());
