@@ -118,54 +118,6 @@ impl ContentionBatch {
     }
 }
 
-/// Builds the `prepare_stale_writers` scenario: a hot key read heavily in a
-/// recent burst (microsecond-spaced, so reader intervals are short and the
-/// earlier time range stays uncovered), then 64 write-only transactions
-/// whose timestamps land in the quiet gap between the bursts.
-fn stale_writer_batch() -> ContentionBatch {
-    const US: u64 = 1_000;
-    let hot = Key::new("hot");
-    let mut txs = Vec::new();
-    let mut latest = Timestamp::ZERO;
-    let mut seq = 0u64;
-    let mut read_write = |t_ns: u64, latest: &mut Timestamp, txs: &mut Vec<Arc<Transaction>>| {
-        let ts = Timestamp::from_nanos(t_ns, ClientId(seq % 16));
-        seq += 1;
-        let mut b = TransactionBuilder::new(ts);
-        b.record_read(hot.clone(), *latest);
-        b.record_write(hot.clone(), Value::from_u64(t_ns));
-        *latest = ts;
-        txs.push(b.build_shared());
-    };
-    // Early burst: 64 fresh sequential 1r1w transactions (≈ one summary
-    // bucket wide).
-    for i in 0..64u64 {
-        read_write(US + 2 * US * i, &mut latest, &mut txs);
-    }
-    // Recent burst, far above the gap: a write-only bridge (so the first
-    // reader's interval starts here, not back at the early burst), then 256
-    // fresh readers.
-    let bridge = Timestamp::from_nanos(4_500 * US, ClientId(7));
-    let mut b = TransactionBuilder::new(bridge);
-    b.record_write(hot.clone(), Value::from_u64(0));
-    latest = bridge;
-    txs.push(b.build_shared());
-    for i in 0..256u64 {
-        read_write(4_502 * US + 2 * US * i, &mut latest, &mut txs);
-    }
-    // Stale writers: timestamps inside the [2 ms, 2.64 ms] gap. Each is
-    // below the read watermark (slow path) but above every version the
-    // recent readers actually read, so none conflicts — the scan over the
-    // 257 newer readers is pure overhead the summary removes.
-    for i in 0..64u64 {
-        let ts = Timestamp::from_nanos(2_000 * US + 10 * US * i, ClientId(i % 16));
-        let mut b = TransactionBuilder::new(ts);
-        b.record_write(hot.clone(), Value::from_u64(i));
-        txs.push(b.build_shared());
-    }
-    ContentionBatch { txs }
-}
-
 fn bench_contention(c: &mut Criterion) {
     let mut group = c.benchmark_group("store_contention");
 
@@ -204,22 +156,6 @@ fn bench_contention(c: &mut Criterion) {
         sample.stats()
     );
     group.bench_function("prepare_zipf_stale", |b| b.iter(|| stale.run()));
-
-    // Out-of-order writers probing a quiet period. A key accumulates a burst
-    // of fresh sequential reads (so its read watermark is high), then stale
-    // write-only transactions arrive with timestamps in an earlier gap no
-    // reader interval covers. Every such write falls past the watermark —
-    // check (5)'s slow path — and without the per-key reader summary each
-    // one walks the full suffix of newer readers to prove nobody read over
-    // it. The Bloom-style summary answers "gap is clear" in O(1) instead.
-    let stale_writers = stale_writer_batch();
-    let sample = stale_writers.run();
-    assert!(
-        sample.stats().reader_scan_skips >= 32,
-        "gap writes must skip the reader scan via the summary, got {:?}",
-        sample.stats()
-    );
-    group.bench_function("prepare_stale_writers", |b| b.iter(|| stale_writers.run()));
 
     // Steady-state periodic GC, as a replica runs it: keep committing hot-key
     // versions (and sprinkling RTS entries) while sweeping a trailing

@@ -232,7 +232,7 @@ mod tests {
   "mode": "timed",
   "results": {
     "store_contention/prepare_zipf_hot": 51000.5,
-    "store_contention/prepare_stale_writers": 103188.4,
+    "store_contention/prepare_zipf_stale": 103188.4,
     "store/gc_sweep": null
   }
 }

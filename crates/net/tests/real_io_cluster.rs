@@ -7,17 +7,38 @@
 //! traffic. Both must complete the workload and pass the same
 //! serializability + decision-agreement audit the simulator applies.
 
+use basil_net::node::address_book;
 use basil_net::supervisor::{run_cluster, KillPlan, SupervisorConfig};
+use std::net::TcpListener;
 use std::path::PathBuf;
+
+const NUM_CLIENTS: u32 = 2;
 
 fn node_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_basil-node"))
 }
 
-/// A port range unique to this test process; stays clear of the reconnect
-/// tests' 21000–29000 window.
-fn base_port(offset: u16) -> u16 {
-    30000 + (std::process::id() as u16 % 200) * 160 + offset
+/// A base port whose every deployment port (`node::address_book`) binds
+/// right now. The search stays in [29000, 32768): below Linux's default
+/// ephemeral range (32768–60999), where a live outbound connection could
+/// hold a port the deployment needs, and clear of the reconnect tests'
+/// 21000–29000 and the benchmark's 10000–21000. `salt` staggers where each
+/// test starts looking, so two tests of one process probe different blocks.
+fn probe_base_port(salt: u16) -> u16 {
+    const LOW: u16 = 29_000;
+    const HIGH: u16 = 32_768;
+    // Replicas sit at base + index, clients at base + 100 + id.
+    let span = 100 + NUM_CLIENTS as u16;
+    let blocks = (HIGH - LOW) / span;
+    let start = (std::process::id() as u16).wrapping_add(salt) % blocks;
+    (0..blocks)
+        .map(|i| LOW + (start + i) % blocks * span)
+        .find(|base| {
+            let book = address_book(*base, NUM_CLIENTS);
+            let bound: Result<Vec<TcpListener>, _> = book.values().map(TcpListener::bind).collect();
+            bound.is_ok()
+        })
+        .expect("a free port block below the ephemeral range")
 }
 
 fn workdir(tag: &str) -> PathBuf {
@@ -30,9 +51,9 @@ fn workdir(tag: &str) -> PathBuf {
 fn six_process_cluster_commits_and_audits() {
     let cfg = SupervisorConfig {
         node_bin: node_bin(),
-        num_clients: 2,
+        num_clients: NUM_CLIENTS,
         seed: 42,
-        base_port: base_port(0),
+        base_port: probe_base_port(0),
         run_ms: 3_000,
         kill: None,
         workdir: workdir("clean"),
@@ -56,9 +77,9 @@ fn sigkill_mid_run_recovers_through_the_real_wal() {
     let victim = 2;
     let cfg = SupervisorConfig {
         node_bin: node_bin(),
-        num_clients: 2,
+        num_clients: NUM_CLIENTS,
         seed: 77,
-        base_port: base_port(110),
+        base_port: probe_base_port(18),
         run_ms: 6_000,
         kill: Some(KillPlan {
             replica: victim,

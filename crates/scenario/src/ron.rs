@@ -147,6 +147,10 @@ fn lex(src: &str) -> Result<Vec<Tok>, SpecError> {
 
 // --------------------------------------------------------------- parser --
 
+/// Deepest nesting of lists and calls the parser accepts. The corpus nests
+/// three deep; the bound keeps a hostile spec from overflowing the stack.
+const MAX_DEPTH: usize = 16;
+
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
@@ -176,7 +180,11 @@ impl Parser {
         }
     }
 
-    fn value(&mut self) -> Result<Val, SpecError> {
+    /// Parses one value nested `depth` lists or calls deep.
+    fn value(&mut self, depth: usize) -> Result<Val, SpecError> {
+        if depth > MAX_DEPTH {
+            return Err(SpecError(format!("nested deeper than {MAX_DEPTH}")));
+        }
         match self.next()? {
             Tok::Str(s) => Ok(Val::Str(s)),
             Tok::Num(s) => Ok(Val::Num(s)),
@@ -187,7 +195,7 @@ impl Parser {
                         self.pos += 1;
                         break;
                     }
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     match self.next()? {
                         Tok::Comma => {}
                         Tok::RBracket => break,
@@ -196,14 +204,14 @@ impl Parser {
                 }
                 Ok(Val::List(items))
             }
-            Tok::LParen => self.call(String::new()),
+            Tok::LParen => self.call(String::new(), depth),
             Tok::Ident(name) => match name.as_str() {
                 "true" => Ok(Val::Bool(true)),
                 "false" => Ok(Val::Bool(false)),
                 _ => {
                     if self.peek() == Some(&Tok::LParen) {
                         self.pos += 1;
-                        self.call(name)
+                        self.call(name, depth)
                     } else {
                         Ok(Val::Unit(name))
                     }
@@ -213,8 +221,9 @@ impl Parser {
         }
     }
 
-    /// Parses the arguments of `name(...)` after the opening paren.
-    fn call(&mut self, name: String) -> Result<Val, SpecError> {
+    /// Parses the arguments of `name(...)` after the opening paren; the call
+    /// itself is nested `depth` deep.
+    fn call(&mut self, name: String, depth: usize) -> Result<Val, SpecError> {
         let mut named = Vec::new();
         let mut positional = Vec::new();
         loop {
@@ -230,9 +239,9 @@ impl Parser {
                     unreachable!()
                 };
                 self.expect(&Tok::Colon)?;
-                named.push((field, self.value()?));
+                named.push((field, self.value(depth + 1)?));
             } else {
-                positional.push(self.value()?);
+                positional.push(self.value(depth + 1)?);
             }
             match self.next()? {
                 Tok::Comma => {}
@@ -425,7 +434,7 @@ fn decode_workload(v: &Val) -> Result<WorkloadSpec, SpecError> {
 pub fn decode(src: &str) -> Result<ScenarioSpec, SpecError> {
     let toks = lex(src)?;
     let mut p = Parser { toks, pos: 0 };
-    let root = p.value()?;
+    let root = p.value(0)?;
     if p.pos != p.toks.len() {
         return Err(err("trailing input after the spec"));
     }
@@ -790,6 +799,14 @@ mod tests {
         let mut broken = encode(&sample());
         broken = broken.replace("byz_strategy: \"stall-late\"", "byz_strategy: \"nope\"");
         assert!(decode(&broken).is_err(), "unknown strategy rejected");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "(", "a("] {
+            let err = decode(&open.repeat(100_000)).expect_err("nesting is bounded");
+            assert!(err.0.contains("nested deeper"), "{open}: {err:?}");
+        }
     }
 
     #[test]

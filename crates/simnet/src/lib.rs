@@ -34,8 +34,9 @@
 //!
 //! ## Key types
 //!
-//! * [`Simulation`] — the event loop: dense actor slots, the calendar
-//!   event queue, the network model, and the seeded RNG.
+//! * [`Simulation`] — the event loop: dense actor slots, one heap of event
+//!   keys over a payload slab, one handler path, the network model, and the
+//!   seeded RNG.
 //! * [`Actor`] / [`Context`] — the sans-io state-machine interface.
 //! * [`NodeProps`] — per-node cores and clock skew.
 //! * [`NetworkConfig`] / [`Partition`] — latency, jitter, loss, and
@@ -51,9 +52,10 @@
 //! `(time, sequence-number)` order, sequence numbers are assigned in
 //! deterministic send order, and all jitter/loss randomness comes from the
 //! one seeded RNG. The scheduler implementation is free to change (it has:
-//! global heap → indexed calendar queue, see [`sim`]) but must preserve
-//! this order bit-for-bit; `tests/golden_trace.rs` pins it with a trace
-//! hash captured before the rewrite.
+//! global heap of events → calendar queue → one heap of keys over a slab,
+//! see [`sim`]) but must preserve this order bit-for-bit;
+//! `tests/golden_trace.rs` pins it with a trace hash captured before the
+//! first rewrite.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

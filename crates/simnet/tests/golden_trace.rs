@@ -6,8 +6,9 @@
 //! it. This test drives a deliberately messy topology (jittery LAN, message
 //! loss, multi-core nodes, timers, a mid-run injection) and folds every
 //! delivery into an FNV-1a hash. The expected value was captured from the
-//! original `BinaryHeap`-based scheduler; the indexed calendar-queue
-//! scheduler must reproduce it exactly.
+//! original `BinaryHeap`-of-events scheduler; every rewrite since (the
+//! calendar queue, the key/slab split, and today's one heap of keys with a
+//! single handler path) must reproduce it exactly.
 
 use basil_common::{ClientId, Duration, NodeId, SimTime};
 use basil_simnet::{Actor, Context, NetworkConfig, NodeProps, Simulation};
@@ -133,7 +134,7 @@ fn run_trace(seed: u64) -> (u64, u64) {
 }
 
 /// The reference values, captured from the original global-`BinaryHeap`
-/// scheduler. The calendar-queue rewrite pops events in the identical
+/// scheduler. Every rewrite pops events in the identical
 /// `(time, sequence-number)` order and draws network randomness at the same
 /// points, so both the full delivery trace and the event count must match
 /// bit-for-bit.

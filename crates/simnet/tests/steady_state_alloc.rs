@@ -1,14 +1,13 @@
 //! Guard: the simulator's event plane allocates nothing in steady state.
 //!
 //! A message is written into the handler's output buffer, moved into the
-//! event queue's slab, and moved out into the receiving handler; the keys
-//! that order it live in heaps and ring buckets that keep their capacity.
-//! Once every one of those has grown to the run's peak — after the calendar
-//! ring has turned over at least once — delivering an event must not touch
-//! the allocator. This binary installs a counting global allocator (so it
-//! lives alone in its own test target), runs 256 ping-pong pairs carrying a
-//! 240-byte message past one ring rotation, then counts the allocations the
-//! next 100,000 events make on this thread.
+//! event queue's slab, and moved out into the receiving handler; the key
+//! that orders it lives in one heap that keeps its capacity. Once the
+//! buffer, the slab and the heap have grown to the run's peak, delivering
+//! an event must not touch the allocator. This binary installs a counting
+//! global allocator (so it lives alone in its own test target), runs 256
+//! ping-pong pairs carrying a 240-byte message for a 100 ms warm-up, then
+//! counts the allocations the next 100,000 events make on this thread.
 
 use basil_common::{ClientId, NodeId, SimTime};
 use basil_simnet::{Actor, Context, NetworkConfig, NodeProps, Simulation};
@@ -120,8 +119,8 @@ fn steady_state_event_plane_makes_no_allocations() {
             Box::new(Bouncer { peer: a, window: 0 }),
         );
     }
-    // Warm-up: past one full rotation of the ~67 ms calendar ring, so every
-    // bucket, both heaps, the slab and the output buffer reached their peak.
+    // Warm-up: long enough that the heap, the slab and the output buffer
+    // reached their peak.
     sim.run_until(SimTime::from_millis(100));
     let events_before = sim.metrics().events_processed;
 

@@ -44,5 +44,5 @@ pub use audit::{audit_serializability, AuditError};
 pub use mvtso::{CheckOutcome, MvtsoStore, ReadResult, StoreStats, Vote};
 pub use session::{Session, SessionStats};
 pub use tx::{Dependency, ReadOp, Transaction, TransactionBuilder, WriteOp};
-pub use varray::{ReaderSummary, VersionArray};
+pub use varray::VersionArray;
 pub use wal::{Wal, WalRecord};

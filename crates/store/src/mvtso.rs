@@ -35,7 +35,7 @@
 //! safety (the vote is still withheld until the dependency's fate is known).
 
 use crate::tx::{Dependency, Transaction};
-use crate::varray::{ReaderSummary, VersionArray};
+use crate::varray::VersionArray;
 use basil_common::error::AbortReason;
 use basil_common::{Duration, FastHashMap, FastHashSet, Key, SimTime, Timestamp, TxId, Value};
 use std::sync::Arc;
@@ -123,14 +123,9 @@ pub struct StoreStats {
     pub prepares: u64,
     /// Per-key conflict checks answered by the watermark comparison alone.
     pub fast_path_checks: u64,
-    /// Per-key conflict checks that fell past the watermark (the slow
-    /// path). A subset of these still avoid the ordered reader scan via the
-    /// Bloom-style reader summary — see `reader_scan_skips`.
+    /// Per-key conflict checks that fell past the watermark to the ordered
+    /// scans (the slow path).
     pub slow_path_checks: u64,
-    /// Slow-path write checks whose invalidated-reader scan was skipped
-    /// because the per-key reader summary proved no reader interval covers
-    /// the write's timestamp.
-    pub reader_scan_skips: u64,
 }
 
 impl StoreStats {
@@ -149,7 +144,6 @@ impl StoreStats {
         self.prepares += other.prepares;
         self.fast_path_checks += other.fast_path_checks;
         self.slow_path_checks += other.slow_path_checks;
-        self.reader_scan_skips += other.reader_scan_skips;
     }
 }
 
@@ -172,11 +166,6 @@ struct KeyRecord {
     /// Largest read timestamp present across committed reads, prepared
     /// reads, and RTS entries.
     max_read: Timestamp,
-    /// Bloom-style cover of the `(version read, reader)` intervals in
-    /// `committed_reads` and `prepared_reads`. A clear bucket proves no
-    /// reader can be invalidated by a write at that timestamp, skipping the
-    /// ordered scans of check (5); rebuilt after GC drains a prefix.
-    reader_summary: ReaderSummary,
     /// How many slot references prepared transactions hold on this record
     /// (one per read-set and per write-set entry; see [`Prepared`]). A pinned
     /// record is never [`KeyRecord::is_unused`], so its arena slot cannot be
@@ -239,25 +228,6 @@ impl KeyRecord {
             .chain(self.rts.max_ts())
             .max()
             .unwrap_or(Timestamp::ZERO);
-    }
-
-    /// Records a read of `version` performed at `reader` in the summary.
-    fn cover_read(&mut self, version: Timestamp, reader: Timestamp) {
-        self.reader_summary.cover(version, reader);
-    }
-
-    /// Recomputes the reader summary from the surviving reader entries.
-    /// Removals never clear summary bits (Bloom semantics), so GC calls this
-    /// after draining a prefix to stop stale covers from forcing scans.
-    fn rebuild_reader_summary(&mut self) {
-        self.reader_summary.clear();
-        for (reader, version) in self
-            .committed_reads
-            .iter()
-            .chain(self.prepared_reads.iter())
-        {
-            self.reader_summary.cover(*version, *reader);
-        }
     }
 }
 
@@ -610,20 +580,13 @@ impl MvtsoStore {
             match slot.map(|i| &self.key_records[i as usize]) {
                 Some(rec) if rec.max_read > ts => {
                     self.stats.slow_path_checks += 1;
-                    // The reader summary proves most stale writes invalidate
-                    // nobody without walking the reader arrays; a set bucket
-                    // demands the exact ordered scan.
-                    if rec.reader_summary.may_invalidate(ts) {
-                        let invalidates = |reads: &VersionArray<Timestamp>| {
-                            reads
-                                .iter_above(ts)
-                                .any(|(_, version_read)| *version_read < ts)
-                        };
-                        if invalidates(&rec.committed_reads) || invalidates(&rec.prepared_reads) {
-                            return CheckOutcome::Decided(Vote::Abort(AbortReason::Conflict));
-                        }
-                    } else {
-                        self.stats.reader_scan_skips += 1;
+                    let invalidates = |reads: &VersionArray<Timestamp>| {
+                        reads
+                            .iter_above(ts)
+                            .any(|(_, version_read)| *version_read < ts)
+                    };
+                    if invalidates(&rec.committed_reads) || invalidates(&rec.prepared_reads) {
+                        return CheckOutcome::Decided(Vote::Abort(AbortReason::Conflict));
                     }
                     if rec.rts.max_ts().map(|m| m > ts).unwrap_or(false) {
                         return CheckOutcome::Decided(Vote::Abort(AbortReason::Conflict));
@@ -654,7 +617,6 @@ impl MvtsoStore {
             let rec = &mut self.key_records[*slot as usize];
             rec.pins += 1;
             rec.prepared_reads.insert(ts, read.version);
-            rec.cover_read(read.version, ts);
             rec.note_read(ts);
         }
         let prepared = Prepared {
@@ -758,7 +720,6 @@ impl MvtsoStore {
         for (read, slot) in tx.read_set().iter().zip(read_slots) {
             let rec = &mut self.key_records[*slot as usize];
             rec.committed_reads.insert(ts, read.version);
-            rec.cover_read(read.version, ts);
             rec.note_read(ts);
         }
         self.committed_txs.insert(txid, shared);
@@ -893,12 +854,9 @@ impl MvtsoStore {
             dropped += rec.rts.drop_below(watermark);
             if dropped > 0 {
                 // Prefix drains cannot raise the tails, but they can empty
-                // an array entirely; recompute both watermarks exactly, and
-                // re-derive the reader summary from the surviving entries
-                // (its Bloom bits are never cleared incrementally).
+                // an array entirely; recompute both watermarks exactly.
                 rec.refresh_read_watermark();
                 rec.refresh_write_watermark();
-                rec.rebuild_reader_summary();
             }
         }
         // A fully drained record is semantically identical to an absent one;

@@ -264,80 +264,6 @@ impl<V> VersionArray<V> {
     }
 }
 
-/// Width of one [`ReaderSummary`] time bucket as a power-of-two shift of
-/// raw nanoseconds: 2^17 ns ≈ 131 µs. Reader intervals (version read →
-/// reader timestamp) span microseconds to a few milliseconds under the
-/// simulated cost model, so most cover a handful of the 64 buckets.
-const READER_BUCKET_SHIFT: u32 = 17;
-
-/// Bloom-style one-word summary of the reader intervals recorded for one
-/// key.
-///
-/// Check (5) of the MVTSO prepare asks, for a write at `ts`, whether any
-/// recorded read (reader timestamp `r`, version read `v`) satisfies
-/// `v < ts < r` — the write would land inside a window some reader believes
-/// it read over. The exact answer is an ordered scan of the reader arrays;
-/// this summary answers "definitely no such reader" in O(1) and has no
-/// false negatives, so a clear bucket skips the scan outright.
-///
-/// Each recorded read covers the coarse time buckets its `(v, r)` interval
-/// spans, taken modulo 64 into a single `u64`. Removing a read does *not*
-/// clear bits (Bloom semantics — clearing could uncover another interval's
-/// buckets); the owner rebuilds the summary from the surviving entries when
-/// garbage collection drains a prefix.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReaderSummary {
-    bits: u64,
-}
-
-impl ReaderSummary {
-    /// An empty summary: no reader interval covers anything.
-    pub fn new() -> Self {
-        ReaderSummary::default()
-    }
-
-    fn bucket(time_ns: u64) -> u32 {
-        ((time_ns >> READER_BUCKET_SHIFT) % 64) as u32
-    }
-
-    /// Forgets every covered interval (used before a rebuild).
-    pub fn clear(&mut self) {
-        self.bits = 0;
-    }
-
-    /// Whether nothing has been covered since the last clear.
-    pub fn is_empty(&self) -> bool {
-        self.bits == 0
-    }
-
-    /// Covers the bucket range spanned by a read of `version` performed at
-    /// `reader`. Endpoint buckets are included (the conflict predicate is
-    /// strict, so this only over-approximates). An interval spanning all 64
-    /// buckets saturates the summary.
-    pub fn cover(&mut self, version: Timestamp, reader: Timestamp) {
-        let lo = version.time.min(reader.time);
-        let hi = version.time.max(reader.time);
-        let span = (hi >> READER_BUCKET_SHIFT) - (lo >> READER_BUCKET_SHIFT) + 1;
-        if span >= 64 {
-            self.bits = u64::MAX;
-            return;
-        }
-        let mut b = Self::bucket(lo);
-        for _ in 0..span {
-            self.bits |= 1u64 << b;
-            b = (b + 1) % 64;
-        }
-    }
-
-    /// Whether a write at `ts` *may* be invalidated by a covered reader.
-    /// `false` is definitive: no recorded interval contains `ts`, so the
-    /// ordered reader scan can be skipped. `true` demands the exact scan
-    /// (the bucket may be set by an unrelated interval or a mod-64 alias).
-    pub fn may_invalidate(&self, ts: Timestamp) -> bool {
-        self.bits & (1u64 << Self::bucket(ts.time)) != 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,68 +454,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    const B: u64 = 1 << READER_BUCKET_SHIFT; // one summary bucket, in ns
-
-    #[test]
-    fn reader_summary_clears_and_covers() {
-        let mut s = ReaderSummary::new();
-        assert!(s.is_empty());
-        // Interval well inside one bucket-group: buckets far away stay clear.
-        s.cover(ts(2 * B), ts(3 * B));
-        assert!(s.may_invalidate(ts(2 * B + 10)));
-        assert!(s.may_invalidate(ts(3 * B + 10)), "endpoint bucket included");
-        assert!(!s.may_invalidate(ts(10 * B)));
-        s.clear();
-        assert!(s.is_empty());
-        assert!(!s.may_invalidate(ts(2 * B + 10)));
-    }
-
-    #[test]
-    fn reader_summary_never_false_negatives() {
-        // Exhaustive-ish sweep: for every covered interval and every ts
-        // strictly inside it, the summary must answer "maybe".
-        let intervals = [
-            (0, 5),
-            (B - 1, B + 1),          // crosses a bucket edge
-            (10 * B, 10 * B),        // degenerate (v == r): nothing inside
-            (62 * B, 66 * B),        // wraps past the 64-bucket modulus
-            (7 * B, 7 * B + 90 * B), // saturating span (>64 buckets)
-        ];
-        for &(v, r) in &intervals {
-            let mut s = ReaderSummary::new();
-            s.cover(ts(v), ts(r));
-            for probe in [v, v + 1, (v + r) / 2, r.saturating_sub(1), r] {
-                if probe > v && probe < r {
-                    assert!(
-                        s.may_invalidate(ts(probe)),
-                        "interval ({v},{r}) missed inner probe {probe}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn reader_summary_saturates_on_wide_intervals() {
-        let mut s = ReaderSummary::new();
-        s.cover(ts(0), ts(65 * B));
-        for probe in [1, 50 * B, 1000 * B, u64::MAX / 2] {
-            assert!(s.may_invalidate(ts(probe)), "saturated summary covers all");
-        }
-    }
-
-    #[test]
-    fn reader_summary_aliasing_is_conservative_only() {
-        // A bucket 64 groups away aliases to the same bit — allowed (false
-        // positive), but a clear bucket within the same epoch is definitive.
-        let mut s = ReaderSummary::new();
-        s.cover(ts(5 * B), ts(6 * B));
-        assert!(s.may_invalidate(ts((5 + 64) * B)), "mod-64 alias");
-        assert!(
-            !s.may_invalidate(ts(40 * B)),
-            "clear bucket stays definitive"
-        );
     }
 }

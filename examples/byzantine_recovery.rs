@@ -4,7 +4,7 @@
 //! fallback (Section 5) to finish it and commit its own transaction.
 //!
 //! **That is what it is meant to show, not what it runs today** (ROADMAP open
-//! item 0, "Byzantine clients have never been Byzantine"): the client's
+//! item 1, "Make the fallback live"): the client's
 //! Byzantine hooks read `BasilConfig::client_strategy`, which nothing here
 //! sets, and never the `FaultProfile`'s strategy, so client 1 follows the
 //! protocol, the run prints `fallback invocations  : 0` and the closing banner

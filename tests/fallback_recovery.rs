@@ -2,8 +2,8 @@
 //! Section 6.4): stalled transactions are finished by other clients, and
 //! correct clients keep making progress under every attack strategy.
 //!
-//! **What runs today** (ROADMAP open item 0, "Byzantine clients have never
-//! been Byzantine"): the client's Byzantine hooks read
+//! **What runs today** (ROADMAP open item 1, "Make the fallback live"): the
+//! client's Byzantine hooks read
 //! `BasilConfig::client_strategy`, which `byz_config` leaves at `Correct`, and
 //! never the `FaultProfile`'s strategy — so the "Byzantine" clients of the
 //! `byz_config` tests follow the protocol (they only skip the retry of an
@@ -98,7 +98,7 @@ fn stalled_dependency_is_recovered_by_interested_client() {
 /// stall-early Byzantine clients on a contended workload. Today (module docs)
 /// the two clients do not stall, so this is six protocol-following clients,
 /// two of which do not retry aborts. With stalling really on this
-/// configuration wedges every correct client (ROADMAP open item 0).
+/// configuration wedges every correct client (ROADMAP open item 1).
 #[test]
 fn correct_clients_progress_with_stall_early_byzantine_clients() {
     let config = byz_config(ClientStrategy::StallEarly, 6, 2);
@@ -137,7 +137,7 @@ fn correct_clients_progress_with_stall_late_byzantine_clients() {
 /// correct clients keep committing, and no transaction ends up both committed
 /// and aborted. Today (module docs) nobody equivocates and no election runs:
 /// all this exercises is `relax_st2_validation` under honest traffic. Really
-/// on, this configuration fails the audit (ROADMAP open item 0).
+/// on, this configuration fails the audit (ROADMAP open item 1).
 #[test]
 fn forced_equivocation_is_reconciled_by_fallback() {
     let config = byz_config(ClientStrategy::EquivForced, 6, 2);
@@ -266,7 +266,7 @@ fn fallback_invocations_are_recorded_for_stalled_dependencies() {
 }
 
 /// Byzantine behaviour *really* on, through the only path that is wired today
-/// (ROADMAP open item 0): the client consults `BasilConfig::client_strategy`,
+/// (ROADMAP open item 1): the client consults `BasilConfig::client_strategy`,
 /// never its `FaultProfile`'s strategy, so both are set. Honest clients sample
 /// `faulty = false` and never look at the strategy.
 fn really_byzantine_config(strategy: ClientStrategy) -> ClusterConfig {
