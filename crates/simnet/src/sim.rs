@@ -991,6 +991,47 @@ mod tests {
         assert_eq!(sim.actor::<Echoer>(client(2)).expect("echoer").handled, 1);
     }
 
+    /// Timers scheduled far ahead, out of order, fire at their own times
+    /// and in time order.
+    #[test]
+    fn far_future_timers_survive_the_overflow_path() {
+        struct LongTimer {
+            fired_at: Vec<SimTime>,
+        }
+        impl Actor<Msg> for LongTimer {
+            fn on_start(&mut self, ctx: &mut Context<Msg>) {
+                ctx.schedule_self(Duration::from_millis(500), Msg::Tick);
+                ctx.schedule_self(Duration::from_millis(250), Msg::Tick);
+                ctx.schedule_self(Duration::from_micros(10), Msg::Tick);
+            }
+            fn on_message(&mut self, ctx: &mut Context<Msg>, _from: NodeId, _msg: Msg) {
+                self.fired_at.push(ctx.now());
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let mut sim: Simulation<Msg> = Simulation::new(1, NetworkConfig::instant());
+        sim.add_node(
+            client(1),
+            NodeProps::default(),
+            Box::new(LongTimer { fired_at: vec![] }),
+        );
+        sim.run_until(SimTime::from_secs(1));
+        let t: &LongTimer = sim.actor(client(1)).expect("timer actor");
+        assert_eq!(
+            t.fired_at,
+            vec![
+                SimTime::from_micros(10),
+                SimTime::from_millis(250),
+                SimTime::from_millis(500),
+            ]
+        );
+    }
+
     use crate::network::{LinkFault, LinkFaultKind, NodeMatcher};
 
     #[test]
@@ -1100,19 +1141,14 @@ mod tests {
         assert_eq!(m.messages_dropped, 5);
     }
 
-    /// Injected messages and a far-future timer pop in strict (time,
-    /// sequence) order — the order the determinism contract promises.
+    /// Injected messages pop in strict (time, sequence) order — the order
+    /// the determinism contract promises.
     #[test]
     fn queue_pops_in_time_then_sequence_order() {
-        /// The timer's payload, distinct from every injected index.
-        const TIMER: u32 = u32::MAX;
         struct Recorder {
             seen: Vec<(SimTime, u32)>,
         }
         impl Actor<Msg> for Recorder {
-            fn on_start(&mut self, ctx: &mut Context<Msg>) {
-                ctx.schedule_self(Duration::from_secs(250), Msg::Ping(TIMER));
-            }
             fn on_message(&mut self, ctx: &mut Context<Msg>, _from: NodeId, msg: Msg) {
                 if let Msg::Ping(i) = msg {
                     self.seen.push((ctx.now(), i));
@@ -1149,7 +1185,6 @@ mod tests {
             .enumerate()
             .map(|(i, us)| (SimTime::from_nanos(us * 1_000), i as u32))
             .collect();
-        expected.push((SimTime::from_secs(250), TIMER));
         // Stable sort by time keeps same-time entries in injection
         // (sequence) order.
         expected.sort_by_key(|(at, _)| *at);
