@@ -113,7 +113,7 @@ impl BaselineClient {
         for shard in involved {
             for target in self.submit_targets(*shard) {
                 if first && self.cfg.kind.uses_signatures() {
-                    ctx.charge(self.cfg.cost.sign_cost());
+                    ctx.charge(self.cfg.cost.sign);
                 }
                 ctx.charge(self.cfg.cost.message_cost());
                 let request = request.clone();
@@ -193,7 +193,7 @@ impl BaselineClient {
         value: Value,
     ) {
         if self.cfg.kind.uses_signatures() {
-            ctx.charge(self.cfg.cost.verify_cost());
+            ctx.charge(self.cfg.cost.verify);
         }
         let Some(replica) = from.as_replica() else {
             return;
@@ -259,7 +259,7 @@ impl BaselineClient {
         vote: OccVote,
     ) {
         if self.cfg.kind.uses_signatures() {
-            ctx.charge(self.cfg.cost.verify_cost());
+            ctx.charge(self.cfg.cost.verify);
         }
         // For the ordered systems all correct replicas execute the prepare
         // identically, so `f + 1` matching votes decide a shard. TAPIR

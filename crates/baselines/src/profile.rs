@@ -70,7 +70,8 @@ pub struct BaselineConfig {
     pub batch_size: u32,
     /// Maximum time the leader waits before ordering a partial batch.
     pub batch_timeout: Duration,
-    /// Cryptographic cost model (ignored for TAPIR).
+    /// Cryptographic cost model (charged only by systems that sign, see
+    /// [`SystemKind::uses_signatures`]).
     pub cost: CostModel,
     /// Client-side timeout before re-sending a prepare or decide.
     pub request_timeout: Duration,
@@ -94,11 +95,7 @@ impl BaselineConfig {
                 SystemKind::Tapir => 1,
             },
             batch_timeout: Duration::from_micros(500),
-            cost: if kind.uses_signatures() {
-                CostModel::ed25519_default()
-            } else {
-                CostModel::no_proofs()
-            },
+            cost: CostModel::ed25519_default(),
             request_timeout: Duration::from_millis(15),
             retry_backoff: Duration::from_micros(500),
             max_backoff: Duration::from_millis(50),
@@ -177,12 +174,12 @@ mod tests {
         assert_eq!(hs.n(), 4);
         assert_eq!(hs.reply_quorum(), 2);
         assert_eq!(hs.ordering_quorum(), 3);
-        assert!(hs.cost.enabled);
+        assert!(hs.kind.uses_signatures());
 
         let tapir = BaselineConfig::new(SystemKind::Tapir);
         assert_eq!(tapir.n(), 3);
         assert_eq!(tapir.reply_quorum(), 1);
-        assert!(!tapir.cost.enabled);
+        assert!(!tapir.kind.uses_signatures());
     }
 
     #[test]

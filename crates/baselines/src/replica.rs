@@ -108,7 +108,7 @@ impl BaselineReplica {
 
     fn sign_cost(&self) -> Duration {
         if self.cfg.kind.uses_signatures() {
-            self.cfg.cost.sign_cost()
+            self.cfg.cost.sign
         } else {
             Duration::ZERO
         }
@@ -116,7 +116,7 @@ impl BaselineReplica {
 
     fn verify_cost(&self) -> Duration {
         if self.cfg.kind.uses_signatures() {
-            self.cfg.cost.verify_cost()
+            self.cfg.cost.verify
         } else {
             Duration::ZERO
         }
@@ -327,10 +327,7 @@ impl BaselineReplica {
     fn handle_read(&mut self, ctx: &mut Context<BaselineMsg>, from: NodeId, req_id: u64, key: Key) {
         self.stats.reads_served += 1;
         let (version, value) = self.occ.read(&key);
-        if self.cfg.kind.uses_signatures() {
-            ctx.charge(self.cfg.cost.sign_cost());
-        }
-        ctx.charge(self.cfg.cost.message_cost());
+        ctx.charge(self.sign_cost() + self.cfg.cost.message_cost());
         ctx.send(
             from,
             BaselineMsg::ReadReply {

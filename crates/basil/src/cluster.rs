@@ -65,13 +65,17 @@ pub trait ClusterProtocol {
     /// `3f + 1` for the baselines).
     fn replicas_per_shard(&self) -> u32;
 
-    /// Behaviour assigned to replicas without an explicit override.
+    /// The behaviour every replica is built with. Kept as a hook, with
+    /// `make_replica`'s `behavior` parameter, because `benchmark/src/sim.rs`
+    /// implements both; misbehaviour is injected after the build through
+    /// [`ProtocolCluster::set_replica_behavior`].
     fn default_replica_behavior(&self) -> ReplicaBehavior {
         ReplicaBehavior::Correct
     }
 
     /// Constructs the replica actor for `rid`, preloaded with its shard's
-    /// slice of the genesis data.
+    /// slice of the genesis data, behaving as `behavior` (always
+    /// [`ClusterProtocol::default_replica_behavior`]).
     fn make_replica(
         &self,
         rid: ReplicaId,
@@ -162,8 +166,6 @@ pub struct ClusterConfig<P> {
     pub num_byzantine_clients: u32,
     /// The strategy and fault fraction applied by Byzantine clients.
     pub fault: FaultProfile,
-    /// Behaviour overrides for specific replicas.
-    pub replica_behaviors: Vec<(ReplicaId, ReplicaBehavior)>,
     /// Node-property overrides for specific replicas: clock skew
     /// (nanoseconds, positive runs ahead) and core count (a "slow
     /// replica" gets fewer cores than `replica_cores`). Scenario specs
@@ -191,7 +193,6 @@ impl<P> ClusterConfig<P> {
             num_clients,
             num_byzantine_clients: 0,
             fault: FaultProfile::honest(),
-            replica_behaviors: Vec::new(),
             replica_props: Vec::new(),
             network: NetworkConfig::lan(),
             seed: 42,
@@ -260,8 +261,6 @@ impl<P: ClusterProtocol> ProtocolCluster<P> {
         // Replicas, one group per shard, each holding its shard's slice of
         // the initial data.
         let mut replicas = Vec::new();
-        let behavior_overrides: HashMap<ReplicaId, ReplicaBehavior> =
-            config.replica_behaviors.iter().copied().collect();
         let props_overrides: HashMap<ReplicaId, ReplicaPropsOverride> =
             config.replica_props.iter().copied().collect();
         for shard in config.protocol.shards() {
@@ -273,10 +272,7 @@ impl<P: ClusterProtocol> ProtocolCluster<P> {
                 .collect();
             for index in 0..config.protocol.replicas_per_shard() {
                 let rid = ReplicaId::new(shard, index);
-                let behavior = behavior_overrides
-                    .get(&rid)
-                    .copied()
-                    .unwrap_or_else(|| config.protocol.default_replica_behavior());
+                let behavior = config.protocol.default_replica_behavior();
                 let replica = config
                     .protocol
                     .make_replica(rid, behavior, shard_data.clone());

@@ -86,10 +86,6 @@ impl ClusterProtocol for BasilProtocol {
         self.basil.system.shard.n()
     }
 
-    fn default_replica_behavior(&self) -> ReplicaBehavior {
-        self.basil.replica_behavior
-    }
-
     fn make_replica(
         &self,
         rid: ReplicaId,

@@ -32,12 +32,12 @@ fn main() {
     let mut rows = Vec::new();
     for (name, workload, paper_basil, paper_noproofs) in workloads {
         let with_sigs = run_basil(basil_default(1), workload, &p);
-        let no_proofs = run_basil(basil_default(1).without_proofs(), workload, &p);
-        let ratio = no_proofs.throughput_tps / with_sigs.throughput_tps.max(1.0);
+        let noproofs = run_basil(basil_default(1).without_proofs(), workload, &p);
+        let ratio = noproofs.throughput_tps / with_sigs.throughput_tps.max(1.0);
         rows.push(vec![
             name.to_string(),
             format!("{:.0}", with_sigs.throughput_tps),
-            format!("{:.0}", no_proofs.throughput_tps),
+            format!("{:.0}", noproofs.throughput_tps),
             format!("{ratio:.1}x"),
             format!("{:.1}x", paper_noproofs / paper_basil),
         ]);
@@ -45,8 +45,8 @@ fn main() {
             "[fig5a] {name}: Basil {:.0} tx/s ({:.2} ms), NoProofs {:.0} tx/s ({:.2} ms)",
             with_sigs.throughput_tps,
             with_sigs.mean_latency_ms,
-            no_proofs.throughput_tps,
-            no_proofs.mean_latency_ms
+            noproofs.throughput_tps,
+            noproofs.mean_latency_ms
         );
     }
     print_table(

@@ -44,21 +44,21 @@ fn main() {
     for shards in 1..=max_shards {
         let p = base.clone().with_clients(clients_per_shard * shards);
         let with_sigs = run_basil(basil_default(shards), workload, &p);
-        let no_proofs = run_basil(basil_default(shards).without_proofs(), workload, &p);
+        let noproofs = run_basil(basil_default(shards).without_proofs(), workload, &p);
         basil_at.push(with_sigs.throughput_tps);
-        noproofs_at.push(no_proofs.throughput_tps);
+        noproofs_at.push(noproofs.throughput_tps);
         rows.push(vec![
             shards.to_string(),
             "1".to_string(),
             p.clients.to_string(),
             format!("{:.0}", with_sigs.throughput_tps),
             format!("{:.1}x", with_sigs.throughput_tps / basil_at[0].max(1.0)),
-            format!("{:.0}", no_proofs.throughput_tps),
-            format!("{:.1}x", no_proofs.throughput_tps / noproofs_at[0].max(1.0)),
+            format!("{:.0}", noproofs.throughput_tps),
+            format!("{:.1}x", noproofs.throughput_tps / noproofs_at[0].max(1.0)),
         ]);
         eprintln!(
             "[fig5c] {shards} shard(s) f=1, {} clients: Basil {:.0} tx/s, NoProofs {:.0} tx/s",
-            p.clients, with_sigs.throughput_tps, no_proofs.throughput_tps
+            p.clients, with_sigs.throughput_tps, noproofs.throughput_tps
         );
     }
     // The f = 2 row: n = 11 replicas per shard, commit quorum 7. Compared
@@ -68,23 +68,23 @@ fn main() {
     if f2_shards > 0 {
         let p = base.clone().with_clients(clients_per_shard * f2_shards);
         let with_sigs = run_basil(basil_with_f(f2_shards, 2), workload, &p);
-        let no_proofs = run_basil(basil_with_f(f2_shards, 2).without_proofs(), workload, &p);
+        let noproofs = run_basil(basil_with_f(f2_shards, 2).without_proofs(), workload, &p);
         rows.push(vec![
             f2_shards.to_string(),
             "2".to_string(),
             p.clients.to_string(),
             format!("{:.0}", with_sigs.throughput_tps),
             format!("{:.1}x", with_sigs.throughput_tps / basil_at[0].max(1.0)),
-            format!("{:.0}", no_proofs.throughput_tps),
-            format!("{:.1}x", no_proofs.throughput_tps / noproofs_at[0].max(1.0)),
+            format!("{:.0}", noproofs.throughput_tps),
+            format!("{:.1}x", noproofs.throughput_tps / noproofs_at[0].max(1.0)),
         ]);
         eprintln!(
             "[fig5c] {f2_shards} shard(s) f=2 (n=11), {} clients: Basil {:.0} tx/s, NoProofs {:.0} tx/s",
             p.clients,
             with_sigs.throughput_tps,
-            no_proofs.throughput_tps
+            noproofs.throughput_tps
         );
-        f2 = Some((with_sigs.throughput_tps, no_proofs.throughput_tps));
+        f2 = Some((with_sigs.throughput_tps, noproofs.throughput_tps));
     }
     print_table(
         "Figure 5c: shard scaling (RW-U, 3 reads / 3 writes, saturating load)",

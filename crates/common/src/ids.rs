@@ -87,7 +87,7 @@ pub struct TxId(pub [u8; 32]);
 
 /// A `TxId` is always a SHA-256 content hash (or the all-zero genesis id):
 /// its bytes are uniformly distributed, so hash tables keyed by `TxId` —
-/// replica records, certificate tables, decision maps, client tallies, all
+/// replica records, the store's transaction table, client tallies, all
 /// on the hot path — only need the first eight bytes. Consistent with
 /// `Eq`: equal ids have equal prefixes. (This is deliberately *not* done
 /// for `basil_crypto::Digest`: simulated-mode batch roots encode a

@@ -2,8 +2,7 @@
 //!
 //! Protocol crates use it so they do not need a `rand` dependency and so
 //! Byzantine sampling and backoff jitter stay reproducible under a fixed
-//! seed. It originally lived in `basil_core::byzantine::rand_like`, which
-//! still re-exports this module for compatibility.
+//! seed.
 
 /// A deterministic 64-bit PRNG.
 #[derive(Clone, Debug)]

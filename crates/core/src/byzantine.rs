@@ -193,11 +193,6 @@ impl Default for FaultProfile {
     }
 }
 
-/// Compatibility re-export: the deterministic PRNG now lives in
-/// [`basil_common::prng`] so every crate can share it without a `rand`
-/// dependency.
-pub use basil_common::prng as rand_like;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,14 +246,5 @@ mod tests {
         let mut prng = SmallPrng::new(3);
         let p = FaultProfile::always(ClientStrategy::StallLate);
         assert!((0..100).all(|_| p.sample_faulty(&mut prng)));
-    }
-
-    #[test]
-    fn rand_like_reexport_still_resolves() {
-        // Downstream code historically imported the PRNG through
-        // `basil_core::byzantine::rand_like`; the re-export must keep
-        // working after the hoist into `basil_common::prng`.
-        let mut prng = super::rand_like::SmallPrng::new(42);
-        assert_eq!(prng.next_u64(), SmallPrng::new(42).next_u64());
     }
 }

@@ -524,35 +524,34 @@ impl BasilClient {
         self.send_read(ctx, req_id, key, ts, targets);
     }
 
-    fn handle_read_reply(&mut self, ctx: &mut Context<BasilMsg>, reply: ReadReply) {
+    fn handle_read_reply(&mut self, ctx: &mut Context<BasilMsg>, from: NodeId, reply: ReadReply) {
         let Some((req_id, key, _)) = self.session.pending_read() else {
             return;
         };
         if req_id != reply.body.req_id {
             return;
         }
-        let shard = self.cfg.system.shard_for_key(key);
-        let replica = if self.engine.enabled() {
-            // A read reply names no sender: whoever signed it is who vouches
-            // for the version, and only a replica of the key's shard may —
-            // a client's key, or another shard's, verifies just as well.
-            let Some(NodeId::Replica(r)) = reply.proof.as_ref().map(|p| p.signer()) else {
-                return;
-            };
-            if r.shard != shard || r.index >= self.cfg.system.shard.n() {
-                return;
-            }
-            let (ok, cost) = self.engine.verify(&reply.body, reply.proof.as_ref());
-            ctx.charge(cost);
-            if !ok {
-                return;
-            }
-            r
+        // A read reply names no sender: whoever signed it is who vouches for
+        // the version (with signatures off, whoever sent it), and only a
+        // replica of the key's shard may — a client's key, or another
+        // shard's, verifies just as well.
+        let voucher = if self.engine.enabled() {
+            reply.proof.as_ref().map(|p| p.signer())
         } else {
-            // Signatures disabled: replies carry no identity, and each
-            // replica answers once, so number them in arrival order.
-            ReplicaId::new(shard, self.read_replies.len() as u32)
+            Some(from)
         };
+        let Some(NodeId::Replica(replica)) = voucher else {
+            return;
+        };
+        let shard = self.cfg.system.shard_for_key(key);
+        if replica.shard != shard || replica.index >= self.cfg.system.shard.n() {
+            return;
+        }
+        let (ok, cost) = self.engine.verify(&reply.body, reply.proof.as_ref());
+        ctx.charge(cost);
+        if !ok {
+            return;
+        }
         match self.read_replies.iter_mut().find(|(r, _)| *r == replica) {
             Some((_, existing)) => *existing = reply,
             None => self.read_replies.push((replica, reply)),
@@ -1142,10 +1141,10 @@ impl Actor<BasilMsg> for BasilClient {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Context<BasilMsg>, _from: NodeId, msg: BasilMsg) {
+    fn on_message(&mut self, ctx: &mut Context<BasilMsg>, from: NodeId, msg: BasilMsg) {
         ctx.charge(self.engine.message_cost());
         match msg {
-            BasilMsg::ReadReply(reply) => self.handle_read_reply(ctx, reply),
+            BasilMsg::ReadReply(reply) => self.handle_read_reply(ctx, from, reply),
             BasilMsg::St1Reply(vote) => self.handle_st1_reply(ctx, vote),
             BasilMsg::St2Reply(reply) => self.handle_st2_reply(ctx, reply),
             BasilMsg::Writeback(wb) => self.handle_incoming_cert(ctx, wb),
@@ -1847,6 +1846,18 @@ mod tests {
     // Read replies, bounded state
     // ------------------------------------------------------------------
 
+    /// The body of a reply to read `req_id` of `key` that shows only `tx`'s
+    /// prepared write.
+    fn prepared_read(req_id: u64, key: &str, tx: &Arc<Transaction>) -> ReadReplyBody {
+        let prepared = Some(PreparedRead { tx: Arc::clone(tx) });
+        ReadReplyBody {
+            req_id,
+            key: Key::new(key),
+            committed: None,
+            prepared,
+        }
+    }
+
     /// A read reply vouches for a version only if a replica of the key's
     /// shard signed it: anyone with a key can produce a valid signature.
     #[test]
@@ -1856,14 +1867,7 @@ mod tests {
         client.on_start(&mut ctx_at(1));
         let forged_tx = write_tx(500);
         let reply_from = |signer: NodeId| {
-            let body = ReadReplyBody {
-                req_id: 1,
-                key: Key::new("x"),
-                committed: None,
-                prepared: Some(PreparedRead {
-                    tx: Arc::clone(&forged_tx),
-                }),
-            };
+            let body = prepared_read(1, "x", &forged_tx);
             let (proof, _) = SigEngine::new(signer, registry(), &cfg()).sign(&body);
             ReadReply { body, proof }
         };
@@ -1877,7 +1881,7 @@ mod tests {
             NodeId::Replica(ReplicaId::new(ShardId(0), 7)),
         ];
         for signer in impostors {
-            client.handle_read_reply(&mut ctx_at(2), reply_from(signer));
+            client.handle_read_reply(&mut ctx_at(2), signer, reply_from(signer));
         }
         assert!(
             client.session.pending_read().is_some(),
@@ -1889,8 +1893,39 @@ mod tests {
         // Two replicas of shard 0 do vouch for it.
         for i in 0..2 {
             let replica = NodeId::Replica(ReplicaId::new(ShardId(0), i));
-            client.handle_read_reply(&mut ctx_at(3), reply_from(replica));
+            client.handle_read_reply(&mut ctx_at(3), replica, reply_from(replica));
         }
+        assert_eq!(client.stats().dependent_reads, 1);
+    }
+
+    /// With signatures off a read reply is its transport sender's: a replica
+    /// that answers again after a `ReadTimeout` widened the read is still
+    /// one voucher, and a client or another shard's replica is none.
+    #[test]
+    fn unsigned_read_reply_counts_each_replica_once() {
+        let profile = TxProfile::new("r", vec![Op::Read(Key::new("x"))]);
+        let mut client = client_under(unsigned_cfg(), vec![profile]);
+        client.on_start(&mut ctx_at(1));
+        let prepared_tx = write_tx(500);
+        let reply = || {
+            let body = prepared_read(1, "x", &prepared_tx);
+            BasilMsg::ReadReply(ReadReply { body, proof: None })
+        };
+        let replica = |shard, index| NodeId::Replica(ReplicaId::new(ShardId(shard), index));
+
+        client.on_message(&mut ctx_at(2), replica(0, 0), reply());
+        client.handle_read_timeout(&mut ctx_at(6), 1);
+        client.on_message(&mut ctx_at(7), replica(0, 0), reply());
+        client.on_message(&mut ctx_at(7), NodeId::Client(ClientId(8)), reply());
+        client.on_message(&mut ctx_at(7), replica(1, 1), reply());
+        assert!(
+            client.session.pending_read().is_some(),
+            "one replica of the shard answered: the read is still waiting"
+        );
+        assert_eq!(client.stats().dependent_reads, 0);
+
+        // A second replica of the shard makes f + 1 vouchers.
+        client.on_message(&mut ctx_at(8), replica(0, 1), reply());
         assert_eq!(client.stats().dependent_reads, 1);
     }
 
@@ -1916,16 +1951,10 @@ mod tests {
             b.record_write(Key::new("hot"), Value::from_u64(i));
             let dep = b.build_shared();
             let mut ctx = ctx_at(2);
-            for _ in 0..2 {
-                let body = ReadReplyBody {
-                    req_id: i + 1,
-                    key: Key::new("hot"),
-                    committed: None,
-                    prepared: Some(PreparedRead {
-                        tx: Arc::clone(&dep),
-                    }),
-                };
-                client.handle_read_reply(&mut ctx, ReadReply { body, proof: None });
+            for r in 0..2 {
+                let body = prepared_read(i + 1, "hot", &dep);
+                let from = NodeId::Replica(ReplicaId::new(ShardId(0), r));
+                client.handle_read_reply(&mut ctx, from, ReadReply { body, proof: None });
             }
             let txid = sent_messages(&ctx)
                 .iter()

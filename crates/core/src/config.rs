@@ -1,6 +1,6 @@
 //! Protocol configuration.
 
-use crate::byzantine::{ClientStrategy, ReplicaBehavior};
+use crate::byzantine::ClientStrategy;
 use basil_common::{Duration, SystemConfig};
 use basil_crypto::CostModel;
 
@@ -46,8 +46,6 @@ pub struct BasilConfig {
     /// Default Byzantine strategy of clients (individual clients can
     /// override).
     pub client_strategy: ClientStrategy,
-    /// Default behaviour of replicas.
-    pub replica_behavior: ReplicaBehavior,
     /// Experiment hook for the `equiv-forced` failure mode of Section 6.4:
     /// replicas accept ST2 decisions without checking that the attached vote
     /// tallies justify them, so Byzantine clients can always equivocate.
@@ -103,7 +101,6 @@ impl BasilConfig {
             retry_backoff: Duration::from_micros(500),
             max_backoff: Duration::from_millis(50),
             client_strategy: ClientStrategy::Correct,
-            replica_behavior: ReplicaBehavior::Correct,
             relax_st2_validation: false,
             gc_interval: None,
             gc_horizon: Duration::from_millis(500),
@@ -125,10 +122,10 @@ impl BasilConfig {
     }
 
     /// Returns a copy with signatures disabled entirely (the `Basil-NoProofs`
-    /// configuration of Figures 5a and 5c).
+    /// configuration of Figures 5a and 5c): nothing is signed or verified, so
+    /// no crypto cost is charged either.
     pub fn without_proofs(mut self) -> Self {
         self.system.signatures = false;
-        self.cost = CostModel::no_proofs();
         self
     }
 
@@ -199,7 +196,6 @@ mod tests {
 
         let np = cfg.clone().without_proofs();
         assert!(!np.signatures_enabled());
-        assert!(!np.cost.enabled);
 
         let nofp = cfg.clone().without_fast_path();
         assert!(!nofp.system.fast_path);

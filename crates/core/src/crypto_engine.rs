@@ -124,7 +124,7 @@ impl SigEngine {
         if !self.enabled {
             return (None, Duration::ZERO);
         }
-        let cost = self.cost.sign_cost() + self.cost.hash_cost(payload.encoded_len());
+        let cost = self.cost.sign + self.cost.hash_cost(payload.encoded_len());
         let proof = match self.mode {
             CryptoMode::Real => BatchProof::sign_single(&self.keypair, &payload.to_bytes()),
             CryptoMode::Simulated => {
@@ -152,7 +152,7 @@ impl SigEngine {
                 dummy_proof(self.keypair.node(), self.dummy_counter, 1)
             }
         };
-        (Some(proof), self.cost.mac_cost())
+        (Some(proof), self.cost.mac)
     }
 
     /// Verifies a client request MAC. The payload is only materialized
@@ -171,9 +171,9 @@ impl SigEngine {
         match self.mode {
             CryptoMode::Real => {
                 let outcome = proof.verify(&payload.to_bytes(), &self.registry, &mut self.cache);
-                (outcome.valid, self.cost.mac_cost())
+                (outcome.valid, self.cost.mac)
             }
-            CryptoMode::Simulated => (true, self.cost.mac_cost()),
+            CryptoMode::Simulated => (true, self.cost.mac),
         }
     }
 
@@ -345,9 +345,6 @@ mod tests {
         let mut cfg = BasilConfig::test_single_shard();
         cfg.crypto_mode = mode;
         cfg.system.signatures = signatures;
-        if !signatures {
-            cfg.cost = CostModel::no_proofs();
-        }
         let registry = KeyRegistry::from_seed(7);
         (
             SigEngine::new(replica(0), registry.clone(), &cfg),

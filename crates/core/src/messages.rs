@@ -126,7 +126,7 @@ pub struct CommittedRead {
     /// The writing transaction.
     pub txid: TxId,
     /// Commit certificate for the writing transaction, shared with the
-    /// replica's certificate table (a reference-count bump per reply, not a
+    /// writer's replica record (a reference-count bump per reply, not a
     /// deep copy). `None` only for the initial (genesis) versions loaded at
     /// deployment time.
     pub cert: Option<Arc<DecisionCert>>,
@@ -240,7 +240,7 @@ pub struct SignedSt1Reply {
     pub proof: Option<BatchProof>,
     /// Optional evidence for an abort vote: a commit certificate of a
     /// conflicting transaction (fast-abort case 5 of Section 4.2), shared
-    /// with the replica's certificate table.
+    /// with the conflicting transaction's replica record.
     pub conflict: Option<Arc<DecisionCert>>,
 }
 
@@ -315,8 +315,8 @@ pub struct SignedSt2Reply {
 #[derive(Clone, Debug)]
 pub struct Writeback {
     /// The decision certificate (`C-CERT` or `A-CERT`). Shared: the
-    /// per-shard fan-out, the replica's certificate table, and forwards to
-    /// interested clients all hold the same allocation.
+    /// per-shard fan-out, each replica's record of the transaction, and
+    /// forwards to interested clients all hold the same allocation.
     pub cert: Arc<DecisionCert>,
     /// The transaction body, included so that replicas that never received
     /// the `ST1` (e.g. they were partitioned during prepare) can still apply

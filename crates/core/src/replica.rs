@@ -24,6 +24,7 @@ use basil_common::{
 use basil_simnet::{Actor, Context};
 use basil_store::{CheckOutcome, MvtsoStore, Transaction, Vote, Wal, WalRecord};
 use std::any::Any;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Counters exposed for tests, experiments, and the harness.
@@ -83,8 +84,11 @@ struct TxRecord {
     logged: Option<(ProtoDecision, View)>,
     /// This replica's current fallback view for the transaction.
     current_view: View,
-    /// The final applied decision, if any.
-    decided: Option<ProtoDecision>,
+    /// The certificate of the applied decision (the decision itself is the
+    /// store's), shared with the writeback that delivered it, with
+    /// committed-version read replies, and with forwards to interested
+    /// clients.
+    cert: Option<Arc<DecisionCert>>,
     /// Clients interested in this transaction's outcome (recovery), in
     /// registration order. A `Vec` with membership checks (always a handful
     /// of clients) keeps the forwarding order deterministic — iterating a
@@ -93,6 +97,17 @@ struct TxRecord {
     interested: Vec<NodeId>,
     /// ST2 messages that arrived before the transaction body.
     buffered_st2: Vec<(NodeId, St2)>,
+    /// The elections this replica collected as fallback leader, by view.
+    elections: BTreeMap<View, Election>,
+}
+
+/// The ElectFB messages a fallback leader collected for one view.
+#[derive(Debug, Default)]
+struct Election {
+    /// Correctly signed ElectFBs, by replica index.
+    votes: FastHashMap<u32, SignedElectFb>,
+    /// Whether the DecFB went out (it goes out once).
+    done: bool,
 }
 
 /// A reply waiting to be batched, signed, and sent.
@@ -138,17 +153,9 @@ pub struct BasilReplica {
     /// store's key records: pointer-sized hash-table entries keep probes
     /// and rehashes cache-friendly.
     records: FastHashMap<TxId, Box<TxRecord>>,
-    /// Commit/abort certificates by transaction, shared (`Arc`) with the
-    /// writeback that delivered them, with committed-version read replies,
-    /// and with forwards to interested clients.
-    certs: FastHashMap<TxId, Arc<DecisionCert>>,
     /// Replies awaiting batch signing.
     out_batch: Vec<(NodeId, PendingReply)>,
     batch_timer_armed: bool,
-    /// ElectFB messages collected while acting as fallback leader.
-    elections: FastHashMap<(TxId, View), FastHashMap<u32, SignedElectFb>>,
-    /// Elections already concluded (avoid double DecFB).
-    elections_done: FastHashSet<(TxId, View)>,
     /// Durable record of state transitions, replayed after amnesia restarts.
     wal: Wal,
     /// `Some` while the replica is catching up after an amnesia restart.
@@ -184,11 +191,8 @@ impl BasilReplica {
             store: MvtsoStore::with_initial_data(initial_data),
             behavior,
             records: FastHashMap::default(),
-            certs: FastHashMap::default(),
             out_batch: Vec::new(),
             batch_timer_armed: false,
-            elections: FastHashMap::default(),
-            elections_done: FastHashSet::default(),
             wal,
             recovering: None,
             stats: ReplicaStats::default(),
@@ -251,9 +255,7 @@ impl BasilReplica {
                     let _ = self.store.prepare(&tx, clock, self.cfg.system.delta);
                 }
                 let record = self.record(txid);
-                if record.tx.is_none() {
-                    record.tx = Some(tx);
-                }
+                record.tx.get_or_insert(tx);
                 record.own_vote = Some(if commit {
                     ProtoVote::Commit
                 } else {
@@ -271,34 +273,16 @@ impl BasilReplica {
                 record.current_view = record.current_view.max(view);
             }
             WalRecord::Applied { txid, commit, tx } => {
-                if let Some(tx) = &tx {
-                    let record = self.record(txid);
-                    if record.tx.is_none() {
-                        record.tx = Some(Arc::clone(tx));
-                    }
-                }
-                let applied = if commit {
-                    match self.records.get(&txid).and_then(|r| r.tx.as_ref()) {
-                        Some(tx) => {
-                            self.store.commit(tx);
-                            true
-                        }
-                        // The body is gone (it was only ever logged by
-                        // reference); peer catch-up re-ships it with the
-                        // certificate.
-                        None => false,
-                    }
-                } else {
+                let record = self.records.entry(txid).or_default();
+                record.tx = record.tx.take().or(tx);
+                if !commit {
                     self.store.abort(txid);
-                    true
-                };
-                if applied {
-                    self.record(txid).decided = Some(if commit {
-                        ProtoDecision::Commit
-                    } else {
-                        ProtoDecision::Abort
-                    });
+                } else if let Some(tx) = &record.tx {
+                    self.store.commit(tx);
                 }
+                // A commit whose body is gone (it was only ever logged by
+                // reference) stays undecided; peer catch-up re-ships it
+                // with the certificate.
             }
             WalRecord::GcWatermark { watermark } => {
                 self.store.gc_before(watermark);
@@ -475,7 +459,7 @@ impl BasilReplica {
         let committed = result.committed.map(|c| CommittedRead {
             version: c.version,
             value: c.value,
-            cert: self.certs.get(&c.txid).cloned(),
+            cert: self.records.get(&c.txid).and_then(|r| r.cert.clone()),
             txid: c.txid,
         });
         let prepared = result
@@ -503,32 +487,30 @@ impl BasilReplica {
             return;
         }
         let txid = st1.tx.id();
-        if st1.recovery {
-            self.record(txid).register_interested(from);
-        } else if self.behavior == ReplicaBehavior::WithholdVotes {
+        if !st1.recovery && self.behavior == ReplicaBehavior::WithholdVotes {
             self.stats.byzantine_drops += 1;
             return;
+        }
+        // The record is resolved once and everything below works through it
+        // (records, store, engine and stats are disjoint fields).
+        let record = self.records.entry(txid).or_default();
+        if st1.recovery {
+            record.register_interested(from);
         }
 
         // A known certificate answers the request immediately (recovery fast
         // path: the client can jump straight to writeback).
-        if let Some(cert) = self.certs.get(&txid) {
-            let cert = Arc::clone(cert);
+        if let Some(cert) = &record.cert {
+            let wb = Writeback {
+                cert: Arc::clone(cert),
+                tx: record.tx.clone(),
+            };
             ctx.charge(self.engine.message_cost());
-            ctx.send(
-                from,
-                BasilMsg::Writeback(Writeback {
-                    cert,
-                    tx: self.record(txid).tx.clone(),
-                }),
-            );
+            ctx.send(from, BasilMsg::Writeback(wb));
             return;
         }
 
-        let record = self.records.entry(txid).or_default();
-        if record.tx.is_none() {
-            record.tx = Some(Arc::clone(&st1.tx));
-        }
+        record.tx.get_or_insert_with(|| Arc::clone(&st1.tx));
 
         // If we logged an ST2 decision already, a recovering client is better
         // served by that state.
@@ -565,7 +547,6 @@ impl BasilReplica {
 
         // Byzantine behaviour: always vote abort without consulting the store.
         if self.behavior == ReplicaBehavior::AlwaysVoteAbort {
-            let record = self.record(txid);
             record.own_vote = Some(ProtoVote::Abort);
             self.stats.st1_voted += 1;
             let body = St1ReplyBody {
@@ -589,8 +570,9 @@ impl BasilReplica {
                     Vote::Commit => ProtoVote::Commit,
                     Vote::Abort(_) => ProtoVote::Abort,
                 };
-                let record = self.record(txid);
                 record.own_vote = Some(proto.clone());
+                // A buffered ST2 can now be validated against the transaction.
+                let buffered_st2 = std::mem::take(&mut record.buffered_st2);
                 self.stats.st1_voted += 1;
                 self.wal_append(
                     ctx,
@@ -605,11 +587,11 @@ impl BasilReplica {
                     vote: proto,
                 };
                 self.enqueue_reply(ctx, from, PendingReply::St1(body, None));
-                // A buffered ST2 can now be validated against the transaction.
-                self.process_buffered_st2(ctx, txid);
+                for (from, st2) in buffered_st2 {
+                    self.apply_st2(ctx, from, st2);
+                }
             }
             CheckOutcome::Pending { .. } => {
-                let record = self.record(txid);
                 record.vote_pending = true;
                 record.waiting_clients.push(from);
                 self.stats.st1_deferred += 1;
@@ -676,23 +658,12 @@ impl BasilReplica {
         let txid = st2.txid;
         // Without the transaction body we cannot check which shards must have
         // voted; buffer until the ST1 arrives (unless validation is relaxed).
-        let tx_known = self
-            .records
-            .get(&txid)
-            .map(|r| r.tx.is_some())
-            .unwrap_or(false);
+        let tx_known = self.records.get(&txid).is_some_and(|r| r.tx.is_some());
         if !tx_known && self.engine.enabled() && !self.cfg.relax_st2_validation {
             self.record(txid).buffered_st2.push((from, st2));
             return;
         }
         self.apply_st2(ctx, from, st2);
-    }
-
-    fn process_buffered_st2(&mut self, ctx: &mut Context<BasilMsg>, txid: TxId) {
-        let buffered = std::mem::take(&mut self.record(txid).buffered_st2);
-        for (from, st2) in buffered {
-            self.apply_st2(ctx, from, st2);
-        }
     }
 
     fn apply_st2(&mut self, ctx: &mut Context<BasilMsg>, from: NodeId, st2: St2) {
@@ -763,11 +734,12 @@ impl BasilReplica {
 
     fn handle_writeback(&mut self, ctx: &mut Context<BasilMsg>, wb: Writeback) {
         let txid = wb.cert.txid();
-        let known = self.records.get(&txid);
-        if known.and_then(|r| r.decided).is_some() {
+        if self.store.decision(&txid).is_some() {
             return; // already applied
         }
-        let expected_shards = known
+        let expected_shards = self
+            .records
+            .get(&txid)
             .and_then(|r| r.tx.as_ref())
             .or(wb.tx.as_ref())
             .map(|tx| tx.involved_shards(self.cfg.system.num_shards));
@@ -791,9 +763,7 @@ impl BasilReplica {
         // be valid, and everything below works through it (records, store
         // and stats are disjoint fields).
         let record = self.records.entry(txid).or_default();
-        if record.tx.is_none() {
-            record.tx = wb.tx;
-        }
+        record.tx = record.tx.take().or(wb.tx);
         let decision = wb.cert.decision();
         let (released, logged_tx) = match decision {
             ProtoDecision::Commit => {
@@ -812,9 +782,8 @@ impl BasilReplica {
                 (self.store.abort(txid), None)
             }
         };
-        record.decided = Some(decision);
+        record.cert = Some(Arc::clone(&wb.cert));
         let interested = std::mem::take(&mut record.interested);
-        self.certs.insert(txid, Arc::clone(&wb.cert));
         self.wal_append(
             ctx,
             &WalRecord::Applied {
@@ -856,19 +825,10 @@ impl BasilReplica {
         if from != NodeId::Replica(req.from) || req.from.shard != self.id.shard {
             return; // spoofed or cross-shard request
         }
-        let mut items: Vec<(TxId, Arc<DecisionCert>)> = self
-            .certs
-            .iter()
-            .map(|(txid, cert)| (*txid, Arc::clone(cert)))
+        let mut entries: Vec<_> = (self.records.values())
+            .filter_map(|r| Some((Arc::clone(r.cert.as_ref()?), r.tx.clone())))
             .collect();
-        items.sort_by(|a, b| a.0.as_bytes().cmp(b.0.as_bytes()));
-        let entries: Vec<(Arc<DecisionCert>, Option<Arc<Transaction>>)> = items
-            .into_iter()
-            .map(|(txid, cert)| {
-                let tx = self.records.get(&txid).and_then(|r| r.tx.clone());
-                (cert, tx)
-            })
-            .collect();
+        entries.sort_by_key(|(cert, _)| cert.txid());
         ctx.charge(self.engine.message_cost());
         ctx.send(
             from,
@@ -905,10 +865,9 @@ impl BasilReplica {
         }
         for (cert, tx) in reply.entries {
             let txid = cert.txid();
-            let decided_before = self.records.get(&txid).and_then(|r| r.decided).is_some();
+            let undecided = self.store.decision(&txid).is_none();
             self.handle_writeback(ctx, Writeback { cert, tx });
-            let decided_after = self.records.get(&txid).and_then(|r| r.decided).is_some();
-            if !decided_before && decided_after {
+            if undecided && self.store.decision(&txid).is_some() {
                 self.stats.catch_up_applied += 1;
             }
         }
@@ -1014,7 +973,8 @@ impl BasilReplica {
         if leader_index != self.id.index {
             return;
         }
-        if self.elections_done.contains(&(txid, view)) {
+        let election = self.records.get(&txid).and_then(|r| r.elections.get(&view));
+        if election.is_some_and(|e| e.done) {
             return;
         }
         let (ok, cost) = self.engine.verify_from(
@@ -1026,22 +986,17 @@ impl BasilReplica {
         if !ok {
             return;
         }
-        let entry = self.elections.entry((txid, view)).or_default();
-        entry.insert(efb.body.replica.index, efb);
-        if (entry.len() as u32) < self.cfg.system.shard.elect_quorum() {
+        let record = self.records.entry(txid).or_default();
+        let election = record.elections.entry(view).or_default();
+        election.votes.insert(efb.body.replica.index, efb);
+        if (election.votes.len() as u32) < self.cfg.system.shard.elect_quorum() {
             return;
         }
         // Elected: reconcile the decision as the majority of reported logged
         // decisions.
-        let votes: Vec<SignedElectFb> = entry.values().cloned().collect();
-        let commits = votes
-            .iter()
-            .filter(|v| v.body.decision == Some(ProtoDecision::Commit))
-            .count();
-        let aborts = votes
-            .iter()
-            .filter(|v| v.body.decision == Some(ProtoDecision::Abort))
-            .count();
+        let votes: Vec<SignedElectFb> = election.votes.values().cloned().collect();
+        let logged = |d| votes.iter().filter(|v| v.body.decision == Some(d)).count();
+        let (commits, aborts) = (logged(ProtoDecision::Commit), logged(ProtoDecision::Abort));
         if commits == 0 && aborts == 0 {
             // No replica has logged anything; nothing safe to propose.
             return;
@@ -1051,7 +1006,7 @@ impl BasilReplica {
         } else {
             ProtoDecision::Abort
         };
-        self.elections_done.insert((txid, view));
+        election.done = true;
         let dec = DecFb {
             txid,
             decision,
@@ -2248,6 +2203,41 @@ mod tests {
             .filter(|m| matches!(m, BasilMsg::St1Reply(_)))
             .count();
         assert_eq!(replies, 2, "exactly the two buffered ST1s were replayed");
+    }
+
+    /// A catch-up reply lists exactly the certificates this replica applied,
+    /// each with its transaction body, in transaction-id order.
+    #[test]
+    fn catch_up_reply_lists_the_applied_certificates_in_txid_order() {
+        let mut r = replica(0);
+        let mut ctx = ctx_at(NodeId::Replica(r.id()), 1);
+        let mut applied = Vec::new();
+        for i in 1..=10u64 {
+            let tx = write_tx(i * 1_000_000, "x", i);
+            r.handle_st1(&mut ctx, client_node(), signed_st1(&tx, false));
+            // Every third transaction stays prepared, without a certificate.
+            if i % 3 != 1 {
+                applied.push(tx.id());
+                let cert = fast_commit_cert(&tx);
+                r.handle_writeback(&mut ctx, Writeback { cert, tx: Some(tx) });
+            }
+        }
+        assert_eq!(r.stats().commits_applied, applied.len() as u64);
+        applied.sort();
+
+        let peer = ReplicaId::new(ShardId(0), 1);
+        let mut ctx = ctx_at(NodeId::Replica(r.id()), 2);
+        let req = BasilMsg::CatchUpRequest(CatchUpRequest { from: peer });
+        r.on_message(&mut ctx, NodeId::Replica(peer), req);
+        let sent = sent_to(&ctx, NodeId::Replica(peer));
+        let [BasilMsg::CatchUpReply(reply)] = &sent[..] else {
+            panic!("expected one catch-up reply, got {sent:?}");
+        };
+        let listed: Vec<TxId> = reply.entries.iter().map(|(cert, _)| cert.txid()).collect();
+        assert_eq!(listed, applied);
+        for (cert, tx) in &reply.entries {
+            assert_eq!(tx.as_ref().map(|tx| tx.id()), Some(cert.txid()));
+        }
     }
 
     /// Property: across seeded random workloads, a replica that crashes

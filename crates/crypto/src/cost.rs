@@ -10,7 +10,9 @@
 
 use basil_common::Duration;
 
-/// CPU cost of cryptographic operations, charged in simulated time.
+/// CPU cost of cryptographic operations, charged in simulated time. The
+/// callers decide whether to charge: with signatures off (`Basil-NoProofs`,
+/// Figures 5a/5c, and TAPIR) no crypto cost is charged at all.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CostModel {
     /// Cost of generating one signature.
@@ -29,10 +31,6 @@ pub struct CostModel {
     /// CPU cost the paper observes as the residual bottleneck once signature
     /// batching is enabled.
     pub message_overhead: Duration,
-    /// Whether signature costs are charged at all. `false` models the
-    /// `Basil-NoProofs` configuration (Figure 5a/5c), where cores otherwise
-    /// used for crypto become available for request processing.
-    pub enabled: bool,
 }
 
 impl CostModel {
@@ -44,60 +42,16 @@ impl CostModel {
             hash_per_256b: Duration::from_micros(1),
             mac: Duration::from_micros(2),
             message_overhead: Duration::from_micros(6),
-            enabled: true,
-        }
-    }
-
-    /// The `NoProofs` configuration: signatures and their verification are
-    /// free (not performed), only message overhead remains.
-    pub fn no_proofs() -> Self {
-        CostModel {
-            enabled: false,
-            ..Self::ed25519_default()
-        }
-    }
-
-    /// Cost of computing or verifying a request MAC.
-    pub fn mac_cost(&self) -> Duration {
-        if self.enabled {
-            self.mac
-        } else {
-            Duration::ZERO
-        }
-    }
-
-    /// Cost of signing one message.
-    pub fn sign_cost(&self) -> Duration {
-        if self.enabled {
-            self.sign
-        } else {
-            Duration::ZERO
-        }
-    }
-
-    /// Cost of verifying one signature.
-    pub fn verify_cost(&self) -> Duration {
-        if self.enabled {
-            self.verify
-        } else {
-            Duration::ZERO
         }
     }
 
     /// Cost of verifying `count` signatures.
     pub fn verify_many(&self, count: u64) -> Duration {
-        if self.enabled {
-            Duration::from_nanos(self.verify.as_nanos() * count)
-        } else {
-            Duration::ZERO
-        }
+        Duration::from_nanos(self.verify.as_nanos() * count)
     }
 
     /// Cost of hashing `bytes` bytes.
     pub fn hash_cost(&self, bytes: usize) -> Duration {
-        if !self.enabled {
-            return Duration::ZERO;
-        }
         let blocks = (bytes as u64).div_ceil(256).max(1);
         Duration::from_nanos(self.hash_per_256b.as_nanos() * blocks)
     }
@@ -107,9 +61,6 @@ impl CostModel {
     /// replica-side cost of one reply batch (Section 4.4): batching divides
     /// the signature cost by `b` but adds `O(b)` hashing.
     pub fn batch_sign_cost(&self, batch_size: usize, reply_bytes: usize) -> Duration {
-        if !self.enabled {
-            return Duration::ZERO;
-        }
         // One leaf hash per reply plus ~one interior hash per reply.
         let hashing =
             Duration::from_nanos(self.hash_cost(reply_bytes).as_nanos() * 2 * batch_size as u64);
@@ -132,9 +83,6 @@ impl CostModel {
         reply_bytes: usize,
         signature_cached: bool,
     ) -> Duration {
-        if !self.enabled {
-            return Duration::ZERO;
-        }
         let hashing = self.reply_path_cost(batch_size, reply_bytes);
         if signature_cached {
             hashing
@@ -143,8 +91,8 @@ impl CostModel {
         }
     }
 
-    /// Per-message serialization overhead (always charged, even in NoProofs
-    /// mode, because it is not a cryptographic cost).
+    /// Per-message serialization overhead (charged with signatures off too,
+    /// because it is not a cryptographic cost).
     pub fn message_cost(&self) -> Duration {
         self.message_overhead
     }
@@ -168,17 +116,6 @@ mod tests {
             "verification is costlier than signing for ed25519"
         );
         assert!(c.sign > Duration::from_micros(10));
-        assert!(c.enabled);
-    }
-
-    #[test]
-    fn no_proofs_zeroes_crypto_but_not_messages() {
-        let c = CostModel::no_proofs();
-        assert_eq!(c.sign_cost(), Duration::ZERO);
-        assert_eq!(c.verify_cost(), Duration::ZERO);
-        assert_eq!(c.hash_cost(1024), Duration::ZERO);
-        assert_eq!(c.batch_sign_cost(16, 100), Duration::ZERO);
-        assert!(c.message_cost() > Duration::ZERO);
     }
 
     #[test]

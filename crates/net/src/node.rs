@@ -283,7 +283,7 @@ fn harvest(role: Role, mut actor: Box<dyn Actor<basil_core::BasilMsg>>) -> NodeR
                 decisions: replica
                     .store()
                     .decisions_iter()
-                    .map(|(txid, d)| (*txid, *d == Decision::Commit))
+                    .map(|(txid, d)| (txid, d == Decision::Commit))
                     .collect(),
                 ..ReplicaResults::default()
             };

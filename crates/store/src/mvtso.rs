@@ -249,10 +249,22 @@ struct Prepared {
     slots: Box<[u32]>,
 }
 
+/// Everything the store knows about one transaction, in one entry.
+#[derive(Debug)]
+enum TxState {
+    /// Visible to reads; the vote is withheld (*pending*) while the set of
+    /// dependencies with no decision here yet is non-empty.
+    Prepared(Prepared, FastHashSet<TxId>),
+    Committed(Arc<Transaction>),
+    /// An abort after a commit (only an equivocating certificate pair causes
+    /// one) keeps the metadata: the audit and check (2) still see it.
+    Aborted(Option<Arc<Transaction>>),
+}
+
 /// The multiversioned store of a single replica.
 ///
 /// Per-key state lives in one `Key -> KeyRecord` map; per-transaction state
-/// (metadata, decisions, dependency wait graph) in `TxId`-keyed maps. Both
+/// in one `TxId -> TxState` map plus the reverse dependency index. Both
 /// key kinds are uniform and attacker-independent ([`Key`]s are short
 /// workload strings, [`TxId`]s SHA-256 digests), so the maps use
 /// `basil_common::fasthash` instead of SipHash (see that module for the
@@ -281,20 +293,9 @@ pub struct MvtsoStore {
     /// across calls so that a prepare that votes abort allocates nothing;
     /// never observable state.
     scratch_slots: Vec<u32>,
-    /// Metadata of committed transactions (needed for the read-write checks
-    /// and for the serializability audit). `Arc`-shared so the prepared
-    /// entry is promoted on commit without copying, and so audits can
-    /// borrow instead of cloning the whole history.
-    committed_txs: FastHashMap<TxId, Arc<Transaction>>,
-    /// Prepared (visible, uncommitted) transactions and their key slots.
-    prepared_txs: FastHashMap<TxId, Prepared>,
-    /// Final decisions known to this replica.
-    decisions: FastHashMap<TxId, Decision>,
-    /// Aborted transactions (subset view of `decisions`, kept for fast checks).
-    aborted: FastHashSet<TxId>,
-    /// Transactions whose vote is withheld, with the dependencies still
-    /// missing a decision.
-    pending: FastHashMap<TxId, FastHashSet<TxId>>,
+    /// Each transaction this replica prepared or learned the fate of, its
+    /// metadata `Arc`-shared with the message that delivered it.
+    txs: FastHashMap<TxId, TxState>,
     /// Reverse index: dependency -> transactions waiting on it.
     waiters: FastHashMap<TxId, Vec<TxId>>,
     /// Highest watermark any [`MvtsoStore::gc_before`] sweep has used.
@@ -408,15 +409,11 @@ impl MvtsoStore {
                 txid: *txid,
             });
         let prepared = rec.prepared.latest_before(ts).and_then(|(version, txid)| {
-            self.prepared_txs.get(txid).map(|p| PreparedVersion {
+            self.prepared_tx(txid).map(|tx| PreparedVersion {
                 version: *version,
-                value: p
-                    .tx
-                    .written_value(key)
-                    .cloned()
-                    .unwrap_or_else(Value::empty),
+                value: tx.written_value(key).cloned().unwrap_or_else(Value::empty),
                 txid: *txid,
-                deps: p.tx.deps().to_vec(),
+                deps: tx.deps().to_vec(),
             })
         });
         ReadResult {
@@ -481,22 +478,16 @@ impl MvtsoStore {
     ) -> CheckOutcome {
         let txid = tx.id();
 
-        // A transaction we already know the fate of keeps that fate.
-        if let Some(decision) = self.decisions.get(&txid) {
-            return CheckOutcome::Decided(match decision {
-                Decision::Commit => Vote::Commit,
-                Decision::Abort => Vote::Abort(AbortReason::Conflict),
-            });
-        }
-        // Re-delivery of a prepare we are still waiting on.
-        if let Some(missing) = self.pending.get(&txid) {
-            return CheckOutcome::Pending {
-                waiting_on: missing.iter().copied().collect(),
+        // A known transaction keeps its fate; a re-delivered prepare reports
+        // what it still waits on, or its commit vote.
+        if let Some(state) = self.txs.get(&txid) {
+            return match state {
+                TxState::Aborted(_) => CheckOutcome::Decided(Vote::Abort(AbortReason::Conflict)),
+                TxState::Prepared(_, missing) if !missing.is_empty() => CheckOutcome::Pending {
+                    waiting_on: missing.iter().copied().collect(),
+                },
+                _ => CheckOutcome::Decided(Vote::Commit),
             };
-        }
-        // Re-delivery of a prepare we already voted to commit.
-        if self.prepared_txs.contains_key(&txid) {
-            return CheckOutcome::Decided(Vote::Commit);
         }
 
         self.stats.prepares += 1;
@@ -519,22 +510,20 @@ impl MvtsoStore {
         // (2) Dependency validity: every dependency this replica knows about
         // must actually have produced the claimed version.
         for dep in tx.deps() {
-            let known = self
-                .prepared_txs
-                .get(&dep.txid)
-                .map(|p| &p.tx)
-                .or_else(|| self.committed_txs.get(&dep.txid));
-            if let Some(dep_tx) = known {
-                let produced = dep_tx.writes(&dep.key) && dep_tx.timestamp() == dep.version;
-                if !produced {
-                    return CheckOutcome::Decided(Vote::Abort(AbortReason::InvalidDependency));
+            let dep_tx = match self.txs.get(&dep.txid) {
+                Some(TxState::Prepared(prepared, _)) => &prepared.tx,
+                Some(TxState::Committed(tx) | TxState::Aborted(Some(tx))) => tx,
+                // The dependency aborted here and never committed; the
+                // dependent cannot commit (Algorithm 1, lines 16-18).
+                Some(TxState::Aborted(None)) => {
+                    return CheckOutcome::Decided(Vote::Abort(AbortReason::DependencyAborted))
                 }
-            } else if self.aborted.contains(&dep.txid) {
-                // The dependency already aborted here; the dependent cannot
-                // commit (Algorithm 1, lines 16-18).
-                return CheckOutcome::Decided(Vote::Abort(AbortReason::DependencyAborted));
+                // Unknown dependency: treated as pending (see module docs).
+                None => continue,
+            };
+            if !dep_tx.writes(&dep.key) || dep_tx.timestamp() != dep.version {
+                return CheckOutcome::Decided(Vote::Abort(AbortReason::InvalidDependency));
             }
-            // Unknown dependency: treated as pending (see module docs).
         }
 
         let ts = tx.timestamp();
@@ -624,16 +613,15 @@ impl MvtsoStore {
             slots: slots.as_slice().into(),
         };
         self.scratch_slots = slots;
-        self.prepared_txs.insert(txid, prepared);
 
         // (8) Wait for all pending dependencies.
         let mut missing: FastHashSet<TxId> = FastHashSet::default();
         for dep in tx.deps() {
-            match self.decisions.get(&dep.txid) {
+            match self.decision(&dep.txid) {
                 Some(Decision::Commit) => {}
                 Some(Decision::Abort) => {
                     // A dependency already aborted: withdraw the prepare.
-                    self.unindex_prepared(&txid);
+                    self.unindex(&prepared);
                     return CheckOutcome::Decided(Vote::Abort(AbortReason::DependencyAborted));
                 }
                 None => {
@@ -641,25 +629,22 @@ impl MvtsoStore {
                 }
             }
         }
-        if missing.is_empty() {
-            return CheckOutcome::Decided(Vote::Commit);
-        }
         for dep in &missing {
             self.waiters.entry(*dep).or_default().push(txid);
         }
         let waiting_on: Vec<TxId> = missing.iter().copied().collect();
-        self.pending.insert(txid, missing);
+        self.txs.insert(txid, TxState::Prepared(prepared, missing));
+        if waiting_on.is_empty() {
+            return CheckOutcome::Decided(Vote::Commit);
+        }
         CheckOutcome::Pending { waiting_on }
     }
 
     /// Removes a prepared transaction from the visibility indexes, through
-    /// the slots its prepare saved, and unpins them; returns the entry so a
-    /// commit can promote the metadata without copying and reuse the slots
-    /// at once. Watermarks are recomputed (`O(1)` from the array tails)
-    /// whenever the removed entry was the watermark, so the fast path stays
-    /// exact rather than decaying conservatively.
-    fn unindex_prepared(&mut self, txid: &TxId) -> Option<Prepared> {
-        let prepared = self.prepared_txs.remove(txid)?;
+    /// the slots its prepare saved, and unpins them. A watermark the entry
+    /// held is recomputed (`O(1)` from the array tails), so the fast path
+    /// stays exact rather than decaying conservatively.
+    fn unindex(&mut self, prepared: &Prepared) {
         let ts = prepared.tx.timestamp();
         let (read_slots, write_slots) = prepared.slots.split_at(prepared.tx.read_set().len());
         for slot in write_slots {
@@ -676,7 +661,6 @@ impl MvtsoStore {
                 rec.refresh_read_watermark();
             }
         }
-        Some(prepared)
     }
 
     // ------------------------------------------------------------------
@@ -689,26 +673,23 @@ impl MvtsoStore {
     /// decision.
     pub fn commit(&mut self, tx: &Arc<Transaction>) -> Vec<(TxId, Vote)> {
         let txid = tx.id();
-        if matches!(self.decisions.get(&txid), Some(Decision::Commit)) {
-            return Vec::new();
-        }
-        // Promote the prepared entry when there is one: the transaction id
-        // is a content hash, so the prepared metadata under this id is the
-        // same transaction and no copy is needed, and its slots are still
-        // the records of this transaction's keys (nothing runs between the
-        // unpinning and their use below). A commit that skipped the prepare
-        // (writeback to a replica that missed ST1) shares the Arc the
-        // writeback carries and interns its keys here.
-        let Prepared { tx: shared, slots } = self.unindex_prepared(&txid).unwrap_or_else(|| {
-            let reads = tx.read_set().iter().map(|r| &r.key);
-            let writes = tx.write_set().iter().map(|w| &w.key);
-            Prepared {
-                tx: Arc::clone(tx),
-                slots: reads.chain(writes).map(|k| self.intern_key(k)).collect(),
+        // The id is a content hash, so a prepared entry under it is this
+        // transaction, its slots still its keys' records (nothing runs between
+        // the unpinning and their use below). A commit that skipped the
+        // prepare (writeback to a replica that missed ST1) interns its keys.
+        // A repeated commit replaced the entry with an equal one.
+        let slots = match self.txs.insert(txid, TxState::Committed(Arc::clone(tx))) {
+            Some(TxState::Committed(_)) => return Vec::new(),
+            Some(TxState::Prepared(prepared, _)) => {
+                self.unindex(&prepared);
+                prepared.slots
             }
-        });
-        self.pending.remove(&txid);
-        self.decisions.insert(txid, Decision::Commit);
+            _ => {
+                let reads = tx.read_set().iter().map(|r| &r.key);
+                let writes = tx.write_set().iter().map(|w| &w.key);
+                reads.chain(writes).map(|k| self.intern_key(k)).collect()
+            }
+        };
 
         let ts = tx.timestamp();
         let (read_slots, write_slots) = slots.split_at(tx.read_set().len());
@@ -722,7 +703,6 @@ impl MvtsoStore {
             rec.committed_reads.insert(ts, read.version);
             rec.note_read(ts);
         }
-        self.committed_txs.insert(txid, shared);
 
         self.wake_waiters(txid, Decision::Commit)
     }
@@ -731,13 +711,15 @@ impl MvtsoStore {
     /// transactions whose deferred check was waiting on this decision (each
     /// of them votes abort, per Algorithm 1 lines 16-18).
     pub fn abort(&mut self, txid: TxId) -> Vec<(TxId, Vote)> {
-        if matches!(self.decisions.get(&txid), Some(Decision::Abort)) {
-            return Vec::new();
+        let committed = match self.txs.get(&txid) {
+            Some(TxState::Aborted(_)) => return Vec::new(),
+            Some(TxState::Committed(tx)) => Some(Arc::clone(tx)),
+            _ => None,
+        };
+        let prior = self.txs.insert(txid, TxState::Aborted(committed));
+        if let Some(TxState::Prepared(prepared, _)) = prior {
+            self.unindex(&prepared);
         }
-        self.unindex_prepared(&txid);
-        self.pending.remove(&txid);
-        self.decisions.insert(txid, Decision::Abort);
-        self.aborted.insert(txid);
         self.wake_waiters(txid, Decision::Abort)
     }
 
@@ -747,21 +729,22 @@ impl MvtsoStore {
             return released;
         };
         for waiter in waiters {
-            let Some(missing) = self.pending.get_mut(&waiter) else {
-                continue; // already resolved some other way
+            let missing = match self.txs.get_mut(&waiter) {
+                Some(TxState::Prepared(_, missing)) if !missing.is_empty() => missing,
+                _ => continue, // already resolved some other way
             };
             match decision {
                 Decision::Abort => {
                     // The dependency aborted: the waiter votes abort and is
                     // withdrawn from the prepared set.
-                    self.pending.remove(&waiter);
-                    self.unindex_prepared(&waiter);
+                    if let Some(TxState::Prepared(prepared, _)) = self.txs.remove(&waiter) {
+                        self.unindex(&prepared);
+                    }
                     released.push((waiter, Vote::Abort(AbortReason::DependencyAborted)));
                 }
                 Decision::Commit => {
                     missing.remove(&resolved);
                     if missing.is_empty() {
-                        self.pending.remove(&waiter);
                         released.push((waiter, Vote::Commit));
                     }
                 }
@@ -774,52 +757,68 @@ impl MvtsoStore {
     // Inspection
     // ------------------------------------------------------------------
 
+    /// The metadata of `txid` while it is prepared.
+    fn prepared_tx(&self, txid: &TxId) -> Option<&Arc<Transaction>> {
+        match self.txs.get(txid)? {
+            TxState::Prepared(prepared, _) => Some(&prepared.tx),
+            _ => None,
+        }
+    }
+
     /// The decision this replica knows for `txid`, if any.
     pub fn decision(&self, txid: &TxId) -> Option<Decision> {
-        self.decisions.get(txid).copied()
+        match self.txs.get(txid)? {
+            TxState::Prepared(..) => None,
+            TxState::Committed(_) => Some(Decision::Commit),
+            TxState::Aborted(_) => Some(Decision::Abort),
+        }
     }
 
     /// Whether the transaction is currently prepared (visible, uncommitted).
     pub fn is_prepared(&self, txid: &TxId) -> bool {
-        self.prepared_txs.contains_key(txid)
+        self.prepared_tx(txid).is_some()
     }
 
     /// The prepared transaction's shared metadata, if present (a reference
     /// count bump, not a copy — used to embed the transaction in read
     /// replies).
     pub fn prepared_tx_shared(&self, txid: &TxId) -> Option<Arc<Transaction>> {
-        self.prepared_txs.get(txid).map(|p| Arc::clone(&p.tx))
+        self.prepared_tx(txid).cloned()
     }
 
     /// Whether the transaction's vote is currently withheld waiting on
     /// dependencies.
     pub fn is_pending(&self, txid: &TxId) -> bool {
-        self.pending.contains_key(txid)
+        matches!(self.txs.get(txid), Some(TxState::Prepared(_, missing)) if !missing.is_empty())
     }
 
     /// Iterates over all committed transactions without cloning them (the
-    /// serializability audit used to clone the entire history per replica
-    /// per audit; it now borrows).
+    /// serializability audit borrows the history).
     pub fn committed_iter(&self) -> impl Iterator<Item = &Transaction> {
-        self.committed_txs.values().map(|tx| tx.as_ref())
+        self.txs.values().filter_map(|state| match state {
+            TxState::Committed(tx) | TxState::Aborted(Some(tx)) => Some(tx.as_ref()),
+            _ => None,
+        })
     }
 
     /// Iterates over every final decision this replica knows, in arbitrary
     /// order. The real-IO runtime dumps these into per-process result files
     /// so the supervisor can run the cross-replica decision-agreement audit
     /// without reaching into live actors.
-    pub fn decisions_iter(&self) -> impl Iterator<Item = (&TxId, &Decision)> {
-        self.decisions.iter()
+    pub fn decisions_iter(&self) -> impl Iterator<Item = (TxId, Decision)> + '_ {
+        let decided = move |txid: &TxId| Some((*txid, self.decision(txid)?));
+        self.txs.keys().filter_map(decided)
     }
 
     /// Number of committed transactions.
     pub fn committed_count(&self) -> usize {
-        self.committed_txs.len()
+        self.committed_iter().count()
     }
 
     /// Number of currently prepared transactions.
     pub fn prepared_count(&self) -> usize {
-        self.prepared_txs.len()
+        let prepared = |state: &&TxState| matches!(state, TxState::Prepared(..));
+        self.txs.values().filter(prepared).count()
     }
 
     /// The scan-free fast-path counters (see [`StoreStats`]).
@@ -914,6 +913,13 @@ mod tests {
         let mut b = TransactionBuilder::new(ts(t, c));
         b.record_read(k(key), read_version);
         b.record_write(k(key), v(val));
+        b.build_shared()
+    }
+
+    /// A transaction at `t` whose one operation reads `w`'s write of x.
+    fn reads_x_from(t: u64, c: u64, w: &Transaction) -> Arc<Transaction> {
+        let mut b = TransactionBuilder::new(ts(t, c));
+        b.record_dependent_read(k("x"), w.timestamp(), w.id());
         b.build_shared()
     }
 
@@ -1132,9 +1138,7 @@ mod tests {
         let w = blind_write(100, 1, "x", 5);
         expect_commit(store.prepare(&w, CLOCK, DELTA));
 
-        let mut b = TransactionBuilder::new(ts(200, 2));
-        b.record_dependent_read(k("x"), ts(100, 1), w.id());
-        let t2 = b.build_shared();
+        let t2 = reads_x_from(200, 2, &w);
         assert!(matches!(
             store.prepare(&t2, CLOCK, DELTA),
             CheckOutcome::Pending { .. }
@@ -1158,9 +1162,7 @@ mod tests {
         expect_commit(store.prepare(&w, CLOCK, DELTA));
         store.commit(&w);
 
-        let mut b = TransactionBuilder::new(ts(200, 2));
-        b.record_dependent_read(k("x"), ts(100, 1), w.id());
-        let t2 = b.build_shared();
+        let t2 = reads_x_from(200, 2, &w);
         expect_commit(store.prepare(&t2, CLOCK, DELTA));
     }
 
@@ -1171,9 +1173,7 @@ mod tests {
         expect_commit(store.prepare(&w, CLOCK, DELTA));
         store.abort(w.id());
 
-        let mut b = TransactionBuilder::new(ts(200, 2));
-        b.record_dependent_read(k("x"), ts(100, 1), w.id());
-        let t2 = b.build_shared();
+        let t2 = reads_x_from(200, 2, &w);
         expect_abort(
             store.prepare(&t2, CLOCK, DELTA),
             AbortReason::DependencyAborted,
@@ -1282,6 +1282,57 @@ mod tests {
         assert!(store.abort(t2.id()).is_empty());
         assert!(store.abort(t2.id()).is_empty());
         assert_eq!(store.decision(&t2.id()), Some(Decision::Abort));
+    }
+
+    /// A commit then an abort of one id (only an equivocating certificate
+    /// pair causes it): the abort is the decision, but the committed
+    /// metadata stays, so the audit and a dependent's check (2) still see
+    /// the transaction.
+    #[test]
+    fn abort_after_commit_keeps_the_committed_metadata() {
+        let mut store = store_with_xy();
+        let w = blind_write(100, 1, "x", 5);
+        expect_commit(store.prepare(&w, CLOCK, DELTA));
+        store.commit(&w);
+        let y = blind_write(200, 2, "y", 1);
+        store.commit(&y);
+        assert!(store.abort(w.id()).is_empty());
+        assert_eq!(store.decision(&w.id()), Some(Decision::Abort));
+        assert_eq!(store.committed_count(), 2);
+        assert_eq!(store.latest_committed(&k("x")), Some((ts(100, 1), v(5))));
+        expect_abort(store.prepare(&w, CLOCK, DELTA), AbortReason::Conflict);
+
+        // A dependent of w that also missed the write of y fails on that
+        // conflict: check (2) found w's metadata and passed.
+        let mut b = TransactionBuilder::new(ts(300, 3));
+        b.record_dependent_read(k("x"), ts(100, 1), w.id());
+        b.record_read(k("y"), Timestamp::ZERO);
+        let missed = b.build_shared();
+        expect_abort(store.prepare(&missed, CLOCK, DELTA), AbortReason::Conflict);
+        // Without a conflict, w's abort decides, and nothing stays prepared.
+        expect_abort(
+            store.prepare(&reads_x_from(400, 4, &w), CLOCK, DELTA),
+            AbortReason::DependencyAborted,
+        );
+        assert_eq!(store.prepared_count(), 0);
+    }
+
+    /// An abort then a commit of one id: the commit is the decision and
+    /// applies the writes, though the aborted prepare left no slots behind.
+    #[test]
+    fn commit_after_abort_applies_the_writes() {
+        let mut store = store_with_xy();
+        let w = blind_write(100, 1, "x", 5);
+        expect_commit(store.prepare(&w, CLOCK, DELTA));
+        assert!(store.abort(w.id()).is_empty());
+        assert!(!store.is_prepared(&w.id()));
+
+        assert!(store.commit(&w).is_empty());
+        assert_eq!(store.decision(&w.id()), Some(Decision::Commit));
+        assert_eq!(store.committed_count(), 1);
+        assert_eq!(store.latest_committed(&k("x")), Some((ts(100, 1), v(5))));
+        expect_commit(store.prepare(&w, CLOCK, DELTA));
+        expect_commit(store.prepare(&reads_x_from(300, 3, &w), CLOCK, DELTA));
     }
 
     #[test]

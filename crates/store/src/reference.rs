@@ -375,6 +375,18 @@ impl ReferenceStore {
         self.decisions.get(txid).copied()
     }
 
+    pub fn committed_ids(&self) -> BTreeSet<TxId> {
+        self.committed_txs.keys().copied().collect()
+    }
+
+    pub fn is_prepared(&self, txid: &TxId) -> bool {
+        self.prepared_txs.contains_key(txid)
+    }
+
+    pub fn is_pending(&self, txid: &TxId) -> bool {
+        self.pending.contains_key(txid)
+    }
+
     pub fn gc_before(&mut self, watermark: Timestamp) {
         self.gc_watermark = self.gc_watermark.max(watermark);
         for versions in self.committed_versions.values_mut() {
@@ -564,9 +576,15 @@ mod equivalence {
             }
         }
 
-        // Final-state agreement: decisions, committed values, visibility.
+        // Final-state agreement: the committed set, each transaction's
+        // decision and prepared/pending state, committed values, visibility.
+        let committed: BTreeSet<TxId> = flat.committed_iter().map(|tx| tx.id()).collect();
+        prop_assert_eq!(committed, reference.committed_ids());
         for tx in &issued {
-            prop_assert_eq!(flat.decision(&tx.id()), reference.decision(&tx.id()));
+            let id = tx.id();
+            prop_assert_eq!(flat.decision(&id), reference.decision(&id));
+            prop_assert_eq!(flat.is_prepared(&id), reference.is_prepared(&id));
+            prop_assert_eq!(flat.is_pending(&id), reference.is_pending(&id));
         }
         for k in KEYS {
             let k = Key::new(k);

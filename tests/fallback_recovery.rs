@@ -183,15 +183,15 @@ fn realistic_equivocation_is_rare_without_contention() {
 /// abort-voting replica, transactions still commit via the slow path.
 #[test]
 fn abort_voting_replica_cannot_kill_transactions() {
-    let mut config = ClusterConfig::basil_default(3)
+    let config = ClusterConfig::basil_default(3)
         .with_basil(BasilConfig::bench(SystemConfig::single_shard_f1()));
-    config.replica_behaviors = vec![(
-        basil::ReplicaId::new(basil::ShardId(0), 5),
-        ReplicaBehavior::AlwaysVoteAbort,
-    )];
     let mut cluster = BasilCluster::build(config, |client| {
         Box::new(YcsbGenerator::rw_uniform(client.0, 50_000, 2, 2))
     });
+    cluster.set_replica_behavior(
+        basil::ReplicaId::new(basil::ShardId(0), 5),
+        ReplicaBehavior::AlwaysVoteAbort,
+    );
     let report = cluster.run_measured(Duration::from_millis(150), Duration::from_millis(400));
     assert!(
         report.committed > 50,
@@ -210,15 +210,15 @@ fn abort_voting_replica_cannot_kill_transactions() {
 /// (the commit quorum is 3f + 1 = 4 of 6).
 #[test]
 fn vote_withholding_replica_cannot_block_progress() {
-    let mut config = ClusterConfig::basil_default(3)
+    let config = ClusterConfig::basil_default(3)
         .with_basil(BasilConfig::bench(SystemConfig::single_shard_f1()));
-    config.replica_behaviors = vec![(
-        basil::ReplicaId::new(basil::ShardId(0), 2),
-        ReplicaBehavior::WithholdVotes,
-    )];
     let mut cluster = BasilCluster::build(config, |client| {
         Box::new(YcsbGenerator::rw_uniform(client.0, 50_000, 2, 2))
     });
+    cluster.set_replica_behavior(
+        basil::ReplicaId::new(basil::ShardId(0), 2),
+        ReplicaBehavior::WithholdVotes,
+    );
     let report = cluster.run_measured(Duration::from_millis(150), Duration::from_millis(400));
     assert!(report.committed > 50, "got {}", report.committed);
     cluster.audit().expect("serializable");
