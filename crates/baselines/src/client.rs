@@ -11,7 +11,7 @@
 
 use crate::messages::{BaselineClientTimer, BaselineMsg, ShardRequest};
 use crate::occ::OccVote;
-use crate::profile::BaselineConfig;
+use crate::profile::{BaselineConfig, COST};
 use basil_common::{
     ClientId, Duration, Key, NodeId, ReplicaId, ShardId, Timestamp, TxGenerator, TxId, Value,
 };
@@ -113,9 +113,9 @@ impl BaselineClient {
         for shard in involved {
             for target in self.submit_targets(*shard) {
                 if first && self.cfg.kind.uses_signatures() {
-                    ctx.charge(self.cfg.cost.sign);
+                    ctx.charge(COST.sign);
                 }
-                ctx.charge(self.cfg.cost.message_cost());
+                ctx.charge(COST.message_cost());
                 let request = request.clone();
                 ctx.send(target, BaselineMsg::Submit { request });
             }
@@ -169,7 +169,7 @@ impl BaselineClient {
         targets: Vec<NodeId>,
     ) {
         for target in targets {
-            ctx.charge(self.cfg.cost.message_cost());
+            ctx.charge(COST.message_cost());
             ctx.send(
                 target,
                 BaselineMsg::Read {
@@ -193,7 +193,7 @@ impl BaselineClient {
         value: Value,
     ) {
         if self.cfg.kind.uses_signatures() {
-            ctx.charge(self.cfg.cost.verify);
+            ctx.charge(COST.verify);
         }
         let Some(replica) = from.as_replica() else {
             return;
@@ -259,7 +259,7 @@ impl BaselineClient {
         vote: OccVote,
     ) {
         if self.cfg.kind.uses_signatures() {
-            ctx.charge(self.cfg.cost.verify);
+            ctx.charge(COST.verify);
         }
         // For the ordered systems all correct replicas execute the prepare
         // identically, so `f + 1` matching votes decide a shard. TAPIR
@@ -432,7 +432,7 @@ impl Actor<BaselineMsg> for BaselineClient {
     }
 
     fn on_message(&mut self, ctx: &mut Context<BaselineMsg>, from: NodeId, msg: BaselineMsg) {
-        ctx.charge(self.cfg.cost.message_cost());
+        ctx.charge(COST.message_cost());
         match msg {
             BaselineMsg::ReadReply {
                 req_id,

@@ -3,6 +3,10 @@
 use basil_common::{Duration, Key, ShardId};
 use basil_crypto::CostModel;
 
+/// The CPU cost the baseline clients and replicas charge (only the systems
+/// that sign charge crypto, see [`SystemKind::uses_signatures`]).
+pub(crate) const COST: CostModel = CostModel::ed25519_default();
+
 /// Which baseline system a deployment runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SystemKind {
@@ -70,9 +74,6 @@ pub struct BaselineConfig {
     pub batch_size: u32,
     /// Maximum time the leader waits before ordering a partial batch.
     pub batch_timeout: Duration,
-    /// Cryptographic cost model (charged only by systems that sign, see
-    /// [`SystemKind::uses_signatures`]).
-    pub cost: CostModel,
     /// Client-side timeout before re-sending a prepare or decide.
     pub request_timeout: Duration,
     /// Client retry backoff after an aborted transaction.
@@ -95,7 +96,6 @@ impl BaselineConfig {
                 SystemKind::Tapir => 1,
             },
             batch_timeout: Duration::from_micros(500),
-            cost: CostModel::ed25519_default(),
             request_timeout: Duration::from_millis(15),
             retry_backoff: Duration::from_micros(500),
             max_backoff: Duration::from_millis(50),

@@ -10,7 +10,7 @@
 
 use crate::messages::{BaselineMsg, ShardRequest};
 use crate::occ::OccStore;
-use crate::profile::BaselineConfig;
+use crate::profile::{BaselineConfig, COST};
 use basil_common::{Duration, Key, NodeId, ReplicaId, Value};
 use basil_simnet::{Actor, Context};
 use std::any::Any;
@@ -108,7 +108,7 @@ impl BaselineReplica {
 
     fn sign_cost(&self) -> Duration {
         if self.cfg.kind.uses_signatures() {
-            self.cfg.cost.sign
+            COST.sign
         } else {
             Duration::ZERO
         }
@@ -116,7 +116,7 @@ impl BaselineReplica {
 
     fn verify_cost(&self) -> Duration {
         if self.cfg.kind.uses_signatures() {
-            self.cfg.cost.verify
+            COST.verify
         } else {
             Duration::ZERO
         }
@@ -140,7 +140,7 @@ impl BaselineReplica {
         }
         if !self.is_leader() {
             // Forward stray submissions to the leader.
-            ctx.charge(self.cfg.cost.message_cost());
+            ctx.charge(COST.message_cost());
             ctx.send(self.leader(), BaselineMsg::Submit { request });
             return;
         }
@@ -171,7 +171,7 @@ impl BaselineReplica {
         // Phase 0 proposal carries the batch; the leader signs it.
         ctx.charge(self.sign_cost());
         for follower in self.followers() {
-            ctx.charge(self.cfg.cost.message_cost());
+            ctx.charge(COST.message_cost());
             ctx.send(
                 follower,
                 BaselineMsg::OrderPhase {
@@ -202,7 +202,7 @@ impl BaselineReplica {
             // (message reordering); execution can proceed now.
             self.try_execute(ctx);
         }
-        ctx.charge(self.sign_cost() + self.cfg.cost.message_cost());
+        ctx.charge(self.sign_cost() + COST.message_cost());
         ctx.send(self.leader(), BaselineMsg::OrderVote { seq, phase });
     }
 
@@ -238,7 +238,7 @@ impl BaselineReplica {
             let next_phase = instance.phase;
             ctx.charge(self.sign_cost());
             for follower in self.followers() {
-                ctx.charge(self.cfg.cost.message_cost());
+                ctx.charge(COST.message_cost());
                 ctx.send(
                     follower,
                     BaselineMsg::OrderPhase {
@@ -253,7 +253,7 @@ impl BaselineReplica {
             self.instances.remove(&seq);
             ctx.charge(self.sign_cost());
             for follower in self.followers() {
-                ctx.charge(self.cfg.cost.message_cost());
+                ctx.charge(COST.message_cost());
                 ctx.send(follower, BaselineMsg::OrderCommit { seq });
             }
             self.handle_order_commit(ctx, seq);
@@ -277,7 +277,7 @@ impl BaselineReplica {
             // Reply signatures for the whole batch are amortized through the
             // Merkle batching scheme the paper also grants the baselines.
             if self.cfg.kind.uses_signatures() {
-                ctx.charge(self.cfg.cost.batch_sign_cost(batch.len().max(1), 64));
+                ctx.charge(COST.batch_sign_cost(batch.len().max(1), 64));
             }
             for (client, request) in batch {
                 self.execute(ctx, client, request);
@@ -301,9 +301,9 @@ impl BaselineReplica {
                 }
                 if !self.cfg.kind.is_ordered() {
                     // TAPIR signs nothing but still pays serialization.
-                    ctx.charge(self.cfg.cost.message_cost());
+                    ctx.charge(COST.message_cost());
                 }
-                ctx.charge(self.cfg.cost.message_cost());
+                ctx.charge(COST.message_cost());
                 ctx.send(
                     client,
                     BaselineMsg::PrepareResult {
@@ -318,7 +318,7 @@ impl BaselineReplica {
                 } else {
                     self.occ.abort(&txid);
                 }
-                ctx.charge(self.cfg.cost.message_cost());
+                ctx.charge(COST.message_cost());
                 ctx.send(client, BaselineMsg::DecideAck { txid });
             }
         }
@@ -327,7 +327,7 @@ impl BaselineReplica {
     fn handle_read(&mut self, ctx: &mut Context<BaselineMsg>, from: NodeId, req_id: u64, key: Key) {
         self.stats.reads_served += 1;
         let (version, value) = self.occ.read(&key);
-        ctx.charge(self.sign_cost() + self.cfg.cost.message_cost());
+        ctx.charge(self.sign_cost() + COST.message_cost());
         ctx.send(
             from,
             BaselineMsg::ReadReply {
@@ -342,7 +342,7 @@ impl BaselineReplica {
 
 impl Actor<BaselineMsg> for BaselineReplica {
     fn on_message(&mut self, ctx: &mut Context<BaselineMsg>, from: NodeId, msg: BaselineMsg) {
-        ctx.charge(self.cfg.cost.message_cost());
+        ctx.charge(COST.message_cost());
         match msg {
             BaselineMsg::Read { req_id, key } => self.handle_read(ctx, from, req_id, key),
             BaselineMsg::Submit { request } => self.handle_submit(ctx, from, request),

@@ -1,77 +1,62 @@
-//! Scaled-down versions of the paper's figure experiments, runnable through
-//! `cargo bench`. Each benchmark runs one simulated deployment for a short
-//! measurement window; the full-size experiments (with the paper-vs-measured
-//! tables) are the `fig*` binaries in `src/bin/`.
+//! Quick points of the paper's figure experiments, timed through
+//! `cargo bench`. Each benchmark runs one simulated deployment of the figure
+//! table (`basil_bench::figures`) for its short quick-scale window; the
+//! `figures` binary runs the whole table with the paper-vs-measured tables.
 
-use basil::baselines::SystemKind;
-use basil_bench::{basil_default, run_baseline, run_basil, RunParams, Workload};
+use basil_bench::figures::{figure, Scale};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration as StdDuration;
 
-fn params() -> RunParams {
-    RunParams::quick()
+/// A timed point: (label, series, x).
+type Case = (&'static str, &'static str, &'static str);
+
+/// (criterion group, figure, its timed points).
+const CASES: [(&str, &str, &[Case]); 3] = [
+    (
+        "fig4_smallbank_point",
+        "fig4",
+        &[
+            ("basil", "Basil", "Smallbank"),
+            ("tapir", "TAPIR", "Smallbank"),
+            ("txhotstuff", "TxHotstuff", "Smallbank"),
+            ("txbftsmart", "TxBFT-SMaRt", "Smallbank"),
+        ],
+    ),
+    (
+        "fig5a_signature_ablation",
+        "fig5a",
+        &[
+            ("basil", "Basil", "RW-U 2r2w"),
+            ("basil_noproofs", "Basil-NoProofs", "RW-U 2r2w"),
+        ],
+    ),
+    (
+        "fig6a_fastpath_ablation",
+        "fig6a",
+        &[
+            ("basil", "Basil", "RW-Z 2r2w"),
+            ("basil_nofp", "Basil-NoFP", "RW-Z 2r2w"),
+        ],
+    ),
+];
+
+fn bench_figure_points(c: &mut Criterion) {
+    for (group, id, cases) in CASES {
+        let points = (figure(id).expect("figure in the table").points)(Scale::Quick);
+        let mut group = c.benchmark_group(group);
+        group
+            .sample_size(10)
+            .measurement_time(StdDuration::from_secs(20));
+        for (label, series, x) in cases {
+            let point = points
+                .iter()
+                .find(|p| p.series == *series && p.x == *x)
+                .expect("point in the figure table");
+            group.bench_function(label, |b| b.iter(|| point.measure()));
+        }
+        group.finish();
+    }
 }
 
-fn bench_fig4_points(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig4_smallbank_point");
-    group
-        .sample_size(10)
-        .measurement_time(StdDuration::from_secs(20));
-    group.bench_function("basil", |b| {
-        b.iter(|| run_basil(basil_default(1), Workload::Smallbank, &params()))
-    });
-    group.bench_function("tapir", |b| {
-        b.iter(|| run_baseline(SystemKind::Tapir, 1, Workload::Smallbank, &params()))
-    });
-    group.bench_function("txhotstuff", |b| {
-        b.iter(|| run_baseline(SystemKind::TxHotstuff, 1, Workload::Smallbank, &params()))
-    });
-    group.bench_function("txbftsmart", |b| {
-        b.iter(|| run_baseline(SystemKind::TxBftSmart, 1, Workload::Smallbank, &params()))
-    });
-    group.finish();
-}
-
-fn bench_fig5a_points(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig5a_signature_ablation");
-    group
-        .sample_size(10)
-        .measurement_time(StdDuration::from_secs(20));
-    let workload = Workload::RwUniform {
-        reads: 2,
-        writes: 2,
-    };
-    group.bench_function("basil", |b| {
-        b.iter(|| run_basil(basil_default(1), workload, &params()))
-    });
-    group.bench_function("basil_noproofs", |b| {
-        b.iter(|| run_basil(basil_default(1).without_proofs(), workload, &params()))
-    });
-    group.finish();
-}
-
-fn bench_fig6a_points(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig6a_fastpath_ablation");
-    group
-        .sample_size(10)
-        .measurement_time(StdDuration::from_secs(20));
-    let workload = Workload::RwZipf {
-        reads: 2,
-        writes: 2,
-    };
-    group.bench_function("basil", |b| {
-        b.iter(|| run_basil(basil_default(1), workload, &params()))
-    });
-    group.bench_function("basil_nofp", |b| {
-        b.iter(|| run_basil(basil_default(1).without_fast_path(), workload, &params()))
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_fig4_points,
-    bench_fig5a_points,
-    bench_fig6a_points
-);
+criterion_group!(benches, bench_figure_points);
 criterion_main!(benches);

@@ -1,11 +1,11 @@
 //! # basil-bench
 //!
 //! The experiment harness that regenerates every figure of the Basil
-//! evaluation (Section 6). Each figure has a binary in `src/bin/` that runs
-//! the corresponding experiment on the simulator and prints the same series
-//! the paper reports, next to the paper's numbers; `EXPERIMENTS.md` records
-//! the comparison. Criterion micro-benchmarks for the substrates live in
-//! `benches/`.
+//! evaluation (Section 6). [`figures::FIGURES`] is one table of every
+//! figure point; the `figures` binary runs it on the simulator, prints each
+//! figure's series next to the paper's numbers and checks that every
+//! point's mechanism fired. Criterion micro-benchmarks for the substrates
+//! live in `benches/`.
 //!
 //! The experiments report throughput at a fixed, saturating offered load
 //! (a configurable number of closed-loop clients) rather than sweeping to an
@@ -13,36 +13,25 @@
 //! which is what the paper's claims are about — is insensitive to the exact
 //! client count.
 //!
-//! ## Figure binaries
-//!
-//! | binary                | paper figure | experiment                          |
-//! |-----------------------|--------------|-------------------------------------|
-//! | `fig4_applications`   | Fig. 4       | Basil vs baselines per workload     |
-//! | `fig5a_signatures`    | Fig. 5a      | signature-cost ablation             |
-//! | `fig5b_read_quorums`  | Fig. 5b      | read-quorum sizing                  |
-//! | `fig5c_shards`        | Fig. 5c      | shard scaling                       |
-//! | `fig6a_fastpath`      | Fig. 6a      | fast-path ablation                  |
-//! | `fig6b_batching`      | Fig. 6b      | reply-batch sizing                  |
-//! | `fig7_failures`       | Fig. 7       | Byzantine-client degradation        |
-//!
 //! ## Micro-benchmarks (`benches/`)
 //!
 //! `crypto_bench` and `store_bench` cover the substrates; `protocol_bench`
 //! covers vote tallying, certificate validation, the fallback view rules,
 //! the raw event scheduler (`sim_scheduler/*`), and a full Basil deployment
 //! at a high client count (`protocol_cluster/basil_rwu_96clients`);
-//! `figures_bench` runs scaled-down figure points. All runs are seeded and
-//! deterministic in *simulated* behaviour; only wall-clock timing varies.
+//! `figures_bench` times quick points of the figure table. All runs are
+//! seeded and deterministic in *simulated* behaviour; only wall-clock
+//! timing varies.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod figures;
 pub mod snapshot;
 
 use basil::baseline_harness::{BaselineCluster, BaselineClusterConfig};
 use basil::baselines::{BaselineConfig, SystemKind};
 use basil::harness::{BasilCluster, ClusterConfig};
-use basil::workloads::poisson::PoissonTxGenerator;
 use basil::workloads::retwis::RetwisGenerator;
 use basil::workloads::smallbank::SmallbankGenerator;
 use basil::workloads::tpcc::TpccGenerator;
@@ -160,12 +149,6 @@ impl RunParams {
             seed: 42,
         }
     }
-
-    /// Overrides the client count.
-    pub fn with_clients(mut self, clients: u32) -> Self {
-        self.clients = clients;
-        self
-    }
 }
 
 /// Runs Basil with the given protocol configuration on a workload.
@@ -175,34 +158,6 @@ pub fn run_basil(basil: BasilConfig, workload: Workload, params: &RunParams) -> 
         .with_seed(params.seed);
     let seed = params.seed;
     let mut cluster = BasilCluster::build(config, |client| workload.generator(client, seed));
-    cluster.run_measured(params.warmup, params.window)
-}
-
-/// Runs Basil under *open-loop* load: every client offers Poisson arrivals
-/// at `rate_tps` transactions per second (so the aggregate offered load is
-/// `params.clients * rate_tps`), queues up to the configured admission
-/// bound, and sheds beyond it. The knee sweeps (`fig_knee`) call this at
-/// increasing rates to trace throughput versus latency.
-pub fn run_basil_open_loop(
-    basil: BasilConfig,
-    workload: Workload,
-    params: &RunParams,
-    rate_tps: f64,
-) -> RunReport {
-    let config = ClusterConfig::basil_default(params.clients)
-        .with_basil(basil)
-        .with_seed(params.seed);
-    let seed = params.seed;
-    let mut cluster = BasilCluster::build(config, move |client| {
-        // Distinct arrival-process seed per client so Poisson streams are
-        // independent; content seeds stay identical to the closed-loop runs.
-        let arrival_seed = seed.wrapping_add(client.0.wrapping_mul(104_729));
-        Box::new(PoissonTxGenerator::new(
-            workload.generator(client, seed),
-            arrival_seed,
-            rate_tps,
-        ))
-    });
     cluster.run_measured(params.warmup, params.window)
 }
 
@@ -237,57 +192,6 @@ pub fn run_baseline(
 /// crypto costs, reply batching of 16 (the paper's YCSB/Smallbank setting).
 pub fn basil_default(shards: u32) -> BasilConfig {
     BasilConfig::bench(SystemConfig::sharded(shards)).with_batch_size(16)
-}
-
-/// [`basil_default`] at an explicit fault tolerance: `f = 2` yields n = 11
-/// replicas per shard (the fig5c scale-out extension row).
-pub fn basil_with_f(shards: u32, f: u32) -> BasilConfig {
-    BasilConfig::bench(SystemConfig::sharded_f(shards, f)).with_batch_size(16)
-}
-
-/// The Basil configuration used for TPC-C (the paper uses batch size 4 on the
-/// contended workload).
-pub fn basil_tpcc() -> BasilConfig {
-    BasilConfig::bench(SystemConfig::single_shard_f1()).with_batch_size(4)
-}
-
-/// Prints an aligned table row by row.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===");
-    let widths: Vec<usize> = headers
-        .iter()
-        .enumerate()
-        .map(|(i, h)| {
-            rows.iter()
-                .map(|r| r.get(i).map(String::len).unwrap_or(0))
-                .chain([h.len()])
-                .max()
-                .unwrap_or(h.len())
-        })
-        .collect();
-    let line = |cells: Vec<String>| {
-        let padded: Vec<String> = cells
-            .iter()
-            .zip(&widths)
-            .map(|(c, w)| format!("{c:>w$}", w = w))
-            .collect();
-        println!("  {}", padded.join("  "));
-    };
-    line(headers.iter().map(|h| h.to_string()).collect());
-    line(widths.iter().map(|w| "-".repeat(*w)).collect());
-    for row in rows {
-        line(row.clone());
-    }
-}
-
-/// Formats throughput for tables.
-pub fn tps(report: &RunReport) -> String {
-    format!("{:.0}", report.throughput_tps)
-}
-
-/// Formats latency for tables.
-pub fn lat(report: &RunReport) -> String {
-    format!("{:.2}", report.mean_latency_ms)
 }
 
 #[cfg(test)]

@@ -2,7 +2,6 @@
 
 use crate::byzantine::ClientStrategy;
 use basil_common::{Duration, SystemConfig};
-use basil_crypto::CostModel;
 
 /// Whether signatures are actually computed or only their cost is charged.
 ///
@@ -25,8 +24,6 @@ pub enum CryptoMode {
 pub struct BasilConfig {
     /// Shard layout, quorum sizes, timestamp window, batching, read quorums.
     pub system: SystemConfig,
-    /// CPU cost model for cryptographic operations.
-    pub cost: CostModel,
     /// Whether signatures are actually computed (see [`CryptoMode`]).
     pub crypto_mode: CryptoMode,
     /// Client-side timeout before a read is retried against more replicas.
@@ -92,7 +89,6 @@ impl BasilConfig {
     pub fn test_single_shard() -> Self {
         BasilConfig {
             system: SystemConfig::single_shard_f1(),
-            cost: CostModel::ed25519_default(),
             crypto_mode: CryptoMode::Real,
             read_timeout: Duration::from_millis(5),
             prepare_timeout: Duration::from_millis(10),

@@ -19,6 +19,9 @@ use basil_crypto::{
     SignatureCache,
 };
 
+/// The CPU cost every engine charges.
+const COST: CostModel = CostModel::ed25519_default();
+
 /// A canonical signable encoding, producible lazily.
 ///
 /// The engine charges CPU costs from the payload *length* and only hashes
@@ -76,7 +79,6 @@ pub struct SigEngine {
     keypair: KeyPair,
     registry: KeyRegistry,
     cache: SignatureCache,
-    cost: CostModel,
     mode: CryptoMode,
     enabled: bool,
     /// Counter used to give each simulated-mode signature (or batch of
@@ -100,7 +102,6 @@ impl SigEngine {
             keypair: registry.keypair(node),
             registry,
             cache: SignatureCache::new(),
-            cost: cfg.cost,
             mode: cfg.crypto_mode,
             enabled: cfg.signatures_enabled(),
             dummy_counter: 0,
@@ -124,7 +125,7 @@ impl SigEngine {
         if !self.enabled {
             return (None, Duration::ZERO);
         }
-        let cost = self.cost.sign + self.cost.hash_cost(payload.encoded_len());
+        let cost = COST.sign + COST.hash_cost(payload.encoded_len());
         let proof = match self.mode {
             CryptoMode::Real => BatchProof::sign_single(&self.keypair, &payload.to_bytes()),
             CryptoMode::Simulated => {
@@ -152,7 +153,7 @@ impl SigEngine {
                 dummy_proof(self.keypair.node(), self.dummy_counter, 1)
             }
         };
-        (Some(proof), self.cost.mac)
+        (Some(proof), COST.mac)
     }
 
     /// Verifies a client request MAC. The payload is only materialized
@@ -171,9 +172,9 @@ impl SigEngine {
         match self.mode {
             CryptoMode::Real => {
                 let outcome = proof.verify(&payload.to_bytes(), &self.registry, &mut self.cache);
-                (outcome.valid, self.cost.mac)
+                (outcome.valid, COST.mac)
             }
-            CryptoMode::Simulated => (true, self.cost.mac),
+            CryptoMode::Simulated => (true, COST.mac),
         }
     }
 
@@ -196,7 +197,7 @@ impl SigEngine {
             .sum::<usize>()
             .checked_div(n)
         {
-            cost = self.cost.batch_sign_cost(n, avg_len.max(1));
+            cost = COST.batch_sign_cost(n, avg_len.max(1));
             match self.mode {
                 CryptoMode::Real => {
                     // Incremental frontier instead of a full tree rebuild:
@@ -253,9 +254,7 @@ impl SigEngine {
                 self.cache.check_insert(proof.root, proof.root_signature),
             ),
         };
-        let cost =
-            self.cost
-                .batch_verify_cost(proof.batch_size, payload.encoded_len().max(1), cached);
+        let cost = COST.batch_verify_cost(proof.batch_size, payload.encoded_len().max(1), cached);
         (valid, cost)
     }
 
@@ -293,7 +292,7 @@ impl SigEngine {
 
     /// The per-message (de)serialization overhead from the cost model.
     pub fn message_cost(&self) -> Duration {
-        self.cost.message_cost()
+        COST.message_cost()
     }
 
     /// The identity this engine signs as.

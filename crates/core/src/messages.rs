@@ -509,7 +509,8 @@ pub enum BasilMsg {
     /// Client -> replica: writeback of the decision certificate.
     Writeback(Writeback),
     /// Client -> replica: remove the RTS left by an abandoned execution-phase
-    /// read (client-side `Abort()`).
+    /// read (client-side `Abort()`). It is unauthenticated and no honest
+    /// client sends it, so a replica ignores it; it keeps its wire encoding.
     RtsRelease {
         /// Key whose RTS should be dropped.
         key: Key,

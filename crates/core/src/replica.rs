@@ -902,7 +902,6 @@ impl BasilReplica {
                 | BasilMsg::St1(_)
                 | BasilMsg::St2(_)
                 | BasilMsg::Writeback(_)
-                | BasilMsg::RtsRelease { .. }
                 | BasilMsg::InvokeFb(_)
                 | BasilMsg::ElectFb(_)
                 | BasilMsg::DecFb(_)
@@ -1095,7 +1094,6 @@ impl BasilReplica {
             BasilMsg::St1(st1) => self.handle_st1(ctx, from, st1),
             BasilMsg::St2(st2) => self.handle_st2(ctx, from, st2),
             BasilMsg::Writeback(wb) => self.handle_writeback(ctx, wb),
-            BasilMsg::RtsRelease { key, ts } => self.store.remove_rts(&key, ts),
             BasilMsg::InvokeFb(ifb) => self.handle_invoke_fb(ctx, from, ifb),
             BasilMsg::ElectFb(efb) => self.handle_elect_fb(ctx, efb),
             BasilMsg::DecFb(dfb) => self.handle_dec_fb(ctx, dfb),
@@ -1115,8 +1113,12 @@ impl BasilReplica {
                 ReplicaTimer::CatchUpDeadline => self.finish_catch_up(ctx),
             },
             BasilMsg::ReplicaTimer(_) => {}
-            // Messages addressed to clients are ignored if misrouted.
-            BasilMsg::ReadReply(_)
+            // Messages addressed to clients are ignored if misrouted. So is
+            // an RtsRelease: it carries no authentication and no honest
+            // client sends one, so honouring it would let any node erase an
+            // honest reader's read timestamp.
+            BasilMsg::RtsRelease { .. }
+            | BasilMsg::ReadReply(_)
             | BasilMsg::St1Reply(_)
             | BasilMsg::St2Reply(_)
             | BasilMsg::ClientTimer(_) => {}
@@ -1350,6 +1352,33 @@ mod tests {
         let mut ctx2 = ctx_at(NodeId::Replica(r.id()), 2);
         r.handle_st1(&mut ctx2, client_node(), signed_st1(&writer, false));
         match &sent_to(&ctx2, client_node())[0] {
+            BasilMsg::St1Reply(reply) => assert_eq!(reply.body.vote, ProtoVote::Abort),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rts_release_cannot_erase_a_readers_timestamp() {
+        let mut r = replica(0);
+        let me = NodeId::Replica(r.id());
+        // Client 9 reads x at ts 100, leaving a read timestamp on x.
+        let read = BasilMsg::Read(signed_read(1, "x", 100));
+        r.on_message(&mut ctx_at(me, 1), client_node(), read);
+        // Another client asks the replica to drop that read timestamp.
+        let release = BasilMsg::RtsRelease {
+            key: Key::new("x"),
+            ts: Timestamp::from_nanos(100, ClientId(9)),
+        };
+        r.on_message(&mut ctx_at(me, 1), NodeId::Client(ClientId(2)), release);
+        // A write of x below the read must still abort.
+        let writer = write_tx(50, "x", 9);
+        let mut ctx = ctx_at(me, 2);
+        r.on_message(
+            &mut ctx,
+            client_node(),
+            BasilMsg::St1(signed_st1(&writer, false)),
+        );
+        match &sent_to(&ctx, client_node())[0] {
             BasilMsg::St1Reply(reply) => assert_eq!(reply.body.vote, ProtoVote::Abort),
             other => panic!("unexpected {other:?}"),
         }

@@ -34,8 +34,9 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Cost model calibrated to the paper's testbed.
-    pub fn ed25519_default() -> Self {
+    /// Cost model calibrated to the paper's testbed: the one model every
+    /// simulated node charges.
+    pub const fn ed25519_default() -> Self {
         CostModel {
             sign: Duration::from_micros(55),
             verify: Duration::from_micros(130),
@@ -95,12 +96,6 @@ impl CostModel {
     /// because it is not a cryptographic cost).
     pub fn message_cost(&self) -> Duration {
         self.message_overhead
-    }
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        Self::ed25519_default()
     }
 }
 
