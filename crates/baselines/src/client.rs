@@ -25,6 +25,10 @@ use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+/// How long the client waits for replies before re-sending a read, a
+/// prepare or a decide.
+const REQUEST_TIMEOUT: Duration = Duration::from_millis(15);
+
 #[derive(Debug)]
 struct Preparing {
     tx: Arc<Transaction>,
@@ -71,7 +75,7 @@ impl BaselineClient {
         seed: u64,
     ) -> Self {
         BaselineClient {
-            session: Session::new(id, generator, cfg.retry_backoff, cfg.max_backoff),
+            session: Session::new(id, generator),
             cfg,
             rng: SmallRng::seed_from_u64(seed ^ id.0.rotate_left(17)),
             read_replies: Vec::new(),
@@ -179,7 +183,7 @@ impl BaselineClient {
             );
         }
         ctx.schedule_self(
-            self.cfg.request_timeout,
+            REQUEST_TIMEOUT,
             BaselineMsg::ClientTimer(BaselineClientTimer::ReadTimeout { req_id }),
         );
     }
@@ -246,7 +250,7 @@ impl BaselineClient {
             decided: HashMap::new(),
         }));
         ctx.schedule_self(
-            self.cfg.request_timeout,
+            REQUEST_TIMEOUT,
             BaselineMsg::ClientTimer(BaselineClientTimer::PrepareTimeout { txid }),
         );
     }
@@ -323,7 +327,7 @@ impl BaselineClient {
                 acks: HashMap::new(),
             }));
             ctx.schedule_self(
-                self.cfg.request_timeout,
+                REQUEST_TIMEOUT,
                 BaselineMsg::ClientTimer(BaselineClientTimer::DecideTimeout { txid }),
             );
         } else {
@@ -394,7 +398,7 @@ impl BaselineClient {
                         tx: Arc::clone(&p.tx),
                     };
                     self.submit(ctx, &p.involved, request, false);
-                    ctx.schedule_self(self.cfg.request_timeout, BaselineMsg::ClientTimer(timer));
+                    ctx.schedule_self(REQUEST_TIMEOUT, BaselineMsg::ClientTimer(timer));
                 }
                 _ => {}
             },
@@ -405,7 +409,7 @@ impl BaselineClient {
                         commit: d.commit,
                     };
                     self.submit(ctx, &d.involved, request, false);
-                    ctx.schedule_self(self.cfg.request_timeout, BaselineMsg::ClientTimer(timer));
+                    ctx.schedule_self(REQUEST_TIMEOUT, BaselineMsg::ClientTimer(timer));
                 }
                 _ => {}
             },

@@ -1,11 +1,14 @@
 //! Baseline system profiles and configuration.
 
-use basil_common::{Duration, Key, ShardId};
+use basil_common::{Key, ShardId};
 use basil_crypto::CostModel;
 
 /// The CPU cost the baseline clients and replicas charge (only the systems
 /// that sign charge crypto, see [`SystemKind::uses_signatures`]).
 pub(crate) const COST: CostModel = CostModel::ed25519_default();
+
+/// Fault threshold per shard of every baseline deployment.
+const F: u32 = 1;
 
 /// Which baseline system a deployment runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,38 +70,22 @@ pub struct BaselineConfig {
     pub kind: SystemKind,
     /// Number of shards.
     pub num_shards: u32,
-    /// Fault threshold per shard.
-    pub f: u32,
     /// Consensus/request batch size at the shard leader (the paper tunes 4
     /// for TxHotstuff and 16 for TxBFT-SMaRt on TPC-C).
     pub batch_size: u32,
-    /// Maximum time the leader waits before ordering a partial batch.
-    pub batch_timeout: Duration,
-    /// Client-side timeout before re-sending a prepare or decide.
-    pub request_timeout: Duration,
-    /// Client retry backoff after an aborted transaction.
-    pub retry_backoff: Duration,
-    /// Maximum retry backoff.
-    pub max_backoff: Duration,
 }
 
 impl BaselineConfig {
-    /// A default configuration for the given system with one shard and
-    /// `f = 1`.
+    /// A default configuration for the given system with one shard.
     pub fn new(kind: SystemKind) -> Self {
         BaselineConfig {
             kind,
             num_shards: 1,
-            f: 1,
             batch_size: match kind {
                 SystemKind::TxHotstuff => 4,
                 SystemKind::TxBftSmart => 16,
                 SystemKind::Tapir => 1,
             },
-            batch_timeout: Duration::from_micros(500),
-            request_timeout: Duration::from_millis(15),
-            retry_backoff: Duration::from_micros(500),
-            max_backoff: Duration::from_millis(50),
         }
     }
 
@@ -116,14 +103,14 @@ impl BaselineConfig {
 
     /// Replicas per shard.
     pub fn n(&self) -> u32 {
-        self.kind.replicas_per_shard(self.f)
+        self.kind.replicas_per_shard(F)
     }
 
     /// Quorum of matching replica replies a client needs before trusting a
     /// result (`f + 1` for the BFT baselines, 1 for TAPIR).
     pub fn reply_quorum(&self) -> u32 {
         if self.kind.uses_signatures() {
-            self.f + 1
+            F + 1
         } else {
             1
         }
@@ -131,7 +118,7 @@ impl BaselineConfig {
 
     /// Consensus vote quorum within a shard (`2f + 1` of `3f + 1`).
     pub fn ordering_quorum(&self) -> u32 {
-        2 * self.f + 1
+        2 * F + 1
     }
 
     /// Maps a key to its shard (same placement function as Basil so the

@@ -16,6 +16,9 @@ use basil_simnet::{Actor, Context};
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
 
+/// Maximum time the leader waits before ordering a partial batch.
+const BATCH_TIMEOUT: Duration = Duration::from_micros(500);
+
 /// Counters exposed for tests and experiments.
 #[derive(Clone, Debug, Default)]
 pub struct BaselineReplicaStats {
@@ -149,7 +152,7 @@ impl BaselineReplica {
             self.start_instance(ctx);
         } else if !self.batch_timer_armed {
             self.batch_timer_armed = true;
-            ctx.schedule_self(self.cfg.batch_timeout, BaselineMsg::BatchTimer);
+            ctx.schedule_self(BATCH_TIMEOUT, BaselineMsg::BatchTimer);
         }
     }
 

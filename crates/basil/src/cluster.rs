@@ -142,6 +142,12 @@ pub enum RuntimeMode {
     Serial,
 }
 
+/// CPU cores per replica (the paper's m510 machines have 8).
+const REPLICA_CORES: u32 = 8;
+
+/// CPU cores per client process.
+const CLIENT_CORES: u32 = 8;
+
 /// Build-time node-property overrides for one replica: clock skew and/or a
 /// reduced core count. `None` fields keep the deployment default.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -149,7 +155,7 @@ pub struct ReplicaPropsOverride {
     /// Clock skew in nanoseconds (positive = the replica's clock runs
     /// ahead of global simulation time).
     pub clock_skew_ns: Option<i64>,
-    /// Core count override (fewer cores than `replica_cores` models a
+    /// Core count override (fewer cores than `REPLICA_CORES`, 8, models a
     /// straggler / underprovisioned replica).
     pub cores: Option<u32>,
 }
@@ -168,25 +174,19 @@ pub struct ClusterConfig<P> {
     pub fault: FaultProfile,
     /// Node-property overrides for specific replicas: clock skew
     /// (nanoseconds, positive runs ahead) and core count (a "slow
-    /// replica" gets fewer cores than `replica_cores`). Scenario specs
+    /// replica" gets fewer cores than `REPLICA_CORES`). Scenario specs
     /// compile their `clock-skew` and `slow-replica` faults down to these.
     pub replica_props: Vec<(ReplicaId, ReplicaPropsOverride)>,
-    /// Network model.
-    pub network: NetworkConfig,
     /// Simulation seed (drives all randomness).
     pub seed: u64,
     /// Initial database contents, loaded as committed genesis versions on
     /// the replicas responsible for each key.
     pub initial_data: Vec<(Key, Value)>,
-    /// CPU cores per replica (the paper's m510 machines have 8).
-    pub replica_cores: u32,
-    /// CPU cores per client process.
-    pub client_cores: u32,
 }
 
 impl<P> ClusterConfig<P> {
     /// A deployment of `protocol` with `num_clients` honest clients and
-    /// the default LAN network, seed, and core counts.
+    /// the default seed, on the LAN network.
     pub fn for_protocol(protocol: P, num_clients: u32) -> Self {
         ClusterConfig {
             protocol,
@@ -194,11 +194,8 @@ impl<P> ClusterConfig<P> {
             num_byzantine_clients: 0,
             fault: FaultProfile::honest(),
             replica_props: Vec::new(),
-            network: NetworkConfig::lan(),
             seed: 42,
             initial_data: Vec::new(),
-            replica_cores: 8,
-            client_cores: 8,
         }
     }
 
@@ -256,7 +253,7 @@ impl<P: ClusterProtocol> ProtocolCluster<P> {
         config
             .protocol
             .prepare_build(config.seed, config.num_clients);
-        let mut sim = Simulation::new(config.seed, config.network.clone());
+        let mut sim = Simulation::new(config.seed, NetworkConfig::lan());
 
         // Replicas, one group per shard, each holding its shard's slice of
         // the initial data.
@@ -276,7 +273,7 @@ impl<P: ClusterProtocol> ProtocolCluster<P> {
                 let replica = config
                     .protocol
                     .make_replica(rid, behavior, shard_data.clone());
-                let mut props = NodeProps::replica().with_cores(config.replica_cores);
+                let mut props = NodeProps::replica().with_cores(REPLICA_CORES);
                 if let Some(o) = props_overrides.get(&rid) {
                     if let Some(skew) = o.clock_skew_ns {
                         props = props.with_skew_ns(skew);
@@ -309,7 +306,7 @@ impl<P: ClusterProtocol> ProtocolCluster<P> {
             );
             sim.add_node(
                 NodeId::Client(cid),
-                NodeProps::client().with_cores(config.client_cores),
+                NodeProps::client().with_cores(CLIENT_CORES),
                 Box::new(client),
             );
             clients.push(cid);

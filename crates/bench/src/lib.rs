@@ -89,7 +89,7 @@ impl Workload {
 
     /// Builds the per-client generator.
     pub fn generator(&self, client: ClientId, seed: u64) -> Box<dyn TxGenerator> {
-        let s = seed.wrapping_add(client.0.wrapping_mul(7919));
+        let s = basil::workloads::client_seed(seed, client.0);
         match self {
             Workload::Tpcc => Box::new(TpccGenerator::new(s, 20)),
             Workload::Smallbank => Box::new(SmallbankGenerator::new(s, 1_000_000, 1_000, 0.9)),

@@ -124,6 +124,10 @@ impl ReadQuorum {
     }
 }
 
+/// Timestamp acceptance window `delta`: replicas reject operations whose
+/// timestamp exceeds their local clock plus `DELTA` (Section 4.1).
+pub const DELTA: Duration = Duration::from_millis(50);
+
 /// Deployment-wide configuration shared by clients and replicas.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SystemConfig {
@@ -131,9 +135,6 @@ pub struct SystemConfig {
     pub num_shards: u32,
     /// Per-shard replication configuration.
     pub shard: ShardConfig,
-    /// Timestamp acceptance window `delta`: replicas reject operations whose
-    /// timestamp exceeds their local clock plus `delta` (Section 4.1).
-    pub delta: Duration,
     /// Read quorum configuration.
     pub read_quorum: ReadQuorum,
     /// Whether the single-round-trip fast path is enabled (Figure 6a ablation).
@@ -141,8 +142,6 @@ pub struct SystemConfig {
     /// Reply batch size used by replicas for signature amortization
     /// (Section 4.4, Figure 6b). `1` disables batching.
     pub batch_size: u32,
-    /// Maximum time a replica holds a partially filled batch before flushing.
-    pub batch_timeout: Duration,
     /// Whether signatures/verification are performed and charged
     /// (`false` reproduces the `Basil-NoProofs` configuration of Figure 5a/5c).
     pub signatures: bool,
@@ -150,16 +149,14 @@ pub struct SystemConfig {
 
 impl SystemConfig {
     /// A small configuration suitable for unit and integration tests:
-    /// one shard, `f = 1`, generous timestamp window.
+    /// one shard, `f = 1`.
     pub fn single_shard_f1() -> Self {
         SystemConfig {
             num_shards: 1,
             shard: ShardConfig::new(1),
-            delta: Duration::from_millis(50),
             read_quorum: ReadQuorum::FPlusOne,
             fast_path: true,
             batch_size: 1,
-            batch_timeout: Duration::from_micros(500),
             signatures: true,
         }
     }

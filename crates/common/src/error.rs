@@ -11,15 +11,8 @@ pub enum AbortReason {
     TimestampOutOfBounds,
     /// A dependency of the transaction aborted.
     DependencyAborted,
-    /// The application asked for the abort.
-    User,
-    /// The transaction conflicts with an already committed transaction
-    /// (fast abort with a commit certificate as proof).
-    ConflictWithCommitted,
     /// A dependency claimed by the transaction could not be validated.
     InvalidDependency,
-    /// The fallback protocol decided to abort the transaction.
-    Fallback,
     /// The transaction metadata itself proves client misbehaviour (e.g. it
     /// claims to have read a version newer than its own timestamp).
     Misbehavior,
@@ -31,10 +24,7 @@ impl fmt::Display for AbortReason {
             AbortReason::Conflict => "serializability conflict",
             AbortReason::TimestampOutOfBounds => "timestamp outside acceptance window",
             AbortReason::DependencyAborted => "dependency aborted",
-            AbortReason::User => "application abort",
-            AbortReason::ConflictWithCommitted => "conflict with committed transaction",
             AbortReason::InvalidDependency => "invalid dependency",
-            AbortReason::Fallback => "fallback decision",
             AbortReason::Misbehavior => "client misbehaviour detected",
         };
         f.write_str(s)
@@ -60,10 +50,7 @@ mod tests {
             Conflict,
             TimestampOutOfBounds,
             DependencyAborted,
-            User,
-            ConflictWithCommitted,
             InvalidDependency,
-            Fallback,
             Misbehavior,
         ];
         let texts: std::collections::HashSet<String> = all.iter().map(|r| r.to_string()).collect();

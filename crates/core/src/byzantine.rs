@@ -4,7 +4,7 @@
 //! Byzantine client's best strategy is to follow the workload's access
 //! distribution, use plausible timestamps, and then either withhold progress
 //! (stall) or equivocate its ST2 decision. Replica misbehaviour (refusing to
-//! vote, voting abort, staying silent on reads) is used in the read-quorum
+//! vote, voting abort, ignoring reads) is used in the read-quorum
 //! and fast-path experiments and in the robustness tests.
 
 use basil_common::prng::SmallPrng;
@@ -99,8 +99,6 @@ pub enum ReplicaBehavior {
     /// Ignore read requests (forces clients to rely on the other replicas of
     /// the read quorum).
     IgnoreReads,
-    /// Crash-stop: ignore every message.
-    Silent,
 }
 
 impl ReplicaBehavior {
@@ -110,27 +108,25 @@ impl ReplicaBehavior {
     }
 
     /// All behaviours, in a stable order: the names [`std::str::FromStr`]
-    /// parses. The scenario fuzzer does not enumerate them; it draws from
-    /// `WithholdVotes`, `AlwaysVoteAbort` and `IgnoreReads` only (never
-    /// `Silent`).
-    pub const ALL: [ReplicaBehavior; 5] = [
+    /// parses. The scenario fuzzer draws every one but `Correct` (a test in
+    /// `basil_scenario::fuzz` holds it to that). A replica that ignores
+    /// every message is a crash, which the simulator models itself.
+    pub const ALL: [ReplicaBehavior; 4] = [
         ReplicaBehavior::Correct,
         ReplicaBehavior::WithholdVotes,
         ReplicaBehavior::AlwaysVoteAbort,
         ReplicaBehavior::IgnoreReads,
-        ReplicaBehavior::Silent,
     ];
 
     /// The stable textual name of this behaviour, as used by scenario specs
-    /// (`correct`, `withhold-votes`, `vote-abort`, `ignore-reads`,
-    /// `silent`). Round-trips through [`std::str::FromStr`].
+    /// (`correct`, `withhold-votes`, `vote-abort`, `ignore-reads`).
+    /// Round-trips through [`std::str::FromStr`].
     pub fn name(&self) -> &'static str {
         match self {
             ReplicaBehavior::Correct => "correct",
             ReplicaBehavior::WithholdVotes => "withhold-votes",
             ReplicaBehavior::AlwaysVoteAbort => "vote-abort",
             ReplicaBehavior::IgnoreReads => "ignore-reads",
-            ReplicaBehavior::Silent => "silent",
         }
     }
 }
@@ -206,7 +202,7 @@ mod tests {
         assert!(ClientStrategy::EquivForced.equivocates());
         assert!(!ClientStrategy::StallLate.equivocates());
         assert!(ReplicaBehavior::Correct.is_correct());
-        assert!(!ReplicaBehavior::Silent.is_correct());
+        assert!(!ReplicaBehavior::IgnoreReads.is_correct());
     }
 
     #[test]

@@ -35,12 +35,23 @@ use basil_common::{
 };
 use basil_crypto::BatchProof;
 use basil_simnet::{Actor, Context};
-use basil_store::session::{Session, SessionStats, Step as SessionStep};
+use basil_store::session::{Session, SessionStats, Step as SessionStep, MAX_BACKOFF};
 use basil_store::{Transaction, TransactionBuilder};
 use std::any::Any;
 use std::borrow::Cow;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
+
+/// How long a read waits for its quorum before it is re-sent to more
+/// replicas.
+const READ_TIMEOUT: Duration = Duration::from_millis(5);
+/// How long the prepare phase waits before the client considers the
+/// transaction's dependencies stalled and invokes the fallback.
+const PREPARE_TIMEOUT: Duration = Duration::from_millis(10);
+/// How long stage ST2 waits before the message is re-sent.
+const ST2_TIMEOUT: Duration = Duration::from_millis(10);
+/// Base timeout of the per-transaction fallback.
+const FALLBACK_TIMEOUT: Duration = Duration::from_millis(20);
 
 /// Statistics collected by one client, aggregated by the harness: the
 /// session's protocol-independent counters (`committed`, `aborted_attempts`,
@@ -103,11 +114,11 @@ enum RetryKind {
 
 impl RetryKind {
     /// The timer's base period and the message that fires it.
-    fn timer(self, txid: TxId, cfg: &BasilConfig) -> (Duration, ClientTimer) {
+    fn timer(self, txid: TxId) -> (Duration, ClientTimer) {
         match self {
-            RetryKind::Prepare => (cfg.prepare_timeout, ClientTimer::PrepareTimeout { txid }),
-            RetryKind::St2 => (cfg.st2_timeout, ClientTimer::St2Timeout { txid }),
-            RetryKind::Fallback => (cfg.fallback_timeout, ClientTimer::FallbackTimeout { txid }),
+            RetryKind::Prepare => (PREPARE_TIMEOUT, ClientTimer::PrepareTimeout { txid }),
+            RetryKind::St2 => (ST2_TIMEOUT, ClientTimer::St2Timeout { txid }),
+            RetryKind::Fallback => (FALLBACK_TIMEOUT, ClientTimer::FallbackTimeout { txid }),
         }
     }
 }
@@ -353,7 +364,7 @@ impl BasilClient {
     ) -> Self {
         let engine = SigEngine::new(NodeId::Client(id), registry, &cfg);
         BasilClient {
-            session: Session::new(id, generator, cfg.retry_backoff, cfg.max_backoff),
+            session: Session::new(id, generator),
             cfg,
             engine,
             fault,
@@ -428,7 +439,7 @@ impl BasilClient {
             self.send_signed(ctx, replica, BasilMsg::Read(req.clone()));
         }
         ctx.schedule_self(
-            self.cfg.read_timeout,
+            READ_TIMEOUT,
             BasilMsg::ClientTimer(ClientTimer::ReadTimeout { req_id }),
         );
     }
@@ -755,7 +766,7 @@ impl BasilClient {
     /// Arms the timer guarding stage `kind` of `txid`'s commit: for its base
     /// period the first time, backed off when `rearm`ed.
     fn arm_timer(&mut self, ctx: &mut Context<BasilMsg>, kind: RetryKind, txid: TxId, rearm: bool) {
-        let (period, timer) = kind.timer(txid, &self.cfg);
+        let (period, timer) = kind.timer(txid);
         let delay = if rearm {
             self.retry_delay(kind, txid, period)
         } else {
@@ -956,7 +967,7 @@ impl BasilClient {
     /// the base period (a single retry is the common lost-message case and
     /// needs no spreading — and fault-free schedules that brush a timeout
     /// stay byte-identical), later consecutive re-arms wait `base * 2^n`
-    /// capped at `cfg.max_backoff`, plus up to half that again in jitter
+    /// capped at [`MAX_BACKOFF`], plus up to half that again in jitter
     /// from the dedicated seeded retry PRNG. Doubling stops retry storms —
     /// every client of a stalled transaction re-firing at a fixed period in
     /// lockstep — and the jitter de-synchronizes the survivors, while the
@@ -974,7 +985,7 @@ impl BasilClient {
         let floor = base.as_nanos().max(1);
         let capped = floor
             .saturating_mul(1u64 << attempt.min(16))
-            .min(self.cfg.max_backoff.as_nanos().max(floor));
+            .min(MAX_BACKOFF.as_nanos().max(floor));
         let jitter = self.retry_prng.next_below(capped / 2 + 1);
         Duration::from_nanos(capped.saturating_add(jitter))
     }

@@ -26,20 +26,6 @@ pub struct BasilConfig {
     pub system: SystemConfig,
     /// Whether signatures are actually computed (see [`CryptoMode`]).
     pub crypto_mode: CryptoMode,
-    /// Client-side timeout before a read is retried against more replicas.
-    pub read_timeout: Duration,
-    /// Client-side timeout on the prepare phase before the client considers
-    /// dependencies stalled and invokes the fallback.
-    pub prepare_timeout: Duration,
-    /// Client-side timeout on stage ST2 before the message is re-sent.
-    pub st2_timeout: Duration,
-    /// Base timeout of the per-transaction fallback; doubled per view.
-    pub fallback_timeout: Duration,
-    /// Base retry backoff after an aborted transaction (exponential with
-    /// jitter, as in the paper's closed-loop clients).
-    pub retry_backoff: Duration,
-    /// Maximum exponential backoff.
-    pub max_backoff: Duration,
     /// Default Byzantine strategy of clients (individual clients can
     /// override).
     pub client_strategy: ClientStrategy,
@@ -56,19 +42,15 @@ pub struct BasilConfig {
     /// history might have let it commit), so runs opt in explicitly.
     pub gc_interval: Option<Duration>,
     /// How far behind the local clock the GC watermark trails. Must comfortably
-    /// exceed `system.delta` plus the maximum client retry backoff so that
-    /// fault-free timestamps never land below the watermark.
+    /// exceed [`basil_common::config::DELTA`] plus
+    /// [`basil_store::session::MAX_BACKOFF`] so that fault-free timestamps
+    /// never land below the watermark.
     pub gc_horizon: Duration,
     /// Open-loop admission bound: how many Poisson arrivals a client queues
     /// while a transaction is in flight before it starts shedding load
     /// instead of queueing unboundedly. Only consulted when the workload
     /// generator paces arrivals (closed-loop generators ignore it).
     pub admission_bound: usize,
-    /// Simulated fsync latency charged for every write-ahead-log append.
-    /// `Duration::ZERO` (the default) models an always-warm write cache and
-    /// keeps fault-free golden timings byte-identical; durability-focused
-    /// runs opt into a real cost via [`BasilConfig::with_wal_fsync`].
-    pub wal_fsync_cost: Duration,
     /// How long a replica recovering from an amnesia restart waits for
     /// `CatchUpReply` messages before resuming service with whatever
     /// decisions it gathered. Client traffic is buffered for at most this
@@ -90,18 +72,11 @@ impl BasilConfig {
         BasilConfig {
             system: SystemConfig::single_shard_f1(),
             crypto_mode: CryptoMode::Real,
-            read_timeout: Duration::from_millis(5),
-            prepare_timeout: Duration::from_millis(10),
-            st2_timeout: Duration::from_millis(10),
-            fallback_timeout: Duration::from_millis(20),
-            retry_backoff: Duration::from_micros(500),
-            max_backoff: Duration::from_millis(50),
             client_strategy: ClientStrategy::Correct,
             relax_st2_validation: false,
             gc_interval: None,
             gc_horizon: Duration::from_millis(500),
             admission_bound: 32,
-            wal_fsync_cost: Duration::ZERO,
             catch_up_timeout: Duration::from_millis(5),
             catch_up_buffer_bound: 4096,
         }
@@ -150,13 +125,6 @@ impl BasilConfig {
     /// Returns a copy with the open-loop admission bound replaced (minimum 1).
     pub fn with_admission_bound(mut self, bound: usize) -> Self {
         self.admission_bound = bound.max(1);
-        self
-    }
-
-    /// Returns a copy charging `cost` of simulated time per WAL append
-    /// (`Duration::ZERO` restores the free default).
-    pub fn with_wal_fsync(mut self, cost: Duration) -> Self {
-        self.wal_fsync_cost = cost;
         self
     }
 
@@ -220,13 +188,10 @@ mod tests {
     #[test]
     fn durability_knobs_default_free_and_opt_in() {
         let cfg = BasilConfig::test_single_shard();
-        assert_eq!(cfg.wal_fsync_cost, Duration::ZERO, "fault-free goldens");
         assert!(cfg.catch_up_timeout > Duration::ZERO);
         let tuned = cfg
-            .with_wal_fsync(Duration::from_micros(100))
             .with_catch_up_timeout(Duration::from_millis(8))
             .with_catch_up_buffer_bound(16);
-        assert_eq!(tuned.wal_fsync_cost, Duration::from_micros(100));
         assert_eq!(tuned.catch_up_timeout, Duration::from_millis(8));
         assert_eq!(tuned.catch_up_buffer_bound, 16);
         assert_eq!(

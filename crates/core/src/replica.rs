@@ -18,14 +18,20 @@ use crate::messages::{
     Writeback,
 };
 use crate::views::{fallback_leader_index, logging_shard, next_view};
+use basil_common::config::DELTA;
 use basil_common::{
-    ClientId, FastHashMap, FastHashSet, Key, NodeId, ReplicaId, SimTime, Timestamp, TxId, Value,
+    ClientId, Duration, FastHashMap, FastHashSet, Key, NodeId, ReplicaId, SimTime, Timestamp, TxId,
+    Value,
 };
 use basil_simnet::{Actor, Context};
 use basil_store::{CheckOutcome, MvtsoStore, Transaction, Vote, Wal, WalRecord};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// Maximum time a replica holds a partially filled reply batch before
+/// flushing it.
+const BATCH_TIMEOUT: Duration = Duration::from_micros(500);
 
 /// Counters exposed for tests, experiments, and the harness.
 #[derive(Clone, Debug, Default)]
@@ -183,7 +189,6 @@ impl BasilReplica {
         initial_data: impl IntoIterator<Item = (Key, Value)>,
     ) -> Self {
         let engine = SigEngine::new(NodeId::Replica(id), registry, &cfg);
-        let wal = Wal::new(cfg.wal_fsync_cost);
         BasilReplica {
             id,
             cfg,
@@ -193,7 +198,7 @@ impl BasilReplica {
             records: FastHashMap::default(),
             out_batch: Vec::new(),
             batch_timer_armed: false,
-            wal,
+            wal: Wal::new(Duration::ZERO),
             recovering: None,
             stats: ReplicaStats::default(),
         }
@@ -218,7 +223,7 @@ impl BasilReplica {
         initial_data: impl IntoIterator<Item = (Key, Value)>,
         wal_bytes: Vec<u8>,
     ) -> Self {
-        let (wal, records) = Wal::recover(wal_bytes, cfg.wal_fsync_cost);
+        let (wal, records) = Wal::recover(wal_bytes, Duration::ZERO);
         let mut replica = BasilReplica::new(id, cfg, registry, behavior, initial_data);
         replica.wal = wal;
         for record in records {
@@ -252,7 +257,7 @@ impl BasilReplica {
                     // acceptance bound (a wall-clock check, already passed
                     // before the crash) from rejecting the replay.
                     let clock = SimTime::from_nanos(u64::MAX / 2);
-                    let _ = self.store.prepare(&tx, clock, self.cfg.system.delta);
+                    let _ = self.store.prepare(&tx, clock, DELTA);
                 }
                 let record = self.record(txid);
                 record.tx.get_or_insert(tx);
@@ -290,11 +295,10 @@ impl BasilReplica {
         }
     }
 
-    /// Appends a durable record and charges the simulated fsync cost.
-    fn wal_append(&mut self, ctx: &mut Context<BasilMsg>, record: &WalRecord) {
-        let cost = self.wal.append(record);
+    /// Appends a durable record.
+    fn wal_append(&mut self, record: &WalRecord) {
+        self.wal.append(record);
         self.stats.wal_appends += 1;
-        ctx.charge(cost);
     }
 
     /// Takes the simulated disk image out of the replica. The cluster
@@ -362,7 +366,7 @@ impl BasilReplica {
         } else if !self.batch_timer_armed {
             self.batch_timer_armed = true;
             ctx.schedule_self(
-                self.cfg.system.batch_timeout,
+                BATCH_TIMEOUT,
                 BasilMsg::ReplicaTimer(ReplicaTimer::BatchFlush),
             );
         }
@@ -403,9 +407,9 @@ impl BasilReplica {
     /// version superseded below it, committed read record below it, and RTS
     /// entry below it is dropped (an in-place prefix drain per key in the
     /// flattened store — no allocation). Timestamps of honest transactions
-    /// track client clocks, so with a horizon comfortably above
-    /// `system.delta` plus the retry backoff no fault-free timestamp lands
-    /// below the watermark. Safety does not rest on that assumption: the
+    /// track client clocks, so with a horizon comfortably above [`DELTA`]
+    /// plus [`basil_store::session::MAX_BACKOFF`] no fault-free timestamp
+    /// lands below the watermark. Safety does not rest on that assumption: the
     /// store refuses to prepare any transaction timestamped at or below its
     /// highest GC watermark (the conflict evidence there is gone), so a
     /// Byzantine or badly skewed backdated transaction aborts — the standard
@@ -426,7 +430,7 @@ impl BasilReplica {
             self.stats.gc_sweeps += 1;
             // Durable: a recovered replica must refuse the same collected
             // region its pre-crash self would have.
-            self.wal_append(ctx, &WalRecord::GcWatermark { watermark });
+            self.wal_append(&WalRecord::GcWatermark { watermark });
         }
         if let Some(interval) = self.cfg.gc_interval {
             ctx.schedule_self(interval, BasilMsg::ReplicaTimer(ReplicaTimer::GcSweep));
@@ -449,10 +453,7 @@ impl BasilReplica {
         }
         // Timestamp acceptance window (Section 4.1): ignore reads too far in
         // the future.
-        if req
-            .ts
-            .exceeds_bound(ctx.local_clock(), self.cfg.system.delta)
-        {
+        if req.ts.exceeds_bound(ctx.local_clock(), DELTA) {
             return;
         }
         let result = self.store.read(&req.key, req.ts);
@@ -561,9 +562,7 @@ impl BasilReplica {
         // Run the MVTSO check (Algorithm 1). Charge a hash of the transaction
         // encoding as the processing cost of the check itself.
         ctx.charge(self.engine.message_cost());
-        let outcome = self
-            .store
-            .prepare(&st1.tx, ctx.local_clock(), self.cfg.system.delta);
+        let outcome = self.store.prepare(&st1.tx, ctx.local_clock(), DELTA);
         match outcome {
             CheckOutcome::Decided(vote) => {
                 let proto = match vote {
@@ -574,13 +573,10 @@ impl BasilReplica {
                 // A buffered ST2 can now be validated against the transaction.
                 let buffered_st2 = std::mem::take(&mut record.buffered_st2);
                 self.stats.st1_voted += 1;
-                self.wal_append(
-                    ctx,
-                    &WalRecord::Prepare {
-                        commit: proto.is_commit(),
-                        tx: Arc::clone(&st1.tx),
-                    },
-                );
+                self.wal_append(&WalRecord::Prepare {
+                    commit: proto.is_commit(),
+                    tx: Arc::clone(&st1.tx),
+                });
                 let body = St1ReplyBody {
                     txid,
                     replica: self.id,
@@ -620,13 +616,10 @@ impl BasilReplica {
             if let Some(tx) = tx {
                 // A released deferred vote is a state transition like an
                 // immediate one: log it so amnesia replay re-derives it.
-                self.wal_append(
-                    ctx,
-                    &WalRecord::Prepare {
-                        commit: proto.is_commit(),
-                        tx,
-                    },
-                );
+                self.wal_append(&WalRecord::Prepare {
+                    commit: proto.is_commit(),
+                    tx,
+                });
             }
             let mut recipients: Vec<NodeId> = waiting;
             for c in interested {
@@ -709,14 +702,11 @@ impl BasilReplica {
         };
         if newly_logged {
             self.stats.st2_logged += 1;
-            self.wal_append(
-                ctx,
-                &WalRecord::Decision {
-                    txid,
-                    commit: decision.is_commit(),
-                    view: view_decision,
-                },
-            );
+            self.wal_append(&WalRecord::Decision {
+                txid,
+                commit: decision.is_commit(),
+                view: view_decision,
+            });
         }
         let body = St2ReplyBody {
             txid,
@@ -784,14 +774,11 @@ impl BasilReplica {
         };
         record.cert = Some(Arc::clone(&wb.cert));
         let interested = std::mem::take(&mut record.interested);
-        self.wal_append(
-            ctx,
-            &WalRecord::Applied {
-                txid,
-                commit: decision.is_commit(),
-                tx: logged_tx,
-            },
-        );
+        self.wal_append(&WalRecord::Applied {
+            txid,
+            commit: decision.is_commit(),
+            tx: logged_tx,
+        });
         // Forward the outcome to clients waiting on this transaction (a
         // reference-count bump per recipient, not a certificate copy).
         for client in interested {
@@ -1064,14 +1051,11 @@ impl BasilReplica {
         };
         self.stats.fallback_decisions_adopted += 1;
         // A fallback-reconciled decision is logged state like an ST2 one.
-        self.wal_append(
-            ctx,
-            &WalRecord::Decision {
-                txid,
-                commit: dfb.decision.is_commit(),
-                view,
-            },
-        );
+        self.wal_append(&WalRecord::Decision {
+            txid,
+            commit: dfb.decision.is_commit(),
+            view,
+        });
         let body = St2ReplyBody {
             txid,
             replica: replica_id,
@@ -1153,10 +1137,6 @@ impl Actor<BasilMsg> for BasilReplica {
     }
 
     fn on_message(&mut self, ctx: &mut Context<BasilMsg>, from: NodeId, msg: BasilMsg) {
-        if self.behavior == ReplicaBehavior::Silent {
-            self.stats.byzantine_drops += 1;
-            return;
-        }
         // Per-message deserialization overhead.
         ctx.charge(self.engine.message_cost());
         if let Some(rec) = self.recovering.as_mut() {
@@ -1298,7 +1278,7 @@ mod tests {
     fn read_with_future_timestamp_is_ignored() {
         let mut r = replica(0);
         let mut ctx = ctx_at(NodeId::Replica(r.id()), 1);
-        // delta is 50ms in the test config; ask for a read 10 seconds ahead.
+        // DELTA is 50 ms; ask for a read 10 seconds ahead.
         r.handle_read(&mut ctx, client_node(), signed_read(1, "x", 10_000_000_000));
         assert!(sent_to(&ctx, client_node()).is_empty());
     }
@@ -1994,10 +1974,9 @@ mod tests {
     /// A `BatchFlush` that falls due while the replica is warm-crashed fires
     /// at the restart, so the replica does not keep believing a flush is
     /// armed: a single request after the restart is answered within
-    /// `batch_timeout`, not once a full batch has piled up.
+    /// [`BATCH_TIMEOUT`], not once a full batch has piled up.
     #[test]
     fn batch_flush_pending_across_a_warm_crash_still_fires() {
-        use basil_common::Duration;
         use basil_simnet::sim::NodeProps;
         use basil_simnet::{NetworkConfig, Simulation};
 
@@ -2020,7 +1999,7 @@ mod tests {
 
         let mut batched = cfg();
         batched.system.batch_size = 8;
-        let timeout = batched.system.batch_timeout;
+        let timeout = BATCH_TIMEOUT;
         let replica = BasilReplica::new(
             ReplicaId::new(ShardId(0), 0),
             batched,
@@ -2062,19 +2041,6 @@ mod tests {
             "answered after {answered:?}"
         );
         assert!(reader.replies.iter().any(|(id, _)| *id == 1));
-    }
-
-    #[test]
-    fn silent_replica_ignores_everything() {
-        let mut r = replica(0);
-        r.set_behavior(ReplicaBehavior::Silent);
-        let mut ctx = ctx_at(NodeId::Replica(r.id()), 1);
-        r.on_message(
-            &mut ctx,
-            client_node(),
-            BasilMsg::Read(signed_read(1, "x", 1_000_000)),
-        );
-        assert!(ctx.outputs().is_empty());
     }
 
     #[test]

@@ -22,7 +22,7 @@ use basil_crypto::{frame, KeyRegistry};
 use basil_simnet::Actor;
 use basil_store::mvtso::Decision;
 use basil_store::Transaction;
-use basil_workloads::YcsbGenerator;
+use basil_workloads::{client_seed, YcsbGenerator};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Write as IoWrite};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
@@ -200,11 +200,11 @@ pub fn run_node(cfg: &NodeConfig) -> std::io::Result<()> {
             Box::new(replica)
         }
         Role::Client { id } => {
-            // Same per-client generator seed split as the scenario runner,
-            // so process-cluster workloads match simulated ones in shape.
-            let gen_seed = cfg.seed.wrapping_add(id.wrapping_mul(7919));
             let generator = Box::new(YcsbGenerator::rw_uniform(
-                gen_seed, cfg.keys, cfg.reads, cfg.writes,
+                client_seed(cfg.seed, id),
+                cfg.keys,
+                cfg.reads,
+                cfg.writes,
             ));
             Box::new(BasilClient::new(
                 ClientId(id),

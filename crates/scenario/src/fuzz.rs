@@ -484,6 +484,29 @@ mod tests {
         );
     }
 
+    /// Every misbehaviour a replica can be given is one the fuzzer draws: a
+    /// new `ReplicaBehavior` must join the draw (moving the pin below on
+    /// purpose) rather than go unfuzzed.
+    #[test]
+    fn generator_draws_every_replica_misbehaviour() {
+        let mut drawn = Vec::new();
+        for seed in 0..2_000u64 {
+            for ev in generate_spec(seed).faults {
+                if let FaultEvent::Misbehave { behavior, .. } = ev {
+                    if !drawn.contains(&behavior) {
+                        drawn.push(behavior);
+                    }
+                }
+            }
+        }
+        for behavior in ReplicaBehavior::ALL {
+            assert!(
+                behavior.is_correct() || drawn.contains(&behavior),
+                "the fuzzer never draws `{behavior}`"
+            );
+        }
+    }
+
     /// The generator's output, pinned as the SHA-256 of the canonical RON
     /// of schedules 0..1000: a change to the fault grammar or to the draws
     /// behind it that moves any generated schedule fails here, so a

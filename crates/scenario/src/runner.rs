@@ -316,7 +316,7 @@ fn decisions_digest<P: ClusterProtocol>(cluster: &ProtocolCluster<P>) -> String 
 }
 
 fn make_generator(spec: &ScenarioSpec, client: u64) -> Box<dyn basil::TxGenerator> {
-    let seed = spec.seed.wrapping_add(client.wrapping_mul(7919));
+    let seed = basil::workloads::client_seed(spec.seed, client);
     match spec.workload {
         WorkloadSpec::RwUniform {
             reads,

@@ -155,7 +155,8 @@ pub enum FaultEvent {
     SlowReplica {
         /// Target replica index.
         replica: u32,
-        /// Core count (< the deployment's `replica_cores`).
+        /// Core count (< the 8 cores of `REPLICA_CORES` in
+        /// `basil::cluster`).
         cores: u32,
     },
     /// Switch `replica` to `behavior` at `at_ms`; revert to correct at
@@ -484,9 +485,10 @@ impl ScenarioSpec {
                         "extra delay {extra:?} exceeds {MAX_DURATION_MS} ms"
                     )));
                 }
-                // The timestamp window delta is 50 ms; skew beyond it would
-                // reject every transaction of the replica, which is a crash
-                // in disguise — model that as a crash.
+                // The timestamp window `basil_common::config::DELTA` is
+                // 50 ms; skew beyond it would reject every transaction of
+                // the replica, which is a crash in disguise — model that as
+                // a crash.
                 FaultEvent::ClockSkew { skew_us, .. } if skew_us.unsigned_abs() > 20_000 => {
                     return Err(ctx(format!("clock skew {skew_us} us exceeds 20 ms")));
                 }

@@ -26,6 +26,14 @@ use basil_common::{
 };
 use std::collections::HashMap;
 
+/// The wait after a transaction's first aborted attempt (plus the caller's
+/// jitter); each further abort of the same transaction waits twice as long.
+const RETRY_BACKOFF: Duration = Duration::from_micros(500);
+
+/// The cap on the doubling abort backoff. The Basil client's retry timers
+/// back off to the same cap.
+pub const MAX_BACKOFF: Duration = Duration::from_millis(50);
+
 /// Protocol-independent statistics of one client's session.
 #[derive(Clone, Debug, Default)]
 pub struct SessionStats {
@@ -123,21 +131,14 @@ pub struct Session {
     current: Option<InFlight>,
     stopped: bool,
     paced: bool,
-    base_backoff: Duration,
-    max_backoff: Duration,
     backoff: Duration,
 }
 
 impl Session {
     /// A session of client `id` over `generator`. The first abort of a
-    /// transaction waits `base_backoff` (plus the caller's jitter), each
-    /// further one twice as long, up to `max_backoff`.
-    pub fn new(
-        id: ClientId,
-        generator: Box<dyn TxGenerator>,
-        base_backoff: Duration,
-        max_backoff: Duration,
-    ) -> Self {
+    /// transaction waits `RETRY_BACKOFF` (plus the caller's jitter), each
+    /// further one twice as long, up to [`MAX_BACKOFF`].
+    pub fn new(id: ClientId, generator: Box<dyn TxGenerator>) -> Self {
         Session {
             id,
             generator,
@@ -146,9 +147,7 @@ impl Session {
             current: None,
             stopped: false,
             paced: false,
-            base_backoff,
-            max_backoff,
-            backoff: base_backoff,
+            backoff: RETRY_BACKOFF,
         }
     }
 
@@ -216,7 +215,7 @@ impl Session {
         if !self.paced {
             stats.offered += 1;
         }
-        self.backoff = self.base_backoff;
+        self.backoff = RETRY_BACKOFF;
         self.begin_attempt(clock);
         self.current.as_ref().map(|c| &c.profile)
     }
@@ -354,7 +353,7 @@ impl Session {
             current.stage = Stage::WaitingRetry;
         }
         let wait = self.backoff;
-        self.backoff = Duration::from_nanos((wait.as_nanos() * 2).min(self.max_backoff.as_nanos()));
+        self.backoff = Duration::from_nanos((wait.as_nanos() * 2).min(MAX_BACKOFF.as_nanos()));
         wait
     }
 
@@ -396,16 +395,11 @@ mod tests {
         Op::RmwAdd { key: k(key), delta }
     }
 
-    /// A session over `scripts` (one transaction each), backoff 1 ms doubling
-    /// to 4 ms, with its first transaction started at 10 ms.
+    /// A session over `scripts` (one transaction each), with its first
+    /// transaction started at 10 ms.
     fn started(scripts: Vec<Vec<Op>>) -> (Session, SessionStats) {
         let profiles = scripts.into_iter().map(|ops| TxProfile::new("t", ops));
-        let mut session = Session::new(
-            ClientId(3),
-            Box::new(ScriptedGenerator::new(profiles)),
-            Duration::from_millis(1),
-            Duration::from_millis(4),
-        );
+        let mut session = Session::new(ClientId(3), Box::new(ScriptedGenerator::new(profiles)));
         let mut stats = SessionStats::default();
         session.start(MS(10), MS(10), &mut stats);
         (session, stats)
@@ -549,22 +543,25 @@ mod tests {
         let write = vec![Op::Write(k("a"), v(1))];
         let (mut session, mut stats) = started(vec![write.clone(), write]);
         let mut waits = Vec::new();
-        for _ in 0..4 {
+        for _ in 0..9 {
             expect_ready(session.advance_execution(&mut stats));
             assert!(!session.retry(MS(11)), "nothing to retry while committing");
-            waits.push(session.aborted(&mut stats).as_millis());
+            waits.push(session.aborted(&mut stats).as_micros());
             assert!(session.advance_execution(&mut stats).is_none());
             assert!(session.retry(MS(11)));
         }
-        assert_eq!(waits, vec![1, 2, 4, 4]);
-        assert_eq!(stats.aborted_attempts, 4);
+        assert_eq!(
+            waits,
+            vec![500, 1_000, 2_000, 4_000, 8_000, 16_000, 32_000, 50_000, 50_000]
+        );
+        assert_eq!(stats.aborted_attempts, 9);
         expect_ready(session.advance_execution(&mut stats));
         session.committed(MS(20), &mut stats);
         assert!(session.is_idle());
         // The next transaction starts over at the base.
         session.start(MS(20), MS(20), &mut stats);
         expect_ready(session.advance_execution(&mut stats));
-        assert_eq!(session.aborted(&mut stats), Duration::from_millis(1));
+        assert_eq!(session.aborted(&mut stats), RETRY_BACKOFF);
     }
 
     #[test]

@@ -12,10 +12,8 @@
 //!   mid-frame; recovery truncates at the first frame whose length or check
 //!   does not hold and never panics, exactly like a production WAL
 //!   discarding a torn tail.
-//! * Every append returns a configurable *fsync cost* for the caller to
-//!   charge on the simulator clock, modelling the latency of a synchronous
-//!   disk barrier. The default cost is zero so that fault-free golden runs
-//!   keep their pinned timing.
+//! * An append costs no simulated time: the model is an always-warm write
+//!   cache, and the log is never fsynced.
 //!
 //! The record set is deliberately minimal: a [`WalRecord::Prepare`] carries
 //! the full transaction (its canonical encoding is self-delimiting and
@@ -135,32 +133,27 @@ impl WalRecord {
 ///
 /// The byte buffer is the "disk": it survives an amnesia restart (the
 /// cluster harness hands it to the replacement actor) while everything else
-/// about the actor is rebuilt from scratch. [`Wal::append`] returns the
-/// configured fsync cost so the caller can charge it on the simulator clock.
+/// about the actor is rebuilt from scratch.
 #[derive(Clone, Debug)]
 pub struct Wal {
     buf: Vec<u8>,
-    fsync_cost: Duration,
     appends: u64,
 }
 
 impl Wal {
-    /// Creates an empty log whose appends each cost `fsync_cost` of
-    /// simulated time ([`Duration::ZERO`] models an always-warm write cache
-    /// and keeps fault-free golden timings unchanged).
-    pub fn new(fsync_cost: Duration) -> Self {
+    /// Creates an empty log. The `Duration` is ignored: it is named by
+    /// `benchmark/`; the next `benchmark` PR removes it.
+    pub fn new(_: Duration) -> Self {
         Wal {
             buf: Vec::new(),
-            fsync_cost,
             appends: 0,
         }
     }
 
-    /// Appends a record and returns the fsync cost the caller must charge.
-    pub fn append(&mut self, record: &WalRecord) -> Duration {
+    /// Appends a record.
+    pub fn append(&mut self, record: &WalRecord) {
         frame::seal(&mut self.buf, |out| record.write(out));
         self.appends += 1;
-        self.fsync_cost
     }
 
     /// Number of records appended since creation or recovery.
@@ -191,8 +184,9 @@ impl Wal {
     /// the decoded records in append order. A torn or corrupted tail — a
     /// frame whose length overruns the buffer, whose checksum does not match,
     /// or whose payload does not decode — ends the replay at the last good
-    /// frame; this never panics.
-    pub fn recover(bytes: Vec<u8>, fsync_cost: Duration) -> (Wal, Vec<WalRecord>) {
+    /// frame; this never panics. The `Duration` is ignored: it is named by
+    /// `benchmark/`; the next `benchmark` PR removes it.
+    pub fn recover(bytes: Vec<u8>, _: Duration) -> (Wal, Vec<WalRecord>) {
         let mut records = Vec::new();
         let mut pos = 0usize;
         // A frame that is incomplete (torn tail), fails its check (bit rot,
@@ -209,7 +203,6 @@ impl Wal {
         (
             Wal {
                 buf,
-                fsync_cost,
                 appends: records.len() as u64,
             },
             records,
@@ -285,20 +278,6 @@ pub(crate) mod tests {
         } else {
             panic!("first record is the prepare");
         }
-    }
-
-    #[test]
-    fn append_charges_the_configured_fsync_cost() {
-        let cost = Duration::from_micros(40);
-        let mut wal = Wal::new(cost);
-        assert_eq!(
-            wal.append(&WalRecord::GcWatermark {
-                watermark: ts(1, 1)
-            }),
-            cost
-        );
-        let (recovered, _) = Wal::recover(wal.take_bytes(), cost);
-        assert_eq!(recovered.fsync_cost, cost);
     }
 
     #[test]

@@ -37,3 +37,11 @@ pub use smallbank::SmallbankGenerator;
 pub use tpcc::TpccGenerator;
 pub use ycsb::YcsbGenerator;
 pub use zipf::ZipfSampler;
+
+/// The generator seed of client `client` in a deployment seeded `seed`.
+/// Every runner (the scenario runner, the figure experiments and
+/// `basil-node`) splits the seed this way, so one workload seed drives the
+/// same per-client transaction streams on every runtime.
+pub fn client_seed(seed: u64, client: u64) -> u64 {
+    seed.wrapping_add(client.wrapping_mul(7919))
+}

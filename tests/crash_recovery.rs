@@ -176,31 +176,3 @@ fn catch_up_buffer_bound_sheds_instead_of_growing() {
         "overflow messages were shed, not queued: {stats:?}"
     );
 }
-
-#[test]
-fn charged_fsync_cost_slows_but_does_not_break_recovery() {
-    // A non-zero per-append fsync cost charges simulated time on every WAL
-    // write. The run still commits everything and survives an amnesia
-    // restart; it just spends longer doing it.
-    let basil = BasilConfig::test_single_shard().with_wal_fsync(Duration::from_micros(50));
-    let config = ClusterConfig::basil_default(CLIENTS)
-        .with_basil(basil)
-        .with_initial_data(vec![(Key::new(COUNTER), Value::from_u64(0))]);
-    let mut cluster = build_counter_cluster(config);
-    let victim = ReplicaId::new(ShardId(0), 3);
-
-    cluster.run_for(Duration::from_millis(40));
-    cluster.crash_replica(victim);
-    cluster.run_for(Duration::from_millis(40));
-    cluster.restart_replica_amnesia(victim);
-    cluster.run_for(Duration::from_millis(400));
-
-    let expected = (CLIENTS as u64) * (TXS_PER_CLIENT as u64);
-    assert_eq!(cluster.total_committed(), expected);
-    cluster.audit().expect("serializable with charged fsyncs");
-    let recovered = cluster
-        .sim()
-        .actor::<BasilReplica>(NodeId::Replica(victim))
-        .expect("recovered replica exists");
-    assert!(recovered.stats().wal_appends > 0);
-}
