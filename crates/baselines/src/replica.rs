@@ -24,14 +24,8 @@ const BATCH_TIMEOUT: Duration = Duration::from_micros(500);
 pub struct BaselineReplicaStats {
     /// Requests executed (prepares + decides).
     pub requests_executed: u64,
-    /// Consensus instances ordered.
-    pub batches_ordered: u64,
     /// Reads served.
     pub reads_served: u64,
-    /// Prepares that voted commit.
-    pub prepares_committed: u64,
-    /// Prepares that voted abort.
-    pub prepares_aborted: u64,
 }
 
 /// In-flight consensus instance state kept by the leader.
@@ -265,7 +259,6 @@ impl BaselineReplica {
 
     fn handle_order_commit(&mut self, ctx: &mut Context<BaselineMsg>, seq: u64) {
         self.ready.insert(seq);
-        self.stats.batches_ordered += u64::from(self.id.index == 0);
         self.try_execute(ctx);
     }
 
@@ -297,11 +290,6 @@ impl BaselineReplica {
         match request {
             ShardRequest::Prepare { tx } => {
                 let vote = self.occ.prepare(&tx);
-                if vote.is_commit() {
-                    self.stats.prepares_committed += 1;
-                } else {
-                    self.stats.prepares_aborted += 1;
-                }
                 if !self.cfg.kind.is_ordered() {
                     // TAPIR signs nothing but still pays serialization.
                     ctx.charge(COST.message_cost());

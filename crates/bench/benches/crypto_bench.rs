@@ -213,7 +213,7 @@ fn bench_cert_quorum_validation(c: &mut Criterion) {
                     vote: ProtoVote::Commit,
                 };
                 let mut engine = SigEngine::new(NodeId::Replica(rid), registry.clone(), &cfg);
-                let (proof, _) = engine.sign(&body);
+                let proof = engine.sign(&body);
                 SignedSt1Reply {
                     body,
                     proof,

@@ -28,7 +28,7 @@ fn signed_votes(
                 vote: ProtoVote::Commit,
             };
             let mut engine = SigEngine::new(NodeId::Replica(rid), registry.clone(), cfg);
-            let (proof, _) = engine.sign(&body);
+            let proof = engine.sign(&body);
             SignedSt1Reply {
                 body,
                 proof,

@@ -8,11 +8,16 @@
 //! acknowledgements form the certificate. Decision certificates bundle this
 //! evidence and travel in writeback messages, read replies (committed
 //! versions), and conflict-abort votes.
+//!
+//! The validators return a verdict. The CPU of the signature checks they
+//! make is metered by the [`SigEngine`] they are handed, so the order and
+//! number of those checks is part of their contract: every check made here
+//! is charged to the validating node.
 
 use crate::crypto_engine::{SigEngine, SignedPayload};
 use crate::messages::{ProtoDecision, ProtoVote, SignedSt1Reply, SignedSt2Reply, View};
 use crate::views::logging_shard;
-use basil_common::{Duration, NodeId, ReplicaId, ShardConfig, ShardId, TxId};
+use basil_common::{NodeId, ReplicaId, ShardConfig, ShardId, TxId};
 use basil_crypto::BatchProof;
 use std::sync::Arc;
 
@@ -135,22 +140,6 @@ impl DecisionCert {
     }
 }
 
-/// Outcome of validating a certificate: whether it is acceptable and how much
-/// CPU the validation cost.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Validation {
-    /// Whether the certificate (or tally) is valid.
-    pub valid: bool,
-    /// CPU cost of the signature checks performed.
-    pub cost: Duration,
-}
-
-impl Validation {
-    fn invalid(cost: Duration) -> Self {
-        Validation { valid: false, cost }
-    }
-}
-
 /// The one quorum counter: how many distinct replicas of `shard` stand behind
 /// `items`. `part` picks the items that count toward this quorum (`None`
 /// skips one) and names, for each, the replica it claims to come from, the
@@ -158,16 +147,15 @@ impl Validation {
 /// replica and [`SigEngine::verify_from`] binds the signature to that replica;
 /// `counted` sees each such item. A repeated replica is skipped *before* its
 /// signature is looked at, so padding a certificate buys no verification work.
-/// Returns the count and the cost of the checks made.
 pub(crate) fn count_distinct_signed<'a, T, B: SignedPayload + 'a>(
     items: &'a [T],
     shard: ShardId,
     engine: &mut SigEngine,
     part: impl Fn(&'a T) -> Option<(ReplicaId, &'a B, Option<&'a BatchProof>)>,
     mut counted: impl FnMut(&'a T),
-) -> (u32, Duration) {
+) -> u32 {
     let mut seen = IndexSet::default();
-    let (mut count, mut cost) = (0, Duration::ZERO);
+    let mut count = 0;
     for item in items {
         let Some((replica, body, proof)) = part(item) else {
             continue;
@@ -175,26 +163,19 @@ pub(crate) fn count_distinct_signed<'a, T, B: SignedPayload + 'a>(
         if replica.shard != shard || seen.contains(replica.index) {
             continue;
         }
-        let (ok, c) = engine.verify_from(body, proof, NodeId::Replica(replica));
-        cost += c;
-        if ok {
+        if engine.verify_from(body, proof, NodeId::Replica(replica)) {
             seen.insert(replica.index);
             count += 1;
             counted(item);
         }
     }
-    (count, cost)
+    count
 }
 
 /// Whether at least `quorum` distinct replicas of the shard cast a correctly
 /// signed `want` vote for the transaction in `sv`.
-fn vote_quorum(
-    sv: &ShardVotes,
-    want: ProtoVote,
-    quorum: u32,
-    engine: &mut SigEngine,
-) -> Validation {
-    let (count, cost) = count_distinct_signed(
+fn vote_quorum(sv: &ShardVotes, want: ProtoVote, quorum: u32, engine: &mut SigEngine) -> bool {
+    let count = count_distinct_signed(
         &sv.votes,
         sv.shard,
         engine,
@@ -207,21 +188,14 @@ fn vote_quorum(
         },
         |_| {},
     );
-    Validation {
-        valid: count >= quorum,
-        cost,
-    }
+    count >= quorum
 }
 
 /// Validates a slow-path logging certificate: `n - f` matching, correctly
 /// signed `ST2R` acknowledgements from distinct replicas of the logging
 /// shard.
-pub fn validate_vote_cert(
-    cert: &VoteCert,
-    cfg: &ShardConfig,
-    engine: &mut SigEngine,
-) -> Validation {
-    let (count, cost) = count_distinct_signed(
+pub fn validate_vote_cert(cert: &VoteCert, cfg: &ShardConfig, engine: &mut SigEngine) -> bool {
+    let count = count_distinct_signed(
         &cert.replies,
         cert.shard,
         engine,
@@ -232,10 +206,7 @@ pub fn validate_vote_cert(
         },
         |_| {},
     );
-    Validation {
-        valid: count >= cfg.st2_quorum(),
-        cost,
-    }
+    count >= cfg.st2_quorum()
 }
 
 /// Validates one shard's vote set as *fast-path* evidence for `decision`.
@@ -247,7 +218,7 @@ pub fn validate_fast_shard_votes(
     sv: &ShardVotes,
     cfg: &ShardConfig,
     engine: &mut SigEngine,
-) -> Validation {
+) -> bool {
     match (sv.decision, &sv.conflict) {
         (ProtoDecision::Commit, _) => {
             vote_quorum(sv, ProtoVote::Commit, cfg.fast_commit_quorum(), engine)
@@ -260,14 +231,12 @@ pub fn validate_fast_shard_votes(
             // certificate must itself be valid and must be for a
             // *different* transaction.
             if conflict.txid() == sv.txid || !conflict.decision().is_commit() {
-                return Validation::invalid(Duration::ZERO);
+                return false;
             }
+            // Both are checked (and metered) whatever the first one says.
             let cert = validate_decision_cert(conflict, cfg, engine);
             let vote = vote_quorum(sv, ProtoVote::Abort, 1, engine);
-            Validation {
-                valid: cert.valid && vote.valid,
-                cost: cert.cost + vote.cost,
-            }
+            cert && vote
         }
     }
 }
@@ -281,7 +250,7 @@ pub fn validate_tally_for_decision(
     decision: ProtoDecision,
     cfg: &ShardConfig,
     engine: &mut SigEngine,
-) -> Validation {
+) -> bool {
     match decision {
         ProtoDecision::Commit => vote_quorum(sv, ProtoVote::Commit, cfg.commit_quorum(), engine),
         ProtoDecision::Abort if sv.conflict.is_some() => validate_fast_shard_votes(sv, cfg, engine),
@@ -300,8 +269,7 @@ pub fn validate_st2_justification(
     expected_shards: Option<&[ShardId]>,
     cfg: &ShardConfig,
     engine: &mut SigEngine,
-) -> Validation {
-    let mut cost = Duration::ZERO;
+) -> bool {
     match decision {
         ProtoDecision::Commit => {
             let mut supported = IndexSet::default();
@@ -309,31 +277,21 @@ pub fn validate_st2_justification(
                 if sv.txid != txid || !sv.decision.is_commit() {
                     continue;
                 }
-                let v = validate_tally_for_decision(sv, ProtoDecision::Commit, cfg, engine);
-                cost += v.cost;
-                if v.valid {
+                if validate_tally_for_decision(sv, ProtoDecision::Commit, cfg, engine) {
                     supported.insert(sv.shard.0);
                 }
             }
-            let valid = match expected_shards {
+            match expected_shards {
                 Some(shards) => shards.iter().all(|s| supported.contains(s.0)),
                 None => !supported.is_empty(),
-            };
-            Validation { valid, cost }
-        }
-        ProtoDecision::Abort => {
-            for sv in shard_votes {
-                if sv.txid != txid || sv.decision.is_commit() {
-                    continue;
-                }
-                let v = validate_tally_for_decision(sv, ProtoDecision::Abort, cfg, engine);
-                cost += v.cost;
-                if v.valid {
-                    return Validation { valid: true, cost };
-                }
             }
-            Validation { valid: false, cost }
         }
+        // The first valid abort tally is enough.
+        ProtoDecision::Abort => shard_votes.iter().any(|sv| {
+            sv.txid == txid
+                && !sv.decision.is_commit()
+                && validate_tally_for_decision(sv, ProtoDecision::Abort, cfg, engine)
+        }),
     }
 }
 
@@ -343,7 +301,7 @@ pub fn validate_commit_cert(
     expected_shards: Option<&[ShardId]>,
     cfg: &ShardConfig,
     engine: &mut SigEngine,
-) -> Validation {
+) -> bool {
     if let Some(slow) = &cert.slow {
         // Only S_log logs decisions: with f = 1, four commit and two abort
         // votes justify both, so acknowledgements gathered on any other shard
@@ -351,50 +309,39 @@ pub fn validate_commit_cert(
         let stray =
             expected_shards.is_some_and(|s| logging_shard(cert.txid, s) != Some(slow.shard));
         if slow.txid != cert.txid || !slow.decision.is_commit() || stray {
-            return Validation::invalid(Duration::ZERO);
+            return false;
         }
         return validate_vote_cert(slow, cfg, engine);
     }
-    let mut cost = Duration::ZERO;
     // Fast path: every involved shard must have a unanimous vote set.
     let mut supported = IndexSet::default();
     for sv in &cert.fast_votes {
         if sv.txid != cert.txid || !sv.decision.is_commit() {
             continue;
         }
-        let v = validate_fast_shard_votes(sv, cfg, engine);
-        cost += v.cost;
-        if v.valid {
+        if validate_fast_shard_votes(sv, cfg, engine) {
             supported.insert(sv.shard.0);
         }
     }
-    let valid = match expected_shards {
+    match expected_shards {
         Some(shards) => !shards.is_empty() && shards.iter().all(|s| supported.contains(s.0)),
         None => !supported.is_empty(),
-    };
-    Validation { valid, cost }
+    }
 }
 
 /// Validates an abort certificate.
-pub fn validate_abort_cert(
-    cert: &AbortCert,
-    cfg: &ShardConfig,
-    engine: &mut SigEngine,
-) -> Validation {
+pub fn validate_abort_cert(cert: &AbortCert, cfg: &ShardConfig, engine: &mut SigEngine) -> bool {
     if let Some(slow) = &cert.slow {
         if slow.txid != cert.txid || slow.decision.is_commit() {
-            return Validation::invalid(Duration::ZERO);
+            return false;
         }
         return validate_vote_cert(slow, cfg, engine);
     }
     match &cert.fast_votes {
-        Some(sv) => {
-            if sv.txid != cert.txid || sv.decision.is_commit() {
-                return Validation::invalid(Duration::ZERO);
-            }
+        Some(sv) if sv.txid == cert.txid && !sv.decision.is_commit() => {
             validate_fast_shard_votes(sv, cfg, engine)
         }
-        None => Validation::invalid(Duration::ZERO),
+        _ => false,
     }
 }
 
@@ -403,7 +350,7 @@ pub fn validate_decision_cert(
     cert: &DecisionCert,
     cfg: &ShardConfig,
     engine: &mut SigEngine,
-) -> Validation {
+) -> bool {
     match cert {
         DecisionCert::Commit(c) => validate_commit_cert(c, None, cfg, engine),
         DecisionCert::Abort(a) => validate_abort_cert(a, cfg, engine),
@@ -415,7 +362,7 @@ mod tests {
     use super::*;
     use crate::config::BasilConfig;
     use crate::messages::{St1ReplyBody, St2ReplyBody};
-    use basil_common::ClientId;
+    use basil_common::{ClientId, Duration};
     use basil_crypto::KeyRegistry;
 
     fn cfg() -> BasilConfig {
@@ -446,7 +393,7 @@ mod tests {
             vote,
         };
         let mut engine = engine_for(NodeId::Replica(replica));
-        let (proof, _) = engine.sign(&body);
+        let proof = engine.sign(&body);
         SignedSt1Reply {
             body,
             proof,
@@ -479,7 +426,7 @@ mod tests {
             view_current: view,
         };
         let mut engine = engine_for(NodeId::Replica(replica));
-        let (proof, _) = engine.sign(&body);
+        let proof = engine.sign(&body);
         SignedSt2Reply { body, proof }
     }
 
@@ -523,10 +470,10 @@ mod tests {
         let shard_cfg = cfg().system.shard;
         let mut engine = client_engine();
         let sv = shard_votes(ProtoDecision::Commit, commit_votes(6));
-        assert!(validate_fast_shard_votes(&sv, &shard_cfg, &mut engine).valid);
+        assert!(validate_fast_shard_votes(&sv, &shard_cfg, &mut engine));
 
         let sv5 = shard_votes(ProtoDecision::Commit, commit_votes(5));
-        assert!(!validate_fast_shard_votes(&sv5, &shard_cfg, &mut engine).valid);
+        assert!(!validate_fast_shard_votes(&sv5, &shard_cfg, &mut engine));
     }
 
     #[test]
@@ -540,7 +487,7 @@ mod tests {
             3,
         ));
         let sv = shard_votes(ProtoDecision::Commit, votes);
-        assert!(!validate_fast_shard_votes(&sv, &shard_cfg, &mut engine).valid);
+        assert!(!validate_fast_shard_votes(&sv, &shard_cfg, &mut engine));
     }
 
     /// A repeated replica is skipped before its signature is looked at: a
@@ -556,11 +503,12 @@ mod tests {
         ));
         let padded = shard_votes(ProtoDecision::Commit, votes);
         // Fresh engines: both validations start from a cold signature cache.
-        let a = validate_fast_shard_votes(&plain, &shard_cfg, &mut client_engine());
-        let b = validate_fast_shard_votes(&padded, &shard_cfg, &mut client_engine());
-        assert!(a.valid && b.valid);
-        assert!(a.cost > Duration::ZERO);
-        assert_eq!(a.cost, b.cost);
+        let (mut a, mut b) = (client_engine(), client_engine());
+        assert!(validate_fast_shard_votes(&plain, &shard_cfg, &mut a));
+        assert!(validate_fast_shard_votes(&padded, &shard_cfg, &mut b));
+        let cost = a.take_charged();
+        assert!(cost > Duration::ZERO);
+        assert_eq!(cost, b.take_charged());
     }
 
     /// With f = 1, four commit and two abort votes justify both decisions,
@@ -586,15 +534,12 @@ mod tests {
             }),
         };
         let other = involved[usize::from(slog == ShardId(0))];
-        assert!(
-            validate_commit_cert(&acks_of(slog), Some(&involved), &shard_cfg, &mut engine).valid
-        );
-        assert!(
-            !validate_commit_cert(&acks_of(other), Some(&involved), &shard_cfg, &mut engine).valid
-        );
+        let mut valid = |cert, shards| validate_commit_cert(&cert, shards, &shard_cfg, &mut engine);
+        assert!(valid(acks_of(slog), Some(&involved)));
+        assert!(!valid(acks_of(other), Some(&involved)));
         // Without the transaction the involved shards, hence S_log, are
         // unknown; the acknowledgements are all there is to check.
-        assert!(validate_commit_cert(&acks_of(other), None, &shard_cfg, &mut engine).valid);
+        assert!(valid(acks_of(other), None));
     }
 
     #[test]
@@ -607,7 +552,7 @@ mod tests {
         forged.body.replica = ReplicaId::new(ShardId(0), 5);
         votes.push(forged);
         let sv = shard_votes(ProtoDecision::Commit, votes);
-        assert!(!validate_fast_shard_votes(&sv, &shard_cfg, &mut engine).valid);
+        assert!(!validate_fast_shard_votes(&sv, &shard_cfg, &mut engine));
     }
 
     #[test]
@@ -615,56 +560,23 @@ mod tests {
         let shard_cfg = cfg().system.shard;
         let mut engine = client_engine();
         let sv = shard_votes(ProtoDecision::Abort, abort_votes(4));
-        assert!(validate_fast_shard_votes(&sv, &shard_cfg, &mut engine).valid);
+        assert!(validate_fast_shard_votes(&sv, &shard_cfg, &mut engine));
         let sv3 = shard_votes(ProtoDecision::Abort, abort_votes(3));
-        assert!(!validate_fast_shard_votes(&sv3, &shard_cfg, &mut engine).valid);
+        assert!(!validate_fast_shard_votes(&sv3, &shard_cfg, &mut engine));
     }
 
     #[test]
     fn slow_tallies_use_smaller_quorums() {
         let shard_cfg = cfg().system.shard;
         let mut engine = client_engine();
-        let commit_tally = shard_votes(ProtoDecision::Commit, commit_votes(4));
-        assert!(
-            validate_tally_for_decision(
-                &commit_tally,
-                ProtoDecision::Commit,
-                &shard_cfg,
-                &mut engine
-            )
-            .valid
-        );
-        let commit_small = shard_votes(ProtoDecision::Commit, commit_votes(3));
-        assert!(
-            !validate_tally_for_decision(
-                &commit_small,
-                ProtoDecision::Commit,
-                &shard_cfg,
-                &mut engine
-            )
-            .valid
-        );
-
-        let abort_tally = shard_votes(ProtoDecision::Abort, abort_votes(2));
-        assert!(
-            validate_tally_for_decision(
-                &abort_tally,
-                ProtoDecision::Abort,
-                &shard_cfg,
-                &mut engine
-            )
-            .valid
-        );
-        let abort_small = shard_votes(ProtoDecision::Abort, abort_votes(1));
-        assert!(
-            !validate_tally_for_decision(
-                &abort_small,
-                ProtoDecision::Abort,
-                &shard_cfg,
-                &mut engine
-            )
-            .valid
-        );
+        let mut valid = |decision, votes| {
+            let tally = shard_votes(decision, votes);
+            validate_tally_for_decision(&tally, decision, &shard_cfg, &mut engine)
+        };
+        assert!(valid(ProtoDecision::Commit, commit_votes(4)));
+        assert!(!valid(ProtoDecision::Commit, commit_votes(3)));
+        assert!(valid(ProtoDecision::Abort, abort_votes(2)));
+        assert!(!valid(ProtoDecision::Abort, abort_votes(1)));
     }
 
     #[test]
@@ -680,16 +592,16 @@ mod tests {
                 .map(|i| signed_st2(i, ProtoDecision::Commit, txid(), 0))
                 .collect(),
         };
-        assert!(validate_vote_cert(&cert, &shard_cfg, &mut engine).valid);
+        assert!(validate_vote_cert(&cert, &shard_cfg, &mut engine));
 
         let mut short = cert.clone();
         short.replies.truncate(4);
-        assert!(!validate_vote_cert(&short, &shard_cfg, &mut engine).valid);
+        assert!(!validate_vote_cert(&short, &shard_cfg, &mut engine));
 
         // A mismatching decision view breaks the match.
         let mut mixed = cert.clone();
         mixed.replies[0] = signed_st2(0, ProtoDecision::Commit, txid(), 1);
-        assert!(!validate_vote_cert(&mixed, &shard_cfg, &mut engine).valid);
+        assert!(!validate_vote_cert(&mixed, &shard_cfg, &mut engine));
     }
 
     #[test]
@@ -705,7 +617,7 @@ mod tests {
             &shard_cfg,
             &mut engine,
         );
-        assert!(ok.valid);
+        assert!(ok);
         let missing_shard = validate_st2_justification(
             txid(),
             ProtoDecision::Commit,
@@ -714,7 +626,7 @@ mod tests {
             &shard_cfg,
             &mut engine,
         );
-        assert!(!missing_shard.valid);
+        assert!(!missing_shard);
     }
 
     #[test]
@@ -730,7 +642,7 @@ mod tests {
             &shard_cfg,
             &mut engine,
         );
-        assert!(ok.valid);
+        assert!(ok);
         let not_ok = validate_st2_justification(
             txid(),
             ProtoDecision::Abort,
@@ -739,7 +651,7 @@ mod tests {
             &shard_cfg,
             &mut engine,
         );
-        assert!(!not_ok.valid);
+        assert!(!not_ok);
     }
 
     #[test]
@@ -751,7 +663,9 @@ mod tests {
             fast_votes: vec![shard_votes(ProtoDecision::Commit, commit_votes(6))],
             slow: None,
         };
-        assert!(validate_commit_cert(&fast, Some(&[ShardId(0)]), &shard_cfg, &mut engine).valid);
+        let mut valid =
+            |cert| validate_commit_cert(&cert, Some(&[ShardId(0)]), &shard_cfg, &mut engine);
+        assert!(valid(fast));
 
         let slow = CommitCert {
             txid: txid(),
@@ -766,7 +680,7 @@ mod tests {
                     .collect(),
             }),
         };
-        assert!(validate_commit_cert(&slow, Some(&[ShardId(0)]), &shard_cfg, &mut engine).valid);
+        assert!(valid(slow));
 
         // A slow cert whose inner decision is abort cannot prove a commit.
         let bogus = CommitCert {
@@ -782,7 +696,7 @@ mod tests {
                     .collect(),
             }),
         };
-        assert!(!validate_commit_cert(&bogus, Some(&[ShardId(0)]), &shard_cfg, &mut engine).valid);
+        assert!(!valid(bogus));
     }
 
     #[test]
@@ -817,7 +731,7 @@ mod tests {
             }),
             slow: None,
         };
-        assert!(validate_abort_cert(&cert, &shard_cfg, &mut engine).valid);
+        assert!(validate_abort_cert(&cert, &shard_cfg, &mut engine));
 
         // Without the conflict certificate a single abort vote is not enough.
         let weak = AbortCert {
@@ -825,7 +739,47 @@ mod tests {
             fast_votes: Some(shard_votes(ProtoDecision::Abort, abort_votes(1))),
             slow: None,
         };
-        assert!(!validate_abort_cert(&weak, &shard_cfg, &mut engine).valid);
+        assert!(!validate_abort_cert(&weak, &shard_cfg, &mut engine));
+    }
+
+    /// A conflict-abort vote set whose conflict certificate is invalid is
+    /// invalid, but its single abort vote is still checked and charged: the
+    /// two checks are combined, not short-circuited.
+    #[test]
+    fn conflict_abort_with_an_invalid_conflict_still_meters_the_abort_vote() {
+        let shard_cfg = cfg().system.shard;
+        let other_tx = TxId::from_bytes([9; 32]);
+        let five_of_six = CommitCert {
+            txid: other_tx,
+            fast_votes: vec![ShardVotes {
+                txid: other_tx,
+                shard: ShardId(0),
+                decision: ProtoDecision::Commit,
+                votes: (0..5)
+                    .map(|i| signed_vote(i, ProtoVote::Commit, other_tx))
+                    .collect(),
+                conflict: None,
+            }],
+            slow: None,
+        };
+        let sv = ShardVotes {
+            conflict: Some(Arc::new(DecisionCert::Commit(five_of_six.clone()))),
+            ..shard_votes(ProtoDecision::Abort, abort_votes(1))
+        };
+        let (mut engine, mut alone) = (client_engine(), client_engine());
+        assert!(!validate_fast_shard_votes(&sv, &shard_cfg, &mut engine));
+        let charged = engine.take_charged();
+        assert!(!validate_commit_cert(
+            &five_of_six,
+            None,
+            &shard_cfg,
+            &mut alone
+        ));
+        let conflict = alone.take_charged();
+        let vote = shard_votes(ProtoDecision::Abort, abort_votes(1));
+        assert!(vote_quorum(&vote, ProtoVote::Abort, 1, &mut alone));
+        assert_eq!(charged, conflict + alone.take_charged());
+        assert_eq!(charged.as_nanos(), 786_000);
     }
 
     #[test]
@@ -847,8 +801,7 @@ mod tests {
             .collect();
         let sv = shard_votes(ProtoDecision::Commit, votes);
         let shard_cfg = no_sig_cfg.system.shard;
-        let v = validate_fast_shard_votes(&sv, &shard_cfg, &mut engine);
-        assert!(v.valid);
-        assert_eq!(v.cost, Duration::ZERO);
+        assert!(validate_fast_shard_votes(&sv, &shard_cfg, &mut engine));
+        assert_eq!(engine.take_charged(), Duration::ZERO);
     }
 }

@@ -20,7 +20,7 @@ use crate::certs::{
     validate_decision_cert, AbortCert, CommitCert, DecisionCert, ShardVotes, VoteCert,
 };
 use crate::config::BasilConfig;
-use crate::crypto_engine::{SigEngine, SignedPayload};
+use crate::crypto_engine::SigEngine;
 use crate::messages::{
     BasilMsg, ClientTimer, InvokeFb, ProtoDecision, ProtoVote, ReadReply, ReadRequest,
     SignedSt1Reply, SignedSt2Reply, St1, St2, Writeback,
@@ -33,7 +33,6 @@ use basil_common::{
     ClientId, Duration, Key, NodeId, ReplicaId, ShardId, SimTime, SystemConfig, Timestamp,
     TxGenerator, TxId, Value,
 };
-use basil_crypto::BatchProof;
 use basil_simnet::{Actor, Context};
 use basil_store::session::{Session, SessionStats, Step as SessionStep, MAX_BACKOFF};
 use basil_store::{Transaction, TransactionBuilder};
@@ -432,9 +431,7 @@ impl BasilClient {
             ts,
             auth: None,
         };
-        let (auth, cost) = self.engine.sign_request(&req);
-        ctx.charge(cost);
-        req.auth = auth;
+        req.auth = self.engine.sign_request(&req);
         for replica in targets {
             self.send_signed(ctx, replica, BasilMsg::Read(req.clone()));
         }
@@ -558,9 +555,7 @@ impl BasilClient {
         if replica.shard != shard || replica.index >= self.cfg.system.shard.n() {
             return;
         }
-        let (ok, cost) = self.engine.verify(&reply.body, reply.proof.as_ref());
-        ctx.charge(cost);
-        if !ok {
+        if !self.engine.verify(&reply.body, reply.proof.as_ref()) {
             return;
         }
         match self.read_replies.iter_mut().find(|(r, _)| *r == replica) {
@@ -592,9 +587,9 @@ impl BasilClient {
                 true
             } else if let Some(cert) = &c.cert {
                 if self.engine.enabled() {
-                    let v = validate_decision_cert(cert, &self.cfg.system.shard, &mut self.engine);
-                    ctx.charge(v.cost);
-                    let ok = v.valid && cert.txid() == c.txid && cert.decision().is_commit();
+                    let valid =
+                        validate_decision_cert(cert, &self.cfg.system.shard, &mut self.engine);
+                    let ok = valid && cert.txid() == c.txid && cert.decision().is_commit();
                     if ok {
                         // Remember the verified certificate: a Writeback
                         // forwarding the same allocation later skips the
@@ -716,9 +711,7 @@ impl BasilClient {
             auth: None,
             recovery,
         };
-        let (auth, cost) = self.engine.sign_request(&st1);
-        ctx.charge(cost);
-        st1.auth = auth;
+        st1.auth = self.engine.sign_request(&st1);
         for replica in targets {
             self.send_signed(ctx, replica, BasilMsg::St1(st1.clone()));
         }
@@ -740,9 +733,7 @@ impl BasilClient {
             view: 0,
             auth: None,
         };
-        let (auth, cost) = self.engine.sign_request(&st2);
-        ctx.charge(cost);
-        st2.auth = auth;
+        st2.auth = self.engine.sign_request(&st2);
         for replica in self.replicas_of(slog) {
             self.send_signed(ctx, replica, BasilMsg::St2(st2.clone()));
         }
@@ -815,23 +806,9 @@ impl BasilClient {
         self.arm_timer(ctx, RetryKind::Fallback, dep, false);
     }
 
-    /// Whether `replica` signed `body`, charging the check.
-    fn verified<P: SignedPayload>(
-        &mut self,
-        ctx: &mut Context<BasilMsg>,
-        body: &P,
-        proof: Option<&BatchProof>,
-        replica: ReplicaId,
-    ) -> bool {
-        let (ok, cost) = self
-            .engine
-            .verify_from(body, proof, NodeId::Replica(replica));
-        ctx.charge(cost);
-        ok
-    }
-
     fn handle_st1_reply(&mut self, ctx: &mut Context<BasilMsg>, vote: SignedSt1Reply) {
-        if !self.verified(ctx, &vote.body, vote.proof.as_ref(), vote.body.replica) {
+        let (engine, signer) = (&mut self.engine, NodeId::Replica(vote.body.replica));
+        if !engine.verify_from(&vote.body, vote.proof.as_ref(), signer) {
             return;
         }
         let txid = vote.body.txid;
@@ -845,7 +822,8 @@ impl BasilClient {
     }
 
     fn handle_st2_reply(&mut self, ctx: &mut Context<BasilMsg>, reply: SignedSt2Reply) {
-        if !self.verified(ctx, &reply.body, reply.proof.as_ref(), reply.body.replica) {
+        let (engine, signer) = (&mut self.engine, NodeId::Replica(reply.body.replica));
+        if !engine.verify_from(&reply.body, reply.proof.as_ref(), signer) {
             return;
         }
         let txid = reply.body.txid;
@@ -893,9 +871,7 @@ impl BasilClient {
                     views,
                     auth: None,
                 };
-                let (auth, cost) = self.engine.sign_request(&ifb);
-                ctx.charge(cost);
-                ifb.auth = auth;
+                ifb.auth = self.engine.sign_request(&ifb);
                 for replica in self.replicas_of(slog) {
                     self.send_signed(ctx, replica, BasilMsg::InvokeFb(ifb.clone()));
                 }
@@ -952,9 +928,7 @@ impl BasilClient {
                 view: 0,
                 auth: None,
             };
-            let (auth, cost) = self.engine.sign_request(&st2);
-            ctx.charge(cost);
-            st2.auth = auth;
+            st2.auth = self.engine.sign_request(&st2);
             self.send_signed(ctx, replica, BasilMsg::St2(st2));
         }
         self.stats.equivocations += 1;
@@ -1100,9 +1074,7 @@ impl BasilClient {
                 self.stats.cert_cache_hits += 1;
             } else {
                 self.stats.cert_cache_misses += 1;
-                let v = validate_decision_cert(&wb.cert, &self.cfg.system.shard, &mut self.engine);
-                ctx.charge(v.cost);
-                if !v.valid {
+                if !validate_decision_cert(&wb.cert, &self.cfg.system.shard, &mut self.engine) {
                     return;
                 }
                 self.validated_certs.insert(txid, Arc::clone(&wb.cert));
@@ -1150,6 +1122,7 @@ impl Actor<BasilMsg> for BasilClient {
             }
             None => self.start_next_transaction(ctx),
         }
+        ctx.charge(self.engine.take_charged());
     }
 
     fn on_message(&mut self, ctx: &mut Context<BasilMsg>, from: NodeId, msg: BasilMsg) {
@@ -1189,6 +1162,8 @@ impl Actor<BasilMsg> for BasilClient {
             | BasilMsg::CatchUpReply(_)
             | BasilMsg::ReplicaTimer(_) => {}
         }
+        // Every signature made and checked while handling the message.
+        ctx.charge(self.engine.take_charged());
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -1203,6 +1178,8 @@ impl Actor<BasilMsg> for BasilClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CryptoMode;
+    use crate::messages::CommittedRead;
     use basil_common::{Op, ScriptedGenerator, TxProfile};
     use basil_store::session::apply_delta;
 
@@ -1362,7 +1339,7 @@ mod tests {
                     vote: ProtoVote::Commit,
                 };
                 let mut engine = SigEngine::new(NodeId::Replica(rid), registry(), &cfg());
-                let (proof, _) = engine.sign(&body);
+                let proof = engine.sign(&body);
                 SignedSt1Reply {
                     body,
                     proof,
@@ -1879,7 +1856,7 @@ mod tests {
         let forged_tx = write_tx(500);
         let reply_from = |signer: NodeId| {
             let body = prepared_read(1, "x", &forged_tx);
-            let (proof, _) = SigEngine::new(signer, registry(), &cfg()).sign(&body);
+            let proof = SigEngine::new(signer, registry(), &cfg()).sign(&body);
             ReadReply { body, proof }
         };
         // f + 1 = 2 vouchers would make the prepared version readable.
@@ -1907,6 +1884,64 @@ mod tests {
             client.handle_read_reply(&mut ctx_at(3), replica, reply_from(replica));
         }
         assert_eq!(client.stats().dependent_reads, 1);
+    }
+
+    /// The CPU a client charges to start (sign and send the first read) and
+    /// to take the reply that concludes a read (verify it, validate every
+    /// reply's certificate, sign and send the prepare), under each crypto
+    /// mode. The simulator reads only a callback's total, so these pin every
+    /// simulated output against a charge that moves, is dropped or is
+    /// counted twice.
+    #[test]
+    fn callback_charges_are_pinned() {
+        for (mode, pinned) in [
+            (CryptoMode::Real, [20_000, 137_000, 967_000]),
+            (CryptoMode::Simulated, [20_000, 137_000, 967_000]),
+        ] {
+            let mut c = cfg();
+            c.crypto_mode = mode;
+            let profile = TxProfile::new(
+                "rw",
+                vec![
+                    Op::Read(Key::new("x")),
+                    Op::Write(Key::new("y"), Value::from_u64(2)),
+                ],
+            );
+            let mut client = client_under(c, vec![profile]);
+            let mut ctx = ctx_at(1);
+            client.on_start(&mut ctx);
+            let writer = write_tx(500);
+            let cert = valid_commit_cert(&writer, 6);
+            let mut charges = [ctx.charged().as_nanos(), 0, 0];
+            for i in 0..2 {
+                let body = ReadReplyBody {
+                    req_id: 1,
+                    key: Key::new("x"),
+                    committed: Some(CommittedRead {
+                        version: writer.timestamp(),
+                        value: Value::from_u64(1),
+                        txid: writer.id(),
+                        cert: Some(Arc::clone(&cert)),
+                    }),
+                    prepared: None,
+                };
+                let replica = NodeId::Replica(ReplicaId::new(ShardId(0), i));
+                let proof = SigEngine::new(replica, registry(), &cfg()).sign(&body);
+                let mut ctx = ctx_at(2);
+                client.on_message(
+                    &mut ctx,
+                    replica,
+                    BasilMsg::ReadReply(ReadReply { body, proof }),
+                );
+                charges[1 + i as usize] = ctx.charged().as_nanos();
+            }
+            assert_eq!(client.stats().reads_issued, 1);
+            assert!(
+                client.own.is_some(),
+                "the read concluded and the prepare went out"
+            );
+            assert_eq!(charges, pinned, "{mode:?}");
+        }
     }
 
     /// With signatures off a read reply is its transport sender's: a replica

@@ -2,16 +2,16 @@
 //!
 //! Every protocol participant owns a [`SigEngine`]. The engine produces and
 //! checks [`BatchProof`]s (single-leaf proofs for unbatched messages) and
-//! returns, alongside each artifact or verdict, the CPU [`Duration`] the
-//! operation would cost on the paper's testbed, which the caller charges to
-//! its simulated node. In [`CryptoMode::Simulated`] the arithmetic is skipped
-//! but the cost is still charged, keeping benchmark wall-clock time low
-//! without changing simulated results.
+//! meters the CPU [`Duration`] each operation would cost on the paper's
+//! testbed. The actor owning the engine charges the meter to its simulated
+//! node once per callback ([`SigEngine::take_charged`]). In
+//! [`CryptoMode::Simulated`] the arithmetic is skipped but the cost is still
+//! metered, keeping benchmark wall-clock time low without changing simulated
+//! results.
 
 use crate::config::{BasilConfig, CryptoMode};
 use basil_common::codec::{Len, Sink};
 use basil_common::{Duration, NodeId};
-use basil_crypto::batch::BatchVerifyOutcome;
 use basil_crypto::merkle::MerkleProof;
 use basil_crypto::sig::Signature;
 use basil_crypto::{
@@ -19,16 +19,16 @@ use basil_crypto::{
     SignatureCache,
 };
 
-/// The CPU cost every engine charges.
+/// The CPU cost model every engine meters by.
 const COST: CostModel = CostModel::ed25519_default();
 
 /// A canonical signable encoding, producible lazily.
 ///
-/// The engine charges CPU costs from the payload *length* and only hashes
+/// The engine meters CPU costs from the payload *length* and only hashes
 /// the payload bytes when the deployment runs real cryptography
 /// ([`CryptoMode::Real`]). A message body writes its encoding once, to any
 /// [`Sink`]: [`SignedPayload::to_bytes`] collects it and
-/// [`SignedPayload::encoded_len`] counts it through [`Len`], so the charged
+/// [`SignedPayload::encoded_len`] counts it through [`Len`], so the metered
 /// size cannot disagree with the signed bytes and the simulated-crypto hot
 /// path — every figure experiment — never materializes an encoding at all.
 pub trait SignedPayload {
@@ -93,6 +93,8 @@ pub struct SigEngine {
     encoding: Vec<u8>,
     /// The proofs [`SigEngine::sign_batch`] hands out; empty between calls.
     proofs: Vec<Option<BatchProof>>,
+    /// CPU metered since the last [`SigEngine::take_charged`].
+    charged: Duration,
 }
 
 impl SigEngine {
@@ -108,7 +110,14 @@ impl SigEngine {
             frontier: MerkleFrontier::new(),
             encoding: Vec::new(),
             proofs: Vec::new(),
+            charged: Duration::ZERO,
         }
+    }
+
+    /// The CPU metered by signing and verification since the last call, for
+    /// the caller to charge to its node; resets the meter.
+    pub fn take_charged(&mut self) -> Duration {
+        std::mem::take(&mut self.charged)
     }
 
     /// Whether signatures are produced at all (`false` in `NoProofs` runs).
@@ -118,14 +127,11 @@ impl SigEngine {
 
     /// Signs a single payload. Returns `None` (at zero cost) when signatures
     /// are disabled. The payload is only materialized under real crypto.
-    pub fn sign<P: SignedPayload + ?Sized>(
-        &mut self,
-        payload: &P,
-    ) -> (Option<BatchProof>, Duration) {
+    pub fn sign<P: SignedPayload + ?Sized>(&mut self, payload: &P) -> Option<BatchProof> {
         if !self.enabled {
-            return (None, Duration::ZERO);
+            return None;
         }
-        let cost = COST.sign + COST.hash_cost(payload.encoded_len());
+        self.charged += COST.sign + COST.hash_cost(payload.encoded_len());
         let proof = match self.mode {
             CryptoMode::Real => BatchProof::sign_single(&self.keypair, &payload.to_bytes()),
             CryptoMode::Simulated => {
@@ -133,19 +139,17 @@ impl SigEngine {
                 dummy_proof(self.keypair.node(), self.dummy_counter, 1)
             }
         };
-        (Some(proof), cost)
+        Some(proof)
     }
 
     /// Authenticates a client request. Requests only need point-to-point
-    /// authentication (a MAC), not transferability, so the CPU cost charged
+    /// authentication (a MAC), not transferability, so the CPU cost metered
     /// is the MAC cost rather than a full signature.
-    pub fn sign_request<P: SignedPayload + ?Sized>(
-        &mut self,
-        payload: &P,
-    ) -> (Option<BatchProof>, Duration) {
+    pub fn sign_request<P: SignedPayload + ?Sized>(&mut self, payload: &P) -> Option<BatchProof> {
         if !self.enabled {
-            return (None, Duration::ZERO);
+            return None;
         }
+        self.charged += COST.mac;
         let proof = match self.mode {
             CryptoMode::Real => BatchProof::sign_single(&self.keypair, &payload.to_bytes()),
             CryptoMode::Simulated => {
@@ -153,7 +157,7 @@ impl SigEngine {
                 dummy_proof(self.keypair.node(), self.dummy_counter, 1)
             }
         };
-        (Some(proof), COST.mac)
+        Some(proof)
     }
 
     /// Verifies a client request MAC. The payload is only materialized
@@ -162,33 +166,33 @@ impl SigEngine {
         &mut self,
         payload: &P,
         proof: Option<&BatchProof>,
-    ) -> (bool, Duration) {
+    ) -> bool {
         if !self.enabled {
-            return (true, Duration::ZERO);
+            return true;
         }
         let Some(proof) = proof else {
-            return (false, Duration::ZERO);
+            return false;
         };
+        self.charged += COST.mac;
         match self.mode {
             CryptoMode::Real => {
                 let outcome = proof.verify(&payload.to_bytes(), &self.registry, &mut self.cache);
-                (outcome.valid, COST.mac)
+                outcome.valid
             }
-            CryptoMode::Simulated => (true, COST.mac),
+            CryptoMode::Simulated => true,
         }
     }
 
     /// Signs a batch of payloads (replica reply batching). Returns one proof
-    /// per payload, in payload order, plus the total CPU cost of building
+    /// per payload, in payload order, and meters the CPU cost of building
     /// and signing the batch. Payloads are only materialized under real
     /// crypto. The proofs are drained from a buffer the engine reuses across
     /// batches, like its Merkle frontier and encoding scratch.
     pub fn sign_batch<P: SignedPayload>(
         &mut self,
         payloads: &[P],
-    ) -> (std::vec::Drain<'_, Option<BatchProof>>, Duration) {
+    ) -> std::vec::Drain<'_, Option<BatchProof>> {
         let n = payloads.len();
-        let mut cost = Duration::ZERO;
         if !self.enabled {
             self.proofs.resize(n, None);
         } else if let Some(avg_len) = payloads
@@ -197,7 +201,7 @@ impl SigEngine {
             .sum::<usize>()
             .checked_div(n)
         {
-            cost = COST.batch_sign_cost(n, avg_len.max(1));
+            self.charged += COST.batch_sign_cost(n, avg_len.max(1));
             match self.mode {
                 CryptoMode::Real => {
                     // Incremental frontier instead of a full tree rebuild:
@@ -219,33 +223,30 @@ impl SigEngine {
                 }
             }
         }
-        (self.proofs.drain(..), cost)
+        self.proofs.drain(..)
     }
 
     /// Verifies a signed payload. When `proof` is `None` the message is
     /// accepted only if signatures are disabled deployment-wide. The
-    /// payload is only materialized under real crypto; the charged cost is
+    /// payload is only materialized under real crypto; the metered cost is
     /// computed from the same exact length either way.
     pub fn verify<P: SignedPayload + ?Sized>(
         &mut self,
         payload: &P,
         proof: Option<&BatchProof>,
-    ) -> (bool, Duration) {
+    ) -> bool {
         if !self.enabled {
-            return (true, Duration::ZERO);
+            return true;
         }
         let Some(proof) = proof else {
-            return (false, Duration::ZERO);
+            return false;
         };
         // A signature-cache hit costs a hash-only check; a miss, a
         // standalone verification.
         let (valid, cached) = match self.mode {
             CryptoMode::Real => {
-                let before_hits = self.cache.hits();
-                let outcome: BatchVerifyOutcome =
-                    proof.verify(&payload.to_bytes(), &self.registry, &mut self.cache);
-                let cached = self.cache.hits() > before_hits;
-                (outcome.valid, cached && outcome.valid)
+                let outcome = proof.verify(&payload.to_bytes(), &self.registry, &mut self.cache);
+                (outcome.valid, outcome.valid && !outcome.signature_checked)
             }
             // Structural acceptance; model the cache by root identity (one
             // fused lookup: hit check + miss insert).
@@ -254,50 +255,30 @@ impl SigEngine {
                 self.cache.check_insert(proof.root, proof.root_signature),
             ),
         };
-        let cost = COST.batch_verify_cost(proof.batch_size, payload.encoded_len().max(1), cached);
-        (valid, cost)
+        self.charged +=
+            COST.batch_verify_cost(proof.batch_size, payload.encoded_len().max(1), cached);
+        valid
     }
 
     /// [`SigEngine::verify`], and the proof must be `signer`'s: a replica's
     /// vote names the replica casting it, and a signature that verifies under
     /// somebody else's key says nothing about that claim. The verification is
-    /// made — and its cost returned — whether or not the signer matches, so
-    /// a mislabelled message costs its sender's victim what a forged one does.
+    /// made — and metered — whether or not the signer matches, so a
+    /// mislabelled message costs its sender's victim what a forged one does.
     pub fn verify_from<P: SignedPayload + ?Sized>(
         &mut self,
         payload: &P,
         proof: Option<&BatchProof>,
         signer: NodeId,
-    ) -> (bool, Duration) {
-        let (ok, cost) = self.verify(payload, proof);
+    ) -> bool {
+        let ok = self.verify(payload, proof);
         let bound = !self.enabled || proof.is_some_and(|p| p.signer() == signer);
-        (ok && bound, cost)
-    }
-
-    /// Verifies a set of signed payloads (certificate validation); returns
-    /// whether all were valid and the summed cost.
-    pub fn verify_all<'a, P: SignedPayload + ?Sized + 'a>(
-        &mut self,
-        items: impl IntoIterator<Item = (&'a P, Option<&'a BatchProof>)>,
-    ) -> (bool, Duration) {
-        let mut all_valid = true;
-        let mut total = Duration::ZERO;
-        for (payload, proof) in items {
-            let (ok, cost) = self.verify(payload, proof);
-            all_valid &= ok;
-            total += cost;
-        }
-        (all_valid, total)
+        ok && bound
     }
 
     /// The per-message (de)serialization overhead from the cost model.
     pub fn message_cost(&self) -> Duration {
         COST.message_cost()
-    }
-
-    /// The identity this engine signs as.
-    pub fn node(&self) -> NodeId {
-        self.keypair.node()
     }
 }
 
@@ -354,13 +335,12 @@ mod tests {
     #[test]
     fn real_mode_signs_and_verifies() {
         let (mut signer, mut verifier) = engine(CryptoMode::Real, true);
-        let (proof, sign_cost) = signer.sign(b"vote");
-        assert!(sign_cost > Duration::ZERO);
-        let (ok, verify_cost) = verifier.verify(b"vote", proof.as_ref());
-        assert!(ok);
-        assert!(verify_cost > Duration::ZERO);
-        let (bad, _) = verifier.verify(b"other", proof.as_ref());
-        assert!(!bad);
+        let proof = signer.sign(b"vote");
+        assert!(signer.take_charged() > Duration::ZERO);
+        assert_eq!(signer.take_charged(), Duration::ZERO, "taking resets");
+        assert!(verifier.verify(b"vote", proof.as_ref()));
+        assert!(verifier.take_charged() > Duration::ZERO);
+        assert!(!verifier.verify(b"other", proof.as_ref()));
     }
 
     #[test]
@@ -369,62 +349,65 @@ mod tests {
             // Fresh verifiers, so both checks meet the same (cold) cache.
             let (mut signer, mut honest) = engine(mode, true);
             let (_, mut lied_to) = engine(mode, true);
-            let (proof, _) = signer.sign(b"vote");
-            let (ok, cost) = honest.verify_from(b"vote", proof.as_ref(), replica(0));
-            assert!(ok, "{mode:?}");
+            let proof = signer.sign(b"vote");
+            assert!(
+                honest.verify_from(b"vote", proof.as_ref(), replica(0)),
+                "{mode:?}"
+            );
             // Replica 0's signature under a body that claims replica 1.
-            let (ok, same_cost) = lied_to.verify_from(b"vote", proof.as_ref(), replica(1));
-            assert!(!ok, "{mode:?}");
-            assert_eq!(cost, same_cost, "the check is made and charged either way");
+            assert!(
+                !lied_to.verify_from(b"vote", proof.as_ref(), replica(1)),
+                "{mode:?}"
+            );
+            let cost = honest.take_charged();
+            assert_eq!(
+                cost,
+                lied_to.take_charged(),
+                "the check is made and metered either way"
+            );
             assert!(cost > Duration::ZERO);
-            assert!(!honest.verify_from(b"vote", None, replica(0)).0);
+            assert!(!honest.verify_from(b"vote", None, replica(0)));
         }
-        // Signatures off: nothing to bind, nothing charged.
+        // Signatures off: nothing to bind, nothing metered.
         let (_, mut verifier) = engine(CryptoMode::Real, false);
-        assert_eq!(
-            verifier.verify_from(b"vote", None, replica(1)),
-            (true, Duration::ZERO)
-        );
+        assert!(verifier.verify_from(b"vote", None, replica(1)));
+        assert_eq!(verifier.take_charged(), Duration::ZERO);
     }
 
     #[test]
     fn missing_proof_is_rejected_when_signatures_enabled() {
         let (_, mut verifier) = engine(CryptoMode::Real, true);
-        let (ok, _) = verifier.verify(b"vote", None);
-        assert!(!ok);
+        assert!(!verifier.verify(b"vote", None));
     }
 
     #[test]
     fn disabled_signatures_cost_nothing_and_accept_everything() {
         let (mut signer, mut verifier) = engine(CryptoMode::Real, false);
-        let (proof, cost) = signer.sign(b"vote");
-        assert!(proof.is_none());
-        assert_eq!(cost, Duration::ZERO);
-        let (ok, vcost) = verifier.verify(b"vote", None);
-        assert!(ok);
-        assert_eq!(vcost, Duration::ZERO);
+        assert!(signer.sign(b"vote").is_none());
+        assert_eq!(signer.take_charged(), Duration::ZERO);
+        assert!(verifier.verify(b"vote", None));
+        assert_eq!(verifier.take_charged(), Duration::ZERO);
     }
 
     #[test]
     fn simulated_mode_charges_but_accepts() {
         let (mut signer, mut verifier) = engine(CryptoMode::Simulated, true);
-        let (proof, cost) = signer.sign(b"vote");
+        let proof = signer.sign(b"vote");
         assert!(proof.is_some());
-        assert!(cost > Duration::ZERO);
-        let (ok, vcost) = verifier.verify(b"anything", proof.as_ref());
-        assert!(ok);
-        assert!(vcost > Duration::ZERO);
+        assert!(signer.take_charged() > Duration::ZERO);
+        assert!(verifier.verify(b"anything", proof.as_ref()));
+        assert!(verifier.take_charged() > Duration::ZERO);
     }
 
     #[test]
     fn batch_signing_amortizes_cost_per_reply() {
         let (mut signer, mut verifier) = engine(CryptoMode::Real, true);
         let payloads: Vec<Vec<u8>> = (0..16).map(|i| format!("reply {i}").into_bytes()).collect();
-        let (proofs, batch_cost) = signer.sign_batch(&payloads);
-        let proofs: Vec<_> = proofs.collect();
+        let proofs: Vec<_> = signer.sign_batch(&payloads).collect();
         assert_eq!(proofs.len(), 16);
-        let (single, single_cost) = signer.sign(b"reply 0");
-        assert!(single.is_some());
+        let batch_cost = signer.take_charged();
+        assert!(signer.sign(b"reply 0").is_some());
+        let single_cost = signer.take_charged();
         assert!(
             batch_cost < single_cost * 16,
             "batch {batch_cost:?} should be cheaper than 16 individual signatures {:?}",
@@ -432,11 +415,10 @@ mod tests {
         );
         // All proofs verify, and the second verification of the same batch
         // hits the signature cache (cheaper).
-        let (ok, first_cost) = verifier.verify(&payloads[0], proofs[0].as_ref());
-        assert!(ok);
-        let (ok, second_cost) = verifier.verify(&payloads[1], proofs[1].as_ref());
-        assert!(ok);
-        assert!(second_cost < first_cost);
+        assert!(verifier.verify(&payloads[0], proofs[0].as_ref()));
+        let first_cost = verifier.take_charged();
+        assert!(verifier.verify(&payloads[1], proofs[1].as_ref()));
+        assert!(verifier.take_charged() < first_cost);
     }
 
     #[test]
@@ -444,7 +426,7 @@ mod tests {
         use basil_crypto::MerkleTree;
         let (mut signer, _) = engine(CryptoMode::Real, true);
         let payloads: Vec<Vec<u8>> = (0..13).map(|i| format!("reply {i}").into_bytes()).collect();
-        let (proofs, _) = signer.sign_batch(&payloads);
+        let proofs = signer.sign_batch(&payloads);
         let tree = MerkleTree::build(&payloads);
         assert_eq!(proofs.len(), 13);
         for (i, proof) in proofs.enumerate() {
@@ -454,29 +436,10 @@ mod tests {
         }
         // The scratch frontier and proof buffer reset cleanly between
         // batches, also after a batch whose proofs were not all taken.
-        let (mut proofs2, _) = signer.sign_batch(&payloads[..5]);
+        let mut proofs2 = signer.sign_batch(&payloads[..5]);
         let tree2 = MerkleTree::build(&payloads[..5]);
         assert_eq!(proofs2.next().flatten().expect("signed").root, tree2.root());
         drop(proofs2);
-        let (proofs3, _) = signer.sign_batch(&payloads[..3]);
-        assert_eq!(proofs3.len(), 3);
-    }
-
-    #[test]
-    fn verify_all_aggregates() {
-        let (mut signer, mut verifier) = engine(CryptoMode::Real, true);
-        let (p1, _) = signer.sign(b"a");
-        let (p2, _) = signer.sign(b"b");
-        let (ok, cost) = verifier.verify_all([
-            (b"a".as_slice(), p1.as_ref()),
-            (b"b".as_slice(), p2.as_ref()),
-        ]);
-        assert!(ok);
-        assert!(cost > Duration::ZERO);
-        let (ok, _) = verifier.verify_all([
-            (b"a".as_slice(), p1.as_ref()),
-            (b"tampered".as_slice(), p2.as_ref()),
-        ]);
-        assert!(!ok);
+        assert_eq!(signer.sign_batch(&payloads[..3]).len(), 3);
     }
 }

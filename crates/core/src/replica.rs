@@ -44,8 +44,6 @@ pub struct ReplicaStats {
     pub st1_deferred: u64,
     /// Commit certificates applied.
     pub commits_applied: u64,
-    /// Abort certificates applied.
-    pub aborts_applied: u64,
     /// ST2 decisions logged.
     pub st2_logged: u64,
     /// Fallback invocations processed.
@@ -54,8 +52,6 @@ pub struct ReplicaStats {
     pub fallback_decisions_adopted: u64,
     /// Messages dropped because of Byzantine behaviour configuration.
     pub byzantine_drops: u64,
-    /// Replies that went through the batch signer.
-    pub replies_batched: u64,
     /// Batches signed.
     pub batches_signed: u64,
     /// Periodic store garbage-collection sweeps run.
@@ -82,9 +78,8 @@ struct TxRecord {
     tx: Option<Arc<Transaction>>,
     /// The ST1 vote this replica cast, if any.
     own_vote: Option<ProtoVote>,
-    /// Whether the vote is withheld waiting for dependencies.
-    vote_pending: bool,
-    /// Clients waiting for the deferred ST1 reply.
+    /// Clients waiting for the deferred ST1 reply; non-empty exactly while
+    /// the vote is withheld waiting for dependencies.
     waiting_clients: Vec<NodeId>,
     /// The logged 2PC decision and the view it was adopted in.
     logged: Option<(ProtoDecision, View)>,
@@ -358,7 +353,6 @@ impl BasilReplica {
     // ------------------------------------------------------------------
 
     fn enqueue_reply(&mut self, ctx: &mut Context<BasilMsg>, to: NodeId, reply: PendingReply) {
-        self.stats.replies_batched += 1;
         self.out_batch.push((to, reply));
         let batch_size = self.cfg.system.batch_size.max(1) as usize;
         if !self.engine.enabled() || batch_size == 1 || self.out_batch.len() >= batch_size {
@@ -379,8 +373,7 @@ impl BasilReplica {
         let per_reply = self.engine.message_cost();
         // Lazy payloads: under simulated crypto only the lengths are read.
         // The batch is drained in place, so it keeps its capacity.
-        let (proofs, cost) = self.engine.sign_batch(&self.out_batch);
-        ctx.charge(cost);
+        let proofs = self.engine.sign_batch(&self.out_batch);
         self.stats.batches_signed += 1;
         for ((to, reply), proof) in self.out_batch.drain(..).zip(proofs) {
             let msg = match reply {
@@ -446,9 +439,7 @@ impl BasilReplica {
             self.stats.byzantine_drops += 1;
             return;
         }
-        let (ok, cost) = self.engine.verify_request(&req, req.auth.as_ref());
-        ctx.charge(cost);
-        if !ok {
+        if !self.engine.verify_request(&req, req.auth.as_ref()) {
             return;
         }
         // Timestamp acceptance window (Section 4.1): ignore reads too far in
@@ -482,9 +473,7 @@ impl BasilReplica {
     // ------------------------------------------------------------------
 
     fn handle_st1(&mut self, ctx: &mut Context<BasilMsg>, from: NodeId, st1: St1) {
-        let (ok, cost) = self.engine.verify_request(&st1, st1.auth.as_ref());
-        ctx.charge(cost);
-        if !ok {
+        if !self.engine.verify_request(&st1, st1.auth.as_ref()) {
             return;
         }
         let txid = st1.tx.id();
@@ -539,7 +528,7 @@ impl BasilReplica {
             self.enqueue_reply(ctx, from, PendingReply::St1(body, None));
             return;
         }
-        if record.vote_pending {
+        if !record.waiting_clients.is_empty() {
             if !record.waiting_clients.contains(&from) {
                 record.waiting_clients.push(from);
             }
@@ -588,7 +577,6 @@ impl BasilReplica {
                 }
             }
             CheckOutcome::Pending { .. } => {
-                record.vote_pending = true;
                 record.waiting_clients.push(from);
                 self.stats.st1_deferred += 1;
             }
@@ -605,7 +593,6 @@ impl BasilReplica {
             let (waiting, interested, tx) = {
                 let record = self.record(txid);
                 record.own_vote = Some(proto.clone());
-                record.vote_pending = false;
                 (
                     std::mem::take(&mut record.waiting_clients),
                     record.interested.clone(),
@@ -643,9 +630,7 @@ impl BasilReplica {
     // ------------------------------------------------------------------
 
     fn handle_st2(&mut self, ctx: &mut Context<BasilMsg>, from: NodeId, st2: St2) {
-        let (ok, cost) = self.engine.verify_request(&st2, st2.auth.as_ref());
-        ctx.charge(cost);
-        if !ok {
+        if !self.engine.verify_request(&st2, st2.auth.as_ref()) {
             return;
         }
         let txid = st2.txid;
@@ -674,19 +659,17 @@ impl BasilReplica {
         {
             return;
         }
-        if !self.cfg.relax_st2_validation {
-            let validation = validate_st2_justification(
+        if !self.cfg.relax_st2_validation
+            && !validate_st2_justification(
                 txid,
                 st2.decision,
                 &st2.shard_votes,
                 expected_shards.as_deref(),
                 &self.cfg.system.shard,
                 &mut self.engine,
-            );
-            ctx.charge(validation.cost);
-            if !validation.valid {
-                return;
-            }
+            )
+        {
+            return;
         }
         let replica_id = self.id;
         let (decision, view_decision, view_current, newly_logged) = {
@@ -733,7 +716,7 @@ impl BasilReplica {
             .and_then(|r| r.tx.as_ref())
             .or(wb.tx.as_ref())
             .map(|tx| tx.involved_shards(self.cfg.system.num_shards));
-        let validation = match wb.cert.as_ref() {
+        let valid = match wb.cert.as_ref() {
             DecisionCert::Commit(c) => crate::certs::validate_commit_cert(
                 c,
                 expected_shards.as_deref(),
@@ -744,8 +727,7 @@ impl BasilReplica {
                 crate::certs::validate_abort_cert(a, &self.cfg.system.shard, &mut self.engine)
             }
         };
-        ctx.charge(validation.cost);
-        if !validation.valid {
+        if !valid {
             return;
         }
 
@@ -767,10 +749,7 @@ impl BasilReplica {
                 // re-install the writes without any peer's help.
                 (self.store.commit(tx), Some(Arc::clone(tx)))
             }
-            ProtoDecision::Abort => {
-                self.stats.aborts_applied += 1;
-                (self.store.abort(txid), None)
-            }
+            ProtoDecision::Abort => (self.store.abort(txid), None),
         };
         record.cert = Some(Arc::clone(&wb.cert));
         let interested = std::mem::take(&mut record.interested);
@@ -900,9 +879,7 @@ impl BasilReplica {
     // ------------------------------------------------------------------
 
     fn handle_invoke_fb(&mut self, ctx: &mut Context<BasilMsg>, from: NodeId, ifb: InvokeFb) {
-        let (ok, cost) = self.engine.verify_request(&ifb, ifb.auth.as_ref());
-        ctx.charge(cost);
-        if !ok {
+        if !self.engine.verify_request(&ifb, ifb.auth.as_ref()) {
             return;
         }
         self.stats.fallback_invocations += 1;
@@ -911,14 +888,13 @@ impl BasilReplica {
         // The current views reported by distinct, correctly signed replicas
         // of this shard.
         let mut reported: Vec<View> = Vec::new();
-        let (_, verify_cost) = count_distinct_signed(
+        count_distinct_signed(
             &ifb.views,
             self.id.shard,
             &mut self.engine,
             |v| (v.body.txid == txid).then_some((v.body.replica, &v.body, v.proof.as_ref())),
             |v| reported.push(v.body.view_current),
         );
-        ctx.charge(verify_cost);
 
         // Optimization from Appendix B.5: moving from view 0 to view 1 needs
         // no proof at all.
@@ -946,8 +922,8 @@ impl BasilReplica {
             decision,
             view,
         };
-        let (proof, sign_cost) = self.engine.sign(&body);
-        ctx.charge(sign_cost + self.engine.message_cost());
+        let proof = self.engine.sign(&body);
+        ctx.charge(self.engine.message_cost());
         ctx.send(leader, BasilMsg::ElectFb(SignedElectFb { body, proof }));
     }
 
@@ -963,13 +939,8 @@ impl BasilReplica {
         if election.is_some_and(|e| e.done) {
             return;
         }
-        let (ok, cost) = self.engine.verify_from(
-            &efb.body,
-            efb.proof.as_ref(),
-            NodeId::Replica(efb.body.replica),
-        );
-        ctx.charge(cost);
-        if !ok {
+        let (engine, signer) = (&mut self.engine, NodeId::Replica(efb.body.replica));
+        if !engine.verify_from(&efb.body, efb.proof.as_ref(), signer) {
             return;
         }
         let record = self.records.entry(txid).or_default();
@@ -1000,9 +971,10 @@ impl BasilReplica {
             elect_proof: votes,
             auth: None,
         };
-        let (proof, cost) = self.engine.sign(&dec);
-        ctx.charge(cost);
-        let dec = DecFb { auth: proof, ..dec };
+        let dec = DecFb {
+            auth: self.engine.sign(&dec),
+            ..dec
+        };
         for replica in self.shard_replicas() {
             ctx.charge(self.engine.message_cost());
             ctx.send(replica, BasilMsg::DecFb(dec.clone()));
@@ -1017,12 +989,10 @@ impl BasilReplica {
         // this shard for this view.
         let leader_index = fallback_leader_index(view, txid, self.cfg.system.shard.n());
         let leader = NodeId::Replica(ReplicaId::new(self.id.shard, leader_index));
-        let (ok, cost) = self.engine.verify_from(&dfb, dfb.auth.as_ref(), leader);
-        ctx.charge(cost);
-        if !ok {
+        if !self.engine.verify_from(&dfb, dfb.auth.as_ref(), leader) {
             return;
         }
-        let (electors, cost) = count_distinct_signed(
+        let electors = count_distinct_signed(
             &dfb.elect_proof,
             self.id.shard,
             &mut self.engine,
@@ -1035,7 +1005,6 @@ impl BasilReplica {
             },
             |_| {},
         );
-        ctx.charge(cost);
         if electors < self.cfg.system.shard.elect_quorum() {
             return;
         }
@@ -1134,28 +1103,30 @@ impl Actor<BasilMsg> for BasilReplica {
                 BasilMsg::ReplicaTimer(ReplicaTimer::CatchUpDeadline),
             );
         }
+        ctx.charge(self.engine.take_charged());
     }
 
     fn on_message(&mut self, ctx: &mut Context<BasilMsg>, from: NodeId, msg: BasilMsg) {
         // Per-message deserialization overhead.
         ctx.charge(self.engine.message_cost());
-        if let Some(rec) = self.recovering.as_mut() {
-            if Self::buffered_during_recovery(&msg) {
-                // The replay buffer is bounded like the client admission
-                // queue: a recovering replica under heavy load sheds the
-                // overflow instead of growing without limit. Shedding is
-                // safe — every held-back message kind is retransmitted by
-                // its sender's timeout machinery.
+        match self.recovering.as_mut() {
+            // The replay buffer is bounded like the client admission queue:
+            // a recovering replica under heavy load sheds the overflow
+            // instead of growing without limit. Shedding is safe — every
+            // held-back message kind is retransmitted by its sender's
+            // timeout machinery.
+            Some(rec) if Self::buffered_during_recovery(&msg) => {
                 if rec.buffered.len() >= self.cfg.catch_up_buffer_bound {
                     self.stats.catch_up_shed += 1;
-                    return;
+                } else {
+                    self.stats.catch_up_buffered += 1;
+                    rec.buffered.push((from, msg));
                 }
-                self.stats.catch_up_buffered += 1;
-                rec.buffered.push((from, msg));
-                return;
             }
+            _ => self.dispatch(ctx, from, msg),
         }
-        self.dispatch(ctx, from, msg);
+        // Every signature made and checked while handling the message.
+        ctx.charge(self.engine.take_charged());
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -1225,7 +1196,7 @@ mod tests {
             auth: None,
             recovery,
         };
-        let (proof, _) = engine.sign(&st1);
+        let proof = engine.sign(&st1);
         St1 { auth: proof, ..st1 }
     }
 
@@ -1237,7 +1208,7 @@ mod tests {
             ts: Timestamp::from_nanos(ts_nanos, ClientId(9)),
             auth: None,
         };
-        let (proof, _) = engine.sign(&req);
+        let proof = engine.sign(&req);
         ReadRequest { auth: proof, ..req }
     }
 
@@ -1391,32 +1362,9 @@ mod tests {
     /// Builds a valid fast-path commit certificate for `tx` signed by all six
     /// replicas of shard 0.
     fn fast_commit_cert(tx: &Transaction) -> Arc<DecisionCert> {
-        let votes: Vec<SignedSt1Reply> = (0..6)
-            .map(|i| {
-                let rid = ReplicaId::new(ShardId(0), i);
-                let body = St1ReplyBody {
-                    txid: tx.id(),
-                    replica: rid,
-                    vote: ProtoVote::Commit,
-                };
-                let mut engine = SigEngine::new(NodeId::Replica(rid), registry(), &cfg());
-                let (proof, _) = engine.sign(&body);
-                SignedSt1Reply {
-                    body,
-                    proof,
-                    conflict: None,
-                }
-            })
-            .collect();
         Arc::new(DecisionCert::Commit(crate::certs::CommitCert {
             txid: tx.id(),
-            fast_votes: vec![ShardVotes {
-                txid: tx.id(),
-                shard: ShardId(0),
-                decision: ProtoDecision::Commit,
-                votes,
-                conflict: None,
-            }],
+            fast_votes: vec![commit_tally_of(tx, ShardId(0), 6)],
             slow: None,
         }))
     }
@@ -1630,7 +1578,7 @@ mod tests {
                     vote: ProtoVote::Commit,
                 };
                 let mut engine = SigEngine::new(NodeId::Replica(rid), registry(), &cfg());
-                let (proof, _) = engine.sign(&body);
+                let proof = engine.sign(&body);
                 SignedSt1Reply {
                     body,
                     proof,
@@ -1744,7 +1692,7 @@ mod tests {
                     vote: ProtoVote::Commit,
                 };
                 let mut engine = SigEngine::new(NodeId::Replica(rid), registry(), &cfg());
-                let (proof, _) = engine.sign(&body);
+                let proof = engine.sign(&body);
                 SignedSt1Reply {
                     body,
                     proof,
@@ -1770,7 +1718,7 @@ mod tests {
             view: 0,
             auth: None,
         };
-        let (proof, _) = engine.sign(&st2);
+        let proof = engine.sign(&st2);
         St2 { auth: proof, ..st2 }
     }
 
@@ -1792,6 +1740,50 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(r.stats().st2_logged, 1);
+    }
+
+    /// The CPU one callback charges, under each crypto mode: a signed read,
+    /// an ST1 voted at once, an ST2 with a valid commit tally and a
+    /// writeback with a valid commit certificate. The simulator reads only
+    /// a callback's total, so these pin every simulated output against a
+    /// charge that moves, is dropped or is counted twice.
+    #[test]
+    fn callback_charges_are_pinned() {
+        for (mode, pinned) in [
+            (CryptoMode::Real, [71_000, 77_000, 595_000, 278_000]),
+            (CryptoMode::Simulated, [71_000, 77_000, 595_000, 278_000]),
+        ] {
+            let mut c = cfg();
+            c.crypto_mode = mode;
+            assert_eq!(c.system.batch_size, 1);
+            let genesis = [(Key::new("x"), Value::from_u64(0))];
+            let mut r = BasilReplica::new(
+                ReplicaId::new(ShardId(0), 0),
+                c,
+                registry(),
+                ReplicaBehavior::Correct,
+                genesis,
+            );
+            let me = NodeId::Replica(r.id());
+            let mut charged = |msg| {
+                let mut ctx = ctx_at(me, 1);
+                r.on_message(&mut ctx, client_node(), msg);
+                ctx.charged().as_nanos()
+            };
+            let tx = write_tx(2_000_000, "y", 7);
+            let tally = vec![commit_tally_of(&tx, ShardId(0), 4)];
+            let wb = Writeback {
+                cert: fast_commit_cert(&tx),
+                tx: Some(Arc::clone(&tx)),
+            };
+            let charges = [
+                charged(BasilMsg::Read(signed_read(1, "x", 1_000_000))),
+                charged(BasilMsg::St1(signed_st1(&tx, false))),
+                charged(BasilMsg::St2(signed_st2(&tx, ProtoDecision::Commit, tally))),
+                charged(BasilMsg::Writeback(wb)),
+            ];
+            assert_eq!(charges, pinned, "{mode:?}");
+        }
     }
 
     /// S_log is not a client-side convention: a replica of an involved
@@ -1880,7 +1872,7 @@ mod tests {
                     vote: ProtoVote::Abort,
                 };
                 let mut engine = SigEngine::new(NodeId::Replica(rid), registry(), &cfg());
-                let (proof, _) = engine.sign(&body);
+                let proof = engine.sign(&body);
                 SignedSt1Reply {
                     body,
                     proof,
@@ -2081,7 +2073,7 @@ mod tests {
                 views: vec![],
                 auth: None,
             };
-            let (proof, _) = engine.sign(&ifb);
+            let proof = engine.sign(&ifb);
             InvokeFb { auth: proof, ..ifb }
         };
 

@@ -135,8 +135,6 @@ pub struct SignatureCache {
     /// structure is the shared [`BoundedFifoMap`] primitive (also behind the
     /// client-side validated-certificate cache).
     verified: BoundedFifoMap<Digest, Signature>,
-    hits: u64,
-    misses: u64,
 }
 
 impl Default for SignatureCache {
@@ -162,24 +160,12 @@ impl SignatureCache {
     pub fn with_capacity(capacity: usize) -> Self {
         SignatureCache {
             verified: BoundedFifoMap::with_capacity(capacity),
-            hits: 0,
-            misses: 0,
         }
     }
 
-    /// Returns true if `(root, sig)` was verified before. Updates hit/miss
-    /// statistics.
-    pub fn contains(&mut self, root: &Digest, sig: &Signature) -> bool {
-        match self.verified.get(root) {
-            Some(cached) if cached == sig => {
-                self.hits += 1;
-                true
-            }
-            _ => {
-                self.misses += 1;
-                false
-            }
-        }
+    /// Returns true if `(root, sig)` was verified before.
+    pub fn contains(&self, root: &Digest, sig: &Signature) -> bool {
+        self.verified.get(root) == Some(sig)
     }
 
     /// Records a successfully verified root signature, evicting the oldest
@@ -190,29 +176,12 @@ impl SignatureCache {
 
     /// Fused [`SignatureCache::contains`] + [`SignatureCache::insert`]:
     /// returns whether `(root, sig)` was already verified, recording it if
-    /// not — identical statistics and eviction behaviour to the two-call
-    /// sequence, at one hash lookup instead of two. This is the
-    /// simulated-crypto hot path (one call per verification).
+    /// not — identical eviction behaviour to the two-call sequence, at one
+    /// hash lookup instead of two. This is the simulated-crypto hot path
+    /// (one call per verification).
     pub fn check_insert(&mut self, root: Digest, sig: Signature) -> bool {
-        let hit = self
-            .verified
-            .check_insert(root, sig, |cached| *cached == sig);
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        hit
-    }
-
-    /// Number of cache hits observed.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of cache misses observed.
-    pub fn misses(&self) -> u64 {
-        self.misses
+        self.verified
+            .check_insert(root, sig, |cached| *cached == sig)
     }
 
     /// Number of entries evicted to keep the cache within its capacity.
@@ -304,7 +273,6 @@ mod tests {
         );
         let third = out[2].verify(b"c", &reg, &mut cache);
         assert!(third.valid && !third.signature_checked);
-        assert_eq!(cache.hits(), 2);
         assert_eq!(cache.len(), 1);
     }
 
@@ -371,9 +339,6 @@ mod tests {
         assert!(!cache.contains(&proofs[0].root, &proofs[0].root_signature));
         assert!(cache.contains(&proofs[1].root, &proofs[1].root_signature));
         assert!(cache.contains(&proofs[2].root, &proofs[2].root_signature));
-        // Stats survived the eviction: 1 miss (evicted probe) + 2 hits.
-        assert_eq!(cache.hits(), 2);
-        assert_eq!(cache.misses(), 1);
         // An evicted root re-verifies and re-enters the cache.
         assert!(proofs[0].verify(&[0u8], &reg, &mut cache).signature_checked);
         assert!(cache.contains(&proofs[0].root, &proofs[0].root_signature));

@@ -159,8 +159,6 @@ pub struct ClientResults {
 /// Runs this process's actor to the configured deadline and writes the
 /// results file. This is the whole life of a `basil-node` process.
 pub fn run_node(cfg: &NodeConfig) -> std::io::Result<()> {
-    let registry = derive_registry(cfg.seed, cfg.num_clients);
-    let basil_cfg = deployment_config();
     let self_id = match cfg.role {
         Role::Replica { index } => NodeId::Replica(ReplicaId::new(SHARD, index)),
         Role::Client { id } => NodeId::Client(ClientId(id)),
@@ -171,7 +169,42 @@ pub fn run_node(cfg: &NodeConfig) -> std::io::Result<()> {
     // The actor is built, and with it the WAL read, before the listener is
     // bound: a replica that cannot read its log has no business accepting
     // traffic.
-    let actor: Box<dyn Actor<basil_core::BasilMsg>> = match cfg.role {
+    let actor = build_actor(cfg)?;
+
+    let book = address_book(cfg.base_port, cfg.num_clients);
+    let listen = book[&self_id];
+    let (conn, inbound) = ConnManager::start(listen, book, ConnOptions::default(), cfg.seed)?;
+    let mut runtime = NodeRuntime::new(self_id, actor, clock, conn.clone(), inbound);
+    if let Some(path) = cfg.wal_path.clone() {
+        let mut file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)
+            .map_err(|e| wal_error(&path, e))?;
+        runtime.set_post_event(Box::new(move |actor| {
+            // write(2) into the page cache survives SIGKILL (only power
+            // loss defeats it), which is the crash model the supervisor
+            // exercises — no fsync per event needed. An empty drain writes
+            // nothing.
+            file.write_all(&take_replica_wal(actor))
+                .and_then(|()| file.flush())
+                .map_err(|e| wal_error(&path, e))
+        }));
+    }
+
+    let outcome = runtime.try_run_until(deadline);
+    conn.shutdown();
+
+    let results = harvest(cfg.role, outcome?);
+    write_results(&cfg.results_path, &results)
+}
+
+/// Builds this process's actor: a replica, recovered through its WAL file
+/// when one is left over from a previous run, or a client. Opens no socket.
+fn build_actor(cfg: &NodeConfig) -> std::io::Result<Box<dyn Actor<basil_core::BasilMsg>>> {
+    let registry = derive_registry(cfg.seed, cfg.num_clients);
+    let basil_cfg = deployment_config();
+    Ok(match cfg.role {
         Role::Replica { index } => {
             let rid = ReplicaId::new(SHARD, index);
             let genesis: Vec<(Key, Value)> = Vec::new();
@@ -212,37 +245,10 @@ pub fn run_node(cfg: &NodeConfig) -> std::io::Result<()> {
                 registry,
                 generator,
                 FaultProfile::honest(),
-                cfg.seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                cfg.seed.wrapping_add(id),
             ))
         }
-    };
-
-    let book = address_book(cfg.base_port, cfg.num_clients);
-    let listen = book[&self_id];
-    let (conn, inbound) = ConnManager::start(listen, book, ConnOptions::default(), cfg.seed)?;
-    let mut runtime = NodeRuntime::new(self_id, actor, clock, conn.clone(), inbound);
-    if let Some(path) = cfg.wal_path.clone() {
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| wal_error(&path, e))?;
-        runtime.set_post_event(Box::new(move |actor| {
-            // write(2) into the page cache survives SIGKILL (only power
-            // loss defeats it), which is the crash model the supervisor
-            // exercises — no fsync per event needed. An empty drain writes
-            // nothing.
-            file.write_all(&take_replica_wal(actor))
-                .and_then(|()| file.flush())
-                .map_err(|e| wal_error(&path, e))
-        }));
-    }
-
-    let outcome = runtime.try_run_until(deadline);
-    conn.shutdown();
-
-    let results = harvest(cfg.role, outcome?);
-    write_results(&cfg.results_path, &results)
+    })
 }
 
 /// An IO error on the WAL file, naming the file.
@@ -412,6 +418,9 @@ fn decode_results(mut bytes: &[u8]) -> std::io::Result<NodeResults> {
 mod tests {
     use super::*;
     use basil_common::Timestamp;
+    use basil_core::BasilMsg;
+    use basil_simnet::actor::Output;
+    use basil_simnet::Context;
     use basil_store::TransactionBuilder;
 
     fn replica_results() -> NodeResults {
@@ -502,6 +511,44 @@ mod tests {
         });
         mixed.extend_from_slice(&encode_results(&client_results()));
         assert!(is_invalid_data(decode_results(&mixed)));
+    }
+
+    /// Every client draws its own random stream: the replicas that clients'
+    /// first reads go to differ, as in the simulator, instead of every
+    /// client picking the same ones.
+    #[test]
+    fn clients_pick_their_own_read_replicas() {
+        let first_read_targets = |id: u64| {
+            let cfg = NodeConfig {
+                role: Role::Client { id },
+                num_clients: 8,
+                seed: 42,
+                base_port: 0,
+                epoch_unix_nanos: 0,
+                duration_ms: 0,
+                wal_path: None,
+                results_path: PathBuf::new(),
+                keys: 1_000,
+                reads: 2,
+                writes: 2,
+            };
+            let mut actor = build_actor(&cfg).expect("a client reads no file");
+            let mut ctx = Context::at(NodeId::Client(ClientId(id)), SimTime(1_000_000));
+            actor.on_start(&mut ctx);
+            let targets: Vec<NodeId> = (ctx.outputs().iter())
+                .filter_map(|o| match o {
+                    Output::Send {
+                        to,
+                        msg: BasilMsg::Read(_),
+                    } => Some(*to),
+                    _ => None,
+                })
+                .collect();
+            assert!(!targets.is_empty(), "client {id} starts with a read");
+            targets
+        };
+        let distinct: std::collections::HashSet<_> = (0..8).map(first_read_targets).collect();
+        assert!(distinct.len() > 1, "all 8 clients read from {distinct:?}");
     }
 
     /// Processes agree on keys because they agree on the seed: the registry
