@@ -4,7 +4,7 @@
 //! charges the calibrated ed25519 costs instead (see `basil_crypto::cost`).
 
 use basil_common::{ClientId, NodeId, ReplicaId, ShardId, TxId};
-use basil_core::certs::{validate_commit_cert, CommitCert, ShardVotes};
+use basil_core::certs::{validate_decision_cert, DecisionCert, DecisionProof, ShardVotes};
 use basil_core::config::BasilConfig;
 use basil_core::crypto_engine::SigEngine;
 use basil_core::messages::{ProtoDecision, ProtoVote, SignedSt1Reply, St1ReplyBody};
@@ -221,16 +221,15 @@ fn bench_cert_quorum_validation(c: &mut Criterion) {
                 }
             })
             .collect();
-        CommitCert {
+        DecisionCert {
             txid,
-            fast_votes: vec![ShardVotes {
+            proof: DecisionProof::FastCommit(vec![ShardVotes {
                 txid,
                 shard: ShardId(0),
                 decision: ProtoDecision::Commit,
                 votes,
                 conflict: None,
-            }],
-            slow: None,
+            }]),
         }
     };
 
@@ -240,7 +239,7 @@ fn bench_cert_quorum_validation(c: &mut Criterion) {
     c.bench_function("cert_quorum6_cold_derived_keys", |b| {
         b.iter(|| {
             let mut engine = SigEngine::new(client, derived.clone(), &cfg);
-            validate_commit_cert(&cert, Some(&[ShardId(0)]), &shard_cfg, &mut engine)
+            validate_decision_cert(&cert, Some(&[ShardId(0)]), &shard_cfg, &mut engine)
         })
     });
 
@@ -251,7 +250,7 @@ fn bench_cert_quorum_validation(c: &mut Criterion) {
     c.bench_function("cert_quorum6_cold_precomputed_keys", |b| {
         b.iter(|| {
             let mut engine = SigEngine::new(client, precomputed.clone(), &cfg);
-            validate_commit_cert(&cert, Some(&[ShardId(0)]), &shard_cfg, &mut engine)
+            validate_decision_cert(&cert, Some(&[ShardId(0)]), &shard_cfg, &mut engine)
         })
     });
 }

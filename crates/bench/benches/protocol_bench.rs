@@ -4,7 +4,7 @@
 
 use basil_bench::{basil_default, run_basil, RunParams, Workload};
 use basil_common::{ClientId, Duration, NodeId, ReplicaId, ShardConfig, ShardId, SimTime, TxId};
-use basil_core::certs::{validate_commit_cert, CommitCert, ShardVotes};
+use basil_core::certs::{validate_decision_cert, DecisionCert, DecisionProof, ShardVotes};
 use basil_core::config::BasilConfig;
 use basil_core::crypto_engine::SigEngine;
 use basil_core::messages::{ProtoDecision, ProtoVote, SignedSt1Reply, St1ReplyBody};
@@ -70,28 +70,27 @@ fn bench_cert_validation(c: &mut Criterion) {
     let basil_cfg = BasilConfig::test_single_shard();
     let txid = TxId::from_bytes([2; 32]);
     let votes = signed_votes(&registry, &basil_cfg, txid, 6);
-    let cert = CommitCert {
+    let cert = DecisionCert {
         txid,
-        fast_votes: vec![ShardVotes {
+        proof: DecisionProof::FastCommit(vec![ShardVotes {
             txid,
             shard: ShardId(0),
             decision: ProtoDecision::Commit,
             votes,
             conflict: None,
-        }],
-        slow: None,
+        }]),
     };
     let shard_cfg = basil_cfg.system.shard;
     c.bench_function("validate_fast_commit_cert_cold_cache", |b| {
         b.iter(|| {
             let mut engine =
                 SigEngine::new(NodeId::Client(ClientId(1)), registry.clone(), &basil_cfg);
-            validate_commit_cert(&cert, Some(&[ShardId(0)]), &shard_cfg, &mut engine)
+            validate_decision_cert(&cert, Some(&[ShardId(0)]), &shard_cfg, &mut engine)
         })
     });
     c.bench_function("validate_fast_commit_cert_warm_cache", |b| {
         let mut engine = SigEngine::new(NodeId::Client(ClientId(1)), registry.clone(), &basil_cfg);
-        b.iter(|| validate_commit_cert(&cert, Some(&[ShardId(0)]), &shard_cfg, &mut engine))
+        b.iter(|| validate_decision_cert(&cert, Some(&[ShardId(0)]), &shard_cfg, &mut engine))
     });
 }
 
@@ -272,17 +271,16 @@ fn bench_message_plane(c: &mut Criterion) {
     let registry = KeyRegistry::from_seed(1);
     let basil_cfg = BasilConfig::test_single_shard();
     let votes = signed_votes(&registry, &basil_cfg, tx.id(), 6);
-    let cert = Arc::new(basil_core::certs::DecisionCert::Commit(CommitCert {
+    let cert = Arc::new(DecisionCert {
         txid: tx.id(),
-        fast_votes: vec![ShardVotes {
+        proof: DecisionProof::FastCommit(vec![ShardVotes {
             txid: tx.id(),
             shard: ShardId(0),
             decision: ProtoDecision::Commit,
             votes,
             conflict: None,
-        }],
-        slow: None,
-    }));
+        }]),
+    });
     let wb = Writeback { cert, tx: Some(tx) };
     c.bench_function("message_plane/writeback_fanout_18", |b| {
         b.iter(|| {

@@ -5,9 +5,11 @@
 //! vote certificate (unanimous commit, `3f+1` abort, or one abort backed by a
 //! conflicting commit certificate); on the slow path the client logs its
 //! 2PC decision on a single logging shard and the `n-f` matching `ST2R`
-//! acknowledgements form the certificate. Decision certificates bundle this
-//! evidence and travel in writeback messages, read replies (committed
-//! versions), and conflict-abort votes.
+//! acknowledgements form the certificate. A decision certificate carries
+//! exactly one such proof — every involved shard's unanimous commit votes,
+//! one shard's abort votes, or S_log's acknowledgements — and travels in
+//! writeback messages, read replies (committed versions), and conflict-abort
+//! votes. One validator, [`validate_decision_cert`], checks all three.
 //!
 //! The validators return a verdict. The CPU of the signature checks they
 //! make is metered by the [`SigEngine`] they are handed, so the order and
@@ -89,53 +91,38 @@ pub struct VoteCert {
     pub replies: Vec<SignedSt2Reply>,
 }
 
-/// A commit certificate (`C-CERT`).
+/// A decision certificate (`C-CERT` or `A-CERT`): the transaction and the
+/// one proof of how it was decided. The decision is the proof's, so a
+/// certificate cannot claim one decision while carrying evidence of the
+/// other, and it holds exactly one proof.
 #[derive(Clone, Debug)]
-pub struct CommitCert {
-    /// The committed transaction.
+pub struct DecisionCert {
+    /// The decided transaction.
     pub txid: TxId,
-    /// Fast path: the unanimous vote sets of every involved shard.
-    /// Slow path: empty.
-    pub fast_votes: Vec<ShardVotes>,
-    /// Slow path: the logging-shard certificate. Fast path: `None`.
-    pub slow: Option<VoteCert>,
+    /// The evidence.
+    pub proof: DecisionProof,
 }
 
-/// An abort certificate (`A-CERT`).
+/// How a decision was made durable (Section 4.2).
 #[derive(Clone, Debug)]
-pub struct AbortCert {
-    /// The aborted transaction.
-    pub txid: TxId,
-    /// Fast path: one shard's abort vote set (either `3f+1` abort votes, or a
-    /// single vote backed by a conflicting commit certificate).
-    pub fast_votes: Option<ShardVotes>,
-    /// Slow path: the logging-shard certificate.
-    pub slow: Option<VoteCert>,
-}
-
-/// Either kind of decision certificate.
-#[derive(Clone, Debug)]
-pub enum DecisionCert {
-    /// Commit certificate.
-    Commit(CommitCert),
-    /// Abort certificate.
-    Abort(AbortCert),
+pub enum DecisionProof {
+    /// Fast commit: the unanimous vote sets of every involved shard.
+    FastCommit(Vec<ShardVotes>),
+    /// Fast abort: one shard's abort vote set (either `3f+1` abort votes, or
+    /// a single vote backed by a conflicting commit certificate).
+    FastAbort(ShardVotes),
+    /// Slow path: the `n - f` acknowledgements logged on S_log, which carry
+    /// the decision.
+    Slow(VoteCert),
 }
 
 impl DecisionCert {
-    /// The transaction this certificate decides.
-    pub fn txid(&self) -> TxId {
-        match self {
-            DecisionCert::Commit(c) => c.txid,
-            DecisionCert::Abort(a) => a.txid,
-        }
-    }
-
     /// The decision carried by the certificate.
     pub fn decision(&self) -> ProtoDecision {
-        match self {
-            DecisionCert::Commit(_) => ProtoDecision::Commit,
-            DecisionCert::Abort(_) => ProtoDecision::Abort,
+        match &self.proof {
+            DecisionProof::FastCommit(_) => ProtoDecision::Commit,
+            DecisionProof::FastAbort(_) => ProtoDecision::Abort,
+            DecisionProof::Slow(slow) => slow.decision,
         }
     }
 }
@@ -230,11 +217,11 @@ pub fn validate_fast_shard_votes(
             // Conflict-abort: the conflicting transaction's commit
             // certificate must itself be valid and must be for a
             // *different* transaction.
-            if conflict.txid() == sv.txid || !conflict.decision().is_commit() {
+            if conflict.txid == sv.txid || !conflict.decision().is_commit() {
                 return false;
             }
             // Both are checked (and metered) whatever the first one says.
-            let cert = validate_decision_cert(conflict, cfg, engine);
+            let cert = validate_decision_cert(conflict, None, cfg, engine);
             let vote = vote_quorum(sv, ProtoVote::Abort, 1, engine);
             cert && vote
         }
@@ -295,65 +282,50 @@ pub fn validate_st2_justification(
     }
 }
 
-/// Validates a commit certificate.
-pub fn validate_commit_cert(
-    cert: &CommitCert,
+/// Validates a decision certificate. `expected_shards`, when known (the
+/// validator has the transaction), are the shards it involves, and one rule
+/// holds for both decisions: a slow proof must come from their S_log, a fast
+/// commit must cover all of them and a fast abort must come from one of them.
+/// Cheap field checks come before any signature check.
+pub fn validate_decision_cert(
+    cert: &DecisionCert,
     expected_shards: Option<&[ShardId]>,
     cfg: &ShardConfig,
     engine: &mut SigEngine,
 ) -> bool {
-    if let Some(slow) = &cert.slow {
-        // Only S_log logs decisions: with f = 1, four commit and two abort
-        // votes justify both, so acknowledgements gathered on any other shard
-        // could certify the opposite of what S_log holds.
-        let stray =
-            expected_shards.is_some_and(|s| logging_shard(cert.txid, s) != Some(slow.shard));
-        if slow.txid != cert.txid || !slow.decision.is_commit() || stray {
-            return false;
+    match &cert.proof {
+        DecisionProof::Slow(slow) => {
+            // Only S_log logs decisions: with f = 1, four commit and two
+            // abort votes justify both, so acknowledgements gathered on any
+            // other shard could certify the opposite of what S_log holds.
+            let stray =
+                expected_shards.is_some_and(|s| logging_shard(cert.txid, s) != Some(slow.shard));
+            slow.txid == cert.txid && !stray && validate_vote_cert(slow, cfg, engine)
         }
-        return validate_vote_cert(slow, cfg, engine);
-    }
-    // Fast path: every involved shard must have a unanimous vote set.
-    let mut supported = IndexSet::default();
-    for sv in &cert.fast_votes {
-        if sv.txid != cert.txid || !sv.decision.is_commit() {
-            continue;
+        DecisionProof::FastCommit(votes) => {
+            let mut supported = IndexSet::default();
+            for sv in votes {
+                if sv.txid != cert.txid || !sv.decision.is_commit() {
+                    continue;
+                }
+                if validate_fast_shard_votes(sv, cfg, engine) {
+                    supported.insert(sv.shard.0);
+                }
+            }
+            match expected_shards {
+                Some(shards) => {
+                    !shards.is_empty() && shards.iter().all(|s| supported.contains(s.0))
+                }
+                None => !supported.is_empty(),
+            }
         }
-        if validate_fast_shard_votes(sv, cfg, engine) {
-            supported.insert(sv.shard.0);
+        DecisionProof::FastAbort(sv) => {
+            let foreign = expected_shards.is_some_and(|s| !s.contains(&sv.shard));
+            sv.txid == cert.txid
+                && !sv.decision.is_commit()
+                && !foreign
+                && validate_fast_shard_votes(sv, cfg, engine)
         }
-    }
-    match expected_shards {
-        Some(shards) => !shards.is_empty() && shards.iter().all(|s| supported.contains(s.0)),
-        None => !supported.is_empty(),
-    }
-}
-
-/// Validates an abort certificate.
-pub fn validate_abort_cert(cert: &AbortCert, cfg: &ShardConfig, engine: &mut SigEngine) -> bool {
-    if let Some(slow) = &cert.slow {
-        if slow.txid != cert.txid || slow.decision.is_commit() {
-            return false;
-        }
-        return validate_vote_cert(slow, cfg, engine);
-    }
-    match &cert.fast_votes {
-        Some(sv) if sv.txid == cert.txid && !sv.decision.is_commit() => {
-            validate_fast_shard_votes(sv, cfg, engine)
-        }
-        _ => false,
-    }
-}
-
-/// Validates either kind of decision certificate.
-pub fn validate_decision_cert(
-    cert: &DecisionCert,
-    cfg: &ShardConfig,
-    engine: &mut SigEngine,
-) -> bool {
-    match cert {
-        DecisionCert::Commit(c) => validate_commit_cert(c, None, cfg, engine),
-        DecisionCert::Abort(a) => validate_abort_cert(a, cfg, engine),
     }
 }
 
@@ -452,6 +424,26 @@ mod tests {
         }
     }
 
+    fn cert(proof: DecisionProof) -> DecisionCert {
+        DecisionCert {
+            txid: txid(),
+            proof,
+        }
+    }
+
+    /// `n - f` signed acknowledgements of `decision` from replicas of `shard`.
+    fn acks(shard: ShardId, decision: ProtoDecision) -> DecisionProof {
+        DecisionProof::Slow(VoteCert {
+            txid: txid(),
+            shard,
+            decision,
+            view: 0,
+            replies: (0..5)
+                .map(|i| signed_st2_on(shard, i, decision, txid(), 0))
+                .collect(),
+        })
+    }
+
     #[test]
     fn index_set_spills_past_the_mask_without_duplicates() {
         let mut set = IndexSet::default();
@@ -513,33 +505,55 @@ mod tests {
 
     /// With f = 1, four commit and two abort votes justify both decisions,
     /// so `n - f` acknowledgements gathered on a shard that is not S_log
-    /// prove nothing about what S_log holds.
+    /// prove nothing about what S_log holds, whichever decision they log.
     #[test]
     fn slow_commit_cert_must_come_from_the_logging_shard() {
         let shard_cfg = cfg().system.shard;
         let mut engine = client_engine();
         let involved = [ShardId(0), ShardId(1)];
         let slog = logging_shard(txid(), &involved).expect("two shards");
-        let acks_of = |shard: ShardId| CommitCert {
-            txid: txid(),
-            fast_votes: vec![],
-            slow: Some(VoteCert {
-                txid: txid(),
-                shard,
-                decision: ProtoDecision::Commit,
-                view: 0,
-                replies: (0..5)
-                    .map(|i| signed_st2_on(shard, i, ProtoDecision::Commit, txid(), 0))
-                    .collect(),
-            }),
-        };
         let other = involved[usize::from(slog == ShardId(0))];
-        let mut valid = |cert, shards| validate_commit_cert(&cert, shards, &shard_cfg, &mut engine);
-        assert!(valid(acks_of(slog), Some(&involved)));
-        assert!(!valid(acks_of(other), Some(&involved)));
-        // Without the transaction the involved shards, hence S_log, are
-        // unknown; the acknowledgements are all there is to check.
-        assert!(valid(acks_of(other), None));
+        let mut valid =
+            |proof, shards| validate_decision_cert(&cert(proof), shards, &shard_cfg, &mut engine);
+        for decision in [ProtoDecision::Commit, ProtoDecision::Abort] {
+            assert!(valid(acks(slog, decision), Some(&involved)));
+            assert!(!valid(acks(other, decision), Some(&involved)));
+            // Without the transaction the involved shards, hence S_log, are
+            // unknown; the acknowledgements are all there is to check.
+            assert!(valid(acks(other, decision), None));
+        }
+    }
+
+    /// A fast abort must come from a shard the transaction involves, and a
+    /// vote set from any other shard is refused before a signature is read.
+    #[test]
+    fn fast_abort_cert_must_come_from_an_involved_shard() {
+        let shard_cfg = cfg().system.shard;
+        let abort = cert(DecisionProof::FastAbort(shard_votes(
+            ProtoDecision::Abort,
+            abort_votes(4),
+        )));
+        let mut engine = client_engine();
+        assert!(validate_decision_cert(
+            &abort,
+            Some(&[ShardId(0), ShardId(1)]),
+            &shard_cfg,
+            &mut engine
+        ));
+        assert!(validate_decision_cert(
+            &abort,
+            None,
+            &shard_cfg,
+            &mut engine
+        ));
+        let mut engine = client_engine();
+        assert!(!validate_decision_cert(
+            &abort,
+            Some(&[ShardId(1), ShardId(2)]),
+            &shard_cfg,
+            &mut engine
+        ));
+        assert_eq!(engine.take_charged(), Duration::ZERO);
     }
 
     #[test]
@@ -658,45 +672,23 @@ mod tests {
     fn commit_cert_fast_and_slow_paths() {
         let shard_cfg = cfg().system.shard;
         let mut engine = client_engine();
-        let fast = CommitCert {
-            txid: txid(),
-            fast_votes: vec![shard_votes(ProtoDecision::Commit, commit_votes(6))],
-            slow: None,
+        let mut valid = |proof| {
+            validate_decision_cert(&cert(proof), Some(&[ShardId(0)]), &shard_cfg, &mut engine)
         };
-        let mut valid =
-            |cert| validate_commit_cert(&cert, Some(&[ShardId(0)]), &shard_cfg, &mut engine);
-        assert!(valid(fast));
+        let unanimous = shard_votes(ProtoDecision::Commit, commit_votes(6));
+        assert!(valid(DecisionProof::FastCommit(vec![unanimous.clone()])));
+        assert!(valid(acks(ShardId(0), ProtoDecision::Commit)));
 
-        let slow = CommitCert {
-            txid: txid(),
-            fast_votes: vec![],
-            slow: Some(VoteCert {
-                txid: txid(),
-                shard: ShardId(0),
-                decision: ProtoDecision::Commit,
-                view: 0,
-                replies: (0..5)
-                    .map(|i| signed_st2(i, ProtoDecision::Commit, txid(), 0))
-                    .collect(),
-            }),
+        // Unanimous votes on another transaction prove nothing about this one.
+        let foreign = ShardVotes {
+            txid: TxId::from_bytes([1; 32]),
+            ..unanimous
         };
-        assert!(valid(slow));
+        assert!(!valid(DecisionProof::FastCommit(vec![foreign])));
 
-        // A slow cert whose inner decision is abort cannot prove a commit.
-        let bogus = CommitCert {
-            txid: txid(),
-            fast_votes: vec![],
-            slow: Some(VoteCert {
-                txid: txid(),
-                shard: ShardId(0),
-                decision: ProtoDecision::Abort,
-                view: 0,
-                replies: (0..5)
-                    .map(|i| signed_st2(i, ProtoDecision::Abort, txid(), 0))
-                    .collect(),
-            }),
-        };
-        assert!(!valid(bogus));
+        // The decision is the proof's: logged aborts certify an abort.
+        let logged_abort = cert(acks(ShardId(0), ProtoDecision::Abort));
+        assert_eq!(logged_abort.decision(), ProtoDecision::Abort);
     }
 
     #[test]
@@ -708,38 +700,39 @@ mod tests {
         let other_votes: Vec<SignedSt1Reply> = (0..6)
             .map(|i| signed_vote(i, ProtoVote::Commit, other_tx))
             .collect();
-        let conflicting_cert = DecisionCert::Commit(CommitCert {
+        let conflicting_cert = DecisionCert {
             txid: other_tx,
-            fast_votes: vec![ShardVotes {
+            proof: DecisionProof::FastCommit(vec![ShardVotes {
                 txid: other_tx,
                 shard: ShardId(0),
                 decision: ProtoDecision::Commit,
                 votes: other_votes,
                 conflict: None,
-            }],
-            slow: None,
-        });
-
-        let cert = AbortCert {
-            txid: txid(),
-            fast_votes: Some(ShardVotes {
-                txid: txid(),
-                shard: ShardId(0),
-                decision: ProtoDecision::Abort,
-                votes: abort_votes(1),
-                conflict: Some(Arc::new(conflicting_cert)),
-            }),
-            slow: None,
+            }]),
         };
-        assert!(validate_abort_cert(&cert, &shard_cfg, &mut engine));
+
+        let abort = cert(DecisionProof::FastAbort(ShardVotes {
+            conflict: Some(Arc::new(conflicting_cert)),
+            ..shard_votes(ProtoDecision::Abort, abort_votes(1))
+        }));
+        assert!(validate_decision_cert(
+            &abort,
+            None,
+            &shard_cfg,
+            &mut engine
+        ));
 
         // Without the conflict certificate a single abort vote is not enough.
-        let weak = AbortCert {
-            txid: txid(),
-            fast_votes: Some(shard_votes(ProtoDecision::Abort, abort_votes(1))),
-            slow: None,
-        };
-        assert!(!validate_abort_cert(&weak, &shard_cfg, &mut engine));
+        let weak = cert(DecisionProof::FastAbort(shard_votes(
+            ProtoDecision::Abort,
+            abort_votes(1),
+        )));
+        assert!(!validate_decision_cert(
+            &weak,
+            None,
+            &shard_cfg,
+            &mut engine
+        ));
     }
 
     /// A conflict-abort vote set whose conflict certificate is invalid is
@@ -749,9 +742,9 @@ mod tests {
     fn conflict_abort_with_an_invalid_conflict_still_meters_the_abort_vote() {
         let shard_cfg = cfg().system.shard;
         let other_tx = TxId::from_bytes([9; 32]);
-        let five_of_six = CommitCert {
+        let five_of_six = DecisionCert {
             txid: other_tx,
-            fast_votes: vec![ShardVotes {
+            proof: DecisionProof::FastCommit(vec![ShardVotes {
                 txid: other_tx,
                 shard: ShardId(0),
                 decision: ProtoDecision::Commit,
@@ -759,17 +752,16 @@ mod tests {
                     .map(|i| signed_vote(i, ProtoVote::Commit, other_tx))
                     .collect(),
                 conflict: None,
-            }],
-            slow: None,
+            }]),
         };
         let sv = ShardVotes {
-            conflict: Some(Arc::new(DecisionCert::Commit(five_of_six.clone()))),
+            conflict: Some(Arc::new(five_of_six.clone())),
             ..shard_votes(ProtoDecision::Abort, abort_votes(1))
         };
         let (mut engine, mut alone) = (client_engine(), client_engine());
         assert!(!validate_fast_shard_votes(&sv, &shard_cfg, &mut engine));
         let charged = engine.take_charged();
-        assert!(!validate_commit_cert(
+        assert!(!validate_decision_cert(
             &five_of_six,
             None,
             &shard_cfg,

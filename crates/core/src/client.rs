@@ -16,9 +16,7 @@
 //! deviations at well-defined points of the normal flow.
 
 use crate::byzantine::{ClientStrategy, FaultProfile};
-use crate::certs::{
-    validate_decision_cert, AbortCert, CommitCert, DecisionCert, ShardVotes, VoteCert,
-};
+use crate::certs::{validate_decision_cert, DecisionCert, DecisionProof, ShardVotes};
 use crate::config::BasilConfig;
 use crate::crypto_engine::SigEngine;
 use crate::messages::{
@@ -199,7 +197,7 @@ impl Commit {
     fn step(&mut self, complete: bool) -> Step {
         match self.st2_tally.classify() {
             Some(St2Outcome::Certified(vote_cert)) => {
-                return Step::Decided(slow_cert(self.txid, vote_cert));
+                return self.decided(DecisionProof::Slow(vote_cert));
             }
             Some(St2Outcome::Divergent { replies }) if !self.invoked_election => {
                 self.invoked_election = true;
@@ -219,14 +217,24 @@ impl Commit {
         }
         match combine_outcomes(&self.outcomes, &self.involved) {
             None => Step::Wait,
-            Some(o) if o.fast && self.fast_path => {
-                Step::Decided(fast_cert(self.txid, o.decision, o.shard_votes))
-            }
+            Some(mut o) if o.fast && self.fast_path => self.decided(match o.decision {
+                ProtoDecision::Commit => DecisionProof::FastCommit(o.shard_votes),
+                // A fast abort is decided by one shard's votes alone.
+                ProtoDecision::Abort => DecisionProof::FastAbort(o.shard_votes.swap_remove(0)),
+            }),
             Some(o) => {
                 self.proposal = Some((o.decision, o.shard_votes));
                 Step::Log
             }
         }
+    }
+
+    /// The step that ends the commit: `proof` decides the transaction.
+    fn decided(&self, proof: DecisionProof) -> Step {
+        Step::Decided(DecisionCert {
+            txid: self.txid,
+            proof,
+        })
     }
 
     /// The stage the commit is in, i.e. which timer guards it: the client's
@@ -586,19 +594,21 @@ impl BasilClient {
             let acceptable = if c.version == Timestamp::ZERO {
                 true
             } else if let Some(cert) = &c.cert {
-                if self.engine.enabled() {
-                    let valid =
-                        validate_decision_cert(cert, &self.cfg.system.shard, &mut self.engine);
-                    let ok = valid && cert.txid() == c.txid && cert.decision().is_commit();
-                    if ok {
+                if !self.engine.enabled() {
+                    true
+                } else if cert.txid != c.txid || !cert.decision().is_commit() {
+                    // Refused before any signature is checked.
+                    false
+                } else {
+                    let shard = &self.cfg.system.shard;
+                    let valid = validate_decision_cert(cert, None, shard, &mut self.engine);
+                    if valid {
                         // Remember the verified certificate: a Writeback
                         // forwarding the same allocation later skips the
                         // re-verification (see ValidatedCertCache).
                         self.validated_certs.insert(c.txid, Arc::clone(cert));
                     }
-                    ok
-                } else {
-                    true
+                    valid
                 }
             } else {
                 false
@@ -845,8 +855,7 @@ impl BasilClient {
         // one, possibly somebody else's proposal, is not that).
         let voted = match &step {
             Step::Log => true,
-            Step::Decided(DecisionCert::Commit(c)) => c.slow.is_none(),
-            Step::Decided(DecisionCert::Abort(a)) => a.slow.is_none(),
+            Step::Decided(cert) => !matches!(cert.proof, DecisionProof::Slow(_)),
             _ => false,
         };
         // Byzantine equivocation happens at the moment the votes are in.
@@ -1066,7 +1075,7 @@ impl BasilClient {
     /// answering a recovery prepare with the outcome, or someone else having
     /// finished our own transaction.
     fn handle_incoming_cert(&mut self, ctx: &mut Context<BasilMsg>, wb: Writeback) {
-        let txid = wb.cert.txid();
+        let txid = wb.cert.txid;
         if self.engine.enabled() {
             if self.validated_certs.contains(&txid, &wb.cert) {
                 // Already verified on the read path: the cache hit is a map
@@ -1074,43 +1083,14 @@ impl BasilClient {
                 self.stats.cert_cache_hits += 1;
             } else {
                 self.stats.cert_cache_misses += 1;
-                if !validate_decision_cert(&wb.cert, &self.cfg.system.shard, &mut self.engine) {
+                let shard = &self.cfg.system.shard;
+                if !validate_decision_cert(&wb.cert, None, shard, &mut self.engine) {
                     return;
                 }
                 self.validated_certs.insert(txid, Arc::clone(&wb.cert));
             }
         }
         self.finish_commit(ctx, txid, wb.cert);
-    }
-}
-
-fn fast_cert(txid: TxId, decision: ProtoDecision, shard_votes: Vec<ShardVotes>) -> DecisionCert {
-    match decision {
-        ProtoDecision::Commit => DecisionCert::Commit(CommitCert {
-            txid,
-            fast_votes: shard_votes,
-            slow: None,
-        }),
-        ProtoDecision::Abort => DecisionCert::Abort(AbortCert {
-            txid,
-            fast_votes: shard_votes.into_iter().next(),
-            slow: None,
-        }),
-    }
-}
-
-fn slow_cert(txid: TxId, vote_cert: VoteCert) -> DecisionCert {
-    match vote_cert.decision {
-        ProtoDecision::Commit => DecisionCert::Commit(CommitCert {
-            txid,
-            fast_votes: vec![],
-            slow: Some(vote_cert),
-        }),
-        ProtoDecision::Abort => DecisionCert::Abort(AbortCert {
-            txid,
-            fast_votes: None,
-            slow: Some(vote_cert),
-        }),
     }
 }
 
@@ -1347,17 +1327,16 @@ mod tests {
                 }
             })
             .collect();
-        Arc::new(DecisionCert::Commit(CommitCert {
+        Arc::new(DecisionCert {
             txid: tx.id(),
-            fast_votes: vec![ShardVotes {
+            proof: DecisionProof::FastCommit(vec![ShardVotes {
                 txid: tx.id(),
                 shard: ShardId(0),
                 decision: ProtoDecision::Commit,
                 votes,
                 conflict: None,
-            }],
-            slow: None,
-        }))
+            }]),
+        })
     }
 
     #[test]
@@ -1567,10 +1546,10 @@ mod tests {
         assert!(matches!(commit.step(false), Step::Wait));
         add_votes(&mut commit, [vote(tx.id(), 5, ProtoVote::Commit)]);
         match commit.step(false) {
-            Step::Decided(DecisionCert::Commit(cert)) => {
-                assert!(cert.slow.is_none());
-                assert_eq!(cert.fast_votes[0].votes.len(), 6);
-            }
+            Step::Decided(DecisionCert {
+                proof: DecisionProof::FastCommit(votes),
+                ..
+            }) => assert_eq!(votes[0].votes.len(), 6),
             other => panic!("expected a fast commit, got {other:?}"),
         }
     }
@@ -1603,8 +1582,12 @@ mod tests {
                 .add(ack(tx.id(), i, ProtoDecision::Commit, 0));
         }
         match commit.step(false) {
-            Step::Decided(DecisionCert::Commit(cert)) => {
-                assert_eq!(cert.slow.expect("slow path").replies.len(), 5)
+            Step::Decided(DecisionCert {
+                proof: DecisionProof::Slow(acks),
+                ..
+            }) => {
+                assert_eq!(acks.decision, ProtoDecision::Commit);
+                assert_eq!(acks.replies.len(), 5);
             }
             other => panic!("expected a slow commit, got {other:?}"),
         }
@@ -1621,8 +1604,10 @@ mod tests {
             [vote(tx.id(), 0, ProtoVote::Commit), conflicted],
         );
         match commit.step(false) {
-            Step::Decided(DecisionCert::Abort(cert)) => {
-                let evidence = cert.fast_votes.expect("fast path");
+            Step::Decided(DecisionCert {
+                proof: DecisionProof::FastAbort(evidence),
+                ..
+            }) => {
                 assert_eq!(evidence.votes.len(), 1);
                 assert!(evidence.conflict.is_some());
             }
@@ -1657,10 +1642,10 @@ mod tests {
                 .st2_tally
                 .add(ack(tx.id(), i, ProtoDecision::Abort, 1));
         }
-        assert!(matches!(
-            commit.step(false),
-            Step::Decided(DecisionCert::Abort(_))
-        ));
+        match commit.step(false) {
+            Step::Decided(cert) => assert_eq!(cert.decision(), ProtoDecision::Abort),
+            other => panic!("expected a decision, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1944,6 +1929,46 @@ mod tests {
         }
     }
 
+    /// A committed read whose certificate decides another transaction is
+    /// refused before any of its signatures is checked: concluding a read on
+    /// such replies costs what concluding it on uncertified replies does.
+    #[test]
+    fn a_certificate_for_another_transaction_costs_no_verification() {
+        let writer = write_tx(500);
+        let conclude_with = |cert: Option<Arc<DecisionCert>>| {
+            let profile = TxProfile::new("r", vec![Op::Read(Key::new("x"))]);
+            let mut client = client_with(vec![profile]);
+            client.on_start(&mut ctx_at(1));
+            let mut charged = 0;
+            for i in 0..2 {
+                let body = ReadReplyBody {
+                    req_id: 1,
+                    key: Key::new("x"),
+                    committed: Some(CommittedRead {
+                        version: writer.timestamp(),
+                        value: Value::from_u64(1),
+                        txid: writer.id(),
+                        cert: cert.clone(),
+                    }),
+                    prepared: None,
+                };
+                let replica = NodeId::Replica(ReplicaId::new(ShardId(0), i));
+                let proof = SigEngine::new(replica, registry(), &cfg()).sign(&body);
+                let mut ctx = ctx_at(2);
+                let reply = BasilMsg::ReadReply(ReadReply { body, proof });
+                client.on_message(&mut ctx, replica, reply);
+                charged = ctx.charged().as_nanos();
+            }
+            assert!(
+                client.session.pending_read().is_none(),
+                "the read concluded"
+            );
+            charged
+        };
+        let elsewhere = valid_commit_cert(&write_tx(600), 6);
+        assert_eq!(conclude_with(Some(elsewhere)), conclude_with(None));
+    }
+
     /// With signatures off a read reply is its transport sender's: a replica
     /// that answers again after a `ReadTimeout` widened the read is still
     /// one voucher, and a client or another shard's replica is none.
@@ -2013,7 +2038,10 @@ mod tests {
             // timeout starts the recovery, and a certificate resolves it.
             client.handle_commit_timeout(&mut ctx_at(20), RetryKind::Prepare, txid);
             assert!(client.recoveries.contains_key(&dep.id()));
-            let cert = Arc::new(fast_cert(dep.id(), ProtoDecision::Commit, vec![]));
+            let cert = Arc::new(DecisionCert {
+                txid: dep.id(),
+                proof: DecisionProof::FastCommit(vec![]),
+            });
             deliver(
                 &mut client,
                 BasilMsg::Writeback(Writeback { cert, tx: None }),

@@ -39,7 +39,7 @@ pub mod replica;
 pub mod views;
 
 pub use byzantine::{ClientStrategy, ReplicaBehavior};
-pub use certs::{AbortCert, CommitCert, DecisionCert, VoteCert};
+pub use certs::{DecisionCert, DecisionProof, VoteCert};
 pub use client::{BasilClient, ClientStats};
 pub use config::BasilConfig;
 pub use messages::{BasilMsg, ProtoDecision, ProtoVote};

@@ -6,47 +6,15 @@ use crate::certs::{ShardVotes, VoteCert};
 use crate::messages::{ProtoDecision, ProtoVote, SignedSt1Reply, SignedSt2Reply, View};
 use basil_common::{FastHashMap, ShardConfig, ShardId, TxId};
 
-/// How a shard's stage-1 votes were classified.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ShardPath {
-    /// All `5f + 1` replicas voted commit; the shard's vote is already
-    /// durable.
-    FastCommit,
-    /// `3f + 1` abort votes; the shard can never produce a commit quorum.
-    FastAbort,
-    /// One abort vote carried a commit certificate for a conflicting
-    /// transaction; durable immediately.
-    FastAbortConflict,
-    /// At least `3f + 1` commit votes but not unanimous: the decision must be
-    /// logged in stage ST2 before it is durable.
-    SlowCommit,
-    /// At least `f + 1` abort votes but fewer than `3f + 1`: must be logged.
-    SlowAbort,
-}
-
-impl ShardPath {
-    /// The shard-level decision this classification supports.
-    pub fn decision(&self) -> ProtoDecision {
-        match self {
-            ShardPath::FastCommit | ShardPath::SlowCommit => ProtoDecision::Commit,
-            _ => ProtoDecision::Abort,
-        }
-    }
-
-    /// Whether the shard's vote is already durable without ST2.
-    pub fn is_fast(&self) -> bool {
-        matches!(
-            self,
-            ShardPath::FastCommit | ShardPath::FastAbort | ShardPath::FastAbortConflict
-        )
-    }
-}
-
-/// A classified shard outcome together with the evidence backing it.
+/// A classified shard: the votes backing its decision (`votes.decision`),
+/// and whether they are already durable without ST2. Fast: all `5f + 1`
+/// replicas voted commit, `3f + 1` voted abort, or one abort vote carried a
+/// commit certificate of a conflicting transaction. Slow: at least `3f + 1`
+/// commit or `f + 1` abort votes, which must be logged in stage ST2.
 #[derive(Clone, Debug)]
 pub struct ShardOutcome {
-    /// The classification.
-    pub path: ShardPath,
+    /// Whether the shard's vote is durable as it stands (a `V-CERT`).
+    pub fast: bool,
     /// The votes (a `V-CERT` when fast, a vote tally when slow).
     pub votes: ShardVotes,
 }
@@ -141,33 +109,29 @@ impl ShardTally {
 
         // Fast paths can be recognized as soon as their thresholds are met.
         if let Some(conflict_vote) = self.conflict_vote() {
-            return Some(self.outcome(
-                ShardPath::FastAbortConflict,
-                ProtoDecision::Abort,
-                Some(conflict_vote.clone()),
-            ));
+            return Some(self.outcome(true, ProtoDecision::Abort, Some(conflict_vote.clone())));
         }
         if commits >= self.cfg.fast_commit_quorum() {
-            return Some(self.outcome(ShardPath::FastCommit, ProtoDecision::Commit, None));
+            return Some(self.outcome(true, ProtoDecision::Commit, None));
         }
         if aborts >= self.cfg.fast_abort_quorum() {
-            return Some(self.outcome(ShardPath::FastAbort, ProtoDecision::Abort, None));
+            return Some(self.outcome(true, ProtoDecision::Abort, None));
         }
         if !complete && self.total() < self.cfg.n() {
             return None;
         }
         if commits >= self.cfg.commit_quorum() {
-            return Some(self.outcome(ShardPath::SlowCommit, ProtoDecision::Commit, None));
+            return Some(self.outcome(false, ProtoDecision::Commit, None));
         }
         if aborts >= self.cfg.abort_quorum() {
-            return Some(self.outcome(ShardPath::SlowAbort, ProtoDecision::Abort, None));
+            return Some(self.outcome(false, ProtoDecision::Abort, None));
         }
         None
     }
 
     fn outcome(
         &self,
-        path: ShardPath,
+        fast: bool,
         decision: ProtoDecision,
         conflict_vote: Option<SignedSt1Reply>,
     ) -> ShardOutcome {
@@ -186,7 +150,7 @@ impl ShardTally {
         };
         let conflict = conflict_vote.and_then(|v| v.conflict);
         ShardOutcome {
-            path,
+            fast,
             votes: ShardVotes {
                 txid: self.txid,
                 shard: self.shard,
@@ -236,7 +200,7 @@ pub fn combine_outcomes(
     if let Some(outcome) = involved
         .iter()
         .filter_map(|s| outcomes.get(s))
-        .find(|o| o.path.is_fast() && o.path.decision() == ProtoDecision::Abort)
+        .find(|o| o.fast && !o.votes.decision.is_commit())
     {
         return Some(PrepareOutcome {
             decision: ProtoDecision::Abort,
@@ -249,13 +213,13 @@ pub fn combine_outcomes(
     }
     let decision = if involved
         .iter()
-        .all(|s| outcomes[s].path.decision() == ProtoDecision::Commit)
+        .all(|s| outcomes[s].votes.decision.is_commit())
     {
         ProtoDecision::Commit
     } else {
         ProtoDecision::Abort
     };
-    let fast = involved.iter().all(|s| outcomes[s].path.is_fast());
+    let fast = involved.iter().all(|s| outcomes[s].fast);
     Some(PrepareOutcome {
         decision,
         fast,
@@ -370,7 +334,7 @@ impl St2Tally {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::certs::DecisionCert;
+    use crate::certs::{DecisionCert, DecisionProof};
     use crate::messages::{St1ReplyBody, St2ReplyBody};
     use basil_common::ReplicaId;
 
@@ -419,7 +383,8 @@ mod tests {
     fn unanimous_commit_is_fast() {
         let t = tally_with((0..6).map(|i| vote(i, ProtoVote::Commit)));
         let o = t.classify(false).expect("classified");
-        assert_eq!(o.path, ShardPath::FastCommit);
+        assert!(o.fast);
+        assert_eq!(o.votes.decision, ProtoDecision::Commit);
         assert_eq!(o.votes.votes.len(), 6);
     }
 
@@ -428,7 +393,7 @@ mod tests {
         let t = tally_with((0..4).map(|i| vote(i, ProtoVote::Commit)));
         assert!(t.classify(false).is_none(), "might still reach fast path");
         let o = t.classify(true).expect("slow classification");
-        assert_eq!(o.path, ShardPath::SlowCommit);
+        assert!(!o.fast);
         assert_eq!(o.votes.decision, ProtoDecision::Commit);
     }
 
@@ -436,7 +401,8 @@ mod tests {
     fn three_f_plus_one_aborts_is_fast_abort() {
         let t = tally_with((0..4).map(|i| vote(i, ProtoVote::Abort)));
         let o = t.classify(false).expect("classified");
-        assert_eq!(o.path, ShardPath::FastAbort);
+        assert!(o.fast);
+        assert_eq!(o.votes.decision, ProtoDecision::Abort);
     }
 
     #[test]
@@ -446,23 +412,22 @@ mod tests {
         let t = tally_with(votes);
         assert!(t.classify(false).is_none());
         let o = t.classify(true).expect("classified");
-        assert_eq!(o.path, ShardPath::SlowAbort);
+        assert!(!o.fast);
+        assert_eq!(o.votes.decision, ProtoDecision::Abort);
         assert_eq!(o.votes.votes.len(), 2, "only abort votes in the tally");
     }
 
     #[test]
     fn conflict_certified_abort_is_fast_with_single_vote() {
         let mut conflicted = vote(3, ProtoVote::Abort);
-        conflicted.conflict = Some(std::sync::Arc::new(DecisionCert::Commit(
-            crate::certs::CommitCert {
-                txid: TxId::from_bytes([9; 32]),
-                fast_votes: vec![],
-                slow: None,
-            },
-        )));
+        conflicted.conflict = Some(std::sync::Arc::new(DecisionCert {
+            txid: TxId::from_bytes([9; 32]),
+            proof: DecisionProof::FastCommit(vec![]),
+        }));
         let t = tally_with([vote(0, ProtoVote::Commit), conflicted]);
         let o = t.classify(false).expect("classified");
-        assert_eq!(o.path, ShardPath::FastAbortConflict);
+        assert!(o.fast);
+        assert_eq!(o.votes.decision, ProtoDecision::Abort);
         assert_eq!(o.votes.votes.len(), 1);
         assert!(o.votes.conflict.is_some());
     }
@@ -498,7 +463,7 @@ mod tests {
     #[test]
     fn combine_requires_all_shards_unless_fast_abort() {
         let commit_outcome = |shard: u32| ShardOutcome {
-            path: ShardPath::FastCommit,
+            fast: true,
             votes: ShardVotes {
                 txid: txid(),
                 shard: ShardId(shard),
@@ -524,7 +489,7 @@ mod tests {
         with_abort.insert(
             ShardId(1),
             ShardOutcome {
-                path: ShardPath::FastAbort,
+                fast: true,
                 votes: ShardVotes {
                     txid: txid(),
                     shard: ShardId(1),
@@ -545,7 +510,7 @@ mod tests {
             (
                 ShardId(0),
                 ShardOutcome {
-                    path: ShardPath::SlowCommit,
+                    fast: false,
                     votes: ShardVotes {
                         txid: txid(),
                         shard: ShardId(0),
@@ -558,7 +523,7 @@ mod tests {
             (
                 ShardId(1),
                 ShardOutcome {
-                    path: ShardPath::FastCommit,
+                    fast: true,
                     votes: ShardVotes {
                         txid: txid(),
                         shard: ShardId(1),

@@ -8,7 +8,9 @@
 //! tree per Section 4.4.
 
 use crate::byzantine::ReplicaBehavior;
-use crate::certs::{count_distinct_signed, validate_st2_justification, DecisionCert};
+use crate::certs::{
+    count_distinct_signed, validate_decision_cert, validate_st2_justification, DecisionCert,
+};
 use crate::config::BasilConfig;
 use crate::crypto_engine::SigEngine;
 use crate::messages::{
@@ -651,7 +653,7 @@ impl BasilReplica {
             .get(&txid)
             .and_then(|r| r.tx.as_ref())
             .map(|tx| tx.involved_shards(self.cfg.system.num_shards));
-        // Only S_log logs decisions (see `validate_commit_cert`): an ST2 for
+        // Only S_log logs decisions (see `validate_decision_cert`): an ST2 for
         // a transaction known to log elsewhere is not acknowledged here.
         if expected_shards
             .as_deref()
@@ -706,7 +708,7 @@ impl BasilReplica {
     // ------------------------------------------------------------------
 
     fn handle_writeback(&mut self, ctx: &mut Context<BasilMsg>, wb: Writeback) {
-        let txid = wb.cert.txid();
+        let txid = wb.cert.txid;
         if self.store.decision(&txid).is_some() {
             return; // already applied
         }
@@ -716,18 +718,12 @@ impl BasilReplica {
             .and_then(|r| r.tx.as_ref())
             .or(wb.tx.as_ref())
             .map(|tx| tx.involved_shards(self.cfg.system.num_shards));
-        let valid = match wb.cert.as_ref() {
-            DecisionCert::Commit(c) => crate::certs::validate_commit_cert(
-                c,
-                expected_shards.as_deref(),
-                &self.cfg.system.shard,
-                &mut self.engine,
-            ),
-            DecisionCert::Abort(a) => {
-                crate::certs::validate_abort_cert(a, &self.cfg.system.shard, &mut self.engine)
-            }
-        };
-        if !valid {
+        if !validate_decision_cert(
+            &wb.cert,
+            expected_shards.as_deref(),
+            &self.cfg.system.shard,
+            &mut self.engine,
+        ) {
             return;
         }
 
@@ -794,7 +790,7 @@ impl BasilReplica {
         let mut entries: Vec<_> = (self.records.values())
             .filter_map(|r| Some((Arc::clone(r.cert.as_ref()?), r.tx.clone())))
             .collect();
-        entries.sort_by_key(|(cert, _)| cert.txid());
+        entries.sort_by_key(|(cert, _)| cert.txid);
         ctx.charge(self.engine.message_cost());
         ctx.send(
             from,
@@ -830,7 +826,7 @@ impl BasilReplica {
             }
         }
         for (cert, tx) in reply.entries {
-            let txid = cert.txid();
+            let txid = cert.txid;
             let undecided = self.store.decision(&txid).is_none();
             self.handle_writeback(ctx, Writeback { cert, tx });
             if undecided && self.store.decision(&txid).is_some() {
@@ -1141,7 +1137,7 @@ impl Actor<BasilMsg> for BasilReplica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::certs::ShardVotes;
+    use crate::certs::{DecisionProof, ShardVotes, VoteCert};
     use crate::config::CryptoMode;
     use basil_common::{ClientId, ShardId, SimTime, Timestamp};
     use basil_crypto::KeyRegistry;
@@ -1362,11 +1358,10 @@ mod tests {
     /// Builds a valid fast-path commit certificate for `tx` signed by all six
     /// replicas of shard 0.
     fn fast_commit_cert(tx: &Transaction) -> Arc<DecisionCert> {
-        Arc::new(DecisionCert::Commit(crate::certs::CommitCert {
+        Arc::new(DecisionCert {
             txid: tx.id(),
-            fast_votes: vec![commit_tally_of(tx, ShardId(0), 6)],
-            slow: None,
-        }))
+            proof: DecisionProof::FastCommit(vec![commit_tally_of(tx, ShardId(0), 6)]),
+        })
     }
 
     #[test]
@@ -1586,17 +1581,16 @@ mod tests {
                 }
             })
             .collect();
-        let cert = Arc::new(DecisionCert::Commit(crate::certs::CommitCert {
+        let cert = Arc::new(DecisionCert {
             txid: tx.id(),
-            fast_votes: vec![ShardVotes {
+            proof: DecisionProof::FastCommit(vec![ShardVotes {
                 txid: tx.id(),
                 shard: ShardId(0),
                 decision: ProtoDecision::Commit,
                 votes,
                 conflict: None,
-            }],
-            slow: None,
-        }));
+            }]),
+        });
         let mut ctx = ctx_at(NodeId::Replica(r.id()), 1);
         r.handle_writeback(
             &mut ctx,
@@ -1631,7 +1625,7 @@ mod tests {
         r.handle_st1(&mut ctx3, other_client, signed_st1(&tx, true));
         match &sent_to(&ctx3, other_client)[0] {
             BasilMsg::Writeback(wb) => {
-                assert_eq!(wb.cert.txid(), tx.id());
+                assert_eq!(wb.cert.txid, tx.id());
                 assert!(wb.cert.decision().is_commit());
             }
             other => panic!("unexpected {other:?}"),
@@ -1683,13 +1677,22 @@ mod tests {
 
     /// Commit votes for `tx` signed by replicas `0..count` of `shard`.
     fn commit_tally_of(tx: &Transaction, shard: ShardId, count: u32) -> ShardVotes {
+        tally_of(tx, shard, count, ProtoVote::Commit)
+    }
+
+    /// `vote`s for `tx` signed by replicas `0..count` of `shard`.
+    fn tally_of(tx: &Transaction, shard: ShardId, count: u32, vote: ProtoVote) -> ShardVotes {
+        let decision = match vote {
+            ProtoVote::Commit => ProtoDecision::Commit,
+            ProtoVote::Abort => ProtoDecision::Abort,
+        };
         let votes: Vec<SignedSt1Reply> = (0..count)
             .map(|i| {
                 let rid = ReplicaId::new(shard, i);
                 let body = St1ReplyBody {
                     txid: tx.id(),
                     replica: rid,
-                    vote: ProtoVote::Commit,
+                    vote: vote.clone(),
                 };
                 let mut engine = SigEngine::new(NodeId::Replica(rid), registry(), &cfg());
                 let proof = engine.sign(&body);
@@ -1703,7 +1706,7 @@ mod tests {
         ShardVotes {
             txid: tx.id(),
             shard,
-            decision: ProtoDecision::Commit,
+            decision,
             votes,
             conflict: None,
         }
@@ -1786,25 +1789,53 @@ mod tests {
         }
     }
 
+    /// A deployment of `shards` shards and a transaction that writes one key
+    /// on shard 0 and one on shard 1.
+    fn cross_shard_tx(shards: u32) -> (BasilConfig, Arc<Transaction>) {
+        let mut c = cfg();
+        c.system.num_shards = shards;
+        let key_on = |shard: u32| {
+            (0..)
+                .map(|i| Key::new(format!("k{i}")))
+                .find(|k| c.system.shard_for_key(k) == ShardId(shard))
+                .expect("some key hashes to each shard")
+        };
+        let mut b = TransactionBuilder::new(Timestamp::from_nanos(1_000_000, ClientId(9)));
+        b.record_write(key_on(0), Value::from_u64(1));
+        b.record_write(key_on(1), Value::from_u64(2));
+        let tx = b.build_shared();
+        assert_eq!(*tx.involved_shards(shards), [ShardId(0), ShardId(1)]);
+        (c, tx)
+    }
+
+    /// A correct replica of `shard` under `c` that has seen `tx`'s ST1.
+    fn replica_knowing(c: &BasilConfig, shard: ShardId, tx: &Arc<Transaction>) -> BasilReplica {
+        let id = ReplicaId::new(shard, 0);
+        let mut r = BasilReplica::new(id, c.clone(), registry(), ReplicaBehavior::Correct, []);
+        let mut ctx = ctx_at(NodeId::Replica(id), 1);
+        r.handle_st1(&mut ctx, client_node(), signed_st1(tx, false));
+        r
+    }
+
+    /// Whether `r` applies a writeback of `proof` for `tx` (sent without
+    /// the body: the replica knows the transaction from its ST1).
+    fn applies(r: &mut BasilReplica, tx: &Transaction, proof: DecisionProof) -> bool {
+        let cert = Arc::new(DecisionCert {
+            txid: tx.id(),
+            proof,
+        });
+        let mut ctx = ctx_at(NodeId::Replica(r.id()), 2);
+        r.handle_writeback(&mut ctx, Writeback { cert, tx: None });
+        r.store().decision(&tx.id()).is_some()
+    }
+
     /// S_log is not a client-side convention: a replica of an involved
     /// shard that is not the transaction's logging shard does not log,
     /// acknowledge or persist an ST2, however well justified.
     #[test]
     fn st2_is_logged_only_on_the_logging_shard() {
-        let mut two_shards = cfg();
-        two_shards.system.num_shards = 2;
-        let key_on = |shard: u32| {
-            (0..)
-                .map(|i| format!("k{i}"))
-                .find(|k| two_shards.system.shard_for_key(&Key::new(k)) == ShardId(shard))
-                .expect("some key hashes to each shard")
-        };
-        let mut b = TransactionBuilder::new(Timestamp::from_nanos(1_000_000, ClientId(9)));
-        b.record_write(Key::new(key_on(0)), Value::from_u64(1));
-        b.record_write(Key::new(key_on(1)), Value::from_u64(2));
-        let tx = b.build_shared();
+        let (two_shards, tx) = cross_shard_tx(2);
         let involved = tx.involved_shards(two_shards.system.num_shards);
-        assert_eq!(*involved, [ShardId(0), ShardId(1)]);
         let slog = logging_shard(tx.id(), &involved).expect("two shards");
 
         // A commit quorum from each shard: the justification is complete.
@@ -1815,24 +1846,68 @@ mod tests {
         let st2 = signed_st2(&tx, ProtoDecision::Commit, tallies);
 
         for &shard in involved.iter() {
-            let id = ReplicaId::new(shard, 0);
-            let mut r = BasilReplica::new(
-                id,
-                two_shards.clone(),
-                registry(),
-                ReplicaBehavior::Correct,
-                [],
-            );
-            let mut ctx = ctx_at(NodeId::Replica(id), 1);
-            r.handle_st1(&mut ctx, client_node(), signed_st1(&tx, false));
+            let mut r = replica_knowing(&two_shards, shard, &tx);
             let wal_before = r.stats().wal_appends;
-            let mut ctx = ctx_at(NodeId::Replica(id), 2);
+            let mut ctx = ctx_at(NodeId::Replica(r.id()), 2);
             r.handle_st2(&mut ctx, client_node(), st2.clone());
             let logs = u64::from(shard == slog);
             assert_eq!(r.stats().st2_logged, logs, "shard {shard:?}");
             assert_eq!(r.stats().wal_appends - wal_before, logs);
             assert_eq!(sent_to(&ctx, client_node()).len() as u64, logs);
         }
+    }
+
+    /// The S_log rule holds for aborts as for commits: `n - f` logged
+    /// aborts gathered on the involved shard that is not S_log prove nothing
+    /// about what S_log holds, so a replica that knows the transaction does
+    /// not apply them.
+    #[test]
+    fn slow_abort_cert_from_a_shard_that_is_not_s_log_is_not_applied() {
+        let (c, tx) = cross_shard_tx(2);
+        let involved = tx.involved_shards(c.system.num_shards);
+        let slog = logging_shard(tx.id(), &involved).expect("two shards");
+        let other = involved[usize::from(slog == ShardId(0))];
+        let logged_aborts = |shard: ShardId| {
+            let replies = (0..5)
+                .map(|i| {
+                    let replica = ReplicaId::new(shard, i);
+                    let body = St2ReplyBody {
+                        txid: tx.id(),
+                        replica,
+                        decision: ProtoDecision::Abort,
+                        view_decision: 0,
+                        view_current: 0,
+                    };
+                    let mut engine = SigEngine::new(NodeId::Replica(replica), registry(), &c);
+                    let proof = engine.sign(&body);
+                    SignedSt2Reply { body, proof }
+                })
+                .collect();
+            DecisionProof::Slow(VoteCert {
+                txid: tx.id(),
+                shard,
+                decision: ProtoDecision::Abort,
+                view: 0,
+                replies,
+            })
+        };
+        for &shard in involved.iter() {
+            let mut r = replica_knowing(&c, shard, &tx);
+            assert!(!applies(&mut r, &tx, logged_aborts(other)), "{shard:?}");
+            assert!(applies(&mut r, &tx, logged_aborts(slog)), "{shard:?}");
+        }
+    }
+
+    /// A fast abort must come from a shard the transaction involves: `3f + 1`
+    /// abort votes of a third shard say nothing about this transaction.
+    #[test]
+    fn fast_abort_cert_from_an_uninvolved_shard_is_not_applied() {
+        let (c, tx) = cross_shard_tx(3);
+        let abort_votes =
+            |shard| DecisionProof::FastAbort(tally_of(&tx, shard, 4, ProtoVote::Abort));
+        let mut r = replica_knowing(&c, ShardId(0), &tx);
+        assert!(!applies(&mut r, &tx, abort_votes(ShardId(2))));
+        assert!(applies(&mut r, &tx, abort_votes(ShardId(1))));
     }
 
     #[test]
@@ -2220,10 +2295,10 @@ mod tests {
         let [BasilMsg::CatchUpReply(reply)] = &sent[..] else {
             panic!("expected one catch-up reply, got {sent:?}");
         };
-        let listed: Vec<TxId> = reply.entries.iter().map(|(cert, _)| cert.txid()).collect();
+        let listed: Vec<TxId> = reply.entries.iter().map(|(cert, _)| cert.txid).collect();
         assert_eq!(listed, applied);
         for (cert, tx) in &reply.entries {
-            assert_eq!(tx.as_ref().map(|tx| tx.id()), Some(cert.txid()));
+            assert_eq!(tx.as_ref().map(|tx| tx.id()), Some(cert.txid));
         }
     }
 

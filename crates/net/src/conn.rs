@@ -40,8 +40,9 @@ use std::time::Duration;
 pub struct NetStats {
     /// Frames handed to the OS (write_all returned).
     pub frames_sent: AtomicU64,
-    /// Frames shed: outbound queue full, or dropped after a failed
-    /// connect/write (the protocol's retransmission timers cover these).
+    /// Frames shed: outbound queue full, dropped after a failed
+    /// connect/write (the protocol's retransmission timers cover these), or
+    /// refused by the encoder as larger than `MAX_FRAME`.
     pub frames_shed: AtomicU64,
     /// Frames received and decoded.
     pub frames_received: AtomicU64,
@@ -52,7 +53,7 @@ pub struct NetStats {
 }
 
 impl NetStats {
-    fn bump(counter: &AtomicU64) {
+    pub(crate) fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 }

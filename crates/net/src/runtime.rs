@@ -25,7 +25,7 @@
 //! fallible: a replica that cannot write its log must not keep voting, so
 //! the first failure discards the handler's outputs and ends the run.
 
-use crate::conn::ConnManager;
+use crate::conn::{ConnManager, NetStats};
 use crate::wire::encode_msg;
 use basil_common::{NodeId, SimTime};
 use basil_core::messages::BasilMsg;
@@ -255,11 +255,13 @@ impl NodeRuntime {
                     if to == self.self_id {
                         self.loopback.push_back((to, msg));
                     } else {
-                        // Timer variants never reach here (they go through
-                        // schedule_self); treat an encode failure as a
-                        // shed, not a crash.
-                        if let Ok(frame) = encode_msg(self.self_id, &msg) {
-                            self.conn.send_frame(to, frame);
+                        // A message no receiver would accept (a frame above
+                        // MAX_FRAME) is shed and counted, not sent; timer
+                        // variants never reach here (they go through
+                        // schedule_self).
+                        match encode_msg(self.self_id, &msg) {
+                            Ok(frame) => self.conn.send_frame(to, frame),
+                            Err(_) => NetStats::bump(&self.conn.stats().frames_shed),
                         }
                     }
                 }
@@ -281,21 +283,22 @@ impl NodeRuntime {
 mod tests {
     use super::*;
     use crate::conn::ConnOptions;
-    use basil_common::{ReplicaId, ShardId};
-    use basil_core::messages::CatchUpRequest;
+    use basil_common::{ClientId, Key, ReplicaId, ShardId, Timestamp, Value};
+    use basil_core::messages::{CatchUpRequest, St1};
+    use basil_store::TransactionBuilder;
     use std::collections::HashMap;
     use std::net::{SocketAddr, TcpListener};
+    use std::sync::atomic::Ordering;
 
     /// Sends one message to `peer` when started, then idles.
     struct Announcer {
-        me: ReplicaId,
         peer: NodeId,
+        msg: BasilMsg,
     }
 
     impl Actor<BasilMsg> for Announcer {
         fn on_start(&mut self, ctx: &mut Context<BasilMsg>) {
-            let msg = BasilMsg::CatchUpRequest(CatchUpRequest { from: self.me });
-            ctx.send(self.peer, msg);
+            ctx.send(self.peer, self.msg.clone());
         }
         fn on_message(&mut self, _: &mut Context<BasilMsg>, _: NodeId, _: BasilMsg) {}
         fn as_any(&self) -> &dyn std::any::Any {
@@ -311,9 +314,10 @@ mod tests {
         probe.local_addr().expect("bound")
     }
 
-    /// Runs an [`Announcer`] under `hook` next to a listening peer; returns
-    /// how the run ended and whether the peer received the announcement.
-    fn announce(hook: PostEventHook) -> (std::io::Result<()>, bool) {
+    /// Runs an [`Announcer`] of `msg` under `hook` next to a listening peer;
+    /// returns how the run ended, whether the peer received the message and
+    /// how many frames the node shed.
+    fn announce_msg(hook: PostEventHook, msg: BasilMsg) -> (std::io::Result<()>, bool, u64) {
         let me = ReplicaId::new(ShardId(0), 0);
         let peer = NodeId::Replica(ReplicaId::new(ShardId(0), 1));
         let peer_addr = free_addr();
@@ -324,7 +328,7 @@ mod tests {
         let (conn, inbound) = ConnManager::start(free_addr(), book, opts(), 2).expect("listens");
         let mut runtime = NodeRuntime::new(
             NodeId::Replica(me),
-            Box::new(Announcer { me, peer }),
+            Box::new(Announcer { peer, msg }),
             Clock::new(Clock::unix_now_nanos()),
             Arc::clone(&conn),
             inbound,
@@ -334,8 +338,17 @@ mod tests {
         let delivered = peer_inbound
             .recv_timeout(Duration::from_millis(500))
             .is_ok();
+        let shed = conn.stats().frames_shed.load(Ordering::Relaxed);
         conn.shutdown();
         peer_conn.shutdown();
+        (outcome, delivered, shed)
+    }
+
+    /// [`announce_msg`] of a catch-up request.
+    fn announce(hook: PostEventHook) -> (std::io::Result<()>, bool) {
+        let from = ReplicaId::new(ShardId(0), 0);
+        let msg = BasilMsg::CatchUpRequest(CatchUpRequest { from });
+        let (outcome, delivered, _) = announce_msg(hook, msg);
         (outcome, delivered)
     }
 
@@ -353,5 +366,25 @@ mod tests {
         }));
         assert_eq!(outcome.expect_err("the run fails").to_string(), "disk full");
         assert!(!delivered, "the failed handler's send never left the node");
+    }
+
+    /// A message above every receiver's frame limit never leaves the node:
+    /// the encoder refuses it and the runtime counts it as shed.
+    #[test]
+    fn a_message_no_receiver_accepts_is_shed_and_counted() {
+        let mut b = TransactionBuilder::new(Timestamp::from_nanos(1, ClientId(7)));
+        b.record_write(
+            Key::new("big"),
+            Value::new(vec![0u8; crate::wire::MAX_FRAME]),
+        );
+        let st1 = BasilMsg::St1(St1 {
+            tx: b.build_shared(),
+            auth: None,
+            recovery: false,
+        });
+        let (outcome, delivered, shed) = announce_msg(Box::new(|_| Ok(())), st1);
+        assert!(outcome.is_ok());
+        assert!(!delivered, "the oversized message never left the node");
+        assert_eq!(shed, 1);
     }
 }

@@ -11,14 +11,15 @@
 //! Decoding is total: every failure — truncated frame, oversized length,
 //! checksum mismatch, unknown tag, counts pointing past the buffer, invalid
 //! UTF-8 in a key, bytes after the message, certificate nesting beyond
-//! [`MAX_CERT_DEPTH`] — returns a typed [`WireError`], never a panic. A
+//! [`MAX_CERT_DEPTH`], a certificate that does not hold exactly one proof of
+//! its decision — returns a typed [`WireError`], never a panic. A
 //! malformed frame is evidence of a faulty peer, and the connection manager
 //! treats it as such (drop the connection, count it); it must never be able
 //! to take the process down.
 
 use basil_common::codec::{DecodeError, Reader, Sink};
 use basil_common::{NodeId, ShardId};
-use basil_core::certs::{AbortCert, CommitCert, DecisionCert, ShardVotes, VoteCert};
+use basil_core::certs::{DecisionCert, DecisionProof, ShardVotes, VoteCert};
 use basil_core::messages::{
     BasilMsg, CatchUpReply, CatchUpRequest, CommittedRead, DecFb, ElectFbBody, InvokeFb,
     PreparedRead, ProtoDecision, ProtoVote, ReadReply, ReadReplyBody, ReadRequest, SignedElectFb,
@@ -48,9 +49,10 @@ pub const MAX_CERT_DEPTH: usize = 8;
 pub enum WireError {
     /// Fewer bytes than the header or the advertised payload length.
     Truncated,
-    /// Advertised payload length exceeds [`MAX_FRAME`].
+    /// Advertised payload length exceeds [`MAX_FRAME`], or a message to be
+    /// encoded would.
     Oversized {
-        /// The advertised length.
+        /// The advertised (or encoded) length.
         len: usize,
     },
     /// Checksum prefix does not match the payload.
@@ -69,6 +71,9 @@ pub enum WireError {
     BadTransaction,
     /// Certificate nesting exceeded [`MAX_CERT_DEPTH`].
     CertTooDeep,
+    /// A certificate holds both a fast and a slow proof, neither, or a
+    /// logged decision other than its tag's.
+    BadCert,
     /// Node-local timer variants are never wire-encoded.
     NotWireMessage,
 }
@@ -84,6 +89,7 @@ impl std::fmt::Display for WireError {
             WireError::BadKey => write!(f, "key is not valid UTF-8"),
             WireError::BadTransaction => write!(f, "embedded transaction failed to decode"),
             WireError::CertTooDeep => write!(f, "certificate nesting too deep"),
+            WireError::BadCert => write!(f, "certificate does not hold one proof of its decision"),
             WireError::NotWireMessage => write!(f, "timer messages are node-local"),
         }
     }
@@ -136,11 +142,16 @@ const CERT_ABORT: u8 = 2;
 
 /// Encodes `msg` from `from` as one complete frame (header + payload).
 ///
-/// Fails only for the node-local timer variants, which must never reach the
-/// network layer.
+/// Fails for the node-local timer variants, which must never reach the
+/// network layer, and for a payload above [`MAX_FRAME`], which every
+/// receiver would refuse.
 pub fn encode_msg(from: NodeId, msg: &BasilMsg) -> Result<Vec<u8>, WireError> {
     let mut out = Vec::with_capacity(FRAME_HEADER + 128);
     frame::seal(&mut out, |out| put_msg(out, from, msg))?;
+    let len = out.len() - FRAME_HEADER;
+    if len > MAX_FRAME {
+        return Err(WireError::Oversized { len });
+    }
     Ok(out)
 }
 
@@ -303,21 +314,25 @@ fn put_vote_cert(out: &mut impl Sink, vc: &VoteCert) {
     out.put_seq(&vc.replies, put_st2_reply);
 }
 
+/// `[kind][txid][fast evidence][optional slow evidence]`: a commit's fast
+/// evidence is a sequence of shard vote sets, an abort's an optional one,
+/// and exactly one of the two kinds of evidence is present.
 fn put_cert(out: &mut impl Sink, cert: &DecisionCert) {
-    match cert {
-        DecisionCert::Commit(c) => {
-            out.put_u8(CERT_COMMIT);
-            out.put_txid(&c.txid);
-            out.put_seq(&c.fast_votes, put_shard_votes);
-            out.put_opt(c.slow.as_ref(), put_vote_cert);
-        }
-        DecisionCert::Abort(a) => {
-            out.put_u8(CERT_ABORT);
-            out.put_txid(&a.txid);
-            out.put_opt(a.fast_votes.as_ref(), put_shard_votes);
-            out.put_opt(a.slow.as_ref(), put_vote_cert);
-        }
+    let commit = cert.decision().is_commit();
+    out.put_u8(if commit { CERT_COMMIT } else { CERT_ABORT });
+    out.put_txid(&cert.txid);
+    match &cert.proof {
+        DecisionProof::FastCommit(votes) => out.put_seq(votes, put_shard_votes),
+        DecisionProof::FastAbort(sv) => out.put_opt(Some(sv), put_shard_votes),
+        // No fast evidence: an empty sequence, or an absent vote set.
+        DecisionProof::Slow(_) if commit => out.put_count(0),
+        DecisionProof::Slow(_) => out.put_bool(false),
     }
+    let slow = match &cert.proof {
+        DecisionProof::Slow(vc) => Some(vc),
+        _ => None,
+    };
+    out.put_opt(slow, put_vote_cert);
 }
 
 // ---------------------------------------------------------------------------
@@ -424,19 +439,28 @@ fn take_cert(r: &mut Reader<'_>, depth: usize) -> Result<DecisionCert, WireError
     if depth > MAX_CERT_DEPTH {
         return Err(WireError::CertTooDeep);
     }
-    match r.u8()? {
-        CERT_COMMIT => Ok(DecisionCert::Commit(CommitCert {
-            txid: r.txid()?,
-            fast_votes: r.seq(42, |r| take_shard_votes(r, depth))?,
-            slow: r.opt(take_vote_cert)?,
-        })),
-        CERT_ABORT => Ok(DecisionCert::Abort(AbortCert {
-            txid: r.txid()?,
-            fast_votes: r.opt(|r| take_shard_votes(r, depth))?,
-            slow: r.opt(take_vote_cert)?,
-        })),
-        tag => Err(WireError::BadTag { tag }),
-    }
+    let (decision, txid, fast) = match r.u8()? {
+        CERT_COMMIT => {
+            let txid = r.txid()?;
+            let votes = r.seq(42, |r| take_shard_votes(r, depth))?;
+            let fast = (!votes.is_empty()).then_some(DecisionProof::FastCommit(votes));
+            (ProtoDecision::Commit, txid, fast)
+        }
+        CERT_ABORT => {
+            let txid = r.txid()?;
+            let fast = r
+                .opt(|r| take_shard_votes(r, depth))?
+                .map(DecisionProof::FastAbort);
+            (ProtoDecision::Abort, txid, fast)
+        }
+        tag => return Err(WireError::BadTag { tag }),
+    };
+    let proof = match (fast, r.opt(take_vote_cert)?) {
+        (Some(fast), None) => fast,
+        (None, Some(vc)) if vc.decision == decision => DecisionProof::Slow(vc),
+        _ => return Err(WireError::BadCert),
+    };
+    Ok(DecisionCert { txid, proof })
 }
 
 /// Splits one frame off the front of `buf`, verifying the checksum.

@@ -6,8 +6,9 @@
 //! tests pin the codec's totality: truncation, oversized lengths, flipped
 //! bytes, unknown tags, and absurd nesting are all typed errors.
 
+use basil_common::codec::Sink;
 use basil_common::{ClientId, Key, NodeId, ReplicaId, ShardId, Timestamp, TxId, Value};
-use basil_core::certs::{AbortCert, CommitCert, DecisionCert, ShardVotes, VoteCert};
+use basil_core::certs::{DecisionCert, DecisionProof, ShardVotes, VoteCert};
 use basil_core::messages::{
     BasilMsg, CatchUpReply, CatchUpRequest, ClientTimer, CommittedRead, DecFb, ElectFbBody,
     InvokeFb, PreparedRead, ProtoDecision, ProtoVote, ReadReply, ReadReplyBody, ReadRequest,
@@ -76,30 +77,77 @@ fn st2_reply(i: u32) -> SignedSt2Reply {
     }
 }
 
-fn commit_cert() -> DecisionCert {
-    DecisionCert::Commit(CommitCert {
+fn commit_votes() -> ShardVotes {
+    ShardVotes {
         txid: TxId::from_bytes([9; 32]),
-        fast_votes: vec![ShardVotes {
-            txid: TxId::from_bytes([9; 32]),
+        shard: ShardId(0),
+        decision: ProtoDecision::Commit,
+        votes: (0..3)
+            .map(|i| st1_vote(i, ProtoVote::Commit, None))
+            .collect(),
+        conflict: None,
+    }
+}
+
+/// `decision` logged for `txid` on shard 0 in view 1.
+fn vote_cert(txid: TxId, decision: ProtoDecision) -> VoteCert {
+    VoteCert {
+        txid,
+        shard: ShardId(0),
+        decision,
+        view: 1,
+        replies: (0..2)
+            .map(|i| {
+                let mut reply = st2_reply(i);
+                reply.body.txid = txid;
+                reply.body.decision = decision;
+                reply
+            })
+            .collect(),
+    }
+}
+
+fn fast_commit_cert() -> DecisionCert {
+    DecisionCert {
+        txid: TxId::from_bytes([9; 32]),
+        proof: DecisionProof::FastCommit(vec![commit_votes()]),
+    }
+}
+
+fn slow_commit_cert() -> DecisionCert {
+    let txid = TxId::from_bytes([9; 32]);
+    DecisionCert {
+        txid,
+        proof: DecisionProof::Slow(vote_cert(txid, ProtoDecision::Commit)),
+    }
+}
+
+/// A single abort vote backed by a conflicting commit certificate.
+fn fast_abort_cert() -> DecisionCert {
+    let txid = TxId::from_bytes([8; 32]);
+    DecisionCert {
+        txid,
+        proof: DecisionProof::FastAbort(ShardVotes {
+            txid,
             shard: ShardId(0),
-            decision: ProtoDecision::Commit,
-            votes: (0..3)
-                .map(|i| st1_vote(i, ProtoVote::Commit, None))
-                .collect(),
-            conflict: None,
-        }],
-        slow: Some(VoteCert {
-            txid: TxId::from_bytes([9; 32]),
-            shard: ShardId(0),
-            decision: ProtoDecision::Commit,
-            view: 1,
-            replies: (0..2).map(st2_reply).collect(),
+            decision: ProtoDecision::Abort,
+            votes: vec![st1_vote(0, ProtoVote::Abort, None)],
+            conflict: Some(Arc::new(fast_commit_cert())),
         }),
-    })
+    }
+}
+
+fn slow_abort_cert() -> DecisionCert {
+    let txid = TxId::from_bytes([7; 32]);
+    DecisionCert {
+        txid,
+        proof: DecisionProof::Slow(vote_cert(txid, ProtoDecision::Abort)),
+    }
 }
 
 /// Every wire-encodable message variant, with nested certificates and
-/// proofs present wherever the type allows them.
+/// proofs present wherever the type allows them, and a certificate of each
+/// shape: fast commit, slow commit, fast abort, slow abort.
 fn representative_messages() -> Vec<BasilMsg> {
     let client = NodeId::Client(ClientId(4));
     vec![
@@ -117,7 +165,7 @@ fn representative_messages() -> Vec<BasilMsg> {
                     version: ts(900, 2),
                     value: Value::from_u64(5),
                     txid: TxId::from_bytes([9; 32]),
-                    cert: Some(Arc::new(commit_cert())),
+                    cert: Some(Arc::new(fast_commit_cert())),
                 }),
                 prepared: Some(PreparedRead { tx: tx(950) }),
             },
@@ -128,7 +176,11 @@ fn representative_messages() -> Vec<BasilMsg> {
             auth: Some(proof(client, 3)),
             recovery: true,
         }),
-        BasilMsg::St1Reply(st1_vote(2, ProtoVote::Abort, Some(Arc::new(commit_cert())))),
+        BasilMsg::St1Reply(st1_vote(
+            2,
+            ProtoVote::Abort,
+            Some(Arc::new(fast_commit_cert())),
+        )),
         BasilMsg::St2(St2 {
             txid: TxId::from_bytes([9; 32]),
             decision: ProtoDecision::Commit,
@@ -146,7 +198,7 @@ fn representative_messages() -> Vec<BasilMsg> {
         }),
         BasilMsg::St2Reply(st2_reply(1)),
         BasilMsg::Writeback(Writeback {
-            cert: Arc::new(commit_cert()),
+            cert: Arc::new(slow_commit_cert()),
             tx: Some(tx(1_000)),
         }),
         BasilMsg::RtsRelease {
@@ -186,21 +238,9 @@ fn representative_messages() -> Vec<BasilMsg> {
         BasilMsg::CatchUpReply(CatchUpReply {
             from: rep(1),
             entries: vec![
-                (Arc::new(commit_cert()), Some(tx(1_000))),
-                (
-                    Arc::new(DecisionCert::Abort(AbortCert {
-                        txid: TxId::from_bytes([8; 32]),
-                        fast_votes: Some(ShardVotes {
-                            txid: TxId::from_bytes([8; 32]),
-                            shard: ShardId(0),
-                            decision: ProtoDecision::Abort,
-                            votes: vec![st1_vote(0, ProtoVote::Abort, None)],
-                            conflict: Some(Arc::new(commit_cert())),
-                        }),
-                        slow: None,
-                    })),
-                    None,
-                ),
+                (Arc::new(fast_commit_cert()), Some(tx(1_000))),
+                (Arc::new(fast_abort_cert()), None),
+                (Arc::new(slow_abort_cert()), None),
             ],
         }),
     ]
@@ -350,9 +390,9 @@ fn absurd_cert_nesting_is_rejected() {
         } else {
             Some(nested(depth - 1))
         };
-        Arc::new(DecisionCert::Abort(AbortCert {
+        Arc::new(DecisionCert {
             txid: TxId::from_bytes([depth as u8; 32]),
-            fast_votes: Some(ShardVotes {
+            proof: DecisionProof::FastAbort(ShardVotes {
                 txid: TxId::from_bytes([depth as u8; 32]),
                 shard: ShardId(0),
                 decision: ProtoDecision::Abort,
@@ -367,8 +407,7 @@ fn absurd_cert_nesting_is_rejected() {
                 }],
                 conflict: None,
             }),
-            slow: None,
-        }))
+        })
     }
     let from = NodeId::Client(ClientId(0));
     let deep = BasilMsg::Writeback(Writeback {
@@ -484,8 +523,112 @@ fn frame_reader_drains_many_frames_from_one_read() {
     assert_eq!(reader.buffered(), 0);
 }
 
-/// Every byte a node puts on the wire. The digest was captured at the
-/// commit before the shared codec replaced this crate's own encoders.
+/// A message every receiver would refuse as oversized is refused by the
+/// encoder instead: an honest replica's huge catch-up reply must not reach
+/// its peer as a "malformed" frame that costs the connection.
+#[test]
+fn oversized_messages_are_refused_at_the_sender() {
+    let mut b = TransactionBuilder::new(ts(1, 7));
+    b.record_write(Key::new("big"), Value::new(vec![0u8; MAX_FRAME]));
+    let msg = BasilMsg::CatchUpReply(CatchUpReply {
+        from: rep(1),
+        entries: vec![(Arc::new(fast_commit_cert()), Some(b.build_shared()))],
+    });
+    match encode_msg(NodeId::Replica(rep(1)), &msg) {
+        Err(WireError::Oversized { len }) => assert!(len > MAX_FRAME),
+        other => panic!("expected Oversized, got {:?}", other.map(|f| f.len())),
+    }
+}
+
+/// The `[msg tag][sender]` prefix of a Writeback payload from `from`.
+fn writeback_head(from: NodeId) -> Vec<u8> {
+    let msg = BasilMsg::Writeback(Writeback {
+        cert: Arc::new(fast_commit_cert()),
+        tx: None,
+    });
+    let frame = encode_msg(from, &msg).unwrap();
+    let mut sender = Vec::new();
+    sender.put_node(from);
+    frame[FRAME_HEADER..FRAME_HEADER + 1 + sender.len()].to_vec()
+}
+
+/// The bytes the encoder writes for `cert`: those of a Writeback without a
+/// body, minus the head and the trailing "no body" byte.
+fn cert_bytes(cert: DecisionCert) -> Vec<u8> {
+    let from = NodeId::Client(ClientId(4));
+    let msg = BasilMsg::Writeback(Writeback {
+        cert: Arc::new(cert),
+        tx: None,
+    });
+    let frame = encode_msg(from, &msg).unwrap();
+    frame[FRAME_HEADER + writeback_head(from).len()..frame.len() - 1].to_vec()
+}
+
+/// Decodes `cert` as the certificate of a Writeback without a body.
+fn decode_cert(cert: &[u8]) -> Result<(), WireError> {
+    let head = writeback_head(NodeId::Client(ClientId(4)));
+    decode_frame_payload(&[&head[..], cert, &[0]].concat()).map(drop)
+}
+
+/// A certificate is `[kind][txid][fast evidence][optional slow evidence]`,
+/// and the one certificate type holds exactly one proof of its decision.
+/// Spliced from the encodings of the four legal shapes, every other
+/// combination is a typed error.
+#[test]
+fn certificates_without_exactly_one_proof_of_their_decision_are_rejected() {
+    let fast_commit = cert_bytes(fast_commit_cert());
+    let slow_commit = cert_bytes(slow_commit_cert());
+    let fast_abort = cert_bytes(fast_abort_cert());
+    let slow_abort = cert_bytes(slow_abort_cert());
+    for legal in [&fast_commit, &slow_commit, &fast_abort, &slow_abort] {
+        assert_eq!(decode_cert(legal), Ok(()));
+    }
+    // Where the slow evidence starts: after kind, txid and an empty vote
+    // set sequence (commit) or an absent vote set (abort).
+    let (commit_slow, abort_slow) = (1 + 32 + 4, 1 + 32 + 1);
+    let no_slow: &[u8] = &[0];
+    let cases = [
+        (
+            "commit with both proofs",
+            [
+                &fast_commit[..fast_commit.len() - 1],
+                &slow_commit[commit_slow..],
+            ]
+            .concat(),
+        ),
+        (
+            "commit with neither proof",
+            [&slow_commit[..commit_slow], no_slow].concat(),
+        ),
+        (
+            "commit over logged aborts",
+            [&slow_commit[..commit_slow], &slow_abort[abort_slow..]].concat(),
+        ),
+        (
+            "abort with both proofs",
+            [
+                &fast_abort[..fast_abort.len() - 1],
+                &slow_abort[abort_slow..],
+            ]
+            .concat(),
+        ),
+        (
+            "abort with neither proof",
+            [&slow_abort[..abort_slow], no_slow].concat(),
+        ),
+        (
+            "abort over logged commits",
+            [&slow_abort[..abort_slow], &slow_commit[commit_slow..]].concat(),
+        ),
+    ];
+    for (shape, bytes) in cases {
+        assert_eq!(decode_cert(&bytes), Err(WireError::BadCert), "{shape}");
+    }
+}
+
+/// Every byte a node puts on the wire. The digest was captured over this
+/// fixture by the encoder of the commit before certificates became one
+/// type, so the change of type moved no byte.
 #[test]
 fn wire_frames_are_byte_identical_to_the_hand_written_encoders() {
     let from = NodeId::Client(ClientId(4));
@@ -495,6 +638,6 @@ fn wire_frames_are_byte_identical_to_the_hand_written_encoders() {
         .collect();
     assert_eq!(
         basil_crypto::Sha256::digest(&stream).to_hex(),
-        "c58bd226a8ff9ad768fb22b7d206396e9723f66723095494791097723cb0f89a"
+        "1da8c781bdf26693f73cc5368b32dc979be929d2092c068724e435c9503bc8af"
     );
 }

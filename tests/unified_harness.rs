@@ -13,7 +13,7 @@ use basil::{
     ScriptedGenerator, ShardId, SimTime, Timestamp, Transaction, TxProfile, Value,
 };
 use basil_core::byzantine::FaultProfile;
-use basil_core::certs::{CommitCert, DecisionCert};
+use basil_core::certs::{DecisionCert, DecisionProof};
 use basil_core::messages::{
     BasilMsg, CommittedRead, ProtoVote, ReadReply, ReadReplyBody, SignedSt1Reply, St1ReplyBody,
 };
@@ -251,11 +251,10 @@ fn basil_and_tapir_clients_execute_a_script_identically() {
                     version,
                     value,
                     txid,
-                    cert: Some(Arc::new(DecisionCert::Commit(CommitCert {
+                    cert: Some(Arc::new(DecisionCert {
                         txid,
-                        fast_votes: vec![],
-                        slow: None,
-                    }))),
+                        proof: DecisionProof::FastCommit(vec![]),
+                    })),
                 }),
                 prepared: None,
             };
