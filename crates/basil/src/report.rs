@@ -94,6 +94,8 @@ pub struct RunReport {
     pub commit_rate: f64,
     /// Fraction of decisions that used the single-round-trip fast path.
     pub fast_path_fraction: f64,
+    /// Decisions that needed the ST2 logging stage.
+    pub slow_path_decisions: u64,
     /// Fallback recoveries started during the window.
     pub fallbacks: u64,
     /// Fraction of processed transactions that were faulty (Byzantine).
@@ -155,6 +157,7 @@ impl RunReport {
             } else {
                 fast as f64 / decisions as f64
             },
+            slow_path_decisions: slow,
             fallbacks: end.fallbacks.saturating_sub(start.fallbacks),
             faulty_fraction: if processed == 0 {
                 0.0

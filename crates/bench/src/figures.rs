@@ -115,7 +115,8 @@ pub enum Mechanism {
     Commits,
     /// Some decisions took the fast path.
     FastPath,
-    /// No decision took the fast path (the Basil-NoFP ablation held).
+    /// Decisions were made, and none took the fast path (the Basil-NoFP
+    /// ablation held).
     SlowPathOnly,
     /// A fallback recovery started.
     Fallback,
@@ -129,7 +130,9 @@ impl Mechanism {
         match self {
             Mechanism::Commits => report.committed > 0,
             Mechanism::FastPath => report.fast_path_fraction > 0.0,
-            Mechanism::SlowPathOnly => report.fast_path_fraction == 0.0,
+            Mechanism::SlowPathOnly => {
+                report.slow_path_decisions > 0 && report.fast_path_fraction == 0.0
+            }
             Mechanism::Fallback => report.fallbacks > 0,
             Mechanism::Shed => report.shed > 0,
         }
@@ -634,6 +637,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn slow_path_only_needs_slow_path_decisions() {
+        let report = |fast_path, slow_path| {
+            let end = basil::report::Snapshot {
+                fast_path,
+                slow_path,
+                ..Default::default()
+            };
+            RunReport::between(&Default::default(), &end, basil::Duration::from_millis(1))
+        };
+        let fired = |fast, slow| Mechanism::SlowPathOnly.fired(&report(fast, slow));
+        assert!(!fired(0, 0), "nothing was decided");
+        assert!(fired(0, 3));
+        assert!(!fired(1, 3));
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! A bounded map with FIFO eviction.
 //!
-//! Long-running nodes keep several "already seen / already verified" maps
-//! whose entries only pay off for a bounded window: verified batch-signature
-//! roots (`basil_crypto::SignatureCache`), client-side validated decision
-//! certificates, and similar memoization tables. Left unbounded, each grows
-//! by one entry per event for the lifetime of the node. [`BoundedFifoMap`]
-//! is the shared primitive: a [`FastHashMap`] plus an insertion-order queue,
+//! Long-running nodes keep "already verified" maps whose entries only pay
+//! off for a bounded window, such as the verified batch-signature roots of
+//! `basil_crypto::SignatureCache`. Left unbounded, such a map grows by one
+//! entry per event for the lifetime of the node. [`BoundedFifoMap`] is the
+//! primitive: a [`FastHashMap`] plus an insertion-order queue,
 //! evicting the oldest entry once the capacity is reached. FIFO (rather than
 //! LRU) is deliberate — these working sets are in-flight windows, so recency
 //! of *insertion* is the right signal and the eviction path stays O(1) with

@@ -72,13 +72,6 @@ pub struct ClientStats {
     /// Reads that adopted a prepared (uncommitted) version, acquiring a
     /// dependency.
     pub dependent_reads: u64,
-    /// Writeback-forwarded certificates accepted straight from the
-    /// validated-cert cache (no re-verification; ~19 µs of signature
-    /// checking saved per hit with a cold signature cache).
-    pub cert_cache_hits: u64,
-    /// Writeback-forwarded certificates that had to be verified because the
-    /// cache had no matching entry.
-    pub cert_cache_misses: u64,
     /// Open-loop arrivals dropped because the admission queue was already at
     /// `BasilConfig::admission_bound` (load shedding past saturation).
     pub shed: u64,
@@ -271,51 +264,6 @@ impl Commit {
     }
 }
 
-/// A bounded FIFO cache of decision certificates this client has already
-/// verified, keyed by transaction id.
-///
-/// Certificates reach a client twice in the common recovery flows: once
-/// attached to a committed read (verified in `conclude_read`) and again when
-/// a `Writeback` forwards the decision (previously re-verified from scratch,
-/// ~19 µs cold per certificate). A hit requires the *same shared allocation*
-/// (`Arc::ptr_eq`), which cannot be spoofed: a Byzantine node replaying the
-/// transaction id with different certificate bytes arrives as a different
-/// allocation and takes the full verification path. Bounded via the shared
-/// `basil_common::BoundedFifoMap` (the same primitive behind
-/// `basil_crypto::SignatureCache`).
-#[derive(Debug)]
-struct ValidatedCertCache {
-    certs: basil_common::BoundedFifoMap<TxId, Arc<DecisionCert>>,
-}
-
-impl ValidatedCertCache {
-    const DEFAULT_CAPACITY: usize = 4096;
-
-    fn new() -> Self {
-        Self::with_capacity(Self::DEFAULT_CAPACITY)
-    }
-
-    fn with_capacity(capacity: usize) -> Self {
-        ValidatedCertCache {
-            certs: basil_common::BoundedFifoMap::with_capacity(capacity),
-        }
-    }
-
-    /// Records a certificate that passed full verification.
-    fn insert(&mut self, txid: TxId, cert: Arc<DecisionCert>) {
-        self.certs.insert(txid, cert);
-    }
-
-    /// Whether `cert` is the exact (same-allocation) certificate previously
-    /// verified for `txid`.
-    fn contains(&self, txid: &TxId, cert: &Arc<DecisionCert>) -> bool {
-        self.certs
-            .get(txid)
-            .map(|known| Arc::ptr_eq(known, cert))
-            .unwrap_or(false)
-    }
-}
-
 /// The Basil client actor.
 pub struct BasilClient {
     cfg: BasilConfig,
@@ -341,9 +289,6 @@ pub struct BasilClient {
     /// attempt, shared with the read replies that delivered them, kept so
     /// the client can finish them if they stall.
     dep_txs: FastHashMap<TxId, Arc<Transaction>>,
-    /// Certificates already verified by this client (read path), consulted
-    /// before re-verifying a `Writeback`-forwarded certificate.
-    validated_certs: ValidatedCertCache,
     /// Dedicated PRNG for retry-timer jitter, seeded independently of
     /// `prng` so that timers backing off on lossy schedules never perturb
     /// the fault-free random stream (replica sampling, abort backoff) that
@@ -381,7 +326,6 @@ impl BasilClient {
             own: None,
             recoveries: FastHashMap::default(),
             dep_txs: FastHashMap::default(),
-            validated_certs: ValidatedCertCache::new(),
             retry_prng: SmallPrng::new(seed ^ id.0.wrapping_mul(0xD1B5_4A32_D192_ED03)),
             retry_attempts: FastHashMap::default(),
             stats: ClientStats::default(),
@@ -601,14 +545,7 @@ impl BasilClient {
                     false
                 } else {
                     let shard = &self.cfg.system.shard;
-                    let valid = validate_decision_cert(cert, None, shard, &mut self.engine);
-                    if valid {
-                        // Remember the verified certificate: a Writeback
-                        // forwarding the same allocation later skips the
-                        // re-verification (see ValidatedCertCache).
-                        self.validated_certs.insert(c.txid, Arc::clone(cert));
-                    }
-                    valid
+                    validate_decision_cert(cert, None, shard, &mut self.engine)
                 }
             } else {
                 false
@@ -1073,22 +1010,18 @@ impl BasilClient {
 
     /// A writeback (decision certificate) arriving at the client: a replica
     /// answering a recovery prepare with the outcome, or someone else having
-    /// finished our own transaction.
+    /// finished our own transaction. It is verified only if this client is
+    /// driving that transaction; any other is dropped unchecked, so no node
+    /// can make the client validate a certificate it has no use for.
     fn handle_incoming_cert(&mut self, ctx: &mut Context<BasilMsg>, wb: Writeback) {
         let txid = wb.cert.txid;
-        if self.engine.enabled() {
-            if self.validated_certs.contains(&txid, &wb.cert) {
-                // Already verified on the read path: the cache hit is a map
-                // lookup plus a pointer comparison, so nothing is charged.
-                self.stats.cert_cache_hits += 1;
-            } else {
-                self.stats.cert_cache_misses += 1;
-                let shard = &self.cfg.system.shard;
-                if !validate_decision_cert(&wb.cert, None, shard, &mut self.engine) {
-                    return;
-                }
-                self.validated_certs.insert(txid, Arc::clone(&wb.cert));
-            }
+        if self.commit_mut(txid).is_none() {
+            return;
+        }
+        let shard = &self.cfg.system.shard;
+        if self.engine.enabled() && !validate_decision_cert(&wb.cert, None, shard, &mut self.engine)
+        {
+            return;
         }
         self.finish_commit(ctx, txid, wb.cert);
     }
@@ -1339,85 +1272,39 @@ mod tests {
         })
     }
 
+    /// A `Writeback` is verified only for a transaction the client is
+    /// driving: a valid certificate for any other transaction is dropped
+    /// before a signature is checked, and an invalid one for the client's
+    /// own transaction does not finish it.
     #[test]
-    fn writeback_cert_skips_reverification_only_for_the_cached_allocation() {
-        let mut client = client_with(vec![]);
-        let mut b = TransactionBuilder::new(Timestamp::from_nanos(1_000, ClientId(7)));
-        b.record_write(Key::new("x"), Value::from_u64(1));
-        let tx = b.build_shared();
-        let cert = valid_commit_cert(&tx, 6);
+    fn only_a_certificate_for_a_transaction_being_finished_is_verified() {
+        let (mut client, _) = owner(cfg());
+        let own_tx = Arc::clone(&client.own.as_ref().expect("committing").tx);
+        client.engine.take_charged();
+        let stats_before = format!("{:?}", client.stats());
+        let writeback = |cert| BasilMsg::Writeback(Writeback { cert, tx: None });
 
-        // First arrival: full verification (cache miss), then cached.
-        let mut ctx = ctx_at(1);
+        let elsewhere = valid_commit_cert(&write_tx(600), 6);
+        let mut ctx = ctx_at(2);
         client.handle_incoming_cert(
             &mut ctx,
             Writeback {
-                cert: Arc::clone(&cert),
-                tx: Some(Arc::clone(&tx)),
+                cert: elsewhere,
+                tx: None,
             },
         );
-        assert_eq!(client.stats().cert_cache_misses, 1);
-        assert_eq!(client.stats().cert_cache_hits, 0);
+        assert_eq!(client.engine.take_charged(), Duration::ZERO);
+        assert!(ctx.outputs().is_empty());
+        assert_eq!(format!("{:?}", client.stats()), stats_before);
 
-        // Same shared allocation again: accepted from the cache, free.
-        let mut ctx2 = ctx_at(2);
-        client.handle_incoming_cert(
-            &mut ctx2,
-            Writeback {
-                cert: Arc::clone(&cert),
-                tx: Some(Arc::clone(&tx)),
-            },
-        );
-        assert_eq!(client.stats().cert_cache_hits, 1);
-        assert!(
-            ctx2.outputs().is_empty(),
-            "cache hit charges no verification cost"
-        );
+        // Two votes cannot prove a fast commit on a shard of six.
+        assert!(deliver(&mut client, writeback(valid_commit_cert(&own_tx, 2))).is_empty());
+        assert!(client.own.is_some(), "a bogus certificate finishes nothing");
+        assert_eq!(client.stats().committed, 0);
 
-        // Equal content in a different allocation does not hit: ptr identity
-        // is the spoof-proof condition.
-        let clone_alloc = valid_commit_cert(&tx, 6);
-        let mut ctx3 = ctx_at(3);
-        client.handle_incoming_cert(
-            &mut ctx3,
-            Writeback {
-                cert: clone_alloc,
-                tx: Some(Arc::clone(&tx)),
-            },
-        );
-        assert_eq!(client.stats().cert_cache_misses, 2);
-
-        // A bogus certificate reusing a cached txid is still rejected: it is
-        // a different allocation, so it takes (and fails) full verification.
-        let bogus = valid_commit_cert(&tx, 2);
-        let mut ctx4 = ctx_at(4);
-        client.handle_incoming_cert(
-            &mut ctx4,
-            Writeback {
-                cert: bogus,
-                tx: Some(Arc::clone(&tx)),
-            },
-        );
-        assert_eq!(client.stats().cert_cache_misses, 3);
-        assert_eq!(client.stats().cert_cache_hits, 1, "no spoofed hit");
-    }
-
-    #[test]
-    fn validated_cert_cache_evicts_fifo() {
-        let mut cache = ValidatedCertCache::with_capacity(2);
-        let mut b = TransactionBuilder::new(Timestamp::from_nanos(1, ClientId(1)));
-        b.record_write(Key::new("x"), Value::from_u64(1));
-        let cert = valid_commit_cert(&b.build(), 6);
-        let ids: Vec<TxId> = (0u8..3).map(|i| TxId::from_bytes([i; 32])).collect();
-        for id in &ids {
-            cache.insert(*id, Arc::clone(&cert));
-        }
-        assert!(!cache.contains(&ids[0], &cert), "oldest entry evicted");
-        assert!(cache.contains(&ids[1], &cert));
-        assert!(cache.contains(&ids[2], &cert));
-        // Re-inserting an existing key refreshes the value without growing.
-        cache.insert(ids[1], Arc::clone(&cert));
-        assert_eq!(cache.certs.len(), 2);
+        deliver(&mut client, writeback(valid_commit_cert(&own_tx, 6)));
+        assert!(client.own.is_none());
+        assert_eq!(client.stats().committed, 1);
     }
 
     #[test]

@@ -131,9 +131,8 @@ pub fn sign_frontier<'a>(
 /// digests, so the map uses `basil_common::fasthash` instead of SipHash.
 #[derive(Debug)]
 pub struct SignatureCache {
-    /// The verified `(root, signature)` pairs, FIFO-bounded. The map
-    /// structure is the shared [`BoundedFifoMap`] primitive (also behind the
-    /// client-side validated-certificate cache).
+    /// The verified `(root, signature)` pairs, FIFO-bounded by
+    /// [`BoundedFifoMap`].
     verified: BoundedFifoMap<Digest, Signature>,
 }
 

@@ -239,8 +239,7 @@ impl KeyRecord {
 /// record's `pins` when the entry was created and is counted out exactly
 /// once, by whichever of commit, abort or withdrawal consumes the entry. A
 /// record with `pins > 0` is not `is_unused`, and `is_unused` is the only
-/// condition under which `release_key` is called (from `remove_rts` and
-/// `gc_before`), so between prepare and decision a saved slot always names
+/// condition under which `release_key` is called (from `gc_before`), so between prepare and decision a saved slot always names
 /// the record of the same key.
 #[derive(Debug)]
 struct Prepared {
@@ -286,7 +285,7 @@ pub struct MvtsoStore {
     key_index: FastHashMap<Key, u32>,
     /// The record arena (`key_index` values point here).
     key_records: Vec<KeyRecord>,
-    /// Recycled arena slots (records released by GC or RTS removal).
+    /// Recycled arena slots (records released by GC).
     free_records: Vec<u32>,
     /// Scratch: the arena slots the running prepare has resolved, read set
     /// first, then write set (`NO_SLOT` = key unknown at check time). Reused
@@ -320,12 +319,6 @@ impl MvtsoStore {
         self.key_index
             .get(key)
             .map(|i| &self.key_records[*i as usize])
-    }
-
-    /// Mutable access to the record of `key`, if one exists.
-    fn key_rec_mut(&mut self, key: &Key) -> Option<(u32, &mut KeyRecord)> {
-        let idx = *self.key_index.get(key)?;
-        Some((idx, &mut self.key_records[idx as usize]))
     }
 
     /// The arena slot of `key`, creating an empty record if needed.
@@ -419,27 +412,6 @@ impl MvtsoStore {
         ReadResult {
             committed,
             prepared,
-        }
-    }
-
-    /// Removes a read timestamp previously registered by [`MvtsoStore::read`]
-    /// (client-initiated `Abort()` during the execution phase).
-    pub fn remove_rts(&mut self, key: &Key, ts: Timestamp) {
-        let mut unused = None;
-        if let Some((idx, rec)) = self.key_rec_mut(key) {
-            if rec.rts.remove(ts).is_some() {
-                if ts == rec.max_read {
-                    rec.refresh_read_watermark();
-                }
-                if rec.is_unused() {
-                    unused = Some(idx);
-                }
-            }
-        }
-        // Reads of never-written keys create a record only to hold the RTS;
-        // releasing the last piece of state releases the record too.
-        if let Some(idx) = unused {
-            self.release_key(key, idx);
         }
     }
 
@@ -1075,11 +1047,17 @@ mod tests {
         let w = blind_write(200, 2, "x", 9);
         expect_abort(store.prepare(&w, CLOCK, DELTA), AbortReason::Conflict);
 
-        // After the reader abandons its transaction the RTS is removed and
-        // the same write succeeds.
-        store.remove_rts(&k("x"), ts(500, 1));
+        // GC removes the RTS and clears the read watermark; the GC bound,
+        // not the RTS, now refuses a write under it.
+        store.gc_before(ts(501, 0));
+        assert_eq!(store.key_watermarks(&k("x")).unwrap().1, Timestamp::ZERO);
         let w2 = blind_write(201, 2, "x", 9);
-        expect_commit(store.prepare(&w2, CLOCK, DELTA));
+        expect_abort(
+            store.prepare(&w2, CLOCK, DELTA),
+            AbortReason::TimestampOutOfBounds,
+        );
+        let w3 = blind_write(600, 2, "x", 9);
+        expect_commit(store.prepare(&w3, CLOCK, DELTA));
     }
 
     #[test]
@@ -1375,12 +1353,11 @@ mod tests {
     #[test]
     fn prepared_slot_survives_release_of_the_keys_other_state() {
         let mut store = MvtsoStore::new();
-        // "cold" exists only for an RTS when T prepares a write on it; the
-        // RTS then goes away, and so does everything GC can take.
+        // "cold" exists only for an RTS when T prepares a write on it; GC
+        // then takes the RTS and everything else it can.
         store.read(&k("cold"), ts(50, 1));
         let t = blind_write(100, 2, "cold", 7);
         expect_commit(store.prepare(&t, CLOCK, DELTA));
-        store.remove_rts(&k("cold"), ts(50, 1));
         store.gc_before(ts(60, 0));
         assert!(
             store.key_watermarks(&k("cold")).is_some(),
@@ -1388,7 +1365,8 @@ mod tests {
         );
         // Records that do get released are recycled for other keys ...
         store.read(&k("ghost"), ts(70, 3));
-        store.remove_rts(&k("ghost"), ts(70, 3));
+        store.gc_before(ts(80, 0));
+        assert_eq!(store.key_watermarks(&k("ghost")), None);
         store.read(&k("usurper"), ts(400, 3));
         // ... and the commit, which looks no key up, still lands on "cold".
         store.commit(&t);
@@ -1545,10 +1523,10 @@ mod tests {
             "read check answered by the refreshed watermark"
         );
 
-        // Read watermarks follow RTS removal the same way.
+        // Read watermarks follow a GC sweep of the RTS the same way.
         store.read(&k("y"), ts(900, 3));
         assert_eq!(store.key_watermarks(&k("y")).unwrap().1, ts(900, 3));
-        store.remove_rts(&k("y"), ts(900, 3));
+        store.gc_before(ts(901, 0));
         assert_eq!(store.key_watermarks(&k("y")).unwrap().1, Timestamp::ZERO);
     }
 
@@ -1587,20 +1565,24 @@ mod tests {
         // A read of a never-written key holds a record only for its RTS.
         store.read(&k("ghost"), ts(100, 1));
         assert!(store.key_watermarks(&k("ghost")).is_some());
-        store.remove_rts(&k("ghost"), ts(100, 1));
+
+        // GC drops records drained to nothing but keeps live ones.
+        store.gc_before(ts(200, 0));
         assert_eq!(
             store.key_watermarks(&k("ghost")),
             None,
             "record released with its last RTS"
         );
-
-        // GC drops records drained to nothing but keeps live ones.
-        store.read(&k("phantom"), ts(100, 2));
-        store.gc_before(ts(200, 0));
-        assert_eq!(store.key_watermarks(&k("phantom")), None);
         assert!(
             store.key_watermarks(&k("x")).is_some(),
             "keys with retained versions keep their record"
+        );
+
+        // The released slot serves the next new key.
+        store.read(&k("phantom"), ts(300, 2));
+        assert_eq!(
+            store.key_watermarks(&k("phantom")),
+            Some((Timestamp::ZERO, ts(300, 2)))
         );
     }
 

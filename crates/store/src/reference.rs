@@ -10,9 +10,9 @@
 //! is applied to both stores and every observable — check outcomes, released
 //! deferred votes, read results, final decisions, latest committed values —
 //! must match exactly, including across GC sweeps. Half of the keys start
-//! without a genesis version, so RTS removals and GC sweeps between a prepare
-//! and its decision really release key records and recycle their arena slots
-//! under the slots prepared transactions hold.
+//! without a genesis version, so GC sweeps between a prepare and its decision
+//! really release key records and recycle their arena slots under the slots
+//! prepared transactions hold.
 
 use crate::mvtso::{CheckOutcome, CommittedVersion, Decision, PreparedVersion, ReadResult, Vote};
 use crate::tx::Transaction;
@@ -87,15 +87,6 @@ impl ReferenceStore {
         ReadResult {
             committed,
             prepared,
-        }
-    }
-
-    pub fn remove_rts(&mut self, key: &Key, ts: Timestamp) {
-        if let Some(set) = self.rts.get_mut(key) {
-            set.remove(&ts);
-            if set.is_empty() {
-                self.rts.remove(key);
-            }
         }
     }
 
@@ -451,10 +442,9 @@ mod equivalence {
         let mut flat = MvtsoStore::with_initial_data(initial.clone());
         let mut reference = ReferenceStore::with_initial_data(initial);
         let mut issued: Vec<Arc<Transaction>> = Vec::new();
-        let mut registered: Vec<(Key, Timestamp)> = Vec::new();
 
         for (kind, a, b, c, d, e) in ops {
-            match kind % 9 {
+            match kind % 8 {
                 // Prepare a fresh transaction: 0-2 reads, 0-2 writes, with
                 // read versions drawn from {what is visible, ZERO, arbitrary}
                 // and occasionally a declared dependency on an issued tx.
@@ -542,32 +532,17 @@ mod equivalence {
                     let want = reference.abort(txid);
                     prop_assert_eq!(got, want);
                 }
-                // Execution-phase read (registers an RTS), sometimes
-                // withdrawn at once.
+                // Execution-phase read (registers an RTS).
                 6 => {
                     let k = key(a);
                     let t = ts(b, c);
                     let got = flat.read(&k, t);
                     let want = reference.read(&k, t);
                     prop_assert_eq!(got, want);
-                    if d % 4 == 0 {
-                        flat.remove_rts(&k, t);
-                        reference.remove_rts(&k, t);
-                    } else {
-                        registered.push((k, t));
-                    }
                 }
-                // Withdraw an RTS registered earlier: whatever was prepared
-                // on the key in between may now hold the record alone.
-                7 => {
-                    if registered.is_empty() {
-                        continue;
-                    }
-                    let (k, t) = registered.swap_remove((a as usize) % registered.len());
-                    flat.remove_rts(&k, t);
-                    reference.remove_rts(&k, t);
-                }
-                // GC sweep at an arbitrary watermark.
+                // GC sweep at an arbitrary watermark: the RTS entries it
+                // drops may leave whatever was prepared on a key holding
+                // the record alone.
                 _ => {
                     let watermark = ts(a, 0);
                     flat.gc_before(watermark);
