@@ -65,7 +65,6 @@ pub struct OccStore {
     /// the consensus batches that carried them.
     prepared: FastHashMap<TxId, Arc<Transaction>>,
     committed: u64,
-    aborted: u64,
     /// Transactions committed through this store, retained for the
     /// harness-level serializability audit.
     committed_log: Vec<Arc<Transaction>>,
@@ -174,7 +173,6 @@ impl OccStore {
                 }
             }
         }
-        self.aborted += 1;
         self.decisions.insert(*txid, Decision::Abort);
     }
 
@@ -186,11 +184,6 @@ impl OccStore {
     /// Number of transactions committed through this store.
     pub fn committed_count(&self) -> u64 {
         self.committed
-    }
-
-    /// Number of transactions aborted through this store.
-    pub fn aborted_count(&self) -> u64 {
-        self.aborted
     }
 
     /// The committed value of a key (test/inspection helper).
@@ -259,7 +252,6 @@ mod tests {
         // t2 read the old version of x before t1 committed.
         let t2 = rmw(200, "x", Timestamp::ZERO, 7);
         assert_eq!(s.prepare(&t2), OccVote::Abort(AbortReason::Conflict));
-        assert_eq!(s.aborted_count(), 0, "failed validation never prepared");
     }
 
     #[test]

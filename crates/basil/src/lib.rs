@@ -60,7 +60,7 @@ pub use basil_core::{
     BasilClient, BasilConfig, BasilReplica, ClientStats, ClientStrategy, ReplicaBehavior,
 };
 pub use basil_crypto::{CostModel, KeyRegistry};
-pub use basil_simnet::{NetworkConfig, Partition, Simulation};
+pub use basil_simnet::{NetworkConfig, Simulation};
 pub use basil_store::{audit_serializability, AuditError, StoreStats, Transaction};
 pub use cluster::{
     audit_history, ClusterAuditError, ClusterProtocol, ProtocolCluster, ReplicaPropsOverride,

@@ -60,12 +60,6 @@ impl ShardConfig {
         self.n() - self.f
     }
 
-    /// Number of matching read replies a client must collect before adopting
-    /// a committed version: `f + 1` replies guarantee one correct replica.
-    pub fn read_reply_quorum(&self) -> u32 {
-        self.f + 1
-    }
-
     /// Number of replicas that must return the *same prepared version* before
     /// a client may adopt it as a dependency (`f + 1`).
     pub fn prepared_vouch_quorum(&self) -> u32 {
@@ -180,11 +174,6 @@ impl SystemConfig {
         }
     }
 
-    /// Total number of replicas across all shards.
-    pub fn total_replicas(&self) -> u32 {
-        self.num_shards * self.shard.n()
-    }
-
     /// Maps a key to the shard responsible for it ([`shard_for_key`]).
     pub fn shard_for_key(&self, key: &Key) -> ShardId {
         shard_for_key(key, self.num_shards)
@@ -218,7 +207,6 @@ mod tests {
         assert_eq!(c.fast_commit_quorum(), 6);
         assert_eq!(c.fast_abort_quorum(), 4);
         assert_eq!(c.st2_quorum(), 5);
-        assert_eq!(c.read_reply_quorum(), 2);
         assert_eq!(c.elect_quorum(), 5);
         assert_eq!(c.view_r1_quorum(), 4);
         assert_eq!(c.view_r2_quorum(), 2);
@@ -369,9 +357,10 @@ mod tests {
 
     #[test]
     fn total_replicas() {
-        assert_eq!(SystemConfig::sharded(3).total_replicas(), 18);
-        assert_eq!(SystemConfig::single_shard_f1().total_replicas(), 6);
-        assert_eq!(SystemConfig::sharded_f(3, 2).total_replicas(), 33);
+        let shape = |c: SystemConfig| (c.num_shards, c.shard.n());
+        assert_eq!(shape(SystemConfig::sharded(3)), (3, 6));
+        assert_eq!(shape(SystemConfig::single_shard_f1()), (1, 6));
+        assert_eq!(shape(SystemConfig::sharded_f(3, 2)), (3, 11));
         assert_eq!(SystemConfig::sharded_f(1, 2).shard.n(), 11);
     }
 }

@@ -49,14 +49,6 @@ impl NodeId {
         }
     }
 
-    /// Returns the client identifier if this node is a client.
-    pub fn as_client(&self) -> Option<ClientId> {
-        match self {
-            NodeId::Client(c) => Some(*c),
-            NodeId::Replica(_) => None,
-        }
-    }
-
     /// Returns true if this node is a client.
     pub fn is_client(&self) -> bool {
         matches!(self, NodeId::Client(_))
@@ -200,10 +192,8 @@ mod tests {
         let r = ReplicaId::new(ShardId(2), 3);
         let nc: NodeId = c.into();
         let nr: NodeId = r.into();
-        assert_eq!(nc.as_client(), Some(c));
         assert_eq!(nc.as_replica(), None);
         assert_eq!(nr.as_replica(), Some(r));
-        assert_eq!(nr.as_client(), None);
         assert!(nc.is_client());
         assert!(!nr.is_client());
     }

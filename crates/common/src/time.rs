@@ -95,11 +95,6 @@ impl Duration {
         Duration(s * 1_000_000_000)
     }
 
-    /// Constructs a duration from fractional seconds.
-    pub fn from_secs_f64(s: f64) -> Self {
-        Duration((s.max(0.0) * 1e9) as u64)
-    }
-
     /// Nanoseconds in this duration.
     pub const fn as_nanos(&self) -> u64 {
         self.0
@@ -251,7 +246,6 @@ mod tests {
         assert_eq!(b.since(a).as_millis(), 15);
         assert_eq!(a.since(b), Duration::ZERO);
         assert!((Duration::from_millis(1500).as_secs_f64() - 1.5).abs() < 1e-9);
-        assert!((Duration::from_secs_f64(0.25).as_millis() as i64 - 250).abs() <= 1);
     }
 
     #[test]

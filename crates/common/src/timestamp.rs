@@ -43,26 +43,11 @@ impl Timestamp {
         Timestamp { time, client }
     }
 
-    /// The wall-clock component as a [`SimTime`].
-    pub fn sim_time(&self) -> SimTime {
-        SimTime::from_nanos(self.time)
-    }
-
     /// Returns true if this timestamp's wall-clock component exceeds
     /// `clock + delta`, i.e. if a replica with local clock `clock` and
     /// tolerance `delta` must reject it (Algorithm 1, lines 1-2).
     pub fn exceeds_bound(&self, clock: SimTime, delta: Duration) -> bool {
         self.time > clock.as_nanos().saturating_add(delta.as_nanos())
-    }
-
-    /// Returns a copy of this timestamp with the wall-clock component shifted
-    /// forward by `d`. Used by Byzantine client behaviours that inflate their
-    /// timestamps.
-    pub fn advanced_by(&self, d: Duration) -> Timestamp {
-        Timestamp {
-            time: self.time.saturating_add(d.as_nanos()),
-            client: self.client,
-        }
     }
 }
 
@@ -109,15 +94,6 @@ mod tests {
     }
 
     #[test]
-    fn advanced_by_only_moves_time() {
-        let ts = Timestamp::from_nanos(100, ClientId(3));
-        let moved = ts.advanced_by(Duration::from_nanos(50));
-        assert_eq!(moved.time, 150);
-        assert_eq!(moved.client, ClientId(3));
-        assert!(ts < moved);
-    }
-
-    #[test]
     fn zero_is_minimal() {
         let any = Timestamp::from_nanos(1, ClientId(0));
         assert!(Timestamp::ZERO < any);
@@ -127,6 +103,6 @@ mod tests {
     #[test]
     fn sim_time_round_trip() {
         let ts = Timestamp::new(SimTime::from_micros(7), ClientId(2));
-        assert_eq!(ts.sim_time(), SimTime::from_micros(7));
+        assert_eq!(ts, Timestamp::from_nanos(7_000, ClientId(2)));
     }
 }

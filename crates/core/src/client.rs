@@ -521,23 +521,37 @@ impl BasilClient {
         self.conclude_read(ctx);
     }
 
-    fn conclude_read(&mut self, ctx: &mut Context<BasilMsg>) {
+    /// Chooses the version a read returns from the replies in hand and
+    /// resumes execution. Returns false, keeping the replies, when genesis
+    /// claims disagree and nothing settles the read yet.
+    fn conclude_read(&mut self, ctx: &mut Context<BasilMsg>) -> bool {
         let Some((req_id, key, _)) = self.session.pending_read() else {
-            return;
+            return true;
         };
         let key = key.clone();
         let replies = std::mem::take(&mut self.read_replies);
 
         // Committed candidate: the highest committed version backed by a
-        // valid certificate (or the genesis version).
+        // valid certificate.
         let mut best_committed: Option<(Timestamp, Value)> = None;
+        // Genesis claims: a reply with no committed version claims the
+        // empty genesis value. Genesis versions carry no certificate, so a
+        // claim counts only with f + 1 vouchers, like a prepared version.
+        let mut genesis_counts: Vec<(&Value, u32)> = Vec::new();
+        let empty = Value::empty();
         for (_, reply) in &replies {
-            let Some(c) = &reply.body.committed else {
-                continue;
+            let c = match &reply.body.committed {
+                Some(c) if c.version != Timestamp::ZERO => c,
+                claim => {
+                    let value = claim.as_ref().map_or(&empty, |c| &c.value);
+                    match genesis_counts.iter_mut().find(|(v, _)| *v == value) {
+                        Some((_, count)) => *count += 1,
+                        None => genesis_counts.push((value, 1)),
+                    }
+                    continue;
+                }
             };
-            let acceptable = if c.version == Timestamp::ZERO {
-                true
-            } else if let Some(cert) = &c.cert {
+            let acceptable = if let Some(cert) = &c.cert {
                 if !self.engine.enabled() {
                     true
                 } else if cert.txid != c.txid || !cert.decision().is_commit() {
@@ -591,6 +605,25 @@ impl BasilClient {
             }
         }
 
+        // Nothing certified or vouched is newer than genesis: a genesis value
+        // with f + 1 vouchers settles the read, and so do claims that all
+        // agree (one of the f + 1 replies in hand is correct; a one-reply
+        // read quorum trusts its one reply). Claims that disagree wait for
+        // the rest of the fanout or the widened read.
+        if best_committed.is_none() && best_prepared.is_none() {
+            let vouched = genesis_counts.iter().find(|(_, n)| *n >= vouch);
+            match (vouched, genesis_counts.as_slice()) {
+                (Some((value, _)), _) | (None, [(value, _)]) => {
+                    best_committed = Some((Timestamp::ZERO, (*value).clone()));
+                }
+                (None, []) => {}
+                (None, _) => {
+                    self.read_replies = replies;
+                    return false;
+                }
+            }
+        }
+
         // Choose the highest valid version overall.
         let use_prepared = match (&best_committed, &best_prepared) {
             (Some((cv, _)), Some((pv, ..))) => pv > cv,
@@ -604,28 +637,28 @@ impl BasilClient {
             self.stats.dependent_reads += 1;
             (version, value, Some(dep_txid))
         } else {
-            let (version, value) = best_committed.unwrap_or((Timestamp::ZERO, Value::empty()));
+            let (version, value) = best_committed.unwrap_or((Timestamp::ZERO, empty));
             (version, value, None)
         };
         self.session
             .read_returned(req_id, version, value, dependency);
         self.execute(ctx);
+        true
     }
 
     fn handle_read_timeout(&mut self, ctx: &mut Context<BasilMsg>, req_id: u64) {
-        let Some((pending, key, ts)) = self.session.pending_read() else {
+        if self.session.pending_read().map(|(pending, ..)| pending) != Some(req_id) {
+            return;
+        }
+        // If we already have enough replies to conclude, do; otherwise widen
+        // the read to every replica of the shard and keep waiting.
+        let wait_for = self.cfg.system.read_quorum.wait_for(&self.cfg.system.shard);
+        if self.read_replies.len() as u32 >= wait_for && self.conclude_read(ctx) {
+            return;
+        }
+        let Some((_, key, ts)) = self.session.pending_read() else {
             return;
         };
-        if pending != req_id {
-            return;
-        }
-        // If we already have enough replies, conclude; otherwise widen the
-        // read to every replica of the shard and keep waiting.
-        let wait_for = self.cfg.system.read_quorum.wait_for(&self.cfg.system.shard);
-        if self.read_replies.len() as u32 >= wait_for {
-            self.conclude_read(ctx);
-            return;
-        }
         let key = key.clone();
         let targets = self.replicas_of(self.cfg.system.shard_for_key(&key));
         self.send_read(ctx, req_id, key, ts, targets);
@@ -1885,6 +1918,61 @@ mod tests {
         // A second replica of the shard makes f + 1 vouchers.
         client.on_message(&mut ctx_at(8), replica(0, 1), reply());
         assert_eq!(client.stats().dependent_reads, 1);
+    }
+
+    /// A genesis version carries no certificate, so one replica's claim
+    /// decides nothing: a forged genesis value that arrives first keeps the
+    /// read waiting until f + 1 replies agree on one.
+    #[test]
+    fn a_genesis_read_needs_f_plus_one_vouchers() {
+        let x = Key::new("x");
+        let profile = TxProfile::new(
+            "rmw",
+            vec![Op::RmwAdd {
+                key: x.clone(),
+                delta: 1,
+            }],
+        );
+        let mut client = client_with(vec![profile]);
+        client.on_start(&mut ctx_at(1));
+        let mut reply_from = |i: u32, value: u64| {
+            let body = ReadReplyBody {
+                req_id: 1,
+                key: x.clone(),
+                committed: Some(CommittedRead {
+                    version: Timestamp::ZERO,
+                    value: Value::from_u64(value),
+                    txid: TxId::default(),
+                    cert: None,
+                }),
+                prepared: None,
+            };
+            let replica = NodeId::Replica(ReplicaId::new(ShardId(0), i));
+            let proof = SigEngine::new(replica, registry(), &cfg()).sign(&body);
+            let mut ctx = ctx_at(2);
+            client.on_message(
+                &mut ctx,
+                replica,
+                BasilMsg::ReadReply(ReadReply { body, proof }),
+            );
+            sent_messages(&ctx)
+        };
+
+        // A Byzantine replica answers first, then an honest one.
+        assert!(reply_from(0, 666).is_empty());
+        assert!(
+            reply_from(1, 10).is_empty(),
+            "two genesis claims disagree: the read waits"
+        );
+        let sent = reply_from(2, 10);
+        let st1 = sent
+            .iter()
+            .find_map(|(_, m)| match m {
+                BasilMsg::St1(st1) => Some(st1),
+                _ => None,
+            })
+            .expect("the third reply concluded the read");
+        assert_eq!(st1.tx.written_value(&x), Some(&Value::from_u64(11)));
     }
 
     /// A thousand transactions, each depending on a stalled write that the

@@ -46,11 +46,6 @@ impl CostModel {
         }
     }
 
-    /// Cost of verifying `count` signatures.
-    pub fn verify_many(&self, count: u64) -> Duration {
-        Duration::from_nanos(self.verify.as_nanos() * count)
-    }
-
     /// Cost of hashing `bytes` bytes.
     pub fn hash_cost(&self, bytes: usize) -> Duration {
         let blocks = (bytes as u64).div_ceil(256).max(1);
@@ -162,12 +157,5 @@ mod tests {
         let warm = c.batch_verify_cost(16, 128, true);
         assert!(warm < cold);
         assert!(cold - warm >= c.verify - Duration::from_nanos(1));
-    }
-
-    #[test]
-    fn verify_many_is_linear() {
-        let c = CostModel::ed25519_default();
-        assert_eq!(c.verify_many(0), Duration::ZERO);
-        assert_eq!(c.verify_many(3).as_nanos(), c.verify.as_nanos() * 3);
     }
 }

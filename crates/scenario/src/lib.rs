@@ -12,7 +12,8 @@
 //! * [`ron`] — the hand-rolled RON codec for the committed corpus under
 //!   `tests/corpus/`.
 //! * [`runner`] — compiles a spec onto the simulator seam (link faults,
-//!   crashes, partitions, behaviour switches, node-property overrides) and
+//!   partitions as link faults, crashes, behaviour switches, node-property
+//!   overrides) and
 //!   executes it on Basil or a baseline; a replay is bit-for-bit
 //!   identical.
 //! * [`mod@fuzz`] — seed-driven schedule generation plus the

@@ -2,8 +2,8 @@
 //!
 //! One spec drives any [`ClusterProtocol`] deployment: build-time faults
 //! (clock skew, slow replicas) become [`ReplicaPropsOverride`]s, link
-//! faults become `basil_simnet` [`LinkFault`]s installed up-front with
-//! absolute windows, and the timed actions (crash/restart, partition/heal,
+//! faults and partitions become `basil_simnet` [`LinkFault`]s installed
+//! up-front with absolute windows, and the timed actions (crash/restart,
 //! misbehave/revert) are walked as a sorted timeline of `run_for` steps.
 //! Because every fault compiles to the deterministic simulator's own hooks,
 //! replaying the same `(spec, seed)` is bit-for-bit identical — which is
@@ -16,8 +16,8 @@ use basil::report::RunReport;
 use basil::workloads::ycsb::YcsbGenerator;
 use basil::{BaselineCluster, BaselineClusterConfig};
 use basil::{
-    BasilConfig, Duration, NodeId, Partition, ReplicaBehavior, ReplicaId, ShardConfig, ShardId,
-    SimTime, SystemConfig, TxId,
+    BasilConfig, Duration, NodeId, ReplicaBehavior, ReplicaId, ShardConfig, ShardId, SimTime,
+    SystemConfig, TxId,
 };
 use basil_baselines::{BaselineConfig, SystemKind};
 use basil_core::byzantine::FaultProfile;
@@ -118,8 +118,6 @@ impl ScenarioOutcome {
 enum Action {
     Crash(u32),
     Restart(u32, RecoveryMode),
-    PartitionOn(usize),
-    PartitionHeal(usize),
     Behave(u32, ReplicaBehavior),
     MarkWarm,
     MarkTail,
@@ -147,8 +145,25 @@ pub fn drive<P: ClusterProtocol>(
     cluster: &mut ProtocolCluster<P>,
     spec: &ScenarioSpec,
 ) -> ScenarioOutcome {
-    // Link faults: installed up-front with absolute windows; the simulator
-    // applies them only inside [at, until).
+    // Network faults: installed up-front with absolute windows; the
+    // simulator applies each only to messages sent inside [at, until).
+    // Partitions first: each is the two cuts isolating its replica.
+    for ev in &spec.faults {
+        if let FaultEvent::PartitionReplica {
+            replica,
+            at_ms,
+            heal_ms,
+        } = *ev
+        {
+            for cut in LinkFault::isolating(
+                NodeId::Replica(rid(replica)),
+                SimTime::from_millis(at_ms),
+                SimTime::from_millis(heal_ms),
+            ) {
+                cluster.sim_mut().add_link_fault(cut);
+            }
+        }
+    }
     for ev in &spec.faults {
         if let FaultEvent::Link {
             kind,
@@ -192,19 +207,6 @@ pub fn drive<P: ClusterProtocol>(
                     push(&mut timeline, r, Action::Restart(replica, recovery));
                 }
             }
-            FaultEvent::PartitionReplica {
-                replica,
-                at_ms,
-                heal_ms,
-            } => {
-                // Partitions are pre-registered inactive; the timeline only
-                // toggles them.
-                let idx = cluster
-                    .sim_mut()
-                    .add_partition(Partition::isolating([NodeId::Replica(rid(replica))]));
-                push(&mut timeline, at_ms, Action::PartitionOn(idx));
-                push(&mut timeline, heal_ms, Action::PartitionHeal(idx));
-            }
             FaultEvent::Misbehave {
                 replica,
                 behavior,
@@ -237,16 +239,6 @@ pub fn drive<P: ClusterProtocol>(
             Action::Crash(r) => cluster.crash_replica(rid(r)),
             Action::Restart(r, RecoveryMode::Warm) => cluster.restart_replica_warm(rid(r)),
             Action::Restart(r, RecoveryMode::Amnesia) => cluster.restart_replica_amnesia(rid(r)),
-            Action::PartitionOn(idx) => {
-                if let Some(p) = cluster.sim_mut().partition_mut(idx) {
-                    p.activate();
-                }
-            }
-            Action::PartitionHeal(idx) => {
-                if let Some(p) = cluster.sim_mut().partition_mut(idx) {
-                    p.heal();
-                }
-            }
             Action::Behave(r, b) => cluster.set_replica_behavior(rid(r), b),
             Action::MarkWarm => warm = Some(cluster.snapshot()),
             Action::MarkTail => tail = Some(cluster.snapshot()),

@@ -4,7 +4,7 @@
 //! client mix, `f`, batching, workload), a run schedule (warmup, total
 //! duration, quiet tail), a fault budget, and a list of timed
 //! [`FaultEvent`]s. The runner (`crate::runner`) compiles a spec onto the
-//! simulator seam — `basil_simnet`'s crash/partition/link-fault hooks and
+//! simulator seam — `basil_simnet`'s crash and link-fault hooks and
 //! `basil_core`'s behaviour knobs — so one spec drives Basil and the
 //! baselines, and replays bit-for-bit identically.
 //!
@@ -119,7 +119,11 @@ pub enum FaultEvent {
         /// What the replica remembers when it restarts.
         recovery: RecoveryMode,
     },
-    /// Isolate `replica` from everyone else during `[at_ms, heal_ms)`.
+    /// Isolate `replica` from every other node: every message it sends to
+    /// another node, and every message another node sends it, is dropped if
+    /// it leaves its sender during `[at_ms, heal_ms)`. The runner compiles
+    /// this to `basil_simnet::LinkFault::isolating`'s two cuts, judged like
+    /// every other link fault; what the replica sends itself still arrives.
     PartitionReplica {
         /// Target replica index.
         replica: u32,
@@ -216,18 +220,6 @@ impl FaultEvent {
             FaultEvent::Misbehave { replica, .. } => vec![*replica],
             FaultEvent::Link { kind, from, to, .. } if is_deceit(kind) => link_ends(*from, *to),
             _ => Vec::new(),
-        }
-    }
-
-    /// Whether this event is a *network* fault with at least one broad
-    /// selector (so it consumes no replica budget but still threatens
-    /// liveness while its window is open).
-    pub fn is_broad_network_fault(&self) -> bool {
-        match self {
-            FaultEvent::Link { from, to, .. } => {
-                from.targeted_replica().is_none() || to.targeted_replica().is_none()
-            }
-            _ => false,
         }
     }
 }
@@ -714,7 +706,6 @@ mod tests {
         }];
         spec.validate().expect("valid");
         assert!(spec.benign_replicas().is_empty());
-        assert!(spec.faults[0].is_broad_network_fault());
         assert!(spec.liveness_checkable(), "window closes before the tail");
     }
 }

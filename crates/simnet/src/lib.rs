@@ -5,8 +5,9 @@
 //! The Basil reproduction runs its protocols — Basil itself and all the
 //! baselines — as *sans-io state machines* (see `basil-core`), and this crate
 //! provides the cluster they run on: an event queue, a network model with
-//! configurable latency, jitter, loss, and partitions, per-node CPU
-//! accounting with a configurable core count, and per-node clock skew.
+//! configurable latency and jitter, time-windowed link faults (loss,
+//! partitions, delay, replay, corruption), per-node CPU accounting with a
+//! configurable core count, and per-node clock skew.
 //!
 //! ## Why a simulator
 //!
@@ -39,8 +40,12 @@
 //!   seeded RNG.
 //! * [`Actor`] / [`Context`] — the sans-io state-machine interface.
 //! * [`NodeProps`] — per-node cores and clock skew.
-//! * [`NetworkConfig`] / [`Partition`] — latency, jitter, loss, and
-//!   fault-injection partitions.
+//! * [`NetworkConfig`] — latency and jitter.
+//! * [`LinkFault`] — the one way a message is lost, delayed, replayed or
+//!   garbled: a [`LinkFaultKind`] on the links a pair of [`NodeMatcher`]s
+//!   selects, during `[start, end)` of the send time. Network-wide loss is
+//!   a `Drop` on every link; a partition is [`LinkFault::isolating`]'s two
+//!   cuts.
 //! * [`Metrics`] / [`NodeMetrics`] — counters assembled on demand from the
 //!   per-slot records.
 //!
@@ -67,5 +72,5 @@ pub mod sim;
 
 pub use actor::{Actor, Context};
 pub use metrics::{Metrics, NodeMetrics};
-pub use network::{LinkFault, LinkFaultKind, NetworkConfig, NodeMatcher, Partition};
+pub use network::{LinkFault, LinkFaultKind, NetworkConfig, NodeMatcher};
 pub use sim::{NodeProps, Simulation};

@@ -36,11 +36,14 @@ pub struct Metrics {
     pub messages_sent: u64,
     /// Messages delivered to a handler.
     pub messages_delivered: u64,
-    /// Messages dropped by the network (loss, partition, or a link fault —
-    /// including corrupted messages discarded as detected garble).
+    /// Messages and timers never handled: a link fault dropped or garbled
+    /// the message, its destination was crashed or unknown, or the timer
+    /// belonged to a replaced incarnation or was parked across an amnesia
+    /// restart.
     pub messages_dropped: u64,
-    /// Messages a [`crate::network::LinkFaultKind::Corrupt`] fault hit
-    /// (whether mutated by a corruptor or discarded).
+    /// Messages a [`crate::network::LinkFaultKind::Corrupt`] fault hit; each
+    /// is discarded as a detected garble and also counted in
+    /// `messages_dropped`.
     pub messages_corrupted: u64,
     /// Messages a [`crate::network::LinkFaultKind::Replay`] fault
     /// duplicated.

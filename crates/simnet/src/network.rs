@@ -1,9 +1,9 @@
-//! Network model: latency, jitter, loss, partitions, and targeted link
-//! faults.
+//! Network model: latency and jitter, and the time-windowed link faults
+//! through which every message loss, delay, replay and corruption is
+//! injected.
 
 use basil_common::{Duration, NodeId, SimTime};
 use rand::Rng;
-use std::collections::HashSet;
 
 /// Configuration of the simulated network.
 ///
@@ -19,8 +19,6 @@ pub struct NetworkConfig {
     pub jitter: Duration,
     /// Latency of a node talking to itself (loopback).
     pub loopback_latency: Duration,
-    /// Probability in `[0, 1)` that a message is silently dropped.
-    pub drop_probability: f64,
 }
 
 impl NetworkConfig {
@@ -30,7 +28,6 @@ impl NetworkConfig {
             one_way_latency: Duration::from_micros(75),
             jitter: Duration::from_micros(20),
             loopback_latency: Duration::from_micros(5),
-            drop_probability: 0.0,
         }
     }
 
@@ -41,15 +38,6 @@ impl NetworkConfig {
             one_way_latency: Duration::from_nanos(1),
             jitter: Duration::ZERO,
             loopback_latency: Duration::from_nanos(1),
-            drop_probability: 0.0,
-        }
-    }
-
-    /// A lossy LAN, for fault-injection tests.
-    pub fn lossy(drop_probability: f64) -> Self {
-        NetworkConfig {
-            drop_probability,
-            ..NetworkConfig::lan()
         }
     }
 
@@ -64,52 +52,11 @@ impl NetworkConfig {
         let extra = rng.gen_range(0..=self.jitter.as_nanos());
         self.one_way_latency + Duration::from_nanos(extra)
     }
-
-    /// Decides whether a message is dropped.
-    pub fn sample_drop(&self, rng: &mut impl Rng) -> bool {
-        self.drop_probability > 0.0 && rng.gen::<f64>() < self.drop_probability
-    }
 }
 
 impl Default for NetworkConfig {
     fn default() -> Self {
         NetworkConfig::lan()
-    }
-}
-
-/// A dynamic partition: messages between the two sides are dropped while the
-/// partition is active. Used by liveness and fallback tests.
-#[derive(Clone, Debug, Default)]
-pub struct Partition {
-    isolated: HashSet<NodeId>,
-    active: bool,
-}
-
-impl Partition {
-    /// Creates an inactive partition isolating `nodes` from everyone else.
-    pub fn isolating(nodes: impl IntoIterator<Item = NodeId>) -> Self {
-        Partition {
-            isolated: nodes.into_iter().collect(),
-            active: false,
-        }
-    }
-
-    /// Activates the partition.
-    pub fn activate(&mut self) {
-        self.active = true;
-    }
-
-    /// Heals the partition.
-    pub fn heal(&mut self) {
-        self.active = false;
-    }
-
-    /// Whether the partition currently blocks traffic between `a` and `b`.
-    pub fn blocks(&self, a: NodeId, b: NodeId) -> bool {
-        if !self.active || a == b {
-            return false;
-        }
-        self.isolated.contains(&a) != self.isolated.contains(&b)
     }
 }
 
@@ -130,6 +77,8 @@ pub enum NodeMatcher {
     Replicas,
     /// Matches exactly one node.
     Node(NodeId),
+    /// Matches every node except one.
+    AllBut(NodeId),
 }
 
 impl NodeMatcher {
@@ -140,6 +89,7 @@ impl NodeMatcher {
             NodeMatcher::Clients => id.is_client(),
             NodeMatcher::Replicas => !id.is_client(),
             NodeMatcher::Node(n) => *n == id,
+            NodeMatcher::AllBut(n) => *n != id,
         }
     }
 }
@@ -147,7 +97,8 @@ impl NodeMatcher {
 /// What a matching link fault does to a message.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LinkFaultKind {
-    /// Silently drop the message with the given probability.
+    /// Silently drop the message with the given probability. A probability
+    /// of 1 or more cuts the link and draws nothing from the RNG.
     Drop {
         /// Per-message drop probability in `[0, 1]`.
         probability: f64,
@@ -210,6 +161,29 @@ impl LinkFault {
         }
     }
 
+    /// The two faults that cut `node` off from every other node during
+    /// `[start, end)`: all it sends and all it is sent is dropped, except
+    /// what it sends itself.
+    pub fn isolating(node: NodeId, start: SimTime, end: SimTime) -> [LinkFault; 2] {
+        let cut = LinkFaultKind::Drop { probability: 1.0 };
+        [
+            LinkFault::new(
+                cut,
+                NodeMatcher::Node(node),
+                NodeMatcher::AllBut(node),
+                start,
+                end,
+            ),
+            LinkFault::new(
+                cut,
+                NodeMatcher::AllBut(node),
+                NodeMatcher::Node(node),
+                start,
+                end,
+            ),
+        ]
+    }
+
     /// Whether this fault applies to a message sent at `at` from `from` to
     /// `to`.
     pub fn applies(&self, at: SimTime, from: NodeId, to: NodeId) -> bool {
@@ -253,37 +227,23 @@ mod tests {
     }
 
     #[test]
-    fn drop_probability_zero_never_drops() {
-        let cfg = NetworkConfig::lan();
-        let mut rng = SmallRng::seed_from_u64(1);
-        assert!((0..1000).all(|_| !cfg.sample_drop(&mut rng)));
-    }
-
-    #[test]
-    fn drop_probability_is_roughly_respected() {
-        let cfg = NetworkConfig::lossy(0.3);
-        let mut rng = SmallRng::seed_from_u64(7);
-        let drops = (0..10_000).filter(|_| cfg.sample_drop(&mut rng)).count();
-        assert!((2_500..3_500).contains(&drops), "drops={drops}");
-    }
-
-    #[test]
     fn partition_blocks_cross_traffic_only_when_active() {
-        let mut p = Partition::isolating([r(0), r(1)]);
-        assert!(!p.blocks(r(0), r(5)));
-        p.activate();
-        assert!(p.blocks(r(0), r(5)));
-        assert!(p.blocks(r(5), r(1)), "blocking is symmetric");
+        let [out, into] =
+            LinkFault::isolating(r(0), SimTime::from_millis(10), SimTime::from_millis(20));
+        let blocks = |at: u64, a: NodeId, b: NodeId| {
+            let at = SimTime::from_millis(at);
+            out.applies(at, a, b) || into.applies(at, a, b)
+        };
+        assert!(!blocks(9, r(0), r(5)), "not yet active");
+        assert!(blocks(10, r(0), r(5)));
+        assert!(blocks(10, r(5), r(0)), "blocking is symmetric");
+        assert!(blocks(19, c(1), r(0)), "clients are cut off too");
+        assert!(!blocks(15, r(0), r(0)), "a node still reaches itself");
         assert!(
-            !p.blocks(r(0), r(1)),
-            "within the isolated side traffic flows"
+            !blocks(15, r(4), r(5)),
+            "outside the isolated node traffic flows"
         );
-        assert!(
-            !p.blocks(r(4), r(5)),
-            "outside the isolated side traffic flows"
-        );
-        p.heal();
-        assert!(!p.blocks(r(0), r(5)));
+        assert!(!blocks(20, r(0), r(5)), "healed at the window's end");
     }
 
     #[test]
@@ -296,6 +256,9 @@ mod tests {
         assert!(!NodeMatcher::Replicas.matches(c(2)));
         assert!(NodeMatcher::Node(r(2)).matches(r(2)));
         assert!(!NodeMatcher::Node(r(2)).matches(r(3)));
+        assert!(NodeMatcher::AllBut(r(2)).matches(r(3)));
+        assert!(NodeMatcher::AllBut(r(2)).matches(c(2)));
+        assert!(!NodeMatcher::AllBut(r(2)).matches(r(2)));
     }
 
     #[test]

@@ -51,7 +51,7 @@
 
 use crate::actor::{Actor, Context, Output};
 use crate::metrics::{Metrics, NodeMetrics};
-use crate::network::{LinkFault, LinkFaultKind, NetworkConfig, Partition};
+use crate::network::{LinkFault, LinkFaultKind, NetworkConfig};
 use basil_common::{Duration, FastHashMap, NodeId, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -259,7 +259,6 @@ pub struct Simulation<M> {
     now: SimTime,
     seq: u64,
     network: NetworkConfig,
-    partitions: Vec<Partition>,
     /// Targeted, time-windowed link faults (see [`LinkFault`]); consulted in
     /// `apply_outputs` only.
     link_faults: Vec<LinkFault>,
@@ -284,7 +283,6 @@ impl<M: Clone + 'static> Simulation<M> {
             now: SimTime::ZERO,
             seq: 0,
             network,
-            partitions: Vec::new(),
             link_faults: Vec::new(),
             rng: SmallRng::seed_from_u64(seed),
             node_order: Vec::new(),
@@ -439,17 +437,6 @@ impl<M: Clone + 'static> Simulation<M> {
         Some(old)
     }
 
-    /// Installs a network partition. Returns its index for later healing.
-    pub fn add_partition(&mut self, partition: Partition) -> usize {
-        self.partitions.push(partition);
-        self.partitions.len() - 1
-    }
-
-    /// Mutable access to an installed partition (to activate or heal it).
-    pub fn partition_mut(&mut self, index: usize) -> Option<&mut Partition> {
-        self.partitions.get_mut(index)
-    }
-
     /// Installs a targeted link fault (drop / delay / replay / corrupt on a
     /// matcher-selected set of links, active during a time window). Returns
     /// its index. Faults are evaluated in installation order per message.
@@ -592,10 +579,10 @@ impl<M: Clone + 'static> Simulation<M> {
         self.apply_outputs(i as u32, id, completion, outputs);
     }
 
-    /// Applies a handler's recorded outputs: network sampling (partitions,
-    /// loss, latency jitter) and queue insertion, in output order. This is
-    /// the *only* place randomness is consumed. The drained buffer becomes
-    /// the next handler's.
+    /// Applies a handler's recorded outputs: link faults, latency jitter
+    /// and queue insertion, in output order. This is the *only* place
+    /// randomness is consumed. The drained buffer becomes the next
+    /// handler's.
     fn apply_outputs(
         &mut self,
         from_slot: u32,
@@ -608,18 +595,11 @@ impl<M: Clone + 'static> Simulation<M> {
             match out {
                 Output::Send { to, msg } => {
                     self.global.messages_sent += 1;
-                    if self.partitions.iter().any(|p| p.blocks(from, to)) {
-                        self.global.messages_dropped += 1;
-                        continue;
-                    }
-                    if self.network.sample_drop(&mut self.rng) {
-                        self.global.messages_dropped += 1;
-                        continue;
-                    }
-                    // Targeted link faults, in installation order. Matching
-                    // is deterministic and only matching faults draw from
-                    // the RNG, so with no faults installed the RNG stream —
-                    // and every pinned golden trace — is untouched.
+                    // Link faults, in installation order. Matching is
+                    // deterministic and only matching probabilistic faults
+                    // draw from the RNG (a cut link does not), so with no
+                    // faults installed the RNG stream — and every pinned
+                    // golden trace — is untouched.
                     let mut extra_delay = Duration::ZERO;
                     let mut replay = false;
                     let mut fault_dropped = false;
@@ -630,7 +610,7 @@ impl<M: Clone + 'static> Simulation<M> {
                             }
                             match f.kind {
                                 LinkFaultKind::Drop { probability } => {
-                                    if self.rng.gen::<f64>() < probability {
+                                    if probability >= 1.0 || self.rng.gen::<f64>() < probability {
                                         fault_dropped = true;
                                         break;
                                     }
@@ -691,6 +671,7 @@ impl<M: Clone + 'static> Simulation<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::NodeMatcher;
     use basil_common::ClientId;
     use std::any::Any;
 
@@ -872,17 +853,29 @@ mod tests {
 
     #[test]
     fn partition_blocks_and_heals() {
-        struct PeriodicSender {
+        /// Every millisecond sends tick `i` to its peer and to itself, and
+        /// records the ticks it hears from each.
+        struct Chatter {
             peer: NodeId,
+            tick: u32,
+            from_peer: Vec<u32>,
+            from_self: Vec<u32>,
         }
-        impl Actor<Msg> for PeriodicSender {
+        impl Actor<Msg> for Chatter {
             fn on_start(&mut self, ctx: &mut Context<Msg>) {
                 ctx.schedule_self(Duration::from_millis(1), Msg::Tick);
             }
-            fn on_message(&mut self, ctx: &mut Context<Msg>, _from: NodeId, msg: Msg) {
-                if msg == Msg::Tick {
-                    ctx.send(self.peer, Msg::Ping(0));
-                    ctx.schedule_self(Duration::from_millis(1), Msg::Tick);
+            fn on_message(&mut self, ctx: &mut Context<Msg>, from: NodeId, msg: Msg) {
+                match msg {
+                    Msg::Tick => {
+                        self.tick += 1;
+                        ctx.send(self.peer, Msg::Ping(self.tick));
+                        ctx.send(ctx.self_id(), Msg::Ping(self.tick));
+                        ctx.schedule_self(Duration::from_millis(1), Msg::Tick);
+                    }
+                    Msg::Ping(i) if from == self.peer => self.from_peer.push(i),
+                    Msg::Ping(i) => self.from_self.push(i),
+                    _ => {}
                 }
             }
             fn as_any(&self) -> &dyn Any {
@@ -893,28 +886,33 @@ mod tests {
             }
         }
 
-        let mut sim: Simulation<Msg> = Simulation::new(3, NetworkConfig::lan());
-        sim.add_node(
-            client(1),
-            NodeProps::default(),
-            Box::new(PeriodicSender { peer: client(2) }),
-        );
-        sim.add_node(
-            client(2),
-            NodeProps::default(),
-            Box::new(Echoer {
-                cpu_per_ping: Duration::ZERO,
-                handled: 0,
-            }),
-        );
-        let pidx = sim.add_partition(Partition::isolating([client(2)]));
-        sim.partition_mut(pidx).expect("partition").activate();
-        sim.run_until(SimTime::from_millis(10));
-        let handled_during_partition = sim.actor::<Echoer>(client(2)).expect("echoer").handled;
-        assert_eq!(handled_during_partition, 0);
-        sim.partition_mut(pidx).expect("partition").heal();
-        sim.run_until(SimTime::from_millis(20));
-        assert!(sim.actor::<Echoer>(client(2)).expect("echoer").handled > 5);
+        let mut sim: Simulation<Msg> = Simulation::new(3, NetworkConfig::instant());
+        for (me, peer) in [(client(1), client(2)), (client(2), client(1))] {
+            sim.add_node(
+                me,
+                NodeProps::default(),
+                Box::new(Chatter {
+                    peer,
+                    tick: 0,
+                    from_peer: vec![],
+                    from_self: vec![],
+                }),
+            );
+        }
+        // Ticks leave at 1, 2, ..., 9 ms; isolating client 2 during [3, 7)
+        // cuts the ones at 3, 4, 5 and 6 ms in both directions.
+        for fault in
+            LinkFault::isolating(client(2), SimTime::from_millis(3), SimTime::from_millis(7))
+        {
+            sim.add_link_fault(fault);
+        }
+        sim.run_until(SimTime::from_micros(9_500));
+        for node in [client(1), client(2)] {
+            let chatter: &Chatter = sim.actor(node).expect("chatter");
+            assert_eq!(chatter.from_peer, [1, 2, 7, 8, 9], "{node:?}");
+            assert_eq!(chatter.from_self, (1..=9).collect::<Vec<_>>(), "{node:?}");
+        }
+        assert_eq!(sim.metrics().messages_dropped, 8);
     }
 
     #[test]
@@ -948,10 +946,18 @@ mod tests {
 
     #[test]
     fn lossy_network_drops_some_messages() {
-        let mut sim = build_ping_pong(11, NetworkConfig::lossy(0.5), 100, 4, Duration::ZERO);
+        let mut sim = build_ping_pong(11, NetworkConfig::lan(), 100, 4, Duration::ZERO);
+        sim.add_link_fault(LinkFault::new(
+            LinkFaultKind::Drop { probability: 0.5 },
+            NodeMatcher::Any,
+            NodeMatcher::Any,
+            SimTime::ZERO,
+            SimTime::from_secs(1),
+        ));
         sim.run_until(SimTime::from_millis(100));
         let pinger: &Pinger = sim.actor(client(1)).expect("pinger");
         assert!(pinger.pongs_received.len() < 100);
+        assert!(!pinger.pongs_received.is_empty());
         assert!(sim.metrics().messages_dropped > 0);
     }
 
@@ -1031,8 +1037,6 @@ mod tests {
             ]
         );
     }
-
-    use crate::network::{LinkFault, LinkFaultKind, NodeMatcher};
 
     #[test]
     fn link_fault_drop_blocks_only_inside_window() {

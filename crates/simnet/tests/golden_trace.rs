@@ -11,7 +11,9 @@
 //! single handler path) must reproduce it exactly.
 
 use basil_common::{ClientId, Duration, NodeId, SimTime};
-use basil_simnet::{Actor, Context, NetworkConfig, NodeProps, Simulation};
+use basil_simnet::{
+    Actor, Context, LinkFault, LinkFaultKind, NetworkConfig, NodeMatcher, NodeProps, Simulation,
+};
 use std::any::Any;
 
 #[derive(Clone, Debug)]
@@ -97,7 +99,15 @@ impl Actor<Msg> for Tracer {
 }
 
 fn run_trace(seed: u64) -> (u64, u64) {
-    let mut sim: Simulation<Msg> = Simulation::new(seed, NetworkConfig::lossy(0.02));
+    let mut sim: Simulation<Msg> = Simulation::new(seed, NetworkConfig::lan());
+    // Loss on every link, installed first so its draw leads each send's.
+    sim.add_link_fault(LinkFault::new(
+        LinkFaultKind::Drop { probability: 0.02 },
+        NodeMatcher::Any,
+        NodeMatcher::Any,
+        SimTime::ZERO,
+        SimTime::from_secs(1),
+    ));
     let ids: Vec<NodeId> = (0..8).map(|i| NodeId::Client(ClientId(i))).collect();
     for (i, id) in ids.iter().enumerate() {
         let peer = ids[(i + 1) % ids.len()];

@@ -39,9 +39,6 @@ impl std::fmt::Debug for Distribution {
 }
 
 impl YcsbGenerator {
-    /// The paper's default key-space size (ten million keys).
-    pub const PAPER_NUM_KEYS: u64 = 10_000_000;
-
     /// The uniform `RW-U` workload: `reads` reads and `writes` writes per
     /// transaction, uniform over `num_keys` keys.
     pub fn rw_uniform(seed: u64, num_keys: u64, reads: usize, writes: usize) -> Self {
