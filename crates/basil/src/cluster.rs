@@ -142,23 +142,8 @@ pub enum RuntimeMode {
     Serial,
 }
 
-/// CPU cores per replica (the paper's m510 machines have 8).
-const REPLICA_CORES: u32 = 8;
-
 /// CPU cores per client process.
 const CLIENT_CORES: u32 = 8;
-
-/// Build-time node-property overrides for one replica: clock skew and/or a
-/// reduced core count. `None` fields keep the deployment default.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReplicaPropsOverride {
-    /// Clock skew in nanoseconds (positive = the replica's clock runs
-    /// ahead of global simulation time).
-    pub clock_skew_ns: Option<i64>,
-    /// Core count override (fewer cores than `REPLICA_CORES`, 8, models a
-    /// straggler / underprovisioned replica).
-    pub cores: Option<u32>,
-}
 
 /// Configuration of a simulated deployment, generic over the protocol
 /// adapter `P` supplying the protocol-specific configuration.
@@ -172,11 +157,6 @@ pub struct ClusterConfig<P> {
     pub num_byzantine_clients: u32,
     /// The strategy and fault fraction applied by Byzantine clients.
     pub fault: FaultProfile,
-    /// Node-property overrides for specific replicas: clock skew
-    /// (nanoseconds, positive runs ahead) and core count (a "slow
-    /// replica" gets fewer cores than `REPLICA_CORES`). Scenario specs
-    /// compile their `clock-skew` and `slow-replica` faults down to these.
-    pub replica_props: Vec<(ReplicaId, ReplicaPropsOverride)>,
     /// Simulation seed (drives all randomness).
     pub seed: u64,
     /// Initial database contents, loaded as committed genesis versions on
@@ -193,7 +173,6 @@ impl<P> ClusterConfig<P> {
             num_clients,
             num_byzantine_clients: 0,
             fault: FaultProfile::honest(),
-            replica_props: Vec::new(),
             seed: 42,
             initial_data: Vec::new(),
         }
@@ -220,12 +199,6 @@ impl<P> ClusterConfig<P> {
 
     /// Named by `benchmark/src/sim.rs`; the next `benchmark` PR removes it.
     pub fn with_runtime(self, _runtime: RuntimeMode) -> Self {
-        self
-    }
-
-    /// Adds a node-property override (clock skew / cores) for one replica.
-    pub fn with_replica_props(mut self, rid: ReplicaId, props: ReplicaPropsOverride) -> Self {
-        self.replica_props.push((rid, props));
         self
     }
 }
@@ -258,8 +231,6 @@ impl<P: ClusterProtocol> ProtocolCluster<P> {
         // Replicas, one group per shard, each holding its shard's slice of
         // the initial data.
         let mut replicas = Vec::new();
-        let props_overrides: HashMap<ReplicaId, ReplicaPropsOverride> =
-            config.replica_props.iter().copied().collect();
         for shard in config.protocol.shards() {
             let shard_data: Vec<(Key, Value)> = config
                 .initial_data
@@ -273,16 +244,11 @@ impl<P: ClusterProtocol> ProtocolCluster<P> {
                 let replica = config
                     .protocol
                     .make_replica(rid, behavior, shard_data.clone());
-                let mut props = NodeProps::replica().with_cores(REPLICA_CORES);
-                if let Some(o) = props_overrides.get(&rid) {
-                    if let Some(skew) = o.clock_skew_ns {
-                        props = props.with_skew_ns(skew);
-                    }
-                    if let Some(cores) = o.cores {
-                        props = props.with_cores(cores);
-                    }
-                }
-                sim.add_node(NodeId::Replica(rid), props, Box::new(replica));
+                sim.add_node(
+                    NodeId::Replica(rid),
+                    NodeProps::replica(),
+                    Box::new(replica),
+                );
                 replicas.push(rid);
             }
         }

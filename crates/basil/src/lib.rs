@@ -62,9 +62,7 @@ pub use basil_core::{
 pub use basil_crypto::{CostModel, KeyRegistry};
 pub use basil_simnet::{NetworkConfig, Simulation};
 pub use basil_store::{audit_serializability, AuditError, StoreStats, Transaction};
-pub use cluster::{
-    audit_history, ClusterAuditError, ClusterProtocol, ProtocolCluster, ReplicaPropsOverride,
-};
+pub use cluster::{audit_history, ClusterAuditError, ClusterProtocol, ProtocolCluster};
 pub use harness::{BasilCluster, BasilProtocol, ClusterConfig};
 pub use report::{LatencySlo, RunReport, SloOutcome};
 

@@ -163,17 +163,6 @@ impl SystemConfig {
         }
     }
 
-    /// A configuration with `num_shards` shards tolerating `f` Byzantine
-    /// replicas per shard (`n = 5f + 1` each; `f = 2` gives the n = 11
-    /// deployments of the fig5c scale-out extension).
-    pub fn sharded_f(num_shards: u32, f: u32) -> Self {
-        SystemConfig {
-            num_shards,
-            shard: ShardConfig::new(f),
-            ..SystemConfig::single_shard_f1()
-        }
-    }
-
     /// Maps a key to the shard responsible for it ([`shard_for_key`]).
     pub fn shard_for_key(&self, key: &Key) -> ShardId {
         shard_for_key(key, self.num_shards)
@@ -360,7 +349,5 @@ mod tests {
         let shape = |c: SystemConfig| (c.num_shards, c.shard.n());
         assert_eq!(shape(SystemConfig::sharded(3)), (3, 6));
         assert_eq!(shape(SystemConfig::single_shard_f1()), (1, 6));
-        assert_eq!(shape(SystemConfig::sharded_f(3, 2)), (3, 11));
-        assert_eq!(SystemConfig::sharded_f(1, 2).shard.n(), 11);
     }
 }

@@ -19,18 +19,6 @@ impl Digest {
     pub fn to_hex(&self) -> String {
         self.0.iter().map(|b| format!("{b:02x}")).collect()
     }
-
-    /// Parses a digest from a 64-character hexadecimal string.
-    pub fn from_hex(s: &str) -> Option<Digest> {
-        if s.len() != 64 {
-            return None;
-        }
-        let mut out = [0u8; 32];
-        for i in 0..32 {
-            out[i] = u8::from_str_radix(&s[i * 2..i * 2 + 2], 16).ok()?;
-        }
-        Some(Digest(out))
-    }
 }
 
 impl AsRef<[u8]> for Digest {
@@ -66,17 +54,12 @@ mod tests {
     fn hex_round_trip() {
         let mut bytes = [0u8; 32];
         for (i, b) in bytes.iter_mut().enumerate() {
-            *b = i as u8;
+            *b = (i as u8) * 8;
         }
-        let d = Digest(bytes);
-        let parsed = Digest::from_hex(&d.to_hex()).expect("valid hex");
-        assert_eq!(parsed, d);
-    }
-
-    #[test]
-    fn from_hex_rejects_bad_input() {
-        assert!(Digest::from_hex("abcd").is_none());
-        assert!(Digest::from_hex(&"zz".repeat(32)).is_none());
+        assert_eq!(
+            Digest(bytes).to_hex(),
+            "0008101820283038404850586068707880889098a0a8b0b8c0c8d0d8e0e8f0f8"
+        );
     }
 
     #[test]

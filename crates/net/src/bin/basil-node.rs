@@ -14,7 +14,7 @@
 //! IO error — in particular a WAL file it cannot read or write, which the
 //! message names.
 
-use basil_net::node::{run_node, NodeConfig, Role};
+use basil_net::node::{deployment_config, run_node, NodeConfig, Role};
 use std::path::PathBuf;
 
 fn usage(err: &str) -> ! {
@@ -74,16 +74,32 @@ fn main() {
     }
 
     let who = who.unwrap_or_else(|| usage("--who is required"));
+    let num_clients = clients.unwrap_or_else(|| usage("--clients is required"));
+    let base_port = base_port.unwrap_or_else(|| usage("--base-port is required"));
+    // Every node's port must exist: replicas sit at `base_port + index` and
+    // clients at `base_port + 100 + id`.
+    if u64::from(base_port) + 100 + u64::from(num_clients) > u64::from(u16::MAX) {
+        usage(&format!(
+            "--base-port {base_port}: no room for {num_clients} client ports above it"
+        ));
+    }
+    let replicas = deployment_config().system.shard.n();
     let role = match role.as_deref() {
-        Some("replica") => Role::Replica { index: who as u32 },
-        Some("client") => Role::Client { id: who },
+        Some("replica") if who < u64::from(replicas) => Role::Replica { index: who as u32 },
+        Some("replica") => usage(&format!(
+            "--who {who}: replica index out of range (n = {replicas})"
+        )),
+        Some("client") if who < u64::from(num_clients) => Role::Client { id: who },
+        Some("client") => usage(&format!(
+            "--who {who}: client id out of range (--clients {num_clients})"
+        )),
         _ => usage("--role must be replica or client"),
     };
     let cfg = NodeConfig {
         role,
-        num_clients: clients.unwrap_or_else(|| usage("--clients is required")),
+        num_clients,
         seed,
-        base_port: base_port.unwrap_or_else(|| usage("--base-port is required")),
+        base_port,
         epoch_unix_nanos: epoch_nanos.unwrap_or_else(|| usage("--epoch-nanos is required")),
         duration_ms,
         wal_path: wal,

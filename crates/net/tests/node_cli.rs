@@ -31,6 +31,18 @@ fn usage_errors_exit_2_and_name_the_flag() {
         (&["--results", "/dev/null", "--who", "4Z"], "--who"),
         (&["--results", "/dev/null", REMOVED_FLAG, "2"], &unknown),
         (&[], "--results is required"),
+        (
+            &["--results", "/dev/null", "--role", "replica", "--who", "9"],
+            "--who 9",
+        ),
+        (
+            &["--results", "/dev/null", "--who", "5", "--clients", "2"],
+            "--who 5",
+        ),
+        (
+            &["--results", "/dev/null", "--base-port", "65500"],
+            "--base-port 65500",
+        ),
     ];
     for (extra, expected) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_basil-node"))

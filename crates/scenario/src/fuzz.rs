@@ -110,8 +110,9 @@ pub struct FuzzSummary {
 
 /// Deterministically generates schedule `seed`'s scenario. The generator
 /// samples deployments (mostly `f = 1`, sometimes `f = 2`), workloads, and
-/// 0–3 budget-respecting fault events with windows that close before the
-/// quiet tail, so most schedules keep the liveness check armed. Crashes
+/// 0–3 budget-respecting faults with windows that close before the quiet
+/// tail, so most schedules keep the liveness check armed. A partition is
+/// drawn as one fault and written as its two cut links. Crashes
 /// split between warm and amnesia restarts, exercising the WAL-replay and
 /// peer catch-up machinery. The result always passes
 /// [`ScenarioSpec::validate`].
@@ -166,7 +167,7 @@ pub fn generate_spec(seed: u64) -> ScenarioSpec {
         // quiet tail (2 ms minimum width).
         let at_ms = rng.gen_range(32..=tail_start - 10);
         let until_ms = rng.gen_range(at_ms + 2..=tail_start);
-        faults.push(match rng.gen_range(0..9u32) {
+        let fault = match rng.gen_range(0..9u32) {
             0 => FaultEvent::Crash {
                 replica: benign_target,
                 at_ms,
@@ -177,11 +178,20 @@ pub fn generate_spec(seed: u64) -> ScenarioSpec {
                     RecoveryMode::Warm
                 },
             },
-            1 => FaultEvent::PartitionReplica {
-                replica: benign_target,
-                at_ms,
-                heal_ms: until_ms,
-            },
+            // A partition: every link to and from the target is cut.
+            1 => {
+                let target = Selector::Replica(benign_target);
+                for (from, to) in [(target, Selector::Any), (Selector::Any, target)] {
+                    faults.push(FaultEvent::Link {
+                        kind: LinkFaultKind::Drop { probability: 1.0 },
+                        from,
+                        to,
+                        at_ms,
+                        until_ms,
+                    });
+                }
+                continue;
+            }
             2 => FaultEvent::Link {
                 kind: LinkFaultKind::Drop {
                     probability: rng.gen_range(2..=8u32) as f64 / 10.0,
@@ -236,7 +246,8 @@ pub fn generate_spec(seed: u64) -> ScenarioSpec {
                 at_ms,
                 revert_ms: Some(until_ms),
             },
-        });
+        };
+        faults.push(fault);
     }
 
     let spec = ScenarioSpec {
@@ -439,6 +450,7 @@ mod tests {
         let mut amnesia_crashes = 0u32;
         let mut warm_crashes = 0u32;
         let mut f2_deployments = 0u32;
+        let (mut cuts_out, mut cuts_in) = (0u32, 0u32);
         for seed in 0..300u64 {
             let spec = generate_spec(seed);
             if spec.liveness_checkable() {
@@ -455,10 +467,23 @@ mod tests {
                     }
                 }
                 // A stable per-kind key (Discriminant is not Ord); each
-                // link-fault kind counts as its own.
+                // link-fault kind counts as its own, and so does a cut: a
+                // drop at probability 1, which only a partition draws.
                 kinds.insert(match ev {
                     FaultEvent::Crash { .. } => 0,
-                    FaultEvent::PartitionReplica { .. } => 1,
+                    FaultEvent::Link {
+                        kind: LinkFaultKind::Drop { probability },
+                        from,
+                        to,
+                        ..
+                    } if *probability >= 1.0 => {
+                        match (from, to) {
+                            (Selector::Replica(_), Selector::Any) => cuts_out += 1,
+                            (Selector::Any, Selector::Replica(_)) => cuts_in += 1,
+                            _ => panic!("a cut is one replica's link to or from Any"),
+                        }
+                        1
+                    }
                     FaultEvent::Link { kind, .. } => match kind {
                         LinkFaultKind::Drop { .. } => 2,
                         LinkFaultKind::Delay { .. } => 3,
@@ -472,6 +497,7 @@ mod tests {
             }
         }
         assert_eq!(kinds.len(), 9, "all nine fault kinds appear");
+        assert_eq!(cuts_out, cuts_in, "a partition cuts both directions");
         assert!(
             liveness_armed > 100,
             "liveness armed often: {liveness_armed}"
@@ -511,6 +537,13 @@ mod tests {
     /// of schedules 0..1000: a change to the fault grammar or to the draws
     /// behind it that moves any generated schedule fails here, so a
     /// campaign seed keeps naming the schedule it names.
+    ///
+    /// Moved once when the partition stopped being a fault kind of its own:
+    /// each of the 193 partitions the earlier generator wrote as one event
+    /// is now its two cuts, `DropLink(from: Replica(r), to: Any, ..)` and
+    /// `DropLink(from: Any, to: Replica(r), ..)` at probability 1 over the
+    /// same window. No draw changed, and every other byte of the 1,000
+    /// encodings is as before.
     #[test]
     fn generated_specs_match_their_pinned_encoding() {
         let mut hasher = basil_crypto::Sha256::new();
@@ -525,7 +558,7 @@ mod tests {
             .collect();
         assert_eq!(
             hex,
-            "0510103acccfb84a8d0957aae039fee47495a495ef8e547c2476586af8ec8e09"
+            "a4572298e9f53d7bd5ebf7116904047d70f134058e07afe329d9d0d0a44464e8"
         );
     }
 

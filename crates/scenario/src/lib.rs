@@ -5,17 +5,17 @@
 //! delta-debugging shrinking.
 //!
 //! * [`spec`] — the [`ScenarioSpec`] grammar: fault kinds (crash/restart,
-//!   partition+heal, drop/corrupt/replay/delay links, equivocation mixes,
-//!   clock skew, slow replicas) × timing windows × target selectors, with
+//!   drop/corrupt/replay/delay links, equivocation mixes, clock skew, slow
+//!   replicas; a partition is two dropped links) × timing windows × target
+//!   selectors, with
 //!   distinct crash/deceit budgets (the benign-vs-deceitful split) enforced
 //!   at validation time.
 //! * [`ron`] — the hand-rolled RON codec for the committed corpus under
 //!   `tests/corpus/`.
-//! * [`runner`] — compiles a spec onto the simulator seam (link faults,
-//!   partitions as link faults, crashes, behaviour switches, node-property
-//!   overrides) and
-//!   executes it on Basil or a baseline; a replay is bit-for-bit
-//!   identical.
+//! * [`runner`] — [`drive`] compiles every fault of a spec onto the
+//!   simulator seam (link faults, node properties, crashes, behaviour
+//!   switches) and executes it on a built Basil or baseline cluster; a
+//!   replay is bit-for-bit identical.
 //! * [`mod@fuzz`] — seed-driven schedule generation plus the
 //!   safety/liveness/divergence checks.
 //! * [`shrink`] — greedy delta debugging: a failing spec is reduced to a

@@ -385,11 +385,6 @@ fn decode_fault(v: &Val) -> Result<FaultEvent, SpecError> {
             restart_ms: v.field("restart_ms")?.as_opt_u64("restart_ms")?,
             recovery: decode_recovery(v.field("recovery")?)?,
         }),
-        "PartitionReplica" => Ok(FaultEvent::PartitionReplica {
-            replica: v.field("replica")?.as_u32("replica")?,
-            at_ms: v.field("at_ms")?.as_u64("at_ms")?,
-            heal_ms: v.field("heal_ms")?.as_u64("heal_ms")?,
-        }),
         "ClockSkew" => Ok(FaultEvent::ClockSkew {
             replica: v.field("replica")?.as_u32("replica")?,
             skew_us: v.field("skew_us")?.as_i64("skew_us")?,
@@ -572,11 +567,6 @@ fn fmt_fault(ev: &FaultEvent) -> String {
             "Crash(replica: {replica}, at_ms: {at_ms}, restart_ms: {}, recovery: {recovery})",
             fmt_opt(*restart_ms)
         ),
-        FaultEvent::PartitionReplica {
-            replica,
-            at_ms,
-            heal_ms,
-        } => format!("PartitionReplica(replica: {replica}, at_ms: {at_ms}, heal_ms: {heal_ms})"),
         FaultEvent::Link {
             kind,
             from,
@@ -710,10 +700,19 @@ mod tests {
                     restart_ms: Some(120),
                     recovery: RecoveryMode::Amnesia,
                 },
-                FaultEvent::PartitionReplica {
-                    replica: 4,
+                FaultEvent::Link {
+                    kind: LinkFaultKind::Drop { probability: 1.0 },
+                    from: Selector::Replica(4),
+                    to: Selector::Any,
                     at_ms: 130,
-                    heal_ms: 170,
+                    until_ms: 170,
+                },
+                FaultEvent::Link {
+                    kind: LinkFaultKind::Drop { probability: 1.0 },
+                    from: Selector::Any,
+                    to: Selector::Replica(4),
+                    at_ms: 130,
+                    until_ms: 170,
                 },
                 FaultEvent::Link {
                     kind: LinkFaultKind::Drop { probability: 0.25 },

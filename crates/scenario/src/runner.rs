@@ -1,16 +1,18 @@
 //! Compiles a [`ScenarioSpec`] onto the simulator seam and executes it.
 //!
-//! One spec drives any [`ClusterProtocol`] deployment: build-time faults
-//! (clock skew, slow replicas) become [`ReplicaPropsOverride`]s, link
-//! faults and partitions become `basil_simnet` [`LinkFault`]s installed
-//! up-front with absolute windows, and the timed actions (crash/restart,
-//! misbehave/revert) are walked as a sorted timeline of `run_for` steps.
-//! Because every fault compiles to the deterministic simulator's own hooks,
-//! replaying the same `(spec, seed)` is bit-for-bit identical — which is
-//! exactly what the fuzzer's replay cross-check asserts.
+//! One spec drives any [`ClusterProtocol`] deployment, and [`drive`] is the
+//! one function that turns its faults into simulator state: clock skew and
+//! slow cores rewrite the target replica's `NodeProps` before the first
+//! event, link faults (a partition is two of them) become `basil_simnet`
+//! [`LinkFault`]s installed up-front with absolute windows, and the timed
+//! actions (crash/restart, misbehave/revert) are walked as a sorted
+//! timeline of `run_for` steps. Because every fault compiles to the
+//! deterministic simulator's own hooks, replaying the same `(spec, seed)`
+//! is bit-for-bit identical — which is exactly what the fuzzer's replay
+//! cross-check asserts.
 
 use crate::spec::{FaultEvent, RecoveryMode, ScenarioSpec, Selector, WorkloadSpec};
-use basil::cluster::{ClusterProtocol, ProtocolCluster, ReplicaPropsOverride, RuntimeMode};
+use basil::cluster::{ClusterProtocol, ProtocolCluster, RuntimeMode};
 use basil::harness::{BasilCluster, ClusterConfig};
 use basil::report::RunReport;
 use basil::workloads::ycsb::YcsbGenerator;
@@ -23,7 +25,6 @@ use basil_baselines::{BaselineConfig, SystemKind};
 use basil_core::byzantine::FaultProfile;
 use basil_simnet::{LinkFault, NodeMatcher};
 use basil_store::mvtso::Decision;
-use std::collections::HashMap;
 
 /// Everything a scenario run produces, comparable across replays and
 /// against pinned corpus expectations.
@@ -136,50 +137,46 @@ fn matcher(sel: Selector) -> NodeMatcher {
     }
 }
 
-/// Executes `spec`'s fault timeline against an already-built cluster and
-/// collects the outcome. Generic over the protocol: the same spec drives
-/// Basil and the baselines. Build-time faults (clock skew, slow replicas)
-/// must already be part of the cluster's configuration — the protocol
-/// front-ends ([`run_basil_spec`], [`run_baseline_spec`]) handle that.
+/// Executes `spec` against a built cluster that has not yet run, and
+/// collects the outcome. This is the one place a spec's faults become
+/// simulator state, so a cluster built by hand runs a spec exactly as
+/// [`run_basil_spec`] and [`run_baseline_spec`] do. Generic over the
+/// protocol: the same spec drives Basil and the baselines, and a fault on a
+/// replica index a smaller deployment lacks is a no-op.
 pub fn drive<P: ClusterProtocol>(
     cluster: &mut ProtocolCluster<P>,
     spec: &ScenarioSpec,
 ) -> ScenarioOutcome {
-    // Network faults: installed up-front with absolute windows; the
-    // simulator applies each only to messages sent inside [at, until).
-    // Partitions first: each is the two cuts isolating its replica.
+    // Node properties are set before the first event; link faults are
+    // installed up-front with absolute windows, and the simulator applies
+    // each only to messages sent inside [at, until).
+    let sim = cluster.sim_mut();
     for ev in &spec.faults {
-        if let FaultEvent::PartitionReplica {
-            replica,
-            at_ms,
-            heal_ms,
-        } = *ev
-        {
-            for cut in LinkFault::isolating(
-                NodeId::Replica(rid(replica)),
-                SimTime::from_millis(at_ms),
-                SimTime::from_millis(heal_ms),
-            ) {
-                cluster.sim_mut().add_link_fault(cut);
+        match *ev {
+            FaultEvent::ClockSkew { replica, skew_us } => {
+                sim.update_node_props(NodeId::Replica(rid(replica)), |p| {
+                    p.with_skew_ns(skew_us.saturating_mul(1_000))
+                });
             }
-        }
-    }
-    for ev in &spec.faults {
-        if let FaultEvent::Link {
-            kind,
-            from,
-            to,
-            at_ms,
-            until_ms,
-        } = *ev
-        {
-            cluster.sim_mut().add_link_fault(LinkFault::new(
+            FaultEvent::SlowReplica { replica, cores } => {
+                sim.update_node_props(NodeId::Replica(rid(replica)), |p| p.with_cores(cores));
+            }
+            FaultEvent::Link {
                 kind,
-                matcher(from),
-                matcher(to),
-                SimTime::from_millis(at_ms),
-                SimTime::from_millis(until_ms),
-            ));
+                from,
+                to,
+                at_ms,
+                until_ms,
+            } => {
+                sim.add_link_fault(LinkFault::new(
+                    kind,
+                    matcher(from),
+                    matcher(to),
+                    SimTime::from_millis(at_ms),
+                    SimTime::from_millis(until_ms),
+                ));
+            }
+            _ => {}
         }
     }
 
@@ -335,27 +332,6 @@ fn make_generator(spec: &ScenarioSpec, client: u64) -> Box<dyn basil::TxGenerato
     }
 }
 
-/// The build-time replica-property overrides a spec's clock-skew and
-/// slow-replica faults compile to (merged per replica).
-fn props_overrides(spec: &ScenarioSpec) -> Vec<(ReplicaId, ReplicaPropsOverride)> {
-    let mut map: HashMap<u32, ReplicaPropsOverride> = HashMap::new();
-    for ev in &spec.faults {
-        match *ev {
-            FaultEvent::ClockSkew { replica, skew_us } => {
-                map.entry(replica).or_default().clock_skew_ns = Some(skew_us.saturating_mul(1_000));
-            }
-            FaultEvent::SlowReplica { replica, cores } => {
-                map.entry(replica).or_default().cores = Some(cores);
-            }
-            _ => {}
-        }
-    }
-    let mut out: Vec<(ReplicaId, ReplicaPropsOverride)> =
-        map.into_iter().map(|(r, p)| (rid(r), p)).collect();
-    out.sort_by_key(|(r, _)| *r);
-    out
-}
-
 /// Runs `spec` against a Basil deployment and returns the outcome. Panics
 /// if the spec fails [`ScenarioSpec::validate`] — validate at the boundary
 /// (fuzzer, corpus loader) first.
@@ -379,9 +355,6 @@ pub fn run_basil_spec(spec: &ScenarioSpec, _mode: RuntimeMode) -> ScenarioOutcom
             },
         );
     }
-    for (r, props) in props_overrides(spec) {
-        config = config.with_replica_props(r, props);
-    }
     let mut cluster = BasilCluster::build(config, |cid| make_generator(spec, cid.0));
     drive(&mut cluster, spec)
 }
@@ -395,10 +368,7 @@ pub fn run_baseline_spec(spec: &ScenarioSpec, kind: SystemKind) -> ScenarioOutco
     let baseline = BaselineConfig::new(kind)
         .with_shards(1)
         .with_batch_size(spec.batch_size);
-    let mut config = BaselineClusterConfig::new(baseline, spec.clients).with_seed(spec.seed);
-    for (r, props) in props_overrides(spec) {
-        config = config.with_replica_props(r, props);
-    }
+    let config = BaselineClusterConfig::new(baseline, spec.clients).with_seed(spec.seed);
     let mut cluster = BaselineCluster::build(config, |cid| make_generator(spec, cid.0));
     drive(&mut cluster, spec)
 }
@@ -479,6 +449,43 @@ mod tests {
         let out = run_basil_spec(&spec, RuntimeMode::Serial);
         assert!(out.committed > 0, "{out:?}");
         assert_eq!(out.check(&spec), None, "{:?}", out.audit_failure);
+    }
+
+    /// `drive` alone turns a spec's faults into simulator state: a cluster
+    /// built with `ProtocolCluster::build`, as the benchmark builds its own,
+    /// runs the skew-slow corpus entry exactly as `run_basil_spec` does.
+    #[test]
+    fn drive_sets_skew_and_slow_cores_on_a_directly_built_cluster() {
+        let spec = crate::ron::decode(include_str!("../../../tests/corpus/skew-slow.ron"))
+            .expect("corpus entry decodes");
+        let mut system = SystemConfig::single_shard_f1();
+        system.shard = ShardConfig::new(spec.f);
+        let basil = BasilConfig::bench(system).with_batch_size(spec.batch_size);
+        let config = ClusterConfig::for_protocol(basil::BasilProtocol::new(basil), spec.clients)
+            .with_seed(spec.seed)
+            .with_byzantine_clients(
+                spec.byz_clients,
+                FaultProfile {
+                    strategy: spec.byz_strategy,
+                    faulty_fraction: spec.byz_fraction,
+                },
+            );
+        let mut cluster = ProtocolCluster::build(config, |cid| make_generator(&spec, cid.0));
+        let direct = drive(&mut cluster, &spec);
+
+        let front_end = run_basil_spec(&spec, RuntimeMode::Serial);
+        assert!(
+            !direct.diverges_from(&front_end),
+            "direct {direct:?} vs front end {front_end:?}"
+        );
+        let healthy = ScenarioSpec {
+            faults: Vec::new(),
+            ..spec.clone()
+        };
+        assert!(
+            run_basil_spec(&healthy, RuntimeMode::Serial).diverges_from(&front_end),
+            "the skewed, slow replica changes the run"
+        );
     }
 
     #[test]

@@ -46,7 +46,6 @@ fn narrowed(ev: &FaultEvent) -> Option<FaultEvent> {
             restart_ms: Some(r),
             ..
         } => *r = halve(*at_ms, *r)?,
-        FaultEvent::PartitionReplica { at_ms, heal_ms, .. } => *heal_ms = halve(*at_ms, *heal_ms)?,
         FaultEvent::Link {
             at_ms, until_ms, ..
         } => *until_ms = halve(*at_ms, *until_ms)?,
@@ -170,23 +169,26 @@ pub fn shrink_spec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{base_spec, FaultEvent, RecoveryMode, Selector};
+    use crate::spec::{base_spec, partition, FaultEvent, RecoveryMode, Selector};
     use basil_common::Duration;
     use basil_simnet::LinkFaultKind;
 
     /// A planted synthetic bug: the "failure" fires iff the spec both
-    /// crashes replica 2 and has any partition event. Cheap to evaluate,
-    /// so the minimality property can be checked exhaustively.
+    /// crashes replica 2 and cuts a link (one half of a partition). Cheap
+    /// to evaluate, so the minimality property can be checked
+    /// exhaustively.
     fn planted_bug(spec: &ScenarioSpec) -> bool {
         let crashes_r2 = spec
             .faults
             .iter()
             .any(|ev| matches!(ev, FaultEvent::Crash { replica: 2, .. }));
-        let partitions = spec
-            .faults
-            .iter()
-            .any(|ev| matches!(ev, FaultEvent::PartitionReplica { .. }));
-        crashes_r2 && partitions
+        let cuts = spec.faults.iter().any(|ev| {
+            matches!(ev, FaultEvent::Link {
+                kind: LinkFaultKind::Drop { probability },
+                ..
+            } if *probability >= 1.0)
+        });
+        crashes_r2 && cuts
     }
 
     /// A noisy spec that triggers the planted bug: the two essential events
@@ -197,7 +199,7 @@ mod tests {
         spec.budget.crash = 3;
         spec.budget.deceit = 1;
         spec.f = 3; // room for several benign targets within the budget
-        spec.faults = vec![
+        let mut faults = vec![
             FaultEvent::Link {
                 kind: LinkFaultKind::Drop { probability: 0.1 },
                 from: Selector::Any,
@@ -220,16 +222,13 @@ mod tests {
                 at_ms: 30,
                 until_ms: 130,
             },
-            FaultEvent::PartitionReplica {
-                replica: 7,
-                at_ms: 60,
-                heal_ms: 110,
-            },
             FaultEvent::SlowReplica {
                 replica: 9,
                 cores: 1,
             },
         ];
+        faults.splice(3..3, partition(7, 60, 110));
+        spec.faults = faults;
         assert!(spec.validate().is_ok(), "{:?}", spec.validate());
         assert!(planted_bug(&spec));
         spec

@@ -3,10 +3,16 @@
 //! A [`ScenarioSpec`] is *data* — it names a deployment (clients, Byzantine
 //! client mix, `f`, batching, workload), a run schedule (warmup, total
 //! duration, quiet tail), a fault budget, and a list of timed
-//! [`FaultEvent`]s. The runner (`crate::runner`) compiles a spec onto the
-//! simulator seam — `basil_simnet`'s crash and link-fault hooks and
-//! `basil_core`'s behaviour knobs — so one spec drives Basil and the
-//! baselines, and replays bit-for-bit identically.
+//! [`FaultEvent`]s. One function, `crate::runner::drive`, compiles a spec's
+//! faults onto the simulator seam — `basil_simnet`'s link faults, node
+//! properties and crash hooks, and `basil_core`'s behaviour knobs — so one
+//! spec drives Basil and the baselines, and replays bit-for-bit
+//! identically.
+//!
+//! A partition of replica `r` is not a fault kind of its own: it is two
+//! link drops at probability 1, `DropLink(from: Replica(r), to: Any, ..)`
+//! and `DropLink(from: Any, to: Replica(r), ..)`. What `r` sends itself
+//! crosses no link and still arrives.
 //!
 //! ## Fault taxonomy and budgets
 //!
@@ -15,10 +21,10 @@
 //! separate `crash` and `deceit` allowances, enforced at validation time:
 //!
 //! * **benign** — the targets of [`FaultEvent::Crash`],
-//!   [`FaultEvent::PartitionReplica`], [`FaultEvent::SlowReplica`],
-//!   [`FaultEvent::ClockSkew`], and the replica ends of a
-//!   [`FaultEvent::Link`] that drops, delays or replays. These replicas
-//!   follow the protocol but may be late or unreachable.
+//!   [`FaultEvent::SlowReplica`], [`FaultEvent::ClockSkew`], and the
+//!   replica ends of a [`FaultEvent::Link`] that drops, delays or replays
+//!   (so a partitioned replica is charged once). These replicas follow the
+//!   protocol but may be late or unreachable.
 //! * **deceitful** — the targets of [`FaultEvent::Misbehave`] and the
 //!   replica ends of a [`FaultEvent::Link`] that corrupts. These replicas
 //!   (or their links) actively deviate.
@@ -119,21 +125,9 @@ pub enum FaultEvent {
         /// What the replica remembers when it restarts.
         recovery: RecoveryMode,
     },
-    /// Isolate `replica` from every other node: every message it sends to
-    /// another node, and every message another node sends it, is dropped if
-    /// it leaves its sender during `[at_ms, heal_ms)`. The runner compiles
-    /// this to `basil_simnet::LinkFault::isolating`'s two cuts, judged like
-    /// every other link fault; what the replica sends itself still arrives.
-    PartitionReplica {
-        /// Target replica index.
-        replica: u32,
-        /// Partition activation time.
-        at_ms: u64,
-        /// Heal time.
-        heal_ms: u64,
-    },
     /// Apply `kind` (drop, delay, replay or corrupt) to the messages sent
-    /// from a `from` node to a `to` node during `[at_ms, until_ms)`.
+    /// from a `from` node to a different `to` node during
+    /// `[at_ms, until_ms)`.
     /// Corruption is a detected garble on Basil's authenticated channels:
     /// the receiver discards the message.
     Link {
@@ -148,19 +142,20 @@ pub enum FaultEvent {
         /// Window end (exclusive).
         until_ms: u64,
     },
-    /// Run `replica` with a skewed clock for the whole run (build-time).
+    /// Run `replica` with a skewed clock for the whole run (set before the
+    /// first event).
     ClockSkew {
         /// Target replica index.
         replica: u32,
         /// Skew in microseconds (positive = clock runs ahead).
         skew_us: i64,
     },
-    /// Run `replica` with fewer cores for the whole run (build-time).
+    /// Run `replica` with fewer cores for the whole run (set before the
+    /// first event).
     SlowReplica {
         /// Target replica index.
         replica: u32,
-        /// Core count (< the 8 cores of `REPLICA_CORES` in
-        /// `basil::cluster`).
+        /// Core count (< the 8 cores of `basil_simnet::NodeProps::replica`).
         cores: u32,
     },
     /// Switch `replica` to `behavior` at `at_ms`; revert to correct at
@@ -182,7 +177,6 @@ impl FaultEvent {
     pub fn start_ms(&self) -> u64 {
         match self {
             FaultEvent::Crash { at_ms, .. }
-            | FaultEvent::PartitionReplica { at_ms, .. }
             | FaultEvent::Link { at_ms, .. }
             | FaultEvent::Misbehave { at_ms, .. } => *at_ms,
             FaultEvent::ClockSkew { .. } | FaultEvent::SlowReplica { .. } => 0,
@@ -190,12 +184,11 @@ impl FaultEvent {
     }
 
     /// The time the fault stops acting, or `None` if it acts until the end
-    /// of the run (an unhealed crash or misbehaviour, or a build-time
+    /// of the run (an unhealed crash or misbehaviour, or a whole-run
     /// property like skew / slowness).
     pub fn end_ms(&self) -> Option<u64> {
         match self {
             FaultEvent::Crash { restart_ms, .. } => *restart_ms,
-            FaultEvent::PartitionReplica { heal_ms, .. } => Some(*heal_ms),
             FaultEvent::Link { until_ms, .. } => Some(*until_ms),
             FaultEvent::Misbehave { revert_ms, .. } => *revert_ms,
             FaultEvent::ClockSkew { .. } | FaultEvent::SlowReplica { .. } => None,
@@ -206,7 +199,6 @@ impl FaultEvent {
     fn benign_targets(&self) -> Vec<u32> {
         match self {
             FaultEvent::Crash { replica, .. }
-            | FaultEvent::PartitionReplica { replica, .. }
             | FaultEvent::ClockSkew { replica, .. }
             | FaultEvent::SlowReplica { replica, .. } => vec![*replica],
             FaultEvent::Link { kind, from, to, .. } if !is_deceit(kind) => link_ends(*from, *to),
@@ -362,7 +354,7 @@ impl ScenarioSpec {
         }
         let tail = self.tail_start_ms();
         self.faults.iter().all(|ev| match ev {
-            // Build-time properties never clear, but a slow or skewed
+            // Whole-run properties never clear, but a slow or skewed
             // replica within the budget does not block quorums.
             FaultEvent::ClockSkew { .. } | FaultEvent::SlowReplica { .. } => true,
             _ => ev.end_ms().is_some_and(|end| end <= tail),
@@ -532,7 +524,7 @@ impl std::fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 #[cfg(test)]
-pub(crate) use tests::base_spec;
+pub(crate) use tests::{base_spec, partition};
 
 #[cfg(test)]
 mod tests {
@@ -581,6 +573,21 @@ mod tests {
         }
     }
 
+    /// The two drops that cut `replica` off during `[at_ms, until_ms)`.
+    pub(crate) fn partition(replica: u32, at_ms: u64, until_ms: u64) -> [FaultEvent; 2] {
+        [
+            (Selector::Replica(replica), Selector::Any),
+            (Selector::Any, Selector::Replica(replica)),
+        ]
+        .map(|(from, to)| FaultEvent::Link {
+            kind: LinkFaultKind::Drop { probability: 1.0 },
+            from,
+            to,
+            at_ms,
+            until_ms,
+        })
+    }
+
     #[test]
     fn base_spec_is_valid_and_liveness_checkable() {
         let spec = base_spec();
@@ -593,11 +600,7 @@ mod tests {
     #[test]
     fn budget_violations_are_rejected() {
         let mut spec = base_spec();
-        spec.faults.push(FaultEvent::PartitionReplica {
-            replica: 2,
-            at_ms: 60,
-            heal_ms: 100,
-        });
+        spec.faults.extend(partition(2, 60, 100));
         let e = spec.validate().unwrap_err();
         assert!(e.0.contains("benign"), "{e}");
 
@@ -685,7 +688,7 @@ mod tests {
         spec.validate().expect("within budgets");
         assert!(!spec.liveness_checkable());
 
-        // Build-time slowness within the budget stays checkable.
+        // Whole-run slowness within the budget stays checkable.
         let mut spec = base_spec();
         spec.faults = vec![FaultEvent::SlowReplica {
             replica: 3,

@@ -39,13 +39,16 @@
 //!   keys over a payload slab, one handler path, the network model, and the
 //!   seeded RNG.
 //! * [`Actor`] / [`Context`] — the sans-io state-machine interface.
-//! * [`NodeProps`] — per-node cores and clock skew.
+//! * [`NodeProps`] — per-node cores and clock skew, fixed at
+//!   [`Simulation::add_node`] or rewritten by
+//!   [`Simulation::update_node_props`] before the run.
 //! * [`NetworkConfig`] — latency and jitter.
 //! * [`LinkFault`] — the one way a message is lost, delayed, replayed or
 //!   garbled: a [`LinkFaultKind`] on the links a pair of [`NodeMatcher`]s
 //!   selects, during `[start, end)` of the send time. Network-wide loss is
-//!   a `Drop` on every link; a partition is [`LinkFault::isolating`]'s two
-//!   cuts.
+//!   a `Drop` on every link; a partition is two cuts, `Node(n) → Any` and
+//!   `Any → Node(n)`. A message a node sends itself crosses no link, so no
+//!   fault touches it.
 //! * [`Metrics`] / [`NodeMetrics`] — counters assembled on demand from the
 //!   per-slot records.
 //!

@@ -77,8 +77,6 @@ pub enum NodeMatcher {
     Replicas,
     /// Matches exactly one node.
     Node(NodeId),
-    /// Matches every node except one.
-    AllBut(NodeId),
 }
 
 impl NodeMatcher {
@@ -89,7 +87,6 @@ impl NodeMatcher {
             NodeMatcher::Clients => id.is_client(),
             NodeMatcher::Replicas => !id.is_client(),
             NodeMatcher::Node(n) => *n == id,
-            NodeMatcher::AllBut(n) => *n != id,
         }
     }
 }
@@ -161,33 +158,15 @@ impl LinkFault {
         }
     }
 
-    /// The two faults that cut `node` off from every other node during
-    /// `[start, end)`: all it sends and all it is sent is dropped, except
-    /// what it sends itself.
-    pub fn isolating(node: NodeId, start: SimTime, end: SimTime) -> [LinkFault; 2] {
-        let cut = LinkFaultKind::Drop { probability: 1.0 };
-        [
-            LinkFault::new(
-                cut,
-                NodeMatcher::Node(node),
-                NodeMatcher::AllBut(node),
-                start,
-                end,
-            ),
-            LinkFault::new(
-                cut,
-                NodeMatcher::AllBut(node),
-                NodeMatcher::Node(node),
-                start,
-                end,
-            ),
-        ]
-    }
-
     /// Whether this fault applies to a message sent at `at` from `from` to
-    /// `to`.
+    /// `to`. A message a node sends itself never crosses a link, so no
+    /// fault applies to it; on TCP it never leaves the process either.
     pub fn applies(&self, at: SimTime, from: NodeId, to: NodeId) -> bool {
-        at >= self.start && at < self.end && self.from.matches(from) && self.to.matches(to)
+        from != to
+            && at >= self.start
+            && at < self.end
+            && self.from.matches(from)
+            && self.to.matches(to)
     }
 }
 
@@ -228,8 +207,17 @@ mod tests {
 
     #[test]
     fn partition_blocks_cross_traffic_only_when_active() {
-        let [out, into] =
-            LinkFault::isolating(r(0), SimTime::from_millis(10), SimTime::from_millis(20));
+        let cut = |from, to| {
+            LinkFault::new(
+                LinkFaultKind::Drop { probability: 1.0 },
+                from,
+                to,
+                SimTime::from_millis(10),
+                SimTime::from_millis(20),
+            )
+        };
+        let out = cut(NodeMatcher::Node(r(0)), NodeMatcher::Any);
+        let into = cut(NodeMatcher::Any, NodeMatcher::Node(r(0)));
         let blocks = |at: u64, a: NodeId, b: NodeId| {
             let at = SimTime::from_millis(at);
             out.applies(at, a, b) || into.applies(at, a, b)
@@ -244,6 +232,13 @@ mod tests {
             "outside the isolated node traffic flows"
         );
         assert!(!blocks(20, r(0), r(5)), "healed at the window's end");
+        let everywhere = cut(NodeMatcher::Any, NodeMatcher::Any);
+        let at = SimTime::from_millis(15);
+        assert!(everywhere.applies(at, c(1), r(1)));
+        assert!(
+            !everywhere.applies(at, r(1), r(1)),
+            "no link fault applies to a message a node sends itself"
+        );
     }
 
     #[test]
@@ -256,9 +251,6 @@ mod tests {
         assert!(!NodeMatcher::Replicas.matches(c(2)));
         assert!(NodeMatcher::Node(r(2)).matches(r(2)));
         assert!(!NodeMatcher::Node(r(2)).matches(r(3)));
-        assert!(NodeMatcher::AllBut(r(2)).matches(r(3)));
-        assert!(NodeMatcher::AllBut(r(2)).matches(c(2)));
-        assert!(!NodeMatcher::AllBut(r(2)).matches(r(2)));
     }
 
     #[test]

@@ -323,6 +323,18 @@ impl<M: Clone + 'static> Simulation<M> {
         });
     }
 
+    /// Rewrites a registered node's properties with `update` and resizes
+    /// its cores to match: a scenario's clock skew and slow cores land here.
+    /// An id with no node is a no-op. Panics once the run has started, when
+    /// cores may be busy and clocks already read.
+    pub fn update_node_props(&mut self, id: NodeId, update: impl FnOnce(NodeProps) -> NodeProps) {
+        assert!(!self.started, "node properties are set before the run");
+        if let Some(slot) = self.slot_mut(id) {
+            slot.props = update(slot.props);
+            slot.core_free = vec![SimTime::ZERO; slot.props.cores.max(1) as usize];
+        }
+    }
+
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -899,12 +911,20 @@ mod tests {
                 }),
             );
         }
-        // Ticks leave at 1, 2, ..., 9 ms; isolating client 2 during [3, 7)
-        // cuts the ones at 3, 4, 5 and 6 ms in both directions.
-        for fault in
-            LinkFault::isolating(client(2), SimTime::from_millis(3), SimTime::from_millis(7))
-        {
-            sim.add_link_fault(fault);
+        // Ticks leave at 1, 2, ..., 9 ms; cutting client 2's links both ways
+        // during [3, 7) drops the ones at 3, 4, 5 and 6 ms in both
+        // directions. What a node sends itself crosses no link.
+        for (from, to) in [
+            (NodeMatcher::Node(client(2)), NodeMatcher::Any),
+            (NodeMatcher::Any, NodeMatcher::Node(client(2))),
+        ] {
+            sim.add_link_fault(LinkFault::new(
+                LinkFaultKind::Drop { probability: 1.0 },
+                from,
+                to,
+                SimTime::from_millis(3),
+                SimTime::from_millis(7),
+            ));
         }
         sim.run_until(SimTime::from_micros(9_500));
         for node in [client(1), client(2)] {
@@ -942,6 +962,25 @@ mod tests {
         let reader: &ClockReader = sim.actor(client(1)).expect("reader");
         let (global, local) = reader.readings[0];
         assert_eq!(local - global, Duration::from_millis(2));
+    }
+
+    #[test]
+    fn node_props_are_rewritten_before_the_run() {
+        let mut sim = build_ping_pong(1, NetworkConfig::instant(), 1, 8, Duration::ZERO);
+        sim.update_node_props(client(2), |p| p.with_cores(2).with_skew_ns(-7));
+        sim.update_node_props(client(9), |p| p.with_cores(3));
+        let slot = sim.slot_ref(client(2)).expect("registered");
+        assert_eq!((slot.props.cores, slot.props.clock_skew_ns), (2, -7));
+        assert_eq!(slot.core_free.len(), 2, "cores resized with the props");
+        assert!(sim.slot_ref(client(9)).is_none(), "unknown id is a no-op");
+    }
+
+    #[test]
+    #[should_panic(expected = "before the run")]
+    fn node_props_are_fixed_once_the_run_starts() {
+        let mut sim = build_ping_pong(1, NetworkConfig::instant(), 1, 1, Duration::ZERO);
+        sim.run_until(SimTime::from_millis(1));
+        sim.update_node_props(client(2), |p| p.with_cores(2));
     }
 
     #[test]

@@ -3,7 +3,10 @@
 
 use basil::harness::{BasilCluster, ClusterConfig};
 use basil::workloads::ycsb::YcsbGenerator;
-use basil::{BasilConfig, Duration, Key, Op, ScriptedGenerator, SystemConfig, TxProfile, Value};
+use basil::{
+    BasilConfig, BasilReplica, Duration, Key, NodeId, Op, ScriptedGenerator, SystemConfig,
+    TxProfile, Value,
+};
 
 /// A handful of clients running the uniform YCSB microbenchmark commit a
 /// healthy number of transactions, almost always on the fast path, and the
@@ -191,10 +194,10 @@ fn one_crashed_replica_does_not_block_progress() {
     cluster.audit().expect("serializable");
 }
 
-/// The messages one honest 2-read, 2-write transaction costs on one shard of
-/// n = 6 over the fault-free LAN, with and without the fast path. An extra
-/// retry, a duplicated reply or a dropped forward shows up as a changed
-/// count.
+/// The messages and signatures one honest 2-read, 2-write transaction costs
+/// on one shard of n = 6 over the fault-free LAN, with and without the fast
+/// path. An extra retry, a duplicated reply, a dropped forward or a second
+/// signature shows up as a changed count.
 #[test]
 fn one_commit_delivers_a_pinned_number_of_messages() {
     let delivered = |basil: BasilConfig| {
@@ -212,16 +215,24 @@ fn one_commit_delivers_a_pinned_number_of_messages() {
         });
         cluster.run_for(Duration::from_millis(200));
         assert_eq!(cluster.total_committed(), 1);
-        cluster.sim().metrics().messages_delivered
+        let signed: u64 = cluster
+            .replica_ids()
+            .iter()
+            .filter_map(|rid| cluster.sim().actor::<BasilReplica>(NodeId::Replica(*rid)))
+            .map(|r| r.stats().batches_signed)
+            .sum();
+        (cluster.sim().metrics().messages_delivered, signed)
     };
     let basil = BasilConfig::test_single_shard();
     // Fast path: each read goes to 2f + 1 = 3 replicas, which answer
     // (2 x (3 + 3) = 12); the ST1 goes to all 6, which vote (6 + 6 = 12);
-    // the writeback goes to all 6. 12 + 12 + 6 = 30.
-    assert_eq!(delivered(basil.clone()), 30);
+    // the writeback goes to all 6. 12 + 12 + 6 = 30. At batch size 1 every
+    // reply is its own signed batch: 6 read replies and 6 ST1 votes sign 12.
+    assert_eq!(delivered(basil.clone()), (30, 12));
     // Without the fast path the unanimous votes are logged on S_log first:
     // the ST2 goes to its 6 replicas, which acknowledge (6 + 6 = 12), and
     // each of them forwards the certificate it then receives to the client
-    // that logged the decision (6). 30 + 12 + 6 = 48.
-    assert_eq!(delivered(basil.without_fast_path()), 48);
+    // that logged the decision (6). 30 + 12 + 6 = 48. The 6 ST2
+    // acknowledgements are signed too: 12 + 6 = 18.
+    assert_eq!(delivered(basil.without_fast_path()), (48, 18));
 }

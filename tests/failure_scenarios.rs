@@ -16,7 +16,10 @@
 use basil::cluster::RuntimeMode;
 use basil_core::byzantine::ClientStrategy;
 use basil_scenario::runner::run_basil_spec;
-use basil_scenario::spec::{FaultBudget, FaultEvent, RecoveryMode, ScenarioSpec, WorkloadSpec};
+use basil_scenario::spec::{
+    FaultBudget, FaultEvent, RecoveryMode, ScenarioSpec, Selector, WorkloadSpec,
+};
+use basil_simnet::LinkFaultKind;
 
 const CLIENTS: u32 = 10;
 const BYZANTINE: u32 = 3; // 30%, the paper's headline fraction
@@ -58,10 +61,20 @@ fn fig7_spec() -> ScenarioSpec {
                 restart_ms: Some(120),
                 recovery: RecoveryMode::Warm,
             },
-            FaultEvent::PartitionReplica {
-                replica: 5,
+            // The partition: every link to and from replica 5 is cut.
+            FaultEvent::Link {
+                kind: LinkFaultKind::Drop { probability: 1.0 },
+                from: Selector::Replica(5),
+                to: Selector::Any,
                 at_ms: 120,
-                heal_ms: 180,
+                until_ms: 180,
+            },
+            FaultEvent::Link {
+                kind: LinkFaultKind::Drop { probability: 1.0 },
+                from: Selector::Any,
+                to: Selector::Replica(5),
+                at_ms: 120,
+                until_ms: 180,
             },
         ],
         expect: None,
