@@ -132,7 +132,7 @@ impl BaselineClient {
 
     fn start_next_transaction(&mut self, ctx: &mut Context<BaselineMsg>) {
         let (now, clock) = (ctx.now(), ctx.local_clock());
-        if self.session.start(now, clock, &mut self.stats).is_some() {
+        if self.session.start(now, clock, &mut self.stats) {
             self.execute(ctx);
         }
     }

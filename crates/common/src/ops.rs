@@ -57,20 +57,12 @@ pub struct TxProfile {
     /// A workload-specific label ("payment", "new_order", ...) used for
     /// per-transaction-type statistics.
     pub label: &'static str,
-    /// Whether this transaction is issued by a Byzantine client following one
-    /// of the attack strategies of Section 6.4 (used by the failure
-    /// experiments to mark which transactions count as faulty).
-    pub faulty: bool,
 }
 
 impl TxProfile {
     /// Creates a profile from operations with a label.
     pub fn new(label: &'static str, ops: Vec<Op>) -> Self {
-        TxProfile {
-            ops,
-            label,
-            faulty: false,
-        }
+        TxProfile { ops, label }
     }
 
     /// Number of read operations (RMW counts as one read).
@@ -181,7 +173,6 @@ mod tests {
         );
         assert_eq!(p.reads(), 2);
         assert_eq!(p.writes(), 2);
-        assert!(!p.faulty);
         assert_eq!(p.label, "mixed");
     }
 

@@ -87,17 +87,24 @@ impl std::str::FromStr for ClientStrategy {
     }
 }
 
-/// Behaviour of a replica.
+/// Behaviour of a replica. A misbehaving replica runs the protocol honestly
+/// (its store, log and records are a correct replica's) and differs only in
+/// the replies it sends: the replica's reply queue drops or rewrites them
+/// before the batch is signed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReplicaBehavior {
     /// Follow the protocol.
     Correct,
-    /// Never answer `ST1` prepares (forces the slow path / recovery).
+    /// Send no `ST1` vote, for a recovery `ST1` either (forces the slow path
+    /// / recovery). `ST2` acknowledgements and writeback answers still go
+    /// out.
     WithholdVotes,
-    /// Vote abort on every transaction (disables the fast commit path).
+    /// Send every `ST1` vote, deferred ones included, as `Abort` without a
+    /// conflict certificate (disables the fast commit path).
     AlwaysVoteAbort,
-    /// Ignore read requests (forces clients to rely on the other replicas of
-    /// the read quorum).
+    /// Send no read reply; the read still runs, so it records its read
+    /// timestamp (forces clients to rely on the other replicas of the read
+    /// quorum).
     IgnoreReads,
 }
 

@@ -416,10 +416,10 @@ impl BasilClient {
     /// Poisson arrival instant, so queueing delay counts toward latency.
     fn start_transaction(&mut self, ctx: &mut Context<BasilMsg>, arrived: SimTime) {
         let clock = ctx.local_clock();
-        let Some(profile) = self.session.start(arrived, clock, &mut self.stats) else {
+        if !self.session.start(arrived, clock, &mut self.stats) {
             return;
-        };
-        self.faulty = profile.faulty || self.fault.sample_faulty(&mut self.prng);
+        }
+        self.faulty = self.fault.sample_faulty(&mut self.prng);
         if self.faulty {
             self.stats.faulty_issued += 1;
         }
@@ -1104,7 +1104,7 @@ impl Actor<BasilMsg> for BasilClient {
             | BasilMsg::InvokeFb(_)
             | BasilMsg::ElectFb(_)
             | BasilMsg::DecFb(_)
-            | BasilMsg::CatchUpRequest(_)
+            | BasilMsg::CatchUpRequest
             | BasilMsg::CatchUpReply(_)
             | BasilMsg::ReplicaTimer(_) => {}
         }

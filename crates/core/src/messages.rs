@@ -414,25 +414,14 @@ impl SignedPayload for DecFb {
 // Crash-recovery catch-up
 // ---------------------------------------------------------------------------
 
-/// Replica -> shard peers: a replica that lost its memory (amnesia restart)
-/// has replayed its WAL and asks for the decisions it missed. Unsigned: the
-/// reply carries self-validating certificates, so a forged request can at
-/// worst waste a peer's bandwidth, never poison state.
-#[derive(Clone, Debug)]
-pub struct CatchUpRequest {
-    /// The recovering replica (replies are addressed back to it).
-    pub from: ReplicaId,
-}
-
 /// Shard peer -> recovering replica: every decision certificate the peer has
 /// applied, each with the transaction body when the peer still holds it
 /// (commits need the body to re-install writes). The recovering replica
 /// validates every certificate before applying it — a Byzantine peer can
-/// send garbage, but not a certificate that verifies.
+/// send garbage, but not a certificate that verifies. It names no sender: the
+/// recovering replica counts it against its transport sender.
 #[derive(Clone, Debug)]
 pub struct CatchUpReply {
-    /// The responding peer.
-    pub from: ReplicaId,
     /// Applied decisions: `(certificate, transaction body if available)`.
     pub entries: Vec<(Arc<DecisionCert>, Option<Arc<Transaction>>)>,
 }
@@ -524,8 +513,11 @@ pub enum BasilMsg {
     /// Fallback leader -> replicas: reconciled decision.
     DecFb(DecFb),
     /// Recovering replica -> shard peers: request missed decisions after an
-    /// amnesia restart.
-    CatchUpRequest(CatchUpRequest),
+    /// amnesia restart. It carries nothing: the reply goes to its transport
+    /// sender. Unsigned, because the reply carries self-validating
+    /// certificates, so a forged request can at worst waste a peer's
+    /// bandwidth, never poison state.
+    CatchUpRequest,
     /// Shard peer -> recovering replica: applied decision certificates.
     CatchUpReply(CatchUpReply),
     /// Client self-message timers.

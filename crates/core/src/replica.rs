@@ -14,10 +14,9 @@ use crate::certs::{
 use crate::config::BasilConfig;
 use crate::crypto_engine::SigEngine;
 use crate::messages::{
-    BasilMsg, CatchUpReply, CatchUpRequest, CommittedRead, DecFb, ElectFbBody, InvokeFb,
-    PreparedRead, ProtoDecision, ProtoVote, ReadReply, ReadReplyBody, ReadRequest, ReplicaTimer,
-    SignedElectFb, SignedSt1Reply, SignedSt2Reply, St1, St1ReplyBody, St2, St2ReplyBody, View,
-    Writeback,
+    BasilMsg, CatchUpReply, CommittedRead, DecFb, ElectFbBody, InvokeFb, PreparedRead,
+    ProtoDecision, ProtoVote, ReadReply, ReadReplyBody, ReadRequest, ReplicaTimer, SignedElectFb,
+    SignedSt1Reply, SignedSt2Reply, St1, St1ReplyBody, St2, St2ReplyBody, View, Writeback,
 };
 use crate::views::{fallback_leader_index, logging_shard, next_view};
 use basil_common::config::DELTA;
@@ -52,7 +51,8 @@ pub struct ReplicaStats {
     pub fallback_invocations: u64,
     /// DecFB decisions adopted.
     pub fallback_decisions_adopted: u64,
-    /// Messages dropped because of Byzantine behaviour configuration.
+    /// Replies withheld because of the replica's misbehaviour
+    /// ([`ReplicaBehavior`]).
     pub byzantine_drops: u64,
     /// Batches signed.
     pub batches_signed: u64,
@@ -98,7 +98,8 @@ struct TxRecord {
     /// RandomState-seeded set here would reorder sends run to run and break
     /// the bit-identical determinism contract.
     interested: Vec<NodeId>,
-    /// ST2 messages that arrived before the transaction body.
+    /// ST2 messages that arrived before the transaction body, applied when
+    /// this replica casts its vote.
     buffered_st2: Vec<(NodeId, St2)>,
     /// The elections this replica collected as fallback leader, by view.
     elections: BTreeMap<View, Election>,
@@ -343,6 +344,14 @@ impl BasilReplica {
         self.records.entry(txid).or_default()
     }
 
+    /// The index of `from` if it is a replica of this shard.
+    fn shard_peer(&self, from: NodeId) -> Option<u32> {
+        match from {
+            NodeId::Replica(r) if r.shard == self.id.shard => Some(r.index),
+            _ => None,
+        }
+    }
+
     fn shard_replicas(&self) -> Vec<NodeId> {
         let shard = self.id.shard;
         (0..self.cfg.system.shard.n())
@@ -354,7 +363,22 @@ impl BasilReplica {
     // Reply batching (Section 4.4)
     // ------------------------------------------------------------------
 
-    fn enqueue_reply(&mut self, ctx: &mut Context<BasilMsg>, to: NodeId, reply: PendingReply) {
+    /// Queues a reply for the next signed batch. This is the one place a
+    /// misbehaving replica departs from the protocol: its store, log and
+    /// records stay honest, and only what it sends differs.
+    fn enqueue_reply(&mut self, ctx: &mut Context<BasilMsg>, to: NodeId, mut reply: PendingReply) {
+        match (self.behavior, &mut reply) {
+            (ReplicaBehavior::IgnoreReads, PendingReply::Read(_))
+            | (ReplicaBehavior::WithholdVotes, PendingReply::St1(..)) => {
+                self.stats.byzantine_drops += 1;
+                return;
+            }
+            (ReplicaBehavior::AlwaysVoteAbort, PendingReply::St1(body, conflict)) => {
+                body.vote = ProtoVote::Abort;
+                *conflict = None;
+            }
+            _ => {}
+        }
         self.out_batch.push((to, reply));
         let batch_size = self.cfg.system.batch_size.max(1) as usize;
         if !self.engine.enabled() || batch_size == 1 || self.out_batch.len() >= batch_size {
@@ -437,10 +461,6 @@ impl BasilReplica {
     // ------------------------------------------------------------------
 
     fn handle_read(&mut self, ctx: &mut Context<BasilMsg>, from: NodeId, req: ReadRequest) {
-        if self.behavior == ReplicaBehavior::IgnoreReads {
-            self.stats.byzantine_drops += 1;
-            return;
-        }
         if !self.engine.verify_request(&req, req.auth.as_ref()) {
             return;
         }
@@ -479,10 +499,6 @@ impl BasilReplica {
             return;
         }
         let txid = st1.tx.id();
-        if !st1.recovery && self.behavior == ReplicaBehavior::WithholdVotes {
-            self.stats.byzantine_drops += 1;
-            return;
-        }
         // The record is resolved once and everything below works through it
         // (records, store, engine and stats are disjoint fields).
         let record = self.records.entry(txid).or_default();
@@ -537,47 +553,11 @@ impl BasilReplica {
             return;
         }
 
-        // Byzantine behaviour: always vote abort without consulting the store.
-        if self.behavior == ReplicaBehavior::AlwaysVoteAbort {
-            record.own_vote = Some(ProtoVote::Abort);
-            self.stats.st1_voted += 1;
-            let body = St1ReplyBody {
-                txid,
-                replica: self.id,
-                vote: ProtoVote::Abort,
-            };
-            self.enqueue_reply(ctx, from, PendingReply::St1(body, None));
-            return;
-        }
-
         // Run the MVTSO check (Algorithm 1). Charge a hash of the transaction
         // encoding as the processing cost of the check itself.
         ctx.charge(self.engine.message_cost());
-        let outcome = self.store.prepare(&st1.tx, ctx.local_clock(), DELTA);
-        match outcome {
-            CheckOutcome::Decided(vote) => {
-                let proto = match vote {
-                    Vote::Commit => ProtoVote::Commit,
-                    Vote::Abort(_) => ProtoVote::Abort,
-                };
-                record.own_vote = Some(proto.clone());
-                // A buffered ST2 can now be validated against the transaction.
-                let buffered_st2 = std::mem::take(&mut record.buffered_st2);
-                self.stats.st1_voted += 1;
-                self.wal_append(&WalRecord::Prepare {
-                    commit: proto.is_commit(),
-                    tx: Arc::clone(&st1.tx),
-                });
-                let body = St1ReplyBody {
-                    txid,
-                    replica: self.id,
-                    vote: proto,
-                };
-                self.enqueue_reply(ctx, from, PendingReply::St1(body, None));
-                for (from, st2) in buffered_st2 {
-                    self.apply_st2(ctx, from, st2);
-                }
-            }
+        match self.store.prepare(&st1.tx, ctx.local_clock(), DELTA) {
+            CheckOutcome::Decided(vote) => self.cast_vote(ctx, txid, vote, &[from]),
             CheckOutcome::Pending { .. } => {
                 record.waiting_clients.push(from);
                 self.stats.st1_deferred += 1;
@@ -585,45 +565,52 @@ impl BasilReplica {
         }
     }
 
-    /// Sends the deferred ST1 votes released by a dependency decision.
+    /// Casts this replica's one ST1 vote for `txid`, at once or when the
+    /// dependencies it waited on are decided: records it, logs it so amnesia
+    /// replay re-derives it, answers each client in `to`, and then applies the
+    /// ST2s that arrived before the transaction body (they can now be
+    /// validated against it).
+    fn cast_vote(&mut self, ctx: &mut Context<BasilMsg>, txid: TxId, vote: Vote, to: &[NodeId]) {
+        let vote = match vote {
+            Vote::Commit => ProtoVote::Commit,
+            Vote::Abort(_) => ProtoVote::Abort,
+        };
+        let record = self.record(txid);
+        record.own_vote = Some(vote.clone());
+        let tx = record.tx.clone();
+        let buffered_st2 = std::mem::take(&mut record.buffered_st2);
+        self.stats.st1_voted += 1;
+        if let Some(tx) = tx {
+            self.wal_append(&WalRecord::Prepare {
+                commit: vote.is_commit(),
+                tx,
+            });
+        }
+        for &client in to {
+            let body = St1ReplyBody {
+                txid,
+                replica: self.id,
+                vote: vote.clone(),
+            };
+            self.enqueue_reply(ctx, client, PendingReply::St1(body, None));
+        }
+        for (from, st2) in buffered_st2 {
+            self.apply_st2(ctx, from, st2);
+        }
+    }
+
+    /// Casts the deferred ST1 votes released by a dependency decision, to the
+    /// clients that waited for them and then to the interested ones.
     fn deliver_released_votes(&mut self, ctx: &mut Context<BasilMsg>, released: Vec<(TxId, Vote)>) {
         for (txid, vote) in released {
-            let proto = match vote {
-                Vote::Commit => ProtoVote::Commit,
-                Vote::Abort(_) => ProtoVote::Abort,
-            };
-            let (waiting, interested, tx) = {
-                let record = self.record(txid);
-                record.own_vote = Some(proto.clone());
-                (
-                    std::mem::take(&mut record.waiting_clients),
-                    record.interested.clone(),
-                    record.tx.clone(),
-                )
-            };
-            self.stats.st1_voted += 1;
-            if let Some(tx) = tx {
-                // A released deferred vote is a state transition like an
-                // immediate one: log it so amnesia replay re-derives it.
-                self.wal_append(&WalRecord::Prepare {
-                    commit: proto.is_commit(),
-                    tx,
-                });
-            }
-            let mut recipients: Vec<NodeId> = waiting;
-            for c in interested {
-                if !recipients.contains(&c) {
-                    recipients.push(c);
+            let record = self.record(txid);
+            let mut to = std::mem::take(&mut record.waiting_clients);
+            for client in &record.interested {
+                if !to.contains(client) {
+                    to.push(*client);
                 }
             }
-            for client in recipients {
-                let body = St1ReplyBody {
-                    txid,
-                    replica: self.id,
-                    vote: proto.clone(),
-                };
-                self.enqueue_reply(ctx, client, PendingReply::St1(body, None));
-            }
+            self.cast_vote(ctx, txid, vote, &to);
         }
     }
 
@@ -777,36 +764,27 @@ impl BasilReplica {
     /// has applied, each with the transaction body when still held (commits
     /// need it to re-install writes). Certificates are self-validating, so no
     /// signature is needed on the reply; entries are sent in transaction-id
-    /// order to keep the message plane deterministic.
-    fn handle_catch_up_request(
-        &mut self,
-        ctx: &mut Context<BasilMsg>,
-        from: NodeId,
-        req: CatchUpRequest,
-    ) {
-        if from != NodeId::Replica(req.from) || req.from.shard != self.id.shard {
-            return; // spoofed or cross-shard request
+    /// order to keep the message plane deterministic. Only a replica of this
+    /// shard, by its transport sender, is served.
+    fn handle_catch_up_request(&mut self, ctx: &mut Context<BasilMsg>, from: NodeId) {
+        if self.shard_peer(from).is_none() {
+            return; // a client's or another shard's request
         }
         let mut entries: Vec<_> = (self.records.values())
             .filter_map(|r| Some((Arc::clone(r.cert.as_ref()?), r.tx.clone())))
             .collect();
         entries.sort_by_key(|(cert, _)| cert.txid);
         ctx.charge(self.engine.message_cost());
-        ctx.send(
-            from,
-            BasilMsg::CatchUpReply(CatchUpReply {
-                from: self.id,
-                entries,
-            }),
-        );
+        ctx.send(from, BasilMsg::CatchUpReply(CatchUpReply { entries }));
     }
 
     /// Applies a peer's catch-up reply while recovering. Every entry goes
     /// through [`BasilReplica::handle_writeback`], i.e. the certificate is
     /// validated exactly like a client writeback before it touches the store
     /// — a Byzantine peer can pad the reply with garbage but cannot poison
-    /// recovery with an unverifiable decision. Once every peer has answered,
-    /// the replica resumes normal service.
+    /// recovery with an unverifiable decision. A reply counts for the shard
+    /// peer that is its transport sender; once every peer has answered, the
+    /// replica resumes normal service.
     fn handle_catch_up_reply(
         &mut self,
         ctx: &mut Context<BasilMsg>,
@@ -816,14 +794,12 @@ impl BasilReplica {
         if self.recovering.is_none() {
             return; // late reply after the deadline already fired
         }
-        if from != NodeId::Replica(reply.from) || reply.from.shard != self.id.shard {
-            return;
-        }
-        {
-            let state = self.recovering.as_mut().expect("checked above");
-            if !state.pending_peers.remove(&reply.from.index) {
-                return; // duplicate reply
-            }
+        let Some(peer) = self.shard_peer(from) else {
+            return; // not a replica of this shard
+        };
+        let state = self.recovering.as_mut().expect("checked above");
+        if !state.pending_peers.remove(&peer) {
+            return; // duplicate reply, or this replica's own index
         }
         for (cert, tx) in reply.entries {
             let txid = cert.txid;
@@ -1046,7 +1022,7 @@ impl BasilReplica {
             BasilMsg::InvokeFb(ifb) => self.handle_invoke_fb(ctx, from, ifb),
             BasilMsg::ElectFb(efb) => self.handle_elect_fb(ctx, efb),
             BasilMsg::DecFb(dfb) => self.handle_dec_fb(ctx, dfb),
-            BasilMsg::CatchUpRequest(req) => self.handle_catch_up_request(ctx, from, req),
+            BasilMsg::CatchUpRequest => self.handle_catch_up_request(ctx, from),
             BasilMsg::CatchUpReply(reply) => self.handle_catch_up_reply(ctx, from, reply),
             // Timers travel on the ordinary message plane; only our own
             // self-scheduled ones may fire (a forged BatchFlush would defeat
@@ -1089,10 +1065,7 @@ impl Actor<BasilMsg> for BasilReplica {
                     continue;
                 }
                 ctx.charge(self.engine.message_cost());
-                ctx.send(
-                    peer,
-                    BasilMsg::CatchUpRequest(CatchUpRequest { from: self.id }),
-                );
+                ctx.send(peer, BasilMsg::CatchUpRequest);
             }
             ctx.schedule_self(
                 self.cfg.catch_up_timeout,
@@ -1331,6 +1304,8 @@ mod tests {
         }
     }
 
+    /// A withholding replica sends no vote, for a recovery ST1 either, but
+    /// prepares the transaction as an honest replica would.
     #[test]
     fn withholding_replica_does_not_vote() {
         let mut r = replica(0);
@@ -1339,20 +1314,60 @@ mod tests {
         let mut ctx = ctx_at(NodeId::Replica(r.id()), 1);
         r.handle_st1(&mut ctx, client_node(), signed_st1(&tx, false));
         assert!(sent_to(&ctx, client_node()).is_empty());
-        assert_eq!(r.stats().byzantine_drops, 1);
+        let recoverer = NodeId::Client(ClientId(22));
+        let mut ctx2 = ctx_at(NodeId::Replica(r.id()), 2);
+        r.handle_st1(&mut ctx2, recoverer, signed_st1(&tx, true));
+        assert!(sent_to(&ctx2, recoverer).is_empty());
+        assert_eq!(r.stats().byzantine_drops, 2);
+        assert!(r.store().is_prepared(&tx.id()));
     }
 
+    /// The vote in an ST1 reply `msgs` holds for `txid`.
+    fn vote_in(msgs: &[BasilMsg], txid: TxId) -> Option<ProtoVote> {
+        msgs.iter().find_map(|m| match m {
+            BasilMsg::St1Reply(reply) if reply.body.txid == txid => Some(reply.body.vote.clone()),
+            _ => None,
+        })
+    }
+
+    /// An abort-voting replica answers `Abort` to a first ST1, to a
+    /// re-delivered one and for a deferred vote released later.
     #[test]
     fn always_abort_replica_votes_abort() {
         let mut r = replica(0);
         r.set_behavior(ReplicaBehavior::AlwaysVoteAbort);
+        let me = NodeId::Replica(r.id());
         let tx = write_tx(1_000_000, "x", 7);
-        let mut ctx = ctx_at(NodeId::Replica(r.id()), 1);
-        r.handle_st1(&mut ctx, client_node(), signed_st1(&tx, false));
-        match &sent_to(&ctx, client_node())[0] {
-            BasilMsg::St1Reply(reply) => assert_eq!(reply.body.vote, ProtoVote::Abort),
-            other => panic!("unexpected {other:?}"),
+        for ms in [1, 2] {
+            let mut ctx = ctx_at(me, ms);
+            r.handle_st1(&mut ctx, client_node(), signed_st1(&tx, false));
+            let sent = sent_to(&ctx, client_node());
+            assert_eq!(vote_in(&sent, tx.id()), Some(ProtoVote::Abort), "{ms} ms");
         }
+
+        let (dependent, dependent_client) = (dependent_tx(&tx), NodeId::Client(ClientId(3)));
+        let mut ctx = ctx_at(me, 3);
+        r.handle_st1(&mut ctx, dependent_client, signed_st1(&dependent, false));
+        assert!(sent_to(&ctx, dependent_client).is_empty(), "vote deferred");
+        let mut ctx = ctx_at(me, 4);
+        r.handle_writeback(
+            &mut ctx,
+            Writeback {
+                cert: fast_commit_cert(&tx),
+                tx: Some(Arc::clone(&tx)),
+            },
+        );
+        let sent = sent_to(&ctx, dependent_client);
+        assert_eq!(vote_in(&sent, dependent.id()), Some(ProtoVote::Abort));
+    }
+
+    /// A transaction at 2 ms of client 3 that read `dep`'s prepared write of
+    /// x and writes y.
+    fn dependent_tx(dep: &Transaction) -> Arc<Transaction> {
+        let mut b = TransactionBuilder::new(Timestamp::from_nanos(2_000_000, ClientId(3)));
+        b.record_dependent_read(Key::new("x"), dep.timestamp(), dep.id());
+        b.record_write(Key::new("y"), Value::from_u64(6));
+        b.build_shared()
     }
 
     /// Builds a valid fast-path commit certificate for `tx` signed by all six
@@ -1641,10 +1656,7 @@ mod tests {
         r.handle_st1(&mut ctx, client_node(), signed_st1(&t1, false));
 
         // T2 reads T1's prepared write and declares the dependency.
-        let mut b = TransactionBuilder::new(Timestamp::from_nanos(2_000_000, ClientId(3)));
-        b.record_dependent_read(Key::new("x"), t1.timestamp(), t1.id());
-        b.record_write(Key::new("y"), Value::from_u64(6));
-        let t2 = b.build_shared();
+        let t2 = dependent_tx(&t1);
         let dependent_client = NodeId::Client(ClientId(3));
         let mut ctx2 = ctx_at(NodeId::Replica(r.id()), 2);
         r.handle_st1(&mut ctx2, dependent_client, signed_st1(&t2, false));
@@ -1908,6 +1920,47 @@ mod tests {
         let mut r = replica_knowing(&c, ShardId(0), &tx);
         assert!(!applies(&mut r, &tx, abort_votes(ShardId(2))));
         assert!(applies(&mut r, &tx, abort_votes(ShardId(1))));
+    }
+
+    /// An ST2 that arrives before its transaction's ST1 waits for the body.
+    /// When that ST1's vote is deferred, the ST2 is logged as the vote is
+    /// released, not stranded until its sender retransmits.
+    #[test]
+    fn st2_buffered_before_a_deferred_st1_is_logged_when_the_vote_is_released() {
+        let mut r = replica(0);
+        let me = NodeId::Replica(r.id());
+        let t1 = write_tx(1_000_000, "x", 5);
+        r.handle_st1(&mut ctx_at(me, 1), client_node(), signed_st1(&t1, false));
+        let t2 = dependent_tx(&t1);
+        let st2 = signed_st2(&t2, ProtoDecision::Commit, shard_votes_commit_tally(&t2, 4));
+        let mut ctx = ctx_at(me, 2);
+        r.handle_st2(&mut ctx, client_node(), st2);
+        assert!(sent_to(&ctx, client_node()).is_empty(), "ST2 buffered");
+
+        let dependent_client = NodeId::Client(ClientId(3));
+        r.handle_st1(&mut ctx, dependent_client, signed_st1(&t2, false));
+        assert_eq!(r.stats().st1_deferred, 1);
+        assert_eq!(r.stats().st2_logged, 0);
+
+        let mut ctx = ctx_at(me, 3);
+        r.handle_writeback(
+            &mut ctx,
+            Writeback {
+                cert: fast_commit_cert(&t1),
+                tx: Some(Arc::clone(&t1)),
+            },
+        );
+        assert_eq!(r.stats().st2_logged, 1);
+        let acks: Vec<St2ReplyBody> = sent_to(&ctx, client_node())
+            .into_iter()
+            .filter_map(|m| match m {
+                BasilMsg::St2Reply(reply) => Some(reply.body),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(acks.len(), 1);
+        assert_eq!(acks[0].txid, t2.id());
+        assert_eq!(acks[0].decision, ProtoDecision::Commit);
     }
 
     #[test]
@@ -2289,8 +2342,7 @@ mod tests {
 
         let peer = ReplicaId::new(ShardId(0), 1);
         let mut ctx = ctx_at(NodeId::Replica(r.id()), 2);
-        let req = BasilMsg::CatchUpRequest(CatchUpRequest { from: peer });
-        r.on_message(&mut ctx, NodeId::Replica(peer), req);
+        r.on_message(&mut ctx, NodeId::Replica(peer), BasilMsg::CatchUpRequest);
         let sent = sent_to(&ctx, NodeId::Replica(peer));
         let [BasilMsg::CatchUpReply(reply)] = &sent[..] else {
             panic!("expected one catch-up reply, got {sent:?}");
@@ -2300,6 +2352,42 @@ mod tests {
         for (cert, tx) in &reply.entries {
             assert_eq!(tx.as_ref().map(|tx| tx.id()), Some(cert.txid));
         }
+    }
+
+    /// Catch-up serves and counts only a replica of this shard, as named by
+    /// the transport sender: a client's or another shard's request gets no
+    /// reply, and a reply from a non-peer does not count towards ending
+    /// catch-up.
+    #[test]
+    fn catch_up_serves_and_counts_only_shard_peers() {
+        let peer = |shard, index| NodeId::Replica(ReplicaId::new(ShardId(shard), index));
+        let mut r = replica(0);
+        let me = NodeId::Replica(r.id());
+        for from in [client_node(), peer(1, 1), peer(0, 1)] {
+            let mut ctx = ctx_at(me, 1);
+            r.on_message(&mut ctx, from, BasilMsg::CatchUpRequest);
+            let answered = !sent_to(&ctx, from).is_empty();
+            assert_eq!(answered, from == peer(0, 1), "{from:?}");
+        }
+
+        let mut r = BasilReplica::recover(
+            r.id(),
+            cfg(),
+            registry(),
+            ReplicaBehavior::Correct,
+            [],
+            Vec::new(),
+        );
+        let reply = || BasilMsg::CatchUpReply(CatchUpReply { entries: vec![] });
+        let strangers = (1..6).map(|index| peer(1, index));
+        for from in strangers.chain([client_node(), me]) {
+            r.on_message(&mut ctx_at(me, 1), from, reply());
+        }
+        for index in 1..6 {
+            assert!(r.is_recovering(), "caught up before peer {index} answered");
+            r.on_message(&mut ctx_at(me, 1), peer(0, index), reply());
+        }
+        assert!(!r.is_recovering());
     }
 
     /// Property: across seeded random workloads, a replica that crashes

@@ -284,7 +284,7 @@ mod tests {
     use super::*;
     use crate::conn::ConnOptions;
     use basil_common::{ClientId, Key, ReplicaId, ShardId, Timestamp, Value};
-    use basil_core::messages::{CatchUpRequest, St1};
+    use basil_core::messages::St1;
     use basil_store::TransactionBuilder;
     use std::collections::HashMap;
     use std::net::{SocketAddr, TcpListener};
@@ -346,9 +346,7 @@ mod tests {
 
     /// [`announce_msg`] of a catch-up request.
     fn announce(hook: PostEventHook) -> (std::io::Result<()>, bool) {
-        let from = ReplicaId::new(ShardId(0), 0);
-        let msg = BasilMsg::CatchUpRequest(CatchUpRequest { from });
-        let (outcome, delivered, _) = announce_msg(hook, msg);
+        let (outcome, delivered, _) = announce_msg(hook, BasilMsg::CatchUpRequest);
         (outcome, delivered)
     }
 

@@ -21,9 +21,9 @@ use basil_common::codec::{DecodeError, Reader, Sink};
 use basil_common::{NodeId, ShardId};
 use basil_core::certs::{DecisionCert, DecisionProof, ShardVotes, VoteCert};
 use basil_core::messages::{
-    BasilMsg, CatchUpReply, CatchUpRequest, CommittedRead, DecFb, ElectFbBody, InvokeFb,
-    PreparedRead, ProtoDecision, ProtoVote, ReadReply, ReadReplyBody, ReadRequest, SignedElectFb,
-    SignedSt1Reply, SignedSt2Reply, St1, St1ReplyBody, St2, St2ReplyBody, Writeback,
+    BasilMsg, CatchUpReply, CommittedRead, DecFb, ElectFbBody, InvokeFb, PreparedRead,
+    ProtoDecision, ProtoVote, ReadReply, ReadReplyBody, ReadRequest, SignedElectFb, SignedSt1Reply,
+    SignedSt2Reply, St1, St1ReplyBody, St2, St2ReplyBody, Writeback,
 };
 use basil_crypto::frame::{self, FrameError};
 use basil_crypto::{BatchProof, Digest, MerkleProof, Signature};
@@ -221,12 +221,8 @@ fn put_msg(out: &mut Vec<u8>, from: NodeId, msg: &BasilMsg) -> Result<(), WireEr
             out.put_opt(m.auth.as_ref(), put_batch_proof);
             TAG_DEC_FB
         }
-        BasilMsg::CatchUpRequest(m) => {
-            out.put_replica(m.from);
-            TAG_CATCH_UP_REQUEST
-        }
+        BasilMsg::CatchUpRequest => TAG_CATCH_UP_REQUEST,
         BasilMsg::CatchUpReply(m) => {
-            out.put_replica(m.from);
             out.put_seq(&m.entries, |out, (cert, tx)| {
                 put_cert(out, cert);
                 out.put_opt(tx.as_deref(), put_tx);
@@ -538,9 +534,8 @@ pub fn decode_frame_payload(payload: &[u8]) -> Result<(NodeId, BasilMsg), WireEr
             elect_proof: r.seq(50, take_elect_fb)?,
             auth: r.opt(take_batch_proof)?,
         }),
-        TAG_CATCH_UP_REQUEST => BasilMsg::CatchUpRequest(CatchUpRequest { from: r.replica()? }),
+        TAG_CATCH_UP_REQUEST => BasilMsg::CatchUpRequest,
         TAG_CATCH_UP_REPLY => BasilMsg::CatchUpReply(CatchUpReply {
-            from: r.replica()?,
             entries: r.seq(2, |r| {
                 Ok::<_, WireError>((Arc::new(take_cert(r, 0)?), r.opt(take_tx)?))
             })?,

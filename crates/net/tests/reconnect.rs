@@ -6,7 +6,7 @@
 //! delivery resumes — a dead peer degrades throughput, never wedges.
 
 use basil_common::{ClientId, Key, NodeId, ReplicaId, ShardId, Timestamp};
-use basil_core::messages::{BasilMsg, CatchUpRequest};
+use basil_core::messages::BasilMsg;
 use basil_net::conn::{reconnect_backoff, ConnManager, ConnOptions};
 use basil_net::wire::encode_msg;
 use std::collections::HashMap;
@@ -126,13 +126,7 @@ fn delivery_resumes_once_the_peer_appears() {
         backoff_max: Duration::from_millis(40),
     };
     let (mgr, _inbound) = ConnManager::start(localhost(my_port), addrs, opts.clone(), 2).unwrap();
-    let frame = encode_msg(
-        sender_node,
-        &BasilMsg::CatchUpRequest(CatchUpRequest {
-            from: ReplicaId::new(ShardId(0), 1),
-        }),
-    )
-    .unwrap();
+    let frame = encode_msg(sender_node, &BasilMsg::CatchUpRequest).unwrap();
 
     // Phase 1: peer is down; a few sends get shed through the backoff path.
     for _ in 0..5 {
@@ -157,7 +151,7 @@ fn delivery_resumes_once_the_peer_appears() {
     }
     let (from, msg) = delivered.expect("delivery resumed after the peer appeared");
     assert_eq!(from, sender_node);
-    assert!(matches!(msg, BasilMsg::CatchUpRequest(_)));
+    assert!(matches!(msg, BasilMsg::CatchUpRequest));
     assert!(mgr.stats().frames_sent.load(Ordering::Relaxed) >= 1);
     mgr.shutdown();
     peer_mgr.shutdown();

@@ -10,10 +10,9 @@ use basil_common::codec::Sink;
 use basil_common::{ClientId, Key, NodeId, ReplicaId, ShardId, Timestamp, TxId, Value};
 use basil_core::certs::{DecisionCert, DecisionProof, ShardVotes, VoteCert};
 use basil_core::messages::{
-    BasilMsg, CatchUpReply, CatchUpRequest, ClientTimer, CommittedRead, DecFb, ElectFbBody,
-    InvokeFb, PreparedRead, ProtoDecision, ProtoVote, ReadReply, ReadReplyBody, ReadRequest,
-    ReplicaTimer, SignedElectFb, SignedSt1Reply, SignedSt2Reply, St1, St1ReplyBody, St2,
-    St2ReplyBody, Writeback,
+    BasilMsg, CatchUpReply, ClientTimer, CommittedRead, DecFb, ElectFbBody, InvokeFb, PreparedRead,
+    ProtoDecision, ProtoVote, ReadReply, ReadReplyBody, ReadRequest, ReplicaTimer, SignedElectFb,
+    SignedSt1Reply, SignedSt2Reply, St1, St1ReplyBody, St2, St2ReplyBody, Writeback,
 };
 use basil_crypto::{BatchProof, Digest, MerkleProof, Signature};
 use basil_net::wire::{
@@ -234,9 +233,8 @@ fn representative_messages() -> Vec<BasilMsg> {
             }],
             auth: None,
         }),
-        BasilMsg::CatchUpRequest(CatchUpRequest { from: rep(2) }),
+        BasilMsg::CatchUpRequest,
         BasilMsg::CatchUpReply(CatchUpReply {
-            from: rep(1),
             entries: vec![
                 (Arc::new(fast_commit_cert()), Some(tx(1_000))),
                 (Arc::new(fast_abort_cert()), None),
@@ -435,7 +433,7 @@ fn absurd_cert_nesting_is_rejected() {
 fn frame_reader_reassembles_byte_by_byte() {
     let from = NodeId::Replica(rep(1));
     let msgs = vec![
-        BasilMsg::CatchUpRequest(CatchUpRequest { from: rep(1) }),
+        BasilMsg::CatchUpRequest,
         BasilMsg::St1Reply(st1_vote(1, ProtoVote::Commit, None)),
         BasilMsg::RtsRelease {
             key: Key::new("user9"),
@@ -468,11 +466,7 @@ fn frame_reader_reassembles_byte_by_byte() {
 #[test]
 fn frame_reader_poisons_on_first_bad_frame() {
     let from = NodeId::Replica(rep(1));
-    let good = encode_msg(
-        from,
-        &BasilMsg::CatchUpRequest(CatchUpRequest { from: rep(1) }),
-    )
-    .unwrap();
+    let good = encode_msg(from, &BasilMsg::CatchUpRequest).unwrap();
     let mut corrupt = good.clone();
     corrupt[FRAME_HEADER] ^= 0xFF; // payload byte: checksum now mismatches
     let mut reader = FrameReader::new();
@@ -531,7 +525,6 @@ fn oversized_messages_are_refused_at_the_sender() {
     let mut b = TransactionBuilder::new(ts(1, 7));
     b.record_write(Key::new("big"), Value::new(vec![0u8; MAX_FRAME]));
     let msg = BasilMsg::CatchUpReply(CatchUpReply {
-        from: rep(1),
         entries: vec![(Arc::new(fast_commit_cert()), Some(b.build_shared()))],
     });
     match encode_msg(NodeId::Replica(rep(1)), &msg) {
@@ -628,7 +621,10 @@ fn certificates_without_exactly_one_proof_of_their_decision_are_rejected() {
 
 /// Every byte a node puts on the wire. The digest was captured over this
 /// fixture by the encoder of the commit before certificates became one
-/// type, so the change of type moved no byte.
+/// type, so the change of type moved no byte. It moved once since, when the
+/// catch-up request and reply lost their self-declared sender (the
+/// receiver uses the transport sender): those two frames each lost that
+/// replica id, and every other frame kept every byte.
 #[test]
 fn wire_frames_are_byte_identical_to_the_hand_written_encoders() {
     let from = NodeId::Client(ClientId(4));
@@ -638,6 +634,6 @@ fn wire_frames_are_byte_identical_to_the_hand_written_encoders() {
         .collect();
     assert_eq!(
         basil_crypto::Sha256::digest(&stream).to_hex(),
-        "1da8c781bdf26693f73cc5368b32dc979be929d2092c068724e435c9503bc8af"
+        "4c95849729b4c52b44bc2a67ae88e1f706d16c1df33ac5a2c296d7da3a2a2553"
     );
 }

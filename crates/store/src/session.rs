@@ -191,21 +191,15 @@ impl Session {
     /// attempt, timestamped from `clock`. Latency is measured from
     /// `arrived`: now for a closed loop — where starting a transaction is
     /// also what offers it — and the (possibly earlier) arrival instant for
-    /// a paced one, so queueing delay counts. Returns the profile, or `None`
-    /// once the generator is exhausted — the session is then stopped for
-    /// good.
-    pub fn start(
-        &mut self,
-        arrived: SimTime,
-        clock: SimTime,
-        stats: &mut SessionStats,
-    ) -> Option<&TxProfile> {
+    /// a paced one, so queueing delay counts. `false` once the generator is
+    /// exhausted — the session is then stopped for good.
+    pub fn start(&mut self, arrived: SimTime, clock: SimTime, stats: &mut SessionStats) -> bool {
         if self.stopped {
-            return None;
+            return false;
         }
         let Some(profile) = self.generator.next_tx() else {
             self.stopped = true;
-            return None;
+            return false;
         };
         self.current = Some(InFlight {
             profile,
@@ -217,7 +211,7 @@ impl Session {
         }
         self.backoff = RETRY_BACKOFF;
         self.begin_attempt(clock);
-        self.current.as_ref().map(|c| &c.profile)
+        true
     }
 
     /// The backoff ran out: begins the next attempt of the aborted
@@ -602,10 +596,10 @@ mod tests {
         assert!(expect_ready(session.advance_execution(&mut stats)).is_empty());
         session.committed(MS(10), &mut stats);
         assert!(!session.is_stopped());
-        assert!(session.start(MS(11), MS(11), &mut stats).is_none());
+        assert!(!session.start(MS(11), MS(11), &mut stats));
         assert!(session.is_stopped() && session.is_idle());
         assert_eq!(stats.offered, 1, "only what was started was offered");
-        assert!(session.start(MS(12), MS(12), &mut stats).is_none());
+        assert!(!session.start(MS(12), MS(12), &mut stats));
         assert!(session.advance_execution(&mut stats).is_none());
     }
 }
