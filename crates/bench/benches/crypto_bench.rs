@@ -214,11 +214,7 @@ fn bench_cert_quorum_validation(c: &mut Criterion) {
                 };
                 let mut engine = SigEngine::new(NodeId::Replica(rid), registry.clone(), &cfg);
                 let proof = engine.sign(&body);
-                SignedSt1Reply {
-                    body,
-                    proof,
-                    conflict: None,
-                }
+                SignedSt1Reply { body, proof }
             })
             .collect();
         DecisionCert {
@@ -228,7 +224,6 @@ fn bench_cert_quorum_validation(c: &mut Criterion) {
                 shard: ShardId(0),
                 decision: ProtoDecision::Commit,
                 votes,
-                conflict: None,
             }]),
         }
     };

@@ -29,11 +29,7 @@ fn signed_votes(
             };
             let mut engine = SigEngine::new(NodeId::Replica(rid), registry.clone(), cfg);
             let proof = engine.sign(&body);
-            SignedSt1Reply {
-                body,
-                proof,
-                conflict: None,
-            }
+            SignedSt1Reply { body, proof }
         })
         .collect()
 }
@@ -77,7 +73,6 @@ fn bench_cert_validation(c: &mut Criterion) {
             shard: ShardId(0),
             decision: ProtoDecision::Commit,
             votes,
-            conflict: None,
         }]),
     };
     let shard_cfg = basil_cfg.system.shard;
@@ -278,7 +273,6 @@ fn bench_message_plane(c: &mut Criterion) {
             shard: ShardId(0),
             decision: ProtoDecision::Commit,
             votes,
-            conflict: None,
         }]),
     });
     let wb = Writeback { cert, tx: Some(tx) };

@@ -99,8 +99,8 @@ pub enum ReplicaBehavior {
     /// / recovery). `ST2` acknowledgements and writeback answers still go
     /// out.
     WithholdVotes,
-    /// Send every `ST1` vote, deferred ones included, as `Abort` without a
-    /// conflict certificate (disables the fast commit path).
+    /// Send every `ST1` vote, deferred ones included, as `Abort` (disables
+    /// the fast commit path; one abort vote alone decides nothing).
     AlwaysVoteAbort,
     /// Send no read reply; the read still runs, so it records its read
     /// timestamp (forces clients to rely on the other replicas of the read

@@ -2,14 +2,15 @@
 //!
 //! A shard's vote on a transaction is made durable in one of two ways
 //! (Section 4.2): on the fast path the raw set of `ST1R` votes is itself a
-//! vote certificate (unanimous commit, `3f+1` abort, or one abort backed by a
-//! conflicting commit certificate); on the slow path the client logs its
-//! 2PC decision on a single logging shard and the `n-f` matching `ST2R`
-//! acknowledgements form the certificate. A decision certificate carries
-//! exactly one such proof — every involved shard's unanimous commit votes,
-//! one shard's abort votes, or S_log's acknowledgements — and travels in
-//! writeback messages, read replies (committed versions), and conflict-abort
-//! votes. One validator, [`validate_decision_cert`], checks all three.
+//! vote certificate (unanimous commit, or `3f+1` abort); on the slow path the
+//! client logs its 2PC decision on a single logging shard and the `n-f`
+//! matching `ST2R` acknowledgements form the certificate. A decision
+//! certificate carries exactly one such proof — every involved shard's
+//! unanimous commit votes, one shard's abort votes, or S_log's
+//! acknowledgements — and travels in writeback messages, catch-up replies and
+//! read replies (committed versions). One validator,
+//! [`validate_decision_cert`], checks all three; no certificate holds
+//! another, so validation never recurses.
 //!
 //! The validators return a verdict. The CPU of the signature checks they
 //! make is metered by the [`SigEngine`] they are handed, so the order and
@@ -21,7 +22,6 @@ use crate::messages::{ProtoDecision, ProtoVote, SignedSt1Reply, SignedSt2Reply, 
 use crate::views::logging_shard;
 use basil_common::{NodeId, ReplicaId, ShardConfig, ShardId, TxId};
 use basil_crypto::BatchProof;
-use std::sync::Arc;
 
 /// Allocation-free set of small indices: the replica indices a quorum
 /// counted, or the shards a certificate covers. Shards have `n = 5f + 1`
@@ -68,11 +68,6 @@ pub struct ShardVotes {
     pub decision: ProtoDecision,
     /// The signed `ST1R` votes.
     pub votes: Vec<SignedSt1Reply>,
-    /// For the conflict-abort fast path: a commit certificate of a
-    /// conflicting transaction, in which case a single abort vote suffices.
-    /// Shared (`Arc`) so tallies and certificates carrying the same conflict
-    /// evidence do not deep-copy it.
-    pub conflict: Option<Arc<DecisionCert>>,
 }
 
 /// The logging-shard certificate produced by stage ST2: `n - f` matching
@@ -108,8 +103,7 @@ pub struct DecisionCert {
 pub enum DecisionProof {
     /// Fast commit: the unanimous vote sets of every involved shard.
     FastCommit(Vec<ShardVotes>),
-    /// Fast abort: one shard's abort vote set (either `3f+1` abort votes, or
-    /// a single vote backed by a conflicting commit certificate).
+    /// Fast abort: one shard's `3f+1` abort votes.
     FastAbort(ShardVotes),
     /// Slow path: the `n - f` acknowledgements logged on S_log, which carry
     /// the decision.
@@ -199,39 +193,24 @@ pub fn validate_vote_cert(cert: &VoteCert, cfg: &ShardConfig, engine: &mut SigEn
 /// Validates one shard's vote set as *fast-path* evidence for `decision`.
 ///
 /// * Commit: all `5f + 1` replicas voted commit.
-/// * Abort: either `3f + 1` abort votes, or one abort vote accompanied by a
-///   valid commit certificate of a conflicting transaction.
+/// * Abort: `3f + 1` replicas voted abort.
 pub fn validate_fast_shard_votes(
     sv: &ShardVotes,
     cfg: &ShardConfig,
     engine: &mut SigEngine,
 ) -> bool {
-    match (sv.decision, &sv.conflict) {
-        (ProtoDecision::Commit, _) => {
+    match sv.decision {
+        ProtoDecision::Commit => {
             vote_quorum(sv, ProtoVote::Commit, cfg.fast_commit_quorum(), engine)
         }
-        (ProtoDecision::Abort, None) => {
-            vote_quorum(sv, ProtoVote::Abort, cfg.fast_abort_quorum(), engine)
-        }
-        (ProtoDecision::Abort, Some(conflict)) => {
-            // Conflict-abort: the conflicting transaction's commit
-            // certificate must itself be valid and must be for a
-            // *different* transaction.
-            if conflict.txid == sv.txid || !conflict.decision().is_commit() {
-                return false;
-            }
-            // Both are checked (and metered) whatever the first one says.
-            let cert = validate_decision_cert(conflict, None, cfg, engine);
-            let vote = vote_quorum(sv, ProtoVote::Abort, 1, engine);
-            cert && vote
-        }
+        ProtoDecision::Abort => vote_quorum(sv, ProtoVote::Abort, cfg.fast_abort_quorum(), engine),
     }
 }
 
 /// Validates one shard's vote set as *slow-path justification* for a 2PC
 /// decision being logged in ST2: a commit decision needs a commit quorum
 /// (`3f + 1`) from every shard; an abort decision needs an abort quorum
-/// (`f + 1`) or a conflict certificate from at least one shard.
+/// (`f + 1`) from at least one shard.
 pub fn validate_tally_for_decision(
     sv: &ShardVotes,
     decision: ProtoDecision,
@@ -240,7 +219,6 @@ pub fn validate_tally_for_decision(
 ) -> bool {
     match decision {
         ProtoDecision::Commit => vote_quorum(sv, ProtoVote::Commit, cfg.commit_quorum(), engine),
-        ProtoDecision::Abort if sv.conflict.is_some() => validate_fast_shard_votes(sv, cfg, engine),
         ProtoDecision::Abort => vote_quorum(sv, ProtoVote::Abort, cfg.abort_quorum(), engine),
     }
 }
@@ -357,20 +335,16 @@ mod tests {
         TxId::from_bytes([42; 32])
     }
 
-    fn signed_vote(replica_index: u32, vote: ProtoVote, id: TxId) -> SignedSt1Reply {
+    fn signed_vote(replica_index: u32, vote: ProtoVote) -> SignedSt1Reply {
         let replica = ReplicaId::new(ShardId(0), replica_index);
         let body = St1ReplyBody {
-            txid: id,
+            txid: txid(),
             replica,
             vote,
         };
         let mut engine = engine_for(NodeId::Replica(replica));
         let proof = engine.sign(&body);
-        SignedSt1Reply {
-            body,
-            proof,
-            conflict: None,
-        }
+        SignedSt1Reply { body, proof }
     }
 
     fn signed_st2(
@@ -403,15 +377,11 @@ mod tests {
     }
 
     fn commit_votes(n: u32) -> Vec<SignedSt1Reply> {
-        (0..n)
-            .map(|i| signed_vote(i, ProtoVote::Commit, txid()))
-            .collect()
+        (0..n).map(|i| signed_vote(i, ProtoVote::Commit)).collect()
     }
 
     fn abort_votes(n: u32) -> Vec<SignedSt1Reply> {
-        (0..n)
-            .map(|i| signed_vote(i, ProtoVote::Abort, txid()))
-            .collect()
+        (0..n).map(|i| signed_vote(i, ProtoVote::Abort)).collect()
     }
 
     fn shard_votes(decision: ProtoDecision, votes: Vec<SignedSt1Reply>) -> ShardVotes {
@@ -420,7 +390,6 @@ mod tests {
             shard: ShardId(0),
             decision,
             votes,
-            conflict: None,
         }
     }
 
@@ -474,10 +443,7 @@ mod tests {
         let mut engine = client_engine();
         let mut votes = commit_votes(3);
         // Replica 0's vote repeated three more times.
-        votes.extend(std::iter::repeat_n(
-            signed_vote(0, ProtoVote::Commit, txid()),
-            3,
-        ));
+        votes.extend(std::iter::repeat_n(signed_vote(0, ProtoVote::Commit), 3));
         let sv = shard_votes(ProtoDecision::Commit, votes);
         assert!(!validate_fast_shard_votes(&sv, &shard_cfg, &mut engine));
     }
@@ -489,10 +455,7 @@ mod tests {
         let shard_cfg = cfg().system.shard;
         let plain = shard_votes(ProtoDecision::Commit, commit_votes(6));
         let mut votes = commit_votes(6);
-        votes.extend(std::iter::repeat_n(
-            signed_vote(0, ProtoVote::Commit, txid()),
-            50,
-        ));
+        votes.extend(std::iter::repeat_n(signed_vote(0, ProtoVote::Commit), 50));
         let padded = shard_votes(ProtoDecision::Commit, votes);
         // Fresh engines: both validations start from a cold signature cache.
         let (mut a, mut b) = (client_engine(), client_engine());
@@ -562,7 +525,7 @@ mod tests {
         let mut engine = client_engine();
         let mut votes = commit_votes(5);
         // A vote whose body claims replica 5 but is signed by replica 0.
-        let mut forged = signed_vote(0, ProtoVote::Commit, txid());
+        let mut forged = signed_vote(0, ProtoVote::Commit);
         forged.body.replica = ReplicaId::new(ShardId(0), 5);
         votes.push(forged);
         let sv = shard_votes(ProtoDecision::Commit, votes);
@@ -691,87 +654,16 @@ mod tests {
         assert_eq!(logged_abort.decision(), ProtoDecision::Abort);
     }
 
+    /// A fast abort is `3f + 1` abort votes: one abort vote certifies
+    /// nothing.
     #[test]
-    fn abort_cert_via_conflicting_commit_cert() {
+    fn single_abort_vote_is_not_an_abort_cert() {
         let shard_cfg = cfg().system.shard;
         let mut engine = client_engine();
-        // A valid commit certificate for some other transaction.
-        let other_tx = TxId::from_bytes([9; 32]);
-        let other_votes: Vec<SignedSt1Reply> = (0..6)
-            .map(|i| signed_vote(i, ProtoVote::Commit, other_tx))
-            .collect();
-        let conflicting_cert = DecisionCert {
-            txid: other_tx,
-            proof: DecisionProof::FastCommit(vec![ShardVotes {
-                txid: other_tx,
-                shard: ShardId(0),
-                decision: ProtoDecision::Commit,
-                votes: other_votes,
-                conflict: None,
-            }]),
-        };
-
-        let abort = cert(DecisionProof::FastAbort(ShardVotes {
-            conflict: Some(Arc::new(conflicting_cert)),
-            ..shard_votes(ProtoDecision::Abort, abort_votes(1))
-        }));
-        assert!(validate_decision_cert(
-            &abort,
-            None,
-            &shard_cfg,
-            &mut engine
-        ));
-
-        // Without the conflict certificate a single abort vote is not enough.
-        let weak = cert(DecisionProof::FastAbort(shard_votes(
-            ProtoDecision::Abort,
-            abort_votes(1),
-        )));
-        assert!(!validate_decision_cert(
-            &weak,
-            None,
-            &shard_cfg,
-            &mut engine
-        ));
-    }
-
-    /// A conflict-abort vote set whose conflict certificate is invalid is
-    /// invalid, but its single abort vote is still checked and charged: the
-    /// two checks are combined, not short-circuited.
-    #[test]
-    fn conflict_abort_with_an_invalid_conflict_still_meters_the_abort_vote() {
-        let shard_cfg = cfg().system.shard;
-        let other_tx = TxId::from_bytes([9; 32]);
-        let five_of_six = DecisionCert {
-            txid: other_tx,
-            proof: DecisionProof::FastCommit(vec![ShardVotes {
-                txid: other_tx,
-                shard: ShardId(0),
-                decision: ProtoDecision::Commit,
-                votes: (0..5)
-                    .map(|i| signed_vote(i, ProtoVote::Commit, other_tx))
-                    .collect(),
-                conflict: None,
-            }]),
-        };
-        let sv = ShardVotes {
-            conflict: Some(Arc::new(five_of_six.clone())),
-            ..shard_votes(ProtoDecision::Abort, abort_votes(1))
-        };
-        let (mut engine, mut alone) = (client_engine(), client_engine());
-        assert!(!validate_fast_shard_votes(&sv, &shard_cfg, &mut engine));
-        let charged = engine.take_charged();
-        assert!(!validate_decision_cert(
-            &five_of_six,
-            None,
-            &shard_cfg,
-            &mut alone
-        ));
-        let conflict = alone.take_charged();
-        let vote = shard_votes(ProtoDecision::Abort, abort_votes(1));
-        assert!(vote_quorum(&vote, ProtoVote::Abort, 1, &mut alone));
-        assert_eq!(charged, conflict + alone.take_charged());
-        assert_eq!(charged.as_nanos(), 786_000);
+        let one_vote = shard_votes(ProtoDecision::Abort, abort_votes(1));
+        let weak = cert(DecisionProof::FastAbort(one_vote));
+        let valid = validate_decision_cert(&weak, None, &shard_cfg, &mut engine);
+        assert!(!valid);
     }
 
     #[test]
@@ -788,7 +680,6 @@ mod tests {
                     vote: ProtoVote::Commit,
                 },
                 proof: None,
-                conflict: None,
             })
             .collect();
         let sv = shard_votes(ProtoDecision::Commit, votes);

@@ -888,7 +888,6 @@ impl BasilClient {
             shard,
             decision,
             votes: tally.votes_matching(vote),
-            conflict: None,
         };
         let commit_tally = tally_for(ProtoDecision::Commit, ProtoVote::Commit);
         let abort_tally = tally_for(ProtoDecision::Abort, ProtoVote::Abort);
@@ -1286,11 +1285,7 @@ mod tests {
                 };
                 let mut engine = SigEngine::new(NodeId::Replica(rid), registry(), &cfg());
                 let proof = engine.sign(&body);
-                SignedSt1Reply {
-                    body,
-                    proof,
-                    conflict: None,
-                }
+                SignedSt1Reply { body, proof }
             })
             .collect();
         Arc::new(DecisionCert {
@@ -1300,7 +1295,6 @@ mod tests {
                 shard: ShardId(0),
                 decision: ProtoDecision::Commit,
                 votes,
-                conflict: None,
             }]),
         })
     }
@@ -1387,7 +1381,6 @@ mod tests {
                 vote,
             },
             proof: None,
-            conflict: None,
         }
     }
 
@@ -1513,26 +1506,14 @@ mod tests {
         }
     }
 
+    /// One abort vote decides nothing: an abort needs `f + 1` votes to log
+    /// and `3f + 1` to be fast.
     #[test]
-    fn commit_step_conflict_cert_aborts_fast() {
+    fn commit_step_one_abort_vote_does_not_decide() {
         let tx = write_tx(1_000);
         let mut commit = commit_of(&tx, false, &cfg());
-        let mut conflicted = vote(tx.id(), 3, ProtoVote::Abort);
-        conflicted.conflict = Some(valid_commit_cert(&write_tx(2_000), 6));
-        add_votes(
-            &mut commit,
-            [vote(tx.id(), 0, ProtoVote::Commit), conflicted],
-        );
-        match commit.step(false) {
-            Step::Decided(DecisionCert {
-                proof: DecisionProof::FastAbort(evidence),
-                ..
-            }) => {
-                assert_eq!(evidence.votes.len(), 1);
-                assert!(evidence.conflict.is_some());
-            }
-            other => panic!("expected a fast abort, got {other:?}"),
-        }
+        add_votes(&mut commit, votes(tx.id(), 1, 1));
+        assert!(matches!(commit.step(false), Step::Wait));
     }
 
     #[test]

@@ -28,8 +28,8 @@ pub type View = u64;
 pub enum ProtoVote {
     /// Commit vote.
     Commit,
-    /// Abort vote (optionally justified by a conflict certificate carried
-    /// alongside in the reply).
+    /// Abort vote. It counts toward an abort quorum like any other vote:
+    /// no single vote aborts a transaction on its own.
     Abort,
 }
 
@@ -238,10 +238,6 @@ pub struct SignedSt1Reply {
     pub body: St1ReplyBody,
     /// Replica signature (batched).
     pub proof: Option<BatchProof>,
-    /// Optional evidence for an abort vote: a commit certificate of a
-    /// conflicting transaction (fast-abort case 5 of Section 4.2), shared
-    /// with the conflicting transaction's replica record.
-    pub conflict: Option<Arc<DecisionCert>>,
 }
 
 /// Stage ST2: the client logs its tentative 2PC decision on the logging

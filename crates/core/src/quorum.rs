@@ -8,8 +8,7 @@ use basil_common::{FastHashMap, ShardConfig, ShardId, TxId};
 
 /// A classified shard: the votes backing its decision (`votes.decision`),
 /// and whether they are already durable without ST2. Fast: all `5f + 1`
-/// replicas voted commit, `3f + 1` voted abort, or one abort vote carried a
-/// commit certificate of a conflicting transaction. Slow: at least `3f + 1`
+/// replicas voted commit, or `3f + 1` voted abort. Slow: at least `3f + 1`
 /// commit or `f + 1` abort votes, which must be logged in stage ST2.
 #[derive(Clone, Debug)]
 pub struct ShardOutcome {
@@ -90,13 +89,6 @@ impl ShardTally {
         self.commits() >= self.cfg.commit_quorum() && self.aborts() >= self.cfg.abort_quorum()
     }
 
-    /// The abort vote carrying a conflict certificate, if one was received.
-    fn conflict_vote(&self) -> Option<&SignedSt1Reply> {
-        self.votes
-            .values()
-            .find(|v| !v.body.vote.is_commit() && v.conflict.is_some())
-    }
-
     /// Tries to classify the shard's vote.
     ///
     /// `complete` indicates that the client does not expect further replies
@@ -108,61 +100,42 @@ impl ShardTally {
         let aborts = self.aborts();
 
         // Fast paths can be recognized as soon as their thresholds are met.
-        if let Some(conflict_vote) = self.conflict_vote() {
-            return Some(self.outcome(true, ProtoDecision::Abort, Some(conflict_vote.clone())));
-        }
         if commits >= self.cfg.fast_commit_quorum() {
-            return Some(self.outcome(true, ProtoDecision::Commit, None));
+            return Some(self.outcome(true, ProtoDecision::Commit));
         }
         if aborts >= self.cfg.fast_abort_quorum() {
-            return Some(self.outcome(true, ProtoDecision::Abort, None));
+            return Some(self.outcome(true, ProtoDecision::Abort));
         }
         if !complete && self.total() < self.cfg.n() {
             return None;
         }
         if commits >= self.cfg.commit_quorum() {
-            return Some(self.outcome(false, ProtoDecision::Commit, None));
+            return Some(self.outcome(false, ProtoDecision::Commit));
         }
         if aborts >= self.cfg.abort_quorum() {
-            return Some(self.outcome(false, ProtoDecision::Abort, None));
+            return Some(self.outcome(false, ProtoDecision::Abort));
         }
         None
     }
 
-    fn outcome(
-        &self,
-        fast: bool,
-        decision: ProtoDecision,
-        conflict_vote: Option<SignedSt1Reply>,
-    ) -> ShardOutcome {
+    fn outcome(&self, fast: bool, decision: ProtoDecision) -> ShardOutcome {
         let wanted = match decision {
             ProtoDecision::Commit => ProtoVote::Commit,
             ProtoDecision::Abort => ProtoVote::Abort,
         };
-        let votes: Vec<SignedSt1Reply> = match &conflict_vote {
-            Some(v) => vec![v.clone()],
-            None => self
-                .votes
-                .values()
-                .filter(|v| v.body.vote == wanted)
-                .cloned()
-                .collect(),
-        };
-        let conflict = conflict_vote.and_then(|v| v.conflict);
         ShardOutcome {
             fast,
             votes: ShardVotes {
                 txid: self.txid,
                 shard: self.shard,
                 decision,
-                votes,
-                conflict,
+                votes: self.votes_matching(wanted),
             },
         }
     }
 
-    /// The raw commit-vote set (used by Byzantine clients that equivocate: a
-    /// commit tally for some replicas, an abort tally for others).
+    /// The received votes that are `vote`: a classified shard's evidence, or
+    /// one of the two tallies an equivocating Byzantine client sends.
     pub fn votes_matching(&self, vote: ProtoVote) -> Vec<SignedSt1Reply> {
         self.votes
             .values()
@@ -334,7 +307,6 @@ impl St2Tally {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::certs::{DecisionCert, DecisionProof};
     use crate::messages::{St1ReplyBody, St2ReplyBody};
     use basil_common::ReplicaId;
 
@@ -354,7 +326,6 @@ mod tests {
                 vote: v,
             },
             proof: None,
-            conflict: None,
         }
     }
 
@@ -418,21 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn conflict_certified_abort_is_fast_with_single_vote() {
-        let mut conflicted = vote(3, ProtoVote::Abort);
-        conflicted.conflict = Some(std::sync::Arc::new(DecisionCert {
-            txid: TxId::from_bytes([9; 32]),
-            proof: DecisionProof::FastCommit(vec![]),
-        }));
-        let t = tally_with([vote(0, ProtoVote::Commit), conflicted]);
-        let o = t.classify(false).expect("classified");
-        assert!(o.fast);
-        assert_eq!(o.votes.decision, ProtoDecision::Abort);
-        assert_eq!(o.votes.votes.len(), 1);
-        assert!(o.votes.conflict.is_some());
-    }
-
-    #[test]
     fn duplicate_and_foreign_votes_are_ignored() {
         let mut t = ShardTally::new(txid(), ShardId(0), cfg());
         assert!(t.add(vote(0, ProtoVote::Commit)));
@@ -469,7 +425,6 @@ mod tests {
                 shard: ShardId(shard),
                 decision: ProtoDecision::Commit,
                 votes: vec![],
-                conflict: None,
             },
         };
         let involved = vec![ShardId(0), ShardId(1)];
@@ -495,7 +450,6 @@ mod tests {
                     shard: ShardId(1),
                     decision: ProtoDecision::Abort,
                     votes: vec![],
-                    conflict: None,
                 },
             },
         );
@@ -516,7 +470,6 @@ mod tests {
                         shard: ShardId(0),
                         decision: ProtoDecision::Commit,
                         votes: vec![],
-                        conflict: None,
                     },
                 },
             ),
@@ -529,7 +482,6 @@ mod tests {
                         shard: ShardId(1),
                         decision: ProtoDecision::Commit,
                         votes: vec![],
-                        conflict: None,
                     },
                 },
             ),

@@ -118,7 +118,7 @@ struct Election {
 #[derive(Debug)]
 enum PendingReply {
     Read(ReadReplyBody),
-    St1(St1ReplyBody, Option<Arc<DecisionCert>>),
+    St1(St1ReplyBody),
     St2(St2ReplyBody),
 }
 
@@ -128,7 +128,7 @@ impl crate::crypto_engine::SignedPayload for (NodeId, PendingReply) {
     fn write_signed(&self, out: &mut impl basil_common::codec::Sink) {
         match &self.1 {
             PendingReply::Read(b) => b.write_signed(out),
-            PendingReply::St1(b, _) => b.write_signed(out),
+            PendingReply::St1(b) => b.write_signed(out),
             PendingReply::St2(b) => b.write_signed(out),
         }
     }
@@ -369,13 +369,12 @@ impl BasilReplica {
     fn enqueue_reply(&mut self, ctx: &mut Context<BasilMsg>, to: NodeId, mut reply: PendingReply) {
         match (self.behavior, &mut reply) {
             (ReplicaBehavior::IgnoreReads, PendingReply::Read(_))
-            | (ReplicaBehavior::WithholdVotes, PendingReply::St1(..)) => {
+            | (ReplicaBehavior::WithholdVotes, PendingReply::St1(_)) => {
                 self.stats.byzantine_drops += 1;
                 return;
             }
-            (ReplicaBehavior::AlwaysVoteAbort, PendingReply::St1(body, conflict)) => {
+            (ReplicaBehavior::AlwaysVoteAbort, PendingReply::St1(body)) => {
                 body.vote = ProtoVote::Abort;
-                *conflict = None;
             }
             _ => {}
         }
@@ -404,11 +403,7 @@ impl BasilReplica {
         for ((to, reply), proof) in self.out_batch.drain(..).zip(proofs) {
             let msg = match reply {
                 PendingReply::Read(body) => BasilMsg::ReadReply(ReadReply { body, proof }),
-                PendingReply::St1(body, conflict) => BasilMsg::St1Reply(SignedSt1Reply {
-                    body,
-                    proof,
-                    conflict,
-                }),
+                PendingReply::St1(body) => BasilMsg::St1Reply(SignedSt1Reply { body, proof }),
                 PendingReply::St2(body) => BasilMsg::St2Reply(SignedSt2Reply { body, proof }),
             };
             ctx.charge(per_reply);
@@ -543,7 +538,7 @@ impl BasilReplica {
                 replica: self.id,
                 vote,
             };
-            self.enqueue_reply(ctx, from, PendingReply::St1(body, None));
+            self.enqueue_reply(ctx, from, PendingReply::St1(body));
             return;
         }
         if !record.waiting_clients.is_empty() {
@@ -592,7 +587,7 @@ impl BasilReplica {
                 replica: self.id,
                 vote: vote.clone(),
             };
-            self.enqueue_reply(ctx, client, PendingReply::St1(body, None));
+            self.enqueue_reply(ctx, client, PendingReply::St1(body));
         }
         for (from, st2) in buffered_st2 {
             self.apply_st2(ctx, from, st2);
@@ -1589,11 +1584,7 @@ mod tests {
                 };
                 let mut engine = SigEngine::new(NodeId::Replica(rid), registry(), &cfg());
                 let proof = engine.sign(&body);
-                SignedSt1Reply {
-                    body,
-                    proof,
-                    conflict: None,
-                }
+                SignedSt1Reply { body, proof }
             })
             .collect();
         let cert = Arc::new(DecisionCert {
@@ -1603,7 +1594,6 @@ mod tests {
                 shard: ShardId(0),
                 decision: ProtoDecision::Commit,
                 votes,
-                conflict: None,
             }]),
         });
         let mut ctx = ctx_at(NodeId::Replica(r.id()), 1);
@@ -1708,11 +1698,7 @@ mod tests {
                 };
                 let mut engine = SigEngine::new(NodeId::Replica(rid), registry(), &cfg());
                 let proof = engine.sign(&body);
-                SignedSt1Reply {
-                    body,
-                    proof,
-                    conflict: None,
-                }
+                SignedSt1Reply { body, proof }
             })
             .collect();
         ShardVotes {
@@ -1720,7 +1706,6 @@ mod tests {
             shard,
             decision,
             votes,
-            conflict: None,
         }
     }
 
@@ -2001,11 +1986,7 @@ mod tests {
                 };
                 let mut engine = SigEngine::new(NodeId::Replica(rid), registry(), &cfg());
                 let proof = engine.sign(&body);
-                SignedSt1Reply {
-                    body,
-                    proof,
-                    conflict: None,
-                }
+                SignedSt1Reply { body, proof }
             })
             .collect();
         let abort_tally = vec![ShardVotes {
@@ -2013,7 +1994,6 @@ mod tests {
             shard: ShardId(0),
             decision: ProtoDecision::Abort,
             votes: abort_votes,
-            conflict: None,
         }];
         let abort = signed_st2(&tx, ProtoDecision::Abort, abort_tally);
         let mut ctx3 = ctx_at(NodeId::Replica(r.id()), 3);

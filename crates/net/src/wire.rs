@@ -10,9 +10,9 @@
 //!
 //! Decoding is total: every failure — truncated frame, oversized length,
 //! checksum mismatch, unknown tag, counts pointing past the buffer, invalid
-//! UTF-8 in a key, bytes after the message, certificate nesting beyond
-//! [`MAX_CERT_DEPTH`], a certificate that does not hold exactly one proof of
-//! its decision — returns a typed [`WireError`], never a panic. A
+//! UTF-8 in a key, bytes after the message, a certificate that does not hold
+//! exactly one proof of its decision — returns a typed [`WireError`], never
+//! a panic, and no certificate holds another, so decoding never recurses. A
 //! malformed frame is evidence of a faulty peer, and the connection manager
 //! treats it as such (drop the connection, count it); it must never be able
 //! to take the process down.
@@ -37,12 +37,6 @@ pub const FRAME_HEADER: usize = frame::HEADER;
 /// before allocation — a peer cannot make us reserve gigabytes by sending
 /// eight bytes.
 pub const MAX_FRAME: usize = 4 * 1024 * 1024;
-
-/// Maximum [`DecisionCert`] nesting depth accepted by the decoder. Conflict
-/// evidence inside ST1 abort votes nests certificates recursively; honest
-/// traffic is depth 2–3, so 8 leaves headroom while bounding stack use
-/// against a Byzantine sender.
-pub const MAX_CERT_DEPTH: usize = 8;
 
 /// Why a frame or payload failed to decode (or a message failed to encode).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -69,8 +63,6 @@ pub enum WireError {
     BadKey,
     /// An embedded transaction failed canonical decoding.
     BadTransaction,
-    /// Certificate nesting exceeded [`MAX_CERT_DEPTH`].
-    CertTooDeep,
     /// A certificate holds both a fast and a slow proof, neither, or a
     /// logged decision other than its tag's.
     BadCert,
@@ -88,7 +80,6 @@ impl std::fmt::Display for WireError {
             WireError::BadLength => write!(f, "count exceeds the payload, or bytes follow it"),
             WireError::BadKey => write!(f, "key is not valid UTF-8"),
             WireError::BadTransaction => write!(f, "embedded transaction failed to decode"),
-            WireError::CertTooDeep => write!(f, "certificate nesting too deep"),
             WireError::BadCert => write!(f, "certificate does not hold one proof of its decision"),
             WireError::NotWireMessage => write!(f, "timer messages are node-local"),
         }
@@ -135,6 +126,16 @@ const TAG_CATCH_UP_REPLY: u8 = 13;
 // Certificate kind bytes.
 const CERT_COMMIT: u8 = 1;
 const CERT_ABORT: u8 = 2;
+
+// Lower bounds on one item of each sequence the decoder reads: they keep a
+// forged count from sizing an allocation (`Reader::count`). The tests below
+// check each against the smallest item the encoder writes.
+const MIN_SIBLING: usize = 1;
+const MIN_ST1_REPLY: usize = 41;
+const MIN_SHARD_VOTES: usize = 41;
+const MIN_ST2_REPLY: usize = 58;
+const MIN_ELECT_FB: usize = 50;
+const MIN_CATCH_UP_ENTRY: usize = 2;
 
 // ---------------------------------------------------------------------------
 // Encoding
@@ -223,10 +224,7 @@ fn put_msg(out: &mut Vec<u8>, from: NodeId, msg: &BasilMsg) -> Result<(), WireEr
         }
         BasilMsg::CatchUpRequest => TAG_CATCH_UP_REQUEST,
         BasilMsg::CatchUpReply(m) => {
-            out.put_seq(&m.entries, |out, (cert, tx)| {
-                put_cert(out, cert);
-                out.put_opt(tx.as_deref(), put_tx);
-            });
+            out.put_seq(&m.entries, put_catch_up_entry);
             TAG_CATCH_UP_REPLY
         }
         BasilMsg::ClientTimer(_) | BasilMsg::ReplicaTimer(_) => {
@@ -246,10 +244,12 @@ fn put_batch_proof(out: &mut impl Sink, p: &BatchProof) {
     put_digest(out, &p.root_signature.tag);
     out.put_count(p.inclusion.leaf_index);
     out.put_count(p.inclusion.leaf_count);
-    out.put_seq(&p.inclusion.siblings, |out, sib| {
-        out.put_opt(sib.as_ref(), put_digest)
-    });
+    out.put_seq(&p.inclusion.siblings, put_sibling);
     out.put_count(p.batch_size);
+}
+
+fn put_sibling(out: &mut impl Sink, sib: &Option<Digest>) {
+    out.put_opt(sib.as_ref(), put_digest)
 }
 
 fn put_tx(out: &mut impl Sink, tx: &Transaction) {
@@ -274,7 +274,6 @@ fn put_st1_reply(out: &mut impl Sink, m: &SignedSt1Reply) {
     out.put_replica(m.body.replica);
     out.put_u8(m.body.vote.tag());
     out.put_opt(m.proof.as_ref(), put_batch_proof);
-    out.put_opt(m.conflict.as_deref(), put_cert);
 }
 
 fn put_st2_reply(out: &mut impl Sink, m: &SignedSt2Reply) {
@@ -299,7 +298,6 @@ fn put_shard_votes(out: &mut impl Sink, sv: &ShardVotes) {
     out.put_u32(sv.shard.0);
     out.put_u8(sv.decision.tag());
     out.put_seq(&sv.votes, put_st1_reply);
-    out.put_opt(sv.conflict.as_deref(), put_cert);
 }
 
 fn put_vote_cert(out: &mut impl Sink, vc: &VoteCert) {
@@ -331,6 +329,14 @@ fn put_cert(out: &mut impl Sink, cert: &DecisionCert) {
     out.put_opt(slow, put_vote_cert);
 }
 
+fn put_catch_up_entry(
+    out: &mut impl Sink,
+    (cert, tx): &(Arc<DecisionCert>, Option<Arc<Transaction>>),
+) {
+    put_cert(out, cert);
+    out.put_opt(tx.as_deref(), put_tx);
+}
+
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
@@ -359,7 +365,7 @@ fn take_batch_proof(r: &mut Reader<'_>) -> Result<BatchProof, WireError> {
         inclusion: MerkleProof {
             leaf_index: r.u32()? as usize,
             leaf_count: r.u32()? as usize,
-            siblings: r.seq(1, |r| r.opt(take_digest))?,
+            siblings: r.seq(MIN_SIBLING, |r| r.opt(take_digest))?,
         },
         batch_size: r.u32()? as usize,
     })
@@ -371,10 +377,7 @@ fn take_tx(r: &mut Reader<'_>) -> Result<Arc<Transaction>, WireError> {
         .map_err(|_| WireError::BadTransaction)
 }
 
-// The first argument of every `seq` below is a lower bound on one item's
-// encoding, which is what keeps a forged count from sizing an allocation.
-
-fn take_st1_reply(r: &mut Reader<'_>, depth: usize) -> Result<SignedSt1Reply, WireError> {
+fn take_st1_reply(r: &mut Reader<'_>) -> Result<SignedSt1Reply, WireError> {
     Ok(SignedSt1Reply {
         body: St1ReplyBody {
             txid: r.txid()?,
@@ -382,7 +385,6 @@ fn take_st1_reply(r: &mut Reader<'_>, depth: usize) -> Result<SignedSt1Reply, Wi
             vote: take_vote(r)?,
         },
         proof: r.opt(take_batch_proof)?,
-        conflict: r.opt(|r| take_cert(r, depth + 1))?.map(Arc::new),
     })
 }
 
@@ -411,13 +413,12 @@ fn take_elect_fb(r: &mut Reader<'_>) -> Result<SignedElectFb, WireError> {
     })
 }
 
-fn take_shard_votes(r: &mut Reader<'_>, depth: usize) -> Result<ShardVotes, WireError> {
+fn take_shard_votes(r: &mut Reader<'_>) -> Result<ShardVotes, WireError> {
     Ok(ShardVotes {
         txid: r.txid()?,
         shard: ShardId(r.u32()?),
         decision: take_decision(r)?,
-        votes: r.seq(41, |r| take_st1_reply(r, depth))?,
-        conflict: r.opt(|r| take_cert(r, depth + 1))?.map(Arc::new),
+        votes: r.seq(MIN_ST1_REPLY, take_st1_reply)?,
     })
 }
 
@@ -427,26 +428,21 @@ fn take_vote_cert(r: &mut Reader<'_>) -> Result<VoteCert, WireError> {
         shard: ShardId(r.u32()?),
         decision: take_decision(r)?,
         view: r.u64()?,
-        replies: r.seq(58, take_st2_reply)?,
+        replies: r.seq(MIN_ST2_REPLY, take_st2_reply)?,
     })
 }
 
-fn take_cert(r: &mut Reader<'_>, depth: usize) -> Result<DecisionCert, WireError> {
-    if depth > MAX_CERT_DEPTH {
-        return Err(WireError::CertTooDeep);
-    }
+fn take_cert(r: &mut Reader<'_>) -> Result<DecisionCert, WireError> {
     let (decision, txid, fast) = match r.u8()? {
         CERT_COMMIT => {
             let txid = r.txid()?;
-            let votes = r.seq(42, |r| take_shard_votes(r, depth))?;
+            let votes = r.seq(MIN_SHARD_VOTES, take_shard_votes)?;
             let fast = (!votes.is_empty()).then_some(DecisionProof::FastCommit(votes));
             (ProtoDecision::Commit, txid, fast)
         }
         CERT_ABORT => {
             let txid = r.txid()?;
-            let fast = r
-                .opt(|r| take_shard_votes(r, depth))?
-                .map(DecisionProof::FastAbort);
+            let fast = r.opt(take_shard_votes)?.map(DecisionProof::FastAbort);
             (ProtoDecision::Abort, txid, fast)
         }
         tag => return Err(WireError::BadTag { tag }),
@@ -492,7 +488,7 @@ pub fn decode_frame_payload(payload: &[u8]) -> Result<(NodeId, BasilMsg), WireEr
                         version: r.ts()?,
                         value: r.value()?,
                         txid: r.txid()?,
-                        cert: r.opt(|r| take_cert(r, 0))?.map(Arc::new),
+                        cert: r.opt(take_cert)?.map(Arc::new),
                     })
                 })?,
                 prepared: r.opt(|r| take_tx(r).map(|tx| PreparedRead { tx }))?,
@@ -504,17 +500,17 @@ pub fn decode_frame_payload(payload: &[u8]) -> Result<(NodeId, BasilMsg), WireEr
             auth: r.opt(take_batch_proof)?,
             recovery: r.bool()?,
         }),
-        TAG_ST1_REPLY => BasilMsg::St1Reply(take_st1_reply(r, 0)?),
+        TAG_ST1_REPLY => BasilMsg::St1Reply(take_st1_reply(r)?),
         TAG_ST2 => BasilMsg::St2(St2 {
             txid: r.txid()?,
             decision: take_decision(r)?,
-            shard_votes: r.seq(42, |r| take_shard_votes(r, 0))?,
+            shard_votes: r.seq(MIN_SHARD_VOTES, take_shard_votes)?,
             view: r.u64()?,
             auth: r.opt(take_batch_proof)?,
         }),
         TAG_ST2_REPLY => BasilMsg::St2Reply(take_st2_reply(r)?),
         TAG_WRITEBACK => BasilMsg::Writeback(Writeback {
-            cert: Arc::new(take_cert(r, 0)?),
+            cert: Arc::new(take_cert(r)?),
             tx: r.opt(take_tx)?,
         }),
         TAG_RTS_RELEASE => BasilMsg::RtsRelease {
@@ -523,7 +519,7 @@ pub fn decode_frame_payload(payload: &[u8]) -> Result<(NodeId, BasilMsg), WireEr
         },
         TAG_INVOKE_FB => BasilMsg::InvokeFb(InvokeFb {
             txid: r.txid()?,
-            views: r.seq(58, take_st2_reply)?,
+            views: r.seq(MIN_ST2_REPLY, take_st2_reply)?,
             auth: r.opt(take_batch_proof)?,
         }),
         TAG_ELECT_FB => BasilMsg::ElectFb(take_elect_fb(r)?),
@@ -531,13 +527,13 @@ pub fn decode_frame_payload(payload: &[u8]) -> Result<(NodeId, BasilMsg), WireEr
             txid: r.txid()?,
             decision: take_decision(r)?,
             view: r.u64()?,
-            elect_proof: r.seq(50, take_elect_fb)?,
+            elect_proof: r.seq(MIN_ELECT_FB, take_elect_fb)?,
             auth: r.opt(take_batch_proof)?,
         }),
         TAG_CATCH_UP_REQUEST => BasilMsg::CatchUpRequest,
         TAG_CATCH_UP_REPLY => BasilMsg::CatchUpReply(CatchUpReply {
-            entries: r.seq(2, |r| {
-                Ok::<_, WireError>((Arc::new(take_cert(r, 0)?), r.opt(take_tx)?))
+            entries: r.seq(MIN_CATCH_UP_ENTRY, |r| {
+                Ok::<_, WireError>((Arc::new(take_cert(r)?), r.opt(take_tx)?))
             })?,
         }),
         tag => return Err(WireError::BadTag { tag }),
@@ -590,5 +586,67 @@ impl FrameReader {
     /// tests).
     pub fn buffered(&self) -> usize {
         self.buf.len() - self.consumed
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use basil_common::{ReplicaId, TxId};
+
+    fn len<T>(item: &T, put: impl FnOnce(&mut Vec<u8>, &T)) -> usize {
+        let mut out = Vec::new();
+        put(&mut out, item);
+        out.len()
+    }
+
+    /// Each `seq` bound is at most the length of the smallest item the encoder
+    /// writes for it (no optional part, no nested item): a larger bound makes
+    /// `Reader::count` refuse a valid frame as `BadLength`.
+    #[test]
+    fn seq_bounds_do_not_exceed_the_smallest_item() {
+        let txid = TxId::from_bytes([0; 32]);
+        let replica = ReplicaId::new(ShardId(0), 0);
+        let st1_reply = SignedSt1Reply {
+            body: St1ReplyBody {
+                txid,
+                replica,
+                vote: ProtoVote::Abort,
+            },
+            proof: None,
+        };
+        let shard_votes = ShardVotes {
+            txid,
+            shard: ShardId(0),
+            decision: ProtoDecision::Abort,
+            votes: vec![],
+        };
+        let st2_reply = SignedSt2Reply {
+            body: St2ReplyBody {
+                txid,
+                replica,
+                decision: ProtoDecision::Abort,
+                view_decision: 0,
+                view_current: 0,
+            },
+            proof: None,
+        };
+        let elect_fb = SignedElectFb {
+            body: ElectFbBody {
+                txid,
+                replica,
+                decision: None,
+                view: 0,
+            },
+            proof: None,
+        };
+        let proof = DecisionProof::FastCommit(vec![]);
+        let catch_up_entry = (Arc::new(DecisionCert { txid, proof }), None);
+        assert!(MIN_SIBLING <= len(&None, put_sibling));
+        assert!(MIN_ST1_REPLY <= len(&st1_reply, put_st1_reply));
+        assert!(MIN_SHARD_VOTES <= len(&shard_votes, put_shard_votes));
+        assert!(MIN_ST2_REPLY <= len(&st2_reply, put_st2_reply));
+        assert!(MIN_ELECT_FB <= len(&elect_fb, put_elect_fb));
+        assert!(MIN_CATCH_UP_ENTRY <= len(&catch_up_entry, put_catch_up_entry));
     }
 }

@@ -4,7 +4,7 @@
 //! deterministic, so `encode(decode(encode(m))) == encode(m)` pins every
 //! field without requiring `PartialEq` on the message types. The rejection
 //! tests pin the codec's totality: truncation, oversized lengths, flipped
-//! bytes, unknown tags, and absurd nesting are all typed errors.
+//! bytes, unknown tags, and trailing bytes are all typed errors.
 
 use basil_common::codec::Sink;
 use basil_common::{ClientId, Key, NodeId, ReplicaId, ShardId, Timestamp, TxId, Value};
@@ -51,7 +51,7 @@ fn proof(signer: NodeId, fill: u8) -> BatchProof {
     }
 }
 
-fn st1_vote(i: u32, vote: ProtoVote, conflict: Option<Arc<DecisionCert>>) -> SignedSt1Reply {
+fn st1_vote(i: u32, vote: ProtoVote) -> SignedSt1Reply {
     SignedSt1Reply {
         body: St1ReplyBody {
             txid: TxId::from_bytes([i as u8; 32]),
@@ -59,7 +59,6 @@ fn st1_vote(i: u32, vote: ProtoVote, conflict: Option<Arc<DecisionCert>>) -> Sig
             vote,
         },
         proof: Some(proof(NodeId::Replica(rep(i)), i as u8)),
-        conflict,
     }
 }
 
@@ -81,10 +80,7 @@ fn commit_votes() -> ShardVotes {
         txid: TxId::from_bytes([9; 32]),
         shard: ShardId(0),
         decision: ProtoDecision::Commit,
-        votes: (0..3)
-            .map(|i| st1_vote(i, ProtoVote::Commit, None))
-            .collect(),
-        conflict: None,
+        votes: (0..3).map(|i| st1_vote(i, ProtoVote::Commit)).collect(),
     }
 }
 
@@ -121,7 +117,7 @@ fn slow_commit_cert() -> DecisionCert {
     }
 }
 
-/// A single abort vote backed by a conflicting commit certificate.
+/// `3f + 1` abort votes from one shard.
 fn fast_abort_cert() -> DecisionCert {
     let txid = TxId::from_bytes([8; 32]);
     DecisionCert {
@@ -130,8 +126,7 @@ fn fast_abort_cert() -> DecisionCert {
             txid,
             shard: ShardId(0),
             decision: ProtoDecision::Abort,
-            votes: vec![st1_vote(0, ProtoVote::Abort, None)],
-            conflict: Some(Arc::new(fast_commit_cert())),
+            votes: (0..4).map(|i| st1_vote(i, ProtoVote::Abort)).collect(),
         }),
     }
 }
@@ -175,11 +170,7 @@ fn representative_messages() -> Vec<BasilMsg> {
             auth: Some(proof(client, 3)),
             recovery: true,
         }),
-        BasilMsg::St1Reply(st1_vote(
-            2,
-            ProtoVote::Abort,
-            Some(Arc::new(fast_commit_cert())),
-        )),
+        BasilMsg::St1Reply(st1_vote(2, ProtoVote::Abort)),
         BasilMsg::St2(St2 {
             txid: TxId::from_bytes([9; 32]),
             decision: ProtoDecision::Commit,
@@ -187,10 +178,7 @@ fn representative_messages() -> Vec<BasilMsg> {
                 txid: TxId::from_bytes([9; 32]),
                 shard: ShardId(0),
                 decision: ProtoDecision::Commit,
-                votes: (0..4)
-                    .map(|i| st1_vote(i, ProtoVote::Commit, None))
-                    .collect(),
-                conflict: None,
+                votes: (0..4).map(|i| st1_vote(i, ProtoVote::Commit)).collect(),
             }],
             view: 0,
             auth: Some(proof(client, 5)),
@@ -266,7 +254,7 @@ fn every_variant_round_trips_byte_identically() {
 #[test]
 fn replica_sender_round_trips() {
     let from = NodeId::Replica(rep(5));
-    let msg = BasilMsg::St1Reply(st1_vote(5, ProtoVote::Commit, None));
+    let msg = BasilMsg::St1Reply(st1_vote(5, ProtoVote::Commit));
     let frame = encode_msg(from, &msg).unwrap();
     let (payload, _) = split_frame(&frame).unwrap().unwrap();
     let (decoded_from, _) = decode_frame_payload(payload).unwrap();
@@ -379,62 +367,11 @@ fn flipped_bytes_never_panic_the_decoder() {
 }
 
 #[test]
-fn absurd_cert_nesting_is_rejected() {
-    // Build conflict evidence nested deeper than MAX_CERT_DEPTH: each
-    // level is an abort cert whose fast votes carry a conflict cert.
-    fn nested(depth: usize) -> Arc<DecisionCert> {
-        let conflict = if depth == 0 {
-            None
-        } else {
-            Some(nested(depth - 1))
-        };
-        Arc::new(DecisionCert {
-            txid: TxId::from_bytes([depth as u8; 32]),
-            proof: DecisionProof::FastAbort(ShardVotes {
-                txid: TxId::from_bytes([depth as u8; 32]),
-                shard: ShardId(0),
-                decision: ProtoDecision::Abort,
-                votes: vec![SignedSt1Reply {
-                    body: St1ReplyBody {
-                        txid: TxId::from_bytes([depth as u8; 32]),
-                        replica: rep(0),
-                        vote: ProtoVote::Abort,
-                    },
-                    proof: None,
-                    conflict,
-                }],
-                conflict: None,
-            }),
-        })
-    }
-    let from = NodeId::Client(ClientId(0));
-    let deep = BasilMsg::Writeback(Writeback {
-        cert: nested(12),
-        tx: None,
-    });
-    let frame = encode_msg(from, &deep).expect("encoding does not recurse-check");
-    let (payload, _) = split_frame(&frame).unwrap().unwrap();
-    assert!(matches!(
-        decode_frame_payload(payload),
-        Err(WireError::CertTooDeep)
-    ));
-
-    // A realistically nested certificate (depth 3) still decodes.
-    let shallow = BasilMsg::Writeback(Writeback {
-        cert: nested(3),
-        tx: None,
-    });
-    let frame = encode_msg(from, &shallow).unwrap();
-    let (payload, _) = split_frame(&frame).unwrap().unwrap();
-    assert!(decode_frame_payload(payload).is_ok());
-}
-
-#[test]
 fn frame_reader_reassembles_byte_by_byte() {
     let from = NodeId::Replica(rep(1));
     let msgs = vec![
         BasilMsg::CatchUpRequest,
-        BasilMsg::St1Reply(st1_vote(1, ProtoVote::Commit, None)),
+        BasilMsg::St1Reply(st1_vote(1, ProtoVote::Commit)),
         BasilMsg::RtsRelease {
             key: Key::new("user9"),
             ts: ts(44, 2),
@@ -624,7 +561,11 @@ fn certificates_without_exactly_one_proof_of_their_decision_are_rejected() {
 /// type, so the change of type moved no byte. It moved once since, when the
 /// catch-up request and reply lost their self-declared sender (the
 /// receiver uses the transport sender): those two frames each lost that
-/// replica id, and every other frame kept every byte.
+/// replica id, and every other frame kept every byte. It moved again when
+/// votes stopped carrying a conflicting commit certificate: every ST1 reply
+/// and every shard vote set lost its option byte for one, the ST1 reply
+/// that carried one became a plain abort vote, and the fast abort that was
+/// one such vote became `3f + 1` abort votes.
 #[test]
 fn wire_frames_are_byte_identical_to_the_hand_written_encoders() {
     let from = NodeId::Client(ClientId(4));
@@ -634,6 +575,19 @@ fn wire_frames_are_byte_identical_to_the_hand_written_encoders() {
         .collect();
     assert_eq!(
         basil_crypto::Sha256::digest(&stream).to_hex(),
-        "4c95849729b4c52b44bc2a67ae88e1f706d16c1df33ac5a2c296d7da3a2a2553"
+        "0593c8e65d98253ad59e204f3edb1170c797516077d7d58d9023080a227e6ebf"
     );
+}
+
+/// An ST1 reply ends with its proof: no vote carries a certificate, so an
+/// option byte of 1 and a certificate after it (the old conflict-abort
+/// encoding) are bytes after the message, and the frame is refused.
+#[test]
+fn an_abort_vote_followed_by_a_certificate_is_refused() {
+    let from = NodeId::Replica(rep(2));
+    let frame = encode_msg(from, &BasilMsg::St1Reply(st1_vote(2, ProtoVote::Abort))).unwrap();
+    let (vote, cert) = (&frame[FRAME_HEADER..], cert_bytes(slow_commit_cert()));
+    let with_conflict = [vote, &[1], &cert].concat();
+    let decoded = decode_frame_payload(&with_conflict);
+    assert_eq!(decoded.err(), Some(WireError::BadLength));
 }

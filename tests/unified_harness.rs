@@ -276,7 +276,6 @@ fn basil_and_tapir_clients_execute_a_script_identically() {
                         vote: ProtoVote::Commit,
                     },
                     proof: None,
-                    conflict: None,
                 };
                 inbox.push_back((replica(i), BasilMsg::St1Reply(vote)));
             }
