@@ -64,7 +64,7 @@ pub use basil_simnet::{NetworkConfig, Simulation};
 pub use basil_store::{audit_serializability, AuditError, StoreStats, Transaction};
 pub use cluster::{audit_history, ClusterAuditError, ClusterProtocol, ProtocolCluster};
 pub use harness::{BasilCluster, BasilProtocol, ClusterConfig};
-pub use report::{LatencySlo, RunReport, SloOutcome};
+pub use report::RunReport;
 
 /// Re-export of the workload generators.
 pub use basil_workloads as workloads;

@@ -70,15 +70,10 @@ pub struct RunReport {
     pub aborted_attempts: u64,
     /// Correct-client throughput in transactions per second.
     pub throughput_tps: f64,
-    /// Offered load in transactions per second (see [`Snapshot::offered`]).
-    /// Under open-loop driving, `throughput_tps` tracking this line is the
-    /// pre-knee regime; the gap between them opens past saturation.
+    /// Offered load in transactions per second (see [`Snapshot::offered`]):
+    /// the transactions correct clients started under closed-loop driving,
+    /// every arrival, admitted or shed, under open-loop driving.
     pub offered_tps: f64,
-    /// Open-loop arrivals shed at the admission bound during the window.
-    pub shed: u64,
-    /// Shed arrivals as a fraction of offered arrivals (0 when nothing was
-    /// offered, and always 0 under closed-loop driving).
-    pub shed_fraction: f64,
     /// Throughput per correct client (the metric of Figure 7).
     pub throughput_per_correct_client: f64,
     /// Mean commit latency in milliseconds (exact: computed from the
@@ -126,19 +121,12 @@ impl RunReport {
         let byz = end.faulty_issued.saturating_sub(start.faulty_issued);
         let processed = correct_total + byz;
         let offered = end.offered.saturating_sub(start.offered);
-        let shed = end.shed.saturating_sub(start.shed);
         RunReport {
             window,
             committed,
             aborted_attempts: aborted,
             throughput_tps: committed as f64 / secs,
             offered_tps: offered as f64 / secs,
-            shed,
-            shed_fraction: if offered == 0 {
-                0.0
-            } else {
-                shed as f64 / offered as f64
-            },
             throughput_per_correct_client: if end.correct_clients == 0 {
                 0.0
             } else {
@@ -166,60 +154,6 @@ impl RunReport {
             },
             per_label,
         }
-    }
-
-    /// Checks the window's latency percentiles against a service-level
-    /// objective. The knee sweeps use this to mark the highest offered rate
-    /// whose latency still meets the target ("goodput under SLO").
-    pub fn check_slo(&self, slo: &LatencySlo) -> SloOutcome {
-        SloOutcome {
-            p50_target_ms: slo.p50_ms,
-            p99_target_ms: slo.p99_ms,
-            p50_actual_ms: self.p50_latency_ms,
-            p99_actual_ms: self.p99_latency_ms,
-            p50_met: self.p50_latency_ms <= slo.p50_ms,
-            p99_met: self.p99_latency_ms <= slo.p99_ms,
-        }
-    }
-}
-
-/// A latency service-level objective: targets for the median and tail.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LatencySlo {
-    /// Median (p50) commit-latency target in milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile commit-latency target in milliseconds.
-    pub p99_ms: f64,
-}
-
-impl LatencySlo {
-    /// An SLO with the given median and tail targets.
-    pub fn new(p50_ms: f64, p99_ms: f64) -> Self {
-        LatencySlo { p50_ms, p99_ms }
-    }
-}
-
-/// The verdict of checking one measurement window against a [`LatencySlo`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SloOutcome {
-    /// The median target checked against.
-    pub p50_target_ms: f64,
-    /// The tail target checked against.
-    pub p99_target_ms: f64,
-    /// Measured median latency.
-    pub p50_actual_ms: f64,
-    /// Measured p99 latency.
-    pub p99_actual_ms: f64,
-    /// Whether the median met its target.
-    pub p50_met: bool,
-    /// Whether the tail met its target.
-    pub p99_met: bool,
-}
-
-impl SloOutcome {
-    /// Whether both percentile targets were met.
-    pub fn met(&self) -> bool {
-        self.p50_met && self.p99_met
     }
 }
 
@@ -307,30 +241,18 @@ mod tests {
     }
 
     #[test]
-    fn offered_shed_and_slo_accounting() {
+    fn offered_load_is_the_window_difference_per_second() {
         let start = Snapshot {
             offered: 50,
-            shed: 0,
             ..Default::default()
         };
         let end = Snapshot {
             committed: 80,
             offered: 150,
-            shed: 20,
-            latency: hist(&[2_000_000, 4_000_000, 40_000_000]),
-            correct_clients: 2,
             ..Default::default()
         };
         let r = RunReport::between(&start, &end, Duration::from_secs(1));
         assert!((r.offered_tps - 100.0).abs() < 1e-9);
-        assert_eq!(r.shed, 20);
-        assert!((r.shed_fraction - 0.2).abs() < 1e-9);
-        // p50 ≈ 4 ms, p99 ≈ 40 ms: a 10/50 SLO passes, a 10/20 SLO fails
-        // on the tail only.
-        let pass = r.check_slo(&LatencySlo::new(10.0, 50.0));
-        assert!(pass.met(), "{pass:?}");
-        let fail = r.check_slo(&LatencySlo::new(10.0, 20.0));
-        assert!(fail.p50_met && !fail.p99_met && !fail.met(), "{fail:?}");
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! Runs the paper's figure experiments from the one table in
 //! `basil_bench::figures`: one table per figure with the measured value
 //! next to the paper's, the figure's summary lines, and a `fired` column
-//! saying whether each point's mechanism ran.
+//! saying whether each point's mechanism ran. At full scale the `clients`
+//! column of a capacity point is its peak's client count.
 //!
 //! ```sh
-//! figures                           # every figure at full scale
-//! figures --quick fig6a fig5c knee  # a selection at CI scale
+//! figures                      # every figure at full scale
+//! figures --quick fig6a fig5c  # a selection at CI scale
 //! ```
 //!
 //! When `BASIL_BENCH_JSON` names a directory, every row is also written to
 //! `FIGURES.json` there. Exits 1 when a row's `fired` differs from the
 //! table's expectation, and 2 on a bad argument or an unwritable directory.
 
-use basil_bench::figures::{figure, Expect, Figure, Row, Scale, FIGURES, KNEE_SLO};
+use basil_bench::figures::{figure, Expect, Figure, Row, Scale, FIGURES};
 use std::path::Path;
 
 fn main() {
@@ -106,7 +107,7 @@ fn row_json(figure: &str, row: &Row) -> String {
         "{{\"figure\": {figure:?}, \"series\": {:?}, \"x\": {:?}, \"clients\": {}, \
          \"metric\": {:?}, \"value\": {}, \"paper\": {}, \"paper_ms\": {}, \
          \"throughput_tps\": {}, \"mean_latency_ms\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \
-         \"offered_tps\": {}, \"shed_fraction\": {}, \"fast_path_fraction\": {}, \
+         \"offered_tps\": {}, \"fast_path_fraction\": {}, \
          \"fallbacks\": {}, \"committed\": {}, \"mechanism\": \"{:?}\", \"fired\": {}, \
          \"expect_fired\": {}}}",
         p.series,
@@ -121,7 +122,6 @@ fn row_json(figure: &str, row: &Row) -> String {
         r.p50_latency_ms,
         r.p99_latency_ms,
         r.offered_tps,
-        r.shed_fraction,
         r.fast_path_fraction,
         r.fallbacks,
         r.committed,
@@ -132,15 +132,9 @@ fn row_json(figure: &str, row: &Row) -> String {
 }
 
 fn write_json(dir: &Path, scale: Scale, rows: &[String]) {
-    let (scale, p50, p99) = (
-        format!("{scale:?}").to_lowercase(),
-        KNEE_SLO.p50_ms,
-        KNEE_SLO.p99_ms,
-    );
+    let scale = format!("{scale:?}").to_lowercase();
     let rows = rows.join(",\n    ");
-    let body = format!(
-        "{{\n  \"scale\": \"{scale}\",\n  \"knee_slo\": {{\"p50_ms\": {p50}, \"p99_ms\": {p99}}},\n  \"rows\": [\n    {rows}\n  ]\n}}\n"
-    );
+    let body = format!("{{\n  \"scale\": \"{scale}\",\n  \"rows\": [\n    {rows}\n  ]\n}}\n");
     let path = dir.join("FIGURES.json");
     if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, body)) {
         fail(&format!("cannot write {}: {e}", path.display()));

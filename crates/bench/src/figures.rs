@@ -4,24 +4,25 @@
 //! number the paper reports for it, and the mechanism whose firing the run
 //! must show. [`FIGURES`] lists the figures, each with the function that
 //! lays out its points at a [`Scale`] and the one that derives its summary
-//! lines from the measured rows. The `figures` binary runs a selection,
+//! lines from the measured rows. At full scale a point of Figs. 4–6b runs
+//! at every client count of [`PEAK_CLIENTS`] and reports its peak. The `figures` binary runs a selection,
 //! prints one table per figure and exits 1 when a row's `fired` differs
 //! from what the table expects.
 
 use crate::{basil_default, run_baseline, run_basil, RunParams, Workload};
 use basil::baselines::SystemKind;
 use basil::cluster::RuntimeMode;
-use basil::harness::{BasilCluster, ClusterConfig};
-use basil::workloads::poisson::PoissonTxGenerator;
-use basil::{BasilConfig, ClientStrategy, LatencySlo, ReadQuorum, RunReport, ShardConfig};
+use basil::{BasilConfig, ClientStrategy, ReadQuorum, RunReport, ShardConfig};
 use basil_scenario::{run_basil_spec, FaultBudget, ScenarioSpec, WorkloadSpec};
+use std::cmp::Reverse;
 
 /// How large a run is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// [`RunParams::quick`] and the short grids: the CI smoke and the tests.
     Quick,
-    /// [`RunParams::default`] and the full grids: the README's numbers.
+    /// [`RunParams::default`], the full grids and the peak search: the
+    /// README's numbers.
     Full,
 }
 
@@ -43,19 +44,11 @@ impl Scale {
 /// the `f = 2` (n = 11) row, as (quick, full). The paper stops at 3.
 const FIG5C_SHARDS: (u32, u32) = (3, 8);
 const FIG5C_F2_SHARDS: (u32, u32) = (1, 3);
-/// The knee: per-client Poisson arrival rates in tx/s (quick, full).
-/// Closed-loop clients settle around 300–500 tx/s each in this cost model,
-/// so the grid straddles the knee.
-const KNEE_RATES: (&[f64], &[f64]) = (
-    &[100.0, 300.0, 600.0],
-    &[50.0, 100.0, 200.0, 300.0, 400.0, 600.0, 800.0],
-);
-/// The knee's latency SLO: wide enough that pre-knee points pass under
-/// Zipfian contention, so the first rate that misses it is the knee.
-pub const KNEE_SLO: LatencySlo = LatencySlo {
-    p50_ms: 10.0,
-    p99_ms: 50.0,
-};
+/// The client counts a full-scale capacity point runs at, 24·2^k for
+/// k = 0..5; it reports the one that commits most. The paper compares peak
+/// throughputs, and the peaks lie far apart: TPC-C on TxHotstuff peaks at
+/// 48 clients, RW-Z at batch 64 still rises at 768.
+pub const PEAK_CLIENTS: [u32; 6] = [24, 48, 96, 192, 384, 768];
 /// A system, its baseline kind (`None` is Basil), and its paper tx/s (4a)
 /// and mean ms (4b) on TPC-C, Smallbank and Retwis.
 type Fig4System = (&'static str, Option<SystemKind>, [f64; 3], [f64; 3]);
@@ -84,9 +77,6 @@ pub enum Run {
     Baseline(SystemKind, Workload),
     /// A scenario through the scenario runner: Fig. 7's Byzantine clients.
     Spec(Box<ScenarioSpec>),
-    /// Open-loop Basil: every client offers Poisson arrivals at this many
-    /// tx/s and sheds past the admission bound.
-    OpenLoop(Workload, f64),
 }
 
 /// The number a point reports.
@@ -120,8 +110,6 @@ pub enum Mechanism {
     SlowPathOnly,
     /// A fallback recovery started.
     Fallback,
-    /// The open-loop admission bound shed arrivals.
-    Shed,
 }
 
 impl Mechanism {
@@ -134,7 +122,6 @@ impl Mechanism {
                 report.slow_path_decisions > 0 && report.fast_path_fraction == 0.0
             }
             Mechanism::Fallback => report.fallbacks > 0,
-            Mechanism::Shed => report.shed > 0,
         }
     }
 }
@@ -156,8 +143,12 @@ pub struct Point {
     pub series: String,
     /// The point's position on that line.
     pub x: String,
-    /// Clients, warmup, window and seed.
+    /// Clients, warmup, window and seed. Once a peak search has run, the
+    /// clients are the peak's.
     pub params: RunParams,
+    /// Whether [`Point::run`] searches [`PEAK_CLIENTS`] for the peak instead
+    /// of running at `params.clients`.
+    pub at_peak: bool,
     /// How the point runs.
     pub run: Run,
     /// The number the point reports.
@@ -178,6 +169,7 @@ impl Point {
             series: series.into(),
             x: x.into(),
             params,
+            at_peak: false,
             run,
             metric: Metric::Throughput,
             paper: None,
@@ -206,13 +198,24 @@ impl Point {
             Run::Basil(cfg, workload) => run_basil(cfg.clone(), *workload, &self.params),
             Run::Baseline(kind, workload) => run_baseline(*kind, 1, *workload, &self.params),
             Run::Spec(spec) => run_basil_spec(spec, RuntimeMode::Serial).report,
-            Run::OpenLoop(workload, rate) => run_open_loop(*workload, &self.params, *rate),
         }
     }
 
-    /// Runs the point and checks its mechanism.
-    pub fn run(self) -> Row {
-        let report = self.measure();
+    /// Runs the point and checks its mechanism. A point `at_peak` is
+    /// measured at every count of [`PEAK_CLIENTS`] and keeps the one that
+    /// committed most.
+    pub fn run(mut self) -> Row {
+        let report = if self.at_peak {
+            let rungs = PEAK_CLIENTS.map(|clients| {
+                self.params.clients = clients;
+                (clients, self.measure())
+            });
+            let (clients, report) = peak(rungs);
+            self.params.clients = clients;
+            report
+        } else {
+            self.measure()
+        };
         let fired = self.mechanism.fired(&report);
         Row {
             point: self,
@@ -220,6 +223,16 @@ impl Point {
             fired,
         }
     }
+}
+
+/// The (clients, report) rung that committed most; the one with fewer
+/// clients on a tie.
+fn peak(rungs: impl IntoIterator<Item = (u32, RunReport)>) -> (u32, RunReport) {
+    let most_committed = |(_, report): &(u32, RunReport)| Reverse(report.committed);
+    rungs
+        .into_iter()
+        .min_by_key(most_committed)
+        .expect("a rung")
 }
 
 /// A measured point.
@@ -260,9 +273,9 @@ pub struct Figure {
     pub summary: fn(&[Row]) -> Vec<String>,
 }
 
-/// Every figure, in the paper's order; the knee is not a paper figure.
+/// Every figure, in the paper's order.
 #[rustfmt::skip]
-pub const FIGURES: [Figure; 8] = [
+pub const FIGURES: [Figure; 7] = [
     Figure { id: "fig4", title: "Figure 4: Basil vs baselines on TPC-C, Smallbank, Retwis",
         points: fig4, summary: fig4_summary },
     Figure { id: "fig5a", title: "Figure 5a: impact of signatures",
@@ -270,7 +283,7 @@ pub const FIGURES: [Figure; 8] = [
     Figure { id: "fig5b", title: "Figure 5b: read quorum size (read-only, 24 ops/txn)",
         points: fig5b, summary: |rows| changes(rows, "one read",
             "Paper: -20% at f+1 reads, a further -16% at 2f+1 reads.") },
-    Figure { id: "fig5c", title: "Figure 5c: shard scaling (RW-U 3r3w, saturating load per shard)",
+    Figure { id: "fig5c", title: "Figure 5c: shard scaling (RW-U 3r3w, 24 clients per shard at full scale)",
         points: fig5c, summary: fig5c_summary },
     Figure { id: "fig6a", title: "Figure 6a: fast path ablation",
         points: fig6a, summary: |rows| paired(rows, "Basil-NoFP", "Basil", "fast-path gain") },
@@ -281,13 +294,18 @@ pub const FIGURES: [Figure; 8] = [
         points: fig7, summary: |rows| changes(rows, "0%", "Paper shape: graceful, near-linear \
             degradation; <25% drop at 30% Byzantine for realistic strategies; forced \
             equivocation worst on the contended workload.") },
-    Figure { id: "knee", title: "Saturation knee: open-loop offered load vs throughput and latency",
-        points: knee, summary: knee_summary },
 ];
 
 /// The figure named `id`.
 pub fn figure(id: &str) -> Option<&'static Figure> {
     FIGURES.iter().find(|f| f.id == id)
+}
+
+/// A capacity figure's points: at full scale each searches for its peak,
+/// and `--quick` keeps the fixed count.
+fn at_peak(scale: Scale, points: Vec<Point>) -> Vec<Point> {
+    let at_peak = scale == Scale::Full;
+    points.into_iter().map(|p| Point { at_peak, ..p }).collect()
 }
 
 fn fig4(scale: Scale) -> Vec<Point> {
@@ -310,7 +328,7 @@ fn fig4(scale: Scale) -> Vec<Point> {
             });
         }
     }
-    points
+    at_peak(scale, points)
 }
 
 fn fig5a(scale: Scale) -> Vec<Point> {
@@ -321,7 +339,7 @@ fn fig5a(scale: Scale) -> Vec<Point> {
         let run = Run::Basil(basil_default(1).without_proofs(), w);
         points.push(Point::new("Basil-NoProofs", w.name(), scale.params(), run).paper(noproofs));
     }
-    points
+    at_peak(scale, points)
 }
 
 fn fig5b(scale: Scale) -> Vec<Point> {
@@ -336,7 +354,7 @@ fn fig5b(scale: Scale) -> Vec<Point> {
         let run = Run::Basil(cfg, Workload::ReadOnly { ops: 24 });
         Point::new("Basil", x, scale.params(), run)
     };
-    quorums.into_iter().map(point).collect()
+    at_peak(scale, quorums.into_iter().map(point).collect())
 }
 
 fn fig5c(scale: Scale) -> Vec<Point> {
@@ -347,8 +365,9 @@ fn fig5c(scale: Scale) -> Vec<Point> {
     let f1 = (1..=scale.pick(FIG5C_SHARDS)).map(|shards| (shards, 1));
     let mut points = Vec::new();
     for (shards, f) in f1.chain([(scale.pick(FIG5C_F2_SHARDS), 2)]) {
-        // The offered load grows with the deployment, so every point is
-        // measured at saturation rather than at an increasingly idle load.
+        // The offered load grows with the deployment: 24 clients per shard
+        // at full scale. There is no peak search here; it would run every
+        // shard count six times.
         let base = scale.params();
         let clients = base.clients * shards;
         let params = RunParams { clients, ..base };
@@ -372,7 +391,7 @@ fn fig6a(scale: Scale) -> Vec<Point> {
         let point = Point::new("Basil", w.name(), scale.params(), run).paper(fp);
         points.push(point.checks(Mechanism::FastPath, Expect::Fires));
     }
-    points
+    at_peak(scale, points)
 }
 
 fn fig6b(scale: Scale) -> Vec<Point> {
@@ -380,15 +399,11 @@ fn fig6b(scale: Scale) -> Vec<Point> {
     for w in [RW_U, RW_Z] {
         for batch in [1, 2, 4, 8, 16, 32, 64] {
             let run = Run::Basil(basil_default(1).with_batch_size(batch), w);
-            points.push(Point::new(
-                w.name(),
-                format!("b={batch}"),
-                scale.params(),
-                run,
-            ));
+            let x = format!("b={batch}");
+            points.push(Point::new(w.name(), x, scale.params(), run));
         }
     }
-    points
+    at_peak(scale, points)
 }
 
 fn fig7(scale: Scale) -> Vec<Point> {
@@ -449,43 +464,6 @@ fn fig7(scale: Scale) -> Vec<Point> {
         }
     }
     points
-}
-
-fn knee(scale: Scale) -> Vec<Point> {
-    let rates = scale.pick(KNEE_RATES);
-    let mut points = Vec::new();
-    for w in [RW_Z, Workload::Retwis] {
-        for &rate in rates {
-            let x = format!("{rate:.0}/client");
-            points.push(Point::new(
-                w.name(),
-                x,
-                scale.params(),
-                Run::OpenLoop(w, rate),
-            ));
-        }
-        // The highest rate is past the knee: the admission bound sheds.
-        let last = points.pop().expect("a rate");
-        points.push(last.checks(Mechanism::Shed, Expect::Fires));
-    }
-    points
-}
-
-/// Runs Basil under open-loop load: every client offers Poisson arrivals at
-/// `rate_tps`, queues up to the admission bound and sheds beyond it.
-fn run_open_loop(workload: Workload, params: &RunParams, rate_tps: f64) -> RunReport {
-    let config = ClusterConfig::basil_default(params.clients)
-        .with_basil(basil_default(1))
-        .with_seed(params.seed);
-    let seed = params.seed;
-    let mut cluster = BasilCluster::build(config, move |client| {
-        // Distinct arrival-process seed per client so Poisson streams are
-        // independent; content seeds stay identical to the closed-loop runs.
-        let arrival_seed = seed.wrapping_add(client.0.wrapping_mul(104_729));
-        let content = workload.generator(client, seed);
-        Box::new(PoissonTxGenerator::new(content, arrival_seed, rate_tps))
-    });
-    cluster.run_measured(params.warmup, params.window)
 }
 
 /// The distinct values of `key` over `rows`, in row order.
@@ -592,24 +570,6 @@ fn fig5c_summary(rows: &[Row]) -> Vec<String> {
     lines
 }
 
-fn knee_summary(rows: &[Row]) -> Vec<String> {
-    let (p50, p99) = (KNEE_SLO.p50_ms, KNEE_SLO.p99_ms);
-    let mut lines = vec![format!("SLO: p50 <= {p50} ms, p99 <= {p99} ms")];
-    for r in rows {
-        let met = r.report.check_slo(&KNEE_SLO).met();
-        lines.push(format!(
-            "{} at {}: offered {:.0} tx/s, shed {:.1}%, SLO {}",
-            r.point.series,
-            r.point.x,
-            r.report.offered_tps,
-            r.report.shed_fraction * 100.0,
-            if met { "met" } else { "MISSED" },
-        ));
-    }
-    lines.push("Shape: throughput tracks the offered line until the knee, then plateaus while p99 inflects and the admission bound sheds the excess.".into());
-    lines
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -635,6 +595,40 @@ mod tests {
                         .any(|q| (&q.series, &q.x) == (&p.series, &p.x));
                     assert!(!twin, "{}: two points at {} {}", fig.id, p.series, p.x);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn the_peak_is_the_rung_that_commits_most_and_the_fewer_clients_on_a_tie() {
+        let report = |committed| {
+            let end = basil::report::Snapshot {
+                committed,
+                ..Default::default()
+            };
+            RunReport::between(&Default::default(), &end, basil::Duration::from_secs(1))
+        };
+        let pick = |committed: [u64; 6]| {
+            let rungs = PEAK_CLIENTS.into_iter().zip(committed.map(report));
+            peak(rungs).0
+        };
+        // Fig. 6b RW-Z at b=64 in tx/s at seed 42: a dip at 96, then a rise
+        // to the last rung. A search that stops at the first small gain stops
+        // at 48.
+        assert_eq!(pick([5_168, 6_975, 6_912, 8_548, 10_065, 10_618]), 768);
+        // TPC-C's shape: a rise, then a collapse under contention.
+        assert_eq!(pick([1_318, 1_658, 1_182, 600, 95, 40]), 48);
+        assert_eq!(pick([900, 1_000, 1_000, 1_000, 700, 500]), 48);
+    }
+
+    #[test]
+    fn only_the_full_scale_capacity_points_search_for_their_peak() {
+        for fig in &FIGURES {
+            let quick = (fig.points)(Scale::Quick);
+            assert!(quick.iter().all(|p| !p.at_peak), "{} at quick", fig.id);
+            let search = !["fig5c", "fig7"].contains(&fig.id);
+            for p in (fig.points)(Scale::Full) {
+                assert_eq!(p.at_peak, search, "{} {} {}", fig.id, p.series, p.x);
             }
         }
     }
@@ -669,12 +663,12 @@ mod tests {
         // fig4: 4 systems x 3 apps; fig5a, fig6a: 2 configs x 2 workloads;
         // fig5b: 3 quorums; fig5c: shards 1..3 at f=1 and 1 at f=2, with and
         // without proofs; fig6b: 2 workloads x 7 batch sizes; fig7: 2
-        // workloads x 4 strategies x 5 fractions; knee: 2 workloads x 3 rates.
+        // workloads x 4 strategies x 5 fractions.
         let counts: Vec<usize> = FIGURES
             .iter()
             .map(|f| (f.points)(Scale::Quick).len())
             .collect();
-        assert_eq!(counts, [12, 4, 3, 8, 4, 14, 40, 6]);
+        assert_eq!(counts, [12, 4, 3, 8, 4, 14, 40]);
         let quick = RunParams::quick();
         let fig5c: Vec<_> = points("fig5c", Scale::Quick)
             .into_iter()
@@ -687,14 +681,6 @@ mod tests {
                 assert!(fig5c.contains(&want), "fig5c lacks {want:?}");
             }
         }
-        let knee_rates: Vec<f64> = points("knee", Scale::Quick)
-            .iter()
-            .filter_map(|p| match p.run {
-                Run::OpenLoop(_, rate) => Some(rate),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(knee_rates, [100.0, 300.0, 600.0, 100.0, 300.0, 600.0]);
         let byz: Vec<u32> = points("fig7", Scale::Quick)[..5]
             .iter()
             .filter_map(|p| match &p.run {

@@ -7,11 +7,11 @@
 //! point's mechanism fired. Criterion micro-benchmarks for the substrates
 //! live in `benches/`.
 //!
-//! The experiments report throughput at a fixed, saturating offered load
-//! (a configurable number of closed-loop clients) rather than sweeping to an
-//! exact peak; the *relative* ordering between systems and configurations —
-//! which is what the paper's claims are about — is insensitive to the exact
-//! client count.
+//! The paper compares peak throughputs, and at a fixed client count the
+//! ordering between systems and configurations is a load artifact: at 24
+//! clients Fig. 5b's 2f+1 read came out 17% faster than a single read. So
+//! each full-scale capacity point of Figs. 4–6b runs at every client count
+//! of [`figures::PEAK_CLIENTS`] and reports the one that commits most.
 //!
 //! ## Micro-benchmarks (`benches/`)
 //!

@@ -300,7 +300,7 @@ pub struct BasilClient {
     stats: ClientStats,
     /// Arrival timestamps of admitted-but-not-yet-started transactions
     /// (open loop only), bounded by `cfg.admission_bound`. Latency is
-    /// measured from the arrival, so queueing delay shows up in the knee.
+    /// measured from the arrival, so queueing delay shows up in it.
     arrivals: std::collections::VecDeque<SimTime>,
 }
 

@@ -15,7 +15,7 @@
 //! * [`zipf`] — the Zipfian sampler shared by the generators (the
 //!   Gray et al. approximation used by YCSB).
 //! * [`poisson`] — an open-loop adapter that paces any of the above with
-//!   seeded Poisson arrivals for the throughput/latency knee sweeps.
+//!   seeded Poisson arrivals.
 //!
 //! Every generator implements [`basil_common::TxGenerator`] and produces
 //! [`basil_common::TxProfile`]s, so the same workloads drive Basil and every
