@@ -1077,7 +1077,30 @@ impl Actor<BasilMsg> for BasilClient {
             BasilMsg::St1Reply(vote) => self.handle_st1_reply(ctx, vote),
             BasilMsg::St2Reply(reply) => self.handle_st2_reply(ctx, reply),
             BasilMsg::Writeback(wb) => self.handle_incoming_cert(ctx, wb),
-            BasilMsg::ClientTimer(timer) => match timer {
+            // Timers fire through `on_timer` only: a timer sent by another
+            // node (a replica's `PrepareTimeout` would re-send the ST1 to
+            // every replica) is ignored like any misrouted message.
+            BasilMsg::ClientTimer(_) => {}
+            // Messages meant for replicas are ignored if misrouted.
+            BasilMsg::Read(_)
+            | BasilMsg::St1(_)
+            | BasilMsg::St2(_)
+            | BasilMsg::RtsRelease { .. }
+            | BasilMsg::InvokeFb(_)
+            | BasilMsg::ElectFb(_)
+            | BasilMsg::DecFb(_)
+            | BasilMsg::CatchUpRequest
+            | BasilMsg::CatchUpReply(_)
+            | BasilMsg::ReplicaTimer(_) => {}
+        }
+        // Every signature made and checked while handling the message.
+        ctx.charge(self.engine.take_charged());
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<BasilMsg>, msg: BasilMsg) {
+        ctx.charge(self.engine.message_cost());
+        if let BasilMsg::ClientTimer(timer) = msg {
+            match timer {
                 ClientTimer::ReadTimeout { req_id } => self.handle_read_timeout(ctx, req_id),
                 ClientTimer::PrepareTimeout { txid } => {
                     self.handle_commit_timeout(ctx, RetryKind::Prepare, txid)
@@ -1094,20 +1117,8 @@ impl Actor<BasilMsg> for BasilClient {
                     }
                 }
                 ClientTimer::OpenLoopArrival => self.handle_open_loop_arrival(ctx),
-            },
-            // Messages meant for replicas are ignored if misrouted.
-            BasilMsg::Read(_)
-            | BasilMsg::St1(_)
-            | BasilMsg::St2(_)
-            | BasilMsg::RtsRelease { .. }
-            | BasilMsg::InvokeFb(_)
-            | BasilMsg::ElectFb(_)
-            | BasilMsg::DecFb(_)
-            | BasilMsg::CatchUpRequest
-            | BasilMsg::CatchUpReply(_)
-            | BasilMsg::ReplicaTimer(_) => {}
+            }
         }
-        // Every signature made and checked while handling the message.
         ctx.charge(self.engine.take_charged());
     }
 
@@ -1186,6 +1197,37 @@ mod tests {
             &client.own,
             Some(c) if c.stage() == RetryKind::Prepare
         ));
+    }
+
+    #[test]
+    fn a_timer_sent_by_another_node_is_ignored() {
+        let profile = TxProfile::new("w", vec![Op::Write(Key::new("x"), Value::from_u64(1))]);
+        let mut client = client_with(vec![profile]);
+        let mut ctx = ctx_at(1);
+        client.on_start(&mut ctx);
+        let txid = sent_messages(&ctx)
+            .iter()
+            .find_map(|(_, m)| match m {
+                BasilMsg::St1(st1) => Some(st1.tx.id()),
+                _ => None,
+            })
+            .expect("the ST1 went out");
+        let timeout = BasilMsg::ClientTimer(ClientTimer::PrepareTimeout { txid });
+
+        // A replica cannot make the client re-send its ST1.
+        let replica = NodeId::Replica(ReplicaId::new(ShardId(0), 0));
+        let mut forged = ctx_at(2);
+        client.on_message(&mut forged, replica, timeout.clone());
+        assert!(sent_messages(&forged).is_empty(), "forged timer obeyed");
+
+        // The client's own timer still re-sends it to all six replicas.
+        let mut own = ctx_at(3);
+        client.on_timer(&mut own, timeout);
+        let resent = sent_messages(&own)
+            .into_iter()
+            .filter(|(_, m)| matches!(m, BasilMsg::St1(_)))
+            .count();
+        assert_eq!(resent, 6);
     }
 
     #[test]

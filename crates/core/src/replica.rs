@@ -429,8 +429,8 @@ impl BasilReplica {
     /// Byzantine or badly skewed backdated transaction aborts — the standard
     /// MVTSO GC liveness trade, never a serializability hole.
     fn gc_sweep(&mut self, ctx: &mut Context<BasilMsg>) {
-        // Reached only for self-scheduled timers (see the dispatch arm), but
-        // a sweep still requires the operator's opt-in (it trades liveness).
+        // Reached only through `on_timer`, but a sweep still requires the
+        // operator's opt-in (it trades liveness).
         if self.cfg.gc_interval.is_none() {
             return;
         }
@@ -825,9 +825,10 @@ impl BasilReplica {
         }
     }
 
-    /// Whether `msg` must wait until catch-up finishes. Catch-up traffic and
-    /// (self-scheduled) timers flow immediately; everything that could read
-    /// or mutate not-yet-recovered protocol state is held back.
+    /// Whether `msg` must wait until catch-up finishes. Catch-up traffic
+    /// flows immediately (timers never come this way; they fire through
+    /// `on_timer`); everything that could read or mutate not-yet-recovered
+    /// protocol state is held back.
     fn buffered_during_recovery(msg: &BasilMsg) -> bool {
         matches!(
             msg,
@@ -1019,29 +1020,17 @@ impl BasilReplica {
             BasilMsg::DecFb(dfb) => self.handle_dec_fb(ctx, dfb),
             BasilMsg::CatchUpRequest => self.handle_catch_up_request(ctx, from),
             BasilMsg::CatchUpReply(reply) => self.handle_catch_up_reply(ctx, from, reply),
-            // Timers travel on the ordinary message plane; only our own
-            // self-scheduled ones may fire (a forged BatchFlush would defeat
-            // reply-batch amortization, a forged GcSweep would force sweeps
-            // and multiply re-armed timer chains, a forged CatchUpDeadline
-            // would cut a recovery short).
-            BasilMsg::ReplicaTimer(timer) if from == NodeId::Replica(self.id) => match timer {
-                ReplicaTimer::BatchFlush => {
-                    self.batch_timer_armed = false;
-                    self.flush_batch(ctx);
-                }
-                ReplicaTimer::GcSweep => self.gc_sweep(ctx),
-                ReplicaTimer::CatchUpDeadline => self.finish_catch_up(ctx),
-            },
-            BasilMsg::ReplicaTimer(_) => {}
             // Messages addressed to clients are ignored if misrouted. So is
             // an RtsRelease: it carries no authentication and no honest
             // client sends one, so honouring it would let any node erase an
-            // honest reader's read timestamp.
+            // honest reader's read timestamp. Timers fire through `on_timer`
+            // only, so a timer sent as a message is ignored too.
             BasilMsg::RtsRelease { .. }
             | BasilMsg::ReadReply(_)
             | BasilMsg::St1Reply(_)
             | BasilMsg::St2Reply(_)
-            | BasilMsg::ClientTimer(_) => {}
+            | BasilMsg::ClientTimer(_)
+            | BasilMsg::ReplicaTimer(_) => {}
         }
     }
 }
@@ -1090,6 +1079,21 @@ impl Actor<BasilMsg> for BasilReplica {
             _ => self.dispatch(ctx, from, msg),
         }
         // Every signature made and checked while handling the message.
+        ctx.charge(self.engine.take_charged());
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<BasilMsg>, msg: BasilMsg) {
+        ctx.charge(self.engine.message_cost());
+        if let BasilMsg::ReplicaTimer(timer) = msg {
+            match timer {
+                ReplicaTimer::BatchFlush => {
+                    self.batch_timer_armed = false;
+                    self.flush_batch(ctx);
+                }
+                ReplicaTimer::GcSweep => self.gc_sweep(ctx),
+                ReplicaTimer::CatchUpDeadline => self.finish_catch_up(ctx),
+            }
+        }
         ctx.charge(self.engine.take_charged());
     }
 
@@ -1449,11 +1453,7 @@ mod tests {
         // Sweep at local clock 10 ms with a 1 ms horizon: watermark 9 ms,
         // so only the newest version (2 ms) is retained.
         let mut ctx = ctx_at(NodeId::Replica(r.id()), 10);
-        r.on_message(
-            &mut ctx,
-            NodeId::Replica(r.id()),
-            BasilMsg::ReplicaTimer(ReplicaTimer::GcSweep),
-        );
+        r.on_timer(&mut ctx, BasilMsg::ReplicaTimer(ReplicaTimer::GcSweep));
         assert_eq!(r.stats().gc_sweeps, 1);
         assert!(
             r.store()
@@ -1484,7 +1484,7 @@ mod tests {
         r.handle_writeback(&mut ctx2, Writeback { cert, tx: Some(tx) });
 
         // A GcSweep delivered from another node must be a no-op, and even a
-        // self-delivered one is refused while GC is not opted in.
+        // fired one is refused while GC is not opted in.
         let mut ctx3 = ctx_at(NodeId::Replica(r.id()), 1_000);
         r.on_message(
             &mut ctx3,
@@ -1492,11 +1492,7 @@ mod tests {
             BasilMsg::ReplicaTimer(ReplicaTimer::GcSweep),
         );
         let mut ctx4 = ctx_at(NodeId::Replica(r.id()), 1_000);
-        r.on_message(
-            &mut ctx4,
-            NodeId::Replica(r.id()),
-            BasilMsg::ReplicaTimer(ReplicaTimer::GcSweep),
-        );
+        r.on_timer(&mut ctx4, BasilMsg::ReplicaTimer(ReplicaTimer::GcSweep));
         assert_eq!(r.stats().gc_sweeps, 0, "sweep refused: GC not opted in");
         let genesis_reader = Timestamp::from_nanos(500, ClientId(0));
         assert!(
@@ -1533,11 +1529,7 @@ mod tests {
 
         // The replica's own timer still flushes.
         let mut own = ctx_at(NodeId::Replica(r.id()), 3);
-        r.on_message(
-            &mut own,
-            NodeId::Replica(r.id()),
-            BasilMsg::ReplicaTimer(ReplicaTimer::BatchFlush),
-        );
+        r.on_timer(&mut own, BasilMsg::ReplicaTimer(ReplicaTimer::BatchFlush));
         assert_eq!(sent_to(&own, client_node()).len(), 1);
     }
 
@@ -2063,9 +2055,8 @@ mod tests {
         r.handle_read(&mut ctx, client_node(), signed_read(1, "x", 1_000_000));
         assert!(sent_to(&ctx, client_node()).is_empty());
         let mut timer_ctx = ctx_at(NodeId::Replica(r.id()), 2);
-        r.on_message(
+        r.on_timer(
             &mut timer_ctx,
-            NodeId::Replica(r.id()),
             BasilMsg::ReplicaTimer(ReplicaTimer::BatchFlush),
         );
         assert_eq!(sent_to(&timer_ctx, client_node()).len(), 1);
@@ -2287,9 +2278,8 @@ mod tests {
 
         // The deadline ends catch-up; only the buffered prefix replays.
         let mut ctx = ctx_at(NodeId::Replica(id), 2);
-        r.on_message(
+        r.on_timer(
             &mut ctx,
-            NodeId::Replica(id),
             BasilMsg::ReplicaTimer(ReplicaTimer::CatchUpDeadline),
         );
         assert!(!r.is_recovering());
@@ -2447,9 +2437,8 @@ mod tests {
                     );
                     assert!(subject.is_recovering(), "seed {seed}: catch-up armed");
                     let mut ctx = ctx_at(NodeId::Replica(id), i + 1);
-                    subject.on_message(
+                    subject.on_timer(
                         &mut ctx,
-                        NodeId::Replica(id),
                         BasilMsg::ReplicaTimer(ReplicaTimer::CatchUpDeadline),
                     );
                     assert!(!subject.is_recovering(), "seed {seed}: catch-up over");
