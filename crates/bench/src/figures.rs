@@ -612,9 +612,9 @@ mod tests {
             let rungs = PEAK_CLIENTS.into_iter().zip(committed.map(report));
             peak(rungs).0
         };
-        // Fig. 6b RW-Z at b=64 in tx/s at seed 42: a dip at 96, then a rise
-        // to the last rung. A search that stops at the first small gain stops
-        // at 48.
+        // A dip at 96, then a rise to the last rung (the shape Fig. 6b RW-Z
+        // at b=64 once had at seed 42). A search that stops at the first
+        // small gain stops at 48.
         assert_eq!(pick([5_168, 6_975, 6_912, 8_548, 10_065, 10_618]), 768);
         // TPC-C's shape: a rise, then a collapse under contention.
         assert_eq!(pick([1_318, 1_658, 1_182, 600, 95, 40]), 48);

@@ -80,9 +80,6 @@ struct TxRecord {
     tx: Option<Arc<Transaction>>,
     /// The ST1 vote this replica cast, if any.
     own_vote: Option<ProtoVote>,
-    /// Clients waiting for the deferred ST1 reply; non-empty exactly while
-    /// the vote is withheld waiting for dependencies.
-    waiting_clients: Vec<NodeId>,
     /// The logged 2PC decision and the view it was adopted in.
     logged: Option<(ProtoDecision, View)>,
     /// This replica's current fallback view for the transaction.
@@ -92,11 +89,15 @@ struct TxRecord {
     /// committed-version read replies, and with forwards to interested
     /// clients.
     cert: Option<Arc<DecisionCert>>,
-    /// Clients interested in this transaction's outcome (recovery), in
-    /// registration order. A `Vec` with membership checks (always a handful
-    /// of clients) keeps the forwarding order deterministic — iterating a
-    /// RandomState-seeded set here would reorder sends run to run and break
-    /// the bit-identical determinism contract.
+    /// The clients to tell about this transaction, in registration order:
+    /// the senders of a deferred ST1 (they get the vote once it is cast),
+    /// of a recovery ST1, of an ST2 and of an InvokeFB. Each hears the
+    /// released vote, a fallback decision, and the certificate when it is
+    /// applied, unless it delivered that certificate itself. A `Vec` with
+    /// membership checks (always a handful of clients) keeps the
+    /// forwarding order deterministic — iterating a RandomState-seeded set
+    /// here would reorder sends run to run and break the bit-identical
+    /// determinism contract.
     interested: Vec<NodeId>,
     /// ST2 messages that arrived before the transaction body, applied when
     /// this replica casts its vote.
@@ -541,10 +542,10 @@ impl BasilReplica {
             self.enqueue_reply(ctx, from, PendingReply::St1(body));
             return;
         }
-        if !record.waiting_clients.is_empty() {
-            if !record.waiting_clients.contains(&from) {
-                record.waiting_clients.push(from);
-            }
+        // A withheld vote is cast to every interested client once the
+        // dependencies it waits on are decided.
+        if self.store.is_pending(&txid) {
+            record.register_interested(from);
             return;
         }
 
@@ -554,7 +555,7 @@ impl BasilReplica {
         match self.store.prepare(&st1.tx, ctx.local_clock(), DELTA) {
             CheckOutcome::Decided(vote) => self.cast_vote(ctx, txid, vote, &[from]),
             CheckOutcome::Pending { .. } => {
-                record.waiting_clients.push(from);
+                record.register_interested(from);
                 self.stats.st1_deferred += 1;
             }
         }
@@ -595,16 +596,10 @@ impl BasilReplica {
     }
 
     /// Casts the deferred ST1 votes released by a dependency decision, to the
-    /// clients that waited for them and then to the interested ones.
+    /// interested clients.
     fn deliver_released_votes(&mut self, ctx: &mut Context<BasilMsg>, released: Vec<(TxId, Vote)>) {
         for (txid, vote) in released {
-            let record = self.record(txid);
-            let mut to = std::mem::take(&mut record.waiting_clients);
-            for client in &record.interested {
-                if !to.contains(client) {
-                    to.push(*client);
-                }
-            }
+            let to = self.record(txid).interested.clone();
             self.cast_vote(ctx, txid, vote, &to);
         }
     }
@@ -689,7 +684,9 @@ impl BasilReplica {
     // Writeback phase
     // ------------------------------------------------------------------
 
-    fn handle_writeback(&mut self, ctx: &mut Context<BasilMsg>, wb: Writeback) {
+    /// Validates and applies a decision certificate delivered by `from` (a
+    /// client's writeback, or an entry of a peer's catch-up reply).
+    fn handle_writeback(&mut self, ctx: &mut Context<BasilMsg>, from: NodeId, wb: Writeback) {
         let txid = wb.cert.txid;
         if self.store.decision(&txid).is_some() {
             return; // already applied
@@ -737,8 +734,9 @@ impl BasilReplica {
             tx: logged_tx,
         });
         // Forward the outcome to clients waiting on this transaction (a
-        // reference-count bump per recipient, not a certificate copy).
-        for client in interested {
+        // reference-count bump per recipient, not a certificate copy), but
+        // not back to the one that delivered it.
+        for client in interested.into_iter().filter(|&c| c != from) {
             ctx.charge(self.engine.message_cost());
             ctx.send(
                 client,
@@ -799,7 +797,7 @@ impl BasilReplica {
         for (cert, tx) in reply.entries {
             let txid = cert.txid;
             let undecided = self.store.decision(&txid).is_none();
-            self.handle_writeback(ctx, Writeback { cert, tx });
+            self.handle_writeback(ctx, from, Writeback { cert, tx });
             if undecided && self.store.decision(&txid).is_some() {
                 self.stats.catch_up_applied += 1;
             }
@@ -1014,7 +1012,7 @@ impl BasilReplica {
             BasilMsg::Read(req) => self.handle_read(ctx, from, req),
             BasilMsg::St1(st1) => self.handle_st1(ctx, from, st1),
             BasilMsg::St2(st2) => self.handle_st2(ctx, from, st2),
-            BasilMsg::Writeback(wb) => self.handle_writeback(ctx, wb),
+            BasilMsg::Writeback(wb) => self.handle_writeback(ctx, from, wb),
             BasilMsg::InvokeFb(ifb) => self.handle_invoke_fb(ctx, from, ifb),
             BasilMsg::ElectFb(efb) => self.handle_elect_fb(ctx, efb),
             BasilMsg::DecFb(dfb) => self.handle_dec_fb(ctx, dfb),
@@ -1351,6 +1349,7 @@ mod tests {
         let mut ctx = ctx_at(me, 4);
         r.handle_writeback(
             &mut ctx,
+            client_node(),
             Writeback {
                 cert: fast_commit_cert(&tx),
                 tx: Some(Arc::clone(&tx)),
@@ -1389,6 +1388,7 @@ mod tests {
         let mut ctx2 = ctx_at(NodeId::Replica(r.id()), 2);
         r.handle_writeback(
             &mut ctx2,
+            client_node(),
             Writeback {
                 cert,
                 tx: Some(tx.clone()),
@@ -1439,7 +1439,7 @@ mod tests {
             r.handle_st1(&mut ctx, client_node(), signed_st1(&tx, false));
             let cert = fast_commit_cert(&tx);
             let mut ctx2 = ctx_at(NodeId::Replica(r.id()), 2);
-            r.handle_writeback(&mut ctx2, Writeback { cert, tx: Some(tx) });
+            r.handle_writeback(&mut ctx2, client_node(), Writeback { cert, tx: Some(tx) });
         }
         let mid = Timestamp::from_nanos(1_500_000, ClientId(0));
         assert!(
@@ -1481,7 +1481,7 @@ mod tests {
         r.handle_st1(&mut ctx, client_node(), signed_st1(&tx, false));
         let cert = fast_commit_cert(&tx);
         let mut ctx2 = ctx_at(NodeId::Replica(r.id()), 2);
-        r.handle_writeback(&mut ctx2, Writeback { cert, tx: Some(tx) });
+        r.handle_writeback(&mut ctx2, client_node(), Writeback { cert, tx: Some(tx) });
 
         // A GcSweep delivered from another node must be a no-op, and even a
         // fired one is refused while GC is not opted in.
@@ -1591,6 +1591,7 @@ mod tests {
         let mut ctx = ctx_at(NodeId::Replica(r.id()), 1);
         r.handle_writeback(
             &mut ctx,
+            client_node(),
             Writeback {
                 cert,
                 tx: Some(tx.clone()),
@@ -1610,6 +1611,7 @@ mod tests {
         let mut ctx2 = ctx_at(NodeId::Replica(r.id()), 2);
         r.handle_writeback(
             &mut ctx2,
+            client_node(),
             Writeback {
                 cert,
                 tx: Some(tx.clone()),
@@ -1649,6 +1651,7 @@ mod tests {
         let mut ctx3 = ctx_at(NodeId::Replica(r.id()), 3);
         r.handle_writeback(
             &mut ctx3,
+            client_node(),
             Writeback {
                 cert: fast_commit_cert(&t1),
                 tx: Some(t1.clone()),
@@ -1662,6 +1665,70 @@ mod tests {
                 assert_eq!(reply.body.vote, ProtoVote::Commit);
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// A certificate goes to every client that asked about the transaction,
+    /// but not back to the client that wrote it back.
+    #[test]
+    fn writeback_is_not_forwarded_back_to_its_sender() {
+        let mut r = replica(0);
+        let tx = write_tx(1_000_000, "x", 42);
+        let recoverer = NodeId::Client(ClientId(22));
+        let mut ctx = ctx_at(NodeId::Replica(r.id()), 1);
+        r.handle_st1(&mut ctx, client_node(), signed_st1(&tx, false));
+        let tally = vec![commit_tally_of(&tx, ShardId(0), 4)];
+        let st2 = signed_st2(&tx, ProtoDecision::Commit, tally);
+        r.handle_st2(&mut ctx, client_node(), st2);
+        r.handle_st1(&mut ctx, recoverer, signed_st1(&tx, true));
+
+        let mut wb_ctx = ctx_at(NodeId::Replica(r.id()), 2);
+        let wb = Writeback {
+            cert: fast_commit_cert(&tx),
+            tx: None,
+        };
+        r.handle_writeback(&mut wb_ctx, client_node(), wb);
+        assert!(r.store().decision(&tx.id()).is_some(), "applied");
+        assert!(
+            sent_to(&wb_ctx, client_node()).is_empty(),
+            "the writer got its own certificate back"
+        );
+        match sent_to(&wb_ctx, recoverer).as_slice() {
+            [BasilMsg::Writeback(wb)] => assert_eq!(wb.cert.txid, tx.id()),
+            other => panic!("the recoverer heard {other:?}"),
+        }
+    }
+
+    /// The sender of a deferred ST1 stays interested after its vote is
+    /// released, so it learns the outcome when another client (here one
+    /// that recovered the transaction) writes the certificate back.
+    #[test]
+    fn deferred_st1_sender_hears_anothers_writeback() {
+        let mut r = replica(0);
+        let t1 = write_tx(1_000_000, "x", 5);
+        let mut ctx = ctx_at(NodeId::Replica(r.id()), 1);
+        r.handle_st1(&mut ctx, client_node(), signed_st1(&t1, false));
+        let t2 = dependent_tx(&t1);
+        let dependent_client = NodeId::Client(ClientId(3));
+        r.handle_st1(&mut ctx, dependent_client, signed_st1(&t2, false));
+        assert_eq!(r.stats().st1_deferred, 1);
+        let t1_wb = Writeback {
+            cert: fast_commit_cert(&t1),
+            tx: None,
+        };
+        r.handle_writeback(&mut ctx, client_node(), t1_wb);
+        assert_eq!(r.stats().st1_voted, 2, "T2's vote was released");
+
+        let recoverer = NodeId::Client(ClientId(22));
+        let mut wb_ctx = ctx_at(NodeId::Replica(r.id()), 2);
+        let t2_wb = Writeback {
+            cert: fast_commit_cert(&t2),
+            tx: None,
+        };
+        r.handle_writeback(&mut wb_ctx, recoverer, t2_wb);
+        match sent_to(&wb_ctx, dependent_client).as_slice() {
+            [BasilMsg::Writeback(wb)] => assert_eq!(wb.cert.txid, t2.id()),
+            other => panic!("the deferred ST1's sender heard {other:?}"),
         }
     }
 
@@ -1738,12 +1805,13 @@ mod tests {
     /// an ST1 voted at once, an ST2 with a valid commit tally and a
     /// writeback with a valid commit certificate. The simulator reads only
     /// a callback's total, so these pin every simulated output against a
-    /// charge that moves, is dropped or is counted twice.
+    /// charge that moves, is dropped or is counted twice. The writeback
+    /// comes from the client that logged the ST2, so it forwards nothing.
     #[test]
     fn callback_charges_are_pinned() {
         for (mode, pinned) in [
-            (CryptoMode::Real, [71_000, 77_000, 595_000, 278_000]),
-            (CryptoMode::Simulated, [71_000, 77_000, 595_000, 278_000]),
+            (CryptoMode::Real, [71_000, 77_000, 595_000, 272_000]),
+            (CryptoMode::Simulated, [71_000, 77_000, 595_000, 272_000]),
         ] {
             let mut c = cfg();
             c.crypto_mode = mode;
@@ -1814,7 +1882,7 @@ mod tests {
             proof,
         });
         let mut ctx = ctx_at(NodeId::Replica(r.id()), 2);
-        r.handle_writeback(&mut ctx, Writeback { cert, tx: None });
+        r.handle_writeback(&mut ctx, client_node(), Writeback { cert, tx: None });
         r.store().decision(&tx.id()).is_some()
     }
 
@@ -1922,6 +1990,7 @@ mod tests {
         let mut ctx = ctx_at(me, 3);
         r.handle_writeback(
             &mut ctx,
+            client_node(),
             Writeback {
                 cert: fast_commit_cert(&t1),
                 tx: Some(Arc::clone(&t1)),
@@ -2304,7 +2373,7 @@ mod tests {
             if i % 3 != 1 {
                 applied.push(tx.id());
                 let cert = fast_commit_cert(&tx);
-                r.handle_writeback(&mut ctx, Writeback { cert, tx: Some(tx) });
+                r.handle_writeback(&mut ctx, client_node(), Writeback { cert, tx: Some(tx) });
             }
         }
         assert_eq!(r.stats().commits_applied, applied.len() as u64);
@@ -2413,6 +2482,7 @@ mod tests {
                         let cert = fast_commit_cert(&tx);
                         r.handle_writeback(
                             &mut ctx,
+                            client_node(),
                             Writeback {
                                 cert,
                                 tx: Some(Arc::clone(&tx)),

@@ -9,19 +9,23 @@
 //! transaction ids — to the values captured from the pre-refactor binary
 //! (commit a89501c). A mismatch means a change to simulated behaviour, not
 //! just to its cost.
+//!
+//! The values moved once on purpose, when replicas stopped forwarding a
+//! decision certificate back to the client that wrote it back: fewer
+//! messages shift every later event, so the run takes a different path.
 
 use basil::harness::{BasilCluster, ClusterConfig};
 use basil::workloads::ycsb::YcsbGenerator;
 use basil::{BasilConfig, Duration, SystemConfig};
 
-/// Values captured from the pre-refactor binary. Scenario: 3 shards,
-/// 12 clients, RW-U 2r2w over 10k keys, seed 7, 50 ms warmup + 200 ms window.
-const EXPECTED_COMMITTED: u64 = 992;
-const EXPECTED_ABORTED: u64 = 12;
-const EXPECTED_FAST: u64 = 999;
-const EXPECTED_SLOW: u64 = 5;
+/// The pinned values. Scenario: 3 shards, 12 clients, RW-U 2r2w over 10k
+/// keys, seed 7, 50 ms warmup + 200 ms window.
+const EXPECTED_COMMITTED: u64 = 978;
+const EXPECTED_ABORTED: u64 = 7;
+const EXPECTED_FAST: u64 = 983;
+const EXPECTED_SLOW: u64 = 2;
 const EXPECTED_HISTORY_DIGEST: &str =
-    "e275d26a31fe5101bbbf203382700ab764d90a6b8a18701e0d4628e934669d59";
+    "ad7c3348cb0839583172492558a9830112d2d54df18f8d05a2cd51d39ee80430";
 
 fn run_scenario() -> BasilCluster {
     let basil = BasilConfig::bench(SystemConfig::sharded(3)).with_batch_size(16);
