@@ -1077,11 +1077,10 @@ impl Actor<BasilMsg> for BasilClient {
             BasilMsg::St1Reply(vote) => self.handle_st1_reply(ctx, vote),
             BasilMsg::St2Reply(reply) => self.handle_st2_reply(ctx, reply),
             BasilMsg::Writeback(wb) => self.handle_incoming_cert(ctx, wb),
-            // Timers fire through `on_timer` only: a timer sent by another
-            // node (a replica's `PrepareTimeout` would re-send the ST1 to
-            // every replica) is ignored like any misrouted message.
-            BasilMsg::ClientTimer(_) => {}
-            // Messages meant for replicas are ignored if misrouted.
+            // Messages meant for replicas are ignored if misrouted. So are
+            // timers, which fire through `on_timer` only: a timer another
+            // node sends (a replica's `PrepareTimeout` would re-send the ST1
+            // to every replica) is not obeyed.
             BasilMsg::Read(_)
             | BasilMsg::St1(_)
             | BasilMsg::St2(_)
@@ -1091,6 +1090,7 @@ impl Actor<BasilMsg> for BasilClient {
             | BasilMsg::DecFb(_)
             | BasilMsg::CatchUpRequest
             | BasilMsg::CatchUpReply(_)
+            | BasilMsg::ClientTimer(_)
             | BasilMsg::ReplicaTimer(_) => {}
         }
         // Every signature made and checked while handling the message.
