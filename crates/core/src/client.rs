@@ -532,7 +532,7 @@ impl BasilClient {
         let replies = std::mem::take(&mut self.read_replies);
 
         // Committed candidate: the highest committed version backed by a
-        // valid certificate.
+        // valid certificate for the transaction that wrote it.
         let mut best_committed: Option<(Timestamp, Value)> = None;
         // Genesis claims: a reply with no committed version claims the
         // empty genesis value. Genesis versions carry no certificate, so a
@@ -551,18 +551,23 @@ impl BasilClient {
                     continue;
                 }
             };
-            let acceptable = if let Some(cert) = &c.cert {
-                if !self.engine.enabled() {
-                    true
-                } else if cert.txid != c.txid || !cert.decision().is_commit() {
-                    // Refused before any signature is checked.
-                    false
-                } else {
-                    let shard = &self.cfg.system.shard;
-                    validate_decision_cert(cert, None, shard, &mut self.engine)
+            let acceptable = match &c.cert {
+                None => false,
+                Some(_) if !self.engine.enabled() => true,
+                // A certificate that does not commit the transaction that
+                // wrote this version is refused before any signature is
+                // checked.
+                Some(cert) => {
+                    cert.txid == c.txid
+                        && cert.decision().is_commit()
+                        && c.written_by(&key)
+                        && validate_decision_cert(
+                            cert,
+                            None,
+                            &self.cfg.system.shard,
+                            &mut self.engine,
+                        )
                 }
-            } else {
-                false
             };
             if !acceptable {
                 continue;
@@ -1850,6 +1855,7 @@ mod tests {
                         value: Value::from_u64(1),
                         txid: writer.id(),
                         cert: Some(Arc::clone(&cert)),
+                        tx: Some(Arc::clone(&writer)),
                     }),
                     prepared: None,
                 };
@@ -1892,6 +1898,7 @@ mod tests {
                         value: Value::from_u64(1),
                         txid: writer.id(),
                         cert: cert.clone(),
+                        tx: Some(Arc::clone(&writer)),
                     }),
                     prepared: None,
                 };
@@ -1910,6 +1917,72 @@ mod tests {
         };
         let elsewhere = valid_commit_cert(&write_tx(600), 6);
         assert_eq!(conclude_with(Some(elsewhere)), conclude_with(None));
+    }
+
+    /// A real commit certificate proves that its transaction committed, not
+    /// what it wrote: a Byzantine replica that pairs one with a value the
+    /// transaction never wrote, or with a body that is not the certified
+    /// transaction, is refused, and the honest reply decides the read.
+    #[test]
+    fn a_committed_read_is_bound_to_its_writer() {
+        let x = Key::new("x");
+        let writer = write_tx(500);
+        let cert = valid_commit_cert(&writer, 6);
+        let mut impostor = TransactionBuilder::new(writer.timestamp());
+        impostor.record_write(x.clone(), Value::from_u64(666));
+        let impostor = impostor.build_shared();
+        for (value, tx) in [
+            (666, Some(Arc::clone(&writer))),
+            (666, Some(impostor.clone())),
+            (1, Some(write_tx(600))),
+            (1, None),
+        ] {
+            let profile = TxProfile::new(
+                "rmw",
+                vec![Op::RmwAdd {
+                    key: x.clone(),
+                    delta: 1,
+                }],
+            );
+            let mut client = client_with(vec![profile]);
+            client.on_start(&mut ctx_at(1));
+            let mut reply_from = |i: u32, value: u64, tx: Option<Arc<Transaction>>| {
+                let body = ReadReplyBody {
+                    req_id: 1,
+                    key: x.clone(),
+                    committed: Some(CommittedRead {
+                        version: writer.timestamp(),
+                        value: Value::from_u64(value),
+                        txid: writer.id(),
+                        cert: Some(Arc::clone(&cert)),
+                        tx,
+                    }),
+                    prepared: None,
+                };
+                let replica = NodeId::Replica(ReplicaId::new(ShardId(0), i));
+                let proof = SigEngine::new(replica, registry(), &cfg()).sign(&body);
+                let mut ctx = ctx_at(2);
+                let reply = BasilMsg::ReadReply(ReadReply { body, proof });
+                client.on_message(&mut ctx, replica, reply);
+                sent_messages(&ctx)
+            };
+            // The Byzantine replica answers first, then an honest one.
+            assert!(reply_from(0, value, tx.clone()).is_empty());
+            let sent = reply_from(1, 1, Some(Arc::clone(&writer)));
+            let st1 = sent
+                .iter()
+                .find_map(|(_, m)| match m {
+                    BasilMsg::St1(st1) => Some(st1),
+                    _ => None,
+                })
+                .expect("the second reply concluded the read");
+            assert_eq!(
+                st1.tx.written_value(&x),
+                Some(&Value::from_u64(2)),
+                "read {value} from {:?}",
+                tx.map(|tx| tx.id())
+            );
+        }
     }
 
     /// With signatures off a read reply is its transport sender's: a replica
@@ -1967,6 +2040,7 @@ mod tests {
                     value: Value::from_u64(value),
                     txid: TxId::default(),
                     cert: None,
+                    tx: None,
                 }),
                 prepared: None,
             };

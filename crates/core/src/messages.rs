@@ -116,7 +116,8 @@ impl SignedPayload for ReadRequest {
 }
 
 /// The committed half of a read reply: the newest committed version visible
-/// to the reader, together with the certificate proving it committed.
+/// to the reader, together with the writing transaction and the certificate
+/// proving it committed.
 #[derive(Clone, Debug)]
 pub struct CommittedRead {
     /// Version timestamp (the writer's transaction timestamp).
@@ -130,6 +131,25 @@ pub struct CommittedRead {
     /// deep copy). `None` only for the initial (genesis) versions loaded at
     /// deployment time.
     pub cert: Option<Arc<DecisionCert>>,
+    /// The writing transaction's body, shared with the writer's replica
+    /// record. A certificate proves that `txid` committed; the body is what
+    /// shows that `txid` wrote `value` at `version`
+    /// ([`CommittedRead::written_by`]). Not signed: a reader checks it
+    /// against the signed `txid`, `version` and `value`.
+    pub tx: Option<Arc<Transaction>>,
+}
+
+impl CommittedRead {
+    /// Whether [`CommittedRead::tx`] is transaction `txid` and wrote `value`
+    /// to `key` at `version`. Without this a replica could pair a real commit
+    /// certificate with a value its transaction never wrote.
+    pub fn written_by(&self, key: &Key) -> bool {
+        self.tx.as_ref().is_some_and(|tx| {
+            tx.timestamp() == self.version
+                && tx.written_value(key) == Some(&self.value)
+                && tx.id() == self.txid
+        })
+    }
 }
 
 /// The prepared half of a read reply: the newest prepared-but-uncommitted
@@ -610,6 +630,7 @@ mod tests {
                 value: Value::from_u64(5),
                 txid: TxId::from_bytes([4; 32]),
                 cert: None,
+                tx: None,
             }),
             prepared: None,
         };
@@ -684,6 +705,7 @@ mod tests {
                     value,
                     txid,
                     cert: None,
+                    tx: None,
                 }),
                 prepared: f.prepared.then(|| PreparedRead {
                     tx: Arc::clone(&f.tx),

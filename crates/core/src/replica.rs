@@ -466,11 +466,15 @@ impl BasilReplica {
             return;
         }
         let result = self.store.read(&req.key, req.ts);
-        let committed = result.committed.map(|c| CommittedRead {
-            version: c.version,
-            value: c.value,
-            cert: self.records.get(&c.txid).and_then(|r| r.cert.clone()),
-            txid: c.txid,
+        let committed = result.committed.map(|c| {
+            let record = self.records.get(&c.txid);
+            CommittedRead {
+                version: c.version,
+                value: c.value,
+                cert: record.and_then(|r| r.cert.clone()),
+                tx: record.and_then(|r| r.tx.clone()),
+                txid: c.txid,
+            }
         });
         let prepared = result
             .prepared

@@ -264,6 +264,7 @@ fn put_read_reply(out: &mut impl Sink, m: &ReadReply) {
         out.put_value(&c.value);
         out.put_txid(&c.txid);
         out.put_opt(c.cert.as_deref(), put_cert);
+        out.put_opt(c.tx.as_deref(), put_tx);
     });
     out.put_opt(m.body.prepared.as_ref(), |out, p| put_tx(out, &p.tx));
     out.put_opt(m.proof.as_ref(), put_batch_proof);
@@ -489,6 +490,7 @@ pub fn decode_frame_payload(payload: &[u8]) -> Result<(NodeId, BasilMsg), WireEr
                         value: r.value()?,
                         txid: r.txid()?,
                         cert: r.opt(take_cert)?.map(Arc::new),
+                        tx: r.opt(take_tx)?,
                     })
                 })?,
                 prepared: r.opt(|r| take_tx(r).map(|tx| PreparedRead { tx }))?,

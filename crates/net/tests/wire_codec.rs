@@ -160,6 +160,7 @@ fn representative_messages() -> Vec<BasilMsg> {
                     value: Value::from_u64(5),
                     txid: TxId::from_bytes([9; 32]),
                     cert: Some(Arc::new(fast_commit_cert())),
+                    tx: Some(tx(900)),
                 }),
                 prepared: Some(PreparedRead { tx: tx(950) }),
             },
@@ -565,7 +566,10 @@ fn certificates_without_exactly_one_proof_of_their_decision_are_rejected() {
 /// votes stopped carrying a conflicting commit certificate: every ST1 reply
 /// and every shard vote set lost its option byte for one, the ST1 reply
 /// that carried one became a plain abort vote, and the fast abort that was
-/// one such vote became `3f + 1` abort votes.
+/// one such vote became `3f + 1` abort votes. It moved again when a
+/// committed read began to carry its writer's body: the read reply frame
+/// grew by the option byte and the length-prefixed transaction (849 to 902
+/// bytes), and the other twelve frames kept every byte.
 #[test]
 fn wire_frames_are_byte_identical_to_the_hand_written_encoders() {
     let from = NodeId::Client(ClientId(4));
@@ -575,7 +579,7 @@ fn wire_frames_are_byte_identical_to_the_hand_written_encoders() {
         .collect();
     assert_eq!(
         basil_crypto::Sha256::digest(&stream).to_hex(),
-        "0593c8e65d98253ad59e204f3edb1170c797516077d7d58d9023080a227e6ebf"
+        "effe2e497cf4e0f326e2fc99d7e2ce892cc202f9ed25f51037dd557146775de4"
     );
 }
 

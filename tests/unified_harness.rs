@@ -255,6 +255,7 @@ fn basil_and_tapir_clients_execute_a_script_identically() {
                         txid,
                         proof: DecisionProof::FastCommit(vec![]),
                     })),
+                    tx: None,
                 }),
                 prepared: None,
             };
