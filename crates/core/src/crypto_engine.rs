@@ -78,6 +78,16 @@ impl<P: SignedPayload + ?Sized> SignedPayload for &P {
 pub struct SigEngine {
     keypair: KeyPair,
     registry: KeyRegistry,
+    /// The (root, signature) pairs known to be valid: those this engine
+    /// verified, and every root it signed ([`SigEngine::sign`],
+    /// [`SigEngine::sign_batch`]), so a node never pays to verify its own
+    /// signature (a replica meets its own vote again in the ST2 evidence
+    /// and certificates it validates). That is sound because the cache
+    /// remembers only that a pair is valid, which the signer knows: a hit
+    /// still needs the identical signature, and a proof's Merkle path is
+    /// still recomputed from the leaf it is given, so a forged payload under
+    /// an own root is refused. Request MACs ([`SigEngine::sign_request`])
+    /// are checked only by other nodes and are not recorded.
     cache: SignatureCache,
     mode: CryptoMode,
     enabled: bool,
@@ -127,6 +137,7 @@ impl SigEngine {
 
     /// Signs a single payload. Returns `None` (at zero cost) when signatures
     /// are disabled. The payload is only materialized under real crypto.
+    /// The root is recorded as verified, like every root the engine signs.
     pub fn sign<P: SignedPayload + ?Sized>(&mut self, payload: &P) -> Option<BatchProof> {
         if !self.enabled {
             return None;
@@ -139,6 +150,7 @@ impl SigEngine {
                 dummy_proof(self.keypair.node(), self.dummy_counter, 1)
             }
         };
+        self.cache.insert(proof.root, proof.root_signature);
         Some(proof)
     }
 
@@ -221,6 +233,10 @@ impl SigEngine {
                     let proof = dummy_proof(self.keypair.node(), self.dummy_counter, n);
                     self.proofs.extend(std::iter::repeat_n(Some(proof), n));
                 }
+            }
+            // Every proof of the batch shares one root and signature.
+            if let Some(Some(proof)) = self.proofs.first() {
+                self.cache.insert(proof.root, proof.root_signature);
             }
         }
         self.proofs.drain(..)
@@ -419,6 +435,63 @@ mod tests {
         let first_cost = verifier.take_charged();
         assert!(verifier.verify(&payloads[1], proofs[1].as_ref()));
         assert!(verifier.take_charged() < first_cost);
+    }
+
+    /// A node never pays to verify its own signature: every root it signs,
+    /// singly or in a batch, verifies at the cached cost, in both crypto
+    /// modes. A request MAC is checked only by other nodes, so its root is
+    /// not recorded and costs a full check.
+    #[test]
+    fn own_roots_verify_at_the_cached_cost() {
+        for mode in [CryptoMode::Real, CryptoMode::Simulated] {
+            let (mut signer, _) = engine(mode, true);
+            let payloads: Vec<Vec<u8>> =
+                (0..4).map(|i| format!("reply {i}").into_bytes()).collect();
+            let batch: Vec<_> = signer.sign_batch(&payloads).collect();
+            let single = signer.sign(b"vote");
+            let request = signer.sign_request(b"read");
+            signer.take_charged();
+            let checks = [
+                (&payloads[2][..], batch[2].as_ref(), true),
+                (&payloads[0][..], batch[0].as_ref(), true),
+                (&b"vote"[..], single.as_ref(), true),
+                (&b"read"[..], request.as_ref(), false),
+            ];
+            for (payload, proof, cached) in checks {
+                assert!(signer.verify(payload, proof), "{mode:?}");
+                let size = proof.expect("signed").batch_size;
+                assert_eq!(
+                    signer.take_charged(),
+                    COST.batch_verify_cost(size, payload.len(), cached),
+                    "{mode:?}, cached {cached}"
+                );
+            }
+        }
+    }
+
+    /// Trusting its own roots does not let a node accept a forgery under
+    /// one: the Merkle path is still recomputed from the payload given, and
+    /// a cache hit still needs the identical signature.
+    #[test]
+    fn a_forgery_under_an_own_root_is_refused() {
+        let (mut signer, _) = engine(CryptoMode::Real, true);
+        let payloads: Vec<Vec<u8>> = (0..4).map(|i| format!("reply {i}").into_bytes()).collect();
+        let batch: Vec<_> = signer.sign_batch(&payloads).collect();
+        let single = signer.sign(b"vote");
+        // A forged leaf, and a real leaf under another leaf's path.
+        assert!(!signer.verify(b"forged", batch[1].as_ref()));
+        assert!(!signer.verify(&payloads[0], batch[1].as_ref()));
+        assert!(!signer.verify(b"forged", single.as_ref()));
+        // The own root with a different signature.
+        for proof in [&batch[1], &single] {
+            let mut forged = proof.clone().expect("signed");
+            forged.root_signature.tag = Digest([7; 32]);
+            assert!(!signer.verify(&payloads[1], Some(&forged)));
+            assert!(!signer.verify(b"vote", Some(&forged)));
+        }
+        // The genuine proofs still verify.
+        assert!(signer.verify(&payloads[1], batch[1].as_ref()));
+        assert!(signer.verify(b"vote", single.as_ref()));
     }
 
     #[test]

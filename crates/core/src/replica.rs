@@ -1805,17 +1805,28 @@ mod tests {
         assert_eq!(r.stats().st2_logged, 1);
     }
 
+    /// The vote a replica cast in `ctx`, as the client it answered got it.
+    fn vote_cast_in(ctx: &Context<BasilMsg>) -> SignedSt1Reply {
+        match &sent_to(ctx, client_node())[..] {
+            [BasilMsg::St1Reply(vote)] => vote.clone(),
+            other => panic!("expected one vote, got {other:?}"),
+        }
+    }
+
     /// The CPU one callback charges, under each crypto mode: a signed read,
     /// an ST1 voted at once, an ST2 with a valid commit tally and a
     /// writeback with a valid commit certificate. The simulator reads only
     /// a callback's total, so these pin every simulated output against a
-    /// charge that moves, is dropped or is counted twice. The writeback
-    /// comes from the client that logged the ST2, so it forwards nothing.
+    /// charge that moves, is dropped or is counted twice. The ST2's tally
+    /// and the certificate hold the vote this replica cast, as a client's
+    /// do, and that vote costs a cached check (the ST2 was 595 us while a
+    /// replica re-verified its own signature). The writeback comes from the
+    /// client that logged the ST2, so it forwards nothing.
     #[test]
     fn callback_charges_are_pinned() {
         for (mode, pinned) in [
-            (CryptoMode::Real, [71_000, 77_000, 595_000, 272_000]),
-            (CryptoMode::Simulated, [71_000, 77_000, 595_000, 272_000]),
+            (CryptoMode::Real, [71_000, 77_000, 465_000, 272_000]),
+            (CryptoMode::Simulated, [71_000, 77_000, 465_000, 272_000]),
         ] {
             let mut c = cfg();
             c.crypto_mode = mode;
@@ -1829,24 +1840,85 @@ mod tests {
                 genesis,
             );
             let me = NodeId::Replica(r.id());
-            let mut charged = |msg| {
+            let mut deliver = |msg| {
                 let mut ctx = ctx_at(me, 1);
                 r.on_message(&mut ctx, client_node(), msg);
-                ctx.charged().as_nanos()
+                ctx
             };
             let tx = write_tx(2_000_000, "y", 7);
-            let tally = vec![commit_tally_of(&tx, ShardId(0), 4)];
+            let read = deliver(BasilMsg::Read(signed_read(1, "x", 1_000_000)));
+            let st1 = deliver(BasilMsg::St1(signed_st1(&tx, false)));
+            let own_vote = vote_cast_in(&st1);
+            let mut tally = commit_tally_of(&tx, ShardId(0), 4);
+            tally.votes[0] = own_vote.clone();
+            let st2 = signed_st2(&tx, ProtoDecision::Commit, vec![tally]);
+            let mut all = commit_tally_of(&tx, ShardId(0), 6);
+            all.votes[0] = own_vote;
             let wb = Writeback {
-                cert: fast_commit_cert(&tx),
+                cert: Arc::new(DecisionCert {
+                    txid: tx.id(),
+                    proof: DecisionProof::FastCommit(vec![all]),
+                }),
                 tx: Some(Arc::clone(&tx)),
             };
             let charges = [
-                charged(BasilMsg::Read(signed_read(1, "x", 1_000_000))),
-                charged(BasilMsg::St1(signed_st1(&tx, false))),
-                charged(BasilMsg::St2(signed_st2(&tx, ProtoDecision::Commit, tally))),
-                charged(BasilMsg::Writeback(wb)),
-            ];
+                read,
+                st1,
+                deliver(BasilMsg::St2(st2)),
+                deliver(BasilMsg::Writeback(wb)),
+            ]
+            .map(|ctx| ctx.charged().as_nanos());
             assert_eq!(charges, pinned, "{mode:?}");
+        }
+    }
+
+    /// A replica never verifies its own signature again: the same ST2 costs
+    /// replica 0, whose vote its evidence holds, one signature verification
+    /// less than replica 4, whose vote it does not hold, in both crypto
+    /// modes.
+    #[test]
+    fn own_vote_in_evidence_costs_a_cached_check() {
+        for mode in [CryptoMode::Real, CryptoMode::Simulated] {
+            let mut c = cfg();
+            c.crypto_mode = mode;
+            let tx = write_tx(1_000_000, "x", 5);
+            let mut replicas: Vec<BasilReplica> = (0..6)
+                .map(|i| {
+                    let id = ReplicaId::new(ShardId(0), i);
+                    BasilReplica::new(id, c.clone(), registry(), ReplicaBehavior::Correct, [])
+                })
+                .collect();
+            let votes: Vec<SignedSt1Reply> = (replicas.iter_mut())
+                .map(|r| {
+                    let mut ctx = ctx_at(NodeId::Replica(r.id()), 1);
+                    r.on_message(
+                        &mut ctx,
+                        client_node(),
+                        BasilMsg::St1(signed_st1(&tx, false)),
+                    );
+                    vote_cast_in(&ctx)
+                })
+                .collect();
+            let tally = ShardVotes {
+                txid: tx.id(),
+                shard: ShardId(0),
+                decision: ProtoDecision::Commit,
+                votes: votes[..4].to_vec(),
+            };
+            let st2 = signed_st2(&tx, ProtoDecision::Commit, vec![tally]);
+            let st2_charge = |r: &mut BasilReplica| {
+                let mut ctx = ctx_at(NodeId::Replica(r.id()), 2);
+                r.on_message(&mut ctx, client_node(), BasilMsg::St2(st2.clone()));
+                assert_eq!(r.stats().st2_logged, 1, "{mode:?}");
+                ctx.charged()
+            };
+            let holder = st2_charge(&mut replicas[0]);
+            let other = st2_charge(&mut replicas[4]);
+            assert_eq!(
+                other - holder,
+                basil_crypto::CostModel::ed25519_default().verify,
+                "{mode:?}"
+            );
         }
     }
 
