@@ -1819,8 +1819,7 @@ mod tests {
     /// a callback's total, so these pin every simulated output against a
     /// charge that moves, is dropped or is counted twice. The ST2's tally
     /// and the certificate hold the vote this replica cast, as a client's
-    /// do, and that vote costs a cached check (the ST2 was 595 us while a
-    /// replica re-verified its own signature). The writeback comes from the
+    /// do, so that vote costs a cached check. The writeback comes from the
     /// client that logged the ST2, so it forwards nothing.
     #[test]
     fn callback_charges_are_pinned() {
