@@ -695,11 +695,15 @@ impl BasilReplica {
         if self.store.decision(&txid).is_some() {
             return; // already applied
         }
+        // The body is the certificate's transaction or nothing: the
+        // certificate proves that `txid` was decided, not what some other
+        // transaction wrote.
+        let body = wb.tx.filter(|tx| tx.id() == txid);
         let expected_shards = self
             .records
             .get(&txid)
             .and_then(|r| r.tx.as_ref())
-            .or(wb.tx.as_ref())
+            .or(body.as_ref())
             .map(|tx| tx.involved_shards(self.cfg.system.num_shards));
         if !validate_decision_cert(
             &wb.cert,
@@ -714,7 +718,7 @@ impl BasilReplica {
         // be valid, and everything below works through it (records, store
         // and stats are disjoint fields).
         let record = self.records.entry(txid).or_default();
-        record.tx = record.tx.take().or(wb.tx);
+        record.tx = record.tx.take().or(body);
         let decision = wb.cert.decision();
         let (released, logged_tx) = match decision {
             ProtoDecision::Commit => {
@@ -1603,6 +1607,67 @@ mod tests {
         );
         assert_eq!(r.stats().commits_applied, 0);
         assert!(r.store().latest_committed(&Key::new("x")).expect("x").1 == Value::from_u64(0));
+    }
+
+    /// T's valid certificate paired with the body of another transaction
+    /// T' that writes y, for a replica that never saw T.
+    fn cert_with_a_foreign_body() -> (Arc<Transaction>, Writeback) {
+        let t = write_tx(1_000_000, "x", 42);
+        let other = write_tx(2_000_000, "y", 9);
+        let wb = Writeback {
+            cert: fast_commit_cert(&t),
+            tx: Some(Arc::clone(&other)),
+        };
+        (other, wb)
+    }
+
+    /// Whether nothing of `other` reached `r`'s store.
+    fn untouched_by(r: &BasilReplica, other: &Transaction) -> bool {
+        r.store().decision(&other.id()).is_none()
+            && r.store().latest_committed(&Key::new("y")).expect("y").1 == Value::from_u64(0)
+    }
+
+    /// A certificate proves that its own transaction was decided: a body
+    /// with another id that rides along with it is not committed.
+    #[test]
+    fn writeback_body_of_another_transaction_is_not_committed() {
+        let mut r = replica(0);
+        let (other, wb) = cert_with_a_foreign_body();
+        let mut ctx = ctx_at(NodeId::Replica(r.id()), 1);
+        r.handle_writeback(&mut ctx, client_node(), wb);
+        assert!(untouched_by(&r, &other));
+        assert_eq!(r.stats().commits_applied, 0);
+    }
+
+    /// Catch-up entries go through the writeback path, so a Byzantine peer
+    /// cannot pair a real certificate with a body of its choosing either.
+    #[test]
+    fn catch_up_entry_with_another_transactions_body_is_not_committed() {
+        let id = ReplicaId::new(ShardId(0), 0);
+        let genesis = [
+            (Key::new("x"), Value::from_u64(0)),
+            (Key::new("y"), Value::from_u64(0)),
+        ];
+        let mut r = BasilReplica::recover(
+            id,
+            cfg(),
+            registry(),
+            ReplicaBehavior::Correct,
+            genesis,
+            Vec::new(),
+        );
+        assert!(r.is_recovering());
+        let (other, wb) = cert_with_a_foreign_body();
+        let entries = vec![(wb.cert, wb.tx)];
+        let peer = NodeId::Replica(ReplicaId::new(ShardId(0), 1));
+        let mut ctx = ctx_at(NodeId::Replica(id), 1);
+        r.on_message(
+            &mut ctx,
+            peer,
+            BasilMsg::CatchUpReply(CatchUpReply { entries }),
+        );
+        assert!(untouched_by(&r, &other));
+        assert_eq!(r.stats().catch_up_applied, 0);
     }
 
     #[test]
