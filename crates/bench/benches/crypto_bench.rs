@@ -234,7 +234,7 @@ fn bench_cert_quorum_validation(c: &mut Criterion) {
     c.bench_function("cert_quorum6_cold_derived_keys", |b| {
         b.iter(|| {
             let mut engine = SigEngine::new(client, derived.clone(), &cfg);
-            validate_decision_cert(&cert, Some(&[ShardId(0)]), &shard_cfg, &mut engine)
+            validate_decision_cert(&cert, &[ShardId(0)], &shard_cfg, &mut engine)
         })
     });
 
@@ -245,7 +245,7 @@ fn bench_cert_quorum_validation(c: &mut Criterion) {
     c.bench_function("cert_quorum6_cold_precomputed_keys", |b| {
         b.iter(|| {
             let mut engine = SigEngine::new(client, precomputed.clone(), &cfg);
-            validate_decision_cert(&cert, Some(&[ShardId(0)]), &shard_cfg, &mut engine)
+            validate_decision_cert(&cert, &[ShardId(0)], &shard_cfg, &mut engine)
         })
     });
 }

@@ -80,12 +80,12 @@ fn bench_cert_validation(c: &mut Criterion) {
         b.iter(|| {
             let mut engine =
                 SigEngine::new(NodeId::Client(ClientId(1)), registry.clone(), &basil_cfg);
-            validate_decision_cert(&cert, Some(&[ShardId(0)]), &shard_cfg, &mut engine)
+            validate_decision_cert(&cert, &[ShardId(0)], &shard_cfg, &mut engine)
         })
     });
     c.bench_function("validate_fast_commit_cert_warm_cache", |b| {
         let mut engine = SigEngine::new(NodeId::Client(ClientId(1)), registry.clone(), &basil_cfg);
-        b.iter(|| validate_decision_cert(&cert, Some(&[ShardId(0)]), &shard_cfg, &mut engine))
+        b.iter(|| validate_decision_cert(&cert, &[ShardId(0)], &shard_cfg, &mut engine))
     });
 }
 

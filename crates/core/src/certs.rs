@@ -9,8 +9,10 @@
 //! unanimous commit votes, one shard's abort votes, or S_log's
 //! acknowledgements — and travels in writeback messages, catch-up replies and
 //! read replies (committed versions). One validator,
-//! [`validate_decision_cert`], checks all three; no certificate holds
-//! another, so validation never recurses.
+//! [`validate_decision_cert`], checks all three against the shards the
+//! transaction involves; no certificate holds another, so validation never
+//! recurses. Vote sets, in a fast proof or in the justification an ST2
+//! carries, pass one rule, [`votes_justify`].
 //!
 //! The validators return a verdict. The CPU of the signature checks they
 //! make is metered by the [`SigEngine`] they are handed, so the order and
@@ -23,11 +25,10 @@ use crate::views::logging_shard;
 use basil_common::{NodeId, ReplicaId, ShardConfig, ShardId, TxId};
 use basil_crypto::BatchProof;
 
-/// Allocation-free set of small indices: the replica indices a quorum
-/// counted, or the shards a certificate covers. Shards have `n = 5f + 1`
-/// replicas, so a 64-bit mask covers every deployment up to `f = 12` (and up
-/// to 64 shards); larger indices (only reachable with hand-built configs)
-/// spill into a short list.
+/// Allocation-free set of the replica indices a quorum counted. Shards have
+/// `n = 5f + 1` replicas, so a 64-bit mask covers every deployment up to
+/// `f = 12`; larger indices (only reachable with hand-built configs) spill
+/// into a short list.
 #[derive(Default)]
 struct IndexSet {
     mask: u64,
@@ -49,10 +50,6 @@ impl IndexSet {
         } else {
             self.spill.contains(&index)
         }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.mask == 0 && self.spill.is_empty()
     }
 }
 
@@ -155,13 +152,13 @@ pub(crate) fn count_distinct_signed<'a, T, B: SignedPayload + 'a>(
 
 /// Whether at least `quorum` distinct replicas of the shard cast a correctly
 /// signed `want` vote for the transaction in `sv`.
-fn vote_quorum(sv: &ShardVotes, want: ProtoVote, quorum: u32, engine: &mut SigEngine) -> bool {
+fn vote_quorum(sv: &ShardVotes, want: &ProtoVote, quorum: u32, engine: &mut SigEngine) -> bool {
     let count = count_distinct_signed(
         &sv.votes,
         sv.shard,
         engine,
         |v| {
-            (v.body.txid == sv.txid && v.body.vote == want).then_some((
+            (v.body.txid == sv.txid && v.body.vote == *want).then_some((
                 v.body.replica,
                 &v.body,
                 v.proof.as_ref(),
@@ -190,121 +187,85 @@ pub fn validate_vote_cert(cert: &VoteCert, cfg: &ShardConfig, engine: &mut SigEn
     count >= cfg.st2_quorum()
 }
 
-/// Validates one shard's vote set as *fast-path* evidence for `decision`.
-///
-/// * Commit: all `5f + 1` replicas voted commit.
-/// * Abort: `3f + 1` replicas voted abort.
-pub fn validate_fast_shard_votes(
-    sv: &ShardVotes,
-    cfg: &ShardConfig,
-    engine: &mut SigEngine,
-) -> bool {
-    match sv.decision {
-        ProtoDecision::Commit => {
-            vote_quorum(sv, ProtoVote::Commit, cfg.fast_commit_quorum(), engine)
-        }
-        ProtoDecision::Abort => vote_quorum(sv, ProtoVote::Abort, cfg.fast_abort_quorum(), engine),
-    }
+/// How much a shard's votes must hold to count as evidence.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Strength {
+    /// A durable fast-path vote certificate: all `5f + 1` replicas voted
+    /// commit, or `3f + 1` voted abort.
+    Fast,
+    /// The tallies that justify logging a 2PC decision in ST2: `3f + 1`
+    /// commit votes, or `f + 1` abort votes.
+    Slow,
 }
 
-/// Validates one shard's vote set as *slow-path justification* for a 2PC
-/// decision being logged in ST2: a commit decision needs a commit quorum
-/// (`3f + 1`) from every shard; an abort decision needs an abort quorum
-/// (`f + 1`) from at least one shard.
-pub fn validate_tally_for_decision(
-    sv: &ShardVotes,
-    decision: ProtoDecision,
-    cfg: &ShardConfig,
-    engine: &mut SigEngine,
-) -> bool {
-    match decision {
-        ProtoDecision::Commit => vote_quorum(sv, ProtoVote::Commit, cfg.commit_quorum(), engine),
-        ProtoDecision::Abort => vote_quorum(sv, ProtoVote::Abort, cfg.abort_quorum(), engine),
-    }
-}
-
-/// Validates an ST2 message's justification: the decision must be supported
-/// by the attached tallies. `expected_shards`, when known (the replica has
-/// the transaction), lets the validator insist that *every* involved shard
-/// voted commit for a commit decision.
-pub fn validate_st2_justification(
+/// The one evidence rule: whether the vote sets `offered` justify
+/// `decision` for `txid` at `strength`, on `involved`, the shards the
+/// transaction involves. It walks `involved` in order and checks the first
+/// vote set offered for each shard; a commit needs every involved shard's,
+/// an abort one involved shard's. A vote set from any other shard is never
+/// looked at, and one for another transaction or the other decision is
+/// refused before a signature is read.
+pub(crate) fn votes_justify(
     txid: TxId,
     decision: ProtoDecision,
-    shard_votes: &[ShardVotes],
-    expected_shards: Option<&[ShardId]>,
+    strength: Strength,
+    offered: &[ShardVotes],
+    involved: &[ShardId],
     cfg: &ShardConfig,
     engine: &mut SigEngine,
 ) -> bool {
+    let (want, quorum) = match (decision, strength) {
+        (ProtoDecision::Commit, Strength::Fast) => (ProtoVote::Commit, cfg.fast_commit_quorum()),
+        (ProtoDecision::Commit, Strength::Slow) => (ProtoVote::Commit, cfg.commit_quorum()),
+        (ProtoDecision::Abort, Strength::Fast) => (ProtoVote::Abort, cfg.fast_abort_quorum()),
+        (ProtoDecision::Abort, Strength::Slow) => (ProtoVote::Abort, cfg.abort_quorum()),
+    };
+    let mut justified = involved.iter().map(|&shard| {
+        offered
+            .iter()
+            .find(|sv| sv.shard == shard)
+            .is_some_and(|sv| {
+                sv.txid == txid && sv.decision == decision && vote_quorum(sv, &want, quorum, engine)
+            })
+    });
     match decision {
-        ProtoDecision::Commit => {
-            let mut supported = IndexSet::default();
-            for sv in shard_votes {
-                if sv.txid != txid || !sv.decision.is_commit() {
-                    continue;
-                }
-                if validate_tally_for_decision(sv, ProtoDecision::Commit, cfg, engine) {
-                    supported.insert(sv.shard.0);
-                }
-            }
-            match expected_shards {
-                Some(shards) => shards.iter().all(|s| supported.contains(s.0)),
-                None => !supported.is_empty(),
-            }
-        }
-        // The first valid abort tally is enough.
-        ProtoDecision::Abort => shard_votes.iter().any(|sv| {
-            sv.txid == txid
-                && !sv.decision.is_commit()
-                && validate_tally_for_decision(sv, ProtoDecision::Abort, cfg, engine)
-        }),
+        ProtoDecision::Commit => !involved.is_empty() && justified.all(|ok| ok),
+        ProtoDecision::Abort => justified.any(|ok| ok),
     }
 }
 
-/// Validates a decision certificate. `expected_shards`, when known (the
-/// validator has the transaction), are the shards it involves, and one rule
-/// holds for both decisions: a slow proof must come from their S_log, a fast
-/// commit must cover all of them and a fast abort must come from one of them.
-/// Cheap field checks come before any signature check.
+/// Validates a decision certificate for a transaction that involves
+/// `involved`: a slow proof must come from their S_log, and the vote sets of
+/// a fast one must pass [`votes_justify`] on them (a fast commit covers all
+/// of them, a fast abort comes from one of them). Cheap field checks come
+/// before any signature check.
 pub fn validate_decision_cert(
     cert: &DecisionCert,
-    expected_shards: Option<&[ShardId]>,
+    involved: &[ShardId],
     cfg: &ShardConfig,
     engine: &mut SigEngine,
 ) -> bool {
-    match &cert.proof {
+    let (decision, offered) = match &cert.proof {
+        // Only S_log logs decisions: with f = 1, four commit and two abort
+        // votes justify both, so acknowledgements gathered on any other
+        // shard could certify the opposite of what S_log holds.
         DecisionProof::Slow(slow) => {
-            // Only S_log logs decisions: with f = 1, four commit and two
-            // abort votes justify both, so acknowledgements gathered on any
-            // other shard could certify the opposite of what S_log holds.
-            let stray =
-                expected_shards.is_some_and(|s| logging_shard(cert.txid, s) != Some(slow.shard));
-            slow.txid == cert.txid && !stray && validate_vote_cert(slow, cfg, engine)
+            return slow.txid == cert.txid
+                && logging_shard(cert.txid, involved) == Some(slow.shard)
+                && validate_vote_cert(slow, cfg, engine);
         }
-        DecisionProof::FastCommit(votes) => {
-            let mut supported = IndexSet::default();
-            for sv in votes {
-                if sv.txid != cert.txid || !sv.decision.is_commit() {
-                    continue;
-                }
-                if validate_fast_shard_votes(sv, cfg, engine) {
-                    supported.insert(sv.shard.0);
-                }
-            }
-            match expected_shards {
-                Some(shards) => {
-                    !shards.is_empty() && shards.iter().all(|s| supported.contains(s.0))
-                }
-                None => !supported.is_empty(),
-            }
-        }
-        DecisionProof::FastAbort(sv) => {
-            let foreign = expected_shards.is_some_and(|s| !s.contains(&sv.shard));
-            sv.txid == cert.txid
-                && !sv.decision.is_commit()
-                && !foreign
-                && validate_fast_shard_votes(sv, cfg, engine)
-        }
-    }
+        DecisionProof::FastCommit(votes) => (ProtoDecision::Commit, &votes[..]),
+        DecisionProof::FastAbort(sv) => (ProtoDecision::Abort, std::slice::from_ref(sv)),
+    };
+    votes_justify(
+        cert.txid,
+        decision,
+        Strength::Fast,
+        offered,
+        involved,
+        cfg,
+        engine,
+    )
 }
 
 #[cfg(test)]
@@ -416,36 +377,55 @@ mod tests {
     #[test]
     fn index_set_spills_past_the_mask_without_duplicates() {
         let mut set = IndexSet::default();
-        assert!(set.is_empty());
         for i in [3, 63, 64, 200, 200] {
             set.insert(i);
         }
-        assert!(!set.is_empty());
         assert!([3, 63, 64, 200].iter().all(|&i| set.contains(i)));
         assert!(!set.contains(4) && !set.contains(65));
         assert_eq!(set.spill, [64, 200]);
     }
 
-    #[test]
-    fn fast_commit_requires_unanimity() {
+    /// Whether the one vote set `votes` justifies `decision` at `strength`
+    /// on `involved`, checked by a fresh client engine.
+    fn justifies(
+        decision: ProtoDecision,
+        strength: Strength,
+        votes: Vec<SignedSt1Reply>,
+        involved: &[ShardId],
+    ) -> bool {
+        let offered = [shard_votes(decision, votes)];
         let shard_cfg = cfg().system.shard;
         let mut engine = client_engine();
-        let sv = shard_votes(ProtoDecision::Commit, commit_votes(6));
-        assert!(validate_fast_shard_votes(&sv, &shard_cfg, &mut engine));
+        votes_justify(
+            txid(),
+            decision,
+            strength,
+            &offered,
+            involved,
+            &shard_cfg,
+            &mut engine,
+        )
+    }
 
-        let sv5 = shard_votes(ProtoDecision::Commit, commit_votes(5));
-        assert!(!validate_fast_shard_votes(&sv5, &shard_cfg, &mut engine));
+    #[test]
+    fn fast_commit_requires_unanimity() {
+        let fast_commit =
+            |votes| justifies(ProtoDecision::Commit, Strength::Fast, votes, &[ShardId(0)]);
+        assert!(fast_commit(commit_votes(6)));
+        assert!(!fast_commit(commit_votes(5)));
     }
 
     #[test]
     fn duplicate_votes_do_not_inflate_the_count() {
-        let shard_cfg = cfg().system.shard;
-        let mut engine = client_engine();
         let mut votes = commit_votes(3);
         // Replica 0's vote repeated three more times.
         votes.extend(std::iter::repeat_n(signed_vote(0, ProtoVote::Commit), 3));
-        let sv = shard_votes(ProtoDecision::Commit, votes);
-        assert!(!validate_fast_shard_votes(&sv, &shard_cfg, &mut engine));
+        assert!(!justifies(
+            ProtoDecision::Commit,
+            Strength::Fast,
+            votes,
+            &[ShardId(0)]
+        ));
     }
 
     /// A repeated replica is skipped before its signature is looked at: a
@@ -457,13 +437,23 @@ mod tests {
         let mut votes = commit_votes(6);
         votes.extend(std::iter::repeat_n(signed_vote(0, ProtoVote::Commit), 50));
         let padded = shard_votes(ProtoDecision::Commit, votes);
-        // Fresh engines: both validations start from a cold signature cache.
-        let (mut a, mut b) = (client_engine(), client_engine());
-        assert!(validate_fast_shard_votes(&plain, &shard_cfg, &mut a));
-        assert!(validate_fast_shard_votes(&padded, &shard_cfg, &mut b));
-        let cost = a.take_charged();
-        assert!(cost > Duration::ZERO);
-        assert_eq!(cost, b.take_charged());
+        let cost = |offered: ShardVotes| {
+            // A fresh engine: every validation starts from a cold cache.
+            let mut engine = client_engine();
+            assert!(votes_justify(
+                txid(),
+                ProtoDecision::Commit,
+                Strength::Fast,
+                &[offered],
+                &[ShardId(0)],
+                &shard_cfg,
+                &mut engine
+            ));
+            engine.take_charged()
+        };
+        let plain = cost(plain);
+        assert!(plain > Duration::ZERO);
+        assert_eq!(plain, cost(padded));
     }
 
     /// With f = 1, four commit and two abort votes justify both decisions,
@@ -477,13 +467,10 @@ mod tests {
         let slog = logging_shard(txid(), &involved).expect("two shards");
         let other = involved[usize::from(slog == ShardId(0))];
         let mut valid =
-            |proof, shards| validate_decision_cert(&cert(proof), shards, &shard_cfg, &mut engine);
+            |proof| validate_decision_cert(&cert(proof), &involved, &shard_cfg, &mut engine);
         for decision in [ProtoDecision::Commit, ProtoDecision::Abort] {
-            assert!(valid(acks(slog, decision), Some(&involved)));
-            assert!(!valid(acks(other, decision), Some(&involved)));
-            // Without the transaction the involved shards, hence S_log, are
-            // unknown; the acknowledgements are all there is to check.
-            assert!(valid(acks(other, decision), None));
+            assert!(valid(acks(slog, decision)));
+            assert!(!valid(acks(other, decision)));
         }
     }
 
@@ -499,20 +486,14 @@ mod tests {
         let mut engine = client_engine();
         assert!(validate_decision_cert(
             &abort,
-            Some(&[ShardId(0), ShardId(1)]),
-            &shard_cfg,
-            &mut engine
-        ));
-        assert!(validate_decision_cert(
-            &abort,
-            None,
+            &[ShardId(0), ShardId(1)],
             &shard_cfg,
             &mut engine
         ));
         let mut engine = client_engine();
         assert!(!validate_decision_cert(
             &abort,
-            Some(&[ShardId(1), ShardId(2)]),
+            &[ShardId(1), ShardId(2)],
             &shard_cfg,
             &mut engine
         ));
@@ -521,39 +502,90 @@ mod tests {
 
     #[test]
     fn forged_signature_is_not_counted() {
-        let shard_cfg = cfg().system.shard;
-        let mut engine = client_engine();
         let mut votes = commit_votes(5);
         // A vote whose body claims replica 5 but is signed by replica 0.
         let mut forged = signed_vote(0, ProtoVote::Commit);
         forged.body.replica = ReplicaId::new(ShardId(0), 5);
         votes.push(forged);
-        let sv = shard_votes(ProtoDecision::Commit, votes);
-        assert!(!validate_fast_shard_votes(&sv, &shard_cfg, &mut engine));
+        assert!(!justifies(
+            ProtoDecision::Commit,
+            Strength::Fast,
+            votes,
+            &[ShardId(0)]
+        ));
     }
 
     #[test]
     fn fast_abort_needs_3f_plus_1() {
-        let shard_cfg = cfg().system.shard;
-        let mut engine = client_engine();
-        let sv = shard_votes(ProtoDecision::Abort, abort_votes(4));
-        assert!(validate_fast_shard_votes(&sv, &shard_cfg, &mut engine));
-        let sv3 = shard_votes(ProtoDecision::Abort, abort_votes(3));
-        assert!(!validate_fast_shard_votes(&sv3, &shard_cfg, &mut engine));
+        let fast_abort =
+            |votes| justifies(ProtoDecision::Abort, Strength::Fast, votes, &[ShardId(0)]);
+        assert!(fast_abort(abort_votes(4)));
+        assert!(!fast_abort(abort_votes(3)));
     }
 
     #[test]
     fn slow_tallies_use_smaller_quorums() {
+        let slow = |decision, votes| justifies(decision, Strength::Slow, votes, &[ShardId(0)]);
+        assert!(slow(ProtoDecision::Commit, commit_votes(4)));
+        assert!(!slow(ProtoDecision::Commit, commit_votes(3)));
+        assert!(slow(ProtoDecision::Abort, abort_votes(2)));
+        assert!(!slow(ProtoDecision::Abort, abort_votes(1)));
+    }
+
+    #[test]
+    fn st2_justification_commit_needs_every_expected_shard() {
+        let commit = |involved| {
+            justifies(
+                ProtoDecision::Commit,
+                Strength::Slow,
+                commit_votes(4),
+                involved,
+            )
+        };
+        assert!(commit(&[ShardId(0)]));
+        assert!(!commit(&[ShardId(0), ShardId(1)]));
+    }
+
+    #[test]
+    fn st2_justification_abort_needs_one_abort_quorum() {
+        let involved = [ShardId(0)];
+        assert!(justifies(
+            ProtoDecision::Abort,
+            Strength::Slow,
+            abort_votes(2),
+            &involved
+        ));
         let shard_cfg = cfg().system.shard;
         let mut engine = client_engine();
-        let mut valid = |decision, votes| {
-            let tally = shard_votes(decision, votes);
-            validate_tally_for_decision(&tally, decision, &shard_cfg, &mut engine)
+        let nothing_offered = votes_justify(
+            txid(),
+            ProtoDecision::Abort,
+            Strength::Slow,
+            &[],
+            &involved,
+            &shard_cfg,
+            &mut engine,
+        );
+        assert!(!nothing_offered);
+    }
+
+    /// A fast commit covers every shard the transaction involves: one
+    /// shard's unanimous votes do not commit a two-shard transaction,
+    /// however many copies of them the certificate holds.
+    #[test]
+    fn fast_commit_cert_must_cover_every_involved_shard() {
+        let shard_cfg = cfg().system.shard;
+        let unanimous = shard_votes(ProtoDecision::Commit, commit_votes(6));
+        let mut engine = client_engine();
+        let mut valid = |votes: Vec<ShardVotes>, involved: &[ShardId]| {
+            let proof = DecisionProof::FastCommit(votes);
+            validate_decision_cert(&cert(proof), involved, &shard_cfg, &mut engine)
         };
-        assert!(valid(ProtoDecision::Commit, commit_votes(4)));
-        assert!(!valid(ProtoDecision::Commit, commit_votes(3)));
-        assert!(valid(ProtoDecision::Abort, abort_votes(2)));
-        assert!(!valid(ProtoDecision::Abort, abort_votes(1)));
+        let two = [ShardId(0), ShardId(1)];
+        assert!(valid(vec![unanimous.clone()], &[ShardId(0)]));
+        assert!(!valid(vec![unanimous.clone()], &two));
+        assert!(!valid(vec![unanimous.clone(), unanimous], &two));
+        assert!(!valid(vec![], &[]), "a transaction involves some shard");
     }
 
     #[test]
@@ -582,62 +614,11 @@ mod tests {
     }
 
     #[test]
-    fn st2_justification_commit_needs_every_expected_shard() {
-        let shard_cfg = cfg().system.shard;
-        let mut engine = client_engine();
-        let tally = shard_votes(ProtoDecision::Commit, commit_votes(4));
-        let ok = validate_st2_justification(
-            txid(),
-            ProtoDecision::Commit,
-            std::slice::from_ref(&tally),
-            Some(&[ShardId(0)]),
-            &shard_cfg,
-            &mut engine,
-        );
-        assert!(ok);
-        let missing_shard = validate_st2_justification(
-            txid(),
-            ProtoDecision::Commit,
-            &[tally],
-            Some(&[ShardId(0), ShardId(1)]),
-            &shard_cfg,
-            &mut engine,
-        );
-        assert!(!missing_shard);
-    }
-
-    #[test]
-    fn st2_justification_abort_needs_one_abort_quorum() {
-        let shard_cfg = cfg().system.shard;
-        let mut engine = client_engine();
-        let tally = shard_votes(ProtoDecision::Abort, abort_votes(2));
-        let ok = validate_st2_justification(
-            txid(),
-            ProtoDecision::Abort,
-            &[tally],
-            Some(&[ShardId(0)]),
-            &shard_cfg,
-            &mut engine,
-        );
-        assert!(ok);
-        let not_ok = validate_st2_justification(
-            txid(),
-            ProtoDecision::Abort,
-            &[],
-            Some(&[ShardId(0)]),
-            &shard_cfg,
-            &mut engine,
-        );
-        assert!(!not_ok);
-    }
-
-    #[test]
     fn commit_cert_fast_and_slow_paths() {
         let shard_cfg = cfg().system.shard;
         let mut engine = client_engine();
-        let mut valid = |proof| {
-            validate_decision_cert(&cert(proof), Some(&[ShardId(0)]), &shard_cfg, &mut engine)
-        };
+        let mut valid =
+            |proof| validate_decision_cert(&cert(proof), &[ShardId(0)], &shard_cfg, &mut engine);
         let unanimous = shard_votes(ProtoDecision::Commit, commit_votes(6));
         assert!(valid(DecisionProof::FastCommit(vec![unanimous.clone()])));
         assert!(valid(acks(ShardId(0), ProtoDecision::Commit)));
@@ -662,16 +643,17 @@ mod tests {
         let mut engine = client_engine();
         let one_vote = shard_votes(ProtoDecision::Abort, abort_votes(1));
         let weak = cert(DecisionProof::FastAbort(one_vote));
-        let valid = validate_decision_cert(&weak, None, &shard_cfg, &mut engine);
+        let valid = validate_decision_cert(&weak, &[ShardId(0)], &shard_cfg, &mut engine);
         assert!(!valid);
     }
 
+    /// With signatures off the same rule runs, for free: unsigned votes
+    /// (proof = None) are counted by replica identity alone.
     #[test]
     fn validation_is_free_and_permissive_when_signatures_disabled() {
         let mut no_sig_cfg = cfg().without_proofs();
         no_sig_cfg.crypto_mode = crate::config::CryptoMode::Real;
         let mut engine = SigEngine::new(NodeId::Client(ClientId(0)), registry(), &no_sig_cfg);
-        // Unsigned votes (proof = None) are still counted by replica identity.
         let votes: Vec<SignedSt1Reply> = (0..6)
             .map(|i| SignedSt1Reply {
                 body: St1ReplyBody {
@@ -684,7 +666,15 @@ mod tests {
             .collect();
         let sv = shard_votes(ProtoDecision::Commit, votes);
         let shard_cfg = no_sig_cfg.system.shard;
-        assert!(validate_fast_shard_votes(&sv, &shard_cfg, &mut engine));
+        assert!(votes_justify(
+            txid(),
+            ProtoDecision::Commit,
+            Strength::Fast,
+            &[sv],
+            &[ShardId(0)],
+            &shard_cfg,
+            &mut engine
+        ));
         assert_eq!(engine.take_charged(), Duration::ZERO);
     }
 }

@@ -551,23 +551,22 @@ impl BasilClient {
                     continue;
                 }
             };
-            let acceptable = match &c.cert {
-                None => false,
-                Some(_) if !self.engine.enabled() => true,
-                // A certificate that does not commit the transaction that
-                // wrote this version is refused before any signature is
-                // checked.
-                Some(cert) => {
+            // A certificate that does not commit the transaction that wrote
+            // this version is refused before any signature is checked; one
+            // that does is checked on the shards that transaction involves.
+            let acceptable = match (&c.cert, &c.tx) {
+                (Some(cert), Some(writer)) => {
                     cert.txid == c.txid
                         && cert.decision().is_commit()
                         && c.written_by(&key)
                         && validate_decision_cert(
                             cert,
-                            None,
+                            &writer.involved_shards(self.cfg.system.num_shards),
                             &self.cfg.system.shard,
                             &mut self.engine,
                         )
                 }
+                _ => false,
             };
             if !acceptable {
                 continue;
@@ -1047,17 +1046,18 @@ impl BasilClient {
 
     /// A writeback (decision certificate) arriving at the client: a replica
     /// answering a recovery prepare with the outcome, or someone else having
-    /// finished our own transaction. It is verified only if this client is
-    /// driving that transaction; any other is dropped unchecked, so no node
-    /// can make the client validate a certificate it has no use for.
+    /// finished our own transaction. It is verified, on the shards that
+    /// transaction involves, only if this client is driving it; any other is
+    /// dropped unchecked, so no node can make the client validate a
+    /// certificate it has no use for.
     fn handle_incoming_cert(&mut self, ctx: &mut Context<BasilMsg>, wb: Writeback) {
         let txid = wb.cert.txid;
-        if self.commit_mut(txid).is_none() {
+        let own = self.own.as_ref().filter(|c| c.txid == txid);
+        let Some(commit) = self.recoveries.get(&txid).or(own) else {
             return;
-        }
+        };
         let shard = &self.cfg.system.shard;
-        if self.engine.enabled() && !validate_decision_cert(&wb.cert, None, shard, &mut self.engine)
-        {
+        if !validate_decision_cert(&wb.cert, &commit.involved, shard, &mut self.engine) {
             return;
         }
         self.finish_commit(ctx, txid, wb.cert);
@@ -1322,9 +1322,17 @@ mod tests {
     /// A fast-path commit certificate for `tx` signed by all six replicas of
     /// shard 0 under the test registry.
     fn valid_commit_cert(tx: &Transaction, votes_n: u32) -> Arc<DecisionCert> {
+        Arc::new(DecisionCert {
+            txid: tx.id(),
+            proof: DecisionProof::FastCommit(vec![commit_votes_of(tx, ShardId(0), votes_n)]),
+        })
+    }
+
+    /// Commit votes for `tx` signed by replicas `0..votes_n` of `shard`.
+    fn commit_votes_of(tx: &Transaction, shard: ShardId, votes_n: u32) -> ShardVotes {
         let votes: Vec<SignedSt1Reply> = (0..votes_n)
             .map(|i| {
-                let rid = ReplicaId::new(ShardId(0), i);
+                let rid = ReplicaId::new(shard, i);
                 let body = crate::messages::St1ReplyBody {
                     txid: tx.id(),
                     replica: rid,
@@ -1335,15 +1343,12 @@ mod tests {
                 SignedSt1Reply { body, proof }
             })
             .collect();
-        Arc::new(DecisionCert {
+        ShardVotes {
             txid: tx.id(),
-            proof: DecisionProof::FastCommit(vec![ShardVotes {
-                txid: tx.id(),
-                shard: ShardId(0),
-                decision: ProtoDecision::Commit,
-                votes,
-            }]),
-        })
+            shard,
+            decision: ProtoDecision::Commit,
+            votes,
+        }
     }
 
     /// A `Writeback` is verified only for a transaction the client is
@@ -1985,6 +1990,109 @@ mod tests {
         }
     }
 
+    /// A two-shard deployment, and a key on each of its shards.
+    fn two_shards() -> (BasilConfig, Key, Key) {
+        let mut c = cfg();
+        c.system.num_shards = 2;
+        let key_on = |shard| {
+            (0..)
+                .map(|i| Key::new(format!("k{i}")))
+                .find(|k| c.system.shard_for_key(k) == ShardId(shard))
+                .expect("some key hashes to each shard")
+        };
+        let (k0, k1) = (key_on(0), key_on(1));
+        (c, k0, k1)
+    }
+
+    /// Shard 0's unanimous commit votes do not commit a transaction that
+    /// also involves shard 1. An S_log replica sees such votes in every
+    /// slow-path ST2, also when shard 1 voted to abort.
+    #[test]
+    fn one_shards_votes_do_not_commit_a_two_shard_transaction() {
+        let (c, k0, k1) = two_shards();
+        let profile = TxProfile::new(
+            "w2",
+            vec![
+                Op::Write(k0, Value::from_u64(1)),
+                Op::Write(k1, Value::from_u64(2)),
+            ],
+        );
+        let mut client = client_under(c, vec![profile]);
+        client.on_start(&mut ctx_at(1));
+        let tx = Arc::clone(&client.own.as_ref().expect("committing").tx);
+        assert_eq!(*tx.involved_shards(2), [ShardId(0), ShardId(1)]);
+        let cert = valid_commit_cert(&tx, 6);
+        deliver(
+            &mut client,
+            BasilMsg::Writeback(Writeback { cert, tx: None }),
+        );
+        assert_eq!(client.stats().committed, 0);
+        assert!(client.own.is_some(), "still committing");
+    }
+
+    /// A committed version is read only when its certificate commits the
+    /// writer on every shard the writer involves: shard 0's votes alone do
+    /// not make a two-shard writer's value readable.
+    #[test]
+    fn a_committed_read_needs_every_shard_of_its_writer() {
+        let (c, k0, k1) = two_shards();
+        let mut writer = TransactionBuilder::new(Timestamp::from_nanos(500, ClientId(7)));
+        writer.record_write(k0.clone(), Value::from_u64(1));
+        writer.record_write(k1, Value::from_u64(2));
+        let writer = writer.build_shared();
+        let on = |shard| commit_votes_of(&writer, ShardId(shard), 6);
+        // The read returns genesis (0) or the writer's 1; the RMW adds 1.
+        for (votes, written) in [(vec![on(0)], 1), (vec![on(0), on(1)], 2)] {
+            let cert = Arc::new(DecisionCert {
+                txid: writer.id(),
+                proof: DecisionProof::FastCommit(votes),
+            });
+            let profile = TxProfile::new(
+                "rmw",
+                vec![Op::RmwAdd {
+                    key: k0.clone(),
+                    delta: 1,
+                }],
+            );
+            let mut client = client_under(c.clone(), vec![profile]);
+            client.on_start(&mut ctx_at(1));
+            let mut sent = Vec::new();
+            for i in 0..2 {
+                let body = ReadReplyBody {
+                    req_id: 1,
+                    key: k0.clone(),
+                    committed: Some(CommittedRead {
+                        version: writer.timestamp(),
+                        value: Value::from_u64(1),
+                        txid: writer.id(),
+                        cert: Some(Arc::clone(&cert)),
+                        tx: Some(Arc::clone(&writer)),
+                    }),
+                    prepared: None,
+                };
+                let replica = NodeId::Replica(ReplicaId::new(ShardId(0), i));
+                let proof = SigEngine::new(replica, registry(), &cfg()).sign(&body);
+                let mut ctx = ctx_at(2);
+                let reply = BasilMsg::ReadReply(ReadReply { body, proof });
+                client.on_message(&mut ctx, replica, reply);
+                sent = sent_messages(&ctx);
+            }
+            let st1 = sent
+                .iter()
+                .find_map(|(_, m)| match m {
+                    BasilMsg::St1(st1) => Some(st1),
+                    _ => None,
+                })
+                .expect("the second reply concluded the read");
+            assert_eq!(
+                st1.tx.written_value(&k0),
+                Some(&Value::from_u64(written)),
+                "{} shard(s) certified",
+                written
+            );
+        }
+    }
+
     /// With signatures off a read reply is its transport sender's: a replica
     /// that answers again after a `ReadTimeout` widened the read is still
     /// one voucher, and a client or another shard's replica is none.
@@ -2112,7 +2220,12 @@ mod tests {
             assert!(client.recoveries.contains_key(&dep.id()));
             let cert = Arc::new(DecisionCert {
                 txid: dep.id(),
-                proof: DecisionProof::FastCommit(vec![]),
+                proof: DecisionProof::FastCommit(vec![ShardVotes {
+                    txid: dep.id(),
+                    shard: ShardId(0),
+                    decision: ProtoDecision::Commit,
+                    votes: votes(dep.id(), 6, 0),
+                }]),
             });
             deliver(
                 &mut client,

@@ -9,7 +9,7 @@
 
 use crate::byzantine::ReplicaBehavior;
 use crate::certs::{
-    count_distinct_signed, validate_decision_cert, validate_st2_justification, DecisionCert,
+    count_distinct_signed, validate_decision_cert, votes_justify, DecisionCert, Strength,
 };
 use crate::config::BasilConfig;
 use crate::crypto_engine::SigEngine;
@@ -620,7 +620,7 @@ impl BasilReplica {
         // Without the transaction body we cannot check which shards must have
         // voted; buffer until the ST1 arrives (unless validation is relaxed).
         let tx_known = self.records.get(&txid).is_some_and(|r| r.tx.is_some());
-        if !tx_known && self.engine.enabled() && !self.cfg.relax_st2_validation {
+        if !tx_known && !self.cfg.relax_st2_validation {
             self.record(txid).buffered_st2.push((from, st2));
             return;
         }
@@ -629,28 +629,34 @@ impl BasilReplica {
 
     fn apply_st2(&mut self, ctx: &mut Context<BasilMsg>, from: NodeId, st2: St2) {
         let txid = st2.txid;
-        let expected_shards = self
+        let involved = self
             .records
             .get(&txid)
             .and_then(|r| r.tx.as_ref())
             .map(|tx| tx.involved_shards(self.cfg.system.num_shards));
         // Only S_log logs decisions (see `validate_decision_cert`): an ST2 for
         // a transaction known to log elsewhere is not acknowledged here.
-        if expected_shards
+        if involved
             .as_deref()
             .is_some_and(|s| logging_shard(txid, s) != Some(self.id.shard))
         {
             return;
         }
+        // The tallies must justify the decision on the shards the body
+        // involves (`handle_st2` holds an ST2 back until the body is known);
+        // relaxed validation checks nothing.
         if !self.cfg.relax_st2_validation
-            && !validate_st2_justification(
-                txid,
-                st2.decision,
-                &st2.shard_votes,
-                expected_shards.as_deref(),
-                &self.cfg.system.shard,
-                &mut self.engine,
-            )
+            && !involved.is_some_and(|involved| {
+                votes_justify(
+                    txid,
+                    st2.decision,
+                    Strength::Slow,
+                    &st2.shard_votes,
+                    &involved,
+                    &self.cfg.system.shard,
+                    &mut self.engine,
+                )
+            })
         {
             return;
         }
@@ -697,17 +703,17 @@ impl BasilReplica {
         }
         // The body is the certificate's transaction or nothing: the
         // certificate proves that `txid` was decided, not what some other
-        // transaction wrote.
+        // transaction wrote. Without a body the involved shards are unknown,
+        // so nothing is checked (or metered) until a writeback carries it.
         let body = wb.tx.filter(|tx| tx.id() == txid);
-        let expected_shards = self
-            .records
-            .get(&txid)
-            .and_then(|r| r.tx.as_ref())
-            .or(body.as_ref())
-            .map(|tx| tx.involved_shards(self.cfg.system.num_shards));
+        let known = self.records.get(&txid).and_then(|r| r.tx.clone());
+        let Some(tx) = known.or(body) else {
+            return;
+        };
+        let involved = tx.involved_shards(self.cfg.system.num_shards);
         if !validate_decision_cert(
             &wb.cert,
-            expected_shards.as_deref(),
+            &involved,
             &self.cfg.system.shard,
             &mut self.engine,
         ) {
@@ -718,22 +724,17 @@ impl BasilReplica {
         // be valid, and everything below works through it (records, store
         // and stats are disjoint fields).
         let record = self.records.entry(txid).or_default();
-        record.tx = record.tx.take().or(body);
         let decision = wb.cert.decision();
         let (released, logged_tx) = match decision {
             ProtoDecision::Commit => {
-                let Some(tx) = record.tx.as_ref() else {
-                    // Cannot apply writes without the transaction body; wait
-                    // for a writeback that carries it.
-                    return;
-                };
                 self.stats.commits_applied += 1;
                 // Commits re-ship the body in the log so amnesia replay can
                 // re-install the writes without any peer's help.
-                (self.store.commit(tx), Some(Arc::clone(tx)))
+                (self.store.commit(&tx), Some(Arc::clone(&tx)))
             }
             ProtoDecision::Abort => (self.store.abort(txid), None),
         };
+        record.tx = Some(tx);
         record.cert = Some(Arc::clone(&wb.cert));
         let interested = std::mem::take(&mut record.interested);
         self.wal_append(&WalRecord::Applied {

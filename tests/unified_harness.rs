@@ -10,15 +10,17 @@ use basil::baselines::{BaselineClient, BaselineConfig, BaselineMsg, SystemKind};
 use basil::harness::{BasilCluster, ClusterConfig};
 use basil::{
     BasilClient, BasilConfig, ClientId, Duration, Key, KeyRegistry, NodeId, Op, ReplicaId,
-    ScriptedGenerator, ShardId, SimTime, Timestamp, Transaction, TxProfile, Value,
+    ScriptedGenerator, ShardId, SimTime, Timestamp, Transaction, TxId, TxProfile, Value,
 };
 use basil_core::byzantine::FaultProfile;
-use basil_core::certs::{DecisionCert, DecisionProof};
+use basil_core::certs::{DecisionCert, DecisionProof, ShardVotes};
 use basil_core::messages::{
-    BasilMsg, CommittedRead, ProtoVote, ReadReply, ReadReplyBody, SignedSt1Reply, St1ReplyBody,
+    BasilMsg, CommittedRead, ProtoDecision, ProtoVote, ReadReply, ReadReplyBody, SignedSt1Reply,
+    St1ReplyBody,
 };
 use basil_simnet::actor::Output;
 use basil_simnet::{Actor, Context};
+use basil_store::TransactionBuilder;
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -169,6 +171,18 @@ fn read_answer(key: &Key) -> (Timestamp, Value) {
     )
 }
 
+/// Replica `index` of shard 0's commit vote for `txid`, unsigned.
+fn unsigned_commit_vote(txid: TxId, index: u32) -> SignedSt1Reply {
+    SignedSt1Reply {
+        body: St1ReplyBody {
+            txid,
+            replica: ReplicaId::new(ShardId(0), index),
+            vote: ProtoVote::Commit,
+        },
+        proof: None,
+    }
+}
+
 /// Profiles reaching every arm of the execution cursor: remote reads, blind
 /// writes, read-your-writes, read-modify-write over a fetched and over a
 /// buffered value, saturation at zero.
@@ -241,9 +255,15 @@ fn basil_and_tapir_clients_execute_a_script_identically() {
     drive(&mut basil, |msg: &BasilMsg, inbox| match msg {
         // The read goes to a quorum under one request id: answer it once,
         // with as many (unsigned, identical) replies as the client waits for.
+        // The version comes with the transaction that wrote it and a
+        // certificate of six unsigned commit votes for that transaction.
         BasilMsg::Read(req) if answered.insert(req.req_id) => {
             let (version, value) = read_answer(&req.key);
-            let txid = basil::TxId::from_bytes([9; 32]);
+            let mut writer = TransactionBuilder::new(version);
+            writer.record_write(req.key.clone(), value.clone());
+            let writer = writer.build_shared();
+            let txid = writer.id();
+            let votes = (0..6).map(|i| unsigned_commit_vote(txid, i)).collect();
             let body = ReadReplyBody {
                 req_id: req.req_id,
                 key: req.key.clone(),
@@ -253,9 +273,14 @@ fn basil_and_tapir_clients_execute_a_script_identically() {
                     txid,
                     cert: Some(Arc::new(DecisionCert {
                         txid,
-                        proof: DecisionProof::FastCommit(vec![]),
+                        proof: DecisionProof::FastCommit(vec![ShardVotes {
+                            txid,
+                            shard: ShardId(0),
+                            decision: ProtoDecision::Commit,
+                            votes,
+                        }]),
                     })),
-                    tx: None,
+                    tx: Some(writer),
                 }),
                 prepared: None,
             };
@@ -270,14 +295,7 @@ fn basil_and_tapir_clients_execute_a_script_identically() {
         BasilMsg::St1(st1) if basil_txs.iter().all(|tx| tx.id() != st1.tx.id()) => {
             basil_txs.push(Arc::clone(&st1.tx));
             for i in 0..6 {
-                let vote = SignedSt1Reply {
-                    body: St1ReplyBody {
-                        txid: st1.tx.id(),
-                        replica: ReplicaId::new(ShardId(0), i),
-                        vote: ProtoVote::Commit,
-                    },
-                    proof: None,
-                };
+                let vote = unsigned_commit_vote(st1.tx.id(), i);
                 inbox.push_back((replica(i), BasilMsg::St1Reply(vote)));
             }
         }
