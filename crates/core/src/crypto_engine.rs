@@ -86,8 +86,10 @@ pub struct SigEngine {
     /// remembers only that a pair is valid, which the signer knows: a hit
     /// still needs the identical signature, and a proof's Merkle path is
     /// still recomputed from the leaf it is given, so a forged payload under
-    /// an own root is refused. Request MACs ([`SigEngine::sign_request`])
-    /// are checked only by other nodes and are not recorded.
+    /// an own root is refused. Request MACs are never recorded: not the
+    /// ones this node makes ([`SigEngine::sign_request`]), which only other
+    /// nodes check, nor the ones it checks ([`SigEngine::verify_request`]),
+    /// each once.
     cache: SignatureCache,
     mode: CryptoMode,
     enabled: bool,
@@ -186,11 +188,10 @@ impl SigEngine {
             return false;
         };
         self.charged += COST.mac;
+        // Only this node checks the MAC, and only once: a cache entry for
+        // its root would never be hit and would only evict one that is.
         match self.mode {
-            CryptoMode::Real => {
-                let outcome = proof.verify(&payload.to_bytes(), &self.registry, &mut self.cache);
-                outcome.valid
-            }
+            CryptoMode::Real => proof.verify_uncached(&payload.to_bytes(), &self.registry),
             CryptoMode::Simulated => true,
         }
     }
@@ -489,6 +490,24 @@ mod tests {
             assert!(!signer.verify(payload, Some(&forged)));
             assert!(signer.verify(payload, proof.as_ref()));
         }
+    }
+
+    /// A request MAC is checked once, by its one recipient, so verifying
+    /// it leaves the signature cache as it was, in both crypto modes, and
+    /// costs a MAC.
+    #[test]
+    fn a_verified_request_mac_is_not_cached() {
+        for mode in [CryptoMode::Real, CryptoMode::Simulated] {
+            let (mut replica, mut client) = engine(mode, true);
+            let mac = client.sign_request(b"read");
+            let cached = replica.cache.len();
+            assert!(replica.verify_request(b"read", mac.as_ref()), "{mode:?}");
+            assert_eq!(replica.cache.len(), cached, "{mode:?}");
+            assert_eq!(replica.take_charged(), COST.mac, "{mode:?}");
+        }
+        let (mut replica, mut client) = engine(CryptoMode::Real, true);
+        let mac = client.sign_request(b"read");
+        assert!(!replica.verify_request(b"write", mac.as_ref()));
     }
 
     #[test]

@@ -76,6 +76,15 @@ impl BatchProof {
             signature_checked: true,
         }
     }
+
+    /// Verifies this proof for `payload` with a full signature check,
+    /// neither consulting nor updating a cache: for a proof its one
+    /// recipient checks once (a request MAC), whose root no later message
+    /// shares, so caching it would only evict roots that do pay off.
+    pub fn verify_uncached(&self, payload: &[u8], registry: &KeyRegistry) -> bool {
+        self.inclusion.compute_root(payload) == self.root
+            && registry.verify(self.root.as_bytes(), &self.root_signature)
+    }
 }
 
 /// Result of verifying a batched reply.
