@@ -17,7 +17,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bounded;
 pub mod codec;
 pub mod config;
 pub mod error;
@@ -30,7 +29,6 @@ pub mod prng;
 pub mod time;
 pub mod timestamp;
 
-pub use bounded::BoundedFifoMap;
 pub use config::{ReadQuorum, ShardConfig, SystemConfig};
 pub use fasthash::{FastHashMap, FastHashSet, FxBuildHasher, FxHasher};
 pub use hist::LatencyHistogram;

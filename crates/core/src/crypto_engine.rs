@@ -8,6 +8,13 @@
 //! [`CryptoMode::Simulated`] the arithmetic is skipped but the cost is still
 //! metered, keeping benchmark wall-clock time low without changing simulated
 //! results.
+//!
+//! Each public operation has one body for both modes. The mode is read only
+//! by the private helpers that make a proof (a Merkle frontier or a
+//! placeholder), recompute a Merkle path and check a root signature, so the
+//! modes differ in arithmetic alone: both meter the same cost and make the
+//! same signature-cache decisions, through the cache's one rule
+//! ([`SignatureCache::verify`]).
 
 use crate::config::{BasilConfig, CryptoMode};
 use basil_common::codec::{Len, Sink};
@@ -145,13 +152,7 @@ impl SigEngine {
             return None;
         }
         self.charged += COST.sign + COST.hash_cost(payload.encoded_len());
-        let proof = match self.mode {
-            CryptoMode::Real => BatchProof::sign_single(&self.keypair, &payload.to_bytes()),
-            CryptoMode::Simulated => {
-                self.dummy_counter += 1;
-                dummy_proof(self.keypair.node(), self.dummy_counter, 1)
-            }
-        };
+        let proof = self.single_proof(payload);
         self.cache.insert(proof.root, proof.root_signature);
         Some(proof)
     }
@@ -164,14 +165,7 @@ impl SigEngine {
             return None;
         }
         self.charged += COST.mac;
-        let proof = match self.mode {
-            CryptoMode::Real => BatchProof::sign_single(&self.keypair, &payload.to_bytes()),
-            CryptoMode::Simulated => {
-                self.dummy_counter += 1;
-                dummy_proof(self.keypair.node(), self.dummy_counter, 1)
-            }
-        };
-        Some(proof)
+        Some(self.single_proof(payload))
     }
 
     /// Verifies a client request MAC. The payload is only materialized
@@ -190,10 +184,8 @@ impl SigEngine {
         self.charged += COST.mac;
         // Only this node checks the MAC, and only once: a cache entry for
         // its root would never be hit and would only evict one that is.
-        match self.mode {
-            CryptoMode::Real => proof.verify_uncached(&payload.to_bytes(), &self.registry),
-            CryptoMode::Simulated => true,
-        }
+        self.path_reaches_root(payload, proof)
+            && root_signature_valid(self.mode, &self.registry, proof)
     }
 
     /// Signs a batch of payloads (replica reply batching). Returns one proof
@@ -215,26 +207,7 @@ impl SigEngine {
             .checked_div(n)
         {
             self.charged += COST.batch_sign_cost(n, avg_len.max(1));
-            match self.mode {
-                CryptoMode::Real => {
-                    // Incremental frontier instead of a full tree rebuild:
-                    // each payload's leaf is folded in as it is encoded, and
-                    // sealing only materializes the O(log b) right edge.
-                    self.frontier.reset();
-                    for payload in payloads {
-                        self.encoding.clear();
-                        payload.write_signed(&mut self.encoding);
-                        self.frontier.append(&self.encoding);
-                    }
-                    let proofs = sign_frontier(&self.keypair, &mut self.frontier).map(Some);
-                    self.proofs.extend(proofs);
-                }
-                CryptoMode::Simulated => {
-                    self.dummy_counter += 1;
-                    let proof = dummy_proof(self.keypair.node(), self.dummy_counter, n);
-                    self.proofs.extend(std::iter::repeat_n(Some(proof), n));
-                }
-            }
+            self.batch_proofs(payloads);
             // Every proof of the batch shares one root and signature.
             if let Some(Some(proof)) = self.proofs.first() {
                 self.cache.insert(proof.root, proof.root_signature);
@@ -258,19 +231,16 @@ impl SigEngine {
         let Some(proof) = proof else {
             return false;
         };
-        // A signature-cache hit costs a hash-only check; a miss, a
-        // standalone verification.
-        let (valid, cached) = match self.mode {
-            CryptoMode::Real => {
-                let outcome = proof.verify(&payload.to_bytes(), &self.registry, &mut self.cache);
-                (outcome.valid, outcome.valid && !outcome.signature_checked)
-            }
-            // Structural acceptance; model the cache by root identity (one
-            // fused lookup: hit check + miss insert).
-            CryptoMode::Simulated => (
-                true,
-                self.cache.check_insert(proof.root, proof.root_signature),
-            ),
+        // The Merkle path is recomputed on every call; the root signature
+        // is checked only on a signature-cache miss. A hit costs a
+        // hash-only check; a miss or a refusal, a standalone verification.
+        let (valid, cached) = if self.path_reaches_root(payload, proof) {
+            let outcome = self.cache.verify(proof.root, proof.root_signature, || {
+                root_signature_valid(self.mode, &self.registry, proof)
+            });
+            (outcome.valid, !outcome.signature_checked)
+        } else {
+            (false, false)
         };
         self.charged +=
             COST.batch_verify_cost(proof.batch_size, payload.encoded_len().max(1), cached);
@@ -296,6 +266,72 @@ impl SigEngine {
     /// The per-message (de)serialization overhead from the cost model.
     pub fn message_cost(&self) -> Duration {
         COST.message_cost()
+    }
+
+    // The crypto mode is read only below: it picks the arithmetic (real
+    // HMAC and Merkle hashing, or a placeholder that passes), never what
+    // is cached or metered.
+
+    /// A one-leaf proof over `payload`.
+    fn single_proof<P: SignedPayload + ?Sized>(&mut self, payload: &P) -> BatchProof {
+        match self.mode {
+            CryptoMode::Real => BatchProof::sign_single(&self.keypair, &payload.to_bytes()),
+            CryptoMode::Simulated => {
+                self.dummy_counter += 1;
+                dummy_proof(self.keypair.node(), self.dummy_counter, 1)
+            }
+        }
+    }
+
+    /// Appends one proof per payload of a non-empty batch to `self.proofs`,
+    /// all under one root.
+    fn batch_proofs<P: SignedPayload>(&mut self, payloads: &[P]) {
+        match self.mode {
+            CryptoMode::Real => {
+                // Incremental frontier instead of a full tree rebuild: each
+                // payload's leaf is folded in as it is encoded, and sealing
+                // only materializes the O(log b) right edge.
+                self.frontier.reset();
+                for payload in payloads {
+                    self.encoding.clear();
+                    payload.write_signed(&mut self.encoding);
+                    self.frontier.append(&self.encoding);
+                }
+                let proofs = sign_frontier(&self.keypair, &mut self.frontier).map(Some);
+                self.proofs.extend(proofs);
+            }
+            CryptoMode::Simulated => {
+                self.dummy_counter += 1;
+                let proof = dummy_proof(self.keypair.node(), self.dummy_counter, payloads.len());
+                self.proofs
+                    .extend(std::iter::repeat_n(Some(proof), payloads.len()));
+            }
+        }
+    }
+
+    /// Whether `proof`'s Merkle path leads from `payload`'s leaf to its root.
+    fn path_reaches_root<P: SignedPayload + ?Sized>(
+        &mut self,
+        payload: &P,
+        proof: &BatchProof,
+    ) -> bool {
+        match self.mode {
+            CryptoMode::Real => {
+                self.encoding.clear();
+                payload.write_signed(&mut self.encoding);
+                proof.inclusion.compute_root(&self.encoding) == proof.root
+            }
+            CryptoMode::Simulated => true,
+        }
+    }
+}
+
+/// Whether `proof`'s root signature verifies under its signer's key. A free
+/// function so it can run while the engine's signature cache is borrowed.
+fn root_signature_valid(mode: CryptoMode, registry: &KeyRegistry, proof: &BatchProof) -> bool {
+    match mode {
+        CryptoMode::Real => registry.verify(proof.root.as_bytes(), &proof.root_signature),
+        CryptoMode::Simulated => true,
     }
 }
 
@@ -508,6 +544,34 @@ mod tests {
         let (mut replica, mut client) = engine(CryptoMode::Real, true);
         let mac = client.sign_request(b"read");
         assert!(!replica.verify_request(b"write", mac.as_ref()));
+    }
+
+    /// A signature that fails its check is never cached: refused again at
+    /// the uncached cost, it leaves the cache as it was, and the genuine
+    /// proof of the same root still verifies and is cached after it.
+    #[test]
+    fn a_refused_signature_is_not_remembered() {
+        let (mut signer, mut verifier) = engine(CryptoMode::Real, true);
+        let payloads: Vec<Vec<u8>> = (0..4).map(|i| format!("reply {i}").into_bytes()).collect();
+        let batch: Vec<_> = signer.sign_batch(&payloads).collect();
+        let genuine = batch[0].as_ref().expect("signed");
+        let mut tampered = genuine.clone();
+        tampered.root_signature.tag = Digest([7; 32]);
+        let size = genuine.batch_size;
+        let uncached = COST.batch_verify_cost(size, payloads[0].len(), false);
+        let cached = verifier.cache.len();
+        for _ in 0..2 {
+            assert!(!verifier.verify(&payloads[0], Some(&tampered)));
+            assert_eq!(verifier.take_charged(), uncached);
+            assert_eq!(verifier.cache.len(), cached);
+        }
+        assert!(verifier.verify(&payloads[0], Some(genuine)));
+        assert_eq!(verifier.take_charged(), uncached);
+        assert!(verifier.verify(&payloads[1], batch[1].as_ref()));
+        assert_eq!(
+            verifier.take_charged(),
+            COST.batch_verify_cost(size, payloads[1].len(), true)
+        );
     }
 
     #[test]

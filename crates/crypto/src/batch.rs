@@ -7,11 +7,19 @@
 //! from the reply and the path, verify the root signature once, and cache the
 //! (root, signature) pair so other replies from the same batch verify with a
 //! hash-only check.
+//!
+//! [`SignatureCache::verify`] is that rule's one implementation: it answers a
+//! pair from the cache or runs the caller's signature check, and records the
+//! pair only when the check passes. [`BatchProof::verify`] and the protocol's
+//! signing engine both go through it, so whether a signature is really
+//! computed changes only the check it runs, never which pairs are cached.
 
 use crate::digest::Digest;
 use crate::merkle::{leaf_hash, MerkleFrontier, MerkleProof};
 use crate::sig::{KeyPair, KeyRegistry, Signature};
-use basil_common::{BoundedFifoMap, NodeId};
+use basil_common::{FastHashMap, NodeId};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 
 /// Everything a recipient needs to authenticate one reply out of a batch.
 #[derive(Clone, Debug)]
@@ -47,7 +55,10 @@ impl BatchProof {
     }
 
     /// Verifies this proof for `reply_payload`, using (and updating) the
-    /// verifier's signature cache. Returns `true` when the reply is
+    /// verifier's signature cache: the Merkle path is always recomputed from
+    /// the payload, and the root signature is checked only when the cache
+    /// has not verified this `(root, signature)` pair before
+    /// ([`SignatureCache::verify`]). Returns whether the reply is
     /// authenticated, along with whether a signature verification was
     /// actually performed (`false` on a cache hit) so callers can charge the
     /// appropriate CPU cost.
@@ -57,33 +68,12 @@ impl BatchProof {
         registry: &KeyRegistry,
         cache: &mut SignatureCache,
     ) -> BatchVerifyOutcome {
-        let computed_root = self.inclusion.compute_root(reply_payload);
-        if computed_root != self.root {
+        if self.inclusion.compute_root(reply_payload) != self.root {
             return BatchVerifyOutcome::invalid();
         }
-        if cache.contains(&self.root, &self.root_signature) {
-            return BatchVerifyOutcome {
-                valid: true,
-                signature_checked: false,
-            };
-        }
-        let ok = registry.verify(self.root.as_bytes(), &self.root_signature);
-        if ok {
-            cache.insert(self.root, self.root_signature);
-        }
-        BatchVerifyOutcome {
-            valid: ok,
-            signature_checked: true,
-        }
-    }
-
-    /// Verifies this proof for `payload` with a full signature check,
-    /// neither consulting nor updating a cache: for a proof its one
-    /// recipient checks once (a request MAC), whose root no later message
-    /// shares, so caching it would only evict roots that do pay off.
-    pub fn verify_uncached(&self, payload: &[u8], registry: &KeyRegistry) -> bool {
-        self.inclusion.compute_root(payload) == self.root
-            && registry.verify(self.root.as_bytes(), &self.root_signature)
+        cache.verify(self.root, self.root_signature, || {
+            registry.verify(self.root.as_bytes(), &self.root_signature)
+        })
     }
 }
 
@@ -127,22 +117,30 @@ pub fn sign_frontier<'a>(
     })
 }
 
-/// A verifier-side cache mapping Merkle roots to already-verified signatures.
+/// A verifier-side cache of already-verified `(root, signature)` pairs: the
+/// one place the rule "a root signature verified once is not checked again"
+/// lives, in both crypto modes.
 ///
-/// When a replica later receives another message carrying the same root and
-/// signature (i.e. another reply from the same batch), it can skip the
+/// When a node later receives another message carrying the same root and
+/// signature (i.e. another reply from the same batch), it skips the
 /// signature verification after checking the root recomputation.
 ///
 /// The cache is **bounded**: batch roots only ever pay off while their batch
 /// is in flight, so entries are evicted in insertion (FIFO) order once
 /// [`SignatureCache::capacity`] is reached. Without the bound the map grows
-/// by one root per batch for the lifetime of a node. Roots are SHA-256
-/// digests, so the map uses `basil_common::fasthash` instead of SipHash.
+/// by one root per batch for the lifetime of a node. FIFO rather than LRU is
+/// deliberate: the working set is an in-flight window, so recency of
+/// *insertion* is the right signal, and a hit needs no bookkeeping. Roots are
+/// SHA-256 digests, so the map uses `basil_common::fasthash` instead of
+/// SipHash.
 #[derive(Debug)]
 pub struct SignatureCache {
-    /// The verified `(root, signature)` pairs, FIFO-bounded by
-    /// [`BoundedFifoMap`].
-    verified: BoundedFifoMap<Digest, Signature>,
+    /// The verified signature of each cached root.
+    verified: FastHashMap<Digest, Signature>,
+    /// The cached roots in insertion order, oldest first.
+    order: VecDeque<Digest>,
+    capacity: usize,
+    evictions: u64,
 }
 
 impl Default for SignatureCache {
@@ -167,8 +165,61 @@ impl SignatureCache {
     /// Creates an empty cache bounded to `capacity` roots (minimum 1).
     pub fn with_capacity(capacity: usize) -> Self {
         SignatureCache {
-            verified: BoundedFifoMap::with_capacity(capacity),
+            verified: FastHashMap::default(),
+            order: VecDeque::new(),
+            capacity: capacity.max(1),
+            evictions: 0,
         }
+    }
+
+    /// Answers whether `sig` is a valid signature over `root`: from the
+    /// cache when this exact pair was verified before (no `check`, and
+    /// `signature_checked` is `false`), and otherwise by running `check`.
+    /// The pair is recorded only when `check` passes, so a refused
+    /// signature is never remembered. A new root takes the newest FIFO
+    /// position, evicting the oldest root when the cache is full; a cached
+    /// root under another signature is refreshed in place. One hash probe
+    /// either way.
+    pub fn verify(
+        &mut self,
+        root: Digest,
+        sig: Signature,
+        check: impl FnOnce() -> bool,
+    ) -> BatchVerifyOutcome {
+        let entry = self.verified.entry(root);
+        if matches!(&entry, Entry::Occupied(e) if *e.get() == sig) {
+            return BatchVerifyOutcome {
+                valid: true,
+                signature_checked: false,
+            };
+        }
+        let valid = check();
+        if valid {
+            match entry {
+                Entry::Occupied(mut e) => {
+                    e.insert(sig);
+                }
+                Entry::Vacant(e) => {
+                    e.insert(sig);
+                    self.order.push_back(root);
+                    if self.order.len() > self.capacity {
+                        let oldest = self.order.pop_front().expect("over capacity");
+                        self.verified.remove(&oldest);
+                        self.evictions += 1;
+                    }
+                }
+            }
+        }
+        BatchVerifyOutcome {
+            valid,
+            signature_checked: true,
+        }
+    }
+
+    /// Records a pair known to be valid (a root this node signed itself):
+    /// [`SignatureCache::verify`] with a check that passes.
+    pub fn insert(&mut self, root: Digest, sig: Signature) {
+        self.verify(root, sig, || true);
     }
 
     /// Returns true if `(root, sig)` was verified before.
@@ -176,30 +227,14 @@ impl SignatureCache {
         self.verified.get(root) == Some(sig)
     }
 
-    /// Records a successfully verified root signature, evicting the oldest
-    /// entry if the cache is full.
-    pub fn insert(&mut self, root: Digest, sig: Signature) {
-        self.verified.insert(root, sig);
-    }
-
-    /// Fused [`SignatureCache::contains`] + [`SignatureCache::insert`]:
-    /// returns whether `(root, sig)` was already verified, recording it if
-    /// not — identical eviction behaviour to the two-call sequence, at one
-    /// hash lookup instead of two. This is the simulated-crypto hot path
-    /// (one call per verification).
-    pub fn check_insert(&mut self, root: Digest, sig: Signature) -> bool {
-        self.verified
-            .check_insert(root, sig, |cached| *cached == sig)
-    }
-
     /// Number of entries evicted to keep the cache within its capacity.
     pub fn evictions(&self) -> u64 {
-        self.verified.evictions()
+        self.evictions
     }
 
     /// The configured bound on cached roots.
     pub fn capacity(&self) -> usize {
-        self.verified.capacity()
+        self.capacity
     }
 
     /// Number of distinct roots cached.
@@ -365,6 +400,22 @@ mod tests {
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 0);
         assert!(cache.contains(&b.root, &b.root_signature));
+    }
+
+    #[test]
+    fn capacity_floor_is_one() {
+        let reg = KeyRegistry::from_seed(5);
+        let kp = reg.keypair(replica_node());
+        let mut cache = SignatureCache::with_capacity(0);
+        assert_eq!(cache.capacity(), 1);
+        let a = BatchProof::sign_single(&kp, b"a");
+        let b = BatchProof::sign_single(&kp, b"b");
+        cache.insert(a.root, a.root_signature);
+        cache.insert(b.root, b.root_signature);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.evictions(), 1);
+        assert!(cache.contains(&b.root, &b.root_signature));
+        assert!(!cache.is_empty());
     }
 
     #[test]
