@@ -430,16 +430,16 @@ impl SignedPayload for DecFb {
 // Crash-recovery catch-up
 // ---------------------------------------------------------------------------
 
-/// Shard peer -> recovering replica: every decision certificate the peer has
-/// applied, each with the transaction body when the peer still holds it
-/// (commits need the body to re-install writes). The recovering replica
+/// Shard peer -> recovering replica: a writeback for every decision
+/// certificate the peer has applied, each with the transaction body when the
+/// peer still holds it (commits need the body to re-install writes). The recovering replica
 /// validates every certificate before applying it — a Byzantine peer can
 /// send garbage, but not a certificate that verifies. It names no sender: the
 /// recovering replica counts it against its transport sender.
 #[derive(Clone, Debug)]
 pub struct CatchUpReply {
-    /// Applied decisions: `(certificate, transaction body if available)`.
-    pub entries: Vec<(Arc<DecisionCert>, Option<Arc<Transaction>>)>,
+    /// The applied decisions, as the writebacks that would apply them.
+    pub entries: Vec<Writeback>,
 }
 
 // ---------------------------------------------------------------------------

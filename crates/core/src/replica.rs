@@ -762,20 +762,24 @@ impl BasilReplica {
     // Crash recovery: peer catch-up
     // ------------------------------------------------------------------
 
-    /// Serves a recovering peer with every decision certificate this replica
-    /// has applied, each with the transaction body when still held (commits
-    /// need it to re-install writes). Certificates are self-validating, so no
-    /// signature is needed on the reply; entries are sent in transaction-id
-    /// order to keep the message plane deterministic. Only a replica of this
-    /// shard, by its transport sender, is served.
+    /// Serves a recovering peer with a writeback for every decision
+    /// certificate this replica has applied, each with the transaction body
+    /// when still held (commits need it to re-install writes). Certificates
+    /// are self-validating, so no signature is needed on the reply; entries
+    /// are sent in transaction-id order to keep the message plane
+    /// deterministic. Only a replica of this shard, by its transport sender,
+    /// is served.
     fn handle_catch_up_request(&mut self, ctx: &mut Context<BasilMsg>, from: NodeId) {
         if self.shard_peer(from).is_none() {
             return; // a client's or another shard's request
         }
         let mut entries: Vec<_> = (self.records.values())
-            .filter_map(|r| Some((Arc::clone(r.cert.as_ref()?), r.tx.clone())))
+            .filter_map(|r| {
+                let (cert, tx) = (Arc::clone(r.cert.as_ref()?), r.tx.clone());
+                Some(Writeback { cert, tx })
+            })
             .collect();
-        entries.sort_by_key(|(cert, _)| cert.txid);
+        entries.sort_by_key(|wb| wb.cert.txid);
         ctx.charge(self.engine.message_cost());
         ctx.send(from, BasilMsg::CatchUpReply(CatchUpReply { entries }));
     }
@@ -803,10 +807,10 @@ impl BasilReplica {
         if !state.pending_peers.remove(&peer) {
             return; // duplicate reply, or this replica's own index
         }
-        for (cert, tx) in reply.entries {
-            let txid = cert.txid;
+        for wb in reply.entries {
+            let txid = wb.cert.txid;
             let undecided = self.store.decision(&txid).is_none();
-            self.handle_writeback(ctx, from, Writeback { cert, tx });
+            self.handle_writeback(ctx, from, wb);
             if undecided && self.store.decision(&txid).is_some() {
                 self.stats.catch_up_applied += 1;
             }
@@ -1659,7 +1663,7 @@ mod tests {
         );
         assert!(r.is_recovering());
         let (other, wb) = cert_with_a_foreign_body();
-        let entries = vec![(wb.cert, wb.tx)];
+        let entries = vec![wb];
         let peer = NodeId::Replica(ReplicaId::new(ShardId(0), 1));
         let mut ctx = ctx_at(NodeId::Replica(id), 1);
         r.on_message(
@@ -2527,10 +2531,10 @@ mod tests {
         let [BasilMsg::CatchUpReply(reply)] = &sent[..] else {
             panic!("expected one catch-up reply, got {sent:?}");
         };
-        let listed: Vec<TxId> = reply.entries.iter().map(|(cert, _)| cert.txid).collect();
+        let listed: Vec<TxId> = reply.entries.iter().map(|wb| wb.cert.txid).collect();
         assert_eq!(listed, applied);
-        for (cert, tx) in &reply.entries {
-            assert_eq!(tx.as_ref().map(|tx| tx.id()), Some(cert.txid));
+        for wb in &reply.entries {
+            assert_eq!(wb.tx.as_ref().map(|tx| tx.id()), Some(wb.cert.txid));
         }
     }
 

@@ -135,7 +135,7 @@ const MIN_ST1_REPLY: usize = 41;
 const MIN_SHARD_VOTES: usize = 41;
 const MIN_ST2_REPLY: usize = 58;
 const MIN_ELECT_FB: usize = 50;
-const MIN_CATCH_UP_ENTRY: usize = 2;
+const MIN_WRITEBACK: usize = 39;
 
 // ---------------------------------------------------------------------------
 // Encoding
@@ -195,8 +195,7 @@ fn put_msg(out: &mut Vec<u8>, from: NodeId, msg: &BasilMsg) -> Result<(), WireEr
             TAG_ST2_REPLY
         }
         BasilMsg::Writeback(m) => {
-            put_cert(out, &m.cert);
-            out.put_opt(m.tx.as_deref(), put_tx);
+            put_writeback(out, m);
             TAG_WRITEBACK
         }
         BasilMsg::RtsRelease { key, ts } => {
@@ -224,7 +223,7 @@ fn put_msg(out: &mut Vec<u8>, from: NodeId, msg: &BasilMsg) -> Result<(), WireEr
         }
         BasilMsg::CatchUpRequest => TAG_CATCH_UP_REQUEST,
         BasilMsg::CatchUpReply(m) => {
-            out.put_seq(&m.entries, put_catch_up_entry);
+            out.put_seq(&m.entries, put_writeback);
             TAG_CATCH_UP_REPLY
         }
         BasilMsg::ClientTimer(_) | BasilMsg::ReplicaTimer(_) => {
@@ -330,12 +329,9 @@ fn put_cert(out: &mut impl Sink, cert: &DecisionCert) {
     out.put_opt(slow, put_vote_cert);
 }
 
-fn put_catch_up_entry(
-    out: &mut impl Sink,
-    (cert, tx): &(Arc<DecisionCert>, Option<Arc<Transaction>>),
-) {
-    put_cert(out, cert);
-    out.put_opt(tx.as_deref(), put_tx);
+fn put_writeback(out: &mut impl Sink, wb: &Writeback) {
+    put_cert(out, &wb.cert);
+    out.put_opt(wb.tx.as_deref(), put_tx);
 }
 
 // ---------------------------------------------------------------------------
@@ -456,6 +452,13 @@ fn take_cert(r: &mut Reader<'_>) -> Result<DecisionCert, WireError> {
     Ok(DecisionCert { txid, proof })
 }
 
+fn take_writeback(r: &mut Reader<'_>) -> Result<Writeback, WireError> {
+    Ok(Writeback {
+        cert: Arc::new(take_cert(r)?),
+        tx: r.opt(take_tx)?,
+    })
+}
+
 /// Splits one frame off the front of `buf`, verifying the checksum.
 ///
 /// Returns `Ok(None)` when `buf` holds only a partial frame (read more), or
@@ -511,10 +514,7 @@ pub fn decode_frame_payload(payload: &[u8]) -> Result<(NodeId, BasilMsg), WireEr
             auth: r.opt(take_batch_proof)?,
         }),
         TAG_ST2_REPLY => BasilMsg::St2Reply(take_st2_reply(r)?),
-        TAG_WRITEBACK => BasilMsg::Writeback(Writeback {
-            cert: Arc::new(take_cert(r)?),
-            tx: r.opt(take_tx)?,
-        }),
+        TAG_WRITEBACK => BasilMsg::Writeback(take_writeback(r)?),
         TAG_RTS_RELEASE => BasilMsg::RtsRelease {
             key: r.key()?,
             ts: r.ts()?,
@@ -534,9 +534,7 @@ pub fn decode_frame_payload(payload: &[u8]) -> Result<(NodeId, BasilMsg), WireEr
         }),
         TAG_CATCH_UP_REQUEST => BasilMsg::CatchUpRequest,
         TAG_CATCH_UP_REPLY => BasilMsg::CatchUpReply(CatchUpReply {
-            entries: r.seq(MIN_CATCH_UP_ENTRY, |r| {
-                Ok::<_, WireError>((Arc::new(take_cert(r)?), r.opt(take_tx)?))
-            })?,
+            entries: r.seq(MIN_WRITEBACK, take_writeback)?,
         }),
         tag => return Err(WireError::BadTag { tag }),
     };
@@ -643,12 +641,15 @@ mod tests {
             proof: None,
         };
         let proof = DecisionProof::FastCommit(vec![]);
-        let catch_up_entry = (Arc::new(DecisionCert { txid, proof }), None);
+        let writeback = Writeback {
+            cert: Arc::new(DecisionCert { txid, proof }),
+            tx: None,
+        };
         assert!(MIN_SIBLING <= len(&None, put_sibling));
         assert!(MIN_ST1_REPLY <= len(&st1_reply, put_st1_reply));
         assert!(MIN_SHARD_VOTES <= len(&shard_votes, put_shard_votes));
         assert!(MIN_ST2_REPLY <= len(&st2_reply, put_st2_reply));
         assert!(MIN_ELECT_FB <= len(&elect_fb, put_elect_fb));
-        assert!(MIN_CATCH_UP_ENTRY <= len(&catch_up_entry, put_catch_up_entry));
+        assert!(MIN_WRITEBACK <= len(&writeback, put_writeback));
     }
 }

@@ -225,9 +225,18 @@ fn representative_messages() -> Vec<BasilMsg> {
         BasilMsg::CatchUpRequest,
         BasilMsg::CatchUpReply(CatchUpReply {
             entries: vec![
-                (Arc::new(fast_commit_cert()), Some(tx(1_000))),
-                (Arc::new(fast_abort_cert()), None),
-                (Arc::new(slow_abort_cert()), None),
+                Writeback {
+                    cert: Arc::new(fast_commit_cert()),
+                    tx: Some(tx(1_000)),
+                },
+                Writeback {
+                    cert: Arc::new(fast_abort_cert()),
+                    tx: None,
+                },
+                Writeback {
+                    cert: Arc::new(slow_abort_cert()),
+                    tx: None,
+                },
             ],
         }),
     ]
@@ -463,7 +472,10 @@ fn oversized_messages_are_refused_at_the_sender() {
     let mut b = TransactionBuilder::new(ts(1, 7));
     b.record_write(Key::new("big"), Value::new(vec![0u8; MAX_FRAME]));
     let msg = BasilMsg::CatchUpReply(CatchUpReply {
-        entries: vec![(Arc::new(fast_commit_cert()), Some(b.build_shared()))],
+        entries: vec![Writeback {
+            cert: Arc::new(fast_commit_cert()),
+            tx: Some(b.build_shared()),
+        }],
     });
     match encode_msg(NodeId::Replica(rep(1)), &msg) {
         Err(WireError::Oversized { len }) => assert!(len > MAX_FRAME),
