@@ -144,7 +144,6 @@ fn results_path(workdir: &Path, who: &str) -> PathBuf {
 }
 
 /// Spawns one `basil-node` process.
-#[allow(clippy::too_many_arguments)]
 fn spawn_node(
     cfg: &SupervisorConfig,
     role: &str,

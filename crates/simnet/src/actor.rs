@@ -130,16 +130,6 @@ impl<M> Context<M> {
         self.outputs.push(Output::Send { to, msg });
     }
 
-    /// Sends the same message to every node in `dests`.
-    pub fn broadcast(&mut self, dests: impl IntoIterator<Item = NodeId>, msg: M)
-    where
-        M: Clone,
-    {
-        for d in dests {
-            self.send(d, msg.clone());
-        }
-    }
-
     /// Schedules `msg` to be delivered back to this actor after `delay`
     /// (measured from the end of the current handler).
     pub fn schedule_self(&mut self, delay: Duration, msg: M) {
@@ -221,15 +211,6 @@ mod tests {
             }
             other => panic!("unexpected output {other:?}"),
         }
-    }
-
-    #[test]
-    fn broadcast_sends_to_each_destination() {
-        let me = NodeId::Client(ClientId(1));
-        let mut ctx: Context<TestMsg> = Context::new(me, SimTime::ZERO, SimTime::ZERO);
-        let dests: Vec<NodeId> = (2..5).map(|i| NodeId::Client(ClientId(i))).collect();
-        ctx.broadcast(dests.clone(), TestMsg::Ping);
-        assert_eq!(ctx.outputs().len(), 3);
     }
 
     #[test]

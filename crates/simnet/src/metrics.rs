@@ -57,33 +57,15 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// The metrics entry for `node`, creating it if needed.
-    pub fn node_mut(&mut self, node: NodeId) -> &mut NodeMetrics {
-        self.per_node.entry(node).or_default()
-    }
-
     /// The metrics entry for `node`, if the node has done anything yet.
     pub fn node(&self, node: NodeId) -> Option<&NodeMetrics> {
         self.per_node.get(&node)
-    }
-
-    /// Aggregate CPU busy time across a set of nodes (e.g. all replicas of a
-    /// shard).
-    pub fn total_cpu(&self, nodes: impl IntoIterator<Item = NodeId>) -> Duration {
-        let mut total = Duration::ZERO;
-        for n in nodes {
-            if let Some(m) = self.per_node.get(&n) {
-                total += m.cpu_busy;
-            }
-        }
-        total
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use basil_common::ClientId;
 
     #[test]
     fn utilization_math() {
@@ -96,20 +78,5 @@ mod tests {
         let u8c = m.utilization(Duration::from_secs(1), 8);
         assert!((u8c - 0.0625).abs() < 1e-9);
         assert_eq!(m.utilization(Duration::ZERO, 1), 0.0);
-    }
-
-    #[test]
-    fn total_cpu_sums_selected_nodes() {
-        let mut metrics = Metrics::default();
-        let a = NodeId::Client(ClientId(1));
-        let b = NodeId::Client(ClientId(2));
-        metrics.node_mut(a).cpu_busy = Duration::from_millis(10);
-        metrics.node_mut(b).cpu_busy = Duration::from_millis(20);
-        assert_eq!(metrics.total_cpu([a, b]), Duration::from_millis(30));
-        assert_eq!(metrics.total_cpu([a]), Duration::from_millis(10));
-        assert_eq!(
-            metrics.total_cpu([NodeId::Client(ClientId(9))]),
-            Duration::ZERO
-        );
     }
 }

@@ -352,11 +352,6 @@ impl<M: Clone + 'static> Simulation<M> {
         m
     }
 
-    /// The metrics of one node, without assembling the full report.
-    pub fn node_metrics(&self, id: NodeId) -> Option<&NodeMetrics> {
-        self.slot_ref(id).map(|s| &s.metrics)
-    }
-
     fn slot_of(&self, id: NodeId) -> Option<usize> {
         self.index.get(&id).map(|i| *i as usize)
     }
@@ -809,7 +804,8 @@ mod tests {
             "expected serialization, got spread {:?}",
             last - first
         );
-        let m = sim.node_metrics(client(2)).expect("metrics");
+        let metrics = sim.metrics();
+        let m = metrics.node(client(2)).expect("metrics");
         assert_eq!(m.cpu_busy, Duration::from_micros(1000));
         assert!(m.queue_wait > Duration::ZERO);
     }

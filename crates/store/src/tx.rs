@@ -257,14 +257,6 @@ impl Transaction {
             .map(|w| &w.value)
     }
 
-    /// The version this transaction read for `key`, if any.
-    pub fn read_version(&self, key: &Key) -> Option<Timestamp> {
-        self.read_set
-            .iter()
-            .find(|r| &r.key == key)
-            .map(|r| r.version)
-    }
-
     /// The shards touched by this transaction when keys are placed over
     /// `num_shards` shards, in ascending order. Borrowed, and so free of any
     /// allocation, in a single-shard deployment.
@@ -502,8 +494,6 @@ mod tests {
         assert!(!t.reads(&Key::new("y")));
         assert!(t.writes(&Key::new("y")));
         assert!(!t.writes(&Key::new("x")));
-        assert_eq!(t.read_version(&Key::new("x")), Some(ts(50, 2)));
-        assert_eq!(t.read_version(&Key::new("y")), None);
         assert!(!t.is_empty());
         assert!(TransactionBuilder::new(ts(1, 1)).build().is_empty());
     }
