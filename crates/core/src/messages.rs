@@ -432,10 +432,11 @@ impl SignedPayload for DecFb {
 
 /// Shard peer -> recovering replica: a writeback for every decision
 /// certificate the peer has applied, each with the transaction body when the
-/// peer still holds it (commits need the body to re-install writes). The recovering replica
-/// validates every certificate before applying it — a Byzantine peer can
-/// send garbage, but not a certificate that verifies. It names no sender: the
-/// recovering replica counts it against its transport sender.
+/// peer still holds it (commits need the body to re-install writes). The
+/// recovering replica validates every certificate before applying it — a
+/// Byzantine peer can send garbage, but not a certificate that verifies. It
+/// names no sender: the recovering replica counts it against its transport
+/// sender.
 #[derive(Clone, Debug)]
 pub struct CatchUpReply {
     /// The applied decisions, as the writebacks that would apply them.
