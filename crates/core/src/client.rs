@@ -91,28 +91,6 @@ impl DerefMut for ClientStats {
     }
 }
 
-/// Which per-transaction timer guards a commit: the stage the commit is in,
-/// and the key of that timer's backoff counter. Counted separately so, e.g.,
-/// prepare retries do not inflate the first ST2 retry of the same
-/// transaction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum RetryKind {
-    Prepare,
-    St2,
-    Fallback,
-}
-
-impl RetryKind {
-    /// The timer's base period and the message that fires it.
-    fn timer(self, txid: TxId) -> (Duration, ClientTimer) {
-        match self {
-            RetryKind::Prepare => (PREPARE_TIMEOUT, ClientTimer::PrepareTimeout { txid }),
-            RetryKind::St2 => (ST2_TIMEOUT, ClientTimer::St2Timeout { txid }),
-            RetryKind::Fallback => (FALLBACK_TIMEOUT, ClientTimer::FallbackTimeout { txid }),
-        }
-    }
-}
-
 /// What the evidence gathered so far lets a [`Commit`] do next.
 #[derive(Debug)]
 enum Step {
@@ -136,7 +114,7 @@ enum Step {
 /// stalled dependency it is finishing (Section 5: a recovery is the same
 /// prepare, run again by whoever is interested), and drives both through the
 /// same handlers. `recovery` selects only the `St1.recovery` flag, the timer
-/// that guards the commit ([`Commit::stage`]) and whom a timeout re-asks
+/// that guards the commit ([`Commit::timer`]) and whom a timeout re-asks
 /// ([`Commit::retransmit_targets`]).
 #[derive(Debug)]
 struct Commit {
@@ -147,14 +125,21 @@ struct Commit {
     recovery: bool,
     /// Whether unanimous votes decide without logging (`false`: NoFP).
     fast_path: bool,
-    tallies: FastHashMap<ShardId, ShardTally>,
-    outcomes: FastHashMap<ShardId, ShardOutcome>,
+    /// Each involved shard's ST1R votes, in `involved` order.
+    tallies: Vec<ShardTally>,
+    /// Each involved shard's classification once its votes allow one, in
+    /// `involved` order.
+    outcomes: Vec<Option<ShardOutcome>>,
     /// The decision proposed to S_log in view 0 with the tallies justifying
     /// it, once it was sent. Sent once; only the timeout re-sends it.
     proposal: Option<(ProtoDecision, Vec<ShardVotes>)>,
     st2_tally: St2Tally,
     /// Whether this client already asked S_log to elect a fallback leader.
     invoked_election: bool,
+    /// Consecutive re-arms of the timer guarding the current stage, which
+    /// drive its backoff; they count from 0 again when a stage's timer is
+    /// first armed.
+    retries: u32,
 }
 
 impl Commit {
@@ -170,12 +155,13 @@ impl Commit {
         Some(Commit {
             tallies: involved
                 .iter()
-                .map(|s| (*s, ShardTally::new(txid, *s, system.shard)))
+                .map(|s| ShardTally::new(txid, *s, system.shard))
                 .collect(),
-            outcomes: FastHashMap::default(),
+            outcomes: vec![None; involved.len()],
             proposal: None,
             st2_tally: St2Tally::new(txid, slog, system.shard),
             invoked_election: false,
+            retries: 0,
             fast_path: system.fast_path,
             tx,
             txid,
@@ -201,14 +187,12 @@ impl Commit {
         if self.proposal.is_some() {
             return Step::Wait;
         }
-        for (shard, tally) in &self.tallies {
-            if !self.outcomes.contains_key(shard) {
-                if let Some(outcome) = tally.classify(complete) {
-                    self.outcomes.insert(*shard, outcome);
-                }
+        for (tally, outcome) in self.tallies.iter().zip(&mut self.outcomes) {
+            if outcome.is_none() {
+                *outcome = tally.classify(complete);
             }
         }
-        match combine_outcomes(&self.outcomes, &self.involved) {
+        match combine_outcomes(&self.outcomes) {
             None => Step::Wait,
             Some(mut o) if o.fast && self.fast_path => self.decided(match o.decision {
                 ProtoDecision::Commit => DecisionProof::FastCommit(o.shard_votes),
@@ -230,13 +214,14 @@ impl Commit {
         })
     }
 
-    /// The stage the commit is in, i.e. which timer guards it: the client's
-    /// own transaction has one per stage, a recovery one for its whole life.
-    fn stage(&self) -> RetryKind {
+    /// The timer that guards the stage the commit is in: the client's own
+    /// transaction has one per stage, a recovery one for its whole life.
+    fn timer(&self) -> ClientTimer {
+        let txid = self.txid;
         match (self.recovery, &self.proposal) {
-            (true, _) => RetryKind::Fallback,
-            (false, None) => RetryKind::Prepare,
-            (false, Some(_)) => RetryKind::St2,
+            (true, _) => ClientTimer::FallbackTimeout { txid },
+            (false, None) => ClientTimer::PrepareTimeout { txid },
+            (false, Some(_)) => ClientTimer::St2Timeout { txid },
         }
     }
 
@@ -257,10 +242,21 @@ impl Commit {
         match (self.recovery, &self.proposal) {
             (true, _) => involved.flat_map(|s| replicas(*s, 0..n)).collect(),
             (false, None) => involved
-                .flat_map(|s| replicas(*s, self.tallies[s].missing()))
+                .zip(&self.tallies)
+                .flat_map(|(s, tally)| replicas(*s, tally.missing()))
                 .collect(),
             (false, Some(_)) => replicas(self.slog, self.st2_tally.missing()),
         }
+    }
+}
+
+/// The base period of a commit timer (see [`Commit::timer`]).
+fn period(timer: &ClientTimer) -> Duration {
+    match timer {
+        ClientTimer::PrepareTimeout { .. } => PREPARE_TIMEOUT,
+        ClientTimer::St2Timeout { .. } => ST2_TIMEOUT,
+        ClientTimer::FallbackTimeout { .. } => FALLBACK_TIMEOUT,
+        other => unreachable!("{other:?} guards no commit"),
     }
 }
 
@@ -280,11 +276,12 @@ pub struct BasilClient {
     /// arrival order (a small `Vec` — the read quorum waits for `f + 1` ≈ 2
     /// replies, so a hash map per read was pure allocation overhead).
     read_replies: Vec<(ReplicaId, ReadReply)>,
-    /// The commit of the session's transaction, once it is ready.
-    own: Option<Commit>,
-    /// Stalled dependencies this client is finishing, dropped as they
-    /// resolve.
-    recoveries: FastHashMap<TxId, Commit>,
+    /// Every commit this client is driving: the session's transaction's,
+    /// once it is ready, and one per stalled dependency it is finishing,
+    /// each dropped when it resolves.
+    commits: FastHashMap<TxId, Commit>,
+    /// Which of `commits` is the session's transaction.
+    own: Option<TxId>,
     /// Dependency transactions learned from prepared reads of the current
     /// attempt, shared with the read replies that delivered them, kept so
     /// the client can finish them if they stall.
@@ -294,9 +291,6 @@ pub struct BasilClient {
     /// the fault-free random stream (replica sampling, abort backoff) that
     /// golden tests pin byte-for-byte.
     retry_prng: SmallPrng,
-    /// Consecutive re-arms per (timer kind, transaction), driving the
-    /// exponential backoff; cleared when the retried condition resolves.
-    retry_attempts: FastHashMap<(RetryKind, TxId), u32>,
     stats: ClientStats,
     /// Arrival timestamps of admitted-but-not-yet-started transactions
     /// (open loop only), bounded by `cfg.admission_bound`. Latency is
@@ -323,11 +317,10 @@ impl BasilClient {
             prng: SmallPrng::new(seed ^ id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             faulty: false,
             read_replies: Vec::new(),
+            commits: FastHashMap::default(),
             own: None,
-            recoveries: FastHashMap::default(),
             dep_txs: FastHashMap::default(),
             retry_prng: SmallPrng::new(seed ^ id.0.wrapping_mul(0xD1B5_4A32_D192_ED03)),
-            retry_attempts: FastHashMap::default(),
             stats: ClientStats::default(),
             arrivals: std::collections::VecDeque::new(),
         }
@@ -672,12 +665,6 @@ impl BasilClient {
     // Prepare phase: the commit driver
     // ------------------------------------------------------------------
 
-    /// The commit of `txid` this client is driving, its own or a recovery.
-    fn commit_mut(&mut self, txid: TxId) -> Option<&mut Commit> {
-        let own = self.own.as_mut().filter(|c| c.txid == txid);
-        self.recoveries.get_mut(&txid).or(own)
-    }
-
     /// Signs an ST1 for `tx` and sends it to `targets` (nothing is signed
     /// for nobody).
     fn send_st1(
@@ -703,7 +690,7 @@ impl BasilClient {
 
     /// Signs the proposal of `txid`'s commit and sends it to all of S_log.
     fn send_st2(&mut self, ctx: &mut Context<BasilMsg>, txid: TxId) {
-        let Some(commit) = self.commit_mut(txid) else {
+        let Some(commit) = self.commits.get(&txid) else {
             return;
         };
         let Some((decision, shard_votes)) = commit.proposal.clone() else {
@@ -738,14 +725,34 @@ impl BasilClient {
         }
     }
 
-    /// Arms the timer guarding stage `kind` of `txid`'s commit: for its base
-    /// period the first time, backed off when `rearm`ed.
-    fn arm_timer(&mut self, ctx: &mut Context<BasilMsg>, kind: RetryKind, txid: TxId, rearm: bool) {
-        let (period, timer) = kind.timer(txid);
-        let delay = if rearm {
-            self.retry_delay(kind, txid, period)
+    /// Arms the timer guarding the stage `txid`'s commit is in. A stage's
+    /// first timer waits the base period and starts the commit's count of
+    /// re-arms over. A re-arm's delay grows with that count: the first
+    /// keeps the base period (a single retry is the common lost-message case
+    /// and needs no spreading — and fault-free schedules that brush a
+    /// timeout stay byte-identical), later ones wait `base * 2^n` capped at
+    /// [`MAX_BACKOFF`], plus up to half that again in jitter from the
+    /// dedicated seeded retry PRNG. Doubling stops retry storms — every
+    /// client of a stalled transaction re-firing at a fixed period in
+    /// lockstep — and the jitter de-synchronizes the survivors, while the
+    /// seeded PRNG keeps schedules bit-identical run to run.
+    fn arm_timer(&mut self, ctx: &mut Context<BasilMsg>, txid: TxId, rearm: bool) {
+        let Some(commit) = self.commits.get_mut(&txid) else {
+            return;
+        };
+        let timer = commit.timer();
+        let base = period(&timer);
+        let attempt = if rearm { commit.retries } else { 0 };
+        commit.retries = if rearm { attempt.saturating_add(1) } else { 0 };
+        let delay = if attempt == 0 {
+            base
         } else {
-            period
+            let floor = base.as_nanos().max(1);
+            let capped = floor
+                .saturating_mul(1u64 << attempt.min(16))
+                .min(MAX_BACKOFF.as_nanos().max(floor));
+            let jitter = self.retry_prng.next_below(capped / 2 + 1);
+            Duration::from_nanos(capped.saturating_add(jitter))
         };
         ctx.schedule_self(delay, BasilMsg::ClientTimer(timer));
     }
@@ -767,14 +774,15 @@ impl BasilClient {
             return;
         }
         let txid = commit.txid;
-        self.own = Some(commit);
-        self.arm_timer(ctx, RetryKind::Prepare, txid, false);
+        self.commits.insert(txid, commit);
+        self.own = Some(txid);
+        self.arm_timer(ctx, txid, false);
     }
 
     /// Starts finishing the stalled dependency `dep` (Section 5): the same
     /// prepare its own client ran, flagged as a recovery.
     fn start_recovery(&mut self, ctx: &mut Context<BasilMsg>, dep: TxId) {
-        if self.recoveries.contains_key(&dep) {
+        if self.commits.contains_key(&dep) {
             return; // already recovering
         }
         let Some(tx) = self.dep_txs.get(&dep).cloned() else {
@@ -786,8 +794,8 @@ impl BasilClient {
         self.stats.fallback_invocations += 1;
         let everyone = self.all_replicas_of(&commit.involved);
         self.send_st1(ctx, &commit.tx, true, everyone);
-        self.recoveries.insert(dep, commit);
-        self.arm_timer(ctx, RetryKind::Fallback, dep, false);
+        self.commits.insert(dep, commit);
+        self.arm_timer(ctx, dep, false);
     }
 
     fn handle_st1_reply(&mut self, ctx: &mut Context<BasilMsg>, vote: SignedSt1Reply) {
@@ -796,11 +804,12 @@ impl BasilClient {
             return;
         }
         let txid = vote.body.txid;
-        let Some(commit) = self.commit_mut(txid) else {
+        let Some(commit) = self.commits.get_mut(&txid) else {
             return;
         };
-        if let Some(tally) = commit.tallies.get_mut(&vote.body.replica.shard) {
-            tally.add(vote);
+        let shard = vote.body.replica.shard;
+        if let Some(i) = commit.involved.iter().position(|s| *s == shard) {
+            commit.tallies[i].add(vote);
         }
         self.advance(ctx, txid, false);
     }
@@ -811,7 +820,7 @@ impl BasilClient {
             return;
         }
         let txid = reply.body.txid;
-        let Some(commit) = self.commit_mut(txid) else {
+        let Some(commit) = self.commits.get_mut(&txid) else {
             return;
         };
         commit.st2_tally.add(reply);
@@ -820,7 +829,7 @@ impl BasilClient {
 
     /// Takes the next step of `txid`'s commit on the evidence in hand.
     fn advance(&mut self, ctx: &mut Context<BasilMsg>, txid: TxId, complete: bool) {
-        let Some(commit) = self.commit_mut(txid) else {
+        let Some(commit) = self.commits.get_mut(&txid) else {
             return;
         };
         let (own, slog) = (!commit.recovery, commit.slog);
@@ -833,7 +842,7 @@ impl BasilClient {
             _ => false,
         };
         // Byzantine equivocation happens at the moment the votes are in.
-        if own && voted && self.try_equivocate(ctx) {
+        if own && voted && self.try_equivocate(ctx, txid) {
             return;
         }
         match step {
@@ -844,7 +853,7 @@ impl BasilClient {
                     // The own transaction's logging stage has its own timer;
                     // a recovery's one timer runs on.
                     self.stats.slow_path_decisions += 1;
-                    self.arm_timer(ctx, RetryKind::St2, txid, false);
+                    self.arm_timer(ctx, txid, false);
                 }
             }
             Step::Elect(views) => {
@@ -868,25 +877,22 @@ impl BasilClient {
         }
     }
 
-    /// Attempts the ST2 equivocation attack on the own transaction; returns
-    /// true if performed.
-    fn try_equivocate(&mut self, ctx: &mut Context<BasilMsg>) -> bool {
+    /// Attempts the ST2 equivocation attack on the own transaction `txid`;
+    /// returns true if performed.
+    fn try_equivocate(&mut self, ctx: &mut Context<BasilMsg>, txid: TxId) -> bool {
         let strategy = self.cfg.client_strategy;
-        let Some(commit) = &self.own else {
+        let Some(commit) = self.commits.get(&txid) else {
             return false;
         };
         if !(self.faulty && strategy.equivocates()) {
             return false;
         }
-        // Use the first involved shard's tally as the equivocation target
-        // (stable across runs; map-iteration order would pick a different
-        // shard per process).
-        let shard = commit.involved[0];
-        let tally = &commit.tallies[&shard];
+        // The first involved shard's tally is the equivocation target.
+        let (shard, tally) = (commit.involved[0], &commit.tallies[0]);
         if strategy != ClientStrategy::EquivForced && !tally.can_equivocate() {
             return false;
         }
-        let (txid, slog) = (commit.txid, commit.slog);
+        let slog = commit.slog;
         let tally_for = |decision, vote| ShardVotes {
             txid,
             shard,
@@ -919,48 +925,24 @@ impl BasilClient {
         true
     }
 
-    /// Delay before the next re-arm of a retry timer: the first re-arm keeps
-    /// the base period (a single retry is the common lost-message case and
-    /// needs no spreading — and fault-free schedules that brush a timeout
-    /// stay byte-identical), later consecutive re-arms wait `base * 2^n`
-    /// capped at [`MAX_BACKOFF`], plus up to half that again in jitter
-    /// from the dedicated seeded retry PRNG. Doubling stops retry storms —
-    /// every client of a stalled transaction re-firing at a fixed period in
-    /// lockstep — and the jitter de-synchronizes the survivors, while the
-    /// seeded PRNG keeps schedules bit-identical run to run.
-    fn retry_delay(&mut self, kind: RetryKind, txid: TxId, base: Duration) -> Duration {
-        let attempt = {
-            let counter = self.retry_attempts.entry((kind, txid)).or_insert(0);
-            let a = *counter;
-            *counter = counter.saturating_add(1);
-            a
+    /// A commit timer fired. It acts only if the commit it names is still
+    /// in the stage it guards; any other firing is a stale timer.
+    fn handle_commit_timeout(&mut self, ctx: &mut Context<BasilMsg>, timer: ClientTimer) {
+        let (ClientTimer::PrepareTimeout { txid }
+        | ClientTimer::St2Timeout { txid }
+        | ClientTimer::FallbackTimeout { txid }) = timer
+        else {
+            return;
         };
-        if attempt == 0 {
-            return base;
-        }
-        let floor = base.as_nanos().max(1);
-        let capped = floor
-            .saturating_mul(1u64 << attempt.min(16))
-            .min(MAX_BACKOFF.as_nanos().max(floor));
-        let jitter = self.retry_prng.next_below(capped / 2 + 1);
-        Duration::from_nanos(capped.saturating_add(jitter))
-    }
-
-    /// The timer guarding stage `kind` of `txid`'s commit fired.
-    fn handle_commit_timeout(&mut self, ctx: &mut Context<BasilMsg>, kind: RetryKind, txid: TxId) {
-        let stage_on = |c: &&mut Commit| c.stage() == kind;
+        let guarded = |c: &&Commit| c.timer() == timer;
+        let commit = self.commits.get(&txid).filter(guarded);
+        let Some(proposed) = commit.map(|c| c.proposal.is_some()) else {
+            return;
+        };
         // First, try to decide with what we have.
-        let proposed = self
-            .commit_mut(txid)
-            .filter(stage_on)
-            .map(|c| c.proposal.is_some());
-        if proposed.is_some() {
-            self.advance(ctx, txid, true);
-        }
+        self.advance(ctx, txid, true);
         let n = self.cfg.system.shard.n();
-        let Some(commit) = self.commit_mut(txid).filter(stage_on) else {
-            // The stage is over, and with it this timer's retry history.
-            self.retry_attempts.remove(&(kind, txid));
+        let Some(commit) = self.commits.get(&txid).filter(guarded) else {
             return;
         };
         // Still undecided: a request or its reply may have been lost.
@@ -969,17 +951,17 @@ impl BasilClient {
         let (tx, recovery) = (Arc::clone(&commit.tx), commit.recovery);
         let targets = commit.retransmit_targets(n);
         self.send_st1(ctx, &tx, recovery, targets);
-        if proposed == Some(true) {
+        if proposed {
             self.send_st2(ctx, txid);
         }
-        if kind == RetryKind::Prepare {
+        if matches!(timer, ClientTimer::PrepareTimeout { .. }) {
             // The own transaction's missing votes are likely deferred on
             // stalled dependencies: finish those ourselves (Section 5).
             for dep in tx.deps() {
                 self.start_recovery(ctx, dep.txid);
             }
         }
-        self.arm_timer(ctx, kind, txid, true);
+        self.arm_timer(ctx, txid, true);
     }
 
     // ------------------------------------------------------------------
@@ -989,15 +971,11 @@ impl BasilClient {
     /// Drops whatever is left of the session's transaction (nothing, after
     /// a commit) and starts the next one.
     fn finish_and_continue(&mut self, ctx: &mut Context<BasilMsg>) {
-        self.own = None;
+        if let Some(txid) = self.own.take() {
+            self.commits.remove(&txid);
+        }
         self.session.abandon();
         self.start_next_transaction(ctx);
-    }
-
-    /// Takes `txid`'s commit out of wherever this client holds it.
-    fn take_commit(&mut self, txid: TxId) -> Option<Commit> {
-        self.commit_mut(txid)?;
-        self.recoveries.remove(&txid).or_else(|| self.own.take())
     }
 
     /// `cert` decides `txid`. If this client is driving its commit, a
@@ -1006,13 +984,14 @@ impl BasilClient {
     /// which, when a recovering client logged first, need not be the one
     /// this client proposed.
     fn finish_commit(&mut self, ctx: &mut Context<BasilMsg>, txid: TxId, cert: Arc<DecisionCert>) {
-        let Some(commit) = self.take_commit(txid) else {
+        let Some(commit) = self.commits.remove(&txid) else {
             return;
         };
         if commit.recovery {
             self.send_writeback(ctx, cert, commit.tx, &commit.involved);
             return;
         }
+        self.own = None;
         // The client's latency ends here: the decision is durable.
         let backoff = if cert.decision().is_commit() {
             self.session.committed(ctx.now(), &mut self.stats);
@@ -1052,8 +1031,7 @@ impl BasilClient {
     /// certificate it has no use for.
     fn handle_incoming_cert(&mut self, ctx: &mut Context<BasilMsg>, wb: Writeback) {
         let txid = wb.cert.txid;
-        let own = self.own.as_ref().filter(|c| c.txid == txid);
-        let Some(commit) = self.recoveries.get(&txid).or(own) else {
+        let Some(commit) = self.commits.get(&txid) else {
             return;
         };
         let shard = &self.cfg.system.shard;
@@ -1107,15 +1085,9 @@ impl Actor<BasilMsg> for BasilClient {
         if let BasilMsg::ClientTimer(timer) = msg {
             match timer {
                 ClientTimer::ReadTimeout { req_id } => self.handle_read_timeout(ctx, req_id),
-                ClientTimer::PrepareTimeout { txid } => {
-                    self.handle_commit_timeout(ctx, RetryKind::Prepare, txid)
-                }
-                ClientTimer::St2Timeout { txid } => {
-                    self.handle_commit_timeout(ctx, RetryKind::St2, txid)
-                }
-                ClientTimer::FallbackTimeout { txid } => {
-                    self.handle_commit_timeout(ctx, RetryKind::Fallback, txid)
-                }
+                ClientTimer::PrepareTimeout { .. }
+                | ClientTimer::St2Timeout { .. }
+                | ClientTimer::FallbackTimeout { .. } => self.handle_commit_timeout(ctx, timer),
                 ClientTimer::RetryBackoff => {
                     if self.session.retry(ctx.local_clock()) {
                         self.begin_attempt(ctx);
@@ -1150,6 +1122,11 @@ mod tests {
 
     fn registry() -> basil_crypto::KeyRegistry {
         basil_crypto::KeyRegistry::from_seed(5)
+    }
+
+    /// The commit of the client's own transaction, once it is ready.
+    fn own_commit(client: &BasilClient) -> Option<&Commit> {
+        client.own.and_then(|txid| client.commits.get(&txid))
     }
 
     fn client_with(profiles: Vec<TxProfile>) -> BasilClient {
@@ -1199,8 +1176,8 @@ mod tests {
             .collect();
         assert_eq!(st1s.len(), 6);
         assert!(matches!(
-            &client.own,
-            Some(c) if c.stage() == RetryKind::Prepare
+            own_commit(&client),
+            Some(c) if matches!(c.timer(), ClientTimer::PrepareTimeout { .. })
         ));
     }
 
@@ -1358,7 +1335,7 @@ mod tests {
     #[test]
     fn only_a_certificate_for_a_transaction_being_finished_is_verified() {
         let (mut client, _) = owner(cfg());
-        let own_tx = Arc::clone(&client.own.as_ref().expect("committing").tx);
+        let own_tx = Arc::clone(&own_commit(&client).expect("committing").tx);
         client.engine.take_charged();
         let stats_before = format!("{:?}", client.stats());
         let writeback = |cert| BasilMsg::Writeback(Writeback { cert, tx: None });
@@ -1451,7 +1428,7 @@ mod tests {
 
     fn add_votes(commit: &mut Commit, votes: impl IntoIterator<Item = SignedSt1Reply>) {
         for v in votes {
-            commit.tallies.get_mut(&ShardId(0)).expect("shard 0").add(v);
+            commit.tallies[0].add(v);
         }
     }
 
@@ -1473,7 +1450,7 @@ mod tests {
     fn owner(cfg: BasilConfig) -> (BasilClient, TxId) {
         let mut client = client_under(cfg, vec![write_profile()]);
         client.on_start(&mut ctx_at(1));
-        let txid = client.own.as_ref().expect("committing").txid;
+        let txid = client.own.expect("committing");
         (client, txid)
     }
 
@@ -1615,6 +1592,84 @@ mod tests {
         }
     }
 
+    /// The client timers a callback armed, with their delays.
+    fn armed(ctx: &Context<BasilMsg>) -> Vec<(Duration, ClientTimer)> {
+        ctx.outputs()
+            .iter()
+            .filter_map(|o| match o {
+                basil_simnet::actor::Output::Timer {
+                    delay,
+                    msg: BasilMsg::ClientTimer(timer),
+                } => Some((*delay, timer.clone())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Fires `timer` at `ms` and returns the one timer it re-armed.
+    fn fire(client: &mut BasilClient, ms: u64, timer: &ClientTimer) -> (Duration, ClientTimer) {
+        let mut ctx = ctx_at(ms);
+        client.on_timer(&mut ctx, BasilMsg::ClientTimer(timer.clone()));
+        match armed(&ctx).as_slice() {
+            [one] => one.clone(),
+            other => panic!("expected one timer, got {other:?}"),
+        }
+    }
+
+    /// A commit timer is armed for its stage's base period. Its first re-arm
+    /// waits that period again; each further one waits `base * 2^n`, capped
+    /// at `MAX_BACKOFF`, plus up to half of that in jitter. When the own
+    /// commit proposes, its ST2 timer starts over at its own base.
+    #[test]
+    fn commit_timers_back_off_and_each_stage_starts_at_its_base() {
+        let mut client = client_under(unsigned_cfg(), vec![write_profile()]);
+        let mut ctx = ctx_at(1);
+        client.on_start(&mut ctx);
+        let txid = sent_messages(&ctx)
+            .iter()
+            .find_map(|(_, m)| match m {
+                BasilMsg::St1(st1) => Some(st1.tx.id()),
+                _ => None,
+            })
+            .expect("the ST1 went out");
+        let prepare = ClientTimer::PrepareTimeout { txid };
+        assert_eq!(armed(&ctx), [(PREPARE_TIMEOUT, prepare.clone())]);
+
+        let backed_off = |n: u32, base: Duration| {
+            let capped =
+                Duration::from_nanos((base.as_nanos() << n.min(16)).min(MAX_BACKOFF.as_nanos()));
+            let jitter = if n == 0 { Duration::ZERO } else { capped / 2 };
+            (capped, capped + jitter)
+        };
+        let mut now = 11;
+        for n in 0..6 {
+            let (delay, timer) = fire(&mut client, now, &prepare);
+            assert_eq!(timer, prepare);
+            let (low, high) = backed_off(n, PREPARE_TIMEOUT);
+            assert!(low <= delay && delay <= high, "re-arm {n}: {delay:?}");
+            now += delay.as_millis() + 1;
+        }
+
+        // Every replica votes, two of them abort: the commit proposes.
+        let mut ctx = ctx_at(now);
+        for v in votes(txid, 4, 2) {
+            client.handle_st1_reply(&mut ctx, v);
+        }
+        let st2 = ClientTimer::St2Timeout { txid };
+        assert_eq!(armed(&ctx), [(ST2_TIMEOUT, st2.clone())]);
+        let mut ctx = ctx_at(now + 1);
+        client.on_timer(&mut ctx, BasilMsg::ClientTimer(prepare));
+        assert!(ctx.outputs().is_empty(), "the prepare stage is over");
+
+        for n in 0..3 {
+            now += 20;
+            let (delay, timer) = fire(&mut client, now, &st2);
+            assert_eq!(timer, st2);
+            let (low, high) = backed_off(n, ST2_TIMEOUT);
+            assert!(low <= delay && delay <= high, "ST2 re-arm {n}: {delay:?}");
+        }
+    }
+
     /// Drift 1a: replicas' logged decision is sticky, so when a recovering
     /// client logged Abort first (two abort votes justify it) the owner's
     /// Commit proposal is acknowledged with Abort. The certificate decides —
@@ -1673,7 +1728,7 @@ mod tests {
         assert!(ctx.outputs().is_empty(), "got {:?}", ctx.outputs());
 
         let mut ctx = ctx_at(30);
-        client.handle_commit_timeout(&mut ctx, RetryKind::Fallback, tx.id());
+        client.handle_commit_timeout(&mut ctx, ClientTimer::FallbackTimeout { txid: tx.id() });
         let sent = sent_messages(&ctx);
         assert_eq!(count(&sent, |m| matches!(m, BasilMsg::St2(_))), 6);
         assert_eq!(
@@ -1740,7 +1795,7 @@ mod tests {
     #[test]
     fn commit_owner_and_recoverer_emit_the_same_messages() {
         let (mut own, txid) = owner(unsigned_cfg());
-        let tx = Arc::clone(&own.own.as_ref().expect("committing").tx);
+        let tx = Arc::clone(&own_commit(&own).expect("committing").tx);
         let mut ctx = ctx_at(1);
         let mut rec = client_under(unsigned_cfg(), vec![]);
         rec.dep_txs.insert(txid, Arc::clone(&tx));
@@ -1765,7 +1820,7 @@ mod tests {
         );
         assert_eq!(format!("{from_owner:?}"), format!("{from_recoverer:?}"));
         assert_eq!(own.stats().committed, 1);
-        assert!(rec.recoveries.is_empty(), "a resolved recovery is dropped");
+        assert!(rec.commits.is_empty(), "a resolved recovery is dropped");
     }
 
     // ------------------------------------------------------------------
@@ -2019,7 +2074,7 @@ mod tests {
         );
         let mut client = client_under(c, vec![profile]);
         client.on_start(&mut ctx_at(1));
-        let tx = Arc::clone(&client.own.as_ref().expect("committing").tx);
+        let tx = Arc::clone(&own_commit(&client).expect("committing").tx);
         assert_eq!(*tx.involved_shards(2), [ShardId(0), ShardId(1)]);
         let cert = valid_commit_cert(&tx, 6);
         deliver(
@@ -2216,8 +2271,9 @@ mod tests {
                 .expect("the read concluded and the prepare went out");
             // No votes arrive (they wait on the dependency): the prepare
             // timeout starts the recovery, and a certificate resolves it.
-            client.handle_commit_timeout(&mut ctx_at(20), RetryKind::Prepare, txid);
-            assert!(client.recoveries.contains_key(&dep.id()));
+            let timeout = ClientTimer::PrepareTimeout { txid };
+            client.handle_commit_timeout(&mut ctx_at(20), timeout);
+            assert!(client.commits.contains_key(&dep.id()));
             let cert = Arc::new(DecisionCert {
                 txid: dep.id(),
                 proof: DecisionProof::FastCommit(vec![ShardVotes {
@@ -2241,7 +2297,7 @@ mod tests {
         assert!(client.is_stopped());
         assert_eq!(client.stats().fallback_invocations, N);
         assert_eq!(client.stats().dependent_reads, N);
-        assert!(client.recoveries.is_empty());
+        assert!(client.commits.is_empty());
         assert!(client.dep_txs.len() <= 1, "got {}", client.dep_txs.len());
     }
 }

@@ -157,22 +157,19 @@ pub struct PrepareOutcome {
     pub shard_votes: Vec<ShardVotes>,
 }
 
-/// Combines per-shard outcomes into the transaction's 2PC decision
-/// (Section 4.2, end of stage 1). Returns `None` until every involved shard
-/// has been classified — except that a single *fast* abort shard decides the
-/// transaction immediately.
-pub fn combine_outcomes(
-    outcomes: &FastHashMap<ShardId, ShardOutcome>,
-    involved: &[ShardId],
-) -> Option<PrepareOutcome> {
-    // A fast abort from any shard is final on its own. Scan in `involved`
-    // order (not map-iteration order) so the shard whose votes end up in the
-    // A-CERT is the same on every run — map iteration order would make the
-    // certificate contents, and hence downstream validation cost,
-    // nondeterministic.
-    if let Some(outcome) = involved
+/// Combines per-shard outcomes, one per involved shard in `involved` order
+/// (`None` while a shard is unclassified), into the transaction's 2PC
+/// decision (Section 4.2, end of stage 1). Returns `None` until every
+/// involved shard has been classified — except that a single *fast* abort
+/// shard decides the transaction immediately.
+pub fn combine_outcomes(outcomes: &[Option<ShardOutcome>]) -> Option<PrepareOutcome> {
+    // A fast abort from any shard is final on its own. The first in
+    // `involved` order is the one whose votes end up in the A-CERT, so its
+    // contents, and hence downstream validation cost, are the same on every
+    // run.
+    if let Some(outcome) = outcomes
         .iter()
-        .filter_map(|s| outcomes.get(s))
+        .flatten()
         .find(|o| o.fast && !o.votes.decision.is_commit())
     {
         return Some(PrepareOutcome {
@@ -181,22 +178,19 @@ pub fn combine_outcomes(
             shard_votes: vec![outcome.votes.clone()],
         });
     }
-    if !involved.iter().all(|s| outcomes.contains_key(s)) {
+    if outcomes.iter().any(Option::is_none) {
         return None;
     }
-    let decision = if involved
-        .iter()
-        .all(|s| outcomes[s].votes.decision.is_commit())
-    {
+    let classified = || outcomes.iter().flatten();
+    let decision = if classified().all(|o| o.votes.decision.is_commit()) {
         ProtoDecision::Commit
     } else {
         ProtoDecision::Abort
     };
-    let fast = involved.iter().all(|s| outcomes[s].fast);
     Some(PrepareOutcome {
         decision,
-        fast,
-        shard_votes: involved.iter().map(|s| outcomes[s].votes.clone()).collect(),
+        fast: classified().all(|o| o.fast),
+        shard_votes: classified().map(|o| o.votes.clone()).collect(),
     })
 }
 
@@ -427,23 +421,20 @@ mod tests {
                 votes: vec![],
             },
         };
-        let involved = vec![ShardId(0), ShardId(1)];
-        let mut outcomes = FastHashMap::default();
-        outcomes.insert(ShardId(0), commit_outcome(0));
-        assert!(combine_outcomes(&outcomes, &involved).is_none());
+        let mut outcomes = [Some(commit_outcome(0)), None];
+        assert!(combine_outcomes(&outcomes).is_none());
 
-        outcomes.insert(ShardId(1), commit_outcome(1));
-        let combined = combine_outcomes(&outcomes, &involved).expect("both shards in");
+        outcomes[1] = Some(commit_outcome(1));
+        let combined = combine_outcomes(&outcomes).expect("both shards in");
         assert_eq!(combined.decision, ProtoDecision::Commit);
         assert!(combined.fast);
         assert_eq!(combined.shard_votes.len(), 2);
 
         // A fast abort from one shard decides immediately even if the other
         // shard has not been classified.
-        let mut with_abort = FastHashMap::default();
-        with_abort.insert(
-            ShardId(1),
-            ShardOutcome {
+        let with_abort = [
+            None,
+            Some(ShardOutcome {
                 fast: true,
                 votes: ShardVotes {
                     txid: txid(),
@@ -451,44 +442,36 @@ mod tests {
                     decision: ProtoDecision::Abort,
                     votes: vec![],
                 },
-            },
-        );
-        let combined = combine_outcomes(&with_abort, &involved).expect("fast abort decides");
+            }),
+        ];
+        let combined = combine_outcomes(&with_abort).expect("fast abort decides");
         assert_eq!(combined.decision, ProtoDecision::Abort);
         assert!(combined.fast);
     }
 
     #[test]
     fn slow_shard_makes_combined_outcome_slow() {
-        let outcomes: FastHashMap<ShardId, ShardOutcome> = [
-            (
-                ShardId(0),
-                ShardOutcome {
-                    fast: false,
-                    votes: ShardVotes {
-                        txid: txid(),
-                        shard: ShardId(0),
-                        decision: ProtoDecision::Commit,
-                        votes: vec![],
-                    },
+        let outcomes = [
+            Some(ShardOutcome {
+                fast: false,
+                votes: ShardVotes {
+                    txid: txid(),
+                    shard: ShardId(0),
+                    decision: ProtoDecision::Commit,
+                    votes: vec![],
                 },
-            ),
-            (
-                ShardId(1),
-                ShardOutcome {
-                    fast: true,
-                    votes: ShardVotes {
-                        txid: txid(),
-                        shard: ShardId(1),
-                        decision: ProtoDecision::Commit,
-                        votes: vec![],
-                    },
+            }),
+            Some(ShardOutcome {
+                fast: true,
+                votes: ShardVotes {
+                    txid: txid(),
+                    shard: ShardId(1),
+                    decision: ProtoDecision::Commit,
+                    votes: vec![],
                 },
-            ),
-        ]
-        .into_iter()
-        .collect();
-        let combined = combine_outcomes(&outcomes, &[ShardId(0), ShardId(1)]).expect("classified");
+            }),
+        ];
+        let combined = combine_outcomes(&outcomes).expect("classified");
         assert_eq!(combined.decision, ProtoDecision::Commit);
         assert!(!combined.fast);
     }

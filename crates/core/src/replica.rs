@@ -476,10 +476,7 @@ impl BasilReplica {
                 txid: c.txid,
             }
         });
-        let prepared = result
-            .prepared
-            .and_then(|p| self.store.prepared_tx_shared(&p.txid))
-            .map(|tx| PreparedRead { tx });
+        let prepared = result.prepared.map(|p| PreparedRead { tx: p.tx });
         let body = ReadReplyBody {
             req_id: req.req_id,
             key: req.key,
@@ -990,7 +987,10 @@ impl BasilReplica {
         let replica_id = self.id;
         let interested: Vec<NodeId> = {
             let record = self.record(txid);
-            if view < record.current_view {
+            // The same decision of the same view is adopted and logged
+            // once: a replayed DecFB would otherwise grow the WAL without
+            // bound.
+            if view < record.current_view || record.logged == Some((dfb.decision, view)) {
                 return;
             }
             record.current_view = view;
@@ -2348,10 +2348,10 @@ mod tests {
         assert!(reader.replies.iter().any(|(id, _)| *id == 1));
     }
 
-    #[test]
-    fn fallback_election_and_decision_adoption() {
-        // Replica 0..5; exercise InvokeFB -> ElectFB -> DecFB across
-        // hand-driven replicas.
+    /// Six hand-driven replicas whose logs split on one transaction run
+    /// InvokeFB -> ElectFB -> DecFB; returns them with the DecFB of view 1
+    /// that the fallback leader sent.
+    fn split_log_and_its_fallback_decision() -> (Vec<BasilReplica>, DecFb) {
         let tx = write_tx(1_000_000, "x", 5);
         let txid = tx.id();
         let n = 6u32;
@@ -2438,6 +2438,13 @@ mod tests {
         );
         let dec = dec_msgs[0].clone();
         assert_eq!(dec.view, 1);
+        (replicas, dec)
+    }
+
+    #[test]
+    fn fallback_election_and_decision_adoption() {
+        let (mut replicas, dec) = split_log_and_its_fallback_decision();
+        let client = client_node();
 
         // Replicas adopt the decision and answer interested clients with
         // matching ST2R messages.
@@ -2455,6 +2462,24 @@ mod tests {
         assert!(st2r_decisions
             .iter()
             .all(|(d, v)| *d == dec.decision && *v == 1));
+    }
+
+    /// A replica adopts and logs a fallback decision once: a second copy of
+    /// the same DecFB appends nothing to the WAL and answers no one.
+    #[test]
+    fn a_replayed_dec_fb_is_logged_once() {
+        let (mut replicas, dec) = split_log_and_its_fallback_decision();
+        let r = &mut replicas[0];
+        let mut ctx = ctx_at(NodeId::Replica(r.id()), 5);
+        r.handle_dec_fb(&mut ctx, dec.clone());
+        let (wal, adopted) = (r.stats().wal_appends, r.stats().fallback_decisions_adopted);
+        assert_eq!(adopted, 1);
+
+        let mut ctx = ctx_at(NodeId::Replica(r.id()), 6);
+        r.handle_dec_fb(&mut ctx, dec);
+        assert_eq!(r.stats().wal_appends, wal);
+        assert_eq!(r.stats().fallback_decisions_adopted, adopted);
+        assert!(sent_to(&ctx, client_node()).is_empty());
     }
 
     /// The recovery replay buffer honors `catch_up_buffer_bound`: the first

@@ -34,7 +34,7 @@
 //! avoids spurious aborts during fault-free executions while preserving
 //! safety (the vote is still withheld until the dependency's fate is known).
 
-use crate::tx::{Dependency, Transaction};
+use crate::tx::Transaction;
 use crate::varray::VersionArray;
 use basil_common::error::AbortReason;
 use basil_common::{Duration, FastHashMap, FastHashSet, Key, SimTime, Timestamp, TxId, Value};
@@ -95,14 +95,13 @@ pub struct CommittedVersion {
 pub struct PreparedVersion {
     /// Timestamp of the preparing transaction.
     pub version: Timestamp,
-    /// The value it intends to write.
-    pub value: Value,
     /// Identifier of the preparing transaction.
     pub txid: TxId,
-    /// That transaction's own dependency set (`Dep_T'`), which the reader
-    /// needs in order to understand what must commit before its dependency
-    /// can.
-    pub deps: Vec<Dependency>,
+    /// The preparing transaction itself, shared with the store: the value
+    /// it intends to write, and its own dependency set (`Dep_T'`), which the
+    /// reader needs in order to understand what must commit before its
+    /// dependency can.
+    pub tx: Arc<Transaction>,
 }
 
 /// Reply to a versioned read: the newest committed and newest prepared
@@ -377,21 +376,21 @@ impl MvtsoStore {
         let rec = &mut self.key_records[idx as usize];
         rec.rts.insert(ts, ());
         rec.note_read(ts);
-        self.read_at_slot(idx, key, ts)
+        self.read_at_slot(idx, ts)
     }
 
     /// Serves a versioned read without registering an RTS (used when
     /// re-serving a retried read that already registered one).
     pub fn read_without_rts(&self, key: &Key, ts: Timestamp) -> ReadResult {
         match self.key_index.get(key) {
-            Some(idx) => self.read_at_slot(*idx, key, ts),
+            Some(idx) => self.read_at_slot(*idx, ts),
             None => ReadResult::default(),
         }
     }
 
     /// The versioned-read logic against an already-resolved arena slot (so
     /// `read` pays one key lookup, not two).
-    fn read_at_slot(&self, idx: u32, key: &Key, ts: Timestamp) -> ReadResult {
+    fn read_at_slot(&self, idx: u32, ts: Timestamp) -> ReadResult {
         let rec = &self.key_records[idx as usize];
         let committed = rec
             .committed
@@ -404,9 +403,8 @@ impl MvtsoStore {
         let prepared = rec.prepared.latest_before(ts).and_then(|(version, txid)| {
             self.prepared_tx(txid).map(|tx| PreparedVersion {
                 version: *version,
-                value: tx.written_value(key).cloned().unwrap_or_else(Value::empty),
                 txid: *txid,
-                deps: tx.deps().to_vec(),
+                tx: Arc::clone(tx),
             })
         });
         ReadResult {
@@ -751,13 +749,6 @@ impl MvtsoStore {
         self.prepared_tx(txid).is_some()
     }
 
-    /// The prepared transaction's shared metadata, if present (a reference
-    /// count bump, not a copy — used to embed the transaction in read
-    /// replies).
-    pub fn prepared_tx_shared(&self, txid: &TxId) -> Option<Arc<Transaction>> {
-        self.prepared_tx(txid).cloned()
-    }
-
     /// Whether the transaction's vote is currently withheld waiting on
     /// dependencies.
     pub fn is_pending(&self, txid: &TxId) -> bool {
@@ -923,7 +914,8 @@ mod tests {
 
         // Visible as prepared to later readers, not as committed.
         let r = store.read(&k("x"), ts(200, 2));
-        assert_eq!(r.prepared.as_ref().expect("prepared visible").value, v(42));
+        let prepared = r.prepared.as_ref().expect("prepared visible");
+        assert_eq!(prepared.tx.written_value(&k("x")), Some(&v(42)));
         assert_eq!(r.committed.expect("initial").version, Timestamp::ZERO);
 
         let woken = store.commit(&t);
@@ -1445,8 +1437,8 @@ mod tests {
         let r = store.read(&k("y"), ts(300, 3));
         let prepared = r.prepared.expect("prepared y visible");
         assert_eq!(prepared.txid, t2.id());
-        assert_eq!(prepared.deps.len(), 1);
-        assert_eq!(prepared.deps[0].txid, w1.id());
+        assert_eq!(prepared.tx.deps().len(), 1);
+        assert_eq!(prepared.tx.deps()[0].txid, w1.id());
     }
 
     // ------------------------------------------------------------------

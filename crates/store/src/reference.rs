@@ -78,9 +78,8 @@ impl ReferenceStore {
                 .and_then(|(version, txid)| {
                     self.prepared_txs.get(txid).map(|tx| PreparedVersion {
                         version: *version,
-                        value: tx.written_value(key).cloned().unwrap_or_else(Value::empty),
                         txid: *txid,
-                        deps: tx.deps().to_vec(),
+                        tx: Arc::clone(tx),
                     })
                 })
         });
