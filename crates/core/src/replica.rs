@@ -18,7 +18,7 @@ use crate::messages::{
     ProtoDecision, ProtoVote, ReadReply, ReadReplyBody, ReadRequest, ReplicaTimer, SignedElectFb,
     SignedSt1Reply, SignedSt2Reply, St1, St1ReplyBody, St2, St2ReplyBody, View, Writeback,
 };
-use crate::views::{fallback_leader_index, logging_shard, next_view};
+use crate::views::{fallback_leader_index, logging_shard, next_view, reconcile};
 use basil_common::config::DELTA;
 use basil_common::{
     ClientId, Duration, FastHashMap, FastHashSet, Key, NodeId, ReplicaId, SimTime, Timestamp, TxId,
@@ -610,7 +610,9 @@ impl BasilReplica {
     // ------------------------------------------------------------------
 
     fn handle_st2(&mut self, ctx: &mut Context<BasilMsg>, from: NodeId, st2: St2) {
-        if !self.engine.verify_request(&st2, st2.auth.as_ref()) {
+        // A client proposes the decision of view 0; a higher view's decision
+        // comes from its fallback leader (`handle_dec_fb`) or not at all.
+        if st2.view != 0 || !self.engine.verify_request(&st2, st2.auth.as_ref()) {
             return;
         }
         let txid = st2.txid;
@@ -912,7 +914,7 @@ impl BasilReplica {
             return;
         }
         let election = self.records.get(&txid).and_then(|r| r.elections.get(&view));
-        if election.is_some_and(|e| e.done) {
+        if election.is_some_and(|e| e.done) || efb.body.replica.shard != self.id.shard {
             return;
         }
         let (engine, signer) = (&mut self.engine, NodeId::Replica(efb.body.replica));
@@ -925,19 +927,11 @@ impl BasilReplica {
         if (election.votes.len() as u32) < self.cfg.system.shard.elect_quorum() {
             return;
         }
-        // Elected: reconcile the decision as the majority of reported logged
-        // decisions.
+        // Elected: propose the decision the reported logged decisions
+        // reconcile to, if any replica logged one.
         let votes: Vec<SignedElectFb> = election.votes.values().cloned().collect();
-        let logged = |d| votes.iter().filter(|v| v.body.decision == Some(d)).count();
-        let (commits, aborts) = (logged(ProtoDecision::Commit), logged(ProtoDecision::Abort));
-        if commits == 0 && aborts == 0 {
-            // No replica has logged anything; nothing safe to propose.
+        let Some(decision) = reconcile(votes.iter().map(|v| v.body.decision)) else {
             return;
-        }
-        let decision = if commits >= aborts {
-            ProtoDecision::Commit
-        } else {
-            ProtoDecision::Abort
         };
         election.done = true;
         let dec = DecFb {
@@ -962,12 +956,13 @@ impl BasilReplica {
         let view = dfb.view;
         // The view's leader must have signed the decision, and it must carry
         // the election: 4f+1 distinct, correctly signed ElectFB messages of
-        // this shard for this view.
+        // this shard for this view, whose logged decisions reconcile to it.
         let leader_index = fallback_leader_index(view, txid, self.cfg.system.shard.n());
         let leader = NodeId::Replica(ReplicaId::new(self.id.shard, leader_index));
         if !self.engine.verify_from(&dfb, dfb.auth.as_ref(), leader) {
             return;
         }
+        let mut reported = Vec::new();
         let electors = count_distinct_signed(
             &dfb.elect_proof,
             self.id.shard,
@@ -979,18 +974,20 @@ impl BasilReplica {
                     e.proof.as_ref(),
                 ))
             },
-            |_| {},
+            |e| reported.push(e.body.decision),
         );
-        if electors < self.cfg.system.shard.elect_quorum() {
+        if electors < self.cfg.system.shard.elect_quorum()
+            || reconcile(reported) != Some(dfb.decision)
+        {
             return;
         }
         let replica_id = self.id;
         let interested: Vec<NodeId> = {
             let record = self.record(txid);
-            // The same decision of the same view is adopted and logged
-            // once: a replayed DecFB would otherwise grow the WAL without
-            // bound.
-            if view < record.current_view || record.logged == Some((dfb.decision, view)) {
+            // A logged decision changes only in a higher view, so a view
+            // has one decision at this replica: a leader's second DecFB of
+            // the same view (or a replayed copy of the first) is refused.
+            if view < record.current_view || record.logged.is_some_and(|(_, v)| v >= view) {
                 return;
             }
             record.current_view = view;
@@ -2412,9 +2409,9 @@ mod tests {
             .iter()
             .all(|(to, _)| *to == NodeId::Replica(ReplicaId::new(ShardId(0), leader_index))));
 
-        // Deliver the ElectFB messages to the leader; it should emit DecFB
-        // with the majority decision (Commit: 3 vs 3 ties to commit, but with
-        // commits >= aborts the rule picks Commit).
+        // Deliver the ElectFB messages to the leader, replica 0's first; the
+        // first five complete the election (three logged Commit, two
+        // Abort), and the leader emits a DecFB with their majority.
         let mut dec_msgs: Vec<DecFb> = Vec::new();
         {
             let leader = &mut replicas[leader_index as usize];
@@ -2479,6 +2476,110 @@ mod tests {
         r.handle_dec_fb(&mut ctx, dec);
         assert_eq!(r.stats().wal_appends, wal);
         assert_eq!(r.stats().fallback_decisions_adopted, adopted);
+        assert!(sent_to(&ctx, client_node()).is_empty());
+    }
+
+    /// `dec` with another decision and election, signed by its view's
+    /// leader, as a deceitful leader can send it.
+    fn re_signed(dec: &DecFb, decision: ProtoDecision, elect_proof: Vec<SignedElectFb>) -> DecFb {
+        let leader = fallback_leader_index(dec.view, dec.txid, 6);
+        let leader = NodeId::Replica(ReplicaId::new(ShardId(0), leader));
+        let dec = DecFb {
+            decision,
+            elect_proof,
+            auth: None,
+            ..dec.clone()
+        };
+        let auth = SigEngine::new(leader, registry(), &cfg()).sign(&dec);
+        DecFb { auth, ..dec }
+    }
+
+    /// Delivers `dec` to `r` and says whether `r` adopted it: a WAL append
+    /// and an ST2R to the client, or neither.
+    fn adopts(r: &mut BasilReplica, dec: DecFb) -> bool {
+        let wal = r.stats().wal_appends;
+        let mut ctx = ctx_at(NodeId::Replica(r.id()), 6);
+        r.handle_dec_fb(&mut ctx, dec);
+        let answered = !sent_to(&ctx, client_node()).is_empty();
+        let logged = r.stats().wal_appends != wal;
+        assert_eq!(answered, logged, "a DecFB is logged iff it is answered");
+        logged
+    }
+
+    /// A leader's DecFB must carry the decision its election reconciles
+    /// to: over the five valid ElectFBs of the split log, three of which
+    /// logged Commit, the leader's signed Abort is refused and its signed
+    /// Commit adopted.
+    #[test]
+    fn a_dec_fb_for_the_minority_decision_is_refused() {
+        let (_, dec) = split_log_and_its_fallback_decision();
+        assert_eq!(dec.elect_proof.len(), 5);
+        assert_eq!(dec.decision, ProtoDecision::Commit);
+        let mut r = replica(0);
+        let mut ctx = ctx_at(NodeId::Replica(r.id()), 1);
+        let st1 = signed_st1(&write_tx(1_000_000, "x", 5), true);
+        r.handle_st1(&mut ctx, client_node(), st1);
+
+        let minority = re_signed(&dec, ProtoDecision::Abort, dec.elect_proof.clone());
+        assert!(!adopts(&mut r, minority));
+        assert_eq!(r.stats().fallback_decisions_adopted, 0);
+        assert!(adopts(&mut r, dec));
+    }
+
+    /// One decision per view: after adopting its leader's DecFB of view 1, a
+    /// replica refuses the same leader's second DecFB of view 1 with the
+    /// other decision. The leader holds all six ElectFBs (three Commit,
+    /// three Abort), so it can pick five whose majority is Abort, and a
+    /// replica that sees that DecFB first adopts it.
+    #[test]
+    fn a_leaders_second_dec_fb_of_a_view_is_refused() {
+        let (mut replicas, dec) = split_log_and_its_fallback_decision();
+        let mut five = dec.elect_proof.clone();
+        let commit = five
+            .iter()
+            .position(|e| e.body.decision == Some(ProtoDecision::Commit));
+        five.remove(commit.expect("three electors logged Commit"));
+        let missing = (0..6).find(|&i| five.iter().all(|e| e.body.replica.index != i));
+        let body = ElectFbBody {
+            txid: dec.txid,
+            replica: ReplicaId::new(ShardId(0), missing.expect("one of six")),
+            decision: Some(ProtoDecision::Abort),
+            view: dec.view,
+        };
+        let proof = SigEngine::new(NodeId::Replica(body.replica), registry(), &cfg()).sign(&body);
+        five.push(SignedElectFb { body, proof });
+        let other = re_signed(&dec, ProtoDecision::Abort, five);
+
+        assert!(adopts(&mut replicas[0], dec.clone()));
+        assert!(!adopts(&mut replicas[0], other.clone()));
+        assert!(!adopts(&mut replicas[0], dec));
+        assert_eq!(replicas[0].stats().fallback_decisions_adopted, 1);
+        assert!(adopts(&mut replicas[1], other));
+    }
+
+    /// A client's ST2 proposes the decision of view 0: one that names a
+    /// higher view is neither logged nor answered, however well justified.
+    #[test]
+    fn an_st2_of_a_higher_view_is_not_logged() {
+        let mut r = replica(0);
+        let tx = write_tx(1_000_000, "x", 5);
+        let mut ctx = ctx_at(NodeId::Replica(r.id()), 1);
+        r.handle_st1(&mut ctx, client_node(), signed_st1(&tx, false));
+        let wal = r.stats().wal_appends;
+
+        let st2 = St2 {
+            view: 7,
+            auth: None,
+            ..signed_st2(&tx, ProtoDecision::Commit, shard_votes_commit_tally(&tx, 4))
+        };
+        let st2 = St2 {
+            auth: client_engine().sign(&st2),
+            ..st2
+        };
+        let mut ctx = ctx_at(NodeId::Replica(r.id()), 2);
+        r.handle_st2(&mut ctx, client_node(), st2);
+        assert_eq!(r.stats().st2_logged, 0);
+        assert_eq!(r.stats().wal_appends, wal);
         assert!(sent_to(&ctx, client_node()).is_empty());
     }
 

@@ -13,8 +13,11 @@
 //!
 //! Counting uses *vote subsumption*: a reported view `v` counts as a vote for
 //! every `v' <= v`.
+//!
+//! A view's leader reconciles the decisions its `4f + 1` ElectFBs report with
+//! [`reconcile`], and every replica checks a DecFB against the same rule.
 
-use crate::messages::View;
+use crate::messages::{ProtoDecision, View};
 use basil_common::{ShardConfig, ShardId, TxId};
 
 /// Applies rules R1/R2 with vote subsumption and returns the new current
@@ -50,8 +53,29 @@ pub fn next_view(current: View, reported: &[View], cfg: &ShardConfig) -> View {
 /// The replica index acting as fallback leader for `view` of transaction
 /// `txid` within a shard of `n` replicas (round-robin, offset by the
 /// transaction id as in Section 5, step 2).
+///
+/// The view may come from a peer, unchecked, so the sum wraps.
 pub fn fallback_leader_index(view: View, txid: TxId, n: u32) -> u32 {
-    ((view + txid.as_u64()) % n as u64) as u32
+    (view.wrapping_add(txid.as_u64()) % n as u64) as u32
+}
+
+/// The decision a fallback leader proposes for the logged decisions its
+/// election reports (`None` for a replica that logged nothing): the majority,
+/// with a tie going to Commit. `None` when no elector logged anything, since
+/// then nothing is safe to propose.
+pub fn reconcile(logged: impl IntoIterator<Item = Option<ProtoDecision>>) -> Option<ProtoDecision> {
+    let (mut commits, mut aborts) = (0u32, 0u32);
+    for decision in logged.into_iter().flatten() {
+        match decision {
+            ProtoDecision::Commit => commits += 1,
+            ProtoDecision::Abort => aborts += 1,
+        }
+    }
+    match (commits, aborts) {
+        (0, 0) => None,
+        _ if commits >= aborts => Some(ProtoDecision::Commit),
+        _ => Some(ProtoDecision::Abort),
+    }
 }
 
 /// The logging shard `S_log` of transaction `txid`: the one involved shard
@@ -130,10 +154,25 @@ mod tests {
             fallback_leader_index(1, t1, n),
             fallback_leader_index(1, t2, n)
         );
-        // Every view has a leader within range.
-        for v in 0..20 {
+        // Every view has a leader within range, the largest one too.
+        for v in (0..20).chain([u64::MAX]) {
             assert!(fallback_leader_index(v, t2, n) < n);
         }
+    }
+
+    #[test]
+    fn reconcile_picks_the_majority_and_ties_go_to_commit() {
+        use ProtoDecision::{Abort, Commit};
+        assert_eq!(
+            reconcile([Some(Commit), Some(Abort), Some(Abort)]),
+            Some(Abort)
+        );
+        assert_eq!(
+            reconcile([Some(Commit), Some(Abort), None, None]),
+            Some(Commit)
+        );
+        assert_eq!(reconcile([None, Some(Abort), None]), Some(Abort));
+        assert_eq!(reconcile([None, None]), None);
     }
 
     #[test]
