@@ -45,7 +45,8 @@ pub enum WalRecord {
         /// The transaction that was prepared.
         tx: Arc<Transaction>,
     },
-    /// The replica logged an ST2 decision for `txid` in `view`.
+    /// The replica logged a decision for `txid` in `view`: a client's ST2
+    /// in view 0, or a fallback leader's DecFB in a higher view.
     Decision {
         /// The transaction the decision is for.
         txid: TxId,
