@@ -2466,6 +2466,45 @@ mod tests {
         assert!(sent_to(&ctx, client_node()).is_empty());
     }
 
+    /// The ElectFB `replica` sends for `txid` in `view`, reporting `logged`.
+    fn signed_elect_fb(
+        txid: TxId,
+        replica: ReplicaId,
+        logged: Option<ProtoDecision>,
+        view: View,
+    ) -> SignedElectFb {
+        let body = ElectFbBody {
+            txid,
+            replica,
+            decision: logged,
+            view,
+        };
+        let proof = SigEngine::new(NodeId::Replica(replica), registry(), &cfg()).sign(&body);
+        SignedElectFb { body, proof }
+    }
+
+    /// A leader counts only ElectFBs of its own shard, as every replica
+    /// that checks its DecFB does: four of its shard and one signed by a
+    /// replica of another shard are no election yet, and the fifth of its
+    /// own shard completes it.
+    #[test]
+    fn a_leader_counts_only_its_own_shards_elect_fbs() {
+        let txid = write_tx(1_000_000, "x", 5).id();
+        let mut leader = replica(fallback_leader_index(1, txid, 6));
+        let commit = Some(ProtoDecision::Commit);
+        let mut elect = |shard, index| {
+            let mut ctx = ctx_at(NodeId::Replica(leader.id()), 1);
+            let efb = signed_elect_fb(txid, ReplicaId::new(ShardId(shard), index), commit, 1);
+            leader.handle_elect_fb(&mut ctx, efb);
+            sent_to(&ctx, NodeId::Replica(ReplicaId::new(ShardId(0), 0))).len()
+        };
+        for index in 0..4 {
+            assert_eq!(elect(0, index), 0);
+        }
+        assert_eq!(elect(1, 4), 0, "another shard's ElectFB counted");
+        assert_eq!(elect(0, 4), 1, "the DecFB goes out");
+    }
+
     /// `dec` with another decision and election, signed by its view's
     /// leader, as a deceitful leader can send it.
     fn re_signed(dec: &DecFb, decision: ProtoDecision, elect_proof: Vec<SignedElectFb>) -> DecFb {
@@ -2527,14 +2566,9 @@ mod tests {
             .position(|e| e.body.decision == Some(ProtoDecision::Commit));
         five.remove(commit.expect("three electors logged Commit"));
         let missing = (0..6).find(|&i| five.iter().all(|e| e.body.replica.index != i));
-        let body = ElectFbBody {
-            txid: dec.txid,
-            replica: ReplicaId::new(ShardId(0), missing.expect("one of six")),
-            decision: Some(ProtoDecision::Abort),
-            view: dec.view,
-        };
-        let proof = SigEngine::new(NodeId::Replica(body.replica), registry(), &cfg()).sign(&body);
-        five.push(SignedElectFb { body, proof });
+        let missing = ReplicaId::new(ShardId(0), missing.expect("one of six"));
+        let abort = Some(ProtoDecision::Abort);
+        five.push(signed_elect_fb(dec.txid, missing, abort, dec.view));
         let other = re_signed(&dec, ProtoDecision::Abort, five);
 
         assert!(adopts(&mut replicas[0], dec.clone()));
