@@ -303,6 +303,10 @@ impl BasilReplica {
                 record.logged = Some((decision, view));
                 record.current_view = record.current_view.max(view);
             }
+            WalRecord::View { txid, view } => {
+                let record = self.record(txid);
+                record.current_view = record.current_view.max(view);
+            }
             WalRecord::Applied { txid, commit, tx } => {
                 let record = self.records.entry(txid).or_default();
                 record.tx = record.tx.take().or(tx);
@@ -877,24 +881,30 @@ impl BasilReplica {
             |v| reported.push(v.body.view_current),
         );
 
+        let shard_cfg = self.cfg.system.shard;
+        let record = self.record(txid);
+        record.register_interested(from);
+        let current = record.current_view;
+        let proposed = next_view(current, &reported, &shard_cfg);
         // Optimization from Appendix B.5: moving from view 0 to view 1 needs
         // no proof at all.
-        let shard_cfg = self.cfg.system.shard;
-        let (view, decision) = {
-            let record = self.record(txid);
-            record.register_interested(from);
-            let proposed = next_view(record.current_view, &reported, &shard_cfg);
-            let new_view = if record.current_view == 0 {
-                proposed.max(1)
-            } else {
-                proposed
-            };
-            // If the proof does not justify a newer view we still (re)send
-            // our election message for the current view so a retrying client
-            // can make progress.
-            record.current_view = new_view.max(record.current_view);
-            (record.current_view, record.logged.map(|(d, _)| d))
+        let proposed = if current == 0 {
+            proposed.max(1)
+        } else {
+            proposed
         };
+        // A raised view is logged before the ElectFB that names it goes out.
+        // If the proof does not justify a newer view we still (re)send our
+        // election message for the current view so a retrying client can
+        // make progress.
+        if proposed > current {
+            self.log(WalRecord::View {
+                txid,
+                view: proposed,
+            });
+        }
+        let record = self.record(txid);
+        let (view, decision) = (record.current_view, record.logged.map(|(d, _)| d));
         let leader_index = fallback_leader_index(view, txid, self.cfg.system.shard.n());
         let leader = NodeId::Replica(ReplicaId::new(self.id.shard, leader_index));
         let body = ElectFbBody {
@@ -2466,6 +2476,54 @@ mod tests {
         assert!(sent_to(&ctx, client_node()).is_empty());
     }
 
+    /// What `r` answers a recovery ST1 for `tx` at `ms` with when it has a
+    /// logged decision: the decision, its view and the current view.
+    fn logged_answer(
+        r: &mut BasilReplica,
+        tx: &Arc<Transaction>,
+        ms: u64,
+    ) -> Option<(ProtoDecision, View, View)> {
+        let mut ctx = ctx_at(NodeId::Replica(r.id()), ms);
+        r.handle_st1(&mut ctx, client_node(), signed_st1(tx, true));
+        sent_to(&ctx, client_node())
+            .into_iter()
+            .find_map(|m| match m {
+                BasilMsg::St2Reply(reply) => Some((
+                    reply.body.decision,
+                    reply.body.view_decision,
+                    reply.body.view_current,
+                )),
+                _ => None,
+            })
+    }
+
+    /// The fallback view an InvokeFB raised survives an amnesia restart: a
+    /// recovered replica still reports the view it sent an ElectFB for, the
+    /// view below which it adopts no DecFB.
+    #[test]
+    fn a_raised_fallback_view_survives_amnesia() {
+        let (mut replicas, _) = split_log_and_its_fallback_decision();
+        let tx = write_tx(1_000_000, "x", 5);
+        let r = &mut replicas[0];
+        let before = logged_answer(r, &tx, 5);
+        assert_eq!(before, Some((ProtoDecision::Commit, 0, 1)));
+
+        let id = r.id();
+        let mut recovered = BasilReplica::recover(
+            id,
+            cfg(),
+            registry(),
+            ReplicaBehavior::Correct,
+            [(Key::new("x"), Value::from_u64(0))],
+            r.take_wal_bytes(),
+        );
+        let mut ctx = ctx_at(NodeId::Replica(id), 6);
+        let deadline = BasilMsg::ReplicaTimer(ReplicaTimer::CatchUpDeadline);
+        recovered.on_timer(&mut ctx, deadline);
+        assert!(!recovered.is_recovering());
+        assert_eq!(logged_answer(&mut recovered, &tx, 7), before);
+    }
+
     /// The ElectFB `replica` sends for `txid` in `view`, reporting `logged`.
     fn signed_elect_fb(
         txid: TxId,
@@ -2827,24 +2885,10 @@ mod tests {
                 }
             }
 
-            // What a recovery ST1 returns as the logged decision: the
-            // decision, its view and the current view. A written-back
-            // transaction is answered with its certificate instead, which
-            // the WAL does not keep (ROADMAP item 3), so it is left out.
-            let logged_answer = |r: &mut BasilReplica, tx: &Arc<Transaction>| {
-                let mut ctx = ctx_at(NodeId::Replica(id), total + 1);
-                r.handle_st1(&mut ctx, client_node(), signed_st1(tx, true));
-                sent_to(&ctx, client_node())
-                    .into_iter()
-                    .find_map(|m| match m {
-                        BasilMsg::St2Reply(reply) => Some((
-                            reply.body.decision,
-                            reply.body.view_decision,
-                            reply.body.view_current,
-                        )),
-                        _ => None,
-                    })
-            };
+            // A written-back transaction is answered with its certificate
+            // instead of the logged decision, and the WAL does not keep
+            // certificates (ROADMAP item 3), so it is left out.
+            let logged_answer = |r: &mut BasilReplica, tx| logged_answer(r, tx, total + 1);
             for (tx, written_back, st2_sent) in &txs {
                 if *written_back {
                     continue;

@@ -574,13 +574,25 @@ mod tests {
             hex(sample_tx().encoded()),
             "d72acb4cb55d8ca868f57bcbf1b866c4187e9d642bc65e62cd1ce33c4ecddf8b"
         );
+        // The record kinds the hand-written encoders wrote; `View` came
+        // later, and its bytes are pinned from its first version on.
+        let (view, older): (Vec<_>, Vec<_>) = crate::wal::tests::sample_records()
+            .into_iter()
+            .partition(|r| matches!(r, crate::WalRecord::View { .. }));
         let mut wal = crate::Wal::new(basil_common::Duration::ZERO);
-        for record in crate::wal::tests::sample_records() {
-            wal.append(&record);
+        for record in &older {
+            wal.append(record);
         }
         assert_eq!(
             hex(wal.bytes()),
             "8126f52a367be065a047f3086baa4b9f0dc24746ed9d709b1b9dfb0be0b6c15a"
+        );
+        for record in &view {
+            wal.append(record);
+        }
+        assert_eq!(
+            hex(wal.bytes()),
+            "8eb9a6b5631a21d2fc8164eee2967f14075111fae29324943a0f8ce976aa84ad"
         );
     }
 

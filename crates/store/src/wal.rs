@@ -1,7 +1,8 @@
 //! Simulated durable write-ahead log.
 //!
 //! Replicas log their externally visible state transitions — prepare votes,
-//! logged decisions, applied decision certificates, and GC watermarks — to an
+//! logged decisions, raised fallback views, applied decision certificates,
+//! and GC watermarks — to an
 //! append-only record log so that an *amnesia* restart (the actor is rebuilt
 //! from scratch, as after a real process crash) can reconstruct the store and
 //! transaction records it had before the crash. The log lives in memory
@@ -31,6 +32,7 @@ const TAG_PREPARE: u8 = 0x01;
 const TAG_DECISION: u8 = 0x02;
 const TAG_APPLIED: u8 = 0x03;
 const TAG_GC_WATERMARK: u8 = 0x04;
+const TAG_VIEW: u8 = 0x05;
 
 /// One durable state transition of a replica.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,6 +56,16 @@ pub enum WalRecord {
         commit: bool,
         /// The fallback view the decision was logged in (0 on the common
         /// path).
+        view: u64,
+    },
+    /// The replica moved to fallback view `view` for `txid` on an InvokeFB,
+    /// before sending its ElectFB of that view. Replay keeps the view, so a
+    /// recovered replica refuses a DecFB of a lower view as its pre-crash
+    /// self would have (Section 5).
+    View {
+        /// The transaction whose fallback view rose.
+        txid: TxId,
+        /// The new current view.
         view: u64,
     },
     /// The replica validated a decision certificate and applied it to the
@@ -91,6 +103,11 @@ impl WalRecord {
                 out.put_bool(*commit);
                 out.put_u64(*view);
             }
+            WalRecord::View { txid, view } => {
+                out.put_u8(TAG_VIEW);
+                out.put_txid(txid);
+                out.put_u64(*view);
+            }
             WalRecord::Applied { txid, commit, tx } => {
                 out.put_u8(TAG_APPLIED);
                 out.put_txid(txid);
@@ -114,6 +131,10 @@ impl WalRecord {
             TAG_DECISION => WalRecord::Decision {
                 txid: r.txid()?,
                 commit: r.bool()?,
+                view: r.u64()?,
+            },
+            TAG_VIEW => WalRecord::View {
+                txid: r.txid()?,
                 view: r.u64()?,
             },
             TAG_APPLIED => WalRecord::Applied {
@@ -240,6 +261,10 @@ pub(crate) mod tests {
                 txid: tx.id(),
                 commit: true,
                 view: 3,
+            },
+            WalRecord::View {
+                txid: tx.id(),
+                view: 4,
             },
             WalRecord::Applied {
                 txid: tx.id(),
