@@ -448,14 +448,23 @@ impl Actor<BaselineMsg> for BaselineClient {
                 self.handle_prepare_result(ctx, from, txid, vote)
             }
             BaselineMsg::DecideAck { txid } => self.handle_decide_ack(ctx, from, txid),
-            BaselineMsg::ClientTimer(timer) => self.handle_timer(ctx, timer),
-            // Replica-directed traffic is ignored.
+            // Replica-directed traffic is ignored. So are timers, which fire
+            // through `on_timer` only: a timer another node sends would make
+            // the client retry early.
             BaselineMsg::Read { .. }
             | BaselineMsg::Submit { .. }
             | BaselineMsg::OrderPhase { .. }
             | BaselineMsg::OrderVote { .. }
             | BaselineMsg::OrderCommit { .. }
-            | BaselineMsg::BatchTimer => {}
+            | BaselineMsg::BatchTimer
+            | BaselineMsg::ClientTimer(_) => {}
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<BaselineMsg>, msg: BaselineMsg) {
+        ctx.charge(COST.message_cost());
+        if let BaselineMsg::ClientTimer(timer) = msg {
+            self.handle_timer(ctx, timer);
         }
     }
 
@@ -593,9 +602,8 @@ mod tests {
             let mut c = client(kind, vec![profile]);
             c.on_start(&mut ctx());
             let mut cx = ctx();
-            c.on_message(
+            c.on_timer(
                 &mut cx,
-                NodeId::Client(ClientId(1)),
                 BaselineMsg::ClientTimer(BaselineClientTimer::ReadTimeout { req_id: 1 }),
             );
             let reasked = sent(&cx)
@@ -611,6 +619,20 @@ mod tests {
             assert!(read_reply_concludes(&mut c, 1, 1), "{kind:?}");
             assert_eq!(c.stats().reads_issued, 1);
         }
+    }
+
+    /// A `ReadTimeout` that a replica sends is not the client's own timer:
+    /// it re-asks nobody.
+    #[test]
+    fn a_timer_sent_by_another_node_is_ignored() {
+        let profile = TxProfile::new("r", vec![Op::Read(Key::new("x"))]);
+        let mut c = client(SystemKind::TxHotstuff, vec![profile]);
+        c.on_start(&mut ctx());
+        let mut forged = ctx();
+        let replica = NodeId::Replica(ReplicaId::new(ShardId(0), 0));
+        let timeout = BaselineClientTimer::ReadTimeout { req_id: 1 };
+        c.on_message(&mut forged, replica, BaselineMsg::ClientTimer(timeout));
+        assert!(sent(&forged).is_empty(), "forged timer obeyed");
     }
 
     #[test]

@@ -342,17 +342,24 @@ impl Actor<BaselineMsg> for BaselineReplica {
             }
             BaselineMsg::OrderVote { seq, phase } => self.handle_order_vote(ctx, from, seq, phase),
             BaselineMsg::OrderCommit { seq } => self.handle_order_commit(ctx, seq),
-            BaselineMsg::BatchTimer => {
-                self.batch_timer_armed = false;
-                if self.is_leader() {
-                    self.start_instance(ctx);
-                }
-            }
-            // Client-directed messages are ignored if misrouted.
+            // Client-directed messages are ignored if misrouted. So are
+            // timers, which fire through `on_timer` only: a `BatchTimer`
+            // another node sends would seal a partial batch early.
             BaselineMsg::ReadReply { .. }
             | BaselineMsg::PrepareResult { .. }
             | BaselineMsg::DecideAck { .. }
+            | BaselineMsg::BatchTimer
             | BaselineMsg::ClientTimer(_) => {}
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<BaselineMsg>, msg: BaselineMsg) {
+        ctx.charge(COST.message_cost());
+        if let BaselineMsg::BatchTimer = msg {
+            self.batch_timer_armed = false;
+            if self.is_leader() {
+                self.start_instance(ctx);
+            }
         }
     }
 
@@ -522,16 +529,18 @@ mod tests {
         leader.handle_submit(&mut c, client(), ShardRequest::Prepare { tx: write_tx(10) });
         // Not enough requests for a batch: only a timer was armed.
         assert!(sent(&c).is_empty());
+        let proposals = |c: &Context<BaselineMsg>| {
+            sent(c)
+                .iter()
+                .filter(|(_, m)| matches!(m, BaselineMsg::OrderPhase { phase: 0, .. }))
+                .count()
+        };
+        // A `BatchTimer` another node sends is not the leader's own timer.
+        let mut forged = ctx(NodeId::Replica(leader.id()));
+        leader.on_message(&mut forged, client(), BaselineMsg::BatchTimer);
+        assert_eq!(proposals(&forged), 0, "forged timer obeyed");
         let mut c2 = ctx(NodeId::Replica(leader.id()));
-        leader.on_message(
-            &mut c2,
-            NodeId::Replica(leader.id()),
-            BaselineMsg::BatchTimer,
-        );
-        let proposals = sent(&c2)
-            .iter()
-            .filter(|(_, m)| matches!(m, BaselineMsg::OrderPhase { phase: 0, .. }))
-            .count();
-        assert_eq!(proposals, 3, "phase-0 proposal to each follower");
+        leader.on_timer(&mut c2, BaselineMsg::BatchTimer);
+        assert_eq!(proposals(&c2), 3, "phase-0 proposal to each follower");
     }
 }

@@ -23,13 +23,12 @@ use crate::messages::{
     BasilMsg, ClientTimer, InvokeFb, ProtoDecision, ProtoVote, ReadReply, ReadRequest,
     SignedSt1Reply, SignedSt2Reply, St1, St2, Writeback,
 };
-use crate::quorum::{combine_outcomes, ShardOutcome, ShardTally, St2Outcome, St2Tally};
+use crate::quorum::{combine_outcomes, ReadTally, ShardOutcome, ShardTally, St2Outcome, St2Tally};
 use crate::views::logging_shard;
 use basil_common::prng::SmallPrng;
 use basil_common::FastHashMap;
 use basil_common::{
-    ClientId, Duration, Key, NodeId, ReplicaId, ShardId, SimTime, SystemConfig, Timestamp,
-    TxGenerator, TxId, Value,
+    ClientId, Duration, Key, NodeId, ReplicaId, ShardId, SimTime, SystemConfig, TxGenerator, TxId,
 };
 use basil_simnet::{Actor, Context};
 use basil_store::session::{Session, SessionStats, Step as SessionStep, MAX_BACKOFF};
@@ -234,10 +233,6 @@ impl Commit {
     /// another recoverer, and the answer to a recovery prepare — the
     /// certificate, or the logged decision — is how it finds out.
     fn retransmit_targets(&self, n: u32) -> Vec<NodeId> {
-        fn replicas(shard: ShardId, indices: impl IntoIterator<Item = u32>) -> Vec<NodeId> {
-            let node = |i| NodeId::Replica(ReplicaId::new(shard, i));
-            indices.into_iter().map(node).collect()
-        }
         let involved = self.involved.iter();
         match (self.recovery, &self.proposal) {
             (true, _) => involved.flat_map(|s| replicas(*s, 0..n)).collect(),
@@ -248,6 +243,12 @@ impl Commit {
             (false, Some(_)) => replicas(self.slog, self.st2_tally.missing()),
         }
     }
+}
+
+/// The replicas of `shard` with the given indices, in their order.
+fn replicas(shard: ShardId, indices: impl IntoIterator<Item = u32>) -> Vec<NodeId> {
+    let node = |i| NodeId::Replica(ReplicaId::new(shard, i));
+    indices.into_iter().map(node).collect()
 }
 
 /// The base period of a commit timer (see [`Commit::timer`]).
@@ -272,10 +273,8 @@ pub struct BasilClient {
     /// Whether the session's transaction is issued under the Byzantine
     /// strategy.
     faulty: bool,
-    /// Replies to the session's read in flight, deduplicated by replica, in
-    /// arrival order (a small `Vec` — the read quorum waits for `f + 1` ≈ 2
-    /// replies, so a hash map per read was pure allocation overhead).
-    read_replies: Vec<(ReplicaId, ReadReply)>,
+    /// Replies to the session's read in flight.
+    read: ReadTally,
     /// Every commit this client is driving: the session's transaction's,
     /// once it is ready, and one per stalled dependency it is finishing,
     /// each dropped when it resolves.
@@ -316,7 +315,7 @@ impl BasilClient {
             fault,
             prng: SmallPrng::new(seed ^ id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             faulty: false,
-            read_replies: Vec::new(),
+            read: ReadTally::default(),
             commits: FastHashMap::default(),
             own: None,
             dep_txs: FastHashMap::default(),
@@ -346,9 +345,7 @@ impl BasilClient {
     // ------------------------------------------------------------------
 
     fn replicas_of(&self, shard: ShardId) -> Vec<NodeId> {
-        (0..self.cfg.system.shard.n())
-            .map(|i| NodeId::Replica(ReplicaId::new(shard, i)))
-            .collect()
+        replicas(shard, 0..self.cfg.system.shard.n())
     }
 
     fn all_replicas_of(&self, shards: &[ShardId]) -> Vec<NodeId> {
@@ -360,19 +357,15 @@ impl BasilClient {
         ctx.send(to, msg);
     }
 
-    /// Signs a read of `key` and sends it to `targets`, guarded by the read
-    /// timer.
-    fn send_read(
-        &mut self,
-        ctx: &mut Context<BasilMsg>,
-        req_id: u64,
-        key: Key,
-        ts: Timestamp,
-        targets: Vec<NodeId>,
-    ) {
+    /// Signs the session's pending read and sends it to `targets`, guarded
+    /// by the read timer.
+    fn send_read(&mut self, ctx: &mut Context<BasilMsg>, targets: Vec<NodeId>) {
+        let Some((req_id, key, ts)) = self.session.pending_read() else {
+            return;
+        };
         let mut req = ReadRequest {
             req_id,
-            key,
+            key: key.clone(),
             ts,
             auth: None,
         };
@@ -457,33 +450,27 @@ impl BasilClient {
     fn execute(&mut self, ctx: &mut Context<BasilMsg>) {
         match self.session.advance_execution(&mut self.stats) {
             None => {}
-            Some(SessionStep::Read { req_id, key }) => self.issue_read(ctx, req_id, key),
+            Some(SessionStep::Read { key, .. }) => self.issue_read(ctx, &key),
             Some(SessionStep::Ready(builder)) => self.begin_commit(ctx, builder),
         }
     }
 
-    fn issue_read(&mut self, ctx: &mut Context<BasilMsg>, req_id: u64, key: Key) {
-        let Some((.., ts)) = self.session.pending_read() else {
-            return;
-        };
-        let shard = self.cfg.system.shard_for_key(&key);
+    /// Sends the read of `key` to the read quorum's fanout, replicas of the
+    /// key's shard in index order from a random one.
+    fn issue_read(&mut self, ctx: &mut Context<BasilMsg>, key: &Key) {
+        let shard = self.cfg.system.shard_for_key(key);
         let fanout = self.cfg.system.read_quorum.fanout(&self.cfg.system.shard);
         let n = self.cfg.system.shard.n();
         let start = self.prng.next_below(n as u64) as u32;
-        self.read_replies.clear();
-        let targets = (0..fanout)
-            .map(|i| NodeId::Replica(ReplicaId::new(shard, (start + i) % n)))
-            .collect();
-        self.send_read(ctx, req_id, key, ts, targets);
+        self.read = ReadTally::default();
+        self.send_read(ctx, replicas(shard, (0..fanout).map(|i| (start + i) % n)));
     }
 
     fn handle_read_reply(&mut self, ctx: &mut Context<BasilMsg>, from: NodeId, reply: ReadReply) {
-        let Some((req_id, key, _)) = self.session.pending_read() else {
+        let pending = self.session.pending_read();
+        let Some((_, key, _)) = pending.filter(|(id, ..)| *id == reply.body.req_id) else {
             return;
         };
-        if req_id != reply.body.req_id {
-            return;
-        }
         // A read reply names no sender: whoever signed it is who vouches for
         // the version (with signatures off, whoever sent it), and only a
         // replica of the key's shard may — a client's key, or another
@@ -503,140 +490,25 @@ impl BasilClient {
         if !self.engine.verify(&reply.body, reply.proof.as_ref()) {
             return;
         }
-        match self.read_replies.iter_mut().find(|(r, _)| *r == replica) {
-            Some((_, existing)) => *existing = reply,
-            None => self.read_replies.push((replica, reply)),
-        }
-        let wait_for = self.cfg.system.read_quorum.wait_for(&self.cfg.system.shard);
-        if (self.read_replies.len() as u32) < wait_for {
-            return;
-        }
-        self.conclude_read(ctx);
+        self.read.add(replica, reply);
+        self.take_read(ctx);
     }
 
-    /// Chooses the version a read returns from the replies in hand and
-    /// resumes execution. Returns false, keeping the replies, when genesis
-    /// claims disagree and nothing settles the read yet.
-    fn conclude_read(&mut self, ctx: &mut Context<BasilMsg>) -> bool {
+    /// Takes the version the read's replies settle on and resumes execution;
+    /// false while they settle none ([`ReadTally::classify`]).
+    fn take_read(&mut self, ctx: &mut Context<BasilMsg>) -> bool {
         let Some((req_id, key, _)) = self.session.pending_read() else {
             return true;
         };
-        let key = key.clone();
-        let replies = std::mem::take(&mut self.read_replies);
-
-        // Committed candidate: the highest committed version backed by a
-        // valid certificate for the transaction that wrote it.
-        let mut best_committed: Option<(Timestamp, Value)> = None;
-        // Genesis claims: a reply with no committed version claims the
-        // empty genesis value. Genesis versions carry no certificate, so a
-        // claim counts only with f + 1 vouchers, like a prepared version.
-        let mut genesis_counts: Vec<(&Value, u32)> = Vec::new();
-        let empty = Value::empty();
-        for (_, reply) in &replies {
-            let c = match &reply.body.committed {
-                Some(c) if c.version != Timestamp::ZERO => c,
-                claim => {
-                    let value = claim.as_ref().map_or(&empty, |c| &c.value);
-                    match genesis_counts.iter_mut().find(|(v, _)| *v == value) {
-                        Some((_, count)) => *count += 1,
-                        None => genesis_counts.push((value, 1)),
-                    }
-                    continue;
-                }
-            };
-            // A certificate that does not commit the transaction that wrote
-            // this version is refused before any signature is checked; one
-            // that does is checked on the shards that transaction involves.
-            let acceptable = match (&c.cert, &c.tx) {
-                (Some(cert), Some(writer)) => {
-                    cert.txid == c.txid
-                        && cert.decision().is_commit()
-                        && c.written_by(&key)
-                        && validate_decision_cert(
-                            cert,
-                            &writer.involved_shards(self.cfg.system.num_shards),
-                            &self.cfg.system.shard,
-                            &mut self.engine,
-                        )
-                }
-                _ => false,
-            };
-            if !acceptable {
-                continue;
-            }
-            if best_committed
-                .as_ref()
-                .map(|(v, _)| c.version > *v)
-                .unwrap_or(true)
-            {
-                best_committed = Some((c.version, c.value.clone()));
-            }
-        }
-
-        // Prepared candidate: a version vouched for by at least f+1 replicas.
-        let mut prepared_counts: Vec<(TxId, u32, Arc<Transaction>)> = Vec::new();
-        for (_, reply) in &replies {
-            if let Some(p) = &reply.body.prepared {
-                let txid = p.tx.id();
-                match prepared_counts.iter_mut().find(|(t, ..)| *t == txid) {
-                    Some((_, count, _)) => *count += 1,
-                    None => prepared_counts.push((txid, 1, Arc::clone(&p.tx))),
-                }
-            }
-        }
-        let vouch = self.cfg.system.shard.prepared_vouch_quorum();
-        let mut best_prepared: Option<(Timestamp, Value, TxId, Arc<Transaction>)> = None;
-        for (txid, count, tx) in prepared_counts {
-            if count < vouch {
-                continue;
-            }
-            let Some(value) = tx.written_value(&key).cloned() else {
-                continue;
-            };
-            if best_prepared
-                .as_ref()
-                .map(|(v, ..)| tx.timestamp() > *v)
-                .unwrap_or(true)
-            {
-                best_prepared = Some((tx.timestamp(), value, txid, tx));
-            }
-        }
-
-        // Nothing certified or vouched is newer than genesis: a genesis value
-        // with f + 1 vouchers settles the read, and so do claims that all
-        // agree (one of the f + 1 replies in hand is correct; a one-reply
-        // read quorum trusts its one reply). Claims that disagree wait for
-        // the rest of the fanout or the widened read.
-        if best_committed.is_none() && best_prepared.is_none() {
-            let vouched = genesis_counts.iter().find(|(_, n)| *n >= vouch);
-            match (vouched, genesis_counts.as_slice()) {
-                (Some((value, _)), _) | (None, [(value, _)]) => {
-                    best_committed = Some((Timestamp::ZERO, (*value).clone()));
-                }
-                (None, []) => {}
-                (None, _) => {
-                    self.read_replies = replies;
-                    return false;
-                }
-            }
-        }
-
-        // Choose the highest valid version overall.
-        let use_prepared = match (&best_committed, &best_prepared) {
-            (Some((cv, _)), Some((pv, ..))) => pv > cv,
-            (None, Some(_)) => true,
-            _ => false,
+        let read = self.read.classify(key, &self.cfg.system, &mut self.engine);
+        let Some((version, value, dependency)) = read else {
+            return false;
         };
-
-        let (version, value, dependency) = if use_prepared {
-            let (version, value, dep_txid, dep_tx) = best_prepared.expect("checked above");
-            self.dep_txs.insert(dep_txid, dep_tx);
+        let dependency = dependency.map(|(txid, tx)| {
+            self.dep_txs.insert(txid, tx);
             self.stats.dependent_reads += 1;
-            (version, value, Some(dep_txid))
-        } else {
-            let (version, value) = best_committed.unwrap_or((Timestamp::ZERO, empty));
-            (version, value, None)
-        };
+            txid
+        });
         self.session
             .read_returned(req_id, version, value, dependency);
         self.execute(ctx);
@@ -644,21 +516,17 @@ impl BasilClient {
     }
 
     fn handle_read_timeout(&mut self, ctx: &mut Context<BasilMsg>, req_id: u64) {
-        if self.session.pending_read().map(|(pending, ..)| pending) != Some(req_id) {
-            return;
-        }
-        // If we already have enough replies to conclude, do; otherwise widen
-        // the read to every replica of the shard and keep waiting.
-        let wait_for = self.cfg.system.read_quorum.wait_for(&self.cfg.system.shard);
-        if self.read_replies.len() as u32 >= wait_for && self.conclude_read(ctx) {
-            return;
-        }
-        let Some((_, key, ts)) = self.session.pending_read() else {
+        let pending = self.session.pending_read();
+        let Some((_, key, _)) = pending.filter(|(id, ..)| *id == req_id) else {
             return;
         };
-        let key = key.clone();
-        let targets = self.replicas_of(self.cfg.system.shard_for_key(&key));
-        self.send_read(ctx, req_id, key, ts, targets);
+        let shard = self.cfg.system.shard_for_key(key);
+        // If the replies in hand settle the read, take it; otherwise widen
+        // the read to every replica of the shard and keep waiting.
+        if !self.take_read(ctx) {
+            let targets = self.replicas_of(shard);
+            self.send_read(ctx, targets);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1113,7 +981,7 @@ mod tests {
     use super::*;
     use crate::config::CryptoMode;
     use crate::messages::CommittedRead;
-    use basil_common::{Op, ScriptedGenerator, TxProfile};
+    use basil_common::{Op, ScriptedGenerator, Timestamp, TxProfile, Value};
     use basil_store::session::apply_delta;
 
     fn cfg() -> BasilConfig {
@@ -1868,7 +1736,7 @@ mod tests {
             client.session.pending_read().is_some(),
             "the read is still waiting"
         );
-        assert!(client.read_replies.is_empty());
+        assert_eq!(client.read.total(), 0);
         assert_eq!(client.stats().dependent_reads, 0);
 
         // Two replicas of shard 0 do vouch for it.

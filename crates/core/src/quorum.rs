@@ -1,10 +1,146 @@
-//! Client-side vote aggregation: classifying a shard's `ST1R` votes into the
+//! Client-side quorum counting: choosing the version a read takes from its
+//! replies (Section 4.1), classifying a shard's `ST1R` votes into the
 //! fast/slow commit/abort paths of Section 4.2, and collecting `ST2R`
 //! acknowledgements.
 
-use crate::certs::{ShardVotes, VoteCert};
-use crate::messages::{ProtoDecision, ProtoVote, SignedSt1Reply, SignedSt2Reply, View};
-use basil_common::{FastHashMap, ShardConfig, ShardId, TxId};
+use crate::certs::{validate_decision_cert, ShardVotes, VoteCert};
+use crate::crypto_engine::SigEngine;
+use crate::messages::{
+    CommittedRead, ProtoDecision, ProtoVote, ReadReply, SignedSt1Reply, SignedSt2Reply, View,
+};
+use basil_common::{
+    FastHashMap, Key, ReplicaId, ShardConfig, ShardId, SystemConfig, Timestamp, TxId, Value,
+};
+use basil_store::Transaction;
+use std::sync::Arc;
+
+/// The version a read takes: its timestamp (`Timestamp::ZERO` for genesis),
+/// its value, and the prepared transaction that wrote it, with its id, when
+/// it is not committed yet (the read then depends on that transaction).
+pub(crate) type ReadVersion = (Timestamp, Value, Option<(TxId, Arc<Transaction>)>);
+
+/// Collects the replies to one read, one per replica in arrival order (a
+/// small `Vec`: a read waits for `f + 1` ≈ 2 replies).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ReadTally {
+    replies: Vec<(ReplicaId, ReadReply)>,
+}
+
+impl ReadTally {
+    /// Adds a (pre-verified) reply of `replica`; a later reply of the same
+    /// replica replaces its earlier one.
+    pub fn add(&mut self, replica: ReplicaId, reply: ReadReply) {
+        match self.replies.iter_mut().find(|(r, _)| *r == replica) {
+            Some((_, existing)) => *existing = reply,
+            None => self.replies.push((replica, reply)),
+        }
+    }
+
+    /// Number of replicas that replied.
+    pub fn total(&self) -> u32 {
+        self.replies.len() as u32
+    }
+
+    /// The version the read of `key` takes (Section 4.1), or `None` while
+    /// fewer replies than the read quorum waits for are in hand, or while
+    /// they settle nothing yet.
+    ///
+    /// A committed claim above genesis counts with a certificate that names
+    /// its transaction, commits it, binds it as the writer and validates on
+    /// the writer's shards; every such claim is checked, in reply order (each
+    /// check is charged CPU, which every simulated output depends on). A
+    /// prepared claim counts once `f + 1` replies name the same transaction
+    /// and it writes `key`. The read takes the highest counted version; on
+    /// equal versions the first seen wins, committed claims before prepared
+    /// ones. Only when nothing counts does genesis decide: a value with
+    /// `f + 1` vouchers, or the only value claimed (one of the `f + 1`
+    /// replies is correct; a one-reply quorum trusts its reply). Genesis
+    /// claims that disagree wait for the rest of the fanout or the widened
+    /// read; no claim at all reads the empty value at version 0.
+    pub fn classify(
+        &self,
+        key: &Key,
+        system: &SystemConfig,
+        engine: &mut SigEngine,
+    ) -> Option<ReadVersion> {
+        if self.total() < system.read_quorum.wait_for(&system.shard) {
+            return None;
+        }
+        let vouch = system.shard.prepared_vouch_quorum();
+        let replies = || self.replies.iter().map(|(_, r)| &r.body);
+        let committed = replies()
+            .filter_map(|r| r.committed.as_ref())
+            .filter(|c| c.version != Timestamp::ZERO && certified(c, key, system, engine))
+            .map(|c| (c.version, &c.value, None));
+        let prepared =
+            count_by(replies().filter_map(|r| r.prepared.as_ref().map(|p| (p.tx.id(), &p.tx))));
+        let vouched = prepared
+            .into_iter()
+            .filter(|(.., n)| *n >= vouch)
+            .filter_map(|(txid, tx, _)| {
+                Some((tx.timestamp(), tx.written_value(key)?, Some((txid, tx))))
+            });
+        let newest = committed
+            .chain(vouched)
+            .reduce(|best, claim| if claim.0 > best.0 { claim } else { best });
+        let empty = Value::empty();
+        let (version, value, dependency) = match newest {
+            Some(counted) => counted,
+            None => (Timestamp::ZERO, self.genesis(vouch, &empty)?, None),
+        };
+        let dependency = dependency.map(|(txid, tx)| (txid, Arc::clone(tx)));
+        Some((version, value.clone(), dependency))
+    }
+
+    /// The genesis value the replies settle on when nothing else counts. A
+    /// reply with no committed version claims the empty value.
+    fn genesis<'a>(&'a self, vouch: u32, empty: &'a Value) -> Option<&'a Value> {
+        let claims = self
+            .replies
+            .iter()
+            .filter_map(|(_, r)| match &r.body.committed {
+                Some(c) if c.version != Timestamp::ZERO => None,
+                claim => Some((claim.as_ref().map_or(empty, |c| &c.value), ())),
+            });
+        let claims = count_by(claims);
+        match (claims.iter().find(|(.., n)| *n >= vouch), &claims[..]) {
+            (Some((value, ..)), _) | (None, [(value, ..)]) => Some(value),
+            (None, []) => Some(empty),
+            (None, _) => None,
+        }
+    }
+}
+
+/// Whether a committed claim's certificate names its transaction, commits
+/// it and binds it as the writer, all checked before any signature, and
+/// then validates on the shards the writer involves.
+fn certified(c: &CommittedRead, key: &Key, system: &SystemConfig, engine: &mut SigEngine) -> bool {
+    let (Some(cert), Some(writer)) = (&c.cert, &c.tx) else {
+        return false;
+    };
+    cert.txid == c.txid
+        && cert.decision().is_commit()
+        && c.written_by(key)
+        && validate_decision_cert(
+            cert,
+            &writer.involved_shards(system.num_shards),
+            &system.shard,
+            engine,
+        )
+}
+
+/// Groups `claims` by their first element, in first-seen order, counting
+/// each group.
+fn count_by<K: PartialEq, T>(claims: impl Iterator<Item = (K, T)>) -> Vec<(K, T, u32)> {
+    let mut groups: Vec<(K, T, u32)> = Vec::new();
+    for (k, t) in claims {
+        match groups.iter_mut().find(|(g, ..)| *g == k) {
+            Some((.., n)) => *n += 1,
+            None => groups.push((k, t, 1)),
+        }
+    }
+    groups
+}
 
 /// A classified shard: the votes backing its decision (`votes.decision`),
 /// and whether they are already durable without ST2. Fast: all `5f + 1`
@@ -255,11 +391,6 @@ impl St2Tally {
             .collect()
     }
 
-    /// The replies themselves (for `InvokeFB.views`).
-    pub fn replies(&self) -> Vec<SignedSt2Reply> {
-        self.replies.values().cloned().collect()
-    }
-
     /// Tries to conclude stage ST2.
     pub fn classify(&self) -> Option<St2Outcome> {
         // Group by (decision, view_decision): a shard's handful of replies
@@ -290,9 +421,8 @@ impl St2Tally {
         let largest = groups.iter().map(|(_, m)| m.len()).max().unwrap_or(0) as u32;
         let outstanding = self.cfg.n() - self.total();
         if largest + outstanding < quorum {
-            return Some(St2Outcome::Divergent {
-                replies: self.replies(),
-            });
+            let replies = self.replies.values().cloned().collect();
+            return Some(St2Outcome::Divergent { replies });
         }
         None
     }
@@ -527,7 +657,265 @@ mod tests {
         t.add(st2r(0, ProtoDecision::Commit, 0));
         t.add(st2r(0, ProtoDecision::Commit, 1));
         assert_eq!(t.total(), 1);
-        let replies = t.replies();
-        assert_eq!(replies[0].body.view_decision, 1);
+        assert_eq!(t.replies[&0].body.view_decision, 1);
+    }
+
+    // ------------------------------------------------------------------
+    // The read rule
+    // ------------------------------------------------------------------
+
+    use crate::certs::{DecisionCert, DecisionProof};
+    use crate::config::BasilConfig;
+    use crate::messages::{CommittedRead, PreparedRead, ReadReplyBody};
+    use basil_common::{ClientId, NodeId, ReadQuorum};
+    use basil_store::TransactionBuilder;
+
+    /// A transaction at `nanos` that writes `value` to `key`.
+    fn writer(nanos: u64, key: &str, value: u64) -> Arc<Transaction> {
+        let mut b = TransactionBuilder::new(Timestamp::from_nanos(nanos, ClientId(7)));
+        b.record_write(Key::new(key), Value::from_u64(value));
+        b.build_shared()
+    }
+
+    /// A committed claim of `tx`'s write of "x", carrying a fast commit
+    /// certificate of all six replicas' (unsigned) votes if `certified`.
+    fn committed(tx: &Arc<Transaction>, certified: bool) -> Option<CommittedRead> {
+        let votes = (0..6).map(|i| SignedSt1Reply {
+            body: St1ReplyBody {
+                txid: tx.id(),
+                replica: ReplicaId::new(ShardId(0), i),
+                vote: ProtoVote::Commit,
+            },
+            proof: None,
+        });
+        let cert = DecisionCert {
+            txid: tx.id(),
+            proof: DecisionProof::FastCommit(vec![ShardVotes {
+                txid: tx.id(),
+                shard: ShardId(0),
+                decision: ProtoDecision::Commit,
+                votes: votes.collect(),
+            }]),
+        };
+        Some(CommittedRead {
+            version: tx.timestamp(),
+            value: tx.written_value(&Key::new("x")).cloned()?,
+            txid: tx.id(),
+            cert: certified.then(|| Arc::new(cert)),
+            tx: Some(Arc::clone(tx)),
+        })
+    }
+
+    /// A genesis claim of `value`.
+    fn genesis(value: u64) -> Option<CommittedRead> {
+        Some(CommittedRead {
+            version: Timestamp::ZERO,
+            value: Value::from_u64(value),
+            txid: TxId::default(),
+            cert: None,
+            tx: None,
+        })
+    }
+
+    /// A reply to a read of "x" with `committed` and `tx`'s prepared write.
+    fn reply(committed: Option<CommittedRead>, prepared: Option<&Arc<Transaction>>) -> ReadReply {
+        let prepared = prepared.map(|tx| PreparedRead { tx: Arc::clone(tx) });
+        let (req_id, key) = (1, Key::new("x"));
+        let body = ReadReplyBody {
+            req_id,
+            key,
+            committed,
+            prepared,
+        };
+        ReadReply { body, proof: None }
+    }
+
+    /// One row per clause of the read rule: the replies in arrival order,
+    /// the read quorum, and the version, value and dependency the read
+    /// takes (`None`: it waits).
+    #[test]
+    fn read_tally_classifies_each_clause_of_the_read_rule() {
+        let (a, b) = (writer(500, "x", 1), writer(600, "x", 2));
+        // Same version as `a`, another transaction and value.
+        let a2 = writer(500, "x", 3);
+        let elsewhere = writer(700, "y", 4);
+        let mut forged = committed(&b, true);
+        if let Some(c) = &mut forged {
+            c.txid = a.id();
+        }
+        let mut unwritten = committed(&b, true);
+        if let Some(c) = &mut unwritten {
+            c.value = Value::from_u64(666);
+        }
+        let at = |tx: &Arc<Transaction>| tx.timestamp();
+        let zero = Timestamp::ZERO;
+        type Row = (
+            &'static str,
+            ReadQuorum,
+            Vec<ReadReply>,
+            Option<(Timestamp, u64, bool)>,
+        );
+        let rows: Vec<Row> = vec![
+            (
+                "fewer replies than the quorum waits for",
+                ReadQuorum::FPlusOne,
+                vec![reply(committed(&b, true), None)],
+                None,
+            ),
+            (
+                "the highest certified committed version",
+                ReadQuorum::FPlusOne,
+                vec![
+                    reply(committed(&a, true), None),
+                    reply(committed(&b, true), None),
+                ],
+                Some((at(&b), 2, false)),
+            ),
+            (
+                "equal committed versions: the first seen",
+                ReadQuorum::FPlusOne,
+                vec![
+                    reply(committed(&a2, true), None),
+                    reply(committed(&a, true), None),
+                ],
+                Some((at(&a), 3, false)),
+            ),
+            (
+                "an uncertified newer claim does not count",
+                ReadQuorum::FPlusOne,
+                vec![
+                    reply(committed(&b, false), None),
+                    reply(committed(&a, true), None),
+                ],
+                Some((at(&a), 1, false)),
+            ),
+            (
+                "a certificate for another transaction does not count",
+                ReadQuorum::FPlusOne,
+                vec![reply(forged, None), reply(committed(&a, true), None)],
+                Some((at(&a), 1, false)),
+            ),
+            (
+                "a value its certified writer did not write does not count",
+                ReadQuorum::FPlusOne,
+                vec![reply(unwritten, None), reply(committed(&a, true), None)],
+                Some((at(&a), 1, false)),
+            ),
+            (
+                "a strictly newer prepared version with f + 1 vouchers",
+                ReadQuorum::FPlusOne,
+                vec![
+                    reply(committed(&a, true), Some(&b)),
+                    reply(genesis(0), Some(&b)),
+                ],
+                Some((at(&b), 2, true)),
+            ),
+            (
+                "a prepared version equal to the committed one",
+                ReadQuorum::FPlusOne,
+                vec![
+                    reply(committed(&a, true), Some(&a2)),
+                    reply(genesis(0), Some(&a2)),
+                ],
+                Some((at(&a), 1, false)),
+            ),
+            (
+                "a prepared version with one voucher",
+                ReadQuorum::FPlusOne,
+                vec![reply(genesis(0), Some(&b)), reply(genesis(0), Some(&a))],
+                Some((zero, 0, false)),
+            ),
+            (
+                "a prepared transaction that does not write the key",
+                ReadQuorum::FPlusOne,
+                vec![
+                    reply(genesis(0), Some(&elsewhere)),
+                    reply(genesis(0), Some(&elsewhere)),
+                ],
+                Some((zero, 0, false)),
+            ),
+            (
+                "genesis with f + 1 matching values",
+                ReadQuorum::FPlusOne,
+                vec![
+                    reply(genesis(666), None),
+                    reply(genesis(10), None),
+                    reply(genesis(10), None),
+                ],
+                Some((zero, 10, false)),
+            ),
+            (
+                "genesis claims that disagree wait",
+                ReadQuorum::FPlusOne,
+                vec![reply(genesis(666), None), reply(genesis(10), None)],
+                None,
+            ),
+            (
+                "no committed version claims the empty genesis value",
+                ReadQuorum::FPlusOne,
+                vec![
+                    reply(None, None),
+                    reply(genesis(10), None),
+                    reply(None, None),
+                ],
+                Some((zero, u64::MAX, false)),
+            ),
+            (
+                "unanimous genesis under a one-reply quorum",
+                ReadQuorum::One,
+                vec![reply(genesis(666), None)],
+                Some((zero, 666, false)),
+            ),
+            (
+                "only uncertified claims above genesis: the empty value",
+                ReadQuorum::FPlusOne,
+                vec![
+                    reply(committed(&a, false), None),
+                    reply(committed(&b, false), None),
+                ],
+                Some((zero, u64::MAX, false)),
+            ),
+        ];
+        for (clause, quorum, replies, expected) in rows {
+            let mut cfg = BasilConfig::test_single_shard().without_proofs();
+            cfg.system.read_quorum = quorum;
+            let registry = basil_crypto::KeyRegistry::from_seed(5);
+            let mut engine = SigEngine::new(NodeId::Client(ClientId(1)), registry, &cfg);
+            let mut tally = ReadTally::default();
+            for (i, r) in replies.into_iter().enumerate() {
+                tally.add(ReplicaId::new(ShardId(0), i as u32), r);
+            }
+            let read = tally.classify(&Key::new("x"), &cfg.system, &mut engine);
+            // `u64::MAX` stands for the empty value.
+            let value = |v| match v {
+                u64::MAX => Value::empty(),
+                v => Value::from_u64(v),
+            };
+            let expected = expected.map(|(version, v, dependent)| (version, value(v), dependent));
+            let got = read.map(|(version, value, dep)| (version, value, dep.is_some()));
+            assert_eq!(got, expected, "{clause}");
+        }
+    }
+
+    /// A replica's later reply replaces its earlier one: one replica cannot
+    /// vouch twice.
+    #[test]
+    fn read_tally_keeps_one_reply_per_replica() {
+        let cfg = BasilConfig::test_single_shard().without_proofs();
+        let registry = basil_crypto::KeyRegistry::from_seed(5);
+        let mut engine = SigEngine::new(NodeId::Client(ClientId(1)), registry, &cfg);
+        let b = writer(600, "x", 2);
+        let mut tally = ReadTally::default();
+        let replica = |i| ReplicaId::new(ShardId(0), i);
+        tally.add(replica(0), reply(genesis(0), Some(&b)));
+        tally.add(replica(0), reply(genesis(0), Some(&b)));
+        assert_eq!(tally.total(), 1);
+        assert!(tally
+            .classify(&Key::new("x"), &cfg.system, &mut engine)
+            .is_none());
+        tally.add(replica(1), reply(genesis(0), Some(&b)));
+        let read = tally.classify(&Key::new("x"), &cfg.system, &mut engine);
+        let dependency = read.and_then(|(.., dep)| dep).map(|(txid, _)| txid);
+        assert_eq!(dependency, Some(b.id()));
     }
 }

@@ -379,8 +379,9 @@ impl MvtsoStore {
         self.read_at_slot(idx, ts)
     }
 
-    /// Serves a versioned read without registering an RTS (used when
-    /// re-serving a retried read that already registered one).
+    /// Serves a versioned read without registering an RTS: a look at what
+    /// a read would return that leaves no trace. No replica path calls it;
+    /// tests, the store benchmark and the reference model's comparison do.
     pub fn read_without_rts(&self, key: &Key, ts: Timestamp) -> ReadResult {
         match self.key_index.get(key) {
             Some(idx) => self.read_at_slot(*idx, ts),
