@@ -203,11 +203,13 @@ impl BasilReplica {
         initial_data: impl IntoIterator<Item = (Key, Value)>,
     ) -> Self {
         let engine = SigEngine::new(NodeId::Replica(id), registry, &cfg);
+        let store =
+            MvtsoStore::with_initial_data(initial_data).for_shard(id.shard, cfg.system.num_shards);
         BasilReplica {
             id,
             cfg,
             engine,
-            store: MvtsoStore::with_initial_data(initial_data),
+            store,
             behavior,
             records: FastHashMap::default(),
             out_batch: Vec::new(),
@@ -1734,6 +1736,47 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// A replica waits only on dependencies its own shard can decide. T
+    /// read T''s prepared write of a shard-0 key and writes a shard-1 key;
+    /// T''s ST1 and writeback go to shard 0 only, so a shard-1 replica never
+    /// hears of T' and votes on T at once, while a shard-0 replica still
+    /// defers until T' is decided.
+    #[test]
+    fn a_dependency_on_another_shards_key_is_not_waited_on() {
+        let mut c = cfg();
+        c.system.num_shards = 2;
+        let key_on = |shard: u32| {
+            (0..)
+                .map(|i| Key::new(format!("k{i}")))
+                .find(|k| c.system.shard_for_key(k) == ShardId(shard))
+                .expect("some key hashes to each shard")
+        };
+        let (x, y) = (key_on(0), key_on(1));
+        let mut b = TransactionBuilder::new(Timestamp::from_nanos(1_000_000, ClientId(9)));
+        b.record_write(x.clone(), Value::from_u64(5));
+        let dep = b.build_shared();
+        let mut b = TransactionBuilder::new(Timestamp::from_nanos(2_000_000, ClientId(3)));
+        b.record_dependent_read(x, dep.timestamp(), dep.id());
+        b.record_write(y, Value::from_u64(6));
+        let tx = b.build_shared();
+        assert_eq!(*tx.involved_shards(2), [ShardId(0), ShardId(1)]);
+        let dependent_client = NodeId::Client(ClientId(3));
+
+        let id = ReplicaId::new(ShardId(1), 0);
+        let mut shard1 = BasilReplica::new(id, c.clone(), registry(), ReplicaBehavior::Correct, []);
+        let mut ctx = ctx_at(NodeId::Replica(id), 2);
+        shard1.handle_st1(&mut ctx, dependent_client, signed_st1(&tx, false));
+        let sent = sent_to(&ctx, dependent_client);
+        assert_eq!(vote_in(&sent, tx.id()), Some(ProtoVote::Commit));
+        assert_eq!(shard1.stats().st1_deferred, 0);
+
+        let mut shard0 = replica_knowing(&c, ShardId(0), &dep);
+        let mut ctx = ctx_at(NodeId::Replica(shard0.id()), 2);
+        shard0.handle_st1(&mut ctx, dependent_client, signed_st1(&tx, false));
+        assert!(sent_to(&ctx, dependent_client).is_empty(), "vote deferred");
+        assert_eq!(shard0.stats().st1_deferred, 1);
     }
 
     /// A certificate goes to every client that asked about the transaction,

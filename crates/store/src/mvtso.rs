@@ -33,11 +33,23 @@
 //! message reordering) is treated as pending rather than invalid, which
 //! avoids spurious aborts during fault-free executions while preserving
 //! safety (the vote is still withheld until the dependency's fate is known).
+//!
+//! That rule covers only dependencies this store's shard can decide. On a
+//! sharded deployment ([`MvtsoStore::for_shard`]) a dependency on another
+//! shard's key is skipped by both dependency checks: its `ST1` and writeback
+//! go to its own shards only, so a replica here might never hear of it and
+//! would withhold its vote until a fallback ran. Skipping it is sound
+//! because the key is in the dependent's read set, so the key's shard is
+//! involved in the dependent and checks and waits on the dependency as
+//! before, and the dependent commits only with every involved shard's votes.
 
 use crate::tx::Transaction;
 use crate::varray::VersionArray;
+use basil_common::config::shard_for_key;
 use basil_common::error::AbortReason;
-use basil_common::{Duration, FastHashMap, FastHashSet, Key, SimTime, Timestamp, TxId, Value};
+use basil_common::{
+    Duration, FastHashMap, FastHashSet, Key, ShardId, SimTime, Timestamp, TxId, Value,
+};
 use std::sync::Arc;
 
 /// A replica's vote on whether committing a transaction preserves
@@ -302,6 +314,10 @@ pub struct MvtsoStore {
     gc_watermark: Timestamp,
     /// Fast-path counters.
     stats: StoreStats,
+    /// The shard this store holds and the deployment's shard count, on a
+    /// sharded deployment ([`MvtsoStore::for_shard`]); `None` holds every
+    /// key.
+    shard: Option<(ShardId, u32)>,
 }
 
 /// Sentinel for "key had no record when the check pass resolved it".
@@ -311,6 +327,21 @@ impl MvtsoStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Places the store on `shard` of `num_shards` shards: a dependency on a
+    /// key another shard holds is that shard's to check and wait on, not
+    /// this store's (see the module docs). A replica calls this once, when
+    /// it builds its store.
+    pub fn for_shard(mut self, shard: ShardId, num_shards: u32) -> Self {
+        self.shard = (num_shards > 1).then_some((shard, num_shards));
+        self
+    }
+
+    /// Whether this store's shard holds `key`.
+    fn holds(&self, key: &Key) -> bool {
+        self.shard
+            .is_none_or(|(shard, num_shards)| shard_for_key(key, num_shards) == shard)
     }
 
     /// The record of `key`, if one exists.
@@ -479,8 +510,9 @@ impl MvtsoStore {
         }
 
         // (2) Dependency validity: every dependency this replica knows about
-        // must actually have produced the claimed version.
-        for dep in tx.deps() {
+        // must actually have produced the claimed version. Another shard's
+        // key is that shard's to check (see module docs).
+        for dep in tx.deps().iter().filter(|dep| self.holds(&dep.key)) {
             let dep_tx = match self.txs.get(&dep.txid) {
                 Some(TxState::Prepared(prepared, _)) => &prepared.tx,
                 Some(TxState::Committed(tx) | TxState::Aborted(Some(tx))) => tx,
@@ -585,9 +617,9 @@ impl MvtsoStore {
         };
         self.scratch_slots = slots;
 
-        // (8) Wait for all pending dependencies.
+        // (8) Wait for all pending dependencies this shard can decide.
         let mut missing: FastHashSet<TxId> = FastHashSet::default();
-        for dep in tx.deps() {
+        for dep in tx.deps().iter().filter(|dep| self.holds(&dep.key)) {
             match self.decision(&dep.txid) {
                 Some(Decision::Commit) => {}
                 Some(Decision::Abort) => {

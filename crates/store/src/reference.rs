@@ -16,8 +16,11 @@
 
 use crate::mvtso::{CheckOutcome, CommittedVersion, Decision, PreparedVersion, ReadResult, Vote};
 use crate::tx::Transaction;
+use basil_common::config::shard_for_key;
 use basil_common::error::AbortReason;
-use basil_common::{Duration, FastHashMap, FastHashSet, Key, SimTime, Timestamp, TxId, Value};
+use basil_common::{
+    Duration, FastHashMap, FastHashSet, Key, ShardId, SimTime, Timestamp, TxId, Value,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -40,6 +43,9 @@ pub struct ReferenceStore {
     /// implementations: prepares at or below the highest GC watermark are
     /// refused because their conflict evidence is gone).
     gc_watermark: Timestamp,
+    /// Mirrors the flattened store's placement: a dependency on a key
+    /// another shard holds is neither checked nor waited on.
+    shard: Option<(ShardId, u32)>,
 }
 
 impl ReferenceStore {
@@ -53,6 +59,18 @@ impl ReferenceStore {
                 .insert(Timestamp::ZERO, (TxId::default(), value));
         }
         store
+    }
+
+    pub fn for_shard(mut self, shard: ShardId, num_shards: u32) -> Self {
+        self.shard = (num_shards > 1).then_some((shard, num_shards));
+        self
+    }
+
+    fn holds(&self, key: &Key) -> bool {
+        match self.shard {
+            Some((shard, num_shards)) => shard_for_key(key, num_shards) == shard,
+            None => true,
+        }
     }
 
     pub fn read(&mut self, key: &Key, ts: Timestamp) -> ReadResult {
@@ -128,7 +146,7 @@ impl ReferenceStore {
             return CheckOutcome::Decided(Vote::Abort(AbortReason::TimestampOutOfBounds));
         }
 
-        for dep in tx.deps() {
+        for dep in tx.deps().iter().filter(|dep| self.holds(&dep.key)) {
             let known = self
                 .prepared_txs
                 .get(&dep.txid)
@@ -179,7 +197,7 @@ impl ReferenceStore {
         self.index_prepared(txid, tx);
 
         let mut missing: FastHashSet<TxId> = FastHashSet::default();
-        for dep in tx.deps() {
+        for dep in tx.deps().iter().filter(|dep| self.holds(&dep.key)) {
             match self.decisions.get(&dep.txid) {
                 Some(Decision::Commit) => {}
                 Some(Decision::Abort) => {
@@ -431,15 +449,17 @@ mod equivalence {
         }
     }
 
-    /// Interprets a raw op against both stores and asserts every observable
-    /// matches. Returns `Err` (via prop_assert) on divergence.
-    fn run_history(ops: Vec<RawOp>) -> Result<(), TestCaseError> {
+    /// Interprets a raw op against both stores, placed on shard `shard` of
+    /// `num_shards`, and asserts every observable matches. Returns `Err`
+    /// (via prop_assert) on divergence.
+    fn run_history(ops: Vec<RawOp>, shard: u32, num_shards: u32) -> Result<(), TestCaseError> {
         let initial: Vec<(Key, Value)> = KEYS[..PRELOADED]
             .iter()
             .map(|k| (Key::new(*k), Value::from_u64(0)))
             .collect();
-        let mut flat = MvtsoStore::with_initial_data(initial.clone());
-        let mut reference = ReferenceStore::with_initial_data(initial);
+        let shard = ShardId(shard % num_shards);
+        let mut flat = MvtsoStore::with_initial_data(initial.clone()).for_shard(shard, num_shards);
+        let mut reference = ReferenceStore::with_initial_data(initial).for_shard(shard, num_shards);
         let mut issued: Vec<Arc<Transaction>> = Vec::new();
 
         for (kind, a, b, c, d, e) in ops {
@@ -577,16 +597,20 @@ mod equivalence {
 
         /// Random interleavings of prepare/commit/abort/read/GC make
         /// bit-identical decisions on the flattened store and the
-        /// nested-`BTreeMap` reference.
+        /// nested-`BTreeMap` reference, on an unsharded deployment and on one
+        /// shard of two or three (where dependencies on the other shards'
+        /// keys are skipped).
         #[test]
         fn flattened_store_matches_btreemap_reference(
             ops in proptest::collection::vec(
                 (0u8..=255, 0u64..=u64::MAX, 0u64..=u64::MAX,
                  0u64..=u64::MAX, 0u64..=u64::MAX, 0u64..=u64::MAX),
                 1..48,
-            )
+            ),
+            shard in 0u32..3,
+            num_shards in 1u32..=3,
         ) {
-            run_history(ops)?;
+            run_history(ops, shard, num_shards)?;
         }
     }
 }

@@ -77,6 +77,9 @@ fn tpcc_runs_on_a_sharded_deployment() {
         BasilCluster::build(config, |client| Box::new(TpccGenerator::new(client.0, 20)));
     let report = cluster.run_measured(Duration::from_millis(200), Duration::from_millis(600));
     assert!(report.committed > 5, "got {} commits", report.committed);
+    // Fault-free, so no replica may need a fallback to vote: each waits
+    // only on dependencies its own shard decides.
+    assert_eq!(report.fallbacks, 0, "fallbacks in a fault-free run");
     cluster.audit().expect("sharded TPC-C history serializable");
 }
 
