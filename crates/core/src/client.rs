@@ -471,10 +471,11 @@ impl BasilClient {
         let Some((_, key, _)) = pending.filter(|(id, ..)| *id == reply.body.req_id) else {
             return;
         };
-        // A read reply names no sender: whoever signed it is who vouches for
+        // A read reply names no sender: whoever MAC'd it is who vouches for
         // the version (with signatures off, whoever sent it), and only a
         // replica of the key's shard may — a client's key, or another
-        // shard's, verifies just as well.
+        // shard's, verifies just as well. Only this client checks the reply,
+        // so it carries a MAC like a request, not a transferable signature.
         let voucher = if self.engine.enabled() {
             reply.proof.as_ref().map(|p| p.signer())
         } else {
@@ -487,7 +488,10 @@ impl BasilClient {
         if replica.shard != shard || replica.index >= self.cfg.system.shard.n() {
             return;
         }
-        if !self.engine.verify(&reply.body, reply.proof.as_ref()) {
+        if !self
+            .engine
+            .verify_request(&reply.body, reply.proof.as_ref())
+        {
             return;
         }
         self.read.add(replica, reply);
@@ -1717,7 +1721,7 @@ mod tests {
         let forged_tx = write_tx(500);
         let reply_from = |signer: NodeId| {
             let body = prepared_read(1, "x", &forged_tx);
-            let proof = SigEngine::new(signer, registry(), &cfg()).sign(&body);
+            let proof = SigEngine::new(signer, registry(), &cfg()).sign_request(&body);
             ReadReply { body, proof }
         };
         // f + 1 = 2 vouchers would make the prepared version readable.
@@ -1747,8 +1751,43 @@ mod tests {
         assert_eq!(client.stats().dependent_reads, 1);
     }
 
+    /// A read reply carries a MAC, checked at a MAC's cost: a MAC made under
+    /// another replica's key than the one it names, or over another body, is
+    /// refused and costs what the genuine reply costs, a MAC check and no
+    /// signature verification.
+    #[test]
+    fn a_read_reply_mac_binds_its_replica_and_its_body() {
+        let profile = TxProfile::new("r", vec![Op::Read(Key::new("x"))]);
+        let mut client = client_with(vec![profile]);
+        client.on_start(&mut ctx_at(1));
+        let replica = |i| NodeId::Replica(ReplicaId::new(ShardId(0), i));
+        let mac = |i, body: &ReadReplyBody| {
+            let mut engine = SigEngine::new(replica(i), registry(), &cfg());
+            engine.sign_request(body).expect("signatures on")
+        };
+        let body = prepared_read(1, "x", &write_tx(500));
+        let mut relabelled = mac(1, &body);
+        relabelled.root_signature.signer = replica(0);
+        let moved = mac(0, &prepared_read(1, "x", &write_tx(600)));
+        let mut deliver = |proof| {
+            let mut ctx = ctx_at(2);
+            let reply = ReadReply {
+                body: body.clone(),
+                proof: Some(proof),
+            };
+            client.on_message(&mut ctx, replica(0), BasilMsg::ReadReply(reply));
+            ctx.charged()
+        };
+        let cost = basil_crypto::CostModel::ed25519_default();
+        let mac_check = cost.message_cost() + cost.mac;
+        assert_eq!(deliver(relabelled), mac_check, "another replica's key");
+        assert_eq!(deliver(moved), mac_check, "another body");
+        assert_eq!(deliver(mac(0, &body)), mac_check, "the genuine reply");
+        assert_eq!(client.read.total(), 1, "only the genuine reply counts");
+    }
+
     /// The CPU a client charges to start (sign and send the first read) and
-    /// to take the reply that concludes a read (verify it, validate every
+    /// to take the reply that concludes a read (check its MAC, validate every
     /// reply's certificate, sign and send the prepare), under each crypto
     /// mode. The simulator reads only a callback's total, so these pin every
     /// simulated output against a charge that moves, is dropped or is
@@ -1756,8 +1795,8 @@ mod tests {
     #[test]
     fn callback_charges_are_pinned() {
         for (mode, pinned) in [
-            (CryptoMode::Real, [20_000, 137_000, 967_000]),
-            (CryptoMode::Simulated, [20_000, 137_000, 967_000]),
+            (CryptoMode::Real, [20_000, 8_000, 838_000]),
+            (CryptoMode::Simulated, [20_000, 8_000, 838_000]),
         ] {
             let mut c = cfg();
             c.crypto_mode = mode;
@@ -1788,7 +1827,7 @@ mod tests {
                     prepared: None,
                 };
                 let replica = NodeId::Replica(ReplicaId::new(ShardId(0), i));
-                let proof = SigEngine::new(replica, registry(), &cfg()).sign(&body);
+                let proof = SigEngine::new(replica, registry(), &cfg()).sign_request(&body);
                 let mut ctx = ctx_at(2);
                 client.on_message(
                     &mut ctx,
@@ -1831,7 +1870,7 @@ mod tests {
                     prepared: None,
                 };
                 let replica = NodeId::Replica(ReplicaId::new(ShardId(0), i));
-                let proof = SigEngine::new(replica, registry(), &cfg()).sign(&body);
+                let proof = SigEngine::new(replica, registry(), &cfg()).sign_request(&body);
                 let mut ctx = ctx_at(2);
                 let reply = BasilMsg::ReadReply(ReadReply { body, proof });
                 client.on_message(&mut ctx, replica, reply);
@@ -1888,7 +1927,7 @@ mod tests {
                     prepared: None,
                 };
                 let replica = NodeId::Replica(ReplicaId::new(ShardId(0), i));
-                let proof = SigEngine::new(replica, registry(), &cfg()).sign(&body);
+                let proof = SigEngine::new(replica, registry(), &cfg()).sign_request(&body);
                 let mut ctx = ctx_at(2);
                 let reply = BasilMsg::ReadReply(ReadReply { body, proof });
                 client.on_message(&mut ctx, replica, reply);
@@ -1994,7 +2033,7 @@ mod tests {
                     prepared: None,
                 };
                 let replica = NodeId::Replica(ReplicaId::new(ShardId(0), i));
-                let proof = SigEngine::new(replica, registry(), &cfg()).sign(&body);
+                let proof = SigEngine::new(replica, registry(), &cfg()).sign_request(&body);
                 let mut ctx = ctx_at(2);
                 let reply = BasilMsg::ReadReply(ReadReply { body, proof });
                 client.on_message(&mut ctx, replica, reply);
@@ -2076,7 +2115,7 @@ mod tests {
                 prepared: None,
             };
             let replica = NodeId::Replica(ReplicaId::new(ShardId(0), i));
-            let proof = SigEngine::new(replica, registry(), &cfg()).sign(&body);
+            let proof = SigEngine::new(replica, registry(), &cfg()).sign_request(&body);
             let mut ctx = ctx_at(2);
             client.on_message(
                 &mut ctx,

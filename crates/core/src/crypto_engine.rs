@@ -93,10 +93,10 @@ pub struct SigEngine {
     /// remembers only that a pair is valid, which the signer knows: a hit
     /// still needs the identical signature, and a proof's Merkle path is
     /// still recomputed from the leaf it is given, so a forged payload under
-    /// an own root is refused. Request MACs are never recorded: not the
-    /// ones this node makes ([`SigEngine::sign_request`]), which only other
-    /// nodes check, nor the ones it checks ([`SigEngine::verify_request`]),
-    /// each once.
+    /// an own root is refused. MACs (on requests and read replies) are never
+    /// recorded: not the ones this node makes ([`SigEngine::sign_request`]),
+    /// which only other nodes check, nor the ones it checks
+    /// ([`SigEngine::verify_request`]), each once.
     cache: SignatureCache,
     mode: CryptoMode,
     enabled: bool,
@@ -157,9 +157,10 @@ impl SigEngine {
         Some(proof)
     }
 
-    /// Authenticates a client request. Requests only need point-to-point
-    /// authentication (a MAC), not transferability, so the CPU cost metered
-    /// is the MAC cost rather than a full signature.
+    /// Authenticates a message only its recipient checks: a client
+    /// request, or a replica's read reply. Such a message needs
+    /// point-to-point authentication (a MAC), not transferability, so the
+    /// CPU cost metered is the MAC cost rather than a full signature.
     pub fn sign_request<P: SignedPayload + ?Sized>(&mut self, payload: &P) -> Option<BatchProof> {
         if !self.enabled {
             return None;
@@ -168,8 +169,9 @@ impl SigEngine {
         Some(self.single_proof(payload))
     }
 
-    /// Verifies a client request MAC. The payload is only materialized
-    /// under real crypto.
+    /// Verifies a MAC made by [`SigEngine::sign_request`]: a client
+    /// request's, or a read reply's. The payload is only materialized under
+    /// real crypto.
     pub fn verify_request<P: SignedPayload + ?Sized>(
         &mut self,
         payload: &P,

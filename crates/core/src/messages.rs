@@ -6,11 +6,13 @@
 //! certificates, and the fallback messages `RP` (recovery prepare),
 //! `InvokeFB`, `ElectFB`, and `DecFB` of Section 5.
 //!
-//! Every reply that may end up inside a certificate carries a
-//! [`basil_crypto::BatchProof`], which covers both individually signed and
-//! batch-signed replies (Section 4.4). Client-originated requests carry a
-//! single-leaf proof. When signatures are disabled deployment-wide
-//! (`Basil-NoProofs`) the proofs are absent.
+//! Every reply that may end up inside a certificate — an ST1 or ST2 vote —
+//! carries a [`basil_crypto::BatchProof`], which covers both individually
+//! signed and batch-signed replies (Section 4.4). A message that only its
+//! recipient checks carries a single-leaf MAC in the same proof type:
+//! client-originated requests, and read replies, which no certificate or
+//! forwarded message ever holds. When signatures are disabled
+//! deployment-wide (`Basil-NoProofs`) the proofs are absent.
 
 use crate::certs::DecisionCert;
 use crate::crypto_engine::SignedPayload;
@@ -191,12 +193,18 @@ impl SignedPayload for ReadReplyBody {
     }
 }
 
-/// A signed read reply.
+/// An authenticated read reply.
 #[derive(Clone, Debug)]
 pub struct ReadReply {
     /// Reply payload.
     pub body: ReadReplyBody,
-    /// Replica signature (batched).
+    /// The replica's MAC over the body, made and sent in the callback that
+    /// served the read (`SigEngine::sign_request`), not a batch signature:
+    /// only the client the reply answers checks it, and no certificate or
+    /// forwarded message carries it. Its signer is the replica that vouches
+    /// for the version. Paper §4.2's optional dependency proofs (`f + 1`
+    /// signed prepared reads, forwarded as evidence) would need a
+    /// transferable signature here again.
     pub proof: Option<BatchProof>,
 }
 

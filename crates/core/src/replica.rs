@@ -4,9 +4,11 @@
 //! for `ST1` prepares (deferring its vote while dependencies are undecided),
 //! logs `ST2` decisions, applies writeback certificates, and takes part in
 //! the per-transaction fallback protocol (view tracking, leader election, and
-//! decision reconciliation). Replies are batched and signed through a Merkle
-//! tree per Section 4.4. Durable state changes only by a WAL record, applied
-//! by one function live and on amnesia replay ([`BasilReplica::recover`]).
+//! decision reconciliation). Votes are batched and signed through a Merkle
+//! tree per Section 4.4; a read reply is MAC'd and sent at once, like a
+//! client request, because only the client it answers ever checks it.
+//! Durable state changes only by a WAL record, applied by one function live
+//! and on amnesia replay ([`BasilReplica::recover`]).
 
 use crate::byzantine::ReplicaBehavior;
 use crate::certs::{
@@ -31,7 +33,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Maximum time a replica holds a partially filled reply batch before
+/// Maximum time a replica holds a partially filled vote batch before
 /// flushing it.
 const BATCH_TIMEOUT: Duration = Duration::from_micros(500);
 
@@ -116,22 +118,28 @@ struct Election {
     done: bool,
 }
 
-/// A reply waiting to be batched, signed, and sent.
+/// A reply a handler sends through [`BasilReplica::send_reply`].
 #[derive(Debug)]
-enum PendingReply {
+enum Reply {
     Read(ReadReplyBody),
     St1(St1ReplyBody),
     St2(St2ReplyBody),
 }
 
-/// A queued reply signs as its body (its destination is not signed), so the
+/// A vote waiting to be batched, signed, and sent.
+#[derive(Debug)]
+enum PendingVote {
+    St1(St1ReplyBody),
+    St2(St2ReplyBody),
+}
+
+/// A queued vote signs as its body (its destination is not signed), so the
 /// batch is signed straight from `out_batch`.
-impl crate::crypto_engine::SignedPayload for (NodeId, PendingReply) {
+impl crate::crypto_engine::SignedPayload for (NodeId, PendingVote) {
     fn write_signed(&self, out: &mut impl basil_common::codec::Sink) {
         match &self.1 {
-            PendingReply::Read(b) => b.write_signed(out),
-            PendingReply::St1(b) => b.write_signed(out),
-            PendingReply::St2(b) => b.write_signed(out),
+            PendingVote::St1(b) => b.write_signed(out),
+            PendingVote::St2(b) => b.write_signed(out),
         }
     }
 }
@@ -159,8 +167,8 @@ pub struct BasilReplica {
     /// store's key records: pointer-sized hash-table entries keep probes
     /// and rehashes cache-friendly.
     records: FastHashMap<TxId, Box<TxRecord>>,
-    /// Replies awaiting batch signing.
-    out_batch: Vec<(NodeId, PendingReply)>,
+    /// Votes awaiting batch signing.
+    out_batch: Vec<(NodeId, PendingVote)>,
     batch_timer_armed: bool,
     /// Durable record of state transitions, replayed after amnesia restarts.
     wal: Wal,
@@ -405,25 +413,43 @@ impl BasilReplica {
     }
 
     // ------------------------------------------------------------------
-    // Reply batching (Section 4.4)
+    // Replies: read MACs and vote batching (Section 4.4)
     // ------------------------------------------------------------------
 
-    /// Queues a reply for the next signed batch. This is the one place a
-    /// misbehaving replica departs from the protocol: its store, log and
-    /// records stay honest, and only what it sends differs.
-    fn enqueue_reply(&mut self, ctx: &mut Context<BasilMsg>, to: NodeId, mut reply: PendingReply) {
+    /// Sends a reply: a read reply MAC'd at once, a vote in the next signed
+    /// batch. This is the one place a misbehaving replica departs from the
+    /// protocol: its store, log and records stay honest, and only what it
+    /// sends differs.
+    ///
+    /// A vote is signed because it becomes evidence: ST1 and ST2 replies end
+    /// up in certificates that every other replica and client verifies. A
+    /// read reply never does. Only the client it answers checks it, and no
+    /// ST1, certificate or catch-up reply carries it on, so it needs
+    /// point-to-point authentication only, the MAC a client request carries
+    /// ([`SigEngine::sign_request`]).
+    fn send_reply(&mut self, ctx: &mut Context<BasilMsg>, to: NodeId, mut reply: Reply) {
         match (self.behavior, &mut reply) {
-            (ReplicaBehavior::IgnoreReads, PendingReply::Read(_))
-            | (ReplicaBehavior::WithholdVotes, PendingReply::St1(_)) => {
+            (ReplicaBehavior::IgnoreReads, Reply::Read(_))
+            | (ReplicaBehavior::WithholdVotes, Reply::St1(_)) => {
                 self.stats.byzantine_drops += 1;
                 return;
             }
-            (ReplicaBehavior::AlwaysVoteAbort, PendingReply::St1(body)) => {
+            (ReplicaBehavior::AlwaysVoteAbort, Reply::St1(body)) => {
                 body.vote = ProtoVote::Abort;
             }
             _ => {}
         }
-        self.out_batch.push((to, reply));
+        let vote = match reply {
+            Reply::Read(body) => {
+                let proof = self.engine.sign_request(&body);
+                ctx.charge(self.engine.message_cost());
+                ctx.send(to, BasilMsg::ReadReply(ReadReply { body, proof }));
+                return;
+            }
+            Reply::St1(body) => PendingVote::St1(body),
+            Reply::St2(body) => PendingVote::St2(body),
+        };
+        self.out_batch.push((to, vote));
         let batch_size = self.cfg.system.batch_size.max(1) as usize;
         if !self.engine.enabled() || batch_size == 1 || self.out_batch.len() >= batch_size {
             self.flush_batch(ctx);
@@ -445,11 +471,10 @@ impl BasilReplica {
         // The batch is drained in place, so it keeps its capacity.
         let proofs = self.engine.sign_batch(&self.out_batch);
         self.stats.batches_signed += 1;
-        for ((to, reply), proof) in self.out_batch.drain(..).zip(proofs) {
-            let msg = match reply {
-                PendingReply::Read(body) => BasilMsg::ReadReply(ReadReply { body, proof }),
-                PendingReply::St1(body) => BasilMsg::St1Reply(SignedSt1Reply { body, proof }),
-                PendingReply::St2(body) => BasilMsg::St2Reply(SignedSt2Reply { body, proof }),
+        for ((to, vote), proof) in self.out_batch.drain(..).zip(proofs) {
+            let msg = match vote {
+                PendingVote::St1(body) => BasilMsg::St1Reply(SignedSt1Reply { body, proof }),
+                PendingVote::St2(body) => BasilMsg::St2Reply(SignedSt2Reply { body, proof }),
             };
             ctx.charge(per_reply);
             ctx.send(to, msg);
@@ -527,7 +552,7 @@ impl BasilReplica {
             prepared,
         };
         self.stats.reads_served += 1;
-        self.enqueue_reply(ctx, from, PendingReply::Read(body));
+        self.send_reply(ctx, from, Reply::Read(body));
     }
 
     // ------------------------------------------------------------------
@@ -564,7 +589,7 @@ impl BasilReplica {
         // served by that state.
         if st1.recovery {
             if let Some(body) = record.st2_reply(txid, self.id) {
-                self.enqueue_reply(ctx, from, PendingReply::St2(body));
+                self.send_reply(ctx, from, Reply::St2(body));
                 return;
             }
         }
@@ -576,7 +601,7 @@ impl BasilReplica {
                 replica: self.id,
                 vote,
             };
-            self.enqueue_reply(ctx, from, PendingReply::St1(body));
+            self.send_reply(ctx, from, Reply::St1(body));
             return;
         }
         // A withheld vote is cast to every interested client once the
@@ -622,7 +647,7 @@ impl BasilReplica {
                 replica: self.id,
                 vote: vote.clone(),
             };
-            self.enqueue_reply(ctx, client, PendingReply::St1(body));
+            self.send_reply(ctx, client, Reply::St1(body));
         }
         for (from, st2) in buffered_st2 {
             self.apply_st2(ctx, from, st2);
@@ -702,7 +727,7 @@ impl BasilReplica {
             self.log_decision(txid, st2.decision, st2.view)
         });
         if let Some(body) = reply {
-            self.enqueue_reply(ctx, from, PendingReply::St2(body));
+            self.send_reply(ctx, from, Reply::St2(body));
         }
     }
 
@@ -1007,7 +1032,7 @@ impl BasilReplica {
         self.stats.fallback_decisions_adopted += 1;
         if let Some(body) = self.log_decision(txid, dfb.decision, view) {
             for client in interested {
-                self.enqueue_reply(ctx, client, PendingReply::St2(body.clone()));
+                self.send_reply(ctx, client, Reply::St2(body.clone()));
             }
         }
     }
@@ -1203,8 +1228,6 @@ mod tests {
         let mut r = replica(0);
         let mut ctx = ctx_at(NodeId::Replica(r.id()), 1);
         r.handle_read(&mut ctx, client_node(), signed_read(1, "x", 1_000_000));
-        // Batch size is 1 in the test config, so the reply is flushed
-        // immediately.
         let msgs = sent_to(&ctx, client_node());
         assert_eq!(msgs.len(), 1);
         match &msgs[0] {
@@ -1218,6 +1241,48 @@ mod tests {
             other => panic!("unexpected reply {other:?}"),
         }
         assert_eq!(r.stats().reads_served, 1);
+    }
+
+    /// A read reply leaves in the callback that served the read, under a
+    /// MAC its client checks as it checks a request: no read enters a
+    /// signed batch or arms the flush timer, however large the batch. A
+    /// replica that ignores reads still sends none.
+    #[test]
+    fn a_read_reply_is_macd_and_sent_at_once() {
+        let mut r = BasilReplica::new(
+            ReplicaId::new(ShardId(0), 0),
+            cfg().with_batch_size(4),
+            registry(),
+            ReplicaBehavior::Correct,
+            [(Key::new("x"), Value::from_u64(0))],
+        );
+        let mut client = client_engine();
+        for req_id in 1..=3 {
+            let mut ctx = ctx_at(NodeId::Replica(r.id()), req_id);
+            r.handle_read(&mut ctx, client_node(), signed_read(req_id, "x", 1_000_000));
+            let timers = ctx
+                .outputs()
+                .iter()
+                .filter(|o| matches!(o, basil_simnet::actor::Output::Timer { .. }));
+            assert_eq!(timers.count(), 0, "no flush timer");
+            match &sent_to(&ctx, client_node())[..] {
+                [BasilMsg::ReadReply(reply)] => {
+                    assert_eq!(reply.body.req_id, req_id);
+                    let proof = reply.proof.as_ref();
+                    assert_eq!(proof.map(|p| p.signer()), Some(NodeId::Replica(r.id())));
+                    assert!(client.verify_request(&reply.body, proof));
+                }
+                other => panic!("expected one read reply, got {other:?}"),
+            }
+        }
+        assert_eq!(r.stats().reads_served, 3);
+        assert_eq!(r.stats().batches_signed, 0);
+
+        r.set_behavior(ReplicaBehavior::IgnoreReads);
+        let mut ctx = ctx_at(NodeId::Replica(r.id()), 4);
+        r.handle_read(&mut ctx, client_node(), signed_read(4, "x", 1_000_000));
+        assert!(sent_to(&ctx, client_node()).is_empty());
+        assert_eq!(r.stats().byzantine_drops, 1);
     }
 
     #[test]
@@ -1523,7 +1588,8 @@ mod tests {
             [(Key::new("x"), Value::from_u64(0))],
         );
         let mut ctx = ctx_at(NodeId::Replica(r.id()), 1);
-        r.handle_read(&mut ctx, client_node(), signed_read(1, "x", 1_000_000));
+        let tx = write_tx(1_000_000, "x", 1);
+        r.handle_st1(&mut ctx, client_node(), signed_st1(&tx, false));
         assert!(sent_to(&ctx, client_node()).is_empty(), "reply queued");
 
         // A BatchFlush from another node must not force the flush (that
@@ -1747,13 +1813,7 @@ mod tests {
     fn a_dependency_on_another_shards_key_is_not_waited_on() {
         let mut c = cfg();
         c.system.num_shards = 2;
-        let key_on = |shard: u32| {
-            (0..)
-                .map(|i| Key::new(format!("k{i}")))
-                .find(|k| c.system.shard_for_key(k) == ShardId(shard))
-                .expect("some key hashes to each shard")
-        };
-        let (x, y) = (key_on(0), key_on(1));
+        let (x, y) = (key_on(&c, 0), key_on(&c, 1));
         let mut b = TransactionBuilder::new(Timestamp::from_nanos(1_000_000, ClientId(9)));
         b.record_write(x.clone(), Value::from_u64(5));
         let dep = b.build_shared();
@@ -1931,8 +1991,8 @@ mod tests {
     #[test]
     fn callback_charges_are_pinned() {
         for (mode, pinned) in [
-            (CryptoMode::Real, [71_000, 77_000, 465_000, 272_000]),
-            (CryptoMode::Simulated, [71_000, 77_000, 465_000, 272_000]),
+            (CryptoMode::Real, [16_000, 77_000, 465_000, 272_000]),
+            (CryptoMode::Simulated, [16_000, 77_000, 465_000, 272_000]),
         ] {
             let mut c = cfg();
             c.crypto_mode = mode;
@@ -2028,20 +2088,22 @@ mod tests {
         }
     }
 
+    /// The first key `k0`, `k1`, ... that `c` places on `shard`.
+    fn key_on(c: &BasilConfig, shard: u32) -> Key {
+        (0..)
+            .map(|i| Key::new(format!("k{i}")))
+            .find(|k| c.system.shard_for_key(k) == ShardId(shard))
+            .expect("some key hashes to each shard")
+    }
+
     /// A deployment of `shards` shards and a transaction that writes one key
     /// on shard 0 and one on shard 1.
     fn cross_shard_tx(shards: u32) -> (BasilConfig, Arc<Transaction>) {
         let mut c = cfg();
         c.system.num_shards = shards;
-        let key_on = |shard: u32| {
-            (0..)
-                .map(|i| Key::new(format!("k{i}")))
-                .find(|k| c.system.shard_for_key(k) == ShardId(shard))
-                .expect("some key hashes to each shard")
-        };
         let mut b = TransactionBuilder::new(Timestamp::from_nanos(1_000_000, ClientId(9)));
-        b.record_write(key_on(0), Value::from_u64(1));
-        b.record_write(key_on(1), Value::from_u64(2));
+        b.record_write(key_on(&c, 0), Value::from_u64(1));
+        b.record_write(key_on(&c, 1), Value::from_u64(2));
         let tx = b.build_shared();
         assert_eq!(*tx.involved_shards(shards), [ShardId(0), ShardId(1)]);
         (c, tx)
@@ -2259,8 +2321,9 @@ mod tests {
             ReplicaBehavior::Correct,
             [(Key::new("x"), Value::from_u64(0))],
         );
+        let st1 = |t: u64| signed_st1(&write_tx(1_000_000 + t, "x", t), false);
         let mut ctx = ctx_at(NodeId::Replica(r.id()), 1);
-        r.handle_read(&mut ctx, client_node(), signed_read(1, "x", 1_000_000));
+        r.handle_st1(&mut ctx, client_node(), st1(1));
         assert!(
             sent_to(&ctx, client_node()).is_empty(),
             "batch not full yet"
@@ -2272,10 +2335,10 @@ mod tests {
             .any(|o| matches!(o, basil_simnet::actor::Output::Timer { .. })));
 
         let mut ctx2 = ctx_at(NodeId::Replica(r.id()), 2);
-        r.handle_read(&mut ctx2, client_node(), signed_read(2, "x", 1_000_000));
+        r.handle_st1(&mut ctx2, client_node(), st1(2));
         assert!(sent_to(&ctx2, client_node()).is_empty());
         let mut ctx3 = ctx_at(NodeId::Replica(r.id()), 3);
-        r.handle_read(&mut ctx3, client_node(), signed_read(3, "x", 1_000_000));
+        r.handle_st1(&mut ctx3, client_node(), st1(3));
         let replies = sent_to(&ctx3, client_node());
         assert_eq!(replies.len(), 3, "full batch flushed at once");
         assert_eq!(r.stats().batches_signed, 1);
@@ -2284,7 +2347,7 @@ mod tests {
         let roots: HashSet<_> = replies
             .iter()
             .map(|m| match m {
-                BasilMsg::ReadReply(rr) => rr.proof.as_ref().expect("signed").root,
+                BasilMsg::St1Reply(vote) => vote.proof.as_ref().expect("signed").root,
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
@@ -2303,7 +2366,8 @@ mod tests {
             [(Key::new("x"), Value::from_u64(0))],
         );
         let mut ctx = ctx_at(NodeId::Replica(r.id()), 1);
-        r.handle_read(&mut ctx, client_node(), signed_read(1, "x", 1_000_000));
+        let tx = write_tx(1_000_000, "x", 1);
+        r.handle_st1(&mut ctx, client_node(), signed_st1(&tx, false));
         assert!(sent_to(&ctx, client_node()).is_empty());
         let mut timer_ctx = ctx_at(NodeId::Replica(r.id()), 2);
         r.on_timer(
@@ -2315,7 +2379,7 @@ mod tests {
 
     /// A `BatchFlush` that falls due while the replica is warm-crashed fires
     /// at the restart, so the replica does not keep believing a flush is
-    /// armed: a single request after the restart is answered within
+    /// armed: a single ST1 after the restart is answered within
     /// [`BATCH_TIMEOUT`], not once a full batch has piled up.
     #[test]
     fn batch_flush_pending_across_a_warm_crash_still_fires() {
@@ -2323,12 +2387,12 @@ mod tests {
         use basil_simnet::{NetworkConfig, Simulation};
 
         struct Reader {
-            replies: Vec<(u64, SimTime)>,
+            replies: Vec<(TxId, SimTime)>,
         }
         impl Actor<BasilMsg> for Reader {
             fn on_message(&mut self, ctx: &mut Context<BasilMsg>, _from: NodeId, msg: BasilMsg) {
-                if let BasilMsg::ReadReply(reply) = msg {
-                    self.replies.push((reply.body.req_id, ctx.now()));
+                if let BasilMsg::St1Reply(vote) = msg {
+                    self.replies.push((vote.body.txid, ctx.now()));
                 }
             }
             fn as_any(&self) -> &dyn Any {
@@ -2357,32 +2421,34 @@ mod tests {
             NodeProps::client(),
             Box::new(Reader { replies: vec![] }),
         );
-        // The first read arms the flush timer; the replica crashes before
+        // The first ST1 arms the flush timer; the replica crashes before
         // it is due and stays down past it.
-        let read = |id, at: SimTime| BasilMsg::Read(signed_read(id, "x", at.as_nanos()));
+        let tx1 = write_tx(SimTime::from_millis(1).as_nanos(), "x", 1);
+        let tx2 = write_tx(SimTime::from_millis(4).as_nanos(), "x", 2);
+        let st1 = |tx: &Arc<Transaction>| BasilMsg::St1(signed_st1(tx, false));
         let first = SimTime::from_millis(1);
-        sim.inject(rid, client_node(), read(1, first), first);
+        sim.inject(rid, client_node(), st1(&tx1), first);
         sim.run_until(first + Duration::from_micros(100));
         sim.crash(rid);
         sim.run_until(SimTime::from_millis(3));
         sim.restart(rid);
 
         let second = SimTime::from_millis(4);
-        sim.inject(rid, client_node(), read(2, second), second);
+        sim.inject(rid, client_node(), st1(&tx2), second);
         sim.run_until(second + timeout * 4);
         let reader: &Reader = sim.actor(client_node()).expect("reader");
         let answered = reader
             .replies
             .iter()
-            .find(|(id, _)| *id == 2)
+            .find(|(txid, _)| *txid == tx2.id())
             .map(|(_, at)| *at - second)
-            .expect("the read after the restart is answered");
+            .expect("the ST1 after the restart is answered");
         // The flush delay plus the two handlers' CPU.
         assert!(
             answered < timeout + Duration::from_micros(100),
             "answered after {answered:?}"
         );
-        assert!(reader.replies.iter().any(|(id, _)| *id == 1));
+        assert!(reader.replies.iter().any(|(txid, _)| *txid == tx1.id()));
     }
 
     /// Six hand-driven replicas whose logs split on one transaction run

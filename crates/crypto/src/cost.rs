@@ -22,9 +22,10 @@ pub struct CostModel {
     /// Cost of hashing, per 256 bytes of input (SHA-256 block granularity is
     /// finer, but per-256-byte accounting keeps the arithmetic simple).
     pub hash_per_256b: Duration,
-    /// Cost of computing or checking a MAC. Client requests are MAC
-    /// authenticated (they do not need to be transferable), so they are far
-    /// cheaper than the replica replies that end up inside certificates.
+    /// Cost of computing or checking a MAC. A message that only its
+    /// recipient checks does not need to be transferable, so it is MAC
+    /// authenticated: client requests, and replica read replies. Both are
+    /// far cheaper than the replica votes that end up inside certificates.
     pub mac: Duration,
     /// Fixed per-message serialization/deserialization overhead, charged for
     /// every message sent or received. This models the protobuf + networking
