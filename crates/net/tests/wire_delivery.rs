@@ -7,7 +7,9 @@
 //! normally delivers, and once with every actor behind [`OverTheWire`], which
 //! encodes each delivered message with the TCP codec and hands the actor the
 //! decoded copy. The committed history and the commit count must be equal:
-//! nothing in the protocol may depend on nodes sharing memory.
+//! nothing in the protocol may depend on nodes sharing memory. The RW-U
+//! test also pins the frames and bytes the wire run round-trips, so a
+//! change to what a message carries shows up as a number.
 
 use basil::cluster::{ClusterConfig, ClusterProtocol, ProtocolCluster};
 use basil::harness::BasilProtocol;
@@ -25,12 +27,23 @@ use basil_simnet::{Actor, Context};
 use basil_store::mvtso::Decision;
 use basil_store::Transaction;
 use std::any::Any;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// The frames, and their bytes headers included, that the actors of one
+/// deployment round-tripped.
+#[derive(Default)]
+struct WireCount {
+    frames: AtomicU64,
+    bytes: AtomicU64,
+}
 
 /// An actor that receives every message as TCP would: encoded by the
 /// sender's codec and decoded into fresh allocations. Timers are node-local
 /// and bypass the round trip.
 struct OverTheWire<A> {
     inner: A,
+    count: Arc<WireCount>,
 }
 
 impl<A: Actor<BasilMsg>> Actor<BasilMsg> for OverTheWire<A> {
@@ -44,6 +57,10 @@ impl<A: Actor<BasilMsg>> Actor<BasilMsg> for OverTheWire<A> {
             .expect("a frame this codec sealed is intact")
             .expect("the frame is complete");
         assert_eq!(consumed, frame.len());
+        self.count.frames.fetch_add(1, Ordering::Relaxed);
+        self.count
+            .bytes
+            .fetch_add(frame.len() as u64, Ordering::Relaxed);
         let (sender, decoded) = decode_frame_payload(payload).expect("own frames decode");
         assert_eq!(sender, from);
         self.inner.on_message(ctx, from, decoded);
@@ -62,8 +79,9 @@ impl<A: Actor<BasilMsg>> Actor<BasilMsg> for OverTheWire<A> {
     }
 }
 
-/// [`BasilProtocol`] with every client and replica behind [`OverTheWire`].
-struct WireBasil(BasilProtocol);
+/// [`BasilProtocol`] with every client and replica behind [`OverTheWire`],
+/// all counting into one [`WireCount`].
+struct WireBasil(BasilProtocol, Arc<WireCount>);
 
 impl ClusterProtocol for WireBasil {
     type Msg = BasilMsg;
@@ -91,6 +109,7 @@ impl ClusterProtocol for WireBasil {
     ) -> Self::Replica {
         OverTheWire {
             inner: self.0.make_replica(rid, behavior, initial_data),
+            count: Arc::clone(&self.1),
         }
     }
     fn recover_replica(
@@ -100,7 +119,10 @@ impl ClusterProtocol for WireBasil {
         old: &mut Self::Replica,
     ) -> Option<Self::Replica> {
         let inner = self.0.recover_replica(rid, initial_data, &mut old.inner)?;
-        Some(OverTheWire { inner })
+        Some(OverTheWire {
+            inner,
+            count: Arc::clone(&self.1),
+        })
     }
     fn make_client(
         &self,
@@ -111,6 +133,7 @@ impl ClusterProtocol for WireBasil {
     ) -> Self::Client {
         OverTheWire {
             inner: self.0.make_client(cid, generator, fault, seed),
+            count: Arc::clone(&self.1),
         }
     }
     fn client_stats(client: &Self::Client) -> &ClientStats {
@@ -203,12 +226,20 @@ impl Deployment {
         )
     }
 
-    fn assert_wire_delivery_changes_nothing(self) {
+    /// Runs the deployment with object and with wire delivery, asserts
+    /// that both commit the same history, and returns the frames and bytes
+    /// the wire run round-tripped.
+    fn assert_wire_delivery_changes_nothing(self) -> (u64, u64) {
         let (object_digest, object_commits) = self.run(self.protocol());
         assert!(object_commits > 0, "the deployment commits");
-        let (wire_digest, wire_commits) = self.run(WireBasil(self.protocol()));
+        let count = Arc::new(WireCount::default());
+        let (wire_digest, wire_commits) = self.run(WireBasil(self.protocol(), Arc::clone(&count)));
         assert_eq!(wire_commits, object_commits);
         assert_eq!(wire_digest, object_digest);
+        (
+            count.frames.load(Ordering::Relaxed),
+            count.bytes.load(Ordering::Relaxed),
+        )
     }
 }
 
@@ -221,9 +252,12 @@ const RW_U: Deployment = Deployment {
     run_ms: 150,
 };
 
+/// The frames and bytes the RW-U wire run round-trips. Only a change to
+/// what a message carries, or to how many are sent, moves them.
 #[test]
 fn rw_uniform_is_the_same_over_the_wire() {
-    RW_U.assert_wire_delivery_changes_nothing();
+    let (frames, bytes) = RW_U.assert_wire_delivery_changes_nothing();
+    assert_eq!((frames, bytes), (66_048, 22_528_674));
 }
 
 #[test]
