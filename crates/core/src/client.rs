@@ -477,7 +477,7 @@ impl BasilClient {
         // shard's, verifies just as well. Only this client checks the reply,
         // so it carries a MAC like a request, not a transferable signature.
         let voucher = if self.engine.enabled() {
-            reply.proof.as_ref().map(|p| p.signer())
+            reply.proof.map(|mac| mac.signer)
         } else {
             Some(from)
         };
@@ -1767,7 +1767,7 @@ mod tests {
         };
         let body = prepared_read(1, "x", &write_tx(500));
         let mut relabelled = mac(1, &body);
-        relabelled.root_signature.signer = replica(0);
+        relabelled.signer = replica(0);
         let moved = mac(0, &prepared_read(1, "x", &write_tx(600)));
         let mut deliver = |proof| {
             let mut ctx = ctx_at(2);

@@ -1,29 +1,29 @@
 //! Signing and verification with CPU-cost accounting.
 //!
 //! Every protocol participant owns a [`SigEngine`]. The engine produces and
-//! checks [`BatchProof`]s (single-leaf proofs for unbatched messages) and
-//! meters the CPU [`Duration`] each operation would cost on the paper's
-//! testbed. The actor owning the engine charges the meter to its simulated
-//! node once per callback ([`SigEngine::take_charged`]). In
-//! [`CryptoMode::Simulated`] the arithmetic is skipped but the cost is still
-//! metered, keeping benchmark wall-clock time low without changing simulated
-//! results.
+//! checks [`BatchProof`]s on messages that may become evidence, and MACs (a
+//! bare [`Signature`] over the signed encoding) on messages only their one
+//! recipient checks. [`SigEngine::verify`] takes only a [`BatchProof`], so a
+//! MAC cannot stand in for a vote. The engine meters the CPU [`Duration`]
+//! each operation would cost on the paper's testbed, and the actor owning it
+//! charges the meter to its simulated node once per callback
+//! ([`SigEngine::take_charged`]). In [`CryptoMode::Simulated`] the
+//! arithmetic is skipped but the cost is still metered, keeping benchmark
+//! wall-clock time low without changing simulated results.
 //!
 //! Each public operation has one body for both modes. The mode is read only
-//! by the private helpers that make a proof (a Merkle frontier or a
-//! placeholder), recompute a Merkle path and check a root signature, so the
-//! modes differ in arithmetic alone: both meter the same cost and make the
-//! same signature-cache decisions, through the cache's one rule
+//! where arithmetic is done (making a MAC, a proof or a placeholder;
+//! checking a MAC, a Merkle path or a root signature), so the modes differ
+//! in arithmetic alone: both meter the same cost and make the same
+//! signature-cache decisions, through the cache's one rule
 //! ([`SignatureCache::verify`]).
 
 use crate::config::{BasilConfig, CryptoMode};
 use basil_common::codec::{Len, Sink};
 use basil_common::{Duration, NodeId};
-use basil_crypto::merkle::MerkleProof;
-use basil_crypto::sig::Signature;
 use basil_crypto::{
     sign_frontier, BatchProof, CostModel, Digest, KeyPair, KeyRegistry, MerkleFrontier,
-    SignatureCache,
+    MerkleProof, Signature, SignatureCache,
 };
 
 /// The CPU cost model every engine meters by.
@@ -93,15 +93,13 @@ pub struct SigEngine {
     /// remembers only that a pair is valid, which the signer knows: a hit
     /// still needs the identical signature, and a proof's Merkle path is
     /// still recomputed from the leaf it is given, so a forged payload under
-    /// an own root is refused. MACs (on requests and read replies) are never
-    /// recorded: not the ones this node makes ([`SigEngine::sign_request`]),
-    /// which only other nodes check, nor the ones it checks
-    /// ([`SigEngine::verify_request`]), each once.
+    /// an own root is refused. A MAC ([`SigEngine::sign_request`]) has no
+    /// root and never enters it.
     cache: SignatureCache,
     mode: CryptoMode,
     enabled: bool,
-    /// Counter used to give each simulated-mode signature (or batch of
-    /// signatures) a distinct root, so the verifier-side signature cache
+    /// Counter used to give each simulated-mode proof (or batch of proofs)
+    /// a distinct root, so the verifier-side signature cache
     /// behaves as it would with real batches.
     dummy_counter: u64,
     /// Scratch Merkle accumulator reused across [`SigEngine::sign_batch`]
@@ -144,50 +142,70 @@ impl SigEngine {
         self.enabled
     }
 
-    /// Signs a single payload. Returns `None` (at zero cost) when signatures
-    /// are disabled. The payload is only materialized under real crypto.
-    /// The root is recorded as verified, like every root the engine signs.
+    /// Signs a single payload, as a one-leaf batch. Returns `None` (at zero
+    /// cost) when signatures are disabled. The payload is only materialized
+    /// under real crypto. The root is recorded as verified, like every root
+    /// the engine signs.
     pub fn sign<P: SignedPayload + ?Sized>(&mut self, payload: &P) -> Option<BatchProof> {
         if !self.enabled {
             return None;
         }
         self.charged += COST.sign + COST.hash_cost(payload.encoded_len());
-        let proof = self.single_proof(payload);
+        self.batch_proofs(&[payload]);
+        let proof = self.proofs.pop().flatten().expect("one payload, one proof");
         self.cache.insert(proof.root, proof.root_signature);
         Some(proof)
     }
 
     /// Authenticates a message only its recipient checks: a client
     /// request, or a replica's read reply. Such a message needs
-    /// point-to-point authentication (a MAC), not transferability, so the
-    /// CPU cost metered is the MAC cost rather than a full signature.
-    pub fn sign_request<P: SignedPayload + ?Sized>(&mut self, payload: &P) -> Option<BatchProof> {
+    /// point-to-point authentication, not transferability, so it carries a
+    /// MAC: one HMAC over its signed encoding (a zero tag under simulated
+    /// crypto), metered at the MAC cost rather than a full signature.
+    pub fn sign_request<P: SignedPayload + ?Sized>(&mut self, payload: &P) -> Option<Signature> {
         if !self.enabled {
             return None;
         }
         self.charged += COST.mac;
-        Some(self.single_proof(payload))
+        Some(match self.mode {
+            CryptoMode::Real => self.keypair.sign(encode(&mut self.encoding, payload)),
+            CryptoMode::Simulated => {
+                // A MAC has no root, yet it takes a placeholder number: a
+                // replica restarted with amnesia numbers its roots from 1
+                // again, and which of them meet roots its peers cached
+                // before the crash depends on every number handed out.
+                self.dummy_counter += 1;
+                Signature {
+                    signer: self.keypair.node(),
+                    tag: Digest::ZERO,
+                }
+            }
+        })
     }
 
     /// Verifies a MAC made by [`SigEngine::sign_request`]: a client
     /// request's, or a read reply's. The payload is only materialized under
-    /// real crypto.
+    /// real crypto. Only this node checks the MAC, and only once, so it is
+    /// not cached: an entry would never be hit and would only evict one
+    /// that is.
     pub fn verify_request<P: SignedPayload + ?Sized>(
         &mut self,
         payload: &P,
-        proof: Option<&BatchProof>,
+        mac: Option<&Signature>,
     ) -> bool {
         if !self.enabled {
             return true;
         }
-        let Some(proof) = proof else {
+        let Some(mac) = mac else {
             return false;
         };
         self.charged += COST.mac;
-        // Only this node checks the MAC, and only once: a cache entry for
-        // its root would never be hit and would only evict one that is.
-        self.path_reaches_root(payload, proof)
-            && root_signature_valid(self.mode, &self.registry, proof)
+        match self.mode {
+            CryptoMode::Real => self
+                .registry
+                .verify(encode(&mut self.encoding, payload), mac),
+            CryptoMode::Simulated => true,
+        }
     }
 
     /// Signs a batch of payloads (replica reply batching). Returns one proof
@@ -236,16 +254,32 @@ impl SigEngine {
         // The Merkle path is recomputed on every call; the root signature
         // is checked only on a signature-cache miss. A hit costs a
         // hash-only check; a miss or a refusal, a standalone verification.
-        let (valid, cached) = if self.path_reaches_root(payload, proof) {
-            let outcome = self.cache.verify(proof.root, proof.root_signature, || {
-                root_signature_valid(self.mode, &self.registry, proof)
-            });
+        let (mode, registry) = (self.mode, &self.registry);
+        let reaches_root = match mode {
+            CryptoMode::Real => {
+                let leaf = encode(&mut self.encoding, payload);
+                proof.inclusion.compute_root(leaf) == proof.root
+            }
+            CryptoMode::Simulated => true,
+        };
+        let (valid, cached) = if reaches_root {
+            let outcome = self
+                .cache
+                .verify(proof.root, proof.root_signature, || match mode {
+                    CryptoMode::Real => {
+                        registry.verify(proof.root.as_bytes(), &proof.root_signature)
+                    }
+                    CryptoMode::Simulated => true,
+                });
             (outcome.valid, !outcome.signature_checked)
         } else {
             (false, false)
         };
-        self.charged +=
-            COST.batch_verify_cost(proof.batch_size, payload.encoded_len().max(1), cached);
+        self.charged += COST.batch_verify_cost(
+            proof.inclusion.leaf_count,
+            payload.encoded_len().max(1),
+            cached,
+        );
         valid
     }
 
@@ -270,21 +304,6 @@ impl SigEngine {
         COST.message_cost()
     }
 
-    // The crypto mode is read only below: it picks the arithmetic (real
-    // HMAC and Merkle hashing, or a placeholder that passes), never what
-    // is cached or metered.
-
-    /// A one-leaf proof over `payload`.
-    fn single_proof<P: SignedPayload + ?Sized>(&mut self, payload: &P) -> BatchProof {
-        match self.mode {
-            CryptoMode::Real => BatchProof::sign_single(&self.keypair, &payload.to_bytes()),
-            CryptoMode::Simulated => {
-                self.dummy_counter += 1;
-                dummy_proof(self.keypair.node(), self.dummy_counter, 1)
-            }
-        }
-    }
-
     /// Appends one proof per payload of a non-empty batch to `self.proofs`,
     /// all under one root.
     fn batch_proofs<P: SignedPayload>(&mut self, payloads: &[P]) {
@@ -295,9 +314,7 @@ impl SigEngine {
                 // only materializes the O(log b) right edge.
                 self.frontier.reset();
                 for payload in payloads {
-                    self.encoding.clear();
-                    payload.write_signed(&mut self.encoding);
-                    self.frontier.append(&self.encoding);
+                    self.frontier.append(encode(&mut self.encoding, payload));
                 }
                 let proofs = sign_frontier(&self.keypair, &mut self.frontier).map(Some);
                 self.proofs.extend(proofs);
@@ -310,38 +327,22 @@ impl SigEngine {
             }
         }
     }
-
-    /// Whether `proof`'s Merkle path leads from `payload`'s leaf to its root.
-    fn path_reaches_root<P: SignedPayload + ?Sized>(
-        &mut self,
-        payload: &P,
-        proof: &BatchProof,
-    ) -> bool {
-        match self.mode {
-            CryptoMode::Real => {
-                self.encoding.clear();
-                payload.write_signed(&mut self.encoding);
-                proof.inclusion.compute_root(&self.encoding) == proof.root
-            }
-            CryptoMode::Simulated => true,
-        }
-    }
 }
 
-/// Whether `proof`'s root signature verifies under its signer's key. A free
-/// function so it can run while the engine's signature cache is borrowed.
-fn root_signature_valid(mode: CryptoMode, registry: &KeyRegistry, proof: &BatchProof) -> bool {
-    match mode {
-        CryptoMode::Real => registry.verify(proof.root.as_bytes(), &proof.root_signature),
-        CryptoMode::Simulated => true,
-    }
+/// `payload`'s signed encoding, written into `scratch`. A free function so
+/// the engine can use its other fields while the encoding is borrowed.
+fn encode<'a, P: SignedPayload + ?Sized>(scratch: &'a mut Vec<u8>, payload: &P) -> &'a [u8] {
+    scratch.clear();
+    payload.write_signed(scratch);
+    scratch
 }
 
 /// A placeholder proof used in [`CryptoMode::Simulated`]: structurally valid,
 /// never actually checked. The root encodes the signer and a per-engine batch
 /// counter so that distinct batches have distinct roots (the verifier-side
 /// signature cache then amortizes exactly as it would with real batches).
-fn dummy_proof(signer: NodeId, counter: u64, batch_size: usize) -> BatchProof {
+/// Its inclusion proof states the batch size and holds no siblings.
+fn dummy_proof(signer: NodeId, counter: u64, leaf_count: usize) -> BatchProof {
     let mut root_bytes = [0u8; 32];
     root_bytes[..8].copy_from_slice(&counter.to_be_bytes());
     match signer {
@@ -361,8 +362,10 @@ fn dummy_proof(signer: NodeId, counter: u64, batch_size: usize) -> BatchProof {
             signer,
             tag: Digest::ZERO,
         },
-        inclusion: MerkleProof::single_leaf(),
-        batch_size,
+        inclusion: MerkleProof {
+            leaf_count,
+            ..MerkleProof::single_leaf()
+        },
     }
 }
 
@@ -478,8 +481,7 @@ mod tests {
 
     /// A node never pays to verify its own signature: every root it signs,
     /// singly or in a batch, verifies at the cached cost, in both crypto
-    /// modes. A request MAC is checked only by other nodes, so its root is
-    /// not recorded and costs a full check.
+    /// modes.
     #[test]
     fn own_roots_verify_at_the_cached_cost() {
         for mode in [CryptoMode::Real, CryptoMode::Simulated] {
@@ -488,21 +490,19 @@ mod tests {
                 (0..4).map(|i| format!("reply {i}").into_bytes()).collect();
             let batch: Vec<_> = signer.sign_batch(&payloads).collect();
             let single = signer.sign(b"vote");
-            let request = signer.sign_request(b"read");
             signer.take_charged();
             let checks = [
-                (&payloads[2][..], batch[2].as_ref(), true),
-                (&payloads[0][..], batch[0].as_ref(), true),
-                (&b"vote"[..], single.as_ref(), true),
-                (&b"read"[..], request.as_ref(), false),
+                (&payloads[2][..], batch[2].as_ref()),
+                (&payloads[0][..], batch[0].as_ref()),
+                (&b"vote"[..], single.as_ref()),
             ];
-            for (payload, proof, cached) in checks {
+            for (payload, proof) in checks {
                 assert!(signer.verify(payload, proof), "{mode:?}");
-                let size = proof.expect("signed").batch_size;
+                let size = proof.expect("signed").inclusion.leaf_count;
                 assert_eq!(
                     signer.take_charged(),
-                    COST.batch_verify_cost(size, payload.len(), cached),
-                    "{mode:?}, cached {cached}"
+                    COST.batch_verify_cost(size, payload.len(), true),
+                    "{mode:?}"
                 );
             }
         }
@@ -532,7 +532,8 @@ mod tests {
 
     /// A request MAC is checked once, by its one recipient, so verifying
     /// it leaves the signature cache as it was, in both crypto modes, and
-    /// costs a MAC.
+    /// costs a MAC. Under real crypto it is refused over another body and
+    /// under another signer.
     #[test]
     fn a_verified_request_mac_is_not_cached() {
         for mode in [CryptoMode::Real, CryptoMode::Simulated] {
@@ -543,9 +544,14 @@ mod tests {
             assert_eq!(replica.cache.len(), cached, "{mode:?}");
             assert_eq!(replica.take_charged(), COST.mac, "{mode:?}");
         }
-        let (mut replica, mut client) = engine(CryptoMode::Real, true);
-        let mac = client.sign_request(b"read");
-        assert!(!replica.verify_request(b"write", mac.as_ref()));
+        let (mut verifier, mut client) = engine(CryptoMode::Real, true);
+        let mac = client.sign_request(b"read").expect("signatures on");
+        assert!(!verifier.verify_request(b"write", Some(&mac)));
+        let relabelled = Signature {
+            signer: replica(1),
+            ..mac
+        };
+        assert!(!verifier.verify_request(b"read", Some(&relabelled)));
     }
 
     /// A signature that fails its check is never cached: refused again at
@@ -559,7 +565,7 @@ mod tests {
         let genuine = batch[0].as_ref().expect("signed");
         let mut tampered = genuine.clone();
         tampered.root_signature.tag = Digest([7; 32]);
-        let size = genuine.batch_size;
+        let size = genuine.inclusion.leaf_count;
         let uncached = COST.batch_verify_cost(size, payloads[0].len(), false);
         let cached = verifier.cache.len();
         for _ in 0..2 {

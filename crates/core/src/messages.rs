@@ -6,19 +6,20 @@
 //! certificates, and the fallback messages `RP` (recovery prepare),
 //! `InvokeFB`, `ElectFB`, and `DecFB` of Section 5.
 //!
-//! Every reply that may end up inside a certificate — an ST1 or ST2 vote —
-//! carries a [`basil_crypto::BatchProof`], which covers both individually
-//! signed and batch-signed replies (Section 4.4). A message that only its
-//! recipient checks carries a single-leaf MAC in the same proof type:
-//! client-originated requests, and read replies, which no certificate or
-//! forwarded message ever holds. When signatures are disabled
-//! deployment-wide (`Basil-NoProofs`) the proofs are absent.
+//! Every message that may end up as evidence — an ST1 or ST2 vote, an
+//! `ElectFB`, a `DecFB` — carries a [`basil_crypto::BatchProof`], which
+//! covers both individually signed and batch-signed replies (Section 4.4).
+//! A message that only its recipient checks carries a bare
+//! [`basil_crypto::Signature`], a MAC over its signed encoding: the client
+//! requests (`READ`, `ST1`, `ST2`, `InvokeFB`), and read replies, which no
+//! certificate or forwarded message ever holds. When signatures are
+//! disabled deployment-wide (`Basil-NoProofs`) both are absent.
 
 use crate::certs::DecisionCert;
 use crate::crypto_engine::SignedPayload;
 use basil_common::codec::Sink;
 use basil_common::{Key, ReplicaId, Timestamp, TxId, Value};
-use basil_crypto::BatchProof;
+use basil_crypto::{BatchProof, Signature};
 use basil_store::Transaction;
 use std::sync::Arc;
 
@@ -103,8 +104,8 @@ pub struct ReadRequest {
     /// The reading transaction's timestamp (used for version selection and
     /// recorded as the key's RTS).
     pub ts: Timestamp,
-    /// Client authentication.
-    pub auth: Option<BatchProof>,
+    /// The client's MAC.
+    pub auth: Option<Signature>,
 }
 
 impl SignedPayload for ReadRequest {
@@ -179,15 +180,16 @@ pub struct ReadReplyBody {
 }
 
 impl SignedPayload for ReadReplyBody {
-    /// Canonical bytes covered by the replica's (batched) signature.
+    /// Canonical bytes covered by the replica's MAC. The key and the value
+    /// are length-prefixed, so no two bodies share an encoding.
     fn write_signed(&self, out: &mut impl Sink) {
         out.put_bytes(b"READR");
         out.put_u64(self.req_id);
-        out.put_bytes(self.key.as_bytes());
+        out.put_key(&self.key);
         out.put_opt(self.committed.as_ref(), |out, c| {
             out.put_ts(c.version);
             out.put_txid(&c.txid);
-            out.put_bytes(c.value.as_bytes());
+            out.put_value(&c.value);
         });
         out.put_opt(self.prepared.as_ref(), |out, p| out.put_txid(&p.tx.id()));
     }
@@ -205,7 +207,7 @@ pub struct ReadReply {
     /// for the version. Paper §4.2's optional dependency proofs (`f + 1`
     /// signed prepared reads, forwarded as evidence) would need a
     /// transferable signature here again.
-    pub proof: Option<BatchProof>,
+    pub proof: Option<Signature>,
 }
 
 // ---------------------------------------------------------------------------
@@ -219,8 +221,8 @@ pub struct St1 {
     /// every involved shard clones the `Arc`, not the read/write sets, and
     /// the replica indexes the same allocation into its store.
     pub tx: Arc<Transaction>,
-    /// Client authentication over the transaction encoding.
-    pub auth: Option<BatchProof>,
+    /// The client's MAC over the transaction encoding.
+    pub auth: Option<Signature>,
     /// True when this ST1 is a recovery prepare (`RP`) sent by a client
     /// trying to finish someone else's stalled transaction; replicas register
     /// the sender as an interested client and reply with whatever state they
@@ -280,8 +282,8 @@ pub struct St2 {
     pub shard_votes: Vec<crate::certs::ShardVotes>,
     /// View in which the decision is proposed (`0` for the original client).
     pub view: View,
-    /// Client authentication.
-    pub auth: Option<BatchProof>,
+    /// The client's MAC.
+    pub auth: Option<Signature>,
 }
 
 impl SignedPayload for St2 {
@@ -361,8 +363,8 @@ pub struct InvokeFb {
     /// The signed current views the client gathered from `RP` replies; these
     /// justify the view the replicas should move to (rules R1/R2).
     pub views: Vec<SignedSt2Reply>,
-    /// Client authentication.
-    pub auth: Option<BatchProof>,
+    /// The client's MAC.
+    pub auth: Option<Signature>,
 }
 
 impl SignedPayload for InvokeFb {
@@ -765,9 +767,12 @@ mod tests {
         ]
     }
 
-    /// Every signature in a run covers these bytes. The digest was captured
-    /// at the commit before `write_signed` replaced the nine hand-written
-    /// `signed_bytes` bodies.
+    /// Every signature in a run covers these bytes. The first digest was
+    /// captured at the commit before `write_signed` replaced the nine
+    /// hand-written `signed_bytes` bodies, and covers the eight bodies whose
+    /// bytes have not moved since. The read reply's body length-prefixes its
+    /// key and value since its MAC'd encoding was made injective, and is
+    /// pinned from that version on.
     #[test]
     fn signed_bodies_are_byte_identical_to_the_hand_written_encoders() {
         let mut b = TransactionBuilder::new(ts(10, 1));
@@ -785,11 +790,49 @@ mod tests {
             views: [1, 7],
             invoke_views: 2,
         });
-        let all: Vec<u8> = bodies.into_iter().flat_map(|(_, bytes)| bytes).collect();
+        let (read_reply, older): (Vec<_>, Vec<_>) =
+            bodies.into_iter().enumerate().partition(|(i, _)| *i == 1);
+        let digest = |bodies: Vec<(usize, (usize, Vec<u8>))>| {
+            let all: Vec<u8> = bodies.into_iter().flat_map(|(_, (_, b))| b).collect();
+            basil_crypto::Sha256::digest(&all).to_hex()
+        };
         assert_eq!(
-            basil_crypto::Sha256::digest(&all).to_hex(),
-            "c40fba657cfd6d61ae605c4fda492ce278097daa2cf549c6ec449d1df77e10ed"
+            digest(older),
+            "4b49d8fb1b5a2896415bb0ca4cbaae90a37782287f64771e9686ab55b95e94b2"
         );
+        assert_eq!(
+            digest(read_reply),
+            "38f2040bca9279f59f0161f49526a0a5b941e9e5aff6bbeb0a6e1fec7f8e8bab"
+        );
+    }
+
+    /// A read reply's MAC covers one body only. With the key and the value
+    /// written raw, a key that swallows the committed half's bytes encoded
+    /// the same as the body that carries them.
+    #[test]
+    fn read_reply_encoding_is_injective() {
+        // Encoded, the version is "ttttttttcccccccc" and the txid 32 'x's.
+        let version = ts(0x7474_7474_7474_7474, 0x6363_6363_6363_6363);
+        let txid = TxId::from_bytes([b'x'; 32]);
+        let carried = ReadReplyBody {
+            req_id: 9,
+            key: Key::new("a"),
+            committed: Some(CommittedRead {
+                version,
+                value: Value::new(b"v\0"),
+                txid,
+                cert: None,
+                tx: None,
+            }),
+            prepared: None,
+        };
+        let swallowed = ReadReplyBody {
+            req_id: 9,
+            key: Key::new(format!("a\x01ttttttttcccccccc{}v", "x".repeat(32))),
+            committed: None,
+            prepared: None,
+        };
+        assert_ne!(carried.to_bytes(), swallowed.to_bytes());
     }
 
     /// `encoded_len` feeds the cost model in simulated-crypto runs, so it

@@ -1196,7 +1196,7 @@ mod tests {
             auth: None,
             recovery,
         };
-        let proof = engine.sign(&st1);
+        let proof = engine.sign_request(&st1);
         St1 { auth: proof, ..st1 }
     }
 
@@ -1208,7 +1208,7 @@ mod tests {
             ts: Timestamp::from_nanos(ts_nanos, ClientId(9)),
             auth: None,
         };
-        let proof = engine.sign(&req);
+        let proof = engine.sign_request(&req);
         ReadRequest { auth: proof, ..req }
     }
 
@@ -1269,7 +1269,7 @@ mod tests {
                 [BasilMsg::ReadReply(reply)] => {
                     assert_eq!(reply.body.req_id, req_id);
                     let proof = reply.proof.as_ref();
-                    assert_eq!(proof.map(|p| p.signer()), Some(NodeId::Replica(r.id())));
+                    assert_eq!(proof.map(|mac| mac.signer), Some(NodeId::Replica(r.id())));
                     assert!(client.verify_request(&reply.body, proof));
                 }
                 other => panic!("expected one read reply, got {other:?}"),
@@ -1294,14 +1294,84 @@ mod tests {
         assert!(sent_to(&ctx, client_node()).is_empty());
     }
 
+    /// The MAC field of a client request.
+    fn mac_of(msg: &mut BasilMsg) -> &mut Option<basil_crypto::Signature> {
+        match msg {
+            BasilMsg::Read(m) => &mut m.auth,
+            BasilMsg::St1(m) => &mut m.auth,
+            BasilMsg::St2(m) => &mut m.auth,
+            BasilMsg::InvokeFb(m) => &mut m.auth,
+            other => panic!("not a client request: {other:?}"),
+        }
+    }
+
+    /// Every request kind refuses a forged MAC, under real crypto: one made
+    /// over another body of the same kind, and a genuine one relabelled to
+    /// another client. Neither forgery is answered or logged; the genuine
+    /// request then is answered.
     #[test]
-    fn forged_read_request_is_dropped() {
-        let mut r = replica(0);
-        let mut ctx = ctx_at(NodeId::Replica(r.id()), 1);
-        let mut req = signed_read(1, "x", 1_000_000);
-        req.key = Key::new("y"); // payload no longer matches the signature
-        r.handle_read(&mut ctx, client_node(), req);
-        assert!(sent_to(&ctx, client_node()).is_empty());
+    fn every_request_kind_refuses_a_forged_mac() {
+        let tx = write_tx(1_000_000, "x", 7);
+        let other = write_tx(1_000_000, "y", 8);
+        let st2 = |tx: &Transaction| {
+            signed_st2(tx, ProtoDecision::Commit, shard_votes_commit_tally(tx, 4))
+        };
+        let invoke_fb = |tx: &Transaction| {
+            let ifb = InvokeFb {
+                txid: tx.id(),
+                views: vec![],
+                auth: None,
+            };
+            InvokeFb {
+                auth: client_engine().sign_request(&ifb),
+                ..ifb
+            }
+        };
+        // (kind, the genuine request, the same kind over another body)
+        let rows = [
+            (
+                "READ",
+                BasilMsg::Read(signed_read(1, "x", 1_000_000)),
+                BasilMsg::Read(signed_read(1, "y", 1_000_000)),
+            ),
+            (
+                "ST1",
+                BasilMsg::St1(signed_st1(&tx, false)),
+                BasilMsg::St1(signed_st1(&other, false)),
+            ),
+            ("ST2", BasilMsg::St2(st2(&tx)), BasilMsg::St2(st2(&other))),
+            (
+                "InvokeFB",
+                BasilMsg::InvokeFb(invoke_fb(&tx)),
+                BasilMsg::InvokeFb(invoke_fb(&other)),
+            ),
+        ];
+        for (kind, mut genuine, mut other) in rows {
+            let mut r = replica(0);
+            let me = NodeId::Replica(r.id());
+            // A prepared transaction, so a genuine ST2 is logged.
+            r.handle_st1(&mut ctx_at(me, 1), client_node(), signed_st1(&tx, false));
+            let mut moved = genuine.clone();
+            *mac_of(&mut moved) = *mac_of(&mut other);
+            let mut relabelled = genuine.clone();
+            if let Some(mac) = mac_of(&mut relabelled) {
+                mac.signer = NodeId::Client(ClientId(10));
+            }
+            for (forgery, msg) in [("moved", moved), ("relabelled", relabelled)] {
+                let wal = r.stats().wal_appends;
+                let mut ctx = ctx_at(me, 2);
+                r.on_message(&mut ctx, client_node(), msg);
+                assert!(ctx.outputs().is_empty(), "{kind}, {forgery}: no reply");
+                assert_eq!(r.stats().wal_appends, wal, "{kind}, {forgery}: no log");
+            }
+            assert!(mac_of(&mut genuine).is_some(), "{kind}");
+            let mut ctx = ctx_at(me, 3);
+            r.on_message(&mut ctx, client_node(), genuine);
+            assert!(
+                !ctx.outputs().is_empty(),
+                "{kind}: the genuine one is answered"
+            );
+        }
     }
 
     #[test]
@@ -1948,7 +2018,7 @@ mod tests {
             view: 0,
             auth: None,
         };
-        let proof = engine.sign(&st2);
+        let proof = engine.sign_request(&st2);
         St2 { auth: proof, ..st2 }
     }
 
@@ -2489,7 +2559,7 @@ mod tests {
                 views: vec![],
                 auth: None,
             };
-            let proof = engine.sign(&ifb);
+            let proof = engine.sign_request(&ifb);
             InvokeFb { auth: proof, ..ifb }
         };
 
@@ -2761,7 +2831,7 @@ mod tests {
             ..signed_st2(&tx, ProtoDecision::Commit, shard_votes_commit_tally(&tx, 4))
         };
         let st2 = St2 {
-            auth: client_engine().sign(&st2),
+            auth: client_engine().sign_request(&st2),
             ..st2
         };
         let mut ctx = ctx_at(NodeId::Replica(r.id()), 2);

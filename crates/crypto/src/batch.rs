@@ -28,16 +28,17 @@ pub struct BatchProof {
     pub root: Digest,
     /// The replica's signature over the root.
     pub root_signature: Signature,
-    /// Inclusion proof tying the recipient's reply to the root.
+    /// Inclusion proof tying the recipient's reply to the root. Its
+    /// `leaf_count` is the batch's size.
     pub inclusion: MerkleProof,
-    /// Number of replies that shared this signature (for accounting/metrics).
-    pub batch_size: usize,
 }
 
 impl BatchProof {
-    /// Signs a single payload, producing a one-leaf "batch". This is how
-    /// clients (which have nothing to batch) and unbatched replicas sign
-    /// messages, so the whole protocol uses one proof type.
+    /// Signs a single payload, producing a one-leaf "batch": a message that
+    /// may become evidence but is signed on its own (a fallback election
+    /// vote or decision) verifies like one batched reply. A message that
+    /// only its recipient checks needs no batch proof; it carries a bare
+    /// [`Signature`] over its encoding ([`KeyPair::sign`]).
     pub fn sign_single(keypair: &KeyPair, payload: &[u8]) -> BatchProof {
         // The root of a one-leaf tree is the leaf hash; no tree is built.
         let root = leaf_hash(payload);
@@ -45,7 +46,6 @@ impl BatchProof {
             root,
             root_signature: keypair.sign(root.as_bytes()),
             inclusion: MerkleProof::single_leaf(),
-            batch_size: 1,
         }
     }
 
@@ -108,12 +108,10 @@ pub fn sign_frontier<'a>(
     let sealed = frontier.seal();
     let root = sealed.root();
     let root_signature = keypair.sign(root.as_bytes());
-    let batch_size = sealed.leaf_count();
-    (0..batch_size).map(move |i| BatchProof {
+    (0..sealed.leaf_count()).map(move |i| BatchProof {
         root,
         root_signature,
         inclusion: sealed.prove(i),
-        batch_size,
     })
 }
 
@@ -276,7 +274,7 @@ mod tests {
         let (keypair, reg) = setup();
         let out = sign_batch(&keypair, &[b"reply"]);
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].batch_size, 1);
+        assert_eq!(out[0].inclusion.leaf_count, 1);
         let mut cache = SignatureCache::new();
         let outcome = out[0].verify(b"reply", &reg, &mut cache);
         assert!(outcome.valid);
@@ -296,7 +294,7 @@ mod tests {
         assert_eq!(out.len(), 4);
         let mut cache = SignatureCache::new();
         for (i, (proof, payload)) in out.iter().zip(payloads).enumerate() {
-            assert_eq!(proof.batch_size, 4);
+            assert_eq!(proof.inclusion.leaf_count, 4);
             assert_eq!(proof.root_signature, out[0].root_signature, "one signature");
             assert!(proof.verify(payload, &reg, &mut cache).valid, "reply {i}");
         }
@@ -442,7 +440,7 @@ mod tests {
         let reg = KeyRegistry::from_seed(5);
         let kp = reg.keypair(replica_node());
         let proof = BatchProof::sign_single(&kp, b"vote: commit tx 9");
-        assert_eq!(proof.batch_size, 1);
+        assert_eq!(proof.inclusion.leaf_count, 1);
         assert_eq!(proof.signer(), replica_node());
         let mut cache = SignatureCache::new();
         assert!(proof.verify(b"vote: commit tx 9", &reg, &mut cache).valid);
@@ -462,7 +460,7 @@ mod tests {
             proofs.extend(sign_frontier(&keypair, &mut frontier));
         }
         assert_eq!(proofs.len(), 32, "replies signed");
-        assert!(proofs.iter().all(|p| p.batch_size == 8));
+        assert!(proofs.iter().all(|p| p.inclusion.leaf_count == 8));
         let mut roots: Vec<Digest> = proofs.iter().map(|p| p.root).collect();
         roots.dedup();
         assert_eq!(roots.len(), 4, "signatures produced");

@@ -49,16 +49,8 @@ impl HmacKey {
 
     /// Computes `HMAC-SHA256(key, message)`.
     pub fn mac(&self, message: &[u8]) -> Digest {
-        self.mac_parts(&[message])
-    }
-
-    /// Computes `HMAC-SHA256(key, m_0 || m_1 || ...)` without materializing
-    /// the concatenated message.
-    pub fn mac_parts(&self, message_parts: &[&[u8]]) -> Digest {
         let mut inner = self.inner.clone();
-        for part in message_parts {
-            inner.update(part);
-        }
+        inner.update(message);
         let mut outer = self.outer.clone();
         outer.update(inner.finalize().as_bytes());
         outer.finalize()
@@ -138,14 +130,6 @@ block-size data. The key needs to be hashed before being used by the HMAC algori
         let key = HmacKey::new(&[7; 32]);
         assert_eq!(count_compressions(|| key.mac(&[1; 32])), 2);
         assert_eq!(count_compressions(|| hmac_sha256(&[7; 32], &[1; 32])), 4);
-    }
-
-    #[test]
-    fn parts_match_concatenation() {
-        let key = b"secret key";
-        let tag1 = hmac_sha256(key, b"hello world");
-        let tag2 = HmacKey::new(key).mac_parts(&[b"hello", b" ", b"world"]);
-        assert_eq!(tag1, tag2);
     }
 
     #[test]

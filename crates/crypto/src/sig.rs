@@ -53,14 +53,9 @@ pub struct KeyPair {
 impl KeyPair {
     /// Signs a message.
     pub fn sign(&self, message: &[u8]) -> Signature {
-        self.sign_parts(&[message])
-    }
-
-    /// Signs the concatenation of several message parts.
-    pub fn sign_parts(&self, parts: &[&[u8]]) -> Signature {
         Signature {
             signer: self.node,
-            tag: self.key.mac_parts(parts),
+            tag: self.key.mac(message),
         }
     }
 
@@ -142,12 +137,7 @@ impl KeyRegistry {
 
     /// Verifies that `sig` is a valid signature by `sig.signer` over `message`.
     pub fn verify(&self, message: &[u8], sig: &Signature) -> bool {
-        self.verify_parts(&[message], sig)
-    }
-
-    /// Verifies a signature over the concatenation of several message parts.
-    pub fn verify_parts(&self, parts: &[&[u8]], sig: &Signature) -> bool {
-        let expected = self.node_key(sig.signer).mac_parts(parts);
+        let expected = self.node_key(sig.signer).mac(message);
         // Constant-time comparison is unnecessary in a simulation, but cheap.
         let mut diff = 0u8;
         for (a, b) in expected.as_bytes().iter().zip(sig.tag.as_bytes()) {
@@ -266,16 +256,6 @@ mod tests {
         let a = KeyRegistry::from_seed(1).keypair(client(5)).sign(b"m");
         let b = KeyRegistry::from_seed(2).keypair(client(5)).sign(b"m");
         assert_ne!(a.tag, b.tag);
-    }
-
-    #[test]
-    fn sign_parts_matches_concatenated_sign() {
-        let reg = KeyRegistry::from_seed(7);
-        let kp = reg.keypair(client(1));
-        let a = kp.sign(b"hello world");
-        let b = kp.sign_parts(&[b"hello", b" ", b"world"]);
-        assert_eq!(a, b);
-        assert!(reg.verify_parts(&[b"hello world"], &b));
     }
 
     #[test]

@@ -165,7 +165,7 @@ fn put_msg(out: &mut Vec<u8>, from: NodeId, msg: &BasilMsg) -> Result<(), WireEr
             out.put_u64(m.req_id);
             out.put_key(&m.key);
             out.put_ts(m.ts);
-            out.put_opt(m.auth.as_ref(), put_batch_proof);
+            out.put_opt(m.auth.as_ref(), put_signature);
             TAG_READ
         }
         BasilMsg::ReadReply(m) => {
@@ -174,7 +174,7 @@ fn put_msg(out: &mut Vec<u8>, from: NodeId, msg: &BasilMsg) -> Result<(), WireEr
         }
         BasilMsg::St1(m) => {
             put_tx(out, &m.tx);
-            out.put_opt(m.auth.as_ref(), put_batch_proof);
+            out.put_opt(m.auth.as_ref(), put_signature);
             out.put_bool(m.recovery);
             TAG_ST1
         }
@@ -187,7 +187,7 @@ fn put_msg(out: &mut Vec<u8>, from: NodeId, msg: &BasilMsg) -> Result<(), WireEr
             out.put_u8(m.decision.tag());
             out.put_seq(&m.shard_votes, put_shard_votes);
             out.put_u64(m.view);
-            out.put_opt(m.auth.as_ref(), put_batch_proof);
+            out.put_opt(m.auth.as_ref(), put_signature);
             TAG_ST2
         }
         BasilMsg::St2Reply(m) => {
@@ -206,7 +206,7 @@ fn put_msg(out: &mut Vec<u8>, from: NodeId, msg: &BasilMsg) -> Result<(), WireEr
         BasilMsg::InvokeFb(m) => {
             out.put_txid(&m.txid);
             out.put_seq(&m.views, put_st2_reply);
-            out.put_opt(m.auth.as_ref(), put_batch_proof);
+            out.put_opt(m.auth.as_ref(), put_signature);
             TAG_INVOKE_FB
         }
         BasilMsg::ElectFb(m) => {
@@ -237,14 +237,17 @@ fn put_digest(out: &mut impl Sink, d: &Digest) {
     out.put_bytes(d.as_bytes());
 }
 
+fn put_signature(out: &mut impl Sink, s: &Signature) {
+    out.put_node(s.signer);
+    put_digest(out, &s.tag);
+}
+
 fn put_batch_proof(out: &mut impl Sink, p: &BatchProof) {
     put_digest(out, &p.root);
-    out.put_node(p.root_signature.signer);
-    put_digest(out, &p.root_signature.tag);
+    put_signature(out, &p.root_signature);
     out.put_count(p.inclusion.leaf_index);
     out.put_count(p.inclusion.leaf_count);
     out.put_seq(&p.inclusion.siblings, put_sibling);
-    out.put_count(p.batch_size);
 }
 
 fn put_sibling(out: &mut impl Sink, sib: &Option<Digest>) {
@@ -266,7 +269,7 @@ fn put_read_reply(out: &mut impl Sink, m: &ReadReply) {
         out.put_opt(c.tx.as_deref(), put_tx);
     });
     out.put_opt(m.body.prepared.as_ref(), |out, p| put_tx(out, &p.tx));
-    out.put_opt(m.proof.as_ref(), put_batch_proof);
+    out.put_opt(m.proof.as_ref(), put_signature);
 }
 
 fn put_st1_reply(out: &mut impl Sink, m: &SignedSt1Reply) {
@@ -352,19 +355,22 @@ fn take_decision(r: &mut Reader<'_>) -> Result<ProtoDecision, WireError> {
     ProtoDecision::from_tag(tag).ok_or(WireError::BadTag { tag })
 }
 
+fn take_signature(r: &mut Reader<'_>) -> Result<Signature, WireError> {
+    Ok(Signature {
+        signer: r.node()?,
+        tag: take_digest(r)?,
+    })
+}
+
 fn take_batch_proof(r: &mut Reader<'_>) -> Result<BatchProof, WireError> {
     Ok(BatchProof {
         root: take_digest(r)?,
-        root_signature: Signature {
-            signer: r.node()?,
-            tag: take_digest(r)?,
-        },
+        root_signature: take_signature(r)?,
         inclusion: MerkleProof {
             leaf_index: r.u32()? as usize,
             leaf_count: r.u32()? as usize,
             siblings: r.seq(MIN_SIBLING, |r| r.opt(take_digest))?,
         },
-        batch_size: r.u32()? as usize,
     })
 }
 
@@ -481,7 +487,7 @@ pub fn decode_frame_payload(payload: &[u8]) -> Result<(NodeId, BasilMsg), WireEr
             req_id: r.u64()?,
             key: r.key()?,
             ts: r.ts()?,
-            auth: r.opt(take_batch_proof)?,
+            auth: r.opt(take_signature)?,
         }),
         TAG_READ_REPLY => BasilMsg::ReadReply(ReadReply {
             body: ReadReplyBody {
@@ -498,11 +504,11 @@ pub fn decode_frame_payload(payload: &[u8]) -> Result<(NodeId, BasilMsg), WireEr
                 })?,
                 prepared: r.opt(|r| take_tx(r).map(|tx| PreparedRead { tx }))?,
             },
-            proof: r.opt(take_batch_proof)?,
+            proof: r.opt(take_signature)?,
         }),
         TAG_ST1 => BasilMsg::St1(St1 {
             tx: take_tx(r)?,
-            auth: r.opt(take_batch_proof)?,
+            auth: r.opt(take_signature)?,
             recovery: r.bool()?,
         }),
         TAG_ST1_REPLY => BasilMsg::St1Reply(take_st1_reply(r)?),
@@ -511,7 +517,7 @@ pub fn decode_frame_payload(payload: &[u8]) -> Result<(NodeId, BasilMsg), WireEr
             decision: take_decision(r)?,
             shard_votes: r.seq(MIN_SHARD_VOTES, take_shard_votes)?,
             view: r.u64()?,
-            auth: r.opt(take_batch_proof)?,
+            auth: r.opt(take_signature)?,
         }),
         TAG_ST2_REPLY => BasilMsg::St2Reply(take_st2_reply(r)?),
         TAG_WRITEBACK => BasilMsg::Writeback(take_writeback(r)?),
@@ -522,7 +528,7 @@ pub fn decode_frame_payload(payload: &[u8]) -> Result<(NodeId, BasilMsg), WireEr
         TAG_INVOKE_FB => BasilMsg::InvokeFb(InvokeFb {
             txid: r.txid()?,
             views: r.seq(MIN_ST2_REPLY, take_st2_reply)?,
-            auth: r.opt(take_batch_proof)?,
+            auth: r.opt(take_signature)?,
         }),
         TAG_ELECT_FB => BasilMsg::ElectFb(take_elect_fb(r)?),
         TAG_DEC_FB => BasilMsg::DecFb(DecFb {
