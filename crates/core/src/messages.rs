@@ -778,7 +778,7 @@ mod tests {
         let mut b = TransactionBuilder::new(ts(10, 1));
         b.record_write(Key::new("k"), Value::from_u64(1));
         b.record_dependent_read(Key::new("r"), ts(3, 2), TxId::from_bytes([4; 32]));
-        let bodies = nine_bodies(&BodyFields {
+        let mut bodies = nine_bodies(&BodyFields {
             req_id: 9,
             key: Key::new("some-longer-key-17"),
             ts: ts(100, 1),
@@ -790,18 +790,14 @@ mod tests {
             views: [1, 7],
             invoke_views: 2,
         });
-        let (read_reply, older): (Vec<_>, Vec<_>) =
-            bodies.into_iter().enumerate().partition(|(i, _)| *i == 1);
-        let digest = |bodies: Vec<(usize, (usize, Vec<u8>))>| {
-            let all: Vec<u8> = bodies.into_iter().flat_map(|(_, (_, b))| b).collect();
-            basil_crypto::Sha256::digest(&all).to_hex()
-        };
+        let (_, read_reply) = bodies.remove(1);
+        let older: Vec<u8> = bodies.into_iter().flat_map(|(_, bytes)| bytes).collect();
         assert_eq!(
-            digest(older),
+            basil_crypto::Sha256::digest(&older).to_hex(),
             "4b49d8fb1b5a2896415bb0ca4cbaae90a37782287f64771e9686ab55b95e94b2"
         );
         assert_eq!(
-            digest(read_reply),
+            basil_crypto::Sha256::digest(&read_reply).to_hex(),
             "38f2040bca9279f59f0161f49526a0a5b941e9e5aff6bbeb0a6e1fec7f8e8bab"
         );
     }

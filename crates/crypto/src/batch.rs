@@ -34,10 +34,10 @@ pub struct BatchProof {
 }
 
 impl BatchProof {
-    /// Signs a single payload, producing a one-leaf "batch": a message that
-    /// may become evidence but is signed on its own (a fallback election
-    /// vote or decision) verifies like one batched reply. A message that
-    /// only its recipient checks needs no batch proof; it carries a bare
+    /// Signs a single payload, producing a one-leaf "batch": the same proof
+    /// [`sign_frontier`] makes for a batch of one, so a message signed on
+    /// its own verifies like one batched reply. A message that only its
+    /// recipient checks needs no batch proof; it carries a bare
     /// [`Signature`] over its encoding ([`KeyPair::sign`]).
     pub fn sign_single(keypair: &KeyPair, payload: &[u8]) -> BatchProof {
         // The root of a one-leaf tree is the leaf hash; no tree is built.
