@@ -10,14 +10,13 @@
 //! on aborts.
 
 use crate::messages::{BaselineClientTimer, BaselineMsg, ShardRequest};
-use crate::occ::OccVote;
 use crate::profile::{BaselineConfig, COST};
 use basil_common::{
     ClientId, Duration, Key, NodeId, ReplicaId, ShardId, Timestamp, TxGenerator, TxId, Value,
 };
 use basil_simnet::{Actor, Context};
 use basil_store::session::{Session, SessionStats, Step};
-use basil_store::{Transaction, TransactionBuilder};
+use basil_store::{Transaction, TransactionBuilder, Vote};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
@@ -35,7 +34,7 @@ struct Preparing {
     txid: TxId,
     involved: Cow<'static, [ShardId]>,
     /// Per shard: votes by replica index.
-    votes: HashMap<ShardId, HashMap<u32, OccVote>>,
+    votes: HashMap<ShardId, HashMap<u32, Vote>>,
     decided: HashMap<ShardId, bool>,
 }
 
@@ -260,7 +259,7 @@ impl BaselineClient {
         ctx: &mut Context<BaselineMsg>,
         from: NodeId,
         txid: TxId,
-        vote: OccVote,
+        vote: Vote,
     ) {
         if self.cfg.kind.uses_signatures() {
             ctx.charge(COST.verify);
@@ -689,7 +688,7 @@ mod tests {
                 NodeId::Replica(ReplicaId::new(ShardId(0), i)),
                 BaselineMsg::PrepareResult {
                     txid,
-                    vote: OccVote::Commit,
+                    vote: Vote::Commit,
                 },
             );
             if i < 2 {
@@ -736,7 +735,7 @@ mod tests {
                 NodeId::Replica(ReplicaId::new(ShardId(0), i)),
                 BaselineMsg::PrepareResult {
                     txid,
-                    vote: OccVote::Commit,
+                    vote: Vote::Commit,
                 },
             );
         }
@@ -777,7 +776,7 @@ mod tests {
             NodeId::Replica(ReplicaId::new(ShardId(0), 0)),
             BaselineMsg::PrepareResult {
                 txid,
-                vote: OccVote::Abort(basil_common::error::AbortReason::Conflict),
+                vote: Vote::Abort(basil_common::error::AbortReason::Conflict),
             },
         );
         assert_eq!(c.stats().aborted_attempts, 1);

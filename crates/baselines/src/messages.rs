@@ -1,8 +1,7 @@
 //! Messages exchanged by the baseline systems.
 
-use crate::occ::OccVote;
 use basil_common::{Key, Timestamp, TxId, Value};
-use basil_store::Transaction;
+use basil_store::{Transaction, Vote};
 use std::sync::Arc;
 
 /// A request that must be ordered (BFT baselines) or executed directly
@@ -88,7 +87,7 @@ pub enum BaselineMsg {
         /// The transaction.
         txid: TxId,
         /// The replica's OCC vote.
-        vote: OccVote,
+        vote: Vote,
     },
     /// Replica -> client: acknowledgement of an executed decide.
     DecideAck {

@@ -12,25 +12,8 @@
 
 use basil_common::error::AbortReason;
 use basil_common::{FastHashMap, Key, Timestamp, TxId, Value};
-use basil_store::mvtso::Decision;
-use basil_store::Transaction;
+use basil_store::{Decision, Transaction, Vote};
 use std::sync::Arc;
-
-/// Result of an OCC prepare.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OccVote {
-    /// Reads are still current and all write locks were acquired.
-    Commit,
-    /// Validation failed or a lock is held by another in-flight transaction.
-    Abort(AbortReason),
-}
-
-impl OccVote {
-    /// True for [`OccVote::Commit`].
-    pub fn is_commit(&self) -> bool {
-        matches!(self, OccVote::Commit)
-    }
-}
 
 /// Per-key state of the OCC store.
 #[derive(Clone, Debug)]
@@ -105,21 +88,21 @@ impl OccStore {
     /// currently installed versions and acquires write locks. Must be called
     /// in the shard's serialization order (the baselines order prepares
     /// through consensus before executing them).
-    pub fn prepare(&mut self, tx: &Arc<Transaction>) -> OccVote {
+    pub fn prepare(&mut self, tx: &Arc<Transaction>) -> Vote {
         let txid = tx.id();
         if self.prepared.contains_key(&txid) {
-            return OccVote::Commit; // duplicate delivery
+            return Vote::Commit; // duplicate delivery
         }
         // Validation: every read must still be the installed version, and no
         // read key may be locked by a concurrent prepared transaction.
         for read in tx.read_set() {
             let (current, _) = self.read(&read.key);
             if current != read.version {
-                return OccVote::Abort(AbortReason::Conflict);
+                return Vote::Abort(AbortReason::Conflict);
             }
             if let Some(entry) = self.data.get(&read.key) {
                 if entry.locked_by.is_some() && entry.locked_by != Some(txid) {
-                    return OccVote::Abort(AbortReason::Conflict);
+                    return Vote::Abort(AbortReason::Conflict);
                 }
             }
         }
@@ -127,7 +110,7 @@ impl OccStore {
         for write in tx.write_set() {
             if let Some(entry) = self.data.get(&write.key) {
                 if entry.locked_by.is_some() && entry.locked_by != Some(txid) {
-                    return OccVote::Abort(AbortReason::Conflict);
+                    return Vote::Abort(AbortReason::Conflict);
                 }
             }
         }
@@ -138,7 +121,7 @@ impl OccStore {
                 .locked_by = Some(txid);
         }
         self.prepared.insert(txid, Arc::clone(tx));
-        OccVote::Commit
+        Vote::Commit
     }
 
     /// Applies the commit decision for a prepared transaction: installs its
@@ -251,7 +234,7 @@ mod tests {
 
         // t2 read the old version of x before t1 committed.
         let t2 = rmw(200, "x", Timestamp::ZERO, 7);
-        assert_eq!(s.prepare(&t2), OccVote::Abort(AbortReason::Conflict));
+        assert_eq!(s.prepare(&t2), Vote::Abort(AbortReason::Conflict));
     }
 
     #[test]
@@ -262,7 +245,7 @@ mod tests {
 
         // Another transaction writing x while t1 is prepared must abort.
         let t2 = rmw(200, "x", Timestamp::ZERO, 7);
-        assert_eq!(s.prepare(&t2), OccVote::Abort(AbortReason::Conflict));
+        assert_eq!(s.prepare(&t2), Vote::Abort(AbortReason::Conflict));
 
         // Once t1 aborts, its locks are released and the key is writable
         // again (with the still-valid read version).
@@ -284,7 +267,7 @@ mod tests {
         b.record_read(k("x"), Timestamp::ZERO);
         b.record_write(k("y"), Value::from_u64(1));
         let t2 = b.build_shared();
-        assert_eq!(s.prepare(&t2), OccVote::Abort(AbortReason::Conflict));
+        assert_eq!(s.prepare(&t2), Vote::Abort(AbortReason::Conflict));
     }
 
     #[test]

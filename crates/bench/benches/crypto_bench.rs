@@ -7,12 +7,13 @@ use basil_common::{ClientId, NodeId, ReplicaId, ShardId, TxId};
 use basil_core::certs::{validate_decision_cert, DecisionCert, DecisionProof, ShardVotes};
 use basil_core::config::BasilConfig;
 use basil_core::crypto_engine::SigEngine;
-use basil_core::messages::{ProtoDecision, ProtoVote, SignedSt1Reply, St1ReplyBody};
+use basil_core::messages::{SignedSt1Reply, St1ReplyBody};
 use basil_crypto::hmac::{hmac_sha256, HmacKey};
 use basil_crypto::merkle::{leaf_hash, node_hash};
 use basil_crypto::{
     sign_frontier, BatchProof, KeyRegistry, MerkleFrontier, MerkleTree, Sha256, SignatureCache,
 };
+use basil_store::Decision;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn bench_sha256(c: &mut Criterion) {
@@ -210,7 +211,7 @@ fn bench_cert_quorum_validation(c: &mut Criterion) {
                 let body = St1ReplyBody {
                     txid,
                     replica: rid,
-                    vote: ProtoVote::Commit,
+                    vote: Decision::Commit,
                 };
                 let mut engine = SigEngine::new(NodeId::Replica(rid), registry.clone(), &cfg);
                 let proof = engine.sign(&body);
@@ -222,7 +223,7 @@ fn bench_cert_quorum_validation(c: &mut Criterion) {
             proof: DecisionProof::FastCommit(vec![ShardVotes {
                 txid,
                 shard: ShardId(0),
-                decision: ProtoDecision::Commit,
+                decision: Decision::Commit,
                 votes,
             }]),
         }

@@ -7,10 +7,11 @@ use basil_common::{ClientId, Duration, NodeId, ReplicaId, ShardConfig, ShardId, 
 use basil_core::certs::{validate_decision_cert, DecisionCert, DecisionProof, ShardVotes};
 use basil_core::config::BasilConfig;
 use basil_core::crypto_engine::SigEngine;
-use basil_core::messages::{ProtoDecision, ProtoVote, SignedSt1Reply, St1ReplyBody};
+use basil_core::messages::{SignedSt1Reply, St1ReplyBody};
 use basil_core::quorum::ShardTally;
 use basil_core::views::next_view;
 use basil_crypto::KeyRegistry;
+use basil_store::Decision;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn signed_votes(
@@ -25,7 +26,7 @@ fn signed_votes(
             let body = St1ReplyBody {
                 txid,
                 replica: rid,
-                vote: ProtoVote::Commit,
+                vote: Decision::Commit,
             };
             let mut engine = SigEngine::new(NodeId::Replica(rid), registry.clone(), cfg);
             let proof = engine.sign(&body);
@@ -71,7 +72,7 @@ fn bench_cert_validation(c: &mut Criterion) {
         proof: DecisionProof::FastCommit(vec![ShardVotes {
             txid,
             shard: ShardId(0),
-            decision: ProtoDecision::Commit,
+            decision: Decision::Commit,
             votes,
         }]),
     };
@@ -271,7 +272,7 @@ fn bench_message_plane(c: &mut Criterion) {
         proof: DecisionProof::FastCommit(vec![ShardVotes {
             txid: tx.id(),
             shard: ShardId(0),
-            decision: ProtoDecision::Commit,
+            decision: Decision::Commit,
             votes,
         }]),
     });

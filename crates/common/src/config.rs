@@ -1,14 +1,11 @@
 //! Shard and deployment configuration, including Basil's quorum arithmetic.
 //!
 //! Basil provisions `n = 5f + 1` replicas per shard (Section 3). The derived
-//! quorum sizes are:
+//! quorum sizes are below; the four thresholds of a shard's ST1 votes (fast
+//! and slow, commit and abort) are `basil_core::certs::Strength::quorum`.
 //!
 //! | quorum | size | purpose |
 //! |---|---|---|
-//! | commit quorum (CQ) | `3f + 1` | slow-path commit vote of a shard |
-//! | abort quorum (AQ) | `f + 1` | slow-path abort vote of a shard |
-//! | fast commit | `5f + 1` | unanimous vote; shard vote already durable |
-//! | fast abort | `3f + 1` | shard can never produce a CQ for commit |
 //! | stage-2 (logging) quorum | `n - f = 4f + 1` | durable 2PC decision on `S_log` |
 //! | read reply quorum | `f + 1` | at least one correct replica answered |
 //! | prepared-version vouching | `f + 1` | a prepared version may be adopted as a dependency |
@@ -33,26 +30,6 @@ impl ShardConfig {
     /// Total number of replicas in the shard, `n = 5f + 1`.
     pub fn n(&self) -> u32 {
         5 * self.f + 1
-    }
-
-    /// Commit quorum `CQ = 3f + 1` (slow path).
-    pub fn commit_quorum(&self) -> u32 {
-        3 * self.f + 1
-    }
-
-    /// Abort quorum `AQ = f + 1` (slow path).
-    pub fn abort_quorum(&self) -> u32 {
-        self.f + 1
-    }
-
-    /// Fast-path commit quorum: all `5f + 1` replicas.
-    pub fn fast_commit_quorum(&self) -> u32 {
-        self.n()
-    }
-
-    /// Fast-path abort quorum: `3f + 1` replicas.
-    pub fn fast_abort_quorum(&self) -> u32 {
-        3 * self.f + 1
     }
 
     /// Stage-2 logging quorum `n - f = 4f + 1`.
@@ -191,10 +168,6 @@ mod tests {
     fn quorum_sizes_for_f1() {
         let c = ShardConfig::new(1);
         assert_eq!(c.n(), 6);
-        assert_eq!(c.commit_quorum(), 4);
-        assert_eq!(c.abort_quorum(), 2);
-        assert_eq!(c.fast_commit_quorum(), 6);
-        assert_eq!(c.fast_abort_quorum(), 4);
         assert_eq!(c.st2_quorum(), 5);
         assert_eq!(c.elect_quorum(), 5);
         assert_eq!(c.view_r1_quorum(), 4);
@@ -205,27 +178,7 @@ mod tests {
     fn quorum_sizes_for_f2() {
         let c = ShardConfig::new(2);
         assert_eq!(c.n(), 11);
-        assert_eq!(c.commit_quorum(), 7);
-        assert_eq!(c.abort_quorum(), 3);
         assert_eq!(c.st2_quorum(), 9);
-    }
-
-    #[test]
-    fn quorum_intersection_properties() {
-        // Two commit quorums of conflicting transactions must intersect in a
-        // correct replica: 2 * (3f+1) - n = f + 1 > f.
-        for f in 1..5u32 {
-            let c = ShardConfig::new(f);
-            let overlap = 2 * c.commit_quorum() as i64 - c.n() as i64;
-            assert!(overlap > f as i64, "f={f}: CQ/CQ overlap too small");
-            // A fast-commit certificate and a fast-abort certificate must
-            // also intersect in a correct replica.
-            let overlap_fast =
-                (c.fast_commit_quorum() + c.fast_abort_quorum()) as i64 - c.n() as i64;
-            assert!(overlap_fast > f as i64);
-            // Any client stepping in for a fast-path commit sees at least a CQ.
-            assert!(c.fast_commit_quorum() - 2 * f >= c.commit_quorum());
-        }
     }
 
     #[test]

@@ -20,10 +20,11 @@
 //! is charged to the validating node.
 
 use crate::crypto_engine::{SigEngine, SignedPayload};
-use crate::messages::{ProtoDecision, ProtoVote, SignedSt1Reply, SignedSt2Reply, View};
+use crate::messages::{SignedSt1Reply, SignedSt2Reply, View};
 use crate::views::logging_shard;
 use basil_common::{NodeId, ReplicaId, ShardConfig, ShardId, TxId};
 use basil_crypto::BatchProof;
+use basil_store::Decision;
 
 /// Allocation-free set of the replica indices a quorum counted. Shards have
 /// `n = 5f + 1` replicas, so a 64-bit mask covers every deployment up to
@@ -62,7 +63,7 @@ pub struct ShardVotes {
     /// The shard these votes come from.
     pub shard: ShardId,
     /// The shard-level decision the votes support.
-    pub decision: ProtoDecision,
+    pub decision: Decision,
     /// The signed `ST1R` votes.
     pub votes: Vec<SignedSt1Reply>,
 }
@@ -76,7 +77,7 @@ pub struct VoteCert {
     /// The logging shard.
     pub shard: ShardId,
     /// The logged decision.
-    pub decision: ProtoDecision,
+    pub decision: Decision,
     /// The view in which the decision was logged (0 unless the fallback ran).
     pub view: View,
     /// The matching signed `ST2R` acknowledgements.
@@ -109,10 +110,10 @@ pub enum DecisionProof {
 
 impl DecisionCert {
     /// The decision carried by the certificate.
-    pub fn decision(&self) -> ProtoDecision {
+    pub fn decision(&self) -> Decision {
         match &self.proof {
-            DecisionProof::FastCommit(_) => ProtoDecision::Commit,
-            DecisionProof::FastAbort(_) => ProtoDecision::Abort,
+            DecisionProof::FastCommit(_) => Decision::Commit,
+            DecisionProof::FastAbort(_) => Decision::Abort,
             DecisionProof::Slow(slow) => slow.decision,
         }
     }
@@ -151,14 +152,14 @@ pub(crate) fn count_distinct_signed<'a, T, B: SignedPayload + 'a>(
 }
 
 /// Whether at least `quorum` distinct replicas of the shard cast a correctly
-/// signed `want` vote for the transaction in `sv`.
-fn vote_quorum(sv: &ShardVotes, want: &ProtoVote, quorum: u32, engine: &mut SigEngine) -> bool {
+/// signed vote for the decision and transaction in `sv`.
+fn vote_quorum(sv: &ShardVotes, quorum: u32, engine: &mut SigEngine) -> bool {
     let count = count_distinct_signed(
         &sv.votes,
         sv.shard,
         engine,
         |v| {
-            (v.body.txid == sv.txid && v.body.vote == *want).then_some((
+            (v.body.txid == sv.txid && v.body.vote == sv.decision).then_some((
                 v.body.replica,
                 &v.body,
                 v.proof.as_ref(),
@@ -189,13 +190,32 @@ pub fn validate_vote_cert(cert: &VoteCert, cfg: &ShardConfig, engine: &mut SigEn
 
 /// How much a shard's votes must hold to count as evidence.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Strength {
-    /// A durable fast-path vote certificate: all `5f + 1` replicas voted
-    /// commit, or `3f + 1` voted abort.
+pub enum Strength {
+    /// A durable fast-path vote certificate, needing no ST2.
     Fast,
-    /// The tallies that justify logging a 2PC decision in ST2: `3f + 1`
-    /// commit votes, or `f + 1` abort votes.
+    /// A tally that justifies logging a 2PC decision in ST2.
     Slow,
+}
+
+impl Strength {
+    /// The one quorum table of ST1 votes (Section 4.2): how many distinct
+    /// replicas of a shard must vote `decision` for their votes to hold at
+    /// this strength. The client's [`ShardTally`](crate::quorum::ShardTally)
+    /// classifies by it and `votes_justify` checks by it.
+    ///
+    /// | | commit | abort |
+    /// |---|---|---|
+    /// | fast | `5f + 1` (all `n`) | `3f + 1` |
+    /// | slow | `3f + 1` | `f + 1` |
+    pub fn quorum(self, decision: Decision, cfg: &ShardConfig) -> u32 {
+        let f = cfg.f;
+        match (self, decision) {
+            (Strength::Fast, Decision::Commit) => 5 * f + 1,
+            (Strength::Fast, Decision::Abort) => 3 * f + 1,
+            (Strength::Slow, Decision::Commit) => 3 * f + 1,
+            (Strength::Slow, Decision::Abort) => f + 1,
+        }
+    }
 }
 
 /// The one evidence rule: whether the vote sets `offered` justify
@@ -207,30 +227,25 @@ pub(crate) enum Strength {
 /// refused before a signature is read.
 pub(crate) fn votes_justify(
     txid: TxId,
-    decision: ProtoDecision,
+    decision: Decision,
     strength: Strength,
     offered: &[ShardVotes],
     involved: &[ShardId],
     cfg: &ShardConfig,
     engine: &mut SigEngine,
 ) -> bool {
-    let (want, quorum) = match (decision, strength) {
-        (ProtoDecision::Commit, Strength::Fast) => (ProtoVote::Commit, cfg.fast_commit_quorum()),
-        (ProtoDecision::Commit, Strength::Slow) => (ProtoVote::Commit, cfg.commit_quorum()),
-        (ProtoDecision::Abort, Strength::Fast) => (ProtoVote::Abort, cfg.fast_abort_quorum()),
-        (ProtoDecision::Abort, Strength::Slow) => (ProtoVote::Abort, cfg.abort_quorum()),
-    };
+    let quorum = strength.quorum(decision, cfg);
     let mut justified = involved.iter().map(|&shard| {
         offered
             .iter()
             .find(|sv| sv.shard == shard)
             .is_some_and(|sv| {
-                sv.txid == txid && sv.decision == decision && vote_quorum(sv, &want, quorum, engine)
+                sv.txid == txid && sv.decision == decision && vote_quorum(sv, quorum, engine)
             })
     });
     match decision {
-        ProtoDecision::Commit => !involved.is_empty() && justified.all(|ok| ok),
-        ProtoDecision::Abort => justified.any(|ok| ok),
+        Decision::Commit => !involved.is_empty() && justified.all(|ok| ok),
+        Decision::Abort => justified.any(|ok| ok),
     }
 }
 
@@ -254,8 +269,8 @@ pub fn validate_decision_cert(
                 && logging_shard(cert.txid, involved) == Some(slow.shard)
                 && validate_vote_cert(slow, cfg, engine);
         }
-        DecisionProof::FastCommit(votes) => (ProtoDecision::Commit, &votes[..]),
-        DecisionProof::FastAbort(sv) => (ProtoDecision::Abort, std::slice::from_ref(sv)),
+        DecisionProof::FastCommit(votes) => (Decision::Commit, &votes[..]),
+        DecisionProof::FastAbort(sv) => (Decision::Abort, std::slice::from_ref(sv)),
     };
     votes_justify(
         cert.txid,
@@ -296,7 +311,7 @@ mod tests {
         TxId::from_bytes([42; 32])
     }
 
-    fn signed_vote(replica_index: u32, vote: ProtoVote) -> SignedSt1Reply {
+    fn signed_vote(replica_index: u32, vote: Decision) -> SignedSt1Reply {
         let replica = ReplicaId::new(ShardId(0), replica_index);
         let body = St1ReplyBody {
             txid: txid(),
@@ -308,19 +323,14 @@ mod tests {
         SignedSt1Reply { body, proof }
     }
 
-    fn signed_st2(
-        replica_index: u32,
-        decision: ProtoDecision,
-        id: TxId,
-        view: View,
-    ) -> SignedSt2Reply {
+    fn signed_st2(replica_index: u32, decision: Decision, id: TxId, view: View) -> SignedSt2Reply {
         signed_st2_on(ShardId(0), replica_index, decision, id, view)
     }
 
     fn signed_st2_on(
         shard: ShardId,
         replica_index: u32,
-        decision: ProtoDecision,
+        decision: Decision,
         id: TxId,
         view: View,
     ) -> SignedSt2Reply {
@@ -338,14 +348,14 @@ mod tests {
     }
 
     fn commit_votes(n: u32) -> Vec<SignedSt1Reply> {
-        (0..n).map(|i| signed_vote(i, ProtoVote::Commit)).collect()
+        (0..n).map(|i| signed_vote(i, Decision::Commit)).collect()
     }
 
     fn abort_votes(n: u32) -> Vec<SignedSt1Reply> {
-        (0..n).map(|i| signed_vote(i, ProtoVote::Abort)).collect()
+        (0..n).map(|i| signed_vote(i, Decision::Abort)).collect()
     }
 
-    fn shard_votes(decision: ProtoDecision, votes: Vec<SignedSt1Reply>) -> ShardVotes {
+    fn shard_votes(decision: Decision, votes: Vec<SignedSt1Reply>) -> ShardVotes {
         ShardVotes {
             txid: txid(),
             shard: ShardId(0),
@@ -362,7 +372,7 @@ mod tests {
     }
 
     /// `n - f` signed acknowledgements of `decision` from replicas of `shard`.
-    fn acks(shard: ShardId, decision: ProtoDecision) -> DecisionProof {
+    fn acks(shard: ShardId, decision: Decision) -> DecisionProof {
         DecisionProof::Slow(VoteCert {
             txid: txid(),
             shard,
@@ -385,10 +395,35 @@ mod tests {
         assert_eq!(set.spill, [64, 200]);
     }
 
+    /// The quorum table's sizes, and the intersections the protocol rests
+    /// on (Section 4.2): two slow commit quorums share a correct replica, so
+    /// do a fast commit and a fast abort, and a client finishing a fast
+    /// commit sees a slow commit quorum among any `n - 2f` of its votes.
+    #[test]
+    fn quorum_intersection_properties() {
+        use Decision::{Abort, Commit};
+        use Strength::{Fast, Slow};
+        let c = ShardConfig::new(1);
+        let sizes = [(Fast, Commit), (Fast, Abort), (Slow, Commit), (Slow, Abort)]
+            .map(|(strength, decision)| strength.quorum(decision, &c));
+        assert_eq!(sizes, [6, 4, 4, 2]);
+        for f in 1..5u32 {
+            let c = ShardConfig::new(f);
+            let q = |strength: Strength, decision| i64::from(strength.quorum(decision, &c));
+            let (n, f) = (i64::from(c.n()), i64::from(f));
+            assert!(
+                2 * q(Slow, Commit) - n > f,
+                "f={f}: CQ/CQ overlap too small"
+            );
+            assert!(q(Fast, Commit) + q(Fast, Abort) - n > f);
+            assert!(q(Fast, Commit) - 2 * f >= q(Slow, Commit));
+        }
+    }
+
     /// Whether the one vote set `votes` justifies `decision` at `strength`
     /// on `involved`, checked by a fresh client engine.
     fn justifies(
-        decision: ProtoDecision,
+        decision: Decision,
         strength: Strength,
         votes: Vec<SignedSt1Reply>,
         involved: &[ShardId],
@@ -409,8 +444,7 @@ mod tests {
 
     #[test]
     fn fast_commit_requires_unanimity() {
-        let fast_commit =
-            |votes| justifies(ProtoDecision::Commit, Strength::Fast, votes, &[ShardId(0)]);
+        let fast_commit = |votes| justifies(Decision::Commit, Strength::Fast, votes, &[ShardId(0)]);
         assert!(fast_commit(commit_votes(6)));
         assert!(!fast_commit(commit_votes(5)));
     }
@@ -419,9 +453,9 @@ mod tests {
     fn duplicate_votes_do_not_inflate_the_count() {
         let mut votes = commit_votes(3);
         // Replica 0's vote repeated three more times.
-        votes.extend(std::iter::repeat_n(signed_vote(0, ProtoVote::Commit), 3));
+        votes.extend(std::iter::repeat_n(signed_vote(0, Decision::Commit), 3));
         assert!(!justifies(
-            ProtoDecision::Commit,
+            Decision::Commit,
             Strength::Fast,
             votes,
             &[ShardId(0)]
@@ -433,16 +467,16 @@ mod tests {
     #[test]
     fn padding_a_certificate_buys_no_verification_work() {
         let shard_cfg = cfg().system.shard;
-        let plain = shard_votes(ProtoDecision::Commit, commit_votes(6));
+        let plain = shard_votes(Decision::Commit, commit_votes(6));
         let mut votes = commit_votes(6);
-        votes.extend(std::iter::repeat_n(signed_vote(0, ProtoVote::Commit), 50));
-        let padded = shard_votes(ProtoDecision::Commit, votes);
+        votes.extend(std::iter::repeat_n(signed_vote(0, Decision::Commit), 50));
+        let padded = shard_votes(Decision::Commit, votes);
         let cost = |offered: ShardVotes| {
             // A fresh engine: every validation starts from a cold cache.
             let mut engine = client_engine();
             assert!(votes_justify(
                 txid(),
-                ProtoDecision::Commit,
+                Decision::Commit,
                 Strength::Fast,
                 &[offered],
                 &[ShardId(0)],
@@ -468,7 +502,7 @@ mod tests {
         let other = involved[usize::from(slog == ShardId(0))];
         let mut valid =
             |proof| validate_decision_cert(&cert(proof), &involved, &shard_cfg, &mut engine);
-        for decision in [ProtoDecision::Commit, ProtoDecision::Abort] {
+        for decision in [Decision::Commit, Decision::Abort] {
             assert!(valid(acks(slog, decision)));
             assert!(!valid(acks(other, decision)));
         }
@@ -480,7 +514,7 @@ mod tests {
     fn fast_abort_cert_must_come_from_an_involved_shard() {
         let shard_cfg = cfg().system.shard;
         let abort = cert(DecisionProof::FastAbort(shard_votes(
-            ProtoDecision::Abort,
+            Decision::Abort,
             abort_votes(4),
         )));
         let mut engine = client_engine();
@@ -504,11 +538,11 @@ mod tests {
     fn forged_signature_is_not_counted() {
         let mut votes = commit_votes(5);
         // A vote whose body claims replica 5 but is signed by replica 0.
-        let mut forged = signed_vote(0, ProtoVote::Commit);
+        let mut forged = signed_vote(0, Decision::Commit);
         forged.body.replica = ReplicaId::new(ShardId(0), 5);
         votes.push(forged);
         assert!(!justifies(
-            ProtoDecision::Commit,
+            Decision::Commit,
             Strength::Fast,
             votes,
             &[ShardId(0)]
@@ -517,8 +551,7 @@ mod tests {
 
     #[test]
     fn fast_abort_needs_3f_plus_1() {
-        let fast_abort =
-            |votes| justifies(ProtoDecision::Abort, Strength::Fast, votes, &[ShardId(0)]);
+        let fast_abort = |votes| justifies(Decision::Abort, Strength::Fast, votes, &[ShardId(0)]);
         assert!(fast_abort(abort_votes(4)));
         assert!(!fast_abort(abort_votes(3)));
     }
@@ -526,22 +559,16 @@ mod tests {
     #[test]
     fn slow_tallies_use_smaller_quorums() {
         let slow = |decision, votes| justifies(decision, Strength::Slow, votes, &[ShardId(0)]);
-        assert!(slow(ProtoDecision::Commit, commit_votes(4)));
-        assert!(!slow(ProtoDecision::Commit, commit_votes(3)));
-        assert!(slow(ProtoDecision::Abort, abort_votes(2)));
-        assert!(!slow(ProtoDecision::Abort, abort_votes(1)));
+        assert!(slow(Decision::Commit, commit_votes(4)));
+        assert!(!slow(Decision::Commit, commit_votes(3)));
+        assert!(slow(Decision::Abort, abort_votes(2)));
+        assert!(!slow(Decision::Abort, abort_votes(1)));
     }
 
     #[test]
     fn st2_justification_commit_needs_every_expected_shard() {
-        let commit = |involved| {
-            justifies(
-                ProtoDecision::Commit,
-                Strength::Slow,
-                commit_votes(4),
-                involved,
-            )
-        };
+        let commit =
+            |involved| justifies(Decision::Commit, Strength::Slow, commit_votes(4), involved);
         assert!(commit(&[ShardId(0)]));
         assert!(!commit(&[ShardId(0), ShardId(1)]));
     }
@@ -550,7 +577,7 @@ mod tests {
     fn st2_justification_abort_needs_one_abort_quorum() {
         let involved = [ShardId(0)];
         assert!(justifies(
-            ProtoDecision::Abort,
+            Decision::Abort,
             Strength::Slow,
             abort_votes(2),
             &involved
@@ -559,7 +586,7 @@ mod tests {
         let mut engine = client_engine();
         let nothing_offered = votes_justify(
             txid(),
-            ProtoDecision::Abort,
+            Decision::Abort,
             Strength::Slow,
             &[],
             &involved,
@@ -576,10 +603,10 @@ mod tests {
         let cert = VoteCert {
             txid: txid(),
             shard: ShardId(0),
-            decision: ProtoDecision::Commit,
+            decision: Decision::Commit,
             view: 0,
             replies: (0..5)
-                .map(|i| signed_st2(i, ProtoDecision::Commit, txid(), 0))
+                .map(|i| signed_st2(i, Decision::Commit, txid(), 0))
                 .collect(),
         };
         assert!(validate_vote_cert(&cert, &shard_cfg, &mut engine));
@@ -590,7 +617,7 @@ mod tests {
 
         // A mismatching decision view breaks the match.
         let mut mixed = cert.clone();
-        mixed.replies[0] = signed_st2(0, ProtoDecision::Commit, txid(), 1);
+        mixed.replies[0] = signed_st2(0, Decision::Commit, txid(), 1);
         assert!(!validate_vote_cert(&mixed, &shard_cfg, &mut engine));
     }
 
@@ -600,9 +627,9 @@ mod tests {
         let mut engine = client_engine();
         let mut valid =
             |proof| validate_decision_cert(&cert(proof), &[ShardId(0)], &shard_cfg, &mut engine);
-        let unanimous = shard_votes(ProtoDecision::Commit, commit_votes(6));
+        let unanimous = shard_votes(Decision::Commit, commit_votes(6));
         assert!(valid(DecisionProof::FastCommit(vec![unanimous.clone()])));
-        assert!(valid(acks(ShardId(0), ProtoDecision::Commit)));
+        assert!(valid(acks(ShardId(0), Decision::Commit)));
 
         // A fast commit covers every involved shard: one shard's unanimous
         // votes, however often repeated, do not commit a two-shard
@@ -625,8 +652,8 @@ mod tests {
         assert!(!valid(DecisionProof::FastCommit(vec![foreign])));
 
         // The decision is the proof's: logged aborts certify an abort.
-        let logged_abort = cert(acks(ShardId(0), ProtoDecision::Abort));
-        assert_eq!(logged_abort.decision(), ProtoDecision::Abort);
+        let logged_abort = cert(acks(ShardId(0), Decision::Abort));
+        assert_eq!(logged_abort.decision(), Decision::Abort);
     }
 
     /// A fast abort is `3f + 1` abort votes: one abort vote certifies
@@ -635,7 +662,7 @@ mod tests {
     fn single_abort_vote_is_not_an_abort_cert() {
         let shard_cfg = cfg().system.shard;
         let mut engine = client_engine();
-        let one_vote = shard_votes(ProtoDecision::Abort, abort_votes(1));
+        let one_vote = shard_votes(Decision::Abort, abort_votes(1));
         let weak = cert(DecisionProof::FastAbort(one_vote));
         let valid = validate_decision_cert(&weak, &[ShardId(0)], &shard_cfg, &mut engine);
         assert!(!valid);
@@ -653,16 +680,16 @@ mod tests {
                 body: St1ReplyBody {
                     txid: txid(),
                     replica: ReplicaId::new(ShardId(0), i),
-                    vote: ProtoVote::Commit,
+                    vote: Decision::Commit,
                 },
                 proof: None,
             })
             .collect();
-        let sv = shard_votes(ProtoDecision::Commit, votes);
+        let sv = shard_votes(Decision::Commit, votes);
         let shard_cfg = no_sig_cfg.system.shard;
         assert!(votes_justify(
             txid(),
-            ProtoDecision::Commit,
+            Decision::Commit,
             Strength::Fast,
             &[sv],
             &[ShardId(0)],

@@ -16,12 +16,12 @@
 //! deviations at well-defined points of the normal flow.
 
 use crate::byzantine::{ClientStrategy, FaultProfile};
-use crate::certs::{validate_decision_cert, DecisionCert, DecisionProof, ShardVotes};
+use crate::certs::{validate_decision_cert, DecisionCert, DecisionProof, ShardVotes, Strength};
 use crate::config::BasilConfig;
 use crate::crypto_engine::SigEngine;
 use crate::messages::{
-    BasilMsg, ClientTimer, InvokeFb, ProtoDecision, ProtoVote, ReadReply, ReadRequest,
-    SignedSt1Reply, SignedSt2Reply, St1, St2, Writeback,
+    BasilMsg, ClientTimer, InvokeFb, ReadReply, ReadRequest, SignedSt1Reply, SignedSt2Reply, St1,
+    St2, Writeback,
 };
 use crate::quorum::{combine_outcomes, ReadTally, ShardOutcome, ShardTally, St2Outcome, St2Tally};
 use crate::views::logging_shard;
@@ -32,7 +32,7 @@ use basil_common::{
 };
 use basil_simnet::{Actor, Context};
 use basil_store::session::{Session, SessionStats, Step as SessionStep, MAX_BACKOFF};
-use basil_store::{Transaction, TransactionBuilder};
+use basil_store::{Decision, Transaction, TransactionBuilder};
 use std::any::Any;
 use std::borrow::Cow;
 use std::ops::{Deref, DerefMut};
@@ -131,7 +131,7 @@ struct Commit {
     outcomes: Vec<Option<ShardOutcome>>,
     /// The decision proposed to S_log in view 0 with the tallies justifying
     /// it, once it was sent. Sent once; only the timeout re-sends it.
-    proposal: Option<(ProtoDecision, Vec<ShardVotes>)>,
+    proposal: Option<(Decision, Vec<ShardVotes>)>,
     st2_tally: St2Tally,
     /// Whether this client already asked S_log to elect a fallback leader.
     invoked_election: bool,
@@ -193,11 +193,13 @@ impl Commit {
         }
         match combine_outcomes(&self.outcomes) {
             None => Step::Wait,
-            Some(mut o) if o.fast && self.fast_path => self.decided(match o.decision {
-                ProtoDecision::Commit => DecisionProof::FastCommit(o.shard_votes),
-                // A fast abort is decided by one shard's votes alone.
-                ProtoDecision::Abort => DecisionProof::FastAbort(o.shard_votes.swap_remove(0)),
-            }),
+            Some(mut o) if o.strength == Strength::Fast && self.fast_path => {
+                self.decided(match o.decision {
+                    Decision::Commit => DecisionProof::FastCommit(o.shard_votes),
+                    // A fast abort is decided by one shard's votes alone.
+                    Decision::Abort => DecisionProof::FastAbort(o.shard_votes.swap_remove(0)),
+                })
+            }
             Some(o) => {
                 self.proposal = Some((o.decision, o.shard_votes));
                 Step::Log
@@ -760,26 +762,20 @@ impl BasilClient {
             return false;
         }
         // The first involved shard's tally is the equivocation target.
-        let (shard, tally) = (commit.involved[0], &commit.tallies[0]);
+        let tally = &commit.tallies[0];
         if strategy != ClientStrategy::EquivForced && !tally.can_equivocate() {
             return false;
         }
         let slog = commit.slog;
-        let tally_for = |decision, vote| ShardVotes {
-            txid,
-            shard,
-            decision,
-            votes: tally.votes_matching(vote),
-        };
-        let commit_tally = tally_for(ProtoDecision::Commit, ProtoVote::Commit);
-        let abort_tally = tally_for(ProtoDecision::Abort, ProtoVote::Abort);
+        let commit_tally = tally.shard_votes(Decision::Commit);
+        let abort_tally = tally.shard_votes(Decision::Abort);
         let replicas = self.replicas_of(slog);
         let half = replicas.len() / 2;
         for (i, replica) in replicas.into_iter().enumerate() {
             let (decision, tally) = if i < half {
-                (ProtoDecision::Commit, commit_tally.clone())
+                (Decision::Commit, commit_tally.clone())
             } else {
-                (ProtoDecision::Abort, abort_tally.clone())
+                (Decision::Abort, abort_tally.clone())
             };
             let mut st2 = St2 {
                 txid,
@@ -1185,7 +1181,7 @@ mod tests {
                 let body = crate::messages::St1ReplyBody {
                     txid: tx.id(),
                     replica: rid,
-                    vote: ProtoVote::Commit,
+                    vote: Decision::Commit,
                 };
                 let mut engine = SigEngine::new(NodeId::Replica(rid), registry(), &cfg());
                 let proof = engine.sign(&body);
@@ -1195,7 +1191,7 @@ mod tests {
         ShardVotes {
             txid: tx.id(),
             shard,
-            decision: ProtoDecision::Commit,
+            decision: Decision::Commit,
             votes,
         }
     }
@@ -1274,7 +1270,7 @@ mod tests {
         Commit::new(Arc::clone(tx), recovery, &cfg.system).expect("writes a key")
     }
 
-    fn vote(txid: TxId, i: u32, vote: ProtoVote) -> SignedSt1Reply {
+    fn vote(txid: TxId, i: u32, vote: Decision) -> SignedSt1Reply {
         SignedSt1Reply {
             body: St1ReplyBody {
                 txid,
@@ -1285,7 +1281,7 @@ mod tests {
         }
     }
 
-    fn ack(txid: TxId, i: u32, decision: ProtoDecision, view: u64) -> SignedSt2Reply {
+    fn ack(txid: TxId, i: u32, decision: Decision, view: u64) -> SignedSt2Reply {
         SignedSt2Reply {
             body: St2ReplyBody {
                 txid,
@@ -1308,8 +1304,8 @@ mod tests {
     /// next `aborts`.
     fn votes(txid: TxId, commits: u32, aborts: u32) -> Vec<SignedSt1Reply> {
         (0..commits)
-            .map(|i| vote(txid, i, ProtoVote::Commit))
-            .chain((commits..commits + aborts).map(|i| vote(txid, i, ProtoVote::Abort)))
+            .map(|i| vote(txid, i, Decision::Commit))
+            .chain((commits..commits + aborts).map(|i| vote(txid, i, Decision::Abort)))
             .collect()
     }
 
@@ -1358,7 +1354,7 @@ mod tests {
         let mut commit = commit_of(&tx, false, &cfg());
         add_votes(&mut commit, votes(tx.id(), 5, 0));
         assert!(matches!(commit.step(false), Step::Wait));
-        add_votes(&mut commit, [vote(tx.id(), 5, ProtoVote::Commit)]);
+        add_votes(&mut commit, [vote(tx.id(), 5, Decision::Commit)]);
         match commit.step(false) {
             Step::Decided(DecisionCert {
                 proof: DecisionProof::FastCommit(votes),
@@ -1379,28 +1375,24 @@ mod tests {
         );
         assert!(matches!(commit.step(true), Step::Log));
         let (decision, tallies) = commit.proposal.clone().expect("proposed");
-        assert_eq!(decision, ProtoDecision::Commit);
+        assert_eq!(decision, Decision::Commit);
         assert_eq!(tallies[0].votes.len(), 4);
         // Further evidence short of a quorum on S_log changes nothing: the
         // proposal is out, and only the timeout re-sends it.
-        add_votes(&mut commit, [vote(tx.id(), 4, ProtoVote::Commit)]);
-        commit
-            .st2_tally
-            .add(ack(tx.id(), 0, ProtoDecision::Commit, 0));
+        add_votes(&mut commit, [vote(tx.id(), 4, Decision::Commit)]);
+        commit.st2_tally.add(ack(tx.id(), 0, Decision::Commit, 0));
         assert!(matches!(commit.step(false), Step::Wait));
         assert!(matches!(commit.step(true), Step::Wait));
         // n - f matching acknowledgements decide.
         for i in 1..5 {
-            commit
-                .st2_tally
-                .add(ack(tx.id(), i, ProtoDecision::Commit, 0));
+            commit.st2_tally.add(ack(tx.id(), i, Decision::Commit, 0));
         }
         match commit.step(false) {
             Step::Decided(DecisionCert {
                 proof: DecisionProof::Slow(acks),
                 ..
             }) => {
-                assert_eq!(acks.decision, ProtoDecision::Commit);
+                assert_eq!(acks.decision, Decision::Commit);
                 assert_eq!(acks.replies.len(), 5);
             }
             other => panic!("expected a slow commit, got {other:?}"),
@@ -1426,9 +1418,9 @@ mod tests {
         assert!(matches!(commit.step(false), Step::Log), "all six voted");
         for i in 0..6 {
             let decision = if i < 3 {
-                ProtoDecision::Commit
+                Decision::Commit
             } else {
-                ProtoDecision::Abort
+                Decision::Abort
             };
             commit.st2_tally.add(ack(tx.id(), i, decision, 0));
         }
@@ -1440,12 +1432,10 @@ mod tests {
         assert!(matches!(commit.step(true), Step::Wait));
         // The election's outcome arrives as ST2R of view 1 and decides.
         for i in 0..5 {
-            commit
-                .st2_tally
-                .add(ack(tx.id(), i, ProtoDecision::Abort, 1));
+            commit.st2_tally.add(ack(tx.id(), i, Decision::Abort, 1));
         }
         match commit.step(false) {
-            Step::Decided(cert) => assert_eq!(cert.decision(), ProtoDecision::Abort),
+            Step::Decided(cert) => assert_eq!(cert.decision(), Decision::Abort),
             other => panic!("expected a decision, got {other:?}"),
         }
     }
@@ -1564,7 +1554,7 @@ mod tests {
 
         let mut ctx = ctx_at(3);
         for i in 0..5 {
-            client.handle_st2_reply(&mut ctx, ack(txid, i, ProtoDecision::Abort, 0));
+            client.handle_st2_reply(&mut ctx, ack(txid, i, Decision::Abort, 0));
         }
         assert_eq!(client.stats().committed, 0, "the transaction aborted");
         assert_eq!(client.stats().aborted_attempts, 1);
@@ -1595,8 +1585,8 @@ mod tests {
         assert_eq!(count(&sent, |m| matches!(m, BasilMsg::St2(_))), 6);
 
         let mut ctx = ctx_at(3);
-        client.handle_st2_reply(&mut ctx, ack(tx.id(), 0, ProtoDecision::Commit, 0));
-        client.handle_st1_reply(&mut ctx, vote(tx.id(), 0, ProtoVote::Commit));
+        client.handle_st2_reply(&mut ctx, ack(tx.id(), 0, Decision::Commit, 0));
+        client.handle_st1_reply(&mut ctx, vote(tx.id(), 0, Decision::Commit));
         assert!(ctx.outputs().is_empty(), "got {:?}", ctx.outputs());
 
         let mut ctx = ctx_at(30);
@@ -1625,9 +1615,9 @@ mod tests {
         // decision reaches n - f = 5.
         let acks = (0..5).map(|i| {
             let decision = if i < 3 {
-                ProtoDecision::Commit
+                Decision::Commit
             } else {
-                ProtoDecision::Abort
+                Decision::Abort
             };
             BasilMsg::St2Reply(ack(txid, i, decision, 0))
         });
@@ -1642,7 +1632,7 @@ mod tests {
         assert_eq!(client.stats().fallback_elections, 1);
         let sent = deliver(
             &mut client,
-            BasilMsg::St2Reply(ack(txid, 5, ProtoDecision::Abort, 0)),
+            BasilMsg::St2Reply(ack(txid, 5, Decision::Abort, 0)),
         );
         assert!(sent.is_empty());
     }
@@ -1653,7 +1643,7 @@ mod tests {
     #[test]
     fn commit_owner_accepts_a_decision_logged_while_it_was_voting() {
         let (mut client, txid) = owner(unsigned_cfg());
-        let acks = (0..5).map(|i| BasilMsg::St2Reply(ack(txid, i, ProtoDecision::Commit, 0)));
+        let acks = (0..5).map(|i| BasilMsg::St2Reply(ack(txid, i, Decision::Commit, 0)));
         let sent = deliver_all(&mut client, acks);
         assert_eq!(count(&sent, |m| matches!(m, BasilMsg::Writeback(_))), 6);
         assert_eq!(client.stats().committed, 1);
@@ -1681,7 +1671,7 @@ mod tests {
         let replies: Vec<BasilMsg> = votes(txid, 4, 2)
             .into_iter()
             .map(BasilMsg::St1Reply)
-            .chain((0..5).map(|i| BasilMsg::St2Reply(ack(txid, i, ProtoDecision::Commit, 0))))
+            .chain((0..5).map(|i| BasilMsg::St2Reply(ack(txid, i, Decision::Commit, 0))))
             .collect();
         let from_owner = deliver_all(&mut own, replies.clone());
         let from_recoverer = deliver_all(&mut rec, replies);
@@ -2186,7 +2176,7 @@ mod tests {
                 proof: DecisionProof::FastCommit(vec![ShardVotes {
                     txid: dep.id(),
                     shard: ShardId(0),
-                    decision: ProtoDecision::Commit,
+                    decision: Decision::Commit,
                     votes: votes(dep.id(), 6, 0),
                 }]),
             });

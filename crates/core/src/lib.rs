@@ -42,5 +42,5 @@ pub use byzantine::{ClientStrategy, ReplicaBehavior};
 pub use certs::{DecisionCert, DecisionProof, VoteCert};
 pub use client::{BasilClient, ClientStats};
 pub use config::BasilConfig;
-pub use messages::{BasilMsg, ProtoDecision, ProtoVote};
+pub use messages::BasilMsg;
 pub use replica::BasilReplica;

@@ -14,81 +14,22 @@
 //! requests (`READ`, `ST1`, `ST2`, `InvokeFB`), and read replies, which no
 //! certificate or forwarded message ever holds. When signatures are
 //! disabled deployment-wide (`Basil-NoProofs`) both are absent.
+//!
+//! A replica's ST1 vote and a 2PC decision take the same two values and are
+//! one type, [`basil_store::Decision`], signed and sent as one tag byte
+//! ([`basil_store::Decision::tag`]). How many votes make evidence is
+//! [`crate::certs::Strength::quorum`].
 
 use crate::certs::DecisionCert;
 use crate::crypto_engine::SignedPayload;
 use basil_common::codec::Sink;
 use basil_common::{Key, ReplicaId, Timestamp, TxId, Value};
 use basil_crypto::{BatchProof, Signature};
-use basil_store::Transaction;
+use basil_store::{Decision, Transaction};
 use std::sync::Arc;
 
 /// A fallback view number (per transaction).
 pub type View = u64;
-
-/// A replica's vote on a transaction in stage ST1.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ProtoVote {
-    /// Commit vote.
-    Commit,
-    /// Abort vote. It counts toward an abort quorum like any other vote:
-    /// no single vote aborts a transaction on its own.
-    Abort,
-}
-
-impl ProtoVote {
-    /// True for [`ProtoVote::Commit`].
-    pub fn is_commit(&self) -> bool {
-        matches!(self, ProtoVote::Commit)
-    }
-
-    /// The byte this vote is encoded as, in signed bodies and on the wire.
-    pub fn tag(&self) -> u8 {
-        match self {
-            ProtoVote::Commit => 1,
-            ProtoVote::Abort => 2,
-        }
-    }
-
-    /// The vote encoded as `tag`, if there is one.
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        [ProtoVote::Commit, ProtoVote::Abort]
-            .into_iter()
-            .find(|v| v.tag() == tag)
-    }
-}
-
-/// A two-phase-commit decision.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ProtoDecision {
-    /// The transaction commits.
-    Commit,
-    /// The transaction aborts.
-    Abort,
-}
-
-impl ProtoDecision {
-    /// True for [`ProtoDecision::Commit`].
-    pub fn is_commit(&self) -> bool {
-        matches!(self, ProtoDecision::Commit)
-    }
-
-    /// The byte this decision is encoded as, in signed bodies and on the
-    /// wire.
-    pub fn tag(&self) -> u8 {
-        match self {
-            ProtoDecision::Commit => 1,
-            ProtoDecision::Abort => 2,
-        }
-    }
-
-    /// The decision encoded as `tag`, if there is one.
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        [ProtoDecision::Commit, ProtoDecision::Abort]
-            .into_iter()
-            .find(|d| d.tag() == tag)
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Execution phase
@@ -247,8 +188,9 @@ pub struct St1ReplyBody {
     pub txid: TxId,
     /// The voting replica (also bound by the signature).
     pub replica: ReplicaId,
-    /// The replica's vote.
-    pub vote: ProtoVote,
+    /// The replica's vote. An abort vote counts toward an abort quorum
+    /// like any other vote: no single vote aborts a transaction on its own.
+    pub vote: Decision,
 }
 
 impl SignedPayload for St1ReplyBody {
@@ -277,7 +219,7 @@ pub struct St2 {
     /// The transaction the decision is for.
     pub txid: TxId,
     /// The decision being logged.
-    pub decision: ProtoDecision,
+    pub decision: Decision,
     /// The per-shard vote tallies justifying the decision.
     pub shard_votes: Vec<crate::certs::ShardVotes>,
     /// View in which the decision is proposed (`0` for the original client).
@@ -304,7 +246,7 @@ pub struct St2ReplyBody {
     /// The acknowledging replica (also bound by the signature).
     pub replica: ReplicaId,
     /// The decision this replica has logged.
-    pub decision: ProtoDecision,
+    pub decision: Decision,
     /// The view in which the logged decision was adopted.
     pub view_decision: View,
     /// The replica's current view for this transaction.
@@ -385,7 +327,7 @@ pub struct ElectFbBody {
     /// The nominating replica (also bound by the signature).
     pub replica: ReplicaId,
     /// The decision this replica has logged, if any.
-    pub decision: Option<ProtoDecision>,
+    pub decision: Option<Decision>,
     /// The view the replica is electing a leader for.
     pub view: View,
 }
@@ -417,7 +359,7 @@ pub struct DecFb {
     /// The stalled transaction.
     pub txid: TxId,
     /// The reconciled decision (majority of the reported logged decisions).
-    pub decision: ProtoDecision,
+    pub decision: Decision,
     /// The view in which this leader was elected.
     pub view: View,
     /// The `ElectFB` messages proving the sender's leadership.
@@ -568,38 +510,28 @@ mod tests {
     }
 
     #[test]
-    fn vote_and_decision_tags_are_distinct() {
-        assert_ne!(ProtoVote::Commit.tag(), ProtoVote::Abort.tag());
-        assert_ne!(ProtoDecision::Commit.tag(), ProtoDecision::Abort.tag());
-        assert!(ProtoVote::Commit.is_commit());
-        assert!(!ProtoVote::Abort.is_commit());
-        assert!(ProtoDecision::Commit.is_commit());
-        assert!(!ProtoDecision::Abort.is_commit());
-    }
-
-    #[test]
     fn signed_bytes_bind_the_vote() {
         let a = St1ReplyBody {
             txid: TxId::from_bytes([1; 32]),
             replica: rep(0),
-            vote: ProtoVote::Commit,
+            vote: Decision::Commit,
         };
         let b = St1ReplyBody {
             txid: TxId::from_bytes([1; 32]),
             replica: rep(0),
-            vote: ProtoVote::Abort,
+            vote: Decision::Abort,
         };
         assert_ne!(a.to_bytes(), b.to_bytes());
         let c = St1ReplyBody {
             txid: TxId::from_bytes([2; 32]),
             replica: rep(0),
-            vote: ProtoVote::Commit,
+            vote: Decision::Commit,
         };
         assert_ne!(a.to_bytes(), c.to_bytes());
         let d = St1ReplyBody {
             txid: TxId::from_bytes([1; 32]),
             replica: rep(1),
-            vote: ProtoVote::Commit,
+            vote: Decision::Commit,
         };
         assert_ne!(a.to_bytes(), d.to_bytes());
     }
@@ -609,7 +541,7 @@ mod tests {
         let base = St2ReplyBody {
             txid: TxId::from_bytes([3; 32]),
             replica: rep(2),
-            decision: ProtoDecision::Commit,
+            decision: Decision::Commit,
             view_decision: 0,
             view_current: 0,
         };
@@ -617,7 +549,7 @@ mod tests {
         other.view_current = 1;
         assert_ne!(base.to_bytes(), other.to_bytes());
         let mut flipped = base.clone();
-        flipped.decision = ProtoDecision::Abort;
+        flipped.decision = Decision::Abort;
         assert_ne!(base.to_bytes(), flipped.to_bytes());
     }
 
@@ -652,15 +584,15 @@ mod tests {
 
     #[test]
     fn electfb_bytes_distinguish_absent_decision() {
-        let body = |d: Option<ProtoDecision>| ElectFbBody {
+        let body = |d: Option<Decision>| ElectFbBody {
             txid: TxId::from_bytes([7; 32]),
             replica: rep(4),
             decision: d,
             view: 3,
         };
         let none = body(None).to_bytes();
-        let commit = body(Some(ProtoDecision::Commit)).to_bytes();
-        let abort = body(Some(ProtoDecision::Abort)).to_bytes();
+        let commit = body(Some(Decision::Commit)).to_bytes();
+        let abort = body(Some(Decision::Abort)).to_bytes();
         assert_ne!(none, commit);
         assert_ne!(commit, abort);
     }
@@ -689,10 +621,10 @@ mod tests {
             (p.encoded_len(), p.to_bytes())
         }
         let (txid, replica) = (f.tx.id(), f.replica);
-        let (vote, decision) = if f.commit {
-            (ProtoVote::Commit, ProtoDecision::Commit)
+        let decision = if f.commit {
+            Decision::Commit
         } else {
-            (ProtoVote::Abort, ProtoDecision::Abort)
+            Decision::Abort
         };
         let st2_reply = St2ReplyBody {
             txid,
@@ -730,7 +662,7 @@ mod tests {
             both(&St1ReplyBody {
                 txid,
                 replica,
-                vote,
+                vote: decision,
             }),
             both(&St2 {
                 txid,

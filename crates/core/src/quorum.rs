@@ -3,15 +3,13 @@
 //! fast/slow commit/abort paths of Section 4.2, and collecting `ST2R`
 //! acknowledgements.
 
-use crate::certs::{validate_decision_cert, ShardVotes, VoteCert};
+use crate::certs::{validate_decision_cert, ShardVotes, Strength, VoteCert};
 use crate::crypto_engine::SigEngine;
-use crate::messages::{
-    CommittedRead, ProtoDecision, ProtoVote, ReadReply, SignedSt1Reply, SignedSt2Reply, View,
-};
+use crate::messages::{CommittedRead, ReadReply, SignedSt1Reply, SignedSt2Reply, View};
 use basil_common::{
     FastHashMap, Key, ReplicaId, ShardConfig, ShardId, SystemConfig, Timestamp, TxId, Value,
 };
-use basil_store::Transaction;
+use basil_store::{Decision, Transaction};
 use std::sync::Arc;
 
 /// The version a read takes: its timestamp (`Timestamp::ZERO` for genesis),
@@ -143,13 +141,12 @@ fn count_by<K: PartialEq, T>(claims: impl Iterator<Item = (K, T)>) -> Vec<(K, T,
 }
 
 /// A classified shard: the votes backing its decision (`votes.decision`),
-/// and whether they are already durable without ST2. Fast: all `5f + 1`
-/// replicas voted commit, or `3f + 1` voted abort. Slow: at least `3f + 1`
-/// commit or `f + 1` abort votes, which must be logged in stage ST2.
+/// and how much they hold by the quorum table of [`Strength::quorum`]: fast
+/// votes are durable without ST2, slow ones must be logged in stage ST2.
 #[derive(Clone, Debug)]
 pub struct ShardOutcome {
     /// Whether the shard's vote is durable as it stands (a `V-CERT`).
-    pub fast: bool,
+    pub strength: Strength,
     /// The votes (a `V-CERT` when fast, a vote tally when slow).
     pub votes: ShardVotes,
 }
@@ -205,79 +202,62 @@ impl ShardTally {
             .collect()
     }
 
-    /// Number of commit votes received so far.
-    pub fn commits(&self) -> u32 {
+    /// Number of `decision` votes received so far.
+    fn count(&self, decision: Decision) -> u32 {
         self.votes
             .values()
-            .filter(|v| v.body.vote.is_commit())
+            .filter(|v| v.body.vote == decision)
             .count() as u32
     }
 
-    /// Number of abort votes received so far.
-    pub fn aborts(&self) -> u32 {
-        self.total() - self.commits()
-    }
-
-    /// Whether both a commit quorum (`3f+1`) and an abort quorum (`f+1`) are
+    /// Whether both slow quorums, for commit and for abort, are
     /// simultaneously present — the precondition for a Byzantine client to
     /// equivocate its ST2 decision (Section 6.4, `equiv-real`).
     pub fn can_equivocate(&self) -> bool {
-        self.commits() >= self.cfg.commit_quorum() && self.aborts() >= self.cfg.abort_quorum()
+        [Decision::Commit, Decision::Abort]
+            .into_iter()
+            .all(|d| self.count(d) >= Strength::Slow.quorum(d, &self.cfg))
     }
 
-    /// Tries to classify the shard's vote.
+    /// Tries to classify the shard's vote by [`Strength::quorum`], in the
+    /// order fast commit, fast abort, slow commit, slow abort.
     ///
     /// `complete` indicates that the client does not expect further replies
     /// (its prepare timer fired); all `n` having voted says the same. Only
     /// then are the slow paths taken, because earlier a unanimous fast path
     /// might still materialize.
     pub fn classify(&self, complete: bool) -> Option<ShardOutcome> {
-        let commits = self.commits();
-        let aborts = self.aborts();
-
-        // Fast paths can be recognized as soon as their thresholds are met.
-        if commits >= self.cfg.fast_commit_quorum() {
-            return Some(self.outcome(true, ProtoDecision::Commit));
-        }
-        if aborts >= self.cfg.fast_abort_quorum() {
-            return Some(self.outcome(true, ProtoDecision::Abort));
-        }
-        if !complete && self.total() < self.cfg.n() {
-            return None;
-        }
-        if commits >= self.cfg.commit_quorum() {
-            return Some(self.outcome(false, ProtoDecision::Commit));
-        }
-        if aborts >= self.cfg.abort_quorum() {
-            return Some(self.outcome(false, ProtoDecision::Abort));
-        }
-        None
+        let settled = complete || self.total() >= self.cfg.n();
+        [
+            (Strength::Fast, Decision::Commit),
+            (Strength::Fast, Decision::Abort),
+            (Strength::Slow, Decision::Commit),
+            (Strength::Slow, Decision::Abort),
+        ]
+        .into_iter()
+        .filter(|&(strength, _)| strength == Strength::Fast || settled)
+        .find(|&(strength, decision)| self.count(decision) >= strength.quorum(decision, &self.cfg))
+        .map(|(strength, decision)| ShardOutcome {
+            strength,
+            votes: self.shard_votes(decision),
+        })
     }
 
-    fn outcome(&self, fast: bool, decision: ProtoDecision) -> ShardOutcome {
-        let wanted = match decision {
-            ProtoDecision::Commit => ProtoVote::Commit,
-            ProtoDecision::Abort => ProtoVote::Abort,
-        };
-        ShardOutcome {
-            fast,
-            votes: ShardVotes {
-                txid: self.txid,
-                shard: self.shard,
-                decision,
-                votes: self.votes_matching(wanted),
-            },
+    /// The received `decision` votes as this shard's vote set: a classified
+    /// shard's evidence, or one of the two tallies an equivocating Byzantine
+    /// client sends.
+    pub fn shard_votes(&self, decision: Decision) -> ShardVotes {
+        ShardVotes {
+            txid: self.txid,
+            shard: self.shard,
+            decision,
+            votes: self
+                .votes
+                .values()
+                .filter(|v| v.body.vote == decision)
+                .cloned()
+                .collect(),
         }
-    }
-
-    /// The received votes that are `vote`: a classified shard's evidence, or
-    /// one of the two tallies an equivocating Byzantine client sends.
-    pub fn votes_matching(&self, vote: ProtoVote) -> Vec<SignedSt1Reply> {
-        self.votes
-            .values()
-            .filter(|v| v.body.vote == vote)
-            .cloned()
-            .collect()
     }
 }
 
@@ -285,10 +265,10 @@ impl ShardTally {
 #[derive(Clone, Debug)]
 pub struct PrepareOutcome {
     /// The 2PC decision.
-    pub decision: ProtoDecision,
-    /// Whether the decision is already durable without stage ST2 (all shards
-    /// fast, or one fast shard aborted).
-    pub fast: bool,
+    pub decision: Decision,
+    /// [`Strength::Fast`] when the decision is already durable without
+    /// stage ST2 (all shards fast, or one fast shard aborted).
+    pub strength: Strength,
     /// Evidence from each shard (tallies or certificates).
     pub shard_votes: Vec<ShardVotes>,
 }
@@ -306,11 +286,11 @@ pub fn combine_outcomes(outcomes: &[Option<ShardOutcome>]) -> Option<PrepareOutc
     if let Some(outcome) = outcomes
         .iter()
         .flatten()
-        .find(|o| o.fast && !o.votes.decision.is_commit())
+        .find(|o| o.strength == Strength::Fast && !o.votes.decision.is_commit())
     {
         return Some(PrepareOutcome {
-            decision: ProtoDecision::Abort,
-            fast: true,
+            decision: Decision::Abort,
+            strength: Strength::Fast,
             shard_votes: vec![outcome.votes.clone()],
         });
     }
@@ -319,13 +299,17 @@ pub fn combine_outcomes(outcomes: &[Option<ShardOutcome>]) -> Option<PrepareOutc
     }
     let classified = || outcomes.iter().flatten();
     let decision = if classified().all(|o| o.votes.decision.is_commit()) {
-        ProtoDecision::Commit
+        Decision::Commit
     } else {
-        ProtoDecision::Abort
+        Decision::Abort
     };
     Some(PrepareOutcome {
         decision,
-        fast: classified().all(|o| o.fast),
+        strength: if classified().all(|o| o.strength == Strength::Fast) {
+            Strength::Fast
+        } else {
+            Strength::Slow
+        },
         shard_votes: classified().map(|o| o.votes.clone()).collect(),
     })
 }
@@ -396,7 +380,7 @@ impl St2Tally {
         // Group by (decision, view_decision): a shard's handful of replies
         // form a handful of groups, so a list scan beats hashing. At most
         // one group can reach `n - f` of `n` replies.
-        let mut groups: Vec<((ProtoDecision, View), Vec<&SignedSt2Reply>)> = Vec::new();
+        let mut groups: Vec<((Decision, View), Vec<&SignedSt2Reply>)> = Vec::new();
         for r in self.replies.values() {
             let group = (r.body.decision, r.body.view_decision);
             match groups.iter_mut().find(|(g, _)| *g == group) {
@@ -442,7 +426,7 @@ mod tests {
         TxId::from_bytes([1; 32])
     }
 
-    fn vote(i: u32, v: ProtoVote) -> SignedSt1Reply {
+    fn vote(i: u32, v: Decision) -> SignedSt1Reply {
         SignedSt1Reply {
             body: St1ReplyBody {
                 txid: txid(),
@@ -453,7 +437,7 @@ mod tests {
         }
     }
 
-    fn st2r(i: u32, d: ProtoDecision, view: View) -> SignedSt2Reply {
+    fn st2r(i: u32, d: Decision, view: View) -> SignedSt2Reply {
         SignedSt2Reply {
             body: St2ReplyBody {
                 txid: txid(),
@@ -476,51 +460,51 @@ mod tests {
 
     #[test]
     fn unanimous_commit_is_fast() {
-        let t = tally_with((0..6).map(|i| vote(i, ProtoVote::Commit)));
+        let t = tally_with((0..6).map(|i| vote(i, Decision::Commit)));
         let o = t.classify(false).expect("classified");
-        assert!(o.fast);
-        assert_eq!(o.votes.decision, ProtoDecision::Commit);
+        assert_eq!(o.strength, Strength::Fast);
+        assert_eq!(o.votes.decision, Decision::Commit);
         assert_eq!(o.votes.votes.len(), 6);
     }
 
     #[test]
     fn commit_quorum_without_unanimity_is_slow_and_waits_for_completion() {
-        let t = tally_with((0..4).map(|i| vote(i, ProtoVote::Commit)));
+        let t = tally_with((0..4).map(|i| vote(i, Decision::Commit)));
         assert!(t.classify(false).is_none(), "might still reach fast path");
         let o = t.classify(true).expect("slow classification");
-        assert!(!o.fast);
-        assert_eq!(o.votes.decision, ProtoDecision::Commit);
+        assert_eq!(o.strength, Strength::Slow);
+        assert_eq!(o.votes.decision, Decision::Commit);
     }
 
     #[test]
     fn three_f_plus_one_aborts_is_fast_abort() {
-        let t = tally_with((0..4).map(|i| vote(i, ProtoVote::Abort)));
+        let t = tally_with((0..4).map(|i| vote(i, Decision::Abort)));
         let o = t.classify(false).expect("classified");
-        assert!(o.fast);
-        assert_eq!(o.votes.decision, ProtoDecision::Abort);
+        assert_eq!(o.strength, Strength::Fast);
+        assert_eq!(o.votes.decision, Decision::Abort);
     }
 
     #[test]
     fn f_plus_one_aborts_is_slow_abort() {
-        let mut votes: Vec<_> = (0..2).map(|i| vote(i, ProtoVote::Abort)).collect();
-        votes.extend((2..5).map(|i| vote(i, ProtoVote::Commit)));
+        let mut votes: Vec<_> = (0..2).map(|i| vote(i, Decision::Abort)).collect();
+        votes.extend((2..5).map(|i| vote(i, Decision::Commit)));
         let t = tally_with(votes);
         assert!(t.classify(false).is_none());
         let o = t.classify(true).expect("classified");
-        assert!(!o.fast);
-        assert_eq!(o.votes.decision, ProtoDecision::Abort);
+        assert_eq!(o.strength, Strength::Slow);
+        assert_eq!(o.votes.decision, Decision::Abort);
         assert_eq!(o.votes.votes.len(), 2, "only abort votes in the tally");
     }
 
     #[test]
     fn duplicate_and_foreign_votes_are_ignored() {
         let mut t = ShardTally::new(txid(), ShardId(0), cfg());
-        assert!(t.add(vote(0, ProtoVote::Commit)));
-        assert!(!t.add(vote(0, ProtoVote::Abort)), "duplicate replica");
-        let mut foreign = vote(1, ProtoVote::Commit);
+        assert!(t.add(vote(0, Decision::Commit)));
+        assert!(!t.add(vote(0, Decision::Abort)), "duplicate replica");
+        let mut foreign = vote(1, Decision::Commit);
         foreign.body.txid = TxId::from_bytes([8; 32]);
         assert!(!t.add(foreign));
-        let mut out_of_range = vote(1, ProtoVote::Commit);
+        let mut out_of_range = vote(1, Decision::Commit);
         out_of_range.body.replica.index = 17;
         assert!(!t.add(out_of_range));
         assert_eq!(t.total(), 1);
@@ -529,25 +513,105 @@ mod tests {
     #[test]
     fn equivocation_precondition() {
         // 4 commits + 2 aborts: both CQ (4) and AQ (2) present.
-        let mut votes: Vec<_> = (0..4).map(|i| vote(i, ProtoVote::Commit)).collect();
-        votes.extend((4..6).map(|i| vote(i, ProtoVote::Abort)));
+        let mut votes: Vec<_> = (0..4).map(|i| vote(i, Decision::Commit)).collect();
+        votes.extend((4..6).map(|i| vote(i, Decision::Abort)));
         let t = tally_with(votes);
         assert!(t.can_equivocate());
-        assert_eq!(t.votes_matching(ProtoVote::Commit).len(), 4);
-        assert_eq!(t.votes_matching(ProtoVote::Abort).len(), 2);
+        assert_eq!(t.shard_votes(Decision::Commit).votes.len(), 4);
+        assert_eq!(t.shard_votes(Decision::Abort).votes.len(), 2);
 
-        let t2 = tally_with((0..6).map(|i| vote(i, ProtoVote::Commit)));
+        let t2 = tally_with((0..6).map(|i| vote(i, Decision::Commit)));
         assert!(!t2.can_equivocate());
+    }
+
+    /// The client's tally and the validator read one quorum table. On a
+    /// shard of `f = 1` and of `f = 2`, with real signatures, for every split
+    /// of its replicas into commit votes, abort votes and missing ones:
+    /// whatever the tally classifies, the validator accepts at that strength,
+    /// and the tally sees an equivocation exactly when the validator accepts
+    /// both slow tallies.
+    #[test]
+    fn client_classification_agrees_with_the_validator() {
+        use crate::certs::votes_justify;
+        use crate::config::{BasilConfig, CryptoMode};
+        use crate::crypto_engine::SigEngine;
+        use basil_common::{ClientId, NodeId};
+        use Decision::{Abort, Commit};
+
+        for f in [1, 2] {
+            let mut cfg = BasilConfig::test_single_shard();
+            assert_eq!(cfg.crypto_mode, CryptoMode::Real);
+            cfg.system.shard = ShardConfig::new(f);
+            let (shard_cfg, n) = (cfg.system.shard, cfg.system.shard.n());
+            let registry = basil_crypto::KeyRegistry::from_seed(5);
+            let signed = |vote: Decision| -> Vec<SignedSt1Reply> {
+                (0..n)
+                    .map(|i| {
+                        let replica = ReplicaId::new(ShardId(0), i);
+                        let body = St1ReplyBody {
+                            txid: txid(),
+                            replica,
+                            vote,
+                        };
+                        let node = NodeId::Replica(replica);
+                        let proof = SigEngine::new(node, registry.clone(), &cfg).sign(&body);
+                        SignedSt1Reply { body, proof }
+                    })
+                    .collect()
+            };
+            let (commit_votes, abort_votes) = (signed(Commit), signed(Abort));
+            let justifies = |votes: &ShardVotes, strength| {
+                let client = NodeId::Client(ClientId(1));
+                let mut engine = SigEngine::new(client, registry.clone(), &cfg);
+                let offered = std::slice::from_ref(votes);
+                let involved = [ShardId(0)];
+                let d = votes.decision;
+                votes_justify(
+                    txid(),
+                    d,
+                    strength,
+                    offered,
+                    &involved,
+                    &shard_cfg,
+                    &mut engine,
+                )
+            };
+            for commits in 0..=n {
+                for aborts in 0..=n - commits {
+                    let split = format!("f = {f}, {commits} commit and {aborts} abort votes");
+                    let mut tally = ShardTally::new(txid(), ShardId(0), shard_cfg);
+                    let votes = commit_votes[..commits as usize]
+                        .iter()
+                        .chain(&abort_votes[commits as usize..(commits + aborts) as usize]);
+                    for vote in votes {
+                        assert!(tally.add(vote.clone()));
+                    }
+                    for complete in [false, true] {
+                        if let Some(o) = tally.classify(complete) {
+                            let (strength, decision) = (o.strength, o.votes.decision);
+                            assert!(
+                                justifies(&o.votes, strength),
+                                "{split}: {strength:?} {decision:?} refused"
+                            );
+                        }
+                    }
+                    let both_slow = [Commit, Abort]
+                        .into_iter()
+                        .all(|d| justifies(&tally.shard_votes(d), Strength::Slow));
+                    assert_eq!(tally.can_equivocate(), both_slow, "{split}");
+                }
+            }
+        }
     }
 
     #[test]
     fn combine_requires_all_shards_unless_fast_abort() {
         let commit_outcome = |shard: u32| ShardOutcome {
-            fast: true,
+            strength: Strength::Fast,
             votes: ShardVotes {
                 txid: txid(),
                 shard: ShardId(shard),
-                decision: ProtoDecision::Commit,
+                decision: Decision::Commit,
                 votes: vec![],
             },
         };
@@ -556,8 +620,8 @@ mod tests {
 
         outcomes[1] = Some(commit_outcome(1));
         let combined = combine_outcomes(&outcomes).expect("both shards in");
-        assert_eq!(combined.decision, ProtoDecision::Commit);
-        assert!(combined.fast);
+        assert_eq!(combined.decision, Decision::Commit);
+        assert_eq!(combined.strength, Strength::Fast);
         assert_eq!(combined.shard_votes.len(), 2);
 
         // A fast abort from one shard decides immediately even if the other
@@ -565,56 +629,56 @@ mod tests {
         let with_abort = [
             None,
             Some(ShardOutcome {
-                fast: true,
+                strength: Strength::Fast,
                 votes: ShardVotes {
                     txid: txid(),
                     shard: ShardId(1),
-                    decision: ProtoDecision::Abort,
+                    decision: Decision::Abort,
                     votes: vec![],
                 },
             }),
         ];
         let combined = combine_outcomes(&with_abort).expect("fast abort decides");
-        assert_eq!(combined.decision, ProtoDecision::Abort);
-        assert!(combined.fast);
+        assert_eq!(combined.decision, Decision::Abort);
+        assert_eq!(combined.strength, Strength::Fast);
     }
 
     #[test]
     fn slow_shard_makes_combined_outcome_slow() {
         let outcomes = [
             Some(ShardOutcome {
-                fast: false,
+                strength: Strength::Slow,
                 votes: ShardVotes {
                     txid: txid(),
                     shard: ShardId(0),
-                    decision: ProtoDecision::Commit,
+                    decision: Decision::Commit,
                     votes: vec![],
                 },
             }),
             Some(ShardOutcome {
-                fast: true,
+                strength: Strength::Fast,
                 votes: ShardVotes {
                     txid: txid(),
                     shard: ShardId(1),
-                    decision: ProtoDecision::Commit,
+                    decision: Decision::Commit,
                     votes: vec![],
                 },
             }),
         ];
         let combined = combine_outcomes(&outcomes).expect("classified");
-        assert_eq!(combined.decision, ProtoDecision::Commit);
-        assert!(!combined.fast);
+        assert_eq!(combined.decision, Decision::Commit);
+        assert_eq!(combined.strength, Strength::Slow);
     }
 
     #[test]
     fn st2_tally_certifies_matching_quorum() {
         let mut t = St2Tally::new(txid(), ShardId(0), cfg());
         for i in 0..5 {
-            t.add(st2r(i, ProtoDecision::Commit, 0));
+            t.add(st2r(i, Decision::Commit, 0));
         }
         match t.classify() {
             Some(St2Outcome::Certified(cert)) => {
-                assert_eq!(cert.decision, ProtoDecision::Commit);
+                assert_eq!(cert.decision, Decision::Commit);
                 assert_eq!(cert.replies.len(), 5);
                 assert_eq!(cert.view, 0);
             }
@@ -628,10 +692,10 @@ mod tests {
         // 3 commit, 3 abort: even the missing 0 replicas cannot complete a
         // quorum of 5 for either group.
         for i in 0..3 {
-            t.add(st2r(i, ProtoDecision::Commit, 0));
+            t.add(st2r(i, Decision::Commit, 0));
         }
         for i in 3..6 {
-            t.add(st2r(i, ProtoDecision::Abort, 0));
+            t.add(st2r(i, Decision::Abort, 0));
         }
         match t.classify() {
             Some(St2Outcome::Divergent { replies }) => assert_eq!(replies.len(), 6),
@@ -643,9 +707,9 @@ mod tests {
     fn st2_tally_waits_while_quorum_still_possible() {
         let mut t = St2Tally::new(txid(), ShardId(0), cfg());
         for i in 0..3 {
-            t.add(st2r(i, ProtoDecision::Commit, 0));
+            t.add(st2r(i, Decision::Commit, 0));
         }
-        t.add(st2r(3, ProtoDecision::Abort, 0));
+        t.add(st2r(3, Decision::Abort, 0));
         // 3 commit + 1 abort, 2 replicas outstanding: commit could still
         // reach 5.
         assert!(t.classify().is_none());
@@ -654,8 +718,8 @@ mod tests {
     #[test]
     fn st2_replaces_stale_reply_from_same_replica() {
         let mut t = St2Tally::new(txid(), ShardId(0), cfg());
-        t.add(st2r(0, ProtoDecision::Commit, 0));
-        t.add(st2r(0, ProtoDecision::Commit, 1));
+        t.add(st2r(0, Decision::Commit, 0));
+        t.add(st2r(0, Decision::Commit, 1));
         assert_eq!(t.total(), 1);
         assert_eq!(t.replies[&0].body.view_decision, 1);
     }
@@ -684,7 +748,7 @@ mod tests {
             body: St1ReplyBody {
                 txid: tx.id(),
                 replica: ReplicaId::new(ShardId(0), i),
-                vote: ProtoVote::Commit,
+                vote: Decision::Commit,
             },
             proof: None,
         });
@@ -693,7 +757,7 @@ mod tests {
             proof: DecisionProof::FastCommit(vec![ShardVotes {
                 txid: tx.id(),
                 shard: ShardId(0),
-                decision: ProtoDecision::Commit,
+                decision: Decision::Commit,
                 votes: votes.collect(),
             }]),
         };

@@ -17,9 +17,9 @@ use crate::certs::{
 use crate::config::BasilConfig;
 use crate::crypto_engine::SigEngine;
 use crate::messages::{
-    BasilMsg, CatchUpReply, CommittedRead, DecFb, ElectFbBody, InvokeFb, PreparedRead,
-    ProtoDecision, ProtoVote, ReadReply, ReadReplyBody, ReadRequest, ReplicaTimer, SignedElectFb,
-    SignedSt1Reply, SignedSt2Reply, St1, St1ReplyBody, St2, St2ReplyBody, View, Writeback,
+    BasilMsg, CatchUpReply, CommittedRead, DecFb, ElectFbBody, InvokeFb, PreparedRead, ReadReply,
+    ReadReplyBody, ReadRequest, ReplicaTimer, SignedElectFb, SignedSt1Reply, SignedSt2Reply, St1,
+    St1ReplyBody, St2, St2ReplyBody, View, Writeback,
 };
 use crate::views::{fallback_leader_index, logging_shard, next_view, reconcile};
 use basil_common::config::DELTA;
@@ -28,7 +28,7 @@ use basil_common::{
     Value,
 };
 use basil_simnet::{Actor, Context};
-use basil_store::{CheckOutcome, MvtsoStore, Transaction, Vote, Wal, WalRecord};
+use basil_store::{CheckOutcome, Decision, MvtsoStore, Transaction, Vote, Wal, WalRecord};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -82,9 +82,9 @@ struct TxRecord {
     /// indexes.
     tx: Option<Arc<Transaction>>,
     /// The ST1 vote this replica cast, if any.
-    own_vote: Option<ProtoVote>,
+    own_vote: Option<Decision>,
     /// The logged 2PC decision and the view it was adopted in.
-    logged: Option<(ProtoDecision, View)>,
+    logged: Option<(Decision, View)>,
     /// This replica's current fallback view for the transaction.
     current_view: View,
     /// The certificate of the applied decision (the decision itself is the
@@ -297,17 +297,17 @@ impl BasilReplica {
             WalRecord::Prepare { commit, tx } => {
                 let record = self.record(tx.id());
                 record.own_vote = Some(if commit {
-                    ProtoVote::Commit
+                    Decision::Commit
                 } else {
-                    ProtoVote::Abort
+                    Decision::Abort
                 });
                 record.tx.get_or_insert(tx);
             }
             WalRecord::Decision { txid, commit, view } => {
                 let decision = if commit {
-                    ProtoDecision::Commit
+                    Decision::Commit
                 } else {
-                    ProtoDecision::Abort
+                    Decision::Abort
                 };
                 let record = self.record(txid);
                 record.logged = Some((decision, view));
@@ -340,12 +340,7 @@ impl BasilReplica {
     /// checks its own admission rule first: the first view-0 ST2 sticks
     /// (`apply_st2`), and a DecFB needs its election's majority and a view
     /// above the logged decision's (`handle_dec_fb`).
-    fn log_decision(
-        &mut self,
-        txid: TxId,
-        decision: ProtoDecision,
-        view: View,
-    ) -> Option<St2ReplyBody> {
+    fn log_decision(&mut self, txid: TxId, decision: Decision, view: View) -> Option<St2ReplyBody> {
         let commit = decision.is_commit();
         self.log(WalRecord::Decision { txid, commit, view });
         let replica = self.id;
@@ -435,7 +430,7 @@ impl BasilReplica {
                 return;
             }
             (ReplicaBehavior::AlwaysVoteAbort, Reply::St1(body)) => {
-                body.vote = ProtoVote::Abort;
+                body.vote = Decision::Abort;
             }
             _ => {}
         }
@@ -595,7 +590,7 @@ impl BasilReplica {
         }
 
         // Re-deliveries are answered with the stored vote.
-        if let Some(vote) = record.own_vote.clone() {
+        if let Some(vote) = record.own_vote {
             let body = St1ReplyBody {
                 txid,
                 replica: self.id,
@@ -611,8 +606,8 @@ impl BasilReplica {
             return;
         }
 
-        // Run the MVTSO check (Algorithm 1). Charge a hash of the transaction
-        // encoding as the processing cost of the check itself.
+        // Run the MVTSO check (Algorithm 1). Its processing cost is charged
+        // as the cost model's per-message overhead, `message_cost()`.
         ctx.charge(self.engine.message_cost());
         match self.store.prepare(&st1.tx, ctx.local_clock(), DELTA) {
             CheckOutcome::Decided(vote) => self.cast_vote(ctx, txid, vote, &[from]),
@@ -628,10 +623,7 @@ impl BasilReplica {
     /// answers each client in `to`, and then applies the ST2s that arrived
     /// before the transaction body (they can now be validated against it).
     fn cast_vote(&mut self, ctx: &mut Context<BasilMsg>, txid: TxId, vote: Vote, to: &[NodeId]) {
-        let vote = match vote {
-            Vote::Commit => ProtoVote::Commit,
-            Vote::Abort(_) => ProtoVote::Abort,
-        };
+        let vote = vote.decision();
         let record = self.record(txid);
         // `handle_st1` records the body before the check that yields a vote.
         let Some(tx) = record.tx.clone() else {
@@ -645,7 +637,7 @@ impl BasilReplica {
             let body = St1ReplyBody {
                 txid,
                 replica: self.id,
-                vote: vote.clone(),
+                vote,
             };
             self.send_reply(ctx, client, Reply::St1(body));
         }
@@ -1313,9 +1305,8 @@ mod tests {
     fn every_request_kind_refuses_a_forged_mac() {
         let tx = write_tx(1_000_000, "x", 7);
         let other = write_tx(1_000_000, "y", 8);
-        let st2 = |tx: &Transaction| {
-            signed_st2(tx, ProtoDecision::Commit, shard_votes_commit_tally(tx, 4))
-        };
+        let st2 =
+            |tx: &Transaction| signed_st2(tx, Decision::Commit, shard_votes_commit_tally(tx, 4));
         let invoke_fb = |tx: &Transaction| {
             let ifb = InvokeFb {
                 txid: tx.id(),
@@ -1385,7 +1376,7 @@ mod tests {
         match &msgs[0] {
             BasilMsg::St1Reply(reply) => {
                 assert_eq!(reply.body.txid, tx.id());
-                assert_eq!(reply.body.vote, ProtoVote::Commit);
+                assert_eq!(reply.body.vote, Decision::Commit);
                 assert_eq!(reply.body.replica, r.id());
             }
             other => panic!("unexpected {other:?}"),
@@ -1413,7 +1404,7 @@ mod tests {
         let mut ctx2 = ctx_at(NodeId::Replica(r.id()), 2);
         r.handle_st1(&mut ctx2, client_node(), signed_st1(&writer, false));
         match &sent_to(&ctx2, client_node())[0] {
-            BasilMsg::St1Reply(reply) => assert_eq!(reply.body.vote, ProtoVote::Abort),
+            BasilMsg::St1Reply(reply) => assert_eq!(reply.body.vote, Decision::Abort),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -1440,7 +1431,7 @@ mod tests {
             BasilMsg::St1(signed_st1(&writer, false)),
         );
         match &sent_to(&ctx, client_node())[0] {
-            BasilMsg::St1Reply(reply) => assert_eq!(reply.body.vote, ProtoVote::Abort),
+            BasilMsg::St1Reply(reply) => assert_eq!(reply.body.vote, Decision::Abort),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -1464,9 +1455,9 @@ mod tests {
     }
 
     /// The vote in an ST1 reply `msgs` holds for `txid`.
-    fn vote_in(msgs: &[BasilMsg], txid: TxId) -> Option<ProtoVote> {
+    fn vote_in(msgs: &[BasilMsg], txid: TxId) -> Option<Decision> {
         msgs.iter().find_map(|m| match m {
-            BasilMsg::St1Reply(reply) if reply.body.txid == txid => Some(reply.body.vote.clone()),
+            BasilMsg::St1Reply(reply) if reply.body.txid == txid => Some(reply.body.vote),
             _ => None,
         })
     }
@@ -1483,7 +1474,7 @@ mod tests {
             let mut ctx = ctx_at(me, ms);
             r.handle_st1(&mut ctx, client_node(), signed_st1(&tx, false));
             let sent = sent_to(&ctx, client_node());
-            assert_eq!(vote_in(&sent, tx.id()), Some(ProtoVote::Abort), "{ms} ms");
+            assert_eq!(vote_in(&sent, tx.id()), Some(Decision::Abort), "{ms} ms");
         }
 
         let (dependent, dependent_client) = (dependent_tx(&tx), NodeId::Client(ClientId(3)));
@@ -1500,7 +1491,7 @@ mod tests {
             },
         );
         let sent = sent_to(&ctx, dependent_client);
-        assert_eq!(vote_in(&sent, dependent.id()), Some(ProtoVote::Abort));
+        assert_eq!(vote_in(&sent, dependent.id()), Some(Decision::Abort));
     }
 
     /// A transaction at 2 ms of client 3 that read `dep`'s prepared write of
@@ -1717,7 +1708,7 @@ mod tests {
                 let body = St1ReplyBody {
                     txid: tx.id(),
                     replica: rid,
-                    vote: ProtoVote::Commit,
+                    vote: Decision::Commit,
                 };
                 let mut engine = SigEngine::new(NodeId::Replica(rid), registry(), &cfg());
                 let proof = engine.sign(&body);
@@ -1729,7 +1720,7 @@ mod tests {
             proof: DecisionProof::FastCommit(vec![ShardVotes {
                 txid: tx.id(),
                 shard: ShardId(0),
-                decision: ProtoDecision::Commit,
+                decision: Decision::Commit,
                 votes,
             }]),
         });
@@ -1868,7 +1859,7 @@ mod tests {
         match &releases[0] {
             BasilMsg::St1Reply(reply) => {
                 assert_eq!(reply.body.txid, t2.id());
-                assert_eq!(reply.body.vote, ProtoVote::Commit);
+                assert_eq!(reply.body.vote, Decision::Commit);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1899,7 +1890,7 @@ mod tests {
         let mut ctx = ctx_at(NodeId::Replica(id), 2);
         shard1.handle_st1(&mut ctx, dependent_client, signed_st1(&tx, false));
         let sent = sent_to(&ctx, dependent_client);
-        assert_eq!(vote_in(&sent, tx.id()), Some(ProtoVote::Commit));
+        assert_eq!(vote_in(&sent, tx.id()), Some(Decision::Commit));
         assert_eq!(shard1.stats().st1_deferred, 0);
 
         let mut shard0 = replica_knowing(&c, ShardId(0), &dep);
@@ -1919,7 +1910,7 @@ mod tests {
         let mut ctx = ctx_at(NodeId::Replica(r.id()), 1);
         r.handle_st1(&mut ctx, client_node(), signed_st1(&tx, false));
         let tally = vec![commit_tally_of(&tx, ShardId(0), 4)];
-        let st2 = signed_st2(&tx, ProtoDecision::Commit, tally);
+        let st2 = signed_st2(&tx, Decision::Commit, tally);
         r.handle_st2(&mut ctx, client_node(), st2);
         r.handle_st1(&mut ctx, recoverer, signed_st1(&tx, true));
 
@@ -1979,22 +1970,18 @@ mod tests {
 
     /// Commit votes for `tx` signed by replicas `0..count` of `shard`.
     fn commit_tally_of(tx: &Transaction, shard: ShardId, count: u32) -> ShardVotes {
-        tally_of(tx, shard, count, ProtoVote::Commit)
+        tally_of(tx, shard, count, Decision::Commit)
     }
 
-    /// `vote`s for `tx` signed by replicas `0..count` of `shard`.
-    fn tally_of(tx: &Transaction, shard: ShardId, count: u32, vote: ProtoVote) -> ShardVotes {
-        let decision = match vote {
-            ProtoVote::Commit => ProtoDecision::Commit,
-            ProtoVote::Abort => ProtoDecision::Abort,
-        };
+    /// `decision` votes for `tx` signed by replicas `0..count` of `shard`.
+    fn tally_of(tx: &Transaction, shard: ShardId, count: u32, decision: Decision) -> ShardVotes {
         let votes: Vec<SignedSt1Reply> = (0..count)
             .map(|i| {
                 let rid = ReplicaId::new(shard, i);
                 let body = St1ReplyBody {
                     txid: tx.id(),
                     replica: rid,
-                    vote: vote.clone(),
+                    vote: decision,
                 };
                 let mut engine = SigEngine::new(NodeId::Replica(rid), registry(), &cfg());
                 let proof = engine.sign(&body);
@@ -2009,7 +1996,7 @@ mod tests {
         }
     }
 
-    fn signed_st2(tx: &Transaction, decision: ProtoDecision, tally: Vec<ShardVotes>) -> St2 {
+    fn signed_st2(tx: &Transaction, decision: Decision, tally: Vec<ShardVotes>) -> St2 {
         let mut engine = client_engine();
         let st2 = St2 {
             txid: tx.id(),
@@ -2029,12 +2016,12 @@ mod tests {
         let mut ctx = ctx_at(NodeId::Replica(r.id()), 1);
         r.handle_st1(&mut ctx, client_node(), signed_st1(&tx, false));
 
-        let st2 = signed_st2(&tx, ProtoDecision::Commit, shard_votes_commit_tally(&tx, 4));
+        let st2 = signed_st2(&tx, Decision::Commit, shard_votes_commit_tally(&tx, 4));
         let mut ctx2 = ctx_at(NodeId::Replica(r.id()), 2);
         r.handle_st2(&mut ctx2, client_node(), st2);
         match &sent_to(&ctx2, client_node())[0] {
             BasilMsg::St2Reply(reply) => {
-                assert_eq!(reply.body.decision, ProtoDecision::Commit);
+                assert_eq!(reply.body.decision, Decision::Commit);
                 assert_eq!(reply.body.view_decision, 0);
             }
             other => panic!("unexpected {other:?}"),
@@ -2087,7 +2074,7 @@ mod tests {
             let own_vote = vote_cast_in(&st1);
             let mut tally = commit_tally_of(&tx, ShardId(0), 4);
             tally.votes[0] = own_vote.clone();
-            let st2 = signed_st2(&tx, ProtoDecision::Commit, vec![tally]);
+            let st2 = signed_st2(&tx, Decision::Commit, vec![tally]);
             let mut all = commit_tally_of(&tx, ShardId(0), 6);
             all.votes[0] = own_vote;
             let wb = Writeback {
@@ -2138,10 +2125,10 @@ mod tests {
             let tally = ShardVotes {
                 txid: tx.id(),
                 shard: ShardId(0),
-                decision: ProtoDecision::Commit,
+                decision: Decision::Commit,
                 votes: votes[..4].to_vec(),
             };
-            let st2 = signed_st2(&tx, ProtoDecision::Commit, vec![tally]);
+            let st2 = signed_st2(&tx, Decision::Commit, vec![tally]);
             let st2_charge = |r: &mut BasilReplica| {
                 let mut ctx = ctx_at(NodeId::Replica(r.id()), 2);
                 r.on_message(&mut ctx, client_node(), BasilMsg::St2(st2.clone()));
@@ -2214,7 +2201,7 @@ mod tests {
             .iter()
             .map(|shard| commit_tally_of(&tx, *shard, 4))
             .collect();
-        let st2 = signed_st2(&tx, ProtoDecision::Commit, tallies);
+        let st2 = signed_st2(&tx, Decision::Commit, tallies);
 
         for &shard in involved.iter() {
             let mut r = replica_knowing(&two_shards, shard, &tx);
@@ -2245,7 +2232,7 @@ mod tests {
                     let body = St2ReplyBody {
                         txid: tx.id(),
                         replica,
-                        decision: ProtoDecision::Abort,
+                        decision: Decision::Abort,
                         view_decision: 0,
                         view_current: 0,
                     };
@@ -2257,7 +2244,7 @@ mod tests {
             DecisionProof::Slow(VoteCert {
                 txid: tx.id(),
                 shard,
-                decision: ProtoDecision::Abort,
+                decision: Decision::Abort,
                 view: 0,
                 replies,
             })
@@ -2275,7 +2262,7 @@ mod tests {
     fn fast_abort_cert_from_an_uninvolved_shard_is_not_applied() {
         let (c, tx) = cross_shard_tx(3);
         let abort_votes =
-            |shard| DecisionProof::FastAbort(tally_of(&tx, shard, 4, ProtoVote::Abort));
+            |shard| DecisionProof::FastAbort(tally_of(&tx, shard, 4, Decision::Abort));
         let mut r = replica_knowing(&c, ShardId(0), &tx);
         assert!(!applies(&mut r, &tx, abort_votes(ShardId(2))));
         assert!(applies(&mut r, &tx, abort_votes(ShardId(1))));
@@ -2291,7 +2278,7 @@ mod tests {
         let t1 = write_tx(1_000_000, "x", 5);
         r.handle_st1(&mut ctx_at(me, 1), client_node(), signed_st1(&t1, false));
         let t2 = dependent_tx(&t1);
-        let st2 = signed_st2(&t2, ProtoDecision::Commit, shard_votes_commit_tally(&t2, 4));
+        let st2 = signed_st2(&t2, Decision::Commit, shard_votes_commit_tally(&t2, 4));
         let mut ctx = ctx_at(me, 2);
         r.handle_st2(&mut ctx, client_node(), st2);
         assert!(sent_to(&ctx, client_node()).is_empty(), "ST2 buffered");
@@ -2320,7 +2307,7 @@ mod tests {
             .collect();
         assert_eq!(acks.len(), 1);
         assert_eq!(acks[0].txid, t2.id());
-        assert_eq!(acks[0].decision, ProtoDecision::Commit);
+        assert_eq!(acks[0].decision, Decision::Commit);
     }
 
     #[test]
@@ -2331,7 +2318,7 @@ mod tests {
         r.handle_st1(&mut ctx, client_node(), signed_st1(&tx, false));
 
         // Only 2 commit votes: not a commit quorum.
-        let st2 = signed_st2(&tx, ProtoDecision::Commit, shard_votes_commit_tally(&tx, 2));
+        let st2 = signed_st2(&tx, Decision::Commit, shard_votes_commit_tally(&tx, 2));
         let mut ctx2 = ctx_at(NodeId::Replica(r.id()), 2);
         r.handle_st2(&mut ctx2, client_node(), st2);
         assert!(sent_to(&ctx2, client_node()).is_empty());
@@ -2345,7 +2332,7 @@ mod tests {
         let mut ctx = ctx_at(NodeId::Replica(r.id()), 1);
         r.handle_st1(&mut ctx, client_node(), signed_st1(&tx, false));
 
-        let commit = signed_st2(&tx, ProtoDecision::Commit, shard_votes_commit_tally(&tx, 4));
+        let commit = signed_st2(&tx, Decision::Commit, shard_votes_commit_tally(&tx, 4));
         let mut ctx2 = ctx_at(NodeId::Replica(r.id()), 2);
         r.handle_st2(&mut ctx2, client_node(), commit);
 
@@ -2357,7 +2344,7 @@ mod tests {
                 let body = St1ReplyBody {
                     txid: tx.id(),
                     replica: rid,
-                    vote: ProtoVote::Abort,
+                    vote: Decision::Abort,
                 };
                 let mut engine = SigEngine::new(NodeId::Replica(rid), registry(), &cfg());
                 let proof = engine.sign(&body);
@@ -2367,14 +2354,14 @@ mod tests {
         let abort_tally = vec![ShardVotes {
             txid: tx.id(),
             shard: ShardId(0),
-            decision: ProtoDecision::Abort,
+            decision: Decision::Abort,
             votes: abort_votes,
         }];
-        let abort = signed_st2(&tx, ProtoDecision::Abort, abort_tally);
+        let abort = signed_st2(&tx, Decision::Abort, abort_tally);
         let mut ctx3 = ctx_at(NodeId::Replica(r.id()), 3);
         r.handle_st2(&mut ctx3, client_node(), abort);
         match &sent_to(&ctx3, client_node())[0] {
-            BasilMsg::St2Reply(reply) => assert_eq!(reply.body.decision, ProtoDecision::Commit),
+            BasilMsg::St2Reply(reply) => assert_eq!(reply.body.decision, Decision::Commit),
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(r.stats().st2_logged, 1);
@@ -2540,9 +2527,9 @@ mod tests {
             r.handle_st1(&mut ctx, client, signed_st1(&tx, false));
             r.cfg.relax_st2_validation = true;
             let decision = if i < 3 {
-                ProtoDecision::Commit
+                Decision::Commit
             } else {
-                ProtoDecision::Abort
+                Decision::Abort
             };
             let st2 = signed_st2(&tx, decision, shard_votes_commit_tally(&tx, 4));
             let mut ctx2 = ctx_at(NodeId::Replica(r.id()), 2);
@@ -2661,7 +2648,7 @@ mod tests {
         r: &mut BasilReplica,
         tx: &Arc<Transaction>,
         ms: u64,
-    ) -> Option<(ProtoDecision, View, View)> {
+    ) -> Option<(Decision, View, View)> {
         let mut ctx = ctx_at(NodeId::Replica(r.id()), ms);
         r.handle_st1(&mut ctx, client_node(), signed_st1(tx, true));
         sent_to(&ctx, client_node())
@@ -2685,7 +2672,7 @@ mod tests {
         let tx = write_tx(1_000_000, "x", 5);
         let r = &mut replicas[0];
         let before = logged_answer(r, &tx, 5);
-        assert_eq!(before, Some((ProtoDecision::Commit, 0, 1)));
+        assert_eq!(before, Some((Decision::Commit, 0, 1)));
 
         let id = r.id();
         let mut recovered = BasilReplica::recover(
@@ -2707,7 +2694,7 @@ mod tests {
     fn signed_elect_fb(
         txid: TxId,
         replica: ReplicaId,
-        logged: Option<ProtoDecision>,
+        logged: Option<Decision>,
         view: View,
     ) -> SignedElectFb {
         let body = ElectFbBody {
@@ -2728,7 +2715,7 @@ mod tests {
     fn a_leader_counts_only_its_own_shards_elect_fbs() {
         let txid = write_tx(1_000_000, "x", 5).id();
         let mut leader = replica(fallback_leader_index(1, txid, 6));
-        let commit = Some(ProtoDecision::Commit);
+        let commit = Some(Decision::Commit);
         let mut elect = |shard, index| {
             let mut ctx = ctx_at(NodeId::Replica(leader.id()), 1);
             let efb = signed_elect_fb(txid, ReplicaId::new(ShardId(shard), index), commit, 1);
@@ -2744,7 +2731,7 @@ mod tests {
 
     /// `dec` with another decision and election, signed by its view's
     /// leader, as a deceitful leader can send it.
-    fn re_signed(dec: &DecFb, decision: ProtoDecision, elect_proof: Vec<SignedElectFb>) -> DecFb {
+    fn re_signed(dec: &DecFb, decision: Decision, elect_proof: Vec<SignedElectFb>) -> DecFb {
         let leader = fallback_leader_index(dec.view, dec.txid, 6);
         let leader = NodeId::Replica(ReplicaId::new(ShardId(0), leader));
         let dec = DecFb {
@@ -2777,13 +2764,13 @@ mod tests {
     fn a_dec_fb_for_the_minority_decision_is_refused() {
         let (_, dec) = split_log_and_its_fallback_decision();
         assert_eq!(dec.elect_proof.len(), 5);
-        assert_eq!(dec.decision, ProtoDecision::Commit);
+        assert_eq!(dec.decision, Decision::Commit);
         let mut r = replica(0);
         let mut ctx = ctx_at(NodeId::Replica(r.id()), 1);
         let st1 = signed_st1(&write_tx(1_000_000, "x", 5), true);
         r.handle_st1(&mut ctx, client_node(), st1);
 
-        let minority = re_signed(&dec, ProtoDecision::Abort, dec.elect_proof.clone());
+        let minority = re_signed(&dec, Decision::Abort, dec.elect_proof.clone());
         assert!(!adopts(&mut r, minority));
         assert_eq!(r.stats().fallback_decisions_adopted, 0);
         assert!(adopts(&mut r, dec));
@@ -2800,13 +2787,13 @@ mod tests {
         let mut five = dec.elect_proof.clone();
         let commit = five
             .iter()
-            .position(|e| e.body.decision == Some(ProtoDecision::Commit));
+            .position(|e| e.body.decision == Some(Decision::Commit));
         five.remove(commit.expect("three electors logged Commit"));
         let missing = (0..6).find(|&i| five.iter().all(|e| e.body.replica.index != i));
         let missing = ReplicaId::new(ShardId(0), missing.expect("one of six"));
-        let abort = Some(ProtoDecision::Abort);
+        let abort = Some(Decision::Abort);
         five.push(signed_elect_fb(dec.txid, missing, abort, dec.view));
-        let other = re_signed(&dec, ProtoDecision::Abort, five);
+        let other = re_signed(&dec, Decision::Abort, five);
 
         assert!(adopts(&mut replicas[0], dec.clone()));
         assert!(!adopts(&mut replicas[0], other.clone()));
@@ -2828,7 +2815,7 @@ mod tests {
         let st2 = St2 {
             view: 7,
             auth: None,
-            ..signed_st2(&tx, ProtoDecision::Commit, shard_votes_commit_tally(&tx, 4))
+            ..signed_st2(&tx, Decision::Commit, shard_votes_commit_tally(&tx, 4))
         };
         let st2 = St2 {
             auth: client_engine().sign_request(&st2),
@@ -3012,13 +2999,13 @@ mod tests {
                     (true, _) | (false, 2) => None,
                     (false, 0) => Some(signed_st2(
                         &tx,
-                        ProtoDecision::Commit,
+                        Decision::Commit,
                         shard_votes_commit_tally(&tx, 4),
                     )),
                     (false, _) => Some(signed_st2(
                         &tx,
-                        ProtoDecision::Abort,
-                        vec![tally_of(&tx, ShardId(0), 2, ProtoVote::Abort)],
+                        Decision::Abort,
+                        vec![tally_of(&tx, ShardId(0), 2, Decision::Abort)],
                     )),
                 };
                 for r in [&mut oracle, &mut subject] {

@@ -17,8 +17,9 @@
 //! A view's leader reconciles the decisions its `4f + 1` ElectFBs report with
 //! [`reconcile`], and every replica checks a DecFB against the same rule.
 
-use crate::messages::{ProtoDecision, View};
+use crate::messages::View;
 use basil_common::{ShardConfig, ShardId, TxId};
+use basil_store::Decision;
 
 /// Applies rules R1/R2 with vote subsumption and returns the new current
 /// view for a replica whose current view is `current`.
@@ -63,18 +64,18 @@ pub fn fallback_leader_index(view: View, txid: TxId, n: u32) -> u32 {
 /// election reports (`None` for a replica that logged nothing): the majority,
 /// with a tie going to Commit. `None` when no elector logged anything, since
 /// then nothing is safe to propose.
-pub fn reconcile(logged: impl IntoIterator<Item = Option<ProtoDecision>>) -> Option<ProtoDecision> {
+pub fn reconcile(logged: impl IntoIterator<Item = Option<Decision>>) -> Option<Decision> {
     let (mut commits, mut aborts) = (0u32, 0u32);
     for decision in logged.into_iter().flatten() {
         match decision {
-            ProtoDecision::Commit => commits += 1,
-            ProtoDecision::Abort => aborts += 1,
+            Decision::Commit => commits += 1,
+            Decision::Abort => aborts += 1,
         }
     }
     match (commits, aborts) {
         (0, 0) => None,
-        _ if commits >= aborts => Some(ProtoDecision::Commit),
-        _ => Some(ProtoDecision::Abort),
+        _ if commits >= aborts => Some(Decision::Commit),
+        _ => Some(Decision::Abort),
     }
 }
 
@@ -162,7 +163,7 @@ mod tests {
 
     #[test]
     fn reconcile_picks_the_majority_and_ties_go_to_commit() {
-        use ProtoDecision::{Abort, Commit};
+        use Decision::{Abort, Commit};
         assert_eq!(
             reconcile([Some(Commit), Some(Abort), Some(Abort)]),
             Some(Abort)

@@ -21,13 +21,13 @@ use basil_common::codec::{DecodeError, Reader, Sink};
 use basil_common::{NodeId, ShardId};
 use basil_core::certs::{DecisionCert, DecisionProof, ShardVotes, VoteCert};
 use basil_core::messages::{
-    BasilMsg, CatchUpReply, CommittedRead, DecFb, ElectFbBody, InvokeFb, PreparedRead,
-    ProtoDecision, ProtoVote, ReadReply, ReadReplyBody, ReadRequest, SignedElectFb, SignedSt1Reply,
-    SignedSt2Reply, St1, St1ReplyBody, St2, St2ReplyBody, Writeback,
+    BasilMsg, CatchUpReply, CommittedRead, DecFb, ElectFbBody, InvokeFb, PreparedRead, ReadReply,
+    ReadReplyBody, ReadRequest, SignedElectFb, SignedSt1Reply, SignedSt2Reply, St1, St1ReplyBody,
+    St2, St2ReplyBody, Writeback,
 };
 use basil_crypto::frame::{self, FrameError};
 use basil_crypto::{BatchProof, Digest, MerkleProof, Signature};
-use basil_store::Transaction;
+use basil_store::{Decision, Transaction};
 use std::sync::Arc;
 
 /// Frame header: 4-byte big-endian payload length + 4-byte check.
@@ -345,14 +345,9 @@ fn take_digest(r: &mut Reader<'_>) -> Result<Digest, WireError> {
     Ok(Digest(r.array()?))
 }
 
-fn take_vote(r: &mut Reader<'_>) -> Result<ProtoVote, WireError> {
+fn take_decision(r: &mut Reader<'_>) -> Result<Decision, WireError> {
     let tag = r.u8()?;
-    ProtoVote::from_tag(tag).ok_or(WireError::BadTag { tag })
-}
-
-fn take_decision(r: &mut Reader<'_>) -> Result<ProtoDecision, WireError> {
-    let tag = r.u8()?;
-    ProtoDecision::from_tag(tag).ok_or(WireError::BadTag { tag })
+    Decision::from_tag(tag).ok_or(WireError::BadTag { tag })
 }
 
 fn take_signature(r: &mut Reader<'_>) -> Result<Signature, WireError> {
@@ -385,7 +380,7 @@ fn take_st1_reply(r: &mut Reader<'_>) -> Result<SignedSt1Reply, WireError> {
         body: St1ReplyBody {
             txid: r.txid()?,
             replica: r.replica()?,
-            vote: take_vote(r)?,
+            vote: take_decision(r)?,
         },
         proof: r.opt(take_batch_proof)?,
     })
@@ -441,12 +436,12 @@ fn take_cert(r: &mut Reader<'_>) -> Result<DecisionCert, WireError> {
             let txid = r.txid()?;
             let votes = r.seq(MIN_SHARD_VOTES, take_shard_votes)?;
             let fast = (!votes.is_empty()).then_some(DecisionProof::FastCommit(votes));
-            (ProtoDecision::Commit, txid, fast)
+            (Decision::Commit, txid, fast)
         }
         CERT_ABORT => {
             let txid = r.txid()?;
             let fast = r.opt(take_shard_votes)?.map(DecisionProof::FastAbort);
-            (ProtoDecision::Abort, txid, fast)
+            (Decision::Abort, txid, fast)
         }
         tag => return Err(WireError::BadTag { tag }),
     };
@@ -617,21 +612,21 @@ mod tests {
             body: St1ReplyBody {
                 txid,
                 replica,
-                vote: ProtoVote::Abort,
+                vote: Decision::Abort,
             },
             proof: None,
         };
         let shard_votes = ShardVotes {
             txid,
             shard: ShardId(0),
-            decision: ProtoDecision::Abort,
+            decision: Decision::Abort,
             votes: vec![],
         };
         let st2_reply = SignedSt2Reply {
             body: St2ReplyBody {
                 txid,
                 replica,
-                decision: ProtoDecision::Abort,
+                decision: Decision::Abort,
                 view_decision: 0,
                 view_current: 0,
             },

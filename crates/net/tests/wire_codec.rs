@@ -11,14 +11,14 @@ use basil_common::{ClientId, Key, NodeId, ReplicaId, ShardId, Timestamp, TxId, V
 use basil_core::certs::{DecisionCert, DecisionProof, ShardVotes, VoteCert};
 use basil_core::messages::{
     BasilMsg, CatchUpReply, ClientTimer, CommittedRead, DecFb, ElectFbBody, InvokeFb, PreparedRead,
-    ProtoDecision, ProtoVote, ReadReply, ReadReplyBody, ReadRequest, ReplicaTimer, SignedElectFb,
-    SignedSt1Reply, SignedSt2Reply, St1, St1ReplyBody, St2, St2ReplyBody, Writeback,
+    ReadReply, ReadReplyBody, ReadRequest, ReplicaTimer, SignedElectFb, SignedSt1Reply,
+    SignedSt2Reply, St1, St1ReplyBody, St2, St2ReplyBody, Writeback,
 };
 use basil_crypto::{BatchProof, Digest, MerkleProof, Signature};
 use basil_net::wire::{
     decode_frame_payload, encode_msg, split_frame, FrameReader, WireError, FRAME_HEADER, MAX_FRAME,
 };
-use basil_store::TransactionBuilder;
+use basil_store::{Decision, TransactionBuilder};
 use std::sync::Arc;
 
 fn ts(t: u64, c: u64) -> Timestamp {
@@ -55,7 +55,7 @@ fn mac(signer: NodeId, fill: u8) -> Signature {
     proof(signer, fill).root_signature
 }
 
-fn st1_vote(i: u32, vote: ProtoVote) -> SignedSt1Reply {
+fn st1_vote(i: u32, vote: Decision) -> SignedSt1Reply {
     SignedSt1Reply {
         body: St1ReplyBody {
             txid: TxId::from_bytes([i as u8; 32]),
@@ -71,7 +71,7 @@ fn st2_reply(i: u32) -> SignedSt2Reply {
         body: St2ReplyBody {
             txid: TxId::from_bytes([9; 32]),
             replica: rep(i),
-            decision: ProtoDecision::Commit,
+            decision: Decision::Commit,
             view_decision: 0,
             view_current: 1,
         },
@@ -83,13 +83,13 @@ fn commit_votes() -> ShardVotes {
     ShardVotes {
         txid: TxId::from_bytes([9; 32]),
         shard: ShardId(0),
-        decision: ProtoDecision::Commit,
-        votes: (0..3).map(|i| st1_vote(i, ProtoVote::Commit)).collect(),
+        decision: Decision::Commit,
+        votes: (0..3).map(|i| st1_vote(i, Decision::Commit)).collect(),
     }
 }
 
 /// `decision` logged for `txid` on shard 0 in view 1.
-fn vote_cert(txid: TxId, decision: ProtoDecision) -> VoteCert {
+fn vote_cert(txid: TxId, decision: Decision) -> VoteCert {
     VoteCert {
         txid,
         shard: ShardId(0),
@@ -117,7 +117,7 @@ fn slow_commit_cert() -> DecisionCert {
     let txid = TxId::from_bytes([9; 32]);
     DecisionCert {
         txid,
-        proof: DecisionProof::Slow(vote_cert(txid, ProtoDecision::Commit)),
+        proof: DecisionProof::Slow(vote_cert(txid, Decision::Commit)),
     }
 }
 
@@ -129,8 +129,8 @@ fn fast_abort_cert() -> DecisionCert {
         proof: DecisionProof::FastAbort(ShardVotes {
             txid,
             shard: ShardId(0),
-            decision: ProtoDecision::Abort,
-            votes: (0..4).map(|i| st1_vote(i, ProtoVote::Abort)).collect(),
+            decision: Decision::Abort,
+            votes: (0..4).map(|i| st1_vote(i, Decision::Abort)).collect(),
         }),
     }
 }
@@ -139,7 +139,7 @@ fn slow_abort_cert() -> DecisionCert {
     let txid = TxId::from_bytes([7; 32]);
     DecisionCert {
         txid,
-        proof: DecisionProof::Slow(vote_cert(txid, ProtoDecision::Abort)),
+        proof: DecisionProof::Slow(vote_cert(txid, Decision::Abort)),
     }
 }
 
@@ -175,15 +175,15 @@ fn representative_messages() -> Vec<BasilMsg> {
             auth: Some(mac(client, 3)),
             recovery: true,
         }),
-        BasilMsg::St1Reply(st1_vote(2, ProtoVote::Abort)),
+        BasilMsg::St1Reply(st1_vote(2, Decision::Abort)),
         BasilMsg::St2(St2 {
             txid: TxId::from_bytes([9; 32]),
-            decision: ProtoDecision::Commit,
+            decision: Decision::Commit,
             shard_votes: vec![ShardVotes {
                 txid: TxId::from_bytes([9; 32]),
                 shard: ShardId(0),
-                decision: ProtoDecision::Commit,
-                votes: (0..4).map(|i| st1_vote(i, ProtoVote::Commit)).collect(),
+                decision: Decision::Commit,
+                votes: (0..4).map(|i| st1_vote(i, Decision::Commit)).collect(),
             }],
             view: 0,
             auth: Some(mac(client, 5)),
@@ -206,14 +206,14 @@ fn representative_messages() -> Vec<BasilMsg> {
             body: ElectFbBody {
                 txid: TxId::from_bytes([9; 32]),
                 replica: rep(3),
-                decision: Some(ProtoDecision::Abort),
+                decision: Some(Decision::Abort),
                 view: 2,
             },
             proof: Some(proof(NodeId::Replica(rep(3)), 7)),
         }),
         BasilMsg::DecFb(DecFb {
             txid: TxId::from_bytes([9; 32]),
-            decision: ProtoDecision::Commit,
+            decision: Decision::Commit,
             view: 2,
             elect_proof: vec![SignedElectFb {
                 body: ElectFbBody {
@@ -268,7 +268,7 @@ fn every_variant_round_trips_byte_identically() {
 #[test]
 fn replica_sender_round_trips() {
     let from = NodeId::Replica(rep(5));
-    let msg = BasilMsg::St1Reply(st1_vote(5, ProtoVote::Commit));
+    let msg = BasilMsg::St1Reply(st1_vote(5, Decision::Commit));
     let frame = encode_msg(from, &msg).unwrap();
     let (payload, _) = split_frame(&frame).unwrap().unwrap();
     let (decoded_from, _) = decode_frame_payload(payload).unwrap();
@@ -385,7 +385,7 @@ fn frame_reader_reassembles_byte_by_byte() {
     let from = NodeId::Replica(rep(1));
     let msgs = vec![
         BasilMsg::CatchUpRequest,
-        BasilMsg::St1Reply(st1_vote(1, ProtoVote::Commit)),
+        BasilMsg::St1Reply(st1_vote(1, Decision::Commit)),
         BasilMsg::RtsRelease {
             key: Key::new("user9"),
             ts: ts(44, 2),
@@ -612,7 +612,7 @@ fn wire_frames_are_byte_identical_to_the_hand_written_encoders() {
 #[test]
 fn an_abort_vote_followed_by_a_certificate_is_refused() {
     let from = NodeId::Replica(rep(2));
-    let frame = encode_msg(from, &BasilMsg::St1Reply(st1_vote(2, ProtoVote::Abort))).unwrap();
+    let frame = encode_msg(from, &BasilMsg::St1Reply(st1_vote(2, Decision::Abort))).unwrap();
     let (vote, cert) = (&frame[FRAME_HEADER..], cert_bytes(slow_commit_cert()));
     let with_conflict = [vote, &[1], &cert].concat();
     let decoded = decode_frame_payload(&with_conflict);

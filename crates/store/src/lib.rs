@@ -41,7 +41,7 @@ pub mod varray;
 pub mod wal;
 
 pub use audit::{audit_serializability, AuditError};
-pub use mvtso::{CheckOutcome, MvtsoStore, ReadResult, StoreStats, Vote};
+pub use mvtso::{CheckOutcome, Decision, MvtsoStore, ReadResult, StoreStats, Vote};
 pub use session::{Session, SessionStats};
 pub use tx::{Dependency, ReadOp, Transaction, TransactionBuilder, WriteOp};
 pub use varray::VersionArray;

@@ -67,6 +67,14 @@ impl Vote {
     pub fn is_commit(&self) -> bool {
         matches!(self, Vote::Commit)
     }
+
+    /// The decision this vote argues for, without its reason.
+    pub fn decision(&self) -> Decision {
+        match self {
+            Vote::Commit => Decision::Commit,
+            Vote::Abort(_) => Decision::Abort,
+        }
+    }
 }
 
 /// Result of running the concurrency-control check for a transaction.
@@ -82,13 +90,38 @@ pub enum CheckOutcome {
     },
 }
 
-/// The final, durable decision for a transaction.
+/// Commit or abort: a transaction's final, durable decision, and also the
+/// value of a replica's vote once its reason is dropped (what an ST1 reply
+/// carries) and of a 2PC decision that is still being logged.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Decision {
-    /// The transaction committed.
+    /// The transaction commits.
     Commit,
-    /// The transaction aborted.
+    /// The transaction aborts.
     Abort,
+}
+
+impl Decision {
+    /// True for [`Decision::Commit`].
+    pub fn is_commit(&self) -> bool {
+        matches!(self, Decision::Commit)
+    }
+
+    /// The byte this decision is encoded as, in signed bodies and on the
+    /// wire.
+    pub fn tag(&self) -> u8 {
+        match self {
+            Decision::Commit => 1,
+            Decision::Abort => 2,
+        }
+    }
+
+    /// The decision encoded as `tag`, if there is one.
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        [Decision::Commit, Decision::Abort]
+            .into_iter()
+            .find(|d| d.tag() == tag)
+    }
 }
 
 /// The latest committed version of a key visible to a given timestamp.
@@ -925,6 +958,25 @@ mod tests {
 
     fn expect_abort(out: CheckOutcome, reason: AbortReason) {
         assert_eq!(out, CheckOutcome::Decided(Vote::Abort(reason)));
+    }
+
+    /// A vote and a decision share one tag byte in signed bodies and on
+    /// the wire: each decision round-trips through it, and no other byte
+    /// decodes.
+    #[test]
+    fn decision_tags_round_trip() {
+        for d in [Decision::Commit, Decision::Abort] {
+            assert_eq!(Decision::from_tag(d.tag()), Some(d));
+            assert_eq!(d.is_commit(), d == Decision::Commit);
+        }
+        assert_eq!(Decision::Commit.tag(), 1);
+        assert_eq!(Decision::Abort.tag(), 2);
+        assert!([0, 3, 255].iter().all(|&t| Decision::from_tag(t).is_none()));
+        assert_eq!(
+            Vote::Abort(AbortReason::Conflict).decision(),
+            Decision::Abort
+        );
+        assert_eq!(Vote::Commit.decision(), Decision::Commit);
     }
 
     #[test]

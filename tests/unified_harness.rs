@@ -5,7 +5,6 @@
 
 use basil::baseline_harness::{BaselineCluster, BaselineClusterConfig};
 use basil::baselines::messages::ShardRequest;
-use basil::baselines::occ::OccVote;
 use basil::baselines::{BaselineClient, BaselineConfig, BaselineMsg, SystemKind};
 use basil::harness::{BasilCluster, ClusterConfig};
 use basil::{
@@ -15,12 +14,11 @@ use basil::{
 use basil_core::byzantine::FaultProfile;
 use basil_core::certs::{DecisionCert, DecisionProof, ShardVotes};
 use basil_core::messages::{
-    BasilMsg, CommittedRead, ProtoDecision, ProtoVote, ReadReply, ReadReplyBody, SignedSt1Reply,
-    St1ReplyBody,
+    BasilMsg, CommittedRead, ReadReply, ReadReplyBody, SignedSt1Reply, St1ReplyBody,
 };
 use basil_simnet::actor::Output;
 use basil_simnet::{Actor, Context};
-use basil_store::TransactionBuilder;
+use basil_store::{Decision, TransactionBuilder, Vote};
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -177,7 +175,7 @@ fn unsigned_commit_vote(txid: TxId, index: u32) -> SignedSt1Reply {
         body: St1ReplyBody {
             txid,
             replica: ReplicaId::new(ShardId(0), index),
-            vote: ProtoVote::Commit,
+            vote: Decision::Commit,
         },
         proof: None,
     }
@@ -276,7 +274,7 @@ fn basil_and_tapir_clients_execute_a_script_identically() {
                         proof: DecisionProof::FastCommit(vec![ShardVotes {
                             txid,
                             shard: ShardId(0),
-                            decision: ProtoDecision::Commit,
+                            decision: Decision::Commit,
                             votes,
                         }]),
                     })),
@@ -327,7 +325,7 @@ fn basil_and_tapir_clients_execute_a_script_identically() {
             for i in 0..3 {
                 let vote = BaselineMsg::PrepareResult {
                     txid: tx.id(),
-                    vote: OccVote::Commit,
+                    vote: Vote::Commit,
                 };
                 inbox.push_back((replica(i), vote));
             }
