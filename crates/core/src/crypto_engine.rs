@@ -20,7 +20,7 @@
 
 use crate::config::{BasilConfig, CryptoMode};
 use basil_common::codec::{Len, Sink};
-use basil_common::{Duration, NodeId};
+use basil_common::{Duration, NodeId, SimTime};
 use basil_crypto::{
     sign_frontier, BatchProof, CostModel, Digest, KeyPair, KeyRegistry, MerkleFrontier,
     MerkleProof, Signature, SignatureCache,
@@ -102,6 +102,10 @@ pub struct SigEngine {
     /// a distinct root, so the verifier-side signature cache
     /// behaves as it would with real batches.
     dummy_counter: u64,
+    /// The start time, in nanoseconds, of the incarnation this engine signs
+    /// for ([`SigEngine::start_incarnation`]), also written into each
+    /// simulated-mode root.
+    incarnation: u64,
     /// Scratch Merkle accumulator reused across [`SigEngine::sign_batch`]
     /// calls, so real-crypto batch signing pays no per-flush tree rebuild
     /// and no steady-state allocation.
@@ -124,11 +128,21 @@ impl SigEngine {
             mode: cfg.crypto_mode,
             enabled: cfg.signatures_enabled(),
             dummy_counter: 0,
+            incarnation: 0,
             frontier: MerkleFrontier::new(),
             encoding: Vec::new(),
             proofs: Vec::new(),
             charged: Duration::ZERO,
         }
+    }
+
+    /// Marks the engine as signing for the node incarnation that started at
+    /// `start`. A node restarted with amnesia gets a fresh engine, whose
+    /// counter numbers simulated-mode roots from 1 again; the start time in
+    /// those roots keeps them apart from the roots its previous incarnation
+    /// handed out, which its peers may still cache, as real roots would be.
+    pub fn start_incarnation(&mut self, start: SimTime) {
+        self.incarnation = start.as_nanos();
     }
 
     /// The CPU metered by signing and verification since the last call, for
@@ -169,17 +183,10 @@ impl SigEngine {
         self.charged += COST.mac;
         Some(match self.mode {
             CryptoMode::Real => self.keypair.sign(encode(&mut self.encoding, payload)),
-            CryptoMode::Simulated => {
-                // A MAC has no root, yet it takes a placeholder number: a
-                // replica restarted with amnesia numbers its roots from 1
-                // again, and which of them meet roots its peers cached
-                // before the crash depends on every number handed out.
-                self.dummy_counter += 1;
-                Signature {
-                    signer: self.keypair.node(),
-                    tag: Digest::ZERO,
-                }
-            }
+            CryptoMode::Simulated => Signature {
+                signer: self.keypair.node(),
+                tag: Digest::ZERO,
+            },
         })
     }
 
@@ -321,7 +328,8 @@ impl SigEngine {
             }
             CryptoMode::Simulated => {
                 self.dummy_counter += 1;
-                let proof = dummy_proof(self.keypair.node(), self.dummy_counter, payloads.len());
+                let number = (self.incarnation, self.dummy_counter);
+                let proof = dummy_proof(self.keypair.node(), number, payloads.len());
                 self.proofs
                     .extend(std::iter::repeat_n(Some(proof), payloads.len()));
             }
@@ -338,13 +346,19 @@ fn encode<'a, P: SignedPayload + ?Sized>(scratch: &'a mut Vec<u8>, payload: &P) 
 }
 
 /// A placeholder proof used in [`CryptoMode::Simulated`]: structurally valid,
-/// never actually checked. The root encodes the signer and a per-engine batch
-/// counter so that distinct batches have distinct roots (the verifier-side
-/// signature cache then amortizes exactly as it would with real batches).
-/// Its inclusion proof states the batch size and holds no siblings.
-fn dummy_proof(signer: NodeId, counter: u64, leaf_count: usize) -> BatchProof {
+/// never actually checked. The root encodes the signer and the batch's
+/// `(incarnation, counter)` number so that distinct batches have distinct
+/// roots, across a node's amnesia restarts too (the verifier-side signature
+/// cache then amortizes exactly as it would with real batches). Its
+/// inclusion proof states the batch size and holds no siblings.
+fn dummy_proof(
+    signer: NodeId,
+    (incarnation, counter): (u64, u64),
+    leaf_count: usize,
+) -> BatchProof {
     let mut root_bytes = [0u8; 32];
     root_bytes[..8].copy_from_slice(&counter.to_be_bytes());
+    root_bytes[17..25].copy_from_slice(&incarnation.to_be_bytes());
     match signer {
         NodeId::Client(c) => {
             root_bytes[8] = 1;

@@ -1061,6 +1061,7 @@ impl BasilReplica {
 
 impl Actor<BasilMsg> for BasilReplica {
     fn on_start(&mut self, ctx: &mut Context<BasilMsg>) {
+        self.engine.start_incarnation(ctx.now());
         if let Some(interval) = self.cfg.gc_interval {
             ctx.schedule_self(interval, BasilMsg::ReplicaTimer(ReplicaTimer::GcSweep));
         }
@@ -2688,6 +2689,49 @@ mod tests {
         recovered.on_timer(&mut ctx, deadline);
         assert!(!recovered.is_recovering());
         assert_eq!(logged_answer(&mut recovered, &tx, 7), before);
+    }
+
+    /// A replica restarted with amnesia signs under roots its previous
+    /// incarnation never used. Under simulated crypto a fresh engine
+    /// numbers its placeholder roots from 1 again, so without the
+    /// incarnation's start time in them its first roots would equal roots
+    /// its peers cached before the crash, and their checks would be charged
+    /// as cache hits that real crypto never gets.
+    #[test]
+    fn a_recovered_replica_signs_under_roots_of_its_own() {
+        let mut c = cfg();
+        c.crypto_mode = CryptoMode::Simulated;
+        let id = ReplicaId::new(ShardId(0), 0);
+        let data = [(Key::new("x"), Value::from_u64(0))];
+        // Starts `r` at `ms` and returns the roots of its votes on `txs`.
+        let roots = |r: &mut BasilReplica, ms: u64, txs: &[Arc<Transaction>]| {
+            let mut ctx = ctx_at(NodeId::Replica(id), ms);
+            r.on_start(&mut ctx);
+            let deadline = BasilMsg::ReplicaTimer(ReplicaTimer::CatchUpDeadline);
+            r.on_timer(&mut ctx, deadline);
+            for tx in txs {
+                r.handle_st1(&mut ctx, client_node(), signed_st1(tx, false));
+            }
+            let roots: Vec<_> = sent_to(&ctx, client_node())
+                .into_iter()
+                .filter_map(|m| match m {
+                    BasilMsg::St1Reply(reply) => reply.proof.map(|p| p.root),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(roots.len(), txs.len());
+            roots
+        };
+        let behavior = ReplicaBehavior::Correct;
+        let mut r = BasilReplica::new(id, c.clone(), registry(), behavior, data.clone());
+        let txs: Vec<_> = (1..=3).map(|i| write_tx(i * 1_000_000, "x", i)).collect();
+        let before = roots(&mut r, 0, &txs);
+
+        let wal = r.take_wal_bytes();
+        let mut recovered = BasilReplica::recover(id, c, registry(), behavior, data, wal);
+        let later: Vec<_> = (4..=6).map(|i| write_tx(i * 1_000_000, "x", i)).collect();
+        let after = roots(&mut recovered, 50, &later);
+        assert!(after.iter().all(|root| !before.contains(root)));
     }
 
     /// The ElectFB `replica` sends for `txid` in `view`, reporting `logged`.
