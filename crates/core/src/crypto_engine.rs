@@ -328,8 +328,8 @@ impl SigEngine {
             }
             CryptoMode::Simulated => {
                 self.dummy_counter += 1;
-                let number = (self.incarnation, self.dummy_counter);
-                let proof = dummy_proof(self.keypair.node(), number, payloads.len());
+                let (signer, incarnation) = (self.keypair.node(), self.incarnation);
+                let proof = dummy_proof(signer, incarnation, self.dummy_counter, payloads.len());
                 self.proofs
                     .extend(std::iter::repeat_n(Some(proof), payloads.len()));
             }
@@ -346,16 +346,12 @@ fn encode<'a, P: SignedPayload + ?Sized>(scratch: &'a mut Vec<u8>, payload: &P) 
 }
 
 /// A placeholder proof used in [`CryptoMode::Simulated`]: structurally valid,
-/// never actually checked. The root encodes the signer and the batch's
-/// `(incarnation, counter)` number so that distinct batches have distinct
-/// roots, across a node's amnesia restarts too (the verifier-side signature
-/// cache then amortizes exactly as it would with real batches). Its
-/// inclusion proof states the batch size and holds no siblings.
-fn dummy_proof(
-    signer: NodeId,
-    (incarnation, counter): (u64, u64),
-    leaf_count: usize,
-) -> BatchProof {
+/// never actually checked. The root encodes the signer, its incarnation and
+/// a per-engine batch counter so that distinct batches have distinct roots,
+/// across a node's amnesia restarts too (the verifier-side signature cache
+/// then amortizes exactly as it would with real batches). Its inclusion
+/// proof states the batch size and holds no siblings.
+fn dummy_proof(signer: NodeId, incarnation: u64, counter: u64, leaf_count: usize) -> BatchProof {
     let mut root_bytes = [0u8; 32];
     root_bytes[..8].copy_from_slice(&counter.to_be_bytes());
     root_bytes[17..25].copy_from_slice(&incarnation.to_be_bytes());
