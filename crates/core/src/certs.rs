@@ -210,7 +210,7 @@ impl Strength {
     pub fn quorum(self, decision: Decision, cfg: &ShardConfig) -> u32 {
         let f = cfg.f;
         match (self, decision) {
-            (Strength::Fast, Decision::Commit) => 5 * f + 1,
+            (Strength::Fast, Decision::Commit) => cfg.n(),
             (Strength::Fast, Decision::Abort) => 3 * f + 1,
             (Strength::Slow, Decision::Commit) => 3 * f + 1,
             (Strength::Slow, Decision::Abort) => f + 1,
@@ -403,10 +403,13 @@ mod tests {
     fn quorum_intersection_properties() {
         use Decision::{Abort, Commit};
         use Strength::{Fast, Slow};
-        let c = ShardConfig::new(1);
-        let sizes = [(Fast, Commit), (Fast, Abort), (Slow, Commit), (Slow, Abort)]
-            .map(|(strength, decision)| strength.quorum(decision, &c));
-        assert_eq!(sizes, [6, 4, 4, 2]);
+        let sizes = |f| {
+            let c = ShardConfig::new(f);
+            [(Fast, Commit), (Fast, Abort), (Slow, Commit), (Slow, Abort)]
+                .map(|(strength, decision)| strength.quorum(decision, &c))
+        };
+        assert_eq!(sizes(1), [6, 4, 4, 2]);
+        assert_eq!(sizes(2), [11, 7, 7, 3]);
         for f in 1..5u32 {
             let c = ShardConfig::new(f);
             let q = |strength: Strength, decision| i64::from(strength.quorum(decision, &c));
