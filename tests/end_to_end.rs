@@ -194,6 +194,26 @@ fn one_crashed_replica_does_not_block_progress() {
     cluster.audit().expect("serializable");
 }
 
+/// One honest 2-read, 2-write transaction on one shard of n = 6 over the
+/// fault-free LAN, run to quiescence.
+fn one_commit(basil: BasilConfig) -> BasilCluster {
+    let config = ClusterConfig::basil_default(1).with_basil(basil);
+    let mut cluster = BasilCluster::build(config, |_| {
+        Box::new(ScriptedGenerator::new([TxProfile::new(
+            "2r2w",
+            vec![
+                Op::Read(Key::new("a")),
+                Op::Read(Key::new("b")),
+                Op::Write(Key::new("c"), Value::from_u64(1)),
+                Op::Write(Key::new("d"), Value::from_u64(2)),
+            ],
+        )]))
+    });
+    cluster.run_for(Duration::from_millis(200));
+    assert_eq!(cluster.total_committed(), 1);
+    cluster
+}
+
 /// The messages and signatures one honest 2-read, 2-write transaction costs
 /// on one shard of n = 6 over the fault-free LAN, with and without the fast
 /// path. An extra retry, a duplicated reply, a dropped forward or a second
@@ -201,20 +221,7 @@ fn one_crashed_replica_does_not_block_progress() {
 #[test]
 fn one_commit_delivers_a_pinned_number_of_messages() {
     let delivered = |basil: BasilConfig| {
-        let config = ClusterConfig::basil_default(1).with_basil(basil);
-        let mut cluster = BasilCluster::build(config, |_| {
-            Box::new(ScriptedGenerator::new([TxProfile::new(
-                "2r2w",
-                vec![
-                    Op::Read(Key::new("a")),
-                    Op::Read(Key::new("b")),
-                    Op::Write(Key::new("c"), Value::from_u64(1)),
-                    Op::Write(Key::new("d"), Value::from_u64(2)),
-                ],
-            )]))
-        });
-        cluster.run_for(Duration::from_millis(200));
-        assert_eq!(cluster.total_committed(), 1);
+        let cluster = one_commit(basil);
         let signed: u64 = cluster
             .replica_ids()
             .iter()
@@ -237,4 +244,29 @@ fn one_commit_delivers_a_pinned_number_of_messages() {
     // logging the ST2. The 6 ST2 acknowledgements are signed too:
     // 6 + 6 = 12.
     assert_eq!(delivered(basil.without_fast_path()), (42, 12));
+}
+
+/// The simulated CPU, in nanoseconds, that the client and the six replicas
+/// spend on the same one commit, with and without the fast path. Every
+/// charge lands here (the per-message overhead, MACs, signatures, the MVTSO
+/// check), so a charge that moves between a handler and the simulator
+/// without changing its total keeps these numbers, and a charge added or
+/// lost changes them.
+#[test]
+fn one_commit_charges_a_pinned_simulated_cpu() {
+    let cpu_ns = |basil: BasilConfig| {
+        let metrics = one_commit(basil).sim().metrics();
+        let (mut client, mut replicas) = (0, 0);
+        for (id, node) in &metrics.per_node {
+            let ns = node.cpu_busy.as_nanos();
+            match id {
+                NodeId::Client(_) => client += ns,
+                NodeId::Replica(_) => replicas += ns,
+            }
+        }
+        (client, replicas)
+    };
+    let basil = BasilConfig::test_single_shard();
+    assert_eq!(cpu_ns(basil.clone()), (998_000, 4_530_000));
+    assert_eq!(cpu_ns(basil.without_fast_path()), (1_864_000, 8_236_000));
 }
