@@ -118,7 +118,6 @@ impl BaselineClient {
                 if first && self.cfg.kind.uses_signatures() {
                     ctx.charge(COST.sign);
                 }
-                ctx.charge(COST.message_cost());
                 let request = request.clone();
                 ctx.send(target, BaselineMsg::Submit { request });
             }
@@ -172,7 +171,6 @@ impl BaselineClient {
         targets: Vec<NodeId>,
     ) {
         for target in targets {
-            ctx.charge(COST.message_cost());
             ctx.send(
                 target,
                 BaselineMsg::Read {
@@ -435,7 +433,6 @@ impl Actor<BaselineMsg> for BaselineClient {
     }
 
     fn on_message(&mut self, ctx: &mut Context<BaselineMsg>, from: NodeId, msg: BaselineMsg) {
-        ctx.charge(COST.message_cost());
         match msg {
             BaselineMsg::ReadReply {
                 req_id,
@@ -461,7 +458,6 @@ impl Actor<BaselineMsg> for BaselineClient {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<BaselineMsg>, msg: BaselineMsg) {
-        ctx.charge(COST.message_cost());
         if let BaselineMsg::ClientTimer(timer) = msg {
             self.handle_timer(ctx, timer);
         }

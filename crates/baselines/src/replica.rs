@@ -12,7 +12,7 @@ use crate::messages::{BaselineMsg, ShardRequest};
 use crate::occ::OccStore;
 use crate::profile::{BaselineConfig, COST};
 use basil_common::{Duration, Key, NodeId, ReplicaId, Value};
-use basil_simnet::{Actor, Context};
+use basil_simnet::{Actor, Context, MESSAGE_CPU};
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
 
@@ -137,7 +137,6 @@ impl BaselineReplica {
         }
         if !self.is_leader() {
             // Forward stray submissions to the leader.
-            ctx.charge(COST.message_cost());
             ctx.send(self.leader(), BaselineMsg::Submit { request });
             return;
         }
@@ -168,7 +167,6 @@ impl BaselineReplica {
         // Phase 0 proposal carries the batch; the leader signs it.
         ctx.charge(self.sign_cost());
         for follower in self.followers() {
-            ctx.charge(COST.message_cost());
             ctx.send(
                 follower,
                 BaselineMsg::OrderPhase {
@@ -199,7 +197,7 @@ impl BaselineReplica {
             // (message reordering); execution can proceed now.
             self.try_execute(ctx);
         }
-        ctx.charge(self.sign_cost() + COST.message_cost());
+        ctx.charge(self.sign_cost());
         ctx.send(self.leader(), BaselineMsg::OrderVote { seq, phase });
     }
 
@@ -235,7 +233,6 @@ impl BaselineReplica {
             let next_phase = instance.phase;
             ctx.charge(self.sign_cost());
             for follower in self.followers() {
-                ctx.charge(COST.message_cost());
                 ctx.send(
                     follower,
                     BaselineMsg::OrderPhase {
@@ -250,7 +247,6 @@ impl BaselineReplica {
             self.instances.remove(&seq);
             ctx.charge(self.sign_cost());
             for follower in self.followers() {
-                ctx.charge(COST.message_cost());
                 ctx.send(follower, BaselineMsg::OrderCommit { seq });
             }
             self.handle_order_commit(ctx, seq);
@@ -291,10 +287,9 @@ impl BaselineReplica {
             ShardRequest::Prepare { tx } => {
                 let vote = self.occ.prepare(&tx);
                 if !self.cfg.kind.is_ordered() {
-                    // TAPIR signs nothing but still pays serialization.
-                    ctx.charge(COST.message_cost());
+                    // TAPIR signs nothing but pays a second serialization.
+                    ctx.charge(MESSAGE_CPU);
                 }
-                ctx.charge(COST.message_cost());
                 ctx.send(
                     client,
                     BaselineMsg::PrepareResult {
@@ -309,7 +304,6 @@ impl BaselineReplica {
                 } else {
                     self.occ.abort(&txid);
                 }
-                ctx.charge(COST.message_cost());
                 ctx.send(client, BaselineMsg::DecideAck { txid });
             }
         }
@@ -318,7 +312,7 @@ impl BaselineReplica {
     fn handle_read(&mut self, ctx: &mut Context<BaselineMsg>, from: NodeId, req_id: u64, key: Key) {
         self.stats.reads_served += 1;
         let (version, value) = self.occ.read(&key);
-        ctx.charge(self.sign_cost() + COST.message_cost());
+        ctx.charge(self.sign_cost());
         ctx.send(
             from,
             BaselineMsg::ReadReply {
@@ -333,7 +327,6 @@ impl BaselineReplica {
 
 impl Actor<BaselineMsg> for BaselineReplica {
     fn on_message(&mut self, ctx: &mut Context<BaselineMsg>, from: NodeId, msg: BaselineMsg) {
-        ctx.charge(COST.message_cost());
         match msg {
             BaselineMsg::Read { req_id, key } => self.handle_read(ctx, from, req_id, key),
             BaselineMsg::Submit { request } => self.handle_submit(ctx, from, request),
@@ -354,7 +347,6 @@ impl Actor<BaselineMsg> for BaselineReplica {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<BaselineMsg>, msg: BaselineMsg) {
-        ctx.charge(COST.message_cost());
         if let BaselineMsg::BatchTimer = msg {
             self.batch_timer_armed = false;
             if self.is_leader() {

@@ -306,11 +306,6 @@ impl SigEngine {
         ok && bound
     }
 
-    /// The per-message (de)serialization overhead from the cost model.
-    pub fn message_cost(&self) -> Duration {
-        COST.message_cost()
-    }
-
     /// Appends one proof per payload of a non-empty batch to `self.proofs`,
     /// all under one root.
     fn batch_proofs<P: SignedPayload>(&mut self, payloads: &[P]) {

@@ -27,7 +27,7 @@ use basil_common::{
     ClientId, Duration, FastHashMap, FastHashSet, Key, NodeId, ReplicaId, SimTime, Timestamp, TxId,
     Value,
 };
-use basil_simnet::{Actor, Context};
+use basil_simnet::{Actor, Context, MESSAGE_CPU};
 use basil_store::{CheckOutcome, Decision, MvtsoStore, Transaction, Vote, Wal, WalRecord};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -437,7 +437,6 @@ impl BasilReplica {
         let vote = match reply {
             Reply::Read(body) => {
                 let proof = self.engine.sign_request(&body);
-                ctx.charge(self.engine.message_cost());
                 ctx.send(to, BasilMsg::ReadReply(ReadReply { body, proof }));
                 return;
             }
@@ -461,7 +460,6 @@ impl BasilReplica {
         if self.out_batch.is_empty() {
             return;
         }
-        let per_reply = self.engine.message_cost();
         // Lazy payloads: under simulated crypto only the lengths are read.
         // The batch is drained in place, so it keeps its capacity.
         let proofs = self.engine.sign_batch(&self.out_batch);
@@ -471,7 +469,6 @@ impl BasilReplica {
                 PendingVote::St1(body) => BasilMsg::St1Reply(SignedSt1Reply { body, proof }),
                 PendingVote::St2(body) => BasilMsg::St2Reply(SignedSt2Reply { body, proof }),
             };
-            ctx.charge(per_reply);
             ctx.send(to, msg);
         }
     }
@@ -573,7 +570,6 @@ impl BasilReplica {
                 cert: Arc::clone(cert),
                 tx: record.tx.clone(),
             };
-            ctx.charge(self.engine.message_cost());
             ctx.send(from, BasilMsg::Writeback(wb));
             return;
         }
@@ -607,8 +603,8 @@ impl BasilReplica {
         }
 
         // Run the MVTSO check (Algorithm 1). Its processing cost is charged
-        // as the cost model's per-message overhead, `message_cost()`.
-        ctx.charge(self.engine.message_cost());
+        // as one more message's worth of CPU.
+        ctx.charge(MESSAGE_CPU);
         match self.store.prepare(&st1.tx, ctx.local_clock(), DELTA) {
             CheckOutcome::Decided(vote) => self.cast_vote(ctx, txid, vote, &[from]),
             CheckOutcome::Pending { .. } => {
@@ -771,7 +767,6 @@ impl BasilReplica {
         // reference-count bump per recipient, not a certificate copy), but
         // not back to the one that delivered it.
         for client in interested.into_iter().filter(|&c| c != from) {
-            ctx.charge(self.engine.message_cost());
             ctx.send(
                 client,
                 BasilMsg::Writeback(Writeback {
@@ -805,7 +800,6 @@ impl BasilReplica {
             })
             .collect();
         entries.sort_by_key(|wb| wb.cert.txid);
-        ctx.charge(self.engine.message_cost());
         ctx.send(from, BasilMsg::CatchUpReply(CatchUpReply { entries }));
     }
 
@@ -856,7 +850,8 @@ impl BasilReplica {
             return;
         };
         for (from, msg) in state.buffered {
-            ctx.charge(self.engine.message_cost());
+            // Re-dispatching a held-back message costs as much as its receipt.
+            ctx.charge(MESSAGE_CPU);
             self.dispatch(ctx, from, msg);
         }
     }
@@ -933,7 +928,6 @@ impl BasilReplica {
             view,
         };
         let proof = self.engine.sign(&body);
-        ctx.charge(self.engine.message_cost());
         ctx.send(leader, BasilMsg::ElectFb(SignedElectFb { body, proof }));
     }
 
@@ -978,7 +972,6 @@ impl BasilReplica {
             ..dec
         };
         for replica in self.shard_replicas() {
-            ctx.charge(self.engine.message_cost());
             ctx.send(replica, BasilMsg::DecFb(dec.clone()));
         }
     }
@@ -1073,7 +1066,6 @@ impl Actor<BasilMsg> for BasilReplica {
                 if peer == NodeId::Replica(self.id) {
                     continue;
                 }
-                ctx.charge(self.engine.message_cost());
                 ctx.send(peer, BasilMsg::CatchUpRequest);
             }
             ctx.schedule_self(
@@ -1085,8 +1077,6 @@ impl Actor<BasilMsg> for BasilReplica {
     }
 
     fn on_message(&mut self, ctx: &mut Context<BasilMsg>, from: NodeId, msg: BasilMsg) {
-        // Per-message deserialization overhead.
-        ctx.charge(self.engine.message_cost());
         match self.recovering.as_mut() {
             // The replay buffer is bounded like the client admission queue:
             // a recovering replica under heavy load sheds the overflow
@@ -1108,7 +1098,6 @@ impl Actor<BasilMsg> for BasilReplica {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<BasilMsg>, msg: BasilMsg) {
-        ctx.charge(self.engine.message_cost());
         if let BasilMsg::ReplicaTimer(timer) = msg {
             match timer {
                 ReplicaTimer::BatchFlush => {
@@ -2041,16 +2030,17 @@ mod tests {
     /// The CPU one callback charges, under each crypto mode: a signed read,
     /// an ST1 voted at once, an ST2 with a valid commit tally and a
     /// writeback with a valid commit certificate. The simulator reads only
-    /// a callback's total, so these pin every simulated output against a
-    /// charge that moves, is dropped or is counted twice. The ST2's tally
+    /// a callback's total (this charge plus its own `MESSAGE_CPU` per
+    /// message handled or sent), so these pin every simulated output against
+    /// a charge that moves, is dropped or is counted twice. The ST2's tally
     /// and the certificate hold the vote this replica cast, as a client's
     /// do, so that vote costs a cached check. The writeback comes from the
     /// client that logged the ST2, so it forwards nothing.
     #[test]
     fn callback_charges_are_pinned() {
         for (mode, pinned) in [
-            (CryptoMode::Real, [16_000, 77_000, 465_000, 272_000]),
-            (CryptoMode::Simulated, [16_000, 77_000, 465_000, 272_000]),
+            (CryptoMode::Real, [4_000, 65_000, 453_000, 266_000]),
+            (CryptoMode::Simulated, [4_000, 65_000, 453_000, 266_000]),
         ] {
             let mut c = cfg();
             c.crypto_mode = mode;

@@ -7,6 +7,10 @@
 //! calibrated to ed25519-donna on a ~2 GHz core (the CloudLab m510 machines
 //! used in the paper): roughly 55 µs per signature generation, 130 µs per
 //! verification, and a few µs per KiB of hashing.
+//!
+//! The per-message cost of serialization and the network stack is not a
+//! cryptographic cost and is not modelled here: the simulator charges it,
+//! `basil_simnet::MESSAGE_CPU` per message a handler receives or sends.
 
 use basil_common::Duration;
 
@@ -27,11 +31,6 @@ pub struct CostModel {
     /// authenticated: client requests, and replica read replies. Both are
     /// far cheaper than the replica votes that end up inside certificates.
     pub mac: Duration,
-    /// Fixed per-message serialization/deserialization overhead, charged for
-    /// every message sent or received. This models the protobuf + networking
-    /// CPU cost the paper observes as the residual bottleneck once signature
-    /// batching is enabled.
-    pub message_overhead: Duration,
 }
 
 impl CostModel {
@@ -43,7 +42,6 @@ impl CostModel {
             verify: Duration::from_micros(130),
             hash_per_256b: Duration::from_micros(1),
             mac: Duration::from_micros(2),
-            message_overhead: Duration::from_micros(6),
         }
     }
 
@@ -86,12 +84,6 @@ impl CostModel {
         } else {
             hashing + self.verify
         }
-    }
-
-    /// Per-message serialization overhead (charged with signatures off too,
-    /// because it is not a cryptographic cost).
-    pub fn message_cost(&self) -> Duration {
-        self.message_overhead
     }
 }
 

@@ -138,12 +138,15 @@ impl<M> Context<M> {
 
     /// Charges `cpu` of processing time to this node. The charged time
     /// occupies a core, delays this handler's outputs, and pushes back the
-    /// start of subsequently queued work on the same core.
+    /// start of subsequently queued work on the same core. The simulator
+    /// adds [`crate::MESSAGE_CPU`] per message handled or sent on top, so a
+    /// handler charges only its own work.
     pub fn charge(&mut self, cpu: Duration) {
         self.charged += cpu;
     }
 
-    /// Total CPU charged so far in this handler.
+    /// Total CPU charged so far in this handler, without the simulator's
+    /// per-message charge.
     pub fn charged(&self) -> Duration {
         self.charged
     }

@@ -26,8 +26,9 @@
 //! * Each node ([`NodeProps`]) has `cores` CPU lanes and a clock skew.
 //! * A message delivered to a node waits until a core is free, then its
 //!   handler runs; the CPU time the handler charges (via
-//!   [`Context::charge`]) occupies that core and delays the handler's
-//!   outputs, so overloaded nodes queue work and throughput saturates.
+//!   [`Context::charge`]), plus [`MESSAGE_CPU`] per message it handles or
+//!   sends, occupies that core and delays the handler's outputs, so
+//!   overloaded nodes queue work and throughput saturates.
 //! * Actors communicate only through messages and self-scheduled
 //!   timers ([`Context::schedule_self`]); they never share memory.
 //! * The harness can inject messages from the outside and inspect actors
@@ -76,4 +77,4 @@ pub mod sim;
 pub use actor::{Actor, Context};
 pub use metrics::{Metrics, NodeMetrics};
 pub use network::{LinkFault, LinkFaultKind, NetworkConfig, NodeMatcher};
-pub use sim::{NodeProps, Simulation};
+pub use sim::{NodeProps, Simulation, MESSAGE_CPU};

@@ -21,7 +21,9 @@
 //!   amnesia replacement's `on_start`, and each message or timer delivery)
 //!   runs through the private `Simulation::run_handler`: earliest free core,
 //!   start time and local clock, the handler, core and metrics accounting,
-//!   then the outputs.
+//!   then the outputs. It also charges the simulated network stack's cost,
+//!   [`MESSAGE_CPU`] per message received, timer fired and message sent, so
+//!   an actor charges only its own work.
 //! * **One output buffer** — every handler's [`Context`] records into the
 //!   same `Vec`, handed in and given back by [`Context::finish`];
 //!   `apply_outputs` drains it. A message's path is: `Context::send` →
@@ -57,6 +59,12 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// Simulated CPU the network stack spends on one message sent or received:
+/// (de)serialization and socket work, the cost paper §6.2 finds left once
+/// signatures are batched. `Simulation::run_handler` charges it per send,
+/// and once more for the message or timer a callback handles.
+pub const MESSAGE_CPU: Duration = Duration::from_micros(6);
 
 /// Static properties of a simulated node.
 #[derive(Clone, Copy, Debug)]
@@ -560,6 +568,8 @@ impl<M: Clone + 'static> Simulation<M> {
         let local = slot.local_clock(start);
         let outputs = std::mem::take(&mut self.outputs);
         let mut ctx = Context::reusing(slot.id, start, local, outputs);
+        // A message or a timer is one receipt; `on_start` handles none.
+        let received = u64::from(!matches!(callback, Callback::Start));
         match callback {
             Callback::Start => slot.actor.on_start(&mut ctx),
             Callback::Message(from, msg) => {
@@ -575,13 +585,15 @@ impl<M: Clone + 'static> Simulation<M> {
             }
         }
         let (outputs, charged) = ctx.finish();
-        let completion = start + charged;
-        slot.core_free[core] = completion;
-        slot.metrics.cpu_busy += charged;
-        slot.metrics.messages_sent += outputs
+        let sent = outputs
             .iter()
             .filter(|o| matches!(o, Output::Send { .. }))
             .count() as u64;
+        let charged = charged + MESSAGE_CPU * (received + sent);
+        let completion = start + charged;
+        slot.core_free[core] = completion;
+        slot.metrics.cpu_busy += charged;
+        slot.metrics.messages_sent += sent;
         let id = slot.id;
         self.apply_outputs(i as u32, id, completion, outputs);
     }
@@ -787,6 +799,7 @@ mod tests {
     fn single_core_serializes_processing() {
         // 10 pings arrive nearly simultaneously; with one core and 100us per
         // ping, the last pong must come back at least ~1ms after the first.
+        // Each ping also costs the stack a receipt and a send.
         let mut sim = build_ping_pong(
             1,
             NetworkConfig::instant(),
@@ -806,8 +819,89 @@ mod tests {
         );
         let metrics = sim.metrics();
         let m = metrics.node(client(2)).expect("metrics");
-        assert_eq!(m.cpu_busy, Duration::from_micros(1000));
+        // 10 x (100 us + a receipt and a send at 6 us each).
+        assert_eq!(m.cpu_busy, Duration::from_micros(1_120));
         assert!(m.queue_wait > Duration::ZERO);
+    }
+
+    /// Sends a pong to each target from `on_start` and from each `Tick`, and
+    /// arms one tick timer at start; it charges nothing itself.
+    struct Fanout {
+        targets: Vec<NodeId>,
+    }
+
+    impl Fanout {
+        fn fan_out(&self, ctx: &mut Context<Msg>) {
+            for &to in &self.targets {
+                ctx.send(to, Msg::Pong(0));
+            }
+        }
+    }
+
+    impl Actor<Msg> for Fanout {
+        fn on_start(&mut self, ctx: &mut Context<Msg>) {
+            self.fan_out(ctx);
+            ctx.schedule_self(Duration::from_millis(2), Msg::Tick);
+        }
+        fn on_message(&mut self, ctx: &mut Context<Msg>, _from: NodeId, msg: Msg) {
+            if msg == Msg::Tick {
+                self.fan_out(ctx);
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// `run_handler` charges `MESSAGE_CPU` per send, plus one for the
+    /// message or timer a callback handles (none for `on_start`). A send is
+    /// charged at the sender even when no one receives it: a crashed or
+    /// unregistered destination, or a link fault's drop.
+    #[test]
+    fn run_handler_charges_message_cpu_per_receipt_and_send() {
+        let (me, sink, crashed, cut) = (client(1), client(2), client(3), client(4));
+        let unknown = client(99);
+        let mut sim: Simulation<Msg> = Simulation::new(1, NetworkConfig::instant());
+        sim.add_node(
+            me,
+            NodeProps::default(),
+            Box::new(Fanout {
+                targets: vec![sink, crashed, unknown, cut],
+            }),
+        );
+        for node in [sink, crashed, cut] {
+            let echoer = Echoer {
+                cpu_per_ping: Duration::ZERO,
+                handled: 0,
+            };
+            sim.add_node(node, NodeProps::default(), Box::new(echoer));
+        }
+        sim.crash(crashed);
+        sim.add_link_fault(LinkFault::new(
+            LinkFaultKind::Drop { probability: 1.0 },
+            NodeMatcher::Node(me),
+            NodeMatcher::Node(cut),
+            SimTime::ZERO,
+            SimTime::from_secs(1),
+        ));
+        let cpu = |sim: &Simulation<Msg>, node| sim.metrics().node(node).expect("node").cpu_busy;
+        // Start: four sends, no receipt.
+        sim.run_until(SimTime::from_millis(1));
+        assert_eq!(cpu(&sim, me), MESSAGE_CPU * 4);
+        // A message: four sends and its receipt.
+        sim.inject(me, client(98), Msg::Tick, SimTime::from_millis(1));
+        sim.run_until(SimTime::from_millis(2));
+        assert_eq!(cpu(&sim, me), MESSAGE_CPU * (4 + 5));
+        // A timer: four sends and its firing.
+        sim.run_until(SimTime::from_millis(3));
+        assert_eq!(cpu(&sim, me), MESSAGE_CPU * (4 + 5 + 5));
+        // Each pong that arrived cost its receiver one receipt.
+        assert_eq!(cpu(&sim, sink), MESSAGE_CPU * 3);
+        assert_eq!(cpu(&sim, cut), Duration::ZERO);
+        assert_eq!(sim.metrics().messages_dropped, 9);
     }
 
     #[test]
@@ -1327,16 +1421,18 @@ mod tests {
         sim.restart(client(1));
         sim.run_until(SimTime::from_micros(9_000));
         let t: &Ticker = sim.actor(client(1)).expect("ticker");
-        let ms = |us: u64| SimTime::from_micros(us);
+        // Each tick re-arms 1 ms after it completes, and firing costs
+        // `MESSAGE_CPU` (6 us).
+        let us = |us: u64| SimTime::from_micros(us);
         assert_eq!(
             t.ticks,
             vec![
-                ms(1_000),
-                ms(2_000),
-                ms(5_500),
-                ms(6_500),
-                ms(7_500),
-                ms(8_500)
+                us(1_000),
+                us(2_006),
+                us(5_500),
+                us(6_506),
+                us(7_512),
+                us(8_518)
             ]
         );
         assert_eq!(sim.metrics().messages_dropped, 0);
@@ -1370,8 +1466,11 @@ mod tests {
         sim.run_until(SimTime::from_micros(12_500));
         let t: &Ticker = sim.actor(client(1)).expect("replacement");
         // Only its own chain, armed at 3 ms: no tick at 3 ms (the parked
-        // timer) and none at 10 ms (the queued one).
-        let own: Vec<SimTime> = (4..=12).map(SimTime::from_millis).collect();
+        // timer) and none at 10 ms (the queued one). Each tick re-arms 1 ms
+        // after it completes, `MESSAGE_CPU` after it fires.
+        let own: Vec<SimTime> = (0..9)
+            .map(|k| SimTime::from_millis(4) + (Duration::from_millis(1) + MESSAGE_CPU) * k)
+            .collect();
         assert_eq!(t.ticks, own);
         assert_eq!(sim.metrics().messages_dropped, 2);
     }

@@ -8,7 +8,8 @@
 //! delivery into an FNV-1a hash. The expected value was captured from the
 //! original `BinaryHeap`-of-events scheduler; every rewrite since (the
 //! calendar queue, the key/slab split, and today's one heap of keys with a
-//! single handler path) must reproduce it exactly.
+//! single handler path) must reproduce it exactly. It moved once, when the
+//! per-message CPU charge moved into the simulator (see `GOLDEN_HASH`).
 
 use basil_common::{ClientId, Duration, NodeId, SimTime};
 use basil_simnet::{
@@ -143,13 +144,16 @@ fn run_trace(seed: u64) -> (u64, u64) {
     (hash.0, sim.metrics().events_processed)
 }
 
-/// The reference values, captured from the original global-`BinaryHeap`
-/// scheduler. Every rewrite pops events in the identical
-/// `(time, sequence-number)` order and draws network randomness at the same
-/// points, so both the full delivery trace and the event count must match
-/// bit-for-bit.
-const GOLDEN_HASH: u64 = 1025214319698513995;
-const GOLDEN_EVENTS: u64 = 1325;
+/// The reference values. Every scheduler rewrite pops events in the
+/// identical `(time, sequence-number)` order and draws network randomness at
+/// the same points, so both the full delivery trace and the event count must
+/// match bit-for-bit. The original global-`BinaryHeap` scheduler gave
+/// `(1025214319698513995, 1325)` when handlers charged only their own CPU.
+/// Since the simulator charges `MESSAGE_CPU` per message handled or sent,
+/// the values are those the previous scheduler gave for a `Tracer` that
+/// charged 6 us by hand at every receipt and send.
+const GOLDEN_HASH: u64 = 14842581129668789036;
+const GOLDEN_EVENTS: u64 = 1311;
 
 #[test]
 fn delivery_trace_matches_golden_reference() {
