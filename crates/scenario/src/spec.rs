@@ -40,7 +40,7 @@
 //! `crash + deceit ≤ f`, which is why [`ScenarioSpec::liveness_checkable`]
 //! is a property of the spec, not a separate assertion mode.
 
-use basil_common::Duration;
+use basil_common::{Duration, ShardConfig};
 use basil_core::{ClientStrategy, ReplicaBehavior};
 use basil_simnet::LinkFaultKind;
 use std::collections::BTreeSet;
@@ -314,7 +314,7 @@ pub struct ScenarioSpec {
 impl ScenarioSpec {
     /// Number of replicas in the (single-shard) deployment: `5f + 1`.
     pub fn num_replicas(&self) -> u32 {
-        5 * self.f + 1
+        ShardConfig::new(self.f).n()
     }
 
     /// The distinct replicas charged against the benign budget.
