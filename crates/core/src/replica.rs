@@ -102,8 +102,8 @@ struct TxRecord {
     /// here would reorder sends run to run and break the bit-identical
     /// determinism contract.
     interested: Vec<NodeId>,
-    /// ST2 messages that arrived before the transaction body, applied when
-    /// this replica casts its vote.
+    /// ST2 messages that arrived before the transaction body, at most one
+    /// per sender (its first), applied when this replica casts its vote.
     buffered_st2: Vec<(NodeId, St2)>,
     /// The elections this replica collected as fallback leader, by view.
     elections: BTreeMap<View, Election>,
@@ -666,7 +666,12 @@ impl BasilReplica {
         // voted; buffer until the ST1 arrives (unless validation is relaxed).
         let tx_known = self.records.get(&txid).is_some_and(|r| r.tx.is_some());
         if !tx_known && !self.cfg.relax_st2_validation {
-            self.record(txid).buffered_st2.push((from, st2));
+            // The first ST2 of a sender sticks, and an honest client's
+            // re-send carries the same content: buffer one per sender.
+            let buffered = &mut self.record(txid).buffered_st2;
+            if buffered.iter().all(|(sender, _)| *sender != from) {
+                buffered.push((from, st2));
+            }
             return;
         }
         self.apply_st2(ctx, from, st2);
@@ -2299,6 +2304,35 @@ mod tests {
         assert_eq!(acks.len(), 1);
         assert_eq!(acks[0].txid, t2.id());
         assert_eq!(acks[0].decision, Decision::Commit);
+    }
+
+    /// A replica buffers at most one early ST2 per sender and transaction,
+    /// the first: 1,000 copies of one valid ST2 that arrive before the ST1
+    /// are validated and answered once, when the body arrives.
+    #[test]
+    fn a_flood_of_one_early_st2_is_buffered_and_answered_once() {
+        let tx = write_tx(1_000_000, "x", 5);
+        let st2 = signed_st2(&tx, Decision::Commit, shard_votes_commit_tally(&tx, 4));
+        // The ST1 callback after `copies` early ST2s: the acknowledgements
+        // it sends and the CPU it charges.
+        let st1_after = |copies: usize| {
+            let mut r = replica(0);
+            let me = NodeId::Replica(r.id());
+            for _ in 0..copies {
+                let st2 = BasilMsg::St2(st2.clone());
+                r.on_message(&mut ctx_at(me, 1), client_node(), st2);
+            }
+            let (mut ctx, st1) = (ctx_at(me, 2), BasilMsg::St1(signed_st1(&tx, false)));
+            r.on_message(&mut ctx, client_node(), st1);
+            let acks = sent_to(&ctx, client_node())
+                .iter()
+                .filter(|m| matches!(m, BasilMsg::St2Reply(_)))
+                .count();
+            (acks, ctx.charged())
+        };
+        let (acks, charged) = st1_after(1_000);
+        assert_eq!(acks, 1);
+        assert_eq!(charged, st1_after(1).1, "the tally is validated once");
     }
 
     #[test]
