@@ -63,8 +63,8 @@
 //! one seeded RNG. The scheduler implementation is free to change (it has:
 //! global heap of events → calendar queue → one heap of keys over a slab,
 //! see [`sim`]) but must preserve this order bit-for-bit;
-//! `tests/golden_trace.rs` pins it with a trace hash captured before the
-//! first rewrite.
+//! `tests/golden_trace.rs` pins it with a trace hash that every rewrite has
+//! reproduced.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

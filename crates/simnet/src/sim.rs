@@ -48,8 +48,7 @@
 //! monotonically assigned, so events due at one instant deliver in the order
 //! they were scheduled. All randomness (latency jitter, loss) is drawn from
 //! one seeded RNG, in output order, so a fixed seed reproduces the exact
-//! event trace — `tests/golden_trace.rs` pins this with a trace hash
-//! captured from the original scheduler.
+//! event trace — `tests/golden_trace.rs` pins this with a trace hash.
 
 use crate::actor::{Actor, Context, Output};
 use crate::metrics::{Metrics, NodeMetrics};
