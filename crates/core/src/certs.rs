@@ -122,10 +122,12 @@ impl DecisionCert {
 /// The one quorum counter: how many distinct replicas of `shard` stand behind
 /// `items`. `part` picks the items that count toward this quorum (`None`
 /// skips one) and names, for each, the replica it claims to come from, the
-/// signed body and the proof. An item counts when it is the first from its
-/// replica and [`SigEngine::verify_from`] binds the signature to that replica;
-/// `counted` sees each such item. A repeated replica is skipped *before* its
-/// signature is looked at, so padding a certificate buys no verification work.
+/// signed body and the proof. Only the first item that claims a replica is
+/// checked: it counts when [`SigEngine::verify_from`] binds the signature to
+/// that replica, and `counted` sees each such item. Every later item that
+/// claims the same replica is skipped *before* its signature is looked at,
+/// whether the first one verified or not, so padding a certificate, with
+/// copies or with forgeries, buys no verification work.
 pub(crate) fn count_distinct_signed<'a, T, B: SignedPayload + 'a>(
     items: &'a [T],
     shard: ShardId,
@@ -142,8 +144,8 @@ pub(crate) fn count_distinct_signed<'a, T, B: SignedPayload + 'a>(
         if replica.shard != shard || seen.contains(replica.index) {
             continue;
         }
+        seen.insert(replica.index);
         if engine.verify_from(body, proof, NodeId::Replica(replica)) {
-            seen.insert(replica.index);
             count += 1;
             counted(item);
         }
@@ -466,31 +468,50 @@ mod tests {
     }
 
     /// A repeated replica is skipped before its signature is looked at: a
-    /// certificate padded with copies costs its validator nothing extra.
+    /// certificate padded with copies of a genuine vote, or with forgeries
+    /// that all claim one replica, costs its validator no more than the same
+    /// certificate with one such item. A forgery here is replica 5's body
+    /// under the proof replica 5 made for its abort vote.
     #[test]
     fn padding_a_certificate_buys_no_verification_work() {
-        let shard_cfg = cfg().system.shard;
-        let plain = shard_votes(Decision::Commit, commit_votes(6));
-        let mut votes = commit_votes(6);
-        votes.extend(std::iter::repeat_n(signed_vote(0, Decision::Commit), 50));
-        let padded = shard_votes(Decision::Commit, votes);
-        let cost = |offered: ShardVotes| {
-            // A fresh engine: every validation starts from a cold cache.
-            let mut engine = client_engine();
-            assert!(votes_justify(
-                txid(),
-                Decision::Commit,
-                Strength::Fast,
-                &[offered],
-                &[ShardId(0)],
-                &shard_cfg,
-                &mut engine
-            ));
-            engine.take_charged()
+        let copy = signed_vote(0, Decision::Commit);
+        let forged = SignedSt1Reply {
+            proof: signed_vote(5, Decision::Abort).proof,
+            ..signed_vote(5, Decision::Commit)
         };
-        let plain = cost(plain);
-        assert!(plain > Duration::ZERO);
-        assert_eq!(plain, cost(padded));
+        let with = |genuine: u32, extra: &SignedSt1Reply, count: usize| {
+            let mut votes = commit_votes(genuine);
+            votes.extend(std::iter::repeat_n(extra.clone(), count));
+            shard_votes(Decision::Commit, votes)
+        };
+        // (padding, strength, the padded set's genuine votes, the padding item)
+        let rows = [
+            ("copies", Strength::Fast, 6, copy),
+            ("forgeries", Strength::Slow, 5, forged),
+        ];
+        let shard_cfg = cfg().system.shard;
+        for (padding, strength, genuine, extra) in rows {
+            let cost = |offered: ShardVotes| {
+                // A fresh engine: every validation starts from a cold cache.
+                let mut engine = client_engine();
+                assert!(
+                    votes_justify(
+                        txid(),
+                        Decision::Commit,
+                        strength,
+                        &[offered],
+                        &[ShardId(0)],
+                        &shard_cfg,
+                        &mut engine
+                    ),
+                    "{padding}"
+                );
+                engine.take_charged()
+            };
+            let one = cost(with(genuine, &extra, 1));
+            assert!(one > Duration::ZERO, "{padding}");
+            assert_eq!(cost(with(genuine, &extra, 1_000)), one, "{padding}");
+        }
     }
 
     /// With f = 1, four commit and two abort votes justify both decisions,
