@@ -229,8 +229,9 @@ impl Commit {
     /// Whom a timeout re-sends the transaction to. Its own client re-asks
     /// only the replicas still owing the current stage's reply (a vote, or
     /// S_log's acknowledgement — a replica that never acknowledged may have
-    /// missed the ST1 itself and be buffering the ST2), so the message stream
-    /// is untouched whenever nothing was lost. A recoverer re-asks everyone:
+    /// missed the ST1 itself and so dropped the ST2, which the re-sent ST1
+    /// ahead of the re-sent ST2 repairs), so the message stream is untouched
+    /// whenever nothing was lost. A recoverer re-asks everyone:
     /// the transaction may have been decided meanwhile by its owner or by
     /// another recoverer, and the answer to a recovery prepare — the
     /// certificate, or the logged decision — is how it finds out.

@@ -74,7 +74,10 @@ pub struct ReplicaStats {
     pub catch_up_shed: u64,
 }
 
-/// Per-transaction protocol state kept by a replica.
+/// Per-transaction protocol state kept by a replica. A client's message
+/// creates one only with the body in hand: an ST1, or a writeback whose
+/// certificate validates (docs/ARCHITECTURE.md, "One certificate", names
+/// every handler that creates one and its gate).
 #[derive(Debug, Default)]
 struct TxRecord {
     /// The transaction metadata (from ST1 or a writeback), shared with the
@@ -96,15 +99,13 @@ struct TxRecord {
     /// the senders of a deferred ST1 (they get the vote once it is cast),
     /// of a recovery ST1, of an ST2 and of an InvokeFB. Each hears the
     /// released vote, a fallback decision, and the certificate when it is
-    /// applied, unless it delivered that certificate itself. A `Vec` with
-    /// membership checks (always a handful of clients) keeps the
-    /// forwarding order deterministic — iterating a RandomState-seeded set
-    /// here would reorder sends run to run and break the bit-identical
+    /// applied, unless it delivered that certificate itself. An ST2 or an
+    /// InvokeFB registers its sender only once the record holds the body.
+    /// A `Vec` with membership checks (always a handful of clients) keeps
+    /// the forwarding order deterministic — iterating a RandomState-seeded
+    /// set here would reorder sends run to run and break the bit-identical
     /// determinism contract.
     interested: Vec<NodeId>,
-    /// ST2 messages that arrived before the transaction body, at most one
-    /// per sender (its first), applied when this replica casts its vote.
-    buffered_st2: Vec<(NodeId, St2)>,
     /// The elections this replica collected as fallback leader, by view.
     elections: BTreeMap<View, Election>,
 }
@@ -338,7 +339,7 @@ impl BasilReplica {
     /// Logs `decision` for `txid` in `view`, and returns the ST2 reply that
     /// now reports it. The one writer of a logged decision; each caller
     /// checks its own admission rule first: the first view-0 ST2 sticks
-    /// (`apply_st2`), and a DecFB needs its election's majority and a view
+    /// (`handle_st2`), and a DecFB needs its election's majority and a view
     /// above the logged decision's (`handle_dec_fb`).
     fn log_decision(&mut self, txid: TxId, decision: Decision, view: View) -> Option<St2ReplyBody> {
         let commit = decision.is_commit();
@@ -615,17 +616,14 @@ impl BasilReplica {
     }
 
     /// Casts this replica's one ST1 vote for `txid`, at once or when the
-    /// dependencies it waited on are decided: logs it (which records it),
-    /// answers each client in `to`, and then applies the ST2s that arrived
-    /// before the transaction body (they can now be validated against it).
+    /// dependencies it waited on are decided: logs it (which records it) and
+    /// answers each client in `to`.
     fn cast_vote(&mut self, ctx: &mut Context<BasilMsg>, txid: TxId, vote: Vote, to: &[NodeId]) {
         let vote = vote.decision();
-        let record = self.record(txid);
         // `handle_st1` records the body before the check that yields a vote.
-        let Some(tx) = record.tx.clone() else {
+        let Some(tx) = self.record(txid).tx.clone() else {
             return;
         };
-        let buffered_st2 = std::mem::take(&mut record.buffered_st2);
         self.stats.st1_voted += 1;
         let commit = vote.is_commit();
         self.log(WalRecord::Prepare { commit, tx });
@@ -636,9 +634,6 @@ impl BasilReplica {
                 vote,
             };
             self.send_reply(ctx, client, Reply::St1(body));
-        }
-        for (from, st2) in buffered_st2 {
-            self.apply_st2(ctx, from, st2);
         }
     }
 
@@ -662,51 +657,33 @@ impl BasilReplica {
             return;
         }
         let txid = st2.txid;
-        // Without the transaction body we cannot check which shards must have
-        // voted; buffer until the ST1 arrives (unless validation is relaxed).
-        let tx_known = self.records.get(&txid).is_some_and(|r| r.tx.is_some());
-        if !tx_known && !self.cfg.relax_st2_validation {
-            // The first ST2 of a sender sticks, and an honest client's
-            // re-send carries the same content: buffer one per sender.
-            let buffered = &mut self.record(txid).buffered_st2;
-            if buffered.iter().all(|(sender, _)| *sender != from) {
-                buffered.push((from, st2));
-            }
-            return;
-        }
-        self.apply_st2(ctx, from, st2);
-    }
-
-    fn apply_st2(&mut self, ctx: &mut Context<BasilMsg>, from: NodeId, st2: St2) {
-        let txid = st2.txid;
-        let involved = self
-            .records
-            .get(&txid)
+        // Without the transaction body the shards that must have voted are
+        // unknown, so the ST2 is dropped before it touches `records`, under
+        // relaxed validation too. Its sender's timeout re-sends the ST1 ahead
+        // of the ST2 (`Commit::retransmit_targets`).
+        let Some(involved) = (self.records.get(&txid))
             .and_then(|r| r.tx.as_ref())
-            .map(|tx| tx.involved_shards(self.cfg.system.num_shards));
+            .map(|tx| tx.involved_shards(self.cfg.system.num_shards))
+        else {
+            return;
+        };
         // Only S_log logs decisions (see `validate_decision_cert`): an ST2 for
-        // a transaction known to log elsewhere is not acknowledged here.
-        if involved
-            .as_deref()
-            .is_some_and(|s| logging_shard(txid, s) != Some(self.id.shard))
-        {
+        // a transaction that logs elsewhere is not acknowledged here.
+        if logging_shard(txid, &involved) != Some(self.id.shard) {
             return;
         }
         // The tallies must justify the decision on the shards the body
-        // involves (`handle_st2` holds an ST2 back until the body is known);
-        // relaxed validation checks nothing.
+        // involves; relaxed validation checks nothing.
         if !self.cfg.relax_st2_validation
-            && !involved.is_some_and(|involved| {
-                votes_justify(
-                    txid,
-                    st2.decision,
-                    Strength::Slow,
-                    &st2.shard_votes,
-                    &involved,
-                    &self.cfg.system.shard,
-                    &mut self.engine,
-                )
-            })
+            && !votes_justify(
+                txid,
+                st2.decision,
+                Strength::Slow,
+                &st2.shard_votes,
+                &involved,
+                &self.cfg.system.shard,
+                &mut self.engine,
+            )
         {
             return;
         }
@@ -886,8 +863,14 @@ impl BasilReplica {
         if !self.engine.verify_request(&ifb, ifb.auth.as_ref()) {
             return;
         }
-        self.stats.fallback_invocations += 1;
         let txid = ifb.txid;
+        // A fallback runs only on a transaction whose body this replica
+        // holds: an InvokeFB for any other raises no view, logs nothing and
+        // signs no ElectFB. A correct recoverer sends its recovery ST1 first.
+        if self.records.get(&txid).is_none_or(|r| r.tx.is_none()) {
+            return;
+        }
+        self.stats.fallback_invocations += 1;
 
         // The current views reported by distinct, correctly signed replicas
         // of this shard.
@@ -1199,6 +1182,20 @@ mod tests {
         ReadRequest { auth: proof, ..req }
     }
 
+    /// The client's InvokeFB for `txid` with no view proof (enough to move
+    /// from view 0 to view 1).
+    fn signed_invoke_fb(txid: TxId) -> InvokeFb {
+        let ifb = InvokeFb {
+            txid,
+            views: vec![],
+            auth: None,
+        };
+        InvokeFb {
+            auth: client_engine().sign_request(&ifb),
+            ..ifb
+        }
+    }
+
     /// Extracts all messages sent to a given node from a context.
     fn sent_to(ctx: &Context<BasilMsg>, to: NodeId) -> Vec<BasilMsg> {
         ctx.outputs()
@@ -1302,17 +1299,7 @@ mod tests {
         let other = write_tx(1_000_000, "y", 8);
         let st2 =
             |tx: &Transaction| signed_st2(tx, Decision::Commit, shard_votes_commit_tally(tx, 4));
-        let invoke_fb = |tx: &Transaction| {
-            let ifb = InvokeFb {
-                txid: tx.id(),
-                views: vec![],
-                auth: None,
-            };
-            InvokeFb {
-                auth: client_engine().sign_request(&ifb),
-                ..ifb
-            }
-        };
+        let invoke_fb = |tx: &Transaction| signed_invoke_fb(tx.id());
         // (kind, the genuine request, the same kind over another body)
         let rows = [
             (
@@ -2264,75 +2251,73 @@ mod tests {
         assert!(applies(&mut r, &tx, abort_votes(ShardId(1))));
     }
 
-    /// An ST2 that arrives before its transaction's ST1 waits for the body.
-    /// When that ST1's vote is deferred, the ST2 is logged as the vote is
-    /// released, not stranded until its sender retransmits.
+    /// An ST2 for a transaction whose body the replica does not hold is
+    /// dropped, and its sender's re-send, the ST1 and then the ST2, is
+    /// acknowledged: when the ST1 is voted on at once, and when its vote is
+    /// deferred on a dependency (the record then holds the body).
     #[test]
-    fn st2_buffered_before_a_deferred_st1_is_logged_when_the_vote_is_released() {
-        let mut r = replica(0);
-        let me = NodeId::Replica(r.id());
+    fn an_early_st2_is_dropped_and_its_re_send_is_acknowledged() {
         let t1 = write_tx(1_000_000, "x", 5);
-        r.handle_st1(&mut ctx_at(me, 1), client_node(), signed_st1(&t1, false));
-        let t2 = dependent_tx(&t1);
-        let st2 = signed_st2(&t2, Decision::Commit, shard_votes_commit_tally(&t2, 4));
-        let mut ctx = ctx_at(me, 2);
-        r.handle_st2(&mut ctx, client_node(), st2);
-        assert!(sent_to(&ctx, client_node()).is_empty(), "ST2 buffered");
-
-        let dependent_client = NodeId::Client(ClientId(3));
-        r.handle_st1(&mut ctx, dependent_client, signed_st1(&t2, false));
-        assert_eq!(r.stats().st1_deferred, 1);
-        assert_eq!(r.stats().st2_logged, 0);
-
-        let mut ctx = ctx_at(me, 3);
-        r.handle_writeback(
-            &mut ctx,
-            client_node(),
-            Writeback {
-                cert: fast_commit_cert(&t1),
-                tx: Some(Arc::clone(&t1)),
-            },
-        );
-        assert_eq!(r.stats().st2_logged, 1);
-        let acks: Vec<St2ReplyBody> = sent_to(&ctx, client_node())
-            .into_iter()
-            .filter_map(|m| match m {
-                BasilMsg::St2Reply(reply) => Some(reply.body),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(acks.len(), 1);
-        assert_eq!(acks[0].txid, t2.id());
-        assert_eq!(acks[0].decision, Decision::Commit);
-    }
-
-    /// A replica buffers at most one early ST2 per sender and transaction,
-    /// the first: 1,000 copies of one valid ST2 that arrive before the ST1
-    /// are validated and answered once, when the body arrives.
-    #[test]
-    fn a_flood_of_one_early_st2_is_buffered_and_answered_once() {
-        let tx = write_tx(1_000_000, "x", 5);
-        let st2 = signed_st2(&tx, Decision::Commit, shard_votes_commit_tally(&tx, 4));
-        // The ST1 callback after `copies` early ST2s: the acknowledgements
-        // it sends and the CPU it charges.
-        let st1_after = |copies: usize| {
+        for deferred in [false, true] {
             let mut r = replica(0);
             let me = NodeId::Replica(r.id());
-            for _ in 0..copies {
-                let st2 = BasilMsg::St2(st2.clone());
-                r.on_message(&mut ctx_at(me, 1), client_node(), st2);
-            }
-            let (mut ctx, st1) = (ctx_at(me, 2), BasilMsg::St1(signed_st1(&tx, false)));
+            let tx = if deferred {
+                r.handle_st1(&mut ctx_at(me, 1), client_node(), signed_st1(&t1, false));
+                dependent_tx(&t1)
+            } else {
+                Arc::clone(&t1)
+            };
+            let st2 = signed_st2(&tx, Decision::Commit, shard_votes_commit_tally(&tx, 4));
+            let (wal, records) = (r.stats().wal_appends, r.records.len());
+            let mut ctx = ctx_at(me, 2);
+            r.on_message(&mut ctx, client_node(), BasilMsg::St2(st2.clone()));
+            assert!(ctx.outputs().is_empty(), "deferred {deferred}: no reply");
+            assert_eq!(r.records.len(), records, "deferred {deferred}: no record");
+            assert_eq!(r.stats().wal_appends, wal, "deferred {deferred}: no log");
+
+            let mut ctx = ctx_at(me, 3);
+            let st1 = BasilMsg::St1(signed_st1(&tx, false));
             r.on_message(&mut ctx, client_node(), st1);
-            let acks = sent_to(&ctx, client_node())
-                .iter()
-                .filter(|m| matches!(m, BasilMsg::St2Reply(_)))
-                .count();
-            (acks, ctx.charged())
+            assert_eq!(r.stats().st1_deferred, u64::from(deferred));
+            r.on_message(&mut ctx, client_node(), BasilMsg::St2(st2));
+            let acks: Vec<St2ReplyBody> = sent_to(&ctx, client_node())
+                .into_iter()
+                .filter_map(|m| match m {
+                    BasilMsg::St2Reply(reply) => Some(reply.body),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(acks.len(), 1, "deferred {deferred}");
+            assert_eq!(acks[0].txid, tx.id());
+            assert_eq!(acks[0].decision, Decision::Commit);
+            assert_eq!(r.stats().st2_logged, 1);
+        }
+    }
+
+    /// A client message creates replica state only for a transaction the
+    /// replica holds: 1,000 MAC-valid ST2s, or 1,000 MAC-valid InvokeFBs,
+    /// each for a transaction no ST1 or writeback brought, leave no record,
+    /// append nothing to the WAL and send nothing.
+    #[test]
+    fn requests_for_invented_transactions_leave_no_state() {
+        let request = |kind: &str, tx: &Transaction| match kind {
+            "ST2" => {
+                let tally = shard_votes_commit_tally(tx, 4);
+                BasilMsg::St2(signed_st2(tx, Decision::Commit, tally))
+            }
+            _ => BasilMsg::InvokeFb(signed_invoke_fb(tx.id())),
         };
-        let (acks, charged) = st1_after(1_000);
-        assert_eq!(acks, 1);
-        assert_eq!(charged, st1_after(1).1, "the tally is validated once");
+        for kind in ["ST2", "InvokeFB"] {
+            let mut r = replica(0);
+            let mut ctx = ctx_at(NodeId::Replica(r.id()), 1);
+            for i in 0..1_000 {
+                let invented = write_tx(1_000_000 + i, "x", i);
+                r.on_message(&mut ctx, client_node(), request(kind, &invented));
+            }
+            assert!(r.records.is_empty(), "{kind}: no record");
+            assert_eq!(r.stats().wal_appends, 0, "{kind}: no log");
+            assert!(ctx.outputs().is_empty(), "{kind}: nothing sent");
+        }
     }
 
     #[test]
@@ -2564,16 +2549,7 @@ mod tests {
         // The recovering client invokes the fallback with the replicas'
         // signed current views (all view 0, so no proof is needed to move to
         // view 1).
-        let ifb = {
-            let mut engine = client_engine();
-            let ifb = InvokeFb {
-                txid,
-                views: vec![],
-                auth: None,
-            };
-            let proof = engine.sign_request(&ifb);
-            InvokeFb { auth: proof, ..ifb }
-        };
+        let ifb = signed_invoke_fb(txid);
 
         // Deliver InvokeFB to all replicas and collect their ElectFB
         // messages.
